@@ -72,14 +72,12 @@ lint:
 			"Retry-After handling, DESIGN.md §14):"; \
 		echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' \
-		-E 'matrix\.(MulPruned(Parallel)?(Ctx)?|MulAAT(Parallel(Ctx)?|Ctx)?)\(' . \
-		| grep -v -e '^\./internal/core/reference\.go:' -e '^\./cmd/symbench/' || true)"; \
+		-E 'matrix\.MulPrunedCtx\(' . || true)"; \
 	if [ -n "$$out" ]; then \
-		echo "lint: raw pruned-SpGEMM kernel call outside the reference path" \
-			"(symmetrization products must go through the fused plan" \
-			"executor — matrix.MulScaledPruned*/MulXXTScaledPruned* via" \
-			"internal/core — so scalings and pruning stay fused and the" \
-			"bit-identity contract holds, DESIGN.md §15):"; \
+		echo "lint: production call to the sparse-product oracle" \
+			"(matrix.MulPrunedCtx is the reference the tests hold the" \
+			"engine to; products go through matrix.MulXXTScaledPruned*" \
+			"or matrix.MulPrunedTopKCtx, DESIGN.md §15):"; \
 		echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' \
 		-E 'Header\.(Set|Add)\("(X-Symclusterd-|[Tt]raceparent)' . \
@@ -154,17 +152,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/csr
 
-# Regenerate the benchmark artifact: the scaled-pruned SpGEMM
-# (materialized baseline vs fused vs mmap'd operands), the full
-# degree-discounted symmetrization (pre-fusion baseline vs fused
-# in-core vs out-of-core), the observability parity pair (dd
-# symmetrization with tracing/metrics/job accounting armed vs off,
-# proving the ≤2% overhead claim), and MLR-MCL, every row with wall
-# time and bytes allocated. Takes a couple of minutes; the committed
-# BENCH_PR9.json is the reference copy (BENCH_PR8.json is the previous
-# snapshot it is compared against).
+# The repo benchmark (BENCHMARK.json, bench/README.md): one 30-second
+# workload against an in-process symclusterd per invocation; arguments
+# pass through, e.g. `bash bench/run.sh --workload mcl_hot`.
 bench:
-	$(GO) run ./cmd/symbench -out BENCH_PR9.json
+	bash bench/run.sh
 
 test-long:
 	$(GO) test ./...

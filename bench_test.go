@@ -7,6 +7,7 @@
 package symcluster_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -234,20 +235,20 @@ func BenchmarkControlledSweep(b *testing.B) {
 // --- Ablation benchmarks (DESIGN.md §5) ---
 
 // BenchmarkAblation_PruneDuringVsAfter compares pruning inside the
-// SpGEMM row loop (the implementation) against materialising the full
-// product and pruning afterwards.
+// self-product's row loop (the implementation) against materialising
+// the full product and pruning afterwards.
 func BenchmarkAblation_PruneDuringVsAfter(b *testing.B) {
 	d := benchDatasets(b)
 	a := d.Wiki.Graph.Adj
 	at := a.Transpose()
 	b.Run("during", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			matrix.MulPruned(a, at, 3)
+			matrix.MulXXTScaledPruned(a, at, nil, nil, 3, 1)
 		}
 	})
 	b.Run("after", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			matrix.MulPruned(a, at, 0).Prune(3)
+			matrix.MulXXTScaledPruned(a, at, nil, nil, 0, 1).Prune(3)
 		}
 	})
 }
@@ -273,37 +274,15 @@ func BenchmarkAblation_FactoredVsNaive(b *testing.B) {
 		doInv := invSqrt(outDeg)
 		diInv := invSqrt(inDeg)
 		at := a.Transpose()
+		mul := func(x, y *matrix.CSR) *matrix.CSR {
+			p, _ := matrix.MulPrunedTopKCtx(context.Background(), x, y, 0, 0)
+			return p
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bd := matrix.Mul(matrix.Mul(a.ScaleRows(doInv), matrix.Diagonal(diInv)), at.ScaleCols(doInv))
-			cd := matrix.Mul(matrix.Mul(at.ScaleRows(diInv), matrix.Diagonal(doInv)), a.ScaleCols(diInv))
+			bd := mul(mul(a.ScaleRows(doInv), matrix.Diagonal(diInv)), at.ScaleCols(doInv))
+			cd := mul(mul(at.ScaleRows(diInv), matrix.Diagonal(doInv)), a.ScaleCols(diInv))
 			matrix.Add(bd, cd, 1, 1).Prune(0.05)
-		}
-	})
-}
-
-// BenchmarkAblation_APSSvsSpGEMM compares the Bayardo all-pairs
-// similarity search backend (paper §3.6) against thresholded SpGEMM
-// for the degree-discounted products.
-func BenchmarkAblation_APSSvsSpGEMM(b *testing.B) {
-	d := benchDatasets(b)
-	a := d.Wiki.Graph.Adj
-	spgemm := core.Defaults()
-	spgemm.Threshold = 0.05
-	apss := spgemm
-	apss.UseAPSS = true
-	b.Run("spgemm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SymmetrizeDegreeDiscounted(a, spgemm); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("apss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SymmetrizeDegreeDiscounted(a, apss); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

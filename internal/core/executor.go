@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"symcluster/internal/matrix"
-	"symcluster/internal/simjoin"
 )
 
 // runPlan lowers a symmetrization plan to one of two execution
@@ -89,7 +88,11 @@ func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *
 		}
 		rs := resolveScale(term.rowScale, outDeg, inDeg)
 		cs := resolveScale(term.colScale, outDeg, inDeg)
-		p, err := fusedSelfProduct(ctx, x, xt, rs, cs, opt)
+		// The one product every product-shaped symmetrization lowers to,
+		// in-core or out-of-core (the kernel only reads rows, so heap and
+		// mapped operands are alike), with the scalings and threshold
+		// folded in.
+		p, err := matrix.MulXXTScaledPrunedCtx(ctx, x, xt, rs, cs, opt.Threshold, max(opt.Workers, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -121,59 +124,4 @@ func resolveScale(spec *scaleSpec, outDeg, inDeg []int) []float64 {
 		deg = inDeg
 	}
 	return discountVector(deg, spec.kind, spec.exp, spec.share)
-}
-
-// fusedSelfProduct computes S = X·Xᵀ for X = diag(rowScale)·x·diag(colScale)
-// given x and its exact transpose xt (heap or mapped view — the fused
-// kernel only reads rows). This is the single kernel-selection point
-// for every product-shaped symmetrization, in-core or out-of-core:
-//
-//   - Default: the fused triangle kernel, sequential or tiled-parallel
-//     per opt.Workers, with the scalings and threshold folded in.
-//   - opt.UseAPSS with a positive threshold: the Bayardo-style
-//     all-pairs similarity search (paper §3.6). APSS builds its own
-//     inverted index over the scaled rows, so the scaled factor is
-//     materialised for it — the one backend that still needs the copy.
-//     The APSS backend omits the diagonal, so it is restored for
-//     callers that keep self-similarities; negative weights or other
-//     join errors fall back to the fused kernel, which handles both.
-func fusedSelfProduct(ctx context.Context, x, xt *matrix.CSR, rowScale, colScale []float64, opt Options) (*matrix.CSR, error) {
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if !opt.UseAPSS || opt.Threshold <= 0 {
-		return matrix.MulXXTScaledPrunedCtx(ctx, x, xt, rowScale, colScale, opt.Threshold, workers)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	xs := x
-	if rowScale != nil {
-		xs = xs.ScaleRows(rowScale)
-	}
-	if colScale != nil {
-		xs = xs.ScaleCols(colScale)
-	}
-	p, err := simjoin.SelfJoin(xs, opt.Threshold)
-	if err != nil {
-		return matrix.MulXXTScaledPrunedCtx(ctx, x, xt, rowScale, colScale, opt.Threshold, workers)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if opt.DropDiagonal {
-		return p, nil
-	}
-	diag := make([]float64, xs.Rows)
-	for i := 0; i < xs.Rows; i++ {
-		_, vals := xs.Row(i)
-		for _, v := range vals {
-			diag[i] += v * v
-		}
-		if diag[i] < opt.Threshold {
-			diag[i] = 0
-		}
-	}
-	return matrix.Add(p, matrix.Diagonal(diag), 1, 1), nil
 }

@@ -109,12 +109,6 @@ func TestOutOfCoreBitIdentity(t *testing.T) {
 			o.Workers = 4
 			return o
 		}()},
-		{"dd-apss", DegreeDiscounted, func() Options {
-			o := Defaults()
-			o.Threshold = 0.01
-			o.UseAPSS = true
-			return o
-		}()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := SymmetrizeCtx(context.Background(), g, tc.method, tc.opt)

@@ -84,7 +84,7 @@ func TestQuickDegreeDiscountedDominatedByBibliometric(t *testing.T) {
 	// With α, β ≥ 0 every discount factor is ≤ 1, so each
 	// degree-discounted entry is bounded by the bibliometric entry.
 	f := func(g digraphGen) bool {
-		bib := SymmetrizeBibliometric(g.A, Options{DropDiagonal: true})
+		bib := symmetrizeBibliometric(g.A, Options{DropDiagonal: true})
 		dd, err := SymmetrizeDegreeDiscounted(g.A, Defaults())
 		if err != nil {
 			return false
@@ -106,7 +106,7 @@ func TestQuickDegreeDiscountedDominatedByBibliometric(t *testing.T) {
 
 func TestQuickAATStructureIsUnionOfDirections(t *testing.T) {
 	f := func(g digraphGen) bool {
-		u := SymmetrizeAAT(g.A)
+		u := symmetrizeAAT(g.A)
 		for i := 0; i < u.Rows; i++ {
 			cols, _ := u.Row(i)
 			for _, c := range cols {
@@ -136,7 +136,7 @@ func TestQuickRandomWalkMassConservation(t *testing.T) {
 	// Total weight of (ΠP + PᵀΠ)/2 equals Σπ over non-dangling rows
 	// ≤ 1, and equals 1 when there are no dangling nodes.
 	f := func(g digraphGen) bool {
-		u, err := SymmetrizeRandomWalk(g.A, 0.05)
+		u, err := symmetrizeRandomWalk(g.A, 0.05)
 		if err != nil {
 			return false
 		}
@@ -182,7 +182,7 @@ func TestQuickSelfLoopOptionPreservesEdges(t *testing.T) {
 			var u *matrix.CSR
 			var err error
 			if m == Bibliometric {
-				u = SymmetrizeBibliometric(g.A, Options{AddSelfLoops: true, DropDiagonal: true})
+				u = symmetrizeBibliometric(g.A, Options{AddSelfLoops: true, DropDiagonal: true})
 			} else {
 				u, err = SymmetrizeDegreeDiscounted(g.A, opt)
 			}

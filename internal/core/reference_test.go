@@ -12,16 +12,11 @@ import (
 // the executable specification of what the fused execution layer must
 // reproduce bit-for-bit: every scaled factor is built as a full clone
 // (ScaleRows then ScaleCols), every transpose is materialised, the
-// products run through the plain pruned-SpGEMM kernels, and mirrors go
-// through matrix.Add against an explicit transpose. The property tests
-// in fused_quick_test.go hold SymmetrizeCtx bit-identical to this
-// function across methods, thresholds, worker counts, and the
-// out-of-core path, and cmd/symbench times it as the fused-vs-baseline
-// denominator recorded in BENCH_PR8.json.
-//
-// The APSS backend is not modelled here (UseAPSS is ignored): APSS is
-// an alternative candidate-pruning strategy, not an alternative
-// dataflow, and its equivalence is covered by apss_test.go.
+// products run through the sequential oracle matrix.MulPrunedCtx
+// whatever opt.Workers says, and mirrors go through matrix.Add against
+// an explicit transpose. The property tests in fused_quick_test.go hold
+// SymmetrizeCtx bit-identical to this function across methods,
+// thresholds, worker counts, and the out-of-core path.
 func ReferenceSymmetrize(ctx context.Context, a *matrix.CSR, method Method, opt Options) (*matrix.CSR, error) {
 	switch {
 	case method == AAT:
@@ -90,11 +85,7 @@ func ReferenceSymmetrize(ctx context.Context, a *matrix.CSR, method Method, opt 
 }
 
 // referenceSelfProduct is the pre-fusion x·xᵀ: materialise the
-// transpose, run the plain pruned SpGEMM, parallel over static row
-// blocks when opt.Workers > 1.
+// transpose and run the oracle product.
 func referenceSelfProduct(ctx context.Context, x *matrix.CSR, opt Options) (*matrix.CSR, error) {
-	if opt.Workers > 1 {
-		return matrix.MulPrunedParallelCtx(ctx, x, x.Transpose(), opt.Threshold, opt.Workers)
-	}
 	return matrix.MulPrunedCtx(ctx, x, x.Transpose(), opt.Threshold)
 }

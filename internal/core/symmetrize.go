@@ -109,16 +109,10 @@ type Options struct {
 	// AAᵀ + AᵀA is a node's own degree mass and only adds self-loops
 	// that clustering algorithms must then ignore.
 	DropDiagonal bool
-	// UseAPSS routes the thresholded self-products of Bibliometric and
-	// DegreeDiscounted through the all-pairs similarity search of
-	// Bayardo et al. (paper §3.6) instead of row-wise SpGEMM. Requires
-	// Threshold > 0; results are identical, only the candidate-pruning
-	// strategy differs.
-	UseAPSS bool
-	// Workers parallelises the similarity products over row blocks
+	// Workers parallelises the similarity products over row tiles
 	// (> 1 enables; results are bit-identical to sequential). The
 	// paper's experiments stay single-threaded to mirror its setup;
-	// this is for production use. Ignored when UseAPSS is set.
+	// this is for production use.
 	Workers int
 }
 
@@ -208,22 +202,11 @@ var kernels = map[Method]func(ctx context.Context, a *matrix.CSR, opt Options) (
 	DegreeDiscounted: SymmetrizeDegreeDiscountedCtx,
 }
 
-// SymmetrizeAAT returns U = A + Aᵀ (§3.1), computed by the
-// triangle-and-mirror helper so the transpose is never materialised.
-func SymmetrizeAAT(a *matrix.CSR) *matrix.CSR {
-	return matrix.AddTransposeSym(a, 1)
-}
-
-// SymmetrizeRandomWalk returns U = (ΠP + PᵀΠ)/2 (§3.2), where P is the
-// row-stochastic transition matrix of A and Π the diagonal matrix of
-// its stationary distribution computed with the given teleport
+// SymmetrizeRandomWalkCtx returns U = (ΠP + PᵀΠ)/2 (§3.2), where P is
+// the row-stochastic transition matrix of A and Π the diagonal matrix
+// of its stationary distribution computed with the given teleport
 // probability (0 means walk.DefaultTeleport). U has the same non-zero
-// structure as A + Aᵀ; only the weights differ.
-func SymmetrizeRandomWalk(a *matrix.CSR, teleport float64) (*matrix.CSR, error) {
-	return SymmetrizeRandomWalkCtx(context.Background(), a, teleport)
-}
-
-// SymmetrizeRandomWalkCtx is SymmetrizeRandomWalk with cancellation at
+// structure as A + Aᵀ; only the weights differ. ctx is polled at
 // power-iteration boundaries of the stationary distribution.
 func SymmetrizeRandomWalkCtx(ctx context.Context, a *matrix.CSR, teleport float64) (*matrix.CSR, error) {
 	if teleport == 0 {
@@ -240,20 +223,14 @@ func SymmetrizeRandomWalkCtx(ctx context.Context, a *matrix.CSR, teleport float6
 	return matrix.AddTransposeSym(piP, 0.5), nil
 }
 
-// SymmetrizeBibliometric returns U = AAᵀ + AᵀA (§3.3), honouring
+// SymmetrizeBibliometricCtx returns U = AAᵀ + AᵀA (§3.3), honouring
 // opt.AddSelfLoops, opt.Threshold and opt.DropDiagonal. Alpha/Beta are
 // ignored. Note that the threshold is applied to each of the two
 // product terms as they are formed; an entry present in both terms
 // survives if either contribution passes the threshold, matching the
-// paper's integer thresholds on shared-link counts (Table 2).
-func SymmetrizeBibliometric(a *matrix.CSR, opt Options) *matrix.CSR {
-	u, _ := SymmetrizeBibliometricCtx(context.Background(), a, opt)
-	return u
-}
-
-// SymmetrizeBibliometricCtx is SymmetrizeBibliometric with
-// cancellation: the two self-products poll ctx at row-block boundaries
-// and a cancelled context aborts with ctx's error.
+// paper's integer thresholds on shared-link counts (Table 2). The two
+// self-products poll ctx at row-tile boundaries and a cancelled context
+// aborts with ctx's error.
 func SymmetrizeBibliometricCtx(ctx context.Context, a *matrix.CSR, opt Options) (*matrix.CSR, error) {
 	return runPlan(ctx, a, bibliometricPlan(opt), opt, nil)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,27 @@ import (
 	"symcluster/internal/matrix"
 	"symcluster/internal/walk"
 )
+
+// Context-free spellings of the per-method kernels for the tests below.
+func symmetrizeAAT(a *matrix.CSR) *matrix.CSR {
+	u, _ := kernels[AAT](context.Background(), a, Options{})
+	return u
+}
+
+func symmetrizeRandomWalk(a *matrix.CSR, teleport float64) (*matrix.CSR, error) {
+	return SymmetrizeRandomWalkCtx(context.Background(), a, teleport)
+}
+
+func symmetrizeBibliometric(a *matrix.CSR, opt Options) *matrix.CSR {
+	u, _ := SymmetrizeBibliometricCtx(context.Background(), a, opt)
+	return u
+}
+
+// mulOracle is the unpruned reference product a·b.
+func mulOracle(a, b *matrix.CSR) *matrix.CSR {
+	p, _ := matrix.MulPrunedCtx(context.Background(), a, b, 0)
+	return p
+}
 
 // figure1 builds the paper's Figure 1 graph: nodes 4 and 5 never link
 // to each other, but both point to nodes 2 and 3 and are both pointed
@@ -62,7 +84,7 @@ func TestAATBasic(t *testing.T) {
 		{1, 0, 0},
 		{0, 3, 0},
 	})
-	u := SymmetrizeAAT(a)
+	u := symmetrizeAAT(a)
 	if !u.IsSymmetric(0) {
 		t.Fatal("A+Aᵀ not symmetric")
 	}
@@ -76,7 +98,7 @@ func TestAATBasic(t *testing.T) {
 
 func TestAATFailsOnFigure1(t *testing.T) {
 	// The defining weakness (§2.1.1): nodes 4 and 5 stay unconnected.
-	u := SymmetrizeAAT(figure1())
+	u := symmetrizeAAT(figure1())
 	if u.At(4, 5) != 0 {
 		t.Fatal("A+Aᵀ connected nodes 4 and 5, expected no edge")
 	}
@@ -87,11 +109,11 @@ func TestRandomWalkStructureMatchesAAT(t *testing.T) {
 	// as A + Aᵀ; only weights differ.
 	rng := rand.New(rand.NewSource(21))
 	a := randomDirected(rng, 40, 4)
-	u, err := SymmetrizeRandomWalk(a, walk.DefaultTeleport)
+	u, err := symmetrizeRandomWalk(a, walk.DefaultTeleport)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aat := SymmetrizeAAT(a)
+	aat := symmetrizeAAT(a)
 	if u.NNZ() != aat.NNZ() {
 		t.Fatalf("edge sets differ: rw %d vs a+at %d", u.NNZ(), aat.NNZ())
 	}
@@ -189,7 +211,7 @@ func TestRandomWalkNCutEquivalence(t *testing.T) {
 }
 
 func TestBibliometricOnFigure1(t *testing.T) {
-	u := SymmetrizeBibliometric(figure1(), Options{DropDiagonal: true})
+	u := symmetrizeBibliometric(figure1(), Options{DropDiagonal: true})
 	// Nodes 4 and 5 share out-links {2,3} and in-links {0,1}: AAᵀ gives
 	// 2, AᵀA gives 2, so U(4,5) = 4.
 	if got := u.At(4, 5); got != 4 {
@@ -215,7 +237,7 @@ func TestBibliometricSelfLoopsPreserveEdges(t *testing.T) {
 		{0, 0, 1},
 		{0, 0, 0},
 	})
-	plain := SymmetrizeBibliometric(a, Options{DropDiagonal: true})
+	plain := symmetrizeBibliometric(a, Options{DropDiagonal: true})
 	if plain.At(0, 1) == 0 {
 		// 0→1: without self-loops, the pair (0,1) shares no links here?
 		// 0 points to {1}, 1 points to {2}: no common out-links; in-links
@@ -224,15 +246,15 @@ func TestBibliometricSelfLoopsPreserveEdges(t *testing.T) {
 	} else {
 		t.Fatalf("expected edge (0,1) to vanish without self-loops, got %v", plain.At(0, 1))
 	}
-	withLoops := SymmetrizeBibliometric(a, Options{AddSelfLoops: true, DropDiagonal: true})
+	withLoops := symmetrizeBibliometric(a, Options{AddSelfLoops: true, DropDiagonal: true})
 	if withLoops.At(0, 1) == 0 || withLoops.At(1, 2) == 0 {
 		t.Fatalf("self-loop option failed to preserve original edges: %v", withLoops.ToDense())
 	}
 }
 
 func TestBibliometricThresholdPrunes(t *testing.T) {
-	u0 := SymmetrizeBibliometric(figure1(), Options{DropDiagonal: true})
-	u3 := SymmetrizeBibliometric(figure1(), Options{Threshold: 3, DropDiagonal: true})
+	u0 := symmetrizeBibliometric(figure1(), Options{DropDiagonal: true})
+	u3 := symmetrizeBibliometric(figure1(), Options{Threshold: 3, DropDiagonal: true})
 	if u3.NNZ() >= u0.NNZ() {
 		t.Fatalf("threshold did not prune: %d vs %d", u3.NNZ(), u0.NNZ())
 	}
@@ -273,8 +295,8 @@ func TestDegreeDiscountedMatchesExplicitFormula(t *testing.T) {
 			}
 		}
 		at := a.Transpose()
-		bd := matrix.Mul(matrix.Mul(a.ScaleRows(doInv), matrix.Diagonal(diInv)), at.ScaleCols(doInv))
-		cd := matrix.Mul(matrix.Mul(at.ScaleRows(diInv), matrix.Diagonal(doInv)), a.ScaleCols(diInv))
+		bd := mulOracle(mulOracle(a.ScaleRows(doInv), matrix.Diagonal(diInv)), at.ScaleCols(doInv))
+		cd := mulOracle(mulOracle(at.ScaleRows(diInv), matrix.Diagonal(doInv)), a.ScaleCols(diInv))
 		want := matrix.Add(bd, cd, 1, 1)
 
 		if !matrix.Equal(got, want, 1e-9) {
@@ -326,7 +348,7 @@ func TestDegreeDiscountedDownweightsHubs(t *testing.T) {
 		t.Fatalf("hub-mediated similarity %v not below non-hub similarity %v", high, low)
 	}
 	// Undiscounted bibliometric sees both pairs identically.
-	bib := SymmetrizeBibliometric(b.Build(), Options{DropDiagonal: true})
+	bib := symmetrizeBibliometric(b.Build(), Options{DropDiagonal: true})
 	if bib.At(1, 2) != bib.At(3, 4) {
 		t.Fatalf("bibliometric should not distinguish: %v vs %v", bib.At(1, 2), bib.At(3, 4))
 	}
@@ -366,7 +388,7 @@ func TestDegreeDiscountedAlphaBetaZeroIsBibliometric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bib := SymmetrizeBibliometric(a, Options{DropDiagonal: true})
+	bib := symmetrizeBibliometric(a, Options{DropDiagonal: true})
 	if !matrix.Equal(dd, bib, 1e-9) {
 		t.Fatal("α=β=0 degree-discounted != bibliometric")
 	}

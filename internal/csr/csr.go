@@ -173,6 +173,42 @@ func parseHeader(data []byte) (header, error) {
 	return h, nil
 }
 
+// Encode renders m as a complete binary CSR image — byte for byte the
+// file WriteMatrix produces — for callers that want the wire format in
+// memory (MCL flow checkpoints, the public matrix codec). m must be a
+// well-formed CSR; dimensions no in-memory matrix can have panic.
+func Encode(m *matrix.CSR) []byte {
+	rows, nnz := int64(m.Rows), int64(m.NNZ())
+	l, err := layoutFor(rows, int64(m.Cols), nnz)
+	if err != nil {
+		panic(fmt.Sprintf("csr: Encode: %v", err))
+	}
+	buf := make([]byte, l.total)
+	rowPtr := buf[l.rowPtrOff:l.colIdxOff]
+	colIdx := buf[l.colIdxOff : l.colIdxOff+4*nnz]
+	val := buf[l.valOff:]
+	for i, p := range m.RowPtr[:rows+1] {
+		binary.LittleEndian.PutUint64(rowPtr[8*i:], uint64(p))
+	}
+	for i, c := range m.ColIdx {
+		binary.LittleEndian.PutUint32(colIdx[4*i:], uint32(c))
+	}
+	for i, v := range m.Val {
+		binary.LittleEndian.PutUint64(val[8*i:], math.Float64bits(v))
+	}
+	hdr := encodeHeader(header{
+		version:   Version,
+		rows:      rows,
+		cols:      int64(m.Cols),
+		nnz:       nnz,
+		crcRowPtr: crc32.ChecksumIEEE(rowPtr),
+		crcColIdx: crc32.ChecksumIEEE(colIdx),
+		crcVal:    crc32.ChecksumIEEE(val),
+	})
+	copy(buf, hdr[:])
+	return buf
+}
+
 // Decode parses a complete in-memory (or memory-mapped) binary CSR
 // image and returns it as a matrix. On little-endian hosts the
 // returned matrix's slices alias data (zero-copy); the caller must

@@ -1,8 +1,10 @@
 package csr
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
@@ -82,10 +84,27 @@ func TestRoundTrip(t *testing.T) {
 		{"rectangular", testMatrix(t, 31, 77, 4, 2)},
 		{"single", testMatrix(t, 1, 1, 1, 3)},
 		{"empty-rows", &matrix.CSR{Rows: 5, Cols: 5, RowPtr: make([]int64, 6)}},
+		{"empty-rectangular", matrix.Zero(3, 4)},
+		{"negative-values", testMatrix(t, 40, 23, 5, 4).Scale(-1.5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mp, _ := writeAndOpen(t, tc.m)
+			mp, path := writeAndOpen(t, tc.m)
 			sameMatrix(t, tc.m, mp.View())
+			// One wire format: the in-memory image is the file, byte for
+			// byte, and decodes back to the same matrix.
+			image := Encode(tc.m)
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(image, file) {
+				t.Fatal("Encode image differs from the WriteMatrix file")
+			}
+			back, err := Decode(image)
+			if err != nil {
+				t.Fatalf("Decode(Encode(m)): %v", err)
+			}
+			sameMatrix(t, tc.m, back)
 		})
 	}
 }
@@ -169,29 +188,25 @@ func TestWriterRejectsBadAppends(t *testing.T) {
 	}
 }
 
-// corrupt opens a valid file's bytes, applies f, and expects Decode to
-// reject the result.
+// corrupt applies f to a valid image and expects Decode to reject the
+// result.
 func corrupt(t *testing.T, name string, f func(data []byte) []byte) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
-		m := testMatrix(t, 20, 20, 4, 7)
-		path := filepath.Join(t.TempDir(), "m.csr")
-		if err := WriteMatrix(context.Background(), path, m); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutated := f(append([]byte(nil), data...))
-		if _, err := Decode(mutated); err == nil {
-			t.Fatalf("Decode accepted corrupted input")
+		mutated := f(Encode(testMatrix(t, 20, 20, 4, 7)))
+		if _, err := Decode(mutated); !errors.Is(err, ErrFormat) {
+			t.Fatalf("Decode of corrupted input: err = %v, want ErrFormat", err)
 		}
 	})
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
+	corrupt(t, "empty", func([]byte) []byte { return nil })
+	corrupt(t, "junk", func([]byte) []byte { return []byte("junk") })
 	corrupt(t, "bad-magic", func(d []byte) []byte { d[0] ^= 0xff; return d })
+	// The unchecksummed pre-codec matrix format ("CSR1" magic) that MCL
+	// checkpoints used to be written in: rejected, never misread.
+	corrupt(t, "legacy-csr1-magic", func(d []byte) []byte { copy(d, "CSR1"); return d })
 	corrupt(t, "bad-version", func(d []byte) []byte {
 		binary.LittleEndian.PutUint32(d[4:8], 99)
 		return d
@@ -212,6 +227,18 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		return d
 	})
 	corrupt(t, "val-bitflip", func(d []byte) []byte { d[len(d)-1] ^= 0x80; return d })
+	// Checksums can be forged; structural validation is the last line.
+	corrupt(t, "colidx-out-of-range-crc-valid", func(d []byte) []byte {
+		nnz := int64(binary.LittleEndian.Uint64(d[24:32]))
+		l, _ := layoutFor(20, 20, nnz)
+		binary.LittleEndian.PutUint32(d[l.colIdxOff:], 0xFF)
+		binary.LittleEndian.PutUint32(d[36:40], crc32.ChecksumIEEE(d[l.colIdxOff:l.colIdxOff+4*nnz]))
+		var h [headerSize]byte
+		copy(h[:], d)
+		h = encodeHeaderRaw(h)
+		copy(d, h[:])
+		return d
+	})
 	corrupt(t, "reserved-nonzero", func(d []byte) []byte { d[50] = 1; return d })
 }
 

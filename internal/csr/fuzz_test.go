@@ -1,17 +1,16 @@
 package csr
 
 import (
-	"context"
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"symcluster/internal/graph"
 )
 
-// FuzzDecode throws arbitrary bytes at the binary CSR decoder. The
+// FuzzDecode throws arbitrary bytes at the binary CSR decoder — the
+// one decoder behind graph files, MCL checkpoint blobs and the public
+// matrix codec. The
 // contract under fuzzing: Decode either returns a valid matrix or an
 // error — never a panic, never an allocation sized by unvalidated
 // header counts (the size cross-check runs before any section view).
@@ -23,15 +22,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		path := filepath.Join(f.TempDir(), "seed.csr")
-		if err := WriteMatrix(context.Background(), path, g.Adj); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
+		return Encode(g.Adj)
 	}
 	valid := seed("0 1\n1 2 2.5\n2 0\n3 3 0.125\n")
 	f.Add(valid)

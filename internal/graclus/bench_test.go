@@ -1,6 +1,7 @@
 package graclus
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -11,7 +12,7 @@ func BenchmarkClusterK8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(adj, 8, Options{Seed: int64(i)}); err != nil {
+		if _, err := ClusterCtx(context.Background(), adj, 8, Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -23,7 +24,7 @@ func BenchmarkClusterK64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(adj, 64, Options{Seed: int64(i)}); err != nil {
+		if _, err := ClusterCtx(context.Background(), adj, 64, Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,13 +58,8 @@ type Result struct {
 	NCut float64
 }
 
-// Cluster partitions the symmetric weighted adjacency adj into k
-// clusters minimising normalised cut.
-func Cluster(adj *matrix.CSR, k int, opt Options) (*Result, error) {
-	return ClusterCtx(context.Background(), adj, k, opt)
-}
-
-// ClusterCtx is Cluster with cancellation: ctx is polled before each
+// ClusterCtx partitions the symmetric weighted adjacency adj into k
+// clusters minimising normalised cut. ctx is polled before each
 // coarsening level, each refinement level and each kernel-k-means pass,
 // so a cancelled context aborts the clustering within one pass with
 // ctx's error.

@@ -34,7 +34,7 @@ func blockGraph(rng *rand.Rand, k, sz int, pin, pout float64) (*matrix.CSR, []in
 func TestClusterValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	adj, _ := blockGraph(rng, 4, 25, 0.4, 0.02)
-	res, err := Cluster(adj, 4, Options{Seed: 2})
+	res, err := ClusterCtx(context.Background(), adj, 4, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestClusterValidity(t *testing.T) {
 func TestClusterRecoversBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	adj, _ := blockGraph(rng, 4, 25, 0.5, 0.01)
-	res, err := Cluster(adj, 4, Options{Seed: 4})
+	res, err := ClusterCtx(context.Background(), adj, 4, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestClusterRecoversBlocks(t *testing.T) {
 func TestClusterNCutBeatsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	adj, _ := blockGraph(rng, 4, 30, 0.4, 0.02)
-	res, err := Cluster(adj, 4, Options{Seed: 6})
+	res, err := ClusterCtx(context.Background(), adj, 4, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestClusterNCutBeatsRandom(t *testing.T) {
 func TestClusterK1(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	adj, _ := blockGraph(rng, 2, 10, 0.5, 0.1)
-	res, err := Cluster(adj, 1, Options{})
+	res, err := ClusterCtx(context.Background(), adj, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,26 +106,26 @@ func TestClusterK1(t *testing.T) {
 }
 
 func TestClusterErrors(t *testing.T) {
-	if _, err := Cluster(matrix.Zero(2, 3), 2, Options{}); err == nil {
+	if _, err := ClusterCtx(context.Background(), matrix.Zero(2, 3), 2, Options{}); err == nil {
 		t.Fatal("accepted non-square")
 	}
-	if _, err := Cluster(matrix.Zero(3, 3), 0, Options{}); err == nil {
+	if _, err := ClusterCtx(context.Background(), matrix.Zero(3, 3), 0, Options{}); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	if _, err := Cluster(matrix.Zero(3, 3), 5, Options{}); err == nil {
+	if _, err := ClusterCtx(context.Background(), matrix.Zero(3, 3), 5, Options{}); err == nil {
 		t.Fatal("accepted k>n")
 	}
 }
 
 func TestClusterEmptyAndEdgeless(t *testing.T) {
-	res, err := Cluster(matrix.Zero(0, 0), 3, Options{})
+	res, err := ClusterCtx(context.Background(), matrix.Zero(0, 0), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Assign) != 0 {
 		t.Fatalf("empty graph assign len %d", len(res.Assign))
 	}
-	res2, err := Cluster(matrix.Zero(10, 10), 3, Options{Seed: 1})
+	res2, err := ClusterCtx(context.Background(), matrix.Zero(10, 10), 3, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +137,8 @@ func TestClusterEmptyAndEdgeless(t *testing.T) {
 func TestClusterDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	adj, _ := blockGraph(rng, 3, 20, 0.5, 0.05)
-	a, _ := Cluster(adj, 3, Options{Seed: 9})
-	b, _ := Cluster(adj, 3, Options{Seed: 9})
+	a, _ := ClusterCtx(context.Background(), adj, 3, Options{Seed: 9})
+	b, _ := ClusterCtx(context.Background(), adj, 3, Options{Seed: 9})
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("same seed produced different clusterings")

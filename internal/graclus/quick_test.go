@@ -1,6 +1,7 @@
 package graclus
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -35,7 +36,7 @@ func TestQuickClusterAlwaysValid(t *testing.T) {
 	f := func(g symGen, kRaw uint8, seed int64) bool {
 		n := g.Adj.Rows
 		k := 1 + int(kRaw)%n
-		res, err := Cluster(g.Adj, k, Options{Seed: seed})
+		res, err := ClusterCtx(context.Background(), g.Adj, k, Options{Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -39,7 +39,7 @@ func BenchmarkSpGEMM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulPruned(m, mt, 0)
+		mulPruned(m, mt, 0)
 	}
 }
 
@@ -49,7 +49,7 @@ func BenchmarkSpGEMMPruned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulPruned(m, mt, 2)
+		mulPruned(m, mt, 2)
 	}
 }
 
@@ -59,7 +59,18 @@ func BenchmarkSpGEMMTopK(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulPrunedTopK(m, mt, 0, 30)
+		mulTopK(m, mt, 0, 30)
+	}
+}
+
+func BenchmarkXXTScaledPruned(b *testing.B) {
+	m := benchGraph(8192, 12)
+	mt := m.Transpose()
+	rs := randomScale(rand.New(rand.NewSource(3)), m.Rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulXXTScaledPruned(m, mt, rs, nil, 0.5, 1)
 	}
 }
 

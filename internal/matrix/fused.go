@@ -3,13 +3,8 @@ package matrix
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-
-	"symcluster/internal/obs"
 )
 
 // Fused symmetrization kernels: the diagonal row/column scalings and
@@ -18,24 +13,16 @@ import (
 // symmetrization, paper §3.4) are never materialised. Every scaled
 // entry value is computed on the fly as (v·row)·col — the exact
 // multiplication order of ScaleRows followed by ScaleCols — and the
-// product terms accumulate in the same order as the materialized
-// Gustavson kernel, so results are bit-identical to scaling, transposing
-// and multiplying explicitly.
+// product terms accumulate in the same order as a materialized
+// Gustavson product, so results are bit-identical to scaling,
+// transposing and multiplying explicitly.
 //
-// The self-product kernel additionally exploits symmetry: X·Xᵀ entry
-// (j,i) is the same multiset of products as (i,j) with each factor pair
+// The self-product additionally exploits symmetry: X·Xᵀ entry (j,i) is
+// the same multiset of products as (i,j) with each factor pair
 // commuted, and IEEE-754 multiplication and two-operand addition are
 // commutative, so the lower triangle is a bit-exact mirror of the
 // upper. Only the upper triangle (≈half the flops) is computed and the
-// result is mirrored. The row driver is tiled into cache-sized row
-// blocks claimed from a shared counter, so parallel runs load-balance
-// across skewed degree distributions while staying bit-identical
-// (row-partitioned work has no cross-row interaction).
-
-// fusedTileRows is the row-block granularity of the tiled self-product
-// driver. One tile's output rows stay cache-resident while the block is
-// produced, and tiles double as the cancellation poll boundary.
-const fusedTileRows = 512
+// result is mirrored.
 
 // applyScale folds a diagonal scale factor into v; a nil vector is the
 // identity. Kept trivially inlinable — this runs once per operand entry
@@ -45,56 +32,6 @@ func applyScale(v float64, scale []float64, i int32) float64 {
 		return v * scale[i]
 	}
 	return v
-}
-
-// MulScaledPruned is MulScaledPrunedCtx without cancellation.
-func MulScaledPruned(a, b *CSR, aRow, aCol, bRow, bCol []float64, threshold float64) *CSR {
-	out, _ := MulScaledPrunedCtx(context.Background(), a, b, aRow, aCol, bRow, bCol, threshold)
-	return out
-}
-
-// MulScaledPrunedCtx returns the fused scaled-pruned product
-//
-//	(diag(aRow)·a·diag(aCol)) · (diag(bRow)·b·diag(bCol))
-//
-// without materialising either scaled operand: entry values are formed
-// on the fly as (v·row)·col, the multiplication order of ScaleRows
-// followed by ScaleCols, and entries below threshold are killed during
-// accumulation. The result is bit-identical to
-//
-//	MulPrunedCtx(ctx, a.ScaleRows(aRow).ScaleCols(aCol), b.ScaleRows(bRow).ScaleCols(bCol), threshold)
-//
-// with none of the four intermediate clones. Nil scale vectors mean
-// identity. ctx is polled every ctxCheckRows output rows.
-func MulScaledPrunedCtx(ctx context.Context, a, b *CSR, aRow, aCol, bRow, bCol []float64, threshold float64) (*CSR, error) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkScaleLen("MulScaledPruned aRow", aRow, a.Rows)
-	checkScaleLen("MulScaledPruned aCol", aCol, a.Cols)
-	checkScaleLen("MulScaledPruned bRow", bRow, b.Rows)
-	checkScaleLen("MulScaledPruned bCol", bCol, b.Cols)
-	out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int64, a.Rows+1)}
-	spa := newAccumulator(b.Cols)
-	var killed int64
-	for i := 0; i < a.Rows; i++ {
-		if err := rowCancelled(ctx, i); err != nil {
-			return nil, err
-		}
-		ac, av := a.Row(i)
-		for k, c := range ac {
-			w := applyScale(applyScale(av[k], aRow, int32(i)), aCol, c)
-			bcols, bvals := b.Row(int(c))
-			for t, bc := range bcols {
-				bv := applyScale(applyScale(bvals[t], bRow, c), bCol, bc)
-				spa.add(bc, w*bv)
-			}
-		}
-		killed += int64(spa.flush(out, threshold))
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	obs.PruneStatsFrom(ctx).Add(killed)
-	return out, nil
 }
 
 func checkScaleLen(name string, scale []float64, want int) {
@@ -130,41 +67,33 @@ func MulXXTScaledPruned(x, xt *CSR, rowScale, colScale []float64, threshold floa
 // through obs.PruneStats (mirrored kills count twice, diagonal kills
 // once — exactly the full-product tally).
 //
-// workers > 1 runs the row driver over fusedTileRows-sized tiles
-// claimed from a shared counter; results are bit-identical to the
-// sequential kernel. workers <= 0 selects GOMAXPROCS; a cancelled ctx
-// aborts at the next tile or ctxCheckRows boundary with ctx's error.
+// workers is the engine's worker count (engine.go): every count gives
+// the same bits, workers <= 0 selects GOMAXPROCS, and a cancelled ctx
+// aborts at the next tile boundary with ctx's error.
 func MulXXTScaledPrunedCtx(ctx context.Context, x, xt *CSR, rowScale, colScale []float64, threshold float64, workers int) (*CSR, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return xxtProduct(x, xt, rowScale, colScale, threshold).run(ctx, workers)
+}
+
+// xxtProduct is the engine spec behind MulXXTScaledPrunedCtx: the
+// scaled upper-triangle row scatter under a threshold flush, mirrored.
+func xxtProduct(x, xt *CSR, rowScale, colScale []float64, threshold float64) *product {
 	if x.Cols != xt.Rows || x.Rows != xt.Cols {
 		panic(fmt.Sprintf("matrix: MulXXTScaledPruned transpose shape mismatch %dx%d vs %dx%d", x.Rows, x.Cols, xt.Rows, xt.Cols))
 	}
 	checkScaleLen("MulXXTScaledPruned rowScale", rowScale, x.Rows)
 	checkScaleLen("MulXXTScaledPruned colScale", colScale, x.Cols)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	return &product{
+		rows:      x.Rows,
+		cols:      x.Rows,
+		threshold: threshold,
+		mirrored:  true,
+		scatter: func(i int, spa *accumulator) {
+			xxtUpperRow(x, xt, rowScale, colScale, i, spa)
+		},
 	}
-	if workers > 1 && x.Rows >= 2*fusedTileRows {
-		return fusedXXTParallel(ctx, x, xt, rowScale, colScale, threshold, workers)
-	}
-	up := &CSR{Rows: x.Rows, Cols: x.Rows, RowPtr: make([]int64, x.Rows+1)}
-	spa := newAccumulator(x.Rows)
-	var killed int64
-	for i := 0; i < x.Rows; i++ {
-		if err := rowCancelled(ctx, i); err != nil {
-			return nil, err
-		}
-		xxtUpperRow(x, xt, rowScale, colScale, i, spa)
-		kept, k := flushUpper(spa, threshold, i)
-		killed += k
-		up.ColIdx = append(up.ColIdx, kept...)
-		for _, c := range kept {
-			up.Val = append(up.Val, spa.acc[c])
-		}
-		spa.reset()
-		up.RowPtr[i+1] = int64(len(up.ColIdx))
-	}
-	obs.PruneStatsFrom(ctx).Add(killed)
-	return mirrorUpper(up), nil
 }
 
 // xxtUpperRow scatters the upper-triangle contributions (output columns
@@ -185,139 +114,6 @@ func xxtUpperRow(x, xt *CSR, rowScale, colScale []float64, i int, spa *accumulat
 			spa.add(j, w*bv)
 		}
 	}
-}
-
-// flushUpper filters and sorts the accumulated upper-triangle row i,
-// returning the surviving columns (aliasing spa.touched — consume
-// before reset) and the prune tally weighted for the mirror: a killed
-// strict-upper entry counts twice (its mirror image dies with it), a
-// killed diagonal entry once, matching the full-product accounting.
-func flushUpper(spa *accumulator, threshold float64, row int) ([]int32, int64) {
-	var killed int64
-	kept := spa.touched[:0]
-	for _, c := range spa.touched {
-		v := spa.acc[c]
-		if v == 0 {
-			continue
-		}
-		if math.Abs(v) >= threshold {
-			kept = append(kept, c)
-		} else if int(c) == row {
-			killed++
-		} else {
-			killed += 2
-		}
-	}
-	sort.Slice(kept, func(a, b int) bool { return kept[a] < kept[b] })
-	return kept, killed
-}
-
-// reset clears the accumulator between rows without flushing (used by
-// the triangle kernels, whose flush is flushUpper).
-func (s *accumulator) reset() {
-	s.touched = s.touched[:0]
-	s.gen++
-	if s.gen == 0 {
-		for i := range s.mark {
-			s.mark[i] = 0
-		}
-		s.gen = 1
-	}
-}
-
-// upperTile is one row block of the tiled triangle driver's output.
-type upperTile struct {
-	lo, hi int
-	rowPtr []int64 // local, len hi-lo+1
-	cols   []int32
-	vals   []float64
-}
-
-// fusedXXTParallel is the tiled row-parallel triangle driver: workers
-// claim fusedTileRows-sized row blocks from a shared counter (dynamic
-// scheduling — skewed rows do not serialise behind one static block),
-// each with a private accumulator, and the tiles are stitched in row
-// order before mirroring. Bit-identical to the sequential kernel.
-func fusedXXTParallel(ctx context.Context, x, xt *CSR, rowScale, colScale []float64, threshold float64, workers int) (*CSR, error) {
-	nTiles := (x.Rows + fusedTileRows - 1) / fusedTileRows
-	if workers > nTiles {
-		workers = nTiles
-	}
-	tiles := make([]upperTile, nTiles)
-	var next atomic.Int64
-	var cancelled atomic.Bool
-	var killed atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			spa := newAccumulator(x.Rows)
-			for {
-				t := int(next.Add(1) - 1)
-				if t >= nTiles {
-					return
-				}
-				if cancelled.Load() || ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				lo := t * fusedTileRows
-				hi := lo + fusedTileRows
-				if hi > x.Rows {
-					hi = x.Rows
-				}
-				tile := &tiles[t]
-				tile.lo, tile.hi = lo, hi
-				tile.rowPtr = make([]int64, hi-lo+1)
-				var tileKilled int64
-				for i := lo; i < hi; i++ {
-					xxtUpperRow(x, xt, rowScale, colScale, i, spa)
-					kept, k := flushUpper(spa, threshold, i)
-					tileKilled += k
-					tile.cols = append(tile.cols, kept...)
-					for _, c := range kept {
-						tile.vals = append(tile.vals, spa.acc[c])
-					}
-					spa.reset()
-					tile.rowPtr[i-lo+1] = int64(len(tile.cols))
-				}
-				killed.Add(tileKilled)
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
-	}
-	obs.PruneStatsFrom(ctx).Add(killed.Load())
-
-	total := 0
-	for t := range tiles {
-		total += len(tiles[t].cols)
-	}
-	up := &CSR{
-		Rows:   x.Rows,
-		Cols:   x.Rows,
-		RowPtr: make([]int64, x.Rows+1),
-		ColIdx: make([]int32, 0, total),
-		Val:    make([]float64, 0, total),
-	}
-	row := 0
-	for t := range tiles {
-		tile := &tiles[t]
-		for r := tile.lo; r < tile.hi; r++ {
-			lo, hi := tile.rowPtr[r-tile.lo], tile.rowPtr[r-tile.lo+1]
-			up.ColIdx = append(up.ColIdx, tile.cols[lo:hi]...)
-			up.Val = append(up.Val, tile.vals[lo:hi]...)
-			row++
-			up.RowPtr[row] = int64(len(up.ColIdx))
-		}
-	}
-	return mirrorUpper(up), nil
 }
 
 // mirrorUpper expands an upper-triangular matrix (every stored entry of

@@ -1,19 +1,14 @@
 package matrix
 
 import (
-	"context"
-	"errors"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
-
-	"symcluster/internal/obs"
 )
 
 // requireBitIdentical fails unless got and want have identical
-// structure and bit-identical values — the contract every fused kernel
-// must satisfy against its materialized counterpart.
+// structure and bit-identical values — the contract every engine product
+// must satisfy against the oracle.
 func requireBitIdentical(t *testing.T, want, got *CSR) {
 	t.Helper()
 	if want.Rows != got.Rows || want.Cols != got.Cols || want.NNZ() != got.NNZ() {
@@ -43,28 +38,6 @@ func randomScale(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-func TestMulScaledPrunedMatchesMaterialized(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 20; trial++ {
-		rows := 5 + rng.Intn(60)
-		inner := 5 + rng.Intn(40)
-		cols := 5 + rng.Intn(60)
-		a := randomCSR(rng, rows, inner, 0.15, -1, 2)
-		b := randomCSR(rng, inner, cols, 0.15, -1, 2)
-		aRow := randomScale(rng, rows)
-		aCol := randomScale(rng, inner)
-		bRow := randomScale(rng, inner)
-		bCol := randomScale(rng, cols)
-		for _, th := range []float64{0, 0.05, 0.4} {
-			want := MulPruned(a.ScaleRows(aRow).ScaleCols(aCol), b.ScaleRows(bRow).ScaleCols(bCol), th)
-			got := MulScaledPruned(a, b, aRow, aCol, bRow, bCol, th)
-			requireBitIdentical(t, want, got)
-		}
-		// Nil scale vectors are the identity: must match the plain kernel.
-		requireBitIdentical(t, MulPruned(a, b, 0.1), MulScaledPruned(a, b, nil, nil, nil, nil, 0.1))
-	}
-}
-
 func TestMulXXTScaledPrunedMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 15; trial++ {
@@ -76,58 +49,11 @@ func TestMulXXTScaledPrunedMatchesMaterialized(t *testing.T) {
 		xt := x.Transpose()
 		for _, th := range []float64{0, 0.05, 0.5} {
 			xs := x.ScaleRows(rs).ScaleCols(cs)
-			want := MulPruned(xs, xs.Transpose(), th)
+			want := mulOracle(xs, xs.Transpose(), th)
 			got := MulXXTScaledPruned(x, xt, rs, cs, th, 1)
 			requireBitIdentical(t, want, got)
-			// Unscaled: must match MulAAT exactly.
-			requireBitIdentical(t, MulAAT(x, th), MulXXTScaledPruned(x, xt, nil, nil, th, 1))
-		}
-	}
-}
-
-// TestMulXXTScaledPrunedTiledParallel exercises the tiled row-block
-// driver (requires ≥ 2 tiles of rows) across worker counts; every run
-// must be bit-identical to the sequential triangle kernel and to the
-// materialized product.
-func TestMulXXTScaledPrunedTiledParallel(t *testing.T) {
-	x := benchGraph(3*fusedTileRows, 6) // 3 tiles: uneven split across workers
-	rng := rand.New(rand.NewSource(43))
-	rs := randomScale(rng, x.Rows)
-	cs := randomScale(rng, x.Cols)
-	xt := x.Transpose()
-	for _, th := range []float64{0, 0.2} {
-		xs := x.ScaleRows(rs).ScaleCols(cs)
-		want := MulPruned(xs, xs.Transpose(), th)
-		for _, workers := range []int{1, 2, 3, 8} {
-			got := MulXXTScaledPruned(x, xt, rs, cs, th, workers)
-			requireBitIdentical(t, want, got)
-		}
-	}
-}
-
-// TestFusedPruneStatsParity: the triangle kernel's weighted kill
-// accounting (mirrored kills count twice, diagonal once) must equal the
-// full materialized product's tally exactly, sequential and tiled.
-func TestFusedPruneStatsParity(t *testing.T) {
-	x := benchGraph(2*fusedTileRows+57, 5)
-	rng := rand.New(rand.NewSource(44))
-	rs := randomScale(rng, x.Rows)
-	cs := randomScale(rng, x.Cols)
-	xt := x.Transpose()
-	xs := x.ScaleRows(rs).ScaleCols(cs)
-	for _, th := range []float64{0.05, 0.3} {
-		ctx, want := obs.WithPruneStats(context.Background())
-		if _, err := MulPrunedCtx(ctx, xs, xs.Transpose(), th); err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			ctx, got := obs.WithPruneStats(context.Background())
-			if _, err := MulXXTScaledPrunedCtx(ctx, x, xt, rs, cs, th, workers); err != nil {
-				t.Fatal(err)
-			}
-			if got.Killed() != want.Killed() {
-				t.Fatalf("th=%v workers=%d: killed %d, want %d", th, workers, got.Killed(), want.Killed())
-			}
+			// Nil scale vectors are the identity: must match the plain x·xᵀ.
+			requireBitIdentical(t, mulOracle(x, xt, th), MulXXTScaledPruned(x, xt, nil, nil, th, 1))
 		}
 	}
 }
@@ -152,53 +78,4 @@ func TestAddTransposeSymMatchesAdd(t *testing.T) {
 	b.Add(0, 2, 1)
 	m := b.Build()
 	requireBitIdentical(t, Add(m, m.Transpose(), 1, 1), AddTransposeSym(m, 1))
-}
-
-// countingErrCtx cancels after a fixed number of Err polls, pinning
-// cancellation to a deterministic poll boundary.
-type countingErrCtx struct {
-	context.Context
-	polls atomic.Int64
-	after int64
-}
-
-func (c *countingErrCtx) Err() error {
-	if c.polls.Add(1) > c.after {
-		return context.Canceled
-	}
-	return nil
-}
-
-func TestFusedKernelsPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	x := benchGraph(100, 4)
-	if _, err := MulXXTScaledPrunedCtx(ctx, x, x.Transpose(), nil, nil, 0, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sequential: err = %v, want context.Canceled", err)
-	}
-	if _, err := MulScaledPrunedCtx(ctx, x, x.Transpose(), nil, nil, nil, nil, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("scaled: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestMulXXTScaledPrunedCancelAtTileBoundary cancels mid-run and
-// requires the tiled parallel driver to abandon the product at the next
-// tile boundary rather than finishing the remaining tiles.
-func TestMulXXTScaledPrunedCancelAtTileBoundary(t *testing.T) {
-	x := benchGraph(4*fusedTileRows, 6)
-	xt := x.Transpose()
-	// Sequential kernel: second ctxCheckRows poll fires mid-product.
-	ctx := &countingErrCtx{Context: context.Background(), after: 1}
-	if out, err := MulXXTScaledPrunedCtx(ctx, x, xt, nil, nil, 0, 1); !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("sequential: out=%v err=%v, want nil/context.Canceled", out, err)
-	}
-	// Tiled driver: each worker checks ctx when claiming a tile; a
-	// cancellation after the first claims must abort the remaining tiles.
-	ctx = &countingErrCtx{Context: context.Background(), after: 1}
-	if out, err := MulXXTScaledPrunedCtx(ctx, x, xt, nil, nil, 0, 2); !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("tiled: out=%v err=%v, want nil/context.Canceled", out, err)
-	}
-	if polls := ctx.polls.Load(); polls > 5 {
-		t.Fatalf("tiled driver kept polling after cancellation: %d polls", polls)
-	}
 }

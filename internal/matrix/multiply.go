@@ -3,25 +3,7 @@ package matrix
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
-
-	"symcluster/internal/obs"
 )
-
-// ctxCheckRows is the row stride at which the cancellable kernels poll
-// ctx.Err(). One check per 512 rows keeps the overhead unmeasurable
-// while bounding post-cancellation work to a small row block.
-const ctxCheckRows = 512
-
-// rowCancelled reports ctx's error at row-block boundaries: it polls
-// ctx.Err() only when row is a multiple of ctxCheckRows.
-func rowCancelled(ctx context.Context, row int) error {
-	if row%ctxCheckRows != 0 {
-		return nil
-	}
-	return ctx.Err()
-}
 
 // Add returns alpha·a + beta·b. The operands must have identical
 // dimensions. Entries that cancel to exactly zero are dropped.
@@ -59,265 +41,42 @@ func Add(a, b *CSR, alpha, beta float64) *CSR {
 	return out
 }
 
-// accumulator is a dense scatter workspace (SPA) for row-wise sparse
-// products. acc holds partial sums indexed by output column; mark holds
-// a per-column generation stamp so resetting between rows is O(1), and
-// touched lists the columns hit in the current generation.
-type accumulator struct {
-	acc     []float64
-	mark    []uint32
-	gen     uint32
-	touched []int32
-}
-
-func newAccumulator(cols int) *accumulator {
-	return &accumulator{
-		acc:     make([]float64, cols),
-		mark:    make([]uint32, cols),
-		gen:     1,
-		touched: make([]int32, 0, 256),
-	}
-}
-
-func (s *accumulator) add(col int32, v float64) {
-	if s.mark[col] != s.gen {
-		s.mark[col] = s.gen
-		s.acc[col] = 0
-		s.touched = append(s.touched, col)
-	}
-	s.acc[col] += v
-}
-
-// flush appends the accumulated row to out (whose RowPtr for this row is
-// finalised by the caller), pruning entries below threshold, and resets
-// the workspace. It returns how many nonzero entries the threshold
-// killed, the quantity the obs prune accounting aggregates.
-func (s *accumulator) flush(out *CSR, threshold float64) int {
-	// Filter before sorting: with an aggressive threshold most touched
-	// columns are dropped, and sorting only the survivors is much
-	// cheaper than sorting everything.
-	killed := 0
-	kept := s.touched[:0]
-	for _, c := range s.touched {
-		v := s.acc[c]
-		if v == 0 {
-			continue
-		}
-		if math.Abs(v) >= threshold {
-			kept = append(kept, c)
-		} else {
-			killed++
-		}
-	}
-	sort.Slice(kept, func(x, y int) bool { return kept[x] < kept[y] })
-	for _, c := range kept {
-		out.ColIdx = append(out.ColIdx, c)
-		out.Val = append(out.Val, s.acc[c])
-	}
-	s.touched = s.touched[:0]
-	s.gen++
-	if s.gen == 0 { // wrapped: clear stale marks and restart
-		for i := range s.mark {
-			s.mark[i] = 0
-		}
-		s.gen = 1
-	}
-	return killed
-}
-
-// Mul returns the sparse product a·b with no pruning.
-func Mul(a, b *CSR) *CSR {
-	return MulPruned(a, b, 0)
-}
-
-// MulPrunedTopK returns a·b keeping, per output row, only entries with
-// absolute value ≥ threshold and at most the topK largest of those
+// MulPrunedTopKCtx returns a·b keeping, per output row, only entries
+// with absolute value ≥ threshold and at most the topK largest of those
 // (ties resolved toward lower column ids). topK ≤ 0 means unlimited.
 // This is the workhorse of flow-based clustering, where each column of
 // the flow matrix only ever keeps its heaviest entries: selecting
 // during the product avoids materialising and sorting the long tail.
-func MulPrunedTopK(a, b *CSR, threshold float64, topK int) *CSR {
-	out, _ := MulPrunedTopKCtx(context.Background(), a, b, threshold, topK)
-	return out
-}
-
-// MulPrunedTopKCtx is MulPrunedTopK with cancellation: ctx is polled
-// every ctxCheckRows output rows, and a cancelled context abandons the
-// product and returns ctx's error.
+//
+// The product is Gustavson's row-wise SpGEMM with a dense scatter
+// accumulator, costing O(flops) time and O(cols) workspace, run
+// sequentially on the engine (engine.go): ctx is polled once per row
+// tile, and a cancelled context abandons the product and returns ctx's
+// error.
 func MulPrunedTopKCtx(ctx context.Context, a, b *CSR, threshold float64, topK int) (*CSR, error) {
-	if topK <= 0 {
-		return MulPrunedCtx(ctx, a, b, threshold)
-	}
+	return topKProduct(a, b, threshold, topK).run(ctx, 1)
+}
+
+// topKProduct is the engine spec behind MulPrunedTopKCtx: a plain
+// Gustavson row scatter under a threshold-then-top-k flush.
+func topKProduct(a, b *CSR, threshold float64, topK int) *product {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int64, a.Rows+1)}
-	spa := newAccumulator(b.Cols)
-	var killed int64
-	var kept []int32
-	for i := 0; i < a.Rows; i++ {
-		if err := rowCancelled(ctx, i); err != nil {
-			return nil, err
-		}
-		ac, av := a.Row(i)
-		for k, c := range ac {
-			bcols, bvals := b.Row(int(c))
-			w := av[k]
-			for t, bc := range bcols {
-				spa.add(bc, w*bvals[t])
+	return &product{
+		rows:      a.Rows,
+		cols:      b.Cols,
+		threshold: threshold,
+		topK:      topK,
+		scatter: func(i int, spa *accumulator) {
+			ac, av := a.Row(i)
+			for k, c := range ac {
+				bcols, bvals := b.Row(int(c))
+				w := av[k]
+				for t, bc := range bcols {
+					spa.add(bc, w*bvals[t])
+				}
 			}
-		}
-		// Filter by threshold, select top-K by value, then sort the
-		// survivors by column for CSR order.
-		kept = kept[:0]
-		for _, c := range spa.touched {
-			v := spa.acc[c]
-			if v == 0 {
-				continue
-			}
-			if math.Abs(v) >= threshold {
-				kept = append(kept, c)
-			} else {
-				killed++
-			}
-		}
-		if len(kept) > topK {
-			quickselectTopK(kept, spa.acc, topK)
-			kept = kept[:topK]
-		}
-		sort.Slice(kept, func(x, y int) bool { return kept[x] < kept[y] })
-		for _, c := range kept {
-			out.ColIdx = append(out.ColIdx, c)
-			out.Val = append(out.Val, spa.acc[c])
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-		spa.touched = spa.touched[:0]
-		spa.gen++
-		if spa.gen == 0 {
-			for t := range spa.mark {
-				spa.mark[t] = 0
-			}
-			spa.gen = 1
-		}
+		},
 	}
-	obs.PruneStatsFrom(ctx).Add(killed)
-	return out, nil
-}
-
-// quickselectTopK partially orders cols so that the k entries with the
-// largest |acc| values occupy cols[:k]. Ties break toward lower column
-// ids for determinism.
-func quickselectTopK(cols []int32, acc []float64, k int) {
-	lo, hi := 0, len(cols)-1
-	greater := func(a, b int32) bool {
-		va, vb := math.Abs(acc[a]), math.Abs(acc[b])
-		if va != vb {
-			return va > vb
-		}
-		return a < b
-	}
-	for lo < hi {
-		p := cols[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for greater(cols[i], p) {
-				i++
-			}
-			for greater(p, cols[j]) {
-				j--
-			}
-			if i <= j {
-				cols[i], cols[j] = cols[j], cols[i]
-				i++
-				j--
-			}
-		}
-		if k-1 <= j {
-			hi = j
-		} else if k-1 >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
-}
-
-// MulPruned returns the sparse product a·b, dropping every result entry
-// whose absolute value is strictly below threshold. Pruning happens as
-// each output row is produced, so the unpruned product never
-// materialises — this is what makes bibliometric-style products on
-// hub-heavy graphs tractable (paper §3.5).
-//
-// The implementation is Gustavson's row-wise SpGEMM with a dense scatter
-// accumulator, costing O(flops) time and O(cols) workspace; for the
-// self-products used by symmetrization the flop count is Σ_k d_k² as
-// analysed in the paper's §3.6.
-func MulPruned(a, b *CSR, threshold float64) *CSR {
-	out, _ := MulPrunedCtx(context.Background(), a, b, threshold)
-	return out
-}
-
-// MulPrunedCtx is MulPruned with cancellation: ctx is polled every
-// ctxCheckRows output rows, and a cancelled context abandons the
-// product and returns ctx's error. This is what makes the expensive
-// symmetrization products abort promptly on client disconnects and
-// request deadlines.
-func MulPrunedCtx(ctx context.Context, a, b *CSR, threshold float64) (*CSR, error) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int64, a.Rows+1)}
-	spa := newAccumulator(b.Cols)
-	var killed int64
-	for i := 0; i < a.Rows; i++ {
-		if err := rowCancelled(ctx, i); err != nil {
-			return nil, err
-		}
-		ac, av := a.Row(i)
-		for k, c := range ac {
-			bcols, bvals := b.Row(int(c))
-			w := av[k]
-			for t, bc := range bcols {
-				spa.add(bc, w*bvals[t])
-			}
-		}
-		killed += int64(spa.flush(out, threshold))
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	obs.PruneStatsFrom(ctx).Add(killed)
-	return out, nil
-}
-
-// MulAAT returns x·xᵀ with pruning, without materialising xᵀ separately
-// in the inner loop: the product is computed as an SpGEMM between x and
-// a precomputed transpose, which is the fastest stdlib-only formulation.
-// The result is symmetric; both triangles are stored.
-//
-// The degree-discounted terms B_d and C_d are computed through this
-// kernel after diagonal scaling (see internal/core), since
-// B_d = (D_o^{-α} A D_i^{-β/2})(D_o^{-α} A D_i^{-β/2})ᵀ.
-func MulAAT(x *CSR, threshold float64) *CSR {
-	return MulPruned(x, x.Transpose(), threshold)
-}
-
-// MulAATCtx is MulAAT with cancellation at row-block boundaries.
-func MulAATCtx(ctx context.Context, x *CSR, threshold float64) (*CSR, error) {
-	return MulPrunedCtx(ctx, x, x.Transpose(), threshold)
-}
-
-// Pow returns mᵏ for square m and k ≥ 1 by repeated multiplication,
-// pruning intermediate entries below threshold. Used by tests and the
-// random-walk substrate.
-func Pow(m *CSR, k int, threshold float64) *CSR {
-	if m.Rows != m.Cols {
-		panic("matrix: Pow on non-square matrix")
-	}
-	if k < 1 {
-		panic("matrix: Pow exponent must be >= 1")
-	}
-	out := m.Clone()
-	for i := 1; i < k; i++ {
-		out = MulPruned(out, m, threshold)
-	}
-	return out
 }

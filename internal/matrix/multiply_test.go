@@ -1,10 +1,28 @@
 package matrix
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// mulTopK, mulPruned and mul run a·b through the engine without
+// cancellation: thresholded and top-k capped, thresholded only, and
+// unpruned. mulOracle is the independent reference product.
+func mulTopK(a, b *CSR, threshold float64, topK int) *CSR {
+	out, _ := MulPrunedTopKCtx(context.Background(), a, b, threshold, topK)
+	return out
+}
+
+func mulPruned(a, b *CSR, threshold float64) *CSR { return mulTopK(a, b, threshold, 0) }
+
+func mul(a, b *CSR) *CSR { return mulTopK(a, b, 0, 0) }
+
+func mulOracle(a, b *CSR, threshold float64) *CSR {
+	out, _ := MulPrunedCtx(context.Background(), a, b, threshold)
+	return out
+}
 
 // denseMul multiplies two dense matrices for use as a reference oracle.
 func denseMul(a, b [][]float64) [][]float64 {
@@ -70,7 +88,7 @@ func TestMulAgainstDenseOracle(t *testing.T) {
 		c := 1 + rng.Intn(15)
 		a := randomCSR(rng, r, k, 0.3, -3, 3)
 		b := randomCSR(rng, k, c, 0.3, -3, 3)
-		got := Mul(a, b)
+		got := mul(a, b)
 		mustValidate(t, got)
 		want := denseMul(a.ToDense(), b.ToDense())
 		for i := 0; i < r; i++ {
@@ -93,7 +111,7 @@ func TestMulPrunedDropsSmallEntries(t *testing.T) {
 		{0.1, 1},
 	})
 	// a·b = [[0.02, 0.2], [0.2, 2]]
-	p := MulPruned(a, b, 0.1)
+	p := mulPruned(a, b, 0.1)
 	mustValidate(t, p)
 	if p.At(0, 0) != 0 {
 		t.Fatal("entry below threshold kept")
@@ -106,8 +124,8 @@ func TestMulPrunedDropsSmallEntries(t *testing.T) {
 func TestMulPrunedZeroThresholdKeepsAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomCSR(rng, 10, 10, 0.4, 0.1, 1)
-	p0 := MulPruned(a, a, 0)
-	pn := Mul(a, a)
+	p0 := mulPruned(a, a, 0)
+	pn := mul(a, a)
 	if !Equal(p0, pn, 0) {
 		t.Fatal("threshold 0 differs from unpruned product")
 	}
@@ -116,10 +134,10 @@ func TestMulPrunedZeroThresholdKeepsAll(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randomCSR(rng, 12, 12, 0.3, -2, 2)
-	if !Equal(Mul(m, Identity(12)), m, 1e-12) {
+	if !Equal(mul(m, Identity(12)), m, 1e-12) {
 		t.Fatal("m·I != m")
 	}
-	if !Equal(Mul(Identity(12), m), m, 1e-12) {
+	if !Equal(mul(Identity(12), m), m, 1e-12) {
 		t.Fatal("I·m != m")
 	}
 }
@@ -130,94 +148,7 @@ func TestMulDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Mul(Zero(2, 3), Zero(2, 3))
-}
-
-func TestMulAATSymmetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		m := randomCSR(rng, 1+rng.Intn(20), 1+rng.Intn(20), 0.25, 0, 2)
-		p := MulAAT(m, 0)
-		mustValidate(t, p)
-		if !p.IsSymmetric(1e-9) {
-			t.Fatalf("trial %d: x·xᵀ not symmetric", trial)
-		}
-		want := denseMul(m.ToDense(), m.Transpose().ToDense())
-		for i := 0; i < p.Rows; i++ {
-			for j := 0; j < p.Cols; j++ {
-				if math.Abs(p.At(i, j)-want[i][j]) > 1e-9 {
-					t.Fatalf("trial %d: AAᵀ (%d,%d) mismatch", trial, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestMulAATDiagonalIsRowNormSquared(t *testing.T) {
-	m := FromDense([][]float64{
-		{1, 2, 0},
-		{0, 0, 3},
-	})
-	p := MulAAT(m, 0)
-	if p.At(0, 0) != 5 || p.At(1, 1) != 9 {
-		t.Fatalf("diagonal = %v, %v; want 5, 9", p.At(0, 0), p.At(1, 1))
-	}
-}
-
-func TestPow(t *testing.T) {
-	m := FromDense([][]float64{
-		{0, 1},
-		{0, 0},
-	})
-	if !Equal(Pow(m, 1, 0), m, 0) {
-		t.Fatal("m¹ != m")
-	}
-	sq := Pow(m, 2, 0)
-	if sq.NNZ() != 0 {
-		t.Fatalf("nilpotent square has %d entries", sq.NNZ())
-	}
-	perm := FromDense([][]float64{
-		{0, 1, 0},
-		{0, 0, 1},
-		{1, 0, 0},
-	})
-	if !Equal(Pow(perm, 3, 0), Identity(3), 1e-12) {
-		t.Fatal("3-cycle cubed != I")
-	}
-}
-
-func TestAccumulatorGenerationWrap(t *testing.T) {
-	// Force the generation counter to wrap and verify products stay
-	// correct across the wrap.
-	spa := newAccumulator(4)
-	spa.gen = ^uint32(0) - 1
-	out := Zero(1, 4)
-	out.RowPtr = make([]int64, 2)
-	spa.add(2, 5)
-	spa.flush(out, 0)
-	out.RowPtr[1] = int64(len(out.ColIdx))
-	if out.At(0, 2) != 5 {
-		t.Fatalf("pre-wrap flush lost value: %v", out.ToDense())
-	}
-	out2 := Zero(1, 4)
-	out2.RowPtr = make([]int64, 2)
-	spa.add(2, 7) // gen is now max; next flush wraps
-	spa.flush(out2, 0)
-	out2.RowPtr[1] = int64(len(out2.ColIdx))
-	if out2.At(0, 2) != 7 {
-		t.Fatalf("wrap flush lost value: %v", out2.ToDense())
-	}
-	if spa.gen != 1 {
-		t.Fatalf("gen after wrap = %d, want 1", spa.gen)
-	}
-	out3 := Zero(1, 4)
-	out3.RowPtr = make([]int64, 2)
-	spa.add(1, 3)
-	spa.flush(out3, 0)
-	out3.RowPtr[1] = int64(len(out3.ColIdx))
-	if out3.At(0, 1) != 3 || out3.At(0, 2) != 0 {
-		t.Fatalf("post-wrap accumulation stale: %v", out3.ToDense())
-	}
+	mul(Zero(2, 3), Zero(2, 3))
 }
 
 // Property: (a·b)ᵀ = bᵀ·aᵀ on random sparse matrices.
@@ -226,8 +157,8 @@ func TestMulTransposeProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randomCSR(rng, 1+rng.Intn(12), 1+rng.Intn(12), 0.3, -2, 2)
 		b := randomCSR(rng, a.Cols, 1+rng.Intn(12), 0.3, -2, 2)
-		lhs := Mul(a, b).Transpose()
-		rhs := Mul(b.Transpose(), a.Transpose())
+		lhs := mul(a, b).Transpose()
+		rhs := mul(b.Transpose(), a.Transpose())
 		if !Equal(lhs, rhs, 1e-9) {
 			t.Fatalf("trial %d: (ab)ᵀ != bᵀaᵀ", trial)
 		}
@@ -242,8 +173,8 @@ func TestMulDistributesOverAdd(t *testing.T) {
 		a := randomCSR(rng, n, n, 0.3, -2, 2)
 		b := randomCSR(rng, n, n, 0.3, -2, 2)
 		c := randomCSR(rng, n, n, 0.3, -2, 2)
-		lhs := Mul(a, Add(b, c, 1, 1))
-		rhs := Add(Mul(a, b), Mul(a, c), 1, 1)
+		lhs := mul(a, Add(b, c, 1, 1))
+		rhs := Add(mul(a, b), mul(a, c), 1, 1)
 		if !Equal(lhs, rhs, 1e-9) {
 			t.Fatalf("trial %d: a(b+c) != ab+ac", trial)
 		}

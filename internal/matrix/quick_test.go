@@ -109,7 +109,7 @@ func TestQuickMulAssociativeWithVector(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		lhs := Mul(a, b).MulVec(x)
+		lhs := mul(a, b).MulVec(x)
 		rhs := a.MulVec(b.MulVec(x))
 		for i := range lhs {
 			if math.Abs(lhs[i]-rhs[i]) > 1e-8 {
@@ -125,7 +125,7 @@ func TestQuickMulAssociativeWithVector(t *testing.T) {
 
 func TestQuickAATSymmetricPSDDiagonal(t *testing.T) {
 	f := func(g sparseGen) bool {
-		p := MulAAT(g.M, 0)
+		p := MulXXTScaledPruned(g.M, g.M.Transpose(), nil, nil, 0, 1)
 		if !p.IsSymmetric(1e-9) {
 			return false
 		}
@@ -208,10 +208,10 @@ func TestQuickScaleRowsColsViaDiagonal(t *testing.T) {
 		for i := range dc {
 			dc[i] = rng.NormFloat64()
 		}
-		if !Equal(Mul(Diagonal(dr), g.M), g.M.ScaleRows(dr), 1e-9) {
+		if !Equal(mul(Diagonal(dr), g.M), g.M.ScaleRows(dr), 1e-9) {
 			return false
 		}
-		return Equal(Mul(g.M, Diagonal(dc)), g.M.ScaleCols(dc), 1e-9)
+		return Equal(mul(g.M, Diagonal(dc)), g.M.ScaleCols(dc), 1e-9)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)

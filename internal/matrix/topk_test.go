@@ -13,9 +13,9 @@ func TestMulPrunedTopKMatchesSortedTruncation(t *testing.T) {
 		a := randomCSR(rng, n, n, 0.4, 0, 3)
 		b := randomCSR(rng, n, n, 0.4, 0, 3)
 		k := 1 + rng.Intn(5)
-		got := MulPrunedTopK(a, b, 0, k)
+		got := mulTopK(a, b, 0, k)
 		mustValidate(t, got)
-		full := Mul(a, b)
+		full := mul(a, b)
 		for i := 0; i < n; i++ {
 			// Reference: take row i of the full product, keep the k
 			// largest by |value| (ties toward lower columns).
@@ -61,7 +61,7 @@ func TestMulPrunedTopKMatchesSortedTruncation(t *testing.T) {
 func TestMulPrunedTopKUnlimited(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	a := randomCSR(rng, 10, 10, 0.4, -2, 2)
-	if !Equal(MulPrunedTopK(a, a, 0, 0), Mul(a, a), 1e-12) {
+	if !Equal(mulTopK(a, a, 0, 0), mul(a, a), 1e-12) {
 		t.Fatal("topK<=0 should match unpruned product")
 	}
 }
@@ -71,11 +71,11 @@ func TestMulPrunedTopKWithThreshold(t *testing.T) {
 		{1, 0.1, 0.01},
 	})
 	b := Identity(3)
-	got := MulPrunedTopK(a, b, 0.05, 10)
+	got := mulTopK(a, b, 0.05, 10)
 	if got.NNZ() != 2 {
 		t.Fatalf("threshold not applied: %v", got.ToDense())
 	}
-	got2 := MulPrunedTopK(a, b, 0.05, 1)
+	got2 := mulTopK(a, b, 0.05, 1)
 	if got2.NNZ() != 1 || got2.At(0, 0) != 1 {
 		t.Fatalf("topK not applied after threshold: %v", got2.ToDense())
 	}
@@ -87,5 +87,5 @@ func TestMulPrunedTopKPanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MulPrunedTopK(Zero(2, 3), Zero(2, 3), 0, 1)
+	mulTopK(Zero(2, 3), Zero(2, 3), 0, 1)
 }

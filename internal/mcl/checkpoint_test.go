@@ -1,13 +1,17 @@
 package mcl
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"symcluster/internal/checkpoint"
+	"symcluster/internal/csr"
+	"symcluster/internal/matrix"
 )
 
 // memSink is an in-memory checkpoint.Sink for kernel tests: it records
@@ -187,6 +191,59 @@ func TestCheckpointStaleSnapshotIgnored(t *testing.T) {
 	}
 	if !equalAssign(got.Assign, base.Assign) {
 		t.Fatal("stale snapshot corrupted the solve")
+	}
+}
+
+// legacyFlowBlob renders m in the unchecksummed "CSR1" format MCL
+// checkpoints were written in before the csr codec took over: magic,
+// rows/cols/nnz as u64, then RowPtr u64s, ColIdx u32s, Val f64s.
+func legacyFlowBlob(m *matrix.CSR) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("CSR1")
+	for _, section := range []any{
+		[]uint64{uint64(m.Rows), uint64(m.Cols), uint64(m.NNZ())},
+		m.RowPtr, m.ColIdx, m.Val,
+	} {
+		binary.Write(&buf, binary.LittleEndian, section)
+	}
+	return buf.Bytes()
+}
+
+// A checkpoint journaled by a pre-upgrade binary — the right graph, a
+// genuine mid-run flow, but the retired "CSR1" encoding — is skipped
+// like any other stale snapshot: the job restarts at iteration 0 and
+// lands on the same assignment.
+func TestCheckpointLegacyFormatRestartsFromZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	adj, _ := blockGraph(rng, 4, 25, 0.4, 0.02)
+	opt := Options{Inflation: 2, Seed: 7}
+
+	rec := newMemSink(1)
+	base, err := ClusterCtx(checkpoint.With(context.Background(), rec), adj, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cks := rec.saves["mcl"]
+	mid := cks[len(cks)/2]
+	if mid.iter == 0 {
+		t.Fatalf("mid checkpoint at iteration 0 (have %d checkpoints)", len(cks))
+	}
+	flow, err := csr.Decode(mid.blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res := newMemSink(1)
+	res.preload["mcl"] = savedCk{iter: mid.iter, blob: legacyFlowBlob(flow)}
+	got, err := ClusterCtx(checkpoint.With(context.Background(), res), adj, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := res.saves["mcl"][0].iter; first != 1 {
+		t.Fatalf("first checkpoint after the skipped restore at iteration %d, want 1 (restart from 0)", first)
+	}
+	if got.Iterations != base.Iterations || !equalAssign(got.Assign, base.Assign) {
+		t.Fatal("restart after a legacy-format checkpoint diverged from the uninterrupted run")
 	}
 }
 

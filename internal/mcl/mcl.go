@@ -19,13 +19,13 @@
 package mcl
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"symcluster/internal/checkpoint"
+	"symcluster/internal/csr"
 	"symcluster/internal/faultinject"
 	"symcluster/internal/matrix"
 	"symcluster/internal/multilevel"
@@ -260,12 +260,14 @@ func iterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Option
 	}
 	if sink != nil {
 		if it0, blob, ok := sink.Restore(ckptKernel); ok && it0 > 0 {
-			// A stale snapshot (different graph, or a coarse-level blob
-			// that slipped through) fails the dimension check and is
-			// ignored rather than corrupting the solve.
-			if f, derr := matrix.ReadBinary(bytes.NewReader(blob)); derr == nil &&
+			// A stale snapshot (different graph, a coarse-level blob
+			// that slipped through, or a pre-csr-codec "CSR1" image)
+			// fails the decode or the dimension check and is ignored
+			// rather than corrupting the solve. The decoded view aliases
+			// the sink's blob, so the flow takes its own copy.
+			if f, derr := csr.Decode(blob); derr == nil &&
 				f.Rows == (*flow).Rows && f.Cols == (*flow).Cols {
-				*flow = f
+				*flow = f.Clone()
 				start = it0
 			}
 		}
@@ -324,24 +326,21 @@ func iterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Option
 	return maxIter, nil
 }
 
-// saveFlowCheckpoint serializes the flow matrix (CSR binary format)
-// and hands it to the sink, under an "mcl.checkpoint" span and fault
-// site.
+// saveFlowCheckpoint serializes the flow matrix (the csr package's
+// CRC-framed binary format) and hands it to the sink, under an
+// "mcl.checkpoint" span and fault site.
 func saveFlowCheckpoint(ctx context.Context, sink checkpoint.Sink, kernel string, iter int, flow *matrix.CSR) (err error) {
 	ctx, sp := obs.StartSpan(ctx, "mcl.checkpoint", obs.A("iter", iter))
 	defer func() { sp.EndErr(err) }()
 	if err = faultinject.Fire("mcl.checkpoint"); err != nil {
 		return fmt.Errorf("mcl: %w", err)
 	}
-	var buf bytes.Buffer
-	if err = flow.WriteBinary(&buf); err != nil {
-		return fmt.Errorf("mcl: encoding checkpoint: %w", err)
-	}
-	if err = sink.Save(kernel, iter, buf.Bytes()); err != nil {
+	blob := csr.Encode(flow)
+	if err = sink.Save(kernel, iter, blob); err != nil {
 		return fmt.Errorf("mcl: saving checkpoint: %w", err)
 	}
-	sp.SetAttr("bytes", buf.Len())
-	obs.ObserveCheckpoint(ctx, kernel, buf.Len())
+	sp.SetAttr("bytes", len(blob))
+	obs.ObserveCheckpoint(ctx, kernel, len(blob))
 	return nil
 }
 

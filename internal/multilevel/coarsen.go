@@ -66,17 +66,13 @@ func (o *Options) fill() {
 	}
 }
 
-// Coarsen builds a coarsening hierarchy of the symmetric adjacency adj
-// by repeated heavy-edge matching. Self-loops are preserved through
+// CoarsenCtx builds a coarsening hierarchy of the symmetric adjacency
+// adj by repeated heavy-edge matching. Self-loops are preserved through
 // contraction (internal edge weight accumulates on the diagonal), which
-// the kernel-k-means refinement in Graclus relies on.
-func Coarsen(adj *matrix.CSR, opt Options) (*Hierarchy, error) {
-	return CoarsenCtx(context.Background(), adj, opt)
-}
-
-// CoarsenCtx is Coarsen with cancellation: ctx is polled before each
-// level is built, so a cancelled context aborts the hierarchy within
-// one matching-and-contraction round with ctx's error. Each call opens
+// the kernel-k-means refinement in Graclus relies on. ctx is polled
+// before each level is built, so a cancelled context aborts the
+// hierarchy within one matching-and-contraction round with ctx's error.
+// Each call opens
 // a "multilevel.coarsen" span and records the hierarchy depth and
 // coarsest-level size through the obs hooks.
 func CoarsenCtx(ctx context.Context, adj *matrix.CSR, opt Options) (hier *Hierarchy, err error) {

@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,7 @@ func randomSym(rng *rand.Rand, n int, avgDeg float64) *matrix.CSR {
 }
 
 func TestCoarsenShrinks(t *testing.T) {
-	h, err := Coarsen(ring(256), Options{MinNodes: 16, Seed: 1})
+	h, err := CoarsenCtx(context.Background(), ring(256), Options{MinNodes: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestCoarsenShrinks(t *testing.T) {
 func TestCoarsenPreservesTotalNodeWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	adj := randomSym(rng, 300, 6)
-	h, err := Coarsen(adj, Options{MinNodes: 10, Seed: 3})
+	h, err := CoarsenCtx(context.Background(), adj, Options{MinNodes: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestCoarsenPreservesTotalEdgeWeight(t *testing.T) {
 	for _, v := range adj.Val {
 		total += v
 	}
-	h, err := Coarsen(adj, Options{MinNodes: 8, Seed: 5})
+	h, err := CoarsenCtx(context.Background(), adj, Options{MinNodes: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestCoarsenPreservesTotalEdgeWeight(t *testing.T) {
 func TestCoarsenKeepsSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	adj := randomSym(rng, 150, 4)
-	h, err := Coarsen(adj, Options{MinNodes: 8, Seed: 7})
+	h, err := CoarsenCtx(context.Background(), adj, Options{MinNodes: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestCoarsenKeepsSymmetry(t *testing.T) {
 }
 
 func TestCoarsenRespectsMinNodes(t *testing.T) {
-	h, err := Coarsen(ring(1000), Options{MinNodes: 200, Seed: 1})
+	h, err := CoarsenCtx(context.Background(), ring(1000), Options{MinNodes: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestCoarsenRespectsMinNodes(t *testing.T) {
 }
 
 func TestCoarsenRejectsNonSquare(t *testing.T) {
-	if _, err := Coarsen(matrix.Zero(2, 3), Options{}); err == nil {
+	if _, err := CoarsenCtx(context.Background(), matrix.Zero(2, 3), Options{}); err == nil {
 		t.Fatal("accepted non-square adjacency")
 	}
 }
@@ -131,7 +132,7 @@ func TestCoarsenRejectsNonSquare(t *testing.T) {
 func TestCoarsenEdgelessGraphStops(t *testing.T) {
 	// No edges: matching leaves everything unmatched, contraction
 	// cannot shrink, and coarsening must stop rather than loop.
-	h, err := Coarsen(matrix.Zero(50, 50), Options{MinNodes: 5, Seed: 1})
+	h, err := CoarsenCtx(context.Background(), matrix.Zero(50, 50), Options{MinNodes: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestCoarsenEdgelessGraphStops(t *testing.T) {
 }
 
 func TestProjectRoundTrip(t *testing.T) {
-	h, err := Coarsen(ring(64), Options{MinNodes: 4, Seed: 9})
+	h, err := CoarsenCtx(context.Background(), ring(64), Options{MinNodes: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestProjectRoundTrip(t *testing.T) {
 }
 
 func TestProjectPanicsOnBadLevel(t *testing.T) {
-	h, _ := Coarsen(ring(32), Options{MinNodes: 4, Seed: 1})
+	h, _ := CoarsenCtx(context.Background(), ring(32), Options{MinNodes: 4, Seed: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

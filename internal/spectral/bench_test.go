@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -53,7 +54,7 @@ func BenchmarkKMeans(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := KMeans(x, 5, KMeansOptions{Seed: int64(i)}); err != nil {
+		if _, _, err := KMeansCtx(context.Background(), x, 5, KMeansOptions{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

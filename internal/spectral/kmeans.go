@@ -7,7 +7,7 @@ import (
 	"math/rand"
 )
 
-// KMeansOptions configures KMeans.
+// KMeansOptions configures KMeansCtx.
 type KMeansOptions struct {
 	// MaxIter bounds the Lloyd iterations. Defaults to 100.
 	MaxIter int
@@ -27,16 +27,11 @@ func (o *KMeansOptions) fill() {
 	}
 }
 
-// KMeans clusters the points (rows of x) into k clusters with
+// KMeansCtx clusters the points (rows of x) into k clusters with
 // k-means++ seeding and Lloyd iterations, returning the assignment and
-// the final inertia (sum of squared distances to centroids).
-func KMeans(x [][]float64, k int, opt KMeansOptions) ([]int, float64, error) {
-	return KMeansCtx(context.Background(), x, k, opt)
-}
-
-// KMeansCtx is KMeans with cancellation: ctx is polled before each
-// restart, so a cancelled context aborts the clustering within one full
-// k-means run with ctx's error.
+// the final inertia (sum of squared distances to centroids). ctx is
+// polled before each restart, so a cancelled context aborts the
+// clustering within one full k-means run with ctx's error.
 func KMeansCtx(ctx context.Context, x [][]float64, k int, opt KMeansOptions) ([]int, float64, error) {
 	n := len(x)
 	if k < 1 {

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func gaussBlobs(rng *rand.Rand, k, sz, dim int, spread float64) ([][]float64, []
 func TestKMeansRecoversBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, truth := gaussBlobs(rng, 3, 40, 2, 0.5)
-	assign, inertia, err := KMeans(x, 3, KMeansOptions{Seed: 2})
+	assign, inertia, err := KMeansCtx(context.Background(), x, 3, KMeansOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 func TestKMeansK1(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, _ := gaussBlobs(rng, 2, 10, 2, 1)
-	assign, _, err := KMeans(x, 1, KMeansOptions{})
+	assign, _, err := KMeansCtx(context.Background(), x, 1, KMeansOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestKMeansK1(t *testing.T) {
 
 func TestKMeansKEqualsN(t *testing.T) {
 	x := [][]float64{{0}, {5}, {10}}
-	assign, inertia, err := KMeans(x, 3, KMeansOptions{Seed: 4})
+	assign, inertia, err := KMeansCtx(context.Background(), x, 3, KMeansOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestKMeansKEqualsN(t *testing.T) {
 
 func TestKMeansDuplicatePoints(t *testing.T) {
 	x := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	assign, _, err := KMeans(x, 2, KMeansOptions{Seed: 5})
+	assign, _, err := KMeansCtx(context.Background(), x, 2, KMeansOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +104,13 @@ func TestKMeansDuplicatePoints(t *testing.T) {
 }
 
 func TestKMeansErrors(t *testing.T) {
-	if _, _, err := KMeans([][]float64{{1}}, 0, KMeansOptions{}); err == nil {
+	if _, _, err := KMeansCtx(context.Background(), [][]float64{{1}}, 0, KMeansOptions{}); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	if _, _, err := KMeans([][]float64{{1}}, 2, KMeansOptions{}); err == nil {
+	if _, _, err := KMeansCtx(context.Background(), [][]float64{{1}}, 2, KMeansOptions{}); err == nil {
 		t.Fatal("accepted k>n")
 	}
-	assign, inertia, err := KMeans(nil, 3, KMeansOptions{})
+	assign, inertia, err := KMeansCtx(context.Background(), nil, 3, KMeansOptions{})
 	if err != nil || len(assign) != 0 || inertia != 0 {
 		t.Fatal("empty input should return empty assignment")
 	}
@@ -118,8 +119,8 @@ func TestKMeansErrors(t *testing.T) {
 func TestKMeansDeterministicWithSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x, _ := gaussBlobs(rng, 3, 20, 3, 1)
-	a, _, _ := KMeans(x, 3, KMeansOptions{Seed: 7})
-	b, _, _ := KMeans(x, 3, KMeansOptions{Seed: 7})
+	a, _, _ := KMeansCtx(context.Background(), x, 3, KMeansOptions{Seed: 7})
+	b, _, _ := KMeansCtx(context.Background(), x, 3, KMeansOptions{Seed: 7})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different assignments")

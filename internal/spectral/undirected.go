@@ -14,17 +14,12 @@ type NormalizedCutOptions struct {
 	Lanczos LanczosOptions
 }
 
-// NormalizedCut is classic undirected spectral clustering (Shi &
+// NormalizedCutCtx is classic undirected spectral clustering (Shi &
 // Malik / Ng–Jordan–Weiss): compute the top-k eigenvectors of the
 // normalised adjacency N = D^{-1/2} A D^{-1/2} (equivalently the
 // smallest of the normalised Laplacian), row-normalise the embedding
 // and k-means it. Provided as the textbook baseline the two-stage
-// framework plugs arbitrary clusterers into.
-func NormalizedCut(adj *matrix.CSR, k int, opt NormalizedCutOptions) (*Result, error) {
-	return NormalizedCutCtx(context.Background(), adj, k, opt)
-}
-
-// NormalizedCutCtx is NormalizedCut with cancellation at iteration
+// framework plugs arbitrary clusterers into. ctx is polled at iteration
 // boundaries of the Lanczos and k-means stages.
 func NormalizedCutCtx(ctx context.Context, adj *matrix.CSR, k int, opt NormalizedCutOptions) (*Result, error) {
 	if adj.Rows != adj.Cols {

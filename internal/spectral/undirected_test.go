@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,7 +33,7 @@ func symBlocks(rng *rand.Rand, k, sz int, pin, pout float64) (*matrix.CSR, []int
 func TestNormalizedCutRecoversBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	adj, truth := symBlocks(rng, 3, 30, 0.4, 0.01)
-	res, err := NormalizedCut(adj, 3, NormalizedCutOptions{})
+	res, err := NormalizedCutCtx(context.Background(), adj, 3, NormalizedCutOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +43,13 @@ func TestNormalizedCutRecoversBlocks(t *testing.T) {
 }
 
 func TestNormalizedCutErrors(t *testing.T) {
-	if _, err := NormalizedCut(matrix.Zero(2, 3), 2, NormalizedCutOptions{}); err == nil {
+	if _, err := NormalizedCutCtx(context.Background(), matrix.Zero(2, 3), 2, NormalizedCutOptions{}); err == nil {
 		t.Fatal("accepted non-square")
 	}
-	if _, err := NormalizedCut(matrix.Zero(3, 3), 0, NormalizedCutOptions{}); err == nil {
+	if _, err := NormalizedCutCtx(context.Background(), matrix.Zero(3, 3), 0, NormalizedCutOptions{}); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	res, err := NormalizedCut(matrix.Zero(0, 0), 2, NormalizedCutOptions{})
+	res, err := NormalizedCutCtx(context.Background(), matrix.Zero(0, 0), 2, NormalizedCutOptions{})
 	if err != nil || len(res.Assign) != 0 {
 		t.Fatal("empty graph handling")
 	}
@@ -61,7 +62,7 @@ func TestNormalizedCutIsolatedNodes(t *testing.T) {
 	b.Add(1, 0, 1)
 	b.Add(2, 3, 1)
 	b.Add(3, 2, 1)
-	res, err := NormalizedCut(b.Build(), 2, NormalizedCutOptions{})
+	res, err := NormalizedCutCtx(context.Background(), b.Build(), 2, NormalizedCutOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

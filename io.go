@@ -5,9 +5,9 @@ import (
 	"io"
 	"os"
 
+	"symcluster/internal/csr"
 	"symcluster/internal/eval"
 	"symcluster/internal/graph"
-	"symcluster/internal/matrix"
 )
 
 // ErrInputTooLarge marks inputs rejected for size rather than syntax,
@@ -59,12 +59,25 @@ func ReadMetisGraph(r io.Reader) (*UndirectedGraph, error) {
 }
 
 // WriteMatrixBinary serialises a sparse matrix (for example an
-// expensive symmetrization product) in a compact binary format.
-func WriteMatrixBinary(w io.Writer, m *Matrix) error { return m.WriteBinary(w) }
+// expensive symmetrization product) in the library's one binary CSR
+// format: the CRC-framed image symclusterd stores graphs in on disk.
+func WriteMatrixBinary(w io.Writer, m *Matrix) error {
+	if err := m.Validate(); err != nil {
+		return fmt.Errorf("symcluster: %w", err)
+	}
+	_, err := w.Write(csr.Encode(m))
+	return err
+}
 
 // ReadMatrixBinary deserialises a matrix written by WriteMatrixBinary,
-// validating its structure.
-func ReadMatrixBinary(r io.Reader) (*Matrix, error) { return matrix.ReadBinary(r) }
+// verifying its checksums and structure.
+func ReadMatrixBinary(r io.Reader) (*Matrix, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("symcluster: %w", err)
+	}
+	return csr.Decode(data)
+}
 
 // ReadGroundTruth parses overlapping per-node categories (one line per
 // node, space-separated category ids, blank line = unlabelled).
