@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
 
+	"symcluster/internal/leakcheck"
 	"symcluster/internal/obs"
 )
 
@@ -45,12 +47,13 @@ func truncateTopK(m *CSR, k int) *CSR {
 }
 
 // TestEngineMatchesOracle drives both production specs through the
-// engine's driver across worker counts, prune rules and row counts on
-// either side of the two-tile mark, and holds every run bit-identical
-// to the oracle (top-k: oracle then sorted truncation) with the same
-// threshold-kill tally.
+// engine's driver across worker counts, prune rules and row counts —
+// one row past the smallest tile, a flow-sized product whose tile height
+// moves with the worker count, and either side of two full-height
+// tiles — and holds every run bit-identical to the oracle (top-k:
+// oracle then sorted truncation) with the same threshold-kill tally.
 func TestEngineMatchesOracle(t *testing.T) {
-	for _, rows := range []int{2*tileRows - 57, 3*tileRows + 57} {
+	for _, rows := range []int{minTileRows + 1, 540, 2*maxTileRows - 57, 3*maxTileRows + 57} {
 		rng := rand.New(rand.NewSource(int64(rows)))
 		x := benchGraph(rows, 6)
 		xt := x.Transpose()
@@ -113,12 +116,19 @@ func (c *countingErrCtx) Err() error {
 
 // TestEngineCancellation: an already-cancelled context scatters no row,
 // and a context cancelled mid-run stops the driver within one tile —
-// each poll that saw a live context licenses exactly one tile, and each
-// worker polls at most once more before returning ctx's error.
+// each poll that saw a live context licenses exactly one tile of the
+// height derived for this product and worker count, and each worker
+// polls at most once more before returning ctx's error.
 func TestEngineCancellation(t *testing.T) {
-	x := benchGraph(6*tileRows, 6)
+	for _, rows := range []int{540, 6 * maxTileRows} {
+		testEngineCancellation(t, benchGraph(rows, 6))
+	}
+}
+
+func testEngineCancellation(t *testing.T, x *CSR) {
 	xt := x.Transpose()
 	for _, workers := range []int{1, 4} {
+		height, _, _ := tiling(x.Rows, workers)
 		for _, spec := range []struct {
 			name string
 			p    *product
@@ -127,7 +137,7 @@ func TestEngineCancellation(t *testing.T) {
 			{"topk", topKProduct(x, xt, 0, 5)},
 		} {
 			for _, after := range []int64{0, 2} {
-				t.Run(fmt.Sprintf("%s/workers=%d/after=%d", spec.name, workers, after), func(t *testing.T) {
+				t.Run(fmt.Sprintf("rows=%d/%s/workers=%d/after=%d", x.Rows, spec.name, workers, after), func(t *testing.T) {
 					p := *spec.p
 					var scattered atomic.Int64
 					p.scatter = func(i int, spa *accumulator) {
@@ -139,8 +149,8 @@ func TestEngineCancellation(t *testing.T) {
 					if !errors.Is(err, context.Canceled) || out != nil {
 						t.Fatalf("out=%v err=%v, want nil/context.Canceled", out, err)
 					}
-					if n := scattered.Load(); n > after*tileRows {
-						t.Fatalf("scattered %d rows, want at most %d tiles' worth", n, after)
+					if n := scattered.Load(); n > after*int64(height) {
+						t.Fatalf("scattered %d rows, want at most %d tiles of %d", n, after, height)
 					}
 					if polls := ctx.polls.Load(); polls > after+int64(workers) {
 						t.Fatalf("%d polls, want at most %d", polls, after+int64(workers))
@@ -148,6 +158,108 @@ func TestEngineCancellation(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestTiling pins the derivation: large products keep full-height tiles
+// whatever the worker count, a flow-sized product is cut into several
+// tiles per worker, and no product runs on more workers than it has
+// tiles — less than one minimal tile runs inline.
+func TestTiling(t *testing.T) {
+	for _, tc := range []struct {
+		rows, workers           int
+		height, nTiles, running int
+	}{
+		{8192, 1, 512, 16, 1},
+		{8192, 2, 512, 16, 2},
+		{540, 1, 135, 4, 1},
+		{540, 2, 68, 8, 2},
+		{540, 64, 64, 9, 9},
+		{65, 8, 64, 2, 2},
+		{39, 8, 64, 1, 1},
+		{0, 4, 64, 0, 1},
+	} {
+		h, n, w := tiling(tc.rows, tc.workers)
+		if h != tc.height || n != tc.nTiles || w != tc.running {
+			t.Errorf("tiling(%d, %d) = (%d, %d, %d), want (%d, %d, %d)",
+				tc.rows, tc.workers, h, n, w, tc.height, tc.nTiles, tc.running)
+		}
+	}
+}
+
+// TestEngineRecycledBuffers: a workspace and a result reused across
+// products of different sizes — larger, then smaller, then larger — give
+// the bits of a fresh run every time, and the row epilogue sees each
+// finished row once, with what it trims counted and gone.
+func TestEngineRecycledBuffers(t *testing.T) {
+	big, small := benchGraph(540, 8), benchGraph(90, 3)
+	dropOdd := func(cols []int32, vals []float64) int {
+		n := 0
+		for k, c := range cols {
+			if c%2 == 0 {
+				cols[n], vals[n] = c, vals[k]/2
+				n++
+			}
+		}
+		return n
+	}
+	for _, workers := range []int{1, 3} {
+		ws, out := &workspace{}, &CSR{}
+		for round, m := range []*CSR{big, small, big, big} {
+			mt := m.Transpose()
+			fresh, err := topKProduct(m, mt, 0, 9).run(context.Background(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := &CSR{Rows: fresh.Rows, Cols: fresh.Cols, RowPtr: make([]int64, fresh.Rows+1)}
+			for i := 0; i < fresh.Rows; i++ {
+				cols, vals := fresh.Row(i)
+				cols, vals = slices.Clone(cols), slices.Clone(vals)
+				n := dropOdd(cols, vals)
+				want.ColIdx = append(want.ColIdx, cols[:n]...)
+				want.Val = append(want.Val, vals[:n]...)
+				want.RowPtr[i+1] = int64(len(want.ColIdx))
+			}
+			p := topKProduct(m, mt, 0, 9)
+			p.rowEpilogue = dropOdd
+			trimmed, err := p.runInto(context.Background(), workers, ws, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, want, out)
+			if trimmed != int64(fresh.NNZ()-want.NNZ()) {
+				t.Fatalf("workers=%d round %d: trimmed %d, want %d", workers, round, trimmed, fresh.NNZ()-want.NNZ())
+			}
+		}
+	}
+}
+
+// TestEngineWorkerPanic: a panic in a product's scatter reaches the
+// caller's goroutine — where the server pool's recover turns it into a
+// job error — with its value, at one worker (inline) and at several
+// (spawned), and every spawned worker has exited by then.
+func TestEngineWorkerPanic(t *testing.T) {
+	leakcheck.Guard(t)
+	x := benchGraph(6*maxTileRows, 6)
+	xt := x.Transpose()
+	for _, workers := range []int{1, 4} {
+		p := topKProduct(x, xt, 0, 5)
+		scatter := p.scatter
+		p.scatter = func(i int, spa *accumulator) {
+			if i == 700 {
+				panic("poisoned row")
+			}
+			scatter(i, spa)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "poisoned row" {
+					t.Errorf("workers=%d: recovered %v, want the scatter's panic", workers, r)
+				}
+			}()
+			p.run(context.Background(), workers)
+			t.Errorf("workers=%d: run returned", workers)
+		}()
 	}
 }
 

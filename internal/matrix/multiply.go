@@ -3,6 +3,7 @@ package matrix
 import (
 	"context"
 	"fmt"
+	"runtime"
 )
 
 // Add returns alpha·a + beta·b. The operands must have identical
@@ -52,13 +53,52 @@ func Add(a, b *CSR, alpha, beta float64) *CSR {
 // accumulator, costing O(flops) time and O(cols) workspace, run
 // sequentially on the engine (engine.go): ctx is polled once per row
 // tile, and a cancelled context abandons the product and returns ctx's
-// error.
+// error. The one-shot form; iterated expansions go through an Expander.
 func MulPrunedTopKCtx(ctx context.Context, a, b *CSR, threshold float64, topK int) (*CSR, error) {
 	return topKProduct(a, b, threshold, topK).run(ctx, 1)
 }
 
-// topKProduct is the engine spec behind MulPrunedTopKCtx: a plain
-// Gustavson row scatter under a threshold-then-top-k flush.
+// Expander runs the top-k product over and over for one solve — the
+// R-MCL expansion — on the engine's tile driver, keeping everything a
+// product allocates besides its result (one accumulator per worker, the
+// per-tile staging) from one call to the next. The worker count is
+// derived, not configured: GOMAXPROCS capped at the tiles the rows cut
+// into, so a flow smaller than one tile runs inline on the caller's
+// goroutine. Every count produces the same bits. An Expander is not
+// safe for concurrent use.
+type Expander struct {
+	procs int // GOMAXPROCS when the solve began: the workers offered
+	ws    workspace
+}
+
+// NewExpander returns an Expander with nothing allocated yet.
+func NewExpander() *Expander {
+	return &Expander{procs: runtime.GOMAXPROCS(0)}
+}
+
+// Workers reports how many goroutines a product of the given output
+// rows runs on.
+func (e *Expander) Workers(rows int) int {
+	_, _, running := tiling(rows, e.procs)
+	return running
+}
+
+// MulTopK overwrites dst with a·b keeping the topK largest entries of
+// each row (MulPrunedTopKCtx at threshold 0), reusing dst's arrays, and
+// then hands each finished row — columns ascending — to epilogue on the
+// worker that produced it: epilogue rewrites the row in place and
+// returns how many leading entries survive. It returns the number of
+// entries epilogue trimmed. dst must not alias a or b; on error (ctx's,
+// polled once per tile claim) dst's contents are undefined.
+func (e *Expander) MulTopK(ctx context.Context, dst, a, b *CSR, topK int, epilogue func(cols []int32, vals []float64) int) (trimmed int, err error) {
+	p := topKProduct(a, b, 0, topK)
+	p.rowEpilogue = epilogue
+	n, err := p.runInto(ctx, e.procs, &e.ws, dst)
+	return int(n), err
+}
+
+// topKProduct is the engine spec behind MulPrunedTopKCtx and Expander:
+// a plain Gustavson row scatter under a threshold-then-top-k flush.
 func topKProduct(a, b *CSR, threshold float64, topK int) *product {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

@@ -3,7 +3,41 @@ package mcl
 import (
 	"math/rand"
 	"testing"
+
+	"symcluster/internal/core"
+	"symcluster/internal/gen"
 )
+
+// BenchmarkMCLHot is one request of the repository benchmark's mcl_hot
+// workload without the server around it: a Wikipedia-like graph of 8
+// list and 8 reciprocal clusters (≈540 nodes), degree-discounted at
+// threshold 0.05, clustered the way the pipeline's mcl entry does.
+// Run it at -cpu 1,2: the one-core number is what a request gets when
+// the pool's other workers are busy.
+func BenchmarkMCLHot(b *testing.B) {
+	ds, err := gen.Wiki(gen.WikiOptions{
+		ListClusters: 8, RecipClusters: 8,
+		ListMembersMin: 20, ListMembersMax: 20,
+		RecipMembersMin: 28, RecipMembersMax: 28,
+		Seed: 1000,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	symOpt := core.Defaults()
+	symOpt.Threshold = 0.05
+	u, err := core.Symmetrize(ds.Graph, core.DegreeDiscounted, symOpt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Cluster(u.Adj, Options{Inflation: 2, MaxIter: 40, MaxPerColumn: 30, ConvergenceTol: 1e-4, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkRMCL(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

@@ -230,10 +230,17 @@ func regularizer(adj *matrix.CSR, selfLoop float64) *matrix.CSR {
 // pruning. ctx is polled at every iteration boundary (and inside the
 // expansion product), so cancellation aborts within one iteration.
 //
-// Each call opens an "mcl.iterate" span (iteration count and final
-// residual as attributes) and records per-iteration residual, flow
-// nonzeros and threshold-pruned entries through the obs hooks; both
-// are no-ops when no trace/meter is installed in ctx.
+// One iteration is one pass of the sparse-product engine: each row of
+// the expansion is inflated, thresholded and normalised by flowEpilogue
+// as it is flushed, on as many workers as the Expander derives, and the
+// residual is a merge of the old and new flow. The solve owns two flow
+// buffers and swaps them — *flow always names the current one, and the
+// matrix it named on entry is overwritten from the second iteration on.
+//
+// Each call opens an "mcl.iterate" span (worker count, iteration count
+// and final residual as attributes) and records per-iteration residual,
+// flow nonzeros and threshold-pruned entries through the obs hooks;
+// both are no-ops when no trace/meter is installed in ctx.
 //
 // ckptKernel names the checkpoint slot this solve saves/restores
 // through a context-carried checkpoint.Sink; "" disables checkpointing
@@ -243,8 +250,10 @@ func regularizer(adj *matrix.CSR, selfLoop float64) *matrix.CSR {
 // sink.Interval() iterations, and saves once more when cancelled so a
 // drained job loses at most the current iteration.
 func iterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Options, maxIter int, ckptKernel string) (iters int, err error) {
+	expander := matrix.NewExpander()
 	ctx, sp := obs.StartSpan(ctx, "mcl.iterate",
-		obs.A("nodes", mgt.Rows), obs.A("max_iter", maxIter))
+		obs.A("nodes", mgt.Rows), obs.A("max_iter", maxIter),
+		obs.A("workers", expander.Workers(mgt.Rows)))
 	var lastDelta float64
 	defer func() {
 		sp.SetAttr("iterations", iters)
@@ -277,15 +286,22 @@ func iterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Option
 		return start, nil
 	}
 	saved := start
+	epilogue := flowEpilogue(opt.Inflation, opt.PruneThreshold)
+	next := &matrix.CSR{}
+	// cancelled is the exit for a ctx error seen at iteration it, at the
+	// iteration boundary or inside the expansion — *flow is iteration
+	// it's flow either way: a best-effort snapshot, so a drain-preempted
+	// job resumes here instead of at the last periodic checkpoint. The
+	// cancel error still wins.
+	cancelled := func(it int, err error) (int, error) {
+		if sink != nil && it > saved {
+			saveFlowCheckpoint(ctx, sink, ckptKernel, it, *flow)
+		}
+		return it, err
+	}
 	for it := start; it < maxIter; it++ {
 		if err := ctx.Err(); err != nil {
-			if sink != nil && it > saved {
-				// Best-effort snapshot at the cancellation boundary so a
-				// drain-preempted job resumes here instead of at the last
-				// periodic checkpoint. The cancel error still wins.
-				saveFlowCheckpoint(ctx, sink, ckptKernel, it, *flow)
-			}
-			return it, err
+			return cancelled(it, err)
 		}
 		if err := faultinject.Fire("mcl.iterate"); err != nil {
 			return it, fmt.Errorf("mcl: %w", err)
@@ -299,18 +315,14 @@ func iterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Option
 		// product; selecting them during the product avoids ever
 		// materialising (or sorting) the long tail on dense
 		// regularizers.
-		next, err := matrix.MulPrunedTopKCtx(ctx, *flow, right, 0, opt.MaxPerColumn)
+		pruned, err := expander.MulTopK(ctx, next, *flow, right, opt.MaxPerColumn, epilogue)
 		if err != nil {
-			return it, err
+			return cancelled(it, err)
 		}
-		inflateRows(next, opt.Inflation)
-		rawNNZ := next.NNZ()
-		next = prunePerRow(next, opt.PruneThreshold, opt.MaxPerColumn)
-		normalizeRowsInPlace(next)
 		delta := flowChange(*flow, next)
 		lastDelta = delta
-		obs.ObserveMCLIteration(ctx, delta, next.NNZ(), rawNNZ-next.NNZ())
-		*flow = next
+		obs.ObserveMCLIteration(ctx, delta, next.NNZ(), pruned)
+		*flow, next = next, *flow
 		if sink != nil {
 			if n := sink.Interval(); n > 0 && (it+1-start)%n == 0 {
 				if err := saveFlowCheckpoint(ctx, sink, ckptKernel, it+1, *flow); err != nil {
@@ -344,20 +356,61 @@ func saveFlowCheckpoint(ctx context.Context, sink checkpoint.Sink, kernel string
 	return nil
 }
 
-// inflateRows raises entries to the power r and renormalises each row.
-func inflateRows(m *matrix.CSR, r float64) {
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
+// inflate returns math.Pow(v, r). Squaring is the common case and an
+// order of magnitude cheaper as a multiplication, which rounds once,
+// exactly as math.Pow(v, 2) does, whenever the square is a normal
+// number; a subnormal square may differ in its last bit and takes the
+// general path.
+func inflate(v, r float64) float64 {
+	if w := v * v; r == 2 && w >= minNormal {
+		return w
+	}
+	return math.Pow(v, r)
+}
+
+// flowEpilogue returns the per-row tail of an R-MCL iteration, run by
+// the engine on each expansion row while it is still in cache: raise
+// every entry to the power r and normalise the row, drop what is then
+// below threshold — the row maximum always stays, so no column empties
+// out — and normalise what is left. It returns the survivors, packed to
+// the front in column order.
+func flowEpilogue(r, threshold float64) func(cols []int32, vals []float64) int {
+	return func(cols []int32, vals []float64) int {
 		var sum float64
-		for k := lo; k < hi; k++ {
-			m.Val[k] = math.Pow(m.Val[k], r)
-			sum += m.Val[k]
+		for k, v := range vals {
+			vals[k] = inflate(v, r)
+			sum += vals[k]
 		}
-		if sum > 0 {
-			inv := 1 / sum
-			for k := lo; k < hi; k++ {
-				m.Val[k] *= inv
+		normalize(vals, sum)
+		var best float64
+		for _, v := range vals {
+			if v > best {
+				best = v
 			}
+		}
+		n := 0
+		sum = 0
+		for k, v := range vals {
+			if v >= threshold || v == best {
+				cols[n], vals[n] = cols[k], v
+				sum += v
+				n++
+			}
+		}
+		normalize(vals[:n], sum)
+		return n
+	}
+}
+
+// normalize scales vals, which add up to sum, to add up to one.
+func normalize(vals []float64, sum float64) {
+	if sum > 0 {
+		inv := 1 / sum
+		for k := range vals {
+			vals[k] *= inv
 		}
 	}
 }
@@ -402,27 +455,45 @@ func prunePerRow(m *matrix.CSR, threshold float64, maxKeep int) *matrix.CSR {
 
 func normalizeRowsInPlace(m *matrix.CSR) {
 	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		_, vals := m.Row(i)
 		var sum float64
-		for k := lo; k < hi; k++ {
-			sum += m.Val[k]
+		for _, v := range vals {
+			sum += v
 		}
-		if sum > 0 {
-			inv := 1 / sum
-			for k := lo; k < hi; k++ {
-				m.Val[k] *= inv
-			}
-		}
+		normalize(vals, sum)
 	}
 }
 
 // flowChange returns the mean L1 difference between consecutive flow
-// matrices, a cheap convergence signal.
+// matrices, a cheap convergence signal: a merge of each row pair summed
+// in row-then-column order on the caller's goroutine, so the residual
+// does not depend on how many workers produced b.
 func flowChange(a, b *matrix.CSR) float64 {
-	diff := matrix.Add(a, b, 1, -1)
 	var sum float64
-	for _, v := range diff.Val {
-		sum += math.Abs(v)
+	for i := 0; i < a.Rows; i++ {
+		ac, av := a.Row(i)
+		bc, bv := b.Row(i)
+		p, q := 0, 0
+		for p < len(ac) && q < len(bc) {
+			switch {
+			case ac[p] < bc[q]:
+				sum += math.Abs(av[p])
+				p++
+			case bc[q] < ac[p]:
+				sum += math.Abs(bv[q])
+				q++
+			default:
+				sum += math.Abs(av[p] - bv[q])
+				p++
+				q++
+			}
+		}
+		for ; p < len(ac); p++ {
+			sum += math.Abs(av[p])
+		}
+		for ; q < len(bc); q++ {
+			sum += math.Abs(bv[q])
+		}
 	}
 	return sum / float64(a.Rows)
 }
