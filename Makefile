@@ -99,6 +99,16 @@ lint:
 			"boot/background work goes through bootContext() in" \
 			"bootctx.go, DESIGN.md §17):"; \
 		echo "$$out"; exit 1; fi
+	@out="$$(sed -n '/^type Options struct {/,/^}/p' internal/core/symmetrize.go \
+		| grep -nE '^[[:space:]]*Workers\b' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "lint: Workers field on core.Options (= pipeline.SymOptions)" \
+			"(symmetrization workers are derived from GOMAXPROCS and the" \
+			"row tiles, never configured, DESIGN.md §15):"; \
+		echo "$$out"; exit 1; fi
+	@grep -q '^type SymOptions = core\.Options$$' internal/pipeline/pipeline.go || { \
+		echo "lint: pipeline.SymOptions is no longer an alias of core.Options;" \
+			"extend the Workers lint above to wherever its fields now live"; exit 1; }
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -110,7 +120,10 @@ test:
 # package's statistical sweeps are minutes of dense kernel work even in
 # short mode — on small machines the suite legitimately needs far more
 # than go test's default 10m package timeout. The bound exists to catch
-# hangs, not to race the hardware.
+# hangs, not to race the hardware. The GOMAXPROCS matrices of the
+# derived-worker kernels (core's TestDerivedWorkersMatchOracle and
+# TestProductCtxCancelledMidProduct, mcl's TestFusedIterateMatchesOracle)
+# are not short-gated, so this is where they run under the detector.
 race:
 	$(GO) test -race -short -timeout 3600s ./...
 

@@ -83,6 +83,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The timing figures (6b, 8, 9) depend on it: the similarity products
+	// and the MCL expansion run on workers derived from GOMAXPROCS.
+	fmt.Printf("# GOMAXPROCS=%d (timings scale with it; GOMAXPROCS=1 is the paper's single-threaded set-up)\n", runtime.GOMAXPROCS(0))
 	fmt.Printf("# generating datasets (scale=%s, seed=%d)...\n", scale, *seed)
 	start := time.Now()
 	d, err := experiments.Load(scale, *seed)

@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"symcluster/internal/graph"
+	"symcluster/internal/leakcheck"
+	"symcluster/internal/matrix"
 )
 
 // countingCtx cancels after a fixed number of Err polls, pinning
@@ -39,16 +43,31 @@ func TestSymmetrizeCtxPreCancelled(t *testing.T) {
 	}
 }
 
-func TestBibliometricCtxCancelledMidProduct(t *testing.T) {
+// A product cancelled at its second tile claim returns ctx's error and
+// leaves no worker behind, inline (GOMAXPROCS 1, four tiles) and on
+// spawned workers (GOMAXPROCS 4, seven tiles).
+func TestProductCtxCancelledMidProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomDirected(rng, 400, 12)
-	ctx := &countingCtx{Context: context.Background(), after: 1}
-	u, err := SymmetrizeBibliometricCtx(ctx, a, Defaults())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if u != nil {
-		t.Fatalf("u = %v, want nil on cancellation", u)
+	orig := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for name, kernel := range map[string]func(context.Context, *matrix.CSR, Options) (*matrix.CSR, error){
+			"bib": SymmetrizeBibliometricCtx, "dd": SymmetrizeDegreeDiscountedCtx,
+		} {
+			t.Run(fmt.Sprintf("%s/procs=%d", name, procs), func(t *testing.T) {
+				leakcheck.Guard(t)
+				ctx := &countingCtx{Context: context.Background(), after: 1}
+				u, err := kernel(ctx, a, Defaults())
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if u != nil {
+					t.Fatalf("u = %v, want nil on cancellation", u)
+				}
+			})
+		}
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 //     mmap'd binary CSR files (the transpose built by external sort)
 //     and the same fused kernels stream rows from the mapped views, so
 //     peak resident memory is the pruned products plus the degree
-//     vectors — metered against the configured budget.
+//     vectors and the product's pre-scaled operand values — metered
+//     against the configured budget.
 //
 // Both lowerings are bit-identical to each other and to the
 // materialized pre-fusion dataflow: the fused kernels reproduce the
@@ -65,7 +66,9 @@ func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *
 		outDeg = a.RowCounts()
 		inDeg = a.ColCounts()
 		if s != nil {
-			if err := s.charge(16 * int64(a.Rows)); err != nil { // two []int
+			// Two []int, and the nnz-long scaled-value vector a scaled
+			// product holds on the heap (one term's at a time).
+			if err := s.charge(16*int64(a.Rows) + 8*int64(a.NNZ())); err != nil {
 				return nil, err
 			}
 		}
@@ -91,8 +94,8 @@ func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *
 		// The one product every product-shaped symmetrization lowers to,
 		// in-core or out-of-core (the kernel only reads rows, so heap and
 		// mapped operands are alike), with the scalings and threshold
-		// folded in.
-		p, err := matrix.MulXXTScaledPrunedCtx(ctx, x, xt, rs, cs, opt.Threshold, max(opt.Workers, 1))
+		// folded in, on as many workers as the engine derives.
+		p, err := matrix.MulXXTScaledPrunedCtx(ctx, x, xt, rs, cs, opt.Threshold, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"symcluster/internal/matrix"
+	"symcluster/internal/obs"
 )
 
 // fusedVsReference runs one method through the fused execution layer
@@ -76,18 +79,49 @@ func sameBits(want, got *matrix.CSR) bool {
 	return true
 }
 
-// TestFusedMatchesReferenceLargeGraph drives the fused path through
-// the tiled parallel driver (≥ 2 row tiles) and the worker-count
-// matrix, on a hub-heavy deterministic graph.
-func TestFusedMatchesReferenceLargeGraph(t *testing.T) {
+// TestDerivedWorkersMatchOracle holds both lowerings to the sequential
+// oracle at every worker count the engine can derive: all four methods,
+// pruned and unpruned, with and without self-loops, in-core and
+// out-of-core, are the oracle's bits and the oracle's prune tally.
+// GOMAXPROCS is the only knob the worker count has, so the test turns
+// that; the graph is hub-heavy and cuts into 8 to 19 tiles.
+func TestDerivedWorkersMatchOracle(t *testing.T) {
 	g := oocTestGraph(t, 1200, 5, 17)
-	for _, m := range []Method{Bibliometric, DegreeDiscounted} {
+	orig := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })
+	for _, m := range Methods {
 		for _, th := range []float64{0, 0.01} {
-			for _, workers := range []int{1, 2, 4} {
+			for _, selfLoops := range []bool{false, true} {
 				opt := Defaults()
 				opt.Threshold = th
-				opt.Workers = workers
-				fusedVsReference(t, g.Adj, m, opt)
+				opt.AddSelfLoops = selfLoops
+				wctx, wantKilled := obs.WithPruneStats(context.Background())
+				want, err := ReferenceSymmetrize(wctx, g.Adj, m, opt)
+				if err != nil {
+					t.Fatalf("%v: reference: %v", m, err)
+				}
+				for _, procs := range []int{1, 2, 3, 8} {
+					for _, ooc := range []bool{false, true} {
+						t.Run(fmt.Sprintf("%v/thr=%v/selfloops=%v/procs=%d/ooc=%v", m, th, selfLoops, procs, ooc), func(t *testing.T) {
+							runtime.GOMAXPROCS(procs)
+							ctx, killed := obs.WithPruneStats(context.Background())
+							var got *matrix.CSR
+							var err error
+							if ooc {
+								got, err = symmetrizeOutOfCore(ctx, g.Adj, m, opt, &OutOfCoreConfig{ScratchDir: t.TempDir()})
+							} else {
+								got, err = kernels[m](ctx, g.Adj, opt)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							bitIdentical(t, want, got)
+							if killed.Killed() != wantKilled.Killed() {
+								t.Fatalf("pruned %d entries, oracle %d", killed.Killed(), wantKilled.Killed())
+							}
+						})
+					}
+				}
 			}
 		}
 	}
@@ -120,11 +154,10 @@ func TestFusedMatchesReferenceVariants(t *testing.T) {
 			o.Threshold = 0.01
 			return o
 		}},
-		{"bib-selfloops-workers", Bibliometric, func() Options {
+		{"bib-selfloops-thr", Bibliometric, func() Options {
 			o := Defaults()
 			o.AddSelfLoops = true
 			o.Threshold = 0.5
-			o.Workers = 3
 			return o
 		}},
 	} {
@@ -146,10 +179,9 @@ func TestOutOfCoreMatchesReference(t *testing.T) {
 		opt  func() Options
 	}{
 		{"dd", DegreeDiscounted, Defaults},
-		{"dd-thr-workers", DegreeDiscounted, func() Options {
+		{"dd-thr", DegreeDiscounted, func() Options {
 			o := Defaults()
 			o.Threshold = 0.01
-			o.Workers = 4
 			return o
 		}},
 		{"bib-selfloops", Bibliometric, func() Options {

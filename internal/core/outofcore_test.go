@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"symcluster/internal/csr"
@@ -104,11 +106,6 @@ func TestOutOfCoreBitIdentity(t *testing.T) {
 			o.AddSelfLoops = true
 			return o
 		}()},
-		{"dd-workers", DegreeDiscounted, func() Options {
-			o := Defaults()
-			o.Workers = 4
-			return o
-		}()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := SymmetrizeCtx(context.Background(), g, tc.method, tc.opt)
@@ -160,16 +157,24 @@ func TestOutOfCoreFromMappedFile(t *testing.T) {
 }
 
 // TestOutOfCoreResidentBudget: a budget too small for the product
-// matrices fails with ErrResidentBudget rather than OOMing.
+// matrices fails with ErrResidentBudget rather than OOMing — and so does
+// one that admits the degree vectors but not the scaled-value vector the
+// product holds beside them.
 func TestOutOfCoreResidentBudget(t *testing.T) {
 	g := oocTestGraph(t, 300, 6, 13)
-	ctx := WithOutOfCore(context.Background(), OutOfCoreConfig{
-		ScratchDir:       t.TempDir(),
-		MaxResidentBytes: 1024,
-	})
-	_, err := SymmetrizeCtx(ctx, g, DegreeDiscounted, Defaults())
-	if !errors.Is(err, ErrResidentBudget) {
-		t.Fatalf("err = %v, want ErrResidentBudget", err)
+	vectors := int64(16*g.N() + 8*g.M())
+	for _, budget := range []int64{1024, vectors - 1} {
+		ctx := WithOutOfCore(context.Background(), OutOfCoreConfig{
+			ScratchDir:       t.TempDir(),
+			MaxResidentBytes: budget,
+		})
+		_, err := SymmetrizeCtx(ctx, g, DegreeDiscounted, Defaults())
+		if !errors.Is(err, ErrResidentBudget) {
+			t.Fatalf("budget %d: err = %v, want ErrResidentBudget", budget, err)
+		}
+		if want := fmt.Sprintf("%d bytes of in-memory intermediates", vectors); !strings.Contains(err.Error(), want) {
+			t.Fatalf("budget %d: err = %v, want it tripped by the %s", budget, err, want)
+		}
 	}
 }
 
@@ -234,10 +239,10 @@ func TestFusedAllocatesLess(t *testing.T) {
 
 	// The reference materialises four input-sized scale clones plus a
 	// transpose per product; the fused in-core path keeps one shared
-	// transpose and the out-of-core path keeps nothing input-sized on
-	// the heap at all. A 1.5x gap keeps the check robust to allocator
-	// noise while still failing if someone reintroduces an input-sized
-	// heap copy into either lowering.
+	// transpose and, like the out-of-core path, one 8-byte-an-entry
+	// vector of pre-scaled values per term. A 1.5x gap keeps the check
+	// robust to allocator noise while still failing if someone
+	// reintroduces an input-sized matrix copy into either lowering.
 	if float64(inCore)*1.5 > float64(reference) {
 		t.Fatalf("fused in-core allocated %d bytes vs reference %d — intermediates rematerialised", inCore, reference)
 	}

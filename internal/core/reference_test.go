@@ -13,7 +13,7 @@ import (
 // reproduce bit-for-bit: every scaled factor is built as a full clone
 // (ScaleRows then ScaleCols), every transpose is materialised, the
 // products run through the sequential oracle matrix.MulPrunedCtx
-// whatever opt.Workers says, and mirrors go through matrix.Add against
+// whatever GOMAXPROCS says, and mirrors go through matrix.Add against
 // an explicit transpose. The property tests in fused_quick_test.go hold
 // SymmetrizeCtx bit-identical to this function across methods,
 // thresholds, worker counts, and the out-of-core path.

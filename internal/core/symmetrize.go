@@ -109,11 +109,6 @@ type Options struct {
 	// AAᵀ + AᵀA is a node's own degree mass and only adds self-loops
 	// that clustering algorithms must then ignore.
 	DropDiagonal bool
-	// Workers parallelises the similarity products over row tiles
-	// (> 1 enables; results are bit-identical to sequential). The
-	// paper's experiments stay single-threaded to mirror its setup;
-	// this is for production use.
-	Workers int
 }
 
 // Defaults returns the paper's recommended options: α = β = 0.5,
@@ -138,9 +133,13 @@ func Symmetrize(g *graph.Directed, method Method, opt Options) (*graph.Undirecte
 // iteration and row-block boundaries, so a cancelled context aborts the
 // symmetrization within one block of kernel work with ctx's error.
 //
-// Each call opens a "core.symmetrize" span and records nnz in/out and
-// the number of entries killed by the prune threshold through the obs
-// hooks (no-ops without a trace/meter in ctx).
+// The similarity products run on derived workers — GOMAXPROCS capped at
+// the row tiles (matrix.DerivedWorkers) — with the same bits at every
+// count; GOMAXPROCS=1 is the paper's single-threaded set-up.
+//
+// Each call opens a "core.symmetrize" span and records nnz in/out, the
+// product workers and the number of entries killed by the prune
+// threshold through the obs hooks (no-ops without a trace/meter in ctx).
 func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Options) (out *graph.Undirected, err error) {
 	// Check once at entry so even methods with no internal poll points
 	// (AAT is a single sparse add) respect an already-cancelled context.
@@ -148,7 +147,8 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 		return nil, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.symmetrize",
-		obs.A("method", method.String()), obs.A("nnz_in", g.Adj.NNZ()))
+		obs.A("method", method.String()), obs.A("nnz_in", g.Adj.NNZ()),
+		obs.A("workers", matrix.DerivedWorkers(g.Adj.Rows)))
 	ctx, prune := obs.WithPruneStats(ctx)
 	defer func() {
 		nnzOut := 0

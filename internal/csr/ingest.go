@@ -84,7 +84,7 @@ func (in *Ingester) Append(chunk []byte) error {
 // line parses and buffers one complete input line.
 func (in *Ingester) line(raw []byte) error {
 	in.lineNo++
-	u, v, w, skip, err := graph.ParseEdgeLine(in.lineNo, string(raw))
+	u, v, w, skip, err := graph.ParseEdgeLine(in.lineNo, raw)
 	if err != nil {
 		return err
 	}

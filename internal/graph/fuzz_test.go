@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzReadEdgeList checks that arbitrary text either parses into a
-// structurally valid graph or fails cleanly, and that valid parses
-// round-trip through WriteEdgeList.
+// structurally valid graph or fails cleanly — exactly as the
+// strings.Fields-based oracle in io_test.go decides — and that valid
+// parses round-trip through WriteEdgeList.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2 3.5\n# comment\n\n2 0\n")
 	f.Add("0 0 1e10\n")
@@ -27,6 +28,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		if len(input) > 1<<16 {
 			t.Skip()
 		}
+		checkAgainstOracle(t, input)
 		g, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {
 			return // clean rejection is fine

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
 	"symcluster/internal/matrix"
@@ -91,22 +92,19 @@ func (g *Directed) SymmetricLinkFraction() float64 {
 	if m == 0 {
 		return 0
 	}
-	t := g.Adj.Transpose()
+	// Count in place, no transpose: each reciprocal pair is found once,
+	// from its lower-numbered end, by a search of the other end's row.
 	recip := 0
 	for i := 0; i < g.N(); i++ {
-		ac, _ := g.Adj.Row(i)
-		bc, _ := t.Row(i)
-		p, q := 0, 0
-		for p < len(ac) && q < len(bc) {
-			switch {
-			case ac[p] < bc[q]:
-				p++
-			case bc[q] < ac[p]:
-				q++
-			default:
+		cols, _ := g.Adj.Row(i)
+		for _, j := range cols {
+			if int(j) == i {
 				recip++
-				p++
-				q++
+			} else if int(j) > i {
+				back, _ := g.Adj.Row(int(j))
+				if _, ok := slices.BinarySearch(back, int32(i)); ok {
+					recip += 2
+				}
 			}
 		}
 	}

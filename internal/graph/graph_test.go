@@ -2,7 +2,9 @@ package graph
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"symcluster/internal/matrix"
 )
@@ -76,6 +78,55 @@ func TestSymmetricLinkFraction(t *testing.T) {
 	want := 2.0 / 3.0
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("symmetric fraction = %v, want %v", got, want)
+	}
+}
+
+// transposeSymmetricLinks is the reciprocal-link count as
+// SymmetricLinkFraction took it before it counted in place: merge every
+// row with the same row of a materialised transpose.
+func transposeSymmetricLinks(g *Directed) int {
+	t := g.Adj.Transpose()
+	recip := 0
+	for i := 0; i < g.N(); i++ {
+		ac, _ := g.Adj.Row(i)
+		bc, _ := t.Row(i)
+		p, q := 0, 0
+		for p < len(ac) && q < len(bc) {
+			switch {
+			case ac[p] < bc[q]:
+				p++
+			case bc[q] < ac[p]:
+				q++
+			default:
+				recip++
+				p++
+				q++
+			}
+		}
+	}
+	return recip
+}
+
+func TestSymmetricLinkFractionMatchesTransposeCount(t *testing.T) {
+	f := func(seed int64, nRaw, dRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)%40
+		b := matrix.NewBuilder(n, n)
+		for e := int(dRaw) % (4 * n); e > 0; e-- {
+			u, v := rng.Intn(n), rng.Intn(n) // self-loops included
+			b.Add(u, v, 1)
+			if rng.Intn(3) == 0 {
+				b.Add(v, u, 1)
+			}
+		}
+		g := &Directed{Adj: b.Build()}
+		if g.M() == 0 {
+			return g.SymmetricLinkFraction() == 0
+		}
+		return g.SymmetricLinkFraction() == float64(transposeSymmetricLinks(g))/float64(g.M())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"symcluster/internal/matrix"
 )
@@ -62,32 +64,45 @@ func WriteEdgeList(w io.Writer, g *Directed) error {
 	return bw.Flush()
 }
 
-// ParseEdgeLine parses one line of the edge-list format. It returns
-// skip=true for blank lines and comments. Malformed records —
-// non-integer or negative ids, weights that are NaN, infinite or
-// negative — are rejected with the given line number in the error.
+// ParseEdgeLine parses one line of the edge-list format, handed over as
+// the reader's bytes: nothing is copied or allocated for a well-formed
+// record. It returns skip=true for blank lines and comments. Malformed
+// records — non-integer or negative ids, weights that are NaN, infinite
+// or negative — are rejected with the given line number in the error.
 // ReadEdgeList and the streaming ingester (internal/csr) share this
 // parser so their accepted grammars can never drift apart.
-func ParseEdgeLine(lineNo int, line string) (u, v int, w float64, skip bool, err error) {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
+func ParseEdgeLine(lineNo int, line []byte) (u, v int, w float64, skip bool, err error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 || line[0] == '#' {
 		return 0, 0, 0, true, nil
 	}
-	fields := strings.Fields(line)
-	if len(fields) != 2 && len(fields) != 3 {
+	// At most three whitespace-separated fields (strings.Fields' notion
+	// of whitespace); anything after the third makes the record malformed.
+	var fields [3][]byte
+	n, rest := 0, line
+	for ; n < len(fields) && len(rest) > 0; n++ {
+		end := bytes.IndexFunc(rest, unicode.IsSpace)
+		if end < 0 {
+			end = len(rest)
+		}
+		fields[n], rest = rest[:end], bytes.TrimLeftFunc(rest[end:], unicode.IsSpace)
+	}
+	if n < 2 || len(rest) > 0 {
 		return 0, 0, 0, false, fmt.Errorf("graph: line %d: want 'src dst [weight]', got %q", lineNo, line)
 	}
-	u, err = strconv.Atoi(fields[0])
+	// strconv keeps its argument from escaping, so the conversions stay
+	// on the stack.
+	u, err = strconv.Atoi(string(fields[0]))
 	if err != nil || u < 0 {
 		return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad source id %q", lineNo, fields[0])
 	}
-	v, err = strconv.Atoi(fields[1])
+	v, err = strconv.Atoi(string(fields[1]))
 	if err != nil || v < 0 {
 		return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad destination id %q", lineNo, fields[1])
 	}
 	w = 1.0
-	if len(fields) == 3 {
-		w, err = strconv.ParseFloat(fields[2], 64)
+	if n == 3 {
+		w, err = strconv.ParseFloat(string(fields[2]), 64)
 		if err != nil {
 			return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad weight %q", lineNo, fields[2])
 		}
@@ -120,42 +135,33 @@ func CheckIDDensity(maxID int, edges int64) error {
 // rejected with the offending line number; lines longer than the
 // scanner buffer are rejected with ErrInputTooLarge.
 func ReadEdgeList(r io.Reader) (*Directed, error) {
-	type triplet struct {
-		u, v int
-		w    float64
-	}
-	var edges []triplet
+	// One pass: records go straight into the builder, whose shape grows
+	// with the largest id seen.
+	b := matrix.NewBuilder(0, 0)
 	maxID := -1
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		u, v, w, skip, err := ParseEdgeLine(lineNo, sc.Text())
+		u, v, w, skip, err := ParseEdgeLine(lineNo, sc.Bytes())
 		if err != nil {
 			return nil, err
 		}
 		if skip {
 			continue
 		}
-		if u > maxID {
-			maxID = u
+		if m := max(u, v); m > maxID {
+			maxID = m
+			b.Resize(m+1, m+1)
 		}
-		if v > maxID {
-			maxID = v
-		}
-		edges = append(edges, triplet{u, v, w})
+		b.Add(u, v, w)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, scanErr("edge list", err)
 	}
-	if err := CheckIDDensity(maxID, int64(len(edges))); err != nil {
+	if err := CheckIDDensity(maxID, int64(b.Len())); err != nil {
 		return nil, err
-	}
-	b := matrix.NewBuilder(maxID+1, maxID+1)
-	b.Reserve(len(edges))
-	for _, e := range edges {
-		b.Add(e.u, e.v, e.w)
 	}
 	return NewDirected(b.Build(), nil)
 }

@@ -1,13 +1,172 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"symcluster/internal/matrix"
 )
+
+// oracleParseEdgeLine is ParseEdgeLine as it stood while it took the
+// line as a string and split it with strings.Fields, kept verbatim as
+// the grammar the allocation-free parser is held to.
+func oracleParseEdgeLine(lineNo int, line string) (u, v int, w float64, skip bool, err error) {
+	line = strings.TrimSpace(line)
+	if line == "" || strings.HasPrefix(line, "#") {
+		return 0, 0, 0, true, nil
+	}
+	fields := strings.Fields(line)
+	if len(fields) != 2 && len(fields) != 3 {
+		return 0, 0, 0, false, fmt.Errorf("graph: line %d: want 'src dst [weight]', got %q", lineNo, line)
+	}
+	u, err = strconv.Atoi(fields[0])
+	if err != nil || u < 0 {
+		return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad source id %q", lineNo, fields[0])
+	}
+	v, err = strconv.Atoi(fields[1])
+	if err != nil || v < 0 {
+		return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad destination id %q", lineNo, fields[1])
+	}
+	w = 1.0
+	if len(fields) == 3 {
+		w, err = strconv.ParseFloat(fields[2], 64)
+		if err != nil {
+			return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad weight %q", lineNo, fields[2])
+		}
+		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+			return 0, 0, 0, false, fmt.Errorf("graph: line %d: weight %q must be a finite non-negative number", lineNo, fields[2])
+		}
+	}
+	return u, v, w, false, nil
+}
+
+// oracleReadEdgeList is the two-pass reader the oracle parser came
+// from: stage every record, size the builder from the largest id, copy.
+func oracleReadEdgeList(text string) (*Directed, error) {
+	type triplet struct {
+		u, v int
+		w    float64
+	}
+	var edges []triplet
+	maxID := -1
+	sc := bufio.NewScanner(strings.NewReader(text))
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		u, v, w, skip, err := oracleParseEdgeLine(lineNo, sc.Text())
+		if err != nil {
+			return nil, err
+		}
+		if skip {
+			continue
+		}
+		maxID = max(maxID, u, v)
+		edges = append(edges, triplet{u, v, w})
+	}
+	if err := sc.Err(); err != nil {
+		return nil, scanErr("edge list", err)
+	}
+	if err := CheckIDDensity(maxID, int64(len(edges))); err != nil {
+		return nil, err
+	}
+	b := matrix.NewBuilder(maxID+1, maxID+1)
+	for _, e := range edges {
+		b.Add(e.u, e.v, e.w)
+	}
+	return NewDirected(b.Build(), nil)
+}
+
+// checkAgainstOracle holds ReadEdgeList to the oracle on one input: the
+// same verdict, on rejection the same error text (line number
+// included), on acceptance the same graph id.
+func checkAgainstOracle(t *testing.T, input string) {
+	t.Helper()
+	want, wantErr := oracleReadEdgeList(input)
+	got, err := ReadEdgeList(strings.NewReader(input))
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("input %q: err = %v, oracle %v", input, err, wantErr)
+	}
+	if err == nil && (got.N() != want.N() || got.Fingerprint() != want.Fingerprint()) {
+		t.Fatalf("input %q: %d nodes, fingerprint %016x; oracle %d nodes, %016x",
+			input, got.N(), got.Fingerprint(), want.N(), want.Fingerprint())
+	}
+}
+
+// TestReadEdgeListMatchesOracle is the grammar table; FuzzReadEdgeList
+// runs the same check over its corpus.
+func TestReadEdgeListMatchesOracle(t *testing.T) {
+	for _, in := range []string{
+		"",
+		"# only a comment",
+		"  # indented comment\n\n \t \n0 1\n",
+		"0 1\r\n1 2 3.5\r\n",       // CRLF
+		"0\t1\t2.5\n1\t\t0\n",      // tabs, runs of tabs
+		"\t 3   4  \n",             // leading, trailing and repeated blanks
+		"0\u00a01\n",               // NBSP is not a separator
+		"0\u20031\u2003 2\n",       // EM SPACE is one
+		"0\v1\f2\n",                // vertical tab, form feed
+		"0 1\xff\n",                // invalid UTF-8 inside a field
+		"\xff\n",                   // invalid UTF-8 alone
+		"+1 +2 +3\n",               // leading plus
+		"-0 1\n",                   // negative zero id
+		"0 -1\n1 1\n",              // negative destination, line 1
+		"1 1\n\n# c\n0x10 1\n",     // hex id, line 4
+		"1_0 1\n",                  // underscore id
+		"99999999999999999999 0\n", // id overflows int
+		"0 99999999999999999999\n", // destination overflows int
+		"999999999 0\n",            // too sparse an id space
+		"0 1 NaN\n", "0 1 nan\n", "0 1 Inf\n", "0 1 +Inf\n", "0 1 -Inf\n", "0 1 infinity\n",
+		"0 1 1e400\n", "0 1 -2.5\n", "0 1 -0\n", "0 1 0x1p-2\n", "0 1 0x10\n", "0 1 1_0\n",
+		"0 1 .5\n", "0 1 5.\n", "0 1 1e-320\n", "0 1 weight\n",
+		"0\n", "0 1 2 3\n", "0 1 2 3 4\n", "a 1\n", "0 b\n",
+		"0 1 2\n0 1 3\n0 1 0.25\n", // duplicates summed in input order
+		"0 1 1\n0 1 0\n2 2 0\n",    // explicit zeros dropped
+		"5 5\n0 0 1e10\n",
+		"0 1\n1 0",                               // no trailing newline
+		"0 1 " + strings.Repeat("0", 40) + "1\n", // fields past strconv's 32-byte stack buffer
+		strings.Repeat("7", 40) + " 1\n",
+	} {
+		checkAgainstOracle(t, in)
+	}
+	// An over-long line is rejected for size by both, not parsed.
+	long := "0 1\n# " + strings.Repeat("x", maxLineBytes+1)
+	checkAgainstOracle(t, long)
+	if _, err := ReadEdgeList(strings.NewReader(long)); !errors.Is(err, ErrInputTooLarge) {
+		t.Fatalf("over-long line: err = %v, want ErrInputTooLarge", err)
+	}
+}
+
+// TestReadEdgeListAllocationsDoNotScale: parsing allocates per doubling
+// of the builder's arrays, never per line — ten times the edges cost a
+// few dozen allocations more, not a hundred thousand.
+func TestReadEdgeListAllocationsDoNotScale(t *testing.T) {
+	text := func(edges int) []byte {
+		var buf bytes.Buffer
+		for e := 0; e < edges; e++ {
+			fmt.Fprintf(&buf, "%d %d %d.5\n", e%1000, (e*7919)%1000, e%9)
+		}
+		return buf.Bytes()
+	}
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := ReadEdgeList(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(text(10_000)), allocs(text(100_000))
+	if large > small+40 {
+		t.Fatalf("%v allocations for 100k edges against %v for 10k: the count grows with the lines", large, small)
+	}
+	t.Logf("allocations: %v for 10k edges, %v for 100k", small, large)
+}
 
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := directedFromDense(t, [][]float64{

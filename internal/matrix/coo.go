@@ -35,11 +35,19 @@ func (b *Builder) Reserve(n int) {
 	}
 }
 
+// Resize sets the shape, for a caller that learns it while adding (an
+// edge list's node count); the triplets already recorded must fit it.
+func (b *Builder) Resize(rows, cols int) { b.rows, b.cols = rows, cols }
+
 // Add records the triplet (i, j, val). Panics on out-of-range indices:
 // silently clipping would corrupt downstream experiments.
 func (b *Builder) Add(i, j int, val float64) {
 	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
 		panic(fmt.Sprintf("matrix: Builder.Add index (%d,%d) out of range %dx%d", i, j, b.rows, b.cols))
+	}
+	if len(b.r) == cap(b.r) {
+		// Double: append's 1.25× steps copy a large edge list five times over.
+		b.Reserve(max(2*cap(b.r), 64))
 	}
 	b.r = append(b.r, int32(i))
 	b.c = append(b.c, int32(j))
@@ -78,34 +86,27 @@ func (b *Builder) Build() *CSR {
 		next[i]++
 	}
 
+	// Sort each row by column, then sum duplicates and drop the exact
+	// zeros cancellation leaves, compacting in place: the write cursor
+	// never passes the read cursor, so cs and vs become the result.
+	w, row := 0, &rowSorter{} // one sorter: a value would be boxed per row
 	for i := 0; i < b.rows; i++ {
-		lo, hi := counts[i], counts[i+1]
-		row := rowSorter{cols: cs[lo:hi], vals: vs[lo:hi]}
+		lo, hi := int(counts[i]), int(counts[i+1])
+		row.cols, row.vals = cs[lo:hi], vs[lo:hi]
 		sort.Sort(row)
-		// Merge duplicates within the sorted row.
-		var prev int32 = -1
-		for k := lo; k < hi; k++ {
-			if cs[k] == prev {
-				m.Val[len(m.Val)-1] += vs[k]
-				continue
+		for k := lo; k < hi; {
+			c, v := cs[k], vs[k]
+			for k++; k < hi && cs[k] == c; k++ {
+				v += vs[k]
 			}
-			prev = cs[k]
-			m.ColIdx = append(m.ColIdx, cs[k])
-			m.Val = append(m.Val, vs[k])
-		}
-		// Drop exact zeros produced by cancellation.
-		w := int(m.RowPtr[i])
-		for k := w; k < len(m.ColIdx); k++ {
-			if m.Val[k] != 0 {
-				m.ColIdx[w] = m.ColIdx[k]
-				m.Val[w] = m.Val[k]
+			if v != 0 {
+				cs[w], vs[w] = c, v
 				w++
 			}
 		}
-		m.ColIdx = m.ColIdx[:w]
-		m.Val = m.Val[:w]
 		m.RowPtr[i+1] = int64(w)
 	}
+	m.ColIdx, m.Val = cs[:w:w], vs[:w:w]
 
 	b.r, b.c, b.v = b.r[:0], b.c[:0], b.v[:0]
 	return m

@@ -327,7 +327,8 @@ func (m *CSR) Prune(threshold float64) *CSR {
 
 // DropDiagonal returns a copy with all diagonal entries removed.
 func (m *CSR) DropDiagonal() *CSR {
-	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1)}
+	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1),
+		ColIdx: make([]int32, 0, m.NNZ()), Val: make([]float64, 0, m.NNZ())}
 	for i := 0; i < m.Rows; i++ {
 		cols, vals := m.Row(i)
 		for k, c := range cols {

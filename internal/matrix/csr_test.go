@@ -3,6 +3,8 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -117,6 +119,81 @@ func TestBuilderReserve(t *testing.T) {
 	m := b.Build()
 	if m.At(0, 0) != 1 || m.At(1, 1) != 2 {
 		t.Fatalf("Reserve lost entries: %v", m.ToDense())
+	}
+}
+
+// appendingBuild is Builder.Build's assembly as it stood while it
+// appended into a growing result: counting sort by row, the same
+// per-row sort, then duplicates merged and zeros dropped in two passes.
+func appendingBuild(rows, cols int, r, c []int32, v []float64) *CSR {
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
+	counts := make([]int64, rows+1)
+	for _, i := range r {
+		counts[i+1]++
+	}
+	for i := 0; i < rows; i++ {
+		counts[i+1] += counts[i]
+	}
+	cs, vs := make([]int32, len(c)), make([]float64, len(v))
+	next := append([]int64(nil), counts[:rows]...)
+	for k, i := range r {
+		cs[next[i]], vs[next[i]] = c[k], v[k]
+		next[i]++
+	}
+	for i := 0; i < rows; i++ {
+		lo, hi := counts[i], counts[i+1]
+		sort.Sort(rowSorter{cols: cs[lo:hi], vals: vs[lo:hi]})
+		var prev int32 = -1
+		for k := lo; k < hi; k++ {
+			if cs[k] == prev {
+				m.Val[len(m.Val)-1] += vs[k]
+				continue
+			}
+			prev = cs[k]
+			m.ColIdx = append(m.ColIdx, cs[k])
+			m.Val = append(m.Val, vs[k])
+		}
+		w := int(m.RowPtr[i])
+		for k := w; k < len(m.ColIdx); k++ {
+			if m.Val[k] != 0 {
+				m.ColIdx[w], m.Val[w] = m.ColIdx[k], m.Val[k]
+				w++
+			}
+		}
+		m.ColIdx, m.Val = m.ColIdx[:w], m.Val[:w]
+		m.RowPtr[i+1] = int64(w)
+	}
+	return m
+}
+
+// TestBuildInPlaceMatchesAppendingBuild: compacting in place yields the
+// appending assembly's bits — duplicate weights that round differently
+// in a different order, sums that cancel to zero, long and empty rows —
+// and a shape set by Resize builds like one given up front.
+func TestBuildInPlaceMatchesAppendingBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(30)
+		b := NewBuilder(0, 0)
+		b.Resize(n, n)
+		var r, c []int32
+		var v []float64
+		for e := rng.Intn(6 * n); e > 0; e-- {
+			i, j := rng.Intn(n), rng.Intn(1+rng.Intn(n)) // low columns collide often
+			val := []float64{0.1, 0.2, 0.3, 1e16, -1e16, 1, -1, 0}[rng.Intn(8)]
+			r, c, v = append(r, int32(i)), append(c, int32(j)), append(v, val)
+			b.Add(i, j, val)
+		}
+		want, got := appendingBuild(n, n, r, c, v), b.Build()
+		mustValidate(t, got)
+		if got.Rows != n || got.Cols != n || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+			t.Fatalf("trial %d: structure differs:\n%v\nvs\n%v", trial, got, want)
+		}
+		for k := range want.Val {
+			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				t.Fatalf("trial %d: Val[%d] = %v, want %v", trial, k, got.Val[k], want.Val[k])
+			}
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // Fused symmetrization kernels: the diagonal row/column scalings and
 // the prune threshold are folded into the SpGEMM accumulator loop, so
 // the scaled factor matrices (the X and Y of the degree-discounted
-// symmetrization, paper §3.4) are never materialised. Every scaled
-// entry value is computed on the fly as (v·row)·col — the exact
+// symmetrization, paper §3.4) are never materialised as matrices. Every
+// scaled entry value is computed as (v·row)·col — the exact
 // multiplication order of ScaleRows followed by ScaleCols — and the
 // product terms accumulate in the same order as a materialized
 // Gustavson product, so results are bit-identical to scaling,
@@ -25,8 +25,7 @@ import (
 // result is mirrored.
 
 // applyScale folds a diagonal scale factor into v; a nil vector is the
-// identity. Kept trivially inlinable — this runs once per operand entry
-// touch in the fused inner loops.
+// identity.
 func applyScale(v float64, scale []float64, i int32) float64 {
 	if scale != nil {
 		return v * scale[i]
@@ -50,9 +49,11 @@ func MulXXTScaledPruned(x, xt *CSR, rowScale, colScale []float64, threshold floa
 // S = X·Xᵀ for X = diag(rowScale)·x·diag(colScale), given x and its
 // exact transpose xt (xt must carry bit-identical values to
 // x.Transpose(); a mapped on-disk transpose qualifies). Neither X nor
-// Xᵀ is materialised: scaled values are formed in the inner loop as
-// (v·row)·col, the ScaleRows-then-ScaleCols order. Sub-threshold
-// entries are killed during accumulation and never allocated.
+// Xᵀ is materialised as a matrix: scaled values are formed as
+// (v·row)·col, the ScaleRows-then-ScaleCols order — x's in the loop,
+// xt's once up front into one nnz-long vector the call holds (8 bytes
+// an entry, heap even when xt is mapped). Sub-threshold entries are
+// killed during accumulation and never allocated.
 //
 // Only the upper triangle (j ≥ i) is computed — each inner row of xt is
 // entered at its first column ≥ i, halving the flop count — and the
@@ -79,40 +80,47 @@ func MulXXTScaledPrunedCtx(ctx context.Context, x, xt *CSR, rowScale, colScale [
 
 // xxtProduct is the engine spec behind MulXXTScaledPrunedCtx: the
 // scaled upper-triangle row scatter under a threshold flush, mirrored.
+// xt's values are scaled once up front — entry (c, j) carries x's raw
+// value at (j, c), and (v·rowScale[j])·colScale[c] is X.Transpose()'s
+// value exactly — so the inner loop is one multiply per flop with no
+// rowScale gather; with no scaling at all the vector is xt.Val itself.
 func xxtProduct(x, xt *CSR, rowScale, colScale []float64, threshold float64) *product {
 	if x.Cols != xt.Rows || x.Rows != xt.Cols {
 		panic(fmt.Sprintf("matrix: MulXXTScaledPruned transpose shape mismatch %dx%d vs %dx%d", x.Rows, x.Cols, xt.Rows, xt.Cols))
 	}
 	checkScaleLen("MulXXTScaledPruned rowScale", rowScale, x.Rows)
 	checkScaleLen("MulXXTScaledPruned colScale", colScale, x.Cols)
+	sv := xt.Val
+	if rowScale != nil || colScale != nil {
+		sv = make([]float64, len(xt.Val))
+		for c := 0; c < xt.Rows; c++ {
+			for t := xt.RowPtr[c]; t < xt.RowPtr[c+1]; t++ {
+				sv[t] = applyScale(applyScale(xt.Val[t], rowScale, xt.ColIdx[t]), colScale, int32(c))
+			}
+		}
+	}
 	return &product{
 		rows:      x.Rows,
 		cols:      x.Rows,
 		threshold: threshold,
 		mirrored:  true,
+		// Upper-triangle contributions (output columns j ≥ i) of row i:
+		// for each entry (c, v) of x's row i the matching inner row of xt
+		// is entered at its first column ≥ i, so strict-lower flops are
+		// skipped rather than branched over.
 		scatter: func(i int, spa *accumulator) {
-			xxtUpperRow(x, xt, rowScale, colScale, i, spa)
+			ac, av := x.Row(i)
+			for k, c := range ac {
+				w := applyScale(applyScale(av[k], rowScale, int32(i)), colScale, c)
+				lo, hi := xt.RowPtr[c], xt.RowPtr[c+1]
+				bcols := xt.ColIdx[lo:hi]
+				start := sort.Search(len(bcols), func(p int) bool { return bcols[p] >= int32(i) })
+				bvals := sv[lo:hi]
+				for t := start; t < len(bcols); t++ {
+					spa.add(bcols[t], w*bvals[t])
+				}
+			}
 		},
-	}
-}
-
-// xxtUpperRow scatters the upper-triangle contributions (output columns
-// j ≥ i) of self-product row i into spa. For each entry (c, v) of x's
-// row i the matching inner row of xt is entered at its first column
-// ≥ i, so strict-lower flops are skipped rather than branched over.
-func xxtUpperRow(x, xt *CSR, rowScale, colScale []float64, i int, spa *accumulator) {
-	ac, av := x.Row(i)
-	for k, c := range ac {
-		w := applyScale(applyScale(av[k], rowScale, int32(i)), colScale, c)
-		bcols, bvals := xt.Row(int(c))
-		start := sort.Search(len(bcols), func(p int) bool { return bcols[p] >= int32(i) })
-		for t := start; t < len(bcols); t++ {
-			j := bcols[t]
-			// xt entry (c, j) carries x's raw value at (j, c); scaling it
-			// row-factor-first reproduces X.Transpose()'s value exactly.
-			bv := applyScale(applyScale(bvals[t], rowScale, j), colScale, c)
-			spa.add(j, w*bv)
-		}
 	}
 }
 

@@ -12,7 +12,9 @@ func Add(a, b *CSR, alpha, beta float64) *CSR {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: Add dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
+	most := a.NNZ() + b.NNZ()
+	out := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1),
+		ColIdx: make([]int32, 0, most), Val: make([]float64, 0, most)}
 	for i := 0; i < a.Rows; i++ {
 		ac, av := a.Row(i)
 		bc, bv := b.Row(i)
@@ -69,6 +71,14 @@ func MulPrunedTopKCtx(ctx context.Context, a, b *CSR, threshold float64, topK in
 type Expander struct {
 	procs int // GOMAXPROCS when the solve began: the workers offered
 	ws    workspace
+}
+
+// DerivedWorkers reports how many goroutines the engine runs a product
+// of the given output rows on when the count is left to it (an Expander,
+// MulXXTScaledPrunedCtx at workers 0): GOMAXPROCS capped at the tiles.
+func DerivedWorkers(rows int) int {
+	_, _, running := tiling(rows, runtime.GOMAXPROCS(0))
+	return running
 }
 
 // NewExpander returns an Expander with nothing allocated yet.

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"symcluster/internal/core"
 	"symcluster/internal/graph"
@@ -94,24 +95,32 @@ func csrBytes(n int, nnz int64) int64 {
 // productSymBytes bounds Bibliometric and DegreeDiscounted under the
 // fused execution layer: the diagonal scalings fold into the product
 // kernels, so no scaled factor clone is ever allocated — the only
-// input-shaped intermediate is the one Aᵀ shared by both terms. Both
+// input-shaped intermediates are the one Aᵀ shared by both terms and
+// the vector of pre-scaled operand values a scaled product holds. Both
 // products live at once while they are summed, and the sum is bounded
 // by their combined size. DegreeDiscounted only rescales the terms, so
-// its sparsity bound matches Bibliometric's.
+// its sparsity bound matches Bibliometric's. While a product is formed
+// the tile-parallel driver holds productDriverBytes beside it.
 func productSymBytes(gs GraphStats) int64 {
 	dense := int64(gs.Nodes) * int64(gs.Nodes)
-	coupling := minInt64(gs.CouplingFlops, dense)
-	cocit := minInt64(gs.CocitFlops, dense)
-	total := minInt64(coupling+cocit, dense)
+	coupling := min(gs.CouplingFlops, dense)
+	cocit := min(gs.CocitFlops, dense)
+	total := min(coupling+cocit, dense)
 	transpose := csrBytes(gs.Nodes, gs.Edges)
-	return transpose + csrBytes(gs.Nodes, coupling) + csrBytes(gs.Nodes, cocit) + csrBytes(gs.Nodes, total)
+	return transpose + csrBytes(gs.Nodes, coupling) + csrBytes(gs.Nodes, cocit) + csrBytes(gs.Nodes, total) +
+		productDriverBytes(gs, max(coupling, cocit))
 }
 
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+// productDriverBytes is what the engine holds while it forms one
+// self-product of at most nnz entries, besides the result: the nnz-long
+// float64 vector of pre-scaled operand values; one dense accumulator
+// (12 bytes a column, and a touched list of 4 more at append's slack)
+// for each of at most GOMAXPROCS workers; and, with more than one
+// worker, the per-tile staging the rows are flushed into before they
+// are stitched — one more copy of the product's entries. The same
+// accounting as the mcl clusterer's model.
+func productDriverBytes(gs GraphStats, nnz int64) int64 {
+	return 8*gs.Edges + int64(runtime.GOMAXPROCS(0))*20*int64(gs.Nodes) + 12*nnz
 }
 
 // oocProductSymBytes bounds the heap-resident bytes of an out-of-core
@@ -120,13 +129,15 @@ func minInt64(a, b int64) int64 {
 // the heap) that the fused kernels stream rows from — the scalings fold
 // into the kernels, so there are no scaled-factor files either; what
 // stays resident is the external-sort buffer, the degree/discount
-// vectors, and — dominating everything — the pruned products
-// themselves. An unpruned product is as large out-of-core as in-core,
-// which is why this is honest about the worst case being no smaller
-// than productSymBytes minus the transpose the in-core path holds.
+// vectors, what the product driver holds (productDriverBytes: the
+// scaled-value vector is heap even when its operand is mapped), and —
+// dominating everything — the pruned products themselves. An unpruned
+// product is as large out-of-core as in-core, which is why this is
+// honest about the worst case being no smaller than productSymBytes
+// minus the transpose the in-core path holds.
 func oocProductSymBytes(gs GraphStats) int64 {
 	sortAndVectors := int64(64<<20) + 64*int64(gs.Nodes)
-	return sortAndVectors + csrBytes(gs.Nodes, 2*gs.Edges)
+	return sortAndVectors + csrBytes(gs.Nodes, 2*gs.Edges) + productDriverBytes(gs, 2*gs.Edges)
 }
 
 // symRegistry holds the four symmetrizations of the paper in its

@@ -755,6 +755,6 @@ func (c *coordinator) importGraphFrom(st *jobstore.Store, graphID string) error 
 		mp.Close()
 		return fmt.Errorf("wrapping imported graph: %w", err)
 	}
-	c.s.addGraph(g, dst, mp, "")
+	c.s.addGraph(g, g.Fingerprint(), dst, mp, "")
 	return nil
 }

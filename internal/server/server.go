@@ -331,7 +331,7 @@ func (s *Server) loadGraphs() error {
 				// Migration is best-effort: the graph still serves from
 				// the heap, and the next boot retries the rewrite.
 				s.log().Error("migrating graph to binary CSR", "graph", id, "err", err)
-				s.addGraph(g, "", nil, "")
+				s.addGraph(g, g.Fingerprint(), "", nil, "")
 				return nil
 			}
 			s.store.RemoveLegacyGraph(id)
@@ -347,7 +347,7 @@ func (s *Server) loadGraphs() error {
 			mp.Close()
 			return fmt.Errorf("reloading graph %s: %w", id, err)
 		}
-		s.addGraph(g, path, mp, "")
+		s.addGraph(g, g.Fingerprint(), path, mp, "")
 		return nil
 	})
 }
@@ -532,9 +532,10 @@ func (s *Server) RegisterGraph(g *symcluster.DirectedGraph) GraphInfo {
 }
 
 func (s *Server) registerGraph(g *symcluster.DirectedGraph, persist bool) GraphInfo {
+	fp := g.Fingerprint()
 	var csrPath string
 	if persist && s.store != nil {
-		id := fmt.Sprintf("g-%016x", g.Fingerprint())
+		id := fmt.Sprintf("g-%016x", fp)
 		path := s.store.GraphCSRPath(id)
 		if err := csr.WriteMatrix(bootContext(), path, g.Adj); err != nil {
 			s.log().Error("persisting graph", "graph", id, "err", err)
@@ -542,15 +543,16 @@ func (s *Server) registerGraph(g *symcluster.DirectedGraph, persist bool) GraphI
 			csrPath = path
 		}
 	}
-	return s.addGraph(g, csrPath, nil, "")
+	return s.addGraph(g, fp, csrPath, nil, "")
 }
 
-// addGraph installs one graph in the registry under its content-derived
-// id. When the id is already registered the existing entry wins — the
-// content is identical by construction — and a newly mapped duplicate
-// is released (its scratch too) rather than swapped under running jobs.
-func (s *Server) addGraph(g *symcluster.DirectedGraph, csrPath string, mp *csr.Mapped, ownDir string) GraphInfo {
-	fp := g.Fingerprint()
+// addGraph installs one graph in the registry under the id derived from
+// fp, its Fingerprint() — a full pass over the graph, which the callers
+// that persist it have made already. When the id is already registered
+// the existing entry wins — the content is identical by construction —
+// and a newly mapped duplicate is released (its scratch too) rather than
+// swapped under running jobs.
+func (s *Server) addGraph(g *symcluster.DirectedGraph, fp uint64, csrPath string, mp *csr.Mapped, ownDir string) GraphInfo {
 	id := fmt.Sprintf("g-%016x", fp)
 	info := GraphInfo{
 		ID:                id,

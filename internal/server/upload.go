@@ -290,8 +290,9 @@ func (s *Server) handleUploadFinalize(w http.ResponseWriter, r *http.Request) {
 // file currently lives in; the graph registry takes ownership of it
 // unless the store adoption made it redundant.
 func (s *Server) registerMappedCSR(g *symcluster.DirectedGraph, mp *csr.Mapped, csrPath, ownDir string) GraphInfo {
+	fp := g.Fingerprint()
 	if s.store != nil {
-		id := fmt.Sprintf("g-%016x", g.Fingerprint())
+		id := fmt.Sprintf("g-%016x", fp)
 		adopted, aerr := s.store.AdoptGraphFile(id, csrPath)
 		if aerr != nil {
 			s.log().Error("persisting graph", "graph", id, "err", aerr)
@@ -301,7 +302,7 @@ func (s *Server) registerMappedCSR(g *symcluster.DirectedGraph, mp *csr.Mapped, 
 			ownDir = ""
 		}
 	}
-	return s.addGraph(g, csrPath, mp, ownDir)
+	return s.addGraph(g, fp, csrPath, mp, ownDir)
 }
 
 // sweepUploads periodically reaps upload sessions idle past UploadTTL,
