@@ -14,7 +14,7 @@ SOAK_SECONDS ?= 60
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X symcluster/internal/obs.Version=$(VERSION)
 
-.PHONY: check fmt vet lint build test race fuzz crash cluster soak test-long bench
+.PHONY: check fmt vet lint build test race fuzz crash cluster soak test-long bench kernel-bench
 
 check: fmt vet lint build test race crash cluster soak fuzz
 	@echo "check: ok"
@@ -170,6 +170,17 @@ fuzz:
 # pass through, e.g. `bash bench/run.sh --workload mcl_hot`.
 bench:
 	bash bench/run.sh
+
+# The sparse-product kernel on its own, in about a minute: one
+# accumulator row in each mode around the dense/marked crossover
+# (denseSpanNum/denseSpanDen in internal/matrix/engine.go is read off
+# BenchmarkAccumulatorRow), the top-k selection, and the two requests
+# the kernel carries without the server around them, at one core and
+# two (DESIGN.md §15).
+kernel-bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorRow|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
+	$(GO) test -run '^$$' -bench 'BenchmarkMCLHot$$' -cpu 1,2 -count 5 ./internal/mcl
+	$(GO) test -run '^$$' -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
 
 test-long:
 	$(GO) test ./...

@@ -138,8 +138,9 @@ func Symmetrize(g *graph.Directed, method Method, opt Options) (*graph.Undirecte
 // count; GOMAXPROCS=1 is the paper's single-threaded set-up.
 //
 // Each call opens a "core.symmetrize" span and records nnz in/out, the
-// product workers and the number of entries killed by the prune
-// threshold through the obs hooks (no-ops without a trace/meter in ctx).
+// product workers, which accumulator path the product rows took and the
+// number of entries killed by the prune threshold through the obs hooks
+// (no-ops without a trace/meter in ctx).
 func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Options) (out *graph.Undirected, err error) {
 	// Check once at entry so even methods with no internal poll points
 	// (AAT is a single sparse add) respect an already-cancelled context.
@@ -157,6 +158,9 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 		}
 		sp.SetAttr("nnz_out", nnzOut)
 		sp.SetAttr("pruned_entries", prune.Killed())
+		dense, fallbacks := prune.RowPaths()
+		sp.SetAttr("dense_rows", dense)
+		sp.SetAttr("select_fallbacks", fallbacks)
 		sp.EndErr(err)
 		if err == nil {
 			obs.ObserveSymmetrize(ctx, method.String(), g.Adj.NNZ(), nnzOut, prune.Killed())
@@ -324,8 +328,7 @@ func CalibrateThreshold(a *matrix.CSR, opt Options, targetAvgDegree float64, sam
 	if keep >= len(vals) {
 		return 0, nil // keep everything
 	}
-	quickselectDesc(vals, keep)
-	return vals[keep], nil
+	return matrix.KthLargest(vals, keep+1), nil
 }
 
 // sampleRowValues collects the entry values of `sample` deterministic
@@ -355,34 +358,4 @@ func sampleRowValues(u *matrix.CSR, sample int, seed int64) []float64 {
 		vals = append(vals, rowVals...)
 	}
 	return vals
-}
-
-// quickselectDesc partially sorts vals so that vals[k] is the k-th
-// largest element (0-based).
-func quickselectDesc(vals []float64, k int) {
-	lo, hi := 0, len(vals)-1
-	for lo < hi {
-		p := vals[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for vals[i] > p {
-				i++
-			}
-			for vals[j] < p {
-				j--
-			}
-			if i <= j {
-				vals[i], vals[j] = vals[j], vals[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -107,5 +108,65 @@ func BenchmarkMulVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MulVec(x)
+	}
+}
+
+// BenchmarkAccumulatorRow measures one output row — begin, the adds,
+// flush — in each accumulator mode, at the flow-sized and the
+// symmetrization-sized span and at a quarter of, half of, one and four
+// times the span in flops: the measurement behind denseSpanNum/
+// denseSpanDen, which sits where the two modes cross. The adds arrive as
+// 32-entry operand rows over random columns, as a flow's do.
+func BenchmarkAccumulatorRow(b *testing.B) {
+	for _, span := range []int{540, 8192} {
+		for _, ratio := range []float64{0.25, 0.5, 1, 4} {
+			rng := rand.New(rand.NewSource(11))
+			terms := make([][]int32, int(ratio*float64(span))/32)
+			vals := make([]float64, 32)
+			for k := range terms {
+				terms[k] = make([]int32, 32)
+				for t, c := range rng.Perm(span)[:32] {
+					terms[k][t], vals[t] = int32(c), rng.Float64()
+				}
+			}
+			for _, mode := range []struct {
+				name  string
+				force int8
+			}{{"dense", 1}, {"marked", -1}} {
+				b.Run(fmt.Sprintf("span=%d/flops=%vx/%s", span, ratio, mode.name), func(b *testing.B) {
+					spa := newAccumulator(span)
+					spa.force = mode.force
+					p := &product{cols: span, threshold: 0.5, bound: func(int) int { return 0 }}
+					var sink rowSink
+					for i := 0; i < b.N; i++ {
+						spa.begin(p, 0)
+						for _, cols := range terms {
+							spa.axpy(0.5, cols, vals)
+						}
+						sink.cols, sink.vals = sink.cols[:0], sink.vals[:0]
+						spa.flush(&sink, p, 0)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkSelectTopK measures the top-k selection on its own: the k-th
+// largest of a contiguous vector of magnitudes, at the flow's shape
+// (≈ 200 candidates for 30 places) and a hub row's.
+func BenchmarkSelectTopK(b *testing.B) {
+	for _, tc := range []struct{ n, k int }{{200, 30}, {2000, 50}} {
+		b.Run(fmt.Sprintf("%d-to-%d", tc.n, tc.k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(12))
+			src, keys := make([]float64, tc.n), make([]float64, tc.n)
+			for j := range src {
+				src[j] = rng.ExpFloat64()
+			}
+			for i := 0; i < b.N; i++ {
+				copy(keys, src)
+				KthLargest(keys, tc.k)
+			}
+		})
 	}
 }

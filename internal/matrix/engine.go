@@ -47,37 +47,84 @@ func tiling(rows, workers int) (height, nTiles, running int) {
 	return height, nTiles, max(1, min(workers, nTiles))
 }
 
-// accumulator is a dense scatter workspace (SPA) for row-wise sparse
-// products. acc holds partial sums indexed by output column; mark holds
-// a per-column generation stamp so resetting between rows is O(1), and
-// touched lists the columns hit in the current generation.
+// accumulator is the dense scatter workspace (SPA) of a row-wise sparse
+// product: acc holds partial sums indexed by output column, in a mode
+// derived per row (begin). A dense row clears its column span up front,
+// adds unconditionally, and finds its survivors by one scan of the span,
+// already in column order. A marked row stamps mark[c] with the row's
+// generation on first touch — resetting between rows is O(1) — and lists
+// the columns it hit in touched[:n]. Both add the same products to the
+// same +0 start in the same order, hence the same bits.
 type accumulator struct {
 	acc     []float64
 	mark    []uint32
 	gen     uint32
-	touched []int32
-	// Workers append to touched and bump gen on every row: pad the
-	// struct to two cache lines so two workers' accumulators, allocated
-	// back to back, never share one.
-	_ [48]byte
+	touched []int32   // marked: the columns hit; at flush: the candidates
+	n       int       // marked: how many columns are hit
+	keys    []float64 // top-k selection scratch, allocated on first use
+	lo, hi  int       // the row's column span
+	dense   bool      // the row's mode
+	force   int8      // tests only: > 0 every row dense, < 0 every row marked
+	// Drained by the driver: rows run dense, rows re-collected hint-free.
+	denseRows, fallbacks int64
+	// Workers write these fields on every row: pad to three cache lines
+	// so two workers' accumulators, allocated back to back, share none.
+	_ [40]byte
 }
 
+// newAccumulator sizes every per-column array once, at cols.
 func newAccumulator(cols int) *accumulator {
 	return &accumulator{
 		acc:     make([]float64, cols),
 		mark:    make([]uint32, cols),
 		gen:     1,
-		touched: make([]int32, 0, 256),
+		touched: make([]int32, cols),
 	}
 }
 
-func (s *accumulator) add(col int32, v float64) {
-	if s.mark[col] != s.gen {
-		s.mark[col] = s.gen
-		s.acc[col] = 0
-		s.touched = append(s.touched, col)
+// A row goes dense when its flop bound reaches 1/denseSpanShare of its
+// span: where clearing and scanning the span starts to cost less than the
+// mark test and the column sort (`make kernel-bench`, DESIGN.md §15).
+const denseSpanShare = 2
+
+// begin opens row i of p — its span is [i, cols) when p is mirrored —
+// and derives the row's mode from the spec's flop bound.
+func (s *accumulator) begin(p *product, i int) {
+	s.lo, s.hi, s.n = 0, p.cols, 0
+	if p.mirrored {
+		s.lo = i
 	}
-	s.acc[col] += v
+	s.dense = s.force > 0 || s.force == 0 && p.bound(i)*denseSpanShare >= s.hi-s.lo
+	if s.dense {
+		s.denseRows++
+		clear(s.acc[s.lo:s.hi])
+	}
+}
+
+// axpy adds w·vals[t] to column cols[t] for every t: the engine's one
+// row primitive. Each product is rounded before it is added —
+// float64(w * v) — because the Go spec lets x*y + z fuse into a single
+// rounding on arm64, ppc64 and s390x, and "bit-identical to the oracle"
+// has to mean the same bits on every architecture.
+func (s *accumulator) axpy(w float64, cols []int32, vals []float64) {
+	acc, vals := s.acc, vals[:len(cols)]
+	if s.dense {
+		for t, c := range cols {
+			acc[c] += float64(w * vals[t])
+		}
+		return
+	}
+	mark, gen, touched, n := s.mark, s.gen, s.touched, s.n
+	for t, c := range cols {
+		if mark[c] != gen {
+			mark[c] = gen
+			acc[c] = 0
+			touched[n] = c
+			n++
+		}
+		acc[c] += float64(w * vals[t])
+	}
+	s.n = n
 }
 
 // product is one sparse row product handed to the engine: the output
@@ -85,13 +132,19 @@ func (s *accumulator) add(col int32, v float64) {
 // prune rule its rows are flushed under.
 type product struct {
 	rows, cols int
-	scatter    func(i int, spa *accumulator)
+	// bound is a cheap upper bound on the products scatter adds for row
+	// i: the lengths of the operand rows it matches, summed (rowFlops).
+	bound   func(i int) int
+	scatter func(i int, spa *accumulator)
 	// threshold drops entries with |v| < threshold as each row is
 	// flushed, so the unpruned product never materialises.
 	threshold float64
 	// topK > 0 additionally keeps at most the topK largest |v| of each
 	// row (ties toward lower column ids).
 	topK int
+	// tau, when set, holds one top-k cut per row: flush takes row i's as
+	// a hint and leaves the k-th magnitude it found (0 if there is none).
+	tau []float64
 	// mirrored marks a symmetric product whose scatter emits only the
 	// upper triangle (columns ≥ row): the driver mirrors the result, and
 	// a killed strict-upper entry counts twice in the prune tally (its
@@ -104,6 +157,15 @@ type product struct {
 	// entries it trims. It runs on whichever worker produced the row, so
 	// it may touch nothing but its arguments.
 	rowEpilogue func(cols []int32, vals []float64) int
+}
+
+// rowFlops sums the lengths of the rows of b that row i of a selects.
+func rowFlops(a, b *CSR, i int) int {
+	var n int64
+	for _, c := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+		n += b.RowPtr[c+1] - b.RowPtr[c]
+	}
+	return int(n)
 }
 
 // workspace is everything a product allocates besides its result: one
@@ -123,80 +185,158 @@ type rowSink struct {
 	vals []float64
 }
 
-// flush appends the accumulated row to sink and resets the workspace:
-// threshold filter, optional top-k selection, then a column sort for
-// CSR order. It returns the number of entries appended and the
-// threshold's kill count, the quantity the obs prune accounting
-// aggregates.
+// collect gathers the row's candidates — the columns whose |sum| is not
+// below cut, a NaN among them — into touched[:m] and counts the nonzero
+// sums. A dense row finds them in column order; a marked row partitions
+// its touched list, which can therefore be collected again. Magnitudes
+// compare as integers (sign shifted out, NaN on top): no data-decided
+// branch.
+func (s *accumulator) collect(cut float64) (m, nonzero int) {
+	acc, touched, cutBits := s.acc, s.touched, math.Float64bits(cut)<<1
+	if s.dense {
+		for j, v := range acc[s.lo:s.hi] {
+			x := math.Float64bits(v) << 1
+			touched[m] = int32(s.lo + j)
+			if x >= cutBits {
+				m++
+			}
+			if x != 0 {
+				nonzero++
+			}
+		}
+		return m, nonzero
+	}
+	for j, c := range touched[:s.n] {
+		x := math.Float64bits(acc[c]) << 1
+		touched[j], touched[m] = touched[m], c
+		if x >= cutBits {
+			m++
+		}
+		if x != 0 {
+			nonzero++
+		}
+	}
+	return m, nonzero
+}
+
+// flush appends the accumulated row to sink in column order and closes
+// it: threshold filter, then optional top-k. It returns the number of
+// entries appended and the threshold's kill count, the quantity the obs
+// prune accounting aggregates.
+//
+// Top-k is a selection, not a sort: the candidates' magnitudes go into a
+// contiguous key vector, KthLargest finds the k-th, τ, and the emit pass
+// takes everything above τ and the first ties at it — lowest columns
+// first. With p.tau the candidates are first collected at half the row's
+// previous τ: if k turn up, the top k, ties included, lie among them —
+// exact whatever the hint was worth; if not, the row is collected again.
 func (s *accumulator) flush(sink *rowSink, p *product, row int) (n int, killed int64) {
-	// Filter before sorting: with an aggressive threshold most touched
-	// columns are dropped, and sorting only the survivors is much
-	// cheaper than sorting everything.
-	threshold := p.threshold
-	kept := s.touched[:0]
-	for _, c := range s.touched {
+	// A sum survives when it is neither zero nor below the threshold: one
+	// comparison against floor. A NaN passes every cut (it is below
+	// nothing) and dies in the emit loop (it is above nothing).
+	floor := max(p.threshold, math.SmallestNonzeroFloat64)
+	cut := floor
+	if p.tau != nil && floor == math.SmallestNonzeroFloat64 {
+		// (a real threshold's kills could not be told from the sums
+		// between it and the hint)
+		cut = max(floor, p.tau[row]/2)
+	}
+	var m, nonzero, live, ties int // live: the candidates that are not NaN
+	var tau float64
+	for {
+		m, nonzero = s.collect(cut)
+		live, tau, ties = -1, 0, 0
+		if p.topK > 0 && m >= p.topK {
+			if s.keys == nil {
+				s.keys = make([]float64, len(s.acc))
+			}
+			keys := s.keys[:m]
+			live = m
+			for j, c := range s.touched[:m] {
+				a := math.Abs(s.acc[c])
+				if a != a {
+					a, live = -1, live-1
+				}
+				keys[j] = a
+			}
+			if live >= p.topK {
+				tau, ties = KthLargest(keys, p.topK), p.topK
+				for _, a := range keys[:p.topK] { // now the k largest
+					if a > tau {
+						ties--
+					}
+				}
+			}
+		}
+		if cut == floor || live >= p.topK {
+			break
+		}
+		cut = floor
+		s.fallbacks++
+	}
+	cand := s.touched[:m]
+	if !s.dense {
+		slices.Sort(cand)
+	}
+	for _, c := range cand {
 		v := s.acc[c]
-		if v == 0 {
+		if a := math.Abs(v); a == tau {
+			if ties == 0 {
+				continue
+			}
+			ties--
+		} else if !(a > tau) {
 			continue
 		}
-		if math.Abs(v) >= threshold {
-			kept = append(kept, c)
-		} else {
-			killed++
-		}
+		sink.cols = append(sink.cols, c)
+		sink.vals = append(sink.vals, v)
+		n++
+	}
+	if p.tau != nil {
+		p.tau[row] = tau
+	}
+	if tau == 0 {
+		live = n // nothing was selected away: what was not emitted is NaN
+	}
+	// Kills: the NaNs and (no hint in play) the sums below floor.
+	killed = int64(m - live)
+	if cut == floor {
+		killed = int64(nonzero - live)
 	}
 	if p.mirrored {
 		// Every strict-upper kill takes its mirror image with it; the
-		// diagonal entry, if this row touched and lost it, has none.
+		// diagonal entry, if this row summed and lost it, has none.
 		killed *= 2
-		if d := s.acc[row]; s.mark[row] == s.gen && d != 0 && math.Abs(d) < threshold {
+		if d := s.acc[row]; (s.dense || s.mark[row] == s.gen) && d != 0 && !(math.Abs(d) >= floor) {
 			killed--
 		}
 	}
-	if p.topK > 0 && len(kept) > p.topK {
-		quickselectTopK(kept, s.acc, p.topK)
-		kept = kept[:p.topK]
-	}
-	slices.Sort(kept)
-	sink.cols = append(sink.cols, kept...)
-	for _, c := range kept {
-		sink.vals = append(sink.vals, s.acc[c])
-	}
-	s.touched = s.touched[:0]
-	s.gen++
-	if s.gen == 0 { // wrapped: clear stale marks and restart
-		for i := range s.mark {
-			s.mark[i] = 0
+	if !s.dense {
+		s.gen++
+		if s.gen == 0 { // wrapped: clear stale marks and restart
+			clear(s.mark)
+			s.gen = 1
 		}
-		s.gen = 1
 	}
-	return len(kept), killed
+	return n, killed
 }
 
-// quickselectTopK partially orders cols so that the k entries with the
-// largest |acc| values occupy cols[:k]. Ties break toward lower column
-// ids for determinism.
-func quickselectTopK(cols []int32, acc []float64, k int) {
-	lo, hi := 0, len(cols)-1
-	greater := func(a, b int32) bool {
-		va, vb := math.Abs(acc[a]), math.Abs(acc[b])
-		if va != vb {
-			return va > vb
-		}
-		return a < b
-	}
+// KthLargest returns the k-th largest of keys, 1 ≤ k ≤ len(keys), none
+// of them NaN, and reorders keys so that keys[:k] are the k largest.
+func KthLargest(keys []float64, k int) float64 {
+	lo, hi := 0, len(keys)-1
 	for lo < hi {
-		p := cols[(lo+hi)/2]
+		p := keys[(lo+hi)/2]
 		i, j := lo, hi
 		for i <= j {
-			for greater(cols[i], p) {
+			for keys[i] > p {
 				i++
 			}
-			for greater(p, cols[j]) {
+			for keys[j] < p {
 				j--
 			}
 			if i <= j {
-				cols[i], cols[j] = cols[j], cols[i]
+				keys[i], keys[j] = keys[j], keys[i]
 				i++
 				j--
 			}
@@ -206,9 +346,10 @@ func quickselectTopK(cols []int32, acc []float64, k int) {
 		} else if k-1 >= i {
 			lo = i
 		} else {
-			return
+			break
 		}
 	}
+	return keys[k-1]
 }
 
 // run drives the product into a fresh result with a fresh workspace.
@@ -262,7 +403,7 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 			ws.spas[w] = newAccumulator(p.cols)
 		}
 	}
-	var next, killed, trim atomic.Int64
+	var next, killed, trim, denseRows, fallbacks atomic.Int64
 	var stop atomic.Pointer[error]
 	work := func(w int) {
 		spa := ws.spas[w]
@@ -278,6 +419,7 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 			sink := &sinks[t%len(sinks)]
 			var tileKilled, tileTrimmed int64
 			for i, hi := t*height, min((t+1)*height, p.rows); i < hi; i++ {
+				spa.begin(p, i)
 				p.scatter(i, spa)
 				n, k := spa.flush(sink, p, i)
 				tileKilled += k
@@ -292,6 +434,9 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 			}
 			killed.Add(tileKilled)
 			trim.Add(tileTrimmed)
+			denseRows.Add(spa.denseRows)
+			fallbacks.Add(spa.fallbacks)
+			spa.denseRows, spa.fallbacks = 0, 0
 		}
 	}
 	if workers == 1 {
@@ -320,7 +465,9 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 	if err := stop.Load(); err != nil {
 		return 0, *err
 	}
-	obs.PruneStatsFrom(ctx).Add(killed.Load())
+	stats := obs.PruneStatsFrom(ctx)
+	stats.Add(killed.Load())
+	stats.AddRowPaths(denseRows.Load(), fallbacks.Load())
 
 	for i := 0; i < p.rows; i++ {
 		out.RowPtr[i+1] += out.RowPtr[i]

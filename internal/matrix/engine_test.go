@@ -17,7 +17,7 @@ import (
 
 // truncateTopK keeps, per row of m, the k entries largest by |value|
 // (ties toward lower columns) by fully sorting each row — the slow,
-// obvious counterpart of the engine's quickselect. k <= 0 keeps all.
+// obvious counterpart of the engine's selection. k <= 0 keeps all.
 func truncateTopK(m *CSR, k int) *CSR {
 	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1)}
 	for i := 0; i < m.Rows; i++ {
@@ -263,32 +263,37 @@ func TestEngineWorkerPanic(t *testing.T) {
 	}
 }
 
+// TestAccumulatorGenerationWrap forces the generation counter to wrap
+// and requires flushed rows to stay correct across the wrap — with dense
+// rows, which neither stamp a mark nor advance the generation, between
+// the marked ones: a dense row's sums must not read as touched to the
+// marked row that follows it, before the wrap or after.
 func TestAccumulatorGenerationWrap(t *testing.T) {
-	// Force the generation counter to wrap and verify flushed rows stay
-	// correct across the wrap.
 	spa := newAccumulator(4)
 	spa.gen = ^uint32(0) - 1
-	flushed := func() (int32, float64) {
+	p := &product{cols: 4, bound: func(int) int { return 1 }}
+	row := func(dense bool, col int32, v float64) {
 		t.Helper()
-		var sink rowSink
-		if n, _ := spa.flush(&sink, &product{}, 0); n != 1 {
-			t.Fatalf("flushed %d entries, want 1", n)
+		spa.force = -1
+		if dense {
+			spa.force = 1
 		}
-		return sink.cols[0], sink.vals[0]
+		spa.begin(p, 0)
+		spa.axpy(1, []int32{col}, []float64{v})
+		var sink rowSink
+		if n, _ := spa.flush(&sink, p, 0); n != 1 || sink.cols[0] != col || sink.vals[0] != v {
+			t.Fatalf("dense=%v: flushed %v %v, want [%d] [%v]", dense, sink.cols, sink.vals, col, v)
+		}
 	}
-	spa.add(2, 5)
-	if c, v := flushed(); c != 2 || v != 5 {
-		t.Fatalf("pre-wrap flush = (%d, %v), want (2, 5)", c, v)
-	}
-	spa.add(2, 7) // gen is now max; this flush wraps
-	if c, v := flushed(); c != 2 || v != 7 {
-		t.Fatalf("wrap flush = (%d, %v), want (2, 7)", c, v)
-	}
+	row(true, 2, 4)  // dense: leaves acc[2] = 4 behind, marks untouched
+	row(false, 2, 5) // marked, pre-wrap: must start column 2 from zero
+	row(true, 1, 6)  // dense at the last generation
+	row(false, 2, 7) // gen is now max; this flush wraps
 	if spa.gen != 1 {
 		t.Fatalf("gen after wrap = %d, want 1", spa.gen)
 	}
-	spa.add(1, 3)
-	if c, v := flushed(); c != 1 || v != 3 {
-		t.Fatalf("post-wrap flush = (%d, %v), want (1, 3): stale accumulation", c, v)
-	}
+	row(true, 3, 8)
+	row(false, 1, 3) // post-wrap: column 1 holds a dense row's 6 and a cleared mark
+	row(false, 3, 9)
+	row(true, 2, 1)
 }

@@ -104,6 +104,7 @@ func xxtProduct(x, xt *CSR, rowScale, colScale []float64, threshold float64) *pr
 		cols:      x.Rows,
 		threshold: threshold,
 		mirrored:  true,
+		bound:     func(i int) int { return rowFlops(x, xt, i) },
 		// Upper-triangle contributions (output columns j ≥ i) of row i:
 		// for each entry (c, v) of x's row i the matching inner row of xt
 		// is entered at its first column ≥ i, so strict-lower flops are
@@ -115,10 +116,7 @@ func xxtProduct(x, xt *CSR, rowScale, colScale []float64, threshold float64) *pr
 				lo, hi := xt.RowPtr[c], xt.RowPtr[c+1]
 				bcols := xt.ColIdx[lo:hi]
 				start := sort.Search(len(bcols), func(p int) bool { return bcols[p] >= int32(i) })
-				bvals := sv[lo:hi]
-				for t := start; t < len(bcols); t++ {
-					spa.add(bcols[t], w*bvals[t])
-				}
+				spa.axpy(w, bcols[start:], sv[lo+int64(start):hi])
 			}
 		},
 	}

@@ -71,6 +71,9 @@ func MulPrunedTopKCtx(ctx context.Context, a, b *CSR, threshold float64, topK in
 type Expander struct {
 	procs int // GOMAXPROCS when the solve began: the workers offered
 	ws    workspace
+	// tau is each row's top-k cut in the last product and the next one's
+	// pre-filter (product.tau); a stale one costs a rescan, nothing else.
+	tau []float64
 }
 
 // DerivedWorkers reports how many goroutines the engine runs a product
@@ -103,6 +106,10 @@ func (e *Expander) Workers(rows int) int {
 func (e *Expander) MulTopK(ctx context.Context, dst, a, b *CSR, topK int, epilogue func(cols []int32, vals []float64) int) (trimmed int, err error) {
 	p := topKProduct(a, b, 0, topK)
 	p.rowEpilogue = epilogue
+	if len(e.tau) != a.Rows {
+		e.tau = make([]float64, a.Rows)
+	}
+	p.tau = e.tau
 	n, err := p.runInto(ctx, e.procs, &e.ws, dst)
 	return int(n), err
 }
@@ -118,14 +125,12 @@ func topKProduct(a, b *CSR, threshold float64, topK int) *product {
 		cols:      b.Cols,
 		threshold: threshold,
 		topK:      topK,
+		bound:     func(i int) int { return rowFlops(a, b, i) },
 		scatter: func(i int, spa *accumulator) {
 			ac, av := a.Row(i)
 			for k, c := range ac {
 				bcols, bvals := b.Row(int(c))
-				w := av[k]
-				for t, bc := range bcols {
-					spa.add(bc, w*bvals[t])
-				}
+				spa.axpy(av[k], bcols, bvals)
 			}
 		},
 	}

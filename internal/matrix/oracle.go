@@ -47,7 +47,7 @@ func MulPrunedCtx(ctx context.Context, a, b *CSR, threshold float64) (*CSR, erro
 					seen[j] = true
 					touched = append(touched, int(j))
 				}
-				sum[j] += av[k] * bv[t]
+				sum[j] += float64(av[k] * bv[t]) // rounded, then added: see accumulator.axpy
 			}
 		}
 		sort.Ints(touched)

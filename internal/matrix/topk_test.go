@@ -3,8 +3,31 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// TestKthLargestMatchesSort: the selection returns what a full sort
+// would put k-th from the top and leaves the k largest in front, on
+// vectors thick with duplicates and at both ends of k.
+func TestKthLargestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	for trial := 0; trial < 300; trial++ {
+		keys := make([]float64, 1+rng.Intn(60))
+		for j := range keys {
+			keys[j] = float64(rng.Intn(1 + trial%12))
+		}
+		sorted := slices.Clone(keys)
+		slices.Sort(sorted)
+		for _, k := range []int{1, 1 + rng.Intn(len(keys)), len(keys)} {
+			work := slices.Clone(keys)
+			got, want := KthLargest(work, k), sorted[len(keys)-k]
+			if got != want || slices.Min(work[:k]) != want || k < len(keys) && slices.Max(work[k:]) > want {
+				t.Fatalf("trial %d: KthLargest(%v, %d) = %v leaving %v, want %v", trial, keys, k, got, work, want)
+			}
+		}
+	}
+}
 
 func TestMulPrunedTopKMatchesSortedTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))

@@ -237,10 +237,12 @@ func regularizer(adj *matrix.CSR, selfLoop float64) *matrix.CSR {
 // buffers and swaps them — *flow always names the current one, and the
 // matrix it named on entry is overwritten from the second iteration on.
 //
-// Each call opens an "mcl.iterate" span (worker count, iteration count
-// and final residual as attributes) and records per-iteration residual,
-// flow nonzeros and threshold-pruned entries through the obs hooks;
-// both are no-ops when no trace/meter is installed in ctx.
+// Each call opens an "mcl.iterate" span (worker count, iteration count,
+// final residual, and how many expansion rows were accumulated dense and
+// how many top-k pre-filters fell back, as attributes) and records
+// per-iteration residual, flow nonzeros and threshold-pruned entries
+// through the obs hooks; both are no-ops when no trace/meter is
+// installed in ctx.
 //
 // ckptKernel names the checkpoint slot this solve saves/restores
 // through a context-carried checkpoint.Sink; "" disables checkpointing
@@ -254,10 +256,14 @@ func iterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Option
 	ctx, sp := obs.StartSpan(ctx, "mcl.iterate",
 		obs.A("nodes", mgt.Rows), obs.A("max_iter", maxIter),
 		obs.A("workers", expander.Workers(mgt.Rows)))
+	ctx, paths := obs.WithPruneStats(ctx)
 	var lastDelta float64
 	defer func() {
 		sp.SetAttr("iterations", iters)
 		sp.SetAttr("residual", lastDelta)
+		dense, fallbacks := paths.RowPaths()
+		sp.SetAttr("dense_rows", dense)
+		sp.SetAttr("select_fallbacks", fallbacks)
 		sp.EndErr(err)
 		obs.ObserveMCLRun(ctx, iters)
 	}()
@@ -363,9 +369,11 @@ const minNormal = 0x1p-1022
 // order of magnitude cheaper as a multiplication, which rounds once,
 // exactly as math.Pow(v, 2) does, whenever the square is a normal
 // number; a subnormal square may differ in its last bit and takes the
-// general path.
+// general path. The conversion pins that rounding: without it the row
+// sum the square is then added to could fuse with it (arm64, ppc64,
+// s390x) and part from the oracle's math.Pow.
 func inflate(v, r float64) float64 {
-	if w := v * v; r == 2 && w >= minNormal {
+	if w := float64(v * v); r == 2 && w >= minNormal {
 		return w
 	}
 	return math.Pow(v, r)
@@ -418,7 +426,14 @@ func normalize(vals []float64, sum float64) {
 // prunePerRow drops entries below threshold and keeps at most maxKeep
 // of the heaviest entries per row.
 func prunePerRow(m *matrix.CSR, threshold float64, maxKeep int) *matrix.CSR {
-	out := &matrix.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1)}
+	// Sized up front — no row keeps more than it has or than maxKeep —
+	// rather than grown by append, which copies the flow twice over.
+	most := m.NNZ()
+	if maxKeep < most/max(m.Rows, 1) {
+		most = m.Rows * maxKeep
+	}
+	out := &matrix.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1),
+		ColIdx: make([]int32, 0, most), Val: make([]float64, 0, most)}
 	type entry struct {
 		col int32
 		val float64

@@ -186,12 +186,36 @@ func requireSameFlow(t *testing.T, it int, want, got *matrix.CSR) {
 	}
 }
 
+// iterateSpans returns the "mcl.iterate" spans of a traced solve, in the
+// order the levels ran.
+func iterateSpans(n *obs.SpanNode) []*obs.SpanNode {
+	if n == nil {
+		return nil
+	}
+	var out []*obs.SpanNode
+	if n.Name == "mcl.iterate" {
+		out = append(out, n)
+	}
+	for _, c := range n.Children {
+		out = append(out, iterateSpans(c)...)
+	}
+	return out
+}
+
 // TestFusedIterateMatchesOracle holds the fused, tile-parallel solve to
 // the materialised one at every worker count the engine can derive:
 // after every finest-level iteration the flow is the same bits and the
 // residual, flow-nnz and pruned-entries histograms read the same, and
 // at the end so do the iteration count and the assignment. GOMAXPROCS
 // is the only knob the worker count has, so the test turns that.
+//
+// The oracle's product is the one-shot, hint-free one, so this is also
+// what holds the Expander's τ pre-filter to exactness where its hints
+// are worth least: plain MCL squares the flow, so a row's cut was taken
+// against a right operand that has since moved, and MLR-MCL changes
+// shape between levels — the multilevel solves here must cross at least
+// two level changes, and every level's span must say which paths its
+// rows took.
 func TestFusedIterateMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	wide, _ := blockGraph(rng, 6, 50, 0.3, 0.01)  // five or more tiles
@@ -222,10 +246,25 @@ func TestFusedIterateMatchesOracle(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/r=%v/%s/workers=%d", g.name, inflation, v.name, workers), func(t *testing.T) {
 						runtime.GOMAXPROCS(workers)
 						got := &solveLog{t: t, reg: obs.NewRegistry()}
-						ctx := checkpoint.With(obs.WithMeter(context.Background(), got.reg), got)
+						trace := obs.NewTrace()
+						ctx, root := trace.StartRoot(context.Background(), "test")
+						ctx = checkpoint.With(obs.WithMeter(ctx, got.reg), got)
 						gotRes, err := ClusterCtx(ctx, g.adj, opt)
+						root.End()
 						if err != nil {
 							t.Fatal(err)
+						}
+						spans := iterateSpans(trace.Tree())
+						if v.multilevel && len(spans) < 3 {
+							t.Fatalf("%d mcl.iterate spans, want the coarsest level and at least two level changes", len(spans))
+						}
+						for _, sp := range spans {
+							dense, ok1 := sp.Attrs["dense_rows"].(int64)
+							fallbacks, ok2 := sp.Attrs["select_fallbacks"].(int64)
+							rows, iters := sp.Attrs["nodes"].(int), sp.Attrs["iterations"].(int)
+							if !ok1 || !ok2 || dense < 0 || dense > int64(rows*iters) || fallbacks < 0 || fallbacks > int64(rows*iters) {
+								t.Fatalf("mcl.iterate span attrs %v: dense_rows and select_fallbacks must count rows of its %d×%d", sp.Attrs, rows, iters)
+							}
 						}
 						if len(got.records) != len(want.records) {
 							t.Fatalf("%d finest-level iterations, oracle %d", len(got.records), len(want.records))

@@ -142,11 +142,13 @@ func ObserveCSRIngest(ctx context.Context, spillRuns, mergedBytes int64) {
 }
 
 // PruneStats accumulates how many candidate entries the sparse-product
-// kernels dropped below the prune threshold. The matrix kernels add
-// their per-call totals when a collector is installed in the context;
-// core.SymmetrizeCtx installs one and folds the total into metrics and
-// the symmetrize span.
-type PruneStats struct{ killed atomic.Int64 }
+// kernels dropped below the prune threshold, and which path their rows
+// took: how many were accumulated dense and how many top-k selections
+// fell back from their pre-filter to the full scan. The matrix kernels
+// add their per-call totals when a collector is installed in the
+// context; core.SymmetrizeCtx and mcl's iterate each install one and
+// fold the totals into their span (and, the kills, into metrics).
+type PruneStats struct{ killed, denseRows, selectFallbacks atomic.Int64 }
 
 // Add records n dropped entries.
 func (p *PruneStats) Add(n int64) {
@@ -161,6 +163,22 @@ func (p *PruneStats) Killed() int64 {
 		return 0
 	}
 	return p.killed.Load()
+}
+
+// AddRowPaths records one product's dense rows and select fallbacks.
+func (p *PruneStats) AddRowPaths(dense, fallbacks int64) {
+	if p != nil {
+		p.denseRows.Add(dense)
+		p.selectFallbacks.Add(fallbacks)
+	}
+}
+
+// RowPaths returns the running totals AddRowPaths has seen.
+func (p *PruneStats) RowPaths() (dense, fallbacks int64) {
+	if p == nil {
+		return 0, 0
+	}
+	return p.denseRows.Load(), p.selectFallbacks.Load()
 }
 
 // WithPruneStats installs a fresh collector and returns it.

@@ -160,13 +160,16 @@ var cluRegistry = []Clusterer{
 			// growing by append leaves (one worker appends into the flow
 			// buffers and stages nothing; several size the buffers exactly
 			// and append into the staging), so four flows bound both — plus
-			// one dense accumulator (12 bytes a column, and a touched list
-			// of 4 more at the same slack) for each of at most GOMAXPROCS
-			// workers. Measured with every column full, two workers:
-			// 652 KB held at 540 nodes against 817 KB estimated, 7.01 MB
-			// against 9.07 MB at 6 000.
+			// one accumulator (sums, marks, the candidate list and the top-k
+			// selection keys: 24 bytes a column, each sized once) for each
+			// of at most GOMAXPROCS workers, and the Expander's per-row τ
+			// vector. Measured as the live heap at an iteration boundary
+			// (a collection forced from a checkpoint sink, the snapshot's
+			// own bytes taken out) with every column full, two workers:
+			// 479 KB held at 540 nodes against 825 KB estimated, 4.49 MB
+			// against 9.17 MB at 6 000.
 			n := int64(gs.Nodes)
-			return 4*csrBytes(gs.Nodes, mclMaxPerColumn*n) + int64(runtime.GOMAXPROCS(0))*20*n
+			return 4*csrBytes(gs.Nodes, mclMaxPerColumn*n) + int64(runtime.GOMAXPROCS(0))*24*n + 8*n
 		},
 	},
 	&cluEntry{

@@ -61,7 +61,7 @@ func heldDuring(t *testing.T, f func()) int64 {
 // held — that is admission's promise — and stay inside the stated band
 // above it, so a term dropped from the model and a new allocation in
 // the run both show. Measured at GOMAXPROCS 1, 2, 3 and 8 on two cores:
-// 257–349, 2.4–3.0 and 1.2–2.5; a sample counts the garbage of the
+// 232–349, 2.6–3.3 and 1.3–2.5; a sample counts the garbage of the
 // collection cycle in flight, a third of so small a heap as the last
 // row's at eight workers on two cores, hence that row's floor.
 //

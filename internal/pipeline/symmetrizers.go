@@ -113,14 +113,15 @@ func productSymBytes(gs GraphStats) int64 {
 
 // productDriverBytes is what the engine holds while it forms one
 // self-product of at most nnz entries, besides the result: the nnz-long
-// float64 vector of pre-scaled operand values; one dense accumulator
-// (12 bytes a column, and a touched list of 4 more at append's slack)
-// for each of at most GOMAXPROCS workers; and, with more than one
-// worker, the per-tile staging the rows are flushed into before they
-// are stitched — one more copy of the product's entries. The same
-// accounting as the mcl clusterer's model.
+// float64 vector of pre-scaled operand values; one accumulator — sums,
+// marks and the candidate list, 16 bytes a column, each sized once (a
+// product without a top-k never allocates the selection keys) — for each
+// of at most GOMAXPROCS workers; and, with more than one worker, the
+// per-tile staging the rows are flushed into before they are stitched —
+// one more copy of the product's entries. The same accounting as the mcl
+// clusterer's model.
 func productDriverBytes(gs GraphStats, nnz int64) int64 {
-	return 8*gs.Edges + int64(runtime.GOMAXPROCS(0))*20*int64(gs.Nodes) + 12*nnz
+	return 8*gs.Edges + int64(runtime.GOMAXPROCS(0))*16*int64(gs.Nodes) + 12*nnz
 }
 
 // oocProductSymBytes bounds the heap-resident bytes of an out-of-core
