@@ -26,89 +26,17 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Two source-hygiene lints:
-#
-# The pipeline registry is the single source of truth for method and
-# algorithm catalogs. Switching over those enums anywhere else
-# reintroduces a shadow catalog that silently goes stale when an entry
-# is added, so any such switch outside internal/pipeline fails lint.
-#
-# Logging goes through log/slog via internal/obs (DESIGN.md §11):
-# log.Printf and fmt.Println in library or daemon code bypass the
-# structured handler and lose the request/trace attributes, so new
-# uses fail lint (tests excepted — they may print freely).
+# The source-hygiene rules — registry-only switches over methods and
+# algorithms, slog-only logging, job state reaching disk only through
+# internal/jobstore, mmap only in internal/csr, peer traffic and
+# propagation headers only through the cluster client, no stray
+# context.Background(), no production call to the sparse-product oracle,
+# no Workers field reachable from pipeline.SymOptions — are one Go test
+# over the parsed packages (lint_test.go), so plain `go test ./...`
+# enforces them too; each failure names the rule and its DESIGN.md
+# section.
 lint:
-	@out="$$(grep -rn --include='*.go' -E 'switch[ (][^{]*(Method|Algorithm|Algo)' . \
-		| grep -v '^\./internal/pipeline/' || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "lint: switch over Method/Algorithm outside internal/pipeline" \
-			"(use the registry instead):"; echo "$$out"; exit 1; fi
-	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\blog\.Printf\(|\bfmt\.Println\(' \
-		./internal ./cmd/symclusterd || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "lint: log.Printf/fmt.Println in internal/ or cmd/symclusterd" \
-			"(use log/slog via internal/obs instead):"; echo "$$out"; exit 1; fi
-	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\bos\.(WriteFile|Create|OpenFile|Rename)\(' \
-		./internal/server || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "lint: direct file writes in internal/server" \
-			"(job state must go through internal/jobstore so every" \
-			"mutation is WAL-journaled and crash-safe, DESIGN.md §12):"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rn --include='*.go' -E '\b(syscall|unix)\.Mmap\b' . \
-		| grep -v '^\./internal/csr/' || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "lint: raw mmap outside internal/csr" \
-			"(map files through csr.Open so lifetimes, CRC validation," \
-			"and the mapped-bytes gauge stay correct, DESIGN.md §13):"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rn --include='*.go' -E '\bhttp\.Client\{' \
-		./internal/server ./internal/cluster \
-		| grep -v '^\./internal/cluster/client\.go:' || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "lint: raw http.Client in internal/server or internal/cluster" \
-			"(peer traffic must go through cluster.NewClient so every hop" \
-			"gets per-attempt timeouts, capped jittered backoff, and" \
-			"Retry-After handling, DESIGN.md §14):"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' \
-		-E 'matrix\.MulPrunedCtx\(' . || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "lint: production call to the sparse-product oracle" \
-			"(matrix.MulPrunedCtx is the reference the tests hold the" \
-			"engine to; products go through matrix.MulXXTScaledPruned*" \
-			"or matrix.MulPrunedTopKCtx, DESIGN.md §15):"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' \
-		-E 'Header\.(Set|Add)\("(X-Symclusterd-|[Tt]raceparent)' . \
-		| grep -v '^\./internal/cluster/' || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "lint: raw propagation-header write outside internal/cluster" \
-			"(traceparent and X-Symclusterd-* headers are set only by the" \
-			"cluster client — cluster.MarkForwarded and the traceparent" \
-			"injection in attempt() — so cross-node identity cannot fork," \
-			"DESIGN.md §16):"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude='bootctx.go' \
-		-F 'context.Background()' \
-		./internal/server ./internal/cluster || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "lint: context.Background() in internal/server or" \
-			"internal/cluster (request work must inherit the caller's" \
-			"context so deadlines propagate end-to-end; sanctioned" \
-			"boot/background work goes through bootContext() in" \
-			"bootctx.go, DESIGN.md §17):"; \
-		echo "$$out"; exit 1; fi
-	@out="$$(sed -n '/^type Options struct {/,/^}/p' internal/core/symmetrize.go \
-		| grep -nE '^[[:space:]]*Workers\b' || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "lint: Workers field on core.Options (= pipeline.SymOptions)" \
-			"(symmetrization workers are derived from GOMAXPROCS and the" \
-			"row tiles, never configured, DESIGN.md §15):"; \
-		echo "$$out"; exit 1; fi
-	@grep -q '^type SymOptions = core\.Options$$' internal/pipeline/pipeline.go || { \
-		echo "lint: pipeline.SymOptions is no longer an alias of core.Options;" \
-			"extend the Workers lint above to wherever its fields now live"; exit 1; }
+	$(GO) test -count=1 -run '^TestSourceLints$$' .
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...

@@ -2,12 +2,10 @@ package symcluster
 
 import (
 	"symcluster/internal/bipartite"
-	"symcluster/internal/ensemble"
 	"symcluster/internal/eval"
 	"symcluster/internal/local"
 	"symcluster/internal/mcl"
 	"symcluster/internal/multipartite"
-	"symcluster/internal/spectral"
 )
 
 // This file exposes the library extensions beyond the paper's core
@@ -99,38 +97,6 @@ type LocalClusterOptions = local.PPROptions
 // found, not the graph.
 func LocalCluster(u *UndirectedGraph, seed int, opt LocalClusterOptions) (*LocalClusterResult, error) {
 	return local.LocalCluster(u.Adj, seed, opt)
-}
-
-// ConsensusOptions configures ConsensusCluster.
-type ConsensusOptions = ensemble.Options
-
-// ConsensusResult is the output of ConsensusCluster, including the
-// ensemble's self-agreement (Stability).
-type ConsensusResult = ensemble.Result
-
-// ConsensusCluster runs the selected algorithm several times with
-// different seeds on a symmetrized graph and returns the consensus:
-// groups connected by edges whose endpoints co-cluster in at least
-// Agreement of the runs. Extracts the seed-stable core of randomised
-// clusterings.
-func ConsensusCluster(u *UndirectedGraph, algo Algorithm, clusterOpt ClusterOptions, opt ConsensusOptions) (*ConsensusResult, error) {
-	return ensemble.Consensus(u.Adj, func(seed int64) ([]int, error) {
-		co := clusterOpt
-		co.Seed = seed
-		res, err := Cluster(u, algo, co)
-		if err != nil {
-			return nil, err
-		}
-		return res.Assign, nil
-	}, opt)
-}
-
-// SuggestClusterCount estimates the number of clusters in a
-// symmetrized graph via the spectral eigengap heuristic over [minK,
-// maxK]. Useful when, unlike the paper's labelled datasets, no ground
-// truth suggests a target.
-func SuggestClusterCount(u *UndirectedGraph, minK, maxK int, seed int64) (int, error) {
-	return spectral.SuggestK(u.Adj, minK, maxK, seed)
 }
 
 // SpectralNCut runs classic undirected spectral clustering (normalised

@@ -85,47 +85,6 @@ func TestPlainMCLAndSpectralNCutPublic(t *testing.T) {
 	}
 }
 
-func TestConsensusClusterPublic(t *testing.T) {
-	data, err := symcluster.GenerateCitation(symcluster.CitationOptions{Nodes: 500, Topics: 6, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := symcluster.Symmetrize(data.Graph, symcluster.Bibliometric, symcluster.DefaultSymmetrizeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := symcluster.ConsensusCluster(u, symcluster.MLRMCL,
-		symcluster.ClusterOptions{Inflation: 1.5},
-		symcluster.ConsensusOptions{Runs: 3, Agreement: 0.67})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Assign) != 500 || res.K < 1 {
-		t.Fatalf("consensus K=%d len=%d", res.K, len(res.Assign))
-	}
-	if res.Stability <= 0 || res.Stability > 1 {
-		t.Fatalf("stability %v", res.Stability)
-	}
-}
-
-func TestSuggestClusterCountPublic(t *testing.T) {
-	data, err := symcluster.GenerateCitation(symcluster.CitationOptions{Nodes: 600, Topics: 5, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := symcluster.Symmetrize(data.Graph, symcluster.Bibliometric, symcluster.DefaultSymmetrizeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := symcluster.SuggestClusterCount(u, 2, 12, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k < 3 || k > 8 {
-		t.Fatalf("suggested %d clusters for 5 planted topics", k)
-	}
-}
-
 func TestModularityPublic(t *testing.T) {
 	data := symcluster.Figure1()
 	u, err := symcluster.Symmetrize(data.Graph, symcluster.Bibliometric, symcluster.DefaultSymmetrizeOptions())

@@ -2,11 +2,9 @@ package jobstore
 
 import (
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"symcluster/internal/faultinject"
 )
@@ -38,7 +36,7 @@ func walImage(t *testing.T) (string, []byte) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	createJob(t, s, "job-000001", "k1")
-	if err := s.Finish("job-000001", Done, nil, "", nil, time.Unix(1001, 0)); err != nil {
+	if err := s.Finish("job-000001", Done, nil, "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	createJob(t, s, "job-000002", "k2")
@@ -98,18 +96,18 @@ func TestReplayHaltsAtMidFileCorruption(t *testing.T) {
 			r, dir := reopenCorrupted(t, img)
 
 			// Prefix intact: the finished job replays with its final state.
-			j1, ok := r.Lookup("job-000001")
+			j1, ok := r.Snapshot("job-000001")
 			if !ok || j1.State != Done {
 				t.Fatalf("job-000001 = %+v, %v; want done", j1, ok)
 			}
 			// The corrupted record's job is gone.
-			if _, ok := r.Lookup("job-000002"); ok {
+			if _, ok := r.Snapshot("job-000002"); ok {
 				t.Fatal("corrupted create record resurrected job-000002")
 			}
 			// Halt, not skip: the intact frame AFTER the corruption must
 			// not be applied — its boundary was derived from a frame we no
 			// longer trust.
-			if _, ok := r.Lookup("job-000003"); ok {
+			if _, ok := r.Snapshot("job-000003"); ok {
 				t.Fatal("replay skipped past a corrupt frame and applied a downstream record")
 			}
 			// The log was truncated back to the intact prefix...
@@ -124,10 +122,10 @@ func TestReplayHaltsAtMidFileCorruption(t *testing.T) {
 			createJob(t, r, "job-000004", "")
 			r.Close()
 			r2 := mustOpen(t, dir)
-			if _, ok := r2.Lookup("job-000004"); !ok {
+			if _, ok := r2.Snapshot("job-000004"); !ok {
 				t.Fatal("append after corruption truncation lost")
 			}
-			if _, ok := r2.Lookup("job-000003"); ok {
+			if _, ok := r2.Snapshot("job-000003"); ok {
 				t.Fatal("discarded record reappeared after reopen")
 			}
 		})
@@ -149,7 +147,7 @@ func TestMidRunAppendCrashChaos(t *testing.T) {
 	// Panic on the SECOND append from now: the Start lands, the Finish
 	// "crashes the process".
 	faultinject.Set("jobstore.append", faultinject.Fault{Mode: faultinject.Panic, Skip: 1})
-	if err := s.Start("job-000001", "", time.Unix(1001, 0)); err != nil {
+	if err := s.Start("job-000001", ""); err != nil {
 		t.Fatal(err)
 	}
 	func() {
@@ -158,13 +156,13 @@ func TestMidRunAppendCrashChaos(t *testing.T) {
 				t.Fatal("injected panic did not fire")
 			}
 		}()
-		s.Finish("job-000001", Done, nil, "", nil, time.Unix(1002, 0))
+		s.Finish("job-000001", Done, nil, "", nil, nil)
 	}()
 	faultinject.Clear("jobstore.append")
 	s.Close()
 
 	r := mustOpen(t, dir)
-	j, ok := r.Lookup("job-000001")
+	j, ok := r.Snapshot("job-000001")
 	if !ok {
 		t.Fatal("job lost after mid-append crash")
 	}
@@ -173,6 +171,8 @@ func TestMidRunAppendCrashChaos(t *testing.T) {
 	if j.State != Pending {
 		t.Fatalf("state = %s after crash before finish append, want pending", j.State)
 	}
-	createJob(t, r, fmt.Sprintf("job-%06d", r.MaxSeq()+1), "")
+	if next, _, err := r.Admit(JobRecord{}); err != nil || next.ID != "job-000002" {
+		t.Fatalf("append after the crash = %+v, %v; want job-000002", next, err)
+	}
 	r.Close()
 }

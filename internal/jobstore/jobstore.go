@@ -1,16 +1,21 @@
-// Package jobstore is the durability layer under symclusterd's async
-// jobs: a write-ahead-logged, fsync'd on-disk store of job lifecycle
-// records plus the kernel checkpoints that let an interrupted run
-// resume mid-iteration. internal/server keeps its in-memory job map as
-// the fast read path and journals every mutation here; on startup the
-// replayed records rebuild that map and re-enqueue interrupted work.
+// Package jobstore is symclusterd's job table: the one place async
+// jobs live, whether or not they outlive the process. A Store holds
+// every job record in memory — lifecycle state, the idempotency index,
+// the id sequence, finished-job retention and TTL expiry — and, when
+// opened on a data directory, journals every transition to a
+// write-ahead log before applying it, together with the kernel
+// checkpoints that let an interrupted run resume mid-iteration. On
+// startup the log is replayed into the same table and interrupted work
+// comes back pending. NewMemory returns the same table with no journal:
+// every operation skips the append and only applies.
 //
 // Layout under the data directory:
 //
 //	wal           the job journal (framed records, see wal.go)
-//	graphs/       one edge-list file per registered graph, written
-//	              atomically (tmp + fsync + rename), so replayed jobs
-//	              can re-resolve their graph after a restart
+//	graphs/       one binary CSR file per registered graph (<id>.csr,
+//	              written by internal/csr and moved in atomically), so
+//	              replayed jobs can re-resolve their graph after a
+//	              restart
 //
 // The WAL is length-prefixed and CRC32-framed; replay truncates any
 // torn tail (a crash mid-append) at the last intact frame, so a crash
@@ -31,6 +36,7 @@ package jobstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -42,14 +48,15 @@ import (
 	"time"
 
 	"symcluster/internal/faultinject"
+	"symcluster/internal/obs"
 )
 
-// State is the persisted lifecycle phase of a job. The values mirror
-// internal/server's JobState; jobstore keeps its own copy so the
-// dependency points upward only.
+// State is the lifecycle phase of a job: pending (queued) → running →
+// done | failed | canceled. A drain-preempted running job goes back to
+// pending instead, so the next boot finishes it.
 type State string
 
-// Job lifecycle states as persisted.
+// Job lifecycle states, as served and as persisted.
 const (
 	Pending  State = "pending"
 	Running  State = "running"
@@ -57,6 +64,8 @@ const (
 	Failed   State = "failed"
 	Canceled State = "canceled"
 )
+
+func (s State) terminal() bool { return s == Done || s == Failed || s == Canceled }
 
 // Checkpoint is one kernel checkpoint: the serialized mid-iteration
 // state of a compute kernel ("mcl" flow matrix, "walk" π vector).
@@ -73,16 +82,20 @@ type Checkpoint struct {
 	Blob []byte `json:"blob"`
 }
 
-// JobRecord is the durable state of one job, as rebuilt by replay.
+// JobRecord is one job: what the table holds, what the WAL's create and
+// snapshot records carry, and what every accessor returns a copy of.
 type JobRecord struct {
-	ID             string `json:"id"`
-	State          State  `json:"state"`
+	ID    string `json:"id"`
+	State State  `json:"state"`
+	// IdempotencyKey dedups retried submissions: a second Admit with the
+	// same key returns this job instead of creating another.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 	// Request is the original ClusterRequest JSON, replayed on startup
 	// to rebuild the run.
 	Request json.RawMessage `json:"request,omitempty"`
-	// Result is the ClusterResponse JSON of a done job, so results
-	// survive restarts and idempotent retries of finished work are
+	// Result is the ClusterResponse JSON of a done job, marshalled once
+	// at finish: polls splice these bytes into the response, results
+	// survive restarts, and idempotent retries of finished work are
 	// answered without recomputing.
 	Result   json.RawMessage `json:"result,omitempty"`
 	Err      string          `json:"err,omitempty"`
@@ -98,15 +111,22 @@ type JobRecord struct {
 	// owner's TraceID), carried so the link survives adopter restarts.
 	LinkTraceID string `json:"link_trace_id,omitempty"`
 	// Stats is the job's resource accounting (obs.JobStatsSnapshot
-	// JSON), journaled at finish so per-job cost attribution survives
+	// JSON), recorded at finish so per-job cost attribution survives
 	// restarts alongside the result.
 	Stats json.RawMessage `json:"stats,omitempty"`
 	// Checkpoints holds the latest checkpoint per kernel for a job that
-	// has not finished; cleared on finish.
+	// has not finished; cleared on finish. Only a journaled store
+	// collects them.
 	Checkpoints map[string]Checkpoint `json:"checkpoints,omitempty"`
+	// Trace is the run's span tree, retained for done, failed and
+	// canceled jobs alike (an errored run's trace is what you want when
+	// debugging why it errored). In-memory only: traces do not survive
+	// restarts.
+	Trace *obs.SpanNode `json:"-"`
 }
 
-// record is one WAL entry. Op selects which fields are meaningful.
+// record is one transition of the table and one WAL entry. Op selects
+// which fields are meaningful.
 type record struct {
 	// Op is "create", "start", "requeue", "checkpoint", "finish",
 	// "drop", or "snapshot" (compaction's whole-job form).
@@ -124,33 +144,59 @@ type record struct {
 	// Trace rides the start op; Stats rides the finish op.
 	Trace string          `json:"trace,omitempty"`
 	Stats json.RawMessage `json:"stats,omitempty"`
+	// spans is the finish op's span tree; it never reaches the log.
+	spans *obs.SpanNode
 }
 
-// Store is the WAL-backed job store. All methods are safe for
-// concurrent use. The in-memory record map mirrors the log exactly and
-// exists so compaction can rewrite the live set without re-reading the
-// file.
+// Store is the job table. All methods are safe for concurrent use, and
+// every accessor returns copies, so callers never share memory with
+// the table.
 type Store struct {
-	// CompactThreshold is the log size in bytes past which appends
-	// trigger a compaction (set before concurrent use; defaults to
-	// 4 MiB in Open).
+	// CompactThreshold is the log size in bytes past which a finish
+	// triggers a compaction (defaults to 4 MiB). Retain caps the
+	// finished jobs kept, the oldest-finished evicted first (<= 0: no
+	// cap), and finished jobs older than TTL are expired lazily on
+	// access, so expiry needs no timer goroutine (<= 0: never). All
+	// three are set before concurrent use.
 	CompactThreshold int64
+	Retain           int
+	TTL              time.Duration
 
-	mu     sync.Mutex
-	dir    string
-	w      *wal
-	jobs   map[string]*JobRecord
-	order  []string // creation order, for deterministic replay
-	maxSeq int64
+	mu       sync.Mutex
+	dir      string // "" for a memory-only store
+	w        *wal
+	now      func() time.Time // injectable for deterministic TTL tests
+	jobs     map[string]*JobRecord
+	order    []string          // creation order, for deterministic replay
+	byKey    map[string]string // idempotency key → job id
+	finished []string          // finished job ids, oldest-finished first
+	maxSeq   int64             // highest job-NNNNNN suffix ever seen
 
-	appends     int64
-	compactions int64
+	appends, compactions, expired, replayed, ckpts int64
 }
+
+func newStore(dir string, w *wal) *Store {
+	return &Store{
+		CompactThreshold: 4 << 20,
+		dir:              dir,
+		w:                w,
+		now:              time.Now,
+		jobs:             make(map[string]*JobRecord),
+		byKey:            make(map[string]string),
+	}
+}
+
+// NewMemory returns a store with no journal: jobs die with the process,
+// which graceful drain makes visible by finishing in-flight work first.
+func NewMemory() *Store { return newStore("", &wal{}) }
 
 // Open opens (creating if needed) the store rooted at dir, replays the
 // WAL — truncating any torn tail — and returns the store ready for
-// appends. Jobs that were running when the previous process died are
-// re-marked pending: they will be re-enqueued, not silently lost.
+// appends: finished jobs come back with their results, idempotency
+// keys re-arm, and the id sequence resumes past every replayed job.
+// Jobs that were running when the previous process died are re-marked
+// pending: the caller re-enqueues them (PendingJobs), they are not
+// silently lost.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "graphs"), 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: creating data dir: %w", err)
@@ -159,12 +205,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		CompactThreshold: 4 << 20,
-		dir:              dir,
-		w:                w,
-		jobs:             make(map[string]*JobRecord),
-	}
+	s := newStore(dir, w)
 	for _, p := range payloads {
 		var rec record
 		if err := json.Unmarshal(p, &rec); err != nil {
@@ -175,13 +216,19 @@ func Open(dir string) (*Store, error) {
 		}
 		s.applyLocked(&rec)
 	}
-	// Running jobs were interrupted by the crash or kill: they resume
-	// as pending so the caller re-enqueues them.
+	// A compacted log lists jobs in creation order; retention evicts in
+	// the order they finished, as the live process did.
+	sort.SliceStable(s.finished, func(a, b int) bool {
+		return s.jobs[s.finished[a]].Finished.Before(s.jobs[s.finished[b]].Finished)
+	})
 	interrupted := false
 	for _, j := range s.jobs {
 		if j.State == Running {
 			j.State = Pending
 			interrupted = true
+		}
+		if j.State == Pending {
+			s.replayed++
 		}
 	}
 	// Compact on open when the log has grown well past its live state
@@ -196,65 +243,103 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// applyLocked folds one replayed or freshly appended record into the
-// in-memory mirror.
+// Durable reports whether transitions are journaled to a WAL. It gates
+// what only makes sense with one: the graph files, checkpoint sinks
+// and drain preemption.
+func (s *Store) Durable() bool { return s.dir != "" }
+
+// targetLocked returns the job rec would change, or nil when rec is a
+// no-op: an unknown id, or anything but a drop addressed to a job that
+// already finished — a finished job only ever leaves the table.
+func (s *Store) targetLocked(rec *record) *JobRecord {
+	j := s.jobs[rec.ID]
+	if j == nil || (rec.Op != "drop" && j.State.terminal()) {
+		return nil
+	}
+	return j
+}
+
+// applyLocked folds one record, replayed or just committed, into the
+// table and its indexes. It is the only definition of what each
+// transition does to a job.
 func (s *Store) applyLocked(rec *record) {
-	switch rec.Op {
-	case "create", "snapshot":
+	if rec.Op == "create" || rec.Op == "snapshot" {
 		if rec.Job == nil || rec.Job.ID == "" {
 			return
 		}
-		j := *rec.Job
+		j := copyRecord(rec.Job)
 		if j.State == "" {
 			j.State = Pending
 		}
-		if _, exists := s.jobs[j.ID]; !exists {
-			s.order = append(s.order, j.ID)
+		s.removeLocked(j.ID)
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
+		if j.IdempotencyKey != "" {
+			s.byKey[j.IdempotencyKey] = j.ID
 		}
-		s.jobs[j.ID] = &j
-		if seq := jobSeq(j.ID); seq > s.maxSeq {
-			s.maxSeq = seq
+		if j.State.terminal() {
+			s.finished = append(s.finished, j.ID)
 		}
+		s.maxSeq = max(s.maxSeq, jobSeq(j.ID))
+		return
+	}
+	s.maxSeq = max(s.maxSeq, jobSeq(rec.ID))
+	j := s.targetLocked(rec)
+	if j == nil {
+		return
+	}
+	switch rec.Op {
 	case "start":
-		if j := s.jobs[rec.ID]; j != nil {
-			j.State = Running
-			j.Started = rec.Time
-			if rec.Trace != "" {
-				j.TraceID = rec.Trace
-			}
+		j.State = Running
+		j.Started = rec.Time
+		if rec.Trace != "" {
+			j.TraceID = rec.Trace
 		}
 	case "requeue":
-		if j := s.jobs[rec.ID]; j != nil {
-			j.State = Pending
-			j.Started = time.Time{}
-		}
+		j.State = Pending
+		j.Started = time.Time{}
 	case "checkpoint":
-		if j := s.jobs[rec.ID]; j != nil && rec.Ckpt != nil {
+		if rec.Ckpt != nil {
 			if j.Checkpoints == nil {
 				j.Checkpoints = make(map[string]Checkpoint)
 			}
 			j.Checkpoints[rec.Kernel] = *rec.Ckpt
 		}
 	case "finish":
-		if j := s.jobs[rec.ID]; j != nil {
-			j.State = rec.State
-			j.Result = rec.Result
-			j.Err = rec.Err
-			j.Stats = rec.Stats
-			j.Finished = rec.Time
-			j.Checkpoints = nil // resumable state is dead weight now
-		}
+		j.State = rec.State
+		j.Result = rec.Result
+		j.Err = rec.Err
+		j.Stats = rec.Stats
+		j.Trace = rec.spans
+		j.Finished = rec.Time
+		j.Checkpoints = nil // resumable state is dead weight now
+		s.finished = append(s.finished, j.ID)
 	case "drop":
-		if _, ok := s.jobs[rec.ID]; ok {
-			delete(s.jobs, rec.ID)
-			for i, id := range s.order {
-				if id == rec.ID {
-					s.order = append(s.order[:i], s.order[i+1:]...)
-					break
-				}
-			}
+		s.removeLocked(j.ID)
+	}
+}
+
+// removeLocked takes a job out of the table and every index.
+func (s *Store) removeLocked(id string) {
+	j, ok := s.jobs[id]
+	if !ok {
+		return
+	}
+	delete(s.jobs, id)
+	if s.byKey[j.IdempotencyKey] == id {
+		delete(s.byKey, j.IdempotencyKey)
+	}
+	s.order = without(s.order, id)
+	s.finished = without(s.finished, id)
+}
+
+func without(ids []string, id string) []string {
+	for i, v := range ids {
+		if v == id {
+			return append(ids[:i], ids[i+1:]...)
 		}
 	}
+	return ids
 }
 
 // jobSeq parses the numeric suffix of a "job-NNNNNN" id, so the id
@@ -271,10 +356,31 @@ func jobSeq(id string) int64 {
 	return n
 }
 
-// appendLocked journals one record (fault-injectable at
-// "jobstore.append") and folds it into the mirror only after the write
-// succeeded, so memory never runs ahead of disk.
-func (s *Store) appendLocked(rec *record) error {
+// commitLocked is the only way a transition enters the table:
+// journal-first, so memory never runs ahead of disk and a failed append
+// leaves the job exactly as it was. Two ops apply even when the append
+// fails and hand the error back for logging: finish, because clients
+// must see the outcome even if the disk is failing (the next compaction
+// writes it), and drop, because the job is merely resurrected at the
+// next boot and evicted or expired again then.
+func (s *Store) commitLocked(rec *record) error {
+	if rec.Job == nil && s.targetLocked(rec) == nil {
+		return nil
+	}
+	err := s.journalLocked(rec)
+	if err != nil && rec.Op != "finish" && rec.Op != "drop" {
+		return err
+	}
+	s.applyLocked(rec)
+	return err
+}
+
+// journalLocked appends one record to the WAL (fault-injectable at
+// "jobstore.append"); a store without a journal has nothing to append.
+func (s *Store) journalLocked(rec *record) error {
+	if !s.Durable() {
+		return nil
+	}
 	if err := faultinject.Fire("jobstore.append"); err != nil {
 		return fmt.Errorf("jobstore: append: %w", err)
 	}
@@ -286,91 +392,158 @@ func (s *Store) appendLocked(rec *record) error {
 		return err
 	}
 	s.appends++
-	s.applyLocked(rec)
 	return nil
 }
 
-// Create journals a new job. The record's ID, Created time and state
-// must be set by the caller (state defaults to pending).
+// Create enters j as given — the caller sets ID, Created and State
+// (which defaults to pending). Servers submit through Admit instead.
 func (s *Store) Create(j *JobRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(&record{Op: "create", Job: j})
+	return s.commitLocked(&record{Op: "create", Job: j})
 }
 
-// Start journals the pending→running transition, recording the trace
-// id the run joined (empty is allowed; the last non-empty one wins
-// across requeue/resume cycles).
-func (s *Store) Start(id, traceID string, t time.Time) error {
+// Admit creates the next pending job from tmpl, which carries the
+// request JSON, the idempotency key and — for a job taken over from a
+// dead peer's WAL — the checkpoints and trace link carried over, so an
+// adopter restart resumes from the same point; the store allocates the
+// id and stamps Created. When a live job (one replayed from the WAL
+// included) already holds a non-empty key, that job is returned with
+// existing == true and nothing is created: duplicate retries and
+// re-adoptions never produce two jobs.
+func (s *Store) Admit(tmpl JobRecord) (job *JobRecord, existing bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(&record{Op: "start", ID: id, Trace: traceID, Time: t})
+	s.expireLocked()
+	if id, ok := s.byKey[tmpl.IdempotencyKey]; ok {
+		return copyRecord(s.jobs[id]), true, nil
+	}
+	tmpl.ID = fmt.Sprintf("job-%06d", s.maxSeq+1)
+	tmpl.State = Pending
+	tmpl.Created = s.now()
+	if err := s.commitLocked(&record{Op: "create", Job: &tmpl}); err != nil {
+		return nil, false, err
+	}
+	return copyRecord(s.jobs[tmpl.ID]), false, nil
 }
 
-// Requeue journals a preempted job going back to pending (graceful
-// drain checkpointed it; the next boot finishes it).
-func (s *Store) Requeue(id string, t time.Time) error {
+// LookupByKey resolves an idempotency key to the id of the live job
+// holding it — the coordinator's route from a dead peer's job id to
+// the local adopted copy.
+func (s *Store) LookupByKey(key string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(&record{Op: "requeue", ID: id, Time: t})
+	id, ok := s.byKey[key]
+	return id, ok
+}
+
+// Start moves a job to running, recording the trace id the run joined
+// (empty is allowed; the last non-empty one wins across requeue/resume
+// cycles) — which is what lets a surviving peer link an adopted copy
+// back to the original trace.
+func (s *Store) Start(id, traceID string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.commitLocked(&record{Op: "start", ID: id, Trace: traceID, Time: s.now()})
+}
+
+// Requeue moves a preempted job back to pending (graceful drain
+// checkpointed it; the next boot finishes it).
+func (s *Store) Requeue(id string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.commitLocked(&record{Op: "requeue", ID: id, Time: s.now()})
 }
 
 // SaveCheckpoint journals the latest checkpoint of one kernel
 // invocation within a job, replacing any previous checkpoint for that
-// kernel.
+// kernel. Without a journal it is a successful no-op: nothing could
+// resume from the blob, so it is not retained.
 func (s *Store) SaveCheckpoint(id, kernel string, ck Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(&record{Op: "checkpoint", ID: id, Kernel: kernel, Ckpt: &ck})
-}
-
-// Finish journals the terminal state of a job (done/failed/canceled)
-// with its result or error and its resource-accounting snapshot, then
-// compacts if the log has outgrown its threshold — finishes are where
-// checkpoint weight becomes garbage.
-func (s *Store) Finish(id string, state State, result json.RawMessage, errMsg string, stats json.RawMessage, t time.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(&record{Op: "finish", ID: id, State: state, Result: result, Err: errMsg, Stats: stats, Time: t}); err != nil {
+	if !s.Durable() {
+		return nil
+	}
+	if err := s.commitLocked(&record{Op: "checkpoint", ID: id, Kernel: kernel, Ckpt: &ck}); err != nil {
 		return err
 	}
-	return s.maybeCompactLocked()
+	s.ckpts++
+	return nil
 }
 
-// Drop journals the removal of a job (retention eviction or TTL
-// expiry).
-func (s *Store) Drop(id string) error {
+// Finish records the terminal state of a job (done/failed/canceled)
+// with its result or error, its resource-accounting snapshot and its
+// span tree, evicts the oldest-finished jobs past Retain, then compacts
+// if the log has outgrown its threshold — finishes are where checkpoint
+// weight becomes garbage. A non-nil error means the journal is behind
+// the table (see commitLocked), not that the outcome was lost.
+func (s *Store) Finish(id string, state State, result json.RawMessage, errMsg string, stats json.RawMessage, trace *obs.SpanNode) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(&record{Op: "drop", ID: id}); err != nil {
-		return err
+	err := s.commitLocked(&record{Op: "finish", ID: id, State: state, Result: result, Err: errMsg, Stats: stats, spans: trace, Time: s.now()})
+	for s.Retain > 0 && len(s.finished) > s.Retain {
+		err = errors.Join(err, s.commitLocked(&record{Op: "drop", ID: s.finished[0]}))
 	}
-	return s.maybeCompactLocked()
+	if s.CompactThreshold > 0 && s.w.bytes > s.CompactThreshold {
+		err = errors.Join(err, s.compactLocked())
+	}
+	return err
 }
 
-// Jobs returns a deep copy of every live record in creation order —
-// the replay surface the server rebuilds its job map from.
-func (s *Store) Jobs() []*JobRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*JobRecord, 0, len(s.order))
-	for _, id := range s.order {
-		if j := s.jobs[id]; j != nil {
-			out = append(out, copyRecord(j))
+// expireLocked drops finished jobs whose TTL has lapsed. Called with
+// the mutex held from the accessors, at one time comparison per
+// retained job.
+func (s *Store) expireLocked() {
+	if s.TTL <= 0 {
+		return
+	}
+	cutoff := s.now().Add(-s.TTL)
+	for i := 0; i < len(s.finished); {
+		id := s.finished[i]
+		if !s.jobs[id].Finished.Before(cutoff) {
+			i++
+			continue
 		}
+		_ = s.commitLocked(&record{Op: "drop", ID: id}) // applied regardless; see commitLocked
+		s.expired++
 	}
-	return out
 }
 
-// Lookup returns a deep copy of one record.
-func (s *Store) Lookup(id string) (*JobRecord, bool) {
+// Snapshot returns a copy of one job, or false when the id is unknown
+// (never created, evicted by retention, or expired).
+func (s *Store) Snapshot(id string) (*JobRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.expireLocked()
 	j, ok := s.jobs[id]
 	if !ok {
 		return nil, false
 	}
 	return copyRecord(j), true
+}
+
+// Jobs returns a copy of every live job in creation order.
+func (s *Store) Jobs() []*JobRecord {
+	return s.selectJobs(func(*JobRecord) bool { return true })
+}
+
+// PendingJobs returns the pending jobs in creation order — the replay
+// surface the server re-enqueues at startup.
+func (s *Store) PendingJobs() []*JobRecord {
+	return s.selectJobs(func(j *JobRecord) bool { return j.State == Pending })
+}
+
+func (s *Store) selectJobs(keep func(*JobRecord) bool) []*JobRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*JobRecord
+	for _, id := range s.order {
+		if j := s.jobs[id]; keep(j) {
+			out = append(out, copyRecord(j))
+		}
+	}
+	return out
 }
 
 func copyRecord(j *JobRecord) *JobRecord {
@@ -384,20 +557,23 @@ func copyRecord(j *JobRecord) *JobRecord {
 	return &c
 }
 
-// MaxSeq returns the highest numeric job-id suffix seen, so a restarted
-// server's id sequence never collides with a replayed job.
-func (s *Store) MaxSeq() int64 {
+// Counts returns the number of jobs per state, for /metrics.
+func (s *Store) Counts() map[State]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.maxSeq
+	s.expireLocked()
+	counts := make(map[State]int, 5)
+	for _, j := range s.jobs {
+		counts[j.State]++
+	}
+	return counts
 }
 
-// maybeCompactLocked compacts when the log has outgrown its threshold.
-func (s *Store) maybeCompactLocked() error {
-	if s.CompactThreshold > 0 && s.w.bytes > s.CompactThreshold {
-		return s.compactLocked()
-	}
-	return nil
+// Pending returns the number of jobs not yet finished, for drain.
+func (s *Store) Pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.jobs) - len(s.finished)
 }
 
 // Compact rewrites the log as one snapshot record per live job.
@@ -410,10 +586,25 @@ func (s *Store) Compact() error {
 // compactLocked writes the snapshot to wal.compacting, fsyncs it, and
 // renames it over the log — crash-atomic on POSIX filesystems. The
 // "jobstore.compact" fault site fires before any byte is written, and
-// any error aborts with the old log intact.
+// any error aborts with the old log intact. Like the append it
+// rewrites, it is nothing to a store without a journal.
 func (s *Store) compactLocked() error {
+	if !s.Durable() {
+		return nil
+	}
 	if err := faultinject.Fire("jobstore.compact"); err != nil {
 		return fmt.Errorf("jobstore: compact: %w", err)
+	}
+	recs := make([]*record, 0, len(s.order)+1)
+	for _, id := range s.order {
+		recs = append(recs, &record{Op: "snapshot", Job: s.jobs[id]})
+	}
+	// Dropped jobs leave no snapshot, and the id sequence must not fall
+	// back with them — a restart would hand a polled id to a new job.
+	// A drop of the highest id ever allocated changes nothing on replay
+	// except that high-water mark.
+	if hw := fmt.Sprintf("job-%06d", s.maxSeq); s.maxSeq > 0 && s.jobs[hw] == nil {
+		recs = append(recs, &record{Op: "drop", ID: hw})
 	}
 	tmpPath := filepath.Join(s.dir, "wal.compacting")
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -421,33 +612,26 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("jobstore: compact: %w", err)
 	}
 	nw := &wal{f: tmp, path: tmpPath}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j == nil {
-			continue
-		}
-		payload, err := json.Marshal(&record{Op: "snapshot", Job: j})
+	abort := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return err
+	}
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("jobstore: compact: %w", err)
+			return abort(fmt.Errorf("jobstore: compact: %w", err))
 		}
 		if err := nw.append(payload); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
+			return abort(err)
 		}
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("jobstore: compact: %w", err)
+		return abort(fmt.Errorf("jobstore: compact: %w", err))
 	}
 	walPath := filepath.Join(s.dir, "wal")
 	if err := os.Rename(tmpPath, walPath); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("jobstore: compact: %w", err)
+		return abort(fmt.Errorf("jobstore: compact: %w", err))
 	}
 	syncDir(s.dir)
 	s.w.close()
@@ -474,6 +658,13 @@ func (s *Store) Close() error {
 	return s.w.close()
 }
 
+// counter reads one of the store's tallies under the mutex.
+func (s *Store) counter(v *int64) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return *v
+}
+
 // LogBytes returns the current WAL size, for the wal-bytes gauge.
 func (s *Store) LogBytes() int64 {
 	s.mu.Lock()
@@ -482,89 +673,35 @@ func (s *Store) LogBytes() int64 {
 }
 
 // Appends returns the number of records journaled since Open.
-func (s *Store) Appends() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appends
-}
+func (s *Store) Appends() int64 { return s.counter(&s.appends) }
 
 // Compactions returns the number of compactions performed since Open.
-func (s *Store) Compactions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactions
-}
+func (s *Store) Compactions() int64 { return s.counter(&s.compactions) }
 
-// SaveGraph persists a registered graph's edge-list bytes under the
-// graphs/ directory, atomically (tmp + fsync + rename). Graph ids are
-// content-derived, so an already-present file is already correct and
-// the save is a no-op.
-func (s *Store) SaveGraph(id string, data []byte) error {
-	if id == "" || strings.ContainsAny(id, "/\\") {
-		return fmt.Errorf("jobstore: bad graph id %q", id)
-	}
-	path := filepath.Join(s.dir, "graphs", id+".edges")
-	if _, err := os.Stat(path); err == nil {
-		return nil
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobstore: saving graph: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobstore: saving graph: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobstore: saving graph: %w", err)
-	}
-	f.Close()
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobstore: saving graph: %w", err)
-	}
-	syncDir(filepath.Join(s.dir, "graphs"))
-	return nil
-}
+// Expired returns the number of finished jobs dropped by TTL expiry.
+func (s *Store) Expired() int64 { return s.counter(&s.expired) }
 
-// ForEachGraph calls fn with every persisted graph's id and edge-list
-// bytes, in sorted id order. A fn error stops the walk.
-func (s *Store) ForEachGraph(fn func(id string, data []byte) error) error {
-	dir := filepath.Join(s.dir, "graphs")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("jobstore: listing graphs: %w", err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".edges") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("jobstore: reading graph %s: %w", name, err)
-		}
-		if err := fn(strings.TrimSuffix(name, ".edges"), data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Replayed returns the number of jobs replayed as pending at Open.
+func (s *Store) Replayed() int64 { return s.counter(&s.replayed) }
+
+// CheckpointSaves returns the number of kernel checkpoints journaled.
+func (s *Store) CheckpointSaves() int64 { return s.counter(&s.ckpts) }
+
+// The graph-file half: binary CSR files under graphs/, beside the
+// journal. Only a Durable store has a directory to keep them in.
 
 // GraphCSRPath returns where graph id's binary CSR file lives (or
 // would live). It does not check existence.
 func (s *Store) GraphCSRPath(id string) string {
 	return filepath.Join(s.dir, "graphs", id+".csr")
+}
+
+// checkGraphID rejects ids that would escape the graphs/ directory.
+func checkGraphID(id string) error {
+	if id == "" || strings.ContainsAny(id, "/\\") {
+		return fmt.Errorf("jobstore: bad graph id %q", id)
+	}
+	return nil
 }
 
 // AdoptGraphFile moves an already-written binary CSR file (produced by
@@ -573,8 +710,8 @@ func (s *Store) GraphCSRPath(id string) string {
 // srcPath stays valid at the new path. An already-present destination
 // wins — graph ids are content-derived — and srcPath is removed.
 func (s *Store) AdoptGraphFile(id, srcPath string) (string, error) {
-	if id == "" || strings.ContainsAny(id, "/\\") {
-		return "", fmt.Errorf("jobstore: bad graph id %q", id)
+	if err := checkGraphID(id); err != nil {
+		return "", err
 	}
 	dst := s.GraphCSRPath(id)
 	if _, err := os.Stat(dst); err == nil {
@@ -597,8 +734,8 @@ func (s *Store) AdoptGraphFile(id, srcPath string) (string, error) {
 // crash never leaves a half-written graph under its final name. An
 // already-present destination wins — graph ids are content-derived.
 func (s *Store) ImportGraphFile(id, srcPath string) (string, error) {
-	if id == "" || strings.ContainsAny(id, "/\\") {
-		return "", fmt.Errorf("jobstore: bad graph id %q", id)
+	if err := checkGraphID(id); err != nil {
+		return "", err
 	}
 	dst := s.GraphCSRPath(id)
 	if _, err := os.Stat(dst); err == nil {
@@ -636,57 +773,24 @@ func (s *Store) ImportGraphFile(id, srcPath string) (string, error) {
 	return dst, nil
 }
 
-// RemoveLegacyGraph deletes graph id's legacy edge-list file, called
-// after a successful migration to the binary format. Missing files are
-// fine.
-func (s *Store) RemoveLegacyGraph(id string) {
-	os.Remove(filepath.Join(s.dir, "graphs", id+".edges"))
-}
-
-// ForEachGraphFile calls fn with every persisted graph's id, file path
-// and format, in sorted id order, preferring the binary .csr file when
-// a graph has both (mid-migration crash). legacy is true for edge-list
-// text files from stores written before the binary format existed; the
-// caller is expected to migrate those (read, SaveGraph via csr.Writer
-// + AdoptGraphFile, RemoveLegacyGraph). A fn error stops the walk.
-func (s *Store) ForEachGraphFile(fn func(id, path string, legacy bool) error) error {
+// ForEachGraphFile calls fn with the id and path of every persisted
+// graph (<id>.csr; anything else in graphs/ is ignored), in file-name
+// order. A fn error stops the walk.
+func (s *Store) ForEachGraphFile(fn func(id, path string) error) error {
 	dir := filepath.Join(s.dir, "graphs")
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(dir) // sorted by file name
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
 		return fmt.Errorf("jobstore: listing graphs: %w", err)
 	}
-	type gfile struct {
-		path   string
-		legacy bool
-	}
-	files := make(map[string]gfile)
 	for _, e := range entries {
-		if e.IsDir() {
+		id, ok := strings.CutSuffix(e.Name(), ".csr")
+		if e.IsDir() || !ok {
 			continue
 		}
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, ".csr"):
-			id := strings.TrimSuffix(name, ".csr")
-			files[id] = gfile{filepath.Join(dir, name), false}
-		case strings.HasSuffix(name, ".edges"):
-			id := strings.TrimSuffix(name, ".edges")
-			if _, have := files[id]; !have {
-				files[id] = gfile{filepath.Join(dir, name), true}
-			}
-		}
-	}
-	ids := make([]string, 0, len(files))
-	for id := range files {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		f := files[id]
-		if err := fn(id, f.path, f.legacy); err != nil {
+		if err := fn(id, filepath.Join(dir, e.Name())); err != nil {
 			return err
 		}
 	}

@@ -35,18 +35,29 @@ func createJob(t *testing.T, s *Store, id, key string) {
 	}
 }
 
+// dropJob commits a drop record for one job, as retention eviction and
+// TTL expiry do.
+func dropJob(t *testing.T, s *Store, id string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.commitLocked(&record{Op: "drop", ID: id}); err != nil {
+		t.Fatalf("drop %s: %v", id, err)
+	}
+}
+
 func TestReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	createJob(t, s, "job-000001", "k1")
-	if err := s.Start("job-000001", "", time.Unix(1001, 0)); err != nil {
+	if err := s.Start("job-000001", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SaveCheckpoint("job-000001", "mcl", Checkpoint{Seq: 1, Iter: 7, Blob: []byte("flow")}); err != nil {
 		t.Fatal(err)
 	}
 	createJob(t, s, "job-000002", "")
-	if err := s.Finish("job-000002", Done, json.RawMessage(`{"k":3}`), "", nil, time.Unix(1002, 0)); err != nil {
+	if err := s.Finish("job-000002", Done, json.RawMessage(`{"k":3}`), "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -58,7 +69,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 	// The running job was interrupted: replay re-marks it pending with
 	// its checkpoint intact.
-	j1, ok := r.Lookup("job-000001")
+	j1, ok := r.Snapshot("job-000001")
 	if !ok || j1.State != Pending {
 		t.Fatalf("job-000001 = %+v, %v; want pending", j1, ok)
 	}
@@ -69,15 +80,16 @@ func TestReplayRoundTrip(t *testing.T) {
 	if j1.IdempotencyKey != "k1" {
 		t.Fatalf("idempotency key = %q", j1.IdempotencyKey)
 	}
-	j2, _ := r.Lookup("job-000002")
+	j2, _ := r.Snapshot("job-000002")
 	if j2.State != Done || string(j2.Result) != `{"k":3}` {
 		t.Fatalf("job-000002 = %+v", j2)
 	}
 	if j2.Checkpoints != nil {
 		t.Fatal("finished job retained checkpoints")
 	}
-	if r.MaxSeq() != 2 {
-		t.Fatalf("MaxSeq = %d, want 2", r.MaxSeq())
+	// The id sequence resumes past every replayed job.
+	if next, _, err := r.Admit(JobRecord{}); err != nil || next.ID != "job-000003" {
+		t.Fatalf("next job = %+v, %v; want job-000003", next, err)
 	}
 }
 
@@ -90,7 +102,7 @@ func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	createJob(t, s, "job-000001", "")
-	if err := s.Start("job-000001", "", time.Unix(1001, 0)); err != nil {
+	if err := s.Start("job-000001", ""); err != nil {
 		t.Fatal(err)
 	}
 	walPath := filepath.Join(dir, "wal")
@@ -120,10 +132,10 @@ func TestTornTailTruncation(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := mustOpen(t, tdir)
-			if _, ok := r.Lookup("job-000002"); ok {
+			if _, ok := r.Snapshot("job-000002"); ok {
 				t.Fatal("torn create record resurrected a job")
 			}
-			j, ok := r.Lookup("job-000001")
+			j, ok := r.Snapshot("job-000001")
 			if !ok {
 				t.Fatal("intact prefix record lost")
 			}
@@ -135,7 +147,7 @@ func TestTornTailTruncation(t *testing.T) {
 			createJob(t, r, "job-000003", "")
 			r.Close()
 			r2 := mustOpen(t, tdir)
-			if _, ok := r2.Lookup("job-000003"); !ok {
+			if _, ok := r2.Snapshot("job-000003"); !ok {
 				t.Fatal("append after truncation lost")
 			}
 		})
@@ -169,19 +181,17 @@ func TestCompactionShrinksAndPreservesState(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		id := fmt.Sprintf("job-%06d", i)
 		createJob(t, s, id, "")
-		if err := s.Start(id, "", time.Unix(int64(1000+i), 0)); err != nil {
+		if err := s.Start(id, ""); err != nil {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			if err := s.Finish(id, Done, json.RawMessage(`{"k":1}`), "", nil, time.Unix(int64(2000+i), 0)); err != nil {
+			if err := s.Finish(id, Done, json.RawMessage(`{"k":1}`), "", nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for i := 2; i <= 20; i += 4 {
-		if err := s.Drop(fmt.Sprintf("job-%06d", i)); err != nil {
-			t.Fatal(err)
-		}
+		dropJob(t, s, fmt.Sprintf("job-%06d", i))
 	}
 	grown := s.LogBytes()
 	if err := s.Compact(); err != nil {
@@ -208,12 +218,12 @@ func TestCompactionShrinksAndPreservesState(t *testing.T) {
 
 	r := mustOpen(t, dir)
 	for id, st := range want {
-		j, ok := r.Lookup(id)
+		j, ok := r.Snapshot(id)
 		if !ok || j.State != st {
 			t.Fatalf("after compaction job %s = %+v, %v; want state %s", id, j, ok, st)
 		}
 	}
-	if _, ok := r.Lookup("job-000099"); !ok {
+	if _, ok := r.Snapshot("job-000099"); !ok {
 		t.Fatal("append after compaction lost")
 	}
 }
@@ -225,12 +235,10 @@ func TestAutoCompactionOnThreshold(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		id := fmt.Sprintf("job-%06d", i)
 		createJob(t, s, id, "")
-		if err := s.Finish(id, Done, nil, "", nil, time.Unix(int64(2000+i), 0)); err != nil {
+		if err := s.Finish(id, Done, nil, "", nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Drop(id); err != nil {
-			t.Fatal(err)
-		}
+		dropJob(t, s, id)
 	}
 	if s.Compactions() == 0 {
 		t.Fatal("threshold never triggered a compaction")
@@ -240,6 +248,11 @@ func TestAutoCompactionOnThreshold(t *testing.T) {
 	}
 }
 
+// TestFaultInjectAppendAndCompact pins the journal-first rule and its
+// two exceptions at the "jobstore.append" site: a failed create or
+// start leaves the table exactly as it was, while a failed finish still
+// shows the outcome — and the next compaction, not the lost append, is
+// what makes it durable.
 func TestFaultInjectAppendAndCompact(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -247,13 +260,30 @@ func TestFaultInjectAppendAndCompact(t *testing.T) {
 	createJob(t, s, "job-000001", "")
 
 	faultinject.Set("jobstore.append", faultinject.Fault{Mode: faultinject.Error})
-	if err := s.Start("job-000001", "", time.Unix(1001, 0)); err == nil {
+	if _, _, err := s.Admit(JobRecord{IdempotencyKey: "k"}); err == nil {
+		t.Fatal("injected append fault not surfaced by Admit")
+	}
+	if err := s.Start("job-000001", ""); err == nil {
 		t.Fatal("injected append fault not surfaced")
 	}
-	faultinject.Clear("jobstore.append")
-	// The failed append must not have mutated the mirror.
-	if j, _ := s.Lookup("job-000001"); j.State != Pending {
+	// Neither failed append may have touched the table: no second job,
+	// no armed key, no consumed id, no state change.
+	if _, ok := s.LookupByKey("k"); ok || len(s.Jobs()) != 1 {
+		t.Fatalf("failed create left a trace: %d jobs", len(s.Jobs()))
+	}
+	if j, _ := s.Snapshot("job-000001"); j.State != Pending {
 		t.Fatalf("state = %s after failed append, want pending", j.State)
+	}
+	// A failed finish reports the error and applies anyway.
+	if err := s.Finish("job-000001", Done, json.RawMessage(`{"k":3}`), "", nil, nil); err == nil {
+		t.Fatal("injected append fault not surfaced by Finish")
+	}
+	faultinject.Clear("jobstore.append")
+	if j, _ := s.Snapshot("job-000001"); j.State != Done || string(j.Result) != `{"k":3}` {
+		t.Fatalf("job = %+v after failed finish append, want done with its result", j)
+	}
+	if next := admit(t, s, ""); next.ID != "job-000002" {
+		t.Fatalf("id after a failed create = %s, want job-000002", next.ID)
 	}
 
 	faultinject.Set("jobstore.compact", faultinject.Fault{Mode: faultinject.Error})
@@ -261,36 +291,30 @@ func TestFaultInjectAppendAndCompact(t *testing.T) {
 		t.Fatal("injected compact fault not surfaced")
 	}
 	faultinject.Clear("jobstore.compact")
-	// The old log is intact: a reopen still replays the job.
+	// The old log is intact — and, the finish append having failed, it
+	// still says pending.
 	s.Close()
 	r := mustOpen(t, dir)
-	if _, ok := r.Lookup("job-000001"); !ok {
-		t.Fatal("failed compaction lost the log")
+	if j, ok := r.Snapshot("job-000001"); !ok || j.State != Pending {
+		t.Fatalf("job = %+v, %v after failed compaction, want the old log's pending", j, ok)
 	}
-}
 
-func TestGraphPersistence(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	if err := s.SaveGraph("g-abc", []byte("0 1\n1 0\n")); err != nil {
+	// A compaction that succeeds writes the table, outcome included.
+	if err := r.Finish("job-000001", Done, json.RawMessage(`{"k":3}`), "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Idempotent: same content-derived id, second save is a no-op.
-	if err := s.SaveGraph("g-abc", []byte("ignored")); err != nil {
+	faultinject.Set("jobstore.append", faultinject.Fault{Mode: faultinject.Error})
+	if err := r.Finish("job-000002", Failed, nil, "boom", nil, nil); err == nil {
+		t.Fatal("injected append fault not surfaced by Finish")
+	}
+	faultinject.Clear("jobstore.append")
+	if err := r.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveGraph("../evil", []byte("x")); err == nil {
-		t.Fatal("path-escaping graph id accepted")
-	}
-	got := map[string]string{}
-	if err := s.ForEachGraph(func(id string, data []byte) error {
-		got[id] = string(data)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got["g-abc"] != "0 1\n1 0\n" {
-		t.Fatalf("graphs = %v", got)
+	r.Close()
+	r2 := mustOpen(t, dir)
+	if j, ok := r2.Snapshot("job-000002"); !ok || j.State != Failed || j.Err != "boom" {
+		t.Fatalf("job = %+v, %v; a compaction after the failed finish append must have written the outcome", j, ok)
 	}
 }
 
@@ -318,6 +342,9 @@ func TestImportGraphFile(t *testing.T) {
 	}
 	if _, err := s.ImportGraphFile("../evil", src); err == nil {
 		t.Fatal("path-escaping graph id accepted")
+	}
+	if _, err := s.AdoptGraphFile("../evil", src); err == nil {
+		t.Fatal("path-escaping graph id accepted by AdoptGraphFile")
 	}
 	if _, err := s.ImportGraphFile("g-missing", filepath.Join(t.TempDir(), "nope.csr")); err == nil {
 		t.Fatal("missing source accepted")

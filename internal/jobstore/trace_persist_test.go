@@ -16,11 +16,11 @@ func TestTraceAndStatsPersistence(t *testing.T) {
 	s := mustOpen(t, dir)
 
 	createJob(t, s, "job-000001", "")
-	if err := s.Start("job-000001", "t-abc-000001", time.Unix(1001, 0)); err != nil {
+	if err := s.Start("job-000001", "t-abc-000001"); err != nil {
 		t.Fatal(err)
 	}
 	stats := json.RawMessage(`{"queue_wait_millis":1.5,"stages":{"cluster":{"wall_millis":20,"cpu_millis":6,"alloc_bytes":150}}}`)
-	if err := s.Finish("job-000001", Done, json.RawMessage(`{"k":2}`), "", stats, time.Unix(1002, 0)); err != nil {
+	if err := s.Finish("job-000001", Done, json.RawMessage(`{"k":2}`), "", stats, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -38,7 +38,7 @@ func TestTraceAndStatsPersistence(t *testing.T) {
 
 	check := func(s *Store, when string) {
 		t.Helper()
-		rec, ok := s.Lookup("job-000001")
+		rec, ok := s.Snapshot("job-000001")
 		if !ok {
 			t.Fatalf("%s: job-000001 gone", when)
 		}
@@ -48,7 +48,7 @@ func TestTraceAndStatsPersistence(t *testing.T) {
 		if string(rec.Stats) != string(stats) {
 			t.Fatalf("%s: Stats = %s, want %s", when, rec.Stats, stats)
 		}
-		adopted, ok := s.Lookup("job-000002")
+		adopted, ok := s.Snapshot("job-000002")
 		if !ok || adopted.LinkTraceID != "t-dead-000007" {
 			t.Fatalf("%s: adopted record = %+v, ok=%v", when, adopted, ok)
 		}

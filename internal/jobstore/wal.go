@@ -121,8 +121,11 @@ func (w *wal) append(payload []byte) error {
 	return nil
 }
 
-// close releases the file handle.
-func (w *wal) close() error { return w.f.Close() }
-
-// frameSize returns the on-disk size of a payload once framed.
-func frameSize(payload []byte) int64 { return int64(frameHeaderBytes + len(payload)) }
+// close releases the file handle; the zero wal of a memory-only store
+// has none.
+func (w *wal) close() error {
+	if w.f == nil {
+		return nil
+	}
+	return w.f.Close()
+}

@@ -15,13 +15,15 @@
 //   - cache.go      — byte-budgeted LRU of symmetrized graphs
 //   - pool.go       — bounded worker pool with cancellation and panic
 //     isolation
-//   - jobs.go       — async job store with TTL expiry
+//   - jobs.go       — wire rendering of async jobs (the job table itself
+//     is internal/jobstore)
 //   - metrics.go    — counters and text exposition for /metrics
 //   - middleware.go — recovery, body limits, request accounting
 package server
 
 import (
 	symcluster "symcluster"
+	"symcluster/internal/jobstore"
 	"symcluster/internal/obs"
 )
 
@@ -174,7 +176,7 @@ type NodeStatus struct {
 	UptimeSeconds float64 `json:"uptime_seconds,omitempty"`
 	Draining      bool    `json:"draining,omitempty"`
 	// Jobs is the node's async-job census by state.
-	Jobs map[string]int `json:"jobs,omitempty"`
+	Jobs map[jobstore.State]int `json:"jobs,omitempty"`
 	// QueueBytes is the summed working-set estimate of queued runs;
 	// QueueDepth the tasks waiting for a worker.
 	QueueBytes int64 `json:"queue_bytes"`

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"symcluster/internal/faultinject"
+	"symcluster/internal/jobstore"
 	"symcluster/internal/leakcheck"
 )
 
@@ -104,7 +105,7 @@ func TestWorkerPanicFailsAsyncJob(t *testing.T) {
 
 	waitFor(t, 5*time.Second, "job failed", func() bool {
 		job, ok := s.jobs.Snapshot(ref.JobID)
-		return ok && job.State == JobFailed
+		return ok && job.State == jobstore.Failed
 	})
 	job, _ := s.jobs.Snapshot(ref.JobID)
 	if !strings.Contains(job.Err, "panic") {

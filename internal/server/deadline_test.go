@@ -12,6 +12,7 @@ import (
 
 	"symcluster/internal/cluster"
 	"symcluster/internal/faultinject"
+	"symcluster/internal/jobstore"
 	"symcluster/internal/leakcheck"
 )
 
@@ -154,7 +155,7 @@ func TestDeadlineQueuedJobDroppedWithoutKernel(t *testing.T) {
 	// A completes; B's drop is observed at dequeue, right after.
 	waitFor(t, 10*time.Second, "job A done", func() bool {
 		job, ok := s.jobs.Snapshot(ref.JobID)
-		return ok && job.State == JobDone
+		return ok && job.State == jobstore.Done
 	})
 	waitFor(t, 5*time.Second, "deadline rejection counted", func() bool {
 		return expositionValue(scrapeMetrics(t, ts.URL), "symclusterd_deadline_rejected_total") == 1
@@ -210,7 +211,7 @@ func TestShedReleasesQueueAccounting(t *testing.T) {
 
 	waitFor(t, 10*time.Second, "fillers done", func() bool {
 		for _, ref := range refs {
-			if job, ok := s.jobs.Snapshot(ref.JobID); !ok || job.State != JobDone {
+			if job, ok := s.jobs.Snapshot(ref.JobID); !ok || job.State != jobstore.Done {
 				return false
 			}
 		}

@@ -112,7 +112,7 @@ func decodeJobRef(t *testing.T, resp *http.Response) JobRef {
 }
 
 // waitJobState polls until the job reaches want or the deadline hits.
-func waitJobState(t *testing.T, s *Server, id string, want JobState) Job {
+func waitJobState(t *testing.T, s *Server, id string, want jobstore.State) *jobstore.JobRecord {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -123,7 +123,17 @@ func waitJobState(t *testing.T, s *Server, id string, want JobState) Job {
 	}
 	j, _ := s.jobs.Snapshot(id)
 	t.Fatalf("job %s stuck in %q, want %q", id, j.State, want)
-	return Job{}
+	return nil
+}
+
+// jobResult decodes the result a finished job snapshot holds.
+func jobResult(t *testing.T, j *jobstore.JobRecord) ClusterResponse {
+	t.Helper()
+	var resp ClusterResponse
+	if err := json.Unmarshal(j.Result, &resp); err != nil {
+		t.Fatalf("job %s result %q: %v", j.ID, j.Result, err)
+	}
+	return resp
 }
 
 // Concurrent duplicate submissions under one Idempotency-Key must all
@@ -156,8 +166,8 @@ func TestIdempotencyKeyConcurrent(t *testing.T) {
 	if other == ids[0] {
 		t.Fatalf("distinct keys shared job %q", other)
 	}
-	waitJobState(t, s, ids[0], JobDone)
-	waitJobState(t, s, other, JobDone)
+	waitJobState(t, s, ids[0], jobstore.Done)
+	waitJobState(t, s, other, jobstore.Done)
 }
 
 // An Idempotency-Key on a synchronous request is a client error: the
@@ -182,7 +192,7 @@ func TestIdempotencyKeyAfterRestart(t *testing.T) {
 	info := s1.RegisterGraph(mustFigure1Graph(t))
 	req := ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Seed: 3, Async: true}
 	ref := decodeJobRef(t, postCluster(t, ts1.URL, req, "once-only"))
-	first := waitJobState(t, s1, ref.JobID, JobDone)
+	first := waitJobState(t, s1, ref.JobID, jobstore.Done)
 	stopServer(t, s1, ts1)
 
 	s2, ts2 := durableServer(t, dir, Config{Workers: 1})
@@ -193,10 +203,10 @@ func TestIdempotencyKeyAfterRestart(t *testing.T) {
 	}
 	// The replayed job still carries its finished result.
 	j, ok := s2.jobs.Snapshot(ref.JobID)
-	if !ok || j.State != JobDone || j.Result == nil {
+	if !ok || j.State != jobstore.Done || j.Result == nil {
 		t.Fatalf("replayed job = %+v, want done with result", j)
 	}
-	if len(j.Result.Assign) != len(first.Result.Assign) {
+	if len(jobResult(t, j).Assign) != len(jobResult(t, first).Assign) {
 		t.Fatalf("replayed result lost assignments")
 	}
 }
@@ -218,7 +228,7 @@ func TestDrainPreemptsAndRequeues(t *testing.T) {
 	info := s1.RegisterGraph(g)
 	req := ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Seed: 5, Async: true}
 	ref := decodeJobRef(t, postCluster(t, ts1.URL, req, ""))
-	waitJobState(t, s1, ref.JobID, JobRunning)
+	waitJobState(t, s1, ref.JobID, jobstore.Running)
 
 	// Give the kernel a couple of iterations so a checkpoint lands.
 	deadline := time.Now().Add(10 * time.Second)
@@ -244,7 +254,7 @@ func TestDrainPreemptsAndRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := st.Lookup(ref.JobID)
+	rec, ok := st.Snapshot(ref.JobID)
 	if !ok {
 		t.Fatalf("job %s missing from reopened store", ref.JobID)
 	}
@@ -262,7 +272,7 @@ func TestDrainPreemptsAndRequeues(t *testing.T) {
 	faultinject.Reset()
 	s2, ts2 := durableServer(t, dir, Config{Workers: 1, CheckpointIters: 1})
 	defer stopServer(t, s2, ts2)
-	done := waitJobState(t, s2, ref.JobID, JobDone)
+	done := waitJobState(t, s2, ref.JobID, jobstore.Done)
 
 	// Same answer as an uninterrupted run with the same seed.
 	resp := postCluster(t, ts2.URL, ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Seed: 5}, "")
@@ -275,8 +285,8 @@ func TestDrainPreemptsAndRequeues(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&base); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(done.Result.Assign) != fmt.Sprint(base.Assign) {
-		t.Fatalf("resumed assignments %v != uninterrupted %v", done.Result.Assign, base.Assign)
+	if got := jobResult(t, done).Assign; fmt.Sprint(got) != fmt.Sprint(base.Assign) {
+		t.Fatalf("resumed assignments %v != uninterrupted %v", got, base.Assign)
 	}
 }
 

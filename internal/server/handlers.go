@@ -12,6 +12,7 @@ import (
 
 	symcluster "symcluster"
 	"symcluster/internal/checkpoint"
+	"symcluster/internal/jobstore"
 	"symcluster/internal/obs"
 	"symcluster/internal/pipeline"
 )
@@ -251,14 +252,14 @@ func (s *Server) startAsyncJob(w http.ResponseWriter, r *http.Request, req *Clus
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	job, existing, err := s.jobs.Create(idemKey, reqJSON)
+	job, existing, err := s.jobs.Admit(jobstore.JobRecord{IdempotencyKey: idemKey, Request: reqJSON})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("journaling job: %w", err))
 		return
 	}
 	if !existing {
 		if lerr := s.launchJob(r.Context(), job, prep); lerr != nil {
-			s.jobs.Finish(job.ID, nil, nil, nil, lerr, false)
+			s.finishJob(job.ID, nil, nil, lerr)
 			code := httpStatus(lerr)
 			if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
 				w.Header().Set("Retry-After", "1")
@@ -281,7 +282,7 @@ func (s *Server) startAsyncJob(w http.ResponseWriter, r *http.Request, req *Clus
 // runs (durable + checkpointable runs only), and on completion either
 // Finish — or, when Drain preempted it, Requeue, because its kernel
 // checkpointed on the way out and the next boot resumes it.
-func (s *Server) launchJob(parent context.Context, job *Job, prep *preparedRun) error {
+func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep *preparedRun) error {
 	// The job must outlive the HTTP request: detach from the request
 	// context but keep its values for tracing. The cancel cause lets
 	// Drain preempt the job distinguishably from a client cancel.
@@ -332,9 +333,6 @@ func (s *Server) launchJob(parent context.Context, job *Job, prep *preparedRun) 
 		// The outcome carries the span tree even when the run
 		// errored, so failed jobs keep their trace.
 		out, _ := res.(*runOutcome)
-		if out == nil {
-			out = &runOutcome{}
-		}
 		if errors.Is(rerr, context.Canceled) && errors.Is(context.Cause(jobCtx), errPreempted) {
 			// Drain preempted the run after its final checkpoint;
 			// pending in the WAL means the next boot picks it up.
@@ -343,9 +341,7 @@ func (s *Server) launchJob(parent context.Context, job *Job, prep *preparedRun) 
 			}
 			return
 		}
-		if ferr := s.jobs.Finish(job.ID, out.Resp, out.Trace, js.Snapshot(), rerr, errors.Is(rerr, context.Canceled)); ferr != nil {
-			s.log().Error("journaling job outcome", "job", job.ID, "err", ferr)
-		}
+		s.finishJob(job.ID, out, js.Snapshot(), rerr)
 	}()
 	return nil
 }
@@ -588,9 +584,9 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	info := job.Info()
-	info.JobID = s.qualifyID(info.JobID)
-	writeJSON(w, http.StatusOK, info)
+	body := renderJob(job)
+	body.JobID = s.qualifyID(body.JobID)
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the span tree of a

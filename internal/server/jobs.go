@@ -1,503 +1,65 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
-	"sort"
-	"sync"
+	"errors"
 	"time"
 
 	"symcluster/internal/jobstore"
 	"symcluster/internal/obs"
 )
 
-// JobState is the lifecycle phase of an async clustering job.
-type JobState string
-
-// Job lifecycle: pending (queued) → running → done | failed.
-// Canceled marks jobs whose context expired before or during the run;
-// a drain-preempted durable job goes running → pending instead, so the
-// next boot finishes it.
-const (
-	JobPending  JobState = "pending"
-	JobRunning  JobState = "running"
-	JobDone     JobState = "done"
-	JobFailed   JobState = "failed"
-	JobCanceled JobState = "canceled"
-)
-
-// Job is one async clustering run. Fields are guarded by the owning
-// JobStore's mutex; handlers read them only through Snapshot. ID,
-// IdempotencyKey, Request and Checkpoints are set at creation (or
-// replay) and never mutated after, so the launch path may read them
-// without the lock.
-type Job struct {
-	ID    string
-	State JobState
-	// IdempotencyKey dedups retried submissions: a duplicate POST with
-	// the same key returns this job instead of creating a second one.
-	IdempotencyKey string
-	// Request is the original ClusterRequest JSON, persisted so a
-	// replayed job can rebuild its run after a restart.
-	Request  json.RawMessage
-	Result   *ClusterResponse
-	Err      string
-	Created  time.Time
-	Started  time.Time
-	Finished time.Time
-	// Trace is the run's span tree, retained for done, failed AND
-	// canceled jobs (an errored run's trace is exactly what you want
-	// when debugging why it errored). Served by GET /v1/jobs/{id}/trace.
-	// In-memory only: traces do not survive restarts.
-	Trace *obs.SpanNode
-	// TraceID is the distributed-trace id the run joined, journaled at
-	// start so it outlives both the process (WAL) and the node (a peer
-	// adopting this job links its new trace back to this id).
-	TraceID string
-	// LinkTraceID is the dead owner's TraceID for a job this node
-	// adopted; the adopted run's root span carries it as link_trace_id.
-	LinkTraceID string
-	// Stats is the job's resource accounting, journaled at finish so
-	// GET /v1/jobs/{id}/stats answers across restarts.
-	Stats *obs.JobStatsSnapshot
-	// Checkpoints holds the kernel checkpoints replayed from the WAL
-	// for an interrupted job; the job's sink serves them back to the
-	// kernels so the run resumes mid-iteration. Nil for fresh jobs.
-	Checkpoints map[string]jobstore.Checkpoint
+// jobBody is JobInfo as this server writes it: the same fields in the
+// same order, with the result spliced in as the bytes marshalled once
+// at finish instead of re-encoded on every poll. Clients decode it as
+// JobInfo.
+type jobBody struct {
+	JobID          string          `json:"job_id"`
+	State          jobstore.State  `json:"state"`
+	Result         json.RawMessage `json:"result,omitempty"`
+	Error          string          `json:"error,omitempty"`
+	DurationMillis float64         `json:"duration_millis,omitempty"`
+	TraceID        string          `json:"trace_id,omitempty"`
+	LinkTraceID    string          `json:"link_trace_id,omitempty"`
 }
 
-// JobStore tracks async jobs in memory, optionally journaling every
-// mutation to a WAL-backed jobstore.Store (durable mode, -data-dir).
-// Finished jobs are retained (up to a cap, oldest evicted first) and
-// expire after a TTL so an unattended daemon does not accumulate
-// completed results forever. Without a backing store jobs die with the
-// process, which graceful drain makes visible by finishing in-flight
-// work first; with one, pending and running jobs are replayed and
-// re-enqueued on the next boot.
-type JobStore struct {
-	mu       sync.Mutex
-	seq      int64
-	jobs     map[string]*Job
-	byKey    map[string]string // idempotency key → job id
-	finished []string          // finished job ids, oldest first
-	retain   int
-	ttl      time.Duration
-	expired  int64
-	replayed int64
-	ckpts    int64
-	now      func() time.Time // injectable for deterministic TTL tests
-
-	st *jobstore.Store // nil in memory-only mode
-}
-
-// NewJobStore returns a memory-only store retaining at most retain
-// finished jobs (clamped to at least 1). Finished jobs older than ttl
-// are expired lazily on access; ttl <= 0 disables expiry.
-func NewJobStore(retain int, ttl time.Duration) *JobStore {
-	if retain < 1 {
-		retain = 1
-	}
-	return &JobStore{
-		jobs:   make(map[string]*Job),
-		byKey:  make(map[string]string),
-		retain: retain,
-		ttl:    ttl,
-		now:    time.Now,
-	}
-}
-
-// NewDurableJobStore returns a store journaling to st, after replaying
-// st's records into memory: finished jobs come back with their results,
-// idempotency keys re-arm, the id sequence resumes past every replayed
-// job, and jobs that were pending or running when the previous process
-// died come back pending (the server re-enqueues them via PendingJobs).
-func NewDurableJobStore(retain int, ttl time.Duration, st *jobstore.Store) *JobStore {
-	s := NewJobStore(retain, ttl)
-	s.st = st
-	for _, rec := range st.Jobs() {
-		j := &Job{
-			ID:             rec.ID,
-			State:          JobState(rec.State),
-			IdempotencyKey: rec.IdempotencyKey,
-			Request:        rec.Request,
-			Err:            rec.Err,
-			Created:        rec.Created,
-			Started:        rec.Started,
-			Finished:       rec.Finished,
-			TraceID:        rec.TraceID,
-			LinkTraceID:    rec.LinkTraceID,
-			Checkpoints:    rec.Checkpoints,
-		}
-		if len(rec.Result) > 0 {
-			var resp ClusterResponse
-			if err := json.Unmarshal(rec.Result, &resp); err == nil {
-				j.Result = &resp
-			}
-		}
-		if len(rec.Stats) > 0 {
-			var stats obs.JobStatsSnapshot
-			if err := json.Unmarshal(rec.Stats, &stats); err == nil {
-				j.Stats = &stats
-			}
-		}
-		s.jobs[j.ID] = j
-		if j.IdempotencyKey != "" {
-			s.byKey[j.IdempotencyKey] = j.ID
-		}
-		switch j.State {
-		case JobDone, JobFailed, JobCanceled:
-			s.finished = append(s.finished, j.ID)
-		case JobPending:
-			s.replayed++
-		}
-	}
-	if seq := st.MaxSeq(); seq > s.seq {
-		s.seq = seq
-	}
-	return s
-}
-
-// Durable reports whether mutations are journaled to a WAL.
-func (s *JobStore) Durable() bool { return s.st != nil }
-
-// Replayed returns the number of interrupted jobs replayed as pending
-// at startup.
-func (s *JobStore) Replayed() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replayed
-}
-
-// CheckpointSaves returns the number of kernel checkpoints journaled.
-func (s *JobStore) CheckpointSaves() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ckpts
-}
-
-// dropLocked removes a job from the map and its idempotency key from
-// the index, journaling the removal in durable mode (best-effort: a
-// failed drop append means the job is resurrected on the next boot and
-// re-expired then).
-func (s *JobStore) dropLocked(id string) {
-	if j, ok := s.jobs[id]; ok {
-		if j.IdempotencyKey != "" {
-			delete(s.byKey, j.IdempotencyKey)
-		}
-		delete(s.jobs, id)
-		if s.st != nil {
-			s.st.Drop(id)
-		}
-	}
-}
-
-// expireLocked drops finished jobs whose TTL has lapsed. Called with
-// the mutex held from every accessor, so expiry needs no timer
-// goroutine and costs one time comparison per retained job.
-func (s *JobStore) expireLocked() {
-	if s.ttl <= 0 || len(s.finished) == 0 {
-		return
-	}
-	cutoff := s.now().Add(-s.ttl)
-	kept := s.finished[:0]
-	for _, id := range s.finished {
-		j, ok := s.jobs[id]
-		if !ok {
-			continue
-		}
-		if j.Finished.Before(cutoff) {
-			s.dropLocked(id)
-			s.expired++
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.finished = kept
-}
-
-// Expired returns the number of finished jobs dropped by TTL expiry.
-func (s *JobStore) Expired() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expired
-}
-
-// Create registers a new pending job carrying the original request
-// JSON, journaling it in durable mode. When idemKey is non-empty and a
-// job with that key already exists (including one replayed from the
-// WAL), that job is returned with existing == true and nothing new is
-// created — duplicate retries never produce two jobs.
-func (s *JobStore) Create(idemKey string, request json.RawMessage) (job *Job, existing bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	if idemKey != "" {
-		if id, ok := s.byKey[idemKey]; ok {
-			if j, ok := s.jobs[id]; ok {
-				return j, true, nil
-			}
-		}
-	}
-	j := &Job{
-		ID:             fmt.Sprintf("job-%06d", s.seq+1),
-		State:          JobPending,
-		IdempotencyKey: idemKey,
-		Request:        request,
-		Created:        s.now(),
-	}
-	if s.st != nil {
-		rec := &jobstore.JobRecord{
-			ID:             j.ID,
-			State:          jobstore.Pending,
-			IdempotencyKey: idemKey,
-			Request:        request,
-			Created:        j.Created,
-		}
-		if err := s.st.Create(rec); err != nil {
-			return nil, false, err
-		}
-	}
-	s.seq++
-	s.jobs[j.ID] = j
-	if idemKey != "" {
-		s.byKey[idemKey] = j.ID
-	}
-	return j, false, nil
-}
-
-// CreateAdopted registers a pending job taken over from a dead peer's
-// WAL: like Create, but the job starts with the checkpoints carried
-// over from the dead record (persisted in the local journal too, so an
-// adopter restart resumes from the same point) and with the dead run's
-// trace id as its link, so the adopted run's trace points back at the
-// original lineage. The idempotency key — derived from (dead peer,
-// original id) by the caller — makes re-adoption a lookup instead of a
-// duplicate.
-func (s *JobStore) CreateAdopted(idemKey string, request json.RawMessage, ckpts map[string]jobstore.Checkpoint, linkTraceID string) (job *Job, existing bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	if id, ok := s.byKey[idemKey]; ok {
-		if j, ok := s.jobs[id]; ok {
-			return j, true, nil
-		}
-	}
-	j := &Job{
-		ID:             fmt.Sprintf("job-%06d", s.seq+1),
-		State:          JobPending,
-		IdempotencyKey: idemKey,
-		Request:        request,
-		Created:        s.now(),
-		LinkTraceID:    linkTraceID,
-		Checkpoints:    ckpts,
-	}
-	if s.st != nil {
-		rec := &jobstore.JobRecord{
-			ID:             j.ID,
-			State:          jobstore.Pending,
-			IdempotencyKey: idemKey,
-			Request:        request,
-			Created:        j.Created,
-			LinkTraceID:    linkTraceID,
-			Checkpoints:    ckpts,
-		}
-		if err := s.st.Create(rec); err != nil {
-			return nil, false, err
-		}
-	}
-	s.seq++
-	s.jobs[j.ID] = j
-	s.byKey[idemKey] = j.ID
-	return j, false, nil
-}
-
-// LookupByKey resolves an idempotency key to the id of the job it
-// created, if any — the coordinator's route from a dead peer's job id
-// to the local adopted copy.
-func (s *JobStore) LookupByKey(key string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, ok := s.byKey[key]
-	if !ok {
-		return "", false
-	}
-	if _, live := s.jobs[id]; !live {
-		return "", false
-	}
-	return id, true
-}
-
-// Start transitions a job to running, journal-first: a failed append
-// leaves the job pending so disk never lags memory. traceID is the
-// distributed-trace id this run joined; journaling it is what lets a
-// surviving peer link an adopted copy back to the original trace.
-func (s *JobStore) Start(id, traceID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil
-	}
-	t := s.now()
-	if s.st != nil {
-		if err := s.st.Start(id, traceID, t); err != nil {
-			return err
-		}
-	}
-	j.State = JobRunning
-	j.Started = t
-	if traceID != "" {
-		j.TraceID = traceID
-	}
-	return nil
-}
-
-// Requeue marks a preempted job pending again (graceful drain
-// checkpointed it; the next boot finishes it).
-func (s *JobStore) Requeue(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil
-	}
-	t := s.now()
-	if s.st != nil {
-		if err := s.st.Requeue(id, t); err != nil {
-			return err
-		}
-	}
-	j.State = JobPending
-	j.Started = time.Time{}
-	return nil
-}
-
-// SaveCheckpoint journals one kernel checkpoint for a running job.
-// No-op (successfully) in memory-only mode: there is nothing to resume
-// from after a restart anyway.
-func (s *JobStore) SaveCheckpoint(id, kernel string, ck jobstore.Checkpoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.st == nil {
-		return nil
-	}
-	if err := s.st.SaveCheckpoint(id, kernel, ck); err != nil {
-		return err
-	}
-	s.ckpts++
-	return nil
-}
-
-// Finish records the outcome of a job and schedules retention. trace
-// and stats may be nil (a run rejected before it started has neither).
-// The journal append is best-effort: clients must see the outcome even
-// if the disk is failing, so the in-memory state is updated regardless
-// and the append error is returned for logging.
-func (s *JobStore) Finish(id string, result *ClusterResponse, trace *obs.SpanNode, stats *obs.JobStatsSnapshot, err error, canceled bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil
-	}
-	j.Finished = s.now()
-	j.Trace = trace
-	if stats != nil {
-		j.Stats = stats
-	}
-	switch {
-	case canceled:
-		j.State = JobCanceled
-		if err != nil {
-			j.Err = err.Error()
-		}
-	case err != nil:
-		j.State = JobFailed
-		j.Err = err.Error()
-	default:
-		j.State = JobDone
-		j.Result = result
-	}
-	var jerr error
-	if s.st != nil {
-		var resJSON, statsJSON json.RawMessage
-		if j.Result != nil {
-			resJSON, _ = json.Marshal(j.Result)
-		}
-		if j.Stats != nil {
-			statsJSON, _ = json.Marshal(j.Stats)
-		}
-		jerr = s.st.Finish(id, jobstore.State(j.State), resJSON, j.Err, statsJSON, j.Finished)
-	}
-	s.finished = append(s.finished, id)
-	for len(s.finished) > s.retain {
-		s.dropLocked(s.finished[0])
-		s.finished = s.finished[1:]
-	}
-	return jerr
-}
-
-// Snapshot returns a copy of the job's current state, or false when the
-// id is unknown (never created, or evicted by retention).
-func (s *JobStore) Snapshot(id string) (Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	j, ok := s.jobs[id]
-	if !ok {
-		return Job{}, false
-	}
-	return *j, true
-}
-
-// Counts returns the number of jobs per state, for /metrics.
-func (s *JobStore) Counts() map[JobState]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	counts := make(map[JobState]int, 5)
-	for _, j := range s.jobs {
-		counts[j.State]++
-	}
-	return counts
-}
-
-// Pending returns the number of jobs not yet finished, for drain.
-func (s *JobStore) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		if j.State == JobPending || j.State == JobRunning {
-			n++
-		}
-	}
-	return n
-}
-
-// PendingJobs returns the pending jobs in id order — the replay
-// surface the server re-enqueues at startup.
-func (s *JobStore) PendingJobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*Job
-	for _, j := range s.jobs {
-		if j.State == JobPending {
-			out = append(out, j)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
-// Info renders a snapshot as the wire JobInfo.
-func (j Job) Info() JobInfo {
-	info := JobInfo{
-		JobID: j.ID, State: string(j.State), Result: j.Result, Error: j.Err,
+// renderJob renders a job snapshot as the GET /v1/jobs/{id} body.
+func renderJob(j *jobstore.JobRecord) jobBody {
+	body := jobBody{
+		JobID: j.ID, State: j.State, Result: j.Result, Error: j.Err,
 		TraceID: j.TraceID, LinkTraceID: j.LinkTraceID,
 	}
 	if !j.Finished.IsZero() && !j.Started.IsZero() {
-		info.DurationMillis = float64(j.Finished.Sub(j.Started)) / float64(time.Millisecond)
+		body.DurationMillis = float64(j.Finished.Sub(j.Started)) / float64(time.Millisecond)
 	}
-	return info
+	return body
+}
+
+// finishJob records a run's outcome in the job table: canceled when the
+// run's context was, failed on any other error, otherwise done with the
+// response marshalled here, once. out and stats may be nil (a run
+// rejected before it started has neither).
+func (s *Server) finishJob(id string, out *runOutcome, stats *obs.JobStatsSnapshot, runErr error) {
+	state, errMsg := jobstore.Done, ""
+	var result, statsJSON json.RawMessage
+	var trace *obs.SpanNode
+	if out != nil {
+		trace = out.Trace
+	}
+	switch {
+	case runErr != nil:
+		state, errMsg = jobstore.Failed, runErr.Error()
+		if errors.Is(runErr, context.Canceled) {
+			state = jobstore.Canceled
+		}
+	case out != nil && out.Resp != nil:
+		result, _ = json.Marshal(out.Resp) // plain data: cannot fail
+	}
+	if stats != nil {
+		statsJSON, _ = json.Marshal(stats)
+	}
+	if err := s.jobs.Finish(id, state, result, errMsg, statsJSON, trace); err != nil {
+		s.log().Error("journaling job outcome", "job", id, "err", err)
+	}
 }

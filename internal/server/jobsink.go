@@ -6,7 +6,7 @@ import (
 	"symcluster/internal/jobstore"
 )
 
-// jobSink adapts the JobStore's WAL to the checkpoint.Sink the kernels
+// jobSink adapts the job store's WAL to the checkpoint.Sink the kernels
 // consume. One sink serves one job's context.
 //
 // Restore bookkeeping: a job may invoke the same kernel more than once
@@ -16,7 +16,7 @@ import (
 // the invocation whose ordinal matches — restoring the third solve's
 // state into a fresh first solve would silently corrupt the run.
 type jobSink struct {
-	jobs     *JobStore
+	jobs     *jobstore.Store
 	jobID    string
 	interval int
 
@@ -25,7 +25,7 @@ type jobSink struct {
 	initial map[string]jobstore.Checkpoint
 }
 
-func newJobSink(jobs *JobStore, jobID string, interval int, initial map[string]jobstore.Checkpoint) *jobSink {
+func newJobSink(jobs *jobstore.Store, jobID string, interval int, initial map[string]jobstore.Checkpoint) *jobSink {
 	return &jobSink{
 		jobs:     jobs,
 		jobID:    jobID,

@@ -8,6 +8,7 @@ import (
 
 	"symcluster/internal/cluster"
 	"symcluster/internal/csr"
+	"symcluster/internal/jobstore"
 	"symcluster/internal/obs"
 )
 
@@ -208,20 +209,14 @@ func (m *Metrics) WriteTo(w io.Writer, s *Server) {
 	p("Summed working-set estimate of queued clustering jobs.", "gauge", "symclusterd_queue_bytes", s.queuedBytes.Load())
 	p("Kernel checkpoints journaled to the WAL.", "counter", "symclusterd_checkpoints_total", jobs.CheckpointSaves())
 	p("Interrupted jobs replayed as pending at startup.", "counter", "symclusterd_jobs_replayed_total", jobs.Replayed())
-	var walBytes, walAppends, walCompactions int64
-	if s.store != nil {
-		walBytes = s.store.LogBytes()
-		walAppends = s.store.Appends()
-		walCompactions = s.store.Compactions()
-	}
-	p("Current size of the job WAL in bytes.", "gauge", "symclusterd_wal_bytes", walBytes)
-	p("Records appended to the job WAL.", "counter", "symclusterd_wal_appends_total", walAppends)
-	p("Job WAL compactions performed.", "counter", "symclusterd_wal_compactions_total", walCompactions)
+	p("Current size of the job WAL in bytes.", "gauge", "symclusterd_wal_bytes", jobs.LogBytes())
+	p("Records appended to the job WAL.", "counter", "symclusterd_wal_appends_total", jobs.Appends())
+	p("Job WAL compactions performed.", "counter", "symclusterd_wal_compactions_total", jobs.Compactions())
 
 	io.WriteString(w, "# HELP symclusterd_jobs Async jobs by state.\n")
 	io.WriteString(w, "# TYPE symclusterd_jobs gauge\n")
 	counts := jobs.Counts()
-	for _, st := range []JobState{JobPending, JobRunning, JobDone, JobFailed, JobCanceled} {
+	for _, st := range []jobstore.State{jobstore.Pending, jobstore.Running, jobstore.Done, jobstore.Failed, jobstore.Canceled} {
 		io.WriteString(w, "symclusterd_jobs{state=\""+string(st)+"\"} "+strconv.Itoa(counts[st])+"\n")
 	}
 }

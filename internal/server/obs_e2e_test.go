@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"symcluster/internal/jobstore"
 	"symcluster/internal/obs"
 )
 
@@ -155,9 +156,9 @@ func waitJobDone(t *testing.T, ts *httptest.Server, ref JobRef) {
 		}
 		job := decode[JobInfo](t, jresp)
 		switch job.State {
-		case string(JobDone):
+		case string(jobstore.Done):
 			return
-		case string(JobFailed), string(JobCanceled):
+		case string(jobstore.Failed), string(jobstore.Canceled):
 			t.Fatalf("job ended %s: %s", job.State, job.Error)
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -50,7 +50,7 @@ func (s *Server) handleJobStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	if job.Stats == nil {
+	if len(job.Stats) == 0 {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("job %q has no stats yet (state %s)", job.ID, job.State))
 		return
@@ -70,17 +70,11 @@ func (s *Server) nodeStatus() NodeStatus {
 		QueueDepth:     s.pool.QueueDepth(),
 		MappedCSRBytes: csr.MappedBytes(),
 		TraceRingBytes: s.traces.RingBytes(),
+		WALBytes:       s.jobs.LogBytes(),
+		Jobs:           s.jobs.Counts(),
 		ShedTotal:      s.shedTotal.Load(),
 		JobsAdopted:    s.metrics.JobsAdoptedValue(),
 	}
-	if s.store != nil {
-		ns.WALBytes = s.store.LogBytes()
-	}
-	jobs := make(map[string]int)
-	for st, n := range s.jobs.Counts() {
-		jobs[string(st)] = n
-	}
-	ns.Jobs = jobs
 	if s.coord != nil {
 		ns.Name = s.coord.self.Name
 		ns.RetryBudgetExhausted = s.metrics.RetryBudgetExhaustedValue()

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	symcluster "symcluster"
 	"symcluster/internal/csr"
 	"symcluster/internal/jobstore"
 )
@@ -214,51 +213,25 @@ func TestUploadedGraphSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestLegacyEdgeListMigration boots a server over a PR-5-era data dir
-// — graphs persisted as edge-list text — and checks they are migrated
-// to binary CSR in place: the .csr file appears, the .edges file is
-// gone, and the graph serves requests.
-func TestLegacyEdgeListMigration(t *testing.T) {
+// TestStrayEdgeListIgnored boots a server over a data dir whose
+// graphs/ holds a file that is not a binary CSR — the edge-list text
+// only pre-PR-6 stores wrote: it is neither loaded nor touched.
+func TestStrayEdgeListIgnored(t *testing.T) {
 	dir := t.TempDir()
-	text := oocEdgeList(80, 5)
-	g, err := symcluster.ReadEdgeList(strings.NewReader(text))
-	if err != nil {
+	stray := filepath.Join(dir, "graphs", "g-00000000deadbeef.edges")
+	if err := os.MkdirAll(filepath.Dir(stray), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	id := fmt.Sprintf("g-%016x", g.Fingerprint())
-
-	st, err := jobstore.Open(dir)
-	if err != nil {
+	if err := os.WriteFile(stray, []byte(oocEdgeList(80, 5)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveGraph(id, []byte(text)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	s, ts := durableServer(t, dir, Config{Workers: 1})
 	defer stopServer(t, s, ts)
-	if _, err := os.Stat(filepath.Join(dir, "graphs", id+".csr")); err != nil {
-		t.Fatalf("migration did not produce the binary file: %v", err)
+	if _, ok := s.lookupGraph("g-00000000deadbeef"); ok {
+		t.Fatal("stray edge-list file was registered as a graph")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "graphs", id+".edges")); !os.IsNotExist(err) {
-		t.Fatalf("legacy edge list still present after migration (err=%v)", err)
-	}
-	rg, ok := s.lookupGraph(id)
-	if !ok {
-		t.Fatal("migrated graph not registered")
-	}
-	if rg.mapped == nil {
-		t.Fatal("migrated graph is not memory-mapped")
-	}
-	if rg.graph.N() != g.N() || rg.graph.M() != g.M() {
-		t.Fatalf("migrated graph %d nodes / %d edges, want %d / %d", rg.graph.N(), rg.graph.M(), g.N(), g.M())
-	}
-	out := clusterSync(t, ts, ClusterRequest{GraphID: id, Method: "bib", Algorithm: "mcl", Seed: 1})
-	if len(out.Assign) != g.N() {
-		t.Fatalf("assignments %d != nodes %d", len(out.Assign), g.N())
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("stray file disturbed at load: %v", err)
 	}
 }
 
@@ -362,8 +335,8 @@ func TestOutOfCoreAsyncJob(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		j, ok := s.jobs.Snapshot(ref.JobID)
-		if ok && (j.State == JobDone || j.State == JobFailed) {
-			if j.State != JobDone {
+		if ok && (j.State == jobstore.Done || j.State == jobstore.Failed) {
+			if j.State != jobstore.Done {
 				t.Fatalf("job failed: %s", j.Err)
 			}
 			break

@@ -643,7 +643,7 @@ func (c *coordinator) adoptIfNeeded(dead *cluster.Peer, probeErr error) {
 	if errors.As(probeErr, &pse) {
 		return
 	}
-	if c.s.store == nil {
+	if !c.s.jobs.Durable() {
 		return
 	}
 	owner, ok := c.ring.Owner(cluster.HashString(dead.Name), c.health.Healthy)
@@ -687,7 +687,7 @@ func (c *coordinator) adoptFrom(dead *cluster.Peer) bool {
 	}
 	defer st.Close()
 
-	var adoptedJobs []*Job
+	var adoptedJobs []*jobstore.JobRecord
 	for _, rec := range st.Jobs() {
 		if rec.State != jobstore.Pending {
 			continue
@@ -708,7 +708,12 @@ func (c *coordinator) adoptFrom(dead *cluster.Peer) bool {
 		// The dead record's trace id (journaled when the job started
 		// there) becomes the adopted run's link: the new trace's root
 		// span carries link_trace_id pointing at the original lineage.
-		job, existing, err := s.jobs.CreateAdopted(adoptKey(dead.Name, rec.ID), rec.Request, rec.Checkpoints, rec.TraceID)
+		job, existing, err := s.jobs.Admit(jobstore.JobRecord{
+			IdempotencyKey: adoptKey(dead.Name, rec.ID),
+			Request:        rec.Request,
+			Checkpoints:    rec.Checkpoints,
+			LinkTraceID:    rec.TraceID,
+		})
 		if err != nil {
 			s.log().Error("adopting job", "peer", dead.Name, "job", rec.ID, "err", err)
 			continue
@@ -716,7 +721,7 @@ func (c *coordinator) adoptFrom(dead *cluster.Peer) bool {
 		// Fence only after the local copy is durable: a crash between
 		// the two writes double-runs (deterministic, so harmless) rather
 		// than losing the job.
-		if err := st.Finish(rec.ID, jobstore.Canceled, nil, "adopted by "+c.self.Name, nil, time.Now()); err != nil {
+		if err := st.Finish(rec.ID, jobstore.Canceled, nil, "adopted by "+c.self.Name, nil, nil); err != nil {
 			s.log().Error("fencing adopted job", "peer", dead.Name, "job", rec.ID, "err", err)
 		}
 		if existing {
@@ -742,7 +747,7 @@ func (c *coordinator) importGraphFrom(st *jobstore.Store, graphID string) error 
 	if _, err := os.Stat(src); err != nil {
 		return fmt.Errorf("dead peer has no file for %s: %w", graphID, err)
 	}
-	dst, err := c.s.store.ImportGraphFile(graphID, src)
+	dst, err := c.s.jobs.ImportGraphFile(graphID, src)
 	if err != nil {
 		return err
 	}

@@ -458,7 +458,7 @@ func TestClusterAdoptsDeadPeerWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rec, ok := st.Lookup("job-000001")
+	rec, ok := st.Snapshot("job-000001")
 	if !ok {
 		t.Fatal("fenced job vanished from the dead WAL")
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -174,8 +173,7 @@ type Server struct {
 	mux       *http.ServeMux
 	pool      *Pool
 	cache     *Cache
-	jobs      *JobStore
-	store     *jobstore.Store // nil without DataDir
+	jobs      *jobstore.Store // journaled (Durable) only with DataDir
 	metrics   *Metrics
 	traces    *obs.TraceSink
 	startTime time.Time
@@ -275,30 +273,27 @@ func New(cfg Config) (*Server, error) {
 	if s.coord != nil && dataDir != "" {
 		dataDir = filepath.Join(dataDir, nodeDirName(s.coord.self.Name))
 	}
+	s.jobs = jobstore.NewMemory()
 	if dataDir != "" {
 		st, err := jobstore.Open(dataDir)
 		if err != nil {
 			return nil, fmt.Errorf("opening job store: %w", err)
 		}
-		s.store = st
+		s.jobs = st
 		if err := s.loadGraphs(); err != nil {
 			st.Close()
 			return nil, err
 		}
-		s.jobs = NewDurableJobStore(cfg.RetainJobs, cfg.JobTTL, st)
-	} else {
-		s.jobs = NewJobStore(cfg.RetainJobs, cfg.JobTTL)
 	}
+	s.jobs.Retain, s.jobs.TTL = cfg.RetainJobs, cfg.JobTTL
 
 	s.routes()
 
 	// Re-enqueue replayed jobs after routes are up; the goroutine
 	// retries briefly when the replayed backlog alone overflows the
 	// queue, so a deep backlog drains instead of failing.
-	if s.store != nil {
-		if pending := s.jobs.PendingJobs(); len(pending) > 0 {
-			go s.resumeJobs(pending)
-		}
+	if pending := s.jobs.PendingJobs(); len(pending) > 0 {
+		go s.resumeJobs(pending)
 	}
 	if cfg.UploadTTL > 0 {
 		go s.sweepUploads()
@@ -309,35 +304,12 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loadGraphs re-registers every graph persisted under the data dir.
-// Binary .csr files are memory-mapped (the adjacency never touches the
-// heap); legacy edge-list files from stores written before the binary
-// format are migrated in place — parsed once, rewritten as .csr,
-// mapped, and the text file removed — so the next boot maps directly.
+// loadGraphs re-registers every graph persisted under the data dir by
+// memory-mapping its binary CSR file: the adjacency never touches the
+// heap.
 func (s *Server) loadGraphs() error {
 	ctx := bootContext()
-	return s.store.ForEachGraphFile(func(id, path string, legacy bool) error {
-		if legacy {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return fmt.Errorf("reloading graph %s: %w", id, err)
-			}
-			g, err := symcluster.ReadEdgeList(bytes.NewReader(data))
-			if err != nil {
-				return fmt.Errorf("reloading graph %s: %w", id, err)
-			}
-			dst := s.store.GraphCSRPath(id)
-			if err := csr.WriteMatrix(ctx, dst, g.Adj); err != nil {
-				// Migration is best-effort: the graph still serves from
-				// the heap, and the next boot retries the rewrite.
-				s.log().Error("migrating graph to binary CSR", "graph", id, "err", err)
-				s.addGraph(g, g.Fingerprint(), "", nil, "")
-				return nil
-			}
-			s.store.RemoveLegacyGraph(id)
-			s.log().Info("migrated graph to binary CSR", "graph", id)
-			path = dst
-		}
+	return s.jobs.ForEachGraphFile(func(id, path string) error {
 		mp, err := csr.Open(ctx, path)
 		if err != nil {
 			return fmt.Errorf("reloading graph %s: %w", id, err)
@@ -357,16 +329,16 @@ func (s *Server) loadGraphs() error {
 // (e.g. the pipeline lost a stage) are failed rather than retried
 // forever; submissions that bounce off a full queue back off and retry
 // until the pool accepts them or shuts down.
-func (s *Server) resumeJobs(pending []*Job) {
+func (s *Server) resumeJobs(pending []*jobstore.JobRecord) {
 	for _, job := range pending {
 		var req ClusterRequest
 		if err := json.Unmarshal(job.Request, &req); err != nil {
-			s.jobs.Finish(job.ID, nil, nil, nil, fmt.Errorf("replaying request: %w", err), false)
+			s.finishJob(job.ID, nil, nil, fmt.Errorf("replaying request: %w", err))
 			continue
 		}
 		prep, err := s.prepareRun(&req)
 		if err != nil {
-			s.jobs.Finish(job.ID, nil, nil, nil, fmt.Errorf("replaying request: %w", err), false)
+			s.finishJob(job.ID, nil, nil, fmt.Errorf("replaying request: %w", err))
 			continue
 		}
 		for {
@@ -450,7 +422,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	err := s.pool.Close(ctx)
-	if err == nil || s.store == nil {
+	if err == nil || !s.jobs.Durable() {
 		return err
 	}
 
@@ -512,10 +484,7 @@ func (s *Server) Close() error {
 	}
 	s.graphMu.Unlock()
 
-	if s.store != nil {
-		return s.store.Close()
-	}
-	return nil
+	return s.jobs.Close()
 }
 
 // Draining reports whether Drain has begun (healthz turns 503 so load
@@ -525,7 +494,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // RegisterGraph adds a graph directly (used by tests and embedders; the
 // HTTP path is POST /v1/graphs). The id is derived from the structural
 // fingerprint, so registering the same graph twice is idempotent. In
-// durable mode the edge list is persisted under the data dir so
+// durable mode its binary CSR is persisted under the data dir so
 // replayed jobs find their graph after a restart.
 func (s *Server) RegisterGraph(g *symcluster.DirectedGraph) GraphInfo {
 	return s.registerGraph(g, true)
@@ -534,9 +503,9 @@ func (s *Server) RegisterGraph(g *symcluster.DirectedGraph) GraphInfo {
 func (s *Server) registerGraph(g *symcluster.DirectedGraph, persist bool) GraphInfo {
 	fp := g.Fingerprint()
 	var csrPath string
-	if persist && s.store != nil {
+	if persist && s.jobs.Durable() {
 		id := fmt.Sprintf("g-%016x", fp)
-		path := s.store.GraphCSRPath(id)
+		path := s.jobs.GraphCSRPath(id)
 		if err := csr.WriteMatrix(bootContext(), path, g.Adj); err != nil {
 			s.log().Error("persisting graph", "graph", id, "err", err)
 		} else {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	symcluster "symcluster"
+	"symcluster/internal/jobstore"
 )
 
 // mustFigure1Graph returns the paper's Figure 1 graph for direct
@@ -336,7 +337,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 		}
 		job := decode[JobInfo](t, jresp)
 		switch job.State {
-		case string(JobDone):
+		case string(jobstore.Done):
 			if job.Result == nil || len(job.Result.Assign) != 6 {
 				t.Fatalf("job result = %+v", job.Result)
 			}
@@ -344,7 +345,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 				t.Fatalf("k = %d", job.Result.K)
 			}
 			return
-		case string(JobFailed), string(JobCanceled):
+		case string(jobstore.Failed), string(jobstore.Canceled):
 			t.Fatalf("job ended %s: %s", job.State, job.Error)
 		}
 		if time.Now().After(deadline) {
@@ -426,10 +427,10 @@ func TestGracefulDrain(t *testing.T) {
 		if !ok {
 			t.Fatal("job vanished")
 		}
-		if job.State == JobDone {
+		if job.State == jobstore.Done {
 			break
 		}
-		if job.State == JobFailed || job.State == JobCanceled {
+		if job.State == jobstore.Failed || job.State == jobstore.Canceled {
 			t.Fatalf("job ended %s: %s", job.State, job.Err)
 		}
 		if time.Now().After(deadline) {

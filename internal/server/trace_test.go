@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"symcluster/internal/faultinject"
+	"symcluster/internal/jobstore"
 	"symcluster/internal/obs"
 )
 
@@ -153,10 +154,10 @@ func TestFaultedRunKeepsErroredSpan(t *testing.T) {
 			t.Fatal(err)
 		}
 		job := decode[JobInfo](t, jresp)
-		if job.State == string(JobFailed) {
+		if job.State == string(jobstore.Failed) {
 			break
 		}
-		if job.State == string(JobDone) {
+		if job.State == string(jobstore.Done) {
 			t.Fatal("faulted job reported done")
 		}
 		if time.Now().After(deadline) {

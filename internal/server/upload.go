@@ -291,9 +291,9 @@ func (s *Server) handleUploadFinalize(w http.ResponseWriter, r *http.Request) {
 // unless the store adoption made it redundant.
 func (s *Server) registerMappedCSR(g *symcluster.DirectedGraph, mp *csr.Mapped, csrPath, ownDir string) GraphInfo {
 	fp := g.Fingerprint()
-	if s.store != nil {
+	if s.jobs.Durable() {
 		id := fmt.Sprintf("g-%016x", fp)
-		adopted, aerr := s.store.AdoptGraphFile(id, csrPath)
+		adopted, aerr := s.jobs.AdoptGraphFile(id, csrPath)
 		if aerr != nil {
 			s.log().Error("persisting graph", "graph", id, "err", aerr)
 		} else {

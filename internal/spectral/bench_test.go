@@ -28,7 +28,7 @@ func BenchmarkLanczosTop10(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TopEigen(op, 10, LanczosOptions{Seed: int64(i)}); err != nil {
+		if _, err := TopEigenCtx(context.Background(), op, 10, LanczosOptions{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,7 +86,7 @@ func TestDenseEigenMatchesLanczos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanczos, err := TopEigen(Operator(m), 3, LanczosOptions{Seed: 3, Steps: n})
+	lanczos, err := TopEigenCtx(context.Background(), Operator(m), 3, LanczosOptions{Seed: 3, Steps: n})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,17 +163,12 @@ type LanczosOptions struct {
 	Seed int64
 }
 
-// TopEigen computes the k algebraically largest eigenpairs of the
+// TopEigenCtx computes the k algebraically largest eigenpairs of the
 // symmetric operator op using Lanczos with full reorthogonalisation.
 // The operator must be symmetric; no check is possible through the
-// MatVec interface, so callers are responsible.
-func TopEigen(op MatVec, k int, opt LanczosOptions) (*Eigen, error) {
-	return TopEigenCtx(context.Background(), op, k, opt)
-}
-
-// TopEigenCtx is TopEigen with cancellation: ctx is polled before each
-// Lanczos step, so a cancelled context aborts the factorisation within
-// one operator application with ctx's error. Each call opens a
+// MatVec interface, so callers are responsible. ctx is polled before
+// each Lanczos step, so a cancelled context aborts the factorisation
+// within one operator application with ctx's error. Each call opens a
 // "spectral.lanczos" span and records per-step off-diagonal residuals
 // and the final basis size through the obs hooks.
 func TopEigenCtx(ctx context.Context, op MatVec, k int, opt LanczosOptions) (eig *Eigen, err error) {

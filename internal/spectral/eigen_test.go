@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,7 +129,7 @@ func identity(n int) [][]float64 {
 
 func TestTopEigenDiagonalOperator(t *testing.T) {
 	m := matrix.Diagonal([]float64{5, -1, 3, 0.5, 2})
-	eig, err := TopEigen(Operator(m), 2, LanczosOptions{Seed: 1})
+	eig, err := TopEigenCtx(context.Background(), Operator(m), 2, LanczosOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestTopEigenSymmetricRandom(t *testing.T) {
 	}
 	m := b.Build()
 	k := 5
-	eig, err := TopEigen(Operator(m), k, LanczosOptions{Seed: 3, Steps: n})
+	eig, err := TopEigenCtx(context.Background(), Operator(m), k, LanczosOptions{Seed: 3, Steps: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestTopEigenOrthogonalVectors(t *testing.T) {
 			}
 		}
 	}
-	eig, err := TopEigen(Operator(b.Build()), 4, LanczosOptions{Seed: 5, Steps: n})
+	eig, err := TopEigenCtx(context.Background(), Operator(b.Build()), 4, LanczosOptions{Seed: 5, Steps: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +213,10 @@ func TestTopEigenOrthogonalVectors(t *testing.T) {
 
 func TestTopEigenErrors(t *testing.T) {
 	m := matrix.Identity(3)
-	if _, err := TopEigen(Operator(m), 0, LanczosOptions{}); err == nil {
+	if _, err := TopEigenCtx(context.Background(), Operator(m), 0, LanczosOptions{}); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	if _, err := TopEigen(Operator(m), 4, LanczosOptions{}); err == nil {
+	if _, err := TopEigenCtx(context.Background(), Operator(m), 4, LanczosOptions{}); err == nil {
 		t.Fatal("accepted k>n")
 	}
 }
@@ -229,7 +230,7 @@ func TestTopEigenFuncOperator(t *testing.T) {
 		}
 		return y
 	}}
-	eig, err := TopEigen(op, 1, LanczosOptions{Seed: 6})
+	eig, err := TopEigenCtx(context.Background(), op, 1, LanczosOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
