@@ -31,10 +31,10 @@ vet:
 # internal/jobstore, mmap only in internal/csr, peer traffic and
 # propagation headers only through the cluster client, no stray
 # context.Background(), no production call to the sparse-product oracle,
-# no Workers field reachable from pipeline.SymOptions — are one Go test
-# over the parsed packages (lint_test.go), so plain `go test ./...`
-# enforces them too; each failure names the rule and its DESIGN.md
-# section.
+# no Workers field reachable from pipeline.SymOptions, no container/heap
+# in a clustering kernel — are one Go test over the parsed packages
+# (lint_test.go), so plain `go test ./...` enforces them too; each
+# failure names the rule and its DESIGN.md section.
 lint:
 	$(GO) test -count=1 -run '^TestSourceLints$$' .
 
@@ -99,16 +99,19 @@ fuzz:
 bench:
 	bash bench/run.sh
 
-# The sparse-product kernel on its own, in about a minute: one
-# accumulator row in each mode around the dense/marked crossover
-# (denseSpanNum/denseSpanDen in internal/matrix/engine.go is read off
-# BenchmarkAccumulatorRow), the top-k selection, and the two requests
-# the kernel carries without the server around them, at one core and
-# two (DESIGN.md §15).
+# The kernels on their own, in a few minutes: one accumulator row in
+# each mode around the dense/marked crossover (denseSpanNum/denseSpanDen
+# in internal/matrix/engine.go is read off BenchmarkAccumulatorRow), the
+# top-k selection, the two requests the sparse product carries, and the
+# multilevel clusterers on the benchmark's own inputs (serve_mixed's
+# Graclus and Metis requests, sym_cold's cluster stage), each without the
+# server around it, at one core and two (DESIGN.md §15).
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorRow|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkMCLHot$$' -cpu 1,2 -count 5 ./internal/mcl
 	$(GO) test -run '^$$' -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkServeGraclus$$|BenchmarkColdGraclus$$' -cpu 1,2 -count 5 ./internal/graclus
+	$(GO) test -run '^$$' -bench 'BenchmarkServeMetis$$' -cpu 1,2 -count 5 ./internal/metis
 
 test-long:
 	$(GO) test ./...

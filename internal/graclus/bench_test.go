@@ -4,7 +4,58 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"symcluster/internal/core"
+	"symcluster/internal/gen"
+	"symcluster/internal/graph"
 )
+
+// benchDD runs b's loop over the degree-discounted symmetrization of g
+// pruned at threshold, clustered into k the way the pipeline's graclus
+// entry does.
+func benchDD(b *testing.B, g *graph.Directed, threshold float64, k int) {
+	opt := core.Defaults()
+	opt.Threshold = threshold
+	u, err := core.Symmetrize(g, core.DegreeDiscounted, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ClusterCtx(context.Background(), u.Adj, k, Options{Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeGraclus is the clustering of 19 in 20 requests of the
+// repository benchmark's serve_mixed workload without the server around
+// it: a Wikipedia-like graph of 8 list and 8 reciprocal clusters (≈540
+// nodes, ≈17 k entries once degree-discounted at 0.05), k the planted
+// cluster count.
+func BenchmarkServeGraclus(b *testing.B) {
+	ds, err := gen.Wiki(gen.WikiOptions{
+		ListClusters: 8, RecipClusters: 8,
+		ListMembersMin: 20, ListMembersMax: 20,
+		RecipMembersMin: 28, RecipMembersMax: 28,
+		Seed: 1000,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDD(b, ds.Graph, 0.05, ds.Truth.K)
+}
+
+// BenchmarkColdGraclus is the cluster stage of a sym_cold request: the
+// 8 k-node R-MAT graph, degree-discounted at 0.03, into 64 clusters.
+func BenchmarkColdGraclus(b *testing.B) {
+	d, err := gen.Kronecker(gen.KroneckerOptions{Scale: 13, EdgeFactor: 12, Reciprocity: 0.62, Seed: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDD(b, d.Graph, 0.03, 64)
+}
 
 func BenchmarkClusterK8(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

@@ -69,21 +69,30 @@ func (b *Builder) Build() *CSR {
 	// Counting sort by row, then sort each row's slice by column. This is
 	// O(nnz + rows + Σ r log r) and avoids sorting the full triplet list.
 	counts := make([]int64, b.rows+1)
-	for _, i := range b.r {
+	rowMajor := true
+	for k, i := range b.r {
 		counts[i+1]++
+		rowMajor = rowMajor && (k == 0 || b.r[k-1] <= i)
 	}
 	for i := 0; i < b.rows; i++ {
 		counts[i+1] += counts[i]
 	}
-	cs := make([]int32, len(b.c))
-	vs := make([]float64, len(b.v))
-	next := make([]int64, b.rows)
-	copy(next, counts[:b.rows])
-	for k, i := range b.r {
-		p := next[i]
-		cs[p] = b.c[k]
-		vs[p] = b.v[k]
-		next[i]++
+	// The stable scatter is the identity on triplets that arrived
+	// row-major: there the builder's own arrays become the result.
+	cs, vs := b.c, b.v
+	if rowMajor {
+		b.r, b.c, b.v = nil, nil, nil
+	} else {
+		cs, vs = make([]int32, len(b.c)), make([]float64, len(b.v))
+		next := make([]int64, b.rows)
+		copy(next, counts[:b.rows])
+		for k, i := range b.r {
+			p := next[i]
+			cs[p] = b.c[k]
+			vs[p] = b.v[k]
+			next[i]++
+		}
+		b.r, b.c, b.v = b.r[:0], b.c[:0], b.v[:0]
 	}
 
 	// Sort each row by column, then sum duplicates and drop the exact
@@ -107,8 +116,6 @@ func (b *Builder) Build() *CSR {
 		m.RowPtr[i+1] = int64(w)
 	}
 	m.ColIdx, m.Val = cs[:w:w], vs[:w:w]
-
-	b.r, b.c, b.v = b.r[:0], b.c[:0], b.v[:0]
 	return m
 }
 
@@ -117,9 +124,9 @@ type rowSorter struct {
 	vals []float64
 }
 
-func (s rowSorter) Len() int           { return len(s.cols) }
-func (s rowSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s rowSorter) Swap(i, j int) {
+func (s *rowSorter) Len() int           { return len(s.cols) }
+func (s *rowSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
+func (s *rowSorter) Swap(i, j int) {
 	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
 	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }

@@ -142,7 +142,7 @@ func appendingBuild(rows, cols int, r, c []int32, v []float64) *CSR {
 	}
 	for i := 0; i < rows; i++ {
 		lo, hi := counts[i], counts[i+1]
-		sort.Sort(rowSorter{cols: cs[lo:hi], vals: vs[lo:hi]})
+		sort.Sort(&rowSorter{cols: cs[lo:hi], vals: vs[lo:hi]})
 		var prev int32 = -1
 		for k := lo; k < hi; k++ {
 			if cs[k] == prev {
@@ -184,15 +184,57 @@ func TestBuildInPlaceMatchesAppendingBuild(t *testing.T) {
 			r, c, v = append(r, int32(i)), append(c, int32(j)), append(v, val)
 			b.Add(i, j, val)
 		}
-		want, got := appendingBuild(n, n, r, c, v), b.Build()
-		mustValidate(t, got)
-		if got.Rows != n || got.Cols != n || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
-			t.Fatalf("trial %d: structure differs:\n%v\nvs\n%v", trial, got, want)
+		requireSameBits(t, trial, b.Build(), appendingBuild(n, n, r, c, v))
+	}
+}
+
+func requireSameBits(t *testing.T, trial int, got, want *CSR) {
+	t.Helper()
+	mustValidate(t, got)
+	if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+		t.Fatalf("trial %d: structure differs:\n%v\nvs\n%v", trial, got, want)
+	}
+	for k := range want.Val {
+		if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+			t.Fatalf("trial %d: Val[%d] = %v, want %v", trial, k, got.Val[k], want.Val[k])
 		}
-		for k := range want.Val {
-			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
-				t.Fatalf("trial %d: Val[%d] = %v, want %v", trial, k, got.Val[k], want.Val[k])
+	}
+}
+
+// TestBuildRowMajorMatchesScatter: triplets that arrive with their rows
+// in non-decreasing order skip the scatter, and must build to the bits
+// the scatter path gives — on the same triplets shuffled, which the
+// stable scatter regroups into exactly the row-major sequence. Rows run
+// well past the 12 entries below which sort.Sort is a (stable) insertion
+// sort, with columns that collide three and more times and inexact
+// weights, so the order the unstable sort leaves equal columns in shows
+// in the sums. One builder serves every build, so what the fast path
+// hands away (its own arrays) must not come back.
+func TestBuildRowMajorMatchesScatter(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	b := NewBuilder(0, 0)
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(12)
+		type triplet struct {
+			i, j int
+			v    float64
+		}
+		ts := make([]triplet, rng.Intn(60*n))
+		var r, c []int32
+		var v []float64
+		for e := range ts {
+			ts[e] = triplet{rng.Intn(n), rng.Intn(1 + rng.Intn(4*n)), []float64{0.1, 0.2, 0.3, 0.7, 1e16, -1e16, 1, -1, 0}[rng.Intn(9)]}
+			r, c, v = append(r, int32(ts[e].i)), append(c, int32(ts[e].j)), append(v, ts[e].v)
+		}
+		want := appendingBuild(n, 4*n, r, c, v)
+		rowMajor := slices.Clone(ts)
+		slices.SortStableFunc(rowMajor, func(a, b triplet) int { return a.i - b.i })
+		for _, order := range [][]triplet{ts, rowMajor, ts, rowMajor, rowMajor} {
+			b.Resize(n, 4*n)
+			for _, e := range order {
+				b.Add(e.i, e.j, e.v)
 			}
+			requireSameBits(t, trial, b.Build(), want)
 		}
 	}
 }

@@ -11,7 +11,6 @@
 package metis
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -96,7 +95,7 @@ func PartitionCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Re
 		for i := range weights {
 			weights[i] = 1
 		}
-		if err := recurse(ctx, adj, nodes, weights, k, 0, assign, opt, rng); err != nil {
+		if err := recurse(ctx, adj, nodes, weights, k, 0, assign, opt, rng, newScratch(n)); err != nil {
 			return nil, err
 		}
 		// Direct k-way boundary refinement across the seams the
@@ -128,7 +127,7 @@ func EdgeCut(adj *matrix.CSR, assign []int) float64 {
 // recurse bisects the subgraph induced by nodes into parts of size
 // proportional to ceil(k/2) : floor(k/2), labels the halves starting at
 // base and base+ceil(k/2), and recurses until k = 1.
-func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []float64, k, base int, assign []int, opt Options, rng *rand.Rand) error {
+func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []float64, k, base int, assign []int, opt Options, rng *rand.Rand, ws *scratch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -142,8 +141,8 @@ func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []flo
 	k2 := k - k1
 	frac := float64(k1) / float64(k)
 
-	sub, subWeights := induce(full, nodes, weights)
-	side, err := bisect(ctx, sub, subWeights, frac, opt, rng)
+	sub, subWeights := ws.induce(full, nodes, weights)
+	side, err := bisect(ctx, sub, subWeights, frac, opt, rng, ws)
 	if err != nil {
 		return err
 	}
@@ -176,35 +175,64 @@ func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []flo
 		left = left[:last]
 		lw = lw[:last]
 	}
-	if err := recurse(ctx, full, left, lw, k1, base, assign, opt, rng); err != nil {
+	if err := recurse(ctx, full, left, lw, k1, base, assign, opt, rng, ws); err != nil {
 		return err
 	}
-	return recurse(ctx, full, right, rw, k2, base+k1, assign, opt, rng)
+	return recurse(ctx, full, right, rw, k2, base+k1, assign, opt, rng, ws)
+}
+
+// scratch is the storage one partitioning of an n-node graph reuses
+// across its bisections, their levels and their FM passes.
+type scratch struct {
+	local  []int32 // induce: full-graph node → 1 + position in nodes; zero between calls
+	locked []bool  // fmRefine: nodes moved or refused this pass
+	moves  []int32 // fmRefine: the nodes this pass moved, in order
+	pq     maxHeap
+}
+
+func newScratch(n int) *scratch {
+	return &scratch{local: make([]int32, n), locked: make([]bool, n)}
 }
 
 // induce extracts the subgraph of full induced by nodes, along with the
-// corresponding node weights.
-func induce(full *matrix.CSR, nodes []int32, weights []float64) (*matrix.CSR, []float64) {
-	idx := make(map[int32]int32, len(nodes))
+// corresponding node weights, dropping self-loops and explicit zeros. A
+// full row mapped through an increasing nodes list is already sorted;
+// only the few nodes the rebalancing in recurse appends out of order
+// displace entries, which an insertion sort puts back.
+func (ws *scratch) induce(full *matrix.CSR, nodes []int32, weights []float64) (*matrix.CSR, []float64) {
+	monotone, bound := true, 0
 	for i, v := range nodes {
-		idx[v] = int32(i)
+		ws.local[v] = int32(i) + 1
+		monotone = monotone && (i == 0 || nodes[i-1] < v)
+		bound += full.RowNNZ(int(v))
 	}
-	b := matrix.NewBuilder(len(nodes), len(nodes))
+	n := len(nodes)
+	cs, vs := make([]int32, 0, bound), make([]float64, 0, bound)
+	rowPtr := make([]int64, n+1)
 	for i, v := range nodes {
 		cols, vals := full.Row(int(v))
+		lo := len(cs)
 		for t, c := range cols {
-			if j, ok := idx[c]; ok && int(j) != i {
-				b.Add(i, int(j), vals[t])
+			if j := ws.local[c] - 1; j >= 0 && int(j) != i && vals[t] != 0 {
+				cs, vs = append(cs, j), append(vs, vals[t])
 			}
 		}
+		for a := lo + 1; !monotone && a < len(cs); a++ {
+			for b := a; b > lo && cs[b] < cs[b-1]; b-- {
+				cs[b], cs[b-1], vs[b], vs[b-1] = cs[b-1], cs[b], vs[b-1], vs[b]
+			}
+		}
+		rowPtr[i+1] = int64(len(cs))
 	}
-	w := append([]float64(nil), weights...)
-	return b.Build(), w
+	for _, v := range nodes {
+		ws.local[v] = 0
+	}
+	return &matrix.CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: cs, Val: vs}, append([]float64(nil), weights...)
 }
 
 // bisect splits adj (with node weights) into sides 0/1, targeting
 // fraction frac of the weight on side 0, by multilevel FM.
-func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac float64, opt Options, rng *rand.Rand) ([]int, error) {
+func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac float64, opt Options, rng *rand.Rand, ws *scratch) ([]int, error) {
 	n := adj.Rows
 	if n == 0 {
 		return nil, nil
@@ -232,21 +260,21 @@ func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac flo
 	}
 
 	coarse := h.Coarsest()
-	side := initialBisection(coarse.Adj, levelWeights[h.Depth()-1], frac, opt, rng)
-	side = fmRefine(coarse.Adj, levelWeights[h.Depth()-1], side, frac, opt)
+	side := initialBisection(coarse.Adj, levelWeights[h.Depth()-1], frac, opt, rng, ws)
+	side = ws.fmRefine(coarse.Adj, levelWeights[h.Depth()-1], side, frac, opt)
 	for l := h.Depth() - 1; l >= 1; l-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		side = h.Project(l, side)
-		side = fmRefine(h.Levels[l-1].Adj, levelWeights[l-1], side, frac, opt)
+		side = ws.fmRefine(h.Levels[l-1].Adj, levelWeights[l-1], side, frac, opt)
 	}
 	return side, nil
 }
 
 // initialBisection runs greedy graph growing InitTrials times and keeps
 // the split with the lowest cut among balanced results.
-func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, opt Options, rng *rand.Rand) []int {
+func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, opt Options, rng *rand.Rand, ws *scratch) []int {
 	var total float64
 	for _, w := range nodeWeight {
 		total += w
@@ -256,7 +284,7 @@ func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, opt O
 	var best []int
 	bestCut := math.Inf(1)
 	for trial := 0; trial < opt.InitTrials; trial++ {
-		side := growRegion(adj, nodeWeight, target, rng)
+		side := ws.growRegion(adj, nodeWeight, target, rng)
 		cut := EdgeCut(adj, side)
 		if cut < bestCut {
 			bestCut = cut
@@ -269,7 +297,7 @@ func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, opt O
 // growRegion grows side 0 from a random seed by repeatedly absorbing
 // the frontier node with the strongest connection to the region, until
 // the region's weight reaches target.
-func growRegion(adj *matrix.CSR, nodeWeight []float64, target float64, rng *rand.Rand) []int {
+func (ws *scratch) growRegion(adj *matrix.CSR, nodeWeight []float64, target float64, rng *rand.Rand) []int {
 	n := adj.Rows
 	side := make([]int, n)
 	for i := range side {
@@ -280,20 +308,20 @@ func growRegion(adj *matrix.CSR, nodeWeight []float64, target float64, rng *rand
 	weight := nodeWeight[seed]
 
 	gain := make([]float64, n)
-	pq := &floatHeap{}
-	heap.Init(pq)
+	pq := &ws.pq
+	*pq = (*pq)[:0]
 	push := func(from int) {
 		cols, vals := adj.Row(from)
 		for t, c := range cols {
 			if side[c] == 1 {
 				gain[c] += vals[t]
-				heap.Push(pq, heapItem{node: c, key: gain[c]})
+				pq.push(heapItem{node: c, key: gain[c]})
 			}
 		}
 	}
 	push(seed)
-	for weight < target && pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
+	for weight < target && len(*pq) > 0 {
+		it := pq.pop()
 		if side[it.node] == 0 || it.key != gain[it.node] {
 			continue // stale entry
 		}
@@ -317,7 +345,7 @@ func growRegion(adj *matrix.CSR, nodeWeight []float64, target float64, rng *rand
 // pass tentatively moves every node once in best-gain-first order,
 // tracks the best prefix that satisfies balance, and rolls back the
 // rest. Passes repeat until a pass yields no improvement.
-func fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64, opt Options) []int {
+func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64, opt Options) []int {
 	n := adj.Rows
 	var total float64
 	for _, w := range nodeWeight {
@@ -362,26 +390,22 @@ func fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64, o
 		return ext - intl
 	}
 
+	pq, locked := &ws.pq, ws.locked[:n]
 	for pass := 0; pass < opt.RefinePasses; pass++ {
-		pq := &floatHeap{}
-		heap.Init(pq)
-		locked := make([]bool, n)
+		*pq = (*pq)[:0]
+		clear(locked)
 		for i := 0; i < n; i++ {
 			gain[i] = computeGain(i)
-			heap.Push(pq, heapItem{node: int32(i), key: gain[i]})
+			pq.push(heapItem{node: int32(i), key: gain[i]})
 		}
 
-		type move struct {
-			node int32
-			gain float64
-		}
-		var moves []move
+		moves := ws.moves[:0]
 		var cum, bestCum float64
 		bestPrefix := -1
 		w0 := weight0
 
-		for pq.Len() > 0 {
-			it := heap.Pop(pq).(heapItem)
+		for len(*pq) > 0 {
+			it := pq.pop()
 			i := int(it.node)
 			if locked[i] || it.key != gain[i] {
 				continue
@@ -402,7 +426,7 @@ func fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64, o
 			side[i] = 1 - side[i]
 			w0 = nw0
 			cum += moved
-			moves = append(moves, move{int32(i), moved})
+			moves = append(moves, int32(i))
 			if cum > bestCum+1e-12 && w0 <= maxSide0 && w0 >= minSide0 {
 				bestCum = cum
 				bestPrefix = len(moves) - 1
@@ -418,12 +442,13 @@ func fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64, o
 				} else {
 					gain[c] += 2 * vals[t]
 				}
-				heap.Push(pq, heapItem{node: c, key: gain[c]})
+				pq.push(heapItem{node: c, key: gain[c]})
 			}
 		}
+		ws.moves = moves
 		// Roll back moves after the best prefix.
 		for m := len(moves) - 1; m > bestPrefix; m-- {
-			i := moves[m].node
+			i := moves[m]
 			side[i] = 1 - side[i]
 			if side[i] == 0 {
 				weight0 += nodeWeight[i]
@@ -445,24 +470,39 @@ func fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64, o
 	return side
 }
 
-// heapItem and floatHeap implement a max-heap of (node, key) with lazy
+// heapItem and maxHeap implement a max-heap of (node, key) with lazy
 // invalidation: stale entries are skipped when their key no longer
-// matches the node's current gain.
+// matches the node's current gain. push and pop make container/heap's
+// comparisons and swaps in its order, so entries with equal keys (exact
+// gain ties are common) pop in the order they always have, unboxed.
 type heapItem struct {
 	node int32
 	key  float64
 }
 
-type floatHeap []heapItem
+type maxHeap []heapItem
 
-func (h floatHeap) Len() int            { return len(h) }
-func (h floatHeap) Less(i, j int) bool  { return h[i].key > h[j].key }
-func (h floatHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *floatHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *floatHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *maxHeap) push(it heapItem) {
+	s := append(*h, it)
+	*h = s
+	for j := len(s) - 1; j > 0 && s[j].key > s[(j-1)/2].key; j = (j - 1) / 2 {
+		s[j], s[(j-1)/2] = s[(j-1)/2], s[j]
+	}
+}
+
+func (h *maxHeap) pop() heapItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i, j := 0, 1; j < n; i, j = j, 2*j+1 {
+		if j+1 < n && s[j+1].key > s[j].key {
+			j++ // the right child only when strictly larger
+		}
+		if !(s[j].key > s[i].key) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+	}
+	*h = s[:n]
+	return s[n]
 }

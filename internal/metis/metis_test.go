@@ -235,7 +235,7 @@ func TestFMRefineImprovesCut(t *testing.T) {
 	w := []float64{1, 1, 1, 1, 1, 1}
 	opt := Options{}
 	opt.fill()
-	refined := fmRefine(adj, w, append([]int(nil), bad...), 0.5, opt)
+	refined := newScratch(adj.Rows).fmRefine(adj, w, append([]int(nil), bad...), 0.5, opt)
 	if EdgeCut(adj, refined) > EdgeCut(adj, bad) {
 		t.Fatalf("FM worsened cut: %v -> %v", EdgeCut(adj, bad), EdgeCut(adj, refined))
 	}

@@ -167,14 +167,17 @@ func contract(cur *Level, match []int32, minShrink float64) (*Level, bool) {
 	for i := range coarseID {
 		coarseID[i] = -1
 	}
+	order := make([]int32, 0, n) // fine rows grouped by coarse node: lowest member, then its match
 	next := int32(0)
 	for i := 0; i < n; i++ {
 		if coarseID[i] != -1 {
 			continue
 		}
 		coarseID[i] = next
+		order = append(order, int32(i))
 		if m := match[i]; int(m) != i {
 			coarseID[m] = next
+			order = append(order, m)
 		}
 		next++
 	}
@@ -183,10 +186,14 @@ func contract(cur *Level, match []int32, minShrink float64) (*Level, bool) {
 		return nil, false
 	}
 
+	// Walking fine rows in that order hands the builder its triplets
+	// row-major (no scatter), each coarse row as a stable sort by row
+	// would leave a walk in index order: what Build's per-row sort is
+	// given decides the last bit of a three-way merge.
 	b := matrix.NewBuilder(cn, cn)
 	b.Reserve(cur.Adj.NNZ())
-	for i := 0; i < n; i++ {
-		cols, vals := cur.Adj.Row(i)
+	for _, i := range order {
+		cols, vals := cur.Adj.Row(int(i))
 		ci := coarseID[i]
 		for k, c := range cols {
 			b.Add(int(ci), int(coarseID[c]), vals[k])

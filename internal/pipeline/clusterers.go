@@ -107,8 +107,14 @@ func spectralEmbeddingBytes(gs GraphStats) int64 {
 	return 8*int64(gs.Nodes)*(k+basis) + 32*int64(gs.Nodes)
 }
 
-// multilevelBytes bounds the Metis/Graclus coarsening hierarchies:
-// geometrically shrinking levels sum to at most ~2× the input graph.
+// multilevelBytes bounds the Metis/Graclus coarsening hierarchies. A
+// level keeps the arrays its contraction was assembled in, 12 bytes per
+// entry of the finer level (16 while it is built; 28 before the builder
+// lost its scatter copy), so geometrically shrinking levels sum to ~2×
+// the clustered graph, taken at 2·edges entries. A pruned product can
+// have more (17 k from 4.6 k edges on the 540-node benchmark graph);
+// the symmetrizer's flop-bound model in the same job estimate absorbs
+// that: TestJobEstimateCoversMultilevelHeld.
 func multilevelBytes(gs GraphStats) int64 {
 	return 2 * csrBytes(gs.Nodes, 2*gs.Edges)
 }

@@ -51,6 +51,33 @@ func heldDuring(t *testing.T, f func()) int64 {
 	return int64(peak - base)
 }
 
+// benchRMAT is the 8 k-node R-MAT graph of the repository benchmark's
+// sym_cold workload.
+func benchRMAT(t *testing.T) *gen.Dataset {
+	t.Helper()
+	d, err := gen.Kronecker(gen.KroneckerOptions{Scale: 13, EdgeFactor: 12, Reciprocity: 0.62, Seed: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// benchWiki is one graph of the benchmark's serving family: Wikipedia-
+// like, 8 list and 8 reciprocal clusters, ≈540 nodes.
+func benchWiki(t *testing.T, seed int64) *gen.Dataset {
+	t.Helper()
+	d, err := gen.Wiki(gen.WikiOptions{
+		ListClusters: 8, RecipClusters: 8,
+		ListMembersMin: 20, ListMembersMax: 20,
+		RecipMembersMin: 28, RecipMembersMax: 28,
+		Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestProductSymEstimateCoversHeldBytes puts the admission estimate of
 // the degree-discounted symmetrization beside the heap a run really
 // holds, on the benchmark's two graph shapes: the 8 k-node R-MAT of
@@ -76,19 +103,7 @@ func TestProductSymEstimateCoversHeldBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap sampling is slow and noisy under -short")
 	}
-	rmat, err := gen.Kronecker(gen.KroneckerOptions{Scale: 13, EdgeFactor: 12, Reciprocity: 0.62, Seed: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wiki, err := gen.Wiki(gen.WikiOptions{
-		ListClusters: 8, RecipClusters: 8,
-		ListMembersMin: 20, ListMembersMax: 20,
-		RecipMembersMin: 28, RecipMembersMax: 28,
-		Seed: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rmat, wiki := benchRMAT(t), benchWiki(t, 1000)
 	dd, _ := LookupSymmetrizer("dd")
 	for _, tc := range []struct {
 		name      string
@@ -123,5 +138,47 @@ func TestProductSymEstimateCoversHeldBytes(t *testing.T) {
 				t.Fatalf("estimate ÷ held = %.2f, outside [%v, %v]", ratio, tc.lo, tc.hi)
 			}
 		})
+	}
+}
+
+// TestJobEstimateCoversMultilevelHeld puts the admission estimate of a
+// whole dd + Graclus and dd + Metis job — EstimateJobBytes, the
+// symmetrizer's model plus multilevelBytes — beside the heap the job
+// really holds, on the benchmark's two shapes at their thresholds. The
+// estimate must cover what is held; by how much is logged, not gated
+// (the product model's flop bound alone overshoots by the factors the
+// test above records).
+func TestJobEstimateCoversMultilevelHeld(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap sampling is slow and noisy under -short")
+	}
+	rmat, wiki := benchRMAT(t), benchWiki(t, 1000)
+	dd, _ := LookupSymmetrizer("dd")
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Directed
+		threshold float64
+		k         int
+	}{
+		{"rmat8k@0.03", rmat.Graph, 0.03, 64},
+		{"wiki540@0.05", wiki.Graph, 0.05, wiki.Truth.K},
+	} {
+		for _, algo := range []string{"graclus", "metis"} {
+			t.Run(tc.name+"/"+algo, func(t *testing.T) {
+				cl, _ := LookupClusterer(algo)
+				est := EstimateJobBytes(dd, cl, StatsFor(tc.g).WithK(tc.k))
+				opt := core.Defaults()
+				opt.Threshold = tc.threshold
+				held := heldDuring(t, func() {
+					if _, _, _, err := Execute(context.Background(), tc.g, dd, opt, cl, ClusterOptions{TargetClusters: tc.k, Seed: 1}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("estimate %d bytes, held %d, ratio %.2f", est, held, float64(est)/float64(held))
+				if est < held {
+					t.Fatalf("estimate %d bytes does not cover the %d held", est, held)
+				}
+			})
+		}
 	}
 }

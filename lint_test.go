@@ -161,6 +161,18 @@ var sourceRules = []sourceRule{
 		},
 		match: func(n ast.Node) bool { return call(n, "context", "Background") },
 	},
+	{
+		why: "container/heap in a clustering kernel: its Push and Pop box every item into an " +
+			"interface{}, one allocation per inner-loop step (261 k per Metis request before PR 19); " +
+			"use a typed heap as internal/metis does (DESIGN.md §15, \"The multilevel substrate\")",
+		applies: func(f string) bool {
+			return !isTest(f) && under(f, "internal/matrix", "internal/multilevel", "internal/graclus", "internal/metis", "internal/mcl")
+		},
+		match: func(n ast.Node) bool {
+			imp, ok := n.(*ast.ImportSpec)
+			return ok && imp.Path.Value == `"container/heap"`
+		},
+	},
 }
 
 // TestSourceLints is `make lint`: it parses every Go file of the
