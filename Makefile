@@ -32,7 +32,9 @@ vet:
 # propagation headers only through the cluster client, no stray
 # context.Background(), no production call to the sparse-product oracle,
 # no Workers field reachable from pipeline.SymOptions, no container/heap
-# in a clustering kernel — are one Go test over the parsed packages
+# in a clustering kernel, and in internal/server Retry-After set only by
+# refuse, csr.Open called only by openGraphFile, ring.Owner only by
+# ownerOf — are one Go test over the parsed packages
 # (lint_test.go), so plain `go test ./...` enforces them too; each
 # failure names the rule and its DESIGN.md section.
 lint:
@@ -71,9 +73,11 @@ crash:
 # between the nodes yields one stitched span tree retrievable from
 # either node, nonzero persisted resource stats, and a federated
 # status report that degrades — not blocks — when a peer is killed,
-# DESIGN.md §16).
+# DESIGN.md §16), plus the route table: every public route × {owner is
+# this node, a healthy peer, a dead peer, already forwarded} served
+# here / one hop away / refused with 503 + Retry-After (DESIGN.md §14).
 cluster:
-	$(GO) test -race -run 'TestClusterFailoverResume|TestClusterObservability' ./internal/server
+	$(GO) test -race -run 'TestClusterFailoverResume|TestClusterObservability|TestRouteTable' ./internal/server
 
 # The chaos soak (DESIGN.md §17): a real two-node cluster built with
 # -race, driven by randomized fault schedules (injected errors and
@@ -105,13 +109,17 @@ bench:
 # top-k selection, the two requests the sparse product carries, and the
 # multilevel clusterers on the benchmark's own inputs (serve_mixed's
 # Graclus and Metis requests, sym_cold's cluster stage), each without the
-# server around it, at one core and two (DESIGN.md §15).
+# server around it, at one core and two (DESIGN.md §15) — and one
+# serve_mixed request with the server around it, two nodes in the
+# process, sent to the graph's owner and to the node that must forward
+# it (DESIGN.md §14).
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorRow|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkMCLHot$$' -cpu 1,2 -count 5 ./internal/mcl
 	$(GO) test -run '^$$' -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkServeGraclus$$|BenchmarkColdGraclus$$' -cpu 1,2 -count 5 ./internal/graclus
 	$(GO) test -run '^$$' -bench 'BenchmarkServeMetis$$' -cpu 1,2 -count 5 ./internal/metis
+	$(GO) test -run '^$$' -bench 'BenchmarkRoutedCluster$$' -cpu 2 -count 5 ./internal/server
 
 test-long:
 	$(GO) test ./...

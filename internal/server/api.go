@@ -9,16 +9,24 @@
 // The package splits into:
 //
 //   - api.go        — JSON wire types, shared with cmd/symcluster -json
-//   - server.go     — Server wiring, routing and lifecycle
-//   - handlers.go   — the /v1 endpoint handlers
+//   - server.go     — Server wiring, the route table, the graph registry
+//     and lifecycle
+//   - handlers.go   — the /v1 endpoint handlers, the status map and the
+//     refusal writer
+//   - upload.go     — chunked graph upload sessions
 //   - admission.go  — working-set estimation and the job byte budget
 //   - cache.go      — byte-budgeted LRU of symmetrized graphs
 //   - pool.go       — bounded worker pool with cancellation and panic
 //     isolation
-//   - jobs.go       — wire rendering of async jobs (the job table itself
-//     is internal/jobstore)
+//   - jobs.go, jobsink.go — wire rendering of async jobs and their
+//     checkpoint sink (the job table itself is internal/jobstore)
 //   - metrics.go    — counters and text exposition for /metrics
-//   - middleware.go — recovery, body limits, request accounting
+//   - middleware.go — recovery, body limits, the drain gate, request
+//     accounting
+//   - routing.go, graphpush.go, adoption.go — cluster mode: where a
+//     request is served, moving a graph to its owner, taking over a dead
+//     peer's journal
+//   - obsplane.go   — job stats, federated status, cross-node traces
 package server
 
 import (
@@ -214,18 +222,4 @@ type ClusterStatus struct {
 // ErrorResponse is the body of every non-2xx API response.
 type ErrorResponse struct {
 	Error string `json:"error"`
-}
-
-// ParseMethod maps the wire name or any registered alias of a
-// symmetrization to the library constant. Unknown names yield an error
-// listing the valid set, generated from the pipeline registry.
-func ParseMethod(name string) (symcluster.SymMethod, error) {
-	return symcluster.ParseMethod(name)
-}
-
-// ParseAlgorithm maps the wire name or any registered alias of a
-// substrate to the library constant. Unknown names yield an error
-// listing the valid set, generated from the pipeline registry.
-func ParseAlgorithm(name string) (symcluster.Algorithm, error) {
-	return symcluster.ParseAlgorithm(name)
 }

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
 	symcluster "symcluster"
 	"symcluster/internal/checkpoint"
+	"symcluster/internal/cluster"
 	"symcluster/internal/jobstore"
 	"symcluster/internal/obs"
 	"symcluster/internal/pipeline"
@@ -25,9 +27,15 @@ type apiError struct {
 }
 
 func (e *apiError) Error() string { return e.err.Error() }
+func (e *apiError) Unwrap() error { return e.err }
 
 func badRequest(format string, args ...any) error {
 	return &apiError{code: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
+}
+
+// badGateway marks a failed hop to a peer.
+func badGateway(format string, args ...any) error {
+	return &apiError{code: http.StatusBadGateway, err: fmt.Errorf(format, args...)}
 }
 
 // errShed is returned when the queued-byte watermark is reached; it
@@ -35,10 +43,23 @@ func badRequest(format string, args ...any) error {
 // distinct from the 503 of a full task channel.
 var errShed = errors.New("server: queued work over byte budget")
 
-// httpStatus maps an error from the run path to a status code.
+// errDraining refuses new work once Drain has begun.
+var errDraining = errors.New("draining")
+
+// httpStatus maps an error to a status code (DESIGN.md §9, "HTTP status
+// map"). What an error wraps outranks the code a call site gave it: an
+// open breaker is a 503, an input that does not fit a 413.
 func httpStatus(err error) int {
 	var ae *apiError
+	var boe *cluster.BreakerOpenError
+	var mbe *http.MaxBytesError
 	switch {
+	case errors.As(err, &boe), errors.Is(err, errDraining):
+		return http.StatusServiceUnavailable
+	case errors.As(err, &mbe), errors.Is(err, symcluster.ErrInputTooLarge):
+		// The body cap, or one line over the parser buffer: the input
+		// may be well-formed, it just does not fit.
+		return http.StatusRequestEntityTooLarge
 	case errors.As(err, &ae):
 		return ae.code
 	case errors.Is(err, errShed):
@@ -55,6 +76,25 @@ func httpStatus(err error) int {
 	}
 }
 
+// refuse answers a request this node will not serve: the one place an
+// error becomes a status, and the one place Retry-After is set — an open
+// breaker's remaining cooldown (rounded up to the header's one-second
+// floor), one second for any other 429 or 503 except a draining node's,
+// which is going away, not busy.
+func refuse(w http.ResponseWriter, err error) {
+	code := httpStatus(err)
+	var boe *cluster.BreakerOpenError
+	switch {
+	case errors.As(err, &boe):
+		secs := max(1, int((boe.RetryAfter+time.Second-1)/time.Second))
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	case errors.Is(err, errDraining):
+	case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
+		w.Header().Set("Retry-After", "1")
+	}
+	writeError(w, code, err)
+}
+
 // readGraphBody parses a POST /v1/graphs body into a graph: either the
 // raw edge list (the CLI interchange format: "src dst [weight]" lines)
 // or, for clients that prefer a single content type, a JSON body
@@ -67,47 +107,35 @@ func readGraphBody(r *http.Request) (*symcluster.DirectedGraph, error) {
 			Edges string `json:"edges"`
 		}
 		if derr := json.NewDecoder(r.Body).Decode(&body); derr != nil {
-			return nil, fmt.Errorf("decoding body: %w", derr)
+			return nil, badRequest("decoding body: %w", derr)
 		}
 		g, err = symcluster.ReadEdgeList(strings.NewReader(body.Edges))
 	} else {
 		g, err = symcluster.ReadEdgeList(r.Body)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("parsing edge list: %w", err)
+		return nil, badRequest("parsing edge list: %w", err)
 	}
 	if g.N() == 0 {
-		return nil, errors.New("empty graph")
+		return nil, badRequest("empty graph")
 	}
 	return g, nil
 }
 
-// graphBodyStatus maps a readGraphBody error to a status code. Size
-// rejections — the request body cap (either content type) or a single
-// line overflowing the parser buffer — are 413, not 400: the input may
-// be well-formed, it just does not fit.
-func graphBodyStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) || errors.Is(err, symcluster.ErrInputTooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
 // handleRegisterGraph ingests an edge list and registers it under a
-// content-derived id (cluster mode routes through the coordinator's
-// variant instead, which ships the graph to its owning shard).
+// content-derived id, on the shard that owns it — unless the request
+// was forwarded here, which pins it to this node (the one-hop guard).
 func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("draining"))
-		return
-	}
 	g, err := readGraphBody(r)
 	if err != nil {
-		writeError(w, graphBodyStatus(err), err)
+		refuse(w, err)
 		return
 	}
-	info := s.RegisterGraph(g)
+	info, err := s.placeGraph(r.Context(), heapGraph(g), forwarded(r))
+	if err != nil {
+		refuse(w, err)
+		return
+	}
 	writeJSON(w, http.StatusCreated, info)
 }
 
@@ -127,31 +155,21 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 // detached from the client connection (but still on the pool, so drain
 // waits for them).
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("draining"))
-		return
-	}
 	var req ClusterRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, fmt.Errorf("decoding body: %w", err))
+		refuse(w, badRequest("decoding body: %w", err))
 		return
 	}
 	idemKey := r.Header.Get("Idempotency-Key")
 	if idemKey != "" && !req.Async {
-		writeError(w, http.StatusBadRequest,
-			errors.New("Idempotency-Key requires async: true (synchronous runs return their result inline and are never retried by job id)"))
+		refuse(w, badRequest("Idempotency-Key requires async: true (synchronous runs return their result inline and are never retried by job id)"))
 		return
 	}
 	prep, err := s.prepareRun(&req)
 	if err != nil {
-		writeError(w, httpStatus(err), err)
+		refuse(w, err)
 		return
 	}
 
@@ -172,11 +190,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.logWorkerPanic(err)
-		code := httpStatus(err)
-		if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, code, err)
+		refuse(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res.(*runOutcome).Resp)
@@ -260,11 +274,7 @@ func (s *Server) startAsyncJob(w http.ResponseWriter, r *http.Request, req *Clus
 	if !existing {
 		if lerr := s.launchJob(r.Context(), job, prep); lerr != nil {
 			s.finishJob(job.ID, nil, nil, lerr)
-			code := httpStatus(lerr)
-			if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", "1")
-			}
-			writeError(w, code, lerr)
+			refuse(w, lerr)
 			return
 		}
 	}
@@ -356,14 +366,13 @@ type runOutcome struct {
 }
 
 // preparedRun is a validated, admitted request ready to submit: the
-// closure that executes it, the admission byte estimate (charged
-// against the queue watermark while it waits), whether admission
-// routed the symmetrization out-of-core, and whether any stage
-// supports kernel checkpointing (gates installing a job sink).
+// closure that executes it (out-of-core when admission routed it so),
+// the admission byte estimate (charged against the queue watermark
+// while it waits), and whether any stage supports kernel checkpointing
+// (gates installing a job sink).
 type preparedRun struct {
 	runner         func(ctx context.Context) (*runOutcome, error)
 	est            int64
-	ooc            bool
 	checkpointable bool
 }
 
@@ -442,7 +451,6 @@ func (s *Server) prepareRun(req *ClusterRequest) (*preparedRun, error) {
 			return s.runCluster(ctx, rg, sym, cl, opt, clOpt)
 		},
 		est:            est,
-		ooc:            ooc,
 		checkpointable: ckpt,
 	}, nil
 }
@@ -629,10 +637,6 @@ type healthzBody struct {
 // checkers, which shift ownership away — stop routing to this
 // instance.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("draining"))
-		return
-	}
 	body := healthzBody{
 		Status:        "ok",
 		Version:       obs.Version,

@@ -37,27 +37,15 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// instrument wraps a handler with panic recovery, a request body cap,
-// and request/latency accounting under the given route label. It is
-// applied per route so the label is the registered pattern, not the
-// raw (unbounded-cardinality) URL path. It also assigns the request a
-// process-unique request_id, installs a logger carrying it in the
-// request context (obs.Log), and installs the metrics registry so
-// kernel hooks underneath record into /metrics.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return s.instrumented(route, true, h)
-}
-
-// instrumentUncapped is instrument without the request body cap. It
-// exists for the one route that legitimately carries graph-sized
-// bodies: the peer-to-peer CSR push, whose payload was already
-// admitted (chunk by capped chunk, or under the cap) on the node now
-// forwarding it.
-func (s *Server) instrumentUncapped(route string, h http.HandlerFunc) http.HandlerFunc {
-	return s.instrumented(route, false, h)
-}
-
-func (s *Server) instrumented(route string, capped bool, h http.HandlerFunc) http.HandlerFunc {
+// instrument wraps a route's handler with panic recovery, the request
+// body cap (unless the route is uncapped), the drain gate (if the route
+// stopsOnDrain) and request/latency accounting under the route's
+// pattern — not the raw (unbounded-cardinality) URL path. It also
+// assigns the request a process-unique request_id, installs a logger
+// carrying it in the request context (obs.Log), and installs the
+// metrics registry so kernel hooks underneath record into /metrics.
+func (s *Server) instrument(rt route, h http.HandlerFunc) http.HandlerFunc {
+	route, capped := rt.pattern, rt.flags&uncapped == 0
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		reqID := "r-" + strconv.FormatInt(requestSeq.Add(1), 10)
@@ -110,6 +98,10 @@ func (s *Server) instrumented(route string, capped bool, h http.HandlerFunc) htt
 				"method", r.Method, "path", r.URL.Path,
 				"code", code, "millis", float64(time.Since(start))/float64(time.Millisecond))
 		}()
+		if rt.flags&stopsOnDrain != 0 && s.Draining() {
+			refuse(rec, errDraining)
+			return
+		}
 		h(rec, r)
 	}
 }

@@ -80,7 +80,7 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*clu
 // ownerIndex resolves which test node owns a graph id.
 func ownerIndex(t *testing.T, nodes []*clusterNode, graphID string) int {
 	t.Helper()
-	owner, ok := nodes[0].s.coord.ownerOf(graphID)
+	owner, ok := nodes[0].s.coord.ownerOf(ringKey(graphID))
 	if !ok {
 		t.Fatalf("no healthy owner for %s", graphID)
 	}

@@ -225,6 +225,8 @@ type Server struct {
 // held the matrix, and Server.Close unmaps it. ownDir, when set, is a
 // scratch directory owning the file (non-durable uploads) removed on
 // Close.
+//
+// heapGraph and openGraphFile load one; addGraph fills info and stats.
 type registeredGraph struct {
 	info        GraphInfo
 	graph       *symcluster.DirectedGraph
@@ -310,16 +312,11 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) loadGraphs() error {
 	ctx := bootContext()
 	return s.jobs.ForEachGraphFile(func(id, path string) error {
-		mp, err := csr.Open(ctx, path)
+		rg, err := openGraphFile(ctx, path)
 		if err != nil {
 			return fmt.Errorf("reloading graph %s: %w", id, err)
 		}
-		g, err := symcluster.NewDirectedGraph(mp.View(), nil)
-		if err != nil {
-			mp.Close()
-			return fmt.Errorf("reloading graph %s: %w", id, err)
-		}
-		s.addGraph(g, g.Fingerprint(), path, mp, "")
+		s.addGraph(rg)
 		return nil
 	})
 }
@@ -365,45 +362,52 @@ func (s *Server) log() *slog.Logger {
 	return slog.Default()
 }
 
+// routeTable is the whole HTTP surface, one row per pattern: the
+// handler, how the node that serves a request is found (nil: always
+// this one; see routing.go) and the route's flags.
+func (s *Server) routeTable() []route {
+	var local *owner
+	graphBody := &owner{by: graphInBody}
+	graphPath := &owner{by: graphInPath, localFirst: true}
+	job := &owner{by: idSuffix, noun: "job", adoptable: true,
+		ifDown: "failover in progress — retry shortly"}
+	upload := &owner{by: idSuffix, noun: "upload",
+		ifDown: "if it stays down, abort and restart the upload"}
+	return []route{
+		// A new graph's owner is unknown until its body is parsed, so
+		// registration and finalize place it themselves (placeGraph).
+		{"POST /v1/graphs", s.handleRegisterGraph, local, stopsOnDrain},
+		{"GET /v1/graphs/{id}", s.handleGetGraph, graphPath, 0},
+		{"POST /v1/graphs/uploads", s.handleUploadCreate, local, stopsOnDrain},
+		{"POST /v1/graphs/uploads/{id}", s.handleUploadAppend, upload, 0},
+		{"POST /v1/graphs/uploads/{id}/finalize", s.handleUploadFinalize, upload, 0},
+		{"DELETE /v1/graphs/uploads/{id}", s.handleUploadAbort, upload, 0},
+		{"POST /v1/cluster", s.handleCluster, graphBody, stopsOnDrain},
+		{"GET /v1/jobs/{id}", s.handleGetJob, job, 0},
+		{"GET /v1/jobs/{id}/trace", s.handleJobTrace, job, 0},
+		{"GET /v1/jobs/{id}/stats", s.handleJobStats, job, 0},
+		{"GET /v1/cluster/status", s.handleClusterStatus, local, 0},
+		{"GET /healthz", s.handleHealthz, local, stopsOnDrain},
+		{"GET /metrics", s.handleMetrics, local, 0},
+		{"GET " + internalStatusPath, s.handleInternalStatus, local, peerOnly},
+		{"GET " + internalTracesPrefix + "{id}", s.handleInternalTraces, local, peerOnly},
+		{"PUT " + internalCSRPath, s.handleInternalGraphCSR, local, peerOnly | uncapped},
+	}
+}
+
+// routes mounts the table. A single node mounts the handlers as they
+// are; a cluster member wraps the rows another shard may own.
 func (s *Server) routes() {
-	route := func(pattern string, h http.HandlerFunc) {
-		s.mux.HandleFunc(pattern, s.instrument(pattern, h))
+	for _, rt := range s.routeTable() {
+		h := rt.handler
+		if s.coord == nil && rt.flags&peerOnly != 0 {
+			continue
+		}
+		if s.coord != nil && rt.owner != nil {
+			h = s.coord.route(rt)
+		}
+		s.mux.HandleFunc(rt.pattern, s.instrument(rt, h))
 	}
-	if c := s.coord; c != nil {
-		// Cluster mode: the public surface is identical, but requests
-		// whose state lives on another shard take one forwarded hop to
-		// it (see proxy.go). The internal CSR route receives whole
-		// graphs from peers, so it is exempt from the request body cap.
-		route("POST /v1/graphs", c.handleRegisterGraph)
-		route("GET /v1/graphs/{id}", c.wrapGraphGet(s.handleGetGraph))
-		route("POST /v1/graphs/uploads", s.handleUploadCreate)
-		route("POST /v1/graphs/uploads/{id}", c.wrapUpload(s.handleUploadAppend))
-		route("POST /v1/graphs/uploads/{id}/finalize", c.wrapUpload(s.handleUploadFinalize))
-		route("DELETE /v1/graphs/uploads/{id}", c.wrapUpload(s.handleUploadAbort))
-		route("POST /v1/cluster", c.wrapCluster(s.handleCluster))
-		route("GET /v1/jobs/{id}", c.wrapJob(s.handleGetJob))
-		route("GET /v1/jobs/{id}/trace", c.wrapJob(s.handleJobTrace))
-		route("GET /v1/jobs/{id}/stats", c.wrapJob(s.handleJobStats))
-		route("GET /v1/cluster/status", s.handleClusterStatus)
-		route("GET "+internalStatusPath, s.handleInternalStatus)
-		route("GET "+internalTracesPrefix+"{id}", s.handleInternalTraces)
-		s.mux.HandleFunc("PUT "+internalCSRPath,
-			s.instrumentUncapped("PUT "+internalCSRPath, c.handleInternalGraphCSR))
-	} else {
-		route("POST /v1/graphs", s.handleRegisterGraph)
-		route("GET /v1/graphs/{id}", s.handleGetGraph)
-		route("POST /v1/graphs/uploads", s.handleUploadCreate)
-		route("POST /v1/graphs/uploads/{id}", s.handleUploadAppend)
-		route("POST /v1/graphs/uploads/{id}/finalize", s.handleUploadFinalize)
-		route("DELETE /v1/graphs/uploads/{id}", s.handleUploadAbort)
-		route("POST /v1/cluster", s.handleCluster)
-		route("GET /v1/jobs/{id}", s.handleGetJob)
-		route("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-		route("GET /v1/jobs/{id}/stats", s.handleJobStats)
-		route("GET /v1/cluster/status", s.handleClusterStatus)
-	}
-	route("GET /healthz", s.handleHealthz)
-	route("GET /metrics", s.handleMetrics)
 }
 
 // Handler returns the HTTP handler tree.
@@ -473,14 +477,7 @@ func (s *Server) Close() error {
 
 	s.graphMu.Lock()
 	for _, rg := range s.graphs {
-		if rg.mapped != nil {
-			rg.mapped.Close()
-			rg.mapped = nil
-		}
-		if rg.ownDir != "" {
-			os.RemoveAll(rg.ownDir)
-			rg.ownDir = ""
-		}
+		rg.release()
 	}
 	s.graphMu.Unlock()
 
@@ -497,70 +494,100 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // durable mode its binary CSR is persisted under the data dir so
 // replayed jobs find their graph after a restart.
 func (s *Server) RegisterGraph(g *symcluster.DirectedGraph) GraphInfo {
-	return s.registerGraph(g, true)
+	return s.install(heapGraph(g))
 }
 
-func (s *Server) registerGraph(g *symcluster.DirectedGraph, persist bool) GraphInfo {
-	fp := g.Fingerprint()
-	var csrPath string
-	if persist && s.jobs.Durable() {
-		id := fmt.Sprintf("g-%016x", fp)
+// heapGraph loads a parsed graph, making the one full pass over it
+// that its fingerprint costs.
+func heapGraph(g *symcluster.DirectedGraph) *registeredGraph {
+	return &registeredGraph{graph: g, fingerprint: g.Fingerprint()}
+}
+
+// openGraphFile loads a binary CSR file by memory-mapping it — the
+// adjacency never touches the heap — once its CRCs check out.
+func openGraphFile(ctx context.Context, path string) (*registeredGraph, error) {
+	mp, err := csr.Open(ctx, path)
+	if err != nil {
+		return nil, err
+	}
+	g, err := symcluster.NewDirectedGraph(mp.View(), nil)
+	if err != nil {
+		mp.Close()
+		return nil, err
+	}
+	return &registeredGraph{graph: g, fingerprint: g.Fingerprint(), csrPath: path, mapped: mp}, nil
+}
+
+// release drops what a graph holds outside the heap: its mapping, and
+// the scratch directory owning its file.
+func (rg *registeredGraph) release() {
+	if rg.mapped != nil {
+		rg.mapped.Close()
+		rg.mapped = nil
+	}
+	if rg.ownDir != "" {
+		os.RemoveAll(rg.ownDir)
+		rg.ownDir = ""
+	}
+}
+
+// install registers a loaded graph on this node. In durable mode its
+// binary CSR first reaches the store: a heap graph is written there, a
+// mapped file moved in (the rename keeps the inode, so the live mapping
+// stays valid — even when a content-identical file already sits there
+// and ours is unlinked instead) and its scratch directory dropped.
+func (s *Server) install(rg *registeredGraph) GraphInfo {
+	if s.jobs.Durable() {
+		id := graphID(rg.fingerprint)
+		var err error
 		path := s.jobs.GraphCSRPath(id)
-		if err := csr.WriteMatrix(bootContext(), path, g.Adj); err != nil {
+		if rg.mapped == nil {
+			err = csr.WriteMatrix(bootContext(), path, rg.graph.Adj)
+		} else if path, err = s.jobs.AdoptGraphFile(id, rg.csrPath); err == nil {
+			os.RemoveAll(rg.ownDir)
+			rg.ownDir = ""
+		}
+		if err != nil {
 			s.log().Error("persisting graph", "graph", id, "err", err)
 		} else {
-			csrPath = path
+			rg.csrPath = path
 		}
 	}
-	return s.addGraph(g, fp, csrPath, nil, "")
+	return s.addGraph(rg)
 }
 
-// addGraph installs one graph in the registry under the id derived from
-// fp, its Fingerprint() — a full pass over the graph, which the callers
-// that persist it have made already. When the id is already registered
-// the existing entry wins — the content is identical by construction —
-// and a newly mapped duplicate is released (its scratch too) rather than
-// swapped under running jobs.
-func (s *Server) addGraph(g *symcluster.DirectedGraph, fp uint64, csrPath string, mp *csr.Mapped, ownDir string) GraphInfo {
-	id := fmt.Sprintf("g-%016x", fp)
-	info := GraphInfo{
+// addGraph puts one loaded graph in the registry under the id derived
+// from its fingerprint. When the id is already registered the existing
+// entry wins — the content is identical by construction — and a newly
+// mapped duplicate is released (its scratch too) rather than swapped
+// under running jobs.
+func (s *Server) addGraph(rg *registeredGraph) GraphInfo {
+	id := graphID(rg.fingerprint)
+	rg.info = GraphInfo{
 		ID:                id,
-		Nodes:             g.N(),
-		Edges:             g.M(),
-		SymmetricFraction: g.SymmetricLinkFraction(),
+		Nodes:             rg.graph.N(),
+		Edges:             rg.graph.M(),
+		SymmetricFraction: rg.graph.SymmetricLinkFraction(),
 	}
 	s.graphMu.Lock()
 	if prev, ok := s.graphs[id]; ok {
-		if prev.csrPath == "" && csrPath != "" {
+		if prev.csrPath == "" && rg.csrPath != "" {
 			// Same graph, but now it has a file: remember it so future
 			// jobs can run out-of-core against it.
-			prev.csrPath = csrPath
+			prev.csrPath = rg.csrPath
 			if prev.mapped == nil {
-				prev.mapped, prev.ownDir = mp, ownDir
-				mp, ownDir = nil, ""
+				prev.mapped, prev.ownDir = rg.mapped, rg.ownDir
+				rg.mapped, rg.ownDir = nil, ""
 			}
 		}
-		info = prev.info
 		s.graphMu.Unlock()
-		if mp != nil {
-			mp.Close()
-		}
-		if ownDir != "" {
-			os.RemoveAll(ownDir)
-		}
-		return info
+		rg.release()
+		return prev.info
 	}
-	s.graphs[id] = &registeredGraph{
-		info:        info,
-		graph:       g,
-		fingerprint: fp,
-		stats:       pipeline.StatsFor(g),
-		csrPath:     csrPath,
-		mapped:      mp,
-		ownDir:      ownDir,
-	}
+	rg.stats = pipeline.StatsFor(rg.graph)
+	s.graphs[id] = rg
 	s.graphMu.Unlock()
-	return info
+	return rg.info
 }
 
 // lookupGraph fetches a registered graph by id.

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	symcluster "symcluster"
 	"symcluster/internal/csr"
 )
 
@@ -38,9 +37,8 @@ import (
 
 // uploadSession is one in-flight chunked upload.
 type uploadSession struct {
-	id      string
-	dir     string // scratch dir owning ingest state and the finalized file
-	created time.Time
+	id  string
+	dir string // scratch dir owning ingest state and the finalized file
 
 	// lastActive is the unix-nano time of the last client request against
 	// the session; the TTL sweeper reaps sessions idle past -upload-ttl
@@ -71,10 +69,6 @@ func (sess *uploadSession) abort() {
 
 // handleUploadCreate opens a session: POST /v1/graphs/uploads.
 func (s *Server) handleUploadCreate(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("draining"))
-		return
-	}
 	dir, err := os.MkdirTemp(s.cfg.SpillDir, "symclusterd-upload-*")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("creating upload scratch: %w", err))
@@ -87,10 +81,9 @@ func (s *Server) handleUploadCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := &uploadSession{
-		id:      "u-" + strconv.FormatInt(s.uploadSeq.Add(1), 10),
-		dir:     dir,
-		created: time.Now(),
-		ing:     ing,
+		id:  "u-" + strconv.FormatInt(s.uploadSeq.Add(1), 10),
+		dir: dir,
+		ing: ing,
 	}
 	sess.touch()
 	s.uploadMu.Lock()
@@ -134,7 +127,7 @@ func (s *Server) handleUploadAppend(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if err := sess.usableLocked(); err != nil {
-		writeError(w, httpStatus(err), err)
+		refuse(w, err)
 		return
 	}
 	buf := make([]byte, 256*1024)
@@ -146,11 +139,7 @@ func (s *Server) handleUploadAppend(w http.ResponseWriter, r *http.Request) {
 				// already hold edges in arrival order, so there is no way
 				// to un-append. The client aborts and restarts.
 				sess.failed = aerr
-				code := http.StatusBadRequest
-				if errors.Is(aerr, symcluster.ErrInputTooLarge) {
-					code = http.StatusRequestEntityTooLarge
-				}
-				writeError(w, code, fmt.Errorf("ingesting chunk: %w", aerr))
+				refuse(w, badRequest("ingesting chunk: %w", aerr))
 				return
 			}
 		}
@@ -203,76 +192,44 @@ func (s *Server) handleUploadFinalize(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if err := sess.usableLocked(); err != nil {
-		writeError(w, httpStatus(err), err)
+		refuse(w, err)
 		return
 	}
 	sess.done = true
 	s.dropUpload(sess.id)
 
-	fail := func(code int, err error) {
-		os.RemoveAll(sess.dir)
-		sess.dir = ""
-		writeError(w, code, err)
-	}
+	// From here the session's scratch directory belongs to this request:
+	// removed on failure, otherwise handed on with the graph.
+	dir := sess.dir
+	sess.dir = ""
 	ctx := r.Context()
-	dst := filepath.Join(sess.dir, "graph.csr")
+	dst := filepath.Join(dir, "graph.csr")
 	info, err := sess.ing.Finalize(ctx, dst)
 	if err != nil {
-		fail(http.StatusBadRequest, fmt.Errorf("finalizing upload: %w", err))
+		os.RemoveAll(dir)
+		refuse(w, badRequest("finalizing upload: %w", err))
 		return
 	}
-	mp, err := csr.Open(ctx, dst)
+	rg, err := openGraphFile(ctx, dst)
 	if err != nil {
-		fail(http.StatusInternalServerError, fmt.Errorf("mapping ingested graph: %w", err))
+		os.RemoveAll(dir)
+		refuse(w, &apiError{code: http.StatusInternalServerError, err: fmt.Errorf("mapping ingested graph: %w", err)})
 		return
 	}
-	g, err := symcluster.NewDirectedGraph(mp.View(), nil)
-	if err != nil {
-		mp.Close()
-		fail(http.StatusInternalServerError, fmt.Errorf("wrapping ingested graph: %w", err))
-		return
-	}
+	rg.ownDir = dir
 
 	// In cluster mode the fingerprint — unknowable until the merge just
-	// now — may place the graph on another shard. Ship the finished CSR
-	// file to its owner so cache and WAL locality hold; the result is
-	// the same UploadResult the client would have gotten locally. This
-	// applies to forwarded finalizes too: the hop here was upload-id
+	// now — may place the graph on another shard, and the finished CSR
+	// file is shipped to its owner so cache and WAL locality hold. A
+	// forwarded finalize is not pinned here: that hop was upload-id
 	// affinity (back to the session's creator), not graph ownership, so
 	// the creator still owes the relocation. No loop risk: the push
 	// lands on the internal CSR endpoint, which registers locally.
-	if c := s.coord; c != nil {
-		id := fmt.Sprintf("g-%016x", g.Fingerprint())
-		owner, ok := c.ownerOf(id)
-		if !ok {
-			mp.Close()
-			w.Header().Set("Retry-After", "1")
-			fail(http.StatusServiceUnavailable,
-				fmt.Errorf("no healthy node owns graph %s; retry finalize shortly", id))
-			return
-		}
-		if owner.Name != c.self.Name {
-			mp.Close() // the push reads the file; the mapping is not needed
-			ginfo, code, perr := c.pushGraph(ctx, owner, dst)
-			if perr != nil {
-				fail(code, perr)
-				return
-			}
-			os.RemoveAll(sess.dir)
-			sess.dir = ""
-			writeJSON(w, http.StatusCreated, UploadResult{
-				Graph:       ginfo,
-				Edges:       info.Edges,
-				BytesIn:     info.BytesIn,
-				SpillRuns:   info.SpillRuns,
-				MergedBytes: info.MergedBytes,
-			})
-			return
-		}
+	ginfo, err := s.placeGraph(ctx, rg, false)
+	if err != nil {
+		refuse(w, err)
+		return
 	}
-
-	ginfo := s.registerMappedCSR(g, mp, dst, sess.dir)
-	sess.dir = "" // ownership moved to the graph registry (or the store)
 	writeJSON(w, http.StatusCreated, UploadResult{
 		Graph:       ginfo,
 		Edges:       info.Edges,
@@ -280,29 +237,6 @@ func (s *Server) handleUploadFinalize(w http.ResponseWriter, r *http.Request) {
 		SpillRuns:   info.SpillRuns,
 		MergedBytes: info.MergedBytes,
 	})
-}
-
-// registerMappedCSR registers an already-mapped on-disk CSR graph,
-// moving the file into the durable store when one is configured (the
-// rename preserves the inode, so the live mapping stays valid at the
-// new path — and even when a content-identical file already sits there
-// and ours is unlinked instead). ownDir is the scratch directory the
-// file currently lives in; the graph registry takes ownership of it
-// unless the store adoption made it redundant.
-func (s *Server) registerMappedCSR(g *symcluster.DirectedGraph, mp *csr.Mapped, csrPath, ownDir string) GraphInfo {
-	fp := g.Fingerprint()
-	if s.jobs.Durable() {
-		id := fmt.Sprintf("g-%016x", fp)
-		adopted, aerr := s.jobs.AdoptGraphFile(id, csrPath)
-		if aerr != nil {
-			s.log().Error("persisting graph", "graph", id, "err", aerr)
-		} else {
-			csrPath = adopted
-			os.RemoveAll(ownDir)
-			ownDir = ""
-		}
-	}
-	return s.addGraph(g, fp, csrPath, mp, ownDir)
 }
 
 // sweepUploads periodically reaps upload sessions idle past UploadTTL,

@@ -73,6 +73,49 @@ func mentions(n ast.Node, subs ...string) (found bool) {
 	return found
 }
 
+// headerSet reports the header name of a call that sets or adds a
+// literal-named header: x.Header.Set("Name", …) or x.Header().Add(…).
+func headerSet(n ast.Node) (string, bool) {
+	c, ok := n.(*ast.CallExpr)
+	if !ok || len(c.Args) == 0 {
+		return "", false
+	}
+	fun, ok := c.Fun.(*ast.SelectorExpr)
+	if !ok || (fun.Sel.Name != "Set" && fun.Sel.Name != "Add") {
+		return "", false
+	}
+	recv := fun.X
+	if call, isCall := recv.(*ast.CallExpr); isCall {
+		recv = call.Fun
+	}
+	hdr, ok := recv.(*ast.SelectorExpr)
+	key, isLit := c.Args[0].(*ast.BasicLit)
+	if !ok || hdr.Sel.Name != "Header" || !isLit || key.Kind != token.STRING {
+		return "", false
+	}
+	name, _ := strconv.Unquote(key.Value)
+	return name, true
+}
+
+// outside turns "node inside" into "function other than fn containing
+// node": the match of a rule that confines a call to one function.
+func outside(fn string, inside func(ast.Node) bool) func(ast.Node) bool {
+	return func(n ast.Node) (found bool) {
+		decl, ok := n.(*ast.FuncDecl)
+		if !ok || decl.Name.Name == fn || decl.Body == nil {
+			return false
+		}
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
+			found = found || (n != nil && inside(n))
+			return !found
+		})
+		return found
+	}
+}
+
+// inServer scopes a rule to the non-test files of internal/server.
+func inServer(f string) bool { return !isTest(f) && under(f, "internal/server") }
+
 var sourceRules = []sourceRule{
 	{
 		why: "switch over Method/Algorithm outside internal/pipeline: the registry is the single " +
@@ -135,21 +178,8 @@ var sourceRules = []sourceRule{
 			"cannot fork (DESIGN.md §16)",
 		applies: func(f string) bool { return !isTest(f) && !under(f, "internal/cluster") },
 		match: func(n ast.Node) bool {
-			c, ok := n.(*ast.CallExpr)
-			if !ok || len(c.Args) == 0 {
-				return false
-			}
-			fun, ok := c.Fun.(*ast.SelectorExpr)
-			if !ok || (fun.Sel.Name != "Set" && fun.Sel.Name != "Add") {
-				return false
-			}
-			recv, ok := fun.X.(*ast.SelectorExpr)
-			key, isLit := c.Args[0].(*ast.BasicLit)
-			if !ok || recv.Sel.Name != "Header" || !isLit || key.Kind != token.STRING {
-				return false
-			}
-			name, _ := strconv.Unquote(key.Value)
-			return strings.HasPrefix(name, "X-Symclusterd-") || strings.EqualFold(name, "traceparent")
+			name, ok := headerSet(n)
+			return ok && (strings.HasPrefix(name, "X-Symclusterd-") || strings.EqualFold(name, "traceparent"))
 		},
 	},
 	{
@@ -160,6 +190,38 @@ var sourceRules = []sourceRule{
 			return !isTest(f) && under(f, "internal/server", "internal/cluster") && path.Base(f) != "bootctx.go"
 		},
 		match: func(n ast.Node) bool { return call(n, "context", "Background") },
+	},
+	{
+		why: "Retry-After set outside refuse in internal/server: one function turns an error into a " +
+			"status and decides whether the client is told to come back (DESIGN.md §9, \"HTTP status map\")",
+		applies: inServer,
+		match: outside("refuse", func(n ast.Node) bool {
+			name, ok := headerSet(n)
+			return ok && strings.EqualFold(name, "Retry-After")
+		}),
+	},
+	{
+		why: "csr.Open outside openGraphFile in internal/server: a binary CSR file becomes a graph — " +
+			"mapped, wrapped, fingerprinted once, unmapped on failure — in one place (DESIGN.md §14)",
+		applies: inServer,
+		match:   outside("openGraphFile", func(n ast.Node) bool { return call(n, "csr", "Open") }),
+	},
+	{
+		why: "ring.Owner outside ownerOf in internal/server: every ownership question — a graph's shard, " +
+			"a dead peer's adopter — is asked with the same health view (DESIGN.md §14)",
+		applies: inServer,
+		match: outside("ownerOf", func(n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			fun, ok := c.Fun.(*ast.SelectorExpr)
+			if !ok || fun.Sel.Name != "Owner" {
+				return false
+			}
+			recv, ok := fun.X.(*ast.SelectorExpr)
+			return ok && recv.Sel.Name == "ring"
+		}),
 	},
 	{
 		why: "container/heap in a clustering kernel: its Push and Pop box every item into an " +
