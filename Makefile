@@ -32,9 +32,10 @@ vet:
 # propagation headers only through the cluster client, no stray
 # context.Background(), no production call to the sparse-product oracle,
 # no Workers field reachable from pipeline.SymOptions, no container/heap
-# in a clustering kernel, and in internal/server Retry-After set only by
-# refuse, csr.Open called only by openGraphFile, ring.Owner only by
-# ownerOf — are one Go test over the parsed packages
+# in a clustering kernel, a pipeline stage run only by pipeline.Run.Execute
+# and the named single-stage helpers, and in internal/server Retry-After
+# set only by refuse, csr.Open called only by openGraphFile, ring.Owner
+# only by ownerOf — are one Go test over the parsed packages
 # (lint_test.go), so plain `go test ./...` enforces them too; each
 # failure names the rule and its DESIGN.md section.
 lint:

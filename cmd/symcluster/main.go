@@ -107,6 +107,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// The request, in the daemon's own wire form: -server mode ships it,
+	// a local run resolves it through the same pipeline.Resolve the
+	// daemon uses.
+	req := server.ClusterRequest{
+		Method:    *method,
+		Algorithm: *algo,
+		K:         *k,
+		Alpha:     alpha,
+		Beta:      beta,
+		Threshold: *threshold,
+		Inflation: *inflation,
+		Seed:      *seed,
+	}
+
+	// One context for everything the run computes or waits for: the
+	// deadline holds for a -server round trip, for -local and for the
+	// side outputs as much as for the two stages.
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+
 	if *serverURL != "" {
 		// Server mode ships the graph and the request to a symclusterd
 		// instance; everything that needs the graph in this process is
@@ -124,18 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
-		req := server.ClusterRequest{
-			GraphID:   "", // filled after registration
-			Method:    *method,
-			Algorithm: *algo,
-			K:         *k,
-			Alpha:     alpha,
-			Beta:      beta,
-			Threshold: *threshold,
-			Inflation: *inflation,
-			Seed:      *seed,
-		}
-		return runServer(stdout, stderr, *serverURL, *in, req, *retries, *retryMaxWait, *timeout, *jsonOut)
+		return runServer(ctx, stdout, stderr, *serverURL, *in, req, *retries, *retryMaxWait, *jsonOut)
 	}
 
 	if *cpuProfile != "" {
@@ -174,31 +187,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "symcluster: read %d nodes, %d edges (%.1f%% symmetric)\n",
 		g.N(), g.M(), 100*g.SymmetricLinkFraction())
 
-	sym, err := pipeline.LookupSymmetrizer(*method)
-	if err != nil {
-		fmt.Fprintf(stderr, "symcluster: %v\n", err)
-		return 2
-	}
-	cl, err := pipeline.LookupClusterer(*algo)
-	if err != nil {
-		fmt.Fprintf(stderr, "symcluster: %v\n", err)
-		return 2
-	}
-
-	opt := symcluster.DefaultSymmetrizeOptions()
-	opt.Alpha = *alpha
-	opt.Beta = *beta
-	opt.Threshold = *threshold
-	clOpt := symcluster.ClusterOptions{
-		TargetClusters: *k,
-		Inflation:      *inflation,
-		Seed:           *seed,
+	if *outOfCore {
+		// Like the deadline, the routing holds off the main path too.
+		ctx = symcluster.WithOutOfCore(ctx, symcluster.OutOfCoreConfig{ScratchDir: *spillDir})
 	}
 
 	// Local mode: one cluster around a seed, printed as a node list. It
 	// always needs the symmetrized graph, whatever -algo says.
 	if *localSeed >= 0 {
-		u, err := sym.Run(context.Background(), g, opt)
+		u, err := symmetrizeOnly(ctx, g, req.Spec())
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -221,34 +218,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	run, err := pipeline.Resolve(req.Spec(), g.N())
+	if err != nil {
+		fmt.Fprintf(stderr, "symcluster: %v\n", err)
+		return 2
+	}
+
 	// Trace the run when anything will consume the span tree: -json
 	// embeds it, -trace-log appends it as one JSON line. Otherwise the
 	// context carries no trace and every span call is a no-op.
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	if *outOfCore {
-		ctx = symcluster.WithOutOfCore(ctx, symcluster.OutOfCoreConfig{ScratchDir: *spillDir})
-	}
+	runCtx := ctx
 	var tr *obs.Trace
 	var root *obs.Span
 	var js *obs.JobStats
 	if *jsonOut || *traceLog != "" {
 		tr = obs.NewTrace()
-		ctx, root = tr.StartRoot(ctx, "run",
+		runCtx, root = tr.StartRoot(ctx, "run",
 			obs.A("input", *in), obs.A("method", *method), obs.A("algorithm", *algo))
 	}
 	if *jsonOut {
 		// -json embeds the same per-run resource accounting the daemon
 		// journals for async jobs (stage wall/CPU/allocation, spill).
 		js = obs.NewJobStats()
-		ctx = obs.WithJobStats(ctx, js)
+		runCtx = obs.WithJobStats(runCtx, js)
 	}
 
-	res, u, trace, err := pipeline.Execute(ctx, g, sym, opt, cl, clOpt)
+	res, u, trace, err := run.Execute(runCtx, g, nil)
 	if tr != nil {
 		root.EndErr(err)
 		trace.Spans = tr.Tree()
@@ -268,26 +263,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if trace.Symmetrizer != "" {
 		fmt.Fprintf(stderr, "symcluster: symmetrized (%s) to %d undirected edges in %.2fs\n",
-			sym.Display(), u.M(), trace.SymmetrizeMillis/1000)
+			run.Sym.Display(), u.M(), trace.SymmetrizeMillis/1000)
 	} else {
 		fmt.Fprintf(stderr, "symcluster: %s clusters the directed graph; symmetrize stage skipped\n",
-			cl.Display())
+			run.Cl.Display())
 	}
+	side := u
 	if u == nil && (*stats || *metisOut != "") {
 		// The side outputs describe the symmetrized graph, which the
 		// directed substrates never build; produce it just for them.
-		u2, serr := sym.Run(context.Background(), g, opt)
-		if serr != nil {
-			return fail(stderr, serr)
-		}
-		if err := writeSideOutputs(stderr, u2, *stats, *metisOut); err != nil {
+		if side, err = symmetrizeOnly(ctx, g, req.Spec()); err != nil {
 			return fail(stderr, err)
 		}
-	} else if err := writeSideOutputs(stderr, u, *stats, *metisOut); err != nil {
+	}
+	if err := writeSideOutputs(stderr, side, *stats, *metisOut); err != nil {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stderr, "symcluster: clustered (%s) into %d clusters in %.2fs\n",
-		cl.Display(), res.K, trace.ClusterMillis/1000)
+		run.Cl.Display(), res.K, trace.ClusterMillis/1000)
 
 	var avgF *float64
 	if *truthPath != "" {
@@ -310,25 +303,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	w := bufio.NewWriter(stdout)
 	if *jsonOut {
-		// The same schema symclusterd serves from POST /v1/cluster, with
-		// the registry's canonical names, so scripted pipelines can swap
-		// between CLI and service.
-		resp := server.ClusterResponse{
-			Method:           trace.Symmetrizer,
-			Algorithm:        trace.Clusterer,
-			Nodes:            g.N(),
-			K:                res.K,
-			Assign:           res.Assign,
-			SymmetrizeMillis: trace.SymmetrizeMillis,
-			ClusterMillis:    trace.ClusterMillis,
-			Trace:            trace,
-			Stats:            js.Snapshot(),
-			AvgF:             avgF,
-		}
-		if u != nil {
-			resp.Nodes = u.N()
-			resp.UndirectedEdges = u.M()
-		}
+		// The same schema symclusterd serves from POST /v1/cluster, from
+		// the same constructor, so scripted pipelines can swap between
+		// CLI and service.
+		resp := server.NewClusterResponse("", res, u, trace, js.Snapshot())
+		resp.AvgF = avgF
 		enc := json.NewEncoder(w)
 		enc.SetEscapeHTML(false)
 		if err := enc.Encode(resp); err != nil {
@@ -355,7 +334,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // remaining budget on every request (X-Symclusterd-Deadline-Ms), so
 // the daemon fast-fails work this caller would never wait for — and
 // the client itself refuses retry sleeps that would outlive the run.
-func runServer(stdout, stderr io.Writer, baseURL, in string, req server.ClusterRequest, retries int, maxWait, timeout time.Duration, jsonOut bool) int {
+func runServer(ctx context.Context, stdout, stderr io.Writer, baseURL, in string, req server.ClusterRequest, retries int, maxWait time.Duration, jsonOut bool) int {
 	baseURL = strings.TrimRight(baseURL, "/")
 	cli := cluster.NewClient(cluster.ClientConfig{
 		MaxAttempts: retries,
@@ -364,13 +343,6 @@ func runServer(stdout, stderr io.Writer, baseURL, in string, req server.ClusterR
 			fmt.Fprintf(stderr, "symcluster: retrying: %s\n", reason)
 		},
 	})
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
 	data, err := os.ReadFile(in)
 	if err != nil {
 		return fail(stderr, err)
@@ -447,6 +419,21 @@ func doJSON(cli *cluster.Client, ctx context.Context, url string, hdr http.Heade
 		return nil, resp.StatusCode, fmt.Errorf("%s answered %d: %s", url, resp.StatusCode, msg)
 	}
 	return raw, resp.StatusCode, nil
+}
+
+// symmetrizeOnly produces the symmetrized graph outside the two-stage
+// run — for -local, and for the side outputs of a substrate that never
+// builds it — with the options the request resolves to.
+func symmetrizeOnly(ctx context.Context, g *symcluster.DirectedGraph, spec pipeline.Request) (*symcluster.UndirectedGraph, error) {
+	m, err := symcluster.ParseMethod(spec.Method)
+	if err != nil {
+		return nil, err
+	}
+	opt := spec.SymOptions()
+	if err := symcluster.ValidateSymmetrizeOptions(m, opt); err != nil {
+		return nil, err
+	}
+	return symcluster.SymmetrizeCtx(ctx, g, m, opt)
 }
 
 // writeSideOutputs handles -stats and -metisout for a symmetrized

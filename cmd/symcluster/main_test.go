@@ -363,3 +363,29 @@ func TestCLIUnknownNamesExitTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestCLITimeoutReachesOffPathSymmetrization holds -timeout over the
+// symmetrizations the CLI runs outside the two-stage pipeline: -local,
+// and the -stats side output of a substrate that never builds the
+// symmetrized graph. An expired deadline must fail the run, not be
+// ignored.
+func TestCLITimeoutReachesOffPathSymmetrization(t *testing.T) {
+	dir := t.TempDir()
+	edgePath := filepath.Join(dir, "figure1.edges")
+	if err := os.WriteFile(edgePath, []byte(figure1Edges), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{
+		{"-local", "0"},
+		{"-algo", "bestwcut", "-k", "3", "-stats"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-in", edgePath, "-timeout", "1ns"}, extra...)
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Fatalf("%v: exit %d, want 1\nstderr: %s", extra, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), context.DeadlineExceeded.Error()) {
+			t.Fatalf("%v: stderr %q does not report the deadline", extra, stderr.String())
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package symcluster_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -88,7 +89,9 @@ func TestSpectralBaselinesOnFrameworkData(t *testing.T) {
 	}
 	for name, run := range map[string]func() (*symcluster.Clustering, error){
 		"bestwcut": func() (*symcluster.Clustering, error) { return symcluster.BestWCut(cit.Graph, 8, 24) },
-		"zhou":     func() (*symcluster.Clustering, error) { return symcluster.ZhouSpectral(cit.Graph, 8, 24) },
+		"zhou": func() (*symcluster.Clustering, error) {
+			return symcluster.ZhouSpectralCtx(context.Background(), cit.Graph, 8, 24)
+		},
 	} {
 		res, err := run()
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"symcluster/internal/graph"
 	"symcluster/internal/leakcheck"
-	"symcluster/internal/matrix"
 )
 
 // countingCtx cancels after a fixed number of Err polls, pinning
@@ -53,13 +52,11 @@ func TestProductCtxCancelledMidProduct(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for name, kernel := range map[string]func(context.Context, *matrix.CSR, Options) (*matrix.CSR, error){
-			"bib": SymmetrizeBibliometricCtx, "dd": SymmetrizeDegreeDiscountedCtx,
-		} {
-			t.Run(fmt.Sprintf("%s/procs=%d", name, procs), func(t *testing.T) {
+		for _, m := range []Method{Bibliometric, DegreeDiscounted} {
+			t.Run(fmt.Sprintf("%v/procs=%d", m, procs), func(t *testing.T) {
 				leakcheck.Guard(t)
 				ctx := &countingCtx{Context: context.Background(), after: 1}
-				u, err := kernel(ctx, a, Defaults())
+				u, err := symmetrizeAdj(ctx, a, m, Defaults(), nil)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
@@ -75,7 +72,7 @@ func TestRandomWalkCtxCancelledMidPowerIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randomDirected(rng, 200, 6)
 	ctx := &countingCtx{Context: context.Background(), after: 2}
-	u, err := SymmetrizeRandomWalkCtx(ctx, a, 0)
+	u, err := symmetrizeRandomWalk(ctx, a, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

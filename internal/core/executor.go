@@ -6,56 +6,63 @@ import (
 	"symcluster/internal/matrix"
 )
 
-// runPlan lowers a symmetrization plan to one of two execution
-// strategies sharing the same arithmetic:
+// runPlan lowers a symmetrization plan. Where the operands live is
+// carried by s, and the arithmetic does not depend on it:
 //
-//   - In-core (s == nil): the fused kernels of internal/matrix consume
+//   - In core (s == nil) the fused kernels of internal/matrix consume
 //     the heap-resident adjacency and one shared heap transpose; the
 //     diagonal scalings and prune threshold fold into the tiled SpGEMM
 //     accumulator loop, so no scaled factor matrix is ever
-//     materialised, and mirrors go through the triangle-and-mirror
-//     helper instead of a full transpose.
+//     materialised.
 //
-//   - Out-of-core (s != nil): the adjacency and its transpose live in
-//     mmap'd binary CSR files (the transpose built by external sort)
-//     and the same fused kernels stream rows from the mapped views, so
-//     peak resident memory is the pruned products plus the degree
-//     vectors and the product's pre-scaled operand values — metered
-//     against the configured budget.
+//   - Out of core (s != nil) a is a mapped view, the transpose and the
+//     self-loop-augmented copy are mmap'd scratch files (the transpose
+//     built by external sort), and the same kernels stream rows from
+//     them, so peak resident memory is the pruned products plus the
+//     degree vectors and the product's pre-scaled operand values —
+//     metered by s.charge against the configured budget.
 //
-// Both lowerings are bit-identical to each other and to the
-// materialized pre-fusion dataflow: the fused kernels reproduce the
-// ScaleRows-then-ScaleCols value order and Gustavson accumulation
-// order exactly (see the invariants on matrix.MulXXTScaledPrunedCtx
-// and matrix.AddTransposeSym, and DESIGN.md §15).
+// A nil *oocState answers augmented, transpose and charge with the
+// heap behaviour (outofcore.go), so the only step that forks here is
+// the mirror: in core it goes through the triangle-and-mirror helper
+// and never builds Aᵀ; out of core the transpose is a file and only
+// the input-sized sum touches the heap. Both placements are
+// bit-identical to each other and to the materialized pre-fusion
+// dataflow: the fused kernels reproduce the ScaleRows-then-ScaleCols
+// value order and Gustavson accumulation order exactly (see the
+// invariants on matrix.MulXXTScaledPrunedCtx and
+// matrix.AddTransposeSym, and DESIGN.md §15).
 func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *oocState) (*matrix.CSR, error) {
 	var err error
 	if plan.addSelfLoops {
-		if s != nil {
-			a, err = s.augmented(ctx, opt)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			a = a.AddIdentity()
+		if a, err = s.augmented(ctx, a); err != nil {
+			return nil, err
 		}
 	}
 
-	if plan.mirror {
-		if s != nil {
-			// File-streamed mirror: the transpose never touches the heap,
-			// only the (input-sized) sum does.
-			at, err := s.transpose(ctx, a, "at.csr")
-			if err != nil {
-				return nil, err
-			}
-			u := matrix.Add(a, at, plan.mirrorScale, plan.mirrorScale)
-			if err := s.charge(matBytes(u)); err != nil {
-				return nil, err
-			}
-			return u, nil
+	if plan.randomWalk {
+		// The transition matrix, ΠP and the result are all sized like
+		// the input: metered, but there is no product blow-up to keep on
+		// disk, so the kernel reads the (possibly mapped) rows directly.
+		if err := s.charge(3 * matBytes(a)); err != nil {
+			return nil, err
 		}
-		return matrix.AddTransposeSym(a, plan.mirrorScale), nil
+		return symmetrizeRandomWalk(ctx, a, plan.teleport)
+	}
+
+	if plan.mirror {
+		if s == nil {
+			return matrix.AddTransposeSym(a, plan.mirrorScale), nil
+		}
+		at, err := s.transpose(ctx, a, "at.csr")
+		if err != nil {
+			return nil, err
+		}
+		u := matrix.Add(a, at, plan.mirrorScale, plan.mirrorScale)
+		if err := s.charge(matBytes(u)); err != nil {
+			return nil, err
+		}
+		return u, nil
 	}
 
 	// Product terms. Degrees are read once from the (augmented) input;
@@ -65,20 +72,13 @@ func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *
 	if plan.needsDegrees() {
 		outDeg = a.RowCounts()
 		inDeg = a.ColCounts()
-		if s != nil {
-			// Two []int, and the nnz-long scaled-value vector a scaled
-			// product holds on the heap (one term's at a time).
-			if err := s.charge(16*int64(a.Rows) + 8*int64(a.NNZ())); err != nil {
-				return nil, err
-			}
+		// Two []int, and the nnz-long scaled-value vector a scaled
+		// product holds on the heap (one term's at a time).
+		if err := s.charge(16*int64(a.Rows) + 8*int64(a.NNZ())); err != nil {
+			return nil, err
 		}
 	}
-	var at *matrix.CSR
-	if s != nil {
-		at, err = s.transpose(ctx, a, "at.csr")
-	} else {
-		at = a.Transpose()
-	}
+	at, err := s.transpose(ctx, a, "at.csr")
 	if err != nil {
 		return nil, err
 	}
@@ -91,18 +91,16 @@ func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *
 		}
 		rs := resolveScale(term.rowScale, outDeg, inDeg)
 		cs := resolveScale(term.colScale, outDeg, inDeg)
-		// The one product every product-shaped symmetrization lowers to,
-		// in-core or out-of-core (the kernel only reads rows, so heap and
-		// mapped operands are alike), with the scalings and threshold
-		// folded in, on as many workers as the engine derives.
+		// The one product every product-shaped symmetrization lowers to
+		// (the kernel only reads rows, so heap and mapped operands are
+		// alike), with the scalings and threshold folded in, on as many
+		// workers as the engine derives.
 		p, err := matrix.MulXXTScaledPrunedCtx(ctx, x, xt, rs, cs, opt.Threshold, 0)
 		if err != nil {
 			return nil, err
 		}
-		if s != nil {
-			if err := s.charge(matBytes(p)); err != nil {
-				return nil, err
-			}
+		if err := s.charge(matBytes(p)); err != nil {
+			return nil, err
 		}
 		if u == nil {
 			u = p

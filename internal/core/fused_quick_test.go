@@ -12,7 +12,7 @@ import (
 )
 
 // fusedVsReference runs one method through the fused execution layer
-// (the production kernels map) and through the pre-fusion materialized
+// (the production plan table) and through the pre-fusion materialized
 // dataflow, requiring bit-identical output.
 func fusedVsReference(t *testing.T, a *matrix.CSR, m Method, opt Options) {
 	t.Helper()
@@ -20,7 +20,7 @@ func fusedVsReference(t *testing.T, a *matrix.CSR, m Method, opt Options) {
 	if err != nil {
 		t.Fatalf("%v: reference: %v", m, err)
 	}
-	got, err := kernels[m](context.Background(), a, opt)
+	got, err := symmetrizeAdj(context.Background(), a, m, opt, nil)
 	if err != nil {
 		t.Fatalf("%v: fused: %v", m, err)
 	}
@@ -39,7 +39,7 @@ func TestQuickFusedMatchesReference(t *testing.T) {
 		opt.DropDiagonal = !keepDiag
 		for _, m := range Methods {
 			want, err1 := ReferenceSymmetrize(context.Background(), g.A, m, opt)
-			got, err2 := kernels[m](context.Background(), g.A, opt)
+			got, err2 := symmetrizeAdj(context.Background(), g.A, m, opt, nil)
 			if err1 != nil || err2 != nil {
 				return false
 			}
@@ -105,13 +105,11 @@ func TestDerivedWorkersMatchOracle(t *testing.T) {
 						t.Run(fmt.Sprintf("%v/thr=%v/selfloops=%v/procs=%d/ooc=%v", m, th, selfLoops, procs, ooc), func(t *testing.T) {
 							runtime.GOMAXPROCS(procs)
 							ctx, killed := obs.WithPruneStats(context.Background())
-							var got *matrix.CSR
-							var err error
+							var cfg *OutOfCoreConfig
 							if ooc {
-								got, err = symmetrizeOutOfCore(ctx, g.Adj, m, opt, &OutOfCoreConfig{ScratchDir: t.TempDir()})
-							} else {
-								got, err = kernels[m](ctx, g.Adj, opt)
+								cfg = &OutOfCoreConfig{ScratchDir: t.TempDir()}
 							}
+							got, err := symmetrizeAdj(ctx, g.Adj, m, opt, cfg)
 							if err != nil {
 								t.Fatal(err)
 							}

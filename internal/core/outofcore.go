@@ -12,14 +12,14 @@ import (
 	"symcluster/internal/obs"
 )
 
-// Out-of-core symmetrization: the same plans as the in-core path
-// (plan.go), lowered by the shared executor (executor.go) with the
-// large operands — the input adjacency and its transpose — living in
-// memory-mapped binary CSR files instead of the heap. The fused
-// product kernels fold the diagonal scalings in, so no scaled factor
-// file is ever written; they stream rows from file-backed pages the OS
-// evicts under pressure, and peak resident memory is bounded by the
-// (pruned) products themselves rather than by the input size. Results
+// Out-of-core symmetrization: the same plans (plan.go) lowered by the
+// same executor (executor.go), with the large operands — the input
+// adjacency and its transpose — living in memory-mapped binary CSR
+// files instead of the heap. The fused product kernels fold the
+// diagonal scalings in, so no scaled factor file is ever written; they
+// stream rows from file-backed pages the OS evicts under pressure, and
+// peak resident memory is bounded by the (pruned) products themselves
+// rather than by the input size. Results
 // are byte-identical to the in-core path: both are lowerings of one
 // plan through the same kernels, and every file operation replicates
 // its in-memory counterpart's value arithmetic bit-for-bit.
@@ -63,7 +63,9 @@ func OutOfCoreFrom(ctx context.Context) *OutOfCoreConfig {
 
 // oocState owns an out-of-core run's scratch directory and mapped
 // files, and meters the heap-resident intermediates against the
-// configured budget.
+// configured budget. The three methods the executor calls — augmented,
+// transpose, charge — accept a nil receiver, which is the in-core run:
+// operands are built on the heap and nothing is metered.
 type oocState struct {
 	cfg      *OutOfCoreConfig
 	scratch  string
@@ -122,6 +124,9 @@ func (s *oocState) close() {
 // charge meters bytes of heap-resident intermediates, recording the
 // high-water mark into the job's resource accounting.
 func (s *oocState) charge(bytes int64) error {
+	if s == nil {
+		return nil
+	}
 	s.resident += bytes
 	s.js.ObserveResident(s.resident)
 	if s.cfg.MaxResidentBytes > 0 && s.resident > s.cfg.MaxResidentBytes {
@@ -139,6 +144,9 @@ func (s *oocState) spillMem() int64 {
 
 // transpose writes srcᵀ to a scratch file and maps it.
 func (s *oocState) transpose(ctx context.Context, src *matrix.CSR, name string) (*matrix.CSR, error) {
+	if s == nil {
+		return src.Transpose(), nil
+	}
 	dst := s.path(name)
 	if err := csr.TransposeToFile(ctx, src, s.scratch, dst, s.spillMem()); err != nil {
 		return nil, err
@@ -151,66 +159,14 @@ func matBytes(m *matrix.CSR) int64 {
 	return 8*int64(m.Rows+1) + 12*int64(m.NNZ())
 }
 
-// symmetrizeOutOfCore dispatches to the method's out-of-core kernel.
-// The input view comes from cfg.InputPath when set (the adjacency in g
-// is then untouched and may itself be a mapped view), else from a
-// scratch copy of g's adjacency.
-func symmetrizeOutOfCore(ctx context.Context, a *matrix.CSR, method Method, opt Options, cfg *OutOfCoreConfig) (*matrix.CSR, error) {
-	kernel, ok := oocKernels[method]
-	if !ok {
-		return nil, fmt.Errorf("core: symmetrization method %v cannot run out-of-core", method)
-	}
-	s, err := newOOCState(ctx, a, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.close()
-	return kernel(ctx, s, opt)
-}
-
-// oocKernels maps each method to its out-of-core kernel, mirroring the
-// in-core kernels map (and, like it, staying out of switch statements
-// so the pipeline registry owns the catalog). The product-shaped
-// methods reuse the in-core plans verbatim — the executor's s != nil
-// lowering swaps heap transposes for mmap'd files; RandomWalk keeps a
-// bespoke kernel, like in-core.
-var oocKernels = map[Method]func(ctx context.Context, s *oocState, opt Options) (*matrix.CSR, error){
-	AAT: func(ctx context.Context, s *oocState, opt Options) (*matrix.CSR, error) {
-		return runPlan(ctx, s.a, aatPlan(), opt, s)
-	},
-	RandomWalk: oocRandomWalk,
-	Bibliometric: func(ctx context.Context, s *oocState, opt Options) (*matrix.CSR, error) {
-		return runPlan(ctx, s.a, bibliometricPlan(opt), opt, s)
-	},
-	DegreeDiscounted: func(ctx context.Context, s *oocState, opt Options) (*matrix.CSR, error) {
-		plan, err := degreeDiscountedPlan(opt)
-		if err != nil {
-			return nil, err
-		}
-		return runPlan(ctx, s.a, plan, opt, s)
-	},
-}
-
-// augmented returns the input view, replaced by an A+I scratch file
-// when opt.AddSelfLoops is set.
-func (s *oocState) augmented(ctx context.Context, opt Options) (*matrix.CSR, error) {
-	if !opt.AddSelfLoops {
-		return s.a, nil
+// augmented returns a + I as a mapped scratch file.
+func (s *oocState) augmented(ctx context.Context, a *matrix.CSR) (*matrix.CSR, error) {
+	if s == nil {
+		return a.AddIdentity(), nil
 	}
 	dst := s.path("aug.csr")
-	if err := csr.AugmentIdentityToFile(ctx, s.a, dst); err != nil {
+	if err := csr.AugmentIdentityToFile(ctx, a, dst); err != nil {
 		return nil, err
 	}
 	return s.open(ctx, dst)
-}
-
-// oocRandomWalk runs the in-core random-walk kernel over the mapped
-// view: its intermediates (transition matrix, ΠP and the result) are
-// all sized like the input, so they are metered, but the algorithm has
-// no product blow-up to keep on disk.
-func oocRandomWalk(ctx context.Context, s *oocState, opt Options) (*matrix.CSR, error) {
-	if err := s.charge(3 * matBytes(s.a)); err != nil {
-		return nil, err
-	}
-	return SymmetrizeRandomWalkCtx(ctx, s.a, opt.Teleport)
 }

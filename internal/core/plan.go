@@ -3,15 +3,13 @@ package core
 import "fmt"
 
 // A symmetrization plan is the declarative middle layer between the
-// method catalog and the kernels: each product-shaped method describes
-// *what* to compute — optional self-loop augmentation, either a
-// mirror (scale·A + scale·Aᵀ) or a sum of scaled self-product terms,
-// and diagonal handling — and the executor in executor.go lowers that
-// one description to either the in-core fused kernels or the
-// mmap-backed out-of-core strategy. Both execution paths therefore
-// share a single dataflow definition; the duplicated per-method
-// kernels the plan replaced lived in this package's symmetrize.go and
-// outofcore.go through PR 7.
+// method catalog and the kernels: each method describes *what* to
+// compute — optional self-loop augmentation, then a mirror
+// (scale·A + scale·Aᵀ), a stationary-distribution-weighted mirror, or
+// a sum of scaled self-product terms with diagonal handling — and the
+// executor in executor.go lowers that one description with the
+// operands on the heap or in memory-mapped files. Both placements
+// therefore share a single dataflow definition.
 
 // degreeSide selects which unweighted degree vector a scaleSpec is
 // derived from.
@@ -45,13 +43,17 @@ type productTerm struct {
 	colScale   *scaleSpec
 }
 
-// symPlan is a complete symmetrization dataflow. Exactly one of mirror
-// or terms is active: mirror computes mirrorScale·(A + Aᵀ); terms sums
-// the listed fused self-products and then applies dropDiagonal.
+// symPlan is a complete symmetrization dataflow. Exactly one of
+// mirror, randomWalk or terms is active: mirror computes
+// mirrorScale·(A + Aᵀ); randomWalk computes (ΠP + PᵀΠ)/2 under the
+// given teleport; terms sums the listed fused self-products and then
+// applies dropDiagonal.
 type symPlan struct {
 	addSelfLoops bool
 	mirror       bool
 	mirrorScale  float64
+	randomWalk   bool
+	teleport     float64
 	terms        []productTerm
 	dropDiagonal bool
 }
@@ -59,13 +61,23 @@ type symPlan struct {
 // aatPlan is U = A + Aᵀ (§3.1): a pure mirror with unit scale.
 // Self-loop augmentation and diagonal dropping are product-method
 // concepts and do not apply.
-func aatPlan() *symPlan {
-	return &symPlan{mirror: true, mirrorScale: 1}
+func aatPlan(Options) (*symPlan, error) {
+	return &symPlan{mirror: true, mirrorScale: 1}, nil
+}
+
+// randomWalkPlan is U = (ΠP + PᵀΠ)/2 (§3.2). Its core is an iterative
+// stationary-distribution solve, not a product, so the executor hands
+// it to symmetrizeRandomWalk whole.
+func randomWalkPlan(opt Options) (*symPlan, error) {
+	return &symPlan{randomWalk: true, teleport: opt.Teleport}, nil
 }
 
 // bibliometricPlan is U = AAᵀ + AᵀA (§3.3): two unscaled self-product
-// terms — bibliographic coupling over A, co-citation over Aᵀ.
-func bibliometricPlan(opt Options) *symPlan {
+// terms — bibliographic coupling over A, co-citation over Aᵀ. The
+// threshold is applied to each term as it is formed; an entry present
+// in both survives if either contribution passes, matching the paper's
+// integer thresholds on shared-link counts (Table 2).
+func bibliometricPlan(opt Options) (*symPlan, error) {
 	return &symPlan{
 		addSelfLoops: opt.AddSelfLoops,
 		terms: []productTerm{
@@ -73,7 +85,7 @@ func bibliometricPlan(opt Options) *symPlan {
 			{transposed: true},  // AᵀA
 		},
 		dropDiagonal: opt.DropDiagonal,
-	}
+	}, nil
 }
 
 // degreeDiscountedPlan is the paper's proposal (§3.4):
@@ -84,6 +96,9 @@ func bibliometricPlan(opt Options) *symPlan {
 // the coupling term is X·Xᵀ, and with Y = D_i^{-β} Aᵀ D_o^{-α/2} the
 // co-citation term is Y·Yᵀ — the half-exponent column factor is the
 // full middle discount split across the two sides of each product.
+// Neither X nor Y is ever materialised: the factors and the prune
+// threshold fold into the self-product kernel. Degrees are the
+// unweighted in/out degrees of A after optional self-loop augmentation.
 func degreeDiscountedPlan(opt Options) (*symPlan, error) {
 	if opt.Alpha < 0 || opt.Beta < 0 {
 		return nil, fmt.Errorf("core: negative discount exponents α=%v β=%v", opt.Alpha, opt.Beta)

@@ -40,9 +40,9 @@ var quickCfg = &quick.Config{MaxCount: 150}
 
 // symmetrizeQuick runs one method's kernel with the paper defaults
 // (teleport 0.05, diagonal dropped), dispatching through the same
-// kernel map production code uses.
+// plan table production code uses.
 func symmetrizeQuick(m Method, a *matrix.CSR) (*matrix.CSR, error) {
-	return kernels[m](context.Background(), a, Defaults())
+	return symmetrizeAdj(context.Background(), a, m, Defaults(), nil)
 }
 
 func TestQuickAllMethodsSymmetric(t *testing.T) {
@@ -85,7 +85,7 @@ func TestQuickDegreeDiscountedDominatedByBibliometric(t *testing.T) {
 	// degree-discounted entry is bounded by the bibliometric entry.
 	f := func(g digraphGen) bool {
 		bib := symmetrizeBibliometric(g.A, Options{DropDiagonal: true})
-		dd, err := SymmetrizeDegreeDiscounted(g.A, Defaults())
+		dd, err := symmetrizeDD(g.A, Defaults())
 		if err != nil {
 			return false
 		}
@@ -136,7 +136,7 @@ func TestQuickRandomWalkMassConservation(t *testing.T) {
 	// Total weight of (ΠP + PᵀΠ)/2 equals Σπ over non-dangling rows
 	// ≤ 1, and equals 1 when there are no dangling nodes.
 	f := func(g digraphGen) bool {
-		u, err := symmetrizeRandomWalk(g.A, 0.05)
+		u, err := symmetrizeRW(g.A, 0.05)
 		if err != nil {
 			return false
 		}
@@ -160,8 +160,8 @@ func TestQuickThresholdMonotone(t *testing.T) {
 		optLo.Threshold = lo
 		optHi := Defaults()
 		optHi.Threshold = hi
-		uLo, err1 := SymmetrizeDegreeDiscounted(g.A, optLo)
-		uHi, err2 := SymmetrizeDegreeDiscounted(g.A, optHi)
+		uLo, err1 := symmetrizeDD(g.A, optLo)
+		uHi, err2 := symmetrizeDD(g.A, optHi)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -184,7 +184,7 @@ func TestQuickSelfLoopOptionPreservesEdges(t *testing.T) {
 			if m == Bibliometric {
 				u = symmetrizeBibliometric(g.A, Options{AddSelfLoops: true, DropDiagonal: true})
 			} else {
-				u, err = SymmetrizeDegreeDiscounted(g.A, opt)
+				u, err = symmetrizeDD(g.A, opt)
 			}
 			if err != nil {
 				return false

@@ -169,50 +169,54 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 	if err := faultinject.Fire("core.symmetrize"); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg := OutOfCoreFrom(ctx); cfg != nil {
-		sp.SetAttr("out_of_core", true)
-		u, err := symmetrizeOutOfCore(ctx, g.Adj, method, opt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &graph.Undirected{Adj: u, Labels: g.Labels}, nil
-	}
-	kernel, ok := kernels[method]
+	build, ok := plans[method]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown symmetrization method %v", method)
 	}
-	u, err := kernel(ctx, g.Adj, opt)
+	plan, err := build(opt)
+	if err != nil {
+		return nil, err
+	}
+	// The one fork on where the operands live: out of core the input
+	// becomes a mapped view and s meters what stays on the heap; in
+	// core s stays nil, which every oocState method treats as "the
+	// heap" (outofcore.go).
+	a := g.Adj
+	var s *oocState
+	if cfg := OutOfCoreFrom(ctx); cfg != nil {
+		sp.SetAttr("out_of_core", true)
+		if s, err = newOOCState(ctx, a, cfg); err != nil {
+			return nil, err
+		}
+		defer s.close()
+		a = s.a
+	}
+	u, err := runPlan(ctx, a, plan, opt, s)
 	if err != nil {
 		return nil, err
 	}
 	return &graph.Undirected{Adj: u, Labels: g.Labels}, nil
 }
 
-// kernels maps each method to its math kernel. The kernel wiring lives
-// here next to the kernels; everything catalog-shaped (names, aliases,
-// validation, cost models) lives in internal/pipeline. The
-// product-shaped methods build a symmetrization plan (plan.go) lowered
-// by the shared executor (executor.go); RandomWalk keeps a bespoke
-// kernel because its core is an iterative stationary-distribution
-// solve, not a plan-shaped product.
-var kernels = map[Method]func(ctx context.Context, a *matrix.CSR, opt Options) (*matrix.CSR, error){
-	AAT: func(ctx context.Context, a *matrix.CSR, opt Options) (*matrix.CSR, error) {
-		return runPlan(ctx, a, aatPlan(), opt, nil)
-	},
-	RandomWalk: func(ctx context.Context, a *matrix.CSR, opt Options) (*matrix.CSR, error) {
-		return SymmetrizeRandomWalkCtx(ctx, a, opt.Teleport)
-	},
-	Bibliometric:     SymmetrizeBibliometricCtx,
-	DegreeDiscounted: SymmetrizeDegreeDiscountedCtx,
+// plans maps each method to its symmetrization plan (plan.go), which
+// the shared executor (executor.go) lowers in core and out of core
+// alike. The wiring lives here next to the kernels; everything
+// catalog-shaped (names, aliases, validation, cost models) lives in
+// internal/pipeline.
+var plans = map[Method]func(opt Options) (*symPlan, error){
+	AAT:              aatPlan,
+	RandomWalk:       randomWalkPlan,
+	Bibliometric:     bibliometricPlan,
+	DegreeDiscounted: degreeDiscountedPlan,
 }
 
-// SymmetrizeRandomWalkCtx returns U = (ΠP + PᵀΠ)/2 (§3.2), where P is
+// symmetrizeRandomWalk returns U = (ΠP + PᵀΠ)/2 (§3.2), where P is
 // the row-stochastic transition matrix of A and Π the diagonal matrix
 // of its stationary distribution computed with the given teleport
 // probability (0 means walk.DefaultTeleport). U has the same non-zero
 // structure as A + Aᵀ; only the weights differ. ctx is polled at
 // power-iteration boundaries of the stationary distribution.
-func SymmetrizeRandomWalkCtx(ctx context.Context, a *matrix.CSR, teleport float64) (*matrix.CSR, error) {
+func symmetrizeRandomWalk(ctx context.Context, a *matrix.CSR, teleport float64) (*matrix.CSR, error) {
 	if teleport == 0 {
 		teleport = walk.DefaultTeleport
 	}
@@ -225,47 +229,6 @@ func SymmetrizeRandomWalkCtx(ctx context.Context, a *matrix.CSR, teleport float6
 	// (ΠP + PᵀΠ)/2 = (ΠP + (ΠP)ᵀ)/2: a half-scale mirror, fused through
 	// the triangle helper instead of materializing (ΠP)ᵀ.
 	return matrix.AddTransposeSym(piP, 0.5), nil
-}
-
-// SymmetrizeBibliometricCtx returns U = AAᵀ + AᵀA (§3.3), honouring
-// opt.AddSelfLoops, opt.Threshold and opt.DropDiagonal. Alpha/Beta are
-// ignored. Note that the threshold is applied to each of the two
-// product terms as they are formed; an entry present in both terms
-// survives if either contribution passes the threshold, matching the
-// paper's integer thresholds on shared-link counts (Table 2). The two
-// self-products poll ctx at row-tile boundaries and a cancelled context
-// aborts with ctx's error.
-func SymmetrizeBibliometricCtx(ctx context.Context, a *matrix.CSR, opt Options) (*matrix.CSR, error) {
-	return runPlan(ctx, a, bibliometricPlan(opt), opt, nil)
-}
-
-// SymmetrizeDegreeDiscounted returns the degree-discounted similarity
-// matrix (§3.4, Eqn 8 generalised to arbitrary α, β):
-//
-//	U_d = D_o^{-α} A D_i^{-β} Aᵀ D_o^{-α} + D_i^{-β} Aᵀ D_o^{-α} A D_i^{-β}
-//
-// Both terms are computed as scaled self-products: with
-// X = D_o^{-α} A D_i^{-β/2} the coupling term is B_d = X·Xᵀ, and with
-// Y = D_i^{-β} Aᵀ D_o^{-α/2} the co-citation term is C_d = Y·Yᵀ. The
-// fused execution layer never materialises X or Y: the discount
-// factors and the prune threshold fold into the self-product kernel
-// itself (see plan.go and executor.go).
-//
-// Degrees are unweighted in/out degrees of A (after optional self-loop
-// augmentation); zero-degree factors are treated as 1 so isolated
-// directions contribute nothing rather than dividing by zero.
-func SymmetrizeDegreeDiscounted(a *matrix.CSR, opt Options) (*matrix.CSR, error) {
-	return SymmetrizeDegreeDiscountedCtx(context.Background(), a, opt)
-}
-
-// SymmetrizeDegreeDiscountedCtx is SymmetrizeDegreeDiscounted with
-// cancellation at row-block boundaries of the two scaled self-products.
-func SymmetrizeDegreeDiscountedCtx(ctx context.Context, a *matrix.CSR, opt Options) (*matrix.CSR, error) {
-	plan, err := degreeDiscountedPlan(opt)
-	if err != nil {
-		return nil, err
-	}
-	return runPlan(ctx, a, plan, opt, nil)
 }
 
 // discountVector returns per-node factors f(d)^share where f(d) is
@@ -314,11 +277,11 @@ func CalibrateThreshold(a *matrix.CSR, opt Options, targetAvgDegree float64, sam
 	probe := opt
 	probe.Threshold = 0
 	probe.DropDiagonal = true
-	full, err := SymmetrizeDegreeDiscounted(a, probe)
+	full, err := Symmetrize(&graph.Directed{Adj: a}, DegreeDiscounted, probe)
 	if err != nil {
 		return 0, err
 	}
-	vals := sampleRowValues(full, sample, seed)
+	vals := sampleRowValues(full.Adj, sample, seed)
 	if len(vals) == 0 {
 		return 0, fmt.Errorf("core: sampled rows have no similarities; graph too sparse to calibrate")
 	}

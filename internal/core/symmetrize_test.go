@@ -11,19 +11,43 @@ import (
 	"symcluster/internal/walk"
 )
 
-// Context-free spellings of the per-method kernels for the tests below.
+// symmetrizeAdj runs one method on a bare adjacency through the plan
+// table and the executor — what SymmetrizeCtx does inside its span —
+// out of core when cfg is non-nil.
+func symmetrizeAdj(ctx context.Context, a *matrix.CSR, m Method, opt Options, cfg *OutOfCoreConfig) (*matrix.CSR, error) {
+	plan, err := plans[m](opt)
+	if err != nil {
+		return nil, err
+	}
+	var s *oocState
+	if cfg != nil {
+		if s, err = newOOCState(ctx, a, cfg); err != nil {
+			return nil, err
+		}
+		defer s.close()
+		a = s.a
+	}
+	return runPlan(ctx, a, plan, opt, s)
+}
+
+// Context-free in-core spellings of the per-method kernels for the
+// tests below.
 func symmetrizeAAT(a *matrix.CSR) *matrix.CSR {
-	u, _ := kernels[AAT](context.Background(), a, Options{})
+	u, _ := symmetrizeAdj(context.Background(), a, AAT, Options{}, nil)
 	return u
 }
 
-func symmetrizeRandomWalk(a *matrix.CSR, teleport float64) (*matrix.CSR, error) {
-	return SymmetrizeRandomWalkCtx(context.Background(), a, teleport)
+func symmetrizeRW(a *matrix.CSR, teleport float64) (*matrix.CSR, error) {
+	return symmetrizeRandomWalk(context.Background(), a, teleport)
 }
 
 func symmetrizeBibliometric(a *matrix.CSR, opt Options) *matrix.CSR {
-	u, _ := SymmetrizeBibliometricCtx(context.Background(), a, opt)
+	u, _ := symmetrizeAdj(context.Background(), a, Bibliometric, opt, nil)
 	return u
+}
+
+func symmetrizeDD(a *matrix.CSR, opt Options) (*matrix.CSR, error) {
+	return symmetrizeAdj(context.Background(), a, DegreeDiscounted, opt, nil)
 }
 
 // mulOracle is the unpruned reference product a·b.
@@ -109,7 +133,7 @@ func TestRandomWalkStructureMatchesAAT(t *testing.T) {
 	// as A + Aᵀ; only weights differ.
 	rng := rand.New(rand.NewSource(21))
 	a := randomDirected(rng, 40, 4)
-	u, err := symmetrizeRandomWalk(a, walk.DefaultTeleport)
+	u, err := symmetrizeRW(a, walk.DefaultTeleport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +295,7 @@ func TestDegreeDiscountedMatchesExplicitFormula(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		a := randomDirected(rng, 20, 3)
 		opt := Options{Alpha: 0.5, Beta: 0.5}
-		got, err := SymmetrizeDegreeDiscounted(a, opt)
+		got, err := symmetrizeDD(a, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +330,7 @@ func TestDegreeDiscountedMatchesExplicitFormula(t *testing.T) {
 }
 
 func TestDegreeDiscountedOnFigure1(t *testing.T) {
-	u, err := SymmetrizeDegreeDiscounted(figure1(), Defaults())
+	u, err := symmetrizeDD(figure1(), Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +362,7 @@ func TestDegreeDiscountedDownweightsHubs(t *testing.T) {
 	for i := 6; i < 16; i++ {
 		b.Add(i, 5, 1)
 	}
-	u, err := SymmetrizeDegreeDiscounted(b.Build(), Defaults())
+	u, err := symmetrizeDD(b.Build(), Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +394,7 @@ func TestDegreeDiscountedHubNodePenalty(t *testing.T) {
 	}
 	// Give targets equal in-degree by adding one extra pointer to node 2
 	// so deg_in(2) = deg_in(4) = 2: already true (2←{0,1}, 4←{0,3}).
-	u, err := SymmetrizeDegreeDiscounted(b.Build(), Defaults())
+	u, err := symmetrizeDD(b.Build(), Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +408,7 @@ func TestDegreeDiscountedAlphaBetaZeroIsBibliometric(t *testing.T) {
 	// (the Table 4 "no discounting" row).
 	rng := rand.New(rand.NewSource(8))
 	a := randomDirected(rng, 15, 3)
-	dd, err := SymmetrizeDegreeDiscounted(a, Options{Alpha: 0, Beta: 0, DropDiagonal: true})
+	dd, err := symmetrizeDD(a, Options{Alpha: 0, Beta: 0, DropDiagonal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +421,7 @@ func TestDegreeDiscountedAlphaBetaZeroIsBibliometric(t *testing.T) {
 func TestDegreeDiscountedLogVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := randomDirected(rng, 15, 3)
-	u, err := SymmetrizeDegreeDiscounted(a, Options{
+	u, err := symmetrizeDD(a, Options{
 		AlphaKind: LogDiscount, BetaKind: LogDiscount, DropDiagonal: true,
 	})
 	if err != nil {
@@ -416,9 +440,9 @@ func TestDegreeDiscountedLogVariant(t *testing.T) {
 		b.Add(i, 5, 1)
 	}
 	g := b.Build()
-	none, _ := SymmetrizeDegreeDiscounted(g, Options{Alpha: 0, Beta: 0, DropDiagonal: true})
-	logv, _ := SymmetrizeDegreeDiscounted(g, Options{AlphaKind: LogDiscount, BetaKind: LogDiscount, DropDiagonal: true})
-	fullv, _ := SymmetrizeDegreeDiscounted(g, Options{Alpha: 1, Beta: 1, DropDiagonal: true})
+	none, _ := symmetrizeDD(g, Options{Alpha: 0, Beta: 0, DropDiagonal: true})
+	logv, _ := symmetrizeDD(g, Options{AlphaKind: LogDiscount, BetaKind: LogDiscount, DropDiagonal: true})
+	fullv, _ := symmetrizeDD(g, Options{Alpha: 1, Beta: 1, DropDiagonal: true})
 	if !(fullv.At(3, 4) < logv.At(3, 4) && logv.At(3, 4) < none.At(3, 4)) {
 		t.Fatalf("discount ordering violated: full %v, log %v, none %v",
 			fullv.At(3, 4), logv.At(3, 4), none.At(3, 4))
@@ -426,7 +450,7 @@ func TestDegreeDiscountedLogVariant(t *testing.T) {
 }
 
 func TestDegreeDiscountedRejectsNegativeExponents(t *testing.T) {
-	if _, err := SymmetrizeDegreeDiscounted(matrix.Identity(3), Options{Alpha: -1}); err == nil {
+	if _, err := symmetrizeDD(matrix.Identity(3), Options{Alpha: -1}); err == nil {
 		t.Fatal("accepted negative alpha")
 	}
 }
@@ -484,7 +508,7 @@ func TestCalibrateThreshold(t *testing.T) {
 		t.Fatalf("negative threshold %v", th)
 	}
 	opt.Threshold = th
-	u, err := SymmetrizeDegreeDiscounted(a, opt)
+	u, err := symmetrizeDD(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,8 @@ func TestJobEstimateCoversMultilevelHeld(t *testing.T) {
 				opt := core.Defaults()
 				opt.Threshold = tc.threshold
 				held := heldDuring(t, func() {
-					if _, _, _, err := Execute(context.Background(), tc.g, dd, opt, cl, ClusterOptions{TargetClusters: tc.k, Seed: 1}); err != nil {
+					run := &Run{Sym: dd, SymOpt: opt, Cl: cl, ClOpt: ClusterOptions{TargetClusters: tc.k, Seed: 1}}
+					if _, _, _, err := run.Execute(context.Background(), tc.g, nil); err != nil {
 						t.Fatal(err)
 					}
 				})

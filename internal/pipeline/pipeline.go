@@ -18,9 +18,11 @@
 //     the symmetrized graph; directed ones (BestWCut, Zhou) consume
 //     the original directed graph and bypass the symmetrize stage.
 //
-// Execute runs the full two-stage pipeline and records a StageTrace
-// (per-stage wall clock and symmetrized output size) that the CLI's
-// -json output and the daemon's responses/metrics surface.
+// The two stages are composed in this package and nowhere else
+// (run.go): Resolve turns a wire request into a validated Run, and
+// Run.Execute runs it, recording a StageTrace (per-stage wall clock and
+// symmetrized output size) that the CLI's -json output and the daemon's
+// responses/metrics surface.
 package pipeline
 
 import (
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"symcluster/internal/core"
 	"symcluster/internal/graph"
@@ -91,6 +92,9 @@ type StageTrace struct {
 	// SymmetrizedNNZ is the stored nonzero count of the symmetrized
 	// adjacency (0 when the stage was bypassed).
 	SymmetrizedNNZ int `json:"symmetrized_nnz"`
+	// CacheHit reports that the symmetrized graph came from Execute's
+	// memo rather than from running the symmetrizer.
+	CacheHit bool `json:"-"`
 	// Spans is the root of the span tree for this run when tracing was
 	// active (a trace installed in ctx by the caller), nil otherwise.
 	// The tree nests request → stage → kernel iteration spans.
@@ -419,60 +423,4 @@ func EstimateJobBytes(sym Symmetrizer, cl Clusterer, gs GraphStats) int64 {
 		b += sym.CostModel(gs)
 	}
 	return b + cl.CostModel(gs)
-}
-
-// Execute runs the two-stage pipeline: symmetrize g with sym (skipped
-// when cl consumes the directed graph), then cluster with cl. It
-// returns the clustering, the symmetrized graph (nil when bypassed),
-// and the stage trace. The trace is returned even on error, carrying
-// whatever stages completed.
-//
-// When a trace is installed in ctx (obs.Trace.StartRoot), each stage
-// runs under a "symmetrize" or "cluster" span with the stage's wire
-// name attached, and the kernels underneath add their own child spans.
-// The span tree itself is NOT folded into the returned StageTrace —
-// the trace owner (CLI or server) attaches tr.Tree() after ending the
-// root, so the tree is complete.
-func Execute(ctx context.Context, g *graph.Directed, sym Symmetrizer, symOpt SymOptions, cl Clusterer, clOpt ClusterOptions) (*Result, *graph.Undirected, *StageTrace, error) {
-	trace := &StageTrace{Clusterer: cl.Name()}
-	var u *graph.Undirected
-	if !cl.AcceptsDirected() {
-		if sym == nil {
-			return nil, nil, trace, fmt.Errorf("pipeline: %s needs a symmetrized graph but no symmetrizer was given", cl.Name())
-		}
-		trace.Symmetrizer = sym.Name()
-		symCtx, symSpan := obs.StartSpan(ctx, "symmetrize", obs.A("name", sym.Name()))
-		endStage := obs.BeginStage(ctx, "symmetrize")
-		start := time.Now()
-		var err error
-		u, err = sym.Run(symCtx, g, symOpt)
-		endStage()
-		trace.SymmetrizeMillis = millisSince(start)
-		if err != nil {
-			symSpan.EndErr(err)
-			return nil, nil, trace, fmt.Errorf("symmetrize: %w", err)
-		}
-		trace.SymmetrizedNNZ = u.Adj.NNZ()
-		symSpan.SetAttr("nnz", trace.SymmetrizedNNZ)
-		symSpan.End()
-	}
-	clCtx, clSpan := obs.StartSpan(ctx, "cluster", obs.A("name", cl.Name()))
-	endStage := obs.BeginStage(ctx, "cluster")
-	start := time.Now()
-	res, err := cl.Run(clCtx, Input{U: u, G: g}, clOpt)
-	endStage()
-	trace.ClusterMillis = millisSince(start)
-	if err != nil {
-		clSpan.EndErr(err)
-		return nil, u, trace, fmt.Errorf("cluster: %w", err)
-	}
-	clSpan.SetAttr("clusters", res.K)
-	clSpan.End()
-	return res, u, trace, nil
-}
-
-// millisSince is the wall clock since start in (fractional)
-// milliseconds, the unit the wire formats use.
-func millisSince(start time.Time) float64 {
-	return float64(time.Since(start)) / float64(time.Millisecond)
 }

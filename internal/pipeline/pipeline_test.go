@@ -171,7 +171,11 @@ func TestExecuteTraceAndBypass(t *testing.T) {
 	g := gen.Figure1().Graph
 	dd, _ := LookupSymmetrizer("dd")
 	mcl, _ := LookupClusterer("mcl")
-	res, u, trace, err := Execute(context.Background(), g, dd, core.Defaults(), mcl, ClusterOptions{Seed: 1})
+	run, err := NewRun(dd, core.Defaults(), mcl, ClusterOptions{Seed: 1}, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, u, trace, err := run.Execute(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +190,10 @@ func TestExecuteTraceAndBypass(t *testing.T) {
 	}
 
 	bw, _ := LookupClusterer("bestwcut")
-	res, u, trace, err = Execute(context.Background(), g, dd, core.Defaults(), bw, ClusterOptions{TargetClusters: 3, Seed: 1})
+	if run, err = NewRun(dd, core.Defaults(), bw, ClusterOptions{TargetClusters: 3, Seed: 1}, g.N()); err != nil {
+		t.Fatal(err)
+	}
+	res, u, trace, err = run.Execute(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,18 +209,24 @@ func TestExecuteTraceAndBypass(t *testing.T) {
 }
 
 // TestExecuteValidatesBeforeRunning confirms bad options surface as
-// errors from Execute (stage validation is wired into Run).
+// errors from Execute even on a Run that skipped NewRun (stage
+// validation is wired into each stage's Run), and from NewRun itself.
 func TestExecuteValidatesBeforeRunning(t *testing.T) {
 	g := gen.Figure1().Graph
 	dd, _ := LookupSymmetrizer("dd")
 	metis, _ := LookupClusterer("metis")
-	if _, _, _, err := Execute(context.Background(), g, dd, core.Defaults(), metis, ClusterOptions{}); err == nil {
-		t.Fatal("metis without k ran")
-	}
+	mcl, _ := LookupClusterer("mcl")
 	bad := core.Defaults()
 	bad.Alpha = -2
-	mcl, _ := LookupClusterer("mcl")
-	if _, _, _, err := Execute(context.Background(), g, dd, bad, mcl, ClusterOptions{}); err == nil {
-		t.Fatal("alpha -2 ran")
+	for name, run := range map[string]*Run{
+		"metis without k": {Sym: dd, SymOpt: core.Defaults(), Cl: metis},
+		"alpha -2":        {Sym: dd, SymOpt: bad, Cl: mcl},
+	} {
+		if _, _, _, err := run.Execute(context.Background(), g, nil); err == nil {
+			t.Fatalf("%s ran", name)
+		}
+		if _, err := NewRun(run.Sym, run.SymOpt, run.Cl, run.ClOpt, g.N()); err == nil {
+			t.Fatalf("%s resolved", name)
+		}
 	}
 }

@@ -1,0 +1,221 @@
+package pipeline
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+
+	"symcluster/internal/core"
+	"symcluster/internal/gen"
+	"symcluster/internal/graph"
+	"symcluster/internal/matrix"
+)
+
+// smallGraph is a testing/quick generator of small internal/gen graphs:
+// the controlled mixture of flow and shared-link clusters (the paper's
+// Figure-1 archetype) at 20–70 nodes, and R-MAT at 32 or 64.
+type smallGraph struct{ G *graph.Directed }
+
+func (smallGraph) Generate(r *rand.Rand, _ int) reflect.Value {
+	var ds *gen.Dataset
+	var err error
+	if r.Intn(3) == 0 {
+		ds, err = gen.Kronecker(gen.KroneckerOptions{Scale: 5 + r.Intn(2), EdgeFactor: 3 + r.Intn(3), Seed: r.Int63()})
+	} else {
+		ds, err = gen.Controlled(gen.ControlledOptions{
+			Clusters:          2 + r.Intn(4),
+			MembersPerCluster: 4 + r.Intn(6),
+			AnchorsPerCluster: 2,
+			NoiseEdges:        1 + r.Intn(20),
+			Seed:              r.Int63(),
+		}.WithSharedFraction(r.Float64()))
+	}
+	if err != nil {
+		panic(err)
+	}
+	return reflect.ValueOf(smallGraph{ds.Graph})
+}
+
+// symmetrizeVia returns the symmetrized graph the one runner produces
+// for method at threshold, in core or out of core.
+func symmetrizeVia(t *testing.T, g *graph.Directed, method string, threshold float64, ooc bool) *matrix.CSR {
+	t.Helper()
+	run, err := Resolve(Request{Method: method, Algorithm: "mcl", Threshold: threshold, Seed: 1}, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if ooc {
+		ctx = core.WithOutOfCore(ctx, core.OutOfCoreConfig{ScratchDir: t.TempDir()})
+	}
+	_, u, _, err := run.Execute(ctx, g, nil)
+	if err != nil {
+		t.Fatalf("%s threshold=%v ooc=%v: %v", method, threshold, ooc, err)
+	}
+	return u.Adj
+}
+
+// permuted returns PAPᵀ: node i of g becomes node p[i].
+func permuted(t *testing.T, g *graph.Directed, p []int) *graph.Directed {
+	t.Helper()
+	b := matrix.NewBuilder(g.N(), g.N())
+	for i := 0; i < g.N(); i++ {
+		cols, vals := g.Adj.Row(i)
+		for k, j := range cols {
+			b.Add(p[i], p[int(j)], vals[k])
+		}
+	}
+	pg, err := graph.NewDirected(b.Build(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
+}
+
+// TestQuickRunnerIdentities holds the paper's identities through
+// Resolve and Run.Execute, for every registered symmetrization in core
+// and out of core: U is symmetric and non-negative; the out-of-core
+// placement returns the in-core bits; relabelling the nodes relabels U
+// and changes nothing else (Sym(PAPᵀ) = P·Sym(A)·Pᵀ, to summation
+// order); and a higher prune threshold never keeps more entries. The
+// generator is seeded, so a failure reproduces.
+func TestQuickRunnerIdentities(t *testing.T) {
+	thresholds := []float64{0, 0.02, 0.1, 0.5, 2}
+	check := func(sg smallGraph, permSeed int64) bool {
+		g := sg.G
+		p := rand.New(rand.NewSource(permSeed)).Perm(g.N())
+		pg := permuted(t, g, p)
+		for _, method := range MethodNames() {
+			in := symmetrizeVia(t, g, method, 0, false)
+			for i := 0; i < in.Rows; i++ {
+				cols, vals := in.Row(i)
+				for k, j := range cols {
+					if vals[k] < 0 || in.At(int(j), i) != vals[k] {
+						t.Errorf("%s: U[%d,%d]=%v, U[%d,%d]=%v", method, i, j, vals[k], j, i, in.At(int(j), i))
+						return false
+					}
+				}
+			}
+			if out := symmetrizeVia(t, g, method, 0, true); !reflect.DeepEqual(in, out) {
+				t.Errorf("%s: out-of-core differs from in-core", method)
+				return false
+			}
+			pu := symmetrizeVia(t, pg, method, 0, false)
+			if pu.NNZ() != in.NNZ() {
+				t.Errorf("%s: permuted nnz %d, want %d", method, pu.NNZ(), in.NNZ())
+				return false
+			}
+			for i := 0; i < in.Rows; i++ {
+				cols, vals := in.Row(i)
+				for k, j := range cols {
+					if got := pu.At(p[i], p[int(j)]); math.Abs(got-vals[k]) > 1e-12*math.Abs(vals[k]) {
+						t.Errorf("%s: Sym(PAPᵀ)[%d,%d]=%v, Sym(A)[%d,%d]=%v", method, p[i], p[int(j)], got, i, j, vals[k])
+						return false
+					}
+				}
+			}
+			for _, ooc := range []bool{false, true} {
+				prev := in.NNZ()
+				for _, th := range thresholds[1:] {
+					nnz := symmetrizeVia(t, g, method, th, ooc).NNZ()
+					if nnz > prev {
+						t.Errorf("%s ooc=%v: nnz %d at threshold %v, %d below it", method, ooc, nnz, th, prev)
+						return false
+					}
+					prev = nnz
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(21))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countingSym is dd with a Run that counts its calls, can be made to
+// fail, and can end the run's context on its way out.
+type countingSym struct {
+	Symmetrizer
+	runs   int
+	fail   error
+	cancel context.CancelFunc
+}
+
+func (c *countingSym) Run(ctx context.Context, g *graph.Directed, opt SymOptions) (*graph.Undirected, error) {
+	c.runs++
+	if c.fail != nil {
+		return nil, c.fail
+	}
+	if c.cancel != nil {
+		defer c.cancel()
+	}
+	return c.Symmetrizer.Run(ctx, g, opt)
+}
+
+// countingCl is mcl with a Run that counts its calls.
+type countingCl struct {
+	Clusterer
+	runs int
+}
+
+func (c *countingCl) Run(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
+	c.runs++
+	return c.Clusterer.Run(ctx, in, opt)
+}
+
+// mapMemo is the Memo contract's simplest implementation.
+type mapMemo map[string]*graph.Undirected
+
+func (m mapMemo) Lookup(sym Symmetrizer, _ SymOptions) (*graph.Undirected, bool) {
+	u, ok := m[sym.Name()]
+	return u, ok
+}
+func (m mapMemo) Store(sym Symmetrizer, _ SymOptions, u *graph.Undirected) { m[sym.Name()] = u }
+
+// TestExecuteMemoContract: a second Execute over the same memo never
+// runs the symmetrizer and says so in its trace; a failed symmetrizer
+// stores nothing; a context that ends between the stages never starts
+// the clusterer.
+func TestExecuteMemoContract(t *testing.T) {
+	g := gen.Figure1().Graph
+	dd, _ := LookupSymmetrizer("dd")
+	mcl, _ := LookupClusterer("mcl")
+	newRun := func(sym *countingSym, cl *countingCl) *Run {
+		run, err := NewRun(sym, core.Defaults(), cl, ClusterOptions{Seed: 1}, g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+
+	sym, cl, memo := &countingSym{Symmetrizer: dd}, &countingCl{Clusterer: mcl}, mapMemo{}
+	run := newRun(sym, cl)
+	first, u1, trace, err := run.Execute(context.Background(), g, memo)
+	if err != nil || trace.CacheHit || sym.runs != 1 || len(memo) != 1 {
+		t.Fatalf("first run: err=%v hit=%v runs=%d stored=%d", err, trace.CacheHit, sym.runs, len(memo))
+	}
+	second, u2, trace, err := run.Execute(context.Background(), g, memo)
+	if err != nil || !trace.CacheHit || sym.runs != 1 || u2 != u1 || cl.runs != 2 {
+		t.Fatalf("second run: err=%v hit=%v sym runs=%d cl runs=%d same U=%v", err, trace.CacheHit, sym.runs, cl.runs, u2 == u1)
+	}
+	if !reflect.DeepEqual(first, second) || trace.SymmetrizedNNZ != u1.Adj.NNZ() {
+		t.Fatalf("memoised run differs: %+v vs %+v, trace %+v", first, second, trace)
+	}
+
+	boom := errors.New("boom")
+	sym, cl, memo = &countingSym{Symmetrizer: dd, fail: boom}, &countingCl{Clusterer: mcl}, mapMemo{}
+	if _, u, _, err := newRun(sym, cl).Execute(context.Background(), g, memo); !errors.Is(err, boom) || u != nil || len(memo) != 0 || cl.runs != 0 {
+		t.Fatalf("failed symmetrizer: err=%v u=%v stored=%d cl runs=%d", err, u, len(memo), cl.runs)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	sym, cl = &countingSym{Symmetrizer: dd, cancel: cancel}, &countingCl{Clusterer: mcl}
+	if res, u, _, err := newRun(sym, cl).Execute(ctx, g, nil); !errors.Is(err, context.Canceled) || res != nil || u == nil || cl.runs != 0 {
+		t.Fatalf("cancelled between stages: err=%v res=%v u=%v cl runs=%d", err, res, u, cl.runs)
+	}
+}

@@ -8,11 +8,14 @@
 //
 // The package splits into:
 //
-//   - api.go        — JSON wire types, shared with cmd/symcluster -json
+//   - api.go        — JSON wire types and the one ClusterResponse
+//     constructor, shared with cmd/symcluster -json
 //   - server.go     — Server wiring, the route table, the graph registry
 //     and lifecycle
 //   - handlers.go   — the /v1 endpoint handlers, the status map and the
-//     refusal writer
+//     refusal writer; a cluster request is resolved and executed by
+//     internal/pipeline (prepareRun admits it, runCluster traces it and
+//     lends it the cache as the pipeline's Memo)
 //   - upload.go     — chunked graph upload sessions
 //   - admission.go  — working-set estimation and the job byte budget
 //   - cache.go      — byte-budgeted LRU of symmetrized graphs
@@ -33,6 +36,7 @@ import (
 	symcluster "symcluster"
 	"symcluster/internal/jobstore"
 	"symcluster/internal/obs"
+	"symcluster/internal/pipeline"
 )
 
 // ClusterRequest is the body of POST /v1/cluster. Method and Algorithm
@@ -66,6 +70,16 @@ type ClusterRequest struct {
 	// Async runs the request as a background job: the response is a
 	// JobRef and the result is fetched from GET /v1/jobs/{id}.
 	Async bool `json:"async,omitempty"`
+}
+
+// Spec is the part of the request that decides what is computed, in the
+// form the pipeline resolves (pipeline.Resolve).
+func (r *ClusterRequest) Spec() pipeline.Request {
+	return pipeline.Request{
+		Method: r.Method, Algorithm: r.Algorithm, K: r.K,
+		Alpha: r.Alpha, Beta: r.Beta, Threshold: r.Threshold,
+		Inflation: r.Inflation, Seed: r.Seed,
+	}
 }
 
 // ClusterResponse is the result of a clustering run: the body of a
@@ -102,6 +116,31 @@ type ClusterResponse struct {
 	// AvgF is the micro-averaged best-match F-score against ground
 	// truth, present only when truth is known (CLI -truth flag).
 	AvgF *float64 `json:"avg_f,omitempty"`
+}
+
+// NewClusterResponse renders one finished pipeline run — what
+// pipeline.Run.Execute returned, plus the run's resource accounting —
+// as the wire response. It is the only place a ClusterResponse is
+// assembled, for the daemon (graphID set) and for cmd/symcluster -json
+// (graphID empty, u never from a cache) alike.
+func NewClusterResponse(graphID string, res *symcluster.Clustering, u *symcluster.UndirectedGraph, trace *symcluster.StageTrace, stats *obs.JobStatsSnapshot) *ClusterResponse {
+	resp := &ClusterResponse{
+		GraphID:          graphID,
+		Method:           trace.Symmetrizer,
+		Algorithm:        trace.Clusterer,
+		Nodes:            len(res.Assign),
+		K:                res.K,
+		Assign:           res.Assign,
+		CacheHit:         trace.CacheHit,
+		SymmetrizeMillis: trace.SymmetrizeMillis,
+		ClusterMillis:    trace.ClusterMillis,
+		Trace:            trace,
+		Stats:            stats,
+	}
+	if u != nil {
+		resp.UndirectedEdges = u.M()
+	}
+	return resp
 }
 
 // GraphInfo is the response of POST /v1/graphs and GET /v1/graphs/{id}.

@@ -263,12 +263,12 @@ func (s *Server) submitJob(ctx context.Context, est int64, fn func(ctx context.C
 func (s *Server) startAsyncJob(w http.ResponseWriter, r *http.Request, req *ClusterRequest, idemKey string, prep *preparedRun) {
 	reqJSON, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		refuse(w, err)
 		return
 	}
 	job, existing, err := s.jobs.Admit(jobstore.JobRecord{IdempotencyKey: idemKey, Request: reqJSON})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("journaling job: %w", err))
+		refuse(w, fmt.Errorf("journaling job: %w", err))
 		return
 	}
 	if !existing {
@@ -362,7 +362,6 @@ func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep
 type runOutcome struct {
 	Resp  *ClusterResponse
 	Trace *obs.SpanNode
-	Stats *obs.JobStatsSnapshot
 }
 
 // preparedRun is a validated, admitted request ready to submit: the
@@ -376,9 +375,10 @@ type preparedRun struct {
 	checkpointable bool
 }
 
-// prepareRun validates a ClusterRequest against the pipeline registry
-// and returns the closure that executes it. Validation happens before
-// the request is queued so bad input never occupies a worker.
+// prepareRun resolves a ClusterRequest against the registered graph and
+// the pipeline registry, admits it, and returns the closure that
+// executes it. All of it happens before the request is queued so bad
+// input never occupies a worker.
 func (s *Server) prepareRun(req *ClusterRequest) (*preparedRun, error) {
 	if req.GraphID == "" {
 		return nil, badRequest("graph_id is required")
@@ -387,53 +387,14 @@ func (s *Server) prepareRun(req *ClusterRequest) (*preparedRun, error) {
 	if !ok {
 		return nil, &apiError{code: http.StatusNotFound, err: fmt.Errorf("unknown graph %q", req.GraphID)}
 	}
-	cl, err := pipeline.LookupClusterer(req.Algorithm)
+	run, err := pipeline.Resolve(req.Spec(), rg.info.Nodes)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	// Directed-input substrates bypass symmetrization: method becomes
-	// optional, but a method that is given must still be a real one.
-	var sym pipeline.Symmetrizer
-	if req.Method != "" || !cl.AcceptsDirected() {
-		sym, err = pipeline.LookupSymmetrizer(req.Method)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-	}
-	if cl.AcceptsDirected() {
-		sym = nil
-	}
-	if req.K > rg.info.Nodes {
-		return nil, badRequest("k=%d exceeds %d nodes", req.K, rg.info.Nodes)
-	}
-	clOpt := symcluster.ClusterOptions{
-		TargetClusters: req.K,
-		Inflation:      req.Inflation,
-		Seed:           req.Seed,
-	}
-	if err := cl.Validate(clOpt); err != nil {
-		return nil, badRequest("%v", err)
-	}
-
-	opt := symcluster.DefaultSymmetrizeOptions()
-	if req.Alpha != nil {
-		opt.Alpha = *req.Alpha
-	}
-	if req.Beta != nil {
-		opt.Beta = *req.Beta
-	}
-	opt.Threshold = req.Threshold
-	if sym != nil {
-		if err := sym.Validate(opt); err != nil {
-			return nil, badRequest("%v", err)
-		}
-	}
-	est, ooc, err := s.admit(rg, sym, cl, req.K)
+	est, ooc, err := s.admit(rg, run.Sym, run.Cl, req.K)
 	if err != nil {
 		return nil, err
 	}
-
-	ckpt := cl.Checkpointable() || (sym != nil && sym.Checkpointable())
 	return &preparedRun{
 		runner: func(ctx context.Context) (*runOutcome, error) {
 			if ooc {
@@ -448,28 +409,51 @@ func (s *Server) prepareRun(req *ClusterRequest) (*preparedRun, error) {
 					SpillMemBytes:    s.cfg.IngestMemBytes,
 				})
 			}
-			return s.runCluster(ctx, rg, sym, cl, opt, clOpt)
+			return s.runCluster(ctx, rg, run)
 		},
 		est:            est,
-		checkpointable: ckpt,
+		checkpointable: run.Cl.Checkpointable() || (run.Sym != nil && run.Sym.Checkpointable()),
 	}, nil
 }
 
-// runCluster executes the two-stage pipeline for one request under a
-// fresh trace whose root "request" span nests the "symmetrize" and
-// "cluster" stage spans (and, underneath those, the kernel spans the
-// instrumented hot loops open). The finished tree is exported to the
-// server's trace sink — including on error, so failed runs stay
-// visible — and attached to the response's StageTrace on success.
+// symMemo is one request's view of the symmetrization cache: the
+// pipeline's Memo over the graph the request names. Directed-input
+// substrates never consult it (their runs have no symmetrize stage).
+type symMemo struct {
+	s     *Server
+	graph uint64
+}
+
+func (m symMemo) key(sym pipeline.Symmetrizer, opt pipeline.SymOptions) CacheKey {
+	return CacheKey{Graph: m.graph, Method: sym.Name(), Alpha: opt.Alpha, Beta: opt.Beta, Threshold: opt.Threshold}
+}
+
+func (m symMemo) Lookup(sym pipeline.Symmetrizer, opt pipeline.SymOptions) (*symcluster.UndirectedGraph, bool) {
+	return m.s.cache.Get(m.key(sym, opt))
+}
+
+func (m symMemo) Store(sym pipeline.Symmetrizer, opt pipeline.SymOptions, u *symcluster.UndirectedGraph) {
+	m.s.cache.Put(m.key(sym, opt), u)
+	m.s.metrics.ObserveCacheObject(GraphBytes(u))
+}
+
+// runCluster executes one resolved request over the symmetrization
+// cache, under a fresh trace whose root "request" span nests the
+// "symmetrize" and "cluster" stage spans (and, underneath those, the
+// kernel spans the instrumented hot loops open). The finished tree is
+// exported to the server's trace sink — including on error, so failed
+// runs stay visible — and attached to the response's StageTrace on
+// success. A stage that actually ran (symmetrize on a cache miss,
+// cluster always) is observed into symclusterd_stage_seconds.
 //
 // It runs on a pool worker; the context is threaded into both stages,
 // whose kernels poll it at iteration and row-block boundaries, so a
 // client disconnect or timeout frees the worker within one block of
 // kernel work.
-func (s *Server) runCluster(ctx context.Context, rg *registeredGraph, sym pipeline.Symmetrizer, cl pipeline.Clusterer, opt symcluster.SymmetrizeOptions, clOpt symcluster.ClusterOptions) (*runOutcome, error) {
+func (s *Server) runCluster(ctx context.Context, rg *registeredGraph, run *pipeline.Run) (*runOutcome, error) {
 	method := ""
-	if sym != nil {
-		method = sym.Name()
+	if run.Sym != nil {
+		method = run.Sym.Name()
 	}
 	// NewTraceFrom joins whatever identity the context carries: the
 	// entry node's traceparent on a proxied request, the pinned seed of
@@ -477,101 +461,26 @@ func (s *Server) runCluster(ctx context.Context, rg *registeredGraph, sym pipeli
 	tr := obs.NewTraceFrom(ctx)
 	ctx, root := tr.StartRoot(ctx, "request",
 		obs.A("graph_id", rg.info.ID),
-		obs.A("algorithm", cl.Name()),
+		obs.A("algorithm", run.Cl.Name()),
 		obs.A("method", method))
-	out := &runOutcome{}
-	resp, err := s.runStages(ctx, rg, sym, cl, opt, clOpt)
-	root.EndErr(err)
-	out.Trace = tr.Tree()
-	s.traces.Export(tr)
-	if jstats := obs.JobStatsFrom(ctx); jstats != nil {
-		out.Stats = jstats.Snapshot()
+	res, u, trace, err := run.Execute(ctx, rg.graph, symMemo{s, rg.fingerprint})
+	if u != nil && !trace.CacheHit {
+		s.metrics.ObserveStage("symmetrize", trace.Symmetrizer, trace.SymmetrizeMillis/1000)
 	}
-	if resp != nil {
-		resp.Trace.Spans = out.Trace
-		resp.Stats = out.Stats
-		out.Resp = resp
+	if res != nil {
+		s.metrics.ObserveStage("cluster", trace.Clusterer, trace.ClusterMillis/1000)
+		// A run that finished after its context ended still failed its
+		// caller.
+		err = ctx.Err()
+	}
+	root.EndErr(err)
+	out := &runOutcome{Trace: tr.Tree()}
+	s.traces.Export(tr)
+	if res != nil {
+		trace.Spans = out.Trace
+		out.Resp = NewClusterResponse(rg.info.ID, res, u, trace, obs.JobStatsFrom(ctx).Snapshot())
 	}
 	return out, err
-}
-
-// runStages is the traced body of runCluster: symmetrize (served from
-// cache when an identical product exists; directed-input substrates
-// skip both the stage and the cache), then cluster.
-func (s *Server) runStages(ctx context.Context, rg *registeredGraph, sym pipeline.Symmetrizer, cl pipeline.Clusterer, opt symcluster.SymmetrizeOptions, clOpt symcluster.ClusterOptions) (*ClusterResponse, error) {
-	resp := &ClusterResponse{
-		GraphID:   rg.info.ID,
-		Algorithm: cl.Name(),
-	}
-	trace := &symcluster.StageTrace{Clusterer: cl.Name()}
-	in := pipeline.Input{G: rg.graph}
-
-	if sym != nil {
-		resp.Method = sym.Name()
-		trace.Symmetrizer = sym.Name()
-		key := CacheKey{
-			Graph:     rg.fingerprint,
-			Method:    sym.Name(),
-			Alpha:     opt.Alpha,
-			Beta:      opt.Beta,
-			Threshold: opt.Threshold,
-		}
-		symCtx, symSpan := obs.StartSpan(ctx, "symmetrize", obs.A("name", sym.Name()))
-		endStage := obs.BeginStage(ctx, "symmetrize")
-		start := time.Now()
-		u, hit := s.cache.Get(key)
-		obs.JobStatsFrom(ctx).AddCache(hit)
-		if !hit {
-			var err error
-			u, err = sym.Run(symCtx, rg.graph, opt)
-			if err != nil {
-				endStage()
-				symSpan.EndErr(err)
-				return nil, fmt.Errorf("symmetrize: %w", err)
-			}
-			s.cache.Put(key, u)
-			s.metrics.ObserveCacheObject(GraphBytes(u))
-		}
-		endStage()
-		symSpan.SetAttr("cache_hit", hit)
-		symSpan.SetAttr("nnz", u.Adj.NNZ())
-		symSpan.End()
-		resp.CacheHit = hit
-		resp.SymmetrizeMillis = float64(time.Since(start)) / float64(time.Millisecond)
-		trace.SymmetrizeMillis = resp.SymmetrizeMillis
-		trace.SymmetrizedNNZ = u.Adj.NNZ()
-		resp.Nodes = u.N()
-		resp.UndirectedEdges = u.M()
-		in.U = u
-		if !hit {
-			s.metrics.ObserveStage("symmetrize", sym.Name(), resp.SymmetrizeMillis/1000)
-		}
-	} else {
-		resp.Nodes = rg.graph.N()
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	clCtx, clSpan := obs.StartSpan(ctx, "cluster", obs.A("name", cl.Name()))
-	endStage := obs.BeginStage(ctx, "cluster")
-	start := time.Now()
-	res, err := cl.Run(clCtx, in, clOpt)
-	endStage()
-	if err != nil {
-		clSpan.EndErr(err)
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	clSpan.SetAttr("clusters", res.K)
-	clSpan.End()
-	resp.ClusterMillis = float64(time.Since(start)) / float64(time.Millisecond)
-	trace.ClusterMillis = resp.ClusterMillis
-	s.metrics.ObserveStage("cluster", cl.Name(), resp.ClusterMillis/1000)
-	resp.K = res.K
-	resp.Assign = res.Assign
-	resp.Trace = trace
-	return resp, ctx.Err()
 }
 
 // logWorkerPanic logs the captured stack of a recovered worker panic.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -86,7 +87,7 @@ func (s *Server) instrument(rt route, h http.HandlerFunc) http.HandlerFunc {
 					"method", r.Method, "path", r.URL.Path,
 					"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
 				if rec.code == 0 {
-					writeError(rec, http.StatusInternalServerError, fmt.Errorf("internal error"))
+					refuse(rec, errors.New("internal error"))
 				}
 			}
 			code := rec.code

@@ -150,29 +150,36 @@ func (c *coordinator) federateStatus(ctx context.Context, self NodeStatus) []Nod
 	return rows
 }
 
-// fetchStatus pulls one up peer's self-report, degrading the row to
-// name + error when the peer does not answer within the fan-out
-// timeout (it may have died since its last probe). The effective
+// fetchPeer GETs path from one peer and decodes at most limit bytes of
+// its 200 answer into out — the one fetch under both fan-outs. The
 // per-peer timeout is min(statusFanoutTimeout, caller's remaining
 // budget): WithTimeout never extends past the parent deadline, so a
-// caller with 300ms left gets a 300ms fan-out, not a 2s one.
-func (c *coordinator) fetchStatus(ctx context.Context, p *cluster.Peer) NodeStatus {
+// caller with 300ms left gets a 300ms fan-out, not a 2s one, and one
+// whose deadline already passed skips the doomed fetch.
+func (c *coordinator) fetchPeer(ctx context.Context, p *cluster.Peer, path string, limit int64, out any) error {
 	if err := ctx.Err(); err != nil {
-		// The caller's deadline already passed; skip the doomed fetch.
-		return NodeStatus{Name: p.Name, State: "up", Error: err.Error()}
+		return err
 	}
 	ctx, cancel := context.WithTimeout(ctx, statusFanoutTimeout)
 	defer cancel()
-	resp, err := c.client.Do(ctx, http.MethodGet, p.URL+internalStatusPath, http.Header{}, nil)
+	resp, err := c.client.Do(ctx, http.MethodGet, p.URL+path, http.Header{}, nil)
 	if err != nil {
-		return NodeStatus{Name: p.Name, State: "up", Error: err.Error()}
+		return err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("fetch failed (code %d)", resp.StatusCode)
+	}
+	return json.NewDecoder(io.LimitReader(resp.Body, limit)).Decode(out)
+}
+
+// fetchStatus pulls one up peer's self-report, degrading the row to
+// name + error when the peer does not answer within the fan-out
+// timeout (it may have died since its last probe).
+func (c *coordinator) fetchStatus(ctx context.Context, p *cluster.Peer) NodeStatus {
 	var ns NodeStatus
-	derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ns)
-	if resp.StatusCode != http.StatusOK || derr != nil {
-		return NodeStatus{Name: p.Name, State: "up",
-			Error: fmt.Sprintf("status fetch failed (code %d)", resp.StatusCode)}
+	if err := c.fetchPeer(ctx, p, internalStatusPath, 1<<20, &ns); err != nil {
+		return NodeStatus{Name: p.Name, State: "up", Error: err.Error()}
 	}
 	ns.Name = p.Name
 	ns.State = "up"
@@ -215,28 +222,11 @@ func (c *coordinator) mergeTrace(ctx context.Context, traceID string, local *obs
 }
 
 // fetchTraceSegments pulls one peer's retained segments of a trace;
-// failures degrade to no segments rather than failing the merge. Like
-// fetchStatus, the per-peer timeout is capped by the caller's
-// remaining budget.
+// failures degrade to no segments rather than failing the merge.
 func (c *coordinator) fetchTraceSegments(ctx context.Context, p *cluster.Peer, traceID string) []*obs.SpanNode {
-	if ctx.Err() != nil {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(ctx, statusFanoutTimeout)
-	defer cancel()
-	resp, err := c.client.Do(ctx, http.MethodGet,
-		p.URL+internalTracesPrefix+url.PathEscape(traceID), http.Header{}, nil)
-	if err != nil {
-		c.s.log().Debug("fetching trace segments", "peer", p.Name, "trace", traceID, "err", err)
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
 	var segs []*obs.SpanNode
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&segs); err != nil {
-		c.s.log().Debug("decoding trace segments", "peer", p.Name, "trace", traceID, "err", err)
+	if err := c.fetchPeer(ctx, p, internalTracesPrefix+url.PathEscape(traceID), 8<<20, &segs); err != nil {
+		c.s.log().Debug("fetching trace segments", "peer", p.Name, "trace", traceID, "err", err)
 		return nil
 	}
 	return segs

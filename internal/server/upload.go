@@ -71,13 +71,13 @@ func (sess *uploadSession) abort() {
 func (s *Server) handleUploadCreate(w http.ResponseWriter, r *http.Request) {
 	dir, err := os.MkdirTemp(s.cfg.SpillDir, "symclusterd-upload-*")
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("creating upload scratch: %w", err))
+		refuse(w, fmt.Errorf("creating upload scratch: %w", err))
 		return
 	}
 	ing, err := csr.NewIngester(dir, s.cfg.IngestMemBytes)
 	if err != nil {
 		os.RemoveAll(dir)
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("creating ingester: %w", err))
+		refuse(w, fmt.Errorf("creating ingester: %w", err))
 		return
 	}
 	sess := &uploadSession{
@@ -149,14 +149,13 @@ func (s *Server) handleUploadAppend(w http.ResponseWriter, r *http.Request) {
 				// The chunk overflowed the per-request body cap. Nothing
 				// is lost — the bytes read so far were ingested — but the
 				// client must resend the remainder as further chunks.
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("chunk exceeds per-request cap (%d bytes); split it and continue", s.cfg.MaxBodyBytes))
+				refuse(w, fmt.Errorf("chunk exceeds per-request cap (%d bytes); split it and continue: %w", s.cfg.MaxBodyBytes, mbe))
 				return
 			}
 			if errors.Is(rerr, io.EOF) {
 				break
 			}
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading chunk: %w", rerr))
+			refuse(w, badRequest("reading chunk: %w", rerr))
 			return
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -97,12 +98,12 @@ func headerSet(n ast.Node) (string, bool) {
 	return name, true
 }
 
-// outside turns "node inside" into "function other than fn containing
-// node": the match of a rule that confines a call to one function.
-func outside(fn string, inside func(ast.Node) bool) func(ast.Node) bool {
+// outside turns "node inside" into "function other than fns containing
+// node": the match of a rule that confines a call to named functions.
+func outside(inside func(ast.Node) bool, fns ...string) func(ast.Node) bool {
 	return func(n ast.Node) (found bool) {
 		decl, ok := n.(*ast.FuncDecl)
-		if !ok || decl.Name.Name == fn || decl.Body == nil {
+		if !ok || decl.Body == nil || slices.Contains(fns, decl.Name.Name) {
 			return false
 		}
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
@@ -115,6 +116,50 @@ func outside(fn string, inside func(ast.Node) bool) func(ast.Node) bool {
 
 // inServer scopes a rule to the non-test files of internal/server.
 func inServer(f string) bool { return !isTest(f) && under(f, "internal/server") }
+
+// stageCallers names every function that may run a pipeline stage
+// itself — call a registry entry's Run (the only three-argument Run
+// methods in the module) or open obs.BeginStage accounting. The runner
+// composes the two stages; the library's single-stage helpers and the
+// experiment sweeps, which cluster one symmetrized graph many times,
+// each run exactly one.
+var stageCallers = map[string][]string{
+	"internal/pipeline/run.go":        {"Execute"},
+	"symcluster.go":                   {"ClusterCtx", "clusterDirectedOnly"},
+	"internal/experiments/figures.go": {"clusterWith", "clusterAtInflation"},
+}
+
+func stageCall(n ast.Node) bool {
+	c, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fun, ok := c.Fun.(*ast.SelectorExpr)
+	return call(n, "obs", "BeginStage") || (ok && fun.Sel.Name == "Run" && len(c.Args) == 3)
+}
+
+// stageRules confines stageCall to stageCallers: a file listed there
+// may make one only inside the functions named, any other file not at
+// all.
+func stageRules() []sourceRule {
+	const why = "Symmetrizer.Run, Clusterer.Run or obs.BeginStage called outside pipeline.Run.Execute and the " +
+		"single-stage helpers named in lint_test.go's stageCallers: the two stages are composed, traced, " +
+		"timed and memoised in one body, so the CLI, the daemon and the library cannot drift apart " +
+		"(DESIGN.md §10, \"Execution and tracing\")"
+	rules := []sourceRule{{
+		why:     why,
+		applies: func(f string) bool { return !isTest(f) && stageCallers[f] == nil },
+		match:   stageCall,
+	}}
+	for file, fns := range stageCallers {
+		rules = append(rules, sourceRule{
+			why:     why,
+			applies: func(f string) bool { return f == file },
+			match:   outside(stageCall, fns...),
+		})
+	}
+	return rules
+}
 
 var sourceRules = []sourceRule{
 	{
@@ -195,22 +240,22 @@ var sourceRules = []sourceRule{
 		why: "Retry-After set outside refuse in internal/server: one function turns an error into a " +
 			"status and decides whether the client is told to come back (DESIGN.md §9, \"HTTP status map\")",
 		applies: inServer,
-		match: outside("refuse", func(n ast.Node) bool {
+		match: outside(func(n ast.Node) bool {
 			name, ok := headerSet(n)
 			return ok && strings.EqualFold(name, "Retry-After")
-		}),
+		}, "refuse"),
 	},
 	{
 		why: "csr.Open outside openGraphFile in internal/server: a binary CSR file becomes a graph — " +
 			"mapped, wrapped, fingerprinted once, unmapped on failure — in one place (DESIGN.md §14)",
 		applies: inServer,
-		match:   outside("openGraphFile", func(n ast.Node) bool { return call(n, "csr", "Open") }),
+		match:   outside(func(n ast.Node) bool { return call(n, "csr", "Open") }, "openGraphFile"),
 	},
 	{
 		why: "ring.Owner outside ownerOf in internal/server: every ownership question — a graph's shard, " +
 			"a dead peer's adopter — is asked with the same health view (DESIGN.md §14)",
 		applies: inServer,
-		match: outside("ownerOf", func(n ast.Node) bool {
+		match: outside(func(n ast.Node) bool {
 			c, ok := n.(*ast.CallExpr)
 			if !ok {
 				return false
@@ -221,7 +266,7 @@ var sourceRules = []sourceRule{
 			}
 			recv, ok := fun.X.(*ast.SelectorExpr)
 			return ok && recv.Sel.Name == "ring"
-		}),
+		}, "ownerOf"),
 	},
 	{
 		why: "container/heap in a clustering kernel: its Push and Pop box every item into an " +
@@ -239,8 +284,8 @@ var sourceRules = []sourceRule{
 
 // TestSourceLints is `make lint`: it parses every Go file of the
 // repository (bench/ included) and holds it to sourceRules and to the
-// rule no pattern can express — no Workers field reachable from
-// pipeline.SymOptions.
+// stageRules, and to the rule no pattern can express — no Workers field
+// reachable from pipeline.SymOptions.
 func TestSourceLints(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
@@ -264,9 +309,10 @@ func TestSourceLints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	all := append(stageRules(), sourceRules...)
 	for name, f := range files {
 		var rules []sourceRule
-		for _, rule := range sourceRules {
+		for _, rule := range all {
 			if rule.applies(name) {
 				rules = append(rules, rule)
 			}

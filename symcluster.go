@@ -306,7 +306,8 @@ func ClusterDirectedCtx(ctx context.Context, g *DirectedGraph, method SymMethod,
 // ClusterDirectedTraceCtx is ClusterDirectedCtx returning, in
 // addition, the symmetrized graph (nil when the algorithm clusters the
 // directed graph directly) and a StageTrace with per-stage wall-clock
-// timings.
+// timings. The request is held to the same rules as the daemon's and
+// the CLI's (pipeline.NewRun) before either stage starts.
 func ClusterDirectedTraceCtx(ctx context.Context, g *DirectedGraph, method SymMethod, symOpt SymmetrizeOptions, algo Algorithm, clusterOpt ClusterOptions) (*Clustering, *UndirectedGraph, *StageTrace, error) {
 	sym, err := pipeline.SymmetrizerFor(method)
 	if err != nil {
@@ -316,7 +317,11 @@ func ClusterDirectedTraceCtx(ctx context.Context, g *DirectedGraph, method SymMe
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return pipeline.Execute(ctx, g, sym, symOpt, cl, clusterOpt)
+	run, err := pipeline.NewRun(sym, symOpt, cl, clusterOpt, g.N())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return run.Execute(ctx, g, nil)
 }
 
 // BestWCut runs the reimplemented Meila–Pentney weighted-cut spectral
@@ -331,14 +336,10 @@ func BestWCutCtx(ctx context.Context, g *DirectedGraph, k int, seed int64) (*Clu
 	return clusterDirectedOnly(ctx, g, BestWCutAlgo, k, seed)
 }
 
-// ZhouSpectral runs the directed-Laplacian spectral baseline of Zhou,
-// Huang & Schölkopf directly on the directed graph.
-func ZhouSpectral(g *DirectedGraph, k int, seed int64) (*Clustering, error) {
-	return ZhouSpectralCtx(context.Background(), g, k, seed)
-}
-
-// ZhouSpectralCtx is ZhouSpectral with cancellation at iteration
-// boundaries of the power iteration, Lanczos and k-means stages.
+// ZhouSpectralCtx runs the directed-Laplacian spectral baseline of
+// Zhou, Huang & Schölkopf directly on the directed graph, with
+// cancellation at iteration boundaries of the power iteration, Lanczos
+// and k-means stages.
 func ZhouSpectralCtx(ctx context.Context, g *DirectedGraph, k int, seed int64) (*Clustering, error) {
 	return clusterDirectedOnly(ctx, g, ZhouAlgo, k, seed)
 }

@@ -2,6 +2,7 @@ package symcluster_test
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -114,7 +115,7 @@ func TestSpectralBaselines(t *testing.T) {
 	if bw.K != 5 || len(bw.Assign) != 400 {
 		t.Fatalf("BestWCut K=%d len=%d", bw.K, len(bw.Assign))
 	}
-	zh, err := symcluster.ZhouSpectral(data.Graph, 5, 5)
+	zh, err := symcluster.ZhouSpectralCtx(context.Background(), data.Graph, 5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
