@@ -35,7 +35,8 @@ vet:
 # in a clustering kernel, a pipeline stage run only by pipeline.Run.Execute
 # and the named single-stage helpers, and in internal/server Retry-After
 # set only by refuse, csr.Open called only by openGraphFile, ring.Owner
-# only by ownerOf — are one Go test over the parsed packages
+# only by ownerOf, Pool.Reserve only by admit and jobs.Admit only by a
+# caller holding admit's ticket — are one Go test over the parsed packages
 # (lint_test.go), so plain `go test ./...` enforces them too; each
 # failure names the rule and its DESIGN.md section.
 lint:
@@ -88,8 +89,13 @@ cluster:
 # invariants: no accepted job lost or duplicated, completed
 # assignments bit-identical to a fault-free control, the WAL replaying
 # clean after a cold double-kill restart, and the survivor's
-# goroutines and heap settling back to baseline. SOAK_SEED pins a
-# schedule for reproduction; the test logs the seed it used.
+# goroutines and heap settling back to baseline. Every third episode,
+# from the second on, is an overload episode instead: open-loop arrivals
+# at 3x the measured service rate against a two-place queue, requiring
+# that 429 and 503 both fire, that a refused submission leaves no job
+# behind, and that every accepted one ends done (it logs goodput, refused
+# share and p99 of admitted work). SOAK_SEED pins a schedule for
+# reproduction; the test logs the seed it used.
 soak:
 	SOAK_SECONDS=$(SOAK_SECONDS) $(GO) test -race -run TestSoak -v \
 		-timeout $$(( $(SOAK_SECONDS) + 840 ))s ./internal/soak

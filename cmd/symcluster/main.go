@@ -26,8 +26,8 @@
 // in-process: the edge list is registered and a synchronous clustering
 // request submitted, with 429/503 shed responses retried up to
 // -retries times honoring Retry-After under a capped jittered backoff
-// (-retry-max-wait). Flags that need the graph locally (-local,
-// -stats, -metisout, -out-of-core, -truth, -trace-log) are rejected.
+// (-retry-max-wait). Flags that need the graph locally (-stats,
+// -metisout, -out-of-core, -truth, -trace-log) are rejected.
 //
 // Observability: -json output embeds the run's span tree
 // (trace.spans), -trace-log appends the same tree as one JSON line to
@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"symmetrization: "+strings.Join(pipeline.MethodNames(), ", ")+" (aliases accepted)")
 	algo := fs.String("algo", "mcl",
 		"clustering algorithm: "+strings.Join(pipeline.AlgorithmNames(), ", ")+" (aliases accepted)")
-	localSeed := fs.Int("local", -1, "extract one local cluster around this seed node instead of a full clustering")
 	metisOut := fs.String("metisout", "", "also write the symmetrized graph in METIS format to this file")
 	k := fs.Int("k", 0, "target cluster count (required for every algorithm except mcl)")
 	alpha := fs.Float64("alpha", 0.5, "out-degree discount exponent α (dd)")
@@ -122,8 +121,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// One context for everything the run computes or waits for: the
-	// deadline holds for a -server round trip, for -local and for the
-	// side outputs as much as for the two stages.
+	// deadline holds for a -server round trip and for the side outputs
+	// as much as for the two stages.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -136,7 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// instance; everything that needs the graph in this process is
 		// incompatible with it.
 		for flagName, set := range map[string]bool{
-			"-local":       *localSeed >= 0,
 			"-stats":       *stats,
 			"-metisout":    *metisOut != "",
 			"-out-of-core": *outOfCore,
@@ -190,32 +188,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *outOfCore {
 		// Like the deadline, the routing holds off the main path too.
 		ctx = symcluster.WithOutOfCore(ctx, symcluster.OutOfCoreConfig{ScratchDir: *spillDir})
-	}
-
-	// Local mode: one cluster around a seed, printed as a node list. It
-	// always needs the symmetrized graph, whatever -algo says.
-	if *localSeed >= 0 {
-		u, err := symmetrizeOnly(ctx, g, req.Spec())
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if err := writeSideOutputs(stderr, u, *stats, *metisOut); err != nil {
-			return fail(stderr, err)
-		}
-		lres, err := symcluster.LocalCluster(u, *localSeed, symcluster.LocalClusterOptions{})
-		if err != nil {
-			return fail(stderr, err)
-		}
-		fmt.Fprintf(stderr, "symcluster: local cluster of %d nodes, conductance %.4f\n",
-			len(lres.Nodes), lres.Conductance)
-		w := bufio.NewWriter(stdout)
-		for _, n := range lres.Nodes {
-			fmt.Fprintln(w, n)
-		}
-		if err := w.Flush(); err != nil {
-			return fail(stderr, err)
-		}
-		return 0
 	}
 
 	run, err := pipeline.Resolve(req.Spec(), g.N())
@@ -422,8 +394,8 @@ func doJSON(cli *cluster.Client, ctx context.Context, url string, hdr http.Heade
 }
 
 // symmetrizeOnly produces the symmetrized graph outside the two-stage
-// run — for -local, and for the side outputs of a substrate that never
-// builds it — with the options the request resolves to.
+// run — for the side outputs of a substrate that never builds it —
+// with the options the request resolves to.
 func symmetrizeOnly(ctx context.Context, g *symcluster.DirectedGraph, spec pipeline.Request) (*symcluster.UndirectedGraph, error) {
 	m, err := symcluster.ParseMethod(spec.Method)
 	if err != nil {

@@ -326,7 +326,6 @@ func TestCLIServerModeRejectsLocalFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, extra := range [][]string{
-		{"-local"},
 		{"-stats"},
 		{"-metisout", filepath.Join(dir, "parts")},
 		{"-out-of-core"},
@@ -365,10 +364,9 @@ func TestCLIUnknownNamesExitTwo(t *testing.T) {
 }
 
 // TestCLITimeoutReachesOffPathSymmetrization holds -timeout over the
-// symmetrizations the CLI runs outside the two-stage pipeline: -local,
-// and the -stats side output of a substrate that never builds the
-// symmetrized graph. An expired deadline must fail the run, not be
-// ignored.
+// symmetrization the CLI runs outside the two-stage pipeline: the
+// -stats side output of a substrate that never builds the symmetrized
+// graph. An expired deadline must fail the run, not be ignored.
 func TestCLITimeoutReachesOffPathSymmetrization(t *testing.T) {
 	dir := t.TempDir()
 	edgePath := filepath.Join(dir, "figure1.edges")
@@ -376,7 +374,6 @@ func TestCLITimeoutReachesOffPathSymmetrization(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, extra := range [][]string{
-		{"-local", "0"},
 		{"-algo", "bestwcut", "-k", "3", "-stats"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -47,25 +47,6 @@ func ExampleEvaluate() {
 	// Avg F = 1.00
 }
 
-// ExampleLocalCluster extracts one low-conductance cluster around a
-// seed node without clustering the whole graph.
-func ExampleLocalCluster() {
-	// Two directed 3-cliques joined by a single edge.
-	b := symcluster.NewMatrixBuilder(6, 6)
-	edges := [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}}
-	for _, e := range edges {
-		b.Add(e[0], e[1], 1)
-		b.Add(e[1], e[0], 1)
-	}
-	g, _ := symcluster.NewDirectedGraph(b.Build(), nil)
-	u, _ := symcluster.Symmetrize(g, symcluster.AAT, symcluster.DefaultSymmetrizeOptions())
-
-	res, _ := symcluster.LocalCluster(u, 0, symcluster.LocalClusterOptions{Epsilon: 1e-7})
-	fmt.Printf("cluster size %d, conductance %.3f\n", len(res.Nodes), res.Conductance)
-	// Output:
-	// cluster size 3, conductance 0.143
-}
-
 // ExampleNewMatrixBuilder constructs a small directed graph by hand
 // and symmetrizes it.
 func ExampleNewMatrixBuilder() {

@@ -3,7 +3,6 @@ package symcluster
 import (
 	"symcluster/internal/bipartite"
 	"symcluster/internal/eval"
-	"symcluster/internal/local"
 	"symcluster/internal/mcl"
 	"symcluster/internal/multipartite"
 )
@@ -80,23 +79,6 @@ type (
 // graph — the general form of the paper's §6 future-work extension.
 func ClusterMultipartite(g *MultipartiteGraph, opt MultipartiteOptions) (*MultipartiteResult, error) {
 	return multipartite.Cluster(g, opt)
-}
-
-// LocalClusterResult is the output of LocalCluster: a node set around
-// the seed and its conductance.
-type LocalClusterResult = local.Cluster
-
-// LocalClusterOptions configures LocalCluster (PPR teleport and
-// residual tolerance).
-type LocalClusterOptions = local.PPROptions
-
-// LocalCluster extracts a low-conductance cluster around a seed node
-// of a symmetrized graph using approximate personalised PageRank and a
-// sweep cut (Andersen, Chung & Lang — the scalable local alternative
-// the paper's §2.1 credits). Runtime is proportional to the cluster
-// found, not the graph.
-func LocalCluster(u *UndirectedGraph, seed int, opt LocalClusterOptions) (*LocalClusterResult, error) {
-	return local.LocalCluster(u.Adj, seed, opt)
 }
 
 // SpectralNCut runs classic undirected spectral clustering (normalised

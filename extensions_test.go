@@ -105,24 +105,6 @@ func TestModularityPublic(t *testing.T) {
 	_ = qd // any finite value acceptable for the flow pattern
 }
 
-func TestLocalClusterPublic(t *testing.T) {
-	data, err := symcluster.GenerateCitation(symcluster.CitationOptions{Nodes: 600, Topics: 6, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := symcluster.Symmetrize(data.Graph, symcluster.DegreeDiscounted, symcluster.DefaultSymmetrizeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := symcluster.LocalCluster(u, 100, symcluster.LocalClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes) == 0 || res.Conductance < 0 || res.Conductance > 1 {
-		t.Fatalf("local cluster: %d nodes, conductance %v", len(res.Nodes), res.Conductance)
-	}
-}
-
 // fromDense builds a Matrix through the public API surface only.
 func fromDense(d [][]float64) *symcluster.Matrix {
 	rows, cols := len(d), len(d[0])

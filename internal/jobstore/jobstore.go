@@ -433,6 +433,7 @@ func (s *Store) Admit(tmpl JobRecord) (job *JobRecord, existing bool, err error)
 func (s *Store) LookupByKey(key string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.expireLocked()
 	id, ok := s.byKey[key]
 	return id, ok
 }

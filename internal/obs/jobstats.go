@@ -2,16 +2,16 @@ package obs
 
 import (
 	"context"
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 )
 
 // StageStats is the accounting for one named pipeline stage of a job.
 // CPU time is process CPU (user+system via getrusage) and the alloc
-// delta is the runtime's cumulative TotalAlloc across the stage, so
-// both are approximate attributions when jobs run concurrently — good
-// enough to answer "where did this job's time go".
+// delta is the runtime's cumulative heap-allocation counter across the
+// stage, so both are approximate attributions when jobs run
+// concurrently — good enough to answer "where did this job's time go".
 type StageStats struct {
 	WallMillis float64 `json:"wall_millis"`
 	CPUMillis  float64 `json:"cpu_millis"`
@@ -175,9 +175,20 @@ func BeginStage(ctx context.Context, name string) func() {
 	}
 }
 
-// totalAllocBytes reads the runtime's cumulative allocation counter.
+// totalAllocBytes reads the runtime's cumulative allocation counter
+// (the quantity MemStats.TotalAlloc reports) through runtime/metrics,
+// which — unlike runtime.ReadMemStats — does not stop the world; the
+// samples are pooled so a stage boundary allocates nothing.
 func totalAllocBytes() int64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.TotalAlloc)
+	sample := allocSamples.Get().(*[1]metrics.Sample)
+	defer allocSamples.Put(sample)
+	metrics.Read(sample[:])
+	if sample[0].Value.Kind() != metrics.KindUint64 {
+		return 0 // a runtime without the metric: stages report no bytes
+	}
+	return int64(sample[0].Value.Uint64())
 }
+
+var allocSamples = sync.Pool{New: func() any {
+	return &[1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+}}

@@ -330,6 +330,9 @@ func formatValue(v float64) string {
 		return "-Inf"
 	case math.IsNaN(v):
 		return "NaN"
+	case v == math.Trunc(v) && math.Abs(v) < 1<<53:
+		// Counts and byte gauges print as integers, never 1.5e+06.
+		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -151,7 +151,7 @@ func (c *coordinator) adoptFrom(dead *cluster.Peer) bool {
 		if existing {
 			continue
 		}
-		s.metrics.IncJobsAdopted()
+		s.metrics.jobsAdopted.Inc()
 		s.log().Info("adopted job", "peer", dead.Name, "job", rec.ID,
 			"as", job.ID, "checkpoints", len(job.Checkpoints))
 		adoptedJobs = append(adoptedJobs, job)

@@ -3,8 +3,8 @@
 // 2011). Clients register directed graphs, then request clusterings by
 // symmetrization method and substrate algorithm; the service caches
 // symmetrized graphs — the expensive, reusable half of the pipeline —
-// under a byte budget and runs the compute on a bounded worker pool
-// with async jobs for large graphs.
+// under a byte budget and bounds the compute at a fixed number of
+// running and waiting jobs, with async jobs for large graphs.
 //
 // The package splits into:
 //
@@ -14,16 +14,20 @@
 //     and lifecycle
 //   - handlers.go   — the /v1 endpoint handlers, the status map and the
 //     refusal writer; a cluster request is resolved and executed by
-//     internal/pipeline (prepareRun admits it, runCluster traces it and
+//     internal/pipeline (prepareRun resolves it, runTicket takes it
+//     from its queue place to its outcome, runCluster traces it and
 //     lends it the cache as the pipeline's Memo)
 //   - upload.go     — chunked graph upload sessions
-//   - admission.go  — working-set estimation and the job byte budget
+//   - admission.go  — admit: the ordered gates (byte budget, deadline,
+//     queued-byte watermark, queue place) a job passes before it is
+//     journaled or queued, and the ticket it then holds
 //   - cache.go      — byte-budgeted LRU of symmetrized graphs
-//   - pool.go       — bounded worker pool with cancellation and panic
-//     isolation
+//   - pool.go       — the counted bound on running and waiting work:
+//     Reserve / Slot.Wait / Slot.Run, panic isolation, no goroutines
 //   - jobs.go, jobsink.go — wire rendering of async jobs and their
 //     checkpoint sink (the job table itself is internal/jobstore)
-//   - metrics.go    — counters and text exposition for /metrics
+//   - metrics.go    — every symclusterd_* family, in the one registry
+//     /metrics renders
 //   - middleware.go — recovery, body limits, the drain gate, request
 //     accounting
 //   - routing.go, graphpush.go, adoption.go — cluster mode: where a

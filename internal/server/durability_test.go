@@ -301,16 +301,13 @@ func TestShed429(t *testing.T) {
 	info := s.RegisterGraph(mustFigure1Graph(t))
 	req := ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Seed: 1, Async: true}
 
-	// Job 1 is dequeued by the idle worker (and stalls in the delay
-	// fault); wait for that so job 2 lands in the queue, not a worker.
+	// Job 1 is taken by the idle worker (and stalls in the delay fault);
+	// wait for that — and for its bytes to leave the queue, which follows
+	// the worker token — so job 2 lands in the queue, not a worker.
 	decodeJobRef(t, postCluster(t, ts.URL, req, ""))
-	deadline := time.Now().Add(10 * time.Second)
-	for s.pool.Busy() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if s.pool.Busy() == 0 {
-		t.Fatal("worker never picked up job 1")
-	}
+	waitFor(t, 10*time.Second, "job 1 on the worker", func() bool {
+		return s.pool.Busy() == 1 && s.queuedBytes.Load() == 0
+	})
 
 	// Job 2 queues: the watermark check sees 0 queued bytes, admits it,
 	// and its estimate (far over 1 byte) arms the gate.

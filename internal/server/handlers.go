@@ -149,11 +149,11 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rg.info)
 }
 
-// handleCluster serves POST /v1/cluster. Synchronous requests run on
-// the worker pool under the request context plus the configured
-// timeout; async requests return 202 with a job reference and run
-// detached from the client connection (but still on the pool, so drain
-// waits for them).
+// handleCluster serves POST /v1/cluster. A synchronous request is run
+// by this goroutine, on a pool slot, under the request context plus the
+// configured timeout; an async request returns 202 with a job reference
+// and runs detached from the client connection (but still on a pool
+// slot, so drain waits for it).
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	var req ClusterRequest
 	dec := json.NewDecoder(r.Body)
@@ -183,124 +183,116 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	// Synchronous runs get per-job resource accounting too: the snapshot
 	// lands in the response's stats block (there is no job record).
 	ctx = obs.WithJobStats(ctx, obs.NewJobStats())
-	wait, err := s.submitJob(ctx, prep.est, func(ctx context.Context) (any, error) { return prep.runner(ctx) })
-	var res any
+	var out *runOutcome
+	tk, err := s.admit(ctx, prep)
 	if err == nil {
-		res, err = wait()
+		out, err = s.runTicket(ctx, tk, prep, nil)
 	}
 	if err != nil {
 		s.logWorkerPanic(err)
 		refuse(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res.(*runOutcome).Resp)
+	writeJSON(w, http.StatusOK, out.Resp)
 }
 
-// submitJob pushes work through the deadline and shedding gates onto
-// the pool.
-//
-// The deadline gate fast-fails two cases with 504 before the job costs
-// anything: a context already expired at submit, and a remaining
-// budget smaller than even a wildly optimistic estimate of the job's
-// runtime (its admission byte estimate over Config.DeadlineThroughput)
-// — the job could not possibly answer in time, so queueing it only
-// delays work that still can. A third case is caught later by the
-// pool: a deadline that expires while the task waits in the queue
-// drops it at dequeue, before fn runs (so no kernel ever starts and
-// the trace stays empty). All three count into
-// symclusterd_deadline_rejected_total.
-//
-// The shedding gate is a high watermark over the summed working-set
-// estimates of queued tasks: once queuedBytes is at or past
-// MaxQueueBytes the request is shed with 429 — but the incoming job's
-// own estimate is not counted, so a single large job on an idle queue
-// always gets in. Accepted estimates are released by the pool's
-// dequeue hook (run or dropped, either way the bytes stop being
-// "queued").
-func (s *Server) submitJob(ctx context.Context, est int64, fn func(ctx context.Context) (any, error)) (func() (any, error), error) {
-	if err := ctx.Err(); err != nil {
+// runTicket takes an admitted job from the queue to its outcome on the
+// calling goroutine: wait for a worker, stop being "queued", run. A
+// context that ends while the job waits frees its slot at once and the
+// kernel never starts; a deadline that expires there counts into
+// symclusterd_deadline_rejected_total beside admission's rejections.
+// (Wait takes the worker token before the bytes are handed back, so
+// workers_busy can lead queue_bytes by an instant.) begin, when set, runs on the worker just before the kernel (an async
+// job journals its start there).
+func (s *Server) runTicket(ctx context.Context, tk ticket, prep *preparedRun, begin func() error) (out *runOutcome, err error) {
+	err = tk.slot.Wait(ctx)
+	s.queuedBytes.Add(-tk.est)
+	obs.JobStatsFrom(ctx).SetQueueWait(time.Since(tk.at))
+	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.IncDeadlineRejected()
+			s.metrics.deadlineRejected.Inc()
 		}
 		return nil, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		need := time.Duration(float64(est) / float64(s.cfg.DeadlineThroughput) * float64(time.Second))
-		if remaining := time.Until(dl); remaining < need {
-			s.metrics.IncDeadlineRejected()
-			return nil, &apiError{code: http.StatusGatewayTimeout,
-				err: fmt.Errorf("deadline too tight: %v remaining, but the job needs at least %v even at best-case throughput", remaining.Round(time.Millisecond), need.Round(time.Millisecond))}
+	err = tk.slot.Run(ctx, func(ctx context.Context) (err error) {
+		if begin != nil {
+			if err := begin(); err != nil {
+				return err
+			}
 		}
-	}
-	if max := s.cfg.MaxQueueBytes; max > 0 && s.queuedBytes.Load() >= max {
-		s.shedTotal.Add(1)
-		return nil, fmt.Errorf("%w: %d bytes queued, budget %d; retry later",
-			errShed, s.queuedBytes.Load(), max)
-	}
-	s.queuedBytes.Add(est)
-	// The dequeue hook is the queue-wait measurement point: it fires the
-	// moment a worker pulls the task, before the run begins.
-	js := obs.JobStatsFrom(ctx)
-	submitted := time.Now()
-	wait, err := s.pool.SubmitHooked(ctx, fn, func() {
-		js.SetQueueWait(time.Since(submitted))
-		s.queuedBytes.Add(-est)
-	}, func(cause error) {
-		if errors.Is(cause, context.DeadlineExceeded) {
-			s.metrics.IncDeadlineRejected()
-		}
+		out, err = s.runCluster(ctx, prep, tk.ooc)
+		return err
 	})
-	if err != nil {
-		s.queuedBytes.Add(-est)
-		return nil, err
-	}
-	return wait, nil
+	return out, err
 }
 
-// startAsyncJob creates (or, under a repeated Idempotency-Key, finds)
-// the job record and launches it. The 202 body is identical for the
-// first request and its duplicates: same job id, same location.
+// startAsyncJob answers 202 with the job a repeated Idempotency-Key
+// names, or with a new one. The body is identical for the first request
+// and its duplicates: same job id, same location.
 func (s *Server) startAsyncJob(w http.ResponseWriter, r *http.Request, req *ClusterRequest, idemKey string, prep *preparedRun) {
-	reqJSON, err := json.Marshal(req)
-	if err != nil {
-		refuse(w, err)
-		return
-	}
-	job, existing, err := s.jobs.Admit(jobstore.JobRecord{IdempotencyKey: idemKey, Request: reqJSON})
-	if err != nil {
-		refuse(w, fmt.Errorf("journaling job: %w", err))
-		return
-	}
+	id, existing := s.jobs.LookupByKey(idemKey) // no job holds the empty key
 	if !existing {
-		if lerr := s.launchJob(r.Context(), job, prep); lerr != nil {
-			s.finishJob(job.ID, nil, nil, lerr)
-			refuse(w, lerr)
-			return
+		var err error
+		if id, err = s.submitAsync(r.Context(), req, idemKey, prep); err != nil {
+			// A concurrent duplicate may have journaled the key while
+			// this one was being refused: answer with its job.
+			if id, existing = s.jobs.LookupByKey(idemKey); !existing {
+				refuse(w, err)
+				return
+			}
 		}
 	}
 	// In cluster mode the id is qualified with this node's name, so any
 	// peer can route polls for it back here.
-	id := s.qualifyID(job.ID)
-	writeJSON(w, http.StatusAccepted, JobRef{
-		JobID:    id,
-		Location: "/v1/jobs/" + id,
-	})
+	id = s.qualifyID(id)
+	writeJSON(w, http.StatusAccepted, JobRef{JobID: id, Location: "/v1/jobs/" + id})
 }
 
-// launchJob submits one async job to the pool and wires its lifecycle:
-// Start when a worker picks it up, checkpoints to the WAL while it
-// runs (durable + checkpointable runs only), and on completion either
-// Finish — or, when Drain preempted it, Requeue, because its kernel
-// checkpointed on the way out and the next boot resumes it.
-func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep *preparedRun) error {
+// submitAsync admits, journals and launches one async job — in that
+// order, so a refused submission is never journaled and a job id is
+// only ever handed out for a job that holds a slot.
+func (s *Server) submitAsync(reqCtx context.Context, req *ClusterRequest, idemKey string, prep *preparedRun) (string, error) {
+	reqJSON, err := json.Marshal(req)
+	if err != nil {
+		return "", err
+	}
 	// The job must outlive the HTTP request: detach from the request
-	// context but keep its values for tracing. The cancel cause lets
-	// Drain preempt the job distinguishably from a client cancel.
-	jobCtx, cancel := context.WithCancelCause(context.WithoutCancel(parent))
-	if prep.checkpointable && s.jobs.Durable() {
+	// context but keep its values for tracing.
+	ctx := context.WithoutCancel(reqCtx)
+	tk, err := s.admit(ctx, prep)
+	if err != nil {
+		return "", err
+	}
+	job, existing, err := s.jobs.Admit(jobstore.JobRecord{IdempotencyKey: idemKey, Request: reqJSON})
+	if err == nil && !existing {
+		s.launchJob(ctx, job, prep, tk)
+		return job.ID, nil
+	}
+	// Not journaled, or a concurrent duplicate won the key: the ticket
+	// goes back unused.
+	s.queuedBytes.Add(-tk.est)
+	tk.slot.Release()
+	if err != nil {
+		return "", fmt.Errorf("journaling job: %w", err)
+	}
+	return job.ID, nil
+}
+
+// launchJob starts the goroutine that carries one admitted, journaled
+// async job from the queue to its outcome, and wires its lifecycle:
+// Start when a worker is free, checkpoints to the WAL while it runs
+// (durable + checkpointable runs only), and on completion either
+// Finish — or, when Drain preempted it, Requeue, because its kernel
+// checkpointed on the way out and the next boot resumes it. parent is
+// already detached from any request.
+func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep *preparedRun, tk ticket) {
+	// The cancel cause lets Drain preempt the job distinguishably from a
+	// client cancel.
+	jobCtx, cancel := context.WithCancelCause(parent)
+	if prep.checkpointable() && s.jobs.Durable() {
 		jobCtx = checkpoint.With(jobCtx, newJobSink(s.jobs, job.ID, s.cfg.CheckpointIters, job.Checkpoints))
 	}
-	// Pin the job's trace identity before it is queued. A proxied submit
+	// Pin the job's trace identity before it runs. A proxied submit
 	// already carries the entry node's seed (joined by the middleware);
 	// otherwise mint a fresh id. An adopted job additionally links back
 	// to the dead owner's original trace. The id is journaled with the
@@ -315,16 +307,7 @@ func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep
 	jobCtx = obs.WithTraceSeed(jobCtx, seed)
 	js := obs.NewJobStats()
 	jobCtx = obs.WithJobStats(jobCtx, js)
-	wait, err := s.submitJob(jobCtx, prep.est, func(ctx context.Context) (any, error) {
-		if serr := s.jobs.Start(job.ID, seed.TraceID); serr != nil {
-			return nil, fmt.Errorf("journaling start: %w", serr)
-		}
-		return prep.runner(ctx)
-	})
-	if err != nil {
-		cancel(nil)
-		return err
-	}
+
 	s.jobMu.Lock()
 	s.jobCancels[job.ID] = cancel
 	s.jobMu.Unlock()
@@ -338,11 +321,15 @@ func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep
 			s.jobMu.Unlock()
 			cancel(nil)
 		}()
-		res, rerr := wait()
+		// The outcome carries the span tree even when the run errored,
+		// so failed jobs keep their trace.
+		out, rerr := s.runTicket(jobCtx, tk, prep, func() error {
+			if serr := s.jobs.Start(job.ID, seed.TraceID); serr != nil {
+				return fmt.Errorf("journaling start: %w", serr)
+			}
+			return nil
+		})
 		s.logWorkerPanic(rerr)
-		// The outcome carries the span tree even when the run
-		// errored, so failed jobs keep their trace.
-		out, _ := res.(*runOutcome)
 		if errors.Is(rerr, context.Canceled) && errors.Is(context.Cause(jobCtx), errPreempted) {
 			// Drain preempted the run after its final checkpoint;
 			// pending in the WAL means the next boot picks it up.
@@ -353,32 +340,32 @@ func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep
 		}
 		s.finishJob(job.ID, out, js.Snapshot(), rerr)
 	}()
-	return nil
 }
 
-// runOutcome is what one clustering run hands back through the pool:
-// the response (nil when the run failed) and the run's span tree,
-// which survives errors so failed jobs keep their trace.
+// runOutcome is what one clustering run leaves behind: the response
+// (nil when the run failed) and the run's span tree, which survives
+// errors so failed jobs keep their trace.
 type runOutcome struct {
 	Resp  *ClusterResponse
 	Trace *obs.SpanNode
 }
 
-// preparedRun is a validated, admitted request ready to submit: the
-// closure that executes it (out-of-core when admission routed it so),
-// the admission byte estimate (charged against the queue watermark
-// while it waits), and whether any stage supports kernel checkpointing
-// (gates installing a job sink).
+// preparedRun is a request resolved against the graph registry and the
+// pipeline registry, not yet admitted.
 type preparedRun struct {
-	runner         func(ctx context.Context) (*runOutcome, error)
-	est            int64
-	checkpointable bool
+	rg  *registeredGraph
+	run *pipeline.Run
+}
+
+// checkpointable reports whether any stage supports kernel
+// checkpointing (gates installing a job sink).
+func (p *preparedRun) checkpointable() bool {
+	return p.run.Cl.Checkpointable() || (p.run.Sym != nil && p.run.Sym.Checkpointable())
 }
 
 // prepareRun resolves a ClusterRequest against the registered graph and
-// the pipeline registry, admits it, and returns the closure that
-// executes it. All of it happens before the request is queued so bad
-// input never occupies a worker.
+// the pipeline registry. It happens before admission, so bad input is a
+// 400 or 404 whatever the load.
 func (s *Server) prepareRun(req *ClusterRequest) (*preparedRun, error) {
 	if req.GraphID == "" {
 		return nil, badRequest("graph_id is required")
@@ -391,29 +378,7 @@ func (s *Server) prepareRun(req *ClusterRequest) (*preparedRun, error) {
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	est, ooc, err := s.admit(rg, run.Sym, run.Cl, req.K)
-	if err != nil {
-		return nil, err
-	}
-	return &preparedRun{
-		runner: func(ctx context.Context) (*runOutcome, error) {
-			if ooc {
-				// Route the symmetrization out-of-core: operands become
-				// memory-mapped files under the spill dir; the result is
-				// byte-identical to the in-core path (same cache key).
-				s.oocTotal.Add(1)
-				ctx = symcluster.WithOutOfCore(ctx, symcluster.OutOfCoreConfig{
-					InputPath:        rg.csrPath, // empty: input written to scratch first
-					ScratchDir:       s.cfg.SpillDir,
-					MaxResidentBytes: s.cfg.MaxResidentBytes,
-					SpillMemBytes:    s.cfg.IngestMemBytes,
-				})
-			}
-			return s.runCluster(ctx, rg, run)
-		},
-		est:            est,
-		checkpointable: run.Cl.Checkpointable() || (run.Sym != nil && run.Sym.Checkpointable()),
-	}, nil
+	return &preparedRun{rg: rg, run: run}, nil
 }
 
 // symMemo is one request's view of the symmetrization cache: the
@@ -434,7 +399,7 @@ func (m symMemo) Lookup(sym pipeline.Symmetrizer, opt pipeline.SymOptions) (*sym
 
 func (m symMemo) Store(sym pipeline.Symmetrizer, opt pipeline.SymOptions, u *symcluster.UndirectedGraph) {
 	m.s.cache.Put(m.key(sym, opt), u)
-	m.s.metrics.ObserveCacheObject(GraphBytes(u))
+	m.s.metrics.cacheObjectBytes.Observe(float64(GraphBytes(u)))
 }
 
 // runCluster executes one resolved request over the symmetrization
@@ -446,11 +411,24 @@ func (m symMemo) Store(sym pipeline.Symmetrizer, opt pipeline.SymOptions, u *sym
 // success. A stage that actually ran (symmetrize on a cache miss,
 // cluster always) is observed into symclusterd_stage_seconds.
 //
-// It runs on a pool worker; the context is threaded into both stages,
-// whose kernels poll it at iteration and row-block boundaries, so a
-// client disconnect or timeout frees the worker within one block of
-// kernel work.
-func (s *Server) runCluster(ctx context.Context, rg *registeredGraph, run *pipeline.Run) (*runOutcome, error) {
+// It runs on a pool slot, on the goroutine that waited for it; the
+// context is threaded into both stages, whose kernels poll it at
+// iteration and row-block boundaries, so a client disconnect or timeout
+// frees the worker within one block of kernel work.
+func (s *Server) runCluster(ctx context.Context, prep *preparedRun, ooc bool) (*runOutcome, error) {
+	rg, run := prep.rg, prep.run
+	if ooc {
+		// Route the symmetrization out-of-core: operands become
+		// memory-mapped files under the spill dir; the result is
+		// byte-identical to the in-core path (same cache key).
+		s.metrics.oocJobs.Inc()
+		ctx = symcluster.WithOutOfCore(ctx, symcluster.OutOfCoreConfig{
+			InputPath:        rg.csrPath, // empty: input written to scratch first
+			ScratchDir:       s.cfg.SpillDir,
+			MaxResidentBytes: s.cfg.MaxResidentBytes,
+			SpillMemBytes:    s.cfg.IngestMemBytes,
+		})
+	}
 	method := ""
 	if run.Sym != nil {
 		method = run.Sym.Name()
@@ -465,10 +443,10 @@ func (s *Server) runCluster(ctx context.Context, rg *registeredGraph, run *pipel
 		obs.A("method", method))
 	res, u, trace, err := run.Execute(ctx, rg.graph, symMemo{s, rg.fingerprint})
 	if u != nil && !trace.CacheHit {
-		s.metrics.ObserveStage("symmetrize", trace.Symmetrizer, trace.SymmetrizeMillis/1000)
+		s.metrics.stageSeconds.Observe(trace.SymmetrizeMillis/1000, "symmetrize", trace.Symmetrizer)
 	}
 	if res != nil {
-		s.metrics.ObserveStage("cluster", trace.Clusterer, trace.ClusterMillis/1000)
+		s.metrics.stageSeconds.Observe(trace.ClusterMillis/1000, "cluster", trace.Clusterer)
 		// A run that finished after its context ended still failed its
 		// caller.
 		err = ctx.Err()
@@ -559,8 +537,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleMetrics serves the text exposition.
+// handleMetrics serves the registry's text exposition, the per-state
+// job gauge set from the job table first.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteTo(w, s)
+	counts := s.jobs.Counts()
+	for _, st := range []jobstore.State{jobstore.Pending, jobstore.Running, jobstore.Done, jobstore.Failed, jobstore.Canceled} {
+		s.metrics.jobs.Set(float64(counts[st]), string(st))
+	}
+	s.metrics.reg.WriteText(w)
 }

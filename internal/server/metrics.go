@@ -1,23 +1,22 @@
 package server
 
 import (
-	"io"
 	"runtime"
 	"strconv"
 	"time"
 
 	"symcluster/internal/cluster"
 	"symcluster/internal/csr"
-	"symcluster/internal/jobstore"
 	"symcluster/internal/obs"
 )
 
-// Metrics is the daemon's metric surface: an obs.Registry holding the
-// request/stage histograms, admission counters, build info, and — via
-// obs.WithMeter on request contexts — every kernel-level
-// symcluster_* histogram the compute underneath records. The /metrics
-// exposition renders the registry plus the live cache/pool/job gauges,
-// which are read at scrape time rather than double-bookkept.
+// Metrics is the daemon's metric surface: an obs.Registry holding every
+// symclusterd_* family — the request/stage histograms, the refusal
+// counters, build info, and the live cache/pool/job-table values, which
+// are callbacks read at scrape time rather than double-bookkept — and,
+// via obs.WithMeter on request contexts, every kernel-level
+// symcluster_* histogram the compute underneath records. /metrics is
+// the registry's exposition and nothing else.
 //
 // Naming convention: symclusterd_* for serving metrics owned by this
 // package, symcluster_* for library/kernel metrics recorded through
@@ -29,13 +28,17 @@ type Metrics struct {
 	requestSeconds   *obs.Histogram
 	stageSeconds     *obs.Histogram
 	cacheObjectBytes *obs.Histogram
-	admissionReject  *obs.Counter
+	jobs             *obs.Gauge
 
-	// Overload-survival families (PR 10): deadline fast-fails, breaker
-	// positions and denied retries.
+	// What refused or rerouted a clustering job (DESIGN.md §9,
+	// "Admission control").
+	admissionReject  *obs.Counter
 	deadlineRejected *obs.Counter
-	breakerState     *obs.Gauge
-	retryExhausted   *obs.Counter
+	shed             *obs.Counter
+	oocJobs          *obs.Counter
+
+	breakerState   *obs.Gauge
+	retryExhausted *obs.Counter
 
 	// Cluster-mode families. Registered unconditionally (zero in
 	// single-node mode) so dashboards need not branch on deployment.
@@ -46,7 +49,8 @@ type Metrics struct {
 	uploadsExpired *obs.Counter
 }
 
-// NewMetrics returns a registry with the daemon families registered.
+// NewMetrics returns a registry with the daemon's own families
+// registered; bind adds the ones read live off a Server.
 func NewMetrics() *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
@@ -59,10 +63,15 @@ func NewMetrics() *Metrics {
 			"Executed pipeline-stage wall clock in seconds (cache hits are not observed).", obs.DurationBuckets, "stage", "name"),
 		cacheObjectBytes: reg.Histogram("symclusterd_cache_object_bytes",
 			"Resident size of symmetrized graphs inserted into the cache.", obs.SizeBuckets),
+		jobs: reg.Gauge("symclusterd_jobs", "Async jobs by state.", "state"),
 		admissionReject: reg.Counter("symclusterd_admission_rejected_total",
 			"Clustering requests rejected by the working-set byte budget."),
 		deadlineRejected: reg.Counter("symclusterd_deadline_rejected_total",
 			"Requests fast-failed with 504 because their propagated deadline expired (at submit or while queued) or their remaining budget cannot fit the estimated runtime."),
+		shed: reg.Counter("symclusterd_shed_total",
+			"Clustering requests shed by the queued-byte watermark."),
+		oocJobs: reg.Counter("symclusterd_ooc_jobs_total",
+			"Clustering jobs admitted on the out-of-core path."),
 		breakerState: reg.Gauge("symclusterd_breaker_state",
 			"Circuit-breaker position per peer: 0 closed, 1 half-open, 2 open.", "peer"),
 		retryExhausted: reg.Counter("symclusterd_retry_budget_exhausted_total",
@@ -81,12 +90,10 @@ func NewMetrics() *Metrics {
 	// Touch the unlabeled counters so the families appear in the
 	// exposition before the first event (tests and dashboards rely on
 	// the zero line).
-	m.admissionReject.Add(0)
-	m.deadlineRejected.Add(0)
-	m.retryExhausted.Add(0)
-	m.proxyRetries.Add(0)
-	m.jobsAdopted.Add(0)
-	m.uploadsExpired.Add(0)
+	for _, c := range []*obs.Counter{m.admissionReject, m.deadlineRejected, m.shed, m.oocJobs,
+		m.retryExhausted, m.proxyRetries, m.jobsAdopted, m.uploadsExpired} {
+		c.Add(0)
+	}
 	reg.Gauge("symclusterd_build_info",
 		"Build metadata; the value is always 1.", "version", "go_version").
 		Set(1, obs.Version, runtime.Version())
@@ -94,14 +101,42 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// Registry exposes the underlying obs registry; request contexts carry
-// it (obs.WithMeter) so kernel hooks record into the same exposition.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
+// bind registers the families whose value lives in the server's cache,
+// pool, job table, WAL or trace ring. The durability families are
+// always present (zero without -data-dir) so dashboards and the
+// crash-recovery tests can poll them unconditionally.
+func (m *Metrics) bind(s *Server) {
+	live := func(name, help string, typ obs.MetricType, read func() int64) {
+		m.reg.Func(name, help, typ, func() float64 { return float64(read()) })
+	}
+	live("symclusterd_cache_hits_total", "Symmetrization cache hits.", obs.TypeCounter,
+		func() int64 { hits, _, _ := s.cache.Stats(); return hits })
+	live("symclusterd_cache_misses_total", "Symmetrization cache misses.", obs.TypeCounter,
+		func() int64 { _, misses, _ := s.cache.Stats(); return misses })
+	live("symclusterd_cache_evictions_total", "Symmetrization cache evictions.", obs.TypeCounter,
+		func() int64 { _, _, evictions := s.cache.Stats(); return evictions })
+	live("symclusterd_cache_bytes", "Bytes resident in the symmetrization cache.", obs.TypeGauge, s.cache.Bytes)
+	live("symclusterd_cache_entries", "Entries resident in the symmetrization cache.", obs.TypeGauge,
+		func() int64 { return int64(s.cache.Len()) })
 
-// ObserveStage records the wall clock of one executed pipeline stage
-// (cache hits are not observed — only work actually done).
-func (m *Metrics) ObserveStage(stage, name string, seconds float64) {
-	m.stageSeconds.Observe(seconds, stage, name)
+	live("symclusterd_queue_depth", "Tasks waiting for a worker.", obs.TypeGauge,
+		func() int64 { return int64(s.pool.QueueDepth()) })
+	live("symclusterd_workers_busy", "Workers currently running a task.", obs.TypeGauge,
+		func() int64 { return int64(s.pool.Busy()) })
+	live("symclusterd_workers_total", "Worker-pool size.", obs.TypeGauge,
+		func() int64 { return int64(s.pool.Workers()) })
+	live("symclusterd_panics_recovered_total", "Worker panics recovered.", obs.TypeCounter, s.pool.PanicsRecovered)
+	live("symclusterd_queue_bytes", "Summed working-set estimate of queued clustering jobs.", obs.TypeGauge, s.queuedBytes.Load)
+
+	live("symclusterd_csr_mapped_bytes", "Bytes of binary CSR files currently memory-mapped.", obs.TypeGauge, csr.MappedBytes)
+	live("symclusterd_trace_ring_bytes", "Rendered-JSON bytes retained in the in-memory trace ring.", obs.TypeGauge, s.traces.RingBytes)
+
+	live("symclusterd_jobs_expired_total", "Finished async jobs dropped by TTL expiry.", obs.TypeCounter, s.jobs.Expired)
+	live("symclusterd_checkpoints_total", "Kernel checkpoints journaled to the WAL.", obs.TypeCounter, s.jobs.CheckpointSaves)
+	live("symclusterd_jobs_replayed_total", "Interrupted jobs replayed as pending at startup.", obs.TypeCounter, s.jobs.Replayed)
+	live("symclusterd_wal_bytes", "Current size of the job WAL in bytes.", obs.TypeGauge, s.jobs.LogBytes)
+	live("symclusterd_wal_appends_total", "Records appended to the job WAL.", obs.TypeCounter, s.jobs.Appends)
+	live("symclusterd_wal_compactions_total", "Job WAL compactions performed.", obs.TypeCounter, s.jobs.Compactions)
 }
 
 // ObserveRequest records one served request on a route with its status
@@ -110,20 +145,6 @@ func (m *Metrics) ObserveRequest(route string, code int, d time.Duration) {
 	m.requests.Inc(route, strconv.Itoa(code))
 	m.requestSeconds.Observe(d.Seconds(), route)
 }
-
-// ObserveCacheObject records the byte size of one cache insert.
-func (m *Metrics) ObserveCacheObject(bytes int64) {
-	m.cacheObjectBytes.Observe(float64(bytes))
-}
-
-// IncAdmissionRejected counts one clustering request rejected by the
-// working-set byte budget.
-func (m *Metrics) IncAdmissionRejected() { m.admissionReject.Inc() }
-
-// IncDeadlineRejected counts one request fast-failed 504 by the
-// deadline gate (expired at submit, unfittable budget, or expired in
-// the queue).
-func (m *Metrics) IncDeadlineRejected() { m.deadlineRejected.Inc() }
 
 // SetBreakerState records one peer's circuit-breaker position.
 func (m *Metrics) SetBreakerState(peer string, state cluster.BreakerState) {
@@ -137,22 +158,12 @@ func (m *Metrics) SetBreakerState(peer string, state cluster.BreakerState) {
 	m.breakerState.Set(v, peer)
 }
 
-// IncRetryBudgetExhausted counts one denied retry.
-func (m *Metrics) IncRetryBudgetExhausted() { m.retryExhausted.Inc() }
-
-// RetryBudgetExhaustedValue reads the denied-retry counter back for the
-// cluster status plane.
-func (m *Metrics) RetryBudgetExhaustedValue() int64 { return int64(m.retryExhausted.Value()) }
-
 // IncProxyRequest counts one request forwarded to a peer, labeled by
 // the peer name and the status code relayed to the client (502 when the
 // forward itself failed).
 func (m *Metrics) IncProxyRequest(peer string, code int) {
 	m.proxyRequests.Inc(peer, strconv.Itoa(code))
 }
-
-// IncProxyRetry counts one retried proxy forward attempt.
-func (m *Metrics) IncProxyRetry() { m.proxyRetries.Inc() }
 
 // SetPeerUnhealthy flips the named peer's unhealthy gauge.
 func (m *Metrics) SetPeerUnhealthy(peer string, down bool) {
@@ -161,62 +172,4 @@ func (m *Metrics) SetPeerUnhealthy(peer string, down bool) {
 		v = 1.0
 	}
 	m.peerUnhealthy.Set(v, peer)
-}
-
-// IncJobsAdopted counts one pending job adopted from a dead peer's WAL.
-func (m *Metrics) IncJobsAdopted() { m.jobsAdopted.Inc() }
-
-// JobsAdoptedValue reads the adoption counter back for the cluster
-// status plane.
-func (m *Metrics) JobsAdoptedValue() int64 { return int64(m.jobsAdopted.Value()) }
-
-// IncUploadExpired counts one chunked-upload session reaped by the idle
-// TTL sweeper.
-func (m *Metrics) IncUploadExpired() { m.uploadsExpired.Inc() }
-
-// WriteTo renders the exposition: the registry families first, then the
-// live gauges read from the server's cache, pool, job store and WAL at
-// scrape time.
-func (m *Metrics) WriteTo(w io.Writer, s *Server) {
-	cache, pool, jobs := s.cache, s.pool, s.jobs
-	m.reg.WriteText(w)
-
-	p := func(help, typ, name string, v int64) {
-		io.WriteString(w, "# HELP "+name+" "+help+"\n")
-		io.WriteString(w, "# TYPE "+name+" "+typ+"\n")
-		io.WriteString(w, name+" "+strconv.FormatInt(v, 10)+"\n")
-	}
-	hits, misses, evictions := cache.Stats()
-	p("Symmetrization cache hits.", "counter", "symclusterd_cache_hits_total", hits)
-	p("Symmetrization cache misses.", "counter", "symclusterd_cache_misses_total", misses)
-	p("Symmetrization cache evictions.", "counter", "symclusterd_cache_evictions_total", evictions)
-	p("Bytes resident in the symmetrization cache.", "gauge", "symclusterd_cache_bytes", cache.Bytes())
-	p("Entries resident in the symmetrization cache.", "gauge", "symclusterd_cache_entries", int64(cache.Len()))
-
-	p("Tasks waiting for a worker.", "gauge", "symclusterd_queue_depth", int64(pool.QueueDepth()))
-	p("Workers currently running a task.", "gauge", "symclusterd_workers_busy", int64(pool.Busy()))
-	p("Worker-pool size.", "gauge", "symclusterd_workers_total", int64(pool.Workers()))
-	p("Worker panics recovered.", "counter", "symclusterd_panics_recovered_total", pool.PanicsRecovered())
-	p("Finished async jobs dropped by TTL expiry.", "counter", "symclusterd_jobs_expired_total", jobs.Expired())
-
-	// Durability surface. The families are always present (zero without
-	// -data-dir) so dashboards and the crash-recovery tests can poll
-	// them unconditionally.
-	p("Clustering requests shed by the queued-byte watermark.", "counter", "symclusterd_shed_total", s.shedTotal.Load())
-	p("Clustering jobs admitted on the out-of-core path.", "counter", "symclusterd_ooc_jobs_total", s.oocTotal.Load())
-	p("Bytes of binary CSR files currently memory-mapped.", "gauge", "symclusterd_csr_mapped_bytes", csr.MappedBytes())
-	p("Rendered-JSON bytes retained in the in-memory trace ring.", "gauge", "symclusterd_trace_ring_bytes", s.traces.RingBytes())
-	p("Summed working-set estimate of queued clustering jobs.", "gauge", "symclusterd_queue_bytes", s.queuedBytes.Load())
-	p("Kernel checkpoints journaled to the WAL.", "counter", "symclusterd_checkpoints_total", jobs.CheckpointSaves())
-	p("Interrupted jobs replayed as pending at startup.", "counter", "symclusterd_jobs_replayed_total", jobs.Replayed())
-	p("Current size of the job WAL in bytes.", "gauge", "symclusterd_wal_bytes", jobs.LogBytes())
-	p("Records appended to the job WAL.", "counter", "symclusterd_wal_appends_total", jobs.Appends())
-	p("Job WAL compactions performed.", "counter", "symclusterd_wal_compactions_total", jobs.Compactions())
-
-	io.WriteString(w, "# HELP symclusterd_jobs Async jobs by state.\n")
-	io.WriteString(w, "# TYPE symclusterd_jobs gauge\n")
-	counts := jobs.Counts()
-	for _, st := range []jobstore.State{jobstore.Pending, jobstore.Running, jobstore.Done, jobstore.Failed, jobstore.Canceled} {
-		io.WriteString(w, "symclusterd_jobs{state=\""+string(st)+"\"} "+strconv.Itoa(counts[st])+"\n")
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"regexp"
 	"sort"
 	"strconv"
@@ -28,8 +29,7 @@ var (
 // exposition format the server emits: HELP/TYPE comments followed by
 // sample lines. It fails the test on any malformed line, duplicate
 // TYPE, or sample whose metric family has no TYPE — the round-trip
-// guarantee that whatever Registry.WriteText and Metrics.WriteTo
-// produce stays scrapeable.
+// guarantee that whatever Registry.WriteText produces stays scrapeable.
 func parseExposition(t *testing.T, text string) (samples []expoSample, types map[string]string) {
 	t.Helper()
 	types = make(map[string]string)
@@ -98,7 +98,7 @@ func parseSampleLine(t *testing.T, ln int, line string) expoSample {
 		t.Fatalf("line %d: bad metric name %q", ln, s.name)
 	}
 	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
+		end := strings.LastIndex(rest, "}") // a route label may hold {id}
 		if end < 0 {
 			t.Fatalf("line %d: unterminated label set: %q", ln, line)
 		}
@@ -342,4 +342,81 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 	if !found {
 		t.Error(`no symclusterd_stage_seconds_count{stage="symmetrize",name="dd"} >= 1 sample`)
 	}
+}
+
+// TestReadmeMetricTable holds README's metric table to /metrics both
+// ways: every symclusterd_* family the table names (brace groups after
+// an underscore expanded, a trailing {labels} group dropped) is exposed
+// with a type its row states, and every exposed symclusterd_* family
+// has a row.
+func TestReadmeMetricTable(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), "| family | type | meaning |\n")
+	if !ok {
+		t.Fatal("README.md has no metric table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	documented := map[string]string{} // family → the row's type cell
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 {
+			continue
+		}
+		for _, quoted := range regexp.MustCompile("`[^`]+`").FindAllString(cells[1], -1) {
+			for _, name := range braceExpand(strings.Trim(quoted, "`")) {
+				documented[name] = cells[2]
+			}
+		}
+	}
+	// A labelled family is exposed once it has a series: the route
+	// fixture, set up through each node of a two-node cluster (so one
+	// side proxies), touches them all.
+	nodes := newTestCluster(t, 2, nil)
+	newRouteFixture(t, nodes[0].ts.URL)
+	newRouteFixture(t, nodes[1].ts.URL)
+	types := map[string]string{}
+	for _, n := range nodes {
+		_, seen := parseExposition(t, fetchMetrics(t, n.ts))
+		for name, typ := range seen {
+			types[name] = typ
+		}
+	}
+	for name, typ := range types {
+		if !strings.HasPrefix(name, "symclusterd_") {
+			continue
+		}
+		if cell, ok := documented[name]; !ok {
+			t.Errorf("exposed family %s (%s) has no row in README's metric table", name, typ)
+		} else if !strings.Contains(cell, typ) {
+			t.Errorf("%s is a %s; README's row says %q", name, typ, strings.TrimSpace(cell))
+		}
+		delete(documented, name)
+	}
+	for name := range documented {
+		if strings.HasPrefix(name, "symclusterd_") {
+			t.Errorf("README's metric table names %s, which the daemon does not expose", name)
+		}
+	}
+}
+
+// braceExpand turns a README family cell into family names:
+// "a_{x,y}_total{route}" → a_x_total, a_y_total. A brace group that
+// follows an underscore is an alternation, any other a label set.
+func braceExpand(s string) []string {
+	open := strings.IndexByte(s, '{')
+	if open < 0 {
+		return []string{s}
+	}
+	end := open + strings.IndexByte(s[open:], '}')
+	if open == 0 || s[open-1] != '_' {
+		return braceExpand(s[:open] + s[end+1:])
+	}
+	var out []string
+	for _, alt := range strings.Split(s[open+1:end], ",") {
+		out = append(out, braceExpand(s[:open]+alt+s[end+1:])...)
+	}
+	return out
 }

@@ -75,7 +75,7 @@ func (s *Server) instrument(rt route, h http.HandlerFunc) http.HandlerFunc {
 			log = log.With("trace_id", tid)
 		}
 		ctx = obs.WithLogger(ctx, log)
-		ctx = obs.WithMeter(ctx, s.metrics.Registry())
+		ctx = obs.WithMeter(ctx, s.metrics.reg)
 		r = r.WithContext(ctx)
 		rec := &statusRecorder{ResponseWriter: w}
 		if capped && r.Body != nil && s.cfg.MaxBodyBytes > 0 {

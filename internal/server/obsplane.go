@@ -72,12 +72,12 @@ func (s *Server) nodeStatus() NodeStatus {
 		TraceRingBytes: s.traces.RingBytes(),
 		WALBytes:       s.jobs.LogBytes(),
 		Jobs:           s.jobs.Counts(),
-		ShedTotal:      s.shedTotal.Load(),
-		JobsAdopted:    s.metrics.JobsAdoptedValue(),
+		ShedTotal:      int64(s.metrics.shed.Value()),
+		JobsAdopted:    int64(s.metrics.jobsAdopted.Value()),
 	}
 	if s.coord != nil {
 		ns.Name = s.coord.self.Name
-		ns.RetryBudgetExhausted = s.metrics.RetryBudgetExhaustedValue()
+		ns.RetryBudgetExhausted = int64(s.metrics.retryExhausted.Value())
 		states := s.coord.breakers.States()
 		if len(states) > 0 {
 			breakers := make(map[string]string, len(states))

@@ -19,202 +19,150 @@ var (
 )
 
 // PanicError is the error a task resolves to when the kernel it ran
-// panicked. The worker recovers the panic so one poisoned job cannot
-// take down the daemon; Stack captures the goroutine stack at the
-// panic for server-side logging (it is never sent to clients).
+// panicked: Slot.Run recovers it so one poisoned job cannot take down
+// the daemon. Stack is for server-side logging, never sent to clients.
 type PanicError struct {
 	Value any
 	Stack []byte
 }
 
-// Error renders the panic value without the stack; handlers log the
-// stack separately and keep client-facing messages short.
+// Error renders the panic value, never the stack.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("server: worker panic: %v", e.Value)
 }
 
-// Pool is a bounded worker pool. A fixed number of goroutines drain a
-// bounded task queue; Submit never blocks (it fails fast with
-// ErrQueueFull so the HTTP layer can shed load), and every task carries
-// the request context so client disconnects cancel queued work before
-// it occupies a worker.
+// Pool is a counted bound on clustering work: at most workers tasks
+// run and at most queueDepth more wait. It owns no goroutines — every
+// job already has one blocked on it (the request's, or an async job's
+// own), which takes a Slot with Reserve (never blocking: ErrQueueFull
+// lets the HTTP layer shed load), waits on it for a worker, and runs
+// the task itself.
 type Pool struct {
-	tasks chan *poolTask
-	wg    sync.WaitGroup
+	workers chan struct{} // one token per running task
 
 	mu     sync.Mutex
+	held   int // slots out: waiting + running
+	limit  int // workers + queueDepth
 	closed bool
+	idle   chan struct{} // closed once the pool is closed and held == 0
 
-	workers int
-	busy    atomic.Int64
-	panics  atomic.Int64
+	panics atomic.Int64
 }
 
-type poolTask struct {
-	ctx context.Context
-	fn  func(ctx context.Context) (any, error)
-	// onDequeue, when set, fires the moment a worker takes the task off
-	// the queue — whether it then runs or is dropped for a dead context.
-	// The admission layer uses it to release queued-byte accounting.
-	onDequeue func()
-	// onDrop, when set, fires (after onDequeue) when the worker drops
-	// the task instead of running it because its context died while it
-	// waited — with the context's error, so the deadline-rejection
-	// accounting can distinguish an expired deadline from a client
-	// cancel.
-	onDrop func(cause error)
-	res    any
-	err    error
-	done   chan struct{}
-}
-
-// NewPool starts workers goroutines over a queue of depth queueDepth.
-// Both arguments are clamped to at least 1.
+// NewPool bounds work at workers running and queueDepth waiting. Both
+// arguments are clamped to at least 1.
 func NewPool(workers, queueDepth int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
-	p := &Pool{
-		tasks:   make(chan *poolTask, queueDepth),
-		workers: workers,
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
+	workers, queueDepth = max(workers, 1), max(queueDepth, 1)
+	return &Pool{workers: make(chan struct{}, workers), limit: workers + queueDepth, idle: make(chan struct{})}
 }
 
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for t := range p.tasks {
-		if t.onDequeue != nil {
-			t.onDequeue()
-		}
-		// A task whose client has already gone away — or whose deadline
-		// expired while it waited — is dropped without occupying the
-		// worker: its fn never runs, so an expired job produces no
-		// kernel spans and burns no compute.
-		if err := t.ctx.Err(); err != nil {
-			if t.onDrop != nil {
-				t.onDrop(err)
-			}
-			t.err = err
-			close(t.done)
-			continue
-		}
-		p.busy.Add(1)
-		t.res, t.err = p.runTask(t)
-		p.busy.Add(-1)
-		close(t.done)
-	}
+// Slot is one place in the pool: first in the queue, then — once Wait
+// returns nil — on a worker. Whoever holds it must end it exactly once,
+// through a failed Wait, through Run, or through Release.
+type Slot struct {
+	p       *Pool
+	running bool
 }
 
-// runTask executes one task with panic isolation: a panicking kernel is
-// recovered into a *PanicError (counted for /metrics) instead of
-// crashing the worker goroutine — and with it the daemon.
-func (p *Pool) runTask(t *poolTask) (res any, err error) {
+// Reserve takes a slot, or fails with ErrQueueFull when workers +
+// queueDepth are out, or ErrPoolClosed after Close.
+func (p *Pool) Reserve() (*Slot, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil, ErrPoolClosed
+	}
+	if p.held == p.limit {
+		return nil, ErrQueueFull
+	}
+	p.held++
+	return &Slot{p: p}, nil
+}
+
+// Wait blocks until a worker is free. When ctx ends first — a client
+// that went away, a deadline that expired in the queue — the slot is
+// given back at once and ctx's error returned: the task never runs.
+func (s *Slot) Wait(ctx context.Context) error {
+	select {
+	case s.p.workers <- struct{}{}:
+		s.running = true
+	case <-ctx.Done():
+	}
+	if err := ctx.Err(); err != nil {
+		s.Release()
+		return err
+	}
+	return nil
+}
+
+// Run executes fn on the worker Wait obtained and gives the slot back.
+// A panicking kernel is recovered into a *PanicError (counted for
+// /metrics) instead of crashing the goroutine — and with it the daemon.
+func (s *Slot) Run(ctx context.Context, fn func(ctx context.Context) error) (err error) {
+	defer s.Release()
 	defer func() {
 		if r := recover(); r != nil {
-			p.panics.Add(1)
-			res = nil
+			s.p.panics.Add(1)
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if ferr := faultinject.Fire("pool.task"); ferr != nil {
-		return nil, ferr
+		return ferr
 	}
-	return t.fn(t.ctx)
+	return fn(ctx)
 }
 
-// Submit enqueues fn and returns immediately with a wait function. The
-// wait function blocks until the task finishes or ctx is cancelled;
-// a cancelled wait abandons the task (the worker still completes it,
-// but the result is discarded).
-func (p *Pool) Submit(ctx context.Context, fn func(ctx context.Context) (any, error)) (wait func() (any, error), err error) {
-	return p.SubmitHooked(ctx, fn, nil, nil)
-}
-
-// SubmitHooked is Submit with lifecycle hooks: onDequeue (if non-nil)
-// fires exactly once when a worker pulls the task from the queue,
-// before deciding whether to run or drop it; onDrop (if non-nil) fires
-// when the worker then drops the task for a dead context, with the
-// context's error.
-func (p *Pool) SubmitHooked(ctx context.Context, fn func(ctx context.Context) (any, error), onDequeue func(), onDrop func(cause error)) (wait func() (any, error), err error) {
-	t := &poolTask{ctx: ctx, fn: fn, onDequeue: onDequeue, onDrop: onDrop, done: make(chan struct{})}
+// Release gives back a slot that will not run (its job was a duplicate,
+// or could not be journaled).
+func (s *Slot) Release() {
+	p := s.p
+	if s.running {
+		<-p.workers
+	}
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
+	p.held--
+	if p.closed && p.held == 0 {
+		close(p.idle)
 	}
-	select {
-	case p.tasks <- t:
-		p.mu.Unlock()
-	default:
-		p.mu.Unlock()
-		return nil, ErrQueueFull
-	}
-	return func() (any, error) {
-		select {
-		case <-t.done:
-			return t.res, t.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}, nil
+	p.mu.Unlock()
 }
 
-// Run executes fn on the pool synchronously: it submits and waits.
-func (p *Pool) Run(ctx context.Context, fn func(ctx context.Context) (any, error)) (any, error) {
-	wait, err := p.Submit(ctx, fn)
-	if err != nil {
-		return nil, err
-	}
-	return wait()
+// QueueDepth returns the number of slots waiting for a worker.
+func (p *Pool) QueueDepth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return max(p.held-len(p.workers), 0)
 }
 
-// QueueDepth returns the number of tasks waiting for a worker.
-func (p *Pool) QueueDepth() int { return len(p.tasks) }
-
-// Busy returns the number of workers currently executing a task.
-func (p *Pool) Busy() int { return int(p.busy.Load()) }
+// Busy returns the number of workers currently holding a task.
+func (p *Pool) Busy() int { return len(p.workers) }
 
 // Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
+func (p *Pool) Workers() int { return cap(p.workers) }
 
-// PanicsRecovered returns the number of worker panics recovered since
-// the pool started.
+// PanicsRecovered returns the number of task panics recovered.
 func (p *Pool) PanicsRecovered() int64 { return p.panics.Load() }
 
-// Close stops accepting tasks and waits for queued and running work to
-// drain, or for ctx to expire — whichever comes first. It returns
-// ctx.Err() if the drain deadline passed with work still in flight.
+// Close stops handing out slots and waits for queued and running work
+// to drain; it returns ctx.Err() if ctx expired with work in flight.
 func (p *Pool) Close(ctx context.Context) error {
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true
-		close(p.tasks)
+		if p.held == 0 {
+			close(p.idle)
+		}
 	}
 	p.mu.Unlock()
 	return p.Wait(ctx)
 }
 
-// Wait blocks until every worker has exited (the pool must already be
-// closed) or ctx expires. Drain calls it a second time after
-// preempting stuck jobs: the first Close timed out, the preemption
-// cancelled the in-flight contexts, and this wait gives the kernels a
-// grace window to checkpoint and return.
+// Wait blocks until every slot is back (the pool must already be
+// closed) or ctx expires. Drain calls it again after preempting stuck
+// jobs, as the grace window for the kernels to checkpoint and return.
 func (p *Pool) Wait(ctx context.Context) error {
-	drained := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(drained)
-	}()
 	select {
-	case <-drained:
+	case <-p.idle:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -156,7 +156,7 @@ func newCoordinator(s *Server, cfg *ClusterConfig) (*coordinator, error) {
 		Ratio: cfg.RetryBudgetRatio,
 		Burst: cfg.RetryBudgetBurst,
 		OnExhausted: func() {
-			s.metrics.IncRetryBudgetExhausted()
+			s.metrics.retryExhausted.Inc()
 			s.log().Warn("retry budget exhausted; failing fast")
 		},
 	})
@@ -167,7 +167,7 @@ func newCoordinator(s *Server, cfg *ClusterConfig) (*coordinator, error) {
 		Breakers:       c.breakers,
 		RetryBudget:    budget,
 		OnRetry: func(reason string) {
-			s.metrics.IncProxyRetry()
+			s.metrics.proxyRetries.Inc()
 			s.log().Warn("proxy retry", "reason", reason)
 		},
 	})

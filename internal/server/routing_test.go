@@ -139,7 +139,7 @@ func (fx *routeFixture) request(rt route, base string, live, stray bool) *http.R
 // GET /metrics is not disturbed by scrapes.
 func counterSum(s *Server, prefix string) (sum float64) {
 	var buf bytes.Buffer
-	s.metrics.Registry().WriteText(&buf)
+	s.metrics.reg.WriteText(&buf)
 	for _, line := range strings.Split(buf.String(), "\n") {
 		if strings.HasPrefix(line, prefix) {
 			v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)

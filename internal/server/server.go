@@ -56,7 +56,7 @@ type Config struct {
 	// 4 GiB).
 	MaxJobBytes int64
 	// MaxQueueBytes sheds new clustering requests with 429 once the
-	// summed working-set estimates of queued (not yet dequeued) jobs
+	// summed working-set estimates of jobs still waiting for a worker
 	// reach this level. It is a high-watermark check: a single request
 	// on an empty queue is always admitted, however large its estimate,
 	// so the limit never deadlocks a graph that passes MaxJobBytes.
@@ -197,12 +197,9 @@ type Server struct {
 	uploads   map[string]*uploadSession
 	uploadSeq atomic.Int64
 
-	// queuedBytes is the summed working-set estimate of submitted tasks
-	// not yet dequeued by a worker; shedTotal counts 429 rejections;
-	// oocTotal counts jobs admitted out-of-core.
+	// queuedBytes is the summed working-set estimate of admitted jobs
+	// still waiting for a worker.
 	queuedBytes atomic.Int64
-	shedTotal   atomic.Int64
-	oocTotal    atomic.Int64
 
 	// jobMu guards jobCancels, the cancel funcs of in-flight async jobs
 	// (keyed by job id) that Drain preempts; jobWG tracks their
@@ -288,6 +285,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.jobs.Retain, s.jobs.TTL = cfg.RetainJobs, cfg.JobTTL
+	s.metrics.bind(s)
 
 	s.routes()
 
@@ -321,36 +319,45 @@ func (s *Server) loadGraphs() error {
 	})
 }
 
-// resumeJobs rebuilds and re-submits jobs that were pending or running
-// when the previous process died. Requests that no longer validate
-// (e.g. the pipeline lost a stage) are failed rather than retried
-// forever; submissions that bounce off a full queue back off and retry
-// until the pool accepts them or shuts down.
+// resumeJobs relaunches jobs that were pending or running when the
+// previous process died, or that a dead peer left behind. A request
+// that no longer validates (e.g. the pipeline lost a stage) or no
+// longer fits the byte budget fails its job rather than retrying
+// forever.
 func (s *Server) resumeJobs(pending []*jobstore.JobRecord) {
+	ctx := bootContext()
 	for _, job := range pending {
-		var req ClusterRequest
-		if err := json.Unmarshal(job.Request, &req); err != nil {
+		prep, tk, err := s.readmit(ctx, job)
+		switch {
+		case errors.Is(err, ErrPoolClosed):
+			return // shutting down again; the job stays pending in the WAL
+		case err != nil:
 			s.finishJob(job.ID, nil, nil, fmt.Errorf("replaying request: %w", err))
-			continue
+		default:
+			s.launchJob(ctx, job, prep, tk)
+			s.log().Info("replayed job re-enqueued", "job", job.ID)
 		}
-		prep, err := s.prepareRun(&req)
-		if err != nil {
-			s.finishJob(job.ID, nil, nil, fmt.Errorf("replaying request: %w", err))
-			continue
+	}
+}
+
+// readmit resolves a journaled request again and admits it, waiting out
+// a full queue or a byte watermark: the replayed backlog itself is the
+// contention, so a deep one drains instead of failing.
+func (s *Server) readmit(ctx context.Context, job *jobstore.JobRecord) (*preparedRun, ticket, error) {
+	var req ClusterRequest
+	if err := json.Unmarshal(job.Request, &req); err != nil {
+		return nil, ticket{}, err
+	}
+	prep, err := s.prepareRun(&req)
+	if err != nil {
+		return nil, ticket{}, err
+	}
+	for {
+		tk, err := s.admit(ctx, prep)
+		if !errors.Is(err, ErrQueueFull) && !errors.Is(err, errShed) {
+			return prep, tk, err
 		}
-		for {
-			err := s.launchJob(bootContext(), job, prep)
-			if err == nil {
-				s.log().Info("replayed job re-enqueued", "job", job.ID)
-				break
-			}
-			if errors.Is(err, ErrPoolClosed) {
-				return // shutting down again; the job stays pending in the WAL
-			}
-			// Queue full or over the byte watermark: the backlog itself
-			// is the contention, so wait for workers to drain it.
-			time.Sleep(50 * time.Millisecond)
-		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 

@@ -359,17 +359,8 @@ func TestClientDisconnectCancelsQueuedWork(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, QueueDepth: 2})
 
 	// Occupy the only worker so the request below waits in the queue.
-	block := make(chan struct{})
-	release := make(chan struct{})
-	if _, err := s.pool.Submit(context.Background(), func(context.Context) (any, error) {
-		close(block)
-		<-release
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-block
-	defer close(release)
+	release := occupy(t, s.pool)
+	defer release()
 
 	info := s.RegisterGraph(mustFigure1Graph(t))
 	body, _ := json.Marshal(ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Seed: 1})
@@ -461,20 +452,9 @@ func TestQueueFullShedsLoad(t *testing.T) {
 	defer ts.Close()
 	info := registerFigure1(t, ts)
 
-	block := make(chan struct{})
-	release := make(chan struct{})
-	if _, err := s.pool.Submit(context.Background(), func(context.Context) (any, error) {
-		close(block)
-		<-release
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-block
+	release := occupy(t, s.pool)
 	// Fill the single queue slot.
-	if _, err := s.pool.Submit(context.Background(), func(context.Context) (any, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
+	queued := mustReserve(t, s.pool)
 
 	resp := postJSON(t, ts.URL+"/v1/cluster", ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl"})
 	defer resp.Body.Close()
@@ -484,7 +464,8 @@ func TestQueueFullShedsLoad(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	close(release)
+	release()
+	queued.Release()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {

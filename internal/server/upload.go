@@ -272,7 +272,7 @@ func (s *Server) expireUploads(now time.Time) {
 	s.uploadMu.Unlock()
 	for _, sess := range expired {
 		sess.abort()
-		s.metrics.IncUploadExpired()
+		s.metrics.uploadsExpired.Inc()
 		s.log().Info("expired idle upload session", "upload", sess.id,
 			"idle", now.Sub(time.Unix(0, sess.lastActive.Load())).String())
 	}

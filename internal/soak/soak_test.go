@@ -19,6 +19,12 @@
 //   - the surviving node's goroutine count and heap return to their
 //     pre-load baseline once the episode drains.
 //
+// Every third episode, starting with the second, is an overload episode
+// instead (overload_test.go): no faults but a service-time floor,
+// open-loop arrivals at three times the measured service rate against a
+// two-place queue, and the admission invariants. One episode of each
+// kind runs however short the budget.
+//
 // The harness is time-bounded, not episode-bounded: it loops fresh
 // episodes until SOAK_SECONDS (default 60) elapses. SOAK_SEED pins the
 // fault schedule for reproduction; every run logs the seed it used.
@@ -98,8 +104,14 @@ func TestSoak(t *testing.T) {
 
 	bin := buildRaceBinary(t)
 	start := time.Now()
-	for ep := 0; ep == 0 || time.Since(start) < budget; ep++ {
-		runEpisode(t, bin, rng, ep)
+	for ep, chaos := 0, 0; ep < 2 || time.Since(start) < budget; ep++ {
+		if ep%3 == 1 {
+			runOverloadEpisode(t, bin, ep)
+		} else {
+			t.Logf("soak: episode %d is chaos schedule %d", ep, chaos)
+			runEpisode(t, bin, rng, chaos)
+			chaos++
+		}
 		if t.Failed() {
 			t.Fatalf("soak: invariant violated in episode %d (seed %d)", ep, seed)
 		}
@@ -129,7 +141,7 @@ func runEpisode(t *testing.T, bin string, rng *rand.Rand, ep int) {
 	startNode(t, bin, b, root, peers, faults)
 
 	// Register the block graph, retrying through bounded ingest faults.
-	graphID := registerGraph(t, a.addr)
+	graphID := registerGraph(t, a.addr, blockEdges())
 	if graphID == "" {
 		t.Errorf("episode %d: graph registration never succeeded under %q", ep, faults)
 		return
@@ -231,10 +243,11 @@ func episodeFaults(rng *rand.Rand, kill bool) (spec string, hasError bool) {
 
 // startNode launches one cluster member on n.addr and waits for its
 // /healthz. Probe, breaker, and retry tuning is test-sized so failover
-// and breaker recovery both fit inside an episode.
-func startNode(t *testing.T, bin string, n *node, root, peers, faults string) {
+// and breaker recovery both fit inside an episode; extra flags follow
+// (and so override) the defaults.
+func startNode(t *testing.T, bin string, n *node, root, peers, faults string, extra ...string) {
 	t.Helper()
-	cmd := exec.Command(bin,
+	cmd := exec.Command(bin, append([]string{
 		"-addr", n.addr,
 		"-debug-addr", n.debug,
 		"-data-dir", root,
@@ -250,7 +263,7 @@ func startNode(t *testing.T, bin string, n *node, root, peers, faults string) {
 		"-proxy-max-wait", "250ms",
 		"-breaker-fail-threshold", "3",
 		"-breaker-cooldown", "500ms",
-	)
+	}, extra...)...)
 	cmd.Env = append(os.Environ(), "SYMCLUSTER_FAULTS="+faults)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
@@ -275,9 +288,8 @@ func startNode(t *testing.T, bin string, n *node, root, peers, faults string) {
 
 // registerGraph posts the block edge list, retrying through bounded
 // ingest/WAL faults. Returns "" if registration never lands.
-func registerGraph(t *testing.T, addr string) string {
+func registerGraph(t *testing.T, addr, edges string) string {
 	t.Helper()
-	edges := blockEdges()
 	for i := 0; i < 8; i++ {
 		resp, err := soakClient.Post("http://"+addr+"/v1/graphs", "text/plain", strings.NewReader(edges))
 		if err == nil {
@@ -553,7 +565,7 @@ func verifyAfterReplay(t *testing.T, addr, graphID string, jobs []*trackedJob, i
 	// episode's processes. Ids are content hashes, so re-registering
 	// heals the same id — the documented client recovery — and must
 	// never mint a different one.
-	if healed := registerGraph(t, addr); healed != graphID {
+	if healed := registerGraph(t, addr, blockEdges()); healed != graphID {
 		t.Errorf("re-registered graph id %q != original %q: content hashing broke", healed, graphID)
 		return
 	}

@@ -114,6 +114,22 @@ func outside(inside func(ast.Node) bool, fns ...string) func(ast.Node) bool {
 	}
 }
 
+// fieldCall matches a method call through a struct field: x.field.method(…).
+func fieldCall(field, method string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		fun, ok := c.Fun.(*ast.SelectorExpr)
+		if !ok || fun.Sel.Name != method {
+			return false
+		}
+		recv, ok := fun.X.(*ast.SelectorExpr)
+		return ok && recv.Sel.Name == field
+	}
+}
+
 // inServer scopes a rule to the non-test files of internal/server.
 func inServer(f string) bool { return !isTest(f) && under(f, "internal/server") }
 
@@ -255,18 +271,21 @@ var sourceRules = []sourceRule{
 		why: "ring.Owner outside ownerOf in internal/server: every ownership question — a graph's shard, " +
 			"a dead peer's adopter — is asked with the same health view (DESIGN.md §14)",
 		applies: inServer,
-		match: outside(func(n ast.Node) bool {
-			c, ok := n.(*ast.CallExpr)
-			if !ok {
-				return false
-			}
-			fun, ok := c.Fun.(*ast.SelectorExpr)
-			if !ok || fun.Sel.Name != "Owner" {
-				return false
-			}
-			recv, ok := fun.X.(*ast.SelectorExpr)
-			return ok && recv.Sel.Name == "ring"
-		}, "ownerOf"),
+		match:   outside(fieldCall("ring", "Owner"), "ownerOf"),
+	},
+	{
+		why: "Pool.Reserve outside admit in internal/server: every gate that can refuse a clustering job " +
+			"is evaluated in one function, in one order, and a queue place is the last of them " +
+			"(DESIGN.md §9, \"Admission control\")",
+		applies: inServer,
+		match:   outside(fieldCall("pool", "Reserve"), "admit"),
+	},
+	{
+		why: "jobs.Admit in internal/server outside submitAsync (which holds the ticket admit gave it) and " +
+			"adoptFrom: reserve, then journal, then run — a job is journaled only once it holds a queue " +
+			"place, so a refused submission leaves no record and pins no key (DESIGN.md §9, \"Admission control\")",
+		applies: inServer,
+		match:   outside(fieldCall("jobs", "Admit"), "submitAsync", "adoptFrom"),
 	},
 	{
 		why: "container/heap in a clustering kernel: its Push and Pop box every item into an " +
