@@ -1,9 +1,9 @@
 # Pre-merge checks for symcluster. `make check` is the documented
 # gate: formatting, vet, the registry and logging lints, a full build,
 # the short test suite, the race detector over the whole module, and
-# bounded fuzz passes of the edge-list parser and the binary CSR
-# decoder. The long statistical experiments (minutes per seed) run only
-# via `make test-long`.
+# bounded fuzz passes of the edge-list reader, its line parser and the
+# binary CSR decoder. The long statistical experiments (minutes per seed)
+# run only via `make test-long`.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -102,6 +102,7 @@ soak:
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzParseEdgeLine -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/csr
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): one 30-second
@@ -113,7 +114,9 @@ bench:
 # The kernels on their own, in a few minutes: one accumulator row in
 # each mode around the dense/marked crossover (denseSpanNum/denseSpanDen
 # in internal/matrix/engine.go is read off BenchmarkAccumulatorRow), the
-# top-k selection, the two requests the sparse product carries, and the
+# top-k selection, the two requests the sparse product carries, what
+# registering sym_cold's upload costs before any of that (the parse
+# alone, and with the fingerprint and the symmetric-link count), and the
 # multilevel clusterers on the benchmark's own inputs (serve_mixed's
 # Graclus and Metis requests, sym_cold's cluster stage), each without the
 # server around it, at one core and two (DESIGN.md §15) — and one
@@ -124,6 +127,7 @@ kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorRow|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkMCLHot$$' -cpu 1,2 -count 5 ./internal/mcl
 	$(GO) test -run '^$$' -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkReadEdgeList$$|BenchmarkRegister$$' -cpu 1,2 -count 5 ./internal/graph
 	$(GO) test -run '^$$' -bench 'BenchmarkServeGraclus$$|BenchmarkColdGraclus$$' -cpu 1,2 -count 5 ./internal/graclus
 	$(GO) test -run '^$$' -bench 'BenchmarkServeMetis$$' -cpu 1,2 -count 5 ./internal/metis
 	$(GO) test -run '^$$' -bench 'BenchmarkRoutedCluster$$' -cpu 2 -count 5 ./internal/server

@@ -19,8 +19,9 @@ import (
 //     self-loop-augmented copy are mmap'd scratch files (the transpose
 //     built by external sort), and the same kernels stream rows from
 //     them, so peak resident memory is the pruned products plus the
-//     degree vectors and the product's pre-scaled operand values —
-//     metered by s.charge against the configured budget.
+//     degree vectors and the product's per-entry vectors (pre-scaled
+//     operand values, entry offsets) — metered by s.charge against the
+//     configured budget.
 //
 // A nil *oocState answers augmented, transpose and charge with the
 // heap behaviour (outofcore.go), so the only step that forks here is
@@ -68,21 +69,28 @@ func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *
 	// Product terms. Degrees are read once from the (augmented) input;
 	// one transpose is shared by every term, since a transposed term's
 	// own transpose is the original matrix again, bit-exactly.
+	// What a product holds on the heap beside its result (one term's at
+	// a time): an nnz-long vector of entry offsets and, when it scales,
+	// one of scaled values; the two []int of degrees.
 	var outDeg, inDeg []int
+	held := 4 * int64(a.NNZ())
 	if plan.needsDegrees() {
 		outDeg = a.RowCounts()
 		inDeg = a.ColCounts()
-		// Two []int, and the nnz-long scaled-value vector a scaled
-		// product holds on the heap (one term's at a time).
-		if err := s.charge(16*int64(a.Rows) + 8*int64(a.NNZ())); err != nil {
-			return nil, err
-		}
+		held += 16*int64(a.Rows) + 8*int64(a.NNZ())
+	}
+	if err := s.charge(held); err != nil {
+		return nil, err
 	}
 	at, err := s.transpose(ctx, a, "at.csr")
 	if err != nil {
 		return nil, err
 	}
 
+	// The terms are summed as upper triangles and the sum mirrored once:
+	// a mirror copies values and Add sees the same operands in the same
+	// order on either side of the diagonal, so this is the sum of the
+	// mirrored products bit for bit.
 	var u *matrix.CSR
 	for _, term := range plan.terms {
 		x, xt := a, at
@@ -95,7 +103,7 @@ func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *
 		// (the kernel only reads rows, so heap and mapped operands are
 		// alike), with the scalings and threshold folded in, on as many
 		// workers as the engine derives.
-		p, err := matrix.MulXXTScaledPrunedCtx(ctx, x, xt, rs, cs, opt.Threshold, 0)
+		p, err := matrix.MulXXTScaledPrunedUpperCtx(ctx, x, xt, rs, cs, opt.Threshold, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -110,6 +118,10 @@ func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *
 	}
 	if plan.dropDiagonal {
 		u = u.DropDiagonal()
+	}
+	u = matrix.MirrorUpper(u)
+	if err := s.charge(matBytes(u)); err != nil {
+		return nil, err
 	}
 	return u, nil
 }

@@ -54,6 +54,68 @@ func TestQuickFusedMatchesReference(t *testing.T) {
 	}
 }
 
+// mirrorThenSum lowers a plan's product terms in the order runPlan used
+// before it summed triangles: each term mirrored to the full matrix, the
+// full matrices added, the diagonal dropped from the sum.
+func mirrorThenSum(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options) (*matrix.CSR, error) {
+	if plan.addSelfLoops {
+		a = a.AddIdentity()
+	}
+	outDeg, inDeg, at := a.RowCounts(), a.ColCounts(), a.Transpose()
+	var u *matrix.CSR
+	for _, term := range plan.terms {
+		x, xt := a, at
+		if term.transposed {
+			x, xt = at, a
+		}
+		p, err := matrix.MulXXTScaledPrunedCtx(ctx, x, xt,
+			resolveScale(term.rowScale, outDeg, inDeg), resolveScale(term.colScale, outDeg, inDeg), opt.Threshold, 0)
+		if err != nil {
+			return nil, err
+		}
+		if u == nil {
+			u = p
+		} else {
+			u = matrix.Add(u, p, 1, 1)
+		}
+	}
+	if plan.dropDiagonal {
+		u = u.DropDiagonal()
+	}
+	return u, nil
+}
+
+// TestQuickSumThenMirrorMatchesMirrorThenSum: adding the terms' upper
+// triangles and mirroring the sum once gives the bits, and the prune
+// tally, of mirroring each term and adding the full matrices — over
+// both product methods, thresholds that kill entries of one term and
+// not the other, self-loops, and a kept diagonal.
+func TestQuickSumThenMirrorMatchesMirrorThenSum(t *testing.T) {
+	f := func(g digraphGen, thRaw uint8, selfLoops, keepDiag bool) bool {
+		opt := Defaults()
+		opt.Threshold = float64(thRaw) / 512
+		opt.AddSelfLoops = selfLoops
+		opt.DropDiagonal = !keepDiag
+		for _, m := range []Method{Bibliometric, DegreeDiscounted} {
+			plan, err := plans[m](opt)
+			if err != nil {
+				return false
+			}
+			wctx, wantKilled := obs.WithPruneStats(context.Background())
+			want, err1 := mirrorThenSum(wctx, g.A, plan, opt)
+			ctx, killed := obs.WithPruneStats(context.Background())
+			got, err2 := runPlan(ctx, g.A, plan, opt, nil)
+			if err1 != nil || err2 != nil || !sameBits(want, got) || killed.Killed() != wantKilled.Killed() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // sameBits is bitIdentical as a predicate for quick.Check.
 func sameBits(want, got *matrix.CSR) bool {
 	if want.Rows != got.Rows || want.Cols != got.Cols || want.NNZ() != got.NNZ() {

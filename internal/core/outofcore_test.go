@@ -158,11 +158,11 @@ func TestOutOfCoreFromMappedFile(t *testing.T) {
 
 // TestOutOfCoreResidentBudget: a budget too small for the product
 // matrices fails with ErrResidentBudget rather than OOMing — and so does
-// one that admits the degree vectors but not the scaled-value vector the
-// product holds beside them.
+// one that admits the degree vectors but not the per-entry vectors
+// (scaled values, entry offsets) the product holds beside them.
 func TestOutOfCoreResidentBudget(t *testing.T) {
 	g := oocTestGraph(t, 300, 6, 13)
-	vectors := int64(16*g.N() + 8*g.M())
+	vectors := int64(16*g.N() + 12*g.M())
 	for _, budget := range []int64{1024, vectors - 1} {
 		ctx := WithOutOfCore(context.Background(), OutOfCoreConfig{
 			ScratchDir:       t.TempDir(),

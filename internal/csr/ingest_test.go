@@ -149,6 +149,25 @@ func TestIngestRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsIDBeyondInt32: the sorter's triplets carry int32 ids,
+// so an id of 2³¹ used to wrap negative on its way in — after 2.2 M
+// ordinary records the density check lets it pass. Append refuses it,
+// naming the line, as ReadEdgeList does.
+func TestIngestRejectsIDBeyondInt32(t *testing.T) {
+	in, err := NewIngester(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Abort()
+	if err := in.Append([]byte(strings.Repeat("1 2\n", 2_200_000))); err != nil {
+		t.Fatal(err)
+	}
+	err = in.Append([]byte("5 2147483648\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2200001: destination id 2147483648 above the largest supported") {
+		t.Fatalf("Append: err = %v, want the id refused at line 2200001", err)
+	}
+}
+
 func TestIngestZeroWeightCancellation(t *testing.T) {
 	// Edges whose weights sum to exactly zero (explicit zero weights are
 	// legal) are dropped, matching the in-memory builder.

@@ -62,6 +62,33 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
+// FuzzParseEdgeLine pins "declines, never disagrees": on any bytes the
+// exported parser — the two-integer fast path in front — and the general
+// parser called directly return the same record, the same skip verdict
+// and the same error text.
+func FuzzParseEdgeLine(f *testing.F) {
+	for _, line := range []string{
+		"0 1", " \t12  34\r", "1\v2", "1\f2", "1\r2", "1\n2", "1\u00a02", "1\u20282", "1\u2028 2", "1\x852", "1\xa02",
+		"+1 2", "-0 1", "1 -0", "007 08", "1 2 3", "1 2 3 4", "1 2 0x1p-2", "1 2 NaN", "1 2 ", "1 2 #", "# 1 2", "#", "", " ", "1", "1 ",
+		"999999999999999999 1", "1 999999999999999999", "1000000000000000000 1", "9223372036854775807 1", "9223372036854775808 1",
+		"0000000000000000000001 2", "2147483646 2147483646", "2147483647 0", "0 2147483647", "2147483648 1 1",
+		"1 2\xff", "\xff\xfe 1", "1\xc2 2", "1 2\x00", "1_0 2", "1e3 2", "0x10 2", "１ ２",
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		u, v, w, skip, err := ParseEdgeLine(3, line)
+		gu, gv, gw, gskip, gerr := parseEdgeLine(3, line)
+		if u != gu || v != gv || w != gw || skip != gskip || (err == nil) != (gerr == nil) || (err != nil && err.Error() != gerr.Error()) {
+			t.Fatalf("line %q: ParseEdgeLine = (%d, %d, %v, %v, %v), the general parser (%d, %d, %v, %v, %v)",
+				line, u, v, w, skip, err, gu, gv, gw, gskip, gerr)
+		}
+		if err == nil && !skip && (u < 0 || v < 0 || u > maxNodeID || v > maxNodeID) {
+			t.Fatalf("line %q: accepted ids %d, %d outside [0, %d]", line, u, v, maxNodeID)
+		}
+	})
+}
+
 // FuzzReadGroundTruth checks the ground-truth parser never produces an
 // invalid structure.
 func FuzzReadGroundTruth(f *testing.F) {

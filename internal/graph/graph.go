@@ -5,10 +5,9 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -52,29 +51,57 @@ func (g *Directed) Label(i int) string {
 }
 
 // Fingerprint returns a 64-bit FNV-1a hash of the graph's structure
-// and weights (dimensions, row extents, column indices, edge weights).
-// Two graphs with identical adjacency matrices hash identically
-// regardless of labels, so the fingerprint can key caches of derived
-// quantities such as symmetrized graphs.
+// and weights (dimensions, row extents, column indices, edge weights,
+// each as eight little-endian bytes). Two graphs with identical
+// adjacency matrices hash identically regardless of labels, so the
+// fingerprint can key caches of derived quantities such as symmetrized
+// graphs.
 func (g *Directed) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(g.Adj.Rows))
-	put(uint64(g.Adj.NNZ()))
+	h := fnvWord(fnvOffset, uint64(g.Adj.Rows))
+	h = fnvWord(h, uint64(g.Adj.NNZ()))
 	for _, p := range g.Adj.RowPtr {
-		put(uint64(p))
+		h = fnvWord(h, uint64(p))
 	}
 	for _, c := range g.Adj.ColIdx {
-		put(uint64(c))
+		h = fnvWord(h, uint64(c))
 	}
 	for _, v := range g.Adj.Val {
-		put(math.Float64bits(v))
+		h = fnvWord(h, math.Float64bits(v))
 	}
-	return h.Sum64()
+	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvPrimePow[k] is fnvPrime^k mod 2^64.
+var fnvPrimePow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime
+	}
+	return pow
+}()
+
+// fnvWord hashes v's eight little-endian bytes into h as hash/fnv's
+// New64a would. A zero byte's step is (h ^ 0)·prime, so the zero bytes
+// below v's lowest set byte and above its highest — the top of every
+// index, the bottom of every 1.0 — each fold into one multiplication by
+// a power of the prime.
+func fnvWord(h, v uint64) uint64 {
+	if v == 0 {
+		return h * fnvPrimePow[8]
+	}
+	low := bits.TrailingZeros64(v) / 8
+	h *= fnvPrimePow[low]
+	left := 8 - low
+	for v >>= 8 * low; v != 0; v >>= 8 {
+		h = (h ^ (v & 0xff)) * fnvPrime
+		left--
+	}
+	return h * fnvPrimePow[left]
 }
 
 // OutDegrees returns the unweighted out-degree of every node.
@@ -93,16 +120,23 @@ func (g *Directed) SymmetricLinkFraction() float64 {
 		return 0
 	}
 	// Count in place, no transpose: each reciprocal pair is found once,
-	// from its lower-numbered end, by a search of the other end's row.
+	// from its lower-numbered end, in the other end's row. Rows are
+	// visited in ascending i, so the i a row j is asked about only grows:
+	// one cursor per row, never moved back, replaces a search.
 	recip := 0
+	cursor := slices.Clone(g.Adj.RowPtr[:g.N()])
 	for i := 0; i < g.N(); i++ {
 		cols, _ := g.Adj.Row(i)
 		for _, j := range cols {
 			if int(j) == i {
 				recip++
 			} else if int(j) > i {
-				back, _ := g.Adj.Row(int(j))
-				if _, ok := slices.BinarySearch(back, int32(i)); ok {
+				p, end := cursor[j], g.Adj.RowPtr[j+1]
+				for p < end && g.Adj.ColIdx[p] < int32(i) {
+					p++
+				}
+				cursor[j] = p
+				if p < end && g.Adj.ColIdx[p] == int32(i) {
 					recip += 2
 				}
 			}

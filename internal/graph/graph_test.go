@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,6 +66,80 @@ func TestDegrees(t *testing.T) {
 	}
 	if in[0] != 0 || in[1] != 1 || in[2] != 2 {
 		t.Fatalf("in degrees %v", in)
+	}
+}
+
+// fnvFingerprint is Fingerprint as it stood on hash/fnv: every word
+// written as eight little-endian bytes. Graph ids, ring placement, WAL
+// and CSR file names and cache keys are all made from this value.
+func fnvFingerprint(g *Directed) uint64 {
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(uint64(g.Adj.Rows))
+	put(uint64(g.Adj.NNZ()))
+	for _, p := range g.Adj.RowPtr {
+		put(uint64(p))
+	}
+	for _, c := range g.Adj.ColIdx {
+		put(uint64(c))
+	}
+	for _, v := range g.Adj.Val {
+		put(math.Float64bits(v))
+	}
+	return h.Sum64()
+}
+
+// TestFingerprintIsFNV1a: folding runs of zero bytes into one
+// multiplication leaves the hash hash/fnv's, byte for byte — over the
+// words where a run starts or ends at either edge, random words with
+// random bytes zeroed, and whole graphs.
+func TestFingerprintIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	words := []uint64{0, 1, 0xff, 0x100, 0xff00, 0xff << 56, 1 << 63, 0x00ff_0000_0000_ff00, ^uint64(0),
+		math.Float64bits(1), math.Float64bits(0.5), math.Float64bits(-0.0), math.MaxInt32, math.MaxInt32 - 1}
+	for k := 0; k < 2000; k++ {
+		w := rng.Uint64()
+		for b := 0; b < 8; b++ {
+			if rng.Intn(2) == 0 {
+				w &^= 0xff << (8 * b)
+			}
+		}
+		words = append(words, w)
+	}
+	for _, seed := range []uint64{fnvOffset, 0, ^uint64(0), rng.Uint64()} {
+		for _, w := range words {
+			want := seed
+			for b := 0; b < 8; b++ {
+				want = (want ^ (w >> (8 * b) & 0xff)) * fnvPrime
+			}
+			if got := fnvWord(seed, w); got != want {
+				t.Fatalf("fnvWord(%#x, %#016x) = %#x, byte by byte %#x", seed, w, got, want)
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		b := matrix.NewBuilder(n, n)
+		for e := rng.Intn(5 * n); e > 0; e-- {
+			b.Add(rng.Intn(n), rng.Intn(n), []float64{1, 1, 1, 0.5, 3, rng.Float64(), 1e-300, 1e300}[rng.Intn(8)])
+		}
+		g := &Directed{Adj: b.Build()}
+		if got, want := g.Fingerprint(), fnvFingerprint(g); got != want {
+			t.Fatalf("trial %d: Fingerprint = %016x, hash/fnv %016x", trial, got, want)
+		}
+	}
+	// The paper's Figure 1 graph: the id the verify notes and the
+	// server's tests know it by.
+	fig1, err := ReadEdgeList(strings.NewReader("0 4\n0 5\n1 4\n1 5\n4 2\n4 3\n5 2\n5 3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fig1.Fingerprint(); got != 0x607da3fd0883df03 {
+		t.Fatalf("Figure 1 fingerprint = %016x, want 607da3fd0883df03", got)
 	}
 }
 

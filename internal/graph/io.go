@@ -64,14 +64,78 @@ func WriteEdgeList(w io.Writer, g *Directed) error {
 	return bw.Flush()
 }
 
+// maxNodeID is the largest node id the edge-list format accepts: the
+// node count is one more, and matrices index columns with an int32.
+const maxNodeID = math.MaxInt32 - 1
+
 // ParseEdgeLine parses one line of the edge-list format, handed over as
 // the reader's bytes: nothing is copied or allocated for a well-formed
 // record. It returns skip=true for blank lines and comments. Malformed
-// records — non-integer or negative ids, weights that are NaN, infinite
-// or negative — are rejected with the given line number in the error.
-// ReadEdgeList and the streaming ingester (internal/csr) share this
-// parser so their accepted grammars can never drift apart.
+// records — non-integer or negative ids, ids above maxNodeID, weights
+// that are NaN, infinite or negative — are rejected with the given line
+// number in the error. ReadEdgeList and the streaming ingester
+// (internal/csr) share this parser so their accepted grammars can never
+// drift apart.
+//
+// The common record, two plain integers, is read by parseIDPair; every
+// other line — and so every skip and every error — is parseEdgeLine's.
 func ParseEdgeLine(lineNo int, line []byte) (u, v int, w float64, skip bool, err error) {
+	if u, v, ok := parseIDPair(line); ok {
+		return u, v, 1, false, nil
+	}
+	return parseEdgeLine(lineNo, line)
+}
+
+// maxFastDigits keeps parseIDPair's accumulation inside an int64.
+const maxFastDigits = 18
+
+// parseIDPair recognises exactly `ws* digits ws+ digits ws*` — ws being
+// the ASCII bytes unicode.IsSpace accepts, digits at most maxFastDigits
+// long, both values at most maxNodeID — and declines everything else: a
+// third field, a sign, a comment, a blank line, a byte ≥ 0x80. On what
+// it accepts it returns what parseEdgeLine would, so declining is always
+// safe and accepting never changes an answer (FuzzParseEdgeLine).
+func parseIDPair(line []byte) (u, v int, ok bool) {
+	i := skipASCIISpace(line, 0)
+	a, i, ok := asciiDigits(line, i)
+	if !ok {
+		return 0, 0, false
+	}
+	j := skipASCIISpace(line, i)
+	if j == i {
+		return 0, 0, false
+	}
+	b, j, ok := asciiDigits(line, j)
+	if !ok || skipASCIISpace(line, j) != len(line) || a > maxNodeID || b > maxNodeID {
+		return 0, 0, false
+	}
+	return int(a), int(b), true
+}
+
+// skipASCIISpace returns the index of the first byte at or after i that
+// is not ' ', \t, \n, \v, \f or \r.
+func skipASCIISpace(line []byte, i int) int {
+	for i < len(line) && (line[i] == ' ' || line[i]-'\t' < 5) {
+		i++
+	}
+	return i
+}
+
+// asciiDigits reads the run of decimal digits at i: its value, where it
+// ends, and whether it is 1 to maxFastDigits long.
+func asciiDigits(line []byte, i int) (val int64, end int, ok bool) {
+	for end = i; end < len(line); end++ {
+		d := line[end] - '0'
+		if d > 9 {
+			break
+		}
+		val = val*10 + int64(d)
+	}
+	return val, end, end > i && end-i <= maxFastDigits
+}
+
+// parseEdgeLine is the whole grammar, one field at a time.
+func parseEdgeLine(lineNo int, line []byte) (u, v int, w float64, skip bool, err error) {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 || line[0] == '#' {
 		return 0, 0, 0, true, nil
@@ -96,9 +160,15 @@ func ParseEdgeLine(lineNo int, line []byte) (u, v int, w float64, skip bool, err
 	if err != nil || u < 0 {
 		return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad source id %q", lineNo, fields[0])
 	}
+	if u > maxNodeID {
+		return 0, 0, 0, false, fmt.Errorf("graph: line %d: source id %d above the largest supported, %d", lineNo, u, maxNodeID)
+	}
 	v, err = strconv.Atoi(string(fields[1]))
 	if err != nil || v < 0 {
 		return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad destination id %q", lineNo, fields[1])
+	}
+	if v > maxNodeID {
+		return 0, 0, 0, false, fmt.Errorf("graph: line %d: destination id %d above the largest supported, %d", lineNo, v, maxNodeID)
 	}
 	w = 1.0
 	if n == 3 {

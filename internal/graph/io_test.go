@@ -14,8 +14,9 @@ import (
 )
 
 // oracleParseEdgeLine is ParseEdgeLine as it stood while it took the
-// line as a string and split it with strings.Fields, kept verbatim as
-// the grammar the allocation-free parser is held to.
+// line as a string and split it with strings.Fields, kept as the grammar
+// the allocation-free parser is held to — verbatim but for the bound on
+// ids, which postdates it.
 func oracleParseEdgeLine(lineNo int, line string) (u, v int, w float64, skip bool, err error) {
 	line = strings.TrimSpace(line)
 	if line == "" || strings.HasPrefix(line, "#") {
@@ -29,9 +30,15 @@ func oracleParseEdgeLine(lineNo int, line string) (u, v int, w float64, skip boo
 	if err != nil || u < 0 {
 		return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad source id %q", lineNo, fields[0])
 	}
+	if u > math.MaxInt32-1 {
+		return 0, 0, 0, false, fmt.Errorf("graph: line %d: source id %d above the largest supported, %d", lineNo, u, math.MaxInt32-1)
+	}
 	v, err = strconv.Atoi(fields[1])
 	if err != nil || v < 0 {
 		return 0, 0, 0, false, fmt.Errorf("graph: line %d: bad destination id %q", lineNo, fields[1])
+	}
+	if v > math.MaxInt32-1 {
+		return 0, 0, 0, false, fmt.Errorf("graph: line %d: destination id %d above the largest supported, %d", lineNo, v, math.MaxInt32-1)
 	}
 	w = 1.0
 	if len(fields) == 3 {
@@ -106,22 +113,29 @@ func TestReadEdgeListMatchesOracle(t *testing.T) {
 		"",
 		"# only a comment",
 		"  # indented comment\n\n \t \n0 1\n",
-		"0 1\r\n1 2 3.5\r\n",       // CRLF
-		"0\t1\t2.5\n1\t\t0\n",      // tabs, runs of tabs
-		"\t 3   4  \n",             // leading, trailing and repeated blanks
-		"0\u00a01\n",               // NBSP is not a separator
-		"0\u20031\u2003 2\n",       // EM SPACE is one
-		"0\v1\f2\n",                // vertical tab, form feed
-		"0 1\xff\n",                // invalid UTF-8 inside a field
-		"\xff\n",                   // invalid UTF-8 alone
-		"+1 +2 +3\n",               // leading plus
-		"-0 1\n",                   // negative zero id
-		"0 -1\n1 1\n",              // negative destination, line 1
-		"1 1\n\n# c\n0x10 1\n",     // hex id, line 4
-		"1_0 1\n",                  // underscore id
-		"99999999999999999999 0\n", // id overflows int
-		"0 99999999999999999999\n", // destination overflows int
-		"999999999 0\n",            // too sparse an id space
+		"0 1\r\n1 2 3.5\r\n",         // CRLF
+		"0\t1\t2.5\n1\t\t0\n",        // tabs, runs of tabs
+		"\t 3   4  \n",               // leading, trailing and repeated blanks
+		"0\u00a01\n",                 // NBSP is not a separator
+		"0\u20031\u2003 2\n",         // EM SPACE is one
+		"0\v1\f2\n",                  // vertical tab, form feed
+		"0 1\xff\n",                  // invalid UTF-8 inside a field
+		"\xff\n",                     // invalid UTF-8 alone
+		"+1 +2 +3\n",                 // leading plus
+		"-0 1\n",                     // negative zero id
+		"0 -1\n1 1\n",                // negative destination, line 1
+		"1 1\n\n# c\n0x10 1\n",       // hex id, line 4
+		"1_0 1\n",                    // underscore id
+		"99999999999999999999 0\n",   // id overflows int
+		"0 99999999999999999999\n",   // destination overflows int
+		"999999999 0\n",              // too sparse an id space
+		"2147483646 0\n",             // the largest id: parsed, then too sparse
+		"2147483647 0\n",             // one past it
+		"0 2147483648 1\n",           // 2³¹ as a destination, weighted
+		"999999999999999999 0\n",     // 18 digits: the fast path's longest
+		"0 1000000000000000000\n",    // 19 digits
+		"0000000000000000000007 1\n", // zeros past 18 digits
+		"007 08\n",                   // leading zeros
 		"0 1 NaN\n", "0 1 nan\n", "0 1 Inf\n", "0 1 +Inf\n", "0 1 -Inf\n", "0 1 infinity\n",
 		"0 1 1e400\n", "0 1 -2.5\n", "0 1 -0\n", "0 1 0x1p-2\n", "0 1 0x10\n", "0 1 1_0\n",
 		"0 1 .5\n", "0 1 5.\n", "0 1 1e-320\n", "0 1 weight\n",
@@ -231,6 +245,42 @@ func TestReadEdgeListErrors(t *testing.T) {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Fatalf("accepted malformed input %q", in)
 		}
+	}
+}
+
+// TestEdgeIDBound: an id of 2³¹−1 or more cannot be a row of an int32-
+// indexed matrix (the node count is id+1). It used to be parsed, pass
+// CheckIDDensity once enough ordinary records preceded it — 2.2 M do —
+// and wrap in Builder.Add or ask Build for a 16 GiB row-pointer array.
+// Both parsers refuse it, naming the line.
+func TestEdgeIDBound(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want string // "" = accepted
+	}{
+		{"2147483646 5", ""},
+		{"5 2147483646 2.5", ""},
+		{"5 2147483647", "graph: line 7: destination id 2147483647 above the largest supported, 2147483646"},
+		{"5 2147483648", "graph: line 7: destination id 2147483648 above the largest supported, 2147483646"},
+		{"2147483648 5", "graph: line 7: source id 2147483648 above the largest supported, 2147483646"},
+		{"4294967296 5 1", "graph: line 7: source id 4294967296 above the largest supported, 2147483646"},
+		{"5 999999999999999999 0.5", "graph: line 7: destination id 999999999999999999 above the largest supported, 2147483646"},
+	} {
+		_, _, _, _, err := ParseEdgeLine(7, []byte(tc.line))
+		if got := fmt.Sprint(err); (tc.want == "") != (err == nil) || (err != nil && got != tc.want) {
+			t.Errorf("ParseEdgeLine(%q): err = %v, want %q", tc.line, err, tc.want)
+		}
+	}
+	// Through the reader, behind enough records that the density check
+	// alone would let the id through.
+	var text bytes.Buffer
+	for e := 0; e < 2_200_000; e++ {
+		text.WriteString("1 2\n")
+	}
+	text.WriteString("5 2147483648\n")
+	_, err := ReadEdgeList(&text)
+	if err == nil || !strings.Contains(err.Error(), "line 2200001: destination id 2147483648 above the largest supported") {
+		t.Fatalf("ReadEdgeList: err = %v, want the id refused at line 2200001", err)
 	}
 }
 

@@ -8,10 +8,21 @@ import (
 // Builder accumulates (row, col, value) triplets and assembles them into
 // a CSR matrix. Duplicate coordinates are summed. It is the standard way
 // to construct matrices from edge lists and generators.
+//
+// Triplets are held in chunks: when the open chunk (r, c, v) fills, it
+// is sealed and one as large as everything held so far is opened, so
+// storage doubles without a held triplet ever being copied.
 type Builder struct {
 	rows, cols int
 	r, c       []int32
 	v          []float64
+	sealed     []tripletChunk // the full chunks before the open one, oldest first
+	held       int            // triplets in sealed
+}
+
+type tripletChunk struct {
+	r, c []int32
+	v    []float64
 }
 
 // NewBuilder returns a Builder for a rows×cols matrix.
@@ -19,20 +30,33 @@ func NewBuilder(rows, cols int) *Builder {
 	return &Builder{rows: rows, cols: cols}
 }
 
-// Reserve grows the internal triplet storage to hold at least n entries,
-// avoiding repeated reallocation when the caller knows the edge count.
+// Reserve makes room for at least n triplets in all, so that a caller
+// who knows the edge count adds without a further allocation. On an
+// empty builder the room is one contiguous block — what lets Build hand
+// row-major triplets over as the result's own arrays.
 func (b *Builder) Reserve(n int) {
-	if cap(b.r) < n {
-		r := make([]int32, len(b.r), n)
-		copy(r, b.r)
-		b.r = r
-		c := make([]int32, len(b.c), n)
-		copy(c, b.c)
-		b.c = c
-		v := make([]float64, len(b.v), n)
-		copy(v, b.v)
-		b.v = v
+	if room := n - b.held; cap(b.r) < room {
+		b.open(room - len(b.r))
 	}
+}
+
+// open seals the open chunk, if it holds anything, and opens one with
+// room for n triplets.
+func (b *Builder) open(n int) {
+	if len(b.r) > 0 {
+		b.sealed = append(b.sealed, tripletChunk{b.r, b.c, b.v})
+		b.held += len(b.r)
+	}
+	b.r, b.c, b.v = make([]int32, 0, n), make([]int32, 0, n), make([]float64, 0, n)
+}
+
+// chunk returns the k-th chunk in arrival order: the sealed ones, then
+// the open one.
+func (b *Builder) chunk(k int) tripletChunk {
+	if k < len(b.sealed) {
+		return b.sealed[k]
+	}
+	return tripletChunk{b.r, b.c, b.v}
 }
 
 // Resize sets the shape, for a caller that learns it while adding (an
@@ -46,8 +70,7 @@ func (b *Builder) Add(i, j int, val float64) {
 		panic(fmt.Sprintf("matrix: Builder.Add index (%d,%d) out of range %dx%d", i, j, b.rows, b.cols))
 	}
 	if len(b.r) == cap(b.r) {
-		// Double: append's 1.25× steps copy a large edge list five times over.
-		b.Reserve(max(2*cap(b.r), 64))
+		b.open(max(b.Len(), 64))
 	}
 	b.r = append(b.r, int32(i))
 	b.c = append(b.c, int32(j))
@@ -55,54 +78,66 @@ func (b *Builder) Add(i, j int, val float64) {
 }
 
 // Len returns the number of recorded triplets (before deduplication).
-func (b *Builder) Len() int { return len(b.r) }
+func (b *Builder) Len() int { return b.held + len(b.r) }
 
 // Build assembles the triplets into CSR form, summing duplicates and
 // dropping entries that sum to exactly zero. The Builder is drained and
 // may be reused afterwards.
 func (b *Builder) Build() *CSR {
 	m := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int64, b.rows+1)}
-	if len(b.r) == 0 {
+	total := b.Len()
+	if total == 0 {
 		return m
 	}
-
 	// Counting sort by row, then sort each row's slice by column. This is
 	// O(nnz + rows + Σ r log r) and avoids sorting the full triplet list.
 	counts := make([]int64, b.rows+1)
-	rowMajor := true
-	for k, i := range b.r {
-		counts[i+1]++
-		rowMajor = rowMajor && (k == 0 || b.r[k-1] <= i)
+	rowMajor, prev := true, int32(0)
+	for k := 0; k <= len(b.sealed); k++ {
+		for _, i := range b.chunk(k).r {
+			counts[i+1]++
+			rowMajor = rowMajor && prev <= i
+			prev = i
+		}
 	}
 	for i := 0; i < b.rows; i++ {
 		counts[i+1] += counts[i]
 	}
 	// The stable scatter is the identity on triplets that arrived
-	// row-major: there the builder's own arrays become the result.
+	// row-major: held in one chunk, the builder's own arrays become the
+	// result.
 	cs, vs := b.c, b.v
-	if rowMajor {
+	if rowMajor && len(b.sealed) == 0 {
 		b.r, b.c, b.v = nil, nil, nil
 	} else {
-		cs, vs = make([]int32, len(b.c)), make([]float64, len(b.v))
+		cs, vs = make([]int32, total), make([]float64, total)
 		next := make([]int64, b.rows)
 		copy(next, counts[:b.rows])
-		for k, i := range b.r {
-			p := next[i]
-			cs[p] = b.c[k]
-			vs[p] = b.v[k]
-			next[i]++
+		for k := 0; k <= len(b.sealed); k++ {
+			ch := b.chunk(k)
+			for t, i := range ch.r {
+				p := next[i]
+				cs[p] = ch.c[t]
+				vs[p] = ch.v[t]
+				next[i]++
+			}
 		}
 		b.r, b.c, b.v = b.r[:0], b.c[:0], b.v[:0]
+		b.sealed, b.held = nil, 0
 	}
 
 	// Sort each row by column, then sum duplicates and drop the exact
 	// zeros cancellation leaves, compacting in place: the write cursor
-	// never passes the read cursor, so cs and vs become the result.
+	// never passes the read cursor, so cs and vs become the result. A row
+	// whose columns already ascend strictly is the order the sort would
+	// leave it in — distinct keys have one — and is not sorted.
 	w, row := 0, &rowSorter{} // one sorter: a value would be boxed per row
 	for i := 0; i < b.rows; i++ {
 		lo, hi := int(counts[i]), int(counts[i+1])
-		row.cols, row.vals = cs[lo:hi], vs[lo:hi]
-		sort.Sort(row)
+		if !strictlyAscending(cs[lo:hi]) {
+			row.cols, row.vals = cs[lo:hi], vs[lo:hi]
+			sort.Sort(row)
+		}
 		for k := lo; k < hi; {
 			c, v := cs[k], vs[k]
 			for k++; k < hi && cs[k] == c; k++ {
@@ -117,6 +152,15 @@ func (b *Builder) Build() *CSR {
 	}
 	m.ColIdx, m.Val = cs[:w:w], vs[:w:w]
 	return m
+}
+
+func strictlyAscending(cols []int32) bool {
+	for k := 1; k < len(cols); k++ {
+		if cols[k-1] >= cols[k] {
+			return false
+		}
+	}
+	return true
 }
 
 type rowSorter struct {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"testing/quick"
 )
 
 func mustValidate(t *testing.T, m *CSR) {
@@ -236,6 +237,106 @@ func TestBuildRowMajorMatchesScatter(t *testing.T) {
 			}
 			requireSameBits(t, trial, b.Build(), want)
 		}
+	}
+}
+
+// TestQuickBuildChunkedMatchesSortingBuild: a builder that grows by
+// chunks, and skips the sort of a row that arrives strictly ascending,
+// builds the bits of the one that held flat arrays and sorted every row
+// — appendingBuild is that assembly: the same stable scatter, the same
+// sort.Sort over the same arrival order. The triplets are a shuffle of
+// rows of each kind: ascending (sort skipped), ascending but for one
+// duplicate or one inversion (sorted: the summation order of equal
+// columns is the sort's), and random with collisions; there are enough
+// to seal several chunks, and Reserve lands before, amid or after them.
+func TestQuickBuildChunkedMatchesSortingBuild(t *testing.T) {
+	f := func(seed int64, nRaw, reserveAt uint8, shuffle bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)%40
+		cols := 64
+		var r, c []int32
+		var v []float64
+		weights := []float64{0.1, 0.2, 0.3, 0.7, 1e16, -1e16, 1, -1, 0}
+		for i := 0; i < n; i++ {
+			row := rng.Perm(cols)[:rng.Intn(cols)]
+			switch kind := rng.Intn(4); {
+			case kind < 3:
+				slices.Sort(row)
+				if k := len(row) - 1; kind == 1 && k > 0 {
+					row[rng.Intn(k)+1] = row[rng.Intn(k)] // a duplicate (or an inversion)
+				} else if kind == 2 && k > 0 {
+					p := rng.Intn(k)
+					row[p], row[p+1] = row[p+1], row[p] // one inversion
+				}
+			default:
+				for k := range row {
+					row[k] = rng.Intn(1 + rng.Intn(cols)) // collisions, three-way and more
+				}
+			}
+			for _, j := range row {
+				r, c, v = append(r, int32(i)), append(c, int32(j)), append(v, weights[rng.Intn(len(weights))])
+			}
+		}
+		if shuffle {
+			rng.Shuffle(len(r), func(a, b int) {
+				r[a], r[b] = r[b], r[a]
+				c[a], c[b] = c[b], c[a]
+				v[a], v[b] = v[b], v[a]
+			})
+		}
+		b := NewBuilder(n, cols)
+		for k := range r {
+			if k == int(reserveAt) {
+				b.Reserve(len(r) / (1 + k%3))
+			}
+			b.Add(int(r[k]), int(c[k]), v[k])
+		}
+		if b.Len() != len(r) {
+			return false
+		}
+		got, want := b.Build(), appendingBuild(n, cols, r, c, v)
+		if got.Validate() != nil || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+			return false
+		}
+		for k := range want.Val {
+			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				return false
+			}
+		}
+		return b.Len() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuildReservedRowMajorHandsArraysOver: triplets added row-major
+// into room reserved up front are one contiguous block, and Build
+// returns that block as the matrix — no scatter copy, nothing allocated
+// per triplet. multilevel.contract builds every coarse level this way.
+func TestBuildReservedRowMajorHandsArraysOver(t *testing.T) {
+	const n, perRow = 200, 30
+	fill := func() (*Builder, *int32) {
+		b := NewBuilder(n, n)
+		b.Reserve(n * perRow)
+		for i := 0; i < n; i++ {
+			for k := 0; k < perRow; k++ {
+				b.Add(i, (i*7+k*k)%n, 0.5) // unsorted within the row, duplicates among them
+			}
+		}
+		return b, &b.c[0]
+	}
+	b, block := fill()
+	if m := b.Build(); &m.ColIdx[0] != block {
+		t.Fatal("Build copied a reserved row-major block instead of handing it over")
+	}
+	// The builder, its three arrays, the matrix, its row pointers, the
+	// row counts and the sorter.
+	if allocs := testing.AllocsPerRun(5, func() {
+		b, _ := fill()
+		b.Build()
+	}); allocs > 8 {
+		t.Fatalf("%v allocations for a reserved row-major build, want at most 8", allocs)
 	}
 }
 

@@ -359,7 +359,7 @@ func (p *product) run(ctx context.Context, workers int) (*CSR, error) {
 		return nil, err
 	}
 	if p.mirrored {
-		out = mirrorUpper(out)
+		out = MirrorUpper(out)
 	}
 	return out, nil
 }

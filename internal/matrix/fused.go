@@ -48,15 +48,17 @@ func MulXXTScaledPruned(x, xt *CSR, rowScale, colScale []float64, threshold floa
 // MulXXTScaledPrunedCtx returns the fused symmetric self-product
 // S = X·Xᵀ for X = diag(rowScale)·x·diag(colScale), given x and its
 // exact transpose xt (xt must carry bit-identical values to
-// x.Transpose(); a mapped on-disk transpose qualifies). Neither X nor
-// Xᵀ is materialised as a matrix: scaled values are formed as
-// (v·row)·col, the ScaleRows-then-ScaleCols order — x's in the loop,
-// xt's once up front into one nnz-long vector the call holds (8 bytes
-// an entry, heap even when xt is mapped). Sub-threshold entries are
-// killed during accumulation and never allocated.
+// x.Transpose(); a mapped on-disk transpose qualifies, and anything that
+// is not x's transpose in structure panics). Neither X nor Xᵀ is
+// materialised as a matrix: scaled values are formed as (v·row)·col, the
+// ScaleRows-then-ScaleCols order — x's in the loop, xt's once up front
+// into one nnz-long vector — and the call holds that vector and one of
+// entry offsets (12 bytes an entry, heap even when xt is mapped).
+// Sub-threshold entries are killed during accumulation and never
+// allocated.
 //
 // Only the upper triangle (j ≥ i) is computed — each inner row of xt is
-// entered at its first column ≥ i, halving the flop count — and the
+// entered at the position of column i, halving the flop count — and the
 // strict upper entries are mirrored into the lower triangle.
 // Commutativity of IEEE multiplication and two-operand addition makes
 // the mirrored triangle bit-identical to computing it directly, so the
@@ -78,12 +80,36 @@ func MulXXTScaledPrunedCtx(ctx context.Context, x, xt *CSR, rowScale, colScale [
 	return xxtProduct(x, xt, rowScale, colScale, threshold).run(ctx, workers)
 }
 
+// MulXXTScaledPrunedUpperCtx is MulXXTScaledPrunedCtx before the
+// mirror: the rows of S cut to their columns j ≥ i, with the full
+// product's prune tally. It is for a caller that sums several such
+// products — mirroring copies values, so MirrorUpper of the summed
+// triangles is the sum of the mirrored products bit for bit, at half the
+// additions and one mirror.
+func MulXXTScaledPrunedUpperCtx(ctx context.Context, x, xt *CSR, rowScale, colScale []float64, threshold float64, workers int) (*CSR, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	up := &CSR{}
+	if _, err := xxtProduct(x, xt, rowScale, colScale, threshold).runInto(ctx, workers, &workspace{}, up); err != nil {
+		return nil, err
+	}
+	return up, nil
+}
+
 // xxtProduct is the engine spec behind MulXXTScaledPrunedCtx: the
 // scaled upper-triangle row scatter under a threshold flush, mirrored.
 // xt's values are scaled once up front — entry (c, j) carries x's raw
 // value at (j, c), and (v·rowScale[j])·colScale[c] is X.Transpose()'s
 // value exactly — so the inner loop is one multiply per flop with no
 // rowScale gather; with no scaling at all the vector is xt.Val itself.
+//
+// The upper-triangle contributions of output row i come, for each entry
+// (i, c) of x, from the part of xt's row c at columns ≥ i, and that part
+// starts at the entry (c, i) itself. xt's row c lists the rows of x that
+// hold c in ascending order, so walking x's entries in order and
+// counting the visits to each column gives every entry its position in
+// xt's row: start is that count, and no row is searched.
 func xxtProduct(x, xt *CSR, rowScale, colScale []float64, threshold float64) *product {
 	if x.Cols != xt.Rows || x.Rows != xt.Cols {
 		panic(fmt.Sprintf("matrix: MulXXTScaledPruned transpose shape mismatch %dx%d vs %dx%d", x.Rows, x.Cols, xt.Rows, xt.Cols))
@@ -99,36 +125,39 @@ func xxtProduct(x, xt *CSR, rowScale, colScale []float64, threshold float64) *pr
 			}
 		}
 	}
+	start, visits := make([]int32, len(x.ColIdx)), make([]int32, x.Cols)
+	for t, c := range x.ColIdx {
+		start[t] = visits[c]
+		visits[c]++
+	}
 	return &product{
 		rows:      x.Rows,
 		cols:      x.Rows,
 		threshold: threshold,
 		mirrored:  true,
 		bound:     func(i int) int { return rowFlops(x, xt, i) },
-		// Upper-triangle contributions (output columns j ≥ i) of row i:
-		// for each entry (c, v) of x's row i the matching inner row of xt
-		// is entered at its first column ≥ i, so strict-lower flops are
-		// skipped rather than branched over.
 		scatter: func(i int, spa *accumulator) {
+			lo := x.RowPtr[i]
 			ac, av := x.Row(i)
 			for k, c := range ac {
 				w := applyScale(applyScale(av[k], rowScale, int32(i)), colScale, c)
-				lo, hi := xt.RowPtr[c], xt.RowPtr[c+1]
-				bcols := xt.ColIdx[lo:hi]
-				start := sort.Search(len(bcols), func(p int) bool { return bcols[p] >= int32(i) })
-				spa.axpy(w, bcols[start:], sv[lo+int64(start):hi])
+				from, hi := xt.RowPtr[c]+int64(start[lo+int64(k)]), xt.RowPtr[c+1]
+				if from >= hi || xt.ColIdx[from] != int32(i) {
+					panic(fmt.Sprintf("matrix: MulXXTScaledPruned: xt is not the transpose of x: x holds (%d,%d), xt's row %d does not hold %d where the transpose would", i, c, c, i))
+				}
+				spa.axpy(w, xt.ColIdx[from:hi], sv[from:hi])
 			}
 		},
 	}
 }
 
-// mirrorUpper expands an upper-triangular matrix (every stored entry of
+// MirrorUpper expands an upper-triangular matrix (every stored entry of
 // row i has column ≥ i) into the full symmetric matrix, copying each
 // strict-upper value to its mirror position. One counting pass sizes
 // the result exactly; the scatter pass preserves sorted column order
 // because mirrored entries of row j (columns i < j) arrive in ascending
 // i before row j's own entries (columns ≥ j) are appended.
-func mirrorUpper(up *CSR) *CSR {
+func MirrorUpper(up *CSR) *CSR {
 	n := up.Rows
 	out := &CSR{Rows: n, Cols: up.Cols, RowPtr: make([]int64, n+1)}
 	counts := make([]int64, n)
@@ -253,5 +282,5 @@ func AddTransposeSym(m *CSR, scale float64) *CSR {
 		}
 		up.RowPtr[i+1] = int64(len(up.ColIdx))
 	}
-	return mirrorUpper(up)
+	return MirrorUpper(up)
 }

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +55,35 @@ func TestMulXXTScaledPrunedMatchesMaterialized(t *testing.T) {
 			requireBitIdentical(t, want, got)
 			// Nil scale vectors are the identity: must match the plain x·xᵀ.
 			requireBitIdentical(t, mulOracle(x, xt, th), MulXXTScaledPruned(x, xt, nil, nil, th, 1))
+		}
+	}
+}
+
+// TestMulXXTRejectsNonTranspose: the scatter enters xt's row c where the
+// transpose holds (c, i) without searching for it, so an xt that is some
+// other matrix of the right shape must stop the product — it used to be
+// searched, and multiplied into a wrong answer. On spawned workers too:
+// the driver re-raises the panic on the caller's goroutine.
+func TestMulXXTRejectsNonTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	x := randomCSR(rng, 300, 200, 0.1, 0, 2)
+	other := randomCSR(rng, 300, 200, 0.1, 0, 2).Transpose()
+	short := x.Transpose()
+	for c := 100; c < len(short.RowPtr); c++ {
+		short.RowPtr[c] = short.RowPtr[100] // rows 100… emptied: the offset runs off the row's end
+	}
+	for name, xt := range map[string]*CSR{"other matrix": other, "truncated": short} {
+		for _, workers := range []int{1, 2} {
+			func() {
+				defer func() {
+					r, _ := recover().(string)
+					if !strings.Contains(r, "xt is not the transpose of x") {
+						t.Fatalf("%s, %d workers: recovered %q, want the transpose contract", name, workers, r)
+					}
+				}()
+				MulXXTScaledPruned(x, xt, nil, nil, 0, workers)
+				t.Fatalf("%s, %d workers: product of a non-transpose returned", name, workers)
+			}()
 		}
 	}
 }

@@ -36,7 +36,7 @@ func runForced(t *testing.T, p *product, workers int, mode int8) (out *CSR, kill
 		t.Fatal(err)
 	}
 	if p.mirrored {
-		out = mirrorUpper(out)
+		out = MirrorUpper(out)
 	}
 	_, fallbacks = stats.RowPaths()
 	return out, stats.Killed(), fallbacks

@@ -96,7 +96,7 @@ func csrBytes(n int, nnz int64) int64 {
 // fused execution layer: the diagonal scalings fold into the product
 // kernels, so no scaled factor clone is ever allocated — the only
 // input-shaped intermediates are the one Aᵀ shared by both terms and
-// the vector of pre-scaled operand values a scaled product holds. Both
+// the per-entry vectors a product holds (productDriverBytes). Both
 // products live at once while they are summed, and the sum is bounded
 // by their combined size. DegreeDiscounted only rescales the terms, so
 // its sparsity bound matches Bibliometric's. While a product is formed
@@ -112,8 +112,9 @@ func productSymBytes(gs GraphStats) int64 {
 }
 
 // productDriverBytes is what the engine holds while it forms one
-// self-product of at most nnz entries, besides the result: the nnz-long
-// float64 vector of pre-scaled operand values; one accumulator — sums,
+// self-product of at most nnz entries, besides the result: two vectors
+// as long as the operand, its pre-scaled values (float64) and its entry
+// offsets (int32); one accumulator — sums,
 // marks and the candidate list, 16 bytes a column, each sized once (a
 // product without a top-k never allocates the selection keys) — for each
 // of at most GOMAXPROCS workers; and, with more than one worker, the
@@ -121,7 +122,7 @@ func productSymBytes(gs GraphStats) int64 {
 // one more copy of the product's entries. The same accounting as the mcl
 // clusterer's model.
 func productDriverBytes(gs GraphStats, nnz int64) int64 {
-	return 8*gs.Edges + int64(runtime.GOMAXPROCS(0))*16*int64(gs.Nodes) + 12*nnz
+	return 12*gs.Edges + int64(runtime.GOMAXPROCS(0))*16*int64(gs.Nodes) + 12*nnz
 }
 
 // oocProductSymBytes bounds the heap-resident bytes of an out-of-core
@@ -131,7 +132,7 @@ func productDriverBytes(gs GraphStats, nnz int64) int64 {
 // into the kernels, so there are no scaled-factor files either; what
 // stays resident is the external-sort buffer, the degree/discount
 // vectors, what the product driver holds (productDriverBytes: the
-// scaled-value vector is heap even when its operand is mapped), and —
+// per-entry vectors are heap even when their operand is mapped), and —
 // dominating everything — the pruned products themselves. An unpruned
 // product is as large out-of-core as in-core, which is why this is
 // honest about the worst case being no smaller than productSymBytes

@@ -274,6 +274,13 @@ func TestUploadSessionLifecycle(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
+	// So does a node id no int32 row index can hold, in a session of its own.
+	other := decode[UploadRef](t, postJSON(t, ts.URL+"/v1/graphs/uploads", struct{}{}))
+	if resp := post(other.Location, "0 1\n5 2147483648\n"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("chunk with id 2³¹: status %d, want 400", resp.StatusCode)
+	} else {
+		resp.Body.Close()
+	}
 	// The session is poisoned: appends and finalize both refuse.
 	if resp := post(ref.Location, "2 3\n"); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("append to poisoned session: status %d, want 409", resp.StatusCode)

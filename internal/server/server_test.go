@@ -289,6 +289,13 @@ func TestHandlerRejections(t *testing.T) {
 			}
 			return resp
 		}, http.StatusBadRequest},
+		{"node id beyond int32", func() *http.Response {
+			resp, err := http.Post(ts.URL+"/v1/graphs", "text/plain", strings.NewReader("0 1\n5 2147483648\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}, http.StatusBadRequest},
 		{"oversized graph upload", func() *http.Response {
 			big := strings.Repeat("0 1\n", 1024)
 			resp, err := http.Post(ts.URL+"/v1/graphs", "text/plain", strings.NewReader(big))
