@@ -1,9 +1,11 @@
 # Pre-merge checks for symcluster. `make check` is the documented
 # gate: formatting, vet, the registry and logging lints, a full build,
-# the short test suite, the race detector over the whole module, and
-# bounded fuzz passes of the edge-list reader, its line parser and the
-# binary CSR decoder. The long statistical experiments (minutes per seed)
-# run only via `make test-long`.
+# the short test suite, the race detector over the whole module, the
+# cross step (an arm64 build, and the kernels' suites with the assembly
+# tagged out), and bounded fuzz passes of the edge-list reader, its line
+# parser, the binary CSR decoder and the dense scan's two bodies. The
+# long statistical experiments (minutes per seed) run only via
+# `make test-long`.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -14,9 +16,9 @@ SOAK_SECONDS ?= 60
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X symcluster/internal/obs.Version=$(VERSION)
 
-.PHONY: check fmt vet lint build test race fuzz crash cluster soak test-long bench kernel-bench
+.PHONY: check fmt vet lint build cross test race fuzz crash cluster soak test-long bench kernel-bench
 
-check: fmt vet lint build test race crash cluster soak fuzz
+check: fmt vet lint build cross test race crash cluster soak fuzz
 	@echo "check: ok"
 
 fmt:
@@ -44,6 +46,17 @@ lint:
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
+
+# The targets the assembly does not serve: everything builds for arm64
+# and internal/matrix vets there (the stub's signature against the
+# routine's), and the three packages whose oracle suites hold the engine
+# to its bits pass with the routine tagged out — the Go loop alone, as
+# on every GOARCH but amd64 and every amd64 without AVX2 (DESIGN.md §15,
+# "Collect").
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/matrix
+	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/mcl
 
 test:
 	$(GO) test -short ./...
@@ -104,6 +117,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzParseEdgeLine -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/csr
+	$(GO) test -run='^$$' -fuzz=FuzzScanSpan -fuzztime=$(FUZZTIME) ./internal/matrix
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): one 30-second
 # workload against an in-process symclusterd per invocation; arguments
@@ -112,11 +126,12 @@ bench:
 	bash bench/run.sh
 
 # The kernels on their own, in a few minutes: one accumulator row in
-# each mode around the dense/marked crossover (denseSpanNum/denseSpanDen
-# in internal/matrix/engine.go is read off BenchmarkAccumulatorRow), the
-# top-k selection, the two requests the sparse product carries, what
-# registering sym_cold's upload costs before any of that (the parse
-# alone, and with the fingerprint and the symmetric-link count), and the
+# each mode around the dense/marked crossover (denseSpanShare in
+# internal/matrix/engine.go is read off BenchmarkAccumulatorRow), the
+# dense scan alone in each of its bodies, the top-k selection, the two
+# requests the sparse product carries, what registering sym_cold's
+# upload costs before any of that (the parse alone, and with the
+# fingerprint and the symmetric-link count), and the
 # multilevel clusterers on the benchmark's own inputs (serve_mixed's
 # Graclus and Metis requests, sym_cold's cluster stage), each without the
 # server around it, at one core and two (DESIGN.md §15) — and one
@@ -124,7 +139,7 @@ bench:
 # process, sent to the graph's owner and to the node that must forward
 # it (DESIGN.md §14).
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorRow|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
+	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorRow|BenchmarkCollectDense|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkMCLHot$$' -cpu 1,2 -count 5 ./internal/mcl
 	$(GO) test -run '^$$' -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkReadEdgeList$$|BenchmarkRegister$$' -cpu 1,2 -count 5 ./internal/graph

@@ -105,6 +105,7 @@ import (
 	symcluster "symcluster"
 	"symcluster/internal/cluster"
 	"symcluster/internal/faultinject"
+	"symcluster/internal/matrix"
 	"symcluster/internal/obs"
 	"symcluster/internal/server"
 )
@@ -156,7 +157,7 @@ func main() {
 
 	logger.Info("starting symclusterd",
 		"version", obs.Version, "go_version", runtime.Version(),
-		"workers", *workers, "cache_mb", *cacheMB)
+		"workers", *workers, "cache_mb", *cacheMB, "scan", matrix.ScanBody())
 
 	if spec := os.Getenv("SYMCLUSTER_FAULTS"); spec != "" {
 		if err := faultinject.FromSpec(spec); err != nil {

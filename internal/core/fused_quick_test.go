@@ -146,8 +146,13 @@ func sameBits(want, got *matrix.CSR) bool {
 // pruned and unpruned, with and without self-loops, in-core and
 // out-of-core, are the oracle's bits and the oracle's prune tally.
 // GOMAXPROCS is the only knob the worker count has, so the test turns
-// that; the graph is hub-heavy and cuts into 8 to 19 tiles.
+// that; the graph is hub-heavy and cuts into 8 to 19 tiles. The whole
+// matrix runs under each dense-scan body.
 func TestDerivedWorkersMatchOracle(t *testing.T) {
+	eachScanBody(t, testDerivedWorkersMatchOracle)
+}
+
+func testDerivedWorkersMatchOracle(t *testing.T) {
 	g := oocTestGraph(t, 1200, 5, 17)
 	orig := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })

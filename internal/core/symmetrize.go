@@ -138,8 +138,9 @@ func Symmetrize(g *graph.Directed, method Method, opt Options) (*graph.Undirecte
 // count; GOMAXPROCS=1 is the paper's single-threaded set-up.
 //
 // Each call opens a "core.symmetrize" span and records nnz in/out, the
-// product workers, which accumulator path the product rows took and the
-// number of entries killed by the prune threshold through the obs hooks
+// product workers, which accumulator path the product rows took, which
+// body scanned the dense ones (scan: avx2 | go) and the number of
+// entries killed by the prune threshold through the obs hooks
 // (no-ops without a trace/meter in ctx).
 func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Options) (out *graph.Undirected, err error) {
 	// Check once at entry so even methods with no internal poll points
@@ -149,7 +150,7 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.symmetrize",
 		obs.A("method", method.String()), obs.A("nnz_in", g.Adj.NNZ()),
-		obs.A("workers", matrix.DerivedWorkers(g.Adj.Rows)))
+		obs.A("workers", matrix.DerivedWorkers(g.Adj.Rows)), obs.A("scan", matrix.ScanBody()))
 	ctx, prune := obs.WithPruneStats(ctx)
 	defer func() {
 		nnzOut := 0

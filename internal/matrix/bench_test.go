@@ -113,13 +113,15 @@ func BenchmarkMulVec(b *testing.B) {
 
 // BenchmarkAccumulatorRow measures one output row — begin, the adds,
 // flush — in each accumulator mode, at the flow-sized and the
-// symmetrization-sized span and at a quarter of, half of, one and four
-// times the span in flops: the measurement behind denseSpanNum/
-// denseSpanDen, which sits where the two modes cross. The adds arrive as
-// 32-entry operand rows over random columns, as a flow's do.
+// symmetrization-sized span and from a sixteenth of to four times the
+// span in flops: the measurement behind denseSpanShare, which sits where
+// the two modes cross under the Go scan (under the vector scan they
+// cross near an eighth; DESIGN.md §15 says why the constant stayed). The
+// adds arrive as 32-entry operand rows over random columns, as a flow's
+// do.
 func BenchmarkAccumulatorRow(b *testing.B) {
 	for _, span := range []int{540, 8192} {
-		for _, ratio := range []float64{0.25, 0.5, 1, 4} {
+		for _, ratio := range []float64{0.0625, 0.125, 0.25, 0.5, 1, 4} {
 			rng := rand.New(rand.NewSource(11))
 			terms := make([][]int32, int(ratio*float64(span))/32)
 			vals := make([]float64, 32)

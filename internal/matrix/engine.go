@@ -194,17 +194,7 @@ type rowSink struct {
 func (s *accumulator) collect(cut float64) (m, nonzero int) {
 	acc, touched, cutBits := s.acc, s.touched, math.Float64bits(cut)<<1
 	if s.dense {
-		for j, v := range acc[s.lo:s.hi] {
-			x := math.Float64bits(v) << 1
-			touched[m] = int32(s.lo + j)
-			if x >= cutBits {
-				m++
-			}
-			if x != 0 {
-				nonzero++
-			}
-		}
-		return m, nonzero
+		return scanSpan(acc[s.lo:s.hi], s.lo, cutBits, touched)
 	}
 	for j, c := range touched[:s.n] {
 		x := math.Float64bits(acc[c]) << 1
@@ -217,6 +207,55 @@ func (s *accumulator) collect(cut float64) (m, nonzero int) {
 		}
 	}
 	return m, nonzero
+}
+
+// scanSpanGo is the dense row's scan, and its definition: of the sums in
+// span, which holds columns lo, lo+1, …, it lists the columns whose
+// magnitude bits, shifted as collect shifts them, reach cutBits in
+// touched[:m], ascending, and counts the sums that are not ±0. What it
+// leaves in touched past m is scratch.
+func scanSpanGo(span []float64, lo int, cutBits uint64, touched []int32) (m, nonzero int) {
+	for j, v := range span {
+		x := math.Float64bits(v) << 1
+		touched[m] = int32(lo + j)
+		if x >= cutBits {
+			m++
+		}
+		if x != 0 {
+			nonzero++
+		}
+	}
+	return m, nonzero
+}
+
+// vectorScan says that dense rows are scanned four sums a step by
+// scanSpanAVX2. It is decided once, at package init, from what the CPU
+// and the OS support (scan_amd64.go), and is false on every other target
+// and under the purego build tag (scan_generic.go); tests that hold the
+// two bodies to each other clear it, and never set it where init left
+// it clear.
+var vectorScan = haveAVX2()
+
+// ScanBody names the body that scans dense rows in this process, "avx2"
+// or "go", for the spans and the start-up log line that report it.
+func ScanBody() string {
+	if vectorScan {
+		return "avx2"
+	}
+	return "go"
+}
+
+// scanSpan is scanSpanGo with the largest multiple-of-four prefix of the
+// span handed to the vector body when there is one: the same m, nonzero
+// and touched[:m].
+func scanSpan(span []float64, lo int, cutBits uint64, touched []int32) (m, nonzero int) {
+	if n := len(span) &^ 3; vectorScan && n > 0 {
+		_ = touched[n-1] // the routine checks no bound: n candidates must fit
+		m, nonzero = scanSpanAVX2(span[:n], lo, cutBits, touched)
+		span, lo, touched = span[n:], lo+n, touched[m:]
+	}
+	tm, tnz := scanSpanGo(span, lo, cutBits, touched)
+	return m + tm, nonzero + tnz
 }
 
 // flush appends the accumulated row to sink in column order and closes

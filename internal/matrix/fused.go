@@ -74,10 +74,16 @@ func MulXXTScaledPruned(x, xt *CSR, rowScale, colScale []float64, threshold floa
 // the same bits, workers <= 0 selects GOMAXPROCS, and a cancelled ctx
 // aborts at the next tile boundary with ctx's error.
 func MulXXTScaledPrunedCtx(ctx context.Context, x, xt *CSR, rowScale, colScale []float64, threshold float64, workers int) (*CSR, error) {
+	return xxtProduct(x, xt, rowScale, colScale, threshold).run(ctx, offered(workers))
+}
+
+// offered is the worker count a caller's workers argument offers the
+// engine: GOMAXPROCS when it leaves the count to it.
+func offered(workers int) int {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
-	return xxtProduct(x, xt, rowScale, colScale, threshold).run(ctx, workers)
+	return workers
 }
 
 // MulXXTScaledPrunedUpperCtx is MulXXTScaledPrunedCtx before the
@@ -87,11 +93,8 @@ func MulXXTScaledPrunedCtx(ctx context.Context, x, xt *CSR, rowScale, colScale [
 // triangles is the sum of the mirrored products bit for bit, at half the
 // additions and one mirror.
 func MulXXTScaledPrunedUpperCtx(ctx context.Context, x, xt *CSR, rowScale, colScale []float64, threshold float64, workers int) (*CSR, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	up := &CSR{}
-	if _, err := xxtProduct(x, xt, rowScale, colScale, threshold).runInto(ctx, workers, &workspace{}, up); err != nil {
+	if _, err := xxtProduct(x, xt, rowScale, colScale, threshold).runInto(ctx, offered(workers), &workspace{}, up); err != nil {
 		return nil, err
 	}
 	return up, nil

@@ -58,8 +58,13 @@ func oracleProduct(t *testing.T, a, b *CSR, threshold float64, k int) (*CSR, int
 // function. The same random product with every row forced dense, every
 // row forced marked and every row left to the derived rule gives the
 // oracle's bits and the oracle's kill tally — both specs, with and
-// without a threshold and a top-k, at every worker count.
+// without a threshold and a top-k, at every worker count, under each
+// dense-scan body.
 func TestForcedRowModesAgree(t *testing.T) {
+	eachScanBody(t, testForcedRowModesAgree)
+}
+
+func testForcedRowModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	x := benchGraph(540, 6)
 	xt := x.Transpose()
@@ -95,8 +100,13 @@ func TestForcedRowModesAgree(t *testing.T) {
 // infinite operands (a NaN sum dies at every threshold, zero included,
 // and is tallied), negative values, ties at the k-th magnitude
 // straddling the cut (the lower column wins) — in every row mode,
-// against the sorted truncation of the oracle, values and kill tally.
+// against the sorted truncation of the oracle, values and kill tally,
+// under each dense-scan body.
 func TestAdversarialRows(t *testing.T) {
+	eachScanBody(t, testAdversarialRows)
+}
+
+func testAdversarialRows(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		name string

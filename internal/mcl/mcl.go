@@ -238,8 +238,9 @@ func regularizer(adj *matrix.CSR, selfLoop float64) *matrix.CSR {
 // matrix it named on entry is overwritten from the second iteration on.
 //
 // Each call opens an "mcl.iterate" span (worker count, iteration count,
-// final residual, and how many expansion rows were accumulated dense and
-// how many top-k pre-filters fell back, as attributes) and records
+// final residual, how many expansion rows were accumulated dense, which
+// body scanned them (scan: avx2 | go) and how many top-k pre-filters fell
+// back, as attributes) and records
 // per-iteration residual, flow nonzeros and threshold-pruned entries
 // through the obs hooks; both are no-ops when no trace/meter is
 // installed in ctx.
@@ -255,7 +256,7 @@ func iterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Option
 	expander := matrix.NewExpander()
 	ctx, sp := obs.StartSpan(ctx, "mcl.iterate",
 		obs.A("nodes", mgt.Rows), obs.A("max_iter", maxIter),
-		obs.A("workers", expander.Workers(mgt.Rows)))
+		obs.A("workers", expander.Workers(mgt.Rows)), obs.A("scan", matrix.ScanBody()))
 	ctx, paths := obs.WithPruneStats(ctx)
 	var lastDelta float64
 	defer func() {

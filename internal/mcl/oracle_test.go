@@ -215,8 +215,13 @@ func iterateSpans(n *obs.SpanNode) []*obs.SpanNode {
 // against a right operand that has since moved, and MLR-MCL changes
 // shape between levels — the multilevel solves here must cross at least
 // two level changes, and every level's span must say which paths its
-// rows took.
+// rows took and which body scanned the dense ones — the whole matrix
+// runs under each body.
 func TestFusedIterateMatchesOracle(t *testing.T) {
+	eachScanBody(t, testFusedIterateMatchesOracle)
+}
+
+func testFusedIterateMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	wide, _ := blockGraph(rng, 6, 50, 0.3, 0.01)  // five or more tiles
 	small, _ := blockGraph(rng, 3, 13, 0.5, 0.05) // less than one tile
@@ -264,6 +269,9 @@ func TestFusedIterateMatchesOracle(t *testing.T) {
 							rows, iters := sp.Attrs["nodes"].(int), sp.Attrs["iterations"].(int)
 							if !ok1 || !ok2 || dense < 0 || dense > int64(rows*iters) || fallbacks < 0 || fallbacks > int64(rows*iters) {
 								t.Fatalf("mcl.iterate span attrs %v: dense_rows and select_fallbacks must count rows of its %d×%d", sp.Attrs, rows, iters)
+							}
+							if sp.Attrs["scan"] != matrix.ScanBody() {
+								t.Fatalf("mcl.iterate span attrs %v: scan must be %q", sp.Attrs, matrix.ScanBody())
 							}
 						}
 						if len(got.records) != len(want.records) {

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 	"time"
 
 	"symcluster/internal/core"
@@ -122,7 +123,8 @@ type Memo interface {
 // The span tree itself is NOT folded into the returned StageTrace —
 // the trace owner (CLI or server) attaches tr.Tree() after ending the
 // root, so the tree is complete. Per-stage wall, CPU and allocation go
-// to the obs.JobStats in ctx, when there is one.
+// to the obs.JobStats in ctx, when there is one, and a CPU profile's
+// samples split by stage (labelStage).
 func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Result, *graph.Undirected, *StageTrace, error) {
 	trace := &StageTrace{Clusterer: r.Cl.Name()}
 	var u *graph.Undirected
@@ -138,7 +140,10 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 		}
 		var err error
 		if !trace.CacheHit {
-			if u, err = r.Sym.Run(symCtx, g, r.SymOpt); err == nil && memo != nil {
+			labelStage(symCtx, "symmetrize", r.Sym.Name(), func(ctx context.Context) {
+				u, err = r.Sym.Run(ctx, g, r.SymOpt)
+			})
+			if err == nil && memo != nil {
 				memo.Store(r.Sym, r.SymOpt, u)
 			}
 		}
@@ -158,7 +163,11 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 	clCtx, clSpan := obs.StartSpan(ctx, "cluster", obs.A("name", r.Cl.Name()))
 	endStage := obs.BeginStage(ctx, "cluster")
 	start := time.Now()
-	res, err := r.Cl.Run(clCtx, Input{U: u, G: g}, r.ClOpt)
+	var res *Result
+	var err error
+	labelStage(clCtx, "cluster", r.Cl.Name(), func(ctx context.Context) {
+		res, err = r.Cl.Run(ctx, Input{U: u, G: g}, r.ClOpt)
+	})
 	endStage()
 	trace.ClusterMillis = millisSince(start)
 	if err != nil {
@@ -168,6 +177,15 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 	clSpan.SetAttr("clusters", res.K)
 	clSpan.End()
 	return res, u, trace, nil
+}
+
+// labelStage runs one stage's kernel with the goroutine's runtime/pprof
+// labels stage (symmetrize | cluster) and name (the registry name) set:
+// the goroutines started underneath — the engine's product workers —
+// inherit them, so a profile taken from -debug-addr decomposes by stage
+// and by method. The labels ctx carried are back when it returns.
+func labelStage(ctx context.Context, stage, name string, run func(context.Context)) {
+	pprof.Do(ctx, pprof.Labels("stage", stage, "name", name), run)
 }
 
 // millisSince is the wall clock since start in (fractional)

@@ -1,11 +1,16 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/pprof"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -217,5 +222,72 @@ func TestExecuteMemoContract(t *testing.T) {
 	sym, cl = &countingSym{Symmetrizer: dd, cancel: cancel}, &countingCl{Clusterer: mcl}
 	if res, u, _, err := newRun(sym, cl).Execute(ctx, g, nil); !errors.Is(err, context.Canceled) || res != nil || u == nil || cl.runs != 0 {
 		t.Fatalf("cancelled between stages: err=%v res=%v u=%v cl runs=%d", err, res, u, cl.runs)
+	}
+}
+
+// labelProbe is a context that records, every time a goroutine other
+// than the one running Execute asks it for Err — the engine's spawned
+// product workers do, once a tile — the pprof labels that goroutine
+// carries, read the only way the runtime offers: its own record in the
+// goroutine profile.
+type labelProbe struct {
+	context.Context
+	mu     sync.Mutex
+	labels map[string]bool
+}
+
+func (p *labelProbe) Err() error {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		panic(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if !strings.Contains(rec, "(*labelProbe).Err") || strings.Contains(rec, "(*Run).Execute") {
+			continue
+		}
+		line := "no labels"
+		if _, after, ok := strings.Cut(rec, "# labels: "); ok {
+			line, _, _ = strings.Cut(after, "\n")
+		}
+		p.labels[line] = true
+	}
+	return nil
+}
+
+// TestExecuteLabelsStageGoroutines: for the length of each stage the
+// goroutine running Execute carries the pprof labels stage and name, a
+// product worker spawned underneath sees both, and they are gone when
+// Execute returns — so a CPU profile decomposes by stage and method.
+func TestExecuteLabelsStageGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // two or more tiles get two workers
+	ds, err := gen.Kronecker(gen.KroneckerOptions{Scale: 8, EdgeFactor: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := Resolve(Request{Method: "dd", Algorithm: "mcl", Seed: 1}, ds.Graph.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &labelProbe{Context: context.Background(), labels: map[string]bool{}}
+	if _, _, _, err := run.Execute(probe, ds.Graph, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{
+		`{"name":"dd", "stage":"symmetrize"}`: true,
+		`{"name":"mcl", "stage":"cluster"}`:   true,
+	}
+	if !reflect.DeepEqual(probe.labels, want) {
+		t.Fatalf("spawned product workers carried %v, want %v", probe.labels, want)
+	}
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(rec, "TestExecuteLabelsStageGoroutines") && strings.Contains(rec, "# labels:") {
+			t.Fatalf("labels outlived Execute:\n%s", rec)
+		}
 	}
 }

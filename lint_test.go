@@ -303,8 +303,9 @@ var sourceRules = []sourceRule{
 
 // TestSourceLints is `make lint`: it parses every Go file of the
 // repository (bench/ included) and holds it to sourceRules and to the
-// stageRules, and to the rule no pattern can express — no Workers field
-// reachable from pipeline.SymOptions.
+// stageRules, and to the rules no pattern can express — no Workers field
+// reachable from pipeline.SymOptions, no assembly file outside
+// internal/matrix.
 func TestSourceLints(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
@@ -314,6 +315,11 @@ func TestSourceLints(t *testing.T) {
 		}
 		if d.IsDir() && p != "." && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir // .git, .bench_build
+		}
+		if !d.IsDir() && strings.HasSuffix(p, ".s") && filepath.ToSlash(filepath.Dir(p)) != "internal/matrix" {
+			t.Errorf("%s: assembly outside internal/matrix: the dense scan's vector body is the module's one "+
+				"routine the compiler does not write, beside the Go loop that defines it and the fuzzer that "+
+				"holds the two together (DESIGN.md §15, \"Collect\")", p)
 		}
 		if d.IsDir() || !strings.HasSuffix(p, ".go") {
 			return nil
