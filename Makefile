@@ -34,7 +34,8 @@ vet:
 # propagation headers only through the cluster client, no stray
 # context.Background(), no production call to the sparse-product oracle,
 # no Workers field reachable from pipeline.SymOptions, no container/heap
-# in a clustering kernel, a pipeline stage run only by pipeline.Run.Execute
+# in a clustering kernel, multilevel.CoarsenCtx called only by the
+# substrates that own their hierarchy, a pipeline stage run only by pipeline.Run.Execute
 # and the named single-stage helpers, and in internal/server Retry-After
 # set only by refuse, csr.Open called only by openGraphFile, ring.Owner
 # only by ownerOf, Pool.Reserve only by admit and jobs.Admit only by a
@@ -136,8 +137,8 @@ bench:
 # Graclus and Metis requests, sym_cold's cluster stage), each without the
 # server around it, at one core and two (DESIGN.md §15) — and one
 # serve_mixed request with the server around it, two nodes in the
-# process, sent to the graph's owner and to the node that must forward
-# it (DESIGN.md §14).
+# process, sent to the graph's owner (its hierarchy kept, and refused)
+# and to the node that must forward it (DESIGN.md §14).
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorRow|BenchmarkCollectDense|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
 	$(GO) test -run '^$$' -bench 'BenchmarkMCLHot$$' -cpu 1,2 -count 5 ./internal/mcl

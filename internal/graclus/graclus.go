@@ -37,6 +37,9 @@ type Options struct {
 	RefinePasses int
 	// Seed drives the randomised base clustering and coarsening.
 	Seed int64
+	// Hier, when bound to the adjacency being clustered, may answer the
+	// coarsening from the hierarchy it keeps: same bits; nil builds one.
+	Hier *multilevel.Memo
 }
 
 func (o *Options) fill() {
@@ -87,7 +90,7 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Resu
 	if 4*k > minNodes {
 		minNodes = 4 * k
 	}
-	h, err := multilevel.CoarsenCtx(ctx, adj, multilevel.Options{MinNodes: minNodes, Seed: rng.Int63()})
+	h, err := opt.Hier.Coarsen(ctx, adj, multilevel.Options{MinNodes: minNodes, Seed: rng.Int63()})
 	if err != nil {
 		return nil, fmt.Errorf("graclus: coarsening: %w", err)
 	}

@@ -84,14 +84,7 @@ func CoarsenCtx(ctx context.Context, adj *matrix.CSR, opt Options) (hier *Hierar
 
 	ctx, sp := obs.StartSpan(ctx, "multilevel.coarsen", obs.A("nodes", adj.Rows))
 	h := &Hierarchy{Levels: []*Level{{Adj: adj, NodeWeight: ones(adj.Rows)}}}
-	defer func() {
-		sp.SetAttr("levels", h.Depth())
-		sp.SetAttr("coarsest_nodes", h.Coarsest().Adj.Rows)
-		sp.EndErr(err)
-		if err == nil {
-			obs.ObserveCoarsen(ctx, h.Depth(), h.Coarsest().Adj.Rows)
-		}
-	}()
+	defer func() { endCoarsen(ctx, sp, h, err) }()
 	for h.Depth() < opt.MaxLevels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -111,6 +104,17 @@ func CoarsenCtx(ctx context.Context, adj *matrix.CSR, opt Options) (hier *Hierar
 		h.Levels = append(h.Levels, next)
 	}
 	return h, nil
+}
+
+// endCoarsen closes a "multilevel.coarsen" span over the hierarchy it
+// produced — built here or served by a Memo — and fires the obs hook.
+func endCoarsen(ctx context.Context, sp *obs.Span, h *Hierarchy, err error) {
+	sp.SetAttr("levels", h.Depth())
+	sp.SetAttr("coarsest_nodes", h.Coarsest().Adj.Rows)
+	sp.EndErr(err)
+	if err == nil {
+		obs.ObserveCoarsen(ctx, h.Depth(), h.Coarsest().Adj.Rows)
+	}
 }
 
 func ones(n int) []float64 {

@@ -93,6 +93,20 @@ func ObserveCoarsen(ctx context.Context, levels, coarsestNodes int) {
 	m.Histogram("symcluster_coarsen_coarsest_nodes", "Coarsest-level node count per hierarchy.", SizeBuckets).Observe(float64(coarsestNodes))
 }
 
+// HierarchyCounter is symclusterd_hierarchy_total in r: the one daemon
+// family a kernel hook feeds, as only its cache entries carry a memo.
+func HierarchyCounter(r *Registry) *Counter {
+	return r.Counter("symclusterd_hierarchy_total",
+		"Coarsenings asked of a cache entry's hierarchy memo, by result: hit (served from the kept hierarchy) or built.", "result")
+}
+
+// ObserveHierarchy counts one coarsening a multilevel.Memo answered.
+func ObserveHierarchy(ctx context.Context, result string) {
+	if m := Meter(ctx); m != nil {
+		HierarchyCounter(m).Inc(result)
+	}
+}
+
 // ObserveSymmetrize records one completed symmetrization: directed
 // nonzeros in, undirected nonzeros out, and the product entries killed
 // by the prune threshold (0 when no threshold was set), labeled by

@@ -114,7 +114,9 @@ func spectralEmbeddingBytes(gs GraphStats) int64 {
 // the clustered graph, taken at 2·edges entries. A pruned product can
 // have more (17 k from 4.6 k edges on the 540-node benchmark graph);
 // the symmetrizer's flop-bound model in the same job estimate absorbs
-// that: TestJobEstimateCoversMultilevelHeld.
+// that: TestJobEstimateCoversMultilevelHeld. A Graclus request served
+// from its cache entry's kept hierarchy holds nothing new (the cache is
+// charged for it), so the estimate stays the ceiling: a request that builds.
 func multilevelBytes(gs GraphStats) int64 {
 	return 2 * csrBytes(gs.Nodes, 2*gs.Edges)
 }
@@ -202,7 +204,7 @@ var cluRegistry = []Clusterer{
 		describe: "multilevel weighted-kernel-k-means normalised cut (Dhillon et al.)",
 		requireK: true,
 		run: func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
-			res, err := graclus.ClusterCtx(ctx, in.U.Adj, opt.TargetClusters, graclus.Options{Seed: opt.Seed})
+			res, err := graclus.ClusterCtx(ctx, in.U.Adj, opt.TargetClusters, graclus.Options{Seed: opt.Seed, Hier: in.Hier})
 			if err != nil {
 				return nil, err
 			}

@@ -33,6 +33,7 @@ import (
 
 	"symcluster/internal/core"
 	"symcluster/internal/graph"
+	"symcluster/internal/multilevel"
 	"symcluster/internal/obs"
 )
 
@@ -70,10 +71,11 @@ type Result struct {
 
 // Input carries both views of the graph to a clusterer. Undirected
 // substrates read U (the symmetrized graph); directed substrates read
-// G (the original directed graph).
+// G (the original directed graph); Hier is the memo of U's cache entry.
 type Input struct {
-	U *graph.Undirected
-	G *graph.Directed
+	U    *graph.Undirected
+	G    *graph.Directed
+	Hier *multilevel.Memo
 }
 
 // StageTrace records per-stage observability for one pipeline run:

@@ -8,6 +8,7 @@ import (
 
 	"symcluster/internal/core"
 	"symcluster/internal/graph"
+	"symcluster/internal/multilevel"
 	"symcluster/internal/obs"
 )
 
@@ -104,8 +105,9 @@ func NewRun(sym Symmetrizer, symOpt SymOptions, cl Clusterer, clOpt ClusterOptio
 // symclusterd's byte-budgeted cache is the implementation; the CLI and
 // the library pass nil.
 type Memo interface {
-	// Lookup returns the graph a previous Store kept for (sym, opt).
-	Lookup(sym Symmetrizer, opt SymOptions) (*graph.Undirected, bool)
+	// Lookup returns the graph a previous Store kept for (sym, opt) and
+	// the hierarchy memo bound to it: only a reused graph keeps one.
+	Lookup(sym Symmetrizer, opt SymOptions) (*graph.Undirected, *multilevel.Memo, bool)
 	// Store keeps u, the result of sym.Run under opt. It may decline.
 	Store(sym Symmetrizer, opt SymOptions, u *graph.Undirected)
 }
@@ -128,13 +130,14 @@ type Memo interface {
 func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Result, *graph.Undirected, *StageTrace, error) {
 	trace := &StageTrace{Clusterer: r.Cl.Name()}
 	var u *graph.Undirected
+	var hier *multilevel.Memo
 	if r.Sym != nil {
 		trace.Symmetrizer = r.Sym.Name()
 		symCtx, symSpan := obs.StartSpan(ctx, "symmetrize", obs.A("name", r.Sym.Name()))
 		endStage := obs.BeginStage(ctx, "symmetrize")
 		start := time.Now()
 		if memo != nil {
-			u, trace.CacheHit = memo.Lookup(r.Sym, r.SymOpt)
+			u, hier, trace.CacheHit = memo.Lookup(r.Sym, r.SymOpt)
 			obs.JobStatsFrom(ctx).AddCache(trace.CacheHit)
 			symSpan.SetAttr("cache_hit", trace.CacheHit)
 		}
@@ -166,7 +169,7 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 	var res *Result
 	var err error
 	labelStage(clCtx, "cluster", r.Cl.Name(), func(ctx context.Context) {
-		res, err = r.Cl.Run(ctx, Input{U: u, G: g}, r.ClOpt)
+		res, err = r.Cl.Run(ctx, Input{U: u, G: g, Hier: hier}, r.ClOpt)
 	})
 	endStage()
 	trace.ClusterMillis = millisSince(start)

@@ -15,9 +15,12 @@ import (
 	"testing/quick"
 
 	"symcluster/internal/core"
+	"symcluster/internal/eval"
 	"symcluster/internal/gen"
 	"symcluster/internal/graph"
 	"symcluster/internal/matrix"
+	"symcluster/internal/multilevel"
+	"symcluster/internal/walk"
 )
 
 // smallGraph is a testing/quick generator of small internal/gen graphs:
@@ -81,13 +84,83 @@ func permuted(t *testing.T, g *graph.Directed, p []int) *graph.Directed {
 	return pg
 }
 
+// gleichHolds checks Gleich's result (PAPER.md §1) end to end: the
+// undirected NCut of a bipartition (S, S̄) of the runner's rw graph G_U is
+// the directed NCut of the same bipartition of G — on g made ergodic by
+// a Hamiltonian cycle and one self-loop, so that no node dangles and the
+// chain is irreducible and aperiodic, as core's
+// TestRandomWalkNCutEquivalence constructs it to show the identity
+// exact. Exact needs π stationary under P; the runner's π is stationary
+// under the chain teleported with τ = walk.DefaultTeleport, which leaves
+// a net flow δ = out(S) − in(S) = τ·(|S|/n − vol_U(S)) / (1 − τ/2) across
+// the cut (vol_U(S) = π(S) − δ/2), and writing both scores over π(S),
+// out(S) and δ gives |NCut_U − NCut_dir| ≤ |δ| / (2·min(vol_U(S),
+// vol_U(S̄))). That bound is the tolerance, plus 1e-8 for the 1e-10 the
+// power iteration stops at (measured gaps 4e-6 to 5e-4 against bounds
+// of 3e-4 to 2e-2: the two sides' terms mostly cancel) — and with δ put
+// back into the undirected score the two agree to that 1e-8 alone.
+func gleichHolds(t *testing.T, g *graph.Directed, rng *rand.Rand) bool {
+	t.Helper()
+	n := g.N()
+	b := matrix.NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		b.Add(i, (i+1)%n, 1)
+	}
+	b.Add(0, 0, 1)
+	eg, err := graph.NewDirected(matrix.Add(g.Adj, b.Build(), 1, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := symmetrizeVia(t, eg, "rw", 0, false)
+	deg := u.RowSums()
+	const tau = walk.DefaultTeleport
+	for trial := 0; trial < 8; trial++ {
+		assign := make([]int, n)
+		for i := range assign {
+			assign[i] = rng.Intn(2)
+		}
+		in := rng.Intn(n) // neither side empty
+		assign[in], assign[(in+1+rng.Intn(n-1))%n] = 1, 0
+		var size, volS, volBar float64
+		for i, c := range assign {
+			if c == 1 {
+				size++
+				volS += deg[i]
+			} else {
+				volBar += deg[i]
+			}
+		}
+		und, err := eval.NCut(u, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir, err := eval.NCutDirected(eg.Adj, assign, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := tau * (size/float64(n) - volS) / (1 - tau/2)
+		tol := math.Abs(delta)/(2*math.Min(volS, volBar)) + 1e-8
+		// And the teleport is all of the gap: with δ put back — the cut's
+		// weight m in G_U is the mean of the two flows — the scores agree.
+		m := und / (1/volS + 1/volBar)
+		exact := (m+delta/2)/(volS+delta/2) + (m-delta/2)/(volBar-delta/2)
+		if math.Abs(und-dir) > tol || math.Abs(exact-dir) > 1e-8 {
+			t.Errorf("rw: NCut(G_U)=%v, NCut_dir(G)=%v: apart by %v, the teleport allows %v; corrected for it, by %v (|S|=%v of %d, vol_U(S)=%v)",
+				und, dir, math.Abs(und-dir), tol, math.Abs(exact-dir), size, n, volS)
+			return false
+		}
+	}
+	return true
+}
+
 // TestQuickRunnerIdentities holds the paper's identities through
 // Resolve and Run.Execute, for every registered symmetrization in core
 // and out of core: U is symmetric and non-negative; the out-of-core
 // placement returns the in-core bits; relabelling the nodes relabels U
 // and changes nothing else (Sym(PAPᵀ) = P·Sym(A)·Pᵀ, to summation
-// order); and a higher prune threshold never keeps more entries. The
-// generator is seeded, so a failure reproduces.
+// order); a higher prune threshold never keeps more entries; and, for
+// rw, Gleich's NCut identity (gleichHolds). The generator is seeded, so
+// a failure reproduces.
 func TestQuickRunnerIdentities(t *testing.T) {
 	thresholds := []float64{0, 0.02, 0.1, 0.5, 2}
 	check := func(sg smallGraph, permSeed int64) bool {
@@ -135,7 +208,7 @@ func TestQuickRunnerIdentities(t *testing.T) {
 				}
 			}
 		}
-		return true
+		return gleichHolds(t, g, rand.New(rand.NewSource(permSeed)))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Fatal(err)
@@ -176,9 +249,9 @@ func (c *countingCl) Run(ctx context.Context, in Input, opt ClusterOptions) (*Re
 // mapMemo is the Memo contract's simplest implementation.
 type mapMemo map[string]*graph.Undirected
 
-func (m mapMemo) Lookup(sym Symmetrizer, _ SymOptions) (*graph.Undirected, bool) {
+func (m mapMemo) Lookup(sym Symmetrizer, _ SymOptions) (*graph.Undirected, *multilevel.Memo, bool) {
 	u, ok := m[sym.Name()]
-	return u, ok
+	return u, nil, ok
 }
 func (m mapMemo) Store(sym Symmetrizer, _ SymOptions, u *graph.Undirected) { m[sym.Name()] = u }
 

@@ -6,6 +6,7 @@ import (
 
 	"symcluster/internal/faultinject"
 	"symcluster/internal/graph"
+	"symcluster/internal/multilevel"
 )
 
 // CacheKey identifies one symmetrization product: the graph it was
@@ -22,9 +23,9 @@ type CacheKey struct {
 }
 
 // Cache is a mutex-guarded LRU of symmetrized graphs under a byte
-// budget. Entries are charged their CSR storage cost; inserting past
-// the budget evicts least-recently-used entries until the new entry
-// fits. A single graph larger than the whole budget is never stored.
+// budget. Entries are charged their CSR storage cost, and the hierarchy
+// a reused graph's memo keeps; past the budget, least-recently-used
+// entries go. A graph larger than the whole budget is never stored.
 type Cache struct {
 	mu     sync.Mutex
 	budget int64
@@ -35,10 +36,13 @@ type Cache struct {
 	hits, misses, evictions int64
 }
 
+// cacheEntry is a graph, the memo bound to it, and what each is charged.
 type cacheEntry struct {
 	key   CacheKey
 	u     *graph.Undirected
+	hier  *multilevel.Memo
 	bytes int64
+	held  int64
 }
 
 // NewCache returns a cache holding at most budget bytes of symmetrized
@@ -62,52 +66,73 @@ func GraphBytes(u *graph.Undirected) int64 {
 	return b
 }
 
-// Get returns the cached graph for key, marking it most recently used.
-// The "cache.get" fault site exercises delay and panic injection; Get
-// has no error path, so injected errors are treated as misses.
-func (c *Cache) Get(key CacheKey) (*graph.Undirected, bool) {
+// Get returns the cached graph for key and its hierarchy memo, marking
+// it most recently used. The "cache.get" fault site exercises delay and
+// panic injection; Get has no error path, so injected errors are misses.
+func (c *Cache) Get(key CacheKey) (*graph.Undirected, *multilevel.Memo, bool) {
 	if err := faultinject.Fire("cache.get"); err != nil {
-		return nil, false
+		return nil, nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, nil, false
 	}
 	c.order.MoveToFront(el)
 	c.hits++
-	return el.Value.(*cacheEntry).u, true
+	ent := el.Value.(*cacheEntry)
+	return ent.u, ent.hier, true
 }
 
-// Put inserts (or refreshes) the graph under key, evicting LRU entries
-// until the budget holds. Oversized graphs are silently not cached.
-// The "cache.put" fault site turns injected errors into dropped
-// inserts (a legal cache behaviour callers must already tolerate).
-func (c *Cache) Put(key CacheKey, u *graph.Undirected) {
+// Put inserts the graph under key — replacing an entry already there,
+// kept hierarchy and all — evicting LRU entries until the budget holds,
+// and reports whether it was stored: an oversized graph is not, and the
+// "cache.put" fault site turns injected errors into dropped inserts.
+func (c *Cache) Put(key CacheKey, u *graph.Undirected) bool {
 	if err := faultinject.Fire("cache.put"); err != nil {
-		return
+		return false
 	}
-	bytes := GraphBytes(u)
+	ent := &cacheEntry{key: key, u: u, bytes: GraphBytes(u)}
+	ent.hier = multilevel.NewMemo(u.Adj, func(held int64) bool { return c.keepHierarchy(ent, held) })
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if bytes > c.budget {
-		return
+	if ent.bytes > c.budget {
+		return false
 	}
 	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.used += bytes - ent.bytes
-		ent.u, ent.bytes = u, bytes
+		old := el.Value.(*cacheEntry)
+		c.used -= old.bytes + old.held
+		el.Value = ent
 		c.order.MoveToFront(el)
 	} else {
-		ent := &cacheEntry{key: key, u: u, bytes: bytes}
 		c.items[key] = c.order.PushFront(ent)
-		c.used += bytes
 	}
+	c.used += ent.bytes
 	for c.used > c.budget {
 		c.evictOldest()
 	}
+	return true
+}
+
+// keepHierarchy is ent's memo asking to keep held bytes of hierarchy in
+// place of what it has: charged to ent, evicting older entries as Put
+// does; refused when ent has gone or could not fit the budget with it.
+func (c *Cache) keepHierarchy(ent *cacheEntry, held int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[ent.key]
+	if !ok || el.Value != ent || ent.bytes+held > c.budget {
+		return false
+	}
+	c.used += held - ent.held
+	ent.held = held
+	c.order.MoveToFront(el)
+	for c.used > c.budget {
+		c.evictOldest()
+	}
+	return true
 }
 
 // evictOldest removes the least-recently-used entry. Callers hold c.mu.
@@ -119,7 +144,7 @@ func (c *Cache) evictOldest() {
 	ent := el.Value.(*cacheEntry)
 	c.order.Remove(el)
 	delete(c.items, ent.key)
-	c.used -= ent.bytes
+	c.used -= ent.bytes + ent.held
 	c.evictions++
 }
 

@@ -43,18 +43,18 @@ func TestCacheEvictsLRUUnderByteBudget(t *testing.T) {
 	}
 
 	// Touch 1 so 2 becomes least recently used, then overflow.
-	if _, ok := c.Get(key(1)); !ok {
+	if _, _, ok := c.Get(key(1)); !ok {
 		t.Fatal("key 1 missing")
 	}
 	c.Put(key(3), u)
 	if c.Len() != 2 {
 		t.Fatalf("len = %d after eviction", c.Len())
 	}
-	if _, ok := c.Get(key(2)); ok {
+	if _, _, ok := c.Get(key(2)); ok {
 		t.Fatal("LRU entry 2 survived eviction")
 	}
 	for _, k := range []int{1, 3} {
-		if _, ok := c.Get(key(k)); !ok {
+		if _, _, ok := c.Get(key(k)); !ok {
 			t.Fatalf("entry %d evicted wrongly", k)
 		}
 	}
@@ -68,10 +68,10 @@ func TestCacheSkipsOversizedEntries(t *testing.T) {
 	c := NewCache(GraphBytes(small) * 2)
 	c.Put(key(1), small)
 	c.Put(key(2), big) // larger than the whole budget: not stored
-	if _, ok := c.Get(key(2)); ok {
+	if _, _, ok := c.Get(key(2)); ok {
 		t.Fatal("oversized graph was cached")
 	}
-	if _, ok := c.Get(key(1)); !ok {
+	if _, _, ok := c.Get(key(1)); !ok {
 		t.Fatal("small graph evicted by rejected insert")
 	}
 }
@@ -87,7 +87,7 @@ func TestCacheRefreshSameKey(t *testing.T) {
 	if c.Bytes() != GraphBytes(b) {
 		t.Fatalf("bytes = %d, want %d", c.Bytes(), GraphBytes(b))
 	}
-	got, ok := c.Get(key(1))
+	got, _, ok := c.Get(key(1))
 	if !ok || got.N() != 10 {
 		t.Fatalf("refreshed entry = %v, %v", got, ok)
 	}
@@ -119,11 +119,11 @@ func TestCacheKeyDistinguishesParameters(t *testing.T) {
 		{Graph: 7, Method: "dd", Alpha: 0.5, Beta: 0.5, Threshold: 0.01},
 	}
 	for i, k := range variants {
-		if _, ok := c.Get(k); ok {
+		if _, _, ok := c.Get(k); ok {
 			t.Errorf("variant %d (%+v) hit the base entry", i, k)
 		}
 	}
-	if _, ok := c.Get(base); !ok {
+	if _, _, ok := c.Get(base); !ok {
 		t.Fatal("base key missing")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"symcluster/internal/checkpoint"
 	"symcluster/internal/cluster"
 	"symcluster/internal/jobstore"
+	"symcluster/internal/multilevel"
 	"symcluster/internal/obs"
 	"symcluster/internal/pipeline"
 )
@@ -393,13 +394,14 @@ func (m symMemo) key(sym pipeline.Symmetrizer, opt pipeline.SymOptions) CacheKey
 	return CacheKey{Graph: m.graph, Method: sym.Name(), Alpha: opt.Alpha, Beta: opt.Beta, Threshold: opt.Threshold}
 }
 
-func (m symMemo) Lookup(sym pipeline.Symmetrizer, opt pipeline.SymOptions) (*symcluster.UndirectedGraph, bool) {
+func (m symMemo) Lookup(sym pipeline.Symmetrizer, opt pipeline.SymOptions) (*symcluster.UndirectedGraph, *multilevel.Memo, bool) {
 	return m.s.cache.Get(m.key(sym, opt))
 }
 
 func (m symMemo) Store(sym pipeline.Symmetrizer, opt pipeline.SymOptions, u *symcluster.UndirectedGraph) {
-	m.s.cache.Put(m.key(sym, opt), u)
-	m.s.metrics.cacheObjectBytes.Observe(float64(GraphBytes(u)))
+	if m.s.cache.Put(m.key(sym, opt), u) {
+		m.s.metrics.cacheObjectBytes.Observe(float64(GraphBytes(u)))
+	}
 }
 
 // runCluster executes one resolved request over the symmetrization

@@ -94,6 +94,8 @@ func NewMetrics() *Metrics {
 		m.retryExhausted, m.proxyRetries, m.jobsAdopted, m.uploadsExpired} {
 		c.Add(0)
 	}
+	obs.HierarchyCounter(reg).Add(0, "hit")
+	obs.HierarchyCounter(reg).Add(0, "built")
 	reg.Gauge("symclusterd_build_info",
 		"Build metadata; the value is always 1.", "version", "go_version").
 		Set(1, obs.Version, runtime.Version())

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	symcluster "symcluster"
 	"symcluster/internal/cluster"
-	"symcluster/internal/gen"
 )
 
 // BenchmarkRoutedCluster is one sync request of the repository
@@ -22,21 +21,12 @@ import (
 // served from the symmetrization cache, Graclus into the planted 16
 // clusters — sent to the node that owns the graph (self) and to the one
 // that must forward it (peer). The difference is the routed path: one
-// resolve, one proxy hop, one relay.
+// resolve, one proxy hop, one relay. self/built is self with the
+// owner's cache budget cut to the graph alone, so its memo is refused
+// every keep and each request coarsens again: hit against built on one
+// screen.
 func BenchmarkRoutedCluster(b *testing.B) {
-	ds, err := gen.Wiki(gen.WikiOptions{
-		ListClusters: 8, RecipClusters: 8,
-		ListMembersMin: 20, ListMembersMax: 20,
-		RecipMembersMin: 28, RecipMembersMax: 28,
-		Seed: 1000,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var edges bytes.Buffer
-	if err := symcluster.WriteEdgeList(&edges, ds.Graph); err != nil {
-		b.Fatal(err)
-	}
+	ds, edges := servingWiki(b)
 
 	// Fixed peer names, as the repository benchmark uses: ring positions
 	// must not move with the ephemeral ports.
@@ -51,7 +41,7 @@ func BenchmarkRoutedCluster(b *testing.B) {
 		listeners[i] = l
 		peers[i] = &cluster.Peer{Name: name, URL: "http://" + l.Addr().String(), Weight: 1}
 	}
-	urls := map[string]string{}
+	urls, caches := map[string]string{}, map[string]*Cache{}
 	for i, name := range names {
 		s, err := New(Config{Workers: 2, Cluster: &ClusterConfig{Self: name, Peers: peers}})
 		if err != nil {
@@ -61,7 +51,7 @@ func BenchmarkRoutedCluster(b *testing.B) {
 		ts.Listener.Close()
 		ts.Listener = listeners[i]
 		ts.Start()
-		urls[name] = ts.URL
+		urls[name], caches[name] = ts.URL, s.cache
 		b.Cleanup(func() {
 			ts.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -71,7 +61,7 @@ func BenchmarkRoutedCluster(b *testing.B) {
 		})
 	}
 
-	resp, err := http.Post(urls[names[0]]+"/v1/graphs", "text/plain", &edges)
+	resp, err := http.Post(urls[names[0]]+"/v1/graphs", "text/plain", bytes.NewReader(edges))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,12 +83,27 @@ func BenchmarkRoutedCluster(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	for _, via := range []struct{ name, node string }{{"self", self.Name}, {"peer", peer}} {
+	for _, via := range []struct {
+		name, node string
+		built      bool
+	}{{"self", self.Name, false}, {"self/built", self.Name, true}, {"peer", peer, false}} {
 		b.Run("owner="+via.name, func(b *testing.B) {
+			// An empty cache each time: request -2 fills it with U (and
+			// shows what U is charged), -1 keeps the hierarchy or is refused.
+			cache := caches[self.Name]
+			cache.mu.Lock()
+			cache.items, cache.used, cache.budget = map[CacheKey]*list.Element{}, 0, 256<<20
+			cache.order.Init()
+			cache.mu.Unlock()
 			b.ReportAllocs()
-			for i := -1; i < b.N; i++ {
+			for i := -2; i < b.N; i++ {
+				if i == -1 && via.built {
+					cache.mu.Lock()
+					cache.budget = cache.used
+					cache.mu.Unlock()
+				}
 				if i == 0 {
-					b.ResetTimer() // request -1 filled the symmetrization cache
+					b.ResetTimer()
 				}
 				resp, err := http.Post(urls[via.node]+"/v1/cluster", "application/json", bytes.NewReader(body))
 				if err != nil {

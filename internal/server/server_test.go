@@ -86,14 +86,7 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 
 func registerFigure1(t *testing.T, ts *httptest.Server) GraphInfo {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/graphs", "text/plain", strings.NewReader(figure1Edges))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register: status %d", resp.StatusCode)
-	}
-	return decode[GraphInfo](t, resp)
+	return registerEdges(t, ts.URL, []byte(figure1Edges))
 }
 
 func TestClusterEndToEndWithCache(t *testing.T) {

@@ -288,6 +288,16 @@ var sourceRules = []sourceRule{
 		match:   outside(fieldCall("jobs", "Admit"), "submitAsync", "adoptFrom"),
 	},
 	{
+		why: "multilevel.CoarsenCtx called outside internal/multilevel, internal/metis and internal/mcl (and " +
+			"bench/'s probe of it): Graclus coarsens through the hierarchy memo it is handed — " +
+			"opt.Hier.Coarsen, which is CoarsenCtx when the memo is nil — so no caller grows a second way " +
+			"round a cache entry's kept hierarchy (DESIGN.md §15, \"The multilevel substrate\")",
+		applies: func(f string) bool {
+			return !isTest(f) && !under(f, "internal/multilevel", "internal/metis", "internal/mcl", "bench")
+		},
+		match: func(n ast.Node) bool { return call(n, "multilevel", "CoarsenCtx") },
+	},
+	{
 		why: "container/heap in a clustering kernel: its Push and Pop box every item into an " +
 			"interface{}, one allocation per inner-loop step (261 k per Metis request before PR 19); " +
 			"use a typed heap as internal/metis does (DESIGN.md §15, \"The multilevel substrate\")",
