@@ -3,9 +3,9 @@
 # the short test suite, the race detector over the whole module, the
 # cross step (an arm64 build, and the kernels' suites with the assembly
 # tagged out), and bounded fuzz passes of the edge-list reader, its line
-# parser, the binary CSR decoder and the dense scan's two bodies. The
-# long statistical experiments (minutes per seed) run only via
-# `make test-long`.
+# parser, the binary CSR decoder, the dense scan's two bodies and the WAL
+# frame scanner. The long statistical experiments (minutes per seed) run
+# only via `make test-long`.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseEdgeLine -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/csr
 	$(GO) test -run='^$$' -fuzz=FuzzScanSpan -fuzztime=$(FUZZTIME) ./internal/matrix
+	$(GO) test -run='^$$' -fuzz=FuzzScanFrames -fuzztime=$(FUZZTIME) ./internal/jobstore
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): one 30-second
 # workload against an in-process symclusterd per invocation; arguments
@@ -134,8 +135,9 @@ bench:
 # upload costs before any of that (the parse alone, and with the
 # fingerprint and the symmetric-link count), and the
 # multilevel clusterers on the benchmark's own inputs (serve_mixed's
-# Graclus and Metis requests, sym_cold's cluster stage), each without the
-# server around it, at one core and two (DESIGN.md §15) — and one
+# Graclus request building its hierarchy and, per symmetrization, served
+# from a kept one, its Metis request, sym_cold's cluster stage), each
+# without the server around it, at one core and two (DESIGN.md §15) — and one
 # serve_mixed request with the server around it, two nodes in the
 # process, sent to the graph's owner (its hierarchy kept, and refused)
 # and to the node that must forward it (DESIGN.md §14).
@@ -144,7 +146,7 @@ kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMCLHot$$' -cpu 1,2 -count 5 ./internal/mcl
 	$(GO) test -run '^$$' -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkReadEdgeList$$|BenchmarkRegister$$' -cpu 1,2 -count 5 ./internal/graph
-	$(GO) test -run '^$$' -bench 'BenchmarkServeGraclus$$|BenchmarkColdGraclus$$' -cpu 1,2 -count 5 ./internal/graclus
+	$(GO) test -run '^$$' -bench 'BenchmarkServeGraclus$$|BenchmarkServeGraclusKept$$|BenchmarkColdGraclus$$' -cpu 1,2 -count 5 ./internal/graclus
 	$(GO) test -run '^$$' -bench 'BenchmarkServeMetis$$' -cpu 1,2 -count 5 ./internal/metis
 	$(GO) test -run '^$$' -bench 'BenchmarkRoutedCluster$$' -cpu 2 -count 5 ./internal/server
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 
 	"symcluster/internal/faultinject"
@@ -30,6 +31,11 @@ type IngestInfo struct {
 // exact-zero sums, as the in-memory builder does), and streams the
 // result through a Writer.
 type Ingester struct {
+	// SpareRows is graph.CheckIDBudget's allowance, held at Finalize — a
+	// later record may yet pay for an early id. NewIngester spares every
+	// row an id can name; a caller with a byte budget lowers it.
+	SpareRows int64
+
 	dir     string // scratch dir owning the spill runs
 	sorter  *extSorter
 	partial []byte // carried bytes of an incomplete trailing line
@@ -48,7 +54,7 @@ func NewIngester(scratchDir string, memBudgetBytes int64) (*Ingester, error) {
 	if err != nil {
 		return nil, fmt.Errorf("csr: creating spill dir: %w", err)
 	}
-	return &Ingester{dir: dir, sorter: newExtSorter(dir, memBudgetBytes)}, nil
+	return &Ingester{SpareRows: math.MaxInt32, dir: dir, sorter: newExtSorter(dir, memBudgetBytes)}, nil
 }
 
 // Append consumes one chunk of edge-list text. Chunks may split lines
@@ -136,7 +142,7 @@ func (in *Ingester) Finalize(ctx context.Context, dstPath string) (info *IngestI
 	if in.records == 0 {
 		return nil, fmt.Errorf("csr: no edges in input")
 	}
-	if err := graph.CheckIDDensity(in.maxID, in.records); err != nil {
+	if err := graph.CheckIDBudget(in.maxID, in.records, in.SpareRows); err != nil {
 		return nil, err
 	}
 	rows := in.maxID + 1

@@ -8,6 +8,7 @@ import (
 	"symcluster/internal/core"
 	"symcluster/internal/gen"
 	"symcluster/internal/graph"
+	"symcluster/internal/multilevel"
 )
 
 // benchDD runs b's loop over the degree-discounted symmetrization of g
@@ -29,12 +30,11 @@ func benchDD(b *testing.B, g *graph.Directed, threshold float64, k int) {
 	}
 }
 
-// BenchmarkServeGraclus is the clustering of 19 in 20 requests of the
-// repository benchmark's serve_mixed workload without the server around
-// it: a Wikipedia-like graph of 8 list and 8 reciprocal clusters (≈540
-// nodes, ≈17 k entries once degree-discounted at 0.05), k the planted
-// cluster count.
-func BenchmarkServeGraclus(b *testing.B) {
+// serveWiki is the serving graph of the repository benchmark's
+// serve_mixed workload: a Wikipedia-like graph of 8 list and 8
+// reciprocal clusters (≈540 nodes, ≈17 k entries once degree-discounted
+// at 0.05).
+func serveWiki(b *testing.B) *gen.Dataset {
 	ds, err := gen.Wiki(gen.WikiOptions{
 		ListClusters: 8, RecipClusters: 8,
 		ListMembersMin: 20, ListMembersMax: 20,
@@ -44,7 +44,52 @@ func BenchmarkServeGraclus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return ds
+}
+
+// BenchmarkServeGraclus is the clustering of 19 in 20 requests of
+// serve_mixed without the server around it and without a kept
+// hierarchy — a symmetrization's first reuse: k the planted cluster
+// count.
+func BenchmarkServeGraclus(b *testing.B) {
+	ds := serveWiki(b)
 	benchDD(b, ds.Graph, 0.05, ds.Truth.K)
+}
+
+// BenchmarkServeGraclusKept is the same request as served from the
+// second reuse on: the hierarchy comes from the cache entry's memo, so
+// an iteration is base clustering, projection and refine. One
+// sub-benchmark per symmetrization serve_mixed asks for, at its
+// thresholds and its seed.
+func BenchmarkServeGraclusKept(b *testing.B) {
+	ds := serveWiki(b)
+	for _, c := range []struct {
+		name      string
+		method    core.Method
+		threshold float64
+	}{
+		{"dd", core.DegreeDiscounted, 0.05},
+		{"aat", core.AAT, 0},
+		{"bib", core.Bibliometric, 2},
+		{"rw", core.RandomWalk, 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opt := core.Defaults()
+			opt.Threshold = c.threshold
+			u, err := core.Symmetrize(ds.Graph, c.method, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			memo := multilevel.NewMemo(u.Adj, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ClusterCtx(context.Background(), u.Adj, ds.Truth.K, Options{Seed: 1, Hier: memo}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkColdGraclus is the cluster stage of a sym_cold request: the

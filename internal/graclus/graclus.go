@@ -97,13 +97,14 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Resu
 
 	coarse := h.Coarsest()
 	assign := baseClustering(coarse.Adj, k, rng)
-	assign = refine(ctx, coarse.Adj, assign, k, opt.RefinePasses)
+	r := newRefiner(adj.Rows, k)
+	assign = r.refine(ctx, coarse.Adj, assign, opt.RefinePasses)
 	for level := h.Depth() - 1; level >= 1; level-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		assign = h.Project(level, assign)
-		assign = refine(ctx, h.Levels[level-1].Adj, assign, k, opt.RefinePasses)
+		assign = r.refine(ctx, h.Levels[level-1].Adj, assign, opt.RefinePasses)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -190,33 +191,60 @@ func baseClustering(adj *matrix.CSR, k int, rng *rand.Rand) []int {
 	return assign
 }
 
+// refiner is the scratch of one ClusterCtx, allocated once and reset at
+// every level: each node's weighted degree, the per-cluster totals of
+// the objective Σ_c links(c)/deg(c) with q[c] = quotient(links, deg)
+// beside them, and the row scan's slots.
+type refiner struct {
+	deg                                 []float64
+	clusterDeg, clusterLinks, q, linkTo []float64
+	clusterSize, touched                []int
+}
+
+func newRefiner(n, k int) *refiner {
+	return &refiner{deg: make([]float64, n), clusterDeg: make([]float64, k), clusterLinks: make([]float64, k),
+		q: make([]float64, k), linkTo: make([]float64, k), clusterSize: make([]int, k)}
+}
+
 // refine performs weighted-kernel-k-means boundary passes: for each
 // node adjacent to another cluster, evaluate the exact NCut delta of
 // moving it to each neighbouring cluster and apply the best improving
 // move. Passes repeat until no move improves or the pass budget is
 // exhausted. ctx is polled once per pass; a cancelled context stops
 // refining early (the caller surfaces the cancellation).
-func refine(ctx context.Context, adj *matrix.CSR, assign []int, k, maxPasses int) []int {
+func (r *refiner) refine(ctx context.Context, adj *matrix.CSR, assign []int, maxPasses int) []int {
 	n := adj.Rows
-	deg := adj.RowSums()
-
-	clusterDeg := make([]float64, k)
-	clusterLinks := make([]float64, k) // Σ internal edge weight, both directions + self-loops
-	clusterSize := make([]int, k)
+	deg, clusterDeg, clusterLinks, q, linkTo, clusterSize := r.deg[:n], r.clusterDeg, r.clusterLinks, r.q, r.linkTo, r.clusterSize
+	for c := range clusterSize {
+		clusterDeg[c], clusterLinks[c], clusterSize[c] = 0, 0, 0
+	}
+	longest := 0
 	for i := 0; i < n; i++ {
 		c := assign[i]
-		clusterDeg[c] += deg[i]
-		clusterSize[c]++
 		cols, vals := adj.Row(i)
+		longest = max(longest, len(cols))
+		var d float64 // the row's sum, as RowSums adds it
 		for t, cc := range cols {
+			d += vals[t]
 			if assign[cc] == c {
-				clusterLinks[c] += vals[t]
+				clusterLinks[c] += vals[t] // Σ internal edge weight, both directions + self-loops
 			}
 		}
+		deg[i] = d
+		clusterDeg[c] += d
+		clusterSize[c]++
 	}
+	for c := range q {
+		q[c] = quotient(clusterLinks[c], clusterDeg[c])
+	}
+	// A row records at most one cluster per entry — the same one again
+	// after a stored zero, which leaves linkTo's first-touch mark unset —
+	// so the longest row bounds the slots, and k does not.
+	if longest > len(r.touched) {
+		r.touched = make([]int, longest)
+	}
+	touched := r.touched
 
-	linkTo := make([]float64, k)
-	var touched []int
 	for pass := 0; pass < maxPasses; pass++ {
 		if ctx.Err() != nil {
 			break
@@ -229,34 +257,34 @@ func refine(ctx context.Context, adj *matrix.CSR, assign []int, k, maxPasses int
 			}
 			cols, vals := adj.Row(i)
 			var selfLoop float64
-			touched = touched[:0]
+			// The neighbours' clusters arrive in no order a predictor can
+			// learn, so the slot is written every time and kept only on a
+			// cluster's first touch: touched[:m] is in first-seen order.
+			m := 0
 			for t, c := range cols {
 				if int(c) == i {
 					selfLoop = vals[t]
 					continue
 				}
 				cc := assign[c]
-				if linkTo[cc] == 0 {
-					touched = append(touched, cc)
-				}
-				linkTo[cc] += vals[t]
+				l := linkTo[cc]
+				touched[m] = cc
+				m += b2i(l == 0)
+				linkTo[cc] = l + vals[t]
 			}
 			// Objective value contributed by clusters a and b before and
-			// after moving i from a to b, using
-			// Σ_c links(c)/deg(c) (to be maximised).
-			cur := quotient(clusterLinks[a], clusterDeg[a])
+			// after moving i from a to b. Moving i: links(a) loses
+			// 2·linkTo[a] + selfLoop; links(b) gains 2·linkTo[b] + selfLoop.
+			cur := q[a]
+			newA := quotient(clusterLinks[a]-2*linkTo[a]-selfLoop, clusterDeg[a]-deg[i])
 			bestDelta := 0.0
 			bestB := -1
-			for _, b := range touched {
+			for _, b := range touched[:m] {
 				if b == a {
 					continue
 				}
-				curB := quotient(clusterLinks[b], clusterDeg[b])
-				// Moving i: links(a) loses 2·linkTo[a] + selfLoop;
-				// links(b) gains 2·linkTo[b] + selfLoop.
-				newA := quotient(clusterLinks[a]-2*linkTo[a]-selfLoop, clusterDeg[a]-deg[i])
 				newB := quotient(clusterLinks[b]+2*linkTo[b]+selfLoop, clusterDeg[b]+deg[i])
-				delta := (newA + newB) - (cur + curB)
+				delta := (newA + newB) - (cur + q[b])
 				if delta > bestDelta+1e-12 {
 					bestDelta = delta
 					bestB = b
@@ -268,12 +296,14 @@ func refine(ctx context.Context, adj *matrix.CSR, assign []int, k, maxPasses int
 				clusterLinks[b] += 2*linkTo[b] + selfLoop
 				clusterDeg[a] -= deg[i]
 				clusterDeg[b] += deg[i]
+				q[a] = quotient(clusterLinks[a], clusterDeg[a])
+				q[b] = quotient(clusterLinks[b], clusterDeg[b])
 				clusterSize[a]--
 				clusterSize[b]++
 				assign[i] = b
 				moved++
 			}
-			for _, c := range touched {
+			for _, c := range touched[:m] {
 				linkTo[c] = 0
 			}
 		}
@@ -282,6 +312,14 @@ func refine(ctx context.Context, adj *matrix.CSR, assign []int, k, maxPasses int
 		}
 	}
 	return assign
+}
+
+// b2i is 1 for true: a count advanced by it is a flag read, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // quotient returns num/den, or 0 when the denominator vanishes (an

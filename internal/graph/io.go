@@ -198,13 +198,35 @@ func CheckIDDensity(maxID int, edges int64) error {
 	return nil
 }
 
+// CheckIDBudget is CheckIDDensity on a complete input, and one bound
+// more for a caller with a byte budget: edges records name at most
+// 2·edges nodes, so the rows past that are rows nothing uses, and
+// spareRows is how many of those the caller will pay for (symclusterd:
+// its job byte budget in 8-byte row pointers). Over it the input is
+// ErrInputTooLarge, not malformed.
+func CheckIDBudget(maxID int, edges, spareRows int64) error {
+	if err := CheckIDDensity(maxID, edges); err != nil {
+		return err
+	}
+	if rows := int64(maxID) + 1; rows > 2*edges+spareRows {
+		return fmt.Errorf("%w: node id %d asks for %d rows, %d edges and a budget of %d unused rows allow %d; renumber ids densely",
+			ErrInputTooLarge, maxID, rows, edges, spareRows, 2*edges+spareRows)
+	}
+	return nil
+}
+
 // ReadEdgeList parses an edge-list stream into a directed graph. The
 // node count is one greater than the largest id seen; duplicate edges
 // have their weights summed. Malformed records — non-integer or
 // negative ids, weights that are NaN, infinite or negative — are
 // rejected with the offending line number; lines longer than the
-// scanner buffer are rejected with ErrInputTooLarge.
-func ReadEdgeList(r io.Reader) (*Directed, error) {
+// scanner buffer are rejected with ErrInputTooLarge. The library has no
+// byte budget: it spares every row an id can name.
+func ReadEdgeList(r io.Reader) (*Directed, error) { return ReadEdgeListBudget(r, maxNodeID+1) }
+
+// ReadEdgeListBudget is ReadEdgeList with the id space held to
+// CheckIDBudget(spareRows) as well, before a row array exists.
+func ReadEdgeListBudget(r io.Reader, spareRows int64) (*Directed, error) {
 	// One pass: records go straight into the builder, whose shape grows
 	// with the largest id seen.
 	b := matrix.NewBuilder(0, 0)
@@ -230,7 +252,7 @@ func ReadEdgeList(r io.Reader) (*Directed, error) {
 	if err := sc.Err(); err != nil {
 		return nil, scanErr("edge list", err)
 	}
-	if err := CheckIDDensity(maxID, int64(b.Len())); err != nil {
+	if err := CheckIDBudget(maxID, int64(b.Len()), spareRows); err != nil {
 		return nil, err
 	}
 	return NewDirected(b.Build(), nil)

@@ -284,6 +284,31 @@ func TestEdgeIDBound(t *testing.T) {
 	}
 }
 
+// TestCheckIDBudget: both bounds on every call — the density constant
+// whatever the budget (an id inside the budget is still malformed
+// input), the budget's ErrInputTooLarge on top of it.
+func TestCheckIDBudget(t *testing.T) {
+	for _, tc := range []struct {
+		maxID        int
+		edges, spare int64
+		want         string // "" = accepted
+	}{
+		{3000, 3, 1 << 29, ""},
+		{3000, 3, 2995, ""},
+		{3000, 3, 2994, "input too large"},
+		{99_999_999, 1, 1 << 29, "too large for 1 edges"},
+		{99_999_999, 1, maxNodeID + 1, "too large for 1 edges"},
+		{maxNodeID, 2_200_001, 1 << 29, "input too large"},
+		{maxNodeID, 2_200_001, maxNodeID + 1, ""},
+	} {
+		err := CheckIDBudget(tc.maxID, tc.edges, tc.spare)
+		if (tc.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.want)) ||
+			errors.Is(err, ErrInputTooLarge) != (tc.want == "input too large") {
+			t.Errorf("CheckIDBudget(%d, %d, %d) = %v, want %q", tc.maxID, tc.edges, tc.spare, err, tc.want)
+		}
+	}
+}
+
 func TestReadEdgeListErrorNamesLine(t *testing.T) {
 	_, err := ReadEdgeList(strings.NewReader("0 1\n# c\n2 3 NaN\n"))
 	if err == nil {

@@ -11,7 +11,7 @@ import (
 
 // frameOffsets returns the byte offset of every intact frame in a WAL
 // image, using the same scanner replay uses.
-func frameOffsets(t *testing.T, data []byte) []int {
+func frameOffsets(t testing.TB, data []byte) []int {
 	t.Helper()
 	var offs []int
 	off := 0
@@ -31,7 +31,7 @@ func frameOffsets(t *testing.T, data []byte) []int {
 
 // walImage builds a store with three jobs (job 1 finished, jobs 2 and
 // 3 pending) and returns its directory and the raw WAL bytes.
-func walImage(t *testing.T) (string, []byte) {
+func walImage(t testing.TB) (string, []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -63,14 +63,25 @@ func reopenCorrupted(t *testing.T, image []byte) (*Store, string) {
 	return mustOpen(t, dir), dir
 }
 
+// midFileCorruptions damages the frame at target three ways: a flipped
+// payload byte (CRC mismatch), a flipped CRC field (the same, from the
+// other side), and a length header rewritten to an absurd size.
+func midFileCorruptions(target int) map[string]func(img []byte) {
+	return map[string]func(img []byte){
+		"payload-bit-flip": func(img []byte) { img[target+frameHeaderBytes] ^= 0x01 },
+		"crc-bit-flip":     func(img []byte) { img[target+4] ^= 0x01 },
+		"length-header": func(img []byte) {
+			binary.LittleEndian.PutUint32(img[target:], maxFrameBytes+1)
+		},
+	}
+}
+
 // TestReplayHaltsAtMidFileCorruption pins the corruption contract:
 // replay of a WAL with a bad frame in the MIDDLE (not a torn tail)
 // halts at that frame — the intact prefix survives, the corrupt frame
 // AND every intact frame after it are discarded (never skipped over),
 // and the file is truncated so subsequent appends land at a clean
-// boundary. Three corruption flavors: a flipped payload byte (CRC
-// mismatch), a flipped CRC field (same, from the other side), and a
-// length header rewritten to an absurd size.
+// boundary. Three corruption flavors: midFileCorruptions.
 func TestReplayHaltsAtMidFileCorruption(t *testing.T) {
 	_, full := walImage(t)
 	offs := frameOffsets(t, full)
@@ -82,14 +93,7 @@ func TestReplayHaltsAtMidFileCorruption(t *testing.T) {
 	// (job-000003's create) is intact but downstream of the damage.
 	target := offs[2]
 
-	corrupt := map[string]func(img []byte){
-		"payload-bit-flip": func(img []byte) { img[target+frameHeaderBytes] ^= 0x01 },
-		"crc-bit-flip":     func(img []byte) { img[target+4] ^= 0x01 },
-		"length-header": func(img []byte) {
-			binary.LittleEndian.PutUint32(img[target:], maxFrameBytes+1)
-		},
-	}
-	for name, mutate := range corrupt {
+	for name, mutate := range midFileCorruptions(target) {
 		t.Run(name, func(t *testing.T) {
 			img := append([]byte(nil), full...)
 			mutate(img)

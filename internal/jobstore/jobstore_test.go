@@ -11,7 +11,7 @@ import (
 	"symcluster/internal/faultinject"
 )
 
-func mustOpen(t *testing.T, dir string) *Store {
+func mustOpen(t testing.TB, dir string) *Store {
 	t.Helper()
 	s, err := Open(dir)
 	if err != nil {
@@ -21,7 +21,7 @@ func mustOpen(t *testing.T, dir string) *Store {
 	return s
 }
 
-func createJob(t *testing.T, s *Store, id, key string) {
+func createJob(t testing.TB, s *Store, id, key string) {
 	t.Helper()
 	err := s.Create(&JobRecord{
 		ID:             id,

@@ -2,8 +2,12 @@ package metis
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"symcluster/internal/matrix"
 )
 
 func TestKWayRefineImprovesCut(t *testing.T) {
@@ -58,5 +62,36 @@ func TestKWayRefineNeverEmptiesPart(t *testing.T) {
 	}
 	if count1 == 0 {
 		t.Fatal("refinement emptied a part")
+	}
+}
+
+// TestKWayRefineStoredZeroRow: a stored 0 or -0 leaves linkTo's
+// first-touch mark unset, so a row with several of them towards one part
+// records that part once per entry — more records than k. touched grows
+// by append, so nothing overruns, and the repeats re-evaluate the same
+// gain: the refinement is the one the zero-free graph gets.
+func TestKWayRefineStoredZeroRow(t *testing.T) {
+	// Two 4-cliques; node 3 starts in the wrong part and its row also
+	// stores a zero towards every node of that part.
+	build := func(zeros bool) *matrix.CSR {
+		adj := &matrix.CSR{Rows: 8, Cols: 8, RowPtr: make([]int64, 9)}
+		for i := 0; i < 8; i++ {
+			for j := 0; j < 8; j++ {
+				switch {
+				case i != j && i/4 == j/4:
+					adj.ColIdx, adj.Val = append(adj.ColIdx, int32(j)), append(adj.Val, 1)
+				case zeros && (i == 3 && j >= 4 || j == 3 && i >= 4):
+					adj.ColIdx, adj.Val = append(adj.ColIdx, int32(j)), append(adj.Val, math.Copysign(0, float64((i+j)%2)-0.5))
+				}
+			}
+			adj.RowPtr[i+1] = int64(len(adj.ColIdx))
+		}
+		return adj
+	}
+	start := []int{0, 0, 0, 1, 1, 1, 1, 1}
+	want := kwayRefine(context.Background(), build(false), append([]int(nil), start...), 2, 5, 4)
+	got := kwayRefine(context.Background(), build(true), append([]int(nil), start...), 2, 5, 4)
+	if truth := []int{0, 0, 0, 0, 1, 1, 1, 1}; !reflect.DeepEqual(got, truth) || !reflect.DeepEqual(want, truth) {
+		t.Fatalf("refined %v with the stored zeros, %v without, want %v", got, want, truth)
 	}
 }

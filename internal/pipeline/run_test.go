@@ -52,7 +52,16 @@ func (smallGraph) Generate(r *rand.Rand, _ int) reflect.Value {
 // for method at threshold, in core or out of core.
 func symmetrizeVia(t *testing.T, g *graph.Directed, method string, threshold float64, ooc bool) *matrix.CSR {
 	t.Helper()
-	run, err := Resolve(Request{Method: method, Algorithm: "mcl", Threshold: threshold, Seed: 1}, g.N())
+	return symmetrizeReq(t, g, Request{Method: method, Threshold: threshold}, ooc)
+}
+
+// symmetrizeReq is symmetrizeVia for a request that sets more than the
+// method and the threshold (dd's exponents).
+func symmetrizeReq(t *testing.T, g *graph.Directed, req Request, ooc bool) *matrix.CSR {
+	t.Helper()
+	method, threshold := req.Method, req.Threshold
+	req.Algorithm, req.Seed = "mcl", 1
+	run, err := Resolve(req, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +167,10 @@ func gleichHolds(t *testing.T, g *graph.Directed, rng *rand.Rand) bool {
 // and out of core: U is symmetric and non-negative; the out-of-core
 // placement returns the in-core bits; relabelling the nodes relabels U
 // and changes nothing else (Sym(PAPᵀ) = P·Sym(A)·Pᵀ, to summation
-// order); a higher prune threshold never keeps more entries; and, for
-// rw, Gleich's NCut identity (gleichHolds). The generator is seeded, so
-// a failure reproduces.
+// order); a higher prune threshold never keeps more entries; for dd,
+// transposing the graph and swapping α with β returns the same bits;
+// and, for rw, Gleich's NCut identity (gleichHolds). The generator is
+// seeded, so a failure reproduces.
 func TestQuickRunnerIdentities(t *testing.T) {
 	thresholds := []float64{0, 0.02, 0.1, 0.5, 2}
 	check := func(sg smallGraph, permSeed int64) bool {
@@ -205,6 +215,27 @@ func TestQuickRunnerIdentities(t *testing.T) {
 						return false
 					}
 					prev = nnz
+				}
+			}
+		}
+		// dd duality, U_d(A; α, β) = U_d(Aᵀ; β, α), bitwise: transposing
+		// swaps D_o with D_i, so with the exponents swapped as well each
+		// term of one side is the other term of the other side — the same
+		// factors multiplied and pruned in the same order — and the two
+		// terms only trade places in matrix.Add, whose a + b is b + a.
+		r := rand.New(rand.NewSource(permSeed))
+		alpha, beta := 0.1+0.8*r.Float64(), 0.1+0.8*r.Float64()
+		gt, err := graph.NewDirected(g.Adj.Transpose(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ooc := range []bool{false, true} {
+			for _, th := range thresholds[:3] {
+				u := symmetrizeReq(t, g, Request{Method: "dd", Threshold: th, Alpha: &alpha, Beta: &beta}, ooc)
+				ut := symmetrizeReq(t, gt, Request{Method: "dd", Threshold: th, Alpha: &beta, Beta: &alpha}, ooc)
+				if !reflect.DeepEqual(u, ut) {
+					t.Errorf("dd ooc=%v threshold=%v: U_d(A; %v, %v) != U_d(Aᵀ; %v, %v)", ooc, th, alpha, beta, beta, alpha)
+					return false
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -107,6 +108,18 @@ func (s *Server) sizeJob(prep *preparedRun) (est int64, ooc bool, err error) {
 	}
 	return est, false, tooLarge("estimated working set %d bytes exceeds job budget %d bytes and %s cannot run out-of-core; raise -max-job-mb or prune the graph (%d nodes / %d edges)",
 		est, s.cfg.MaxJobBytes, stage, rg.info.Nodes, rg.info.Edges)
+}
+
+// spareRows is the job byte budget in 8-byte row pointers: how many
+// rows that no record names an upload may still ask for. Registration
+// holds a graph's id space to it on top of the readers' density bound
+// (graph.CheckIDBudget; 413), so a stray id cannot size an array no job
+// here could afford. No budget spares every row an id can name.
+func (s *Server) spareRows() int64 {
+	if s.cfg.MaxJobBytes <= 0 {
+		return math.MaxInt32
+	}
+	return s.cfg.MaxJobBytes / 8
 }
 
 // deadlineVerdict refuses a job whose context is over, or whose

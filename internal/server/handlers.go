@@ -14,6 +14,7 @@ import (
 	symcluster "symcluster"
 	"symcluster/internal/checkpoint"
 	"symcluster/internal/cluster"
+	"symcluster/internal/graph"
 	"symcluster/internal/jobstore"
 	"symcluster/internal/multilevel"
 	"symcluster/internal/obs"
@@ -100,7 +101,7 @@ func refuse(w http.ResponseWriter, err error) {
 // raw edge list (the CLI interchange format: "src dst [weight]" lines)
 // or, for clients that prefer a single content type, a JSON body
 // {"edges": "..."}.
-func readGraphBody(r *http.Request) (*symcluster.DirectedGraph, error) {
+func readGraphBody(r *http.Request, spareRows int64) (*symcluster.DirectedGraph, error) {
 	var g *symcluster.DirectedGraph
 	var err error
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
@@ -110,9 +111,9 @@ func readGraphBody(r *http.Request) (*symcluster.DirectedGraph, error) {
 		if derr := json.NewDecoder(r.Body).Decode(&body); derr != nil {
 			return nil, badRequest("decoding body: %w", derr)
 		}
-		g, err = symcluster.ReadEdgeList(strings.NewReader(body.Edges))
+		g, err = graph.ReadEdgeListBudget(strings.NewReader(body.Edges), spareRows)
 	} else {
-		g, err = symcluster.ReadEdgeList(r.Body)
+		g, err = graph.ReadEdgeListBudget(r.Body, spareRows)
 	}
 	if err != nil {
 		return nil, badRequest("parsing edge list: %w", err)
@@ -127,7 +128,7 @@ func readGraphBody(r *http.Request) (*symcluster.DirectedGraph, error) {
 // content-derived id, on the shard that owns it — unless the request
 // was forwarded here, which pins it to this node (the one-hop guard).
 func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
-	g, err := readGraphBody(r)
+	g, err := readGraphBody(r, s.spareRows())
 	if err != nil {
 		refuse(w, err)
 		return

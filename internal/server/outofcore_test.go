@@ -357,3 +357,78 @@ func TestOutOfCoreAsyncJob(t *testing.T) {
 		t.Fatalf("metrics missing out-of-core job count:\n%s", body)
 	}
 }
+
+// TestUploadIDSpaceHeldToJobBudget: the rows an upload may leave unnamed
+// are bounded by the job byte budget in row pointers as well as by
+// graph.CheckIDDensity's constant. 2.2 M ordinary records and then one id
+// of 2³¹−2 pass the constant and would size a 16 GiB row-pointer array;
+// with the default 4 GiB job budget both registration paths answer 413
+// before any row array exists. The budget only ever tightens: one record
+// naming id 10⁸ is inside it and is still the constant's 400, and an
+// honest sparse id space registers until a budget too small for its rows
+// refuses it.
+func TestUploadIDSpaceHeldToJobBudget(t *testing.T) {
+	spill := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 1, MaxJobBytes: 4 << 30, SpillDir: spill})
+	// Both registration paths; the chunked one is judged by the budget at
+	// finalize — a later chunk may yet pay for an early id — while the
+	// density constant fails a chunk fast.
+	register := func(ts *httptest.Server, chunked bool, text string) (int, string) {
+		t.Helper()
+		post := func(path, body string) *http.Response {
+			t.Helper()
+			resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}
+		if !chunked {
+			resp := post("/v1/graphs", text)
+			return resp.StatusCode, decode[ErrorResponse](t, resp).Error
+		}
+		ref := decode[UploadRef](t, post("/v1/graphs/uploads", ""))
+		resp := post(ref.Location, text)
+		if resp.StatusCode == http.StatusAccepted {
+			resp.Body.Close()
+			resp = post(ref.Location+"/finalize", "")
+		}
+		return resp.StatusCode, decode[ErrorResponse](t, resp).Error
+	}
+
+	crafted := strings.Repeat("1 2\n", 2_200_000) + "5 2147483646\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, chunked := range []bool{false, true} {
+		if code, msg := register(ts, chunked, crafted); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "node id 2147483646 asks for 2147483647 rows") {
+			t.Fatalf("crafted upload (chunked=%v): status %d %q, want 413 naming the id", chunked, code, msg)
+		}
+		// 800 MB of row pointers, well inside the budget: the constant's.
+		if code, msg := register(ts, chunked, "0 100000000\n"); code != http.StatusBadRequest || !strings.Contains(msg, "renumber ids densely") {
+			t.Fatalf("one record naming id 1e8 (chunked=%v): status %d %q, want the density constant's 400", chunked, code, msg)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<30 {
+		t.Fatalf("refusing the uploads allocated %d bytes: a row array was sized by the id", grew)
+	}
+	if left, _ := filepath.Glob(filepath.Join(spill, "*", "graph.csr*")); len(left) != 0 {
+		t.Fatalf("a refused finalize left %v", left)
+	}
+
+	// 3001 rows for 3 records: the constant allows 4024, and so does every
+	// budget of at least 2995 spare rows — 8000 bytes is 1000.
+	sparse := "0 1\n1 2\n2 3000\n"
+	_, unbudgeted := newTestServer(t, Config{Workers: 1, SpillDir: spill})
+	_, tiny := newTestServer(t, Config{Workers: 1, MaxJobBytes: 8000, SpillDir: spill})
+	for _, chunked := range []bool{false, true} {
+		for _, srv := range []*httptest.Server{ts, unbudgeted} {
+			if code, msg := register(srv, chunked, sparse); code != http.StatusCreated {
+				t.Fatalf("sparse ids inside the budget (chunked=%v): status %d %q, want 201", chunked, code, msg)
+			}
+		}
+		if code, msg := register(tiny, chunked, sparse); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "allow 1006") {
+			t.Fatalf("sparse ids over an 8000-byte budget (chunked=%v): status %d %q, want 413", chunked, code, msg)
+		}
+	}
+}

@@ -80,6 +80,7 @@ func (s *Server) handleUploadCreate(w http.ResponseWriter, r *http.Request) {
 		refuse(w, fmt.Errorf("creating ingester: %w", err))
 		return
 	}
+	ing.SpareRows = s.spareRows()
 	sess := &uploadSession{
 		id:  "u-" + strconv.FormatInt(s.uploadSeq.Add(1), 10),
 		dir: dir,
