@@ -3,8 +3,8 @@
 # the short test suite, the race detector over the whole module, the
 # cross step (an arm64 build, and the kernels' suites with the assembly
 # tagged out), and bounded fuzz passes of the edge-list reader, its line
-# parser, the binary CSR decoder, the dense scan's two bodies and the WAL
-# frame scanner. The long statistical experiments (minutes per seed) run
+# parser, the binary CSR decoder, the dense scan's two bodies, the WAL
+# frame scanner and the cluster-request decoder. The long statistical experiments (minutes per seed) run
 # only via `make test-long`.
 
 GO ?= go
@@ -31,15 +31,17 @@ vet:
 # The source-hygiene rules — registry-only switches over methods and
 # algorithms, slog-only logging, job state reaching disk only through
 # internal/jobstore, mmap only in internal/csr, peer traffic and
-# propagation headers only through the cluster client, no stray
-# context.Background(), no production call to the sparse-product oracle,
+# propagation headers only through the cluster client,
+# context.Background() only in package main and bootctx.go, no exported F
+# beside an exported FCtx, no production call to the sparse-product oracle,
 # no Workers field reachable from pipeline.SymOptions, no container/heap
 # in a clustering kernel, multilevel.CoarsenCtx called only by the
 # substrates that own their hierarchy, a pipeline stage run only by pipeline.Run.Execute
 # and the named single-stage helpers, and in internal/server Retry-After
 # set only by refuse, csr.Open called only by openGraphFile, ring.Owner
 # only by ownerOf, Pool.Reserve only by admit and jobs.Admit only by a
-# caller holding admit's ticket — are one Go test over the parsed packages
+# caller holding admit's ticket, and DESIGN.md and README.md under their
+# line ceilings — are one Go test over the parsed packages
 # (lint_test.go), so plain `go test ./...` enforces them too; each
 # failure names the rule and its DESIGN.md section.
 lint:
@@ -120,6 +122,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/csr
 	$(GO) test -run='^$$' -fuzz=FuzzScanSpan -fuzztime=$(FUZZTIME) ./internal/matrix
 	$(GO) test -run='^$$' -fuzz=FuzzScanFrames -fuzztime=$(FUZZTIME) ./internal/jobstore
+	$(GO) test -run='^$$' -fuzz=FuzzClusterRequest -fuzztime=$(FUZZTIME) ./internal/server
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): one 30-second
 # workload against an in-process symclusterd per invocation; arguments

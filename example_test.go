@@ -1,19 +1,21 @@
 package symcluster_test
 
 import (
+	"context"
 	"fmt"
 
 	"symcluster"
 )
 
-// ExampleSymmetrize demonstrates the Figure-1 effect: the twin nodes
+// ExampleSymmetrizeCtx demonstrates the Figure-1 effect: the twin nodes
 // share no edge under A+Aᵀ but are strongly connected under the
 // degree-discounted similarity.
-func ExampleSymmetrize() {
+func ExampleSymmetrizeCtx() {
+	ctx := context.Background()
 	data := symcluster.Figure1()
 
-	aat, _ := symcluster.Symmetrize(data.Graph, symcluster.AAT, symcluster.DefaultSymmetrizeOptions())
-	dd, _ := symcluster.Symmetrize(data.Graph, symcluster.DegreeDiscounted, symcluster.DefaultSymmetrizeOptions())
+	aat, _ := symcluster.SymmetrizeCtx(ctx, data.Graph, symcluster.AAT, symcluster.DefaultSymmetrizeOptions())
+	dd, _ := symcluster.SymmetrizeCtx(ctx, data.Graph, symcluster.DegreeDiscounted, symcluster.DefaultSymmetrizeOptions())
 
 	fmt.Printf("twins edge under A+A': %.3f\n", aat.Adj.At(4, 5))
 	fmt.Printf("twins edge under DegreeDiscounted: %.3f\n", dd.Adj.At(4, 5))
@@ -22,11 +24,11 @@ func ExampleSymmetrize() {
 	// twins edge under DegreeDiscounted: 1.414
 }
 
-// ExampleClusterDirected runs the full two-stage pipeline on the
+// ExampleClusterDirectedCtx runs the full two-stage pipeline on the
 // Figure-1 graph and recovers its three natural groups.
-func ExampleClusterDirected() {
+func ExampleClusterDirectedCtx() {
 	data := symcluster.Figure1()
-	res, _ := symcluster.ClusterDirected(data.Graph,
+	res, _ := symcluster.ClusterDirectedCtx(context.Background(), data.Graph,
 		symcluster.DegreeDiscounted, symcluster.DefaultSymmetrizeOptions(),
 		symcluster.MLRMCL, symcluster.ClusterOptions{Inflation: 2, Seed: 1})
 
@@ -57,7 +59,7 @@ func ExampleNewMatrixBuilder() {
 
 	// 0 and 2 share the out-link to 1, so bibliometric coupling
 	// connects them.
-	u, _ := symcluster.Symmetrize(g, symcluster.Bibliometric, symcluster.DefaultSymmetrizeOptions())
+	u, _ := symcluster.SymmetrizeCtx(context.Background(), g, symcluster.Bibliometric, symcluster.DefaultSymmetrizeOptions())
 	fmt.Printf("coupling between a and c: %.0f\n", u.Adj.At(0, 2))
 	// Output:
 	// coupling between a and c: 1

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -23,6 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 	g := data.Graph
+	ctx := context.Background()
 	fmt.Printf("citation network: %d papers, %d citations, %.1f%% reciprocal, %d topics\n\n",
 		g.N(), g.M(), 100*g.SymmetricLinkFraction(), data.Truth.K)
 
@@ -30,7 +32,7 @@ func main() {
 	var ddAssign, aatAssign []int
 	for _, method := range symcluster.Methods {
 		start := time.Now()
-		res, err := symcluster.ClusterDirected(g, method, symcluster.DefaultSymmetrizeOptions(),
+		res, err := symcluster.ClusterDirectedCtx(ctx, g, method, symcluster.DefaultSymmetrizeOptions(),
 			symcluster.MLRMCL, symcluster.ClusterOptions{Inflation: 1.35, Seed: 7})
 		if err != nil {
 			log.Fatal(err)
@@ -49,7 +51,8 @@ func main() {
 
 	// The directed spectral baseline the paper compares against.
 	start := time.Now()
-	bw, err := symcluster.BestWCut(g, data.Truth.K, 7)
+	bw, err := symcluster.ClusterDirectedCtx(ctx, g, symcluster.AAT, symcluster.DefaultSymmetrizeOptions(),
+		symcluster.BestWCutAlgo, symcluster.ClusterOptions{TargetClusters: data.Truth.K, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

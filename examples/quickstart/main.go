@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,14 +19,15 @@ func main() {
 	// cluster that edge-direction-dropping symmetrizations cannot see.
 	data := symcluster.Figure1()
 	g := data.Graph
+	ctx := context.Background()
 	fmt.Printf("Figure 1 graph: %d nodes, %d directed edges\n\n", g.N(), g.M())
 
 	for _, method := range symcluster.Methods {
-		u, err := symcluster.Symmetrize(g, method, symcluster.DefaultSymmetrizeOptions())
+		u, err := symcluster.SymmetrizeCtx(ctx, g, method, symcluster.DefaultSymmetrizeOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := symcluster.Cluster(u, symcluster.MLRMCL, symcluster.ClusterOptions{
+		res, err := symcluster.ClusterCtx(ctx, u, symcluster.MLRMCL, symcluster.ClusterOptions{
 			Inflation: 2,
 			Seed:      1,
 		})

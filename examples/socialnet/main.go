@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -24,13 +25,14 @@ func main() {
 		log.Fatal(err)
 	}
 	g := data.Graph
+	ctx := context.Background()
 	fmt.Printf("follower graph: %d users, %d follows, %.1f%% mutual\n\n",
 		g.N(), g.M(), 100*g.SymmetricLinkFraction())
 
 	// PageRank sanity: the most-followed users dominate the stationary
 	// distribution; those hubs are exactly what degree-discounting
 	// protects the similarity graph from.
-	pr, err := symcluster.PageRank(g, 0.05)
+	pr, err := symcluster.PageRankCtx(ctx, g, 0.05)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,14 +51,14 @@ func main() {
 			opt.Threshold = 0.05
 		}
 		start := time.Now()
-		u, err := symcluster.Symmetrize(g, method, opt)
+		u, err := symcluster.SymmetrizeCtx(ctx, g, method, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
 		symSecs := time.Since(start).Seconds()
 
 		start = time.Now()
-		res, err := symcluster.Cluster(u, symcluster.MLRMCL, symcluster.ClusterOptions{
+		res, err := symcluster.ClusterCtx(ctx, u, symcluster.MLRMCL, symcluster.ClusterOptions{
 			Inflation: 1.5,
 			Seed:      5,
 		})

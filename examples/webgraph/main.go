@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,13 +24,14 @@ func main() {
 		log.Fatal(err)
 	}
 	g := data.Graph
+	ctx := context.Background()
 	fmt.Printf("wiki-like graph: %d pages, %d links, %.1f%% reciprocal\n\n",
 		g.N(), g.M(), 100*g.SymmetricLinkFraction())
 
 	// 1. The hub problem: compare top-weighted edges of Bibliometric
 	//    and Degree-discounted similarity.
 	for _, method := range []symcluster.SymMethod{symcluster.Bibliometric, symcluster.DegreeDiscounted} {
-		u, err := symcluster.Symmetrize(g, method, symcluster.DefaultSymmetrizeOptions())
+		u, err := symcluster.SymmetrizeCtx(ctx, g, method, symcluster.DefaultSymmetrizeOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,19 +47,19 @@ func main() {
 	// 2. Threshold calibration (§5.3.1): pick a prune threshold that
 	//    yields a desired average degree, then cluster.
 	opt := symcluster.DefaultSymmetrizeOptions()
-	th, err := symcluster.CalibrateThreshold(g, opt, 30, 200, 11)
+	th, err := symcluster.CalibrateThresholdCtx(ctx, g, opt, 30, 200, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
 	opt.Threshold = th
-	u, err := symcluster.Symmetrize(g, symcluster.DegreeDiscounted, opt)
+	u, err := symcluster.SymmetrizeCtx(ctx, g, symcluster.DegreeDiscounted, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncalibrated threshold %.4f -> %d edges (avg degree %.1f)\n",
 		th, u.M(), 2*float64(u.M())/float64(u.N()))
 
-	res, err := symcluster.Cluster(u, symcluster.Metis, symcluster.ClusterOptions{
+	res, err := symcluster.ClusterCtx(ctx, u, symcluster.Metis, symcluster.ClusterOptions{
 		TargetClusters: data.Truth.K,
 		Seed:           11,
 	})

@@ -35,12 +35,12 @@ func TestFrameworkMatrix(t *testing.T) {
 					opt.Threshold = 1
 				}
 			}
-			u, err := symcluster.Symmetrize(ds.Graph, method, opt)
+			u, err := symcluster.SymmetrizeCtx(context.Background(), ds.Graph, method, opt)
 			if err != nil {
 				t.Fatalf("%s/%v: symmetrize: %v", dsName, method, err)
 			}
 			for _, algo := range symcluster.Algorithms {
-				if symcluster.AcceptsDirected(algo) {
+				if algo.AcceptsDirected() {
 					// The directed baselines ignore the symmetrized
 					// graph entirely; they are exercised once per
 					// dataset in TestSpectralBaselinesOnFrameworkData
@@ -49,7 +49,7 @@ func TestFrameworkMatrix(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s/%v/%v", dsName, method, algo)
 				t.Run(name, func(t *testing.T) {
-					res, err := symcluster.Cluster(u, algo, symcluster.ClusterOptions{
+					res, err := symcluster.ClusterCtx(context.Background(), u, algo, symcluster.ClusterOptions{
 						TargetClusters: ds.Truth.K,
 						Seed:           23,
 					})
@@ -87,13 +87,9 @@ func TestSpectralBaselinesOnFrameworkData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func() (*symcluster.Clustering, error){
-		"bestwcut": func() (*symcluster.Clustering, error) { return symcluster.BestWCut(cit.Graph, 8, 24) },
-		"zhou": func() (*symcluster.Clustering, error) {
-			return symcluster.ZhouSpectralCtx(context.Background(), cit.Graph, 8, 24)
-		},
-	} {
-		res, err := run()
+	for name, algo := range map[string]symcluster.Algorithm{"bestwcut": symcluster.BestWCutAlgo, "zhou": symcluster.ZhouAlgo} {
+		res, err := symcluster.ClusterDirectedCtx(context.Background(), cit.Graph, symcluster.AAT,
+			symcluster.DefaultSymmetrizeOptions(), algo, symcluster.ClusterOptions{TargetClusters: 8, Seed: 24})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -55,8 +55,8 @@ func WithOutOfCore(ctx context.Context, cfg OutOfCoreConfig) context.Context {
 	return context.WithValue(ctx, oocKey{}, &cfg)
 }
 
-// OutOfCoreFrom returns the installed out-of-core config, or nil.
-func OutOfCoreFrom(ctx context.Context) *OutOfCoreConfig {
+// outOfCoreFrom returns the installed out-of-core config, or nil.
+func outOfCoreFrom(ctx context.Context) *OutOfCoreConfig {
 	cfg, _ := ctx.Value(oocKey{}).(*OutOfCoreConfig)
 	return cfg
 }

@@ -122,16 +122,12 @@ func Defaults() Options {
 	}
 }
 
-// Symmetrize applies the selected symmetrization to the directed graph
-// g and returns the resulting undirected graph. Node labels carry over.
-func Symmetrize(g *graph.Directed, method Method, opt Options) (*graph.Undirected, error) {
-	return SymmetrizeCtx(context.Background(), g, method, opt)
-}
-
-// SymmetrizeCtx is Symmetrize with cancellation: ctx is threaded into
-// the sparse products and power iterations underneath, which poll it at
-// iteration and row-block boundaries, so a cancelled context aborts the
-// symmetrization within one block of kernel work with ctx's error.
+// SymmetrizeCtx applies the selected symmetrization to the directed
+// graph g and returns the resulting undirected graph; node labels carry
+// over. ctx is threaded into the sparse products and power iterations
+// underneath, which poll it at iteration and row-block boundaries, so a
+// cancelled context aborts the symmetrization within one block of
+// kernel work with ctx's error.
 //
 // The similarity products run on derived workers — GOMAXPROCS capped at
 // the row tiles (matrix.DerivedWorkers) — with the same bits at every
@@ -184,7 +180,7 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 	// heap" (outofcore.go).
 	a := g.Adj
 	var s *oocState
-	if cfg := OutOfCoreFrom(ctx); cfg != nil {
+	if cfg := outOfCoreFrom(ctx); cfg != nil {
 		sp.SetAttr("out_of_core", true)
 		if s, err = newOOCState(ctx, a, cfg); err != nil {
 			return nil, err
@@ -259,8 +255,9 @@ func discountVector(degrees []int, kind DiscountKind, exp, share float64) []floa
 // recipe of §5.3.1: compute the full similarity rows for a random
 // sample of nodes and pick the threshold whose induced average sampled
 // degree matches the target. sample is the number of sampled nodes;
-// rows are sampled deterministically with the given seed.
-func CalibrateThreshold(a *matrix.CSR, opt Options, targetAvgDegree float64, sample int, seed int64) (float64, error) {
+// rows are sampled deterministically with the given seed. ctx bounds the
+// one unpruned symmetrization it runs.
+func CalibrateThresholdCtx(ctx context.Context, a *matrix.CSR, opt Options, targetAvgDegree float64, sample int, seed int64) (float64, error) {
 	if targetAvgDegree <= 0 {
 		return 0, fmt.Errorf("core: target average degree must be positive")
 	}
@@ -278,7 +275,7 @@ func CalibrateThreshold(a *matrix.CSR, opt Options, targetAvgDegree float64, sam
 	probe := opt
 	probe.Threshold = 0
 	probe.DropDiagonal = true
-	full, err := Symmetrize(&graph.Directed{Adj: a}, DegreeDiscounted, probe)
+	full, err := SymmetrizeCtx(ctx, &graph.Directed{Adj: a}, DegreeDiscounted, probe)
 	if err != nil {
 		return 0, err
 	}

@@ -173,7 +173,7 @@ func TestRandomWalkNCutEquivalence(t *testing.T) {
 	b.Add(0, 0, 1)
 	a := matrix.Add(randomDirected(rng, 25, 3), b.Build(), 1, 1)
 	p := walk.TransitionMatrix(a)
-	pi, err := walk.StationaryDistribution(p, walk.Options{Teleport: 0, Tol: 1e-14, MaxIter: 100000})
+	pi, err := walk.StationaryDistributionCtx(context.Background(), p, walk.Options{Teleport: 0, Tol: 1e-14, MaxIter: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestSymmetrizeDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range Methods {
-		u, err := Symmetrize(g, m, Defaults())
+		u, err := SymmetrizeCtx(context.Background(), g, m, Defaults())
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -475,7 +475,7 @@ func TestSymmetrizeDispatch(t *testing.T) {
 			t.Fatalf("%v: asymmetric output", m)
 		}
 	}
-	if _, err := Symmetrize(g, Method(42), Defaults()); err == nil {
+	if _, err := SymmetrizeCtx(context.Background(), g, Method(42), Defaults()); err == nil {
 		t.Fatal("accepted unknown method")
 	}
 }
@@ -484,7 +484,7 @@ func TestSymmetrizeNonNegativeOutputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	g, _ := graph.NewDirected(randomDirected(rng, 30, 4), nil)
 	for _, m := range Methods {
-		u, err := Symmetrize(g, m, Defaults())
+		u, err := SymmetrizeCtx(context.Background(), g, m, Defaults())
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -500,7 +500,7 @@ func TestCalibrateThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	a := randomDirected(rng, 200, 8)
 	opt := Defaults()
-	th, err := CalibrateThreshold(a, opt, 10, 50, 1)
+	th, err := CalibrateThresholdCtx(context.Background(), a, opt, 10, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestCalibrateThreshold(t *testing.T) {
 }
 
 func TestCalibrateThresholdRejectsBadTarget(t *testing.T) {
-	if _, err := CalibrateThreshold(matrix.Identity(4), Defaults(), 0, 2, 1); err == nil {
+	if _, err := CalibrateThresholdCtx(context.Background(), matrix.Identity(4), Defaults(), 0, 2, 1); err == nil {
 		t.Fatal("accepted non-positive target degree")
 	}
 }

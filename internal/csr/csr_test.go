@@ -38,6 +38,15 @@ func testMatrix(t *testing.T, rows, cols, perRow int, seed uint64) *matrix.CSR {
 	return b.Build()
 }
 
+// negated returns −1.5·m.
+func negated(m *matrix.CSR) *matrix.CSR {
+	m = m.Clone()
+	for i := range m.Val {
+		m.Val[i] *= -1.5
+	}
+	return m
+}
+
 func sameMatrix(t *testing.T, want, got *matrix.CSR) {
 	t.Helper()
 	if want.Rows != got.Rows || want.Cols != got.Cols {
@@ -85,7 +94,7 @@ func TestRoundTrip(t *testing.T) {
 		{"single", testMatrix(t, 1, 1, 1, 3)},
 		{"empty-rows", &matrix.CSR{Rows: 5, Cols: 5, RowPtr: make([]int64, 6)}},
 		{"empty-rectangular", matrix.Zero(3, 4)},
-		{"negative-values", testMatrix(t, 40, 23, 5, 4).Scale(-1.5)},
+		{"negative-values", negated(testMatrix(t, 40, 23, 5, 4))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mp, path := writeAndOpen(t, tc.m)

@@ -1,15 +1,11 @@
 package eval
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// The agreement measures below compare two flat partitions of the same
-// node set (they do not handle overlapping ground truth; use Evaluate
-// for the paper's best-match F-measure). They are provided for library
-// users who want standard clustering indices alongside the paper's
-// metric.
+// ARI compares two flat partitions of the same node set (it does not
+// handle overlapping ground truth; Evaluate is the paper's best-match
+// F-measure). pipeline's identity tests hold a clusterer's run on a
+// permuted graph to its unpermuted run with it.
 
 // contingency builds the joint count table of two assignments and the
 // marginals.
@@ -29,47 +25,6 @@ func contingency(a, b []int) (table map[[2]int]int, aCount, bCount map[int]int, 
 		bCount[b[i]]++
 	}
 	return table, aCount, bCount, len(a), nil
-}
-
-// NMI returns the normalised mutual information between two
-// assignments, in [0, 1], using the arithmetic-mean normalisation
-// NMI = 2·I(A;B) / (H(A)+H(B)). Two identical partitions score 1;
-// independent partitions score near 0. By convention two trivial
-// single-cluster partitions score 1.
-func NMI(a, b []int) (float64, error) {
-	table, aCount, bCount, n, err := contingency(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("eval: empty assignments")
-	}
-	var ha, hb, mi float64
-	for _, c := range aCount {
-		p := float64(c) / float64(n)
-		ha -= p * math.Log(p)
-	}
-	for _, c := range bCount {
-		p := float64(c) / float64(n)
-		hb -= p * math.Log(p)
-	}
-	for key, c := range table {
-		pxy := float64(c) / float64(n)
-		px := float64(aCount[key[0]]) / float64(n)
-		py := float64(bCount[key[1]]) / float64(n)
-		mi += pxy * math.Log(pxy/(px*py))
-	}
-	if ha+hb == 0 {
-		return 1, nil // both partitions trivial and identical
-	}
-	v := 2 * mi / (ha + hb)
-	if v < 0 {
-		v = 0 // numerical noise
-	}
-	if v > 1 {
-		v = 1
-	}
-	return v, nil
 }
 
 // ARI returns the adjusted Rand index between two assignments: 1 for
@@ -101,27 +56,4 @@ func ARI(a, b []int) (float64, error) {
 		return 1, nil // both partitions trivial
 	}
 	return (sumIJ - expected) / (maxIdx - expected), nil
-}
-
-// Purity returns the weighted purity of assignment a against reference
-// b: each cluster of a contributes its majority-reference-class share.
-func Purity(a, b []int) (float64, error) {
-	table, aCount, _, n, err := contingency(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("eval: empty assignments")
-	}
-	best := make(map[int]int)
-	for key, c := range table {
-		if c > best[key[0]] {
-			best[key[0]] = c
-		}
-	}
-	var sum int
-	for cluster := range aCount {
-		sum += best[cluster]
-	}
-	return float64(sum) / float64(n), nil
 }

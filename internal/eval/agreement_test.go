@@ -6,70 +6,6 @@ import (
 	"testing"
 )
 
-func TestNMIIdenticalPartitions(t *testing.T) {
-	a := []int{0, 0, 1, 1, 2, 2}
-	got, err := NMI(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("NMI = %v, want 1", got)
-	}
-}
-
-func TestNMIRelabelledPartitions(t *testing.T) {
-	a := []int{0, 0, 1, 1, 2, 2}
-	b := []int{5, 5, 9, 9, 1, 1}
-	got, err := NMI(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("NMI under relabelling = %v, want 1", got)
-	}
-}
-
-func TestNMIIndependentPartitionsLow(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 3000
-	a := make([]int, n)
-	b := make([]int, n)
-	for i := range a {
-		a[i] = rng.Intn(5)
-		b[i] = rng.Intn(5)
-	}
-	got, err := NMI(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got > 0.05 {
-		t.Fatalf("NMI of independent partitions = %v, want near 0", got)
-	}
-}
-
-func TestNMITrivialPartitions(t *testing.T) {
-	a := []int{0, 0, 0}
-	got, err := NMI(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("NMI of identical trivial partitions = %v, want 1", got)
-	}
-}
-
-func TestNMIErrors(t *testing.T) {
-	if _, err := NMI([]int{0}, []int{0, 1}); err == nil {
-		t.Fatal("accepted mismatched lengths")
-	}
-	if _, err := NMI([]int{-1}, []int{0}); err == nil {
-		t.Fatal("accepted negative id")
-	}
-	if _, err := NMI(nil, nil); err == nil {
-		t.Fatal("accepted empty input")
-	}
-}
-
 func TestARIIdenticalAndRelabelled(t *testing.T) {
 	a := []int{0, 0, 1, 1, 2, 2}
 	b := []int{7, 7, 3, 3, 0, 0}
@@ -115,6 +51,18 @@ func TestARIKnownValue(t *testing.T) {
 	}
 }
 
+func TestARIErrors(t *testing.T) {
+	if _, err := ARI([]int{0}, []int{0, 1}); err == nil {
+		t.Fatal("accepted mismatched lengths")
+	}
+	if _, err := ARI([]int{-1}, []int{0}); err == nil {
+		t.Fatal("accepted negative id")
+	}
+	if _, err := ARI(nil, nil); err == nil {
+		t.Fatal("accepted empty input")
+	}
+}
+
 func TestARITrivial(t *testing.T) {
 	got, err := ARI([]int{0, 0}, []int{0, 0})
 	if err != nil {
@@ -122,27 +70,5 @@ func TestARITrivial(t *testing.T) {
 	}
 	if got != 1 {
 		t.Fatalf("ARI trivial = %v, want 1", got)
-	}
-}
-
-func TestPurity(t *testing.T) {
-	// Cluster 0 = {ref 0, ref 0, ref 1}: majority 2. Cluster 1 = {ref 1}: 1.
-	// Purity = 3/4.
-	got, err := Purity([]int{0, 0, 0, 1}, []int{0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("purity = %v, want 0.75", got)
-	}
-}
-
-func TestPurityPerfect(t *testing.T) {
-	got, err := Purity([]int{0, 1, 2}, []int{5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("singleton purity = %v, want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"symcluster/internal/matrix"
@@ -52,8 +53,8 @@ func NCut(adj *matrix.CSR, assign []int) (float64, error) {
 //
 // under the random walk with the given teleport probability (0 means
 // walk.DefaultTeleport). Clusters with zero stationary mass contribute
-// nothing.
-func NCutDirected(a *matrix.CSR, assign []int, teleport float64) (float64, error) {
+// nothing. ctx bounds the power iteration.
+func NCutDirected(ctx context.Context, a *matrix.CSR, assign []int, teleport float64) (float64, error) {
 	if a.Rows != a.Cols {
 		return 0, fmt.Errorf("eval: adjacency %dx%d not square", a.Rows, a.Cols)
 	}
@@ -64,7 +65,7 @@ func NCutDirected(a *matrix.CSR, assign []int, teleport float64) (float64, error
 		teleport = walk.DefaultTeleport
 	}
 	p := walk.TransitionMatrix(a)
-	pi, err := walk.StationaryDistribution(p, walk.Options{Teleport: teleport})
+	pi, err := walk.StationaryDistributionCtx(ctx, p, walk.Options{Teleport: teleport})
 	if err != nil {
 		return 0, fmt.Errorf("eval: directed ncut: %w", err)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestNCutDirectedMatchesUndirectedOnSymmetricGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directed, err := NCutDirected(adj, assign, 1e-12)
+	directed, err := NCutDirected(context.Background(), adj, assign, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestNCutDirectedFigure1IsHigh(t *testing.T) {
 	}
 	// Clustering that puts {4,5} together: directed ncut of that
 	// cluster alone is near maximal.
-	got, err := NCutDirected(b.Build(), []int{0, 0, 1, 1, 2, 2}, 0.05)
+	got, err := NCutDirected(context.Background(), b.Build(), []int{0, 0, 1, 1, 2, 2}, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +102,10 @@ func TestNCutDirectedFigure1IsHigh(t *testing.T) {
 }
 
 func TestNCutDirectedErrors(t *testing.T) {
-	if _, err := NCutDirected(matrix.Zero(2, 3), []int{0, 0}, 0.05); err == nil {
+	if _, err := NCutDirected(context.Background(), matrix.Zero(2, 3), []int{0, 0}, 0.05); err == nil {
 		t.Fatal("accepted non-square")
 	}
-	if _, err := NCutDirected(matrix.Zero(2, 2), []int{0}, 0.05); err == nil {
+	if _, err := NCutDirected(context.Background(), matrix.Zero(2, 2), []int{0}, 0.05); err == nil {
 		t.Fatal("accepted length mismatch")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"symcluster/internal/core"
@@ -21,12 +22,12 @@ type SignTestRow struct {
 // SignTests reproduces the §5.6 significance analysis: the paired
 // binomial sign test between the Degree-discounted clustering and the
 // A+Aᵀ clustering on Cora and Wiki (MLR-MCL as the clusterer).
-func SignTests(cora, wiki *gen.Dataset, seed int64) ([]SignTestRow, error) {
+func SignTests(ctx context.Context, cora, wiki *gen.Dataset, seed int64) ([]SignTestRow, error) {
 	var rows []SignTestRow
 	for _, ds := range []*gen.Dataset{cora, wiki} {
 		assigns := map[core.Method][]int{}
 		for _, m := range []core.Method{core.DegreeDiscounted, core.AAT} {
-			u, err := core.Symmetrize(ds.Graph, m, symOptionsFor(m, ds))
+			u, err := core.SymmetrizeCtx(ctx, ds.Graph, m, symOptionsFor(m, ds))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: signtest %s/%v: %w", ds.Name, m, err)
 			}
@@ -34,14 +35,7 @@ func SignTests(cora, wiki *gen.Dataset, seed int64) ([]SignTestRow, error) {
 			// sweeps (low inflation), not at an arbitrary target: the
 			// sign test is about the best clustering each
 			// symmetrization can offer.
-			res, err := mcl.Cluster(u.Adj, mcl.Options{
-				Inflation:      1.35,
-				Multilevel:     u.N() > 5000,
-				MaxIter:        30,
-				MaxPerColumn:   30,
-				ConvergenceTol: 1e-3,
-				Seed:           seed,
-			})
+			res, err := clusterAtInflation(ctx, u, 1.35, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -89,29 +83,29 @@ type CaseStudyResult struct {
 // CaseStudy reproduces §5.7 and Figure 1: the idealised twin example
 // plus the list-pattern clusters of the Wiki graph, showing which
 // symmetrizations recover them.
-func CaseStudy(wiki *gen.Dataset, seed int64) ([]CaseStudyResult, error) {
+func CaseStudy(ctx context.Context, wiki *gen.Dataset, seed int64) ([]CaseStudyResult, error) {
 	fig1 := gen.Figure1()
 	var out []CaseStudyResult
 	for _, m := range core.Methods {
 		r := CaseStudyResult{Method: m}
 
-		u1, err := core.Symmetrize(fig1.Graph, m, core.Defaults())
+		u1, err := core.SymmetrizeCtx(ctx, fig1.Graph, m, core.Defaults())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: casestudy %v: %w", m, err)
 		}
 		r.TwinsConnected = u1.Adj.At(4, 5) > 0
-		res, err := mcl.Cluster(u1.Adj, mcl.Options{Inflation: 2, Seed: seed})
+		res, err := mcl.ClusterCtx(ctx, u1.Adj, mcl.Options{Inflation: 2, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
 		r.TwinsClustered = res.Assign[4] == res.Assign[5]
 
 		// Wiki list-pattern recall under MLR-MCL.
-		uw, err := core.Symmetrize(wiki.Graph, m, symOptionsFor(m, wiki))
+		uw, err := core.SymmetrizeCtx(ctx, wiki.Graph, m, symOptionsFor(m, wiki))
 		if err != nil {
 			return nil, err
 		}
-		resW, err := clusterWith(uw, AlgoMLRMCL, wiki.Truth.K, seed)
+		resW, err := clusterWith(ctx, uw, AlgoMLRMCL, wiki.Truth.K, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +158,7 @@ type SpamProbeResult struct {
 // counts spam edges among each symmetrization's heaviest edges.
 // Degree-discounting bounds the farm's influence; Bibliometric is
 // dominated by it.
-func SpamProbe(wiki *gen.Dataset, farmSize int, seed int64) ([]SpamProbeResult, error) {
+func SpamProbe(ctx context.Context, wiki *gen.Dataset, farmSize int) ([]SpamProbeResult, error) {
 	if farmSize <= 0 {
 		// The farm must be large enough that its pairwise shared-link
 		// counts rival the graph's heaviest organic similarities —
@@ -177,7 +171,7 @@ func SpamProbe(wiki *gen.Dataset, farmSize int, seed int64) ([]SpamProbeResult, 
 	}
 	var out []SpamProbeResult
 	for _, m := range []core.Method{core.Bibliometric, core.DegreeDiscounted} {
-		u, err := core.Symmetrize(spammed.Graph, m, core.Defaults())
+		u, err := core.SymmetrizeCtx(ctx, spammed.Graph, m, core.Defaults())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: spam probe %v: %w", m, err)
 		}

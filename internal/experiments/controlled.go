@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"symcluster/internal/core"
@@ -23,7 +24,7 @@ type ControlledRow struct {
 // method is competitive; as the fraction grows, A+Aᵀ and RandomWalk
 // collapse (the clusters have no internal edges for them to see) while
 // Bibliometric and DegreeDiscounted stay high.
-func ControlledSweep(fractions []float64, opt gen.ControlledOptions, seed int64) ([]ControlledRow, error) {
+func ControlledSweep(ctx context.Context, fractions []float64, opt gen.ControlledOptions, seed int64) ([]ControlledRow, error) {
 	if len(fractions) == 0 {
 		fractions = []float64{0, 0.25, 0.5, 0.75, 1}
 	}
@@ -35,11 +36,11 @@ func ControlledSweep(fractions []float64, opt gen.ControlledOptions, seed int64)
 		}
 		row := ControlledRow{SharedFraction: frac, F: map[core.Method]float64{}}
 		for _, m := range core.Methods {
-			u, err := core.Symmetrize(d.Graph, m, core.Defaults())
+			u, err := core.SymmetrizeCtx(ctx, d.Graph, m, core.Defaults())
 			if err != nil {
 				return nil, err
 			}
-			res, err := clusterWith(u, AlgoMLRMCL, d.Truth.K, seed)
+			res, err := clusterWith(ctx, u, AlgoMLRMCL, d.Truth.K, seed)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"symcluster/internal/core"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestControlledSweepShape(t *testing.T) {
-	rows, err := ControlledSweep([]float64{0, 1}, gen.ControlledOptions{
+	rows, err := ControlledSweep(context.Background(), []float64{0, 1}, gen.ControlledOptions{
 		Clusters: 12, MembersPerCluster: 15, Seed: 5,
 	}, 5)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2BibliometricBlowupAndSingletons(t *testing.T) {
-	rows, err := Table2(datasets(t))
+	rows, err := Table2(context.Background(), datasets(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestTable2BibliometricBlowupAndSingletons(t *testing.T) {
 }
 
 func TestFigure4DegreeDistributions(t *testing.T) {
-	rows, err := Figure4(datasets(t).Wiki)
+	rows, err := Figure4(context.Background(), datasets(t).Wiki)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestFigure4DegreeDistributions(t *testing.T) {
 }
 
 func TestFigure5DegreeDiscountedWins(t *testing.T) {
-	series, err := Figure5(datasets(t).Cora, AlgoMLRMCL, 1)
+	series, err := Figure5(context.Background(), datasets(t).Cora, AlgoMLRMCL, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestFigure6BeatsBestWCut(t *testing.T) {
 	const seeds = 3
 	best := map[string]float64{}
 	for seed := int64(1); seed <= seeds; seed++ {
-		series, err := Figure6(datasets(t).Cora, seed)
+		series, err := Figure6(context.Background(), datasets(t).Cora, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestFigure6BeatsBestWCut(t *testing.T) {
 }
 
 func TestFigure7DegreeDiscountedWinsOnWiki(t *testing.T) {
-	series, err := Figure7(datasets(t).Wiki, AlgoMLRMCL, 1)
+	series, err := Figure7(context.Background(), datasets(t).Wiki, AlgoMLRMCL, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestFigure7DegreeDiscountedWinsOnWiki(t *testing.T) {
 }
 
 func TestFigure9ScalabilityRuns(t *testing.T) {
-	series, err := Figure9(datasets(t).Flickr, 1)
+	series, err := Figure9(context.Background(), datasets(t).Flickr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestFigure9ScalabilityRuns(t *testing.T) {
 }
 
 func TestTable3ThresholdTradeoff(t *testing.T) {
-	rows, err := Table3(datasets(t).Wiki, []float64{0.02, 0.035, 0.05, 0.08}, 0, 1)
+	rows, err := Table3(context.Background(), datasets(t).Wiki, []float64{0.02, 0.035, 0.05, 0.08}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestTable3ThresholdTradeoff(t *testing.T) {
 }
 
 func TestTable5TopEdges(t *testing.T) {
-	rows, err := Table5(datasets(t).Wiki, 5)
+	rows, err := Table5(context.Background(), datasets(t).Wiki, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestTable5TopEdges(t *testing.T) {
 }
 
 func TestSignTests(t *testing.T) {
-	rows, err := SignTests(datasets(t).Cora, datasets(t).Wiki, 1)
+	rows, err := SignTests(context.Background(), datasets(t).Cora, datasets(t).Wiki, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestSignTests(t *testing.T) {
 }
 
 func TestCaseStudyTwinsAndLists(t *testing.T) {
-	rows, err := CaseStudy(datasets(t).Wiki, 1)
+	rows, err := CaseStudy(context.Background(), datasets(t).Wiki, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestCaseStudyTwinsAndLists(t *testing.T) {
 }
 
 func TestSpamProbe(t *testing.T) {
-	rows, err := SpamProbe(datasets(t).Wiki, 0, 1)
+	rows, err := SpamProbe(context.Background(), datasets(t).Wiki, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

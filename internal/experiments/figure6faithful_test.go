@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"symcluster/internal/gen"
@@ -14,7 +15,7 @@ func TestFigure6FaithfulTimingGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	cora.Name = "cora"
-	series, err := Figure6Faithful(cora, 1)
+	series, err := Figure6Faithful(context.Background(), cora, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

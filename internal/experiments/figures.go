@@ -45,22 +45,22 @@ func expOptions(target int, inflation float64, seed int64) pipeline.ClusterOptio
 // clusterWith dispatches through the registry to a substrate at a
 // target cluster count. MLR-MCL approximates the target through its
 // inflation parameter.
-func clusterWith(u *graph.Undirected, algo Algo, target int, seed int64) (*clusterResult, error) {
+func clusterWith(ctx context.Context, u *graph.Undirected, algo Algo, target int, seed int64) (*clusterResult, error) {
 	cl, err := pipeline.ClustererFor(algo)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return cl.Run(context.Background(), pipeline.Input{U: u}, expOptions(target, 0, seed))
+	return cl.Run(ctx, pipeline.Input{U: u}, expOptions(target, 0, seed))
 }
 
 // clusterAtInflation runs MLR-MCL from the registry at an explicit
 // inflation (the granularity sweeps of Figures 5/7/9).
-func clusterAtInflation(u *graph.Undirected, inflation float64, seed int64) (*clusterResult, error) {
+func clusterAtInflation(ctx context.Context, u *graph.Undirected, inflation float64, seed int64) (*clusterResult, error) {
 	cl, err := pipeline.ClustererFor(AlgoMLRMCL)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return cl.Run(context.Background(), pipeline.Input{U: u}, expOptions(0, inflation, seed))
+	return cl.Run(ctx, pipeline.Input{U: u}, expOptions(0, inflation, seed))
 }
 
 // FPoint is one point of an effectiveness/timing series.
@@ -89,7 +89,7 @@ var inflationLadder = []float64{1.2, 1.35, 1.5, 1.7, 2.0, 2.4, 2.8}
 // symmetrizations compared (the paper omits some combinations: Metis
 // crashed on RandomWalk input for Wikipedia; Bibliometric is omitted
 // from the scalability runs).
-func SymmetrizationSweep(ds *gen.Dataset, algo Algo, methods []core.Method, targets []int, seed int64) ([]FSeries, error) {
+func SymmetrizationSweep(ctx context.Context, ds *gen.Dataset, algo Algo, methods []core.Method, targets []int, seed int64) ([]FSeries, error) {
 	if len(methods) == 0 {
 		methods = core.Methods
 	}
@@ -102,7 +102,7 @@ func SymmetrizationSweep(ds *gen.Dataset, algo Algo, methods []core.Method, targ
 	}
 	var out []FSeries
 	for _, m := range methods {
-		u, err := core.Symmetrize(ds.Graph, m, symOptionsFor(m, ds))
+		u, err := core.SymmetrizeCtx(ctx, ds.Graph, m, symOptionsFor(m, ds))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sweep %s/%v: %w", ds.Name, m, err)
 		}
@@ -114,7 +114,7 @@ func SymmetrizationSweep(ds *gen.Dataset, algo Algo, methods []core.Method, targ
 			}
 			for _, inf := range ladder {
 				start := time.Now()
-				res, err := clusterAtInflation(u, inf, seed)
+				res, err := clusterAtInflation(ctx, u, inf, seed)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: sweep %s/%v r=%v: %w", ds.Name, m, inf, err)
 				}
@@ -131,7 +131,7 @@ func SymmetrizationSweep(ds *gen.Dataset, algo Algo, methods []core.Method, targ
 		} else {
 			for _, target := range targets {
 				start := time.Now()
-				res, err := clusterWith(u, algo, target, seed)
+				res, err := clusterWith(ctx, u, algo, target, seed)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: sweep %s/%v k=%d: %w", ds.Name, m, target, err)
 				}
@@ -153,17 +153,17 @@ func SymmetrizationSweep(ds *gen.Dataset, algo Algo, methods []core.Method, targ
 
 // Figure5 reproduces Figure 5: Avg-F vs cluster count on Cora for all
 // four symmetrizations, with MLR-MCL (a) and Graclus (b).
-func Figure5(cora *gen.Dataset, algo Algo, seed int64) ([]FSeries, error) {
-	return SymmetrizationSweep(cora, algo, core.Methods, ClusterSweep(cora.Truth.K, 7), seed)
+func Figure5(ctx context.Context, cora *gen.Dataset, algo Algo, seed int64) ([]FSeries, error) {
+	return SymmetrizationSweep(ctx, cora, algo, core.Methods, ClusterSweep(cora.Truth.K, 7), seed)
 }
 
 // Figure6 reproduces Figure 6: Degree-discounted symmetrization +
 // {MLR-MCL, Graclus, Metis} against BestWCut on Cora — Avg-F (a) and
 // clustering time (b). The BestWCut timings include its eigenvector
 // computation, which is what makes it orders of magnitude slower.
-func Figure6(cora *gen.Dataset, seed int64) ([]FSeries, error) {
+func Figure6(ctx context.Context, cora *gen.Dataset, seed int64) ([]FSeries, error) {
 	targets := ClusterSweep(cora.Truth.K, 5)
-	u, err := core.Symmetrize(cora.Graph, core.DegreeDiscounted, symOptionsFor(core.DegreeDiscounted, cora))
+	u, err := core.SymmetrizeCtx(ctx, cora.Graph, core.DegreeDiscounted, symOptionsFor(core.DegreeDiscounted, cora))
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func Figure6(cora *gen.Dataset, seed int64) ([]FSeries, error) {
 		series := FSeries{Label: algo.String()}
 		for _, target := range targets {
 			start := time.Now()
-			res, err := clusterWith(u, algo, target, seed)
+			res, err := clusterWith(ctx, u, algo, target, seed)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: figure6 %v k=%d: %w", algo, target, err)
 			}
@@ -189,7 +189,7 @@ func Figure6(cora *gen.Dataset, seed int64) ([]FSeries, error) {
 	series := FSeries{Label: AlgoBestWCut.String()}
 	for _, target := range targets {
 		start := time.Now()
-		res, err := spectral.BestWCut(cora.Graph.Adj, target, spectral.BestWCutOptions{
+		res, err := spectral.BestWCutCtx(ctx, cora.Graph.Adj, target, spectral.BestWCutOptions{
 			KMeans:  spectral.KMeansOptions{Seed: seed, Restarts: 2},
 			Lanczos: spectral.LanczosOptions{Seed: seed},
 		})
@@ -213,16 +213,16 @@ func Figure6(cora *gen.Dataset, seed int64) ([]FSeries, error) {
 // BestWCut is far faster than the original; this faithful mode
 // restores the paper's orders-of-magnitude timing gap. One fixed
 // cluster count (the true category count) is timed per method.
-func Figure6Faithful(cora *gen.Dataset, seed int64) ([]FSeries, error) {
+func Figure6Faithful(ctx context.Context, cora *gen.Dataset, seed int64) ([]FSeries, error) {
 	target := cora.Truth.K
-	u, err := core.Symmetrize(cora.Graph, core.DegreeDiscounted, symOptionsFor(core.DegreeDiscounted, cora))
+	u, err := core.SymmetrizeCtx(ctx, cora.Graph, core.DegreeDiscounted, symOptionsFor(core.DegreeDiscounted, cora))
 	if err != nil {
 		return nil, err
 	}
 	var out []FSeries
 	for _, algo := range []Algo{AlgoMLRMCL, AlgoGraclus, AlgoMetis} {
 		start := time.Now()
-		res, err := clusterWith(u, algo, target, seed)
+		res, err := clusterWith(ctx, u, algo, target, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure6 faithful %v: %w", algo, err)
 		}
@@ -231,7 +231,7 @@ func Figure6Faithful(cora *gen.Dataset, seed int64) ([]FSeries, error) {
 		}}})
 	}
 	start := time.Now()
-	res, err := spectral.BestWCut(cora.Graph.Adj, target, spectral.BestWCutOptions{
+	res, err := spectral.BestWCutCtx(ctx, cora.Graph.Adj, target, spectral.BestWCutOptions{
 		DenseEig: true,
 		KMeans:   spectral.KMeansOptions{Seed: seed, Restarts: 2},
 	})
@@ -250,10 +250,10 @@ func Figure6Faithful(cora *gen.Dataset, seed int64) ([]FSeries, error) {
 // our Lanczos-based reimplementation completes it, so its quality can
 // finally be compared: it behaves like BestWCut (both minimise
 // directed-cut objectives blind to shared-link structure).
-func ZhouBaseline(cora *gen.Dataset, seed int64) (*FSeries, error) {
+func ZhouBaseline(ctx context.Context, cora *gen.Dataset, seed int64) (*FSeries, error) {
 	target := cora.Truth.K
 	start := time.Now()
-	res, err := spectral.ZhouDirected(cora.Graph.Adj, target, spectral.ZhouOptions{
+	res, err := spectral.ZhouDirectedCtx(ctx, cora.Graph.Adj, target, spectral.ZhouOptions{
 		KMeans:  spectral.KMeansOptions{Seed: seed, Restarts: 2},
 		Lanczos: spectral.LanczosOptions{Seed: seed},
 	})
@@ -272,30 +272,24 @@ func ZhouBaseline(cora *gen.Dataset, seed int64) (*FSeries, error) {
 
 // Figure7 reproduces Figure 7: Avg-F vs cluster count on Wiki with
 // MLR-MCL (all four symmetrizations) or Metis (three: the paper's
-// Metis crashed on RandomWalk input).
-func Figure7(wiki *gen.Dataset, algo Algo, seed int64) ([]FSeries, error) {
+// Metis crashed on RandomWalk input). Figure 8 (clustering times on
+// Wiki) is the same sweep's Seconds column.
+func Figure7(ctx context.Context, wiki *gen.Dataset, algo Algo, seed int64) ([]FSeries, error) {
 	methods := core.Methods
 	if algo == AlgoMetis {
 		methods = []core.Method{core.DegreeDiscounted, core.AAT, core.Bibliometric}
 	}
-	return SymmetrizationSweep(wiki, algo, methods, ClusterSweep(wiki.Truth.K, 5), seed)
-}
-
-// Figure8 reproduces Figure 8 (clustering times on Wiki); the data is
-// identical to Figure 7's Seconds column, so this simply re-runs the
-// sweep and the formatter reads the time fields.
-func Figure8(wiki *gen.Dataset, algo Algo, seed int64) ([]FSeries, error) {
-	return Figure7(wiki, algo, seed)
+	return SymmetrizationSweep(ctx, wiki, algo, methods, ClusterSweep(wiki.Truth.K, 5), seed)
 }
 
 // Figure9 reproduces Figure 9: clustering times with MLR-MCL on the
 // scalability datasets (Flickr / LiveJournal substitutes), comparing
 // A+Aᵀ, RandomWalk and DegreeDiscounted (Bibliometric is not viable at
 // this scale — Table 2's singleton counts).
-func Figure9(ds *gen.Dataset, seed int64) ([]FSeries, error) {
+func Figure9(ctx context.Context, ds *gen.Dataset, seed int64) ([]FSeries, error) {
 	methods := []core.Method{core.AAT, core.RandomWalk, core.DegreeDiscounted}
 	targets := ClusterSweep(ds.Graph.N()/50, 4)
-	return SymmetrizationSweep(ds, AlgoMLRMCL, methods, targets, seed)
+	return SymmetrizationSweep(ctx, ds, AlgoMLRMCL, methods, targets, seed)
 }
 
 // DegreeDistribution is one series of Figure 4.
@@ -310,10 +304,10 @@ type DegreeDistribution struct {
 // symmetrizations of the Wiki graph. A+Aᵀ and RandomWalk share a
 // structure; Bibliometric keeps hub nodes and many low-degree nodes;
 // DegreeDiscounted concentrates mass at moderate degrees.
-func Figure4(wiki *gen.Dataset) ([]DegreeDistribution, error) {
+func Figure4(ctx context.Context, wiki *gen.Dataset) ([]DegreeDistribution, error) {
 	var out []DegreeDistribution
 	for _, m := range []core.Method{core.AAT, core.RandomWalk, core.Bibliometric, core.DegreeDiscounted} {
-		u, err := core.Symmetrize(wiki.Graph, m, symOptionsFor(m, wiki))
+		u, err := core.SymmetrizeCtx(ctx, wiki.Graph, m, symOptionsFor(m, wiki))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure4 %v: %w", m, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -37,7 +38,7 @@ type Showcase struct {
 
 // RunShowcase builds the showcase for the first sufficiently large
 // genus-less list cluster.
-func RunShowcase(wiki *gen.Dataset, seed int64) (*Showcase, error) {
+func RunShowcase(ctx context.Context, wiki *gen.Dataset, seed int64) (*Showcase, error) {
 	g := wiki.Graph
 	// Group list-cluster members by cluster id; keep only clusters
 	// without a genus page.
@@ -84,11 +85,11 @@ func RunShowcase(wiki *gen.Dataset, seed int64) (*Showcase, error) {
 
 	// Cluster with dd and with A+Aᵀ, measure member cohesion.
 	for _, m := range []core.Method{core.DegreeDiscounted, core.AAT} {
-		u, err := core.Symmetrize(g, m, symOptionsFor(m, wiki))
+		u, err := core.SymmetrizeCtx(ctx, g, m, symOptionsFor(m, wiki))
 		if err != nil {
 			return nil, err
 		}
-		res, err := clusterWith(u, AlgoMLRMCL, wiki.Truth.K, seed)
+		res, err := clusterWith(ctx, u, AlgoMLRMCL, wiki.Truth.K, seed)
 		if err != nil {
 			return nil, err
 		}

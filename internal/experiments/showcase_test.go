@@ -1,9 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestShowcaseGuzmaniaPattern(t *testing.T) {
-	sc, err := RunShowcase(datasets(t).Wiki, 1)
+	sc, err := RunShowcase(context.Background(), datasets(t).Wiki, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"symcluster/internal/eval"
 	"symcluster/internal/gen"
 	"symcluster/internal/graph"
-	"symcluster/internal/metis"
 )
 
 // DatasetStats is one row of Table 1.
@@ -50,13 +50,13 @@ type SymmetrizationSize struct {
 // Table2 reproduces Table 2: symmetrized edge counts per method and
 // dataset, with the prune thresholds used, plus the singleton counts
 // that make pruned Bibliometric non-viable.
-func Table2(d *Datasets) ([]SymmetrizationSize, error) {
+func Table2(ctx context.Context, d *Datasets) ([]SymmetrizationSize, error) {
 	var rows []SymmetrizationSize
 	for _, ds := range []*gen.Dataset{d.Wiki, d.Flickr, d.Cora, d.LiveJournal} {
 		for _, m := range []core.Method{core.AAT, core.RandomWalk, core.Bibliometric, core.DegreeDiscounted} {
 			opt := symOptionsFor(m, ds)
 			start := time.Now()
-			u, err := core.Symmetrize(ds.Graph, m, opt)
+			u, err := core.SymmetrizeCtx(ctx, ds.Graph, m, opt)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: table2 %s/%v: %w", ds.Name, m, err)
 			}
@@ -83,7 +83,7 @@ type ThresholdRow struct {
 
 // Table3 reproduces Table 3 on the Wiki dataset: sweep the prune
 // threshold, cluster with MLR-MCL and Metis, report F and time.
-func Table3(wiki *gen.Dataset, thresholds []float64, targetClusters int, seed int64) ([]ThresholdRow, error) {
+func Table3(ctx context.Context, wiki *gen.Dataset, thresholds []float64, targetClusters int, seed int64) ([]ThresholdRow, error) {
 	if len(thresholds) == 0 {
 		thresholds = []float64{0.010, 0.015, 0.020, 0.025}
 	}
@@ -94,14 +94,14 @@ func Table3(wiki *gen.Dataset, thresholds []float64, targetClusters int, seed in
 	for _, th := range thresholds {
 		opt := core.Defaults()
 		opt.Threshold = th
-		u, err := core.Symmetrize(wiki.Graph, core.DegreeDiscounted, opt)
+		u, err := core.SymmetrizeCtx(ctx, wiki.Graph, core.DegreeDiscounted, opt)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table3 threshold %v: %w", th, err)
 		}
 		row := ThresholdRow{Threshold: th, Edges: u.M()}
 
 		start := time.Now()
-		mclRes, err := clusterWith(u, AlgoMLRMCL, targetClusters, seed)
+		mclRes, err := clusterWith(ctx, u, AlgoMLRMCL, targetClusters, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func Table3(wiki *gen.Dataset, thresholds []float64, targetClusters int, seed in
 		row.MCLF = 100 * rep.AvgF
 
 		start = time.Now()
-		metRes, err := clusterWith(u, AlgoMetis, targetClusters, seed)
+		metRes, err := clusterWith(ctx, u, AlgoMetis, targetClusters, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +140,7 @@ type AlphaBetaRow struct {
 // Table4 reproduces Table 4: the α/β grid on Cora and Wiki with Metis
 // at a fixed cluster count (the paper fixes 70 for Cora, 10000 for
 // Wikipedia; the substitutes use their true category counts).
-func Table4(cora, wiki *gen.Dataset, seed int64) ([]AlphaBetaRow, error) {
+func Table4(ctx context.Context, cora, wiki *gen.Dataset, seed int64) ([]AlphaBetaRow, error) {
 	type cfg struct {
 		label string
 		kind  core.DiscountKind
@@ -176,11 +176,11 @@ func Table4(cora, wiki *gen.Dataset, seed int64) ([]AlphaBetaRow, error) {
 		} else {
 			opt.Threshold = symOptionsFor(core.DegreeDiscounted, ds).Threshold
 		}
-		u, err := core.Symmetrize(ds.Graph, core.DegreeDiscounted, opt)
+		u, err := core.SymmetrizeCtx(ctx, ds.Graph, core.DegreeDiscounted, opt)
 		if err != nil {
 			return 0, err
 		}
-		res, err := metis.Partition(u.Adj, ds.Truth.K, metis.Options{Seed: seed})
+		res, err := clusterWith(ctx, u, AlgoMetis, ds.Truth.K, seed)
 		if err != nil {
 			return 0, err
 		}
@@ -220,14 +220,14 @@ type TopEdgeRow struct {
 // symmetrization of the Wiki graph. Bibliometric and RandomWalk rank
 // hub pairs first; DegreeDiscounted ranks near-duplicate specific
 // pages.
-func Table5(wiki *gen.Dataset, k int) ([]TopEdgeRow, error) {
+func Table5(ctx context.Context, wiki *gen.Dataset, k int) ([]TopEdgeRow, error) {
 	if k <= 0 {
 		k = 5
 	}
 	var rows []TopEdgeRow
 	for _, m := range []core.Method{core.RandomWalk, core.Bibliometric, core.DegreeDiscounted} {
 		opt := core.Defaults()
-		u, err := core.Symmetrize(wiki.Graph, m, opt)
+		u, err := core.SymmetrizeCtx(ctx, wiki.Graph, m, opt)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table5 %v: %w", m, err)
 		}

@@ -1,9 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestZhouBaselineCompletes(t *testing.T) {
-	s, err := ZhouBaseline(datasets(t).Cora, 1)
+	s, err := ZhouBaseline(context.Background(), datasets(t).Cora, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func benchDD(b *testing.B, g *graph.Directed, threshold float64, k int) {
 	opt := core.Defaults()
 	opt.Threshold = threshold
-	u, err := core.Symmetrize(g, core.DegreeDiscounted, opt)
+	u, err := core.SymmetrizeCtx(context.Background(), g, core.DegreeDiscounted, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func BenchmarkServeGraclusKept(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			opt := core.Defaults()
 			opt.Threshold = c.threshold
-			u, err := core.Symmetrize(ds.Graph, c.method, opt)
+			u, err := core.SymmetrizeCtx(context.Background(), ds.Graph, c.method, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

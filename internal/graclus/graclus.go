@@ -27,14 +27,8 @@ import (
 	"symcluster/internal/multilevel"
 )
 
-// Options configures Cluster.
+// Options configures ClusterCtx.
 type Options struct {
-	// CoarsenTo stops coarsening once the graph has at most
-	// max(CoarsenTo, 4·k) nodes. Defaults to 256.
-	CoarsenTo int
-	// RefinePasses bounds the kernel-k-means passes per level.
-	// Defaults to 10.
-	RefinePasses int
 	// Seed drives the randomised base clustering and coarsening.
 	Seed int64
 	// Hier, when bound to the adjacency being clustered, may answer the
@@ -42,14 +36,13 @@ type Options struct {
 	Hier *multilevel.Memo
 }
 
-func (o *Options) fill() {
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 256
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 10
-	}
-}
+const (
+	// coarsenTo stops coarsening once the graph has at most
+	// max(coarsenTo, 4·k) nodes.
+	coarsenTo = 256
+	// refinePasses bounds the kernel-k-means passes per level.
+	refinePasses = 10
+)
 
 // Result carries the clustering output.
 type Result struct {
@@ -76,7 +69,6 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Resu
 	if k > adj.Rows && adj.Rows > 0 {
 		return nil, fmt.Errorf("graclus: k = %d exceeds node count %d", k, adj.Rows)
 	}
-	opt.fill()
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	if adj.Rows == 0 {
@@ -86,11 +78,7 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Resu
 		return &Result{Assign: make([]int, adj.Rows), K: 1, NCut: 0}, nil
 	}
 
-	minNodes := opt.CoarsenTo
-	if 4*k > minNodes {
-		minNodes = 4 * k
-	}
-	h, err := opt.Hier.Coarsen(ctx, adj, multilevel.Options{MinNodes: minNodes, Seed: rng.Int63()})
+	h, err := opt.Hier.Coarsen(ctx, adj, multilevel.Options{MinNodes: max(coarsenTo, 4*k), Seed: rng.Int63()})
 	if err != nil {
 		return nil, fmt.Errorf("graclus: coarsening: %w", err)
 	}
@@ -98,13 +86,13 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Resu
 	coarse := h.Coarsest()
 	assign := baseClustering(coarse.Adj, k, rng)
 	r := newRefiner(adj.Rows, k)
-	assign = r.refine(ctx, coarse.Adj, assign, opt.RefinePasses)
+	assign = r.refine(ctx, coarse.Adj, assign, refinePasses)
 	for level := h.Depth() - 1; level >= 1; level-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		assign = h.Project(level, assign)
-		assign = r.refine(ctx, h.Levels[level-1].Adj, assign, opt.RefinePasses)
+		assign = r.refine(ctx, h.Levels[level-1].Adj, assign, refinePasses)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -4,17 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-
-	"symcluster/internal/matrix"
 )
 
 // The METIS graph format (Karypis & Kumar), the lingua franca of graph
 // partitioning tools: a header "nvtxs nedges [fmt]" followed by one
 // line per vertex listing its (1-indexed) neighbours, with edge weights
 // interleaved when fmt's last digit is 1. Symmetrized graphs written in
-// this format can be fed to the original metis/gpmetis binaries.
+// this format (symcluster -metisout) can be fed to the original
+// metis/gpmetis binaries; nothing here reads it back.
 
 // WriteMetisGraph writes the undirected graph in METIS format. Edge
 // weights are included (fmt "001") unless every weight equals 1.
@@ -78,100 +75,4 @@ func WriteMetisGraph(w io.Writer, g *Undirected, weightScale float64) error {
 		fmt.Fprintln(bw)
 	}
 	return bw.Flush()
-}
-
-// ReadMetisGraph parses a METIS-format graph into an undirected graph.
-// Vertex weights (fmt digits other than the last) are not supported.
-func ReadMetisGraph(r io.Reader) (*Undirected, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-
-	var header []string
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		header = strings.Fields(line)
-		break
-	}
-	if header == nil {
-		return nil, fmt.Errorf("graph: metis: missing header")
-	}
-	if len(header) < 2 || len(header) > 3 {
-		return nil, fmt.Errorf("graph: metis: header %q, want 'nvtxs nedges [fmt]'", strings.Join(header, " "))
-	}
-	n, err := strconv.Atoi(header[0])
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("graph: metis: bad vertex count %q", header[0])
-	}
-	declaredEdges, err := strconv.Atoi(header[1])
-	if err != nil || declaredEdges < 0 {
-		return nil, fmt.Errorf("graph: metis: bad edge count %q", header[1])
-	}
-	weighted := false
-	if len(header) == 3 {
-		switch header[2] {
-		case "0", "00", "000":
-		case "1", "01", "001":
-			weighted = true
-		default:
-			return nil, fmt.Errorf("graph: metis: unsupported fmt %q (vertex weights not supported)", header[2])
-		}
-	}
-
-	b := matrix.NewBuilder(n, n)
-	vertex := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "%") {
-			continue
-		}
-		if vertex >= n {
-			if line != "" {
-				return nil, fmt.Errorf("graph: metis: line %d: more vertex lines than the declared %d", lineNo, n)
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		step := 1
-		if weighted {
-			step = 2
-			if len(fields)%2 != 0 {
-				return nil, fmt.Errorf("graph: metis: line %d: odd field count in weighted adjacency", lineNo)
-			}
-		}
-		for f := 0; f < len(fields); f += step {
-			nb, err := strconv.Atoi(fields[f])
-			if err != nil || nb < 1 || nb > n {
-				return nil, fmt.Errorf("graph: metis: line %d: bad neighbour %q", lineNo, fields[f])
-			}
-			wv := 1.0
-			if weighted {
-				wv, err = strconv.ParseFloat(fields[f+1], 64)
-				if err != nil || wv <= 0 {
-					return nil, fmt.Errorf("graph: metis: line %d: bad weight %q", lineNo, fields[f+1])
-				}
-			}
-			// The format lists every edge from both endpoints; add only
-			// the (u < v) copy and mirror it, so asymmetric inputs are
-			// still healed into a symmetric matrix.
-			u, v := vertex, nb-1
-			if u < v {
-				b.Add(u, v, wv)
-				b.Add(v, u, wv)
-			}
-		}
-		vertex++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: metis: %w", err)
-	}
-	if vertex < n {
-		return nil, fmt.Errorf("graph: metis: %d vertex lines, want %d", vertex, n)
-	}
-	return NewUndirected(b.Build(), nil)
 }

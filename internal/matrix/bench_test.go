@@ -71,7 +71,7 @@ func BenchmarkXXTScaledPruned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulXXTScaledPruned(m, mt, rs, nil, 0.5, 1)
+		mulXXT(m, mt, rs, nil, 0.5, 1)
 	}
 }
 

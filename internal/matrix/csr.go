@@ -97,19 +97,6 @@ func Diagonal(d []float64) *CSR {
 	return m
 }
 
-// Diag extracts the main diagonal as a dense vector.
-func (m *CSR) Diag() []float64 {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
-}
-
 // Validate checks structural invariants: monotone row pointers, in-range
 // sorted column indices, finite values. It returns a descriptive error
 // for the first violation found, or nil. Intended for tests and for
@@ -184,11 +171,6 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 		return false
 	}
 	t := m.Transpose()
-	if m.NNZ() != t.NNZ() {
-		// Structure may still match with explicit zeros; fall through to
-		// the entrywise comparison via Add below only when counts match.
-		// Cheaper: compare entrywise using At on the smaller side.
-	}
 	for i := 0; i < m.Rows; i++ {
 		cols, vals := m.Row(i)
 		for k, c := range cols {
@@ -206,15 +188,6 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Scale returns s·m.
-func (m *CSR) Scale(s float64) *CSR {
-	c := m.Clone()
-	for i := range c.Val {
-		c.Val[i] *= s
-	}
-	return c
 }
 
 // ScaleRows returns diag(d)·m, i.e. row i multiplied by d[i].
@@ -252,15 +225,6 @@ func (m *CSR) RowSums() []float64 {
 		for _, v := range vals {
 			s[i] += v
 		}
-	}
-	return s
-}
-
-// ColSums returns the vector of column sums.
-func (m *CSR) ColSums() []float64 {
-	s := make([]float64, m.Cols)
-	for k, c := range m.ColIdx {
-		s[c] += m.Val[k]
 	}
 	return s
 }
@@ -307,24 +271,6 @@ func (m *CSR) NormalizeRows() *CSR {
 	return c
 }
 
-// Prune returns a copy with every entry whose absolute value is strictly
-// below threshold removed. Explicitly stored zeros are removed whenever
-// threshold > 0.
-func (m *CSR) Prune(threshold float64) *CSR {
-	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1)}
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			if math.Abs(vals[k]) >= threshold && vals[k] != 0 {
-				out.ColIdx = append(out.ColIdx, c)
-				out.Val = append(out.Val, vals[k])
-			}
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out
-}
-
 // DropDiagonal returns a copy with all diagonal entries removed.
 func (m *CSR) DropDiagonal() *CSR {
 	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1),
@@ -366,31 +312,6 @@ func (m *CSR) MulVec(x []float64) []float64 {
 		y[i] = s
 	}
 	return y
-}
-
-// MulVecT returns mᵀ·x (equivalently xᵀ·m) without materialising the
-// transpose.
-func (m *CSR) MulVecT(x []float64) []float64 {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("matrix: MulVecT vector length %d, want %d", len(x), m.Rows))
-	}
-	y := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			y[c] += vals[k] * x[i]
-		}
-	}
-	return y
-}
-
-// FrobeniusNorm returns the Frobenius norm of the matrix.
-func (m *CSR) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Val {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest absolute entry value, 0 for an empty matrix.

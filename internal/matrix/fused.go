@@ -39,12 +39,6 @@ func checkScaleLen(name string, scale []float64, want int) {
 	}
 }
 
-// MulXXTScaledPruned is MulXXTScaledPrunedCtx without cancellation.
-func MulXXTScaledPruned(x, xt *CSR, rowScale, colScale []float64, threshold float64, workers int) *CSR {
-	out, _ := MulXXTScaledPrunedCtx(context.Background(), x, xt, rowScale, colScale, threshold, workers)
-	return out
-}
-
 // MulXXTScaledPrunedCtx returns the fused symmetric self-product
 // S = X·Xᵀ for X = diag(rowScale)·x·diag(colScale), given x and its
 // exact transpose xt (xt must carry bit-identical values to
@@ -115,10 +109,10 @@ func MulXXTScaledPrunedUpperCtx(ctx context.Context, x, xt *CSR, rowScale, colSc
 // xt's row: start is that count, and no row is searched.
 func xxtProduct(x, xt *CSR, rowScale, colScale []float64, threshold float64) *product {
 	if x.Cols != xt.Rows || x.Rows != xt.Cols {
-		panic(fmt.Sprintf("matrix: MulXXTScaledPruned transpose shape mismatch %dx%d vs %dx%d", x.Rows, x.Cols, xt.Rows, xt.Cols))
+		panic(fmt.Sprintf("matrix: MulXXTScaledPrunedCtx transpose shape mismatch %dx%d vs %dx%d", x.Rows, x.Cols, xt.Rows, xt.Cols))
 	}
-	checkScaleLen("MulXXTScaledPruned rowScale", rowScale, x.Rows)
-	checkScaleLen("MulXXTScaledPruned colScale", colScale, x.Cols)
+	checkScaleLen("MulXXTScaledPrunedCtx rowScale", rowScale, x.Rows)
+	checkScaleLen("MulXXTScaledPrunedCtx colScale", colScale, x.Cols)
 	sv := xt.Val
 	if rowScale != nil || colScale != nil {
 		sv = make([]float64, len(xt.Val))
@@ -146,7 +140,7 @@ func xxtProduct(x, xt *CSR, rowScale, colScale []float64, threshold float64) *pr
 				w := applyScale(applyScale(av[k], rowScale, int32(i)), colScale, c)
 				from, hi := xt.RowPtr[c]+int64(start[lo+int64(k)]), xt.RowPtr[c+1]
 				if from >= hi || xt.ColIdx[from] != int32(i) {
-					panic(fmt.Sprintf("matrix: MulXXTScaledPruned: xt is not the transpose of x: x holds (%d,%d), xt's row %d does not hold %d where the transpose would", i, c, c, i))
+					panic(fmt.Sprintf("matrix: MulXXTScaledPrunedCtx: xt is not the transpose of x: x holds (%d,%d), xt's row %d does not hold %d where the transpose would", i, c, c, i))
 				}
 				spa.axpy(w, xt.ColIdx[from:hi], sv[from:hi])
 			}

@@ -51,10 +51,10 @@ func TestMulXXTScaledPrunedMatchesMaterialized(t *testing.T) {
 		for _, th := range []float64{0, 0.05, 0.5} {
 			xs := x.ScaleRows(rs).ScaleCols(cs)
 			want := mulOracle(xs, xs.Transpose(), th)
-			got := MulXXTScaledPruned(x, xt, rs, cs, th, 1)
+			got := mulXXT(x, xt, rs, cs, th, 1)
 			requireBitIdentical(t, want, got)
 			// Nil scale vectors are the identity: must match the plain x·xᵀ.
-			requireBitIdentical(t, mulOracle(x, xt, th), MulXXTScaledPruned(x, xt, nil, nil, th, 1))
+			requireBitIdentical(t, mulOracle(x, xt, th), mulXXT(x, xt, nil, nil, th, 1))
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestMulXXTRejectsNonTranspose(t *testing.T) {
 						t.Fatalf("%s, %d workers: recovered %q, want the transpose contract", name, workers, r)
 					}
 				}()
-				MulXXTScaledPruned(x, xt, nil, nil, 0, workers)
+				mulXXT(x, xt, nil, nil, 0, workers)
 				t.Fatalf("%s, %d workers: product of a non-transpose returned", name, workers)
 			}()
 		}

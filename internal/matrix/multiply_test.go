@@ -24,6 +24,12 @@ func mulOracle(a, b *CSR, threshold float64) *CSR {
 	return out
 }
 
+// mulXXT is the fused self-product under a context that never ends.
+func mulXXT(x, xt *CSR, rowScale, colScale []float64, threshold float64, workers int) *CSR {
+	out, _ := MulXXTScaledPrunedCtx(context.Background(), x, xt, rowScale, colScale, threshold, workers)
+	return out
+}
+
 // denseMul multiplies two dense matrices for use as a reference oracle.
 func denseMul(a, b [][]float64) [][]float64 {
 	rows, inner, cols := len(a), len(b), len(b[0])

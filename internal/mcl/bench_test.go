@@ -1,6 +1,7 @@
 package mcl
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,14 +27,14 @@ func BenchmarkMCLHot(b *testing.B) {
 	}
 	symOpt := core.Defaults()
 	symOpt.Threshold = 0.05
-	u, err := core.Symmetrize(ds.Graph, core.DegreeDiscounted, symOpt)
+	u, err := core.SymmetrizeCtx(context.Background(), ds.Graph, core.DegreeDiscounted, symOpt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(u.Adj, Options{Inflation: 2, MaxIter: 40, MaxPerColumn: 30, ConvergenceTol: 1e-4, Seed: int64(i)}); err != nil {
+		if _, err := ClusterCtx(context.Background(), u.Adj, Options{Inflation: 2, MaxIter: 40, MaxPerColumn: 30, ConvergenceTol: 1e-4, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,7 +46,7 @@ func BenchmarkRMCL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(adj, Options{Inflation: 1.5, MaxIter: 30, MaxPerColumn: 30, ConvergenceTol: 1e-3}); err != nil {
+		if _, err := ClusterCtx(context.Background(), adj, Options{Inflation: 1.5, MaxIter: 30, MaxPerColumn: 30, ConvergenceTol: 1e-3}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +58,7 @@ func BenchmarkMLRMCL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(adj, Options{
+		if _, err := ClusterCtx(context.Background(), adj, Options{
 			Inflation: 1.5, Multilevel: true, CoarsenTo: 200,
 			MaxIter: 30, MaxPerColumn: 30, ConvergenceTol: 1e-3, Seed: 1,
 		}); err != nil {

@@ -84,7 +84,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	adj, _ := blockGraph(rng, 4, 25, 0.4, 0.02)
 	opt := Options{Inflation: 2, Seed: 7}
 
-	base, err := Cluster(adj, opt)
+	base, err := ClusterCtx(context.Background(), adj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCheckpointMultilevelFinestOnly(t *testing.T) {
 	adj, _ := blockGraph(rng, 4, 30, 0.4, 0.02)
 	opt := Options{Inflation: 2, Multilevel: true, CoarsenTo: 20, Seed: 9}
 
-	base, err := Cluster(adj, opt)
+	base, err := ClusterCtx(context.Background(), adj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCheckpointStaleSnapshotIgnored(t *testing.T) {
 	small, _ := blockGraph(rng, 2, 5, 0.6, 0.05)
 	opt := Options{Inflation: 2}
 
-	base, err := Cluster(adj, opt)
+	base, err := ClusterCtx(context.Background(), adj, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

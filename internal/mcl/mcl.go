@@ -41,36 +41,29 @@ type Options struct {
 	// MaxIter bounds the R-MCL iterations at the finest level.
 	// Defaults to 60.
 	MaxIter int
-	// PruneThreshold removes flow entries below it after each inflation.
-	// Defaults to 1e-4.
-	PruneThreshold float64
 	// MaxPerColumn caps the entries kept per flow column after each
 	// iteration (the heaviest survive). Defaults to 50.
 	MaxPerColumn int
-	// SelfLoopWeight is the weight of the self-loop added to every node
-	// before normalisation. Defaults to 1.
-	SelfLoopWeight float64
 	// Multilevel enables MLR-MCL: coarsen the graph, run R-MCL on the
 	// coarsest level and refine the flow down the hierarchy.
 	Multilevel bool
 	// CoarsenTo is the MinNodes for the coarsening (MLR-MCL only).
 	// Defaults to 1000.
 	CoarsenTo int
-	// IterPerLevel is the number of R-MCL iterations at each
-	// intermediate level (MLR-MCL only). Defaults to 4.
-	IterPerLevel int
 	// Seed drives coarsening randomness.
 	Seed int64
 	// ConvergenceTol stops iterating when the average per-column change
 	// drops below it. Defaults to 1e-6.
 	ConvergenceTol float64
-	// Plain switches to the original (unregularized) MCL of van Dongen:
-	// the expansion step squares the flow matrix (M := M·M) instead of
-	// multiplying by the graph regularizer. Kept as a baseline — plain
-	// MCL fragments large graphs into many more clusters, which is the
-	// problem R-MCL was designed to fix. Incompatible with Multilevel.
-	Plain bool
 }
+
+const (
+	// pruneThreshold removes flow entries below it after each inflation.
+	pruneThreshold = 1e-4
+	// iterPerLevel is the number of R-MCL iterations at each
+	// intermediate MLR-MCL level.
+	iterPerLevel = 4
+)
 
 func (o *Options) fill() {
 	if o.Inflation <= 1 {
@@ -79,20 +72,11 @@ func (o *Options) fill() {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 60
 	}
-	if o.PruneThreshold <= 0 {
-		o.PruneThreshold = 1e-4
-	}
 	if o.MaxPerColumn <= 0 {
 		o.MaxPerColumn = 50
 	}
-	if o.SelfLoopWeight <= 0 {
-		o.SelfLoopWeight = 1
-	}
 	if o.CoarsenTo <= 0 {
 		o.CoarsenTo = 1000
-	}
-	if o.IterPerLevel <= 0 {
-		o.IterPerLevel = 4
 	}
 	if o.ConvergenceTol <= 0 {
 		o.ConvergenceTol = 1e-6
@@ -110,16 +94,11 @@ type Result struct {
 	Iterations int
 }
 
-// Cluster runs R-MCL (or MLR-MCL when opt.Multilevel) on the symmetric
-// adjacency matrix adj and returns the clustering.
-func Cluster(adj *matrix.CSR, opt Options) (*Result, error) {
-	return ClusterCtx(context.Background(), adj, opt)
-}
-
-// ClusterCtx is Cluster with cancellation: ctx is polled at every R-MCL
-// iteration (and at row-block boundaries inside the expansion product),
-// so a cancelled context aborts the clustering within one iteration
-// with ctx's error.
+// ClusterCtx runs R-MCL (or MLR-MCL when opt.Multilevel) on the
+// symmetric adjacency matrix adj and returns the clustering. ctx is
+// polled at every R-MCL iteration (and at row-block boundaries inside
+// the expansion product), so a cancelled context aborts the clustering
+// within one iteration with ctx's error.
 func ClusterCtx(ctx context.Context, adj *matrix.CSR, opt Options) (*Result, error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("mcl: adjacency %dx%d not square", adj.Rows, adj.Cols)
@@ -129,11 +108,8 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, opt Options) (*Result, err
 		return &Result{Assign: []int{}, K: 0}, nil
 	}
 
-	if opt.Plain && opt.Multilevel {
-		return nil, fmt.Errorf("mcl: Plain MCL cannot be combined with Multilevel")
-	}
 	if !opt.Multilevel || adj.Rows <= opt.CoarsenTo {
-		mgt := regularizer(adj, opt.SelfLoopWeight)
+		mgt := regularizer(adj)
 		flow := initialFlow(mgt, opt)
 		iters, err := iterate(ctx, &flow, mgt, opt, opt.MaxIter, "mcl")
 		if err != nil {
@@ -149,7 +125,7 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, opt Options) (*Result, err
 	}
 	// Run to near-convergence at the coarsest level.
 	coarse := h.Coarsest()
-	mgt := regularizer(coarse.Adj, opt.SelfLoopWeight)
+	mgt := regularizer(coarse.Adj)
 	flow := initialFlow(mgt, opt)
 	// Coarse levels never checkpoint: their flow dimensions differ from
 	// the finest level, so a snapshot taken here could not be restored
@@ -163,8 +139,8 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, opt Options) (*Result, err
 	for level := h.Depth() - 1; level >= 1; level-- {
 		fineAdj := h.Levels[level-1].Adj
 		flow = projectFlow(flow, h.Levels[level].Map, fineAdj.Rows)
-		mgt = regularizer(fineAdj, opt.SelfLoopWeight)
-		n := opt.IterPerLevel
+		mgt = regularizer(fineAdj)
+		n := iterPerLevel
 		kernel := ""
 		if level == 1 {
 			// Only the finest level checkpoints (see above).
@@ -198,12 +174,12 @@ func initialFlow(mgt *matrix.CSR, opt Options) *matrix.CSR {
 
 // regularizer returns M_Gᵀ: the transpose of the column-stochastic
 // matrix of adj plus per-node self-loops. Self-loops are scaled to each
-// node's mean incident edge weight (times the SelfLoopWeight factor): a
-// fixed absolute self-loop would dominate graphs whose edge weights are
-// far below 1 (random-walk and degree-discounted symmetrizations) and
-// fragment every node into its own attractor, and even a max-incident
-// scaling over-weights nodes on heavy-tailed weight distributions.
-func regularizer(adj *matrix.CSR, selfLoop float64) *matrix.CSR {
+// node's mean incident edge weight: a fixed absolute self-loop would
+// dominate graphs whose edge weights are far below 1 (random-walk and
+// degree-discounted symmetrizations) and fragment every node into its
+// own attractor, and even a max-incident scaling over-weights nodes on
+// heavy-tailed weight distributions.
+func regularizer(adj *matrix.CSR) *matrix.CSR {
 	n := adj.Rows
 	loops := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -216,7 +192,7 @@ func regularizer(adj *matrix.CSR, selfLoop float64) *matrix.CSR {
 		if len(cols) > 0 && sum > 0 {
 			w = sum / float64(len(cols)) // mean incident weight
 		}
-		loops[i] = selfLoop * w
+		loops[i] = w
 	}
 	a := matrix.Add(adj, matrix.Diagonal(loops), 1, 1)
 	// Column-normalise then transpose == transpose then row-normalise.
@@ -293,7 +269,7 @@ func iterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Option
 		return start, nil
 	}
 	saved := start
-	epilogue := flowEpilogue(opt.Inflation, opt.PruneThreshold)
+	epilogue := flowEpilogue(opt.Inflation, pruneThreshold)
 	next := &matrix.CSR{}
 	// cancelled is the exit for a ctx error seen at iteration it, at the
 	// iteration boundary or inside the expansion — *flow is iteration
@@ -313,16 +289,12 @@ func iterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Option
 		if err := faultinject.Fire("mcl.iterate"); err != nil {
 			return it, fmt.Errorf("mcl: %w", err)
 		}
-		right := mgt
-		if opt.Plain {
-			right = *flow // plain MCL squares the flow matrix
-		}
 		// Inflation is monotone per row, so the top-MaxPerColumn entries
 		// after inflation are exactly the top entries of the raw
 		// product; selecting them during the product avoids ever
 		// materialising (or sorting) the long tail on dense
 		// regularizers.
-		pruned, err := expander.MulTopK(ctx, next, *flow, right, opt.MaxPerColumn, epilogue)
+		pruned, err := expander.MulTopK(ctx, next, *flow, mgt, opt.MaxPerColumn, epilogue)
 		if err != nil {
 			return cancelled(it, err)
 		}

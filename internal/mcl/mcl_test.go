@@ -1,6 +1,7 @@
 package mcl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,7 +56,7 @@ func agreeFraction(a, b []int) float64 {
 func TestClusterRecoverBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	adj, truth := blockGraph(rng, 4, 25, 0.4, 0.01)
-	res, err := Cluster(adj, Options{Inflation: 2})
+	res, err := ClusterCtx(context.Background(), adj, Options{Inflation: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestClusterRecoverBlocks(t *testing.T) {
 func TestClusterAssignInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	adj, _ := blockGraph(rng, 3, 20, 0.5, 0.02)
-	res, err := Cluster(adj, Options{})
+	res, err := ClusterCtx(context.Background(), adj, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +97,11 @@ func TestInflationControlsGranularity(t *testing.T) {
 	// practice strictly more on a hierarchical graph).
 	rng := rand.New(rand.NewSource(3))
 	adj, _ := blockGraph(rng, 6, 15, 0.5, 0.05)
-	low, err := Cluster(adj, Options{Inflation: 1.3})
+	low, err := ClusterCtx(context.Background(), adj, Options{Inflation: 1.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := Cluster(adj, Options{Inflation: 2.8})
+	high, err := ClusterCtx(context.Background(), adj, Options{Inflation: 2.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestClusterDisconnectedComponents(t *testing.T) {
 	}
 	tri(0)
 	tri(3)
-	res, err := Cluster(b.Build(), Options{})
+	res, err := ClusterCtx(context.Background(), b.Build(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestClusterDisconnectedComponents(t *testing.T) {
 }
 
 func TestClusterIsolatedNodes(t *testing.T) {
-	res, err := Cluster(matrix.Zero(5, 5), Options{})
+	res, err := ClusterCtx(context.Background(), matrix.Zero(5, 5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestClusterIsolatedNodes(t *testing.T) {
 }
 
 func TestClusterEmptyGraph(t *testing.T) {
-	res, err := Cluster(matrix.Zero(0, 0), Options{})
+	res, err := ClusterCtx(context.Background(), matrix.Zero(0, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestClusterEmptyGraph(t *testing.T) {
 }
 
 func TestClusterRejectsNonSquare(t *testing.T) {
-	if _, err := Cluster(matrix.Zero(2, 3), Options{}); err == nil {
+	if _, err := ClusterCtx(context.Background(), matrix.Zero(2, 3), Options{}); err == nil {
 		t.Fatal("accepted non-square adjacency")
 	}
 }
@@ -169,11 +170,11 @@ func TestClusterRejectsNonSquare(t *testing.T) {
 func TestMultilevelMatchesFlatQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	adj, truth := blockGraph(rng, 5, 30, 0.4, 0.01)
-	flat, err := Cluster(adj, Options{Inflation: 2})
+	flat, err := ClusterCtx(context.Background(), adj, Options{Inflation: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := Cluster(adj, Options{Inflation: 2, Multilevel: true, CoarsenTo: 30, Seed: 9})
+	ml, err := ClusterCtx(context.Background(), adj, Options{Inflation: 2, Multilevel: true, CoarsenTo: 30, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +191,11 @@ func TestMultilevelMatchesFlatQuality(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	adj, _ := blockGraph(rng, 3, 20, 0.5, 0.02)
-	a, err := Cluster(adj, Options{Multilevel: true, CoarsenTo: 20, Seed: 7})
+	a, err := ClusterCtx(context.Background(), adj, Options{Multilevel: true, CoarsenTo: 20, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(adj, Options{Multilevel: true, CoarsenTo: 20, Seed: 7})
+	b, err := ClusterCtx(context.Background(), adj, Options{Multilevel: true, CoarsenTo: 20, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestDeterminism(t *testing.T) {
 func TestRegularizerColumnStochastic(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	adj, _ := blockGraph(rng, 2, 10, 0.5, 0.1)
-	mgt := regularizer(adj, 1)
+	mgt := regularizer(adj)
 	// mgt rows are M_G columns; each must sum to 1.
 	sums := mgt.RowSums()
 	for i, s := range sums {

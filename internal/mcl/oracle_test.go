@@ -59,17 +59,13 @@ func oracleFlowChange(a, b *matrix.CSR) float64 {
 func oracleIterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Options, maxIter int, onIter func(it int, flow *matrix.CSR)) (iters int, err error) {
 	defer func() { obs.ObserveMCLRun(ctx, iters) }()
 	for it := 0; it < maxIter; it++ {
-		right := mgt
-		if opt.Plain {
-			right = *flow
-		}
-		next, err := matrix.MulPrunedTopKCtx(ctx, *flow, right, 0, opt.MaxPerColumn)
+		next, err := matrix.MulPrunedTopKCtx(ctx, *flow, mgt, 0, opt.MaxPerColumn)
 		if err != nil {
 			return it, err
 		}
 		inflateRows(next, opt.Inflation)
 		rawNNZ := next.NNZ()
-		next = prunePerRow(next, opt.PruneThreshold, opt.MaxPerColumn)
+		next = prunePerRow(next, pruneThreshold, opt.MaxPerColumn)
 		normalizeRowsInPlace(next)
 		delta := oracleFlowChange(*flow, next)
 		obs.ObserveMCLIteration(ctx, delta, next.NNZ(), rawNNZ-next.NNZ())
@@ -89,7 +85,7 @@ func oracleIterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt 
 func oracleCluster(ctx context.Context, adj *matrix.CSR, opt Options, onIter func(it int, flow *matrix.CSR)) (*Result, error) {
 	opt.fill()
 	if !opt.Multilevel || adj.Rows <= opt.CoarsenTo {
-		mgt := regularizer(adj, opt.SelfLoopWeight)
+		mgt := regularizer(adj)
 		flow := initialFlow(mgt, opt)
 		iters, err := oracleIterate(ctx, &flow, mgt, opt, opt.MaxIter, onIter)
 		if err != nil {
@@ -102,7 +98,7 @@ func oracleCluster(ctx context.Context, adj *matrix.CSR, opt Options, onIter fun
 	if err != nil {
 		return nil, err
 	}
-	mgt := regularizer(h.Coarsest().Adj, opt.SelfLoopWeight)
+	mgt := regularizer(h.Coarsest().Adj)
 	flow := initialFlow(mgt, opt)
 	if _, err := oracleIterate(ctx, &flow, mgt, opt, opt.MaxIter, nil); err != nil {
 		return nil, err
@@ -110,13 +106,13 @@ func oracleCluster(ctx context.Context, adj *matrix.CSR, opt Options, onIter fun
 	for level := h.Depth() - 1; level > 1; level-- {
 		fineAdj := h.Levels[level-1].Adj
 		flow = projectFlow(flow, h.Levels[level].Map, fineAdj.Rows)
-		mgt = regularizer(fineAdj, opt.SelfLoopWeight)
-		if _, err := oracleIterate(ctx, &flow, mgt, opt, opt.IterPerLevel, nil); err != nil {
+		mgt = regularizer(fineAdj)
+		if _, err := oracleIterate(ctx, &flow, mgt, opt, iterPerLevel, nil); err != nil {
 			return nil, err
 		}
 	}
 	flow = projectFlow(flow, h.Levels[1].Map, adj.Rows)
-	mgt = regularizer(adj, opt.SelfLoopWeight)
+	mgt = regularizer(adj)
 	iters, err := oracleIterate(ctx, &flow, mgt, opt, opt.MaxIter, onIter)
 	if err != nil {
 		return nil, err
@@ -211,12 +207,12 @@ func iterateSpans(n *obs.SpanNode) []*obs.SpanNode {
 //
 // The oracle's product is the one-shot, hint-free one, so this is also
 // what holds the Expander's τ pre-filter to exactness where its hints
-// are worth least: plain MCL squares the flow, so a row's cut was taken
-// against a right operand that has since moved, and MLR-MCL changes
-// shape between levels — the multilevel solves here must cross at least
-// two level changes, and every level's span must say which paths its
-// rows took and which body scanned the dense ones — the whole matrix
-// runs under each body.
+// are worth least: MLR-MCL changes shape between levels — the multilevel
+// solves here must cross at least two level changes — and a top-4 cut
+// binds on nearly every row, so a stale τ sends rows back to the full
+// scan — on wide that variant must record fallbacks. Every level's span
+// must say which paths its rows took and which body scanned the dense
+// ones — the whole matrix runs under each body.
 func TestFusedIterateMatchesOracle(t *testing.T) {
 	eachScanBody(t, testFusedIterateMatchesOracle)
 }
@@ -229,18 +225,19 @@ func testFusedIterateMatchesOracle(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })
 
 	type variant struct {
-		name              string
-		plain, multilevel bool
+		name       string
+		multilevel bool
+		topK       int
 	}
 	for _, g := range []struct {
 		name string
 		adj  *matrix.CSR
 	}{{"wide", wide}, {"small", small}} {
 		for _, inflation := range []float64{1.5, 2, 3} {
-			for _, v := range []variant{{"rmcl", false, false}, {"plain", true, false}, {"mlrmcl", false, true}} {
+			for _, v := range []variant{{"rmcl", false, 20}, {"rmcl-top4", false, 4}, {"mlrmcl", true, 20}} {
 				opt := Options{
-					Inflation: inflation, Plain: v.plain, Multilevel: v.multilevel,
-					CoarsenTo: g.adj.Rows / 3, MaxIter: 25, MaxPerColumn: 20, Seed: 3,
+					Inflation: inflation, Multilevel: v.multilevel,
+					CoarsenTo: g.adj.Rows / 3, MaxIter: 25, MaxPerColumn: v.topK, Seed: 3,
 				}
 				want := &solveLog{t: t, reg: obs.NewRegistry()}
 				wantRes, err := oracleCluster(obs.WithMeter(context.Background(), want.reg), g.adj, opt, want.record)
@@ -263,6 +260,7 @@ func testFusedIterateMatchesOracle(t *testing.T) {
 						if v.multilevel && len(spans) < 3 {
 							t.Fatalf("%d mcl.iterate spans, want the coarsest level and at least two level changes", len(spans))
 						}
+						var allFallbacks int64
 						for _, sp := range spans {
 							dense, ok1 := sp.Attrs["dense_rows"].(int64)
 							fallbacks, ok2 := sp.Attrs["select_fallbacks"].(int64)
@@ -273,6 +271,12 @@ func testFusedIterateMatchesOracle(t *testing.T) {
 							if sp.Attrs["scan"] != matrix.ScanBody() {
 								t.Fatalf("mcl.iterate span attrs %v: scan must be %q", sp.Attrs, matrix.ScanBody())
 							}
+							allFallbacks += fallbacks
+						}
+						// (on small, every row keeps four candidates above half
+						// its last cut: no fallback is due there)
+						if v.topK == 4 && g.name == "wide" && allFallbacks == 0 {
+							t.Fatal("a top-4 cut took no fallback: its stale-τ path went unexercised")
 						}
 						if len(got.records) != len(want.records) {
 							t.Fatalf("%d finest-level iterations, oracle %d", len(got.records), len(want.records))

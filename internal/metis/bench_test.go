@@ -1,6 +1,7 @@
 package metis
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,14 +27,14 @@ func BenchmarkServeMetis(b *testing.B) {
 	}
 	opt := core.Defaults()
 	opt.Threshold = 0.05
-	u, err := core.Symmetrize(ds.Graph, core.DegreeDiscounted, opt)
+	u, err := core.SymmetrizeCtx(context.Background(), ds.Graph, core.DegreeDiscounted, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(u.Adj, ds.Truth.K, Options{Seed: int64(i)}); err != nil {
+		if _, err := PartitionCtx(context.Background(), u.Adj, ds.Truth.K, Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,7 +46,7 @@ func BenchmarkPartitionK8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(adj, 8, Options{Seed: int64(i)}); err != nil {
+		if _, err := PartitionCtx(context.Background(), adj, 8, Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +58,7 @@ func BenchmarkPartitionK64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(adj, 64, Options{Seed: int64(i)}); err != nil {
+		if _, err := PartitionCtx(context.Background(), adj, 64, Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,37 +20,25 @@ import (
 	"symcluster/internal/multilevel"
 )
 
-// Options configures Partition.
+// Options configures PartitionCtx.
 type Options struct {
-	// Imbalance is the allowed load imbalance: each part may weigh up to
-	// (1+Imbalance)·target. Defaults to 0.1.
-	Imbalance float64
-	// CoarsenTo is the node count at which coarsening stops within each
-	// bisection. Defaults to 64.
-	CoarsenTo int
-	// InitTrials is the number of greedy-graph-growing attempts for the
-	// initial bisection; the best cut wins. Defaults to 8.
-	InitTrials int
-	// RefinePasses bounds the FM passes per level. Defaults to 8.
-	RefinePasses int
 	// Seed drives all randomised choices.
 	Seed int64
 }
 
-func (o *Options) fill() {
-	if o.Imbalance <= 0 {
-		o.Imbalance = 0.1
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 64
-	}
-	if o.InitTrials <= 0 {
-		o.InitTrials = 8
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 8
-	}
-}
+const (
+	// imbalance is the allowed load imbalance: each part may weigh up to
+	// (1+imbalance)·target.
+	imbalance = 0.1
+	// coarsenTo is the node count at which coarsening stops within each
+	// bisection.
+	coarsenTo = 64
+	// initTrials is the number of greedy-graph-growing attempts for the
+	// initial bisection; the best cut wins.
+	initTrials = 8
+	// refinePasses bounds the FM passes per level.
+	refinePasses = 8
+)
 
 // Result carries the partitioning output.
 type Result struct {
@@ -62,15 +50,11 @@ type Result struct {
 	EdgeCut float64
 }
 
-// Partition splits the symmetric weighted adjacency adj into k parts.
-func Partition(adj *matrix.CSR, k int, opt Options) (*Result, error) {
-	return PartitionCtx(context.Background(), adj, k, opt)
-}
-
-// PartitionCtx is Partition with cancellation: ctx is polled at the
-// entry of every recursive bisection, before each coarsening level and
-// before each k-way refinement pass, so a cancelled context aborts the
-// partitioning within one bisection stage with ctx's error.
+// PartitionCtx splits the symmetric weighted adjacency adj into k
+// parts. ctx is polled at the entry of every recursive bisection, before
+// each coarsening level and before each k-way refinement pass, so a
+// cancelled context aborts the partitioning within one bisection stage
+// with ctx's error.
 func PartitionCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Result, error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("metis: adjacency %dx%d not square", adj.Rows, adj.Cols)
@@ -81,7 +65,6 @@ func PartitionCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Re
 	if k > adj.Rows && adj.Rows > 0 {
 		return nil, fmt.Errorf("metis: k = %d exceeds node count %d", k, adj.Rows)
 	}
-	opt.fill()
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	n := adj.Rows
@@ -95,13 +78,13 @@ func PartitionCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Re
 		for i := range weights {
 			weights[i] = 1
 		}
-		if err := recurse(ctx, adj, nodes, weights, k, 0, assign, opt, rng, newScratch(n)); err != nil {
+		if err := recurse(ctx, adj, nodes, weights, k, 0, assign, rng, newScratch(n)); err != nil {
 			return nil, err
 		}
 		// Direct k-way boundary refinement across the seams the
 		// recursive bisection optimised in isolation.
-		maxPart := float64(n) / float64(k) * (1 + opt.Imbalance)
-		assign = kwayRefine(ctx, adj, assign, k, maxPart, opt.RefinePasses)
+		maxPart := float64(n) / float64(k) * (1 + imbalance)
+		assign = kwayRefine(ctx, adj, assign, k, maxPart, refinePasses)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -127,7 +110,7 @@ func EdgeCut(adj *matrix.CSR, assign []int) float64 {
 // recurse bisects the subgraph induced by nodes into parts of size
 // proportional to ceil(k/2) : floor(k/2), labels the halves starting at
 // base and base+ceil(k/2), and recurses until k = 1.
-func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []float64, k, base int, assign []int, opt Options, rng *rand.Rand, ws *scratch) error {
+func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []float64, k, base int, assign []int, rng *rand.Rand, ws *scratch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -142,7 +125,7 @@ func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []flo
 	frac := float64(k1) / float64(k)
 
 	sub, subWeights := ws.induce(full, nodes, weights)
-	side, err := bisect(ctx, sub, subWeights, frac, opt, rng, ws)
+	side, err := bisect(ctx, sub, subWeights, frac, rng, ws)
 	if err != nil {
 		return err
 	}
@@ -175,10 +158,10 @@ func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []flo
 		left = left[:last]
 		lw = lw[:last]
 	}
-	if err := recurse(ctx, full, left, lw, k1, base, assign, opt, rng, ws); err != nil {
+	if err := recurse(ctx, full, left, lw, k1, base, assign, rng, ws); err != nil {
 		return err
 	}
-	return recurse(ctx, full, right, rw, k2, base+k1, assign, opt, rng, ws)
+	return recurse(ctx, full, right, rw, k2, base+k1, assign, rng, ws)
 }
 
 // scratch is the storage one partitioning of an n-node graph reuses
@@ -232,7 +215,7 @@ func (ws *scratch) induce(full *matrix.CSR, nodes []int32, weights []float64) (*
 
 // bisect splits adj (with node weights) into sides 0/1, targeting
 // fraction frac of the weight on side 0, by multilevel FM.
-func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac float64, opt Options, rng *rand.Rand, ws *scratch) ([]int, error) {
+func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac float64, rng *rand.Rand, ws *scratch) ([]int, error) {
 	n := adj.Rows
 	if n == 0 {
 		return nil, nil
@@ -240,7 +223,7 @@ func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac flo
 	if n == 1 {
 		return []int{0}, nil
 	}
-	h, err := multilevel.CoarsenCtx(ctx, adj, multilevel.Options{MinNodes: opt.CoarsenTo, Seed: rng.Int63()})
+	h, err := multilevel.CoarsenCtx(ctx, adj, multilevel.Options{MinNodes: coarsenTo, Seed: rng.Int63()})
 	if err != nil {
 		// Cancellation or an injected fault; the only other failure mode
 		// is a non-square input, which bisect never constructs.
@@ -260,21 +243,21 @@ func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac flo
 	}
 
 	coarse := h.Coarsest()
-	side := initialBisection(coarse.Adj, levelWeights[h.Depth()-1], frac, opt, rng, ws)
-	side = ws.fmRefine(coarse.Adj, levelWeights[h.Depth()-1], side, frac, opt)
+	side := initialBisection(coarse.Adj, levelWeights[h.Depth()-1], frac, rng, ws)
+	side = ws.fmRefine(coarse.Adj, levelWeights[h.Depth()-1], side, frac)
 	for l := h.Depth() - 1; l >= 1; l-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		side = h.Project(l, side)
-		side = ws.fmRefine(h.Levels[l-1].Adj, levelWeights[l-1], side, frac, opt)
+		side = ws.fmRefine(h.Levels[l-1].Adj, levelWeights[l-1], side, frac)
 	}
 	return side, nil
 }
 
-// initialBisection runs greedy graph growing InitTrials times and keeps
+// initialBisection runs greedy graph growing initTrials times and keeps
 // the split with the lowest cut among balanced results.
-func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, opt Options, rng *rand.Rand, ws *scratch) []int {
+func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, rng *rand.Rand, ws *scratch) []int {
 	var total float64
 	for _, w := range nodeWeight {
 		total += w
@@ -283,7 +266,7 @@ func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, opt O
 
 	var best []int
 	bestCut := math.Inf(1)
-	for trial := 0; trial < opt.InitTrials; trial++ {
+	for trial := 0; trial < initTrials; trial++ {
 		side := ws.growRegion(adj, nodeWeight, target, rng)
 		cut := EdgeCut(adj, side)
 		if cut < bestCut {
@@ -345,15 +328,15 @@ func (ws *scratch) growRegion(adj *matrix.CSR, nodeWeight []float64, target floa
 // pass tentatively moves every node once in best-gain-first order,
 // tracks the best prefix that satisfies balance, and rolls back the
 // rest. Passes repeat until a pass yields no improvement.
-func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64, opt Options) []int {
+func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64) []int {
 	n := adj.Rows
 	var total float64
 	for _, w := range nodeWeight {
 		total += w
 	}
 	target0 := frac * total
-	maxSide0 := target0 * (1 + opt.Imbalance)
-	minSide0 := target0 * (1 - opt.Imbalance)
+	maxSide0 := target0 * (1 + imbalance)
+	minSide0 := target0 * (1 - imbalance)
 	if minSide0 < 0 {
 		minSide0 = 0
 	}
@@ -391,7 +374,7 @@ func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, f
 	}
 
 	pq, locked := &ws.pq, ws.locked[:n]
-	for pass := 0; pass < opt.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		*pq = (*pq)[:0]
 		clear(locked)
 		for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package metis
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,7 @@ func partSizes(assign []int, k int) []int {
 func TestPartitionBasicValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	adj, _ := blockGraph(rng, 4, 25, 0.4, 0.02)
-	res, err := Partition(adj, 4, Options{Seed: 2})
+	res, err := PartitionCtx(context.Background(), adj, 4, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestPartitionBasicValidity(t *testing.T) {
 func TestPartitionRecoverseBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	adj, _ := blockGraph(rng, 4, 25, 0.5, 0.01)
-	res, err := Partition(adj, 4, Options{Seed: 4})
+	res, err := PartitionCtx(context.Background(), adj, 4, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestPartitionRecoverseBlocks(t *testing.T) {
 func TestPartitionBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	adj, _ := blockGraph(rng, 1, 200, 0.05, 0) // one homogeneous blob
-	res, err := Partition(adj, 4, Options{Seed: 6, Imbalance: 0.1})
+	res, err := PartitionCtx(context.Background(), adj, 4, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestPartitionBalance(t *testing.T) {
 func TestPartitionCutBeatsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	adj, _ := blockGraph(rng, 4, 30, 0.4, 0.02)
-	res, err := Partition(adj, 4, Options{Seed: 8})
+	res, err := PartitionCtx(context.Background(), adj, 4, Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestPartitionCutBeatsRandom(t *testing.T) {
 func TestPartitionK1(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	adj, _ := blockGraph(rng, 2, 10, 0.5, 0.1)
-	res, err := Partition(adj, 1, Options{})
+	res, err := PartitionCtx(context.Background(), adj, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPartitionK1(t *testing.T) {
 func TestPartitionOddK(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	adj, _ := blockGraph(rng, 5, 20, 0.5, 0.02)
-	res, err := Partition(adj, 5, Options{Seed: 11})
+	res, err := PartitionCtx(context.Background(), adj, 5, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestPartitionOddK(t *testing.T) {
 func TestPartitionKEqualsN(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	adj, _ := blockGraph(rng, 1, 8, 0.8, 0)
-	res, err := Partition(adj, 8, Options{Seed: 13})
+	res, err := PartitionCtx(context.Background(), adj, 8, Options{Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,19 +166,19 @@ func TestPartitionKEqualsN(t *testing.T) {
 }
 
 func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition(matrix.Zero(2, 3), 2, Options{}); err == nil {
+	if _, err := PartitionCtx(context.Background(), matrix.Zero(2, 3), 2, Options{}); err == nil {
 		t.Fatal("accepted non-square")
 	}
-	if _, err := Partition(matrix.Zero(3, 3), 0, Options{}); err == nil {
+	if _, err := PartitionCtx(context.Background(), matrix.Zero(3, 3), 0, Options{}); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	if _, err := Partition(matrix.Zero(3, 3), 4, Options{}); err == nil {
+	if _, err := PartitionCtx(context.Background(), matrix.Zero(3, 3), 4, Options{}); err == nil {
 		t.Fatal("accepted k>n")
 	}
 }
 
 func TestPartitionEdgelessGraph(t *testing.T) {
-	res, err := Partition(matrix.Zero(10, 10), 3, Options{Seed: 1})
+	res, err := PartitionCtx(context.Background(), matrix.Zero(10, 10), 3, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +196,8 @@ func TestPartitionEdgelessGraph(t *testing.T) {
 func TestPartitionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	adj, _ := blockGraph(rng, 3, 20, 0.5, 0.05)
-	a, _ := Partition(adj, 3, Options{Seed: 15})
-	b, _ := Partition(adj, 3, Options{Seed: 15})
+	a, _ := PartitionCtx(context.Background(), adj, 3, Options{Seed: 15})
+	b, _ := PartitionCtx(context.Background(), adj, 3, Options{Seed: 15})
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("same seed produced different partitions")
@@ -233,9 +234,7 @@ func TestFMRefineImprovesCut(t *testing.T) {
 	adj := b.Build()
 	bad := []int{0, 1, 0, 1, 0, 1} // cut = 5.5... compute: edges crossing
 	w := []float64{1, 1, 1, 1, 1, 1}
-	opt := Options{}
-	opt.fill()
-	refined := newScratch(adj.Rows).fmRefine(adj, w, append([]int(nil), bad...), 0.5, opt)
+	refined := newScratch(adj.Rows).fmRefine(adj, w, append([]int(nil), bad...), 0.5)
 	if EdgeCut(adj, refined) > EdgeCut(adj, bad) {
 		t.Fatalf("FM worsened cut: %v -> %v", EdgeCut(adj, bad), EdgeCut(adj, refined))
 	}

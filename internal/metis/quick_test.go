@@ -1,6 +1,7 @@
 package metis
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -35,7 +36,7 @@ func TestQuickPartitionAlwaysValid(t *testing.T) {
 	f := func(g symGen, kRaw uint8, seed int64) bool {
 		n := g.Adj.Rows
 		k := 1 + int(kRaw)%n
-		res, err := Partition(g.Adj, k, Options{Seed: seed})
+		res, err := PartitionCtx(context.Background(), g.Adj, k, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -81,7 +82,7 @@ func TestQuickEdgeCutBounds(t *testing.T) {
 		if n < 2 {
 			return true
 		}
-		res, err := Partition(g.Adj, 2, Options{Seed: seed})
+		res, err := PartitionCtx(context.Background(), g.Adj, 2, Options{Seed: seed})
 		if err != nil {
 			return false
 		}

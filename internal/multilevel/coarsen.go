@@ -37,32 +37,27 @@ func (h *Hierarchy) Coarsest() *Level { return h.Levels[len(h.Levels)-1] }
 // Depth returns the number of levels, including the finest.
 func (h *Hierarchy) Depth() int { return len(h.Levels) }
 
-// Options configures Coarsen.
+// Options configures CoarsenCtx.
 type Options struct {
 	// MinNodes stops coarsening when a level has at most this many
 	// nodes. Defaults to 100.
 	MinNodes int
-	// MaxLevels bounds the hierarchy depth (finest level included).
-	// Defaults to 20.
-	MaxLevels int
 	// Seed drives the random visit order of the matching.
 	Seed int64
-	// MinShrink aborts coarsening when a level shrinks by less than this
-	// factor (e.g. 0.9 means "stop unless the coarse graph has < 90% of
-	// the nodes"), which prevents stalling on star-like graphs.
-	// Defaults to 0.95.
-	MinShrink float64
 }
+
+const (
+	// maxLevels bounds the hierarchy depth (finest level included).
+	maxLevels = 20
+	// minShrink stops coarsening when a level shrinks by less than this
+	// factor (the coarse graph keeps 95 % of the nodes or more), which
+	// prevents stalling on star-like graphs.
+	minShrink = 0.95
+)
 
 func (o *Options) fill() {
 	if o.MinNodes <= 0 {
 		o.MinNodes = 100
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 20
-	}
-	if o.MinShrink <= 0 || o.MinShrink >= 1 {
-		o.MinShrink = 0.95
 	}
 }
 
@@ -85,7 +80,7 @@ func CoarsenCtx(ctx context.Context, adj *matrix.CSR, opt Options) (hier *Hierar
 	ctx, sp := obs.StartSpan(ctx, "multilevel.coarsen", obs.A("nodes", adj.Rows))
 	h := &Hierarchy{Levels: []*Level{{Adj: adj, NodeWeight: ones(adj.Rows)}}}
 	defer func() { endCoarsen(ctx, sp, h, err) }()
-	for h.Depth() < opt.MaxLevels {
+	for h.Depth() < maxLevels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -97,7 +92,7 @@ func CoarsenCtx(ctx context.Context, adj *matrix.CSR, opt Options) (hier *Hierar
 			break
 		}
 		match := heavyEdgeMatching(cur.Adj, rng)
-		next, ok := contract(cur, match, opt.MinShrink)
+		next, ok := contract(cur, match, minShrink)
 		if !ok {
 			break
 		}
@@ -222,13 +217,4 @@ func (h *Hierarchy) Project(level int, assign []int) []int {
 		fine[i] = assign[c]
 	}
 	return fine
-}
-
-// ProjectToFinest maps an assignment over the coarsest level's nodes
-// all the way down to the finest level.
-func (h *Hierarchy) ProjectToFinest(assign []int) []int {
-	for level := h.Depth() - 1; level >= 1; level-- {
-		assign = h.Project(level, assign)
-	}
-	return assign
 }

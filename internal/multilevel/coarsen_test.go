@@ -154,7 +154,10 @@ func TestProjectRoundTrip(t *testing.T) {
 	for i := range assign {
 		assign[i] = i % 3
 	}
-	fine := h.ProjectToFinest(assign)
+	fine := assign
+	for level := h.Depth() - 1; level >= 1; level-- {
+		fine = h.Project(level, fine)
+	}
 	if len(fine) != 64 {
 		t.Fatalf("projected length %d", len(fine))
 	}

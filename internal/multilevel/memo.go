@@ -60,14 +60,14 @@ func (m *Memo) Coarsen(ctx context.Context, adj *matrix.CSR, opt Options) (*Hier
 }
 
 // view is the kept hierarchy as a build under opt would have left it, or
-// nil: nothing kept, another Seed (MaxLevels, MinShrink), or one that
-// stopped at its own MinNodes short of opt's. One that stopped on a
-// stalled or edgeless level or MaxLevels stopped where every ask would.
+// nil: nothing kept, another Seed, or one that stopped at its own
+// MinNodes short of opt's. One that stopped on a stalled or edgeless
+// level or at maxLevels stopped where every ask would.
 func (m *Memo) view(opt Options) *Hierarchy {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h := m.kept
-	if h == nil || opt.Seed != m.opt.Seed || opt.MaxLevels != m.opt.MaxLevels || opt.MinShrink != m.opt.MinShrink {
+	if h == nil || opt.Seed != m.opt.Seed {
 		return nil
 	}
 	if last := h.Coarsest().Adj.Rows; last > opt.MinNodes && last <= m.opt.MinNodes {

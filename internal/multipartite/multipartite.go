@@ -1,10 +1,10 @@
-// Package multipartite generalises the bipartite degree-discounted
-// co-clustering to k-partite directed graphs — completing the paper's
-// §6 future-work item ("Extending our approaches to bi-partite and
-// multi-partite graphs").
+// Package multipartite extends the degree-discounted symmetrization to
+// k-partite directed graphs — the paper's §6 future-work item
+// ("Extending our approaches to bi-partite and multi-partite graphs").
 //
 // A multipartite graph has disjoint node layers and directed relations
-// between layers (users→items, items→tags, users→tags, …). A layer's
+// between layers (users→items, items→tags, users→tags, …); a bipartite
+// graph is the two-layer case with one relation 0→1. A layer's
 // nodes are similar when they share links through ANY relation
 // touching the layer, so the layer similarity is the sum of the
 // degree-discounted self-products over all incident relations:
@@ -16,6 +16,7 @@
 package multipartite
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -96,7 +97,7 @@ func (o *Options) fill() {
 
 // LayerSimilarity returns the degree-discounted similarity between the
 // nodes of one layer, aggregated over every relation incident to it.
-func LayerSimilarity(g *Graph, layer int, opt Options) (*matrix.CSR, error) {
+func LayerSimilarity(ctx context.Context, g *Graph, layer int, opt Options) (*matrix.CSR, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -112,17 +113,21 @@ func LayerSimilarity(g *Graph, layer int, opt Options) (*matrix.CSR, error) {
 		// relations the one explicit transpose doubles as the kernel's
 		// transpose operand, since (Bᵀ)ᵀ is B again bit-exactly.
 		var term *matrix.CSR
+		var err error
 		switch {
 		case r.From == layer:
 			rs := invPow(r.B.RowCounts(), opt.Alpha)
 			cs := invPow(r.B.ColCounts(), opt.Beta/2)
-			term = matrix.MulXXTScaledPruned(r.B, r.B.Transpose(), rs, cs, opt.Threshold, 1)
+			term, err = matrix.MulXXTScaledPrunedCtx(ctx, r.B, r.B.Transpose(), rs, cs, opt.Threshold, 1)
 		case r.To == layer:
 			rs := invPow(r.B.ColCounts(), opt.Beta)
 			cs := invPow(r.B.RowCounts(), opt.Alpha/2)
-			term = matrix.MulXXTScaledPruned(r.B.Transpose(), r.B, rs, cs, opt.Threshold, 1)
+			term, err = matrix.MulXXTScaledPrunedCtx(ctx, r.B.Transpose(), r.B, rs, cs, opt.Threshold, 1)
 		default:
 			continue
+		}
+		if err != nil {
+			return nil, err
 		}
 		sim = matrix.Add(sim, term, 1, 1)
 	}
@@ -149,8 +154,9 @@ type Result struct {
 	K []int
 }
 
-// Cluster clusters every layer of the multipartite graph.
-func Cluster(g *Graph, opt Options) (*Result, error) {
+// Cluster clusters every layer of the multipartite graph; a cancelled
+// ctx aborts it within one kernel block with ctx's error.
+func Cluster(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -160,11 +166,11 @@ func Cluster(g *Graph, opt Options) (*Result, error) {
 		K:      make([]int, len(g.LayerSizes)),
 	}
 	for l := range g.LayerSizes {
-		sim, err := LayerSimilarity(g, l, opt)
+		sim, err := LayerSimilarity(ctx, g, l, opt)
 		if err != nil {
 			return nil, err
 		}
-		r, err := mcl.Cluster(sim, mcl.Options{Inflation: opt.Inflation, Seed: opt.Seed})
+		r, err := mcl.ClusterCtx(ctx, sim, mcl.Options{Inflation: opt.Inflation, Seed: opt.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("multipartite: clustering layer %d: %w", l, err)
 		}

@@ -1,6 +1,7 @@
 package multipartite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestLayerSimilaritySymmetricAllLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g, _ := tripartite(rng, 3, 15, 10, 8)
 	for l := 0; l < 3; l++ {
-		sim, err := LayerSimilarity(g, l, Options{})
+		sim, err := LayerSimilarity(context.Background(), g, l, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,12 +121,12 @@ func TestMiddleLayerAggregatesBothSides(t *testing.T) {
 	// alone).
 	rng := rand.New(rand.NewSource(2))
 	g, _ := tripartite(rng, 2, 15, 12, 10)
-	both, err := LayerSimilarity(g, 1, Options{})
+	both, err := LayerSimilarity(context.Background(), g, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gOnlyUI := &Graph{LayerSizes: g.LayerSizes, Relations: g.Relations[:1]}
-	onlyUI, err := LayerSimilarity(gOnlyUI, 1, Options{})
+	onlyUI, err := LayerSimilarity(context.Background(), gOnlyUI, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestMiddleLayerAggregatesBothSides(t *testing.T) {
 func TestClusterRecoversAllLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, truth := tripartite(rng, 3, 20, 15, 12)
-	res, err := Cluster(g, Options{Seed: 3})
+	res, err := Cluster(context.Background(), g, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,21 +159,21 @@ func TestClusterRecoversAllLayers(t *testing.T) {
 func TestLayerSimilarityErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g, _ := tripartite(rng, 2, 5, 5, 5)
-	if _, err := LayerSimilarity(g, 7, Options{}); err == nil {
+	if _, err := LayerSimilarity(context.Background(), g, 7, Options{}); err == nil {
 		t.Fatal("accepted out-of-range layer")
 	}
-	if _, err := LayerSimilarity(g, -1, Options{}); err == nil {
+	if _, err := LayerSimilarity(context.Background(), g, -1, Options{}); err == nil {
 		t.Fatal("accepted negative layer")
 	}
 	bad := &Graph{LayerSizes: []int{2}, Relations: []Relation{{From: 0, To: 0, B: matrix.Zero(2, 2)}}}
-	if _, err := LayerSimilarity(bad, 0, Options{}); err == nil {
+	if _, err := LayerSimilarity(context.Background(), bad, 0, Options{}); err == nil {
 		t.Fatal("accepted invalid graph")
 	}
 }
 
 func TestClusterErrors(t *testing.T) {
 	bad := &Graph{LayerSizes: []int{0}}
-	if _, err := Cluster(bad, Options{}); err == nil {
+	if _, err := Cluster(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("accepted invalid graph")
 	}
 	// A layer with no incident relations clusters into singletons.
@@ -180,7 +181,7 @@ func TestClusterErrors(t *testing.T) {
 		LayerSizes: []int{3, 2, 4},
 		Relations:  []Relation{{From: 0, To: 1, B: matrix.Zero(3, 2)}},
 	}
-	res, err := Cluster(g, Options{Seed: 1})
+	res, err := Cluster(context.Background(), g, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

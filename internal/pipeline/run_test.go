@@ -25,8 +25,12 @@ import (
 
 // smallGraph is a testing/quick generator of small internal/gen graphs:
 // the controlled mixture of flow and shared-link clusters (the paper's
-// Figure-1 archetype) at 20–70 nodes, and R-MAT at 32 or 64.
-type smallGraph struct{ G *graph.Directed }
+// Figure-1 archetype) at 20–70 nodes, and R-MAT at 32 or 64. K is the
+// mixture's planted cluster count (0 for R-MAT, which plants none).
+type smallGraph struct {
+	G *graph.Directed
+	K int
+}
 
 func (smallGraph) Generate(r *rand.Rand, _ int) reflect.Value {
 	var ds *gen.Dataset
@@ -45,7 +49,11 @@ func (smallGraph) Generate(r *rand.Rand, _ int) reflect.Value {
 	if err != nil {
 		panic(err)
 	}
-	return reflect.ValueOf(smallGraph{ds.Graph})
+	sg := smallGraph{G: ds.Graph}
+	if ds.Truth != nil {
+		sg.K = ds.Truth.K
+	}
+	return reflect.ValueOf(sg)
 }
 
 // symmetrizeVia returns the symmetrized graph the one runner produces
@@ -74,6 +82,43 @@ func symmetrizeReq(t *testing.T, g *graph.Directed, req Request, ooc bool) *matr
 		t.Fatalf("%s threshold=%v ooc=%v: %v", method, threshold, ooc, err)
 	}
 	return u.Adj
+}
+
+// clusterVia returns the assignment the one runner produces for method
+// then algo at k, in core or out of core.
+func clusterVia(t *testing.T, g *graph.Directed, method, algo string, k int, ooc bool) []int {
+	t.Helper()
+	run, err := Resolve(Request{Method: method, Algorithm: algo, K: k, Seed: 1}, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if ooc {
+		ctx = core.WithOutOfCore(ctx, core.OutOfCoreConfig{ScratchDir: t.TempDir()})
+	}
+	res, _, _, err := run.Execute(ctx, g, nil)
+	if err != nil {
+		t.Fatalf("%s/%s ooc=%v: %v", method, algo, ooc, err)
+	}
+	return res.Assign
+}
+
+// permutationBars is, per clusterer, the mean ARI a run on PAPᵀ must
+// keep against the run on A (relabelled back) over the planted graphs
+// of TestQuickRunnerIdentities. None is exactly invariant, because every
+// one breaks ties or draws random choices by node index:
+//   - mcl keeps the heaviest flow entries and picks attractors by column
+//     order among equal values — measured mean 0.994, exact but for bib,
+//     whose integer shared-link counts tie;
+//   - the spectral three seed Lanczos' start vector and k-means++ with
+//     draws indexed by node — measured 0.86–0.93;
+//   - metis matches, grows regions and refines in index-drawn order —
+//     measured 0.80;
+//   - graclus, below its 256-node coarsening floor, is one region-growing
+//     base clustering from index-drawn seeds plus boundary refinement —
+//     measured 0.59.
+var permutationBars = map[string]float64{
+	"mcl": 0.95, "spectral": 0.75, "bestwcut": 0.75, "zhou": 0.75, "metis": 0.7, "graclus": 0.4,
 }
 
 // permuted returns PAPᵀ: node i of g becomes node p[i].
@@ -143,7 +188,7 @@ func gleichHolds(t *testing.T, g *graph.Directed, rng *rand.Rand) bool {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir, err := eval.NCutDirected(eg.Adj, assign, tau)
+		dir, err := eval.NCutDirected(context.Background(), eg.Adj, assign, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,10 +214,16 @@ func gleichHolds(t *testing.T, g *graph.Directed, rng *rand.Rand) bool {
 // and changes nothing else (Sym(PAPᵀ) = P·Sym(A)·Pᵀ, to summation
 // order); a higher prune threshold never keeps more entries; for dd,
 // transposing the graph and swapping α with β returns the same bits;
-// and, for rw, Gleich's NCut identity (gleichHolds). The generator is
-// seeded, so a failure reproduces.
+// for rw, Gleich's NCut identity (gleichHolds); and, for every clusterer
+// after every symmetrization on the graphs that plant clusters, the
+// out-of-core run assigns exactly as the in-core one and relabelling
+// the nodes relabels the assignment — on average over the sample, to
+// the ARI permutationBars states, since every clusterer's tie-breaks
+// depend on the node index. The generator is seeded, so a failure
+// reproduces.
 func TestQuickRunnerIdentities(t *testing.T) {
 	thresholds := []float64{0, 0.02, 0.1, 0.5, 2}
+	agree, runs := map[string]float64{}, map[string]int{}
 	check := func(sg smallGraph, permSeed int64) bool {
 		g := sg.G
 		p := rand.New(rand.NewSource(permSeed)).Perm(g.N())
@@ -239,10 +290,40 @@ func TestQuickRunnerIdentities(t *testing.T) {
 				}
 			}
 		}
+		for _, algo := range AlgorithmNames() {
+			for _, method := range MethodNames() {
+				if sg.K == 0 {
+					break // R-MAT plants no clusters to agree on
+				}
+				a := clusterVia(t, g, method, algo, sg.K, false)
+				if b := clusterVia(t, g, method, algo, sg.K, true); !reflect.DeepEqual(a, b) {
+					t.Errorf("%s/%s: out-of-core assignment differs from in-core", method, algo)
+					return false
+				}
+				pa := clusterVia(t, pg, method, algo, sg.K, false)
+				back := make([]int, len(a))
+				for i := range back {
+					back[i] = pa[p[i]]
+				}
+				ari, err := eval.ARI(a, back)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agree[algo] += ari
+				runs[algo]++
+			}
+		}
 		return gleichHolds(t, g, rand.New(rand.NewSource(permSeed)))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Fatal(err)
+	}
+	for _, algo := range AlgorithmNames() {
+		if mean := agree[algo] / float64(runs[algo]); runs[algo] == 0 || mean < permutationBars[algo] {
+			t.Errorf("%s: mean ARI %.3f over %d permuted runs, want at least %v", algo, mean, runs[algo], permutationBars[algo])
+		} else {
+			t.Logf("%s: mean ARI %.3f over %d permuted runs (bar %v)", algo, mean, runs[algo], permutationBars[algo])
+		}
 	}
 }
 

@@ -135,6 +135,9 @@ func TestDeadlineQueuedJobDroppedWithoutKernel(t *testing.T) {
 		t.Fatalf("job A status = %d", resp.StatusCode)
 	}
 	ref := decode[JobRef](t, resp)
+	// A's goroutine must hold the worker before B arrives: a B that got
+	// there first would take the one delay itself and answer at 1s.
+	waitFor(t, 5*time.Second, "job A on the worker", func() bool { return s.pool.Busy() == 1 })
 
 	// Job B queues behind A with a 300ms budget and dies waiting. Its
 	// symmetrizer ("bib") is deliberately different from A's, so a bib

@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
-	symcluster "symcluster"
 	"symcluster/internal/faultinject"
+	"symcluster/internal/graph"
 	"symcluster/internal/jobstore"
 )
 
@@ -221,7 +221,7 @@ func TestDrainPreemptsAndRequeues(t *testing.T) {
 	defer faultinject.Reset()
 
 	s1, ts1 := durableServer(t, dir, Config{Workers: 1, CheckpointIters: 1, PreemptGrace: 10 * time.Second})
-	g, err := symcluster.ReadEdgeList(strings.NewReader(blockEdgeList(4, 30, 7)))
+	g, err := graph.ReadEdgeList(strings.NewReader(blockEdgeList(4, 30, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -157,11 +158,9 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 // and runs detached from the client connection (but still on a pool
 // slot, so drain waits for it).
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	var req ClusterRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		refuse(w, badRequest("decoding body: %w", err))
+	req, err := decodeClusterRequest(r.Body)
+	if err != nil {
+		refuse(w, err)
 		return
 	}
 	idemKey := r.Header.Get("Idempotency-Key")
@@ -169,14 +168,14 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		refuse(w, badRequest("Idempotency-Key requires async: true (synchronous runs return their result inline and are never retried by job id)"))
 		return
 	}
-	prep, err := s.prepareRun(&req)
+	prep, err := s.prepareRun(req)
 	if err != nil {
 		refuse(w, err)
 		return
 	}
 
 	if req.Async {
-		s.startAsyncJob(w, r, &req, idemKey, prep)
+		s.startAsyncJob(w, r, req, idemKey, prep)
 		return
 	}
 
@@ -196,6 +195,18 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, out.Resp)
+}
+
+// decodeClusterRequest reads a POST /v1/cluster body: one JSON object
+// holding ClusterRequest's fields and no others (FuzzClusterRequest).
+func decodeClusterRequest(body io.Reader) (*ClusterRequest, error) {
+	var req ClusterRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, badRequest("decoding body: %w", err)
+	}
+	return &req, nil
 }
 
 // runTicket takes an admitted job from the queue to its outcome on the

@@ -17,6 +17,7 @@ import (
 	"symcluster/internal/faultinject"
 	"symcluster/internal/gen"
 	"symcluster/internal/graclus"
+	"symcluster/internal/graph"
 	"symcluster/internal/multilevel"
 	"symcluster/internal/obs"
 	"symcluster/internal/pipeline"
@@ -37,7 +38,7 @@ func servingWiki(tb testing.TB) (*gen.Dataset, []byte) {
 		tb.Fatal(err)
 	}
 	var edges bytes.Buffer
-	if err := symcluster.WriteEdgeList(&edges, ds.Graph); err != nil {
+	if err := graph.WriteEdgeList(&edges, ds.Graph); err != nil {
 		tb.Fatal(err)
 	}
 	return ds, edges.Bytes()
@@ -47,7 +48,7 @@ func servingWiki(tb testing.TB) (*gen.Dataset, []byte) {
 // for a test that needs to know what the daemon will cache.
 func symmetrized(t *testing.T, edges []byte, method string, threshold float64) *symcluster.UndirectedGraph {
 	t.Helper()
-	g, err := symcluster.ReadEdgeList(bytes.NewReader(edges))
+	g, err := graph.ReadEdgeList(bytes.NewReader(edges))
 	if err != nil {
 		t.Fatal(err)
 	}

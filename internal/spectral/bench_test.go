@@ -66,7 +66,7 @@ func BenchmarkBestWCutLanczos(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BestWCut(a, 5, BestWCutOptions{
+		if _, err := BestWCutCtx(context.Background(), a, 5, BestWCutOptions{
 			KMeans:  KMeansOptions{Seed: int64(i)},
 			Lanczos: LanczosOptions{Seed: int64(i)},
 		}); err != nil {

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -8,11 +9,11 @@ import (
 func TestBestWCutDenseModeEquivalentQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a, truth := directedBlocks(rng, 3, 20, 0.3, 0.01)
-	lanczos, err := BestWCut(a, 3, BestWCutOptions{})
+	lanczos, err := BestWCutCtx(context.Background(), a, 3, BestWCutOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := BestWCut(a, 3, BestWCutOptions{DenseEig: true})
+	dense, err := BestWCutCtx(context.Background(), a, 3, BestWCutOptions{DenseEig: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func TestDenseEigenMatchesLanczos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanczos, err := TopEigenCtx(context.Background(), Operator(m), 3, LanczosOptions{Seed: 3, Steps: n})
+	lanczos, err := TopEigenCtx(context.Background(), Operator(m), 3, LanczosOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,11 @@ const (
 	DegreeWeights
 )
 
-// BestWCutOptions configures BestWCut.
+// BestWCutOptions configures BestWCutCtx.
 type BestWCutOptions struct {
 	// Weighting selects the WCut instance. Defaults to
 	// StationaryWeights.
 	Weighting WCutWeighting
-	// Teleport for the stationary distribution (StationaryWeights
-	// only). Defaults to walk.DefaultTeleport.
-	Teleport float64
 	// KMeans configures the final embedding clustering.
 	KMeans KMeansOptions
 	// Lanczos configures the eigensolver.
@@ -50,7 +47,7 @@ type Result struct {
 	Eigenvalues []float64
 }
 
-// BestWCut reimplements the weighted-cut spectral algorithm of Meila &
+// BestWCutCtx reimplements the weighted-cut spectral algorithm of Meila &
 // Pentney ("Clustering by Weighted Cuts in Directed Graphs", SDM 2007):
 // minimise WCut(S) over k-way partitions by the standard spectral
 // relaxation. With T' row weights and T volume weights, the relaxation
@@ -67,14 +64,11 @@ type Result struct {
 // here are (i) the WCut objective family with pluggable T, T', and
 // (ii) the dependence on eigenvector computations that makes the
 // method slow at scale (the paper's §5.2, Figure 6).
-func BestWCut(a *matrix.CSR, k int, opt BestWCutOptions) (*Result, error) {
-	return BestWCutCtx(context.Background(), a, k, opt)
-}
-
-// BestWCutCtx is BestWCut with cancellation: ctx is threaded through
-// the stationary-distribution power iteration, the Lanczos
-// factorisation and the k-means restarts, so a cancelled context aborts
-// the pipeline at the next iteration boundary with ctx's error.
+//
+// ctx is threaded through the stationary-distribution power iteration,
+// the Lanczos factorisation and the k-means restarts, so a cancelled
+// context aborts the pipeline at the next iteration boundary with ctx's
+// error.
 func BestWCutCtx(ctx context.Context, a *matrix.CSR, k int, opt BestWCutOptions) (*Result, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("spectral: adjacency %dx%d not square", a.Rows, a.Cols)
@@ -99,11 +93,7 @@ func BestWCutCtx(ctx context.Context, a *matrix.CSR, k int, opt BestWCutOptions)
 			tprime[i] = 1
 		}
 	default: // StationaryWeights
-		teleport := opt.Teleport
-		if teleport == 0 {
-			teleport = walk.DefaultTeleport
-		}
-		pi, err := walk.PageRankCtx(ctx, a, teleport)
+		pi, err := walk.PageRankCtx(ctx, a, walk.DefaultTeleport)
 		if err != nil {
 			return nil, fmt.Errorf("spectral: BestWCut stationary distribution: %w", err)
 		}
@@ -136,16 +126,13 @@ func BestWCutCtx(ctx context.Context, a *matrix.CSR, k int, opt BestWCutOptions)
 	return spectralEmbedCluster(ctx, Operator(nmat), n, k, opt.Lanczos, opt.KMeans)
 }
 
-// ZhouOptions configures ZhouDirected.
+// ZhouOptions configures ZhouDirectedCtx.
 type ZhouOptions struct {
-	// Teleport for the stationary distribution. Defaults to
-	// walk.DefaultTeleport.
-	Teleport float64
-	KMeans   KMeansOptions
-	Lanczos  LanczosOptions
+	KMeans  KMeansOptions
+	Lanczos LanczosOptions
 }
 
-// ZhouDirected implements the directed spectral clustering of Zhou,
+// ZhouDirectedCtx implements the directed spectral clustering of Zhou,
 // Huang & Schölkopf (ICML 2005): compute the directed Laplacian of the
 // paper's Eq. 5,
 //
@@ -153,13 +140,8 @@ type ZhouOptions struct {
 //
 // take the k eigenvectors of L with smallest eigenvalues (equivalently
 // the top-k of the symmetrized transition term), and k-means the
-// row-normalised embedding.
-func ZhouDirected(a *matrix.CSR, k int, opt ZhouOptions) (*Result, error) {
-	return ZhouDirectedCtx(context.Background(), a, k, opt)
-}
-
-// ZhouDirectedCtx is ZhouDirected with cancellation at iteration
-// boundaries of the power iteration, Lanczos and k-means stages.
+// row-normalised embedding. ctx is polled at iteration boundaries of
+// the power iteration, Lanczos and k-means stages.
 func ZhouDirectedCtx(ctx context.Context, a *matrix.CSR, k int, opt ZhouOptions) (*Result, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("spectral: adjacency %dx%d not square", a.Rows, a.Cols)
@@ -171,12 +153,8 @@ func ZhouDirectedCtx(ctx context.Context, a *matrix.CSR, k int, opt ZhouOptions)
 	if n == 0 {
 		return &Result{Assign: []int{}, K: k}, nil
 	}
-	teleport := opt.Teleport
-	if teleport == 0 {
-		teleport = walk.DefaultTeleport
-	}
 	p := walk.TransitionMatrix(a)
-	pi, err := walk.StationaryDistributionCtx(ctx, p, walk.Options{Teleport: teleport})
+	pi, err := walk.StationaryDistributionCtx(ctx, p, walk.Options{Teleport: walk.DefaultTeleport})
 	if err != nil {
 		return nil, fmt.Errorf("spectral: Zhou stationary distribution: %w", err)
 	}

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -60,7 +61,7 @@ func clusterPurity(assign, truth []int, k int) float64 {
 func TestBestWCutRecoversDirectedBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a, truth := directedBlocks(rng, 3, 30, 0.3, 0.01)
-	res, err := BestWCut(a, 3, BestWCutOptions{})
+	res, err := BestWCutCtx(context.Background(), a, 3, BestWCutOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestBestWCutRecoversDirectedBlocks(t *testing.T) {
 func TestBestWCutDegreeWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a, truth := directedBlocks(rng, 3, 25, 0.3, 0.01)
-	res, err := BestWCut(a, 3, BestWCutOptions{Weighting: DegreeWeights})
+	res, err := BestWCutCtx(context.Background(), a, 3, BestWCutOptions{Weighting: DegreeWeights})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +86,16 @@ func TestBestWCutDegreeWeights(t *testing.T) {
 }
 
 func TestBestWCutErrors(t *testing.T) {
-	if _, err := BestWCut(matrix.Zero(2, 3), 2, BestWCutOptions{}); err == nil {
+	if _, err := BestWCutCtx(context.Background(), matrix.Zero(2, 3), 2, BestWCutOptions{}); err == nil {
 		t.Fatal("accepted non-square")
 	}
-	if _, err := BestWCut(matrix.Zero(3, 3), 0, BestWCutOptions{}); err == nil {
+	if _, err := BestWCutCtx(context.Background(), matrix.Zero(3, 3), 0, BestWCutOptions{}); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	if _, err := BestWCut(matrix.Zero(3, 3), 7, BestWCutOptions{}); err == nil {
+	if _, err := BestWCutCtx(context.Background(), matrix.Zero(3, 3), 7, BestWCutOptions{}); err == nil {
 		t.Fatal("accepted k>n")
 	}
-	res, err := BestWCut(matrix.Zero(0, 0), 2, BestWCutOptions{})
+	res, err := BestWCutCtx(context.Background(), matrix.Zero(0, 0), 2, BestWCutOptions{})
 	if err != nil || len(res.Assign) != 0 {
 		t.Fatal("empty graph should return empty result")
 	}
@@ -103,7 +104,7 @@ func TestBestWCutErrors(t *testing.T) {
 func TestZhouDirectedRecoversBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, truth := directedBlocks(rng, 3, 30, 0.3, 0.01)
-	res, err := ZhouDirected(a, 3, ZhouOptions{})
+	res, err := ZhouDirectedCtx(context.Background(), a, 3, ZhouOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +114,10 @@ func TestZhouDirectedRecoversBlocks(t *testing.T) {
 }
 
 func TestZhouDirectedErrors(t *testing.T) {
-	if _, err := ZhouDirected(matrix.Zero(2, 3), 2, ZhouOptions{}); err == nil {
+	if _, err := ZhouDirectedCtx(context.Background(), matrix.Zero(2, 3), 2, ZhouOptions{}); err == nil {
 		t.Fatal("accepted non-square")
 	}
-	if _, err := ZhouDirected(matrix.Zero(3, 3), 0, ZhouOptions{}); err == nil {
+	if _, err := ZhouDirectedCtx(context.Background(), matrix.Zero(3, 3), 0, ZhouOptions{}); err == nil {
 		t.Fatal("accepted k=0")
 	}
 }

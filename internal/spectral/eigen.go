@@ -154,11 +154,8 @@ type Eigen struct {
 	Vectors [][]float64
 }
 
-// LanczosOptions configures TopEigen.
+// LanczosOptions configures TopEigenCtx.
 type LanczosOptions struct {
-	// Steps is the Krylov subspace dimension. Defaults to
-	// min(dim, max(2k+20, 40)).
-	Steps int
 	// Seed drives the random start vector.
 	Seed int64
 }
@@ -179,19 +176,8 @@ func TopEigenCtx(ctx context.Context, op MatVec, k int, opt LanczosOptions) (eig
 	if k > n {
 		return nil, fmt.Errorf("spectral: k = %d exceeds dimension %d", k, n)
 	}
-	steps := opt.Steps
-	if steps <= 0 {
-		steps = 2*k + 20
-		if steps < 40 {
-			steps = 40
-		}
-	}
-	if steps > n {
-		steps = n
-	}
-	if steps < k {
-		steps = k
-	}
+	// The Krylov subspace dimension: min(dim, max(2k+20, 40)).
+	steps := min(max(2*k+20, 40), n)
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 
 	// Lanczos vectors, kept for full reorthogonalisation and Ritz

@@ -162,7 +162,7 @@ func TestTopEigenSymmetricRandom(t *testing.T) {
 	}
 	m := b.Build()
 	k := 5
-	eig, err := TopEigenCtx(context.Background(), Operator(m), k, LanczosOptions{Seed: 3, Steps: n})
+	eig, err := TopEigenCtx(context.Background(), Operator(m), k, LanczosOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestTopEigenOrthogonalVectors(t *testing.T) {
 			}
 		}
 	}
-	eig, err := TopEigenCtx(context.Background(), Operator(b.Build()), 4, LanczosOptions{Seed: 5, Steps: n})
+	eig, err := TopEigenCtx(context.Background(), Operator(b.Build()), 4, LanczosOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

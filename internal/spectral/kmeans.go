@@ -9,8 +9,6 @@ import (
 
 // KMeansOptions configures KMeansCtx.
 type KMeansOptions struct {
-	// MaxIter bounds the Lloyd iterations. Defaults to 100.
-	MaxIter int
 	// Restarts runs the whole algorithm multiple times and keeps the
 	// lowest-inertia result. Defaults to 3.
 	Restarts int
@@ -18,10 +16,10 @@ type KMeansOptions struct {
 	Seed int64
 }
 
+// kmeansMaxIter bounds the Lloyd iterations of one k-means run.
+const kmeansMaxIter = 100
+
 func (o *KMeansOptions) fill() {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
 	if o.Restarts <= 0 {
 		o.Restarts = 3
 	}
@@ -52,7 +50,7 @@ func KMeansCtx(ctx context.Context, x [][]float64, k int, opt KMeansOptions) ([]
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		assign, inertia := kmeansOnce(x, k, opt.MaxIter, rng)
+		assign, inertia := kmeansOnce(x, k, rng)
 		if inertia < bestInertia {
 			bestInertia = inertia
 			bestAssign = assign
@@ -61,7 +59,7 @@ func KMeansCtx(ctx context.Context, x [][]float64, k int, opt KMeansOptions) ([]
 	return bestAssign, bestInertia, nil
 }
 
-func kmeansOnce(x [][]float64, k, maxIter int, rng *rand.Rand) ([]int, float64) {
+func kmeansOnce(x [][]float64, k int, rng *rand.Rand) ([]int, float64) {
 	n, dim := len(x), len(x[0])
 	centers := seedPlusPlus(x, k, rng)
 	assign := make([]int, n)
@@ -69,7 +67,7 @@ func kmeansOnce(x [][]float64, k, maxIter int, rng *rand.Rand) ([]int, float64) 
 		assign[i] = -1
 	}
 
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < kmeansMaxIter; iter++ {
 		changed := false
 		counts := make([]int, k)
 		for i, p := range x {

@@ -76,7 +76,7 @@ func TestWalkCheckpointResume(t *testing.T) {
 	p := randomWalkMatrix(rng, 200)
 	opt := Options{Teleport: 0.05, Tol: 1e-12}
 
-	base, err := StationaryDistribution(p, opt)
+	base, err := StationaryDistributionCtx(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWalkCheckpointWrongSizeIgnored(t *testing.T) {
 	small := randomWalkMatrix(rng, 10)
 	opt := Options{Teleport: 0.05}
 
-	base, err := StationaryDistribution(p, opt)
+	base, err := StationaryDistributionCtx(context.Background(), p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -54,7 +55,7 @@ func TestQuickTransitionRowsStochasticOrEmpty(t *testing.T) {
 
 func TestQuickStationaryIsDistribution(t *testing.T) {
 	f := func(g digraphGen) bool {
-		pi, err := StationaryDistribution(TransitionMatrix(g.A), Options{Teleport: 0.05})
+		pi, err := StationaryDistributionCtx(context.Background(), TransitionMatrix(g.A), Options{Teleport: 0.05})
 		if err != nil {
 			return false
 		}

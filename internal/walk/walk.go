@@ -32,7 +32,7 @@ func TransitionMatrix(a *matrix.CSR) *matrix.CSR {
 	return a.NormalizeRows()
 }
 
-// Options configures StationaryDistribution.
+// Options configures StationaryDistributionCtx.
 type Options struct {
 	// Teleport is the probability of jumping to a uniformly random node
 	// at each step. Zero is allowed only for walks known to be ergodic;
@@ -53,24 +53,20 @@ func (o *Options) fill() {
 	}
 }
 
-// StationaryDistribution computes π with π = π·P' by power iteration,
-// where P' is P blended with uniform teleporting and with dangling rows
-// replaced by the uniform distribution. The returned vector sums to 1.
+// StationaryDistributionCtx computes π with π = π·P' by power
+// iteration, where P' is P blended with uniform teleporting and with
+// dangling rows replaced by the uniform distribution. The returned
+// vector sums to 1.
 //
 // The iteration computes, with t the teleport probability and n nodes:
 //
 //	π_{k+1} = (1-t)·(π_k P + dangling(π_k)/n · 1) + t/n · 1
 //
-// which never materialises the dense teleport matrix.
-func StationaryDistribution(p *matrix.CSR, opt Options) ([]float64, error) {
-	return StationaryDistributionCtx(context.Background(), p, opt)
-}
-
-// StationaryDistributionCtx is StationaryDistribution with
-// cancellation: ctx is polled once per power iteration, so a cancelled
-// context aborts the walk within one iteration with ctx's error. Each
-// call opens a "walk.power" span and records per-iteration L1 deltas
-// through the obs hooks (no-ops without a trace/meter in ctx).
+// which never materialises the dense teleport matrix. ctx is polled once
+// per power iteration, so a cancelled context aborts the walk within one
+// iteration with ctx's error. Each call opens a "walk.power" span and
+// records per-iteration L1 deltas through the obs hooks (no-ops without
+// a trace/meter in ctx).
 //
 // When a checkpoint.Sink is installed in ctx, the solve restores the
 // "walk" snapshot for this invocation (resume_iter span attribute),
@@ -198,14 +194,9 @@ func saveWalkCheckpoint(ctx context.Context, sink checkpoint.Sink, iter int, pi 
 	return nil
 }
 
-// PageRank computes the PageRank vector of the directed graph with
+// PageRankCtx computes the PageRank vector of the directed graph with
 // adjacency a, using teleport probability t (the damping factor is
-// 1-t). It is StationaryDistribution applied to the natural walk.
-func PageRank(a *matrix.CSR, teleport float64) ([]float64, error) {
-	return StationaryDistribution(TransitionMatrix(a), Options{Teleport: teleport})
-}
-
-// PageRankCtx is PageRank with cancellation at iteration boundaries.
+// 1-t): StationaryDistributionCtx applied to the natural walk.
 func PageRankCtx(ctx context.Context, a *matrix.CSR, teleport float64) ([]float64, error) {
 	return StationaryDistributionCtx(ctx, TransitionMatrix(a), Options{Teleport: teleport})
 }

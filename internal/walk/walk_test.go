@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,7 +41,7 @@ func TestStationaryUniformOnCycle(t *testing.T) {
 	for i := 0; i < n; i++ {
 		b.Add(i, (i+1)%n, 1)
 	}
-	pi, err := StationaryDistribution(TransitionMatrix(b.Build()), Options{Teleport: 0.05})
+	pi, err := StationaryDistributionCtx(context.Background(), TransitionMatrix(b.Build()), Options{Teleport: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestStationarySumsToOne(t *testing.T) {
 			b.Add(i, rng.Intn(n), 1)
 		}
 	}
-	pi, err := StationaryDistribution(TransitionMatrix(b.Build()), Options{Teleport: 0.05})
+	pi, err := StationaryDistributionCtx(context.Background(), TransitionMatrix(b.Build()), Options{Teleport: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestStationaryIsFixedPoint(t *testing.T) {
 	}
 	p := TransitionMatrix(b.Build())
 	const tel = 0.05
-	pi, err := StationaryDistribution(p, Options{Teleport: tel, Tol: 1e-13})
+	pi, err := StationaryDistributionCtx(context.Background(), p, Options{Teleport: tel, Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestStationaryHandlesDangling(t *testing.T) {
 		{0, 1},
 		{0, 0},
 	})
-	pi, err := StationaryDistribution(TransitionMatrix(a), Options{Teleport: 0.05})
+	pi, err := StationaryDistributionCtx(context.Background(), TransitionMatrix(a), Options{Teleport: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,16 +138,16 @@ func TestStationaryHandlesDangling(t *testing.T) {
 
 func TestStationaryRejectsBadTeleport(t *testing.T) {
 	p := TransitionMatrix(matrix.Identity(2))
-	if _, err := StationaryDistribution(p, Options{Teleport: -0.1}); err == nil {
+	if _, err := StationaryDistributionCtx(context.Background(), p, Options{Teleport: -0.1}); err == nil {
 		t.Fatal("accepted negative teleport")
 	}
-	if _, err := StationaryDistribution(p, Options{Teleport: 1}); err == nil {
+	if _, err := StationaryDistributionCtx(context.Background(), p, Options{Teleport: 1}); err == nil {
 		t.Fatal("accepted teleport = 1")
 	}
 }
 
 func TestStationaryRejectsEmpty(t *testing.T) {
-	if _, err := StationaryDistribution(matrix.Zero(0, 0), Options{}); err == nil {
+	if _, err := StationaryDistributionCtx(context.Background(), matrix.Zero(0, 0), Options{}); err == nil {
 		t.Fatal("accepted empty matrix")
 	}
 }
@@ -160,7 +161,7 @@ func TestStationaryMaxIter(t *testing.T) {
 		{1, 0, 0},
 		{1, 0, 0},
 	})
-	if _, err := StationaryDistribution(TransitionMatrix(a), Options{Teleport: 0, MaxIter: 5}); err == nil {
+	if _, err := StationaryDistributionCtx(context.Background(), TransitionMatrix(a), Options{Teleport: 0, MaxIter: 5}); err == nil {
 		t.Fatal("periodic chain reported converged")
 	}
 }
@@ -173,7 +174,7 @@ func TestPageRankFavoursPopularNode(t *testing.T) {
 		b.Add(i, 0, 1)
 	}
 	b.Add(0, 1, 1) // give node 0 an out-link so it is not dangling
-	pr, err := PageRank(b.Build(), DefaultTeleport)
+	pr, err := PageRankCtx(context.Background(), b.Build(), DefaultTeleport)
 	if err != nil {
 		t.Fatal(err)
 	}

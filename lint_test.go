@@ -1,10 +1,12 @@
 package symcluster_test
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"slices"
@@ -141,7 +143,7 @@ func inServer(f string) bool { return !isTest(f) && under(f, "internal/server") 
 // each run exactly one.
 var stageCallers = map[string][]string{
 	"internal/pipeline/run.go":        {"Execute"},
-	"symcluster.go":                   {"ClusterCtx", "clusterDirectedOnly"},
+	"symcluster.go":                   {"ClusterCtx"},
 	"internal/experiments/figures.go": {"clusterWith", "clusterAtInflation"},
 }
 
@@ -228,8 +230,8 @@ var sourceRules = []sourceRule{
 	},
 	{
 		why: "production call to the sparse-product oracle: matrix.MulPrunedCtx is the reference " +
-			"the tests hold the engine to; products go through matrix.MulXXTScaledPruned* or " +
-			"matrix.MulPrunedTopKCtx (DESIGN.md §15)",
+			"the tests hold the engine to; products go through matrix.MulXXTScaledPrunedCtx, " +
+			"matrix.MulXXTScaledPrunedUpperCtx or matrix.MulPrunedTopKCtx (DESIGN.md §15)",
 		applies: func(f string) bool { return !isTest(f) },
 		match:   func(n ast.Node) bool { return call(n, "matrix", "MulPrunedCtx") },
 	},
@@ -242,15 +244,6 @@ var sourceRules = []sourceRule{
 			name, ok := headerSet(n)
 			return ok && (strings.HasPrefix(name, "X-Symclusterd-") || strings.EqualFold(name, "traceparent"))
 		},
-	},
-	{
-		why: "context.Background() in internal/server or internal/cluster: request work inherits " +
-			"the caller's context so deadlines propagate end-to-end; sanctioned boot/background work " +
-			"goes through bootContext() in bootctx.go (DESIGN.md §17)",
-		applies: func(f string) bool {
-			return !isTest(f) && under(f, "internal/server", "internal/cluster") && path.Base(f) != "bootctx.go"
-		},
-		match: func(n ast.Node) bool { return call(n, "context", "Background") },
 	},
 	{
 		why: "Retry-After set outside refuse in internal/server: one function turns an error into a " +
@@ -311,11 +304,55 @@ var sourceRules = []sourceRule{
 	},
 }
 
+// backgroundRule confines context.Background() to package main and the
+// two bootctx.go files (bench/ aside): everything else is handed the
+// context it runs under.
+func backgroundRule(files map[string]*ast.File) sourceRule {
+	return sourceRule{
+		why: "context.Background() outside package main and bootctx.go: work inherits its caller's " +
+			"context so deadlines and Ctrl-C propagate end-to-end; a command's main makes the root " +
+			"context, and sanctioned boot/background work in internal/server and internal/cluster " +
+			"goes through bootContext() (DESIGN.md §9, §17)",
+		applies: func(f string) bool {
+			return !isTest(f) && !under(f, "bench") && files[f].Name.Name != "main" && path.Base(f) != "bootctx.go"
+		},
+		match: func(n ast.Node) bool { return call(n, "context", "Background") },
+	}
+}
+
+// funcKey names an exported function or method within its package:
+// "dir Name" or "dir Recv.Name".
+func funcKey(dir string, fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return dir + " " + fd.Name.Name
+	}
+	recv := fd.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	switch r := recv.(type) { // a generic receiver T[K] or T[K, V]
+	case *ast.IndexExpr:
+		recv = r.X
+	case *ast.IndexListExpr:
+		recv = r.X
+	}
+	name := "?"
+	if id, ok := recv.(*ast.Ident); ok {
+		name = id.Name
+	}
+	return dir + " " + name + "." + fd.Name.Name
+}
+
+// docCeilings caps each doc at its length after PR 29, so a change edits
+// it in place; ROADMAP item 8(a) lowers DESIGN.md's toward 900.
+var docCeilings = map[string]int{"DESIGN.md": 2200, "README.md": 733}
+
 // TestSourceLints is `make lint`: it parses every Go file of the
-// repository (bench/ included) and holds it to sourceRules and to the
-// stageRules, and to the rules no pattern can express — no Workers field
-// reachable from pipeline.SymOptions, no assembly file outside
-// internal/matrix.
+// repository (bench/ included) and holds it to sourceRules, the
+// stageRules and backgroundRule, and to the rules no pattern can express
+// — no exported F beside an exported FCtx, no Workers field reachable
+// from pipeline.SymOptions, no assembly file outside internal/matrix, no
+// doc past its docCeilings line count.
 func TestSourceLints(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
@@ -344,7 +381,7 @@ func TestSourceLints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := append(stageRules(), sourceRules...)
+	all := append(append(stageRules(), backgroundRule(files)), sourceRules...)
 	for name, f := range files {
 		var rules []sourceRule
 		for _, rule := range all {
@@ -360,6 +397,36 @@ func TestSourceLints(t *testing.T) {
 			}
 			return true
 		})
+	}
+
+	exported := map[string]*ast.FuncDecl{}
+	for name, f := range files {
+		if isTest(name) || under(name, "bench") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				exported[funcKey(path.Dir(name), fd)] = fd
+			}
+		}
+	}
+	for key := range exported {
+		if base, ok := strings.CutSuffix(key, "Ctx"); ok && exported[base] != nil {
+			t.Errorf("%s: exported %s beside %sCtx in one package: one entry per operation, and it takes the "+
+				"caller's context — delete the context-free twin (the Ctx suffix stays while bench/ is frozen; "+
+				"DESIGN.md §9)", fset.Position(exported[base].Pos()), exported[base].Name.Name, exported[base].Name.Name)
+		}
+	}
+
+	for doc, ceiling := range docCeilings {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(b, []byte("\n")); n > ceiling {
+			t.Errorf("%s: %d lines, ceiling %d: edit in place — what a change adds, it takes out elsewhere, and "+
+				"history goes to CHANGES.md (ROADMAP item 8(a))", doc, n, ceiling)
+		}
 	}
 
 	types := typeIndex{files: files}

@@ -27,11 +27,16 @@
 // Zhou et al.), the paper's evaluation measures, and synthetic dataset
 // generators with known ground truth.
 //
+// Every entry that runs a kernel takes a context first and polls it at
+// iteration and row-block boundaries, so a cancelled or expired context
+// aborts the run within one block of kernel work with ctx's error.
+//
 // Quick start:
 //
+//	ctx := context.Background()
 //	data, _ := symcluster.GenerateCitation(symcluster.CitationOptions{Seed: 1})
-//	u, _ := symcluster.Symmetrize(data.Graph, symcluster.DegreeDiscounted, symcluster.DefaultSymmetrizeOptions())
-//	res, _ := symcluster.Cluster(u, symcluster.MLRMCL, symcluster.ClusterOptions{TargetClusters: 70, Seed: 1})
+//	u, _ := symcluster.SymmetrizeCtx(ctx, data.Graph, symcluster.DegreeDiscounted, symcluster.DefaultSymmetrizeOptions())
+//	res, _ := symcluster.ClusterCtx(ctx, u, symcluster.MLRMCL, symcluster.ClusterOptions{TargetClusters: 70, Seed: 1})
 //	rep, _ := symcluster.Evaluate(res.Assign, data.Truth)
 //	fmt.Printf("Avg-F = %.4f over %d clusters\n", rep.AvgF, res.K)
 package symcluster
@@ -74,7 +79,7 @@ type (
 	WikiOptions = gen.WikiOptions
 	// KroneckerOptions configures the R-MAT scalability generator.
 	KroneckerOptions = gen.KroneckerOptions
-	// SymmetrizeOptions configures Symmetrize (α, β, pruning, …).
+	// SymmetrizeOptions configures SymmetrizeCtx (α, β, pruning, …).
 	SymmetrizeOptions = core.Options
 	// MatrixBuilder accumulates (row, col, value) triplets into a CSR
 	// Matrix; duplicates are summed.
@@ -132,7 +137,7 @@ func MethodName(m SymMethod) string {
 }
 
 // ValidateSymmetrizeOptions checks opt's ranges for the given method
-// without running it — the same validation Symmetrize applies.
+// without running it — the same validation SymmetrizeCtx applies.
 func ValidateSymmetrizeOptions(m SymMethod, opt SymmetrizeOptions) error {
 	sym, err := pipeline.SymmetrizerFor(m)
 	if err != nil {
@@ -145,17 +150,8 @@ func ValidateSymmetrizeOptions(m SymMethod, opt SymmetrizeOptions) error {
 // α = β = 0.5, teleport 0.05, self-similarities dropped.
 func DefaultSymmetrizeOptions() SymmetrizeOptions { return core.Defaults() }
 
-// Symmetrize transforms a directed graph into an undirected graph with
-// the selected method. Labels carry over.
-func Symmetrize(g *DirectedGraph, method SymMethod, opt SymmetrizeOptions) (*UndirectedGraph, error) {
-	return core.Symmetrize(g, method, opt)
-}
-
-// SymmetrizeCtx is Symmetrize with cancellation: the kernels underneath
-// poll ctx at iteration and row-block boundaries, so a cancelled or
-// expired context aborts the symmetrization within one block of kernel
-// work and the call returns ctx's error (context.Canceled or
-// context.DeadlineExceeded).
+// SymmetrizeCtx transforms a directed graph into an undirected graph
+// with the selected method. Labels carry over.
 func SymmetrizeCtx(ctx context.Context, g *DirectedGraph, method SymMethod, opt SymmetrizeOptions) (*UndirectedGraph, error) {
 	return core.SymmetrizeCtx(ctx, g, method, opt)
 }
@@ -167,21 +163,17 @@ func SymmetrizeCtx(ctx context.Context, g *DirectedGraph, method SymMethod, opt 
 // internal/csr and DESIGN.md §13.
 type OutOfCoreConfig = core.OutOfCoreConfig
 
-// ErrResidentBudget marks an out-of-core run aborted because its
-// heap-resident intermediates exceeded OutOfCoreConfig.MaxResidentBytes.
-var ErrResidentBudget = core.ErrResidentBudget
-
 // WithOutOfCore returns a context that routes SymmetrizeCtx (and every
 // pipeline entry point built on it) through the out-of-core path.
 func WithOutOfCore(ctx context.Context, cfg OutOfCoreConfig) context.Context {
 	return core.WithOutOfCore(ctx, cfg)
 }
 
-// CalibrateThreshold estimates a degree-discounted prune threshold that
-// yields approximately the target average degree in the symmetrized
-// graph, following §5.3.1's sampling recipe.
-func CalibrateThreshold(g *DirectedGraph, opt SymmetrizeOptions, targetAvgDegree float64, sample int, seed int64) (float64, error) {
-	return core.CalibrateThreshold(g.Adj, opt, targetAvgDegree, sample, seed)
+// CalibrateThresholdCtx estimates a degree-discounted prune threshold
+// that yields approximately the target average degree in the
+// symmetrized graph, following §5.3.1's sampling recipe.
+func CalibrateThresholdCtx(ctx context.Context, g *DirectedGraph, opt SymmetrizeOptions, targetAvgDegree float64, sample int, seed int64) (float64, error) {
+	return core.CalibrateThresholdCtx(ctx, g.Adj, opt, targetAvgDegree, sample, seed)
 }
 
 // Algorithm selects a clustering substrate. It is an alias of the
@@ -240,17 +232,7 @@ func AlgorithmName(a Algorithm) string {
 	return cl.Name()
 }
 
-// AcceptsDirected reports whether the algorithm clusters the directed
-// graph itself (the spectral baselines), bypassing the symmetrize
-// stage of the two-stage pipeline.
-func AcceptsDirected(a Algorithm) bool { return a.AcceptsDirected() }
-
-// RequiresK reports whether the algorithm needs an explicit target
-// cluster count (every substrate except MLR-MCL, which can pick its
-// granularity through inflation).
-func RequiresK(a Algorithm) bool { return a.RequiresK() }
-
-// ClusterOptions configures Cluster.
+// ClusterOptions configures ClusterCtx and ClusterDirectedCtx.
 //
 // TargetClusters is the desired number of clusters: Metis, Graclus and
 // the spectral substrates honour it exactly, while MLR-MCL uses it to
@@ -259,7 +241,7 @@ func RequiresK(a Algorithm) bool { return a.RequiresK() }
 // directly. Seed drives all randomised choices.
 type ClusterOptions = pipeline.ClusterOptions
 
-// Clustering is the output of Cluster: a node → cluster assignment.
+// Clustering is a node → cluster assignment.
 type Clustering = pipeline.Result
 
 // StageTrace reports per-stage wall-clock timings and the symmetrized
@@ -267,20 +249,13 @@ type Clustering = pipeline.Result
 // and the daemon's responses.
 type StageTrace = pipeline.StageTrace
 
-// Cluster runs the selected algorithm on a symmetrized graph.
-func Cluster(u *UndirectedGraph, algo Algorithm, opt ClusterOptions) (*Clustering, error) {
-	return ClusterCtx(context.Background(), u, algo, opt)
-}
-
-// ClusterCtx is Cluster with cancellation: every substrate polls ctx at
-// iteration boundaries (MCL expansion rounds, bisection and refinement
-// passes), so a cancelled or expired context aborts the clustering
-// within one iteration and the call returns ctx's error.
+// ClusterCtx runs the selected algorithm on a symmetrized graph. Every
+// substrate polls ctx at iteration boundaries (MCL expansion rounds,
+// bisection and refinement passes).
 //
 // Dispatch goes through the pipeline registry, so every registered
 // substrate is available; the directed-only baselines (BestWCutAlgo,
-// ZhouAlgo) reject an undirected input — use ClusterDirected or the
-// dedicated helpers for those.
+// ZhouAlgo) reject an undirected input — ClusterDirectedCtx runs them.
 func ClusterCtx(ctx context.Context, u *UndirectedGraph, algo Algorithm, opt ClusterOptions) (*Clustering, error) {
 	cl, err := pipeline.ClustererFor(algo)
 	if err != nil {
@@ -289,69 +264,26 @@ func ClusterCtx(ctx context.Context, u *UndirectedGraph, algo Algorithm, opt Clu
 	return cl.Run(ctx, pipeline.Input{U: u}, opt)
 }
 
-// ClusterDirected runs the full two-stage pipeline: symmetrize with
+// ClusterDirectedCtx runs the full two-stage pipeline: symmetrize with
 // method, then cluster with algo. Algorithms that cluster the directed
-// graph directly (AcceptsDirected) skip the symmetrize stage.
-func ClusterDirected(g *DirectedGraph, method SymMethod, symOpt SymmetrizeOptions, algo Algorithm, clusterOpt ClusterOptions) (*Clustering, error) {
-	return ClusterDirectedCtx(context.Background(), g, method, symOpt, algo, clusterOpt)
-}
-
-// ClusterDirectedCtx is ClusterDirected with cancellation threaded
-// through both pipeline stages.
+// graph directly (Algorithm.AcceptsDirected) skip the symmetrize stage. The
+// request is held to the same rules as the daemon's and the CLI's
+// (pipeline.NewRun) before either stage starts.
 func ClusterDirectedCtx(ctx context.Context, g *DirectedGraph, method SymMethod, symOpt SymmetrizeOptions, algo Algorithm, clusterOpt ClusterOptions) (*Clustering, error) {
-	res, _, _, err := ClusterDirectedTraceCtx(ctx, g, method, symOpt, algo, clusterOpt)
-	return res, err
-}
-
-// ClusterDirectedTraceCtx is ClusterDirectedCtx returning, in
-// addition, the symmetrized graph (nil when the algorithm clusters the
-// directed graph directly) and a StageTrace with per-stage wall-clock
-// timings. The request is held to the same rules as the daemon's and
-// the CLI's (pipeline.NewRun) before either stage starts.
-func ClusterDirectedTraceCtx(ctx context.Context, g *DirectedGraph, method SymMethod, symOpt SymmetrizeOptions, algo Algorithm, clusterOpt ClusterOptions) (*Clustering, *UndirectedGraph, *StageTrace, error) {
 	sym, err := pipeline.SymmetrizerFor(method)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	cl, err := pipeline.ClustererFor(algo)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	run, err := pipeline.NewRun(sym, symOpt, cl, clusterOpt, g.N())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return run.Execute(ctx, g, nil)
-}
-
-// BestWCut runs the reimplemented Meila–Pentney weighted-cut spectral
-// baseline directly on the directed graph (no symmetrization stage).
-func BestWCut(g *DirectedGraph, k int, seed int64) (*Clustering, error) {
-	return BestWCutCtx(context.Background(), g, k, seed)
-}
-
-// BestWCutCtx is BestWCut with cancellation at iteration boundaries of
-// the power iteration, Lanczos and k-means stages.
-func BestWCutCtx(ctx context.Context, g *DirectedGraph, k int, seed int64) (*Clustering, error) {
-	return clusterDirectedOnly(ctx, g, BestWCutAlgo, k, seed)
-}
-
-// ZhouSpectralCtx runs the directed-Laplacian spectral baseline of
-// Zhou, Huang & Schölkopf directly on the directed graph, with
-// cancellation at iteration boundaries of the power iteration, Lanczos
-// and k-means stages.
-func ZhouSpectralCtx(ctx context.Context, g *DirectedGraph, k int, seed int64) (*Clustering, error) {
-	return clusterDirectedOnly(ctx, g, ZhouAlgo, k, seed)
-}
-
-// clusterDirectedOnly runs a directed-input substrate from the
-// registry on g.
-func clusterDirectedOnly(ctx context.Context, g *DirectedGraph, algo Algorithm, k int, seed int64) (*Clustering, error) {
 	cl, err := pipeline.ClustererFor(algo)
 	if err != nil {
 		return nil, err
 	}
-	return cl.Run(ctx, pipeline.Input{G: g}, ClusterOptions{TargetClusters: k, Seed: seed})
+	run, err := pipeline.NewRun(sym, symOpt, cl, clusterOpt, g.N())
+	if err != nil {
+		return nil, err
+	}
+	res, _, _, err := run.Execute(ctx, g, nil)
+	return res, err
 }
 
 // Evaluate scores a clustering against ground truth with the paper's
@@ -375,22 +307,10 @@ func SignTest(assignA, assignB []int, truth *GroundTruth) (*SignTestResult, erro
 	return eval.SignTest(ca, cb)
 }
 
-// NCut returns the undirected normalised cut of a clustering over a
-// symmetric adjacency.
-func NCut(u *UndirectedGraph, assign []int) (float64, error) {
-	return eval.NCut(u.Adj, assign)
-}
-
-// NCutDirected returns the directed normalised cut (Eq. 3) of a
-// clustering over a directed graph, under the teleported random walk.
-func NCutDirected(g *DirectedGraph, assign []int, teleport float64) (float64, error) {
-	return eval.NCutDirected(g.Adj, assign, teleport)
-}
-
-// PageRank returns the stationary distribution of the teleported
+// PageRankCtx returns the stationary distribution of the teleported
 // random walk on g (teleport 0.05 is the paper's setting).
-func PageRank(g *DirectedGraph, teleport float64) ([]float64, error) {
-	return walk.PageRank(g.Adj, teleport)
+func PageRankCtx(ctx context.Context, g *DirectedGraph, teleport float64) ([]float64, error) {
+	return walk.PageRankCtx(ctx, g.Adj, teleport)
 }
 
 // GenerateCitation builds the Cora-like synthetic citation network

@@ -3,11 +3,14 @@ package symcluster_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"symcluster"
+	"symcluster/internal/graph"
 )
 
 func TestPublicPipelineEndToEnd(t *testing.T) {
@@ -15,11 +18,12 @@ func TestPublicPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := symcluster.Symmetrize(data.Graph, symcluster.DegreeDiscounted, symcluster.DefaultSymmetrizeOptions())
+	ctx := context.Background()
+	u, err := symcluster.SymmetrizeCtx(ctx, data.Graph, symcluster.DegreeDiscounted, symcluster.DefaultSymmetrizeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := symcluster.Cluster(u, symcluster.MLRMCL, symcluster.ClusterOptions{Inflation: 1.35, Seed: 3})
+	res, err := symcluster.ClusterCtx(ctx, u, symcluster.MLRMCL, symcluster.ClusterOptions{Inflation: 1.35, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +41,7 @@ func TestPublicPipelineEndToEnd(t *testing.T) {
 
 func TestClusterDirectedConvenience(t *testing.T) {
 	data := symcluster.Figure1()
-	res, err := symcluster.ClusterDirected(data.Graph, symcluster.Bibliometric,
+	res, err := symcluster.ClusterDirectedCtx(context.Background(), data.Graph, symcluster.Bibliometric,
 		symcluster.DefaultSymmetrizeOptions(), symcluster.MLRMCL,
 		symcluster.ClusterOptions{Inflation: 2, Seed: 1})
 	if err != nil {
@@ -53,20 +57,21 @@ func TestAlgorithmsDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := symcluster.Symmetrize(data.Graph, symcluster.AAT, symcluster.DefaultSymmetrizeOptions())
+	ctx := context.Background()
+	u, err := symcluster.SymmetrizeCtx(ctx, data.Graph, symcluster.AAT, symcluster.DefaultSymmetrizeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, algo := range symcluster.Algorithms {
 		var res *symcluster.Clustering
-		if symcluster.AcceptsDirected(algo) {
+		if algo.AcceptsDirected() {
 			// The directed baselines consume the original graph; the
 			// two-stage entry point routes around the symmetrization.
-			res, err = symcluster.ClusterDirected(data.Graph, symcluster.AAT,
+			res, err = symcluster.ClusterDirectedCtx(ctx, data.Graph, symcluster.AAT,
 				symcluster.DefaultSymmetrizeOptions(), algo,
 				symcluster.ClusterOptions{TargetClusters: 5, Seed: 4})
 		} else {
-			res, err = symcluster.Cluster(u, algo, symcluster.ClusterOptions{TargetClusters: 5, Seed: 4})
+			res, err = symcluster.ClusterCtx(ctx, u, algo, symcluster.ClusterOptions{TargetClusters: 5, Seed: 4})
 		}
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -77,18 +82,18 @@ func TestAlgorithmsDispatch(t *testing.T) {
 	}
 	// Every substrate except MLR-MCL requires a target.
 	for _, algo := range symcluster.Algorithms {
-		if !symcluster.RequiresK(algo) {
+		if !algo.RequiresK() {
 			continue
 		}
-		if _, err := symcluster.Cluster(u, algo, symcluster.ClusterOptions{}); err == nil {
+		if _, err := symcluster.ClusterCtx(ctx, u, algo, symcluster.ClusterOptions{}); err == nil {
 			t.Fatalf("%v accepted zero target", algo)
 		}
 	}
 	// A directed baseline given only the symmetrized graph must refuse.
-	if _, err := symcluster.Cluster(u, symcluster.BestWCutAlgo, symcluster.ClusterOptions{TargetClusters: 5}); err == nil {
+	if _, err := symcluster.ClusterCtx(ctx, u, symcluster.BestWCutAlgo, symcluster.ClusterOptions{TargetClusters: 5}); err == nil {
 		t.Fatal("BestWCut accepted an undirected-only input")
 	}
-	if _, err := symcluster.Cluster(u, symcluster.Algorithm(42), symcluster.ClusterOptions{TargetClusters: 2}); err == nil {
+	if _, err := symcluster.ClusterCtx(ctx, u, symcluster.Algorithm(42), symcluster.ClusterOptions{TargetClusters: 2}); err == nil {
 		t.Fatal("accepted unknown algorithm")
 	}
 }
@@ -103,24 +108,22 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+// TestSpectralBaselines: the two directed baselines run through the
+// one directed entry, which hands them the graph unsymmetrized.
 func TestSpectralBaselines(t *testing.T) {
 	data, err := symcluster.GenerateCitation(symcluster.CitationOptions{Nodes: 400, Topics: 5, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, err := symcluster.BestWCut(data.Graph, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw.K != 5 || len(bw.Assign) != 400 {
-		t.Fatalf("BestWCut K=%d len=%d", bw.K, len(bw.Assign))
-	}
-	zh, err := symcluster.ZhouSpectralCtx(context.Background(), data.Graph, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zh.K != 5 || len(zh.Assign) != 400 {
-		t.Fatalf("Zhou K=%d len=%d", zh.K, len(zh.Assign))
+	for _, algo := range []symcluster.Algorithm{symcluster.BestWCutAlgo, symcluster.ZhouAlgo} {
+		res, err := symcluster.ClusterDirectedCtx(context.Background(), data.Graph, symcluster.AAT,
+			symcluster.DefaultSymmetrizeOptions(), algo, symcluster.ClusterOptions{TargetClusters: 5, Seed: 5})
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if res.K != 5 || len(res.Assign) != 400 {
+			t.Fatalf("%v K=%d len=%d", algo, res.K, len(res.Assign))
+		}
 	}
 }
 
@@ -129,12 +132,13 @@ func TestSignTestPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := symcluster.ClusterDirected(data.Graph, symcluster.DegreeDiscounted,
+	ctx := context.Background()
+	a, err := symcluster.ClusterDirectedCtx(ctx, data.Graph, symcluster.DegreeDiscounted,
 		symcluster.DefaultSymmetrizeOptions(), symcluster.MLRMCL, symcluster.ClusterOptions{Inflation: 1.5, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := symcluster.ClusterDirected(data.Graph, symcluster.AAT,
+	b, err := symcluster.ClusterDirectedCtx(ctx, data.Graph, symcluster.AAT,
 		symcluster.DefaultSymmetrizeOptions(), symcluster.MLRMCL, symcluster.ClusterOptions{Inflation: 1.5, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -148,26 +152,15 @@ func TestSignTestPublic(t *testing.T) {
 	}
 }
 
-func TestNCutPublic(t *testing.T) {
-	data := symcluster.Figure1()
-	u, err := symcluster.Symmetrize(data.Graph, symcluster.AAT, symcluster.DefaultSymmetrizeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := []int{0, 0, 1, 1, 0, 0}
-	if _, err := symcluster.NCut(u, assign); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := symcluster.NCutDirected(data.Graph, assign, 0.05); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIORoundTripFiles(t *testing.T) {
 	dir := t.TempDir()
 	data := symcluster.Figure1()
 	path := filepath.Join(dir, "g.edges")
-	if err := symcluster.WriteEdgeListFile(path, data.Graph); err != nil {
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, data.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := symcluster.ReadEdgeListFile(path)
@@ -178,11 +171,7 @@ func TestIORoundTripFiles(t *testing.T) {
 		t.Fatalf("round trip N=%d M=%d", back.N(), back.M())
 	}
 
-	var buf bytes.Buffer
-	if err := symcluster.WriteGroundTruth(&buf, data.Truth); err != nil {
-		t.Fatal(err)
-	}
-	truth, err := symcluster.ReadGroundTruth(&buf)
+	truth, err := symcluster.ReadGroundTruth(strings.NewReader("0\n0\n1\n1\n2\n2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,31 +180,12 @@ func TestIORoundTripFiles(t *testing.T) {
 	}
 }
 
-func TestMatrixBinaryPublic(t *testing.T) {
-	data := symcluster.Figure1()
-	u, err := symcluster.Symmetrize(data.Graph, symcluster.DegreeDiscounted, symcluster.DefaultSymmetrizeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := symcluster.WriteMatrixBinary(&buf, u.Adj); err != nil {
-		t.Fatal(err)
-	}
-	back, err := symcluster.ReadMatrixBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NNZ() != u.Adj.NNZ() {
-		t.Fatalf("nnz %d vs %d", back.NNZ(), u.Adj.NNZ())
-	}
-}
-
 func TestCalibrateThresholdPublic(t *testing.T) {
 	data, err := symcluster.GenerateWiki(symcluster.WikiOptions{ListClusters: 10, RecipClusters: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := symcluster.CalibrateThreshold(data.Graph, symcluster.DefaultSymmetrizeOptions(), 25, 100, 7)
+	th, err := symcluster.CalibrateThresholdCtx(context.Background(), data.Graph, symcluster.DefaultSymmetrizeOptions(), 25, 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,26 +198,17 @@ func TestIOErrorPaths(t *testing.T) {
 	if _, err := symcluster.ReadEdgeListFile("/nonexistent/file.edges"); err == nil {
 		t.Fatal("accepted missing file")
 	}
-	if err := symcluster.WriteEdgeListFile("/nonexistent/dir/out.edges", symcluster.Figure1().Graph); err == nil {
-		t.Fatal("accepted unwritable path")
-	}
 	if _, err := symcluster.ReadGroundTruth(strings.NewReader("bad tokens here\n")); err == nil {
 		t.Fatal("accepted malformed ground truth")
-	}
-	if _, err := symcluster.ReadMetisGraph(strings.NewReader("")); err == nil {
-		t.Fatal("accepted empty metis input")
-	}
-	if _, err := symcluster.ReadMatrixBinary(strings.NewReader("junk")); err == nil {
-		t.Fatal("accepted junk binary matrix")
 	}
 	if _, err := symcluster.NewDirectedGraph(&symcluster.Matrix{Rows: 2, Cols: 3, RowPtr: make([]int64, 3)}, nil); err == nil {
 		t.Fatal("accepted non-square adjacency")
 	}
 }
 
-func TestMetisGraphPublicRoundTrip(t *testing.T) {
+func TestWriteMetisGraphPublic(t *testing.T) {
 	data := symcluster.Figure1()
-	u, err := symcluster.Symmetrize(data.Graph, symcluster.AAT, symcluster.DefaultSymmetrizeOptions())
+	u, err := symcluster.SymmetrizeCtx(context.Background(), data.Graph, symcluster.AAT, symcluster.DefaultSymmetrizeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,18 +216,15 @@ func TestMetisGraphPublicRoundTrip(t *testing.T) {
 	if err := symcluster.WriteMetisGraph(&buf, u, 1); err != nil {
 		t.Fatal(err)
 	}
-	back, err := symcluster.ReadMetisGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != u.N() || back.M() != u.M() {
-		t.Fatalf("round trip: %d/%d vs %d/%d", back.N(), back.M(), u.N(), u.M())
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if want := fmt.Sprintf("%d %d", u.N(), u.M()); len(lines) != 2+u.N() || lines[1] != want {
+		t.Fatalf("header %q and %d vertex lines, want %q and %d", lines[1], len(lines)-2, want, u.N())
 	}
 }
 
 func TestPageRankPublic(t *testing.T) {
 	data := symcluster.Figure1()
-	pr, err := symcluster.PageRank(data.Graph, 0.05)
+	pr, err := symcluster.PageRankCtx(context.Background(), data.Graph, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
