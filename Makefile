@@ -35,8 +35,9 @@ vet:
 # context.Background() only in package main and bootctx.go, no exported F
 # beside an exported FCtx, no production call to the sparse-product oracle,
 # no Workers field reachable from pipeline.SymOptions, no container/heap
-# in a clustering kernel, multilevel.CoarsenCtx called only by the
-# substrates that own their hierarchy, a pipeline stage run only by pipeline.Run.Execute
+# in a clustering kernel, multilevel.CoarsenCtx called only by
+# internal/multilevel and MLR-MCL (Graclus and Metis go through the cache
+# entry's hierarchy memo), a pipeline stage run only by pipeline.Run.Execute
 # and the named single-stage helpers, and in internal/server Retry-After
 # set only by refuse, csr.Open called only by openGraphFile, ring.Owner
 # only by ownerOf, Pool.Reserve only by admit and jobs.Admit only by a
@@ -139,7 +140,8 @@ bench:
 # fingerprint and the symmetric-link count), and the
 # multilevel clusterers on the benchmark's own inputs (serve_mixed's
 # Graclus request building its hierarchy and, per symmetrization, served
-# from a kept one, its Metis request, sym_cold's cluster stage), each
+# from a kept one, its Metis request the same two ways, sym_cold's
+# cluster stage), each
 # without the server around it, at one core and two (DESIGN.md §15) — and one
 # serve_mixed request with the server around it, two nodes in the
 # process, sent to the graph's owner (its hierarchy kept, and refused)
@@ -150,7 +152,7 @@ kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkReadEdgeList$$|BenchmarkRegister$$' -cpu 1,2 -count 5 ./internal/graph
 	$(GO) test -run '^$$' -bench 'BenchmarkServeGraclus$$|BenchmarkServeGraclusKept$$|BenchmarkColdGraclus$$' -cpu 1,2 -count 5 ./internal/graclus
-	$(GO) test -run '^$$' -bench 'BenchmarkServeMetis$$' -cpu 1,2 -count 5 ./internal/metis
+	$(GO) test -run '^$$' -bench 'BenchmarkServeMetis$$|BenchmarkServeMetisKept$$' -cpu 1,2 -count 5 ./internal/metis
 	$(GO) test -run '^$$' -bench 'BenchmarkRoutedCluster$$' -cpu 2 -count 5 ./internal/server
 
 test-long:

@@ -16,8 +16,7 @@ func TestInduceSubgraph(t *testing.T) {
 		{0, 3, 4, 0},
 	})
 	nodes := []int32{0, 2, 3}
-	weights := []float64{1, 2, 3}
-	sub, w := newScratch(full.Rows).induce(full, nodes, weights)
+	sub := newScratch(full.Rows).induce(full, nodes)
 	if sub.Rows != 3 {
 		t.Fatalf("sub dims %d", sub.Rows)
 	}
@@ -32,9 +31,6 @@ func TestInduceSubgraph(t *testing.T) {
 	if sub.At(0, 2) != 0 {
 		t.Fatalf("phantom edge: %v", sub.ToDense())
 	}
-	if w[0] != 1 || w[1] != 2 || w[2] != 3 {
-		t.Fatalf("weights %v", w)
-	}
 }
 
 func TestInduceDropsSelfLoops(t *testing.T) {
@@ -42,9 +38,42 @@ func TestInduceDropsSelfLoops(t *testing.T) {
 		{7, 1},
 		{1, 0},
 	})
-	sub, _ := newScratch(full.Rows).induce(full, []int32{0, 1}, []float64{1, 1})
-	if sub.At(0, 0) != 0 {
+	sub := newScratch(full.Rows).induce(full, []int32{0, 1})
+	if sub == full || sub.At(0, 0) != 0 {
 		t.Fatal("self-loop survived induce")
+	}
+}
+
+// TestInduceWholePlainGraphIsTheGraph: every node of a graph with no
+// self-loop and no stored zero induces the graph itself — the pointer a
+// hierarchy memo is bound to — and anything less, or a graph with either,
+// a copy.
+func TestInduceWholePlainGraphIsTheGraph(t *testing.T) {
+	plainG := matrix.FromDense([][]float64{
+		{0, 1, 2},
+		{1, 0, 3},
+		{2, 3, 0},
+	})
+	zero := &matrix.CSR{Rows: 2, Cols: 2, RowPtr: []int64{0, 1, 2}, ColIdx: []int32{1, 0}, Val: []float64{0, 0}}
+	ws := newScratch(3)
+	for _, tc := range []struct {
+		full  *matrix.CSR
+		nodes []int32
+		same  bool
+	}{
+		{plainG, []int32{0, 1, 2}, true},
+		{plainG, []int32{0, 2}, false},
+		{plainG, []int32{0, 2, 1}, false},
+		{matrix.FromDense([][]float64{{1, 1}, {1, 0}}), []int32{0, 1}, false},
+		{zero, []int32{0, 1}, false},
+	} {
+		got := ws.induce(tc.full, tc.nodes)
+		if (got == tc.full) != tc.same {
+			t.Fatalf("nodes %v of\n%v: returned the graph itself %v, want %v", tc.nodes, tc.full, got == tc.full, tc.same)
+		}
+		if want := induceByBuilder(tc.full, tc.nodes); !slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
+			t.Fatalf("nodes %v: induced\n%v\nwant\n%v", tc.nodes, got, want)
+		}
 	}
 }
 
@@ -98,7 +127,7 @@ func TestInduceMatchesBuilder(t *testing.T) {
 				nodes[a], nodes[b] = nodes[b], nodes[a]
 			})
 		}
-		got, _ := ws.induce(full, nodes, make([]float64, len(nodes)))
+		got := ws.induce(full, nodes)
 		want := induceByBuilder(full, nodes)
 		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) || !slices.Equal(got.Val, want.Val) {
 			t.Fatalf("trial %d (nodes %v): induced\n%v\nwant\n%v", trial, nodes, got, want)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"symcluster/internal/matrix"
 	"symcluster/internal/multilevel"
@@ -24,6 +25,10 @@ import (
 type Options struct {
 	// Seed drives all randomised choices.
 	Seed int64
+	// Hier, when bound to the adjacency being partitioned, may answer the
+	// first bisection's coarsening from the hierarchy it keeps: same bits;
+	// nil builds one.
+	Hier *multilevel.Memo
 }
 
 const (
@@ -78,7 +83,9 @@ func PartitionCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Re
 		for i := range weights {
 			weights[i] = 1
 		}
-		if err := recurse(ctx, adj, nodes, weights, k, 0, assign, rng, newScratch(n)); err != nil {
+		ws := newScratch(n)
+		ws.hier = opt.Hier
+		if err := recurse(ctx, adj, nodes, weights, k, 0, assign, rng, ws); err != nil {
 			return nil, err
 		}
 		// Direct k-way boundary refinement across the seams the
@@ -124,8 +131,7 @@ func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []flo
 	k2 := k - k1
 	frac := float64(k1) / float64(k)
 
-	sub, subWeights := ws.induce(full, nodes, weights)
-	side, err := bisect(ctx, sub, subWeights, frac, rng, ws)
+	side, err := bisect(ctx, ws.induce(full, nodes), weights, frac, rng, ws)
 	if err != nil {
 		return err
 	}
@@ -167,31 +173,39 @@ func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []flo
 // scratch is the storage one partitioning of an n-node graph reuses
 // across its bisections, their levels and their FM passes.
 type scratch struct {
-	local  []int32 // induce: full-graph node → 1 + position in nodes; zero between calls
-	locked []bool  // fmRefine: nodes moved or refused this pass
-	moves  []int32 // fmRefine: the nodes this pass moved, in order
+	local  []int32    // induce: full-graph node → 1 + position in nodes; zero between calls
+	sub    matrix.CSR // induce: the last subgraph's arrays
+	locked []bool     // fmRefine: nodes moved or refused this pass
+	moves  []int32    // fmRefine: the nodes this pass moved, in order
 	pq     maxHeap
+	hier   *multilevel.Memo // bisect: answers for the whole graph, if bound to it
 }
 
 func newScratch(n int) *scratch {
 	return &scratch{local: make([]int32, n), locked: make([]bool, n)}
 }
 
-// induce extracts the subgraph of full induced by nodes, along with the
-// corresponding node weights, dropping self-loops and explicit zeros. A
-// full row mapped through an increasing nodes list is already sorted;
-// only the few nodes the rebalancing in recurse appends out of order
-// displace entries, which an insertion sort puts back.
-func (ws *scratch) induce(full *matrix.CSR, nodes []int32, weights []float64) (*matrix.CSR, []float64) {
+// induce extracts the subgraph of full induced by nodes, dropping
+// self-loops and explicit zeros. Asked for every node of a graph that
+// has neither, it returns full itself, which a memo may recognise;
+// otherwise it refills ws.sub, which lives until the next call: a
+// subgraph is dead once its bisection returns. A full row mapped through
+// an increasing nodes list is already sorted; only the few nodes the
+// rebalancing in recurse appends out of order displace entries, which an
+// insertion sort puts back.
+func (ws *scratch) induce(full *matrix.CSR, nodes []int32) *matrix.CSR {
+	n := len(nodes)
+	if n == full.Rows && slices.IsSorted(nodes) && plain(full) {
+		return full // distinct, sorted and n of them: nodes is 0 … n-1
+	}
 	monotone, bound := true, 0
 	for i, v := range nodes {
 		ws.local[v] = int32(i) + 1
 		monotone = monotone && (i == 0 || nodes[i-1] < v)
 		bound += full.RowNNZ(int(v))
 	}
-	n := len(nodes)
-	cs, vs := make([]int32, 0, bound), make([]float64, 0, bound)
-	rowPtr := make([]int64, n+1)
+	cs, vs := slices.Grow(ws.sub.ColIdx[:0], bound), slices.Grow(ws.sub.Val[:0], bound)
+	rowPtr := append(slices.Grow(ws.sub.RowPtr[:0], n+1), 0)
 	for i, v := range nodes {
 		cols, vals := full.Row(int(v))
 		lo := len(cs)
@@ -205,12 +219,27 @@ func (ws *scratch) induce(full *matrix.CSR, nodes []int32, weights []float64) (*
 				cs[b], cs[b-1], vs[b], vs[b-1] = cs[b-1], cs[b], vs[b-1], vs[b]
 			}
 		}
-		rowPtr[i+1] = int64(len(cs))
+		rowPtr = append(rowPtr, int64(len(cs)))
 	}
 	for _, v := range nodes {
 		ws.local[v] = 0
 	}
-	return &matrix.CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: cs, Val: vs}, append([]float64(nil), weights...)
+	ws.sub = matrix.CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: cs, Val: vs}
+	return &ws.sub
+}
+
+// plain reports whether adj stores no self-loop and no zero: whether
+// inducing it on all of its nodes would copy it unchanged.
+func plain(adj *matrix.CSR) bool {
+	for i := 0; i < adj.Rows; i++ {
+		cols, vals := adj.Row(i)
+		for t, c := range cols {
+			if int(c) == i || vals[t] == 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // bisect splits adj (with node weights) into sides 0/1, targeting
@@ -223,7 +252,7 @@ func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac flo
 	if n == 1 {
 		return []int{0}, nil
 	}
-	h, err := multilevel.CoarsenCtx(ctx, adj, multilevel.Options{MinNodes: coarsenTo, Seed: rng.Int63()})
+	h, err := ws.hier.Coarsen(ctx, adj, multilevel.Options{MinNodes: coarsenTo, Seed: rng.Int63()})
 	if err != nil {
 		// Cancellation or an injected fault; the only other failure mode
 		// is a non-square input, which bisect never constructs.
@@ -256,7 +285,8 @@ func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac flo
 }
 
 // initialBisection runs greedy graph growing initTrials times and keeps
-// the split with the lowest cut among balanced results.
+// the split with the lowest cut among balanced results — or, when no cut
+// is below +Inf (an overflowed weight), the first.
 func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, rng *rand.Rand, ws *scratch) []int {
 	var total float64
 	for _, w := range nodeWeight {
@@ -268,9 +298,10 @@ func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, rng *
 	bestCut := math.Inf(1)
 	for trial := 0; trial < initTrials; trial++ {
 		side := ws.growRegion(adj, nodeWeight, target, rng)
-		cut := EdgeCut(adj, side)
-		if cut < bestCut {
+		if cut := EdgeCut(adj, side); cut < bestCut {
 			bestCut = cut
+			best = side
+		} else if best == nil {
 			best = side
 		}
 	}
@@ -327,7 +358,8 @@ func (ws *scratch) growRegion(adj *matrix.CSR, nodeWeight []float64, target floa
 // fmRefine performs Fiduccia–Mattheyses passes on a 2-way split: each
 // pass tentatively moves every node once in best-gain-first order,
 // tracks the best prefix that satisfies balance, and rolls back the
-// rest. Passes repeat until a pass yields no improvement.
+// rest. Passes repeat until a pass yields no improvement. A pass ends
+// when the last free node is popped: what the heap still holds is stale.
 func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64) []int {
 	n := adj.Rows
 	var total float64
@@ -387,12 +419,13 @@ func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, f
 		bestPrefix := -1
 		w0 := weight0
 
-		for len(*pq) > 0 {
+		for free := n; free > 0 && len(*pq) > 0; { // a NaN gain never pops current
 			it := pq.pop()
 			i := int(it.node)
 			if locked[i] || it.key != gain[i] {
 				continue
 			}
+			free--
 			// Respect balance for this tentative move.
 			var nw0 float64
 			if side[i] == 0 {
@@ -431,13 +464,7 @@ func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, f
 		ws.moves = moves
 		// Roll back moves after the best prefix.
 		for m := len(moves) - 1; m > bestPrefix; m-- {
-			i := moves[m]
-			side[i] = 1 - side[i]
-			if side[i] == 0 {
-				weight0 += nodeWeight[i]
-			} else {
-				weight0 -= nodeWeight[i]
-			}
+			side[moves[m]] = 1 - side[moves[m]]
 		}
 		// Recompute weight0 for the kept prefix.
 		weight0 = 0
@@ -455,9 +482,9 @@ func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, f
 
 // heapItem and maxHeap implement a max-heap of (node, key) with lazy
 // invalidation: stale entries are skipped when their key no longer
-// matches the node's current gain. push and pop make container/heap's
-// comparisons and swaps in its order, so entries with equal keys (exact
-// gain ties are common) pop in the order they always have, unboxed.
+// matches the node's current gain. push and pop leave the array
+// container/heap leaves, so entries with equal keys (exact gain ties are
+// common) pop in the order they always have, unboxed.
 type heapItem struct {
 	node int32
 	key  float64
@@ -473,19 +500,39 @@ func (h *maxHeap) push(it heapItem) {
 	}
 }
 
+// pop walks down once (Floyd): the hole at the root follows the path
+// container/heap's sift-down would take — the right child only when
+// strictly larger — to the bottom, and the last item is lifted back up
+// while it is >= its parent. For keys that are not NaN it lands where
+// the top-down sift stops, since keys fall along the path, and what it
+// passed on the way down returns to its slot.
 func (h *maxHeap) pop() heapItem {
 	s := *h
 	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	for i, j := 0, 1; j < n; i, j = j, 2*j+1 {
-		if j+1 < n && s[j+1].key > s[j].key {
-			j++ // the right child only when strictly larger
-		}
-		if !(s[j].key > s[i].key) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
+	top, last := s[0], s[n]
+	i := 0
+	for j := 1; j+1 < n; j = 2*i + 1 {
+		j += b2i(s[j+1].key > s[j].key)
+		s[i] = s[j]
+		i = j
 	}
+	if j := 2*i + 1; j < n {
+		s[i] = s[j]
+		i = j
+	}
+	for i > 0 && last.key >= s[(i-1)/2].key {
+		s[i] = s[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	s[i], s[n] = last, top
 	*h = s[:n]
-	return s[n]
+	return top
+}
+
+// b2i is 1 for true: an index advanced by it is a flag read, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

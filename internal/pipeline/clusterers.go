@@ -116,7 +116,9 @@ func spectralEmbeddingBytes(gs GraphStats) int64 {
 // the symmetrizer's flop-bound model in the same job estimate absorbs
 // that: TestJobEstimateCoversMultilevelHeld. A Graclus request served
 // from its cache entry's kept hierarchy holds nothing new (the cache is
-// charged for it), so the estimate stays the ceiling: a request that builds.
+// charged for it); a Metis request served from it builds only its
+// subgraphs' hierarchies, one live at a time and each over a part of U.
+// So the estimate stays the ceiling: a request that builds.
 func multilevelBytes(gs GraphStats) int64 {
 	return 2 * csrBytes(gs.Nodes, 2*gs.Edges)
 }
@@ -188,7 +190,7 @@ var cluRegistry = []Clusterer{
 		describe: "multilevel k-way partitioning by recursive bisection (Karypis & Kumar)",
 		requireK: true,
 		run: func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
-			res, err := metis.PartitionCtx(ctx, in.U.Adj, opt.TargetClusters, metis.Options{Seed: opt.Seed})
+			res, err := metis.PartitionCtx(ctx, in.U.Adj, opt.TargetClusters, metis.Options{Seed: opt.Seed, Hier: in.Hier})
 			if err != nil {
 				return nil, err
 			}

@@ -27,7 +27,11 @@ import (
 // Graclus is run three ways and held to the one digest each time: with
 // no memo (the library's path, and the daemon's on a symmetrization
 // miss), through a fresh per-U hierarchy memo (every run builds and
-// keeps), and through that memo again (every run is a hit).
+// keeps), and through that memo again (every run is a hit). Metis then
+// runs twice through the same memo: its first bisection asks the same
+// seed deeper (MinNodes 64 against 256), so the first run builds and
+// keeps the deeper hierarchy — of which Graclus' is a prefix — and the
+// second is a hit. Per memo: one shallow build, one deep, then hits.
 func TestMultilevelAssignmentsPinned(t *testing.T) {
 	want := map[string]uint64{
 		"aat/graclus": 0xeb7b5f08aac4b6aa, "aat/metis": 0x0faa6d48794ce8e0,
@@ -52,6 +56,7 @@ func TestMultilevelAssignmentsPinned(t *testing.T) {
 		variants := []*variant{
 			{"graclus", false, fnv.New64a()}, {"metis", false, fnv.New64a()},
 			{"graclus", true, fnv.New64a()}, {"graclus", true, fnv.New64a()},
+			{"metis", true, fnv.New64a()}, {"metis", true, fnv.New64a()},
 		}
 		builds := 0
 		for seed := int64(0); seed < 12; seed++ {
@@ -81,8 +86,8 @@ func TestMultilevelAssignmentsPinned(t *testing.T) {
 				}
 			}
 		}
-		if builds != 12 {
-			t.Errorf("%s: %d hierarchies built through 12 memos, want one each (the second pass all hits)", m.name, builds)
+		if builds != 24 {
+			t.Errorf("%s: %d hierarchies built through 12 memos, want two each (Graclus', then Metis' deeper one; then all hits)", m.name, builds)
 		}
 		for _, v := range variants {
 			key := m.name + "/" + v.algo

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -407,6 +408,50 @@ func TestExecuteMemoContract(t *testing.T) {
 	sym, cl = &countingSym{Symmetrizer: dd, cancel: cancel}, &countingCl{Clusterer: mcl}
 	if res, u, _, err := newRun(sym, cl).Execute(ctx, g, nil); !errors.Is(err, context.Canceled) || res != nil || u == nil || cl.runs != 0 {
 		t.Fatalf("cancelled between stages: err=%v res=%v u=%v cl runs=%d", err, res, u, cl.runs)
+	}
+}
+
+// TestOverflowedWeightsNeverPanic: edge weights the reader accepts but
+// whose sums overflow to +Inf — one reciprocal pair at 1e308, and 3- and
+// 5-node chains of them — run through every method × every clusterer
+// that takes k × every k end in a result or an error, never a panic
+// (which the daemon's pool turns into a 500). Metis used to keep a trial
+// bisection only when its cut was below +Inf, and index a nil split when
+// every cut overflowed.
+func TestOverflowedWeightsNeverPanic(t *testing.T) {
+	chain := func(n int) string {
+		var b strings.Builder
+		for i := 0; i+1 < n; i++ {
+			fmt.Fprintf(&b, "%d %d 1e308\n%d %d 1e308\n", i, i+1, i+1, i)
+		}
+		return b.String()
+	}
+	for _, edges := range []string{chain(2), chain(3), chain(5)} {
+		g, err := graph.ReadEdgeList(strings.NewReader(edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sym := range Symmetrizers() {
+			for _, cl := range Clusterers() {
+				if !cl.RequiresK() {
+					continue
+				}
+				for k := 1; k <= g.N(); k++ {
+					run, err := NewRun(sym, core.Defaults(), cl, ClusterOptions{TargetClusters: k, Seed: 1}, g.N())
+					if err != nil {
+						t.Fatal(err)
+					}
+					func() {
+						defer func() {
+							if p := recover(); p != nil {
+								t.Errorf("%d nodes, %s/%s k=%d: panic: %v", g.N(), sym.Name(), cl.Name(), k, p)
+							}
+						}()
+						run.Execute(context.Background(), g, nil)
+					}()
+				}
+			}
+		}
 	}
 }
 

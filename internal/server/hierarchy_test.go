@@ -18,6 +18,7 @@ import (
 	"symcluster/internal/gen"
 	"symcluster/internal/graclus"
 	"symcluster/internal/graph"
+	"symcluster/internal/metis"
 	"symcluster/internal/multilevel"
 	"symcluster/internal/obs"
 	"symcluster/internal/pipeline"
@@ -277,10 +278,11 @@ func TestCacheObjectBytesCountsStoredGraphs(t *testing.T) {
 	}
 }
 
-// TestSharedHierarchyIsNeverWritten: goroutines cluster one memo'd U,
-// over several k, while its entry is evicted under them and put back.
-// The hierarchy they share hashes the same before and after, every
-// result equals a nil-memo run's, and (under -race) nothing wrote it.
+// TestSharedHierarchyIsNeverWritten: goroutines cluster one memo'd U
+// with Graclus and with Metis, over several k, while its entry is
+// evicted under them and put back. The hierarchy they share hashes the
+// same before and after, every result equals a nil-memo run's, and
+// (under -race) nothing wrote it.
 func TestSharedHierarchyIsNeverWritten(t *testing.T) {
 	_, edges := servingWiki(t)
 	u, filler := symmetrized(t, edges, "dd", 0.05), symmetrized(t, edges, "aat", 0)
@@ -288,13 +290,18 @@ func TestSharedHierarchyIsNeverWritten(t *testing.T) {
 	c.Put(key(1), u)
 	_, memo, _ := c.Get(key(1))
 	ks := []int{8, 16, 64, 128}
-	want := map[int][]int{}
+	want, wantMetis := map[int][]int{}, map[int][]int{}
 	for _, k := range ks {
 		res, err := graclus.ClusterCtx(context.Background(), u.Adj, k, graclus.Options{Seed: 1, Hier: memo})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[k] = res.Assign
+		part, err := metis.PartitionCtx(context.Background(), u.Adj, k, metis.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMetis[k] = part.Assign
 	}
 	shared := graclusHierarchy(t, memo, u, 1)
 	if c.Bytes() != GraphBytes(u)+shared.HeldBytes() {
@@ -311,6 +318,15 @@ func TestSharedHierarchyIsNeverWritten(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				k := ks[(w+i)%len(ks)]
 				seed := int64(1 + (w+i)%2) // seed 2 rebuilds; once evicted, the memo keeps nothing
+				if w%2 == 1 {
+					res, err := metis.PartitionCtx(context.Background(), u.Adj, k, metis.Options{Seed: seed, Hier: memo})
+					if err != nil {
+						errs <- err
+					} else if seed == 1 && !slices.Equal(res.Assign, wantMetis[k]) {
+						errs <- fmt.Errorf("worker %d: metis k=%d differs while sharing", w, k)
+					}
+					continue
+				}
 				res, err := graclus.ClusterCtx(context.Background(), u.Adj, k, graclus.Options{Seed: seed, Hier: memo})
 				if err != nil {
 					errs <- err

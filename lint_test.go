@@ -281,12 +281,13 @@ var sourceRules = []sourceRule{
 		match:   outside(fieldCall("jobs", "Admit"), "submitAsync", "adoptFrom"),
 	},
 	{
-		why: "multilevel.CoarsenCtx called outside internal/multilevel, internal/metis and internal/mcl (and " +
-			"bench/'s probe of it): Graclus coarsens through the hierarchy memo it is handed — " +
-			"opt.Hier.Coarsen, which is CoarsenCtx when the memo is nil — so no caller grows a second way " +
-			"round a cache entry's kept hierarchy (DESIGN.md §15, \"The multilevel substrate\")",
+		why: "multilevel.CoarsenCtx called outside internal/multilevel and internal/mcl (and bench/'s probe " +
+			"of it): Graclus and Metis coarsen through the hierarchy memo they are handed — Hier.Coarsen, " +
+			"which is CoarsenCtx when the memo is nil or bound to another adjacency (a Metis subgraph) — so " +
+			"no caller grows a second way round a cache entry's kept hierarchy (DESIGN.md §15, \"The " +
+			"multilevel substrate\")",
 		applies: func(f string) bool {
-			return !isTest(f) && !under(f, "internal/multilevel", "internal/metis", "internal/mcl", "bench")
+			return !isTest(f) && !under(f, "internal/multilevel", "internal/mcl", "bench")
 		},
 		match: func(n ast.Node) bool { return call(n, "multilevel", "CoarsenCtx") },
 	},
