@@ -33,8 +33,8 @@ vet:
 # internal/jobstore, mmap only in internal/csr, peer traffic and
 # propagation headers only through the cluster client,
 # context.Background() only in package main and bootctx.go, no exported F
-# beside an exported FCtx, no production call to the sparse-product oracle,
-# no Workers field reachable from pipeline.SymOptions, no container/heap
+# beside an exported FCtx, no production call to the sparse-product oracle
+# or (bench/ aside) to the one-term self-product, no Workers field reachable from pipeline.SymOptions, no container/heap
 # in a clustering kernel, multilevel.CoarsenCtx called only by
 # internal/multilevel and MLR-MCL (Graclus and Metis go through the cache
 # entry's hierarchy memo), a pipeline stage run only by pipeline.Run.Execute
@@ -145,15 +145,16 @@ bench:
 # without the server around it, at one core and two (DESIGN.md §15) — and one
 # serve_mixed request with the server around it, two nodes in the
 # process, sent to the graph's owner (its hierarchy kept, and refused)
-# and to the node that must forward it (DESIGN.md §14).
+# and to the node that must forward it (DESIGN.md §14). Every row reports
+# its bytes and allocations per op.
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkAccumulatorRow|BenchmarkCollectDense|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
-	$(GO) test -run '^$$' -bench 'BenchmarkMCLHot$$' -cpu 1,2 -count 5 ./internal/mcl
-	$(GO) test -run '^$$' -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkReadEdgeList$$|BenchmarkRegister$$' -cpu 1,2 -count 5 ./internal/graph
-	$(GO) test -run '^$$' -bench 'BenchmarkServeGraclus$$|BenchmarkServeGraclusKept$$|BenchmarkColdGraclus$$' -cpu 1,2 -count 5 ./internal/graclus
-	$(GO) test -run '^$$' -bench 'BenchmarkServeMetis$$|BenchmarkServeMetisKept$$' -cpu 1,2 -count 5 ./internal/metis
-	$(GO) test -run '^$$' -bench 'BenchmarkRoutedCluster$$' -cpu 2 -count 5 ./internal/server
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkAccumulatorRow|BenchmarkCollectDense|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkMCLHot$$' -cpu 1,2 -count 5 ./internal/mcl
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkReadEdgeList$$|BenchmarkRegister$$' -cpu 1,2 -count 5 ./internal/graph
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkServeGraclus$$|BenchmarkServeGraclusKept$$|BenchmarkColdGraclus$$' -cpu 1,2 -count 5 ./internal/graclus
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkServeMetis$$|BenchmarkServeMetisKept$$' -cpu 1,2 -count 5 ./internal/metis
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkRoutedCluster$$' -cpu 2 -count 5 ./internal/server
 
 test-long:
 	$(GO) test ./...

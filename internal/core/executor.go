@@ -18,8 +18,8 @@ import (
 //   - Out of core (s != nil) a is a mapped view, the transpose and the
 //     self-loop-augmented copy are mmap'd scratch files (the transpose
 //     built by external sort), and the same kernels stream rows from
-//     them, so peak resident memory is the pruned products plus the
-//     degree vectors and the product's per-entry vectors (pre-scaled
+//     them, so peak resident memory is the pruned running sum plus the
+//     degree vectors and one term's per-entry vectors (pre-scaled
 //     operand values, entry offsets) — metered by s.charge against the
 //     configured budget.
 //
@@ -31,7 +31,7 @@ import (
 // bit-identical to each other and to the materialized pre-fusion
 // dataflow: the fused kernels reproduce the ScaleRows-then-ScaleCols
 // value order and Gustavson accumulation order exactly (see the
-// invariants on matrix.MulXXTScaledPrunedCtx and
+// invariants on matrix.SumXXTScaledPrunedUpperCtx and
 // matrix.AddTransposeSym, and DESIGN.md §15).
 func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *oocState) (*matrix.CSR, error) {
 	var err error
@@ -87,39 +87,26 @@ func runPlan(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options, s *
 		return nil, err
 	}
 
-	// The terms are summed as upper triangles and the sum mirrored once:
-	// a mirror copies values and Add sees the same operands in the same
-	// order on either side of the diagonal, so this is the sum of the
-	// mirrored products bit for bit.
-	var u *matrix.CSR
-	for _, term := range plan.terms {
+	// The one call every product-shaped symmetrization lowers to (the
+	// kernel only reads rows, so heap and mapped operands are alike): the
+	// terms' upper triangles, summed as their rows flush, each running sum
+	// metered; a mirror copies values, so mirroring the sum once is the
+	// sum of the mirrored products bit for bit.
+	terms := make([]matrix.XXTTerm, len(plan.terms))
+	for k, term := range plan.terms {
 		x, xt := a, at
 		if term.transposed {
 			x, xt = at, a
 		}
-		rs := resolveScale(term.rowScale, outDeg, inDeg)
-		cs := resolveScale(term.colScale, outDeg, inDeg)
-		// The one product every product-shaped symmetrization lowers to
-		// (the kernel only reads rows, so heap and mapped operands are
-		// alike), with the scalings and threshold folded in, on as many
-		// workers as the engine derives.
-		p, err := matrix.MulXXTScaledPrunedUpperCtx(ctx, x, xt, rs, cs, opt.Threshold, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.charge(matBytes(p)); err != nil {
-			return nil, err
-		}
-		if u == nil {
-			u = p
-		} else {
-			u = matrix.Add(u, p, 1, 1)
-		}
+		terms[k] = matrix.XXTTerm{X: x, XT: xt,
+			RowScale: resolveScale(term.rowScale, outDeg, inDeg), ColScale: resolveScale(term.colScale, outDeg, inDeg)}
 	}
-	if plan.dropDiagonal {
-		u = u.DropDiagonal()
+	up, err := matrix.SumXXTScaledPrunedUpperCtx(ctx, a.Rows, terms, opt.Threshold, plan.dropDiagonal,
+		func(sum *matrix.CSR) error { return s.charge(matBytes(sum)) })
+	if err != nil {
+		return nil, err
 	}
-	u = matrix.MirrorUpper(u)
+	u := matrix.MirrorUpper(up)
 	if err := s.charge(matBytes(u)); err != nil {
 		return nil, err
 	}

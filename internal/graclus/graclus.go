@@ -50,8 +50,6 @@ type Result struct {
 	Assign []int
 	// K is the requested number of clusters.
 	K int
-	// NCut is the normalised cut of the final clustering.
-	NCut float64
 }
 
 // ClusterCtx partitions the symmetric weighted adjacency adj into k
@@ -75,7 +73,7 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Resu
 		return &Result{Assign: []int{}, K: k}, nil
 	}
 	if k == 1 {
-		return &Result{Assign: make([]int, adj.Rows), K: 1, NCut: 0}, nil
+		return &Result{Assign: make([]int, adj.Rows), K: 1}, nil
 	}
 
 	h, err := opt.Hier.Coarsen(ctx, adj, multilevel.Options{MinNodes: max(coarsenTo, 4*k), Seed: rng.Int63()})
@@ -97,7 +95,7 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Resu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Result{Assign: assign, K: k, NCut: NCut(adj, assign, k)}, nil
+	return &Result{Assign: assign, K: k}, nil
 }
 
 // NCut returns the normalised cut Σ_c cut(c)/deg(c) of the assignment.

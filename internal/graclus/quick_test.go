@@ -49,7 +49,8 @@ func TestQuickClusterAlwaysValid(t *testing.T) {
 			}
 		}
 		// NCut is within [0, k].
-		return res.NCut >= 0 && res.NCut <= float64(k)+1e-9
+		ncut := NCut(g.Adj, res.Assign, k)
+		return ncut >= 0 && ncut <= float64(k)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

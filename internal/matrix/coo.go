@@ -84,10 +84,9 @@ func (b *Builder) Len() int { return b.held + len(b.r) }
 // dropping entries that sum to exactly zero. The Builder is drained and
 // may be reused afterwards.
 func (b *Builder) Build() *CSR {
-	m := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int64, b.rows+1)}
 	total := b.Len()
 	if total == 0 {
-		return m
+		return Zero(b.rows, b.cols)
 	}
 	// Counting sort by row, then sort each row's slice by column. This is
 	// O(nnz + rows + Σ r log r) and avoids sorting the full triplet list.
@@ -125,33 +124,37 @@ func (b *Builder) Build() *CSR {
 		b.r, b.c, b.v = b.r[:0], b.c[:0], b.v[:0]
 		b.sealed, b.held = nil, 0
 	}
+	return FoldRows(b.rows, b.cols, counts, cs, vs)
+}
 
-	// Sort each row by column, then sum duplicates and drop the exact
-	// zeros cancellation leaves, compacting in place: the write cursor
-	// never passes the read cursor, so cs and vs become the result. A row
-	// whose columns already ascend strictly is the order the sort would
-	// leave it in — distinct keys have one — and is not sorted.
-	w, row := 0, &rowSorter{} // one sorter: a value would be boxed per row
-	for i := 0; i < b.rows; i++ {
-		lo, hi := int(counts[i]), int(counts[i+1])
-		if !strictlyAscending(cs[lo:hi]) {
-			row.cols, row.vals = cs[lo:hi], vs[lo:hi]
+// FoldRows assembles a rows×cols CSR from entries grouped by row — row
+// i is colIdx and val over [rowPtr[i], rowPtr[i+1]) — in any column
+// order: each row is sorted by column (unless it already ascends
+// strictly, the one order distinct keys have), equal columns are summed
+// left to right as sort.Sort leaves them, and exact zeros are dropped. It
+// is Build's fold, the one definition of a built matrix's rounding
+// (DESIGN.md §15), done in place: the three arrays become the result's.
+func FoldRows(rows, cols int, rowPtr []int64, colIdx []int32, val []float64) *CSR {
+	w, lo, row := 0, 0, &rowSorter{} // one sorter: a value would be boxed per row
+	for i := 0; i < rows; i++ {
+		hi := int(rowPtr[i+1])
+		if !strictlyAscending(colIdx[lo:hi]) {
+			row.cols, row.vals = colIdx[lo:hi], val[lo:hi]
 			sort.Sort(row)
 		}
 		for k := lo; k < hi; {
-			c, v := cs[k], vs[k]
-			for k++; k < hi && cs[k] == c; k++ {
-				v += vs[k]
+			c, v := colIdx[k], val[k]
+			for k++; k < hi && colIdx[k] == c; k++ {
+				v += val[k]
 			}
 			if v != 0 {
-				cs[w], vs[w] = c, v
+				colIdx[w], val[w] = c, v
 				w++
 			}
 		}
-		m.RowPtr[i+1] = int64(w)
+		rowPtr[i+1], lo = int64(w), hi
 	}
-	m.ColIdx, m.Val = cs[:w:w], vs[:w:w]
-	return m
+	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx[:w:w], Val: val[:w:w]}
 }
 
 func strictlyAscending(cols []int32) bool {

@@ -309,7 +309,7 @@ func TestQuickBuildChunkedMatchesSortingBuild(t *testing.T) {
 // TestBuildReservedRowMajorHandsArraysOver: triplets added row-major
 // into room reserved up front are one contiguous block, and Build
 // returns that block as the matrix — no scatter copy, nothing allocated
-// per triplet. multilevel.contract builds every coarse level this way.
+// per triplet. mcl.projectFlow builds a projected flow this way.
 func TestBuildReservedRowMajorHandsArraysOver(t *testing.T) {
 	const n, perRow = 200, 30
 	fill := func() (*Builder, *int32) {
@@ -326,13 +326,13 @@ func TestBuildReservedRowMajorHandsArraysOver(t *testing.T) {
 	if m := b.Build(); &m.ColIdx[0] != block {
 		t.Fatal("Build copied a reserved row-major block instead of handing it over")
 	}
-	// The builder, its three arrays, the matrix, its row pointers, the
-	// row counts and the sorter.
+	// The builder, its three arrays, the matrix, the row counts that
+	// become its row pointers and the sorter.
 	if allocs := testing.AllocsPerRun(5, func() {
 		b, _ := fill()
 		b.Build()
-	}); allocs > 8 {
-		t.Fatalf("%v allocations for a reserved row-major build, want at most 8", allocs)
+	}); allocs > 7 {
+		t.Fatalf("%v allocations for a reserved row-major build, want at most 7", allocs)
 	}
 }
 

@@ -67,9 +67,10 @@ type accumulator struct {
 	force   int8      // tests only: > 0 every row dense, < 0 every row marked
 	// Drained by the driver: rows run dense, rows re-collected hint-free.
 	denseRows, fallbacks int64
-	// Workers write these fields on every row: pad to three cache lines
+	row                  rowSink // a merged product's row, flushed before it is merged
+	// Workers write these fields on every row: pad to four cache lines
 	// so two workers' accumulators, allocated back to back, share none.
-	_ [40]byte
+	_ [56]byte
 }
 
 // newAccumulator sizes every per-column array once, at cols.
@@ -157,6 +158,10 @@ type product struct {
 	// entries it trims. It runs on whichever worker produced the row, so
 	// it may touch nothing but its arguments.
 	rowEpilogue func(cols []int32, vals []float64) int
+	// merge, when set, takes each flushed row — in the worker's own
+	// scratch — and appends what row i emits in its place to sink. It
+	// runs on the worker that produced the row, like rowEpilogue.
+	merge func(i int, row rowSink, sink *rowSink)
 }
 
 // rowFlops sums the lengths of the rows of b that row i of a selects.
@@ -460,7 +465,17 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 			for i, hi := t*height, min((t+1)*height, p.rows); i < hi; i++ {
 				spa.begin(p, i)
 				p.scatter(i, spa)
-				n, k := spa.flush(sink, p, i)
+				var n int
+				var k int64
+				if p.merge == nil {
+					n, k = spa.flush(sink, p, i)
+				} else {
+					row, lo := &spa.row, len(sink.cols)
+					row.cols, row.vals = row.cols[:0], row.vals[:0]
+					_, k = spa.flush(row, p, i)
+					p.merge(i, *row, sink)
+					n = len(sink.cols) - lo
+				}
 				tileKilled += k
 				if p.rowEpilogue != nil {
 					lo := len(sink.cols) - n

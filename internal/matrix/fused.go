@@ -68,30 +68,56 @@ func checkScaleLen(name string, scale []float64, want int) {
 // the same bits, workers <= 0 selects GOMAXPROCS, and a cancelled ctx
 // aborts at the next tile boundary with ctx's error.
 func MulXXTScaledPrunedCtx(ctx context.Context, x, xt *CSR, rowScale, colScale []float64, threshold float64, workers int) (*CSR, error) {
-	return xxtProduct(x, xt, rowScale, colScale, threshold).run(ctx, offered(workers))
-}
-
-// offered is the worker count a caller's workers argument offers the
-// engine: GOMAXPROCS when it leaves the count to it.
-func offered(workers int) int {
 	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return workers
+	return xxtProduct(x, xt, rowScale, colScale, threshold).run(ctx, workers)
 }
 
-// MulXXTScaledPrunedUpperCtx is MulXXTScaledPrunedCtx before the
-// mirror: the rows of S cut to their columns j ≥ i, with the full
-// product's prune tally. It is for a caller that sums several such
-// products — mirroring copies values, so MirrorUpper of the summed
-// triangles is the sum of the mirrored products bit for bit, at half the
-// additions and one mirror.
-func MulXXTScaledPrunedUpperCtx(ctx context.Context, x, xt *CSR, rowScale, colScale []float64, threshold float64, workers int) (*CSR, error) {
-	up := &CSR{}
-	if _, err := xxtProduct(x, xt, rowScale, colScale, threshold).runInto(ctx, offered(workers), &workspace{}, up); err != nil {
-		return nil, err
+// XXTTerm is one self-product of a sum: X·Xᵀ for X = diag(RowScale)·X·
+// diag(ColScale), XT the exact transpose of X, a nil scale the identity.
+type XXTTerm struct {
+	X, XT              *CSR
+	RowScale, ColScale []float64
+}
+
+// SumXXTScaledPrunedUpperCtx returns the upper triangle (j ≥ i) of the
+// n×n sum of the terms' self-products. Its mirror is, bit for bit and
+// prune tally alike, MulXXTScaledPrunedCtx of each term Added left to
+// right onto Zero(n, n), then DropDiagonal when dropDiag. Each term is
+// its own engine pass under threshold, and each row it flushes is merged
+// onto that row of the running sum at once (Add's merge), so no term's
+// triangle and no copy of the sum is built; the passes share one
+// workspace. each, when set, sees every running sum as it completes, and
+// its error abandons the sum. Workers are derived; a cancelled ctx aborts
+// at the next tile boundary with ctx's error.
+func SumXXTScaledPrunedUpperCtx(ctx context.Context, n int, terms []XXTTerm, threshold float64, dropDiag bool, each func(sum *CSR) error) (*CSR, error) {
+	sum, ws := Zero(n, n), &workspace{}
+	for _, t := range terms {
+		p := xxtProduct(t.X, t.XT, t.RowScale, t.ColScale, threshold)
+		if p.rows != n {
+			panic(fmt.Sprintf("matrix: SumXXTScaledPrunedUpperCtx term of %d rows in a sum of %d", p.rows, n))
+		}
+		prev := sum
+		p.merge = func(i int, row rowSink, sink *rowSink) {
+			skip := int32(-1)
+			if dropDiag {
+				skip = int32(i)
+			}
+			pc, pv := prev.Row(i)
+			sink.cols, sink.vals = addRow(sink.cols, sink.vals, pc, pv, row.cols, row.vals, 1, 1, skip)
+		}
+		sum = &CSR{}
+		if _, err := p.runInto(ctx, runtime.GOMAXPROCS(0), ws, sum); err != nil {
+			return nil, err
+		}
+		if each != nil {
+			if err := each(sum); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return up, nil
+	return sum, nil
 }
 
 // xxtProduct is the engine spec behind MulXXTScaledPrunedCtx: the

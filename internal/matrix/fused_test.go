@@ -1,10 +1,16 @@
 package matrix
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+
+	"symcluster/internal/obs"
 )
 
 // requireBitIdentical fails unless got and want have identical
@@ -85,6 +91,122 @@ func TestMulXXTRejectsNonTranspose(t *testing.T) {
 				t.Fatalf("%s, %d workers: product of a non-transpose returned", name, workers)
 			}()
 		}
+	}
+}
+
+// sumByComposition is what SumXXTScaledPrunedUpperCtx replaces: each term
+// mirrored through MulXXTScaledPrunedCtx, the full matrices Added left to
+// right from Zero(n, n), then DropDiagonal.
+func sumByComposition(ctx context.Context, n int, terms []XXTTerm, threshold float64, dropDiag bool) *CSR {
+	sum := Zero(n, n)
+	for _, t := range terms {
+		full, err := MulXXTScaledPrunedCtx(ctx, t.X, t.XT, t.RowScale, t.ColScale, threshold, 1)
+		if err != nil {
+			panic(err)
+		}
+		sum = Add(sum, full, 1, 1)
+	}
+	if dropDiag {
+		sum = sum.DropDiagonal()
+	}
+	return sum
+}
+
+// randomTerms draws up to three self-product terms over n rows: random
+// rectangular operands with few distinct weights, some inexact, and
+// scales that are nil or few-valued. A term may reuse the previous
+// operand with rows of the row scale negated, so that entries whose two
+// rows differ in sign cancel the previous term's to an exact zero.
+func randomTerms(rng *rand.Rand, n, count int) []XXTTerm {
+	weights := []float64{1, -1, 2, 0.5, 0.1, 0.3}
+	few := func(size int, vals ...float64) []float64 {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		s := make([]float64, size)
+		for i := range s {
+			s[i] = vals[rng.Intn(len(vals))]
+		}
+		return s
+	}
+	var terms []XXTTerm
+	for k := 0; k < count; k++ {
+		if k > 0 && rng.Intn(2) == 0 {
+			prev := terms[k-1]
+			rs := make([]float64, n)
+			for i := range rs {
+				rs[i] = 1
+				if prev.RowScale != nil {
+					rs[i] = prev.RowScale[i]
+				}
+				if rng.Intn(2) == 0 {
+					rs[i] = -rs[i]
+				}
+			}
+			terms = append(terms, XXTTerm{X: prev.X, XT: prev.XT, RowScale: rs, ColScale: prev.ColScale})
+			continue
+		}
+		cols := 1 + rng.Intn(2*n)
+		b := NewBuilder(n, cols)
+		for e := rng.Intn(4 * n); e > 0; e-- {
+			b.Add(rng.Intn(n), rng.Intn(cols), weights[rng.Intn(len(weights))])
+		}
+		x := b.Build()
+		terms = append(terms, XXTTerm{X: x, XT: x.Transpose(), RowScale: few(n, 1, -1, 0.5), ColScale: few(cols, 1, 2, 0.3)})
+	}
+	return terms
+}
+
+// TestSumXXTMatchesComposition: the sum entry is the composition it
+// replaced — per-term products, Add left to right, DropDiagonal — once
+// mirrored, in math.Float64bits, prune tally and row paths, for zero to
+// three terms, with and without a threshold and the diagonal, at
+// GOMAXPROCS 1, 2, 3 and 8 over rows that span one tile to several; and
+// each sees every running sum, the last being the result.
+func TestSumXXTMatchesComposition(t *testing.T) {
+	orig := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 24; trial++ {
+		n := 1 + rng.Intn(600)
+		terms := randomTerms(rng, n, trial%4)
+		for _, th := range []float64{0, 1.5} {
+			for _, dropDiag := range []bool{false, true} {
+				wantCtx, wantStats := obs.WithPruneStats(context.Background())
+				want := sumByComposition(wantCtx, n, terms, th, dropDiag)
+				wantDense, wantFallbacks := wantStats.RowPaths()
+				for _, procs := range []int{1, 2, 3, 8} {
+					runtime.GOMAXPROCS(procs)
+					t.Run(fmt.Sprintf("trial=%d/terms=%d/th=%v/drop=%v/procs=%d", trial, len(terms), th, dropDiag, procs), func(t *testing.T) {
+						ctx, stats := obs.WithPruneStats(context.Background())
+						var seen []*CSR
+						up, err := SumXXTScaledPrunedUpperCtx(ctx, n, terms, th, dropDiag, func(sum *CSR) error {
+							seen = append(seen, sum)
+							return nil
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireBitIdentical(t, want, MirrorUpper(up))
+						if stats.Killed() != wantStats.Killed() {
+							t.Fatalf("killed %d, want %d", stats.Killed(), wantStats.Killed())
+						}
+						if dense, fallbacks := stats.RowPaths(); dense != wantDense || fallbacks != wantFallbacks {
+							t.Fatalf("row paths %d dense, %d fallbacks; want %d, %d", dense, fallbacks, wantDense, wantFallbacks)
+						}
+						if len(seen) != len(terms) || len(terms) > 0 && seen[len(seen)-1] != up {
+							t.Fatalf("each saw %d sums of %d terms, the last the result: %v", len(seen), len(terms), len(seen) > 0 && seen[len(seen)-1] == up)
+						}
+					})
+				}
+			}
+		}
+	}
+	// An error from each abandons the sum with it.
+	stop := errors.New("over budget")
+	if _, err := SumXXTScaledPrunedUpperCtx(context.Background(), 50, randomTerms(rng, 50, 2), 0, true,
+		func(*CSR) error { return stop }); err != stop {
+		t.Fatalf("err = %v, want each's", err)
 	}
 }
 

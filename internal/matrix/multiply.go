@@ -18,30 +18,39 @@ func Add(a, b *CSR, alpha, beta float64) *CSR {
 	for i := 0; i < a.Rows; i++ {
 		ac, av := a.Row(i)
 		bc, bv := b.Row(i)
-		p, q := 0, 0
-		for p < len(ac) || q < len(bc) {
-			var col int32
-			var val float64
-			switch {
-			case q >= len(bc) || (p < len(ac) && ac[p] < bc[q]):
-				col, val = ac[p], alpha*av[p]
-				p++
-			case p >= len(ac) || bc[q] < ac[p]:
-				col, val = bc[q], beta*bv[q]
-				q++
-			default:
-				col, val = ac[p], alpha*av[p]+beta*bv[q]
-				p++
-				q++
-			}
-			if val != 0 {
-				out.ColIdx = append(out.ColIdx, col)
-				out.Val = append(out.Val, val)
-			}
-		}
+		out.ColIdx, out.Val = addRow(out.ColIdx, out.Val, ac, av, bc, bv, alpha, beta, -1)
 		out.RowPtr[i+1] = int64(len(out.ColIdx))
 	}
 	return out
+}
+
+// addRow appends the row alpha·a + beta·b of two column-sorted rows to
+// cols and vals: Add's merge, which the engine's running sum shares. The
+// a-side term comes first, an exact zero is dropped, and so is column
+// skip (-1 skips none).
+func addRow(cols []int32, vals []float64, ac []int32, av []float64, bc []int32, bv []float64, alpha, beta float64, skip int32) ([]int32, []float64) {
+	p, q := 0, 0
+	for p < len(ac) || q < len(bc) {
+		var col int32
+		var val float64
+		switch {
+		case q >= len(bc) || (p < len(ac) && ac[p] < bc[q]):
+			col, val = ac[p], alpha*av[p]
+			p++
+		case p >= len(ac) || bc[q] < ac[p]:
+			col, val = bc[q], beta*bv[q]
+			q++
+		default:
+			col, val = ac[p], alpha*av[p]+beta*bv[q]
+			p++
+			q++
+		}
+		if val != 0 && col != skip {
+			cols = append(cols, col)
+			vals = append(vals, val)
+		}
+	}
+	return cols, vals
 }
 
 // MulPrunedTopKCtx returns a·b keeping, per output row, only entries
@@ -78,7 +87,7 @@ type Expander struct {
 
 // DerivedWorkers reports how many goroutines the engine runs a product
 // of the given output rows on when the count is left to it (an Expander,
-// MulXXTScaledPrunedCtx at workers 0): GOMAXPROCS capped at the tiles.
+// SumXXTScaledPrunedUpperCtx): GOMAXPROCS capped at the tiles.
 func DerivedWorkers(rows int) int {
 	_, _, running := tiling(rows, runtime.GOMAXPROCS(0))
 	return running

@@ -51,8 +51,6 @@ type Result struct {
 	Assign []int
 	// K is the requested number of parts.
 	K int
-	// EdgeCut is the total weight of edges crossing between parts.
-	EdgeCut float64
 }
 
 // PartitionCtx splits the symmetric weighted adjacency adj into k
@@ -96,7 +94,7 @@ func PartitionCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Re
 			return nil, err
 		}
 	}
-	return &Result{Assign: assign, K: k, EdgeCut: EdgeCut(adj, assign)}, nil
+	return &Result{Assign: assign, K: k}, nil
 }
 
 // EdgeCut returns the total weight of edges whose endpoints are in

@@ -55,10 +55,7 @@ func TestQuickPartitionAlwaysValid(t *testing.T) {
 				return false // empty part
 			}
 		}
-		if res.EdgeCut < 0 {
-			return false
-		}
-		return true
+		return EdgeCut(g.Adj, res.Assign) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -86,7 +83,8 @@ func TestQuickEdgeCutBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.EdgeCut >= 0 && res.EdgeCut <= total+1e-9
+		cut := EdgeCut(g.Adj, res.Assign)
+		return cut >= 0 && cut <= total+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

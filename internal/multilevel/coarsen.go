@@ -185,24 +185,26 @@ func contract(cur *Level, match []int32, minShrink float64) (*Level, bool) {
 		return nil, false
 	}
 
-	// Walking fine rows in that order hands the builder its triplets
-	// row-major (no scatter), each coarse row as a stable sort by row
-	// would leave a walk in index order: what Build's per-row sort is
-	// given decides the last bit of a three-way merge.
-	b := matrix.NewBuilder(cn, cn)
-	b.Reserve(cur.Adj.NNZ())
+	// Walking fine rows in that order writes each coarse row where it
+	// lands, in the sequence a stable sort by row would leave a walk in
+	// index order — what FoldRows' per-row sort is given decides the last
+	// bit of a three-way merge — and FoldRows folds the rows in place.
+	rowPtr := make([]int64, cn+1)
+	cols, vals := make([]int32, cur.Adj.NNZ()), make([]float64, cur.Adj.NNZ())
+	at := 0
 	for _, i := range order {
-		cols, vals := cur.Adj.Row(int(i))
-		ci := coarseID[i]
-		for k, c := range cols {
-			b.Add(int(ci), int(coarseID[c]), vals[k])
+		fc, fv := cur.Adj.Row(int(i))
+		for k, c := range fc {
+			cols[at+k] = coarseID[c]
 		}
+		at += copy(vals[at:], fv)
+		rowPtr[coarseID[i]+1] = int64(at)
 	}
 	weight := make([]float64, cn)
 	for i := 0; i < n; i++ {
 		weight[coarseID[i]] += cur.NodeWeight[i]
 	}
-	return &Level{Adj: b.Build(), NodeWeight: weight, Map: coarseID}, true
+	return &Level{Adj: matrix.FoldRows(cn, cn, rowPtr, cols, vals), NodeWeight: weight, Map: coarseID}, true
 }
 
 // Project maps an assignment over the nodes of h.Levels[level] down to

@@ -105,33 +105,27 @@ func LayerSimilarity(ctx context.Context, g *Graph, layer int, opt Options) (*ma
 		return nil, fmt.Errorf("multipartite: layer %d outside [0,%d)", layer, len(g.LayerSizes))
 	}
 	opt.fill()
-	n := g.LayerSizes[layer]
-	sim := matrix.Zero(n, n)
+	// The discount factors fold into the fused self-products, so no scaled
+	// relation matrix is materialised; for incoming relations the one
+	// explicit transpose doubles as the kernel's transpose operand, since
+	// (Bᵀ)ᵀ is B again bit-exactly. The terms are summed as upper
+	// triangles, the diagonal dropped as they are, and mirrored once.
+	var terms []matrix.XXTTerm
 	for _, r := range g.Relations {
-		// The discount factors fold into the fused self-product, so the
-		// scaled relation matrix is never materialised; for incoming
-		// relations the one explicit transpose doubles as the kernel's
-		// transpose operand, since (Bᵀ)ᵀ is B again bit-exactly.
-		var term *matrix.CSR
-		var err error
 		switch {
 		case r.From == layer:
-			rs := invPow(r.B.RowCounts(), opt.Alpha)
-			cs := invPow(r.B.ColCounts(), opt.Beta/2)
-			term, err = matrix.MulXXTScaledPrunedCtx(ctx, r.B, r.B.Transpose(), rs, cs, opt.Threshold, 1)
+			terms = append(terms, matrix.XXTTerm{X: r.B, XT: r.B.Transpose(),
+				RowScale: invPow(r.B.RowCounts(), opt.Alpha), ColScale: invPow(r.B.ColCounts(), opt.Beta/2)})
 		case r.To == layer:
-			rs := invPow(r.B.ColCounts(), opt.Beta)
-			cs := invPow(r.B.RowCounts(), opt.Alpha/2)
-			term, err = matrix.MulXXTScaledPrunedCtx(ctx, r.B.Transpose(), r.B, rs, cs, opt.Threshold, 1)
-		default:
-			continue
+			terms = append(terms, matrix.XXTTerm{X: r.B.Transpose(), XT: r.B,
+				RowScale: invPow(r.B.ColCounts(), opt.Beta), ColScale: invPow(r.B.RowCounts(), opt.Alpha/2)})
 		}
-		if err != nil {
-			return nil, err
-		}
-		sim = matrix.Add(sim, term, 1, 1)
 	}
-	return sim.DropDiagonal(), nil
+	up, err := matrix.SumXXTScaledPrunedUpperCtx(ctx, g.LayerSizes[layer], terms, opt.Threshold, true, nil)
+	if err != nil {
+		return nil, err
+	}
+	return matrix.MirrorUpper(up), nil
 }
 
 func invPow(deg []int, exp float64) []float64 {

@@ -108,13 +108,13 @@ func spectralEmbeddingBytes(gs GraphStats) int64 {
 }
 
 // multilevelBytes bounds the Metis/Graclus coarsening hierarchies. A
-// level keeps the arrays its contraction was assembled in, 12 bytes per
-// entry of the finer level (16 while it is built; 28 before the builder
-// lost its scatter copy), so geometrically shrinking levels sum to ~2×
-// the clustered graph, taken at 2·edges entries. A pruned product can
-// have more (17 k from 4.6 k edges on the 540-node benchmark graph);
-// the symmetrizer's flop-bound model in the same job estimate absorbs
-// that: TestJobEstimateCoversMultilevelHeld. A Graclus request served
+// level keeps the arrays its contraction wrote, 12 bytes per entry of
+// the finer level (16 while a triplet builder assembled it), so
+// geometrically shrinking levels sum to ~2× the clustered graph, taken
+// at 2·edges entries. A pruned product can have more (17 k from 4.6 k
+// edges on the 540-node benchmark graph); the symmetrizer's flop-bound
+// model in the same job estimate absorbs that:
+// TestJobEstimateCoversMultilevelHeld. A Graclus request served
 // from its cache entry's kept hierarchy holds nothing new (the cache is
 // charged for it); a Metis request served from it builds only its
 // subgraphs' hierarchies, one live at a time and each over a part of U.

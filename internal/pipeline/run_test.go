@@ -205,6 +205,65 @@ func gleichHolds(t *testing.T, g *graph.Directed, rng *rand.Rand) bool {
 			return false
 		}
 	}
+	return dirichletHolds(t, eg.Adj, u, rng)
+}
+
+// dirichletHolds checks Gleich's identity for every k at once, as the
+// generalized Dirichlet energy of Sevi et al. (PAPERS.md): for the
+// runner's rw graph U of the ergodic a, with D the row sums of U, every
+// x has xᵀ(D − U)x = ½ Σ π_i P_ij (x_i − x_j)², P and π computed here from
+// a — the quantity a k-way NCut sums over its cluster indicators. The
+// two sides are equal in exact arithmetic (U's diagonal, a's self-loop,
+// cancels), so they agree to rounding: 1e-10 of the magnitudes summed.
+// That D is π is stationarity, which the teleport bends as gleichHolds
+// says: πᵀP = (π − τ/n)/(1 − τ), so d_i = π_i + τ(π_i − 1/n)/(2(1 − τ)).
+// That shift bounds |d_i − π_i|, and with it put back the two agree to
+// 1e-8, for the 1e-10 the power iteration stops at.
+func dirichletHolds(t *testing.T, a, u *matrix.CSR, rng *rand.Rand) bool {
+	t.Helper()
+	const tau = walk.DefaultTeleport
+	n := a.Rows
+	p := walk.TransitionMatrix(a)
+	pi, err := walk.StationaryDistributionCtx(context.Background(), p, walk.Options{Teleport: tau})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := u.RowSums()
+	for i := range d {
+		shift := tau * (pi[i] - 1/float64(n)) / (2 * (1 - tau))
+		if math.Abs(d[i]-pi[i]) > math.Abs(shift)+1e-8 || math.Abs(d[i]-pi[i]-shift) > 1e-8 {
+			t.Errorf("rw: row sum d[%d]=%v, π=%v: apart by %v, the teleport allows %v", i, d[i], pi[i], d[i]-pi[i], shift)
+			return false
+		}
+	}
+	for trial := 0; trial < 8; trial++ {
+		x := make([]float64, n)
+		for i := range x {
+			if trial%2 == 0 {
+				x[i] = rng.NormFloat64()
+			} else {
+				x[i] = float64(rng.Intn(2 + trial)) // a k-way labelling
+			}
+		}
+		var lhs, scale, energy float64
+		for i := 0; i < n; i++ {
+			lhs += d[i] * x[i] * x[i]
+			scale += d[i] * x[i] * x[i]
+			cols, vals := u.Row(i)
+			for k, j := range cols {
+				lhs -= vals[k] * x[i] * x[j]
+				scale += math.Abs(vals[k] * x[i] * x[j])
+			}
+			cols, vals = p.Row(i)
+			for k, j := range cols {
+				energy += pi[i] * vals[k] * (x[i] - x[j]) * (x[i] - x[j]) / 2
+			}
+		}
+		if math.Abs(lhs-energy) > 1e-10*scale {
+			t.Errorf("rw: xᵀ(D − U)x = %v, ½ Σ π_i P_ij (x_i − x_j)² = %v: apart by %v of %v", lhs, energy, math.Abs(lhs-energy), scale)
+			return false
+		}
+	}
 	return true
 }
 
@@ -215,7 +274,8 @@ func gleichHolds(t *testing.T, g *graph.Directed, rng *rand.Rand) bool {
 // and changes nothing else (Sym(PAPᵀ) = P·Sym(A)·Pᵀ, to summation
 // order); a higher prune threshold never keeps more entries; for dd,
 // transposing the graph and swapping α with β returns the same bits;
-// for rw, Gleich's NCut identity (gleichHolds); and, for every clusterer
+// for rw, Gleich's NCut identity (gleichHolds) and its k-way form as a
+// Dirichlet energy (dirichletHolds); and, for every clusterer
 // after every symmetrization on the graphs that plant clusters, the
 // out-of-core run assigns exactly as the in-core one and relabelling
 // the nodes relabels the assignment — on average over the sample, to

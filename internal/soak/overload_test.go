@@ -16,7 +16,7 @@ import (
 	"symcluster/internal/server"
 )
 
-// The overload episode (ROADMAP item 5a): the rig that makes the
+// The overload episode (ROADMAP item 9(a)): the rig that makes the
 // refusal gates fire. A two-node cluster runs with one worker and a
 // two-place queue per node and a 1 MiB queued-byte watermark; an
 // unbounded delay at pool.task gives every job a service-time floor, so
@@ -63,7 +63,7 @@ func runOverloadEpisode(t *testing.T, bin string, ep int) {
 	peers := "http://" + a.addr + ",http://" + b.addr
 	// The probe interval is also the probe timeout: at one second and
 	// three misses a node saturated on purpose is not mistaken for a dead
-	// one (and its live WAL adopted — ROADMAP item 5d) because /healthz
+	// one (and its live WAL adopted — ROADMAP item 3) because /healthz
 	// took 50 ms. Failover is the chaos episodes' subject, not this one's.
 	sized := []string{"-queue", "2", "-max-queue-mb", "1", "-probe-interval", "1s", "-peer-fail-threshold", "3"}
 	startNode(t, bin, a, root, peers, "pool.task=delay:60ms", sized...)

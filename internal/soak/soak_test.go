@@ -84,7 +84,7 @@ type trackedJob struct {
 // tier1Seeds are the chaos schedules a plain `go test ./...` runs, so
 // that the judging command does the same thing every time; each passed
 // 10 runs of 10 at commit 75cdfb4. The two regression seeds of ROADMAP
-// item 1(a), 1790992031839261065 and 1791004512633555842, are not among
+// item 3, 1790992031839261065 and 1791004512633555842, are not among
 // them: they fail until the owner holds a lock on its WAL, and join
 // this list when that lands. A random seed is `make soak`'s business.
 var tier1Seeds = []int64{4, 9, 16}

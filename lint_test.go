@@ -230,10 +230,17 @@ var sourceRules = []sourceRule{
 	},
 	{
 		why: "production call to the sparse-product oracle: matrix.MulPrunedCtx is the reference " +
-			"the tests hold the engine to; products go through matrix.MulXXTScaledPrunedCtx, " +
-			"matrix.MulXXTScaledPrunedUpperCtx or matrix.MulPrunedTopKCtx (DESIGN.md §15)",
+			"the tests hold the engine to; products go through matrix.SumXXTScaledPrunedUpperCtx, " +
+			"an Expander or matrix.MulPrunedTopKCtx (DESIGN.md §15)",
 		applies: func(f string) bool { return !isTest(f) },
 		match:   func(n ast.Node) bool { return call(n, "matrix", "MulPrunedCtx") },
+	},
+	{
+		why: "matrix.MulXXTScaledPrunedCtx outside tests and bench/: a sum of self-products goes through " +
+			"matrix.SumXXTScaledPrunedUpperCtx, which adds each term's rows to the running sum as they are " +
+			"flushed, so no caller builds a term's matrix and then Adds it (DESIGN.md §15, \"Why bit-identity holds\")",
+		applies: func(f string) bool { return !isTest(f) && !under(f, "bench") },
+		match:   func(n ast.Node) bool { return call(n, "matrix", "MulXXTScaledPrunedCtx") },
 	},
 	{
 		why: "raw propagation-header write outside internal/cluster: traceparent and " +
@@ -345,7 +352,7 @@ func funcKey(dir string, fd *ast.FuncDecl) string {
 }
 
 // docCeilings caps each doc at its length after PR 29, so a change edits
-// it in place; ROADMAP item 8(a) lowers DESIGN.md's toward 900.
+// it in place; ROADMAP item 10 lowers DESIGN.md's toward 900.
 var docCeilings = map[string]int{"DESIGN.md": 2200, "README.md": 733}
 
 // TestSourceLints is `make lint`: it parses every Go file of the
@@ -426,7 +433,7 @@ func TestSourceLints(t *testing.T) {
 		}
 		if n := bytes.Count(b, []byte("\n")); n > ceiling {
 			t.Errorf("%s: %d lines, ceiling %d: edit in place — what a change adds, it takes out elsewhere, and "+
-				"history goes to CHANGES.md (ROADMAP item 8(a))", doc, n, ceiling)
+				"history goes to CHANGES.md (ROADMAP item 10)", doc, n, ceiling)
 		}
 	}
 
