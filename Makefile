@@ -30,7 +30,8 @@ vet:
 
 # The source-hygiene rules — registry-only switches over methods and
 # algorithms, slog-only logging, job state reaching disk only through
-# internal/jobstore, mmap only in internal/csr, peer traffic and
+# internal/jobstore, mmap only in internal/csr, flock only in
+# internal/jobstore and jobstore.TryOpen only in adoption.go, peer traffic and
 # propagation headers only through the cluster client,
 # context.Background() only in package main and bootctx.go, no exported F
 # beside an exported FCtx, no production call to the sparse-product oracle
@@ -56,9 +57,14 @@ build:
 # routine's), and the three packages whose oracle suites hold the engine
 # to its bits pass with the routine tagged out — the Go loop alone, as
 # on every GOARCH but amd64 and every amd64 without AVX2 (DESIGN.md §15,
-# "Collect").
+# "Collect"). The module also builds where the journal lock has no flock
+# (windows, solaris, aix), whose jobstore takes no lock and never adopts
+# (DESIGN.md §14).
 cross:
 	GOARCH=arm64 $(GO) build ./...
+	GOOS=windows $(GO) build ./...
+	GOOS=solaris $(GO) build ./...
+	GOOS=aix GOARCH=ppc64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/matrix
 	$(GO) test -tags purego ./internal/matrix ./internal/core ./internal/mcl
 
@@ -94,9 +100,12 @@ crash:
 # status report that degrades — not blocks — when a peer is killed,
 # DESIGN.md §16), plus the route table: every public route × {owner is
 # this node, a healthy peer, a dead peer, already forwarded} served
-# here / one hop away / refused with 503 + Retry-After (DESIGN.md §14).
+# here / one hop away / refused with 503 + Retry-After (DESIGN.md §14),
+# and the adoption table: a live owner failing its probes (503, hung,
+# refused) is routed around but never adopted, a dead one is adopted, and
+# so is one that dies a second time (DESIGN.md §14, "Ownership transfer").
 cluster:
-	$(GO) test -race -run 'TestClusterFailoverResume|TestClusterObservability|TestRouteTable' ./internal/server
+	$(GO) test -race -run 'TestClusterFailoverResume|TestClusterObservability|TestRouteTable|TestClusterAdoptsOnlyFromExitedOwner' ./internal/server
 
 # The chaos soak (DESIGN.md §17): a real two-node cluster built with
 # -race, driven by randomized fault schedules (injected errors and
@@ -112,9 +121,10 @@ cluster:
 # that 429 and 503 both fire, that a refused submission leaves no job
 # behind, and that every accepted one ends done (it logs goodput, refused
 # share and p99 of admitted work). SOAK_SEED pins a schedule for
-# reproduction; the test logs the seed it used.
+# reproduction; the test logs the seed it used. -count=1: a repeated run
+# is a new trial, never go test's cached result.
 soak:
-	SOAK_SECONDS=$(SOAK_SECONDS) $(GO) test -race -run TestSoak -v \
+	SOAK_SECONDS=$(SOAK_SECONDS) $(GO) test -count=1 -race -run TestSoak -v \
 		-timeout $$(( $(SOAK_SECONDS) + 840 ))s ./internal/soak
 
 fuzz:

@@ -52,9 +52,9 @@
 // hashing assigns their fingerprint, and requests landing elsewhere
 // are forwarded one hop with retries and backoff. An active health
 // checker (-probe-interval, -peer-fail-threshold,
-// -peer-recover-threshold) shifts ownership away from dead peers; when
-// the cluster shares a durable -data-dir, the elected survivor adopts
-// a dead peer's WAL and resumes its jobs from their checkpoints.
+// -peer-recover-threshold) routes around unresponsive peers; a survivor
+// sharing a durable, local -data-dir that takes a dead peer's journal
+// lock adopts its WAL and resumes its jobs from their checkpoints.
 // -upload-ttl reaps chunked-upload sessions abandoned by their client.
 //
 // Overload survival (see README.md "Timeouts, retries, and breakers"

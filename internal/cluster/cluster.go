@@ -104,7 +104,7 @@ func ParsePeer(entry string) (*Peer, error) {
 
 // HashString returns the 64-bit FNV-1a hash of s — the ring position
 // function, exported so callers can place non-fingerprint keys (e.g. a
-// dead peer's name, when electing its adoption owner) on the same ring.
+// graph id off the wire that is not a fingerprint) on the same ring.
 func HashString(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))

@@ -34,7 +34,6 @@ type peerHealth struct {
 	up         bool
 	consecFail int
 	consecOK   int
-	lastErr    error
 }
 
 // HealthConfig sizes a Health checker. Zero values select the defaults
@@ -57,13 +56,10 @@ type HealthConfig struct {
 	// every up/down transition.
 	OnChange func(peer *Peer, up bool)
 	// OnDown, when non-nil, is called (outside the state lock, after
-	// OnChange) on every failed probe of a down peer — the transition
-	// probe included — with the probe's error. Callers use it to drive
-	// recovery work that must retry while the peer stays dead (e.g. WAL
-	// adoption) without re-implementing a poll loop.
-	OnDown func(peer *Peer, err error)
-	// Transport overrides the probe HTTP transport (tests).
-	Transport http.RoundTripper
+	// OnChange) on every failed probe of a down peer, the transition
+	// probe included: it drives work that must retry while the peer
+	// stays down (WAL adoption) without a poll loop of its own.
+	OnDown func(peer *Peer)
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -97,7 +93,6 @@ func NewHealth(peers []*Peer, cfg HealthConfig) *Health {
 		client: NewClient(ClientConfig{
 			MaxAttempts:    1,
 			AttemptTimeout: cfg.ProbeTimeout,
-			Transport:      cfg.Transport,
 		}),
 		peers: make(map[string]*peerHealth, len(peers)),
 		stop:  make(chan struct{}),
@@ -193,14 +188,13 @@ func (h *Health) probeAll() {
 // firing OnChange if the verdict crossed a threshold. Exposed so tests
 // drive rounds synchronously instead of racing the ticker.
 func (h *Health) Probe(p *Peer) {
-	err := h.probe(p)
+	ok := h.probe(p)
 	var changed *Peer
 	var nowUp, downProbe bool
 	h.mu.Lock()
 	ph := h.peers[p.Name]
 	if ph != nil {
-		if err != nil {
-			ph.lastErr = err
+		if !ok {
 			ph.consecOK = 0
 			ph.consecFail++
 			if ph.up && ph.consecFail >= h.cfg.FailThreshold {
@@ -209,7 +203,6 @@ func (h *Health) Probe(p *Peer) {
 			}
 			downProbe = !ph.up
 		} else {
-			ph.lastErr = nil
 			ph.consecFail = 0
 			ph.consecOK++
 			if !ph.up && ph.consecOK >= h.cfg.RecoverThreshold {
@@ -223,36 +216,23 @@ func (h *Health) Probe(p *Peer) {
 		h.cfg.OnChange(changed, nowUp)
 	}
 	if downProbe && h.cfg.OnDown != nil {
-		h.cfg.OnDown(p, err)
+		h.cfg.OnDown(p)
 	}
 }
 
-// probe issues one GET /healthz; any transport error or non-200 is a
-// failure (a draining peer deliberately serves 503 so traffic moves
-// before it exits). The "peer.health" fault site lets chaos tests
-// declare a peer dead without killing its process.
-func (h *Health) probe(p *Peer) error {
-	if err := faultinject.Fire("peer.health"); err != nil {
-		return err
+// probe reports whether GET /healthz answered 200 (a draining peer
+// serves 503 so traffic moves before it exits). A failure steers
+// routing only: it cannot tell a dead process from a slow one. The
+// "peer.health" fault site lets chaos tests fail probes of a live peer.
+func (h *Health) probe(p *Peer) bool {
+	if faultinject.Fire("peer.health") != nil {
+		return false
 	}
 	resp, err := h.client.Do(bootContext(), http.MethodGet, p.URL+"/healthz", nil, nil)
 	if err != nil {
-		return err
+		return false
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &ProbeStatusError{Peer: p.Name, Status: resp.StatusCode}
-	}
-	return nil
-}
-
-// ProbeStatusError reports a health probe answered with a non-200.
-type ProbeStatusError struct {
-	Peer   string
-	Status int
-}
-
-func (e *ProbeStatusError) Error() string {
-	return "cluster: peer " + e.Peer + " healthz returned " + http.StatusText(e.Status)
+	return resp.StatusCode == http.StatusOK
 }

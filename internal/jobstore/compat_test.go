@@ -79,8 +79,8 @@ func TestReplaysParentWAL(t *testing.T) {
 			if id, _ := s.LookupByKey("adopt/n2/job-000009"); id != "job-000003" {
 				t.Fatalf("adoption key → %q", id)
 			}
-			if s.Replayed() != 2 || s.Pending() != 2 {
-				t.Fatalf("replayed %d, pending %d; want 2, 2", s.Replayed(), s.Pending())
+			if n := len(s.PendingJobs()); s.Replayed() != 2 || n != 2 {
+				t.Fatalf("replayed %d, pending %d; want 2, 2", s.Replayed(), n)
 			}
 
 			if err := s.Compact(); err != nil {

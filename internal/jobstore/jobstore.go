@@ -12,6 +12,7 @@
 // Layout under the data directory:
 //
 //	wal           the job journal (framed records, see wal.go)
+//	lock          flock'd by the one process that may write wal (Open)
 //	graphs/       one binary CSR file per registered graph (<id>.csr,
 //	              written by internal/csr and moved in atomically), so
 //	              replayed jobs can re-resolve their graph after a
@@ -163,7 +164,8 @@ type Store struct {
 	TTL              time.Duration
 
 	mu       sync.Mutex
-	dir      string // "" for a memory-only store
+	dir      string   // "" for a memory-only store
+	lock     *os.File // holds dir's flock; nil (whose Close is a no-op) without one
 	w        *wal
 	now      func() time.Time // injectable for deterministic TTL tests
 	jobs     map[string]*JobRecord
@@ -197,15 +199,34 @@ func NewMemory() *Store { return newStore("", &wal{}) }
 // Jobs that were running when the previous process died are re-marked
 // pending: the caller re-enqueues them (PendingJobs), they are not
 // silently lost.
-func Open(dir string) (*Store, error) {
+//
+// The store holds an exclusive flock on <dir>/lock until Close, and only
+// its holder writes the journal: a second Open, a second daemon's boot
+// included, waits for it. A platform without flock takes no lock.
+func Open(dir string) (*Store, error) { return open(dir, true) }
+
+// ErrLocked is TryOpen's answer while another store holds dir's lock.
+var ErrLocked = errors.New("jobstore: journal locked by a live process")
+
+// TryOpen is Open that answers ErrLocked instead of waiting: while the
+// journal's owner lives, and always where there is no flock.
+func TryOpen(dir string) (*Store, error) { return open(dir, false) }
+
+func open(dir string, wait bool) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "graphs"), 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: creating data dir: %w", err)
 	}
-	w, payloads, err := openWAL(filepath.Join(dir, "wal"))
+	lock, err := lockDir(dir, wait)
 	if err != nil {
 		return nil, err
 	}
+	w, payloads, err := openWAL(filepath.Join(dir, "wal"))
+	if err != nil {
+		lock.Close()
+		return nil, err
+	}
 	s := newStore(dir, w)
+	s.lock = lock
 	for _, p := range payloads {
 		var rec record
 		if err := json.Unmarshal(p, &rec); err != nil {
@@ -236,7 +257,7 @@ func Open(dir string) (*Store, error) {
 	// is already over threshold).
 	if s.w.bytes > s.CompactThreshold || (interrupted && s.w.bytes > s.CompactThreshold/2) {
 		if err := s.compactLocked(); err != nil {
-			s.w.close()
+			s.Close()
 			return nil, err
 		}
 	}
@@ -570,13 +591,6 @@ func (s *Store) Counts() map[State]int {
 	return counts
 }
 
-// Pending returns the number of jobs not yet finished, for drain.
-func (s *Store) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs) - len(s.finished)
-}
-
 // Compact rewrites the log as one snapshot record per live job.
 func (s *Store) Compact() error {
 	s.mu.Lock()
@@ -652,10 +666,11 @@ func syncDir(dir string) {
 	}
 }
 
-// Close releases the WAL handle. The store must not be used after.
+// Close releases the WAL handle and the lock. The store is dead after.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.lock.Close()
 	return s.w.close()
 }
 

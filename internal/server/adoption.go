@@ -13,8 +13,8 @@ import (
 )
 
 // WAL adoption: when the cluster shares a durable data root (-data-dir),
-// the death of a peer triggers a takeover of its journal. The
-// ring-elected adopter replays the dead node's WAL, re-creates its
+// the death of a peer triggers a takeover of its journal. A survivor
+// that wins the dead node's journal lock replays its WAL, re-creates its
 // unfinished jobs locally (checkpoints included, so kernels resume
 // mid-run), and fences the dead journal so a rebooted peer does not
 // re-run adopted work. See DESIGN.md §14.
@@ -42,51 +42,6 @@ func adoptKey(peer, jobID string) string {
 	return "adopt/" + peer + "/" + jobID
 }
 
-// forgetAdoption clears the adopted flag when a peer recovers, so its
-// next death triggers a fresh adoption pass.
-func (c *coordinator) forgetAdoption(peer string) {
-	c.adoptMu.Lock()
-	delete(c.adopted, peer)
-	c.adoptMu.Unlock()
-}
-
-// adoptIfNeeded runs on every failed probe of a down peer and decides
-// whether this node must adopt the peer's WAL. Three gates:
-//
-//   - The probe failed at the transport level (refused, timeout). A
-//     peer answering 503 is alive — draining or overloaded — and will
-//     resume its own jobs; opening a live peer's WAL would mean two
-//     writers on one file.
-//   - This node is durable and the ring elects it: the adopter is the
-//     healthy owner of HashString(deadPeerName), so every surviving
-//     node computes the same answer without coordination.
-//   - The peer has not already been adopted this down period.
-//
-// Adoption failures (e.g. the dead node's WAL directory is on its way
-// over a network filesystem) leave the flag unset, so the next probe
-// retries.
-func (c *coordinator) adoptIfNeeded(dead *cluster.Peer, probeErr error) {
-	var pse *cluster.ProbeStatusError
-	if errors.As(probeErr, &pse) {
-		return
-	}
-	if !c.s.jobs.Durable() {
-		return
-	}
-	owner, ok := c.ownerOf(cluster.HashString(dead.Name))
-	if !ok || owner.Name != c.self.Name {
-		return
-	}
-	c.adoptMu.Lock() // also serializes concurrent adoptFrom runs
-	defer c.adoptMu.Unlock()
-	if c.adopted[dead.Name] {
-		return
-	}
-	if c.adoptFrom(dead) {
-		c.adopted[dead.Name] = true
-	}
-}
-
 // adoptFrom replays the dead peer's journal and takes over its
 // unfinished jobs: each pending job (interrupted running jobs replay as
 // pending) is re-created locally under an idempotency key derived from
@@ -96,18 +51,25 @@ func (c *coordinator) adoptIfNeeded(dead *cluster.Peer, probeErr error) {
 // into the dead peer's WAL so a rebooted peer does not re-run the job.
 // The adopted jobs then go through the ordinary replay launcher, which
 // resumes their kernels from the carried checkpoints.
-func (c *coordinator) adoptFrom(dead *cluster.Peer) bool {
+// It runs on every failed probe of a down peer, on any survivor, but
+// the lock decides: a live peer holds it, whatever its probes said, and
+// a pass over a fenced journal finds nothing pending.
+func (c *coordinator) adoptFrom(dead *cluster.Peer) {
 	s := c.s
+	if !s.jobs.Durable() {
+		return
+	}
 	dir := filepath.Join(s.cfg.DataDir, nodeDirName(dead.Name))
 	if _, err := os.Stat(dir); err != nil {
-		// No journal to adopt: the peer never started, or the cluster
-		// does not share a data root. Nothing to retry.
-		return true
+		return // no journal: the peer never started, or no shared root
 	}
-	st, err := jobstore.Open(dir)
+	st, err := jobstore.TryOpen(dir)
+	if errors.Is(err, jobstore.ErrLocked) {
+		return // the owner is alive
+	}
 	if err != nil {
 		s.log().Error("adopting peer WAL", "peer", dead.Name, "err", err)
-		return false
+		return
 	}
 	defer st.Close()
 
@@ -159,7 +121,6 @@ func (c *coordinator) adoptFrom(dead *cluster.Peer) bool {
 	if len(adoptedJobs) > 0 {
 		go s.resumeJobs(adoptedJobs)
 	}
-	return true
 }
 
 // importGraphFrom copies a graph's binary CSR file out of a dead

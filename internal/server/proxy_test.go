@@ -342,18 +342,13 @@ func TestClusterDownPeerAnswers503WithRetryAfter(t *testing.T) {
 	}
 }
 
-// seedDeadPeerStore writes a jobstore under root for a fictitious dead
-// node: one persisted graph and one pending job against it. Returns
-// the dead peer's name and the graph id.
-func seedDeadPeerStore(t *testing.T, root string) (string, string) {
+// seedPeerStore opens the jobstore the node called name keeps under
+// root and writes what a node leaves when it dies mid-queue: one
+// persisted graph and one pending job, job-000001, against it. The
+// store comes back open, holding the journal's lock: until it is
+// closed, the node's process counts as alive.
+func seedPeerStore(t *testing.T, root, name string) *jobstore.Store {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := l.Addr().String()
-	l.Close() // nothing will ever listen here: probes get refused
-
 	g := mustFigure1Graph(t)
 	gid := fmt.Sprintf("g-%016x", g.Fingerprint())
 	st, err := jobstore.Open(filepath.Join(root, nodeDirName(name)))
@@ -367,17 +362,27 @@ func seedDeadPeerStore(t *testing.T, root string) (string, string) {
 	if _, err := st.AdoptGraphFile(gid, tmp); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	reqJSON, err := json.Marshal(ClusterRequest{GraphID: gid, Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Create(&jobstore.JobRecord{
-		ID: "job-000001", State: jobstore.Pending, Request: reqJSON, Created: time.Now(),
-	}); err != nil {
+	if job, _, err := st.Admit(jobstore.JobRecord{Request: reqJSON}); err != nil || job.ID != "job-000001" {
+		t.Fatalf("seeding the peer's job: %+v, %v", job, err)
+	}
+	return st
+}
+
+// refusedPeerName names a fictitious peer that nothing listens for, so
+// every probe of it is refused.
+func refusedPeerName(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	st.Close()
-	return name, gid
+	l.Close()
+	return l.Addr().String()
 }
 
 // newSurvivor boots one durable cluster node whose only peer is the
@@ -416,39 +421,45 @@ func newSurvivor(t *testing.T, root, deadName string) *clusterNode {
 	return &clusterNode{s: s, ts: ts, peer: self}
 }
 
-func TestClusterAdoptsDeadPeerWAL(t *testing.T) {
-	root := t.TempDir()
-	deadName, _ := seedDeadPeerStore(t, root)
-	node := newSurvivor(t, root, deadName)
-
-	// The survivor detects the refused peer, adopts its WAL, resumes
-	// the pending job, and serves it under the dead node's qualified id.
+// waitAdoptedDone polls a dead peer's job through the survivor until
+// the adopted copy finishes with assignments.
+func waitAdoptedDone(t *testing.T, node *clusterNode, qualifiedID string) {
+	t.Helper()
 	var done JobInfo
 	deadline := time.Now().Add(15 * time.Second)
-	for {
-		code, body := getURL(t, node.ts.URL+"/v1/jobs/job-000001@"+deadName)
-		if code == http.StatusOK {
+	for done.State != "done" {
+		if code, body := getURL(t, node.ts.URL+"/v1/jobs/"+qualifiedID); code == http.StatusOK {
 			if err := json.Unmarshal(body, &done); err != nil {
 				t.Fatal(err)
 			}
-			if done.State == "done" {
-				break
-			}
 			if done.State == "failed" {
-				t.Fatalf("adopted job failed: %s", done.Error)
+				t.Fatalf("adopted job %s failed: %s", qualifiedID, done.Error)
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("adopted job never finished (last state %q)", done.State)
+			t.Fatalf("adopted job %s never finished (last state %q)", qualifiedID, done.State)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if done.Result == nil || len(done.Result.Assign) == 0 {
-		t.Fatal("adopted job finished without assignments")
+		t.Fatalf("adopted job %s finished without assignments", qualifiedID)
 	}
-	metrics := scrapeMetrics(t, node.ts.URL)
-	if !strings.Contains(metrics, "symclusterd_jobs_adopted_total 1") {
-		t.Fatalf("jobs_adopted_total != 1:\n%s", metrics)
+}
+
+// adoptedTotal reads the survivor's symclusterd_jobs_adopted_total.
+func adoptedTotal(node *clusterNode) int64 { return int64(node.s.metrics.jobsAdopted.Value()) }
+
+func TestClusterAdoptsDeadPeerWAL(t *testing.T) {
+	root := t.TempDir()
+	deadName := refusedPeerName(t)
+	seedPeerStore(t, root, deadName).Close()
+	node := newSurvivor(t, root, deadName)
+
+	// The survivor detects the refused peer, adopts its WAL, resumes
+	// the pending job, and serves it under the dead node's qualified id.
+	waitAdoptedDone(t, node, "job-000001@"+deadName)
+	if n := adoptedTotal(node); n != 1 {
+		t.Fatalf("jobs_adopted_total = %d, want 1", n)
 	}
 
 	// The dead peer's journal was fenced: a reboot of that node replays
@@ -470,52 +481,86 @@ func TestClusterAdoptsDeadPeerWAL(t *testing.T) {
 	}
 }
 
-func TestClusterDoesNotAdoptFromShedding503Peer(t *testing.T) {
-	root := t.TempDir()
+// TestClusterAdoptsOnlyFromExitedOwner pins that the journal's lock, not
+// the probe verdict, decides adoption. In every row the test holds the
+// owner's store open — its process is alive — while the owner fails the
+// survivor's probes one way or another. The survivor declares it down
+// for routing, and yet neither adopts its job nor writes to its WAL.
+// Closing the store is the process dying: the same survivor then adopts
+// the job and finishes it. The re-death row then reboots the owner
+// long enough to take a second job and kills it again, and that job is
+// adopted too, though the peer never answered a probe in between.
+func TestClusterAdoptsOnlyFromExitedOwner(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// healthz serves the owner's address; nil leaves nothing
+		// listening, so every probe is refused.
+		healthz   http.HandlerFunc
+		diesTwice bool
+	}{
+		{name: "healthz answers 503", healthz: func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}},
+		{name: "healthz hangs past the probe timeout", healthz: func(w http.ResponseWriter, r *http.Request) {
+			<-r.Context().Done()
+		}},
+		{name: "refused, and the owner dies twice", diesTwice: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			name := refusedPeerName(t)
+			if tc.healthz != nil {
+				l, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				owner := &http.Server{Handler: tc.healthz}
+				go owner.Serve(l)
+				t.Cleanup(func() { owner.Close() })
+				name = l.Addr().String()
+			}
+			st := seedPeerStore(t, root, name)
+			walPath := filepath.Join(root, nodeDirName(name), "wal")
 
-	// A peer that is alive but shedding: /healthz (and everything else)
-	// answers 503. It must be declared down for routing, but its WAL
-	// must NOT be adopted — the process owns it and will recover.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shedding := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	})}
-	go shedding.Serve(l)
-	t.Cleanup(func() { shedding.Close() })
-	deadName := l.Addr().String()
+			node := newSurvivor(t, root, name)
+			waitPeerState(t, node.ts, name, "down")
+			// Several further probe rounds, each an adoption pass.
+			time.Sleep(150 * time.Millisecond)
+			if n := adoptedTotal(node); n != 0 {
+				t.Fatalf("jobs_adopted_total = %d while the owner lives, want 0", n)
+			}
+			raw, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(raw)) != st.LogBytes() || strings.Contains(string(raw), "adopted by") {
+				t.Fatalf("a second writer touched the live owner's WAL: %d bytes on disk, %d written by the owner",
+					len(raw), st.LogBytes())
+			}
+			if code, _ := getURL(t, node.ts.URL+"/v1/jobs/job-000001@"+name); code != http.StatusServiceUnavailable {
+				t.Fatalf("job poll while the owner lives: status %d, want 503", code)
+			}
 
-	// Seed that peer's store with a pending job, as if it crashed —
-	// except it didn't: it is answering 503s.
-	g := mustFigure1Graph(t)
-	gid := fmt.Sprintf("g-%016x", g.Fingerprint())
-	st, err := jobstore.Open(filepath.Join(root, nodeDirName(deadName)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqJSON, _ := json.Marshal(ClusterRequest{GraphID: gid, Method: "dd", Algorithm: "mcl", Seed: 1})
-	if err := st.Create(&jobstore.JobRecord{
-		ID: "job-000001", State: jobstore.Pending, Request: reqJSON, Created: time.Now(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	node := newSurvivor(t, root, deadName)
-	waitPeerState(t, node.ts, deadName, "down")
-	// Give several further probe rounds a chance to (wrongly) adopt.
-	time.Sleep(150 * time.Millisecond)
-
-	metrics := scrapeMetrics(t, node.ts.URL)
-	if !strings.Contains(metrics, "symclusterd_jobs_adopted_total 0") {
-		t.Fatalf("adoption ran against a live (shedding) peer:\n%s", metrics)
-	}
-	// And the job routes as "down, failover in progress", not adopted.
-	code, _ := getURL(t, node.ts.URL+"/v1/jobs/job-000001@"+deadName)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("job poll: status %d, want 503", code)
+			st.Close()
+			waitAdoptedDone(t, node, "job-000001@"+name)
+			if !tc.diesTwice {
+				return
+			}
+			st, err = jobstore.Open(filepath.Join(root, nodeDirName(name)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, _ := st.Snapshot("job-000001")
+			job, _, err := st.Admit(jobstore.JobRecord{Request: first.Request})
+			st.Close()
+			if err != nil || job.ID != "job-000002" {
+				t.Fatalf("rebooted owner's job: %+v, %v; want job-000002", job, err)
+			}
+			waitAdoptedDone(t, node, "job-000002@"+name)
+			if n := adoptedTotal(node); n != 2 {
+				t.Fatalf("jobs_adopted_total = %d after the second death, want 2", n)
+			}
+		})
 	}
 }
 

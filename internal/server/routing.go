@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"symcluster/internal/cluster"
@@ -124,20 +123,13 @@ type coordinator struct {
 	health   *cluster.Health
 	client   *cluster.Client
 	breakers *cluster.BreakerSet
-
-	// adoptMu serializes adoption passes and guards adopted: the peers
-	// whose WAL this node took over during their current down period
-	// (cleared on recovery so a later death re-adopts).
-	adoptMu sync.Mutex
-	adopted map[string]bool
 }
 
 // newCoordinator wires the cluster substrate for one node.
 func newCoordinator(s *Server, cfg *ClusterConfig) (*coordinator, error) {
 	c := &coordinator{
-		s:       s,
-		ring:    cluster.NewRing(cfg.Peers, 0),
-		adopted: make(map[string]bool),
+		s:    s,
+		ring: cluster.NewRing(cfg.Peers, 0),
 	}
 	self, ok := c.ring.Peer(cfg.Self)
 	if !ok {
@@ -180,13 +172,12 @@ func newCoordinator(s *Server, cfg *ClusterConfig) (*coordinator, error) {
 			s.metrics.SetPeerUnhealthy(p.Name, !up)
 			if up {
 				s.log().Info("peer recovered", "peer", p.Name)
-				c.forgetAdoption(p.Name)
 			} else {
 				s.log().Warn("peer declared down", "peer", p.Name)
 			}
 		},
-		OnDown: func(p *cluster.Peer, err error) {
-			go c.adoptIfNeeded(p, err)
+		OnDown: func(p *cluster.Peer) {
+			go c.adoptFrom(p)
 		},
 	})
 	// Seed the gauges at 0 for every remote peer so the families are
@@ -240,7 +231,7 @@ func ringKey(id string) uint64 {
 }
 
 // ownerOf resolves the healthy owner of a ring key: a graph's
-// fingerprint, or the name hash that elects a dead peer's adopter.
+// fingerprint.
 func (c *coordinator) ownerOf(key uint64) (*cluster.Peer, bool) {
 	return c.ring.Owner(key, c.health.Healthy)
 }

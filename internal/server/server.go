@@ -69,10 +69,10 @@ type Config struct {
 	// purely in memory.
 	//
 	// In cluster mode (Cluster non-nil) DataDir is the SHARED data
-	// root: each node journals under DataDir/node-<name>, and when a
-	// peer dies its ring-elected successor adopts that subdirectory's
-	// WAL to finish the peer's jobs from their checkpoints (DESIGN.md
-	// §14).
+	// root: each node journals under DataDir/node-<name>, holding that
+	// journal's lock while it lives, and once a peer's process is gone
+	// the survivor that takes its lock adopts the WAL to finish the
+	// peer's jobs from their checkpoints (DESIGN.md §14).
 	DataDir string
 	// UploadTTL expires chunked-upload sessions idle longer than this:
 	// their scratch (ingest buffers, spill runs) is reaped and further

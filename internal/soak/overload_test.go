@@ -62,9 +62,11 @@ func runOverloadEpisode(t *testing.T, bin string, ep int) {
 	nodes := []*node{a, b}
 	peers := "http://" + a.addr + ",http://" + b.addr
 	// The probe interval is also the probe timeout: at one second and
-	// three misses a node saturated on purpose is not mistaken for a dead
-	// one (and its live WAL adopted — ROADMAP item 3) because /healthz
-	// took 50 ms. Failover is the chaos episodes' subject, not this one's.
+	// three misses a node saturated on purpose stays routable although
+	// its /healthz takes 50 ms, so the refusals the episode counts are
+	// admission's and not a failover's. Its WAL is safe either way: a
+	// live node holds its journal's lock. Failover is the chaos episodes'
+	// subject, not this one's.
 	sized := []string{"-queue", "2", "-max-queue-mb", "1", "-probe-interval", "1s", "-peer-fail-threshold", "3"}
 	startNode(t, bin, a, root, peers, "pool.task=delay:60ms", sized...)
 	startNode(t, bin, b, root, peers, "pool.task=delay:60ms", sized...)
