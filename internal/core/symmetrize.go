@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"symcluster/internal/faultinject"
 	"symcluster/internal/graph"
@@ -155,7 +156,7 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 		}
 		sp.SetAttr("nnz_out", nnzOut)
 		sp.SetAttr("pruned_entries", prune.Killed())
-		dense, fallbacks := prune.RowPaths()
+		dense, fallbacks, _ := prune.RowPaths()
 		sp.SetAttr("dense_rows", dense)
 		sp.SetAttr("select_fallbacks", fallbacks)
 		sp.EndErr(err)
@@ -289,7 +290,8 @@ func CalibrateThresholdCtx(ctx context.Context, a *matrix.CSR, opt Options, targ
 	if keep >= len(vals) {
 		return 0, nil // keep everything
 	}
-	return matrix.KthLargest(vals, keep+1), nil
+	slices.Sort(vals)
+	return vals[len(vals)-1-keep], nil
 }
 
 // sampleRowValues collects the entry values of `sample` deterministic

@@ -136,17 +136,18 @@ func BenchmarkAccumulatorRow(b *testing.B) {
 				force int8
 			}{{"dense", 1}, {"marked", -1}} {
 				b.Run(fmt.Sprintf("span=%d/flops=%vx/%s", span, ratio, mode.name), func(b *testing.B) {
-					spa := newAccumulator(span)
+					spa := newAccumulator(span, 1)
 					spa.force = mode.force
-					p := &product{cols: span, threshold: 0.5, bound: func(int) int { return 0 }}
+					p := &product{cols: span, threshold: 0.5}
 					var sink rowSink
 					for i := 0; i < b.N; i++ {
-						spa.begin(p, 0)
+						spa.begin(0, span, 0, 1)
 						for _, cols := range terms {
 							spa.axpy(0.5, cols, vals)
 						}
 						sink.cols, sink.vals = sink.cols[:0], sink.vals[:0]
-						spa.flush(&sink, p, 0)
+						spa.flush(&sink, p, 0, spa.acc)
+						spa.end()
 					}
 				})
 			}
@@ -167,7 +168,7 @@ func BenchmarkSelectTopK(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				copy(keys, src)
-				KthLargest(keys, tc.k)
+				kthLargest(keys, tc.k)
 			}
 		})
 	}

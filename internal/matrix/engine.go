@@ -48,15 +48,20 @@ func tiling(rows, workers int) (height, nTiles, running int) {
 }
 
 // accumulator is the dense scatter workspace (SPA) of a row-wise sparse
-// product: acc holds partial sums indexed by output column, in a mode
-// derived per row (begin). A dense row clears its column span up front,
-// adds unconditionally, and finds its survivors by one scan of the span,
-// already in column order. A marked row stamps mark[c] with the row's
-// generation on first touch — resetting between rows is O(1) — and lists
-// the columns it hit in touched[:n]. Both add the same products to the
-// same +0 start in the same order, hence the same bits.
+// product: acc holds partial sums indexed by output column, cols of them
+// for each row it accumulates at once (a group, group.go; one for any
+// other product), in a mode derived per row or group (begin). A dense
+// row clears its column span up front, adds unconditionally, and finds
+// its survivors by one scan of the span, already in column order. A
+// marked row stamps mark[c] with the row's generation on first touch —
+// resetting between rows is O(1) — and lists the columns it hit in
+// touched[:n]; the rows of a group hit the same columns and share both.
+// Both add the same products to the same +0 start in the same order,
+// hence the same bits.
 type accumulator struct {
-	acc     []float64
+	acc     []float64 // a row's sum of column c is its member(m)[c*stride]
+	cols    int
+	stride  int
 	mark    []uint32
 	gen     uint32
 	touched []int32   // marked: the columns hit; at flush: the candidates
@@ -65,35 +70,52 @@ type accumulator struct {
 	lo, hi  int       // the row's column span
 	dense   bool      // the row's mode
 	force   int8      // tests only: > 0 every row dense, < 0 every row marked
-	// Drained by the driver: rows run dense, rows re-collected hint-free.
-	denseRows, fallbacks int64
-	row                  rowSink // a merged product's row, flushed before it is merged
+	// Drained by the driver: rows run dense, rows re-collected hint-free,
+	// rows expanded in a group of two or more.
+	denseRows, fallbacks, grouped int64
+	row                           rowSink // a merged product's row, flushed before it is merged
 	// Workers write these fields on every row: pad to four cache lines
 	// so two workers' accumulators, allocated back to back, share none.
-	_ [56]byte
+	_ [32]byte
 }
 
-// newAccumulator sizes every per-column array once, at cols.
-func newAccumulator(cols int) *accumulator {
+// newAccumulator sizes every per-column array once, at cols, with sums
+// for members rows.
+func newAccumulator(cols, members int) *accumulator {
 	s := &accumulator{gen: 1}
-	s.fit(cols)
+	s.fit(cols, members)
 	return s
 }
 
-// fit sizes every per-column array at cols, reslicing the arrays that
-// have room rather than allocating: a product of another width reuses
-// the accumulator. No mark ever holds the current generation before
-// this row touched it — a wrap clears every mark the array has room
-// for — so marks left past a shorter length stay stale when it grows
-// back over them.
-func (s *accumulator) fit(cols int) {
-	if cap(s.acc) < cols {
-		s.acc, s.mark, s.touched, s.gen = make([]float64, cols), make([]uint32, cols), make([]int32, cols), 1
+// fit sizes every per-column array at cols, with sums for members rows,
+// reslicing the arrays that have room rather than allocating: a product
+// of another width reuses the accumulator. No mark ever holds the
+// current generation before this row touched it — a wrap clears every
+// mark the array has room for — so marks left past a shorter length stay
+// stale when it grows back over them.
+func (s *accumulator) fit(cols, members int) {
+	if cap(s.mark) < cols {
+		s.mark, s.touched, s.gen = make([]uint32, cols), make([]int32, cols), 1
 	}
-	s.acc, s.mark, s.touched = s.acc[:cols], s.mark[:cols], s.touched[:cols]
+	if cap(s.acc) < members*cols {
+		s.acc = make([]float64, members*cols)
+	}
+	s.acc, s.mark, s.touched, s.cols = s.acc[:members*cols], s.mark[:cols], s.touched[:cols], cols
 	if cap(s.keys) < cols {
 		s.keys = nil // flush allocates it on first top-k use
 	}
+}
+
+// sums returns the m-th cols-long span of acc.
+func (s *accumulator) sums(m int) []float64 { return s.acc[m*s.cols : (m+1)*s.cols] }
+
+// member returns the sums of the m-th row begin opened: column c's sum is
+// at [c*stride].
+func (s *accumulator) member(m int) []float64 {
+	if s.stride > 1 {
+		return s.acc[m:]
+	}
+	return s.sums(m)
 }
 
 // A row goes dense when its flop bound reaches 1/denseSpanShare of its
@@ -101,17 +123,33 @@ func (s *accumulator) fit(cols int) {
 // mark test and the column sort (`make kernel-bench`, DESIGN.md §15).
 const denseSpanShare = 2
 
-// begin opens row i of p — its span is [i, cols) when p is mirrored —
-// and derives the row's mode from the spec's flop bound.
-func (s *accumulator) begin(p *product, i int) {
-	s.lo, s.hi, s.n = 0, p.cols, 0
-	if p.mirrored {
-		s.lo = i
-	}
-	s.dense = s.force > 0 || s.force == 0 && p.bound(i)*denseSpanShare >= s.hi-s.lo
+// begin opens members rows over the column span [lo, hi) — a mirrored
+// product's row i spans [i, cols) — each with at most bound products to
+// add, and derives their mode from the bound. Dense rows' sums lie row
+// after row, each a span to clear and scan; marked rows' interleave —
+// the members' sums of column c side by side, which a marked group
+// touches together.
+func (s *accumulator) begin(lo, hi, bound, members int) {
+	s.lo, s.hi, s.n, s.stride = lo, hi, 0, 1
+	s.dense = s.force > 0 || s.force == 0 && bound*denseSpanShare >= hi-lo
 	if s.dense {
-		s.denseRows++
-		clear(s.acc[s.lo:s.hi])
+		s.denseRows += int64(members)
+		for m := range members {
+			clear(s.sums(m)[lo:hi])
+		}
+	} else {
+		s.stride = members
+	}
+}
+
+// end closes the rows begin opened: a marked row's marks go stale.
+func (s *accumulator) end() {
+	if !s.dense {
+		s.gen++
+		if s.gen == 0 { // wrapped: clear stale marks and restart
+			clear(s.mark[:cap(s.mark)])
+			s.gen = 1
+		}
 	}
 }
 
@@ -146,6 +184,10 @@ func (s *accumulator) axpy(w float64, cols []int32, vals []float64) {
 // prune rule its rows are flushed under.
 type product struct {
 	rows, cols int
+	// a and b, when set, make the product the plain a·b, whose rows the
+	// driver expands in groups that share a's column list (group.go);
+	// bound and scatter are then unused.
+	a, b *CSR
 	// bound is a cheap upper bound on the products scatter adds for row
 	// i: the lengths of the operand rows it matches, summed (rowFlops).
 	bound   func(i int) int
@@ -188,33 +230,37 @@ func rowFlops(a, b *CSR, i int) int {
 
 // workspace is everything a product allocates besides its result: one
 // accumulator per worker, under concurrent workers one staging sink per
-// tile, and what the workers of a run share. The zero value is ready; a
-// workspace reused across products makes the driver allocation-free on
-// one worker — more spawn goroutines — once its buffers have grown to
-// the widest of them.
+// tile, a plain product's row groups, and what the workers of a run
+// share. The zero value is ready; a workspace reused across products
+// makes the driver allocation-free on one worker — more spawn
+// goroutines — once its buffers have grown to the widest of them.
 type workspace struct {
-	spas  []*accumulator
-	sinks []rowSink
-	run   tileRun
+	spas   []*accumulator
+	sinks  []rowSink
+	groups grouping
+	run    tileRun
 }
 
 // tileRun is what the workers of one run share: the product and its
-// output, the sinks, the tile counter, the tallies and the first error.
-// It holds the run's references only while the run lasts.
+// output, the sinks or the groups, the tile counter, the tallies and the
+// first error. It holds the run's references only while the run lasts.
 type tileRun struct {
-	p                                        *product
-	ctx                                      context.Context
-	out                                      *CSR
-	sinks                                    []rowSink
-	lone                                     [1]rowSink // a lone worker's sink: the output itself
-	height, nTiles                           int
-	next, killed, trim, denseRows, fallbacks atomic.Int64
-	stop                                     atomic.Pointer[error]
+	p                                                 *product
+	ctx                                               context.Context
+	out                                               *CSR
+	sinks                                             []rowSink
+	lone                                              [1]rowSink // a lone worker's sink: the output itself
+	groups                                            *grouping  // a plain product's: its tiles are batches of groups
+	height, nTiles                                    int
+	next, killed, trim, denseRows, fallbacks, grouped atomic.Int64
+	stop                                              atomic.Pointer[error]
 }
 
 // release drops the run's references, so an idle workspace holds no
 // product, context or output.
-func (r *tileRun) release() { r.p, r.ctx, r.out, r.sinks, r.lone[0] = nil, nil, nil, nil, rowSink{} }
+func (r *tileRun) release() {
+	r.p, r.ctx, r.out, r.sinks, r.lone[0], r.groups = nil, nil, nil, nil, rowSink{}, nil
+}
 
 // rowSink is the output of a run of consecutive rows: their column
 // indices and values back to back, row lengths kept by the driver.
@@ -223,19 +269,20 @@ type rowSink struct {
 	vals []float64
 }
 
-// collect gathers the row's candidates — the columns whose |sum| is not
-// below cut, a NaN among them — into touched[:m] and counts the nonzero
-// sums. A dense row finds them in column order; a marked row partitions
-// its touched list, which can therefore be collected again. Magnitudes
-// compare as integers (sign shifted out, NaN on top): no data-decided
-// branch.
-func (s *accumulator) collect(cut float64) (m, nonzero int) {
-	acc, touched, cutBits := s.acc, s.touched, math.Float64bits(cut)<<1
+// collect gathers the candidates of the row whose sums are acc — the
+// columns whose |sum| is not below cut, a NaN among them — into
+// touched[:m] and counts the nonzero sums. A dense row finds them in
+// column order; a marked row partitions its touched list, which can
+// therefore be collected again, for this row or another of its group.
+// Magnitudes compare as integers (sign shifted out, NaN on top): no
+// data-decided branch.
+func (s *accumulator) collect(acc []float64, cut float64) (m, nonzero int) {
+	touched, cutBits, stride := s.touched, math.Float64bits(cut)<<1, s.stride
 	if s.dense {
 		return scanSpan(acc[s.lo:s.hi], s.lo, cutBits, touched)
 	}
 	for j, c := range touched[:s.n] {
-		x := math.Float64bits(acc[c]) << 1
+		x := math.Float64bits(acc[int(c)*stride]) << 1
 		touched[j], touched[m] = touched[m], c
 		if x >= cutBits {
 			m++
@@ -296,18 +343,18 @@ func scanSpan(span []float64, lo int, cutBits uint64, touched []int32) (m, nonze
 	return m + tm, nonzero + tnz
 }
 
-// flush appends the accumulated row to sink in column order and closes
-// it: threshold filter, then optional top-k. It returns the number of
+// flush appends row, whose sums are acc, to sink in column order:
+// threshold filter, then optional top-k. It returns the number of
 // entries appended and the threshold's kill count, the quantity the obs
-// prune accounting aggregates.
+// prune accounting aggregates. It leaves the row open (end closes it).
 //
 // Top-k is a selection, not a sort: the candidates' magnitudes go into a
-// contiguous key vector, KthLargest finds the k-th, τ, and the emit pass
+// contiguous key vector, kthLargest finds the k-th, τ, and the emit pass
 // takes everything above τ and the first ties at it — lowest columns
 // first. With p.tau the candidates are first collected at half the row's
 // previous τ: if k turn up, the top k, ties included, lie among them —
 // exact whatever the hint was worth; if not, the row is collected again.
-func (s *accumulator) flush(sink *rowSink, p *product, row int) (n int, killed int64) {
+func (s *accumulator) flush(sink *rowSink, p *product, row int, acc []float64) (n int, killed int64) {
 	// A sum survives when it is neither zero nor below the threshold: one
 	// comparison against floor. A NaN passes every cut (it is below
 	// nothing) and dies in the emit loop (it is above nothing).
@@ -321,23 +368,23 @@ func (s *accumulator) flush(sink *rowSink, p *product, row int) (n int, killed i
 	var m, nonzero, live, ties int // live: the candidates that are not NaN
 	var tau float64
 	for {
-		m, nonzero = s.collect(cut)
+		m, nonzero = s.collect(acc, cut)
 		live, tau, ties = -1, 0, 0
 		if p.topK > 0 && m >= p.topK {
 			if s.keys == nil {
-				s.keys = make([]float64, len(s.acc))
+				s.keys = make([]float64, len(s.touched))
 			}
 			keys := s.keys[:m]
 			live = m
 			for j, c := range s.touched[:m] {
-				a := math.Abs(s.acc[c])
+				a := math.Abs(acc[int(c)*s.stride])
 				if a != a {
 					a, live = -1, live-1
 				}
 				keys[j] = a
 			}
 			if live >= p.topK {
-				tau, ties = KthLargest(keys, p.topK), p.topK
+				tau, ties = kthLargest(keys, p.topK), p.topK
 				for _, a := range keys[:p.topK] { // now the k largest
 					if a > tau {
 						ties--
@@ -356,7 +403,7 @@ func (s *accumulator) flush(sink *rowSink, p *product, row int) (n int, killed i
 		slices.Sort(cand)
 	}
 	for _, c := range cand {
-		v := s.acc[c]
+		v := acc[int(c)*s.stride]
 		if a := math.Abs(v); a == tau {
 			if ties == 0 {
 				continue
@@ -384,23 +431,16 @@ func (s *accumulator) flush(sink *rowSink, p *product, row int) (n int, killed i
 		// Every strict-upper kill takes its mirror image with it; the
 		// diagonal entry, if this row summed and lost it, has none.
 		killed *= 2
-		if d := s.acc[row]; (s.dense || s.mark[row] == s.gen) && d != 0 && !(math.Abs(d) >= floor) {
+		if d := acc[row*s.stride]; (s.dense || s.mark[row] == s.gen) && d != 0 && !(math.Abs(d) >= floor) {
 			killed--
-		}
-	}
-	if !s.dense {
-		s.gen++
-		if s.gen == 0 { // wrapped: clear stale marks and restart
-			clear(s.mark[:cap(s.mark)])
-			s.gen = 1
 		}
 	}
 	return n, killed
 }
 
-// KthLargest returns the k-th largest of keys, 1 ≤ k ≤ len(keys), none
+// kthLargest returns the k-th largest of keys, 1 ≤ k ≤ len(keys), none
 // of them NaN, and reorders keys so that keys[:k] are the k largest.
-func KthLargest(keys []float64, k int) float64 {
+func kthLargest(keys []float64, k int) float64 {
 	lo, hi := 0, len(keys)-1
 	for lo < hi {
 		p := keys[(lo+hi)/2]
@@ -443,18 +483,20 @@ func (p *product) run(ctx context.Context, workers int) (*CSR, error) {
 
 // runInto drives the product's rows into out, reusing out's arrays and
 // ws's buffers where they are large enough, and returns the number of
-// entries the row epilogue trimmed. Rows are cut into tiles (tiling)
-// claimed from a shared counter (dynamic scheduling — skewed rows do
-// not serialise behind one static block), each worker with a private
-// accumulator; row-partitioned work has no cross-row interaction, so
+// entries the row epilogue trimmed. Rows are cut into tiles (tiling) —
+// a plain product's into batches of row groups of at most a tile's rows
+// (group.go) — claimed from a shared counter (dynamic scheduling —
+// skewed rows do not serialise behind one static block), each worker
+// with a private accumulator; rows have no cross-row interaction, so
 // every worker count produces the same bits. With one worker the same
-// tile loop runs inline on the caller's goroutine and appends straight
-// into out; more workers fill one staging sink per tile, stitched in
-// tile order. ctx is polled once per tile claim, and a cancelled ctx
-// abandons the product with ctx's error, leaving out undefined. A panic
-// on a spawned worker is re-raised on the caller's goroutine once every
-// worker has returned, so a caller's recover sees it as it would the
-// inline loop's.
+// loop runs inline on the caller's goroutine. A tiled product's lone
+// worker appends straight into out, and several fill one staging sink
+// per tile, stitched in tile order; a plain product's rows are written
+// to their slots of out and packed in row order at the end. ctx is
+// polled once per claim, and a cancelled ctx abandons the product with
+// ctx's error, leaving out undefined. A panic on a spawned worker is
+// re-raised on the caller's goroutine once every worker has returned, so
+// a caller's recover sees it as it would the inline loop's.
 func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *CSR) (trimmed int64, err error) {
 	height, nTiles, workers := tiling(p.rows, workers)
 	out.Rows, out.Cols = p.rows, p.cols
@@ -463,17 +505,28 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 	r := &ws.run
 	*r = tileRun{p: p, ctx: ctx, out: out, height: height, nTiles: nTiles}
 	defer r.release()
-	// A lone worker appends every tile to one sink, which is the output
-	// as is; concurrent workers need a sink per tile.
-	r.lone[0] = rowSink{cols: out.ColIdx[:0], vals: out.Val[:0]}
-	sinks := r.lone[:]
-	if workers > 1 {
-		if cap(ws.sinks) < nTiles {
-			ws.sinks = make([]rowSink, nTiles)
-		}
-		sinks = ws.sinks[:nTiles]
-		for t := range sinks {
-			sinks[t].cols, sinks[t].vals = sinks[t].cols[:0], sinks[t].vals[:0]
+	members := 1
+	if p.a != nil {
+		g := &ws.groups
+		total := g.build(p.a, p.b, p.topK, height)
+		out.ColIdx = slices.Grow(out.ColIdx[:0], int(total))[:total]
+		out.Val = slices.Grow(out.Val[:0], int(total))[:total]
+		r.groups, r.nTiles = g, len(g.batches)-1
+		workers = max(1, min(workers, r.nTiles))
+		members = groupWidth
+	} else {
+		// A lone worker appends every tile to one sink, which is the
+		// output as is; concurrent workers need a sink per tile.
+		r.lone[0] = rowSink{cols: out.ColIdx[:0], vals: out.Val[:0]}
+		r.sinks = r.lone[:]
+		if workers > 1 {
+			if cap(ws.sinks) < nTiles {
+				ws.sinks = make([]rowSink, nTiles)
+			}
+			r.sinks = ws.sinks[:nTiles]
+			for t := range r.sinks {
+				r.sinks[t].cols, r.sinks[t].vals = r.sinks[t].cols[:0], r.sinks[t].vals[:0]
+			}
 		}
 	}
 	for w := 0; w < workers; w++ {
@@ -481,14 +534,13 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 			ws.spas = append(ws.spas, nil)
 		}
 		if ws.spas[w] == nil {
-			ws.spas[w] = newAccumulator(p.cols)
+			ws.spas[w] = newAccumulator(p.cols, members)
 		} else {
-			ws.spas[w].fit(p.cols)
+			ws.spas[w].fit(p.cols, members)
 		}
 	}
-	r.sinks = sinks
 	if workers == 1 {
-		r.work(ws.spas[0])
+		r.claim(ws.spas[0])
 	} else {
 		var wg sync.WaitGroup
 		var panicked atomic.Pointer[any]
@@ -499,10 +551,10 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 				defer func() {
 					if v := recover(); v != nil {
 						panicked.CompareAndSwap(nil, &v)
-						r.next.Store(int64(nTiles)) // no further claims
+						r.next.Store(int64(r.nTiles)) // no further claims
 					}
 				}()
-				r.work(ws.spas[w])
+				r.claim(ws.spas[w])
 			}()
 		}
 		wg.Wait()
@@ -515,23 +567,36 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 	}
 	stats := obs.PruneStatsFrom(ctx)
 	stats.Add(r.killed.Load())
-	stats.AddRowPaths(r.denseRows.Load(), r.fallbacks.Load())
+	stats.AddRowPaths(r.denseRows.Load(), r.fallbacks.Load(), r.grouped.Load())
 
+	if r.groups != nil {
+		r.groups.pack(out)
+		return r.trim.Load(), nil
+	}
 	for i := 0; i < p.rows; i++ {
 		out.RowPtr[i+1] += out.RowPtr[i]
 	}
 	if workers == 1 {
-		out.ColIdx, out.Val = sinks[0].cols, sinks[0].vals
+		out.ColIdx, out.Val = r.sinks[0].cols, r.sinks[0].vals
 	} else {
 		nnz := int(out.RowPtr[p.rows])
 		out.ColIdx = slices.Grow(out.ColIdx[:0], nnz)
 		out.Val = slices.Grow(out.Val[:0], nnz)
-		for t := range sinks {
-			out.ColIdx = append(out.ColIdx, sinks[t].cols...)
-			out.Val = append(out.Val, sinks[t].vals...)
+		for t := range r.sinks {
+			out.ColIdx = append(out.ColIdx, r.sinks[t].cols...)
+			out.Val = append(out.Val, r.sinks[t].vals...)
 		}
 	}
 	return r.trim.Load(), nil
+}
+
+// claim runs one worker of r with spa.
+func (r *tileRun) claim(spa *accumulator) {
+	if r.groups != nil {
+		r.workGroups(spa)
+	} else {
+		r.work(spa)
+	}
 }
 
 // work claims tiles of r until none is left, the context is done or
@@ -552,19 +617,24 @@ func (r *tileRun) work(spa *accumulator) {
 		sink := &sinks[t%len(sinks)]
 		var tileKilled, tileTrimmed int64
 		for i, hi := t*height, min((t+1)*height, p.rows); i < hi; i++ {
-			spa.begin(p, i)
+			lo := 0
+			if p.mirrored {
+				lo = i
+			}
+			spa.begin(lo, p.cols, p.bound(i), 1)
 			p.scatter(i, spa)
 			var n int
 			var k int64
 			if p.merge == nil {
-				n, k = spa.flush(sink, p, i)
+				n, k = spa.flush(sink, p, i, spa.acc)
 			} else {
 				row, lo := &spa.row, len(sink.cols)
 				row.cols, row.vals = row.cols[:0], row.vals[:0]
-				_, k = spa.flush(row, p, i)
+				_, k = spa.flush(row, p, i, spa.acc)
 				p.merge(i, *row, sink)
 				n = len(sink.cols) - lo
 			}
+			spa.end()
 			tileKilled += k
 			if p.rowEpilogue != nil {
 				lo := len(sink.cols) - n

@@ -161,6 +161,41 @@ func testEngineCancellation(t *testing.T, x *CSR) {
 	}
 }
 
+// TestGroupedCancellation is TestEngineCancellation's bound for the
+// grouped driver, which scatters no single row: each poll that saw a
+// live context licenses one batch of row groups, at most a tile's rows,
+// counted as their epilogues run.
+func TestGroupedCancellation(t *testing.T) {
+	for _, rows := range []int{540, 6 * maxTileRows} {
+		x := benchGraph(rows, 6)
+		xt := x.Transpose()
+		for _, workers := range []int{1, 4} {
+			height, _, _ := tiling(x.Rows, workers)
+			for _, after := range []int64{0, 2} {
+				t.Run(fmt.Sprintf("rows=%d/workers=%d/after=%d", rows, workers, after), func(t *testing.T) {
+					p := topKProduct(x, xt, 0, 5)
+					var flushed atomic.Int64
+					p.rowEpilogue = func(cols []int32, _ []float64) int {
+						flushed.Add(1)
+						return len(cols)
+					}
+					ctx := &countingErrCtx{Context: context.Background(), after: after}
+					out, err := p.run(ctx, workers)
+					if !errors.Is(err, context.Canceled) || out != nil {
+						t.Fatalf("out=%v err=%v, want nil/context.Canceled", out, err)
+					}
+					if n := flushed.Load(); n > after*int64(height) {
+						t.Fatalf("flushed %d rows, want at most %d batches of %d", n, after, height)
+					}
+					if polls := ctx.polls.Load(); polls > after+int64(workers) {
+						t.Fatalf("%d polls, want at most %d", polls, after+int64(workers))
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestTiling pins the derivation: large products keep full-height tiles
 // whatever the worker count, a flow-sized product is cut into several
 // tiles per worker, and no product runs on more workers than it has
@@ -234,32 +269,43 @@ func TestEngineRecycledBuffers(t *testing.T) {
 	}
 }
 
-// TestEngineWorkerPanic: a panic in a product's scatter reaches the
-// caller's goroutine — where the server pool's recover turns it into a
-// job error — with its value, at one worker (inline) and at several
-// (spawned), and every spawned worker has exited by then.
+// TestEngineWorkerPanic: a panic in a product's scatter — a plain
+// product's row epilogue, on the grouped driver — reaches the caller's
+// goroutine — where the server pool's recover turns it into a job error
+// — with its value, at one worker (inline) and at several (spawned), and
+// every spawned worker has exited by then.
 func TestEngineWorkerPanic(t *testing.T) {
 	leakcheck.Guard(t)
 	x := benchGraph(6*maxTileRows, 6)
 	xt := x.Transpose()
 	for _, workers := range []int{1, 4} {
-		p := topKProduct(x, xt, 0, 5)
-		scatter := p.scatter
-		p.scatter = func(i int, spa *accumulator) {
+		xxt := xxtProduct(x, xt, nil, nil, 0)
+		scatter := xxt.scatter
+		xxt.scatter = func(i int, spa *accumulator) {
 			if i == 700 {
 				panic("poisoned row")
 			}
 			scatter(i, spa)
 		}
-		func() {
-			defer func() {
-				if r := recover(); r != "poisoned row" {
-					t.Errorf("workers=%d: recovered %v, want the scatter's panic", workers, r)
-				}
+		topk := topKProduct(x, xt, 0, 5)
+		var rows atomic.Int64
+		topk.rowEpilogue = func(cols []int32, _ []float64) int {
+			if rows.Add(1) == 700 {
+				panic("poisoned row")
+			}
+			return len(cols)
+		}
+		for _, p := range []*product{xxt, topk} {
+			func() {
+				defer func() {
+					if r := recover(); r != "poisoned row" {
+						t.Errorf("workers=%d: recovered %v, want the scatter's panic", workers, r)
+					}
+				}()
+				p.run(context.Background(), workers)
+				t.Errorf("workers=%d: run returned", workers)
 			}()
-			p.run(context.Background(), workers)
-			t.Errorf("workers=%d: run returned", workers)
-		}()
+		}
 	}
 }
 
@@ -269,26 +315,27 @@ func TestEngineWorkerPanic(t *testing.T) {
 // the marked ones: a dense row's sums must not read as touched to the
 // marked row that follows it, before the wrap or after.
 func TestAccumulatorGenerationWrap(t *testing.T) {
-	spa := newAccumulator(4)
+	spa := newAccumulator(4, 1)
 	spa.gen = ^uint32(0) - 1
-	p := &product{cols: 4, bound: func(int) int { return 1 }}
+	p := &product{cols: 4}
 	row := func(dense bool, col int32, v float64) {
 		t.Helper()
 		spa.force = -1
 		if dense {
 			spa.force = 1
 		}
-		spa.begin(p, 0)
+		spa.begin(0, 4, 1, 1)
 		spa.axpy(1, []int32{col}, []float64{v})
 		var sink rowSink
-		if n, _ := spa.flush(&sink, p, 0); n != 1 || sink.cols[0] != col || sink.vals[0] != v {
+		if n, _ := spa.flush(&sink, p, 0, spa.acc); n != 1 || sink.cols[0] != col || sink.vals[0] != v {
 			t.Fatalf("dense=%v: flushed %v %v, want [%d] [%v]", dense, sink.cols, sink.vals, col, v)
 		}
+		spa.end()
 	}
 	row(true, 2, 4)  // dense: leaves acc[2] = 4 behind, marks untouched
 	row(false, 2, 5) // marked, pre-wrap: must start column 2 from zero
 	row(true, 1, 6)  // dense at the last generation
-	row(false, 2, 7) // gen is now max; this flush wraps
+	row(false, 2, 7) // gen is now max; closing this row wraps
 	if spa.gen != 1 {
 		t.Fatalf("gen after wrap = %d, want 1", spa.gen)
 	}

@@ -174,7 +174,7 @@ func TestSumXXTMatchesComposition(t *testing.T) {
 			for _, dropDiag := range []bool{false, true} {
 				wantCtx, wantStats := obs.WithPruneStats(context.Background())
 				want := sumByComposition(wantCtx, n, terms, th, dropDiag)
-				wantDense, wantFallbacks := wantStats.RowPaths()
+				wantDense, wantFallbacks, _ := wantStats.RowPaths()
 				for _, procs := range []int{1, 2, 3, 8} {
 					runtime.GOMAXPROCS(procs)
 					t.Run(fmt.Sprintf("trial=%d/terms=%d/th=%v/drop=%v/procs=%d", trial, len(terms), th, dropDiag, procs), func(t *testing.T) {
@@ -191,7 +191,7 @@ func TestSumXXTMatchesComposition(t *testing.T) {
 						if stats.Killed() != wantStats.Killed() {
 							t.Fatalf("killed %d, want %d", stats.Killed(), wantStats.Killed())
 						}
-						if dense, fallbacks := stats.RowPaths(); dense != wantDense || fallbacks != wantFallbacks {
+						if dense, fallbacks, _ := stats.RowPaths(); dense != wantDense || fallbacks != wantFallbacks {
 							t.Fatalf("row paths %d dense, %d fallbacks; want %d, %d", dense, fallbacks, wantDense, wantFallbacks)
 						}
 						if len(seen) != len(terms) || len(terms) > 0 && seen[len(seen)-1] != up {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"unsafe"
 )
 
 // Add returns alpha·a + beta·b. The operands must have identical
@@ -54,41 +55,22 @@ func addRow(cols []int32, vals []float64, ac []int32, av []float64, bc []int32, 
 	return cols, vals
 }
 
-// MulPrunedTopKCtx returns a·b keeping, per output row, only entries
-// with absolute value ≥ threshold and at most the topK largest of those
-// (ties resolved toward lower column ids). topK ≤ 0 means unlimited.
-// This is the workhorse of flow-based clustering, where each column of
-// the flow matrix only ever keeps its heaviest entries: selecting
-// during the product avoids materialising and sorting the long tail.
-//
-// The product is Gustavson's row-wise SpGEMM with a dense scatter
-// accumulator, costing O(flops) time and O(cols) workspace, run
-// sequentially on the engine (engine.go): ctx is polled once per row
-// tile, and a cancelled context abandons the product and returns ctx's
-// error. The one-shot form; iterated expansions go through an Expander.
-func MulPrunedTopKCtx(ctx context.Context, a, b *CSR, threshold float64, topK int) (*CSR, error) {
-	return topKProduct(a, b, threshold, topK).run(ctx, 1)
-}
-
-// Expander runs the top-k product over and over for one solve — the
-// R-MCL expansion — on the engine's tile driver, keeping everything a
-// product allocates besides its result (one accumulator per worker, the
-// per-tile staging, the product spec itself) from one call to the next,
-// and from one solve to the next when Reset hands it on. The worker
-// count is derived, not configured: GOMAXPROCS at the solve's start,
-// capped at the tiles the rows cut into, so a flow smaller than one tile
-// runs inline on the caller's goroutine. Every count produces the same
-// bits. An Expander is not safe for concurrent use.
+// Expander runs the top-k product a·b over and over for one solve — the
+// R-MCL expansion — on the engine's grouped driver (group.go), keeping
+// everything a product allocates besides its result (one accumulator per
+// worker, the row groups, the product spec itself) from one call to the
+// next, and from one solve to the next when Reset hands it on. The
+// worker count is derived, not configured: GOMAXPROCS at the solve's
+// start, capped at the tiles the rows cut into, so a flow smaller than
+// one tile runs inline on the caller's goroutine. Every count produces
+// the same bits. An Expander is not safe for concurrent use.
 type Expander struct {
 	procs int // GOMAXPROCS when the solve began: the workers offered
 	ws    workspace
 	// tau is each row's top-k cut in the last product and the next one's
 	// pre-filter (product.tau); a stale one costs a rescan, nothing else.
 	tau []float64
-	// ops and p are the product spec, built on first use; each MulTopK
-	// points ops at its operands.
-	ops topKOperands
-	p   *product
+	p   product // the spec, pointed at each MulTopK's operands
 }
 
 // DerivedWorkers reports how many goroutines the engine runs a product
@@ -116,74 +98,78 @@ func (e *Expander) Reset() {
 }
 
 // Workers reports how many goroutines a product of the given output
-// rows runs on.
+// rows runs on at most.
 func (e *Expander) Workers(rows int) int {
 	_, _, running := tiling(rows, e.procs)
 	return running
 }
 
 // MulTopK overwrites dst with a·b keeping the topK largest entries of
-// each row (MulPrunedTopKCtx at threshold 0), reusing dst's arrays, and
-// then hands each finished row — columns ascending — to epilogue on the
-// worker that produced it: epilogue rewrites the row in place and
-// returns how many leading entries survive. It returns the number of
-// entries epilogue trimmed. dst must not alias a or b; on error (ctx's,
-// polled once per tile claim) dst's contents are undefined.
+// each row (ties toward lower columns; exact zeros and NaN dropped),
+// reusing dst's arrays, and then hands each finished row — columns
+// ascending — to epilogue on the worker that produced it: epilogue
+// rewrites the row in place and returns how many leading entries
+// survive. It returns the number of entries epilogue trimmed. dst must
+// not share storage with a or b — rows are written to dst before others
+// are read — and MulTopK panics if it does; on error (ctx's, polled once
+// per batch claim) dst's contents are undefined.
 func (e *Expander) MulTopK(ctx context.Context, dst, a, b *CSR, topK int, epilogue func(cols []int32, vals []float64) int) (trimmed int, err error) {
-	e.ops.set(a, b)
-	defer e.ops.set(nil, nil) // an idle Expander holds no operand
-	if e.p == nil {
-		e.p = e.ops.product(0, topK)
+	if sharesStorage(dst, a) || sharesStorage(dst, b) {
+		panic("matrix: Expander.MulTopK: dst shares storage with an operand; the product is written over rows it has not read yet")
 	}
-	p := e.p
-	p.rows, p.cols, p.topK, p.rowEpilogue = a.Rows, b.Cols, topK, epilogue
 	if len(e.tau) != a.Rows {
 		// a new solve or another shape: no row has a hint yet
 		e.tau = slices.Grow(e.tau[:0], a.Rows)[:a.Rows]
 		clear(e.tau)
 	}
-	p.tau = e.tau
-	n, err := p.runInto(ctx, e.procs, &e.ws, dst)
+	e.p = *topKProduct(a, b, 0, topK)
+	e.p.rowEpilogue, e.p.tau = epilogue, e.tau
+	defer e.idle()
+	n, err := e.p.runInto(ctx, e.procs, &e.ws, dst)
 	return int(n), err
 }
 
-// topKOperands are the operands of a plain Gustavson product a·b: what
-// its row functions read.
-type topKOperands struct{ a, b *CSR }
+// idle drops the spec's references: an idle Expander holds no operand.
+func (e *Expander) idle() { e.p = product{} }
 
-func (o *topKOperands) set(a, b *CSR) {
-	if a != nil && a.Cols != b.Rows {
+// topKProduct is the engine spec behind Expander: the plain a·b under a
+// threshold-then-top-k flush (topK ≤ 0 keeps every survivor), expanded
+// in row groups.
+func topKProduct(a, b *CSR, threshold float64, topK int) *product {
+	checkMulShape(a, b)
+	return &product{rows: a.Rows, cols: b.Cols, a: a, b: b, threshold: threshold, topK: topK}
+}
+
+// checkMulShape panics unless a·b is defined. (Kept out of topKProduct so
+// that it inlines and the spec an Expander copies stays off the heap.)
+func checkMulShape(a, b *CSR) {
+	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	o.a, o.b = a, b
 }
 
-func (o *topKOperands) bound(i int) int { return rowFlops(o.a, o.b, i) }
-
-func (o *topKOperands) scatter(i int, spa *accumulator) {
-	ac, av := o.a.Row(i)
-	for k, c := range ac {
-		bcols, bvals := o.b.Row(int(c))
-		spa.axpy(av[k], bcols, bvals)
+// sharesStorage reports whether x and y are one matrix or have an array
+// in common, anywhere within the arrays' capacities.
+func sharesStorage(x, y *CSR) bool {
+	if x == y {
+		return true
 	}
-}
-
-// topKProduct is the engine spec behind MulPrunedTopKCtx and Expander:
-// a plain Gustavson row scatter under a threshold-then-top-k flush.
-func topKProduct(a, b *CSR, threshold float64, topK int) *product {
-	ops := &topKOperands{}
-	ops.set(a, b)
-	return ops.product(threshold, topK)
-}
-
-// product returns the spec over whatever operands o holds when it runs.
-func (o *topKOperands) product(threshold float64, topK int) *product {
-	return &product{
-		rows:      o.a.Rows,
-		cols:      o.b.Cols,
-		threshold: threshold,
-		topK:      topK,
-		bound:     o.bound,
-		scatter:   o.scatter,
+	for _, u := range x.extents() {
+		for _, v := range y.extents() {
+			if u[0] < u[1] && v[0] < v[1] && u[0] < v[1] && v[0] < u[1] {
+				return true
+			}
+		}
 	}
+	return false
+}
+
+// extents returns the address range each of m's arrays covers.
+func (m *CSR) extents() [3][2]uintptr {
+	return [3][2]uintptr{extent(m.RowPtr), extent(m.ColIdx), extent(m.Val)}
+}
+
+func extent[T any](s []T) [2]uintptr {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return [2]uintptr{lo, lo + uintptr(cap(s))*unsafe.Sizeof(*new(T))}
 }

@@ -11,7 +11,7 @@ import (
 // cancellation: thresholded and top-k capped, thresholded only, and
 // unpruned. mulOracle is the independent reference product.
 func mulTopK(a, b *CSR, threshold float64, topK int) *CSR {
-	out, _ := MulPrunedTopKCtx(context.Background(), a, b, threshold, topK)
+	out, _ := topKProduct(a, b, threshold, topK).run(context.Background(), 1)
 	return out
 }
 

@@ -14,9 +14,9 @@ import (
 // absolute value is strictly below threshold, as one plain sequential
 // Gustavson loop that shares no code with the engine — its own scatter
 // array, its own sort, its own prune tally. It exists to be obviously
-// right, not fast: production code uses SumXXTScaledPrunedUpperCtx, an
-// Expander and MulPrunedTopKCtx, and `make lint` rejects a call to this
-// function from any non-test file outside this package.
+// right, not fast: production code uses SumXXTScaledPrunedUpperCtx and an
+// Expander, and `make lint` rejects a call to this function from any
+// non-test file outside this package.
 //
 // Products accumulate in Gustavson order (a's row left to right, each
 // matching row of b left to right) from a zero start, which is the

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"symcluster/internal/obs"
@@ -26,7 +27,7 @@ func runForced(t *testing.T, p *product, workers int, mode int8) (out *CSR, kill
 	t.Helper()
 	ws := &workspace{}
 	for w := 0; w < workers; w++ {
-		spa := newAccumulator(p.cols)
+		spa := newAccumulator(p.cols, 1)
 		spa.force = mode
 		ws.spas = append(ws.spas, spa)
 	}
@@ -38,7 +39,7 @@ func runForced(t *testing.T, p *product, workers int, mode int8) (out *CSR, kill
 	if p.mirrored {
 		out = MirrorUpper(out)
 	}
-	_, fallbacks = stats.RowPaths()
+	_, fallbacks, _ = stats.RowPaths()
 	return out, stats.Killed(), fallbacks
 }
 
@@ -249,8 +250,7 @@ func TestTauHintIsExact(t *testing.T) {
 // solve takes it through — the same shape with other values, a smaller
 // shape and back (an MLR-MCL level change), a flow squared again and
 // again (plain MCL, where the right operand moves with the left) — gives
-// the one-shot, hint-free product every time, at every worker count it
-// can derive.
+// the oracle's product every time, at every worker count it can derive.
 func TestExpanderHintsAcrossProducts(t *testing.T) {
 	const k = 9
 	orig := runtime.GOMAXPROCS(0)
@@ -269,14 +269,128 @@ func TestExpanderHintsAcrossProducts(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		e, dst := NewExpander(), &CSR{}
 		for n, s := range steps {
-			want, err := MulPrunedTopKCtx(context.Background(), s.a, s.b, 0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, _ := oracleProduct(t, s.a, s.b, 0, k)
 			if _, err := e.MulTopK(context.Background(), dst, s.a, s.b, k, nil); err != nil {
 				t.Fatal(err)
 			}
 			t.Run(fmt.Sprintf("procs=%d/step=%d", procs, n), func(t *testing.T) { requireBitIdentical(t, want, dst) })
 		}
+	}
+}
+
+// sharedSupports returns a rows×n matrix whose rows take their column
+// lists from a few shared supports, with values of their own: supports
+// held by 1, 2, 7, 8, 9, 17 and 30 rows — a lone row, groups below,
+// at and past the width with every remainder from none to one —, one
+// support empty, the rows of each interleaved with the others' across
+// the whole matrix, so groups gather rows from several tiles. It
+// returns how many rows share their support with another row of their
+// group.
+func sharedSupports(rng *rand.Rand, n int) (*CSR, int64) {
+	counts := []int{1, 2, 7, 8, 9, 17, 30, 3}
+	var owner []int
+	var grouped int64
+	for s, c := range counts {
+		for range c {
+			owner = append(owner, s)
+		}
+		if rem := c % groupWidth; rem == 1 {
+			grouped += int64(c - 1)
+		} else {
+			grouped += int64(c)
+		}
+	}
+	rng.Shuffle(len(owner), func(i, j int) { owner[i], owner[j] = owner[j], owner[i] })
+	supports := make([][]int, len(counts))
+	for s := range supports {
+		if s == len(counts)-1 {
+			continue // the empty support
+		}
+		supports[s] = rng.Perm(n)[:1+rng.Intn(12)]
+	}
+	b := NewBuilder(len(owner), n)
+	for i, s := range owner {
+		for _, c := range supports[s] {
+			b.Add(i, c, rng.NormFloat64())
+		}
+	}
+	return b.Build(), grouped
+}
+
+// TestGroupedRowsMatchOracle: rows that share their support are expanded
+// as groups and get the oracle's bits and kill tally — with and without
+// a threshold and a top-k, in every row mode, at every worker count,
+// under each dense-scan body — and the row paths count each row of a
+// group of two or more once.
+func TestGroupedRowsMatchOracle(t *testing.T) {
+	eachScanBody(t, testGroupedRowsMatchOracle)
+}
+
+func testGroupedRowsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const n = 300
+	a, wantGrouped := sharedSupports(rng, n)
+	b := benchGraph(n, 6).ScaleCols(randomScale(rng, n))
+	for _, th := range []float64{0, 0.2} {
+		for _, k := range []int{0, 7} {
+			want, wantKilled := oracleProduct(t, a, b, th, k)
+			for _, workers := range []int{1, 2, 3, 8} {
+				for _, mode := range []int8{modeDense, modeMarked, modeDerived} {
+					t.Run(fmt.Sprintf("th=%v/k=%d/workers=%d/mode=%d", th, k, workers, mode), func(t *testing.T) {
+						ws := &workspace{}
+						for range workers {
+							spa := newAccumulator(n, groupWidth)
+							spa.force = mode
+							ws.spas = append(ws.spas, spa)
+						}
+						ctx, stats := obs.WithPruneStats(context.Background())
+						got := &CSR{}
+						if _, err := topKProduct(a, b, th, k).runInto(ctx, workers, ws, got); err != nil {
+							t.Fatal(err)
+						}
+						requireBitIdentical(t, want, got)
+						if stats.Killed() != wantKilled {
+							t.Fatalf("killed %d, want %d", stats.Killed(), wantKilled)
+						}
+						if _, _, grouped := stats.RowPaths(); grouped != wantGrouped {
+							t.Fatalf("%d rows expanded in groups, want %d", grouped, wantGrouped)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestMulTopKRejectsAliasedDst: a destination that is an operand, or
+// holds an array one of them holds — at any offset within its capacity —
+// panics naming the contract instead of overwriting rows not yet read;
+// a destination of its own does not.
+func TestMulTopKRejectsAliasedDst(t *testing.T) {
+	a := benchGraph(90, 3)
+	b := a.Transpose()
+	for _, tc := range []struct {
+		name string
+		dst  *CSR
+	}{
+		{"dst-is-a", a},
+		{"dst-is-b", b},
+		{"vals-of-a", &CSR{Val: a.Val[:0]}},
+		{"cols-inside-b", &CSR{ColIdx: b.ColIdx[5:5]}},
+		{"rowptr-of-a-as-rowptr", &CSR{RowPtr: a.RowPtr[10:]}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "shares storage") {
+					t.Fatalf("recovered %q, want the aliasing panic", r)
+				}
+			}()
+			NewExpander().MulTopK(context.Background(), tc.dst, a, b, 5, nil)
+			t.Fatal("MulTopK returned")
+		})
+	}
+	dst := &CSR{ColIdx: make([]int32, 0, 4)}
+	if _, err := NewExpander().MulTopK(context.Background(), dst, a, b, 5, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -133,7 +133,7 @@ func BenchmarkCollectDense(b *testing.B) {
 	const cut = 0.03
 	for _, tc := range []struct{ span, candidates int }{{4400, 3}, {8192, 3}, {540, 50}, {540, 200}} {
 		rng := rand.New(rand.NewSource(27))
-		spa := newAccumulator(tc.span)
+		spa := newAccumulator(tc.span, 1)
 		spa.hi, spa.dense = tc.span, true
 		for j, c := range rng.Perm(tc.span) {
 			switch {
@@ -155,7 +155,7 @@ func BenchmarkCollectDense(b *testing.B) {
 				vectorScan = body.vector
 				defer func() { vectorScan = chosen }()
 				for i := 0; i < b.N; i++ {
-					if m, _ := spa.collect(cut); m != tc.candidates {
+					if m, _ := spa.collect(spa.acc, cut); m != tc.candidates {
 						b.Fatalf("%d candidates, want %d", m, tc.candidates)
 					}
 				}

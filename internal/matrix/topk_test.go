@@ -21,9 +21,9 @@ func TestKthLargestMatchesSort(t *testing.T) {
 		slices.Sort(sorted)
 		for _, k := range []int{1, 1 + rng.Intn(len(keys)), len(keys)} {
 			work := slices.Clone(keys)
-			got, want := KthLargest(work, k), sorted[len(keys)-k]
+			got, want := kthLargest(work, k), sorted[len(keys)-k]
 			if got != want || slices.Min(work[:k]) != want || k < len(keys) && slices.Max(work[k:]) > want {
-				t.Fatalf("trial %d: KthLargest(%v, %d) = %v leaving %v, want %v", trial, keys, k, got, work, want)
+				t.Fatalf("trial %d: kthLargest(%v, %d) = %v leaving %v, want %v", trial, keys, k, got, work, want)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"symcluster/internal/core"
 	"symcluster/internal/gen"
+	"symcluster/internal/matrix"
 )
 
 // BenchmarkMCLHot is one request of the repository benchmark's mcl_hot
@@ -16,6 +17,18 @@ import (
 // Run it at -cpu 1,2: the one-core number is what a request gets when
 // the pool's other workers are busy.
 func BenchmarkMCLHot(b *testing.B) {
+	adj := mclHotInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ClusterCtx(context.Background(), adj, mclHotOptions(40, int64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// mclHotInput is BenchmarkMCLHot's graph: the dd symmetrization at 0.05.
+func mclHotInput(tb testing.TB) *matrix.CSR {
 	ds, err := gen.Wiki(gen.WikiOptions{
 		ListClusters: 8, RecipClusters: 8,
 		ListMembersMin: 20, ListMembersMax: 20,
@@ -23,21 +36,20 @@ func BenchmarkMCLHot(b *testing.B) {
 		Seed: 1000,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	symOpt := core.Defaults()
 	symOpt.Threshold = 0.05
 	u, err := core.SymmetrizeCtx(context.Background(), ds.Graph, core.DegreeDiscounted, symOpt)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ClusterCtx(context.Background(), u.Adj, Options{Inflation: 2, MaxIter: 40, MaxPerColumn: 30, ConvergenceTol: 1e-4, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return u.Adj
+}
+
+// mclHotOptions is how BenchmarkMCLHot clusters, the pipeline's mcl entry.
+func mclHotOptions(maxIter int, seed int64) Options {
+	return Options{Inflation: 2, MaxIter: maxIter, MaxPerColumn: 30, ConvergenceTol: 1e-4, Seed: seed}
 }
 
 func BenchmarkRMCL(b *testing.B) {

@@ -399,9 +399,10 @@ func (ws *workspace) iterate(ctx context.Context, opt Options, maxIter int, ckpt
 	defer func() {
 		sp.SetAttr("iterations", iters)
 		sp.SetAttr("residual", lastDelta)
-		dense, fallbacks := paths.RowPaths()
+		dense, fallbacks, grouped := paths.RowPaths()
 		sp.SetAttr("dense_rows", dense)
 		sp.SetAttr("select_fallbacks", fallbacks)
+		sp.SetAttr("grouped_rows", grouped)
 		sp.EndErr(err)
 		obs.ObserveMCLRun(ctx, iters)
 	}()

@@ -23,10 +23,11 @@ import (
 // reference both are held to: every step is its own materialised pass —
 // the regularizer composed from Add, Transpose and NormalizeRows, the
 // seed cut by sort.Slice, the projection built by a Builder, and per
-// iteration the sequential top-k product, inflation through math.Pow, a
-// pruning pass into a fresh CSR, a normalisation pass, and a residual
-// taken from a materialised difference. It shares normalizeRowsInPlace
-// and the cluster extraction with mcl.go and nothing with iterate.
+// iteration the reference product (matrix.MulPrunedCtx, no engine code)
+// cut to the top k by a sort, inflation through math.Pow, a pruning pass
+// into a fresh CSR, a normalisation pass, and a residual taken from a
+// materialised difference. It shares normalizeRowsInPlace and the
+// cluster extraction with mcl.go and nothing with iterate.
 
 // regularizer is M_Gᵀ as the composition regularize is held to.
 func regularizer(adj *matrix.CSR) *matrix.CSR {
@@ -126,6 +127,35 @@ func extractClusters(flow *matrix.CSR) ([]int, int) {
 	return new(workspace).extract(flow)
 }
 
+// topKRows keeps the k largest magnitudes of each row of m, ties toward
+// lower columns, in column order: the cut the engine's selection makes.
+// m holds no NaN and no exact zero (the reference product drops both).
+func topKRows(m *matrix.CSR, k int) *matrix.CSR {
+	out := &matrix.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1)}
+	var keep []int
+	for i := 0; i < m.Rows; i++ {
+		lo, hi := int(m.RowPtr[i]), int(m.RowPtr[i+1])
+		keep = keep[:0]
+		for p := lo; p < hi; p++ {
+			keep = append(keep, p)
+		}
+		sort.Slice(keep, func(x, y int) bool {
+			ax, ay := math.Abs(m.Val[keep[x]]), math.Abs(m.Val[keep[y]])
+			return ax > ay || ax == ay && keep[x] < keep[y]
+		})
+		if len(keep) > k {
+			keep = keep[:k]
+		}
+		sort.Ints(keep)
+		for _, p := range keep {
+			out.ColIdx = append(out.ColIdx, m.ColIdx[p])
+			out.Val = append(out.Val, m.Val[p])
+		}
+		out.RowPtr[i+1] = int64(len(out.ColIdx))
+	}
+	return out
+}
+
 // inflateRows raises entries to the power r and renormalises each row.
 func inflateRows(m *matrix.CSR, r float64) {
 	for i := 0; i < m.Rows; i++ {
@@ -160,10 +190,11 @@ func oracleFlowChange(a, b *matrix.CSR) float64 {
 func oracleIterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Options, maxIter int, onIter func(it int, flow *matrix.CSR)) (iters int, err error) {
 	defer func() { obs.ObserveMCLRun(ctx, iters) }()
 	for it := 0; it < maxIter; it++ {
-		next, err := matrix.MulPrunedTopKCtx(ctx, *flow, mgt, 0, opt.MaxPerColumn)
+		full, err := matrix.MulPrunedCtx(ctx, *flow, mgt, 0)
 		if err != nil {
 			return it, err
 		}
+		next := topKRows(full, opt.MaxPerColumn)
 		inflateRows(next, opt.Inflation)
 		rawNNZ := next.NNZ()
 		next = prunePerRow(next, pruneThreshold, opt.MaxPerColumn)
@@ -299,6 +330,37 @@ func iterateSpans(n *obs.SpanNode) []*obs.SpanNode {
 	return out
 }
 
+// plantedBlocks returns cliques of the given sizes, in row order, joined
+// by up to noise random edges between them. Every member of a clique untouched
+// by noise has the clique as its regularizer row's support, so flow rows
+// share supports from the first iteration on.
+func plantedBlocks(rng *rand.Rand, sizes []int, noise int) *matrix.CSR {
+	n := 0
+	for _, sz := range sizes {
+		n += sz
+	}
+	b := matrix.NewBuilder(n, n)
+	lo := 0
+	for _, sz := range sizes {
+		for i := lo; i < lo+sz; i++ {
+			for j := lo; j < lo+sz; j++ {
+				if i != j {
+					b.Add(i, j, 1)
+				}
+			}
+		}
+		lo += sz
+	}
+	for range noise {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i != j {
+			b.Add(i, j, 0.5)
+			b.Add(j, i, 0.5)
+		}
+	}
+	return b.Build()
+}
+
 // TestFusedIterateMatchesOracle holds the fused, tile-parallel solve to
 // the materialised one at every worker count the engine can derive:
 // after every finest-level iteration the flow is the same bits and the
@@ -306,14 +368,18 @@ func iterateSpans(n *obs.SpanNode) []*obs.SpanNode {
 // at the end so do the iteration count and the assignment. GOMAXPROCS
 // is the only knob the worker count has, so the test turns that.
 //
-// The oracle's product is the one-shot, hint-free one, so this is also
-// what holds the Expander's τ pre-filter to exactness where its hints
+// The oracle's product is the reference one, hint-free and row by row,
+// so this is also what holds the Expander's row groups to the lone
+// row's bits and its τ pre-filter to exactness where its hints
 // are worth least: MLR-MCL changes shape between levels — the multilevel
 // solves here must cross at least two level changes — and a top-4 cut
 // binds on nearly every row, so a stale τ sends rows back to the full
 // scan — on wide that variant must record fallbacks. Every level's span
 // must say which paths its rows took and which body scanned the dense
-// ones — the whole matrix runs under each body.
+// ones — the whole matrix runs under each body. On blocks, planted
+// cliques of 9 to 29 rows whose flow rows share supports from the start
+// — more rows than a group holds, with remainders, across tile
+// boundaries — every level must report rows expanded in groups.
 func TestFusedIterateMatchesOracle(t *testing.T) {
 	eachScanBody(t, testFusedIterateMatchesOracle)
 }
@@ -322,6 +388,7 @@ func testFusedIterateMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	wide, _ := blockGraph(rng, 6, 50, 0.3, 0.01)  // five or more tiles
 	small, _ := blockGraph(rng, 3, 13, 0.5, 0.05) // less than one tile
+	blocks := plantedBlocks(rng, []int{11, 13, 17, 19, 23, 9, 29}, 6)
 	orig := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })
 
@@ -333,7 +400,7 @@ func testFusedIterateMatchesOracle(t *testing.T) {
 	for _, g := range []struct {
 		name string
 		adj  *matrix.CSR
-	}{{"wide", wide}, {"small", small}} {
+	}{{"wide", wide}, {"small", small}, {"blocks", blocks}} {
 		for _, inflation := range []float64{1.5, 2, 3} {
 			for _, v := range []variant{{"rmcl", false, 20}, {"rmcl-top4", false, 4}, {"mlrmcl", true, 20}} {
 				opt := Options{
@@ -365,9 +432,13 @@ func testFusedIterateMatchesOracle(t *testing.T) {
 						for _, sp := range spans {
 							dense, ok1 := sp.Attrs["dense_rows"].(int64)
 							fallbacks, ok2 := sp.Attrs["select_fallbacks"].(int64)
+							grouped, ok3 := sp.Attrs["grouped_rows"].(int64)
 							rows, iters := sp.Attrs["nodes"].(int), sp.Attrs["iterations"].(int)
-							if !ok1 || !ok2 || dense < 0 || dense > int64(rows*iters) || fallbacks < 0 || fallbacks > int64(rows*iters) {
-								t.Fatalf("mcl.iterate span attrs %v: dense_rows and select_fallbacks must count rows of its %d×%d", sp.Attrs, rows, iters)
+							if !ok1 || !ok2 || !ok3 || dense < 0 || dense > int64(rows*iters) || fallbacks < 0 || fallbacks > int64(rows*iters) || grouped < 0 || grouped > int64(rows*iters) {
+								t.Fatalf("mcl.iterate span attrs %v: dense_rows, select_fallbacks and grouped_rows must count rows of its %d×%d", sp.Attrs, rows, iters)
+							}
+							if g.name == "blocks" && grouped < 1 {
+								t.Fatalf("mcl.iterate span attrs %v: no row of planted cliques was expanded in a group", sp.Attrs)
 							}
 							if sp.Attrs["scan"] != matrix.ScanBody() {
 								t.Fatalf("mcl.iterate span attrs %v: scan must be %q", sp.Attrs, matrix.ScanBody())

@@ -164,25 +164,27 @@ var cluRegistry = []Clusterer{
 		},
 		cost: func(gs GraphStats) int64 {
 			// What one R-MCL solve holds at its peak, every column at its
-			// MaxPerColumn budget: the two flow buffers it swaps between
-			// and, with more than one expansion worker, a flow's worth of
-			// per-tile staging — each allowed the up-to-2× capacity that
-			// growing by append leaves (one worker appends into the flow
-			// buffers and stages nothing; several size the buffers exactly
-			// and append into the staging), so four flows bound both — plus
-			// one accumulator (sums, marks, the candidate list and the top-k
-			// selection keys: 24 bytes a column, each sized once) for each
-			// of at most GOMAXPROCS workers, and the Expander's per-row τ
-			// vector. Measured as the live heap at an iteration boundary
-			// (a collection forced from a checkpoint sink, the snapshot's
-			// own bytes taken out) with every column full, two workers:
-			// 479 KB held at 540 nodes against 825 KB estimated, 4.49 MB
-			// against 9.17 MB at 6 000. Not charged: the workspace a solve
-			// ran in, which outlives it in mcl's pool — at most one idle
-			// per solve that ran at once, dropped by the GC within two
-			// cycles (DESIGN.md §10, "Cost-model contract").
+			// MaxPerColumn budget: the two flow buffers it swaps between,
+			// each sized for every row's top-k slot before the rows are
+			// packed and allowed the up-to-2× capacity that growing by
+			// append leaves, so four flows bound both; one accumulator for
+			// each of at most GOMAXPROCS workers — the sums of a whole row
+			// group (8 rows, 8 bytes each), marks, the candidate list and
+			// the top-k selection keys: 80 bytes a column, each sized once;
+			// the row grouping (hash table, row order, slots and group
+			// records: 64 bytes a row) and the Expander's per-row τ vector.
+			// Measured as the live heap above the input at an iteration
+			// boundary (a collection forced from a checkpoint sink, the
+			// snapshot's own bytes taken out; the regularizer included),
+			// two workers: 810 KB held on mcl_hot's 540-node graph against
+			// 920 KB estimated, 8.64 MB against 10.2 MB on 100 blocks of
+			// 60 nodes.
+			// Not charged: the workspace a solve ran in, which outlives it
+			// in mcl's pool — at most one idle per solve that ran at once,
+			// dropped by the GC within two cycles (DESIGN.md §10,
+			// "Cost-model contract").
 			n := int64(gs.Nodes)
-			return 4*csrBytes(gs.Nodes, mclMaxPerColumn*n) + int64(runtime.GOMAXPROCS(0))*24*n + 8*n
+			return 4*csrBytes(gs.Nodes, mclMaxPerColumn*n) + int64(runtime.GOMAXPROCS(0))*80*n + 72*n
 		},
 	},
 	&cluEntry{

@@ -247,8 +247,8 @@ var sourceRules = []sourceRule{
 	},
 	{
 		why: "production call to the sparse-product oracle: matrix.MulPrunedCtx is the reference " +
-			"the tests hold the engine to; products go through matrix.SumXXTScaledPrunedUpperCtx, " +
-			"an Expander or matrix.MulPrunedTopKCtx (DESIGN.md §15)",
+			"the tests hold the engine to; products go through matrix.SumXXTScaledPrunedUpperCtx " +
+			"or an Expander (DESIGN.md §15)",
 		applies: func(f string) bool { return !isTest(f) },
 		match:   func(n ast.Node) bool { return call(n, "matrix", "MulPrunedCtx") },
 	},
@@ -373,7 +373,7 @@ func funcKey(dir string, fd *ast.FuncDecl) string {
 // one shorter, until the change that shortened it lowers the cap to the
 // new length; no change raises one (ROADMAP item 10 takes DESIGN.md's
 // toward 900).
-var docCeilings = map[string]int{"DESIGN.md": 2195, "README.md": 733}
+var docCeilings = map[string]int{"DESIGN.md": 2194, "README.md": 733}
 
 // TestSourceLints is `make lint`: it parses every Go file of the
 // repository (bench/ included) and holds it to sourceRules, the
