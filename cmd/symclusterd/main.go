@@ -16,8 +16,6 @@
 //	            [-probe-interval D] [-peer-fail-threshold N]
 //	            [-peer-recover-threshold N] [-proxy-attempts N]
 //	            [-proxy-timeout D] [-proxy-max-wait D]
-//	            [-breaker-fail-threshold N] [-breaker-cooldown D]
-//	            [-retry-budget-ratio F] [-retry-budget-burst F]
 //	            [-preload graph.edges]
 //	            [-log-format json|text] [-log-level LEVEL]
 //	            [-trace-log FILE] [-trace-ring N] [-trace-ring-mb MB]
@@ -57,16 +55,15 @@
 // lock adopts its WAL and resumes its jobs from their checkpoints.
 // -upload-ttl reaps chunked-upload sessions abandoned by their client.
 //
-// Overload survival (see README.md "Timeouts, retries, and breakers"
-// and DESIGN.md §17): callers stamp their remaining budget on every
-// request via the X-Symclusterd-Deadline-Ms header (the CLI's -timeout
-// does this; so does every forwarded hop, minus a margin), and the
-// server fast-fails work that cannot finish in time with 504 before it
-// burns a worker. Outbound calls to each peer sit behind a circuit
-// breaker (-breaker-fail-threshold, -breaker-cooldown) that fails fast
-// with 503 + Retry-After while open, and retries are governed by a
-// token-bucket budget (-retry-budget-ratio, -retry-budget-burst) so
-// retry storms cannot amplify an outage.
+// Overload survival (see README.md "Timeouts and retries" and
+// DESIGN.md §17): callers stamp their remaining budget on every request
+// via the X-Symclusterd-Deadline-Ms header (the CLI's -timeout does
+// this; so does every forwarded hop, minus a margin), and the server
+// fast-fails work that cannot finish in time with 504 before it burns a
+// worker. A forwarded hop is retried at most -proxy-attempts times, each
+// under -proxy-timeout, with waits capped by -proxy-max-wait and the
+// caller's deadline; an owner that never answers is refused 503 +
+// Retry-After, and the health checker reroutes its shard.
 //
 // Observability (see README.md "Observability" and DESIGN.md §11, §16):
 // logs are structured (JSON by default; -log-format text for humans),
@@ -134,10 +131,6 @@ func main() {
 	proxyAttempts := flag.Int("proxy-attempts", 4, "total tries per request forwarded to a peer")
 	proxyTimeout := flag.Duration("proxy-timeout", 10*time.Second, "deadline per forwarding attempt")
 	proxyMaxWait := flag.Duration("proxy-max-wait", 5*time.Second, "cap on backoff (and honored Retry-After) between forwarding attempts")
-	breakerFail := flag.Int("breaker-fail-threshold", 5, "consecutive outbound failures before a peer's circuit breaker opens")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker rejection window before one half-open trial request")
-	retryBudgetRatio := flag.Float64("retry-budget-ratio", 0.1, "retry tokens earned per outbound request (sustained retry fraction)")
-	retryBudgetBurst := flag.Float64("retry-budget-burst", 10, "maximum banked retry tokens")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain deadline")
 	preload := flag.String("preload", "", "edge-list file to register at startup (logs its graph id)")
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
@@ -204,18 +197,14 @@ func main() {
 			fatal("-peers requires -self")
 		}
 		clusterCfg = &server.ClusterConfig{
-			Self:                 selfName,
-			Peers:                peerList,
-			ProbeInterval:        *probeInterval,
-			FailThreshold:        *peerFail,
-			RecoverThreshold:     *peerRecover,
-			ProxyAttempts:        *proxyAttempts,
-			ProxyTimeout:         *proxyTimeout,
-			ProxyMaxWait:         *proxyMaxWait,
-			BreakerFailThreshold: *breakerFail,
-			BreakerCooldown:      *breakerCooldown,
-			RetryBudgetRatio:     *retryBudgetRatio,
-			RetryBudgetBurst:     *retryBudgetBurst,
+			Self:             selfName,
+			Peers:            peerList,
+			ProbeInterval:    *probeInterval,
+			FailThreshold:    *peerFail,
+			RecoverThreshold: *peerRecover,
+			ProxyAttempts:    *proxyAttempts,
+			ProxyTimeout:     *proxyTimeout,
+			ProxyMaxWait:     *proxyMaxWait,
 		}
 		logger.Info("cluster mode", "self", selfName, "peers", len(peerList))
 	}

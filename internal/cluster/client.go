@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -107,14 +106,6 @@ type ClientConfig struct {
 	// spend the caller's entire budget computing an answer nobody will
 	// be there to read.
 	HopMargin time.Duration
-	// Breakers, when non-nil, gates every attempt through the per-peer
-	// circuit breaker set: requests to a peer whose breaker is open fail
-	// fast with a *BreakerOpenError instead of burning AttemptTimeout.
-	Breakers *BreakerSet
-	// RetryBudget, when non-nil, bounds what fraction of this client's
-	// traffic may be retries; when the bucket is empty the last shed
-	// response (or transport error) is returned instead of retried.
-	RetryBudget *RetryBudget
 	// Transport overrides the HTTP transport (tests; nil means
 	// http.DefaultTransport).
 	Transport http.RoundTripper
@@ -206,18 +197,8 @@ func (c *Client) Do(ctx context.Context, method, url string, header http.Header,
 // so retries never resend a half-consumed stream. contentLength < 0
 // means unknown.
 func (c *Client) DoStream(ctx context.Context, method, url string, header http.Header, open func() (io.ReadCloser, error), contentLength int64) (*http.Response, error) {
-	peer := peerKey(url)
-	c.cfg.RetryBudget.RecordRequest()
-	var lastErr error
 	for attempt := 1; ; attempt++ {
-		// The breaker is consulted per attempt, not per request: a
-		// breaker tripped by THIS request's earlier failures stops the
-		// remaining attempts too.
-		if berr := c.cfg.Breakers.Allow(peer); berr != nil {
-			return nil, fmt.Errorf("cluster: %s %s: %w", method, url, berr)
-		}
 		resp, err := c.attempt(ctx, method, url, header, open, contentLength)
-		c.recordOutcome(ctx, peer, resp, err)
 		if err == nil && !Retryable(resp.StatusCode) {
 			return resp, nil
 		}
@@ -230,17 +211,13 @@ func (c *Client) DoStream(ctx context.Context, method, url string, header http.H
 				// request is dead no matter how many attempts remain.
 				return nil, err
 			}
-			lastErr = err
 			if last {
-				return nil, fmt.Errorf("cluster: %s %s failed after %d attempts: %w", method, url, attempt, lastErr)
+				return nil, fmt.Errorf("cluster: %s %s failed after %d attempts: %w", method, url, attempt, err)
 			}
 			wait = c.backoff(attempt)
 			reason = fmt.Sprintf("attempt error: %v", err)
 			if !deadlineAllows(ctx, wait) {
-				return nil, fmt.Errorf("cluster: %s %s: retry would outlive the deadline: %w", method, url, lastErr)
-			}
-			if !c.cfg.RetryBudget.AllowRetry() {
-				return nil, fmt.Errorf("cluster: %s %s: retry budget exhausted: %w", method, url, lastErr)
+				return nil, fmt.Errorf("cluster: %s %s: retry would outlive the deadline: %w", method, url, err)
 			}
 		} else {
 			if last {
@@ -262,9 +239,6 @@ func (c *Client) DoStream(ctx context.Context, method, url string, header http.H
 			if !deadlineAllows(ctx, wait) {
 				return resp, nil
 			}
-			if !c.cfg.RetryBudget.AllowRetry() {
-				return resp, nil
-			}
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
 		}
@@ -279,22 +253,6 @@ func (c *Client) DoStream(ctx context.Context, method, url string, header http.H
 	}
 }
 
-// recordOutcome feeds one attempt's result to the breaker. A transport
-// error or shedding status counts as a failure — both mean "stop
-// sending this peer work for a while". An attempt killed by the
-// caller's own cancellation or deadline is neither: the trial slot is
-// released without judging the peer.
-func (c *Client) recordOutcome(ctx context.Context, peer string, resp *http.Response, err error) {
-	if c.cfg.Breakers == nil {
-		return
-	}
-	if err != nil && ctx.Err() != nil {
-		c.cfg.Breakers.Release(peer)
-		return
-	}
-	c.cfg.Breakers.Record(peer, err == nil && !Retryable(resp.StatusCode))
-}
-
 // deadlineAllows reports whether sleeping for wait still leaves time
 // before ctx's deadline. No deadline always allows.
 func deadlineAllows(ctx context.Context, wait time.Duration) bool {
@@ -303,15 +261,6 @@ func deadlineAllows(ctx context.Context, wait time.Duration) bool {
 		return true
 	}
 	return time.Until(dl) > wait
-}
-
-// peerKey derives the breaker key for a request URL: the host:port,
-// which matches cluster peer names.
-func peerKey(rawURL string) string {
-	if u, err := url.Parse(rawURL); err == nil && u.Host != "" {
-		return u.Host
-	}
-	return rawURL
 }
 
 // backoff returns the jittered, capped exponential wait before retrying

@@ -2,14 +2,17 @@
 // pieces a coordinator needs to shard graphs across a static peer list
 // and keep serving when a peer dies.
 //
-//   - peers.go  — peer specs ("http://host:port[*weight]") and parsing
-//   - ring.go   — weighted consistent hashing of graph fingerprints,
+//   - cluster.go — peer specs ("http://host:port[*weight]"), their
+//     parsing, and the ring's hash function
+//   - ring.go    — weighted consistent hashing of graph fingerprints,
 //     with ownership falling through to the next healthy peer
-//   - health.go — active /healthz prober with failure-count thresholds
-//     and half-open recovery
-//   - client.go — the retrying HTTP client every inter-node hop goes
+//   - health.go  — active /healthz prober with failure-count thresholds
+//     and half-open recovery: the one verdict on whether a peer is up
+//   - client.go  — the retrying HTTP client every inter-node hop goes
 //     through: per-attempt timeouts, capped exponential backoff with
-//     jitter, and honor-the-server's-Retry-After semantics
+//     jitter, honor-the-server's-Retry-After semantics, and the
+//     deadline, trace and forwarding headers
+//   - bootctx.go — the one fresh root context, for the prober's loop
 //
 // The package is deliberately free of symcluster imports: it knows
 // about peers, hashes and HTTP, not about graphs or jobs, so

@@ -2,13 +2,18 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"symcluster/internal/faultinject"
+	"symcluster/internal/obs"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -177,6 +182,23 @@ func TestRetryAfterParsing(t *testing.T) {
 	}
 }
 
+func TestRetryable(t *testing.T) {
+	for code, want := range map[int]bool{
+		http.StatusOK:                  false,
+		http.StatusBadRequest:          false,
+		http.StatusNotFound:            false,
+		http.StatusTooManyRequests:     true,
+		http.StatusInternalServerError: false,
+		http.StatusBadGateway:          false,
+		http.StatusServiceUnavailable:  true,
+		http.StatusGatewayTimeout:      false,
+	} {
+		if got := Retryable(code); got != want {
+			t.Errorf("Retryable(%d) = %v, want %v", code, got, want)
+		}
+	}
+}
+
 func noJitter(d time.Duration) time.Duration { return d }
 
 func TestClientRetriesUntilSuccess(t *testing.T) {
@@ -314,6 +336,289 @@ func TestClientBackoffCapped(t *testing.T) {
 		if got := c.backoff(i + 1); got != w*time.Millisecond {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
+	}
+}
+
+// shedServer answers every request 503 with the given Retry-After and
+// counts what it saw.
+func shedServer(t *testing.T, retryAfter string) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Retry-After", retryAfter)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &calls
+}
+
+func TestClientShedRetriesBoundedByMaxAttempts(t *testing.T) {
+	// A peer that sheds forever costs MaxAttempts tries, no more: the
+	// attempt count is what keeps a retry storm to a fixed multiple.
+	srv, calls := shedServer(t, "0")
+	var retries atomic.Int32
+	c := NewClient(ClientConfig{MaxAttempts: 3, BaseWait: time.Millisecond, MaxWait: time.Millisecond, Jitter: noJitter,
+		OnRetry: func(string) { retries.Add(1) }})
+	for i := 0; i < 4; i++ {
+		resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
+		if err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		resp.Body.Close()
+	}
+	if calls.Load() != 12 || retries.Load() != 8 {
+		t.Fatalf("4 requests: server saw %d calls and OnRetry fired %d times, want 12 and 8", calls.Load(), retries.Load())
+	}
+}
+
+func TestClientSingleAttemptDisablesRetries(t *testing.T) {
+	srv, calls := shedServer(t, "0")
+	c := NewClient(ClientConfig{MaxAttempts: 1, OnRetry: func(r string) { t.Errorf("OnRetry(%q) with retries disabled", r) }})
+	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || calls.Load() != 1 {
+		t.Fatalf("status %d after %d calls, want the 503 after 1", resp.StatusCode, calls.Load())
+	}
+}
+
+func TestClientDoesNotRetryNonShedStatus(t *testing.T) {
+	// Only 429 and 503 mean "come back later"; any other answer is the
+	// peer's verdict and is relayed from the first attempt.
+	for _, code := range []int{http.StatusOK, http.StatusNotFound, http.StatusInternalServerError, http.StatusBadGateway, http.StatusGatewayTimeout} {
+		var calls atomic.Int32
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			w.WriteHeader(code)
+			fmt.Fprint(w, "verdict")
+		}))
+		c := NewClient(ClientConfig{MaxAttempts: 4, BaseWait: time.Millisecond, MaxWait: time.Millisecond, Jitter: noJitter})
+		resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
+		if err != nil {
+			srv.Close()
+			t.Fatalf("%d: Do: %v", code, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != code || string(body) != "verdict" || calls.Load() != 1 {
+			t.Errorf("%d: relayed %d %q after %d calls, want %d \"verdict\" after 1", code, resp.StatusCode, body, calls.Load(), code)
+		}
+	}
+}
+
+func TestClientCapsRetryAfterAtMaxWait(t *testing.T) {
+	// A peer asking for 30 s is waited on for MaxWait only.
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Header().Set("Retry-After", "30")
+			w.WriteHeader(http.StatusTooManyRequests)
+		}
+	}))
+	defer srv.Close()
+	c := NewClient(ClientConfig{MaxAttempts: 2, MaxWait: 20 * time.Millisecond, Jitter: noJitter})
+	start := time.Now()
+	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || calls.Load() != 2 {
+		t.Fatalf("status %d after %d calls, want 200 after 2", resp.StatusCode, calls.Load())
+	}
+	if waited := time.Since(start); waited < 20*time.Millisecond || waited > 10*time.Second {
+		t.Fatalf("retry came after %v, want MaxWait (20ms), not the peer's 30s", waited)
+	}
+}
+
+func TestClientTransportRetryStopsAtDeadline(t *testing.T) {
+	// A backoff that would outlive the caller's deadline is not slept:
+	// the transport error comes back at once, after one attempt.
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	url := srv.URL
+	srv.Close()
+	c := NewClient(ClientConfig{MaxAttempts: 5, BaseWait: 5 * time.Second, MaxWait: 5 * time.Second, Jitter: noJitter,
+		OnRetry: func(r string) { t.Errorf("OnRetry(%q): a retry was scheduled past the deadline", r) }})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, err := c.Do(ctx, http.MethodGet, url, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "outlive the deadline") {
+		t.Fatalf("err = %v, want the retry refused for the deadline", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("Do returned only after the caller's deadline")
+	}
+}
+
+func TestClientCancelDuringWait(t *testing.T) {
+	// A caller that gives up while the client sleeps between attempts
+	// gets its own context error back, without waiting out the sleep.
+	// The cancel comes from OnRetry, just before the sleep begins.
+	srv, calls := shedServer(t, "30")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := NewClient(ClientConfig{MaxAttempts: 3, MaxWait: time.Minute, Jitter: noJitter, OnRetry: func(string) { cancel() }})
+	start := time.Now()
+	_, err := c.Do(ctx, http.MethodGet, srv.URL, nil, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls.Load() != 1 || time.Since(start) > 10*time.Second {
+		t.Fatalf("%d calls in %v, want 1 and a prompt return", calls.Load(), time.Since(start))
+	}
+}
+
+func TestClientAttemptTimeoutRetries(t *testing.T) {
+	// A peer that hangs costs one AttemptTimeout, then the next attempt
+	// is tried.
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			<-r.Context().Done()
+			return
+		}
+		fmt.Fprint(w, "ok")
+	}))
+	defer srv.Close()
+	var reasons []string
+	c := NewClient(ClientConfig{MaxAttempts: 2, AttemptTimeout: 500 * time.Millisecond, BaseWait: time.Millisecond, MaxWait: time.Millisecond,
+		Jitter: noJitter, OnRetry: func(r string) { reasons = append(reasons, r) }})
+	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || calls.Load() != 2 {
+		t.Fatalf("status %d after %d calls, want 200 after 2", resp.StatusCode, calls.Load())
+	}
+	if len(reasons) != 1 || !strings.Contains(reasons[0], "attempt error") {
+		t.Fatalf("OnRetry reasons = %q, want one attempt error", reasons)
+	}
+}
+
+func TestClientFaultSiteFailsOneAttempt(t *testing.T) {
+	// The proxy.forward site fails an attempt before it is sent; the
+	// client retries it like any transport error.
+	defer faultinject.Reset()
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { calls.Add(1) }))
+	defer srv.Close()
+	faultinject.Set("proxy.forward", faultinject.Fault{Mode: faultinject.Error, Times: 1})
+	c := NewClient(ClientConfig{MaxAttempts: 2, BaseWait: time.Millisecond, MaxWait: time.Millisecond, Jitter: noJitter})
+	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || calls.Load() != 1 {
+		t.Fatalf("status %d after %d calls reached the server, want 200 after 1", resp.StatusCode, calls.Load())
+	}
+	faultinject.Set("proxy.forward", faultinject.Fault{Mode: faultinject.Error})
+	if _, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("every attempt failed: err = %v, want the injected error wrapped", err)
+	}
+}
+
+func TestClientPropagatesTraceAndForwardMarker(t *testing.T) {
+	var got atomic.Pointer[http.Header]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h := r.Header.Clone()
+		got.Store(&h)
+	}))
+	defer srv.Close()
+	c := NewClient(ClientConfig{MaxAttempts: 1})
+	send := func(ctx context.Context, hdr http.Header) http.Header {
+		t.Helper()
+		resp, err := c.Do(ctx, http.MethodGet, srv.URL, hdr, nil)
+		if err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		resp.Body.Close()
+		return *got.Load()
+	}
+
+	// No span, no deadline, no marker: none of the headers appear.
+	h := send(context.Background(), nil)
+	for _, name := range []string{obs.TraceparentHeader, DeadlineHeader, ForwardHeader} {
+		if v := h.Get(name); v != "" {
+			t.Errorf("%s = %q on a bare request", name, v)
+		}
+	}
+
+	// Inside a span the hop carries it, and a marked hop its forwarder.
+	ctx, span := obs.NewTraceFrom(context.Background()).StartRoot(context.Background(), "hop")
+	defer span.End()
+	hdr := http.Header{}
+	MarkForwarded(hdr, "node-a")
+	h = send(ctx, hdr)
+	traceID, spanID, _ := obs.SpanContext(ctx)
+	if gotTrace, gotSpan, ok := obs.ParseTraceparent(h.Get(obs.TraceparentHeader)); !ok || gotTrace != traceID || gotSpan != spanID {
+		t.Errorf("traceparent %q, want trace %s span %s", h.Get(obs.TraceparentHeader), traceID, spanID)
+	}
+	if v := h.Get(ForwardHeader); v != "node-a" {
+		t.Errorf("%s = %q, want node-a", ForwardHeader, v)
+	}
+
+	// A traceparent the caller set itself is relayed, not replaced.
+	hdr = http.Header{}
+	hdr.Set(obs.TraceparentHeader, obs.FormatTraceparent("t-upstream", "s.1"))
+	if v := send(ctx, hdr).Get(obs.TraceparentHeader); v != obs.FormatTraceparent("t-upstream", "s.1") {
+		t.Errorf("relayed traceparent = %q, want the caller's", v)
+	}
+}
+
+func TestDeadlineHeaderRoundTrip(t *testing.T) {
+	h := http.Header{}
+	SetDeadlineHeader(h, 1500*time.Millisecond)
+	got, ok := ParseDeadlineHeader(h)
+	if !ok || got != 1500*time.Millisecond {
+		t.Fatalf("round trip = %v, %v; want 1.5s, true", got, ok)
+	}
+	// A budget already spent clamps to zero, not a negative sleep.
+	SetDeadlineHeader(h, -time.Second)
+	got, ok = ParseDeadlineHeader(h)
+	if !ok || got != 0 {
+		t.Fatalf("negative budget = %v, %v; want 0, true", got, ok)
+	}
+}
+
+func TestDeadlineHeaderMalformed(t *testing.T) {
+	for _, v := range []string{"", "abc", "12.5x", "-", "9e99e9"} {
+		h := http.Header{}
+		if v != "" {
+			h.Set(DeadlineHeader, v)
+		}
+		if _, ok := ParseDeadlineHeader(h); ok {
+			t.Fatalf("ParseDeadlineHeader accepted %q", v)
+		}
+	}
+}
+
+func TestClientStampsDeadlineHeader(t *testing.T) {
+	var gotMs atomic.Int64
+	gotMs.Store(-1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if budget, ok := ParseDeadlineHeader(r.Header); ok {
+			gotMs.Store(budget.Milliseconds())
+		}
+	}))
+	defer srv.Close()
+	c := NewClient(ClientConfig{MaxAttempts: 1, HopMargin: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	resp, err := c.Do(ctx, http.MethodGet, srv.URL, nil, nil)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	resp.Body.Close()
+	ms := gotMs.Load()
+	// remaining(≈2000ms) minus the 50ms hop margin, minus scheduling.
+	if ms <= 0 || ms > 1950 {
+		t.Fatalf("propagated budget = %dms, want (0, 1950]", ms)
 	}
 }
 

@@ -14,7 +14,7 @@
 // suffers on large graphs. KDD'09 writes the product the other way,
 // M·M_G, under which each node's flow column becomes the average of its
 // neighbours'; under M_G·M each column takes one more step of the walk
-// on its own. TestIterateProductOrder pins which one runs; ROADMAP item 5
+// on its own. TestIterateProductOrder pins which one runs; ROADMAP item 11
 // weighs switching. MLR-MCL runs R-MCL through a multilevel hierarchy,
 // projecting the flow from coarse to fine levels.
 //

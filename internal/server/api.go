@@ -244,13 +244,6 @@ type NodeStatus struct {
 	// JobsAdopted the jobs taken over from dead peers' WALs.
 	ShedTotal   int64 `json:"shed_total"`
 	JobsAdopted int64 `json:"jobs_adopted"`
-	// Breakers is this node's outbound circuit-breaker position per
-	// peer ("closed", "half-open" or "open"); only peers whose breaker
-	// has ever tripped — or been seeded — appear.
-	Breakers map[string]string `json:"breakers,omitempty"`
-	// RetryBudgetExhausted counts outbound retries this node denied
-	// because its token-bucket retry budget was empty.
-	RetryBudgetExhausted int64 `json:"retry_budget_exhausted"`
 	// Error carries the fetch failure for degraded rows.
 	Error string `json:"error,omitempty"`
 }

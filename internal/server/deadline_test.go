@@ -192,8 +192,10 @@ func TestShedReleasesQueueAccounting(t *testing.T) {
 	// Occupy the single worker with job 1, then queue job 2: the queued
 	// job's working-set estimate holds the watermark, so job 3 sheds.
 	// (Estimates are released at dequeue, so only a job still waiting
-	// in the queue counts against the budget.)
-	faultinject.Set("pool.task", faultinject.Fault{Mode: faultinject.Delay, Delay: 500 * time.Millisecond, Times: 1})
+	// in the queue counts against the budget.) Job 2 is sent only once
+	// job 1 has left the queue: until then job 1's own estimate holds
+	// the watermark and job 2 would be the one shed.
+	faultinject.Set("pool.task", faultinject.Fault{Mode: faultinject.Delay, Delay: time.Second, Times: 1})
 	var refs []JobRef
 	for seed := int64(1); seed <= 2; seed++ {
 		resp := postJSON(t, ts.URL+"/v1/cluster", ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: seed, Async: true})
@@ -201,6 +203,11 @@ func TestShedReleasesQueueAccounting(t *testing.T) {
 			t.Fatalf("filler %d status = %d", seed, resp.StatusCode)
 		}
 		refs = append(refs, decode[JobRef](t, resp))
+		if seed == 1 {
+			waitFor(t, 5*time.Second, "job 1 on the worker", func() bool {
+				return s.queuedBytes.Load() == 0
+			})
+		}
 	}
 
 	shed := postJSON(t, ts.URL+"/v1/cluster", ClusterRequest{GraphID: info.ID, Method: "bib", Algorithm: "mcl", Inflation: 2, Seed: 1})

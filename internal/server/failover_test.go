@@ -141,7 +141,7 @@ func TestClusterFailoverResume(t *testing.T) {
 	owner.Wait()
 
 	// Poll the SURVIVOR with the dead node's qualified id. While the
-	// peer is merely suspect we may see 502/503; once it is declared
+	// peer is merely suspect we may see 503; once it is declared
 	// down the survivor adopts the WAL and the job finishes locally.
 	var done server.JobInfo
 	deadline = time.Now().Add(60 * time.Second)

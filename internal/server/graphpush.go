@@ -78,7 +78,7 @@ func (c *coordinator) pushGraph(ctx context.Context, peer *cluster.Peer, rg *reg
 		resp, err := c.client.DoStream(ctx, http.MethodPut, peer.URL+internalCSRPath, hdr,
 			func() (io.ReadCloser, error) { return os.Open(path) }, st.Size())
 		if err != nil {
-			err = badGateway("pushing graph to %s: %w", peer.Name, err)
+			err = unreachable(peer.Name, err)
 			c.s.metrics.IncProxyRequest(peer.Name, httpStatus(err))
 			return err
 		}

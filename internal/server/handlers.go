@@ -8,13 +8,11 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
 	symcluster "symcluster"
 	"symcluster/internal/checkpoint"
-	"symcluster/internal/cluster"
 	"symcluster/internal/graph"
 	"symcluster/internal/jobstore"
 	"symcluster/internal/multilevel"
@@ -36,9 +34,17 @@ func badRequest(format string, args ...any) error {
 	return &apiError{code: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-// badGateway marks a failed hop to a peer.
+// badGateway marks a hop to a peer that answered, but unusably: a
+// rejection or an undecodable body.
 func badGateway(format string, args ...any) error {
 	return &apiError{code: http.StatusBadGateway, err: fmt.Errorf(format, args...)}
+}
+
+// unreachable marks a hop to peer that got only transport errors
+// through the client's retries: a 503, since the prober reroutes a dead
+// owner within its window and a retry then lands on the new one.
+func unreachable(peer string, err error) error {
+	return &apiError{code: http.StatusServiceUnavailable, err: fmt.Errorf("owner %s unreachable: %w", peer, err)}
 }
 
 // errShed is returned when the queued-byte watermark is reached; it
@@ -50,14 +56,13 @@ var errShed = errors.New("server: queued work over byte budget")
 var errDraining = errors.New("draining")
 
 // httpStatus maps an error to a status code (DESIGN.md §9, "HTTP status
-// map"). What an error wraps outranks the code a call site gave it: an
-// open breaker is a 503, an input that does not fit a 413.
+// map"). What an error wraps outranks the code a call site gave it: a
+// draining node is a 503, an input that does not fit a 413.
 func httpStatus(err error) int {
 	var ae *apiError
-	var boe *cluster.BreakerOpenError
 	var mbe *http.MaxBytesError
 	switch {
-	case errors.As(err, &boe), errors.Is(err, errDraining):
+	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable
 	case errors.As(err, &mbe), errors.Is(err, symcluster.ErrInputTooLarge):
 		// The body cap, or one line over the parser buffer: the input
@@ -80,19 +85,12 @@ func httpStatus(err error) int {
 }
 
 // refuse answers a request this node will not serve: the one place an
-// error becomes a status, and the one place Retry-After is set — an open
-// breaker's remaining cooldown (rounded up to the header's one-second
-// floor), one second for any other 429 or 503 except a draining node's,
-// which is going away, not busy.
+// error becomes a status, and the one place Retry-After is set: one
+// second for any 429 or 503 except a draining node's, which is going
+// away, not busy.
 func refuse(w http.ResponseWriter, err error) {
 	code := httpStatus(err)
-	var boe *cluster.BreakerOpenError
-	switch {
-	case errors.As(err, &boe):
-		secs := max(1, int((boe.RetryAfter+time.Second-1)/time.Second))
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	case errors.Is(err, errDraining):
-	case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
+	if (code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable) && !errors.Is(err, errDraining) {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeError(w, code, err)

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"symcluster/internal/cluster"
 	"symcluster/internal/csr"
 	"symcluster/internal/obs"
 )
@@ -36,9 +35,6 @@ type Metrics struct {
 	deadlineRejected *obs.Counter
 	shed             *obs.Counter
 	oocJobs          *obs.Counter
-
-	breakerState   *obs.Gauge
-	retryExhausted *obs.Counter
 
 	// Cluster-mode families. Registered unconditionally (zero in
 	// single-node mode) so dashboards need not branch on deployment.
@@ -72,10 +68,6 @@ func NewMetrics() *Metrics {
 			"Clustering requests shed by the queued-byte watermark."),
 		oocJobs: reg.Counter("symclusterd_ooc_jobs_total",
 			"Clustering jobs admitted on the out-of-core path."),
-		breakerState: reg.Gauge("symclusterd_breaker_state",
-			"Circuit-breaker position per peer: 0 closed, 1 half-open, 2 open.", "peer"),
-		retryExhausted: reg.Counter("symclusterd_retry_budget_exhausted_total",
-			"Retries denied because the token-bucket retry budget was empty."),
 		proxyRequests: reg.Counter("symclusterd_proxy_requests_total",
 			"Requests forwarded to the owning peer, by peer and relayed status code.", "peer", "code"),
 		proxyRetries: reg.Counter("symclusterd_proxy_retries_total",
@@ -91,7 +83,7 @@ func NewMetrics() *Metrics {
 	// exposition before the first event (tests and dashboards rely on
 	// the zero line).
 	for _, c := range []*obs.Counter{m.admissionReject, m.deadlineRejected, m.shed, m.oocJobs,
-		m.retryExhausted, m.proxyRetries, m.jobsAdopted, m.uploadsExpired} {
+		m.proxyRetries, m.jobsAdopted, m.uploadsExpired} {
 		c.Add(0)
 	}
 	obs.HierarchyCounter(reg).Add(0, "hit")
@@ -148,21 +140,9 @@ func (m *Metrics) ObserveRequest(route string, code int, d time.Duration) {
 	m.requestSeconds.Observe(d.Seconds(), route)
 }
 
-// SetBreakerState records one peer's circuit-breaker position.
-func (m *Metrics) SetBreakerState(peer string, state cluster.BreakerState) {
-	var v float64
-	switch state {
-	case cluster.BreakerHalfOpen:
-		v = 1
-	case cluster.BreakerOpen:
-		v = 2
-	}
-	m.breakerState.Set(v, peer)
-}
-
 // IncProxyRequest counts one request forwarded to a peer, labeled by
-// the peer name and the status code relayed to the client (502 when the
-// forward itself failed).
+// the peer name and the status code relayed to the client (503 when the
+// peer was unreachable).
 func (m *Metrics) IncProxyRequest(peer string, code int) {
 	m.proxyRequests.Inc(peer, strconv.Itoa(code))
 }

@@ -77,15 +77,6 @@ func (s *Server) nodeStatus() NodeStatus {
 	}
 	if s.coord != nil {
 		ns.Name = s.coord.self.Name
-		ns.RetryBudgetExhausted = int64(s.metrics.retryExhausted.Value())
-		states := s.coord.breakers.States()
-		if len(states) > 0 {
-			breakers := make(map[string]string, len(states))
-			for peer, st := range states {
-				breakers[peer] = st.String()
-			}
-			ns.Breakers = breakers
-		}
 	}
 	return ns
 }
@@ -122,10 +113,7 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 // federateStatus builds one row per cluster member: self locally, down
 // and half-open peers from the health checker's cached verdict (no
 // network — this is what keeps a dead peer from stalling the report),
-// nominally-up peers whose outbound breaker is open from the breaker's
-// verdict (same reasoning: the breaker just proved the peer is not
-// answering, so the report says so without another doomed probe), and
-// the rest via concurrent fetches under the fan-out timeout.
+// and up peers via concurrent fetches under the fan-out timeout.
 func (c *coordinator) federateStatus(ctx context.Context, self NodeStatus) []NodeStatus {
 	peers := c.ring.Peers()
 	rows := make([]NodeStatus, len(peers))
@@ -136,8 +124,6 @@ func (c *coordinator) federateStatus(ctx context.Context, self NodeStatus) []Nod
 			rows[i] = self
 		case state != "up":
 			rows[i] = NodeStatus{Name: p.Name, State: state}
-		case c.breakers.State(p.Name) == cluster.BreakerOpen:
-			rows[i] = NodeStatus{Name: p.Name, State: state, Error: "breaker open"}
 		default:
 			wg.Add(1)
 			go func(i int, p *cluster.Peer) {
@@ -190,9 +176,7 @@ func (c *coordinator) fetchStatus(ctx context.Context, p *cluster.Peer) NodeStat
 // local tree (deep-copied, so repeated GETs never mutate the stored
 // job trace) plus whatever segments healthy peers retain for the same
 // trace id, fetched concurrently under the fan-out timeout. Peers that
-// evicted their segment — or died — just mean a shallower tree, as do
-// peers behind an open breaker (the breaker just proved they are not
-// answering; probing them again would only slow the merge down).
+// evicted their segment — or died — just mean a shallower tree.
 func (c *coordinator) mergeTrace(ctx context.Context, traceID string, local *obs.SpanNode) *obs.SpanNode {
 	segments := []*obs.SpanNode{copySpanTree(local)}
 	peers := c.ring.Peers()
@@ -200,9 +184,6 @@ func (c *coordinator) mergeTrace(ctx context.Context, traceID string, local *obs
 	var wg sync.WaitGroup
 	for i, p := range peers {
 		if p.Name == c.self.Name || !c.health.Healthy(p.Name) {
-			continue
-		}
-		if c.breakers.State(p.Name) == cluster.BreakerOpen {
 			continue
 		}
 		wg.Add(1)

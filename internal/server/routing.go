@@ -53,20 +53,6 @@ type ClusterConfig struct {
 	// ProxyMaxWait caps the backoff (and honored Retry-After) between
 	// forwarding attempts (default 5s).
 	ProxyMaxWait time.Duration
-	// BreakerFailThreshold is the consecutive-failure count that opens a
-	// peer's circuit breaker (default 5). The breaker is distinct from
-	// the health prober: it reacts to real request traffic within
-	// milliseconds and only gates this node's outbound calls, while the
-	// prober owns ring membership.
-	BreakerFailThreshold int
-	// BreakerCooldown is how long an open breaker rejects before
-	// admitting one half-open trial request (default 5s).
-	BreakerCooldown time.Duration
-	// RetryBudgetRatio is the token-bucket refill per request (default
-	// 0.1: sustained retries are capped at ~10% of request volume).
-	RetryBudgetRatio float64
-	// RetryBudgetBurst caps banked retry tokens (default 10).
-	RetryBudgetBurst float64
 }
 
 // ownerKey says where a route's owner is read from.
@@ -117,12 +103,11 @@ type route struct {
 
 // coordinator is the per-node cluster brain: ring, health, client.
 type coordinator struct {
-	s        *Server
-	self     *cluster.Peer
-	ring     *cluster.Ring
-	health   *cluster.Health
-	client   *cluster.Client
-	breakers *cluster.BreakerSet
+	s      *Server
+	self   *cluster.Peer
+	ring   *cluster.Ring
+	health *cluster.Health
+	client *cluster.Client
 }
 
 // newCoordinator wires the cluster substrate for one node.
@@ -136,28 +121,10 @@ func newCoordinator(s *Server, cfg *ClusterConfig) (*coordinator, error) {
 		return nil, fmt.Errorf("cluster: -self %q is not in the peer list", cfg.Self)
 	}
 	c.self = self
-	c.breakers = cluster.NewBreakerSet(cluster.BreakerConfig{
-		FailThreshold: cfg.BreakerFailThreshold,
-		Cooldown:      cfg.BreakerCooldown,
-		OnChange: func(peer string, state cluster.BreakerState) {
-			s.metrics.SetBreakerState(peer, state)
-			s.log().Warn("breaker state change", "peer", peer, "state", state.String())
-		},
-	})
-	budget := cluster.NewRetryBudget(cluster.RetryBudgetConfig{
-		Ratio: cfg.RetryBudgetRatio,
-		Burst: cfg.RetryBudgetBurst,
-		OnExhausted: func() {
-			s.metrics.retryExhausted.Inc()
-			s.log().Warn("retry budget exhausted; failing fast")
-		},
-	})
 	c.client = cluster.NewClient(cluster.ClientConfig{
 		MaxAttempts:    cfg.ProxyAttempts,
 		AttemptTimeout: cfg.ProxyTimeout,
 		MaxWait:        cfg.ProxyMaxWait,
-		Breakers:       c.breakers,
-		RetryBudget:    budget,
 		OnRetry: func(reason string) {
 			s.metrics.proxyRetries.Inc()
 			s.log().Warn("proxy retry", "reason", reason)
@@ -180,12 +147,11 @@ func newCoordinator(s *Server, cfg *ClusterConfig) (*coordinator, error) {
 			go c.adoptFrom(p)
 		},
 	})
-	// Seed the gauges at 0 for every remote peer so the families are
+	// Seed the gauge at 0 for every remote peer so the family is
 	// present (and obviously healthy) before the first transition.
 	for _, p := range cfg.Peers {
 		if p.Name != cfg.Self {
 			s.metrics.SetPeerUnhealthy(p.Name, false)
-			s.metrics.SetBreakerState(p.Name, cluster.BreakerClosed)
 		}
 	}
 	return c, nil
@@ -348,9 +314,8 @@ func (s *Server) tracedHop(ctx context.Context, name string, hop func(context.Co
 
 // forward proxies the request (body already read) one hop to peer,
 // relaying status, headers and body verbatim, as a "proxy" span counted
-// per peer and status in symclusterd_proxy_requests_total. A failed hop
-// is a 502 — or, when the peer's breaker is open and nothing touched
-// the network, a 503 with the breaker's remaining cooldown.
+// per peer and status in symclusterd_proxy_requests_total. A hop that
+// got no answer through the client's retries is refused as unreachable.
 func (c *coordinator) forward(w http.ResponseWriter, r *http.Request, peer *cluster.Peer, body []byte) {
 	var resp *http.Response
 	err := c.s.tracedHop(r.Context(), "proxy", func(ctx context.Context, span *obs.Span) (err error) {
@@ -364,7 +329,7 @@ func (c *coordinator) forward(w http.ResponseWriter, r *http.Request, peer *clus
 		return err
 	}, obs.A("peer", peer.Name), obs.A("method", r.Method), obs.A("path", r.URL.Path))
 	if err != nil {
-		err = badGateway("forwarding to %s: %w", peer.Name, err)
+		err = unreachable(peer.Name, err)
 		c.s.metrics.IncProxyRequest(peer.Name, httpStatus(err))
 		refuse(w, err)
 		return

@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,21 +331,18 @@ func TestRouteTableSingleNode(t *testing.T) {
 	}
 }
 
-// TestFinalizeBehindOpenBreakerIs503 is the regression test for the
-// upload-finalize refusal: a non-owner whose breaker to the owner is
-// open used to answer finalize with a bare 502 while POST /v1/graphs
-// answered the identical condition with 503 + Retry-After. Both go
-// through placeGraph and refuse now, so both say 503 + the breaker's
-// remaining cooldown.
-func TestFinalizeBehindOpenBreakerIs503(t *testing.T) {
+// TestUnreachableOwnerIs503: a hop that gets only transport errors
+// through the client's retries is refused 503 + Retry-After: 1, whether
+// it forwards a request or pushes a graph — finalize and POST
+// /v1/graphs both place through pushGraph. The prober reroutes a dead
+// owner within its window, so the client's retry lands on a live one.
+func TestUnreachableOwnerIs503(t *testing.T) {
 	defer faultinject.Reset()
 	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) {
 		// The fault site below fails health probes too; keep the prober
 		// out of it so the ring keeps naming the peer as owner.
 		cfg.Cluster.ProbeInterval = time.Hour
-		cfg.Cluster.ProxyAttempts = 1
-		cfg.Cluster.BreakerFailThreshold = 1
-		cfg.Cluster.BreakerCooldown = time.Minute
+		cfg.Cluster.ProxyAttempts = 2
 	})
 	g := mustFigure1Graph(t)
 	owner, ok := nodes[0].s.coord.ownerOf(g.Fingerprint())
@@ -356,30 +356,192 @@ func TestFinalizeBehindOpenBreakerIs503(t *testing.T) {
 	fx := &routeFixture{t: t, home: entry.ts.URL}
 	upload := fx.newUpload()
 
-	// One failed hop to the owner opens the entry node's breaker.
-	faultinject.Set("proxy.forward", faultinject.Fault{Mode: faultinject.Error, Times: 1})
-	if code, body := getURL(t, entry.ts.URL+"/v1/jobs/job-000001@"+owner.Name); code != http.StatusBadGateway {
-		t.Fatalf("tripping hop: status %d, want 502: %s", code, body)
+	faultinject.Set("proxy.forward", faultinject.Fault{Mode: faultinject.Error})
+	requests := map[string]func() (*http.Response, error){
+		"finalize": func() (*http.Response, error) {
+			return http.Post(entry.ts.URL+"/v1/graphs/uploads/"+upload+"/finalize", "", nil)
+		},
+		"register": func() (*http.Response, error) {
+			return http.Post(entry.ts.URL+"/v1/graphs", "text/plain", strings.NewReader(figure1Edges))
+		},
+		"job GET": func() (*http.Response, error) {
+			return http.Get(entry.ts.URL + "/v1/jobs/job-000001@" + owner.Name)
+		},
 	}
-	faultinject.Reset()
-
-	finalize, err := http.Post(entry.ts.URL+"/v1/graphs/uploads/"+upload+"/finalize", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	register, err := http.Post(entry.ts.URL+"/v1/graphs", "text/plain", strings.NewReader(figure1Edges))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, resp := range map[string]*http.Response{"finalize": finalize, "register": register} {
+	for name, send := range requests {
+		resp, err := send()
+		if err != nil {
+			t.Fatal(err)
+		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("%s behind an open breaker: status %d, want 503: %s", name, resp.StatusCode, body)
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "unreachable") {
+			t.Errorf("%s to an unreachable owner: status %d, want 503: %s", name, resp.StatusCode, body)
 		}
-		if secs, _ := strconv.Atoi(resp.Header.Get("Retry-After")); secs < 1 || secs > 60 {
-			t.Errorf("%s: Retry-After = %q, want the breaker's remaining cooldown", name, resp.Header.Get("Retry-After"))
+		if ra := resp.Header.Get("Retry-After"); ra != "1" {
+			t.Errorf("%s: Retry-After = %q, want 1", name, ra)
 		}
+	}
+}
+
+// newNodeBeforeOwner boots one node of a two-node ring whose other
+// member, the owner of Figure 1, is the given handler: the node takes
+// whichever place in the ring does not own Figure 1. The prober is kept
+// out, so the ring names the owner whatever it answers.
+func newNodeBeforeOwner(t *testing.T, owner http.Handler) (node *clusterNode, ownerName string, ownerTS *httptest.Server) {
+	t.Helper()
+	var ls [2]net.Listener
+	peers := make([]*cluster.Peer, 2)
+	for i := range ls {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		ls[i] = l
+		peers[i] = &cluster.Peer{Name: l.Addr().String(), URL: "http://" + l.Addr().String(), Weight: 1}
+	}
+	build := func(self int) *Server {
+		return mustNew(t, Config{Workers: 1, Cluster: &ClusterConfig{
+			Self: peers[self].Name, Peers: peers, ProbeInterval: time.Hour,
+			ProxyAttempts: 2, ProxyTimeout: 5 * time.Second, ProxyMaxWait: 10 * time.Millisecond,
+		}})
+	}
+	self := 0
+	s := build(self)
+	if o, ok := s.coord.ownerOf(mustFigure1Graph(t).Fingerprint()); !ok {
+		t.Fatal("no owner for Figure 1")
+	} else if o.Name == peers[0].Name {
+		s.Close()
+		self = 1
+		s = build(self)
+	}
+	start := func(l net.Listener, h http.Handler) *httptest.Server {
+		ts := httptest.NewUnstartedServer(h)
+		ts.Listener.Close()
+		ts.Listener = l
+		ts.Start()
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	ts := start(ls[self], s.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+		s.Close()
+	})
+	return &clusterNode{s: s, ts: ts, peer: peers[self]}, peers[1-self].Name, start(ls[1-self], owner)
+}
+
+// TestPeerAnsweringUnusablyIs502: a graph push the owner answers — with
+// a rejection, or with a body that is not a GraphInfo — is a 502 with no
+// Retry-After: the owner is up, and asking it again gets the same answer.
+func TestPeerAnsweringUnusablyIs502(t *testing.T) {
+	var garbled atomic.Bool
+	var pushes atomic.Int32
+	node, owner, _ := newNodeBeforeOwner(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method+" "+r.URL.Path != "PUT "+internalCSRPath {
+			http.NotFound(w, r)
+			return
+		}
+		pushes.Add(1)
+		if garbled.Load() {
+			fmt.Fprint(w, "not a graph info")
+			return
+		}
+		w.WriteHeader(http.StatusBadRequest)
+		fmt.Fprint(w, `{"error":"validating received graph: section CRC mismatch"}`)
+	}))
+	for _, c := range []struct {
+		garbled bool
+		want    string
+	}{
+		{false, "rejected graph: validating received graph: section CRC mismatch (status 400)"},
+		{true, "decoding " + owner + "'s response"},
+	} {
+		garbled.Store(c.garbled)
+		before := pushes.Load()
+		resp, err := http.Post(node.ts.URL+"/v1/graphs", "text/plain", strings.NewReader(figure1Edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), c.want) {
+			t.Errorf("garbled=%v: status %d %s, want 502 naming %q", c.garbled, resp.StatusCode, body, c.want)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Errorf("garbled=%v: Retry-After = %q on a 502", c.garbled, ra)
+		}
+		if n := pushes.Load() - before; n != 1 {
+			t.Errorf("garbled=%v: owner saw %d pushes, want 1: an answer is not retried", c.garbled, n)
+		}
+	}
+}
+
+// TestDeadOwnerCountedAs503: with the owner's listener closed, a push
+// gets connection errors through every attempt; it is refused 503 +
+// Retry-After: 1 and counted for the owner as the 503 the client saw.
+func TestDeadOwnerCountedAs503(t *testing.T) {
+	node, owner, ownerTS := newNodeBeforeOwner(t, http.NotFoundHandler())
+	ownerTS.Close()
+	retries := counterSum(node.s, "symclusterd_proxy_retries_total")
+	resp, err := http.Post(node.ts.URL+"/v1/graphs", "text/plain", strings.NewReader(figure1Edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "owner "+owner+" unreachable") {
+		t.Fatalf("status %d %s, want 503 naming %s unreachable", resp.StatusCode, body, owner)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want 1", ra)
+	}
+	if n := counterSum(node.s, `symclusterd_proxy_requests_total{peer="`+owner+`",code="503"}`); n != 1 {
+		t.Fatalf("proxy requests counted as 503 for %s = %v, want 1", owner, n)
+	}
+	// ProxyAttempts is 2: one retry, then the refusal.
+	if n := counterSum(node.s, "symclusterd_proxy_retries_total") - retries; n != 1 {
+		t.Fatalf("proxy retries = %v, want 1", n)
+	}
+}
+
+// TestRetryRidesThroughOwnerFailover: a caller retrying on the retrying
+// client registers a graph across its owner's death. The first attempt
+// meets the dead owner and is refused 503, which the client retries; the
+// prober's verdict lands before the retry (driven here from OnRetry), so
+// the retry registers the graph on the survivor.
+func TestRetryRidesThroughOwnerFailover(t *testing.T) {
+	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) {
+		cfg.Cluster.ProbeInterval = time.Hour
+	})
+	oi := ownerIndex(t, nodes, graphID(mustFigure1Graph(t).Fingerprint()))
+	home, entry := nodes[oi], nodes[1-oi]
+	home.ts.Close()
+
+	var reasons []string
+	c := cluster.NewClient(cluster.ClientConfig{MaxAttempts: 2, MaxWait: 10 * time.Millisecond,
+		OnRetry: func(reason string) {
+			reasons = append(reasons, reason)
+			for range 3 { // FailThreshold probes mark home down
+				entry.s.coord.health.Probe(home.peer)
+			}
+		}})
+	resp, err := c.Do(context.Background(), http.MethodPost, entry.ts.URL+"/v1/graphs", nil, []byte(figure1Edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := decode[GraphInfo](t, resp)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("status %d after retries %q, want 201", resp.StatusCode, reasons)
+	}
+	if len(reasons) != 1 || reasons[0] != "status 503" {
+		t.Fatalf("retries = %q, want one after the dead owner's 503", reasons)
+	}
+	if code, body := getURL(t, entry.ts.URL+"/v1/graphs/"+info.ID); code != http.StatusOK {
+		t.Fatalf("graph %s not on the survivor: %d %s", info.ID, code, body)
 	}
 }
 
@@ -387,7 +549,6 @@ func TestFinalizeBehindOpenBreakerIs503(t *testing.T) {
 // every row there is produced here from the error production code
 // raises, and every case here has its row.
 func TestRefusalTable(t *testing.T) {
-	open := &cluster.BreakerOpenError{Peer: "p", RetryAfter: 2500 * time.Millisecond}
 	cases := []struct {
 		name       string
 		err        error
@@ -402,8 +563,8 @@ func TestRefusalTable(t *testing.T) {
 		{"queued bytes over budget", errShed, 429, "1"},
 		{"client went away", context.Canceled, 499, ""},
 		{"internal error", io.ErrClosedPipe, 500, ""},
-		{"hop failed", badGateway("forwarding to p: %w", io.ErrClosedPipe), 502, ""},
-		{"breaker open", badGateway("forwarding to p: %w", open), 503, "3"},
+		{"peer answered unusably", badGateway("peer p rejected graph: %s (status %d)", "bad", 400), 502, ""},
+		{"owner unreachable", unreachable("p", io.ErrClosedPipe), 503, "1"},
 		{"queue full", ErrQueueFull, 503, "1"},
 		{"owner down", &apiError{code: http.StatusServiceUnavailable, err: io.EOF}, 503, "1"},
 		{"no healthy owner", errNoOwner("g-1"), 503, "1"},
