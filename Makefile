@@ -118,11 +118,12 @@ cluster:
 # goroutines and heap settling back to baseline. Every third episode,
 # from the second on, is an overload episode instead: open-loop arrivals
 # at 3x the measured service rate against a two-place queue, requiring
-# that 429 and 503 both fire, that a refused submission leaves no job
-# behind, and that every accepted one ends done (it logs goodput, refused
-# share, p99 of admitted work and forwarded retries). SOAK_SEED pins a
-# schedule for reproduction; the test logs the seed it used. -count=1: a
-# repeated run is a new trial, never go test's cached result.
+# that 503 fires and is the only refusal, that a refused submission
+# leaves no job behind, and that every accepted one ends done (it logs
+# goodput, refused share, p99 of admitted work and forwarded retries).
+# SOAK_SEED pins a schedule for reproduction; the test logs the seed it
+# used. -count=1: a repeated run is a new trial, never go test's cached
+# result.
 soak:
 	SOAK_SECONDS=$(SOAK_SECONDS) $(GO) test -count=1 -race -run TestSoak -v \
 		-timeout $$(( $(SOAK_SECONDS) + 840 ))s ./internal/soak

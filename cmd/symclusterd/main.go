@@ -8,7 +8,7 @@
 // Usage:
 //
 //	symclusterd [-addr :8080] [-workers N] [-queue N] [-cache-mb MB]
-//	            [-max-body-mb MB] [-max-job-mb MB] [-max-queue-mb MB]
+//	            [-max-body-mb MB] [-max-job-mb MB]
 //	            [-spill-dir DIR] [-max-spill-mb MB] [-max-resident-mb MB]
 //	            [-timeout D] [-job-ttl D] [-upload-ttl D] [-drain-timeout D]
 //	            [-data-dir DIR] [-checkpoint-iters N]
@@ -30,10 +30,9 @@
 // supports it (operands become memory-mapped files under -spill-dir;
 // see README.md "Large graphs"), and are rejected with 413 only when
 // the method has no out-of-core kernel or the projected scratch
-// footprint exceeds -max-spill-mb. -max-queue-mb is overload shedding:
-// once the summed estimates of queued jobs reach it, new clustering
-// requests get 429 with Retry-After. -job-ttl expires finished async
-// job results.
+// footprint exceeds -max-spill-mb. -queue bounds the jobs waiting for
+// a worker: past it, new clustering requests get 503 with Retry-After.
+// -job-ttl expires finished async job results.
 //
 // Durability (see README.md "Durability & retries" and DESIGN.md §12):
 // -data-dir journals every async job to a write-ahead log, persists
@@ -59,8 +58,8 @@
 // DESIGN.md §17): callers stamp their remaining budget on every request
 // via the X-Symclusterd-Deadline-Ms header (the CLI's -timeout does
 // this; so does every forwarded hop, minus a margin), and the server
-// fast-fails work that cannot finish in time with 504 before it burns a
-// worker. A forwarded hop is retried at most -proxy-attempts times, each
+// answers 504 the moment a deadline passes — at submit, while the job
+// waits for a worker, or mid-run — so no worker burns on it. A forwarded hop is retried at most -proxy-attempts times, each
 // under -proxy-timeout, with waits capped by -proxy-max-wait and the
 // caller's deadline; an owner that never answers is refused 503 +
 // Retry-After, and the health checker reroutes its shard.
@@ -114,7 +113,6 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 256, "symmetrization cache budget in MiB")
 	maxBodyMB := flag.Int64("max-body-mb", 64, "maximum request body in MiB")
 	maxJobMB := flag.Int64("max-job-mb", 4096, "estimated working-set budget per clustering job in MiB; 0 disables admission control")
-	maxQueueMB := flag.Int64("max-queue-mb", 0, "summed working-set budget of queued jobs in MiB before shedding with 429; 0 disables")
 	spillDir := flag.String("spill-dir", "", "directory for out-of-core scratch (ingest spills, mapped intermediates); empty uses the OS temp dir")
 	maxSpillMB := flag.Int64("max-spill-mb", 0, "disk budget per out-of-core run's scratch files in MiB; over it the request is 413; 0 disables")
 	maxResidentMB := flag.Int64("max-resident-mb", 0, "heap budget for one out-of-core run's resident intermediates in MiB; 0 disables")
@@ -215,7 +213,6 @@ func main() {
 		CacheBytes:       *cacheMB << 20,
 		MaxBodyBytes:     *maxBodyMB << 20,
 		MaxJobBytes:      *maxJobMB << 20,
-		MaxQueueBytes:    *maxQueueMB << 20,
 		SpillDir:         *spillDir,
 		MaxSpillBytes:    *maxSpillMB << 20,
 		MaxResidentBytes: *maxResidentMB << 20,

@@ -31,12 +31,18 @@ func MarkForwarded(h http.Header, self string) {
 // milliseconds, across a hop: "how long are you still willing to wait",
 // not an absolute timestamp, so clock skew between nodes cannot corrupt
 // it. The client stamps it on every attempt from the context deadline
-// (minus HopMargin, reserving time for the reply to travel back);
+// (minus hopMargin, reserving time for the reply to travel back);
 // server middleware converts it into a context.WithDeadline, so a
 // queued job whose caller has given up is dropped before it burns a
 // worker. Like every X-Symclusterd-* header it is written only in this
 // package (enforced by `make lint`).
 const DeadlineHeader = "X-Symclusterd-Deadline-Ms"
+
+// hopMargin is subtracted from the context's remaining budget when a
+// Client stamps DeadlineHeader on an outgoing request, reserving time
+// for the reply to travel back so the peer does not spend the caller's
+// entire budget computing an answer nobody will be there to read.
+const hopMargin = 50 * time.Millisecond
 
 // SetDeadlineHeader stamps h with a remaining budget. Negative budgets
 // clamp to zero — an explicit "already dead" the receiver fast-fails.
@@ -100,12 +106,6 @@ type ClientConfig struct {
 	// reason ("status 503", "connection refused", …) — the metrics
 	// hook behind symclusterd_proxy_retries_total.
 	OnRetry func(reason string)
-	// HopMargin is subtracted from the context's remaining budget when
-	// stamping DeadlineHeader on an outgoing request (default 50ms),
-	// reserving time for the reply to travel back so the peer does not
-	// spend the caller's entire budget computing an answer nobody will
-	// be there to read.
-	HopMargin time.Duration
 	// Transport overrides the HTTP transport (tests; nil means
 	// http.DefaultTransport).
 	Transport http.RoundTripper
@@ -126,9 +126,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = 5 * time.Second
-	}
-	if c.HopMargin <= 0 {
-		c.HopMargin = 50 * time.Millisecond
 	}
 	if c.Jitter == nil {
 		c.Jitter = func(d time.Duration) time.Duration {
@@ -313,12 +310,12 @@ func (c *Client) attempt(ctx context.Context, method, url string, header http.He
 		req.Header[k] = append([]string(nil), vs...)
 	}
 	// Deadline propagation: the caller's remaining budget rides every
-	// hop as DeadlineHeader, minus HopMargin for the reply's travel.
+	// hop as DeadlineHeader, minus hopMargin for the reply's travel.
 	// Stamped from the live context — overwriting any relayed value, so
 	// a forwarded request carries the budget as of THIS hop, not a stale
 	// figure from when the entry node received it.
 	if dl, ok := ctx.Deadline(); ok {
-		SetDeadlineHeader(req.Header, time.Until(dl)-c.cfg.HopMargin)
+		SetDeadlineHeader(req.Header, time.Until(dl)-hopMargin)
 	}
 	// Trace propagation: every hop through this client carries the
 	// caller's current span as a traceparent-style header, so the peer

@@ -607,7 +607,7 @@ func TestClientStampsDeadlineHeader(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	c := NewClient(ClientConfig{MaxAttempts: 1, HopMargin: 50 * time.Millisecond})
+	c := NewClient(ClientConfig{MaxAttempts: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	resp, err := c.Do(ctx, http.MethodGet, srv.URL, nil, nil)
@@ -616,9 +616,9 @@ func TestClientStampsDeadlineHeader(t *testing.T) {
 	}
 	resp.Body.Close()
 	ms := gotMs.Load()
-	// remaining(≈2000ms) minus the 50ms hop margin, minus scheduling.
-	if ms <= 0 || ms > 1950 {
-		t.Fatalf("propagated budget = %dms, want (0, 1950]", ms)
+	// remaining(≈2000ms) minus the hop margin, minus scheduling.
+	if want := (2*time.Second - hopMargin).Milliseconds(); ms <= 0 || ms > want {
+		t.Fatalf("propagated budget = %dms, want (0, %d]", ms, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -13,10 +14,11 @@ import (
 
 // Admission: every gate that can refuse a resolved clustering job sits
 // in admit, in one order, and runs before anything is journaled or
-// queued (DESIGN.md §9, "Admission control"). The byte estimates come
+// queued (DESIGN.md §9, "Admission control"). The byte estimate comes
 // from the pipeline registry's per-stage cost models
-// (Symmetrizer.CostModel / OutOfCoreCost + Clusterer.CostModel), so a
-// newly registered stage carries its admission bounds with it;
+// (Symmetrizer.CostModel + Clusterer.CostModel; OutOfCoreCost says
+// whether the symmetrizer can run out-of-core), so a newly registered
+// stage carries its admission bounds with it;
 // directed-input substrates skip the symmetrizer's share. The models are
 // deliberate upper bounds: an admitted request is safe, and a rejected
 // one reports the worst case it could have reached.
@@ -29,12 +31,9 @@ import (
 // transpose, which hold the same triplets again.
 const spillFactor = 4
 
-// ticket is an admitted job's claim on the node: its working-set
-// estimate (charged against Config.MaxQueueBytes until the job leaves
-// the queue), whether it must run out-of-core, its place in the pool,
-// and when it took it.
+// ticket is an admitted job's claim on the node: whether it must run
+// out-of-core, its place in the pool, and when it took it.
 type ticket struct {
-	est  int64
 	ooc  bool
 	slot *Slot
 	at   time.Time
@@ -44,48 +43,43 @@ type ticket struct {
 // context the job will run under: the request's (plus -timeout) for a
 // synchronous run, a detached one — no deadline to miss — for an async
 // or replayed job. The gates, in order: the byte budget (413, or a
-// reroute out-of-core), the deadline (the context's own error when it
-// is over, 504 when what remains cannot fit the job), the queued-byte
-// watermark (429; the incoming job's own estimate is not counted, so a
-// single large job on an idle queue always gets in), a place in the
-// pool (503). A nil error hands back a ticket whose slot the caller
-// must end.
+// reroute out-of-core), the context's own state (504 when its deadline
+// has passed, 499 when the caller is gone), a place in the pool (503).
+// A live deadline is never weighed against the estimate: the estimate
+// bounds bytes, not time, and a job that runs out of time dies in the
+// queue or mid-run. A nil error hands back a ticket whose slot the
+// caller must end.
 func (s *Server) admit(ctx context.Context, prep *preparedRun) (ticket, error) {
-	est, ooc, err := s.sizeJob(prep)
+	ooc, err := s.sizeJob(prep)
 	if err != nil {
 		s.metrics.admissionReject.Inc()
 		return ticket{}, err
 	}
-	if err := deadlineVerdict(ctx, est, s.cfg.DeadlineThroughput); err != nil {
-		if httpStatus(err) == http.StatusGatewayTimeout {
+	if err := ctx.Err(); err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
 			s.metrics.deadlineRejected.Inc()
 		}
 		return ticket{}, err
-	}
-	if max, queued := s.cfg.MaxQueueBytes, s.queuedBytes.Load(); max > 0 && queued >= max {
-		s.metrics.shed.Inc()
-		return ticket{}, fmt.Errorf("%w: %d bytes queued, budget %d; retry later", errShed, queued, max)
 	}
 	slot, err := s.pool.Reserve()
 	if err != nil {
 		return ticket{}, err
 	}
-	s.queuedBytes.Add(est)
-	return ticket{est: est, ooc: ooc, slot: slot, at: time.Now()}, nil
+	return ticket{ooc: ooc, slot: slot, at: time.Now()}, nil
 }
 
-// sizeJob applies the byte budgets: the working-set estimate, and
-// whether the run must go out-of-core (the large operands become
-// memory-mapped files, only the pruned products stay resident). The
-// error is a 413 for the budgets no execution mode can evade — a method
-// with no out-of-core kernel, a projected spill over
-// Config.MaxSpillBytes — naming how far over the request was.
-func (s *Server) sizeJob(prep *preparedRun) (est int64, ooc bool, err error) {
+// sizeJob applies the byte budgets: whether the run must go
+// out-of-core (the large operands become memory-mapped files, only the
+// pruned products stay resident). The error is a 413 for the budgets no
+// execution mode can evade — a method with no out-of-core kernel, a
+// projected spill over Config.MaxSpillBytes — naming how far over the
+// request was.
+func (s *Server) sizeJob(prep *preparedRun) (ooc bool, err error) {
 	rg, sym, cl := prep.rg, prep.run.Sym, prep.run.Cl
 	gs := rg.stats.WithK(prep.run.ClOpt.TargetClusters)
-	est = pipeline.EstimateJobBytes(sym, cl, gs)
+	est := pipeline.EstimateJobBytes(sym, cl, gs)
 	if s.cfg.MaxJobBytes <= 0 || est <= s.cfg.MaxJobBytes {
-		return est, false, nil
+		return false, nil
 	}
 	tooLarge := func(format string, args ...any) error {
 		return &apiError{code: http.StatusRequestEntityTooLarge, err: fmt.Errorf(format, args...)}
@@ -93,20 +87,20 @@ func (s *Server) sizeJob(prep *preparedRun) (est int64, ooc bool, err error) {
 
 	// Over the in-core budget. The symmetrizer is the stage the
 	// estimate blames (the substrate costs are input-sized); if it can
-	// run out-of-core, re-estimate with its resident bound.
+	// run out-of-core and its spill fits the disk budget, it does.
 	stage := cl.Name()
 	if sym != nil {
 		stage = sym.Name() + "+" + stage
-		if oocSym, capable := sym.OutOfCoreCost(gs); capable {
+		if _, capable := sym.OutOfCoreCost(gs); capable {
 			spill := spillFactor * csr.FileBytes(gs.Nodes, gs.Edges)
 			if s.cfg.MaxSpillBytes > 0 && spill > s.cfg.MaxSpillBytes {
-				return est, false, tooLarge("projected out-of-core spill %d bytes exceeds disk budget %d bytes (%s over %d nodes / %d edges); raise -max-spill-mb or prune the graph",
+				return false, tooLarge("projected out-of-core spill %d bytes exceeds disk budget %d bytes (%s over %d nodes / %d edges); raise -max-spill-mb or prune the graph",
 					spill, s.cfg.MaxSpillBytes, stage, rg.info.Nodes, rg.info.Edges)
 			}
-			return oocSym + cl.CostModel(gs), true, nil
+			return true, nil
 		}
 	}
-	return est, false, tooLarge("estimated working set %d bytes exceeds job budget %d bytes and %s cannot run out-of-core; raise -max-job-mb or prune the graph (%d nodes / %d edges)",
+	return false, tooLarge("estimated working set %d bytes exceeds job budget %d bytes and %s cannot run out-of-core; raise -max-job-mb or prune the graph (%d nodes / %d edges)",
 		est, s.cfg.MaxJobBytes, stage, rg.info.Nodes, rg.info.Edges)
 }
 
@@ -120,21 +114,4 @@ func (s *Server) spareRows() int64 {
 		return math.MaxInt32
 	}
 	return s.cfg.MaxJobBytes / 8
-}
-
-// deadlineVerdict refuses a job whose context is over, or whose
-// deadline is nearer than est bytes take at throughput bytes/s — a
-// wildly optimistic runtime, so only hopeless requests are refused.
-func deadlineVerdict(ctx context.Context, est, throughput int64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		need := time.Duration(float64(est) / float64(throughput) * float64(time.Second))
-		if remaining := time.Until(dl); remaining < need {
-			return &apiError{code: http.StatusGatewayTimeout,
-				err: fmt.Errorf("deadline too tight: %v remaining, but the job needs at least %v even at best-case throughput", remaining.Round(time.Millisecond), need.Round(time.Millisecond))}
-		}
-	}
-	return nil
 }

@@ -19,8 +19,8 @@
 //     lends it the cache as the pipeline's Memo)
 //   - upload.go     — chunked graph upload sessions
 //   - admission.go  — admit: the ordered gates (byte budget, deadline,
-//     queued-byte watermark, queue place) a job passes before it is
-//     journaled or queued, and the ticket it then holds
+//     queue place) a job passes before it is journaled or queued, and
+//     the ticket it then holds
 //   - cache.go      — byte-budgeted LRU of symmetrized graphs
 //   - pool.go       — the counted bound on running and waiting work:
 //     Reserve / Slot.Wait / Slot.Run, panic isolation, no goroutines
@@ -228,10 +228,8 @@ type NodeStatus struct {
 	Draining      bool    `json:"draining,omitempty"`
 	// Jobs is the node's async-job census by state.
 	Jobs map[jobstore.State]int `json:"jobs,omitempty"`
-	// QueueBytes is the summed working-set estimate of queued runs;
-	// QueueDepth the tasks waiting for a worker.
-	QueueBytes int64 `json:"queue_bytes"`
-	QueueDepth int   `json:"queue_depth"`
+	// QueueDepth is the tasks waiting for a worker.
+	QueueDepth int `json:"queue_depth"`
 	// WALBytes is the current size of the node's job journal (zero
 	// without a data dir).
 	WALBytes int64 `json:"wal_bytes"`
@@ -240,9 +238,7 @@ type NodeStatus struct {
 	// trace ring.
 	MappedCSRBytes int64 `json:"mapped_csr_bytes"`
 	TraceRingBytes int64 `json:"trace_ring_bytes"`
-	// ShedTotal counts requests shed by the queued-byte watermark;
-	// JobsAdopted the jobs taken over from dead peers' WALs.
-	ShedTotal   int64 `json:"shed_total"`
+	// JobsAdopted counts the jobs taken over from dead peers' WALs.
 	JobsAdopted int64 `json:"jobs_adopted"`
 	// Error carries the fetch failure for degraded rows.
 	Error string `json:"error,omitempty"`

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -77,38 +78,28 @@ func TestDeadlineExpiredAtSubmitFastFails(t *testing.T) {
 	}
 }
 
-// TestDeadlineTooTightRejected: a live deadline that cannot possibly
-// fit the job's estimated runtime is rejected up front with 504 rather
-// than queued to die later. DeadlineThroughput is floored to 1 byte/s
-// so even Figure 1 "needs" hundreds of seconds against a 200ms budget.
-func TestDeadlineTooTightRejected(t *testing.T) {
+// TestDeadlineShortButLiveRuns: a live deadline, however short, is not
+// refused at admission: the job runs on an idle worker and answers 200
+// inside its budget, and nothing counts into
+// symclusterd_deadline_rejected_total. (A run that outlives its budget
+// still dies where it is — in the queue, or mid-run.)
+func TestDeadlineShortButLiveRuns(t *testing.T) {
 	leakcheck.Guard(t)
-	_, ts := newTestServer(t, Config{Workers: 1, DeadlineThroughput: 1})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	info := registerFigure1(t, ts)
 
 	req := ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: 1}
 	resp := postClusterWithBudget(t, ts, req, 200*time.Millisecond)
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status = %d, want 200 (body %s)", resp.StatusCode, body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "deadline too tight") {
-		t.Fatalf("error body %q does not explain the rejection", body)
+	if got := decode[ClusterResponse](t, resp).Assign; fmt.Sprint(got) != "[0 0 1 1 2 2]" {
+		t.Fatalf("assign = %v, want Figure 1's twins together", got)
 	}
-	if got := expositionValue(scrapeMetrics(t, ts.URL), "symclusterd_deadline_rejected_total"); got != 1 {
-		t.Fatalf("symclusterd_deadline_rejected_total = %d, want 1", got)
-	}
-
-	// Control: at the default (optimistic) throughput the same budget
-	// arithmetic fits easily, so a generously-budgeted request runs.
-	_, ts2 := newTestServer(t, Config{Workers: 1})
-	info2 := registerFigure1(t, ts2)
-	req.GraphID = info2.ID
-	ok := postClusterWithBudget(t, ts2, req, 30*time.Second)
-	defer ok.Body.Close()
-	if ok.StatusCode != http.StatusOK {
-		t.Fatalf("status at default throughput = %d, want 200", ok.StatusCode)
+	if got := expositionValue(scrapeMetrics(t, ts.URL), "symclusterd_deadline_rejected_total"); got != 0 {
+		t.Fatalf("symclusterd_deadline_rejected_total = %d, want 0", got)
 	}
 }
 
@@ -179,55 +170,4 @@ func TestDeadlineQueuedJobDroppedWithoutKernel(t *testing.T) {
 	if respC.StatusCode != http.StatusOK {
 		t.Fatalf("post-drop request status = %d, want 200", respC.StatusCode)
 	}
-}
-
-// TestShedReleasesQueueAccounting: a request shed by the queued-byte
-// watermark leaves no goroutines and no queued-byte residue behind.
-func TestShedReleasesQueueAccounting(t *testing.T) {
-	leakcheck.Guard(t)
-	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{Workers: 1, MaxQueueBytes: 1})
-	info := registerFigure1(t, ts)
-
-	// Occupy the single worker with job 1, then queue job 2: the queued
-	// job's working-set estimate holds the watermark, so job 3 sheds.
-	// (Estimates are released at dequeue, so only a job still waiting
-	// in the queue counts against the budget.) Job 2 is sent only once
-	// job 1 has left the queue: until then job 1's own estimate holds
-	// the watermark and job 2 would be the one shed.
-	faultinject.Set("pool.task", faultinject.Fault{Mode: faultinject.Delay, Delay: time.Second, Times: 1})
-	var refs []JobRef
-	for seed := int64(1); seed <= 2; seed++ {
-		resp := postJSON(t, ts.URL+"/v1/cluster", ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: seed, Async: true})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("filler %d status = %d", seed, resp.StatusCode)
-		}
-		refs = append(refs, decode[JobRef](t, resp))
-		if seed == 1 {
-			waitFor(t, 5*time.Second, "job 1 on the worker", func() bool {
-				return s.queuedBytes.Load() == 0
-			})
-		}
-	}
-
-	shed := postJSON(t, ts.URL+"/v1/cluster", ClusterRequest{GraphID: info.ID, Method: "bib", Algorithm: "mcl", Inflation: 2, Seed: 1})
-	defer shed.Body.Close()
-	if shed.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed status = %d, want 429", shed.StatusCode)
-	}
-	if shed.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
-
-	waitFor(t, 10*time.Second, "fillers done", func() bool {
-		for _, ref := range refs {
-			if job, ok := s.jobs.Snapshot(ref.JobID); !ok || job.State != jobstore.Done {
-				return false
-			}
-		}
-		return true
-	})
-	waitFor(t, 5*time.Second, "queued bytes released", func() bool {
-		return s.queuedBytes.Load() == 0
-	})
 }

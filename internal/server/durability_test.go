@@ -290,59 +290,39 @@ func TestDrainPreemptsAndRequeues(t *testing.T) {
 	}
 }
 
-// Once the summed estimates of queued jobs pass the byte watermark, new
-// clustering requests are shed with 429 + Retry-After; the first job on
-// an idle queue is always admitted regardless of its size.
-func TestShed429(t *testing.T) {
+// TestQueuePlacesBoundTheBacklog: waiting jobs are charged nothing but
+// their place. With one job on the worker, jobs whose byte estimates sum
+// far past any working-set budget fill every place of the queue, and
+// only the next submission is refused: 503 + Retry-After.
+func TestQueuePlacesBoundTheBacklog(t *testing.T) {
 	faultinject.Set("pool.task", faultinject.Fault{Mode: faultinject.Delay, Delay: 300 * time.Millisecond})
 	defer faultinject.Reset()
 
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 16, MaxQueueBytes: 1})
+	const places = 3
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: places})
 	info := s.RegisterGraph(mustFigure1Graph(t))
 	req := ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Seed: 1, Async: true}
 
 	// Job 1 is taken by the idle worker (and stalls in the delay fault);
-	// wait for that — and for its bytes to leave the queue, which follows
-	// the worker token — so job 2 lands in the queue, not a worker.
+	// wait for that, so the next jobs land in the queue, not a worker.
 	decodeJobRef(t, postCluster(t, ts.URL, req, ""))
 	waitFor(t, 10*time.Second, "job 1 on the worker", func() bool {
-		return s.pool.Busy() == 1 && s.queuedBytes.Load() == 0
+		return s.pool.Busy() == 1 && s.pool.QueueDepth() == 0
 	})
+	for i := 0; i < places; i++ {
+		decodeJobRef(t, postCluster(t, ts.URL, req, ""))
+	}
+	if got := expositionValue(scrapeMetrics(t, ts.URL), "symclusterd_queue_depth"); got != places {
+		t.Fatalf("symclusterd_queue_depth = %d, want %d", got, places)
+	}
 
-	// Job 2 queues: the watermark check sees 0 queued bytes, admits it,
-	// and its estimate (far over 1 byte) arms the gate.
-	decodeJobRef(t, postCluster(t, ts.URL, req, ""))
-
-	// Job 3 must shed.
 	resp := postCluster(t, ts.URL, req, "")
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429 (body %s)", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("status %d, Retry-After %q; want 503, 1 (body %s)", resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	if jobs := len(s.jobs.Jobs()); jobs != 1+places {
+		t.Fatalf("the job table holds %d jobs, want the %d admitted", jobs, 1+places)
 	}
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(mbody), "symclusterd_shed_total 1") {
-		t.Fatalf("metrics missing shed count:\n%s", grepLines(string(mbody), "shed"))
-	}
-}
-
-// grepLines returns the lines of s containing substr, for terse
-// failure messages against the full metrics exposition.
-func grepLines(s, substr string) string {
-	var out []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.Contains(line, substr) {
-			out = append(out, line)
-		}
-	}
-	return strings.Join(out, "\n")
 }

@@ -47,11 +47,6 @@ func unreachable(peer string, err error) error {
 	return &apiError{code: http.StatusServiceUnavailable, err: fmt.Errorf("owner %s unreachable: %w", peer, err)}
 }
 
-// errShed is returned when the queued-byte watermark is reached; it
-// maps to 429 (the queue exists but is over budget — retry later),
-// distinct from the 503 of a full task channel.
-var errShed = errors.New("server: queued work over byte budget")
-
 // errDraining refuses new work once Drain has begun.
 var errDraining = errors.New("draining")
 
@@ -70,8 +65,6 @@ func httpStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	case errors.As(err, &ae):
 		return ae.code
-	case errors.Is(err, errShed):
-		return http.StatusTooManyRequests
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrPoolClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
@@ -86,11 +79,11 @@ func httpStatus(err error) int {
 
 // refuse answers a request this node will not serve: the one place an
 // error becomes a status, and the one place Retry-After is set: one
-// second for any 429 or 503 except a draining node's, which is going
-// away, not busy.
+// second for any 503 except a draining node's, which is going away, not
+// busy.
 func refuse(w http.ResponseWriter, err error) {
 	code := httpStatus(err)
-	if (code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable) && !errors.Is(err, errDraining) {
+	if code == http.StatusServiceUnavailable && !errors.Is(err, errDraining) {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeError(w, code, err)
@@ -212,12 +205,10 @@ func decodeClusterRequest(body io.Reader) (*ClusterRequest, error) {
 // context that ends while the job waits frees its slot at once and the
 // kernel never starts; a deadline that expires there counts into
 // symclusterd_deadline_rejected_total beside admission's rejections.
-// (Wait takes the worker token before the bytes are handed back, so
-// workers_busy can lead queue_bytes by an instant.) begin, when set, runs on the worker just before the kernel (an async
+// begin, when set, runs on the worker just before the kernel (an async
 // job journals its start there).
 func (s *Server) runTicket(ctx context.Context, tk ticket, prep *preparedRun, begin func() error) (out *runOutcome, err error) {
 	err = tk.slot.Wait(ctx)
-	s.queuedBytes.Add(-tk.est)
 	obs.JobStatsFrom(ctx).SetQueueWait(time.Since(tk.at))
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -281,7 +272,6 @@ func (s *Server) submitAsync(reqCtx context.Context, req *ClusterRequest, idemKe
 	}
 	// Not journaled, or a concurrent duplicate won the key: the ticket
 	// goes back unused.
-	s.queuedBytes.Add(-tk.est)
 	tk.slot.Release()
 	if err != nil {
 		return "", fmt.Errorf("journaling job: %w", err)

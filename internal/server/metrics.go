@@ -33,7 +33,6 @@ type Metrics struct {
 	// "Admission control").
 	admissionReject  *obs.Counter
 	deadlineRejected *obs.Counter
-	shed             *obs.Counter
 	oocJobs          *obs.Counter
 
 	// Cluster-mode families. Registered unconditionally (zero in
@@ -63,9 +62,7 @@ func NewMetrics() *Metrics {
 		admissionReject: reg.Counter("symclusterd_admission_rejected_total",
 			"Clustering requests rejected by the working-set byte budget."),
 		deadlineRejected: reg.Counter("symclusterd_deadline_rejected_total",
-			"Requests fast-failed with 504 because their propagated deadline expired (at submit or while queued) or their remaining budget cannot fit the estimated runtime."),
-		shed: reg.Counter("symclusterd_shed_total",
-			"Clustering requests shed by the queued-byte watermark."),
+			"Requests fast-failed with 504 because their propagated deadline expired, at submit or while queued."),
 		oocJobs: reg.Counter("symclusterd_ooc_jobs_total",
 			"Clustering jobs admitted on the out-of-core path."),
 		proxyRequests: reg.Counter("symclusterd_proxy_requests_total",
@@ -82,7 +79,7 @@ func NewMetrics() *Metrics {
 	// Touch the unlabeled counters so the families appear in the
 	// exposition before the first event (tests and dashboards rely on
 	// the zero line).
-	for _, c := range []*obs.Counter{m.admissionReject, m.deadlineRejected, m.shed, m.oocJobs,
+	for _, c := range []*obs.Counter{m.admissionReject, m.deadlineRejected, m.oocJobs,
 		m.proxyRetries, m.jobsAdopted, m.uploadsExpired} {
 		c.Add(0)
 	}
@@ -120,7 +117,6 @@ func (m *Metrics) bind(s *Server) {
 	live("symclusterd_workers_total", "Worker-pool size.", obs.TypeGauge,
 		func() int64 { return int64(s.pool.Workers()) })
 	live("symclusterd_panics_recovered_total", "Worker panics recovered.", obs.TypeCounter, s.pool.PanicsRecovered)
-	live("symclusterd_queue_bytes", "Summed working-set estimate of queued clustering jobs.", obs.TypeGauge, s.queuedBytes.Load)
 
 	live("symclusterd_csr_mapped_bytes", "Bytes of binary CSR files currently memory-mapped.", obs.TypeGauge, csr.MappedBytes)
 	live("symclusterd_trace_ring_bytes", "Rendered-JSON bytes retained in the in-memory trace ring.", obs.TypeGauge, s.traces.RingBytes)

@@ -66,13 +66,11 @@ func (s *Server) nodeStatus() NodeStatus {
 		Version:        obs.Version,
 		UptimeSeconds:  time.Since(s.startTime).Seconds(),
 		Draining:       s.Draining(),
-		QueueBytes:     s.queuedBytes.Load(),
 		QueueDepth:     s.pool.QueueDepth(),
 		MappedCSRBytes: csr.MappedBytes(),
 		TraceRingBytes: s.traces.RingBytes(),
 		WALBytes:       s.jobs.LogBytes(),
 		Jobs:           s.jobs.Counts(),
-		ShedTotal:      int64(s.metrics.shed.Value()),
 		JobsAdopted:    int64(s.metrics.jobsAdopted.Value()),
 	}
 	if s.coord != nil {

@@ -560,7 +560,6 @@ func TestRefusalTable(t *testing.T) {
 		{"upload already closed", &apiError{code: http.StatusConflict, err: io.EOF}, 409, ""},
 		{"body over the cap", badRequest("decoding body: %w", &http.MaxBytesError{Limit: 1}), 413, ""},
 		{"over the job budget", &apiError{code: http.StatusRequestEntityTooLarge, err: io.EOF}, 413, ""},
-		{"queued bytes over budget", errShed, 429, "1"},
 		{"client went away", context.Canceled, 499, ""},
 		{"internal error", io.ErrClosedPipe, 500, ""},
 		{"peer answered unusably", badGateway("peer p rejected graph: %s (status %d)", "bad", 400), 502, ""},

@@ -35,17 +35,6 @@ type Config struct {
 	// RequestTimeout bounds each synchronous clustering run (default
 	// 60s). Async jobs are not subject to it.
 	RequestTimeout time.Duration
-	// DeadlineThroughput is the deliberately optimistic bytes-per-second
-	// figure the submit-time deadline check divides a job's admission
-	// byte estimate by: a request whose remaining budget is below even
-	// that best-case runtime is rejected 504 before it occupies queue or
-	// worker (default 4 GiB/s — high enough that only hopeless requests
-	// are refused; real runs that merely MIGHT miss their deadline still
-	// get to try, and in-flight expiry cancels them cleanly). Zero or
-	// negative selects the default; tests lower it to force rejections.
-	DeadlineThroughput int64
-	// RetainJobs caps retained finished jobs (default 256).
-	RetainJobs int
 	// JobTTL expires finished async jobs after this duration so an
 	// unattended daemon does not hold results forever. Zero or negative
 	// disables expiry (the default; cmd/symclusterd sets 15m).
@@ -55,13 +44,6 @@ type Config struct {
 	// negative disables the check (the default; cmd/symclusterd sets
 	// 4 GiB).
 	MaxJobBytes int64
-	// MaxQueueBytes sheds new clustering requests with 429 once the
-	// summed working-set estimates of jobs still waiting for a worker
-	// reach this level. It is a high-watermark check: a single request
-	// on an empty queue is always admitted, however large its estimate,
-	// so the limit never deadlocks a graph that passes MaxJobBytes.
-	// Zero or negative disables shedding (the default).
-	MaxQueueBytes int64
 	// DataDir, when set, makes jobs durable: every job mutation is
 	// journaled to a WAL under this directory, uploaded graphs are
 	// persisted alongside it, and on startup interrupted jobs are
@@ -124,6 +106,10 @@ type Config struct {
 	TraceSink *obs.TraceSink
 }
 
+// retainJobs caps the finished jobs a node keeps (the oldest-finished
+// go first); -job-ttl bounds their age.
+const retainJobs = 256
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -139,12 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
-	}
-	if c.DeadlineThroughput <= 0 {
-		c.DeadlineThroughput = 4 << 30
-	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 256
 	}
 	if c.CheckpointIters <= 0 {
 		c.CheckpointIters = 25
@@ -196,10 +176,6 @@ type Server struct {
 	uploadMu  sync.Mutex
 	uploads   map[string]*uploadSession
 	uploadSeq atomic.Int64
-
-	// queuedBytes is the summed working-set estimate of admitted jobs
-	// still waiting for a worker.
-	queuedBytes atomic.Int64
 
 	// jobMu guards jobCancels, the cancel funcs of in-flight async jobs
 	// (keyed by job id) that Drain preempts; jobWG tracks their
@@ -284,7 +260,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.jobs.Retain, s.jobs.TTL = cfg.RetainJobs, cfg.JobTTL
+	s.jobs.Retain, s.jobs.TTL = retainJobs, cfg.JobTTL
 	s.metrics.bind(s)
 
 	s.routes()
@@ -341,8 +317,8 @@ func (s *Server) resumeJobs(pending []*jobstore.JobRecord) {
 }
 
 // readmit resolves a journaled request again and admits it, waiting out
-// a full queue or a byte watermark: the replayed backlog itself is the
-// contention, so a deep one drains instead of failing.
+// a full queue: the replayed backlog itself is the contention, so a
+// deep one drains instead of failing.
 func (s *Server) readmit(ctx context.Context, job *jobstore.JobRecord) (*preparedRun, ticket, error) {
 	var req ClusterRequest
 	if err := json.Unmarshal(job.Request, &req); err != nil {
@@ -354,7 +330,7 @@ func (s *Server) readmit(ctx context.Context, job *jobstore.JobRecord) (*prepare
 	}
 	for {
 		tk, err := s.admit(ctx, prep)
-		if !errors.Is(err, ErrQueueFull) && !errors.Is(err, errShed) {
+		if !errors.Is(err, ErrQueueFull) {
 			return prep, tk, err
 		}
 		time.Sleep(50 * time.Millisecond)

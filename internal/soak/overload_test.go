@@ -17,24 +17,22 @@ import (
 )
 
 // The overload episode (ROADMAP item 9(a)): the rig that makes the
-// refusal gates fire. A two-node cluster runs with one worker and a
-// two-place queue per node and a 1 MiB queued-byte watermark; an
-// unbounded delay at pool.task gives every job a service-time floor, so
-// the service rate can be measured and then exceeded on purpose. Two
-// open-loop phases arrive at three times that rate, alternating between
-// the nodes (so half the arrivals are forwarded) and between sync,
-// async and keyed-async:
-//
-//   - light jobs (aat: estimate ≈ 0.2 MB, two of them wait under the
-//     watermark) run the queue out of places — 503;
-//   - heavy jobs (dd on the same hub graph: estimate ≈ 6 MB) arm the
-//     watermark with one waiting job — 429.
+// refusal gate fire. A two-node cluster runs with one worker and a
+// two-place queue per node; an unbounded delay at pool.task gives every
+// job a service-time floor, so the service rate can be measured and
+// then exceeded on purpose. Two open-loop phases arrive at three times
+// that rate, alternating between the nodes (so half the arrivals are
+// forwarded) and between sync, async and keyed-async: light jobs (aat:
+// estimate ≈ 0.2 MB), then heavy ones (dd on the same hub graph:
+// estimate ≈ 6 MB). A waiting job is charged only its place, so both
+// phases run the queue out of places — 503 — and an ablation of an
+// admission gate compares the same arrival schedule.
 //
 // Keyed submissions are retried under the same key after Retry-After.
-// Invariants: both refusals were seen; a refused submission left no
-// job behind (the job gauges sum to the distinct 202s, before and
-// after a WAL replay); every 202 ends done, every key names one job;
-// completed assignments equal a fault-free control.
+// Invariants: 503 was seen and is the only refusal; a refused
+// submission left no job behind (the job gauges sum to the distinct
+// 202s, before and after a WAL replay); every 202 ends done, every key
+// names one job; completed assignments equal a fault-free control.
 
 const (
 	overloadArrivals = 24 // per phase
@@ -67,7 +65,7 @@ func runOverloadEpisode(t *testing.T, bin string, ep int) {
 	// admission's and not a failover's. Its WAL is safe either way: a
 	// live node holds its journal's lock. Failover is the chaos episodes'
 	// subject, not this one's.
-	sized := []string{"-queue", "2", "-max-queue-mb", "1", "-probe-interval", "1s", "-peer-fail-threshold", "3"}
+	sized := []string{"-queue", "2", "-probe-interval", "1s", "-peer-fail-threshold", "3"}
 	startNode(t, bin, a, root, peers, "pool.task=delay:60ms", sized...)
 	startNode(t, bin, b, root, peers, "pool.task=delay:60ms", sized...)
 
@@ -115,7 +113,7 @@ func runOverloadEpisode(t *testing.T, bin string, ep int) {
 			}(nodes[i%2].addr)
 			time.Sleep(interval)
 		}
-		wg.Wait() // the phases do not overlap: each gate gets its own
+		wg.Wait() // the phases do not overlap
 	}
 
 	// Every 202 reaches done; async latency is arrival → first seen terminal.
@@ -165,10 +163,10 @@ func runOverloadEpisode(t *testing.T, bin string, ep int) {
 			attempts++
 			switch code {
 			case http.StatusOK, http.StatusAccepted:
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			case http.StatusServiceUnavailable:
 				refused++
 			default:
-				t.Errorf("(%s, seed %d) answered %d: overload may only refuse with 429 or 503", o.method, o.seed, code)
+				t.Errorf("(%s, seed %d) answered %d: overload may only refuse with 503", o.method, o.seed, code)
 			}
 		}
 		if o.assign != "" {
@@ -179,8 +177,8 @@ func runOverloadEpisode(t *testing.T, bin string, ep int) {
 			t.Errorf("keyed request %q was never admitted (answers %v)", o.key, o.codes)
 		}
 	}
-	if seen[http.StatusTooManyRequests] == 0 || seen[http.StatusServiceUnavailable] == 0 {
-		t.Errorf("overload episode %d: the stack did not fire: statuses %v", ep, seen)
+	if seen[http.StatusServiceUnavailable] == 0 {
+		t.Errorf("overload episode %d: the queue never filled: statuses %v", ep, seen)
 	}
 	sort.Slice(admitted, func(i, j int) bool { return admitted[i] < admitted[j] })
 	p99 := time.Duration(0)
@@ -309,8 +307,8 @@ func checkJobGauges(t *testing.T, nodes []*node, want int, when string) {
 // hubEdges is a 4×100 block graph whose every node also links to three
 // hubs: the admission estimate charges Σ colCount², so dd on it is
 // estimated at ≈ 6 MB and aat at ≈ 0.2 MB while both run in
-// milliseconds — heavy and light for the watermark, equally cheap for
-// the worker.
+// milliseconds — thirty times apart for the byte estimate, equally
+// cheap for the worker and equally charged by the queue.
 func hubEdges() string {
 	x := uint64(11)
 	next := func() uint64 { x ^= x << 13; x ^= x >> 7; x ^= x << 17; return x }
