@@ -16,7 +16,7 @@ SOAK_SECONDS ?= 60
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X symcluster/internal/obs.Version=$(VERSION)
 
-.PHONY: check fmt vet lint build cross test race fuzz crash cluster soak test-long bench kernel-bench
+.PHONY: check fmt vet lint build cross test race fuzz crash cluster soak test-long bench kernel-bench loc
 
 check: fmt vet lint build cross test race crash cluster soak fuzz
 	@echo "check: ok"
@@ -170,3 +170,8 @@ kernel-bench:
 
 test-long:
 	$(GO) test ./...
+
+# The line budget of ROADMAP item 10: non-test Go outside the benchmark
+# module (and the benchmark's build directory).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l

@@ -12,7 +12,7 @@ import (
 )
 
 // fusedVsReference runs one method through the fused execution layer
-// (the production plan table) and through the pre-fusion materialized
+// (the production lowering) and through the pre-fusion materialized
 // dataflow, requiring bit-identical output.
 func fusedVsReference(t *testing.T, a *matrix.CSR, m Method, opt Options) {
 	t.Helper()
@@ -29,7 +29,7 @@ func fusedVsReference(t *testing.T, a *matrix.CSR, m Method, opt Options) {
 
 // TestQuickFusedMatchesReference is the fusion contract over random
 // graphs: for every method, threshold, self-loop setting, and diagonal
-// handling, the fused plan/executor path reproduces the materialized
+// handling, the fused lowering reproduces the materialized
 // pre-fusion dataflow bit-for-bit.
 func TestQuickFusedMatchesReference(t *testing.T) {
 	f := func(g digraphGen, thRaw uint8, selfLoops, keepDiag bool) bool {
@@ -37,7 +37,7 @@ func TestQuickFusedMatchesReference(t *testing.T) {
 		opt.Threshold = float64(thRaw) / 512 // 0 .. ~0.5
 		opt.AddSelfLoops = selfLoops
 		opt.DropDiagonal = !keepDiag
-		for _, m := range Methods {
+		for _, m := range allMethods {
 			want, err1 := ReferenceSymmetrize(context.Background(), g.A, m, opt)
 			got, err2 := symmetrizeAdj(context.Background(), g.A, m, opt, nil)
 			if err1 != nil || err2 != nil {
@@ -54,22 +54,13 @@ func TestQuickFusedMatchesReference(t *testing.T) {
 	}
 }
 
-// mirrorThenSum lowers a plan's product terms in the order runPlan used
-// before it summed triangles: each term mirrored to the full matrix, the
-// full matrices added, the diagonal dropped from the sum.
-func mirrorThenSum(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Options) (*matrix.CSR, error) {
-	if plan.addSelfLoops {
-		a = a.AddIdentity()
-	}
-	outDeg, inDeg, at := a.RowCounts(), a.ColCounts(), a.Transpose()
+// mirrorThenSum sums the product terms in the order the lowering used
+// before it summed triangles: each term mirrored to the full matrix,
+// the full matrices added, the diagonal dropped from the sum.
+func mirrorThenSum(ctx context.Context, terms []matrix.XXTTerm, opt Options) (*matrix.CSR, error) {
 	var u *matrix.CSR
-	for _, term := range plan.terms {
-		x, xt := a, at
-		if term.transposed {
-			x, xt = at, a
-		}
-		p, err := matrix.MulXXTScaledPrunedCtx(ctx, x, xt,
-			resolveScale(term.rowScale, outDeg, inDeg), resolveScale(term.colScale, outDeg, inDeg), opt.Threshold, 0)
+	for _, term := range terms {
+		p, err := matrix.MulXXTScaledPrunedCtx(ctx, term.X, term.XT, term.RowScale, term.ColScale, opt.Threshold, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +70,7 @@ func mirrorThenSum(ctx context.Context, a *matrix.CSR, plan *symPlan, opt Option
 			u = matrix.Add(u, p, 1, 1)
 		}
 	}
-	if plan.dropDiagonal {
+	if opt.DropDiagonal {
 		u = u.DropDiagonal()
 	}
 	return u, nil
@@ -96,15 +87,15 @@ func TestQuickSumThenMirrorMatchesMirrorThenSum(t *testing.T) {
 		opt.Threshold = float64(thRaw) / 512
 		opt.AddSelfLoops = selfLoops
 		opt.DropDiagonal = !keepDiag
+		a := g.A
+		if selfLoops {
+			a = a.AddIdentity()
+		}
 		for _, m := range []Method{Bibliometric, DegreeDiscounted} {
-			plan, err := plans[m](opt)
-			if err != nil {
-				return false
-			}
 			wctx, wantKilled := obs.WithPruneStats(context.Background())
-			want, err1 := mirrorThenSum(wctx, g.A, plan, opt)
+			want, err1 := mirrorThenSum(wctx, xxtTerms(a, a.Transpose(), m, opt), opt)
 			ctx, killed := obs.WithPruneStats(context.Background())
-			got, err2 := runPlan(ctx, g.A, plan, opt, nil)
+			got, err2 := products(ctx, g.A, m, opt, nil)
 			if err1 != nil || err2 != nil || !sameBits(want, got) || killed.Killed() != wantKilled.Killed() {
 				return false
 			}
@@ -156,7 +147,7 @@ func testDerivedWorkersMatchOracle(t *testing.T) {
 	g := oocTestGraph(t, 1200, 5, 17)
 	orig := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })
-	for _, m := range Methods {
+	for _, m := range allMethods {
 		for _, th := range []float64{0, 0.01} {
 			for _, selfLoops := range []bool{false, true} {
 				opt := Defaults()
@@ -233,7 +224,7 @@ func TestFusedMatchesReferenceVariants(t *testing.T) {
 }
 
 // TestOutOfCoreMatchesReference closes the triangle: the out-of-core
-// lowering of the shared plan must also be bit-identical to the
+// lowering must also be bit-identical to the
 // materialized pre-fusion dataflow (TestOutOfCoreBitIdentity covers
 // out-of-core vs in-core; this pins both to the reference).
 func TestOutOfCoreMatchesReference(t *testing.T) {

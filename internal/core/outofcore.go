@@ -12,17 +12,16 @@ import (
 	"symcluster/internal/obs"
 )
 
-// Out-of-core symmetrization: the same plans (plan.go) lowered by the
-// same executor (executor.go), with the large operands — the input
-// adjacency and its transpose — living in memory-mapped binary CSR
-// files instead of the heap. The fused product kernels fold the
-// diagonal scalings in, so no scaled factor file is ever written; they
-// stream rows from file-backed pages the OS evicts under pressure, and
-// peak resident memory is bounded by the (pruned) products themselves
-// rather than by the input size. Results
-// are byte-identical to the in-core path: both are lowerings of one
-// plan through the same kernels, and every file operation replicates
-// its in-memory counterpart's value arithmetic bit-for-bit.
+// Out-of-core symmetrization: the same lowering (symmetrize in
+// symmetrize.go), with the large operands — the input adjacency and
+// its transpose — living in memory-mapped binary CSR files instead of
+// the heap. The fused product kernels fold the diagonal scalings in,
+// so no scaled factor file is ever written; they stream rows from
+// file-backed pages the OS evicts under pressure, and peak resident
+// memory is bounded by the (pruned) products themselves rather than by
+// the input size. Results are byte-identical to the in-core path: both
+// run the same kernels, and every file operation replicates its
+// in-memory counterpart's value arithmetic bit-for-bit.
 
 // ErrResidentBudget marks an out-of-core run aborted because its
 // in-memory intermediates (the product matrices, which cannot live on
@@ -63,9 +62,9 @@ func outOfCoreFrom(ctx context.Context) *OutOfCoreConfig {
 
 // oocState owns an out-of-core run's scratch directory and mapped
 // files, and meters the heap-resident intermediates against the
-// configured budget. The three methods the executor calls — augmented,
-// transpose, charge — accept a nil receiver, which is the in-core run:
-// operands are built on the heap and nothing is metered.
+// configured budget. The methods the lowering calls — augmented,
+// transpose, mirror, charge — accept a nil receiver, which is the
+// in-core run: operands are built on the heap and nothing is metered.
 type oocState struct {
 	cfg      *OutOfCoreConfig
 	scratch  string
@@ -169,4 +168,22 @@ func (s *oocState) augmented(ctx context.Context, a *matrix.CSR) (*matrix.CSR, e
 		return nil, err
 	}
 	return s.open(ctx, dst)
+}
+
+// mirror returns A + Aᵀ (§3.1). On the heap it goes through the
+// triangle-and-mirror helper and never builds Aᵀ; out of core the
+// transpose is a file and only the input-sized sum is resident.
+func (s *oocState) mirror(ctx context.Context, a *matrix.CSR) (*matrix.CSR, error) {
+	if s == nil {
+		return matrix.AddTransposeSym(a, 1), nil
+	}
+	at, err := s.transpose(ctx, a, "at.csr")
+	if err != nil {
+		return nil, err
+	}
+	u := matrix.Add(a, at, 1, 1)
+	if err := s.charge(matBytes(u)); err != nil {
+		return nil, err
+	}
+	return u, nil
 }

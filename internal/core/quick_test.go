@@ -40,14 +40,14 @@ var quickCfg = &quick.Config{MaxCount: 150}
 
 // symmetrizeQuick runs one method's kernel with the paper defaults
 // (teleport 0.05, diagonal dropped), dispatching through the same
-// plan table production code uses.
+// lowering production code uses.
 func symmetrizeQuick(m Method, a *matrix.CSR) (*matrix.CSR, error) {
 	return symmetrizeAdj(context.Background(), a, m, Defaults(), nil)
 }
 
 func TestQuickAllMethodsSymmetric(t *testing.T) {
 	f := func(g digraphGen) bool {
-		for _, m := range Methods {
+		for _, m := range allMethods {
 			u, err := symmetrizeQuick(m, g.A)
 			if err != nil || !u.IsSymmetric(1e-9) {
 				return false
@@ -62,7 +62,7 @@ func TestQuickAllMethodsSymmetric(t *testing.T) {
 
 func TestQuickAllMethodsNonNegative(t *testing.T) {
 	f := func(g digraphGen) bool {
-		for _, m := range Methods {
+		for _, m := range allMethods {
 			u, err := symmetrizeQuick(m, g.A)
 			if err != nil {
 				return false
@@ -216,7 +216,7 @@ func TestQuickDiscountVectorRanges(t *testing.T) {
 		}
 		exp := float64(expRaw) / 128 // 0..2
 		for _, kind := range []DiscountKind{PowerDiscount, LogDiscount} {
-			v := discountVector(degs, kind, exp, 1)
+			v := DiscountVector(degs, kind, exp, 1)
 			for i, f := range v {
 				if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 					return false

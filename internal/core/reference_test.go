@@ -60,10 +60,10 @@ func ReferenceSymmetrize(ctx context.Context, a *matrix.CSR, method Method, opt 
 		}
 		outDeg := a.RowCounts()
 		inDeg := a.ColCounts()
-		alphaFull := discountVector(outDeg, opt.AlphaKind, opt.Alpha, 1)
-		alphaHalf := discountVector(outDeg, opt.AlphaKind, opt.Alpha, 0.5)
-		betaFull := discountVector(inDeg, opt.BetaKind, opt.Beta, 1)
-		betaHalf := discountVector(inDeg, opt.BetaKind, opt.Beta, 0.5)
+		alphaFull := DiscountVector(outDeg, opt.AlphaKind, opt.Alpha, 1)
+		alphaHalf := DiscountVector(outDeg, opt.AlphaKind, opt.Alpha, 0.5)
+		betaFull := DiscountVector(inDeg, opt.BetaKind, opt.Beta, 1)
+		betaHalf := DiscountVector(inDeg, opt.BetaKind, opt.Beta, 0.5)
 
 		x := a.ScaleRows(alphaFull).ScaleCols(betaHalf) // D_o^{-α} A D_i^{-β/2}
 		bd, err := referenceSelfProduct(ctx, x, opt)

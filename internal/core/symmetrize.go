@@ -48,8 +48,9 @@ const (
 )
 
 // methodNames maps each method to the name used in the paper's
-// figures. Kept as data (not a switch) so the catalog of methods is
-// owned by internal/pipeline's registry; this file only wires kernels.
+// figures. The catalog of methods — which exist, their wire names and
+// plot order — is internal/pipeline's registry; this file only wires
+// kernels.
 var methodNames = map[Method]string{
 	AAT:              "A+A'",
 	RandomWalk:       "RandomWalk",
@@ -64,9 +65,6 @@ func (m Method) String() string {
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
 }
-
-// Methods lists all symmetrizations in the order the paper's plots use.
-var Methods = []Method{DegreeDiscounted, Bibliometric, AAT, RandomWalk}
 
 // DiscountKind selects the degree-discount schedule for the similarity
 // variants studied in Table 4. PowerDiscount with exponent 0.5 is the
@@ -167,14 +165,6 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 	if err := faultinject.Fire("core.symmetrize"); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	build, ok := plans[method]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown symmetrization method %v", method)
-	}
-	plan, err := build(opt)
-	if err != nil {
-		return nil, err
-	}
 	// The one fork on where the operands live: out of core the input
 	// becomes a mapped view and s meters what stays on the heap; in
 	// core s stays nil, which every oocState method treats as "the
@@ -189,23 +179,106 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 		defer s.close()
 		a = s.a
 	}
-	u, err := runPlan(ctx, a, plan, opt, s)
+	u, err := symmetrize(ctx, a, method, opt, s)
 	if err != nil {
 		return nil, err
 	}
 	return &graph.Undirected{Adj: u, Labels: g.Labels}, nil
 }
 
-// plans maps each method to its symmetrization plan (plan.go), which
-// the shared executor (executor.go) lowers in core and out of core
-// alike. The wiring lives here next to the kernels; everything
-// catalog-shaped (names, aliases, validation, cost models) lives in
-// internal/pipeline.
-var plans = map[Method]func(opt Options) (*symPlan, error){
-	AAT:              aatPlan,
-	RandomWalk:       randomWalkPlan,
-	Bibliometric:     bibliometricPlan,
-	DegreeDiscounted: degreeDiscountedPlan,
+// symmetrize lowers one method onto the kernels. Where the operands
+// live is carried by s, and the arithmetic does not depend on it: in
+// core (s == nil) the kernels read the heap-resident adjacency; out of
+// core a is a mapped view, the transpose and the self-loop-augmented
+// copy are mmap'd scratch files, and what stays on the heap is metered
+// by s.charge against the configured budget. Both placements are
+// bit-identical to each other and to the materialized pre-fusion
+// dataflow (ReferenceSymmetrize; DESIGN.md §15).
+func symmetrize(ctx context.Context, a *matrix.CSR, method Method, opt Options, s *oocState) (*matrix.CSR, error) {
+	switch method {
+	case AAT:
+		return s.mirror(ctx, a)
+	case RandomWalk:
+		// The transition matrix, ΠP and the result are all sized like
+		// the input: metered, but there is no product blow-up to keep on
+		// disk, so the kernel reads the (possibly mapped) rows directly.
+		if err := s.charge(3 * matBytes(a)); err != nil {
+			return nil, err
+		}
+		return symmetrizeRandomWalk(ctx, a, opt.Teleport)
+	case Bibliometric, DegreeDiscounted:
+		return products(ctx, a, method, opt, s)
+	}
+	return nil, fmt.Errorf("core: unknown symmetrization method %v", method)
+}
+
+// products lowers the two product symmetrizations, U = X·Xᵀ + Y·Yᵀ
+// over the (optionally self-loop-augmented) A, in one fused call: the
+// terms' upper triangles are summed as their rows flush, each running
+// sum metered, and the sum is mirrored once — a mirror copies values,
+// so that is the sum of the mirrored products bit for bit. The prune
+// threshold applies to each term as it is formed — an entry present in
+// both survives if either contribution passes, matching the paper's
+// integer thresholds on shared-link counts (Table 2) — and the diagonal
+// is dropped as the terms are summed. Neither scaled factor is ever
+// materialised: the discounts fold into the product kernel.
+func products(ctx context.Context, a *matrix.CSR, method Method, opt Options, s *oocState) (*matrix.CSR, error) {
+	if method == DegreeDiscounted && (opt.Alpha < 0 || opt.Beta < 0) {
+		return nil, fmt.Errorf("core: negative discount exponents α=%v β=%v", opt.Alpha, opt.Beta)
+	}
+	var err error
+	if opt.AddSelfLoops {
+		if a, err = s.augmented(ctx, a); err != nil {
+			return nil, err
+		}
+	}
+	// What a product holds on the heap beside its result (one term's at
+	// a time): an nnz-long vector of entry offsets and, when it scales,
+	// one of scaled values; the two []int of degrees.
+	held := 4 * int64(a.NNZ())
+	if method == DegreeDiscounted {
+		held += 16*int64(a.Rows) + 8*int64(a.NNZ())
+	}
+	if err := s.charge(held); err != nil {
+		return nil, err
+	}
+	at, err := s.transpose(ctx, a, "at.csr")
+	if err != nil {
+		return nil, err
+	}
+	up, err := matrix.SumXXTScaledPrunedUpperCtx(ctx, a.Rows, xxtTerms(a, at, method, opt), opt.Threshold, opt.DropDiagonal,
+		func(sum *matrix.CSR) error { return s.charge(matBytes(sum)) })
+	if err != nil {
+		return nil, err
+	}
+	u := matrix.MirrorUpper(up)
+	if err := s.charge(matBytes(u)); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// xxtTerms is U's two self-products over A and one shared Aᵀ —
+// (Aᵀ)ᵀ is A again, bit-exactly, since transposition copies values.
+// Bibliometric (§3.3) is AAᵀ + AᵀA, bibliographic coupling plus
+// co-citation, unscaled. DegreeDiscounted (§3.4),
+//
+//	U_d = D_o^{-α} A D_i^{-β} Aᵀ D_o^{-α} + D_i^{-β} Aᵀ D_o^{-α} A D_i^{-β},
+//
+// is X·Xᵀ + Y·Yᵀ with X = D_o^{-α}·A·D_i^{-β/2} and
+// Y = D_i^{-β}·Aᵀ·D_o^{-α/2}: the middle discount split across the two
+// sides of each product, over the unweighted degrees of A.
+func xxtTerms(a, at *matrix.CSR, method Method, opt Options) []matrix.XXTTerm {
+	x := matrix.XXTTerm{X: a, XT: at}
+	y := matrix.XXTTerm{X: at, XT: a}
+	if method == DegreeDiscounted {
+		outDeg, inDeg := a.RowCounts(), a.ColCounts()
+		x.RowScale = DiscountVector(outDeg, opt.AlphaKind, opt.Alpha, 1)
+		x.ColScale = DiscountVector(inDeg, opt.BetaKind, opt.Beta, 0.5)
+		y.RowScale = DiscountVector(inDeg, opt.BetaKind, opt.Beta, 1)
+		y.ColScale = DiscountVector(outDeg, opt.AlphaKind, opt.Alpha, 0.5)
+	}
+	return []matrix.XXTTerm{x, y}
 }
 
 // symmetrizeRandomWalk returns U = (ΠP + PᵀΠ)/2 (§3.2), where P is
@@ -229,11 +302,11 @@ func symmetrizeRandomWalk(ctx context.Context, a *matrix.CSR, teleport float64) 
 	return matrix.AddTransposeSym(piP, 0.5), nil
 }
 
-// discountVector returns per-node factors f(d)^share where f(d) is
+// DiscountVector returns per-node factors f(d)^share where f(d) is
 // d^{-exp} for PowerDiscount or (1+ln d)^{-1} for LogDiscount, and
 // share ∈ {1, 0.5} splits the factor across the two sides of a
 // self-product. Zero degrees map to factor 1.
-func discountVector(degrees []int, kind DiscountKind, exp, share float64) []float64 {
+func DiscountVector(degrees []int, kind DiscountKind, exp, share float64) []float64 {
 	f := make([]float64, len(degrees))
 	for i, d := range degrees {
 		if d <= 0 {

@@ -11,24 +11,24 @@ import (
 	"symcluster/internal/walk"
 )
 
-// symmetrizeAdj runs one method on a bare adjacency through the plan
-// table and the executor — what SymmetrizeCtx does inside its span —
-// out of core when cfg is non-nil.
+// symmetrizeAdj runs one method on a bare adjacency through the
+// lowering SymmetrizeCtx runs inside its span, out of core when cfg is
+// non-nil.
 func symmetrizeAdj(ctx context.Context, a *matrix.CSR, m Method, opt Options, cfg *OutOfCoreConfig) (*matrix.CSR, error) {
-	plan, err := plans[m](opt)
-	if err != nil {
-		return nil, err
-	}
 	var s *oocState
 	if cfg != nil {
+		var err error
 		if s, err = newOOCState(ctx, a, cfg); err != nil {
 			return nil, err
 		}
 		defer s.close()
 		a = s.a
 	}
-	return runPlan(ctx, a, plan, opt, s)
+	return symmetrize(ctx, a, m, opt, s)
 }
+
+// allMethods is every symmetrization, in the paper's plot order.
+var allMethods = []Method{DegreeDiscounted, Bibliometric, AAT, RandomWalk}
 
 // Context-free in-core spellings of the per-method kernels for the
 // tests below.
@@ -460,7 +460,7 @@ func TestSymmetrizeDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range Methods {
+	for _, m := range allMethods {
 		u, err := SymmetrizeCtx(context.Background(), g, m, Defaults())
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -483,7 +483,7 @@ func TestSymmetrizeDispatch(t *testing.T) {
 func TestSymmetrizeNonNegativeOutputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	g, _ := graph.NewDirected(randomDirected(rng, 30, 4), nil)
-	for _, m := range Methods {
+	for _, m := range allMethods {
 		u, err := SymmetrizeCtx(context.Background(), g, m, Defaults())
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)

@@ -8,6 +8,7 @@ import (
 	"symcluster/internal/eval"
 	"symcluster/internal/gen"
 	"symcluster/internal/mcl"
+	"symcluster/internal/pipeline"
 )
 
 // SignTestRow is one comparison of §5.6.
@@ -86,7 +87,7 @@ type CaseStudyResult struct {
 func CaseStudy(ctx context.Context, wiki *gen.Dataset, seed int64) ([]CaseStudyResult, error) {
 	fig1 := gen.Figure1()
 	var out []CaseStudyResult
-	for _, m := range core.Methods {
+	for _, m := range pipeline.Methods() {
 		r := CaseStudyResult{Method: m}
 
 		u1, err := core.SymmetrizeCtx(ctx, fig1.Graph, m, core.Defaults())

@@ -7,6 +7,7 @@ import (
 	"symcluster/internal/core"
 	"symcluster/internal/eval"
 	"symcluster/internal/gen"
+	"symcluster/internal/pipeline"
 )
 
 // ControlledRow is one point of the synthetically controlled
@@ -35,7 +36,7 @@ func ControlledSweep(ctx context.Context, fractions []float64, opt gen.Controlle
 			return nil, fmt.Errorf("experiments: controlled sweep at %v: %w", frac, err)
 		}
 		row := ControlledRow{SharedFraction: frac, F: map[core.Method]float64{}}
-		for _, m := range core.Methods {
+		for _, m := range pipeline.Methods() {
 			u, err := core.SymmetrizeCtx(ctx, d.Graph, m, core.Defaults())
 			if err != nil {
 				return nil, err
@@ -59,13 +60,13 @@ func ControlledSweep(ctx context.Context, fractions []float64, opt gen.Controlle
 func FormatControlled(rows []ControlledRow) string {
 	out := "Controlled validation (§6 future work): Avg-F vs shared-cluster fraction (MLR-MCL)\n"
 	out += fmt.Sprintf("%10s", "Shared%")
-	for _, m := range core.Methods {
+	for _, m := range pipeline.Methods() {
 		out += fmt.Sprintf(" %18s", m)
 	}
 	out += "\n"
 	for _, r := range rows {
 		out += fmt.Sprintf("%9.0f%%", 100*r.SharedFraction)
-		for _, m := range core.Methods {
+		for _, m := range pipeline.Methods() {
 			out += fmt.Sprintf(" %18.2f", r.F[m])
 		}
 		out += "\n"

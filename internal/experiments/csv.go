@@ -6,7 +6,7 @@ import (
 	"io"
 	"strconv"
 
-	"symcluster/internal/core"
+	"symcluster/internal/pipeline"
 )
 
 // CSV export of experiment results, so the figures can be re-plotted
@@ -108,7 +108,7 @@ func WriteTable4CSV(w io.Writer, rows []AlphaBetaRow) error {
 func WriteControlledCSV(w io.Writer, rows []ControlledRow) error {
 	cw := csv.NewWriter(w)
 	header := []string{"shared_fraction"}
-	for _, m := range core.Methods {
+	for _, m := range pipeline.Methods() {
 		header = append(header, m.String())
 	}
 	if err := cw.Write(header); err != nil {
@@ -116,7 +116,7 @@ func WriteControlledCSV(w io.Writer, rows []ControlledRow) error {
 	}
 	for _, r := range rows {
 		rec := []string{strconv.FormatFloat(r.SharedFraction, 'g', -1, 64)}
-		for _, m := range core.Methods {
+		for _, m := range pipeline.Methods() {
 			rec = append(rec, strconv.FormatFloat(r.F[m], 'f', 3, 64))
 		}
 		if err := cw.Write(rec); err != nil {

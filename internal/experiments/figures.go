@@ -91,7 +91,7 @@ var inflationLadder = []float64{1.2, 1.35, 1.5, 1.7, 2.0, 2.4, 2.8}
 // from the scalability runs).
 func SymmetrizationSweep(ctx context.Context, ds *gen.Dataset, algo Algo, methods []core.Method, targets []int, seed int64) ([]FSeries, error) {
 	if len(methods) == 0 {
-		methods = core.Methods
+		methods = pipeline.Methods()
 	}
 	if len(targets) == 0 {
 		if ds.Truth != nil {
@@ -154,7 +154,7 @@ func SymmetrizationSweep(ctx context.Context, ds *gen.Dataset, algo Algo, method
 // Figure5 reproduces Figure 5: Avg-F vs cluster count on Cora for all
 // four symmetrizations, with MLR-MCL (a) and Graclus (b).
 func Figure5(ctx context.Context, cora *gen.Dataset, algo Algo, seed int64) ([]FSeries, error) {
-	return SymmetrizationSweep(ctx, cora, algo, core.Methods, ClusterSweep(cora.Truth.K, 7), seed)
+	return SymmetrizationSweep(ctx, cora, algo, pipeline.Methods(), ClusterSweep(cora.Truth.K, 7), seed)
 }
 
 // Figure6 reproduces Figure 6: Degree-discounted symmetrization +
@@ -275,7 +275,7 @@ func ZhouBaseline(ctx context.Context, cora *gen.Dataset, seed int64) (*FSeries,
 // Metis crashed on RandomWalk input). Figure 8 (clustering times on
 // Wiki) is the same sweep's Seconds column.
 func Figure7(ctx context.Context, wiki *gen.Dataset, algo Algo, seed int64) ([]FSeries, error) {
-	methods := core.Methods
+	methods := pipeline.Methods()
 	if algo == AlgoMetis {
 		methods = []core.Method{core.DegreeDiscounted, core.AAT, core.Bibliometric}
 	}

@@ -18,8 +18,8 @@ package multipartite
 import (
 	"context"
 	"fmt"
-	"math"
 
+	"symcluster/internal/core"
 	"symcluster/internal/matrix"
 	"symcluster/internal/mcl"
 )
@@ -115,10 +115,12 @@ func LayerSimilarity(ctx context.Context, g *Graph, layer int, opt Options) (*ma
 		switch {
 		case r.From == layer:
 			terms = append(terms, matrix.XXTTerm{X: r.B, XT: r.B.Transpose(),
-				RowScale: invPow(r.B.RowCounts(), opt.Alpha), ColScale: invPow(r.B.ColCounts(), opt.Beta/2)})
+				RowScale: core.DiscountVector(r.B.RowCounts(), core.PowerDiscount, opt.Alpha, 1),
+				ColScale: core.DiscountVector(r.B.ColCounts(), core.PowerDiscount, opt.Beta, 0.5)})
 		case r.To == layer:
 			terms = append(terms, matrix.XXTTerm{X: r.B.Transpose(), XT: r.B,
-				RowScale: invPow(r.B.ColCounts(), opt.Beta), ColScale: invPow(r.B.RowCounts(), opt.Alpha/2)})
+				RowScale: core.DiscountVector(r.B.ColCounts(), core.PowerDiscount, opt.Beta, 1),
+				ColScale: core.DiscountVector(r.B.RowCounts(), core.PowerDiscount, opt.Alpha, 0.5)})
 		}
 	}
 	up, err := matrix.SumXXTScaledPrunedUpperCtx(ctx, g.LayerSizes[layer], terms, opt.Threshold, true, nil)
@@ -126,18 +128,6 @@ func LayerSimilarity(ctx context.Context, g *Graph, layer int, opt Options) (*ma
 		return nil, err
 	}
 	return matrix.MirrorUpper(up), nil
-}
-
-func invPow(deg []int, exp float64) []float64 {
-	f := make([]float64, len(deg))
-	for i, d := range deg {
-		if d <= 0 {
-			f[i] = 1
-			continue
-		}
-		f[i] = math.Pow(float64(d), -exp)
-	}
-	return f
 }
 
 // Result holds per-layer clusterings.

@@ -81,24 +81,18 @@ func benchWiki(t *testing.T, seed int64) *gen.Dataset {
 // TestProductSymEstimateCoversHeldBytes puts the admission estimate of
 // the degree-discounted symmetrization beside the heap a run really
 // holds, on the benchmark's two graph shapes: the 8 k-node R-MAT of
-// sym_cold pruned at 0.03, in-core — where the flop bound the model
-// rests on overshoots the pruned product by two orders of magnitude —
-// and out-of-core, and a 540-node Wikipedia-like graph left unpruned,
-// where the flop bound is within one. The estimate must cover what is
-// held — that is admission's promise — and stay inside the stated band
-// above it, so a term dropped from the model and a new allocation in
-// the run both show. Measured at GOMAXPROCS 1, 2, 3 and 8 on two cores:
-// 232–349, 2.6–3.3 and 1.3–2.5; a sample counts the garbage of the
-// collection cycle in flight, a third of so small a heap as the last
-// row's at eight workers on two cores, hence that row's floor.
-//
-// The out-of-core run sorts in a 1 MiB buffer where the estimate allows
-// the default 64 MiB — held in full whatever the input — so the other
-// terms of the model are not lost beside it. The out-of-core model is
-// held to the R-MAT only: it bounds a product by 2·edges entries, which
-// the pruned product of a sparse graph respects and the dense
-// Wikipedia-like one (17 k entries from 4.6 k edges at 0.05) does not;
-// there the run's resident meter, not admission, is the guard.
+// sym_cold pruned at 0.03 — where the flop bound the model rests on
+// overshoots the pruned product by two orders of magnitude — and a
+// 540-node Wikipedia-like graph left unpruned, where the flop bound is
+// within one. The estimate must cover what is held — that is
+// admission's promise — and stay inside the stated band above it, so a
+// term dropped from the model and a new allocation in the run both
+// show. Measured at GOMAXPROCS 1, 2, 3 and 8 on two cores: 232–349 and
+// 1.3–2.5; a sample counts the garbage of the collection cycle in
+// flight, a third of so small a heap as the last row's at eight workers
+// on two cores, hence that row's floor. An out-of-core run has no
+// estimate: its resident meter (TestOutOfCoreResidentBudget) is the
+// guard.
 func TestProductSymEstimateCoversHeldBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap sampling is slow and noisy under -short")
@@ -109,26 +103,17 @@ func TestProductSymEstimateCoversHeldBytes(t *testing.T) {
 		name      string
 		g         *graph.Directed
 		threshold float64
-		ooc       bool
 		lo, hi    float64 // band for estimate ÷ held
 	}{
-		{"rmat8k@0.03/in-core", rmat.Graph, 0.03, false, 60, 1000},
-		{"rmat8k@0.03/out-of-core", rmat.Graph, 0.03, true, 1, 8},
-		{"wiki540@0/in-core", wiki.Graph, 0, false, 0.8, 6},
+		{"rmat8k@0.03/in-core", rmat.Graph, 0.03, 60, 1000},
+		{"wiki540@0/in-core", wiki.Graph, 0, 0.8, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gs := StatsFor(tc.g)
-			est := dd.CostModel(gs)
-			ctx := context.Background()
-			if tc.ooc {
-				est, _ = dd.OutOfCoreCost(gs)
-				est -= 63 << 20
-				ctx = core.WithOutOfCore(ctx, core.OutOfCoreConfig{ScratchDir: t.TempDir(), SpillMemBytes: 1 << 20})
-			}
+			est := dd.CostModel(StatsFor(tc.g))
 			opt := core.Defaults()
 			opt.Threshold = tc.threshold
 			held := heldDuring(t, func() {
-				if _, err := dd.Run(ctx, tc.g, opt); err != nil {
+				if _, err := dd.Run(context.Background(), tc.g, opt); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -150,7 +150,8 @@ type Symmetrizer interface {
 	// "degree-discounted"). The lowercased display name always parses
 	// too.
 	Aliases() []string
-	// Display is the name used in the paper's figures.
+	// Display is the name used in the paper's figures: Method's
+	// String.
 	Display() string
 	// Describe is a one-line human description for generated help text.
 	Describe() string
@@ -166,14 +167,11 @@ type Symmetrizer interface {
 	// CostModel upper-bounds the peak bytes Run may allocate on a
 	// graph with the given stats (admission control).
 	CostModel(gs GraphStats) int64
-	// OutOfCoreCost upper-bounds the heap-resident bytes of an
-	// out-of-core Run — the input, its transpose and the scaled factor
-	// matrices live in memory-mapped files, so only the (pruned)
-	// products and a few dense vectors stay resident. ok reports
-	// whether the method supports the out-of-core path at all; when
-	// false the estimate is CostModel and admission must not route the
-	// job out of core.
-	OutOfCoreCost(gs GraphStats) (est int64, ok bool)
+	// OutOfCore reports whether admission may route a job over the
+	// in-core budget to the out-of-core path, where the input and its
+	// transpose live in memory-mapped files and the run meters its own
+	// heap (core.OutOfCoreConfig.MaxResidentBytes).
+	OutOfCore() bool
 }
 
 // Algorithm identifies a clustering substrate. The public
@@ -329,7 +327,8 @@ func AlgorithmIDs() []Algorithm {
 }
 
 // Methods returns the core.Method of every registered symmetrizer in
-// registry order.
+// registry order, which is the paper's plot order: symcluster.Methods
+// and the experiment sweeps iterate it.
 func Methods() []core.Method {
 	ms := make([]core.Method, len(symRegistry))
 	for i, s := range symRegistry {

@@ -17,23 +17,20 @@ type symEntry struct {
 	method   core.Method
 	name     string
 	aliases  []string
-	display  string
 	describe string
 	validate func(SymOptions) error
 	ckpt     bool
+	ooc      bool
 	cost     func(GraphStats) int64
-	// oocCost, when set, marks the method out-of-core capable and
-	// bounds the heap-resident bytes of an out-of-core run (the mapped
-	// operands excluded). Nil means the method cannot run out of core.
-	oocCost func(GraphStats) int64
 }
 
 func (e *symEntry) Method() core.Method  { return e.method }
 func (e *symEntry) Name() string         { return e.name }
 func (e *symEntry) Aliases() []string    { return append([]string(nil), e.aliases...) }
-func (e *symEntry) Display() string      { return e.display }
+func (e *symEntry) Display() string      { return e.method.String() }
 func (e *symEntry) Describe() string     { return e.describe }
 func (e *symEntry) Checkpointable() bool { return e.ckpt }
+func (e *symEntry) OutOfCore() bool      { return e.ooc }
 
 func (e *symEntry) Validate(opt SymOptions) error {
 	if err := validateSymCommon(opt); err != nil {
@@ -53,13 +50,6 @@ func (e *symEntry) Run(ctx context.Context, g *graph.Directed, opt SymOptions) (
 }
 
 func (e *symEntry) CostModel(gs GraphStats) int64 { return e.cost(gs) }
-
-func (e *symEntry) OutOfCoreCost(gs GraphStats) (int64, bool) {
-	if e.oocCost == nil {
-		return e.cost(gs), false
-	}
-	return e.oocCost(gs), true
-}
 
 // validateSymCommon checks the option ranges shared by every
 // symmetrization. Fields a method ignores are still range-checked, so
@@ -125,23 +115,6 @@ func productDriverBytes(gs GraphStats, nnz int64) int64 {
 	return 12*gs.Edges + int64(runtime.GOMAXPROCS(0))*16*int64(gs.Nodes) + 12*nnz
 }
 
-// oocProductSymBytes bounds the heap-resident bytes of an out-of-core
-// product symmetrization. The input and its transpose are memory-mapped
-// files (file-backed pages the OS evicts, so they do not count against
-// the heap) that the fused kernels stream rows from — the scalings fold
-// into the kernels, so there are no scaled-factor files either; what
-// stays resident is the external-sort buffer, the degree/discount
-// vectors, what the product driver holds (productDriverBytes: the
-// per-entry vectors are heap even when their operand is mapped), and —
-// dominating everything — the pruned products themselves. An unpruned
-// product is as large out-of-core as in-core, which is why this is
-// honest about the worst case being no smaller than productSymBytes
-// minus the transpose the in-core path holds.
-func oocProductSymBytes(gs GraphStats) int64 {
-	sortAndVectors := int64(64<<20) + 64*int64(gs.Nodes)
-	return sortAndVectors + csrBytes(gs.Nodes, 2*gs.Edges) + productDriverBytes(gs, 2*gs.Edges)
-}
-
 // symRegistry holds the four symmetrizations of the paper in its
 // plots' order. To add a fifth, append an entry here (and its kernel
 // in internal/core): every consumer — flag help, HTTP parsing,
@@ -152,25 +125,22 @@ var symRegistry = []Symmetrizer{
 		method:   core.DegreeDiscounted,
 		name:     "dd",
 		aliases:  []string{"degree-discounted", "degreediscounted"},
-		display:  "DegreeDiscounted",
 		describe: "degree-discounted bibliometric similarity, the paper's proposal (§3.4)",
 		cost:     productSymBytes,
-		oocCost:  oocProductSymBytes,
+		ooc:      true,
 	},
 	&symEntry{
 		method:   core.Bibliometric,
 		name:     "bib",
 		aliases:  []string{"bibliometric", "bibcoupling"},
-		display:  "Bibliometric",
 		describe: "U = AAᵀ + AᵀA, bibliographic coupling + co-citation (§3.3)",
 		cost:     productSymBytes,
-		oocCost:  oocProductSymBytes,
+		ooc:      true,
 	},
 	&symEntry{
 		method:   core.AAT,
 		name:     "aat",
 		aliases:  []string{"a+at", "sum"},
-		display:  "A+A'",
 		describe: "U = A + Aᵀ, the implicit baseline (§3.1)",
 		cost: func(gs GraphStats) int64 {
 			// U = A + Aᵀ: at most 2·nnz entries.
@@ -181,7 +151,6 @@ var symRegistry = []Symmetrizer{
 		method:   core.RandomWalk,
 		name:     "rw",
 		aliases:  []string{"random-walk", "randomwalk"},
-		display:  "RandomWalk",
 		describe: "U = (ΠP + PᵀΠ)/2 under the teleported random walk (§3.2)",
 		ckpt:     true,
 		cost: func(gs GraphStats) int64 {

@@ -373,7 +373,7 @@ func funcKey(dir string, fd *ast.FuncDecl) string {
 // one shorter, until the change that shortened it lowers the cap to the
 // new length; no change raises one (ROADMAP item 10 takes DESIGN.md's
 // toward 900).
-var docCeilings = map[string]int{"DESIGN.md": 2168, "README.md": 715}
+var docCeilings = map[string]int{"DESIGN.md": 2163, "README.md": 715}
 
 // TestSourceLints is `make lint`: it parses every Go file of the
 // repository (bench/ included) and holds it to sourceRules, the

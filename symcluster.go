@@ -111,8 +111,8 @@ const (
 	RandomWalk = core.RandomWalk
 )
 
-// Methods lists all symmetrizations.
-var Methods = core.Methods
+// Methods lists all symmetrizations in the order the paper's plots use.
+var Methods = pipeline.Methods()
 
 // ParseMethod resolves a symmetrization from its wire name or any
 // registered alias ("dd", "degree-discounted", …), case-insensitively.
