@@ -146,7 +146,9 @@ bench:
 # each mode around the dense/marked crossover (denseSpanShare in
 # internal/matrix/engine.go is read off BenchmarkAccumulatorRow), the
 # dense scan alone in each of its bodies, the top-k selection, the two
-# requests the sparse product carries, an MLR-MCL solve through its
+# requests the sparse product carries, sym_cold's symmetrization (with
+# its parse, and its degree-discounted product alone) and the coarsening
+# of its clusterer, an MLR-MCL solve through its
 # levels (projection and a regularizer per level), what registering sym_cold's
 # upload costs before any of that (the parse alone, and with the
 # fingerprint and the symmetric-link count), and the
@@ -162,7 +164,8 @@ bench:
 kernel-bench:
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkAccumulatorRow|BenchmarkCollectDense|BenchmarkSelectTopK' -cpu 1,2 -count 5 ./internal/matrix
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkMCLHot$$|BenchmarkMLRMCL$$' -cpu 1,2 -count 5 ./internal/mcl
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkSymCold$$' -cpu 1,2 -count 5 ./internal/core
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkSymCold$$|BenchmarkSymColdProduct$$' -cpu 1,2 -count 5 ./internal/core
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkColdCoarsen$$' -cpu 1,2 -count 5 ./internal/multilevel
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkReadEdgeList$$|BenchmarkRegister$$' -cpu 1,2 -count 5 ./internal/graph
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkServeGraclus$$|BenchmarkServeGraclusKept$$|BenchmarkColdGraclus$$' -cpu 1,2 -count 5 ./internal/graclus
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkServeMetis$$|BenchmarkServeMetisKept$$' -cpu 1,2 -count 5 ./internal/metis

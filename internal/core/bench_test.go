@@ -7,6 +7,7 @@ import (
 
 	"symcluster/internal/gen"
 	"symcluster/internal/graph"
+	"symcluster/internal/matrix"
 )
 
 // BenchmarkSymCold is one request of the repository benchmark's
@@ -18,14 +19,7 @@ import (
 // number is both the paper's set-up and what a request gets when the
 // pool's other workers are busy.
 func BenchmarkSymCold(b *testing.B) {
-	d, err := gen.Kronecker(gen.KroneckerOptions{Scale: 13, EdgeFactor: 12, Reciprocity: 0.62, Seed: 1000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var text bytes.Buffer
-	if err := graph.WriteEdgeList(&text, d.Graph); err != nil {
-		b.Fatal(err)
-	}
+	text := symColdText(b)
 	opt := Defaults()
 	opt.Threshold = 0.03
 	b.SetBytes(int64(text.Len()))
@@ -37,6 +31,43 @@ func BenchmarkSymCold(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := SymmetrizeCtx(context.Background(), g, DegreeDiscounted, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// symColdText is the edge-list text sym_cold uploads: a scale-13 R-MAT
+// graph, edge factor 12, reciprocity 0.62.
+func symColdText(b *testing.B) *bytes.Buffer {
+	d, err := gen.Kronecker(gen.KroneckerOptions{Scale: 13, EdgeFactor: 12, Reciprocity: 0.62, Seed: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := graph.WriteEdgeList(&text, d.Graph); err != nil {
+		b.Fatal(err)
+	}
+	return &text
+}
+
+// BenchmarkSymColdProduct is BenchmarkSymCold's degree-discounted
+// product alone: the graph parsed, Aᵀ and the four discount vectors
+// formed once, and each iteration the one fused sum of the two scaled,
+// pruned self-products (their upper triangle, before the mirror). Run it
+// at -cpu 1,2 beside BenchmarkSymCold.
+func BenchmarkSymColdProduct(b *testing.B) {
+	g, err := graph.ReadEdgeList(symColdText(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := Defaults()
+	opt.Threshold = 0.03
+	a := g.Adj
+	terms := xxtTerms(a, a.Transpose(), DegreeDiscounted, opt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := matrix.SumXXTScaledPrunedUpperCtx(context.Background(), a.Rows, terms, opt.Threshold, opt.DropDiagonal, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

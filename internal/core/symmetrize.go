@@ -305,20 +305,26 @@ func symmetrizeRandomWalk(ctx context.Context, a *matrix.CSR, teleport float64) 
 // DiscountVector returns per-node factors f(d)^share where f(d) is
 // d^{-exp} for PowerDiscount or (1+ln d)^{-1} for LogDiscount, and
 // share ∈ {1, 0.5} splits the factor across the two sides of a
-// self-product. Zero degrees map to factor 1.
+// self-product. Zero degrees map to factor 1. Each distinct degree's
+// factor is computed once: the same call on the same argument.
 func DiscountVector(degrees []int, kind DiscountKind, exp, share float64) []float64 {
-	f := make([]float64, len(degrees))
+	f, seen := make([]float64, len(degrees)), map[int]float64{}
 	for i, d := range degrees {
 		if d <= 0 {
 			f[i] = 1
 			continue
 		}
-		switch kind {
-		case LogDiscount:
-			f[i] = math.Pow(1/(1+math.Log(float64(d))), share)
-		default:
-			f[i] = math.Pow(float64(d), -exp*share)
+		v, ok := seen[d]
+		if !ok {
+			switch kind {
+			case LogDiscount:
+				v = math.Pow(1/(1+math.Log(float64(d))), share)
+			default:
+				v = math.Pow(float64(d), -exp*share)
+			}
+			seen[d] = v
 		}
+		f[i] = v
 	}
 	return f
 }

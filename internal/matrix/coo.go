@@ -2,7 +2,10 @@ package matrix
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Builder accumulates (row, col, value) triplets and assembles them into
@@ -134,10 +137,54 @@ func (b *Builder) Build() *CSR {
 // left to right as sort.Sort leaves them, and exact zeros are dropped. It
 // is Build's fold, the one definition of a built matrix's rounding
 // (DESIGN.md §15), done in place: the three arrays become the result's.
+//
+// Rows fold in ranges of at least maxTileRows, one per GOMAXPROCS worker,
+// each in place from its own start, then closed up: every row gets the
+// same sort and fold whatever the count. A worker's panic is re-raised.
 func FoldRows(rows, cols int, rowPtr []int64, colIdx []int32, val []float64) *CSR {
-	w, lo, row := 0, 0, &rowSorter{} // one sorter: a value would be boxed per row
-	for i := 0; i < rows; i++ {
-		hi := int(rowPtr[i+1])
+	if parts := max(1, min(runtime.GOMAXPROCS(0), rows/maxTileRows)); parts == 1 {
+		foldRange(rowPtr, colIdx, val, 0, rows, 0)
+	} else {
+		first := func(p int) int { return p * rows / parts }
+		starts := make([]int64, parts)
+		var wg sync.WaitGroup
+		var panicked atomic.Pointer[any]
+		for p := parts - 1; p >= 0; p-- { // range p-1 rewrites p's start: read it first
+			starts[p] = rowPtr[first(p)]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if v := recover(); v != nil {
+						panicked.CompareAndSwap(nil, &v)
+					}
+				}()
+				foldRange(rowPtr, colIdx, val, first(p), first(p+1), starts[p])
+			}()
+		}
+		wg.Wait()
+		if v := panicked.Load(); v != nil {
+			panic(*v)
+		}
+		for p := 1; p < parts; p++ { // range p moves down to where p-1 ends
+			w, end := rowPtr[first(p)], rowPtr[first(p+1)]
+			copy(colIdx[w:], colIdx[starts[p]:end])
+			copy(val[w:], val[starts[p]:end])
+			for i := first(p) + 1; i <= first(p+1); i++ {
+				rowPtr[i] -= starts[p] - w
+			}
+		}
+	}
+	w := rowPtr[rows]
+	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx[:w:w], Val: val[:w:w]}
+}
+
+// foldRange folds rows [from, to), whose entries start at lo, in place
+// from lo: rowPtr[i+1] becomes where row i's folded entries end.
+func foldRange(rowPtr []int64, colIdx []int32, val []float64, from, to int, lo int64) {
+	w, row := lo, &rowSorter{} // one sorter: a value would be boxed per row
+	for i := from; i < to; i++ {
+		hi := rowPtr[i+1]
 		if !strictlyAscending(colIdx[lo:hi]) {
 			row.cols, row.vals = colIdx[lo:hi], val[lo:hi]
 			sort.Sort(row)
@@ -152,9 +199,8 @@ func FoldRows(rows, cols int, rowPtr []int64, colIdx []int32, val []float64) *CS
 				w++
 			}
 		}
-		rowPtr[i+1], lo = int64(w), hi
+		rowPtr[i+1], lo = w, hi
 	}
-	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx[:w:w], Val: val[:w:w]}
 }
 
 func strictlyAscending(cols []int32) bool {

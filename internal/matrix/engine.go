@@ -64,7 +64,7 @@ type accumulator struct {
 	stride  int
 	mark    []uint32
 	gen     uint32
-	touched []int32   // marked: the columns hit; at flush: the candidates
+	touched []int32   // marked: the columns hit, plus a slot of slack; at flush: the candidates
 	n       int       // marked: how many columns are hit
 	keys    []float64 // top-k selection scratch, allocated on first use
 	lo, hi  int       // the row's column span
@@ -95,12 +95,12 @@ func newAccumulator(cols, members int) *accumulator {
 // stale when it grows back over them.
 func (s *accumulator) fit(cols, members int) {
 	if cap(s.mark) < cols {
-		s.mark, s.touched, s.gen = make([]uint32, cols), make([]int32, cols), 1
+		s.mark, s.touched, s.gen = make([]uint32, cols), make([]int32, cols+1), 1
 	}
 	if cap(s.acc) < members*cols {
 		s.acc = make([]float64, members*cols)
 	}
-	s.acc, s.mark, s.touched, s.cols = s.acc[:members*cols], s.mark[:cols], s.touched[:cols], cols
+	s.acc, s.mark, s.touched, s.cols = s.acc[:members*cols], s.mark[:cols], s.touched[:cols+1], cols
 	if cap(s.keys) < cols {
 		s.keys = nil // flush allocates it on first top-k use
 	}
@@ -166,17 +166,25 @@ func (s *accumulator) axpy(w float64, cols []int32, vals []float64) {
 		}
 		return
 	}
+	// Branch-free: a first touch masks the stale sum to +0 and keeps the
+	// slot it wrote; a later one rewrites the slot past the list (slack).
 	mark, gen, touched, n := s.mark, s.gen, s.touched, s.n
 	for t, c := range cols {
-		if mark[c] != gen {
-			mark[c] = gen
-			acc[c] = 0
-			touched[n] = c
-			n++
-		}
-		acc[c] += float64(w * vals[t])
+		fresh := b2i(mark[c] != gen)
+		mark[c] = gen
+		touched[n] = c
+		n += fresh
+		acc[c] = math.Float64frombits(math.Float64bits(acc[c])&^-uint64(fresh)) + float64(w*vals[t])
 	}
 	s.n = n
+}
+
+// b2i is 1 for true: a count advanced by it is a flag read, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // product is one sparse row product handed to the engine: the output

@@ -22,7 +22,8 @@ const (
 
 // runForced drives p on workers accumulators held to one row mode and
 // returns the (mirrored, if p is) result, the threshold-kill tally and
-// how many top-k selections fell back from their hint.
+// how many top-k selections fell back from their hint. A forced mode
+// must show in the row paths: every row dense, or none.
 func runForced(t *testing.T, p *product, workers int, mode int8) (out *CSR, killed, fallbacks int64) {
 	t.Helper()
 	ws := &workspace{}
@@ -39,7 +40,10 @@ func runForced(t *testing.T, p *product, workers int, mode int8) (out *CSR, kill
 	if p.mirrored {
 		out = MirrorUpper(out)
 	}
-	_, fallbacks, _ = stats.RowPaths()
+	dense, fallbacks, _ := stats.RowPaths()
+	if want := int64(p.rows); mode != modeDerived && dense != want*int64(b2i(mode == modeDense)) {
+		t.Fatalf("%d of %d rows ran dense in mode %d", dense, want, mode)
+	}
 	return out, stats.Killed(), fallbacks
 }
 
@@ -55,19 +59,45 @@ func oracleProduct(t *testing.T, a, b *CSR, threshold float64, k int) (*CSR, int
 	return truncateTopK(full, k), stats.Killed()
 }
 
+// fullSpan returns x with column 0 and row r filled in: every row of
+// x·xᵀ then touches every column of its span on its first operand row
+// and touches them again on each later one — a marked row whose list
+// is full long before its last add.
+func fullSpan(x *CSR, r int) *CSR {
+	b := NewBuilder(x.Rows, x.Cols)
+	for i := 0; i < x.Rows; i++ {
+		cols, vals := x.Row(i)
+		for k, c := range cols {
+			b.Add(i, int(c), vals[k])
+		}
+		b.Add(i, 0, 0.5)
+		b.Add(r, i, 0.25)
+	}
+	return b.Build()
+}
+
 // TestForcedRowModesAgree: the accumulator's two modes are one
 // function. The same random product with every row forced dense, every
 // row forced marked and every row left to the derived rule gives the
 // oracle's bits and the oracle's kill tally — both specs, with and
 // without a threshold and a top-k, at every worker count, under each
-// dense-scan body.
+// dense-scan body, on a sparse graph and on one whose rows span every
+// column (fullSpan).
 func TestForcedRowModesAgree(t *testing.T) {
 	eachScanBody(t, testForcedRowModesAgree)
 }
 
 func testForcedRowModesAgree(t *testing.T) {
+	for _, in := range []struct {
+		name string
+		x    *CSR
+	}{{"sparse", benchGraph(540, 6)}, {"full-span", fullSpan(benchGraph(200, 3), 7)}} {
+		testForcedRowModesOn(t, in.name, in.x)
+	}
+}
+
+func testForcedRowModesOn(t *testing.T, graph string, x *CSR) {
 	rng := rand.New(rand.NewSource(16))
-	x := benchGraph(540, 6)
 	xt := x.Transpose()
 	rs, cs := randomScale(rng, x.Rows), randomScale(rng, x.Cols)
 	xs := x.ScaleRows(rs).ScaleCols(cs)
@@ -82,7 +112,7 @@ func testForcedRowModesAgree(t *testing.T) {
 						specs["xxt"] = xxtProduct(x, xt, rs, cs, th)
 					}
 					for name, p := range specs {
-						t.Run(fmt.Sprintf("%s/th=%v/k=%d/workers=%d/mode=%d", name, th, k, workers, mode), func(t *testing.T) {
+						t.Run(fmt.Sprintf("%s/%s/th=%v/k=%d/workers=%d/mode=%d", graph, name, th, k, workers, mode), func(t *testing.T) {
 							got, killed, _ := runForced(t, p, workers, mode)
 							requireBitIdentical(t, want, got)
 							if killed != wantKilled {
@@ -100,7 +130,8 @@ func testForcedRowModesAgree(t *testing.T) {
 // that cancel to exactly zero, a product that underflows to −0, NaN and
 // infinite operands (a NaN sum dies at every threshold, zero included,
 // and is tallied), negative values, ties at the k-th magnitude
-// straddling the cut (the lower column wins) — in every row mode,
+// straddling the cut (the lower column wins), a row that touches every
+// column of its span and then touches some again — in every row mode,
 // against the sorted truncation of the oracle, values and kill tally,
 // under each dense-scan body.
 func TestAdversarialRows(t *testing.T) {
@@ -120,6 +151,7 @@ func testAdversarialRows(t *testing.T) {
 		{"ties-at-cut", [][]float64{{1}}, [][]float64{{-2, 2, 1, -2, 2, 3}}},
 		{"all-tied", [][]float64{{1, 1}}, [][]float64{{1, 1, 0, 1, 1}, {0, 0, 1, 0, 0}}},
 		{"nan-among-ties", [][]float64{{1, 1}}, [][]float64{{2, nan, 2, 2, 1}, {0, 0, 0, 0, 0.5}}},
+		{"full-span", [][]float64{{1, 1, 1}}, [][]float64{{1, 2, 3, 4}, {5, 0, -3, 0}, {0, -6, 0, 9}}},
 	} {
 		a, b := FromDense(tc.a), FromDense(tc.b)
 		for _, th := range []float64{0, 0.5, 2.5} {
@@ -148,6 +180,7 @@ func testAdversarialRows(t *testing.T) {
 		{"pair-killed", [][]float64{{1, 0.1}, {0.1, 1}}},
 		{"nan", [][]float64{{nan, 1}, {1, 1}, {0, 2}}},
 		{"cancellation", [][]float64{{1, -1}, {1, 1}, {-3, 0.2}}},
+		{"full-span", [][]float64{{1, 2, 3}, {1, 0, 0}, {0.5, 0, 0}}},
 	} {
 		x := FromDense(tc.x)
 		xt := x.Transpose()
