@@ -33,7 +33,7 @@ vet:
 # internal/jobstore, mmap only in internal/csr, flock only in
 # internal/jobstore and jobstore.TryOpen only in adoption.go, peer traffic and
 # propagation headers only through the cluster client,
-# context.Background() only in package main and bootctx.go, no exported F
+# context.Background() only in package main and internal/server/bootctx.go, no exported F
 # beside an exported FCtx, no production call to the sparse-product oracle
 # or (bench/ aside) to the one-term self-product, no Workers field reachable from pipeline.SymOptions, no container/heap
 # in a clustering kernel, multilevel.CoarsenCtx called only by
@@ -99,13 +99,15 @@ crash:
 # either node, nonzero persisted resource stats, and a federated
 # status report that degrades — not blocks — when a peer is killed,
 # DESIGN.md §16), plus the route table: every public route × {owner is
-# this node, a healthy peer, a dead peer, already forwarded} served
-# here / one hop away / refused with 503 + Retry-After (DESIGN.md §14),
-# and the adoption table: a live owner failing its probes (503, hung,
-# refused) is routed around but never adopted, a dead one is adopted, and
-# so is one that dies a second time (DESIGN.md §14, "Ownership transfer").
+# this node, a live peer, a dead peer, already forwarded} served here /
+# one hop away / refused with 503 + Retry-After (DESIGN.md §14), the
+# adoption table: an owner whose process lives is never adopted, a dead
+# one is adopted, and so is one that dies a second time (DESIGN.md §14,
+# "Ownership transfer"), and the idempotency pin: a keyed submission
+# whose hop to the owner fails is journaled nowhere, and its retries
+# name one job, on the owner.
 cluster:
-	$(GO) test -race -run 'TestClusterFailoverResume|TestClusterObservability|TestRouteTable|TestClusterAdoptsOnlyFromExitedOwner' ./internal/server
+	$(GO) test -race -run 'TestClusterFailoverResume|TestClusterObservability|TestRouteTable|TestClusterAdoptsOnlyFromExitedOwner|TestIdempotencyKeyStaysWithRingOwner' ./internal/server
 
 # The chaos soak (DESIGN.md §17): a real two-node cluster built with
 # -race, driven by randomized fault schedules (injected errors and

@@ -12,9 +12,7 @@
 //	            [-spill-dir DIR] [-max-spill-mb MB] [-max-resident-mb MB]
 //	            [-timeout D] [-job-ttl D] [-upload-ttl D] [-drain-timeout D]
 //	            [-data-dir DIR] [-checkpoint-iters N]
-//	            [-peers URL,URL,...] [-self URL]
-//	            [-probe-interval D] [-peer-fail-threshold N]
-//	            [-peer-recover-threshold N] [-proxy-attempts N]
+//	            [-peers URL,URL,...] [-self URL] [-proxy-attempts N]
 //	            [-proxy-timeout D] [-proxy-max-wait D]
 //	            [-preload graph.edges]
 //	            [-log-format json|text] [-log-level LEVEL]
@@ -47,11 +45,11 @@
 // *weight suffix), -self names this node's own entry. Every node is
 // both a shard and a router: graphs live on the peer that consistent
 // hashing assigns their fingerprint, and requests landing elsewhere
-// are forwarded one hop with retries and backoff. An active health
-// checker (-probe-interval, -peer-fail-threshold,
-// -peer-recover-threshold) routes around unresponsive peers; a survivor
-// sharing a durable, local -data-dir that takes a dead peer's journal
-// lock adopts its WAL and resumes its jobs from their checkpoints.
+// are forwarded one hop with retries and backoff to the ring owner,
+// answering or not: a hop that gets no answer is 503 + Retry-After.
+// Every second, each member sharing a durable, local -data-dir tries
+// each peer's journal lock; the one that takes a dead peer's lock adopts
+// its WAL and resumes its jobs from their checkpoints.
 // -upload-ttl reaps chunked-upload sessions abandoned by their client.
 //
 // Overload survival (see README.md "Timeouts and retries" and
@@ -62,7 +60,7 @@
 // waits for a worker, or mid-run — so no worker burns on it. A forwarded hop is retried at most -proxy-attempts times, each
 // under -proxy-timeout, with waits capped by -proxy-max-wait and the
 // caller's deadline; an owner that never answers is refused 503 +
-// Retry-After, and the health checker reroutes its shard.
+// Retry-After until it is back.
 //
 // Observability (see README.md "Observability" and DESIGN.md §11, §16):
 // logs are structured (JSON by default; -log-format text for humans),
@@ -123,9 +121,6 @@ func main() {
 	uploadTTL := flag.Duration("upload-ttl", 15*time.Minute, "idle timeout for chunked-upload sessions; 0 keeps abandoned sessions forever")
 	peers := flag.String("peers", "", "comma-separated cluster peer URLs (http://host:port, optional *weight), this node included; empty runs single-node")
 	self := flag.String("self", "", "this node's entry in -peers, as a URL or bare host:port (required with -peers)")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "peer health-probe period")
-	peerFail := flag.Int("peer-fail-threshold", 3, "consecutive failed probes before a peer is declared down")
-	peerRecover := flag.Int("peer-recover-threshold", 2, "consecutive successful probes before a down peer recovers")
 	proxyAttempts := flag.Int("proxy-attempts", 4, "total tries per request forwarded to a peer")
 	proxyTimeout := flag.Duration("proxy-timeout", 10*time.Second, "deadline per forwarding attempt")
 	proxyMaxWait := flag.Duration("proxy-max-wait", 5*time.Second, "cap on backoff (and honored Retry-After) between forwarding attempts")
@@ -195,14 +190,11 @@ func main() {
 			fatal("-peers requires -self")
 		}
 		clusterCfg = &server.ClusterConfig{
-			Self:             selfName,
-			Peers:            peerList,
-			ProbeInterval:    *probeInterval,
-			FailThreshold:    *peerFail,
-			RecoverThreshold: *peerRecover,
-			ProxyAttempts:    *proxyAttempts,
-			ProxyTimeout:     *proxyTimeout,
-			ProxyMaxWait:     *proxyMaxWait,
+			Self:          selfName,
+			Peers:         peerList,
+			ProxyAttempts: *proxyAttempts,
+			ProxyTimeout:  *proxyTimeout,
+			ProxyMaxWait:  *proxyMaxWait,
 		}
 		logger.Info("cluster mode", "self", selfName, "peers", len(peerList))
 	}

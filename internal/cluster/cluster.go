@@ -1,18 +1,19 @@
 // Package cluster is the multi-node substrate of symclusterd: the
 // pieces a coordinator needs to shard graphs across a static peer list
-// and keep serving when a peer dies.
+// and reach the peer that owns one.
 //
 //   - cluster.go — peer specs ("http://host:port[*weight]"), their
 //     parsing, and the ring's hash function
-//   - ring.go    — weighted consistent hashing of graph fingerprints,
-//     with ownership falling through to the next healthy peer
-//   - health.go  — active /healthz prober with failure-count thresholds
-//     and half-open recovery: the one verdict on whether a peer is up
+//   - ring.go    — weighted consistent hashing of graph fingerprints
 //   - client.go  — the retrying HTTP client every inter-node hop goes
 //     through: per-attempt timeouts, capped exponential backoff with
 //     jitter, honor-the-server's-Retry-After semantics, and the
 //     deadline, trace and forwarding headers
-//   - bootctx.go — the one fresh root context, for the prober's loop
+//
+// The package holds no opinion on whether a peer is alive: a hop either
+// gets an answer through the client's retries or it does not, and
+// whether a dead peer's work moves is decided by its journal lock, in
+// internal/server.
 //
 // The package is deliberately free of symcluster imports: it knows
 // about peers, hashes and HTTP, not about graphs or jobs, so
@@ -20,8 +21,7 @@
 // reuses the client for its own retries.
 //
 // Fault injection: the "proxy.forward" site fires before every client
-// attempt and "peer.health" before every health probe, so chaos tests
-// can force retries, declare peers dead, and replay failovers
+// attempt, so chaos tests can force retries and unreachable owners
 // deterministically (see internal/faultinject).
 package cluster
 

@@ -621,137 +621,3 @@ func TestClientStampsDeadlineHeader(t *testing.T) {
 		t.Fatalf("propagated budget = %dms, want (0, %d]", ms, want)
 	}
 }
-
-func healthPeers(t *testing.T, urls ...string) []*Peer {
-	t.Helper()
-	var peers []*Peer
-	for _, u := range urls {
-		p, err := ParsePeer(u)
-		if err != nil {
-			t.Fatalf("ParsePeer(%q): %v", u, err)
-		}
-		peers = append(peers, p)
-	}
-	return peers
-}
-
-func TestHealthThresholdsAndRecovery(t *testing.T) {
-	var healthy atomic.Bool
-	healthy.Store(true)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !healthy.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprint(w, `{"status":"ok"}`)
-	}))
-	defer srv.Close()
-
-	peers := healthPeers(t, srv.URL)
-	var transitions []string
-	h := NewHealth(peers, HealthConfig{
-		FailThreshold:    2,
-		RecoverThreshold: 2,
-		ProbeTimeout:     time.Second,
-		OnChange: func(p *Peer, up bool) {
-			transitions = append(transitions, fmt.Sprintf("%s=%v", p.Name, up))
-		},
-	})
-	p := peers[0]
-
-	if !h.Healthy(p.Name) {
-		t.Fatal("peer should start up")
-	}
-	healthy.Store(false)
-	h.Probe(p)
-	if !h.Healthy(p.Name) {
-		t.Fatal("one failure must not cross FailThreshold=2")
-	}
-	h.Probe(p)
-	if h.Healthy(p.Name) {
-		t.Fatal("two consecutive failures should mark peer down")
-	}
-	if h.State(p.Name) != "down" {
-		t.Fatalf("state = %q, want down", h.State(p.Name))
-	}
-
-	healthy.Store(true)
-	h.Probe(p)
-	if h.Healthy(p.Name) {
-		t.Fatal("one success must not cross RecoverThreshold=2")
-	}
-	if h.State(p.Name) != "half-open" {
-		t.Fatalf("state = %q, want half-open", h.State(p.Name))
-	}
-	h.Probe(p)
-	if !h.Healthy(p.Name) {
-		t.Fatal("two consecutive successes should recover the peer")
-	}
-
-	want := []string{p.Name + "=false", p.Name + "=true"}
-	if len(transitions) != 2 || transitions[0] != want[0] || transitions[1] != want[1] {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
-	}
-}
-
-func TestHealthSelfAlwaysUp(t *testing.T) {
-	peers := healthPeers(t, "http://self:1", "http://other:1")
-	h := NewHealth(peers, HealthConfig{Self: "self:1", FailThreshold: 1})
-	h.Probe(peers[1]) // other:1 is unreachable → down after 1 failure
-	if h.Healthy("other:1") {
-		t.Fatal("unreachable peer should be down")
-	}
-	if !h.Healthy("self:1") || h.State("self:1") != "up" {
-		t.Fatal("self must always be healthy")
-	}
-}
-
-func TestHealthInterruptedFlapDoesNotRecover(t *testing.T) {
-	var healthy atomic.Bool
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !healthy.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprint(w, "ok")
-	}))
-	defer srv.Close()
-	peers := healthPeers(t, srv.URL)
-	h := NewHealth(peers, HealthConfig{FailThreshold: 1, RecoverThreshold: 2, ProbeTimeout: time.Second})
-	p := peers[0]
-
-	h.Probe(p) // down
-	healthy.Store(true)
-	h.Probe(p) // 1 success
-	healthy.Store(false)
-	h.Probe(p) // failure resets the success streak
-	healthy.Store(true)
-	h.Probe(p) // 1 success again — still short of threshold
-	if h.Healthy(p.Name) {
-		t.Fatal("interrupted success streak must not recover the peer")
-	}
-	h.Probe(p)
-	if !h.Healthy(p.Name) {
-		t.Fatal("two uninterrupted successes should recover the peer")
-	}
-}
-
-func TestHealthStartStop(t *testing.T) {
-	var probes atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		probes.Add(1)
-		fmt.Fprint(w, "ok")
-	}))
-	defer srv.Close()
-	h := NewHealth(healthPeers(t, srv.URL), HealthConfig{Interval: 5 * time.Millisecond, ProbeTimeout: time.Second})
-	h.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for probes.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	h.Stop()
-	if probes.Load() < 2 {
-		t.Fatalf("probe loop made %d probes, want >= 2", probes.Load())
-	}
-	h.Stop() // idempotent
-}

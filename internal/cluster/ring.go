@@ -8,11 +8,11 @@ import (
 // Ring consistent-hashes graph fingerprints over the peer set. Each
 // peer owns Weight × replicas virtual points on a 64-bit ring; a
 // fingerprint belongs to the peer of the first point at or after its
-// (mixed) hash. Ownership is health-aware at lookup time: Owner skips
-// peers the caller reports unhealthy, so when a node dies its
-// fingerprint ranges fall through to the next healthy peer on the ring
-// — and fall back automatically when it recovers. The ring itself is
-// immutable after construction (membership is static, from -peers).
+// (mixed) hash. Owner can skip peers a caller's predicate rejects,
+// handing their ranges to the next accepted peer clockwise; symclusterd
+// passes none, so a graph's owner is fixed by the ring alone. The ring
+// itself is immutable after construction (membership is static, from
+// -peers).
 type Ring struct {
 	peers  []*Peer
 	byName map[string]*Peer
@@ -65,12 +65,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Owner returns the healthy peer owning fingerprint fp, walking
-// clockwise from fp's ring position past any peers the healthy
-// predicate rejects. ok is false when no healthy peer exists (the
-// coordinator degrades to 503 + Retry-After). A nil predicate treats
-// every peer as healthy.
-func (r *Ring) Owner(fp uint64, healthy func(name string) bool) (*Peer, bool) {
+// Owner returns the peer owning fingerprint fp, walking clockwise from
+// fp's ring position past any peers the accept predicate rejects. ok is
+// false when the predicate rejects every peer. A nil predicate accepts
+// every peer, so the first one clockwise owns fp.
+func (r *Ring) Owner(fp uint64, accept func(name string) bool) (*Peer, bool) {
 	if len(r.points) == 0 {
 		return nil, false
 	}
@@ -83,7 +82,7 @@ func (r *Ring) Owner(fp uint64, healthy func(name string) bool) (*Peer, bool) {
 			continue
 		}
 		seen[pt.peer.Name] = true
-		if healthy == nil || healthy(pt.peer.Name) {
+		if accept == nil || accept(pt.peer.Name) {
 			return pt.peer, true
 		}
 	}

@@ -30,7 +30,6 @@
 //	csr.write         each binary CSR file finalize (before header/rename)
 //	csr.ingest        each streaming-ingest finalize (before the merge)
 //	proxy.forward     each cluster proxy forwarding attempt (before the send)
-//	peer.health       each peer health probe (before the request)
 //
 // Sites where no error can propagate (the cache, whose API is
 // infallible) honour only Panic and Delay faults; the returned error is

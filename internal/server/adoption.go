@@ -7,17 +7,43 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"symcluster/internal/cluster"
 	"symcluster/internal/jobstore"
 )
 
 // WAL adoption: when the cluster shares a durable data root (-data-dir),
-// the death of a peer triggers a takeover of its journal. A survivor
-// that wins the dead node's journal lock replays its WAL, re-creates its
-// unfinished jobs locally (checkpoints included, so kernels resume
-// mid-run), and fences the dead journal so a rebooted peer does not
-// re-run adopted work. See DESIGN.md §14.
+// every member tries each peer's journal lock once per adoptionSweep. The
+// lock is the verdict: a live peer holds it, and a survivor that wins a
+// dead peer's lock replays its WAL, re-creates its unfinished jobs
+// locally (checkpoints included, so kernels resume mid-run), and fences
+// the dead journal so a rebooted peer does not re-run adopted work. See
+// DESIGN.md §14.
+
+// adoptionSweep is the period of the adoption sweep.
+const adoptionSweep = time.Second
+
+// sweepAdoptions runs an adoption pass over every peer each
+// adoptionSweep until the server closes. New starts it only on a
+// durable node: without a journal there is nothing to adopt into.
+func (c *coordinator) sweepAdoptions() {
+	defer c.sweeping.Done()
+	t := time.NewTicker(adoptionSweep)
+	defer t.Stop()
+	for {
+		select {
+		case <-c.s.stop:
+			return
+		case <-t.C:
+			for _, p := range c.ring.Peers() {
+				if p != c.self {
+					c.adoptFrom(p)
+				}
+			}
+		}
+	}
+}
 
 // nodeDirName maps a peer name to its per-node subdirectory under the
 // shared durable data root. Colons (and anything else hostile to
@@ -51,14 +77,10 @@ func adoptKey(peer, jobID string) string {
 // into the dead peer's WAL so a rebooted peer does not re-run the job.
 // The adopted jobs then go through the ordinary replay launcher, which
 // resumes their kernels from the carried checkpoints.
-// It runs on every failed probe of a down peer, on any survivor, but
-// the lock decides: a live peer holds it, whatever its probes said, and
-// a pass over a fenced journal finds nothing pending.
+// It runs on every sweep, on every member, but the lock decides: a live
+// peer holds it, and a pass over a fenced journal finds nothing pending.
 func (c *coordinator) adoptFrom(dead *cluster.Peer) {
 	s := c.s
-	if !s.jobs.Durable() {
-		return
-	}
 	dir := filepath.Join(s.cfg.DataDir, nodeDirName(dead.Name))
 	if _, err := os.Stat(dir); err != nil {
 		return // no journal: the peer never started, or no shared root

@@ -220,8 +220,8 @@ type JobInfo struct {
 // rather than blocking the report.
 type NodeStatus struct {
 	Name string `json:"name"`
-	// State is this node's probe verdict for the row: "up", "down" or
-	// "half-open" ("up" for self).
+	// State is "up" for self and for a peer that answered the fan-out,
+	// "down" (with Error) for one that did not.
 	State         string  `json:"state"`
 	Version       string  `json:"version,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds,omitempty"`

@@ -13,5 +13,5 @@ import "context"
 // auditable (grep bootContext) instead of invisible among forbidden
 // Backgrounds.
 func bootContext() context.Context {
-	return context.Background() // the lint excludes bootctx.go by name
+	return context.Background() // the lint excludes this file by path
 }

@@ -37,14 +37,11 @@ func (s *Server) placeGraph(ctx context.Context, rg *registeredGraph, pinned boo
 	if c == nil || pinned {
 		return s.install(rg), nil
 	}
-	peer, ok := c.ownerOf(rg.fingerprint)
-	if ok && peer == c.self {
+	peer := c.ownerOf(rg.fingerprint)
+	if peer == c.self {
 		return s.install(rg), nil
 	}
 	defer rg.release()
-	if !ok {
-		return GraphInfo{}, errNoOwner(graphID(rg.fingerprint))
-	}
 	return c.pushGraph(ctx, peer, rg)
 }
 

@@ -41,8 +41,8 @@ func badGateway(format string, args ...any) error {
 }
 
 // unreachable marks a hop to peer that got only transport errors
-// through the client's retries: a 503, since the prober reroutes a dead
-// owner within its window and a retry then lands on the new one.
+// through the client's retries: a 503, which the caller retries until
+// the owner is back.
 func unreachable(peer string, err error) error {
 	return &apiError{code: http.StatusServiceUnavailable, err: fmt.Errorf("owner %s unreachable: %w", peer, err)}
 }
@@ -509,21 +509,18 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tree)
 }
 
-// healthzBody is the GET /healthz response. Peers is present only in
-// cluster mode: this node's probe verdict ("up", "down", "half-open")
-// for every member, itself included.
+// healthzBody is the GET /healthz response. Self is present only in
+// cluster mode: this node's peer name.
 type healthzBody struct {
-	Status        string            `json:"status"`
-	Version       string            `json:"version"`
-	GoVersion     string            `json:"go_version"`
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Self          string            `json:"self,omitempty"`
-	Peers         map[string]string `json:"peers,omitempty"`
+	Status        string  `json:"status"`
+	Version       string  `json:"version"`
+	GoVersion     string  `json:"go_version"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Self          string  `json:"self,omitempty"`
 }
 
 // handleHealthz reports liveness plus build identity and uptime;
-// during drain it turns 503 so load balancers — and peer health
-// checkers, which shift ownership away — stop routing to this
+// during drain it turns 503 so load balancers stop routing to this
 // instance.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := healthzBody{
@@ -534,7 +531,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.coord != nil {
 		body.Self = s.coord.self.Name
-		body.Peers = s.coord.peerStates()
 	}
 	writeJSON(w, http.StatusOK, body)
 }

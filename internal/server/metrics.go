@@ -39,7 +39,6 @@ type Metrics struct {
 	// single-node mode) so dashboards need not branch on deployment.
 	proxyRequests  *obs.Counter
 	proxyRetries   *obs.Counter
-	peerUnhealthy  *obs.Gauge
 	jobsAdopted    *obs.Counter
 	uploadsExpired *obs.Counter
 }
@@ -69,8 +68,6 @@ func NewMetrics() *Metrics {
 			"Requests forwarded to the owning peer, by peer and relayed status code.", "peer", "code"),
 		proxyRetries: reg.Counter("symclusterd_proxy_retries_total",
 			"Proxy forward attempts retried after a transport error or shed status."),
-		peerUnhealthy: reg.Gauge("symclusterd_peer_unhealthy",
-			"1 while the named peer is considered down by this node's health checker.", "peer"),
 		jobsAdopted: reg.Counter("symclusterd_jobs_adopted_total",
 			"Pending jobs adopted from a dead peer's WAL and resumed locally."),
 		uploadsExpired: reg.Counter("symclusterd_upload_sessions_expired_total",
@@ -141,13 +138,4 @@ func (m *Metrics) ObserveRequest(route string, code int, d time.Duration) {
 // peer was unreachable).
 func (m *Metrics) IncProxyRequest(peer string, code int) {
 	m.proxyRequests.Inc(peer, strconv.Itoa(code))
-}
-
-// SetPeerUnhealthy flips the named peer's unhealthy gauge.
-func (m *Metrics) SetPeerUnhealthy(peer string, down bool) {
-	v := 0.0
-	if down {
-		v = 1.0
-	}
-	m.peerUnhealthy.Set(v, peer)
 }

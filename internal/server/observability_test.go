@@ -9,8 +9,8 @@ package server_test
 // stage CPU, allocation) at /v1/jobs/{id}/stats, surviving a SIGKILL
 // and restart of the owner because the snapshot rides the WAL finish
 // record; and (c) a federated /v1/cluster/status that reports a killed
-// peer down within the probe interval from the cached health verdict,
-// without the report ever blocking on the dead socket (DESIGN.md §16).
+// peer down, with the fetch's error, without the report ever blocking
+// on the dead socket (DESIGN.md §16).
 
 import (
 	"bytes"
@@ -265,8 +265,8 @@ func TestClusterObservability(t *testing.T) {
 		}
 	}
 
-	// Kill the other node: its row must flip to "down" within the probe
-	// interval, from the cached verdict — the report keeps answering
+	// Kill the other node: its row must flip to "down" — the fan-out
+	// fetch fails within its timeout, so the report keeps answering
 	// fast while the socket is dead.
 	other := dA
 	if otherAddr == addrB {
@@ -280,6 +280,9 @@ func TestClusterObservability(t *testing.T) {
 	for _, n := range st.Nodes {
 		if n.Name == ownerAddr && n.State != "up" {
 			t.Fatalf("surviving node reports itself %q, want up", n.State)
+		}
+		if n.Name == otherAddr && n.Error == "" {
+			t.Fatalf("down row carries no error: %+v", n)
 		}
 	}
 }

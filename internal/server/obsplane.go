@@ -22,11 +22,9 @@ import (
 //   - GET /internal/v1/status     — one node's cheap self-report
 //   - GET /internal/v1/traces/{id}— one node's retained trace segments
 //
-// The federated report never blocks on a dead peer: rows for peers the
-// health checker already considers down (or half-open) are rendered
-// from the cached verdict without touching the network, and rows for
-// nominally-up peers are fetched concurrently under a short per-peer
-// timeout, degrading to a name + error on failure.
+// The federated report never blocks on a dead peer: every peer's row is
+// fetched concurrently under a short per-peer timeout, degrading to
+// name + "down" + error when the peer does not answer.
 
 // internalStatusPath is the peer-to-peer self-report route.
 const internalStatusPath = "/internal/v1/status"
@@ -108,27 +106,22 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, status)
 }
 
-// federateStatus builds one row per cluster member: self locally, down
-// and half-open peers from the health checker's cached verdict (no
-// network — this is what keeps a dead peer from stalling the report),
-// and up peers via concurrent fetches under the fan-out timeout.
+// federateStatus builds one row per cluster member: self locally, every
+// peer by a concurrent fetch under the fan-out timeout.
 func (c *coordinator) federateStatus(ctx context.Context, self NodeStatus) []NodeStatus {
 	peers := c.ring.Peers()
 	rows := make([]NodeStatus, len(peers))
 	var wg sync.WaitGroup
 	for i, p := range peers {
-		switch state := c.health.State(p.Name); {
-		case p.Name == c.self.Name:
+		if p == c.self {
 			rows[i] = self
-		case state != "up":
-			rows[i] = NodeStatus{Name: p.Name, State: state}
-		default:
-			wg.Add(1)
-			go func(i int, p *cluster.Peer) {
-				defer wg.Done()
-				rows[i] = c.fetchStatus(ctx, p)
-			}(i, p)
+			continue
 		}
+		wg.Add(1)
+		go func(i int, p *cluster.Peer) {
+			defer wg.Done()
+			rows[i] = c.fetchStatus(ctx, p)
+		}(i, p)
 	}
 	wg.Wait()
 	return rows
@@ -157,13 +150,13 @@ func (c *coordinator) fetchPeer(ctx context.Context, p *cluster.Peer, path strin
 	return json.NewDecoder(io.LimitReader(resp.Body, limit)).Decode(out)
 }
 
-// fetchStatus pulls one up peer's self-report, degrading the row to
-// name + error when the peer does not answer within the fan-out
-// timeout (it may have died since its last probe).
+// fetchStatus pulls one peer's self-report, degrading the row to
+// name + "down" + error when the peer does not answer within the
+// fan-out timeout.
 func (c *coordinator) fetchStatus(ctx context.Context, p *cluster.Peer) NodeStatus {
 	var ns NodeStatus
 	if err := c.fetchPeer(ctx, p, internalStatusPath, 1<<20, &ns); err != nil {
-		return NodeStatus{Name: p.Name, State: "up", Error: err.Error()}
+		return NodeStatus{Name: p.Name, State: "down", Error: err.Error()}
 	}
 	ns.Name = p.Name
 	ns.State = "up"
@@ -172,8 +165,8 @@ func (c *coordinator) fetchStatus(ctx context.Context, p *cluster.Peer) NodeStat
 
 // mergeTrace assembles the stitched tree of one distributed trace: the
 // local tree (deep-copied, so repeated GETs never mutate the stored
-// job trace) plus whatever segments healthy peers retain for the same
-// trace id, fetched concurrently under the fan-out timeout. Peers that
+// job trace) plus whatever segments the peers retain for the same trace
+// id, fetched concurrently under the fan-out timeout. Peers that
 // evicted their segment — or died — just mean a shallower tree.
 func (c *coordinator) mergeTrace(ctx context.Context, traceID string, local *obs.SpanNode) *obs.SpanNode {
 	segments := []*obs.SpanNode{copySpanTree(local)}
@@ -181,7 +174,7 @@ func (c *coordinator) mergeTrace(ctx context.Context, traceID string, local *obs
 	remote := make([][]*obs.SpanNode, len(peers))
 	var wg sync.WaitGroup
 	for i, p := range peers {
-		if p.Name == c.self.Name || !c.health.Healthy(p.Name) {
+		if p == c.self {
 			continue
 		}
 		wg.Add(1)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,11 +12,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"symcluster/internal/cluster"
 	"symcluster/internal/csr"
+	"symcluster/internal/faultinject"
 	"symcluster/internal/jobstore"
 )
 
@@ -28,9 +31,7 @@ type clusterNode struct {
 
 // newTestCluster boots n in-process symclusterd nodes that know each
 // other as peers. Listeners are bound before any server starts, so the
-// peer list is complete up front; probe cadence is fast and thresholds
-// forgiving enough to absorb the boot window where some listeners are
-// bound but not yet serving.
+// peer list is complete up front.
 func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*clusterNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
@@ -48,13 +49,10 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*clu
 		cfg := Config{
 			Workers: 2,
 			Cluster: &ClusterConfig{
-				Self:             peers[i].Name,
-				Peers:            peers,
-				ProbeInterval:    25 * time.Millisecond,
-				FailThreshold:    3,
-				RecoverThreshold: 1,
-				ProxyTimeout:     5 * time.Second,
-				ProxyMaxWait:     50 * time.Millisecond,
+				Self:         peers[i].Name,
+				Peers:        peers,
+				ProxyTimeout: 5 * time.Second,
+				ProxyMaxWait: 50 * time.Millisecond,
 			},
 		}
 		if mutate != nil {
@@ -80,10 +78,7 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*clu
 // ownerIndex resolves which test node owns a graph id.
 func ownerIndex(t *testing.T, nodes []*clusterNode, graphID string) int {
 	t.Helper()
-	owner, ok := nodes[0].s.coord.ownerOf(ringKey(graphID))
-	if !ok {
-		t.Fatalf("no healthy owner for %s", graphID)
-	}
+	owner := nodes[0].s.coord.ownerOf(ringKey(graphID))
 	for i, n := range nodes {
 		if n.peer.Name == owner.Name {
 			return i
@@ -264,26 +259,11 @@ func TestClusterUploadRoutesByQualifiedID(t *testing.T) {
 	}
 }
 
-// waitPeerState polls a node's /healthz until its verdict on peer
-// matches want.
-func waitPeerState(t *testing.T, ts *httptest.Server, peer, want string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		code, body := getURL(t, ts.URL+"/healthz")
-		if code == http.StatusOK {
-			var hb healthzBody
-			if err := json.Unmarshal(body, &hb); err == nil && hb.Peers[peer] == want {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peer %s never became %q", peer, want)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
+// TestClusterDownPeerAnswers503WithRetryAfter: with the owner's
+// listener gone and no shared durable root, every request that belongs
+// to it — a poll of its job, clustering on its graph, a registration
+// of a graph it owns — is refused 503 + Retry-After: 1 by the other
+// node, while the other node's own work goes on.
 func TestClusterDownPeerAnswers503WithRetryAfter(t *testing.T) {
 	nodes := newTestCluster(t, 2, nil)
 	info := registerFigure1(t, nodes[0].ts)
@@ -296,47 +276,47 @@ func TestClusterDownPeerAnswers503WithRetryAfter(t *testing.T) {
 	resp := postJSON(t, owner.ts.URL+"/v1/cluster", req)
 	ref := decode[JobRef](t, resp)
 	owner.ts.Close()
-	waitPeerState(t, other.ts, owner.peer.Name, "down")
 
-	// Polling the dead node's job through the survivor: without a
-	// shared durable root there is nothing to adopt, so the survivor
-	// answers 503 + Retry-After rather than pretending.
-	r, err := http.Get(other.ts.URL + "/v1/jobs/" + ref.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("job poll against dead peer: status %d", r.StatusCode)
-	}
-	if r.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-
-	// The survivor's gauge flags the dead peer.
-	metrics := scrapeMetrics(t, other.ts.URL)
-	want := `symclusterd_peer_unhealthy{peer="` + owner.peer.Name + `"} 1`
-	if !strings.Contains(metrics, want) {
-		t.Fatalf("exposition lacks %q:\n%s", want, metrics)
-	}
-
-	// Work against the dead owner's graph now reroutes to the survivor
-	// (the ring skips down peers), who answers 404 locally — these nodes
-	// share no durable root, so the data died with its owner. Crucially
-	// it is a crisp local answer, not a 502 or a hang.
 	syncReq := ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: 1}
-	if resp := postJSON(t, other.ts.URL+"/v1/cluster", syncReq); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("rerouted cluster for dead graph: status %d, want 404", resp.StatusCode)
-	} else {
-		resp.Body.Close()
+	syncBody, _ := json.Marshal(syncReq)
+	for name, send := range map[string]func() (*http.Response, error){
+		"job poll": func() (*http.Response, error) { return http.Get(other.ts.URL + "/v1/jobs/" + ref.JobID) },
+		"cluster": func() (*http.Response, error) {
+			return http.Post(other.ts.URL+"/v1/cluster", "application/json", bytes.NewReader(syncBody))
+		},
+		"register": func() (*http.Response, error) {
+			return http.Post(other.ts.URL+"/v1/graphs", "text/plain", strings.NewReader(figure1Edges))
+		},
+	} {
+		r, err := send()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "owner "+owner.peer.Name+" unreachable") {
+			t.Fatalf("%s against the dead owner: status %d %s, want 503 owner unreachable", name, r.StatusCode, body)
+		}
+		if ra := r.Header.Get("Retry-After"); ra != "1" {
+			t.Fatalf("%s: Retry-After = %q, want 1", name, ra)
+		}
 	}
 
-	// And the cluster keeps accepting fresh work: a new registration
-	// lands on the survivor (sole healthy ring member) and clusters.
-	info2 := registerFigure1(t, other.ts)
-	syncReq.GraphID = info2.ID
+	// A graph the survivor owns still registers and clusters there: a
+	// directed cycle, lengthened until the ring gives it to the survivor.
+	var edges strings.Builder
+	for n := 3; ; n++ {
+		edges.Reset()
+		for i := range n {
+			fmt.Fprintf(&edges, "%d %d\n", i, (i+1)%n)
+		}
+		if other.s.coord.ownerOf(fingerprintOf(t, edges.String())) == other.peer {
+			break
+		}
+	}
+	syncReq.GraphID = registerEdges(t, other.ts.URL, []byte(edges.String())).ID
 	if resp := postJSON(t, other.ts.URL+"/v1/cluster", syncReq); resp.StatusCode != http.StatusOK {
-		t.Fatalf("fresh cluster after failover: status %d", resp.StatusCode)
+		t.Fatalf("cluster on the survivor's own graph: status %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()
 	}
@@ -374,7 +354,7 @@ func seedPeerStore(t *testing.T, root, name string) *jobstore.Store {
 }
 
 // refusedPeerName names a fictitious peer that nothing listens for, so
-// every probe of it is refused.
+// every hop to it is refused.
 func refusedPeerName(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -399,12 +379,9 @@ func newSurvivor(t *testing.T, root, deadName string) *clusterNode {
 		Workers: 2,
 		DataDir: root,
 		Cluster: &ClusterConfig{
-			Self:             self.Name,
-			Peers:            []*cluster.Peer{dead, self},
-			ProbeInterval:    20 * time.Millisecond,
-			FailThreshold:    2,
-			RecoverThreshold: 1,
-			ProxyMaxWait:     50 * time.Millisecond,
+			Self:         self.Name,
+			Peers:        []*cluster.Peer{dead, self},
+			ProxyMaxWait: 50 * time.Millisecond,
 		},
 	})
 	ts := httptest.NewUnstartedServer(s.Handler())
@@ -455,8 +432,9 @@ func TestClusterAdoptsDeadPeerWAL(t *testing.T) {
 	seedPeerStore(t, root, deadName).Close()
 	node := newSurvivor(t, root, deadName)
 
-	// The survivor detects the refused peer, adopts its WAL, resumes
-	// the pending job, and serves it under the dead node's qualified id.
+	// The survivor's sweep takes the dead peer's lock, adopts its WAL,
+	// resumes the pending job, and serves it under the dead node's
+	// qualified id.
 	waitAdoptedDone(t, node, "job-000001@"+deadName)
 	if n := adoptedTotal(node); n != 1 {
 		t.Fatalf("jobs_adopted_total = %d, want 1", n)
@@ -481,51 +459,33 @@ func TestClusterAdoptsDeadPeerWAL(t *testing.T) {
 	}
 }
 
-// TestClusterAdoptsOnlyFromExitedOwner pins that the journal's lock, not
-// the probe verdict, decides adoption. In every row the test holds the
-// owner's store open — its process is alive — while the owner fails the
-// survivor's probes one way or another. The survivor declares it down
-// for routing, and yet neither adopts its job nor writes to its WAL.
-// Closing the store is the process dying: the same survivor then adopts
-// the job and finishes it. The re-death row then reboots the owner
-// long enough to take a second job and kills it again, and that job is
-// adopted too, though the peer never answered a probe in between.
+// TestClusterAdoptsOnlyFromExitedOwner pins that the journal's lock
+// decides adoption. The test holds the owner's store open — its process
+// is alive — while nothing answers at its address: the survivor's
+// adoption passes neither adopt its job nor write to its WAL, and a poll
+// of the job is refused 503. Closing the store is the process dying: the
+// survivor's sweep then adopts the job and finishes it. The re-death row
+// reboots the owner long enough to take a second job and kills it again,
+// and that job is adopted too.
 func TestClusterAdoptsOnlyFromExitedOwner(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		// healthz serves the owner's address; nil leaves nothing
-		// listening, so every probe is refused.
-		healthz   http.HandlerFunc
+		name      string
 		diesTwice bool
 	}{
-		{name: "healthz answers 503", healthz: func(w http.ResponseWriter, r *http.Request) {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}},
-		{name: "healthz hangs past the probe timeout", healthz: func(w http.ResponseWriter, r *http.Request) {
-			<-r.Context().Done()
-		}},
-		{name: "refused, and the owner dies twice", diesTwice: true},
+		{name: "live owner not adopted"},
+		{name: "re-death adopted twice", diesTwice: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
 			name := refusedPeerName(t)
-			if tc.healthz != nil {
-				l, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				owner := &http.Server{Handler: tc.healthz}
-				go owner.Serve(l)
-				t.Cleanup(func() { owner.Close() })
-				name = l.Addr().String()
-			}
 			st := seedPeerStore(t, root, name)
 			walPath := filepath.Join(root, nodeDirName(name), "wal")
 
 			node := newSurvivor(t, root, name)
-			waitPeerState(t, node.ts, name, "down")
-			// Several further probe rounds, each an adoption pass.
-			time.Sleep(150 * time.Millisecond)
+			// Adoption passes, run here as the sweep runs them.
+			for range 3 {
+				node.s.coord.adoptFrom(&cluster.Peer{Name: name})
+			}
 			if n := adoptedTotal(node); n != 0 {
 				t.Fatalf("jobs_adopted_total = %d while the owner lives, want 0", n)
 			}
@@ -561,6 +521,148 @@ func TestClusterAdoptsOnlyFromExitedOwner(t *testing.T) {
 				t.Fatalf("jobs_adopted_total = %d after the second death, want 2", n)
 			}
 		})
+	}
+}
+
+// TestIdempotencyKeyStaysWithRingOwner pins ROADMAP item 9(c): a keyed
+// async submission is journaled on the graph's ring owner or nowhere.
+// With every hop failing, the submission through the non-owner is a 503
+// and no node journals the key; once hops work again, resubmitting the
+// key through each node in turn — in either order — names one job, on
+// the owner.
+func TestIdempotencyKeyStaysWithRingOwner(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		ownerFirst bool
+	}{{"non-owner first", false}, {"owner first", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			nodes := newTestCluster(t, 2, func(_ int, cfg *Config) { cfg.Cluster.ProxyAttempts = 2 })
+			info := registerFigure1(t, nodes[0].ts)
+			oi := ownerIndex(t, nodes, info.ID)
+			owner, other := nodes[oi], nodes[1-oi]
+			const key = "pin-9c"
+			body, _ := json.Marshal(ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: 1, Async: true})
+			submit := func(via *clusterNode) (int, string) {
+				req, _ := http.NewRequest(http.MethodPost, via.ts.URL+"/v1/cluster", bytes.NewReader(body))
+				req.Header.Set("Content-Type", "application/json")
+				req.Header.Set("Idempotency-Key", key)
+				resp, text := do(t, req)
+				return resp.StatusCode, text
+			}
+
+			// The non-owner holds a copy of the graph, as a node that once
+			// adopted a job on it (and imported the graph) does: a copy is
+			// no claim on the graph's new work.
+			other.s.RegisterGraph(mustFigure1Graph(t))
+			faultinject.Set("proxy.forward", faultinject.Fault{Mode: faultinject.Error})
+			if code, text := submit(other); code != http.StatusServiceUnavailable {
+				t.Fatalf("keyed submit through the non-owner with hops failing: status %d, want 503: %s", code, text)
+			}
+			for _, n := range nodes {
+				if id, ok := n.s.jobs.LookupByKey(key); ok {
+					t.Fatalf("node %s journaled the refused key as %s", n.peer.Name, id)
+				}
+			}
+
+			faultinject.Reset()
+			order := []*clusterNode{other, owner}
+			if tc.ownerFirst {
+				order = []*clusterNode{owner, other}
+			}
+			var ids []string
+			for _, via := range order {
+				code, text := submit(via)
+				if code != http.StatusAccepted {
+					t.Fatalf("resubmit through %s: status %d: %s", via.peer.Name, code, text)
+				}
+				var ref JobRef
+				if err := json.Unmarshal([]byte(text), &ref); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, ref.JobID)
+			}
+			if ids[0] != ids[1] || !strings.HasSuffix(ids[0], "@"+owner.peer.Name) {
+				t.Fatalf("key %q named jobs %q and %q, want one job on the owner %s", key, ids[0], ids[1], owner.peer.Name)
+			}
+			if _, ok := other.s.jobs.LookupByKey(key); ok {
+				t.Fatal("the non-owner journaled the key too")
+			}
+		})
+	}
+}
+
+// TestAdoptedCopyOutranksCreator: once a job is adopted, its id is
+// served from the adopter's copy even after its creator is back and
+// answering — the creator holds only the fenced record. The stand-in
+// creator is healthy on /healthz and refuses everything else.
+func TestAdoptedCopyOutranksCreator(t *testing.T) {
+	root := t.TempDir()
+	name := refusedPeerName(t)
+	seedPeerStore(t, root, name).Close()
+	node := newSurvivor(t, root, name)
+	waitAdoptedDone(t, node, "job-000001@"+name)
+
+	var hops atomic.Int32
+	l, err := net.Listen("tcp", name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	creator := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		hops.Add(1)
+		http.Error(w, "the creator was asked", http.StatusInternalServerError)
+	}))
+	creator.Listener.Close()
+	creator.Listener = l
+	creator.Start()
+	t.Cleanup(creator.Close)
+	for _, route := range []string{"", "/trace", "/stats"} {
+		if code, body := getURL(t, node.ts.URL+"/v1/jobs/job-000001@"+name+route); code != http.StatusOK {
+			t.Fatalf("GET job%s through the adopter: status %d: %s", route, code, body)
+		}
+	}
+	if n := hops.Load(); n != 0 {
+		t.Fatalf("the adopter forwarded %d requests to the creator", n)
+	}
+}
+
+// TestStatusRowOfSilentPeerIsDown: the federated status fetches every
+// peer; one that does not answer is "down" with the fetch's error, and
+// the report does not wait on it past the fan-out timeout.
+func TestStatusRowOfSilentPeerIsDown(t *testing.T) {
+	nodes := newTestCluster(t, 2, nil)
+	a, b := nodes[0], nodes[1]
+	row := func() NodeStatus {
+		t.Helper()
+		code, body := getURL(t, a.ts.URL+"/v1/cluster/status")
+		if code != http.StatusOK {
+			t.Fatalf("status: %d %s", code, body)
+		}
+		var st ClusterStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range st.Nodes {
+			if n.Name == b.peer.Name {
+				return n
+			}
+		}
+		t.Fatalf("no row for %s in %s", b.peer.Name, body)
+		return NodeStatus{}
+	}
+	if r := row(); r.State != "up" || r.Version == "" || r.Error != "" {
+		t.Fatalf("live peer's row = %+v, want up with its version", r)
+	}
+	b.ts.Close()
+	start := time.Now()
+	if r := row(); r.State != "down" || r.Error == "" {
+		t.Fatalf("silent peer's row = %+v, want down with an error", r)
+	}
+	if took := time.Since(start); took > statusFanoutTimeout+time.Second {
+		t.Fatalf("status waited %v on the silent peer", took)
 	}
 }
 

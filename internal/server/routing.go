@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"symcluster/internal/cluster"
@@ -27,10 +28,11 @@ import (
 //
 // Where a request is served is decided once, in coordinator.route, from
 // how the route table (Server.routeTable) says the pattern's owner is
-// found: here, one forwarded hop away through the retrying
-// cluster.Client, or — the owner being down, DESIGN.md §14 — refused
-// with 503 + Retry-After. graphpush.go moves whole graphs to their
-// owner; adoption.go takes over a dead peer's journal.
+// found: here, or one forwarded hop away through the retrying
+// cluster.Client — a hop that gets no answer is refused with 503 +
+// Retry-After (DESIGN.md §14). graphpush.go moves whole graphs to their
+// owner; adoption.go takes over the journal of a peer whose process is
+// gone.
 
 // ClusterConfig turns a Server into a member of a static multi-node
 // cluster. Zero values select the defaults noted on each field.
@@ -40,12 +42,6 @@ type ClusterConfig struct {
 	Self string
 	// Peers is the full static membership, this node included.
 	Peers []*cluster.Peer
-	// ProbeInterval is the health-probe period (default 2s).
-	ProbeInterval time.Duration
-	// FailThreshold and RecoverThreshold are the consecutive-probe
-	// counts for declaring a peer down / back up (defaults 3 and 2).
-	FailThreshold    int
-	RecoverThreshold int
 	// ProxyAttempts bounds tries per forwarded request (default 4).
 	ProxyAttempts int
 	// ProxyTimeout bounds each forwarding attempt (default 10s).
@@ -69,16 +65,14 @@ const (
 // this node, whatever the request says.
 type owner struct {
 	by ownerKey
-	// localFirst (graph keys): a copy held here — or a miss no healthy
-	// node owns — is answered here; for a read, this node's view is as
-	// good as any.
+	// localFirst (graph keys): a copy held here is answered here; for a
+	// read, this node's view is as good as any.
 	localFirst bool
-	// adoptable (idSuffix): while the creator is down, the id is served
-	// from the copy this node adopted out of its WAL, if it has one.
+	// adoptable (idSuffix): the id is served from the copy this node
+	// adopted out of its creator's WAL, if it holds one.
 	adoptable bool
-	// noun and ifDown (idSuffix) word the 404 of an unknown creator and
-	// the 503 of a down one.
-	noun, ifDown string
+	// noun (idSuffix) words the 404 of an unknown creator.
+	noun string
 }
 
 // Route flags.
@@ -101,13 +95,14 @@ type route struct {
 	flags   int
 }
 
-// coordinator is the per-node cluster brain: ring, health, client.
+// coordinator is the per-node cluster brain: the ring and the client.
 type coordinator struct {
 	s      *Server
 	self   *cluster.Peer
 	ring   *cluster.Ring
-	health *cluster.Health
 	client *cluster.Client
+	// sweeping tracks the adoption sweep, which Close waits out.
+	sweeping sync.WaitGroup
 }
 
 // newCoordinator wires the cluster substrate for one node.
@@ -130,30 +125,6 @@ func newCoordinator(s *Server, cfg *ClusterConfig) (*coordinator, error) {
 			s.log().Warn("proxy retry", "reason", reason)
 		},
 	})
-	c.health = cluster.NewHealth(cfg.Peers, cluster.HealthConfig{
-		Self:             cfg.Self,
-		Interval:         cfg.ProbeInterval,
-		FailThreshold:    cfg.FailThreshold,
-		RecoverThreshold: cfg.RecoverThreshold,
-		OnChange: func(p *cluster.Peer, up bool) {
-			s.metrics.SetPeerUnhealthy(p.Name, !up)
-			if up {
-				s.log().Info("peer recovered", "peer", p.Name)
-			} else {
-				s.log().Warn("peer declared down", "peer", p.Name)
-			}
-		},
-		OnDown: func(p *cluster.Peer) {
-			go c.adoptFrom(p)
-		},
-	})
-	// Seed the gauge at 0 for every remote peer so the family is
-	// present (and obviously healthy) before the first transition.
-	for _, p := range cfg.Peers {
-		if p.Name != cfg.Self {
-			s.metrics.SetPeerUnhealthy(p.Name, false)
-		}
-	}
 	return c, nil
 }
 
@@ -177,8 +148,8 @@ func splitQualified(id string) (local, peer string) {
 }
 
 // forwarded reports whether the request already took its one hop. Such
-// a request is always served here, so divergent health views can never
-// loop it around the ring. (Only internal/cluster sets the header.)
+// a request is always served here, so it can never loop between nodes.
+// (Only internal/cluster sets the header.)
 func forwarded(r *http.Request) bool { return r.Header.Get(cluster.ForwardHeader) != "" }
 
 // graphID is the content-derived id a graph is registered under.
@@ -196,17 +167,11 @@ func ringKey(id string) uint64 {
 	return cluster.HashString(id)
 }
 
-// ownerOf resolves the healthy owner of a ring key: a graph's
-// fingerprint.
-func (c *coordinator) ownerOf(key uint64) (*cluster.Peer, bool) {
-	return c.ring.Owner(key, c.health.Healthy)
-}
-
-// errNoOwner refuses a graph whose shard has no healthy node: degrade
-// loudly (503 + Retry-After) rather than run on the wrong one.
-func errNoOwner(id string) error {
-	return &apiError{code: http.StatusServiceUnavailable,
-		err: fmt.Errorf("no healthy node owns graph %s; retry shortly", id)}
+// ownerOf is the ring owner of a key — a graph's fingerprint — whether
+// or not it answers: a hop to a dead owner is a 503 the caller retries.
+func (c *coordinator) ownerOf(key uint64) *cluster.Peer {
+	p, _ := c.ring.Owner(key, nil)
+	return p
 }
 
 // route wraps one routed row of the table: a request is served here,
@@ -231,29 +196,25 @@ func (c *coordinator) route(rt route) http.HandlerFunc {
 func (c *coordinator) resolve(o *owner, r *http.Request) (*cluster.Peer, []byte, error) {
 	id := r.PathValue("id")
 	if o.by == idSuffix {
-		// Ids minted here (or unqualified) are local; a healthy creator
-		// gets the request; a down one's id is served from the adopted
-		// copy or refused — failover may still be in flight, and an
-		// upload session has no durable state to fail over.
+		// Ids minted here (or unqualified) are local, and so is a job
+		// this node adopted from its creator's WAL; an unknown creator
+		// is a 404; every other id goes to its creator.
 		local, name := splitQualified(id)
 		peer, member := c.ring.Peer(name)
-		switch {
-		case name == "" || peer == c.self || forwarded(r):
+		if name == "" || peer == c.self || forwarded(r) {
 			r.SetPathValue("id", local)
 			return nil, nil, nil
-		case !member:
-			return nil, nil, &apiError{code: http.StatusNotFound,
-				err: fmt.Errorf("unknown %s %q: %q is not a cluster member", o.noun, id, name)}
-		case c.health.Healthy(name):
-			body, err := readBody(r)
-			return peer, body, err
 		}
 		if adoptedID, ok := c.s.jobs.LookupByKey(adoptKey(name, local)); ok && o.adoptable {
 			r.SetPathValue("id", adoptedID)
 			return nil, nil, nil
 		}
-		return nil, nil, &apiError{code: http.StatusServiceUnavailable,
-			err: fmt.Errorf("%s %s lives on %s, which is down; %s", o.noun, id, name, o.ifDown)}
+		if !member {
+			return nil, nil, &apiError{code: http.StatusNotFound,
+				err: fmt.Errorf("unknown %s %q: %q is not a cluster member", o.noun, id, name)}
+		}
+		body, err := readBody(r)
+		return peer, body, err
 	}
 	if forwarded(r) {
 		return nil, nil, nil
@@ -281,11 +242,7 @@ func (c *coordinator) resolve(o *owner, r *http.Request) (*cluster.Peer, []byte,
 			return nil, nil, nil
 		}
 	}
-	peer, ok := c.ownerOf(ringKey(id))
-	if !ok && !o.localFirst {
-		return nil, nil, errNoOwner(id)
-	}
-	return peer, body, nil
+	return c.ownerOf(ringKey(id)), body, nil
 }
 
 // readBody drains the (already MaxBytesReader-capped) request body for
@@ -344,13 +301,4 @@ func (c *coordinator) forward(w http.ResponseWriter, r *http.Request, peer *clus
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-}
-
-// peerStates renders the health checker's verdicts for /healthz.
-func (c *coordinator) peerStates() map[string]string {
-	states := make(map[string]string, len(c.ring.Peers()))
-	for _, p := range c.ring.Peers() {
-		states[p.Name] = c.health.State(p.Name)
-	}
-	return states
 }

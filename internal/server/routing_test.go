@@ -17,6 +17,7 @@ import (
 
 	"symcluster/internal/cluster"
 	"symcluster/internal/faultinject"
+	"symcluster/internal/graph"
 )
 
 // routeProbe is one request that exercises a route pattern: its body
@@ -50,6 +51,17 @@ var routeProbes = map[string]routeProbe{
 	"GET /v1/cluster/status":                {"", "", 200, 200},
 	"GET /healthz":                          {"", "", 200, 200},
 	"GET /metrics":                          {"", "", 200, 200},
+}
+
+// fingerprintOf parses an edge list and returns its graph's fingerprint,
+// the key the ring places it by.
+func fingerprintOf(t *testing.T, edges string) uint64 {
+	t.Helper()
+	g, err := graph.ReadEdgeList(strings.NewReader(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Fingerprint()
 }
 
 // routeFixture is the state the probes address, all of it on one node
@@ -185,7 +197,7 @@ func abortCreated(t *testing.T, base, body string) {
 }
 
 // TestRouteTable drives every public route of a two-node cluster through
-// the four places its owner can be — this node, a healthy peer, a dead
+// the four places its owner can be — this node, a live peer, a dead
 // peer, or "already forwarded here" — and a single node through every
 // route once. The one-hop guarantee is the counters: a request for a
 // peer's state crosses exactly one hop, any other request none.
@@ -233,8 +245,7 @@ func TestRouteTable(t *testing.T) {
 			t.Fatalf("%v inter-node hops, want %v", got, hops)
 		}
 		if peer != nil {
-			// (The peers' health probes land on /healthz all the time.)
-			if got := servedOn(peer.s, landing) - landedBefore; got != hops && landing != "GET /healthz" {
+			if got := servedOn(peer.s, landing) - landedBefore; got != hops {
 				t.Fatalf("peer served %v requests on %q, want %v", got, landing, hops)
 			}
 			if got := hopsFrom(peer.s) - peerHopsBefore; got != 0 {
@@ -283,26 +294,26 @@ func TestRouteTable(t *testing.T) {
 		})
 	}
 
-	// Owner down: an id minted by the dead node is refused with 503 +
-	// Retry-After (there is no shared durable root to adopt from); a
-	// graph's ring range falls through to the survivor, which answers
-	// from its own (empty) tables rather than a 502 or a hang.
+	// Owner down: whatever belongs to the dead node — an id it minted,
+	// the fixture's graph, a registration of a graph it owns — takes its
+	// one hop, gets no answer and is refused with 503 + Retry-After: 1;
+	// everything else is answered here as before.
 	home.ts.Close()
-	waitPeerState(t, other.ts, home.peer.Name, "down")
+	strayOwner := other.s.coord.ownerOf(fingerprintOf(t, strayEdges))
 	for _, rt := range public {
 		p := routeProbes[rt.pattern]
 		t.Run("down/"+rt.pattern, func(t *testing.T) {
-			want := p.stray
-			byID := routed(rt) && rt.owner.by == idSuffix
-			if byID {
-				want = http.StatusServiceUnavailable
+			dead := routed(rt) || rt.pattern == "POST /v1/graphs" && strayOwner == home.peer
+			want, hops := p.stray, 0.0
+			if dead {
+				want, hops = http.StatusServiceUnavailable, 1
 			}
-			resp, body := check(t, rt, other, nil, fx.request(rt, other.ts.URL, false, true), want, 0, "")
-			if got := resp.Header.Get("Retry-After"); byID && got != "1" || !byID && got != "" {
+			resp, body := check(t, rt, other, nil, fx.request(rt, other.ts.URL, false, true), want, hops, "")
+			if got := resp.Header.Get("Retry-After"); dead && got != "1" || !dead && got != "" {
 				t.Fatalf("Retry-After = %q", got)
 			}
-			if byID && !strings.Contains(body, "lives on "+home.peer.Name+", which is down") {
-				t.Fatalf("503 body does not name the dead creator: %s", body)
+			if dead && !strings.Contains(body, "owner "+home.peer.Name+" unreachable") {
+				t.Fatalf("503 body does not name the dead owner: %s", body)
 			}
 		})
 	}
@@ -334,21 +345,12 @@ func TestRouteTableSingleNode(t *testing.T) {
 // TestUnreachableOwnerIs503: a hop that gets only transport errors
 // through the client's retries is refused 503 + Retry-After: 1, whether
 // it forwards a request or pushes a graph — finalize and POST
-// /v1/graphs both place through pushGraph. The prober reroutes a dead
-// owner within its window, so the client's retry lands on a live one.
+// /v1/graphs both place through pushGraph. The caller retries until the
+// owner answers again.
 func TestUnreachableOwnerIs503(t *testing.T) {
 	defer faultinject.Reset()
-	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) {
-		// The fault site below fails health probes too; keep the prober
-		// out of it so the ring keeps naming the peer as owner.
-		cfg.Cluster.ProbeInterval = time.Hour
-		cfg.Cluster.ProxyAttempts = 2
-	})
-	g := mustFigure1Graph(t)
-	owner, ok := nodes[0].s.coord.ownerOf(g.Fingerprint())
-	if !ok {
-		t.Fatal("no owner for Figure 1")
-	}
+	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) { cfg.Cluster.ProxyAttempts = 2 })
+	owner := nodes[0].s.coord.ownerOf(mustFigure1Graph(t).Fingerprint())
 	entry := nodes[0]
 	if owner.Name == entry.peer.Name {
 		entry = nodes[1]
@@ -386,8 +388,7 @@ func TestUnreachableOwnerIs503(t *testing.T) {
 
 // newNodeBeforeOwner boots one node of a two-node ring whose other
 // member, the owner of Figure 1, is the given handler: the node takes
-// whichever place in the ring does not own Figure 1. The prober is kept
-// out, so the ring names the owner whatever it answers.
+// whichever place in the ring does not own Figure 1.
 func newNodeBeforeOwner(t *testing.T, owner http.Handler) (node *clusterNode, ownerName string, ownerTS *httptest.Server) {
 	t.Helper()
 	var ls [2]net.Listener
@@ -403,15 +404,13 @@ func newNodeBeforeOwner(t *testing.T, owner http.Handler) (node *clusterNode, ow
 	}
 	build := func(self int) *Server {
 		return mustNew(t, Config{Workers: 1, Cluster: &ClusterConfig{
-			Self: peers[self].Name, Peers: peers, ProbeInterval: time.Hour,
+			Self: peers[self].Name, Peers: peers,
 			ProxyAttempts: 2, ProxyTimeout: 5 * time.Second, ProxyMaxWait: 10 * time.Millisecond,
 		}})
 	}
 	self := 0
 	s := build(self)
-	if o, ok := s.coord.ownerOf(mustFigure1Graph(t).Fingerprint()); !ok {
-		t.Fatal("no owner for Figure 1")
-	} else if o.Name == peers[0].Name {
+	if s.coord.ownerOf(mustFigure1Graph(t).Fingerprint()).Name == peers[0].Name {
 		s.Close()
 		self = 1
 		s = build(self)
@@ -508,26 +507,37 @@ func TestDeadOwnerCountedAs503(t *testing.T) {
 	}
 }
 
-// TestRetryRidesThroughOwnerFailover: a caller retrying on the retrying
-// client registers a graph across its owner's death. The first attempt
-// meets the dead owner and is refused 503, which the client retries; the
-// prober's verdict lands before the retry (driven here from OnRetry), so
-// the retry registers the graph on the survivor.
-func TestRetryRidesThroughOwnerFailover(t *testing.T) {
-	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) {
-		cfg.Cluster.ProbeInterval = time.Hour
-	})
+// TestRetryRidesThroughOwnerRestart: a caller retrying on the retrying
+// client registers a graph across its owner's restart. While the owner
+// is down the entry node answers 503 + Retry-After: 1, which the client
+// retries; the owner comes back before the retry (driven here from
+// OnRetry), and the retry registers the graph on the owner.
+func TestRetryRidesThroughOwnerRestart(t *testing.T) {
+	nodes := newTestCluster(t, 2, nil)
 	oi := ownerIndex(t, nodes, graphID(mustFigure1Graph(t).Fingerprint()))
 	home, entry := nodes[oi], nodes[1-oi]
 	home.ts.Close()
+
+	req, _ := http.NewRequest(http.MethodPost, entry.ts.URL+"/v1/graphs", strings.NewReader(figure1Edges))
+	resp, body := do(t, req)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("register while the owner is down: %d Retry-After=%q %s, want 503 and 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
 
 	var reasons []string
 	c := cluster.NewClient(cluster.ClientConfig{MaxAttempts: 2, MaxWait: 10 * time.Millisecond,
 		OnRetry: func(reason string) {
 			reasons = append(reasons, reason)
-			for range 3 { // FailThreshold probes mark home down
-				entry.s.coord.health.Probe(home.peer)
+			l, err := net.Listen("tcp", home.peer.Name)
+			if err != nil {
+				t.Fatal(err)
 			}
+			back := httptest.NewUnstartedServer(home.s.Handler())
+			back.Listener.Close()
+			back.Listener = l
+			back.Start()
+			t.Cleanup(back.Close)
 		}})
 	resp, err := c.Do(context.Background(), http.MethodPost, entry.ts.URL+"/v1/graphs", nil, []byte(figure1Edges))
 	if err != nil {
@@ -540,8 +550,11 @@ func TestRetryRidesThroughOwnerFailover(t *testing.T) {
 	if len(reasons) != 1 || reasons[0] != "status 503" {
 		t.Fatalf("retries = %q, want one after the dead owner's 503", reasons)
 	}
-	if code, body := getURL(t, entry.ts.URL+"/v1/graphs/"+info.ID); code != http.StatusOK {
-		t.Fatalf("graph %s not on the survivor: %d %s", info.ID, code, body)
+	if _, ok := home.s.lookupGraph(info.ID); !ok {
+		t.Fatalf("graph %s not on the restarted owner", info.ID)
+	}
+	if _, ok := entry.s.lookupGraph(info.ID); ok {
+		t.Fatalf("graph %s registered on the entry node too", info.ID)
 	}
 }
 
@@ -565,8 +578,6 @@ func TestRefusalTable(t *testing.T) {
 		{"peer answered unusably", badGateway("peer p rejected graph: %s (status %d)", "bad", 400), 502, ""},
 		{"owner unreachable", unreachable("p", io.ErrClosedPipe), 503, "1"},
 		{"queue full", ErrQueueFull, 503, "1"},
-		{"owner down", &apiError{code: http.StatusServiceUnavailable, err: io.EOF}, 503, "1"},
-		{"no healthy owner", errNoOwner("g-1"), 503, "1"},
 		{"draining", errDraining, 503, ""},
 		{"deadline", context.DeadlineExceeded, 504, ""},
 	}

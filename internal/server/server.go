@@ -64,9 +64,10 @@ type Config struct {
 	// Cluster, when non-nil, runs this node as a member of a static
 	// multi-node cluster: graphs are sharded over the peers by
 	// fingerprint, mis-routed requests are forwarded to their owner,
-	// peers are health-checked, and (with DataDir) dead peers' jobs
-	// fail over. Nil (the default) is single-node mode, which behaves
-	// exactly as if the cluster code did not exist.
+	// and (with DataDir) the jobs of a peer whose process is gone fail
+	// over to the member that takes its journal lock. Nil (the default)
+	// is single-node mode, which behaves exactly as if the cluster code
+	// did not exist.
 	Cluster *ClusterConfig
 	// SpillDir hosts out-of-core scratch: upload ingest state, external
 	// sort runs, and the intermediate files of out-of-core
@@ -162,12 +163,12 @@ type Server struct {
 	graphs   map[string]*registeredGraph
 	draining atomic.Bool
 
-	// coord is the cluster coordinator (routing, health, failover);
+	// coord is the cluster coordinator (routing, failover);
 	// nil in single-node mode, and every cluster behavior is gated on
 	// it so single-node semantics are untouched.
 	coord *coordinator
-	// stop ends background loops (the upload-TTL sweeper); closeOnce
-	// makes Close idempotent about it.
+	// stop ends background loops (the upload-TTL and adoption sweeps);
+	// closeOnce makes Close idempotent about it.
 	stop      chan struct{}
 	closeOnce sync.Once
 
@@ -274,8 +275,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.UploadTTL > 0 {
 		go s.sweepUploads()
 	}
-	if s.coord != nil {
-		s.coord.health.Start()
+	if s.coord != nil && s.jobs.Durable() {
+		s.coord.sweeping.Add(1)
+		go s.coord.sweepAdoptions()
 	}
 	return s, nil
 }
@@ -352,10 +354,8 @@ func (s *Server) routeTable() []route {
 	var local *owner
 	graphBody := &owner{by: graphInBody}
 	graphPath := &owner{by: graphInPath, localFirst: true}
-	job := &owner{by: idSuffix, noun: "job", adoptable: true,
-		ifDown: "failover in progress — retry shortly"}
-	upload := &owner{by: idSuffix, noun: "upload",
-		ifDown: "if it stays down, abort and restart the upload"}
+	job := &owner{by: idSuffix, noun: "job", adoptable: true}
+	upload := &owner{by: idSuffix, noun: "upload"}
 	return []route{
 		// A new graph's owner is unknown until its body is parsed, so
 		// registration and finalize place it themselves (placeGraph).
@@ -442,14 +442,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close releases the WAL (durable mode only), stops the health checker
-// and background sweepers, aborts in-flight uploads and unmaps
-// memory-mapped graphs. Call after Drain: the mappings are unmapped
+// Close stops the background sweepers (waiting out an adoption pass),
+// aborts in-flight uploads, unmaps memory-mapped graphs and releases the
+// WAL (durable mode only). Call after Drain: the mappings are unmapped
 // here precisely because no job can still be reading them.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() { close(s.stop) })
 	if s.coord != nil {
-		s.coord.health.Stop()
+		s.coord.sweeping.Wait()
 	}
 	s.uploadMu.Lock()
 	for id, sess := range s.uploads {

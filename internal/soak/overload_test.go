@@ -59,13 +59,10 @@ func runOverloadEpisode(t *testing.T, bin string, ep int) {
 	defer b.stop()
 	nodes := []*node{a, b}
 	peers := "http://" + a.addr + ",http://" + b.addr
-	// The probe interval is also the probe timeout: at one second and
-	// three misses a node saturated on purpose stays routable although
-	// its /healthz takes 50 ms, so the refusals the episode counts are
-	// admission's and not a failover's. Its WAL is safe either way: a
-	// live node holds its journal's lock. Failover is the chaos episodes'
-	// subject, not this one's.
-	sized := []string{"-queue", "2", "-probe-interval", "1s", "-peer-fail-threshold", "3"}
+	// A live node holds its journal's lock, so no node adopts another's
+	// queue however saturated it is: the refusals the episode counts are
+	// admission's. Failover is the chaos episodes' subject, not this one's.
+	sized := []string{"-queue", "2"}
 	startNode(t, bin, a, root, peers, "pool.task=delay:60ms", sized...)
 	startNode(t, bin, b, root, peers, "pool.task=delay:60ms", sized...)
 

@@ -216,12 +216,12 @@ func runEpisode(t *testing.T, bin string, rng *rand.Rand, ep int) {
 
 	if kill {
 		// Let the load get going, then SIGKILL with no goodbye: recovery
-		// must come from probes and the shared WAL.
+		// must come from the journal lock and the shared WAL.
 		time.Sleep(time.Duration(200+rng.Intn(400)) * time.Millisecond)
 		victim.cmd.Process.Kill()
 		victim.cmd.Wait()
 		victim.cmd = nil
-		// Give the survivor a beat to declare the peer down and adopt,
+		// Give the survivor a beat to take the victim's lock and adopt,
 		// then bring the victim back fault-free on the same dirs.
 		time.Sleep(time.Second)
 		startNode(t, bin, victim, root, peers, "")
@@ -235,6 +235,16 @@ func runEpisode(t *testing.T, bin string, rng *rand.Rand, ep int) {
 
 	// The survivor's goroutines and heap settle back to baseline.
 	checkRuntimeSettles(t, survivor, g0, h0)
+
+	// What failover and the hops cost, summed over the nodes as they
+	// stand (a restarted victim counts from its restart).
+	var adopted, retries int64
+	for _, n := range []*node{a, b} {
+		body := scrape(t, n.addr)
+		adopted += gaugeValue(body, "symclusterd_jobs_adopted_total")
+		retries += gaugeValue(body, "symclusterd_proxy_retries_total")
+	}
+	t.Logf("episode %d: %d jobs, adopted %d, proxy retries %d", ep, len(jobs), adopted, retries)
 
 	// Final fault-free restart of BOTH nodes (SIGKILL, so recovery is
 	// pure WAL replay): nothing lost, done results intact, replayed
@@ -284,7 +294,7 @@ func episodeFaults(rng *rand.Rand, kill bool) (spec string, hasError bool) {
 }
 
 // startNode launches one cluster member on n.addr and waits for its
-// /healthz. Probe and retry tuning is test-sized so failover fits
+// /healthz. Retry tuning is test-sized so a dead owner's 503 comes back
 // inside an episode; extra flags follow (and so override) the defaults.
 func startNode(t *testing.T, bin string, n *node, root, peers, faults string, extra ...string) {
 	t.Helper()
@@ -297,9 +307,6 @@ func startNode(t *testing.T, bin string, n *node, root, peers, faults string, ex
 		"-log-format", "text", "-log-level", "warn",
 		"-peers", peers,
 		"-self", n.addr,
-		"-probe-interval", "50ms",
-		"-peer-fail-threshold", "2",
-		"-peer-recover-threshold", "1",
 		"-proxy-timeout", "2s",
 		"-proxy-max-wait", "250ms",
 	}, extra...)...)
@@ -727,7 +734,7 @@ func buildRaceBinary(t *testing.T) string {
 // draws from 20000–31999, below every common OS's ephemeral range: a
 // port from that range can be taken, between the release and the
 // daemon's bind, as the source port of any outgoing connection — the
-// other node's probes included — and the daemon then exits on "address
+// other node's hops included — and the daemon then exits on "address
 // already in use".
 func freeAddr(t *testing.T) string {
 	t.Helper()
