@@ -122,7 +122,7 @@ cluster:
 # at 3x the measured service rate against a two-place queue, requiring
 # that 503 fires and is the only refusal, that a refused submission
 # leaves no job behind, and that every accepted one ends done (it logs
-# goodput, refused share, p99 of admitted work and forwarded retries).
+# goodput, refused share, p99 of admitted work and hop 503s).
 # SOAK_SEED pins a schedule for reproduction; the test logs the seed it
 # used. -count=1: a repeated run is a new trial, never go test's cached
 # result.

@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	outOfCore := fs.Bool("out-of-core", false, "symmetrize out-of-core: large operands live in memory-mapped files under -spill-dir (bit-identical results, bounded resident memory)")
 	spillDir := fs.String("spill-dir", "", "scratch directory for -out-of-core intermediates and spill runs; empty uses the OS temp dir")
 	serverURL := fs.String("server", "", "run the clustering on this symclusterd instance (http://host:port) instead of locally")
-	timeout := fs.Duration("timeout", 0, "overall run deadline; with -server the remaining budget is stamped on every request so the daemon drops work this run has stopped waiting for (0 disables)")
+	timeout := fs.Duration("timeout", 0, "overall run deadline; with -server the remaining budget is stamped on every request so the daemon drops work this run has stopped waiting for, and it is the only client-side bound on an attempt (0: the daemon's own -timeout bounds it)")
 	retries := fs.Int("retries", 4, "with -server: total attempts when the server sheds with 429/503")
 	retryMaxWait := fs.Duration("retry-max-wait", 15*time.Second, "with -server: cap on backoff (and honored Retry-After) between attempts")
 	logLevel := fs.String("log-level", "warn", "minimum log level for structured logs: debug, info, warn, error")
@@ -300,9 +300,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 // edge list is registered via POST /v1/graphs, then a synchronous
 // POST /v1/cluster runs it. Both calls go through the cluster
 // package's retrying client, so a daemon shedding load (503 with
-// Retry-After from a full queue, or while a cluster reroutes around a
-// dead shard; a 429 from anything in front of it) is retried with
-// capped jittered backoff instead of failing the run.
+// Retry-After from a full queue or an unreachable owner; a 429 from
+// anything in front of it) is retried with capped jittered backoff
+// instead of failing the run. The daemon's forwarded hops do not retry:
+// this loop is the only one.
 // With -timeout, the context deadline makes the client stamp the
 // remaining budget on every request (X-Symclusterd-Deadline-Ms), so
 // the daemon fast-fails work this caller would never wait for — and

@@ -12,9 +12,7 @@
 //	            [-spill-dir DIR] [-max-spill-mb MB] [-max-resident-mb MB]
 //	            [-timeout D] [-job-ttl D] [-upload-ttl D] [-drain-timeout D]
 //	            [-data-dir DIR] [-checkpoint-iters N]
-//	            [-peers URL,URL,...] [-self URL] [-proxy-attempts N]
-//	            [-proxy-timeout D] [-proxy-max-wait D]
-//	            [-preload graph.edges]
+//	            [-peers URL,URL,...] [-self URL] [-preload graph.edges]
 //	            [-log-format json|text] [-log-level LEVEL]
 //	            [-trace-log FILE] [-trace-ring N] [-trace-ring-mb MB]
 //	            [-debug-addr ADDR]
@@ -45,8 +43,9 @@
 // *weight suffix), -self names this node's own entry. Every node is
 // both a shard and a router: graphs live on the peer that consistent
 // hashing assigns their fingerprint, and requests landing elsewhere
-// are forwarded one hop with retries and backoff to the ring owner,
-// answering or not: a hop that gets no answer is 503 + Retry-After.
+// are forwarded one hop, one attempt, to the ring owner, answering or
+// not: a hop that gets no answer is 503 + Retry-After, and the caller
+// retries.
 // Every second, each member sharing a durable, local -data-dir tries
 // each peer's journal lock; the one that takes a dead peer's lock adopts
 // its WAL and resumes its jobs from their checkpoints.
@@ -57,10 +56,11 @@
 // via the X-Symclusterd-Deadline-Ms header (the CLI's -timeout does
 // this; so does every forwarded hop, minus a margin), and the server
 // answers 504 the moment a deadline passes — at submit, while the job
-// waits for a worker, or mid-run — so no worker burns on it. A forwarded hop is retried at most -proxy-attempts times, each
-// under -proxy-timeout, with waits capped by -proxy-max-wait and the
-// caller's deadline; an owner that never answers is refused 503 +
-// Retry-After until it is back.
+// waits for a worker, or mid-run — so no worker burns on it. A
+// forwarded hop is one attempt on the caller's deadline, or on -timeout
+// when the caller set none; the owner's answer, a shed 503 included, is
+// relayed once, and an owner that does not answer is refused 503 +
+// Retry-After until it is back. Retrying is the caller's business.
 //
 // Observability (see README.md "Observability" and DESIGN.md §11, §16):
 // logs are structured (JSON by default; -log-format text for humans),
@@ -116,14 +116,11 @@ func main() {
 	maxResidentMB := flag.Int64("max-resident-mb", 0, "heap budget for one out-of-core run's resident intermediates in MiB; 0 disables")
 	dataDir := flag.String("data-dir", "", "directory for the durable job WAL and persisted graphs; empty keeps jobs in memory only")
 	checkpointIters := flag.Int("checkpoint-iters", 25, "kernel iterations between WAL checkpoints of durable async jobs")
-	timeout := flag.Duration("timeout", 60*time.Second, "synchronous request deadline")
+	timeout := flag.Duration("timeout", 60*time.Second, "synchronous request deadline; also bounds a forwarded hop whose caller set no deadline")
 	jobTTL := flag.Duration("job-ttl", 15*time.Minute, "retention of finished async job results; 0 keeps them until evicted")
 	uploadTTL := flag.Duration("upload-ttl", 15*time.Minute, "idle timeout for chunked-upload sessions; 0 keeps abandoned sessions forever")
 	peers := flag.String("peers", "", "comma-separated cluster peer URLs (http://host:port, optional *weight), this node included; empty runs single-node")
 	self := flag.String("self", "", "this node's entry in -peers, as a URL or bare host:port (required with -peers)")
-	proxyAttempts := flag.Int("proxy-attempts", 4, "total tries per request forwarded to a peer")
-	proxyTimeout := flag.Duration("proxy-timeout", 10*time.Second, "deadline per forwarding attempt")
-	proxyMaxWait := flag.Duration("proxy-max-wait", 5*time.Second, "cap on backoff (and honored Retry-After) between forwarding attempts")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain deadline")
 	preload := flag.String("preload", "", "edge-list file to register at startup (logs its graph id)")
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
@@ -189,13 +186,7 @@ func main() {
 		if selfName == "" {
 			fatal("-peers requires -self")
 		}
-		clusterCfg = &server.ClusterConfig{
-			Self:          selfName,
-			Peers:         peerList,
-			ProxyAttempts: *proxyAttempts,
-			ProxyTimeout:  *proxyTimeout,
-			ProxyMaxWait:  *proxyMaxWait,
-		}
+		clusterCfg = &server.ClusterConfig{Self: selfName, Peers: peerList}
 		logger.Info("cluster mode", "self", selfName, "peers", len(peerList))
 	}
 

@@ -71,18 +71,20 @@ func ParseDeadlineHeader(h http.Header) (time.Duration, bool) {
 	return time.Duration(ms) * time.Millisecond, true
 }
 
-// Client is the retrying HTTP client every inter-node hop (and the
-// CLI's -server mode) goes through. Each request gets up to
-// MaxAttempts tries; an attempt fails on a transport error or a
-// shedding status (429 Too Many Requests / 503 Service Unavailable).
-// Between attempts the client sleeps the server's Retry-After when one
-// was given, otherwise capped exponential backoff with full jitter —
-// both bounded by MaxWait so a misbehaving server can't park a caller.
+// Client is the HTTP client every inter-node hop and the CLI's -server
+// mode go through. Each request gets up to MaxAttempts tries, each
+// bounded only by the caller's context; an attempt fails on a
+// transport error or a shedding status (429 Too Many Requests / 503
+// Service Unavailable). Between attempts the client sleeps the server's
+// Retry-After when one was given, otherwise capped exponential backoff
+// with full jitter — both bounded by MaxWait so a misbehaving server
+// can't park a caller. A node's hops use one attempt: the caller, not
+// the proxy, decides whether to try again.
 //
 // This file is the only place in the module allowed to construct an
-// http.Client (enforced by `make lint`): a raw client has no attempt
-// timeout, no backoff and no Retry-After handling, which is exactly
-// how cascading retry storms start.
+// http.Client (enforced by `make lint`): a raw client stamps no
+// deadline, trace or forwarding header, skips the proxy.forward fault
+// site, and neither backs off nor honors Retry-After.
 type Client struct {
 	cfg  ClientConfig
 	http *http.Client
@@ -94,8 +96,6 @@ type ClientConfig struct {
 	// MaxAttempts bounds total tries per request (default 4; 1 disables
 	// retries).
 	MaxAttempts int
-	// AttemptTimeout bounds each individual attempt (default 10s).
-	AttemptTimeout time.Duration
 	// BaseWait is the first backoff step (default 100ms); attempt n
 	// waits ~BaseWait×2ⁿ, jittered.
 	BaseWait time.Duration
@@ -103,8 +103,8 @@ type ClientConfig struct {
 	// Retry-After (default 5s).
 	MaxWait time.Duration
 	// OnRetry, when non-nil, is called once per retry sleep with the
-	// reason ("status 503", "connection refused", …) — the metrics
-	// hook behind symclusterd_proxy_retries_total.
+	// reason ("status 503", "connection refused", …) — the CLI's retry
+	// log.
 	OnRetry func(reason string)
 	// Transport overrides the HTTP transport (tests; nil means
 	// http.DefaultTransport).
@@ -117,9 +117,6 @@ type ClientConfig struct {
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 10 * time.Second
 	}
 	if c.BaseWait <= 0 {
 		c.BaseWait = 100 * time.Millisecond
@@ -138,16 +135,11 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	return c
 }
 
-// NewClient builds a retrying client.
+// NewClient builds a client. It has no timeout of its own: the
+// caller's context bounds every attempt, body read included.
 func NewClient(cfg ClientConfig) *Client {
 	cfg = cfg.withDefaults()
-	return &Client{
-		cfg: cfg,
-		// The per-attempt deadline is applied via context (so a slow
-		// body read counts against it too); the http.Client itself has
-		// no global timeout, which would cap the whole retry sequence.
-		http: &http.Client{Transport: cfg.Transport},
-	}
+	return &Client{cfg: cfg, http: &http.Client{Transport: cfg.Transport}}
 }
 
 // Retryable reports whether an HTTP status is worth retrying: the two
@@ -273,21 +265,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return c.cfg.Jitter(d)
 }
 
-// cancelBody ties an attempt's context cancel to the response body's
-// lifetime, so the per-attempt deadline covers the body read without
-// killing it early.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
-}
-
-// attempt performs one try under the per-attempt timeout. The
+// attempt performs one try under the caller's context. The
 // "proxy.forward" fault site fires first, so chaos tests can fail or
 // slow individual attempts deterministically.
 func (c *Client) attempt(ctx context.Context, method, url string, header http.Header, open func() (io.ReadCloser, error), contentLength int64) (*http.Response, error) {
@@ -298,11 +276,9 @@ func (c *Client) attempt(ctx context.Context, method, url string, header http.He
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening request body: %w", err)
 	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-	req, err := http.NewRequestWithContext(actx, method, url, body)
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		body.Close()
-		cancel()
 		return nil, err
 	}
 	req.ContentLength = contentLength
@@ -324,11 +300,5 @@ func (c *Client) attempt(ctx context.Context, method, url string, header http.He
 	if tid, sid, ok := obs.SpanContext(ctx); ok && req.Header.Get(obs.TraceparentHeader) == "" {
 		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(tid, sid))
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp.Body = cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
+	return c.http.Do(req)
 }

@@ -5,15 +5,14 @@
 //   - cluster.go — peer specs ("http://host:port[*weight]"), their
 //     parsing, and the ring's hash function
 //   - ring.go    — weighted consistent hashing of graph fingerprints
-//   - client.go  — the retrying HTTP client every inter-node hop goes
-//     through: per-attempt timeouts, capped exponential backoff with
-//     jitter, honor-the-server's-Retry-After semantics, and the
-//     deadline, trace and forwarding headers
+//   - client.go  — the HTTP client every inter-node hop goes through,
+//     one attempt on the caller's context, stamping the deadline, trace
+//     and forwarding headers; the CLI's retries use it too: capped
+//     exponential backoff with jitter, honoring the server's Retry-After
 //
 // The package holds no opinion on whether a peer is alive: a hop either
-// gets an answer through the client's retries or it does not, and
-// whether a dead peer's work moves is decided by its journal lock, in
-// internal/server.
+// gets an answer or it does not, and whether a dead peer's work moves
+// is decided by its journal lock, in internal/server.
 //
 // The package is deliberately free of symcluster imports: it knows
 // about peers, hashes and HTTP, not about graphs or jobs, so
@@ -21,8 +20,8 @@
 // reuses the client for its own retries.
 //
 // Fault injection: the "proxy.forward" site fires before every client
-// attempt, so chaos tests can force retries and unreachable owners
-// deterministically (see internal/faultinject).
+// attempt, so chaos tests can make owners unreachable, and the CLI
+// retry, deterministically (see internal/faultinject).
 package cluster
 
 import (

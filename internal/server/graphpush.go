@@ -47,10 +47,13 @@ func (s *Server) placeGraph(ctx context.Context, rg *registeredGraph, pinned boo
 
 // pushGraph ships a graph's binary CSR file — written to scratch first
 // when the graph only exists on the heap — to peer over the internal
-// endpoint and returns the GraphInfo the peer registered. The file is
-// re-opened per attempt, so retries never send a half-consumed stream.
-// The hop is a "csr.push" span; the peer's "csr.receive" joins it.
+// endpoint and returns the GraphInfo the peer registered. Like forward,
+// the push is one attempt bounded by the caller's deadline or
+// RequestTimeout. The hop is a "csr.push" span; the peer's
+// "csr.receive" joins it.
 func (c *coordinator) pushGraph(ctx context.Context, peer *cluster.Peer, rg *registeredGraph) (info GraphInfo, err error) {
+	ctx, cancel := context.WithTimeout(ctx, c.s.cfg.RequestTimeout)
+	defer cancel()
 	err = c.s.tracedHop(ctx, "csr.push", func(ctx context.Context, _ *obs.Span) error {
 		path := rg.csrPath
 		if path == "" {

@@ -38,7 +38,6 @@ type Metrics struct {
 	// Cluster-mode families. Registered unconditionally (zero in
 	// single-node mode) so dashboards need not branch on deployment.
 	proxyRequests  *obs.Counter
-	proxyRetries   *obs.Counter
 	jobsAdopted    *obs.Counter
 	uploadsExpired *obs.Counter
 }
@@ -66,8 +65,6 @@ func NewMetrics() *Metrics {
 			"Clustering jobs admitted on the out-of-core path."),
 		proxyRequests: reg.Counter("symclusterd_proxy_requests_total",
 			"Requests forwarded to the owning peer, by peer and relayed status code.", "peer", "code"),
-		proxyRetries: reg.Counter("symclusterd_proxy_retries_total",
-			"Proxy forward attempts retried after a transport error or shed status."),
 		jobsAdopted: reg.Counter("symclusterd_jobs_adopted_total",
 			"Pending jobs adopted from a dead peer's WAL and resumed locally."),
 		uploadsExpired: reg.Counter("symclusterd_upload_sessions_expired_total",
@@ -77,7 +74,7 @@ func NewMetrics() *Metrics {
 	// exposition before the first event (tests and dashboards rely on
 	// the zero line).
 	for _, c := range []*obs.Counter{m.admissionReject, m.deadlineRejected, m.oocJobs,
-		m.proxyRetries, m.jobsAdopted, m.uploadsExpired} {
+		m.jobsAdopted, m.uploadsExpired} {
 		c.Add(0)
 	}
 	obs.HierarchyCounter(reg).Add(0, "hit")

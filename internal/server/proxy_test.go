@@ -48,12 +48,7 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*clu
 	for i := range nodes {
 		cfg := Config{
 			Workers: 2,
-			Cluster: &ClusterConfig{
-				Self:         peers[i].Name,
-				Peers:        peers,
-				ProxyTimeout: 5 * time.Second,
-				ProxyMaxWait: 50 * time.Millisecond,
-			},
+			Cluster: &ClusterConfig{Self: peers[i].Name, Peers: peers},
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
@@ -378,11 +373,7 @@ func newSurvivor(t *testing.T, root, deadName string) *clusterNode {
 	s := mustNew(t, Config{
 		Workers: 2,
 		DataDir: root,
-		Cluster: &ClusterConfig{
-			Self:         self.Name,
-			Peers:        []*cluster.Peer{dead, self},
-			ProxyMaxWait: 50 * time.Millisecond,
-		},
+		Cluster: &ClusterConfig{Self: self.Name, Peers: []*cluster.Peer{dead, self}},
 	})
 	ts := httptest.NewUnstartedServer(s.Handler())
 	ts.Listener.Close()
@@ -537,7 +528,7 @@ func TestIdempotencyKeyStaysWithRingOwner(t *testing.T) {
 	}{{"non-owner first", false}, {"owner first", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer faultinject.Reset()
-			nodes := newTestCluster(t, 2, func(_ int, cfg *Config) { cfg.Cluster.ProxyAttempts = 2 })
+			nodes := newTestCluster(t, 2, nil)
 			info := registerFigure1(t, nodes[0].ts)
 			oi := ownerIndex(t, nodes, info.ID)
 			owner, other := nodes[oi], nodes[1-oi]

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"symcluster/internal/cluster"
 	"symcluster/internal/obs"
@@ -28,27 +27,21 @@ import (
 //
 // Where a request is served is decided once, in coordinator.route, from
 // how the route table (Server.routeTable) says the pattern's owner is
-// found: here, or one forwarded hop away through the retrying
-// cluster.Client — a hop that gets no answer is refused with 503 +
-// Retry-After (DESIGN.md §14). graphpush.go moves whole graphs to their
+// found: here, or one forwarded hop away — one attempt through
+// cluster.Client on the caller's budget, and a hop that gets no answer
+// is refused with 503 + Retry-After (DESIGN.md §14). The caller, not
+// the proxy, retries. graphpush.go moves whole graphs to their
 // owner; adoption.go takes over the journal of a peer whose process is
 // gone.
 
 // ClusterConfig turns a Server into a member of a static multi-node
-// cluster. Zero values select the defaults noted on each field.
+// cluster.
 type ClusterConfig struct {
 	// Self is this node's peer name (the host:port of its public URL);
 	// it must match one entry of Peers.
 	Self string
 	// Peers is the full static membership, this node included.
 	Peers []*cluster.Peer
-	// ProxyAttempts bounds tries per forwarded request (default 4).
-	ProxyAttempts int
-	// ProxyTimeout bounds each forwarding attempt (default 10s).
-	ProxyTimeout time.Duration
-	// ProxyMaxWait caps the backoff (and honored Retry-After) between
-	// forwarding attempts (default 5s).
-	ProxyMaxWait time.Duration
 }
 
 // ownerKey says where a route's owner is read from.
@@ -108,23 +101,15 @@ type coordinator struct {
 // newCoordinator wires the cluster substrate for one node.
 func newCoordinator(s *Server, cfg *ClusterConfig) (*coordinator, error) {
 	c := &coordinator{
-		s:    s,
-		ring: cluster.NewRing(cfg.Peers, 0),
+		s:      s,
+		ring:   cluster.NewRing(cfg.Peers, 0),
+		client: cluster.NewClient(cluster.ClientConfig{MaxAttempts: 1}),
 	}
 	self, ok := c.ring.Peer(cfg.Self)
 	if !ok {
 		return nil, fmt.Errorf("cluster: -self %q is not in the peer list", cfg.Self)
 	}
 	c.self = self
-	c.client = cluster.NewClient(cluster.ClientConfig{
-		MaxAttempts:    cfg.ProxyAttempts,
-		AttemptTimeout: cfg.ProxyTimeout,
-		MaxWait:        cfg.ProxyMaxWait,
-		OnRetry: func(reason string) {
-			s.metrics.proxyRetries.Inc()
-			s.log().Warn("proxy retry", "reason", reason)
-		},
-	})
 	return c, nil
 }
 
@@ -270,15 +255,20 @@ func (s *Server) tracedHop(ctx context.Context, name string, hop func(context.Co
 }
 
 // forward proxies the request (body already read) one hop to peer,
-// relaying status, headers and body verbatim, as a "proxy" span counted
-// per peer and status in symclusterd_proxy_requests_total. A hop that
-// got no answer through the client's retries is refused as unreachable.
+// relaying status, headers and body verbatim — a shed 503 included —
+// as a "proxy" span counted per peer and status in
+// symclusterd_proxy_requests_total. The hop is one attempt on the
+// caller's deadline or, where it set none, on RequestTimeout, the bound
+// the owner puts on a synchronous run itself; a hop that got no answer
+// is refused as unreachable.
 func (c *coordinator) forward(w http.ResponseWriter, r *http.Request, peer *cluster.Peer, body []byte) {
+	ctx, cancel := context.WithTimeout(r.Context(), c.s.cfg.RequestTimeout)
+	defer cancel()
 	var resp *http.Response
-	err := c.s.tracedHop(r.Context(), "proxy", func(ctx context.Context, span *obs.Span) (err error) {
+	err := c.s.tracedHop(ctx, "proxy", func(ctx context.Context, span *obs.Span) (err error) {
 		hdr := r.Header.Clone()
 		cluster.MarkForwarded(hdr, c.self.Name)
-		hdr.Del("Content-Length") // the client recomputes it per attempt
+		hdr.Del("Content-Length") // the client sets it from the body
 		resp, err = c.client.Do(ctx, r.Method, peer.URL+r.URL.RequestURI(), hdr, body)
 		if err == nil {
 			span.SetAttr("code", resp.StatusCode)

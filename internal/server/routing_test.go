@@ -342,14 +342,14 @@ func TestRouteTableSingleNode(t *testing.T) {
 	}
 }
 
-// TestUnreachableOwnerIs503: a hop that gets only transport errors
-// through the client's retries is refused 503 + Retry-After: 1, whether
+// TestUnreachableOwnerIs503: a hop whose one attempt gets a transport
+// error is refused 503 + Retry-After: 1 and counted as that 503, whether
 // it forwards a request or pushes a graph — finalize and POST
 // /v1/graphs both place through pushGraph. The caller retries until the
 // owner answers again.
 func TestUnreachableOwnerIs503(t *testing.T) {
 	defer faultinject.Reset()
-	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) { cfg.Cluster.ProxyAttempts = 2 })
+	nodes := newTestCluster(t, 2, nil)
 	owner := nodes[0].s.coord.ownerOf(mustFigure1Graph(t).Fingerprint())
 	entry := nodes[0]
 	if owner.Name == entry.peer.Name {
@@ -370,7 +370,9 @@ func TestUnreachableOwnerIs503(t *testing.T) {
 			return http.Get(entry.ts.URL + "/v1/jobs/job-000001@" + owner.Name)
 		},
 	}
+	refused := `symclusterd_proxy_requests_total{peer="` + owner.Name + `",code="503"}`
 	for name, send := range requests {
+		hits, counted := faultinject.Hits("proxy.forward"), counterSum(entry.s, refused)
 		resp, err := send()
 		if err != nil {
 			t.Fatal(err)
@@ -382,6 +384,12 @@ func TestUnreachableOwnerIs503(t *testing.T) {
 		}
 		if ra := resp.Header.Get("Retry-After"); ra != "1" {
 			t.Errorf("%s: Retry-After = %q, want 1", name, ra)
+		}
+		if n := faultinject.Hits("proxy.forward") - hits; n != 1 {
+			t.Errorf("%s: %d hop attempts, want 1", name, n)
+		}
+		if n := counterSum(entry.s, refused) - counted; n != 1 {
+			t.Errorf("%s: counted %v times as a 503 for the owner, want 1", name, n)
 		}
 	}
 }
@@ -403,10 +411,7 @@ func newNodeBeforeOwner(t *testing.T, owner http.Handler) (node *clusterNode, ow
 		peers[i] = &cluster.Peer{Name: l.Addr().String(), URL: "http://" + l.Addr().String(), Weight: 1}
 	}
 	build := func(self int) *Server {
-		return mustNew(t, Config{Workers: 1, Cluster: &ClusterConfig{
-			Self: peers[self].Name, Peers: peers,
-			ProxyAttempts: 2, ProxyTimeout: 5 * time.Second, ProxyMaxWait: 10 * time.Millisecond,
-		}})
+		return mustNew(t, Config{Workers: 1, Cluster: &ClusterConfig{Self: peers[self].Name, Peers: peers}})
 	}
 	self := 0
 	s := build(self)
@@ -480,12 +485,14 @@ func TestPeerAnsweringUnusablyIs502(t *testing.T) {
 }
 
 // TestDeadOwnerCountedAs503: with the owner's listener closed, a push
-// gets connection errors through every attempt; it is refused 503 +
+// gets a connection error on its one attempt; it is refused 503 +
 // Retry-After: 1 and counted for the owner as the 503 the client saw.
 func TestDeadOwnerCountedAs503(t *testing.T) {
+	defer faultinject.Reset()
 	node, owner, ownerTS := newNodeBeforeOwner(t, http.NotFoundHandler())
 	ownerTS.Close()
-	retries := counterSum(node.s, "symclusterd_proxy_retries_total")
+	// A delay of zero changes nothing but counts the hop's attempts.
+	faultinject.Set("proxy.forward", faultinject.Fault{Mode: faultinject.Delay})
 	resp, err := http.Post(node.ts.URL+"/v1/graphs", "text/plain", strings.NewReader(figure1Edges))
 	if err != nil {
 		t.Fatal(err)
@@ -501,9 +508,80 @@ func TestDeadOwnerCountedAs503(t *testing.T) {
 	if n := counterSum(node.s, `symclusterd_proxy_requests_total{peer="`+owner+`",code="503"}`); n != 1 {
 		t.Fatalf("proxy requests counted as 503 for %s = %v, want 1", owner, n)
 	}
-	// ProxyAttempts is 2: one retry, then the refusal.
-	if n := counterSum(node.s, "symclusterd_proxy_retries_total") - retries; n != 1 {
-		t.Fatalf("proxy retries = %v, want 1", n)
+	if n := faultinject.Hits("proxy.forward"); n != 1 {
+		t.Fatalf("%d push attempts, want 1", n)
+	}
+}
+
+// slowOwner is longer than the 10 s per-attempt cut hops once had: a
+// run that long must still come back through a forwarding node.
+const slowOwner = 10*time.Second + 500*time.Millisecond
+
+// TestSlowOwnerAnswersThroughHop: a synchronous run the owner answers
+// only after slowOwner reaches the caller through a non-owner, in one
+// request to the owner, which was told the hop's bound — RequestTimeout,
+// as the caller set no deadline.
+func TestSlowOwnerAnswersThroughHop(t *testing.T) {
+	var calls atomic.Int32
+	var budget atomic.Value
+	node, _, _ := newNodeBeforeOwner(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method+" "+r.URL.Path != "POST /v1/cluster" {
+			http.NotFound(w, r)
+			return
+		}
+		calls.Add(1)
+		budget.Store(r.Header.Get(cluster.DeadlineHeader))
+		select {
+		case <-time.After(slowOwner):
+			fmt.Fprint(w, `{"assign":[0]}`)
+		case <-r.Context().Done():
+		}
+	}))
+	id := graphID(mustFigure1Graph(t).Fingerprint())
+	resp, err := http.Post(node.ts.URL+"/v1/cluster", "application/json",
+		strings.NewReader(`{"graph_id":"`+id+`","method":"dd","algorithm":"mcl"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != `{"assign":[0]}` {
+		t.Fatalf("status %d %s, want the owner's 200", resp.StatusCode, body)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("owner saw %d requests, want 1", n)
+	}
+	ms, err := strconv.Atoi(budget.Load().(string))
+	if limit := node.s.cfg.RequestTimeout; err != nil || ms <= 0 || time.Duration(ms)*time.Millisecond > limit {
+		t.Fatalf("owner was told a budget of %q ms, want one within RequestTimeout %v", budget.Load(), limit)
+	}
+}
+
+// TestShedOwnerRelayedOnce: an owner that sheds with 503 + Retry-After
+// is asked once; its answer is relayed, and retrying is the caller's.
+func TestShedOwnerRelayedOnce(t *testing.T) {
+	var calls atomic.Int32
+	node, owner, _ := newNodeBeforeOwner(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
+	}))
+	id := graphID(mustFigure1Graph(t).Fingerprint())
+	resp, err := http.Post(node.ts.URL+"/v1/cluster", "application/json",
+		strings.NewReader(`{"graph_id":"`+id+`","method":"dd","algorithm":"mcl","async":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" || !strings.Contains(string(body), "queue full") {
+		t.Fatalf("status %d Retry-After=%q %s, want the owner's 503 and 1", resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("owner saw %d requests, want 1", n)
+	}
+	if n := counterSum(node.s, `symclusterd_proxy_requests_total{peer="`+owner+`",code="503"}`); n != 1 {
+		t.Fatalf("relayed 503s counted for %s = %v, want 1", owner, n)
 	}
 }
 

@@ -32,8 +32,9 @@ type Config struct {
 	CacheBytes int64
 	// MaxBodyBytes caps request bodies (default 64 MiB).
 	MaxBodyBytes int64
-	// RequestTimeout bounds each synchronous clustering run (default
-	// 60s). Async jobs are not subject to it.
+	// RequestTimeout bounds each synchronous clustering run, and each
+	// hop to a peer whose caller set no deadline (default 60s). Async
+	// jobs are not subject to it.
 	RequestTimeout time.Duration
 	// JobTTL expires finished async jobs after this duration so an
 	// unattended daemon does not hold results forever. Zero or negative

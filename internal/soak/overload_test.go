@@ -182,15 +182,15 @@ func runOverloadEpisode(t *testing.T, bin string, ep int) {
 	if len(admitted) > 0 {
 		p99 = admitted[(len(admitted)*99+99)/100-1]
 	}
-	// Wasted work: forwarded attempts the owner shed and the entry node
-	// sent again, summed over both nodes before the restart zeroes them.
-	retries := int64(0)
+	// Forwarded arrivals the owner shed, relayed once as 503s, summed
+	// over both nodes before the restart zeroes them.
+	hop503 := int64(0)
 	for _, n := range nodes {
-		retries += gaugeValue(scrape(t, n.addr), "symclusterd_proxy_retries_total")
+		hop503 += hop503s(scrape(t, n.addr))
 	}
-	t.Logf("overload episode %d: service aat=%v dd=%v; %d attempts, statuses %v; goodput %.1f/s, refused share %.2f, admitted p99 %v, proxy retries %d",
+	t.Logf("overload episode %d: service aat=%v dd=%v; %d attempts, statuses %v; goodput %.1f/s, refused share %.2f, admitted p99 %v, hop 503s %d",
 		ep, service["aat"].Round(time.Millisecond), service["dd"].Round(time.Millisecond), attempts, seen,
-		float64(completed)/window.Seconds(), float64(refused)/float64(attempts), p99.Round(time.Millisecond), retries)
+		float64(completed)/window.Seconds(), float64(refused)/float64(attempts), p99.Round(time.Millisecond), hop503)
 
 	// A refused submission left nothing: the job tables hold exactly
 	// the distinct 202s, all done — now, and after a WAL replay.

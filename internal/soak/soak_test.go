@@ -1,9 +1,9 @@
 // Package soak is the chaos-soak harness: it boots a real two-node
 // symclusterd cluster (binaries built with -race), drives mixed
 // sync/async clustering load through it while randomized fault
-// schedules fire inside the daemons, SIGKILLs and restarts a node in
-// half the episodes, and checks the survival invariants after every
-// episode:
+// schedules fire inside the daemons, SIGKILLs and restarts the node
+// journaling the jobs, mid-run, in half the episodes, and checks the
+// survival invariants after every episode:
 //
 //   - no accepted job is lost (every job id reaches a terminal state
 //     and is still resolvable after a final fault-free restart);
@@ -17,7 +17,9 @@
 //     without faults leaves every done job done with its result intact
 //     and finishes every replayed pending job;
 //   - the surviving node's goroutine count and heap return to their
-//     pre-load baseline once the episode drains.
+//     pre-load baseline once the episode drains;
+//   - a killed node that held unfinished jobs has some adopted by the
+//     survivor before it restarts.
 //
 // Every third episode, starting with the second, is an overload episode
 // instead (overload_test.go): no faults but a service-time floor,
@@ -54,8 +56,8 @@ import (
 	"symcluster/internal/server"
 )
 
-// soakClient tolerates the long retry/backoff tails that injected
-// proxy faults produce.
+// soakClient bounds every request the harness sends, well past the
+// slowest run an episode's injected delays produce.
 var soakClient = &http.Client{Timeout: 30 * time.Second}
 
 // node is one cluster member; cmd is replaced across kill/restart.
@@ -96,9 +98,9 @@ var tier1Seeds = []int64{4, 9, 16}
 
 // tier1KillSeed is the listed seed whose chaos schedule 1 a plain `go
 // test ./...` runs too: kills happen only in odd schedules, so without
-// it tier-1 would never SIGKILL a node. Its schedule kills the node the
-// load enters through while a proxy.forward delay is armed; it passed
-// 10 runs of 10 with and without the circuit breaker (CHANGES.md).
+// it tier-1 would never SIGKILL a node. Its schedule kills the node
+// journaling the episode's jobs while a proxy.forward delay is armed,
+// with all four unfinished, and the survivor adopts them.
 const tier1KillSeed = 4
 
 func TestSoak(t *testing.T) {
@@ -172,12 +174,12 @@ func runEpisode(t *testing.T, bin string, rng *rand.Rand, ep int) {
 	peers := "http://" + a.addr + ",http://" + b.addr
 
 	kill := ep%2 == 1
-	victim, survivor := b, a
-	if kill && rng.Intn(2) == 0 {
-		victim, survivor = a, b
+	if kill {
+		// The victim was once a coin flip; the coin is still drawn so
+		// that every seed keeps its fault schedule.
+		rng.Intn(2)
 	}
 	faults, hasErrorFault := episodeFaults(rng, kill)
-	t.Logf("episode %d: kill=%v victim=%s faults=%q", ep, kill, victim.addr, faults)
 
 	startNode(t, bin, a, root, peers, faults)
 	startNode(t, bin, b, root, peers, faults)
@@ -188,6 +190,10 @@ func runEpisode(t *testing.T, bin string, rng *rand.Rand, ep int) {
 		t.Errorf("episode %d: graph registration never succeeded under %q", ep, faults)
 		return
 	}
+	// The victim is the node that journals the episode's jobs: the
+	// graph's ring owner.
+	victim, survivor := ringOwner(t, graphID, a, b)
+	t.Logf("episode %d: kill=%v victim=%s faults=%q", ep, kill, victim.addr, faults)
 
 	// Baseline the survivor's shape before any load: goroutines and
 	// post-GC heap must return here once the episode drains.
@@ -210,22 +216,28 @@ func runEpisode(t *testing.T, bin string, rng *rand.Rand, ep int) {
 	// at the door — quickly, and never with a 2xx.
 	checkZeroBudgetFastFail(t, a.addr, graphID)
 
-	// A generously budgeted sync request may succeed or shed under
-	// faults; a success is held to the bit-identical control later.
-	syncDone := runBudgetedSync(t, a.addr, graphID, int64(2000+ep))
-
 	if kill {
-		// Let the load get going, then SIGKILL with no goodbye: recovery
-		// must come from the journal lock and the shared WAL.
+		// Let the load get going, then SIGKILL the journaling node with
+		// no goodbye while its jobs run: recovery must come from the
+		// journal lock and the shared WAL. A victim that held unfinished
+		// jobs must have some adopted before it comes back fault-free on
+		// the same dirs.
 		time.Sleep(time.Duration(200+rng.Intn(400)) * time.Millisecond)
+		pending := unfinished([]*node{a, b}, jobs)
 		victim.cmd.Process.Kill()
 		victim.cmd.Wait()
 		victim.cmd = nil
-		// Give the survivor a beat to take the victim's lock and adopt,
-		// then bring the victim back fault-free on the same dirs.
-		time.Sleep(time.Second)
+		adopted := waitAdopted(t, survivor, pending > 0)
+		t.Logf("episode %d: killed %s with %d of %d jobs unfinished; survivor adopted %d", ep, victim.addr, pending, len(jobs), adopted)
+		if pending > 0 && adopted == 0 {
+			t.Errorf("episode %d: the survivor adopted none of the victim's %d unfinished jobs", ep, pending)
+		}
 		startNode(t, bin, victim, root, peers, "")
 	}
+
+	// A generously budgeted sync request may succeed or shed under
+	// faults; a success is held to the bit-identical control later.
+	syncDone := runBudgetedSync(t, a.addr, graphID, int64(2000+ep))
 
 	// Drain: every accepted job reaches a terminal state.
 	drainJobs(t, []*node{a, b}, jobs, kill, hasErrorFault)
@@ -238,13 +250,13 @@ func runEpisode(t *testing.T, bin string, rng *rand.Rand, ep int) {
 
 	// What failover and the hops cost, summed over the nodes as they
 	// stand (a restarted victim counts from its restart).
-	var adopted, retries int64
+	var adopted, hop503 int64
 	for _, n := range []*node{a, b} {
 		body := scrape(t, n.addr)
 		adopted += gaugeValue(body, "symclusterd_jobs_adopted_total")
-		retries += gaugeValue(body, "symclusterd_proxy_retries_total")
+		hop503 += hop503s(body)
 	}
-	t.Logf("episode %d: %d jobs, adopted %d, proxy retries %d", ep, len(jobs), adopted, retries)
+	t.Logf("episode %d: %d jobs, adopted %d, hop 503s %d", ep, len(jobs), adopted, hop503)
 
 	// Final fault-free restart of BOTH nodes (SIGKILL, so recovery is
 	// pure WAL replay): nothing lost, done results intact, replayed
@@ -294,8 +306,7 @@ func episodeFaults(rng *rand.Rand, kill bool) (spec string, hasError bool) {
 }
 
 // startNode launches one cluster member on n.addr and waits for its
-// /healthz. Retry tuning is test-sized so a dead owner's 503 comes back
-// inside an episode; extra flags follow (and so override) the defaults.
+// /healthz; extra flags follow (and so override) the defaults.
 func startNode(t *testing.T, bin string, n *node, root, peers, faults string, extra ...string) {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{
@@ -307,8 +318,6 @@ func startNode(t *testing.T, bin string, n *node, root, peers, faults string, ex
 		"-log-format", "text", "-log-level", "warn",
 		"-peers", peers,
 		"-self", n.addr,
-		"-proxy-timeout", "2s",
-		"-proxy-max-wait", "250ms",
 	}, extra...)...)
 	cmd.Env = append(os.Environ(), "SYMCLUSTER_FAULTS="+faults)
 	cmd.Stdout = os.Stderr
@@ -522,6 +531,47 @@ func drainJobs(t *testing.T, nodes []*node, jobs []*trackedJob, kill, hasErrorFa
 	}
 }
 
+// ringOwner splits the nodes into the ring owner of graphID — the node
+// that journals the graph's jobs — and the other one.
+func ringOwner(t *testing.T, graphID string, a, b *node) (owner, other *node) {
+	t.Helper()
+	fp, err := strconv.ParseUint(strings.TrimPrefix(graphID, "g-"), 16, 64)
+	if err != nil {
+		t.Fatalf("graph id %q embeds no fingerprint: %v", graphID, err)
+	}
+	p, _ := cluster.NewRing([]*cluster.Peer{{Name: a.addr, Weight: 1}, {Name: b.addr, Weight: 1}}, 0).Owner(fp, nil)
+	if p.Name == a.addr {
+		return a, b
+	}
+	return b, a
+}
+
+// unfinished counts the jobs that some live node reports not terminal.
+func unfinished(nodes []*node, jobs []*trackedJob) int {
+	n := 0
+	for _, job := range jobs {
+		var info server.JobInfo
+		if getJobInfo(nodes, job.id, &info) && !terminal(info.State) {
+			n++
+		}
+	}
+	return n
+}
+
+// waitAdopted reads the survivor's symclusterd_jobs_adopted_total; when
+// want is set it waits, a few adoption sweeps at most, for a nonzero one.
+func waitAdopted(t *testing.T, survivor *node, want bool) int64 {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		n := gaugeValue(scrape(t, survivor.addr), "symclusterd_jobs_adopted_total")
+		if n > 0 || !want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
 // getJobInfo asks each live node for the qualified job id, accepting
 // the first 200. False while the cluster is mid-failover.
 func getJobInfo(nodes []*node, id string, out *server.JobInfo) bool {
@@ -699,6 +749,18 @@ func scrape(t *testing.T, addr string) string {
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	return string(b)
+}
+
+// hop503s sums symclusterd_proxy_requests_total{code="503"} over its
+// peers: the hops this node answered 503, relayed or unreachable.
+func hop503s(body string) (n int64) {
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "symclusterd_proxy_requests_total{") && strings.Contains(line, `code="503"`) {
+			v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			n += int64(v)
+		}
+	}
+	return n
 }
 
 // gaugeValue extracts one un-labelled metric's value, or -1 if absent.
