@@ -202,17 +202,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runCtx := ctx
 	var tr *obs.Trace
 	var root *obs.Span
-	var js *obs.JobStats
 	if *jsonOut || *traceLog != "" {
 		tr = obs.NewTrace()
 		runCtx, root = tr.StartRoot(ctx, "run",
 			obs.A("input", *in), obs.A("method", *method), obs.A("algorithm", *algo))
-	}
-	if *jsonOut {
-		// -json embeds the same per-run resource accounting the daemon
-		// journals for async jobs (stage wall/CPU/allocation, spill).
-		js = obs.NewJobStats()
-		runCtx = obs.WithJobStats(runCtx, js)
 	}
 
 	res, u, trace, err := run.Execute(runCtx, g, nil)
@@ -224,7 +217,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if ferr != nil {
 				return fail(stderr, ferr)
 			}
-			obs.NewTraceSink(f, 1).Export(tr)
+			obs.NewTraceSink(f, 1).Export(trace.Spans)
 			if ferr := f.Close(); ferr != nil {
 				return fail(stderr, ferr)
 			}
@@ -277,8 +270,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut {
 		// The same schema symclusterd serves from POST /v1/cluster, from
 		// the same constructor, so scripted pipelines can swap between
-		// CLI and service.
-		resp := server.NewClusterResponse("", res, u, trace, js.Snapshot())
+		// CLI and service — the per-run resource accounting included,
+		// read off the run's span tree as the daemon reads it.
+		resp := server.NewClusterResponse("", res, u, trace, obs.StatsOf(trace.Spans))
 		resp.AvgF = avgF
 		enc := json.NewEncoder(w)
 		enc.SetEscapeHTML(false)

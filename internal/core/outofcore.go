@@ -9,7 +9,6 @@ import (
 
 	"symcluster/internal/csr"
 	"symcluster/internal/matrix"
-	"symcluster/internal/obs"
 )
 
 // Out-of-core symmetrization: the same lowering (symmetrize in
@@ -71,7 +70,7 @@ type oocState struct {
 	a        *matrix.CSR // mapped view of the (possibly augmented) input
 	maps     []*csr.Mapped
 	resident int64
-	js       *obs.JobStats // per-job accounting from the run's context (may be nil)
+	peak     int64 // resident's high-water mark
 }
 
 func newOOCState(ctx context.Context, a *matrix.CSR, cfg *OutOfCoreConfig) (*oocState, error) {
@@ -79,7 +78,7 @@ func newOOCState(ctx context.Context, a *matrix.CSR, cfg *OutOfCoreConfig) (*ooc
 	if err != nil {
 		return nil, fmt.Errorf("core: out-of-core scratch: %w", err)
 	}
-	s := &oocState{cfg: cfg, scratch: scratch, js: obs.JobStatsFrom(ctx)}
+	s := &oocState{cfg: cfg, scratch: scratch}
 	input := cfg.InputPath
 	if input == "" {
 		input = s.path("input.csr")
@@ -120,14 +119,14 @@ func (s *oocState) close() {
 	os.RemoveAll(s.scratch)
 }
 
-// charge meters bytes of heap-resident intermediates, recording the
-// high-water mark into the job's resource accounting.
+// charge meters bytes of heap-resident intermediates, keeping their
+// high-water mark.
 func (s *oocState) charge(bytes int64) error {
 	if s == nil {
 		return nil
 	}
 	s.resident += bytes
-	s.js.ObserveResident(s.resident)
+	s.peak = max(s.peak, s.resident)
 	if s.cfg.MaxResidentBytes > 0 && s.resident > s.cfg.MaxResidentBytes {
 		return fmt.Errorf("%w: %d bytes of in-memory intermediates over the %d-byte budget; raise the budget or the prune threshold", ErrResidentBudget, s.resident, s.cfg.MaxResidentBytes)
 	}

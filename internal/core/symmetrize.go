@@ -132,11 +132,12 @@ func Defaults() Options {
 // the row tiles (matrix.DerivedWorkers) — with the same bits at every
 // count; GOMAXPROCS=1 is the paper's single-threaded set-up.
 //
-// Each call opens a "core.symmetrize" span and records nnz in/out, the
-// product workers, which accumulator path the product rows took, which
-// body scanned the dense ones (scan: avx2 | go) and the number of
-// entries killed by the prune threshold through the obs hooks
-// (no-ops without a trace/meter in ctx).
+// Each call opens a "core.symmetrize" span (a no-op without a trace in
+// ctx) that records nnz in/out, the product workers, which accumulator
+// path the product rows took, which body scanned the dense ones
+// (scan: avx2 | go), the number of entries killed by the prune
+// threshold and, out of core, the peak of the heap-resident
+// intermediates (resident_peak_bytes).
 func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Options) (out *graph.Undirected, err error) {
 	// Check once at entry so even methods with no internal poll points
 	// (AAT is a single sparse add) respect an already-cancelled context.
@@ -158,9 +159,6 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 		sp.SetAttr("dense_rows", dense)
 		sp.SetAttr("select_fallbacks", fallbacks)
 		sp.EndErr(err)
-		if err == nil {
-			obs.ObserveSymmetrize(ctx, method.String(), g.Adj.NNZ(), nnzOut, prune.Killed())
-		}
 	}()
 	if err := faultinject.Fire("core.symmetrize"); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -176,7 +174,10 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 		if s, err = newOOCState(ctx, a, cfg); err != nil {
 			return nil, err
 		}
-		defer s.close()
+		defer func() {
+			sp.SetAttr("resident_peak_bytes", s.peak)
+			s.close()
+		}()
 		a = s.a
 	}
 	u, err := symmetrize(ctx, a, method, opt, s)

@@ -119,8 +119,7 @@ func (in *Ingester) Finalize(ctx context.Context, dstPath string) (info *IngestI
 	if in.done {
 		return nil, fmt.Errorf("csr: double Finalize")
 	}
-	_, sp := obs.StartSpan(ctx, "csr.ingest.merge",
-		obs.A("edges", in.records), obs.A("spill_runs", len(in.sorter.runs)))
+	_, sp := obs.StartSpan(ctx, "csr.ingest.merge", obs.A("edges", in.records))
 	defer func() {
 		sp.EndErr(err)
 		in.Abort() // idempotent scratch cleanup
@@ -169,7 +168,8 @@ func (in *Ingester) Finalize(ctx context.Context, dstPath string) (info *IngestI
 	spills, merged := in.sorter.stats()
 	sp.SetAttr("rows", rows)
 	sp.SetAttr("nnz", nnz)
-	obs.ObserveCSRIngest(ctx, spills, merged)
+	sp.SetAttr("spill_runs", spills)
+	sp.SetAttr("merged_bytes", merged)
 	return &IngestInfo{
 		Rows:        rows,
 		NNZ:         nnz,

@@ -70,7 +70,6 @@ func Open(ctx context.Context, path string) (mp *Mapped, err error) {
 		mappedBytes.Add(size)
 		sp.SetAttr("bytes", size)
 		sp.SetAttr("zero_copy", true)
-		obs.ObserveCSRMap(ctx, size)
 		return &Mapped{path: path, data: data, m: m, size: size}, nil
 	}
 
@@ -90,7 +89,6 @@ func Open(ctx context.Context, path string) (mp *Mapped, err error) {
 	}
 	sp.SetAttr("bytes", size)
 	sp.SetAttr("zero_copy", false)
-	obs.ObserveCSRMap(ctx, size)
 	return &Mapped{path: path, m: m, size: size}, nil
 }
 

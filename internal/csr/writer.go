@@ -169,8 +169,9 @@ func (w *Writer) AppendRow(row int, cols []int32, vals []float64) error {
 
 // Close finishes the remaining row pointers, verifies the declared
 // entry count, writes the header, fsyncs and renames the file into
-// place. It opens a "csr.write" span and fires the "csr.write" fault
-// site before finalizing.
+// place. It opens a "csr.write" span, which carries the file's bytes
+// once it is in place, and fires the "csr.write" fault site before
+// finalizing.
 func (w *Writer) Close(ctx context.Context) (err error) {
 	if w.closed {
 		return fmt.Errorf("csr: double Close")
@@ -226,7 +227,7 @@ func (w *Writer) Close(ctx context.Context) (err error) {
 		return fmt.Errorf("csr: renaming into place: %w", err)
 	}
 	syncDir(filepath.Dir(w.path))
-	obs.ObserveCSRWrite(ctx, FileBytes(w.rows, w.nnz))
+	sp.SetAttr("bytes", FileBytes(w.rows, w.nnz))
 	return nil
 }
 

@@ -111,6 +111,10 @@ type JobRecord struct {
 	// LinkTraceID is the originating trace of an adopted job (the dead
 	// owner's TraceID), carried so the link survives adopter restarts.
 	LinkTraceID string `json:"link_trace_id,omitempty"`
+	// AdoptedBy names the peer that adopted this job out of this
+	// journal (Fence): the job runs on there, and this record is only
+	// its canceled fence.
+	AdoptedBy string `json:"adopted_by,omitempty"`
 	// Stats is the job's resource accounting (obs.JobStatsSnapshot
 	// JSON), recorded at finish so per-job cost attribution survives
 	// restarts alongside the result.
@@ -130,7 +134,8 @@ type JobRecord struct {
 // which fields are meaningful.
 type record struct {
 	// Op is "create", "start", "requeue", "checkpoint", "finish",
-	// "drop", or "snapshot" (compaction's whole-job form).
+	// "fence" (a finish naming the adopter), "drop", or "snapshot"
+	// (compaction's whole-job form).
 	Op   string    `json:"op"`
 	Time time.Time `json:"time,omitempty"`
 	// Job carries the full record for create and snapshot.
@@ -145,6 +150,8 @@ type record struct {
 	// Trace rides the start op; Stats rides the finish op.
 	Trace string          `json:"trace,omitempty"`
 	Stats json.RawMessage `json:"stats,omitempty"`
+	// Adopter rides the fence op.
+	Adopter string `json:"adopter,omitempty"`
 	// spans is the finish op's span tree; it never reaches the log.
 	spans *obs.SpanNode
 }
@@ -326,6 +333,9 @@ func (s *Store) applyLocked(rec *record) {
 			}
 			j.Checkpoints[rec.Kernel] = *rec.Ckpt
 		}
+	case "fence":
+		j.AdoptedBy = rec.Adopter
+		fallthrough
 	case "finish":
 		j.State = rec.State
 		j.Result = rec.Result
@@ -501,9 +511,16 @@ func (s *Store) SaveCheckpoint(id, kernel string, ck Checkpoint) error {
 // weight becomes garbage. A non-nil error means the journal is behind
 // the table (see commitLocked), not that the outcome was lost.
 func (s *Store) Finish(id string, state State, result json.RawMessage, errMsg string, stats json.RawMessage, trace *obs.SpanNode) error {
+	return s.finish(&record{Op: "finish", ID: id, State: state, Result: result, Err: errMsg, Stats: stats, spans: trace})
+}
+
+// finish commits a finish or fence record, then applies retention and
+// compaction.
+func (s *Store) finish(rec *record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.commitLocked(&record{Op: "finish", ID: id, State: state, Result: result, Err: errMsg, Stats: stats, spans: trace, Time: s.now()})
+	rec.Time = s.now()
+	err := s.commitLocked(rec)
 	for s.Retain > 0 && len(s.finished) > s.Retain {
 		err = errors.Join(err, s.commitLocked(&record{Op: "drop", ID: s.finished[0]}))
 	}
@@ -511,6 +528,13 @@ func (s *Store) Finish(id string, state State, result json.RawMessage, errMsg st
 		err = errors.Join(err, s.compactLocked())
 	}
 	return err
+}
+
+// Fence finishes a job that peer adopted out of this journal: canceled
+// here, "adopted by <peer>", with AdoptedBy naming the peer, so a
+// restarted owner neither re-runs the job nor answers for it.
+func (s *Store) Fence(id, peer string) error {
+	return s.finish(&record{Op: "fence", ID: id, State: Canceled, Err: "adopted by " + peer, Adopter: peer})
 }
 
 // expireLocked drops finished jobs whose TTL has lapsed. Called with

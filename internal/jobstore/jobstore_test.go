@@ -363,3 +363,31 @@ func TestJobSeqParsing(t *testing.T) {
 		}
 	}
 }
+
+// TestFenceNamesTheAdopter: a fenced job is finished canceled, "adopted
+// by" its adopter, and names the adopter in AdoptedBy — across a replay
+// and across a compaction.
+func TestFenceNamesTheAdopter(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	createJob(t, s, "job-000001", "")
+	if err := s.Fence("job-000001", "10.0.0.2:8080"); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, s *Store) {
+		t.Helper()
+		j, ok := s.Snapshot("job-000001")
+		if !ok || j.State != Canceled || j.Err != "adopted by 10.0.0.2:8080" || j.AdoptedBy != "10.0.0.2:8080" || j.Finished.IsZero() {
+			t.Fatalf("%s: fenced job = %+v", when, j)
+		}
+	}
+	check("live", s)
+	s.Close()
+	s = mustOpen(t, dir)
+	check("replayed", s)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	check("compacted", mustOpen(t, dir))
+}

@@ -373,13 +373,12 @@ func (s *rowSorter) Swap(a, b int) {
 // into ws.next, which is then swapped with ws.flow, so ws.flow always
 // names the current flow.
 //
-// Each call opens an "mcl.iterate" span (worker count, iteration count,
-// final residual, how many expansion rows were accumulated dense, which
-// body scanned them (scan: avx2 | go) and how many top-k pre-filters fell
-// back, as attributes) and records
-// per-iteration residual, flow nonzeros and threshold-pruned entries
-// through the obs hooks; both are no-ops when no trace/meter is
-// installed in ctx.
+// Each call opens an "mcl.iterate" span (a no-op when no trace is
+// installed in ctx) with the worker count, iteration count, final
+// residual, entries the prune threshold killed over the solve, how many
+// expansion rows were accumulated dense, which body scanned them
+// (scan: avx2 | go) and how many top-k pre-filters fell back, as
+// attributes.
 //
 // ckptKernel names the checkpoint slot this solve saves/restores
 // through a context-carried checkpoint.Sink; "" disables checkpointing
@@ -396,15 +395,16 @@ func (ws *workspace) iterate(ctx context.Context, opt Options, maxIter int, ckpt
 		obs.A("workers", expander.Workers(mgt.Rows)), obs.A("scan", matrix.ScanBody()))
 	ctx, paths := obs.WithPruneStats(ctx)
 	var lastDelta float64
+	var pruned int64
 	defer func() {
 		sp.SetAttr("iterations", iters)
 		sp.SetAttr("residual", lastDelta)
+		sp.SetAttr("pruned_entries", pruned)
 		dense, fallbacks, grouped := paths.RowPaths()
 		sp.SetAttr("dense_rows", dense)
 		sp.SetAttr("select_fallbacks", fallbacks)
 		sp.SetAttr("grouped_rows", grouped)
 		sp.EndErr(err)
-		obs.ObserveMCLRun(ctx, iters)
 	}()
 
 	start := 0
@@ -457,13 +457,13 @@ func (ws *workspace) iterate(ctx context.Context, opt Options, maxIter int, ckpt
 		// product; selecting them during the product avoids ever
 		// materialising (or sorting) the long tail on dense
 		// regularizers.
-		pruned, err := expander.MulTopK(ctx, ws.next, ws.flow, mgt, opt.MaxPerColumn, epilogue)
+		killed, err := expander.MulTopK(ctx, ws.next, ws.flow, mgt, opt.MaxPerColumn, epilogue)
 		if err != nil {
 			return cancelled(it, err)
 		}
+		pruned += int64(killed)
 		delta := flowChange(ws.flow, ws.next)
 		lastDelta = delta
-		obs.ObserveMCLIteration(ctx, delta, ws.next.NNZ(), pruned)
 		ws.flow, ws.next = ws.next, ws.flow
 		if sink != nil {
 			if n := sink.Interval(); n > 0 && (it+1-start)%n == 0 {
@@ -484,7 +484,7 @@ func (ws *workspace) iterate(ctx context.Context, opt Options, maxIter int, ckpt
 // CRC-framed binary format) and hands it to the sink, under an
 // "mcl.checkpoint" span and fault site.
 func saveFlowCheckpoint(ctx context.Context, sink checkpoint.Sink, kernel string, iter int, flow *matrix.CSR) (err error) {
-	ctx, sp := obs.StartSpan(ctx, "mcl.checkpoint", obs.A("iter", iter))
+	_, sp := obs.StartSpan(ctx, "mcl.checkpoint", obs.A("kernel", kernel), obs.A("iter", iter))
 	defer func() { sp.EndErr(err) }()
 	if err = faultinject.Fire("mcl.checkpoint"); err != nil {
 		return fmt.Errorf("mcl: %w", err)
@@ -494,7 +494,6 @@ func saveFlowCheckpoint(ctx context.Context, sink checkpoint.Sink, kernel string
 		return fmt.Errorf("mcl: saving checkpoint: %w", err)
 	}
 	sp.SetAttr("bytes", len(blob))
-	obs.ObserveCheckpoint(ctx, kernel, len(blob))
 	return nil
 }
 

@@ -1,14 +1,12 @@
 package mcl
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 
 	"symcluster/internal/checkpoint"
@@ -184,11 +182,17 @@ func oracleFlowChange(a, b *matrix.CSR) float64 {
 	return sum / float64(a.Rows)
 }
 
-// oracleIterate is iterate's arithmetic and its metric observations,
-// without span, fault site or checkpointing; onIter sees the flow after
-// every iteration, where iterate would offer it to a checkpoint sink.
-func oracleIterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Options, maxIter int, onIter func(it int, flow *matrix.CSR)) (iters int, err error) {
-	defer func() { obs.ObserveMCLRun(ctx, iters) }()
+// oracleIterate is iterate's arithmetic, without span, fault site or
+// checkpointing; onIter, when set, sees the flow after every iteration,
+// where iterate would offer it to a checkpoint sink, and the solve's
+// iteration count, final residual and pruned total — what iterate's
+// span reports — are appended to log.solves.
+func oracleIterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt Options, maxIter int, log *solveLog, onIter func(it int, flow *matrix.CSR)) (iters int, err error) {
+	var solve solveStat
+	defer func() {
+		solve.iters = iters
+		log.solves = append(log.solves, solve)
+	}()
 	for it := 0; it < maxIter; it++ {
 		full, err := matrix.MulPrunedCtx(ctx, *flow, mgt, 0)
 		if err != nil {
@@ -200,7 +204,8 @@ func oracleIterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt 
 		next = prunePerRow(next, pruneThreshold, opt.MaxPerColumn)
 		normalizeRowsInPlace(next)
 		delta := oracleFlowChange(*flow, next)
-		obs.ObserveMCLIteration(ctx, delta, next.NNZ(), rawNNZ-next.NNZ())
+		solve.residual = delta
+		solve.pruned += int64(rawNNZ - next.NNZ())
 		*flow = next
 		if onIter != nil {
 			onIter(it+1, next)
@@ -213,13 +218,13 @@ func oracleIterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt 
 }
 
 // oracleCluster is ClusterCtx's orchestration over oracleIterate; as
-// there, only the finest level is offered to onIter.
-func oracleCluster(ctx context.Context, adj *matrix.CSR, opt Options, onIter func(it int, flow *matrix.CSR)) (*Result, error) {
+// there, only the finest level is offered to log.record.
+func oracleCluster(ctx context.Context, adj *matrix.CSR, opt Options, log *solveLog) (*Result, error) {
 	opt.fill()
 	if !opt.Multilevel || adj.Rows <= opt.CoarsenTo {
 		mgt := regularizer(adj)
 		flow := initialFlow(mgt, opt)
-		iters, err := oracleIterate(ctx, &flow, mgt, opt, opt.MaxIter, onIter)
+		iters, err := oracleIterate(ctx, &flow, mgt, opt, opt.MaxIter, log, log.record)
 		if err != nil {
 			return nil, err
 		}
@@ -232,20 +237,20 @@ func oracleCluster(ctx context.Context, adj *matrix.CSR, opt Options, onIter fun
 	}
 	mgt := regularizer(h.Coarsest().Adj)
 	flow := initialFlow(mgt, opt)
-	if _, err := oracleIterate(ctx, &flow, mgt, opt, opt.MaxIter, nil); err != nil {
+	if _, err := oracleIterate(ctx, &flow, mgt, opt, opt.MaxIter, log, nil); err != nil {
 		return nil, err
 	}
 	for level := h.Depth() - 1; level > 1; level-- {
 		fineAdj := h.Levels[level-1].Adj
 		flow = projectFlow(flow, h.Levels[level].Map, fineAdj.Rows)
 		mgt = regularizer(fineAdj)
-		if _, err := oracleIterate(ctx, &flow, mgt, opt, iterPerLevel, nil); err != nil {
+		if _, err := oracleIterate(ctx, &flow, mgt, opt, iterPerLevel, log, nil); err != nil {
 			return nil, err
 		}
 	}
 	flow = projectFlow(flow, h.Levels[1].Map, adj.Rows)
 	mgt = regularizer(adj)
-	iters, err := oracleIterate(ctx, &flow, mgt, opt, opt.MaxIter, onIter)
+	iters, err := oracleIterate(ctx, &flow, mgt, opt, opt.MaxIter, log, log.record)
 	if err != nil {
 		return nil, err
 	}
@@ -253,34 +258,32 @@ func oracleCluster(ctx context.Context, adj *matrix.CSR, opt Options, onIter fun
 	return &Result{Assign: assign, K: k, Iterations: iters}, nil
 }
 
-// iterRecord is what one finest-level iteration left behind: the flow
-// and the cumulative text of the three per-iteration histograms (and
-// the run histogram), whose _sum lines carry every digit.
+// iterRecord is what one finest-level iteration left behind: its flow,
+// whose bits pin the iteration's residual and nonzeros.
 type iterRecord struct {
-	iter    int
-	flow    *matrix.CSR
-	metrics string
+	iter int
+	flow *matrix.CSR
+}
+
+// solveStat is what one solve's "mcl.iterate" span reports: iterations,
+// final residual and the entries the prune threshold killed.
+type solveStat struct {
+	iters    int
+	residual float64
+	pruned   int64
 }
 
 // solveLog collects iterRecords, from oracleIterate's onIter or — as a
 // checkpoint sink with interval 1 — from iterate's per-iteration Save,
-// which runs right after the iteration's ObserveMCLIteration.
+// and, from the oracle, one solveStat per solve.
 type solveLog struct {
 	t       *testing.T
-	reg     *obs.Registry
 	records []iterRecord
+	solves  []solveStat
 }
 
 func (l *solveLog) record(it int, flow *matrix.CSR) {
-	var buf bytes.Buffer
-	l.reg.WriteText(&buf)
-	var mcl []string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.Contains(line, "symcluster_mcl_") { // not the checkpoint families
-			mcl = append(mcl, line)
-		}
-	}
-	l.records = append(l.records, iterRecord{iter: it, flow: flow.Clone(), metrics: strings.Join(mcl, "\n")})
+	l.records = append(l.records, iterRecord{iter: it, flow: flow.Clone()})
 }
 
 func (l *solveLog) Interval() int                      { return 1 }
@@ -363,9 +366,10 @@ func plantedBlocks(rng *rand.Rand, sizes []int, noise int) *matrix.CSR {
 
 // TestFusedIterateMatchesOracle holds the fused, tile-parallel solve to
 // the materialised one at every worker count the engine can derive:
-// after every finest-level iteration the flow is the same bits and the
-// residual, flow-nnz and pruned-entries histograms read the same, and
-// at the end so do the iteration count and the assignment. GOMAXPROCS
+// after every finest-level iteration the flow is the same bits, every
+// solve's span reports the oracle's iteration count, final residual and
+// pruned total, and at the end the iteration count and the assignment
+// are the same. GOMAXPROCS
 // is the only knob the worker count has, so the test turns that.
 //
 // The oracle's product is the reference one, hint-free and row by row,
@@ -407,18 +411,18 @@ func testFusedIterateMatchesOracle(t *testing.T) {
 					Inflation: inflation, Multilevel: v.multilevel,
 					CoarsenTo: g.adj.Rows / 3, MaxIter: 25, MaxPerColumn: v.topK, Seed: 3,
 				}
-				want := &solveLog{t: t, reg: obs.NewRegistry()}
-				wantRes, err := oracleCluster(obs.WithMeter(context.Background(), want.reg), g.adj, opt, want.record)
+				want := &solveLog{t: t}
+				wantRes, err := oracleCluster(context.Background(), g.adj, opt, want)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 2, 3, 8} {
 					t.Run(fmt.Sprintf("%s/r=%v/%s/workers=%d", g.name, inflation, v.name, workers), func(t *testing.T) {
 						runtime.GOMAXPROCS(workers)
-						got := &solveLog{t: t, reg: obs.NewRegistry()}
+						got := &solveLog{t: t}
 						trace := obs.NewTrace()
 						ctx, root := trace.StartRoot(context.Background(), "test")
-						ctx = checkpoint.With(obs.WithMeter(ctx, got.reg), got)
+						ctx = checkpoint.With(ctx, got)
 						gotRes, err := ClusterCtx(ctx, g.adj, opt)
 						root.End()
 						if err != nil {
@@ -459,8 +463,15 @@ func testFusedIterateMatchesOracle(t *testing.T) {
 								t.Fatalf("record %d is iteration %d, oracle %d", k, g.iter, w.iter)
 							}
 							requireSameFlow(t, w.iter, w.flow, g.flow)
-							if g.metrics != w.metrics {
-								t.Fatalf("iteration %d: metrics differ\n--- fused\n%s\n--- oracle\n%s", w.iter, g.metrics, w.metrics)
+						}
+						if len(spans) != len(want.solves) {
+							t.Fatalf("%d mcl.iterate spans, oracle %d solves", len(spans), len(want.solves))
+						}
+						for k, w := range want.solves {
+							got := solveStat{iters: spans[k].Attrs["iterations"].(int),
+								residual: spans[k].Attrs["residual"].(float64), pruned: spans[k].Attrs["pruned_entries"].(int64)}
+							if got.iters != w.iters || math.Float64bits(got.residual) != math.Float64bits(w.residual) || got.pruned != w.pruned {
+								t.Fatalf("solve %d: span says %+v, oracle %+v", k, got, w)
 							}
 						}
 						if gotRes.Iterations != wantRes.Iterations || gotRes.K != wantRes.K || !equalAssign(gotRes.Assign, wantRes.Assign) {

@@ -68,18 +68,23 @@ func (o *Options) fill() {
 // before each level is built, so a cancelled context aborts the
 // hierarchy within one matching-and-contraction round with ctx's error.
 // Each call opens
-// a "multilevel.coarsen" span and records the hierarchy depth and
-// coarsest-level size through the obs hooks.
-func CoarsenCtx(ctx context.Context, adj *matrix.CSR, opt Options) (hier *Hierarchy, err error) {
+// a "multilevel.coarsen" span that records the hierarchy depth and
+// coarsest-level size.
+func CoarsenCtx(ctx context.Context, adj *matrix.CSR, opt Options) (*Hierarchy, error) {
+	return coarsen(ctx, adj, opt)
+}
+
+// coarsen is CoarsenCtx with extra attributes on its span.
+func coarsen(ctx context.Context, adj *matrix.CSR, opt Options, attrs ...obs.Attr) (hier *Hierarchy, err error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("multilevel: adjacency %dx%d not square", adj.Rows, adj.Cols)
 	}
 	opt.fill()
 	rng := rand.New(rand.NewSource(opt.Seed))
 
-	ctx, sp := obs.StartSpan(ctx, "multilevel.coarsen", obs.A("nodes", adj.Rows))
+	_, sp := obs.StartSpan(ctx, "multilevel.coarsen", append([]obs.Attr{obs.A("nodes", adj.Rows)}, attrs...)...)
 	h := &Hierarchy{Levels: []*Level{{Adj: adj, NodeWeight: ones(adj.Rows)}}}
-	defer func() { endCoarsen(ctx, sp, h, err) }()
+	defer func() { endCoarsen(sp, h, err) }()
 	for h.Depth() < maxLevels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -102,14 +107,11 @@ func CoarsenCtx(ctx context.Context, adj *matrix.CSR, opt Options) (hier *Hierar
 }
 
 // endCoarsen closes a "multilevel.coarsen" span over the hierarchy it
-// produced — built here or served by a Memo — and fires the obs hook.
-func endCoarsen(ctx context.Context, sp *obs.Span, h *Hierarchy, err error) {
+// produced — built here or served by a Memo.
+func endCoarsen(sp *obs.Span, h *Hierarchy, err error) {
 	sp.SetAttr("levels", h.Depth())
 	sp.SetAttr("coarsest_nodes", h.Coarsest().Adj.Rows)
 	sp.EndErr(err)
-	if err == nil {
-		obs.ObserveCoarsen(ctx, h.Depth(), h.Coarsest().Adj.Rows)
-	}
 }
 
 func ones(n int) []float64 {

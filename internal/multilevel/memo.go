@@ -33,24 +33,23 @@ func NewMemo(adj *matrix.CSR, keep func(held int64) bool) *Memo {
 
 // Coarsen returns what CoarsenCtx(ctx, adj, opt) would, bit for bit: the
 // kept hierarchy cut to where a build under opt stops (under the usual
-// span, marked cache_hit), or else a fresh build, which it offers to
-// keep. A nil memo, or one bound to another adjacency, is CoarsenCtx.
+// span, marked cache_hit: true), or else a fresh build (marked
+// cache_hit: false), which it offers to keep. A nil memo, or one bound
+// to another adjacency, is CoarsenCtx.
 func (m *Memo) Coarsen(ctx context.Context, adj *matrix.CSR, opt Options) (*Hierarchy, error) {
 	if m == nil || adj != m.adj {
 		return CoarsenCtx(ctx, adj, opt)
 	}
 	opt.fill()
 	if h := m.view(opt); h != nil {
-		ctx, sp := obs.StartSpan(ctx, "multilevel.coarsen", obs.A("nodes", adj.Rows), obs.A("cache_hit", true))
-		endCoarsen(ctx, sp, h, nil)
-		obs.ObserveHierarchy(ctx, "hit")
+		_, sp := obs.StartSpan(ctx, "multilevel.coarsen", obs.A("nodes", adj.Rows), obs.A("cache_hit", true))
+		endCoarsen(sp, h, nil)
 		return h, nil
 	}
-	h, err := CoarsenCtx(ctx, adj, opt)
+	h, err := coarsen(ctx, adj, opt, obs.A("cache_hit", false))
 	if err != nil {
 		return nil, err
 	}
-	obs.ObserveHierarchy(ctx, "built")
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.keep == nil || m.keep(h.HeldBytes()) {

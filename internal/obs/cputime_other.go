@@ -4,5 +4,5 @@ package obs
 
 import "time"
 
-// ProcessCPUTime is unavailable off unix; JobStats CPU columns read 0.
+// ProcessCPUTime is unavailable off unix; stage spans' cpu_millis read 0.
 func ProcessCPUTime() time.Duration { return 0 }

@@ -8,9 +8,9 @@ import (
 )
 
 // ProcessCPUTime returns the process's cumulative CPU time
-// (user + system) via getrusage. It backs the per-stage CPU column of
-// JobStats; on platforms without getrusage it reports 0 and the column
-// stays empty rather than failing.
+// (user + system) via getrusage. It backs the stage spans' cpu_millis
+// (MeterStage); on platforms without getrusage it reports 0 and the
+// column stays empty rather than failing.
 func ProcessCPUTime() time.Duration {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

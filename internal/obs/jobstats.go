@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"context"
 	"runtime/metrics"
+	"strings"
 	"sync"
 	"time"
 )
@@ -20,7 +20,8 @@ type StageStats struct {
 
 // JobStatsSnapshot is the wire (and WAL) form of one job's resource
 // accounting: embedded in ClusterResponse.Stats, served at
-// GET /v1/jobs/{id}/stats, and persisted in the job's WAL record.
+// GET /v1/jobs/{id}/stats, and persisted in the job's WAL record. It is
+// read off the run's span tree by StatsOf.
 type JobStatsSnapshot struct {
 	QueueWaitMillis      float64               `json:"queue_wait_millis"`
 	Stages               map[string]StageStats `json:"stages,omitempty"`
@@ -31,147 +32,93 @@ type JobStatsSnapshot struct {
 	OOCResidentPeakBytes int64                 `json:"ooc_resident_peak_bytes,omitempty"`
 }
 
-// JobStats accumulates one job's resource accounting. It rides the
-// context through pool, executor, and kernels the same way PruneStats
-// does: the daemon (or CLI) installs one with WithJobStats, the layers
-// underneath record into it via the nil-safe methods, and the owner
-// reads it back with Snapshot when the job finishes. Safe for
-// concurrent use.
-type JobStats struct {
-	mu   sync.Mutex
-	snap JobStatsSnapshot
-}
-
-// NewJobStats returns an empty accumulator.
-func NewJobStats() *JobStats { return &JobStats{} }
-
-// WithJobStats installs js as the context's job accumulator.
-func WithJobStats(ctx context.Context, js *JobStats) context.Context {
-	return context.WithValue(ctx, jobStatsKey, js)
-}
-
-// JobStatsFrom returns the installed accumulator, or nil (every method
-// of which is a no-op), so call sites never branch.
-func JobStatsFrom(ctx context.Context) *JobStats {
-	js, _ := ctx.Value(jobStatsKey).(*JobStats)
-	return js
-}
-
-// SetQueueWait records how long the job sat in the worker-pool queue
-// before a worker picked it up.
-func (j *JobStats) SetQueueWait(d time.Duration) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.snap.QueueWaitMillis = float64(d) / float64(time.Millisecond)
-	j.mu.Unlock()
-}
-
-// AddStage folds one stage execution's wall, CPU, and allocation
-// deltas into the named stage (accumulating across retries/resumes).
-func (j *JobStats) AddStage(name string, wall, cpu time.Duration, allocBytes int64) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	if j.snap.Stages == nil {
-		j.snap.Stages = make(map[string]StageStats)
-	}
-	st := j.snap.Stages[name]
-	st.WallMillis += float64(wall) / float64(time.Millisecond)
-	st.CPUMillis += float64(cpu) / float64(time.Millisecond)
-	if allocBytes > 0 {
-		st.AllocBytes += allocBytes
-	}
-	j.snap.Stages[name] = st
-	j.mu.Unlock()
-}
-
-// AddCache records one symmetrization-cache lookup.
-func (j *JobStats) AddCache(hit bool) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	if hit {
-		j.snap.CacheHits++
-	} else {
-		j.snap.CacheMisses++
-	}
-	j.mu.Unlock()
-}
-
-// AddSpillBytes records bytes written to disk scratch (external-sort
-// runs, out-of-core intermediates) on the job's behalf.
-func (j *JobStats) AddSpillBytes(n int64) {
-	if j == nil || n <= 0 {
-		return
-	}
-	j.mu.Lock()
-	j.snap.SpillBytes += n
-	j.mu.Unlock()
-}
-
-// AddCheckpointBytes records one checkpoint snapshot's serialized size.
-func (j *JobStats) AddCheckpointBytes(n int64) {
-	if j == nil || n <= 0 {
-		return
-	}
-	j.mu.Lock()
-	j.snap.CheckpointBytes += n
-	j.mu.Unlock()
-}
-
-// ObserveResident tracks the high-water mark of out-of-core resident
-// bytes charged against the job's budget.
-func (j *JobStats) ObserveResident(n int64) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	if n > j.snap.OOCResidentPeakBytes {
-		j.snap.OOCResidentPeakBytes = n
-	}
-	j.mu.Unlock()
-}
-
-// Snapshot returns a deep copy of the accumulated stats, or nil on a
-// nil accumulator.
-func (j *JobStats) Snapshot() *JobStatsSnapshot {
-	if j == nil {
+// StatsOf reads a run's resource accounting off its span tree (nil for
+// a nil tree):
+//
+//   - queue wait: the "queue" span's wall clock;
+//   - stages: every stage span — one carrying cpu_millis, which
+//     MeterStage sets — by name: wall clock, cpu_millis and alloc_bytes;
+//     its cache_hit, when set, counts a cache hit or miss;
+//   - spill: "csr.write" bytes, plus "csr.ingest.merge" merged_bytes when
+//     it spilled runs;
+//   - checkpoints: the bytes of every "*.checkpoint" span;
+//   - out-of-core peak: the largest "core.symmetrize" resident_peak_bytes.
+//
+// A span's attributes say only what happened, failed spans included.
+func StatsOf(root *SpanNode) *JobStatsSnapshot {
+	if root == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := j.snap
-	if j.snap.Stages != nil {
-		out.Stages = make(map[string]StageStats, len(j.snap.Stages))
-		for k, v := range j.snap.Stages {
-			out.Stages[k] = v
+	st := &JobStatsSnapshot{}
+	var walk func(n *SpanNode)
+	walk = func(n *SpanNode) {
+		num := func(key string) float64 { v, _ := n.Number(key); return v }
+		switch {
+		case n.Name == "queue":
+			st.QueueWaitMillis += n.DurationMillis
+		case n.Attrs["cpu_millis"] != nil:
+			if st.Stages == nil {
+				st.Stages = make(map[string]StageStats)
+			}
+			s := st.Stages[n.Name]
+			s.WallMillis += n.DurationMillis
+			s.CPUMillis += num("cpu_millis")
+			s.AllocBytes += int64(num("alloc_bytes"))
+			st.Stages[n.Name] = s
+			if hit, ok := n.Attrs["cache_hit"].(bool); ok && hit {
+				st.CacheHits++
+			} else if ok {
+				st.CacheMisses++
+			}
+		case n.Name == "csr.write":
+			st.SpillBytes += int64(num("bytes"))
+		case n.Name == "csr.ingest.merge" && num("spill_runs") > 0:
+			st.SpillBytes += int64(num("merged_bytes"))
+		case strings.HasSuffix(n.Name, ".checkpoint"):
+			st.CheckpointBytes += int64(num("bytes"))
+		case n.Name == "core.symmetrize":
+			st.OOCResidentPeakBytes = max(st.OOCResidentPeakBytes, int64(num("resident_peak_bytes")))
+		}
+		for _, c := range n.Children {
+			walk(c)
 		}
 	}
-	return &out
+	walk(root)
+	return st
 }
 
-// BeginStage starts accounting one named stage against the context's
-// JobStats and returns the closure that folds the wall/CPU/alloc
-// deltas in. With no accumulator installed both halves are no-ops, so
-// the pipeline calls it unconditionally:
+// Number returns the numeric attribute key of n as a float64; ok is
+// false when n has no such attribute or it is not a number.
+func (n *SpanNode) Number(key string) (v float64, ok bool) {
+	switch x := n.Attrs[key].(type) {
+	case int:
+		return float64(x), true
+	case int64:
+		return float64(x), true
+	case float64:
+		return x, true
+	}
+	return 0, false
+}
+
+// MeterStage charges a pipeline stage's span with the process CPU time
+// and heap allocation from now until the returned closure runs, which
+// sets them as the span's cpu_millis and alloc_bytes — the attributes
+// that make it a stage span to StatsOf. With no span (no trace) nothing
+// is read:
 //
-//	done := obs.BeginStage(ctx, "symmetrize")
+//	ctx, sp := obs.StartSpan(ctx, "symmetrize")
+//	done := obs.MeterStage(sp)
 //	… run the stage …
 //	done()
-func BeginStage(ctx context.Context, name string) func() {
-	js := JobStatsFrom(ctx)
-	if js == nil {
+func MeterStage(sp *Span) func() {
+	if sp == nil {
 		return func() {}
 	}
-	start := time.Now()
-	cpu0 := ProcessCPUTime()
-	alloc0 := totalAllocBytes()
+	cpu0, alloc0 := ProcessCPUTime(), totalAllocBytes()
 	return func() {
-		js.AddStage(name, time.Since(start), ProcessCPUTime()-cpu0, totalAllocBytes()-alloc0)
+		sp.SetAttr("cpu_millis", float64(ProcessCPUTime()-cpu0)/float64(time.Millisecond))
+		sp.SetAttr("alloc_bytes", max(totalAllocBytes()-alloc0, 0))
 	}
 }
 

@@ -217,9 +217,6 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 var (
 	// DurationBuckets spans 1ms…~65s, the request/stage latency range.
 	DurationBuckets = ExpBuckets(0.001, 2, 17)
-	// ResidualBuckets spans 1e-10…10 decade-by-decade, the convergence
-	// residual range of the power/Lanczos/flow iterations.
-	ResidualBuckets = ExpBuckets(1e-10, 10, 12)
 	// CountBuckets spans 1…~65k doubling, for iteration/level counts.
 	CountBuckets = ExpBuckets(1, 2, 17)
 	// SizeBuckets spans 64…~4.3e9 with factor 4, for nnz and byte sizes.

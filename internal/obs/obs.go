@@ -4,12 +4,14 @@
 // Prometheus text exposition, and pprof wiring for the binaries.
 //
 // Everything is carried through context.Context so the kernels stay
-// decoupled from the daemon: a request installs a logger, a metrics
-// registry and a root span; the kernels underneath call the cheap
-// hooks in kernel.go. When nothing is installed — the library default,
-// and the state every benchmark runs in — each hook is a single
-// context value lookup followed by a nil check, so instrumentation
-// costs nothing measurable on the hot paths.
+// decoupled from the daemon: a run installs a logger and a root span,
+// and the kernels underneath open child spans and set attributes on
+// them — the span tree is a run's only record. Its owner reads what it
+// needs off the finished tree: the daemon its metrics, StatsOf the job
+// accounting. When no trace is installed — the library default, and the
+// state every benchmark runs in — StartSpan is a single context value
+// lookup and every span method a nil check, so instrumentation costs
+// nothing measurable on the hot paths.
 //
 // The package depends only on the standard library and must never
 // import another symcluster package: internal/matrix and the kernel
@@ -36,11 +38,9 @@ type ctxKey int
 
 const (
 	loggerKey ctxKey = iota
-	meterKey
 	spanKey
 	pruneKey
 	seedKey
-	jobStatsKey
 )
 
 // NewLogger builds a slog.Logger writing to w. format selects the
@@ -82,16 +82,4 @@ func Log(ctx context.Context) *slog.Logger {
 		return l
 	}
 	return slog.Default()
-}
-
-// WithMeter installs the metrics registry the kernel hooks record into.
-func WithMeter(ctx context.Context, r *Registry) context.Context {
-	return context.WithValue(ctx, meterKey, r)
-}
-
-// Meter returns the context metrics registry, or nil when none was
-// installed (hooks become no-ops).
-func Meter(ctx context.Context) *Registry {
-	r, _ := ctx.Value(meterKey).(*Registry)
-	return r
 }

@@ -96,7 +96,7 @@ func TestTraceSinkRingAndJSONL(t *testing.T) {
 		_, root := tr.StartRoot(context.Background(), "run")
 		root.SetAttr("i", i)
 		root.End()
-		sink.Export(tr)
+		sink.Export(tr.Tree())
 	}
 	if got := sink.Exported(); got != 3 {
 		t.Fatalf("Exported = %d, want 3", got)
@@ -198,37 +198,6 @@ func TestRegistryGetOrCreateIsIdempotent(t *testing.T) {
 	r.Counter("y_total", "", "l").Inc("v")
 	if got := r.Counter("y_total", "", "l").Value("v"); got != 2 {
 		t.Fatalf("value = %v, want 2 (families not shared)", got)
-	}
-}
-
-func TestKernelHooksNoopWithoutMeter(t *testing.T) {
-	ctx := context.Background()
-	// Must not panic or allocate registries.
-	ObserveMCLIteration(ctx, 0.1, 10, 2)
-	ObserveMCLRun(ctx, 5)
-	ObserveWalkIteration(ctx, 1e-6)
-	ObserveWalkRun(ctx, 30)
-	ObserveLanczosStep(ctx, 0.5)
-	ObserveLanczosRun(ctx, 40)
-	ObserveCoarsen(ctx, 3, 900)
-	ObserveSymmetrize(ctx, "dd", 100, 200, 5)
-}
-
-func TestKernelHooksRecord(t *testing.T) {
-	r := NewRegistry()
-	ctx := WithMeter(context.Background(), r)
-	ObserveMCLIteration(ctx, 0.1, 10, 2)
-	ObserveSymmetrize(ctx, "dd", 100, 200, 5)
-	var buf bytes.Buffer
-	r.WriteText(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		"symcluster_mcl_residual_count 1",
-		`symcluster_symmetrize_nnz_out_count{method="dd"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
 	}
 }
 

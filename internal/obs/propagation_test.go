@@ -135,7 +135,7 @@ func TestTraceSinkByteCap(t *testing.T) {
 		tr := NewTrace()
 		_, root := tr.StartRoot(context.Background(), name, A("pad", strings.Repeat("x", 256)))
 		root.End()
-		sink.Export(tr)
+		sink.Export(tr.Tree())
 	}
 	for i := 0; i < 8; i++ {
 		export("t")
@@ -168,11 +168,11 @@ func TestTraceSinkByTraceID(t *testing.T) {
 	tr := NewTrace()
 	_, root := tr.StartRoot(context.Background(), "mine")
 	root.End()
-	sink.Export(tr)
+	sink.Export(tr.Tree())
 	other := NewTrace()
 	_, root2 := other.StartRoot(context.Background(), "other")
 	root2.End()
-	sink.Export(other)
+	sink.Export(other.Tree())
 
 	segs := sink.ByTraceID(tr.ID())
 	if len(segs) != 1 || segs[0].Name != "mine" {
@@ -183,65 +183,71 @@ func TestTraceSinkByTraceID(t *testing.T) {
 	}
 }
 
-func TestJobStatsNilSafety(t *testing.T) {
-	var js *JobStats
-	js.SetQueueWait(time.Second)
-	js.AddStage("x", time.Second, time.Second, 1)
-	js.AddCache(true)
-	js.AddSpillBytes(1)
-	js.AddCheckpointBytes(1)
-	js.ObserveResident(1)
-	if js.Snapshot() != nil {
-		t.Fatal("nil JobStats must snapshot to nil")
+func TestStatsOfNilTree(t *testing.T) {
+	if StatsOf(nil) != nil {
+		t.Fatal("a nil tree must read as nil stats")
 	}
-	// A context with no accumulator yields nil and a no-op stage.
-	if JobStatsFrom(context.Background()) != nil {
-		t.Fatal("empty context must carry no JobStats")
-	}
-	BeginStage(context.Background(), "x")()
+	// With no trace there is no stage span to meter: both halves are
+	// no-ops.
+	MeterStage(nil)()
 }
 
-func TestJobStatsAccumulation(t *testing.T) {
-	js := NewJobStats()
-	js.SetQueueWait(1500 * time.Microsecond)
-	js.AddStage("cluster", 10*time.Millisecond, 4*time.Millisecond, 100)
-	js.AddStage("cluster", 10*time.Millisecond, 2*time.Millisecond, 50) // resume accumulates
-	js.AddStage("cluster", 0, 0, -5)                                    // negative alloc deltas are noise, dropped
-	js.AddCache(true)
-	js.AddCache(false)
-	js.AddSpillBytes(64)
-	js.AddSpillBytes(-1)
-	js.AddCheckpointBytes(32)
-	js.ObserveResident(100)
-	js.ObserveResident(40) // below the high-water mark
-
-	s := js.Snapshot()
+// TestStatsOfReadsTheTree: every field of the snapshot comes off a span
+// of the run's tree — the queue span's wall clock, the stage spans by
+// name (a resumed stage, seen twice, sums), their cache_hit, the
+// spilled bytes, the checkpoints and the out-of-core peak — and no
+// other span counts.
+func TestStatsOfReadsTheTree(t *testing.T) {
+	tree := &SpanNode{Name: "request", DurationMillis: 100, Children: []*SpanNode{
+		{Name: "queue", DurationMillis: 1.5},
+		{Name: "symmetrize", DurationMillis: 10, Attrs: map[string]any{
+			"name": "dd", "cache_hit": false, "cpu_millis": 4.0, "alloc_bytes": int64(100)},
+			Children: []*SpanNode{
+				{Name: "core.symmetrize", Attrs: map[string]any{"resident_peak_bytes": int64(100)}, Children: []*SpanNode{
+					{Name: "csr.write", Attrs: map[string]any{"bytes": int64(64)}},
+					{Name: "csr.write", Error: "disk full"}, // wrote nothing: no bytes
+				}},
+				{Name: "core.symmetrize", Attrs: map[string]any{"resident_peak_bytes": int64(40)}},
+			}},
+		{Name: "cluster", DurationMillis: 10, Attrs: map[string]any{"cpu_millis": 2.0, "alloc_bytes": int64(50)},
+			Children: []*SpanNode{
+				{Name: "mcl.iterate", DurationMillis: 9, Attrs: map[string]any{"cache_hit": true}}, // not a stage
+				{Name: "mcl.checkpoint", Attrs: map[string]any{"bytes": 20}},
+				{Name: "walk.checkpoint", Attrs: map[string]any{"bytes": 12}},
+				{Name: "csr.ingest.merge", Attrs: map[string]any{"spill_runs": int64(0), "merged_bytes": int64(1 << 20)}},
+			}},
+		{Name: "cluster", DurationMillis: 5, Attrs: map[string]any{"cpu_millis": 1.0, "alloc_bytes": int64(0)}},
+		{Name: "symmetrize", DurationMillis: 1, Attrs: map[string]any{"cache_hit": true, "cpu_millis": 0.0, "alloc_bytes": int64(0)}},
+	}}
+	s := StatsOf(tree)
 	if s.QueueWaitMillis != 1.5 {
 		t.Fatalf("QueueWaitMillis = %v", s.QueueWaitMillis)
 	}
-	cl := s.Stages["cluster"]
-	if cl.WallMillis != 20 || cl.CPUMillis != 6 || cl.AllocBytes != 150 {
+	if cl := s.Stages["cluster"]; cl.WallMillis != 15 || cl.CPUMillis != 3 || cl.AllocBytes != 50 {
 		t.Fatalf("cluster stage = %+v", cl)
 	}
-	if s.CacheHits != 1 || s.CacheMisses != 1 {
-		t.Fatalf("cache = %d/%d", s.CacheHits, s.CacheMisses)
+	if sym := s.Stages["symmetrize"]; sym.WallMillis != 11 || sym.CPUMillis != 4 || sym.AllocBytes != 100 {
+		t.Fatalf("symmetrize stage = %+v", sym)
+	}
+	if len(s.Stages) != 2 || s.CacheHits != 1 || s.CacheMisses != 1 {
+		t.Fatalf("stages %v, cache = %d/%d", s.Stages, s.CacheHits, s.CacheMisses)
 	}
 	if s.SpillBytes != 64 || s.CheckpointBytes != 32 || s.OOCResidentPeakBytes != 100 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-
-	// Snapshot is a deep copy: mutating the accumulator afterwards must
-	// not reach through.
-	js.AddStage("cluster", time.Millisecond, 0, 0)
-	if s.Stages["cluster"].WallMillis != 20 {
-		t.Fatal("snapshot aliases the live stage map")
+	tree.Children[2].Children[3].Attrs["spill_runs"] = int64(2)
+	if got := StatsOf(tree).SpillBytes; got != 64+1<<20 {
+		t.Fatalf("SpillBytes with a spilled merge = %d", got)
 	}
 }
 
-func TestBeginStageRecordsDeltas(t *testing.T) {
-	js := NewJobStats()
-	ctx := WithJobStats(context.Background(), js)
-	done := BeginStage(ctx, "symmetrize")
+// TestMeterStageRecordsDeltas: a metered stage span carries its CPU and
+// allocation deltas, and StatsOf reads them back beside its wall clock.
+func TestMeterStageRecordsDeltas(t *testing.T) {
+	tr := NewTrace()
+	ctx, root := tr.StartRoot(context.Background(), "run")
+	_, sp := StartSpan(ctx, "symmetrize")
+	done := MeterStage(sp)
 	// Burn a little wall clock and allocation so the deltas are
 	// observable.
 	buf := make([][]byte, 0, 64)
@@ -251,8 +257,10 @@ func TestBeginStageRecordsDeltas(t *testing.T) {
 	_ = buf
 	time.Sleep(2 * time.Millisecond)
 	done()
+	sp.End()
+	root.End()
 
-	s := js.Snapshot()
+	s := StatsOf(tr.Tree())
 	st, ok := s.Stages["symmetrize"]
 	if !ok {
 		t.Fatalf("no symmetrize stage: %+v", s)

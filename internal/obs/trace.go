@@ -333,12 +333,12 @@ func (t *Trace) Tree() *SpanNode {
 // caller does not choose its own cap via SetMaxBytes.
 const DefaultTraceRingBytes = 16 << 20
 
-// TraceSink receives finished traces: each is rendered to its span
-// tree, written as one JSON line to the writer (when one is set), and
-// retained in a bounded ring so the daemon can serve recent traces
-// without any file configured. The ring is bounded both by trace count
-// and by retained bytes (the rendered JSON size of each tree), so a few
-// enormous traces cannot dominate the heap. Safe for concurrent use.
+// TraceSink receives finished span trees: each is written as one JSON
+// line to the writer (when one is set), and retained in a bounded ring
+// so the daemon can serve recent traces without any file configured.
+// The ring is bounded both by trace count and by retained bytes (the
+// rendered JSON size of each tree), so a few enormous traces cannot
+// dominate the heap. Safe for concurrent use.
 type TraceSink struct {
 	mu       sync.Mutex
 	w        io.Writer
@@ -385,11 +385,11 @@ func (s *TraceSink) evictLocked() {
 	}
 }
 
-// Export records the trace's span tree. Traces with no spans are
-// dropped. Write errors are reported on stderr once per call but never
-// fail the request that produced the trace.
-func (s *TraceSink) Export(t *Trace) {
-	root := t.Tree()
+// Export records a finished trace's span tree (Trace.Tree); a nil tree
+// (a trace with no spans) is dropped. Write errors are reported on
+// stderr once per call but never fail the request that produced the
+// trace.
+func (s *TraceSink) Export(root *SpanNode) {
 	if root == nil {
 		return
 	}

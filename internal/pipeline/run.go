@@ -121,12 +121,12 @@ type Memo interface {
 //
 // When a trace is installed in ctx (obs.Trace.StartRoot), each stage
 // runs under a "symmetrize" or "cluster" span with the stage's wire
-// name attached, and the kernels underneath add their own child spans.
+// name attached, metered by obs.MeterStage (its process CPU and heap
+// allocation), and the kernels underneath add their own child spans.
 // The span tree itself is NOT folded into the returned StageTrace —
 // the trace owner (CLI or server) attaches tr.Tree() after ending the
-// root, so the tree is complete. Per-stage wall, CPU and allocation go
-// to the obs.JobStats in ctx, when there is one, and a CPU profile's
-// samples split by stage (labelStage).
+// root, so the tree is complete, and reads the run's accounting off it
+// (obs.StatsOf). A CPU profile's samples split by stage (labelStage).
 func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Result, *graph.Undirected, *StageTrace, error) {
 	trace := &StageTrace{Clusterer: r.Cl.Name()}
 	var u *graph.Undirected
@@ -134,11 +134,10 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 	if r.Sym != nil {
 		trace.Symmetrizer = r.Sym.Name()
 		symCtx, symSpan := obs.StartSpan(ctx, "symmetrize", obs.A("name", r.Sym.Name()))
-		endStage := obs.BeginStage(ctx, "symmetrize")
+		endStage := obs.MeterStage(symSpan)
 		start := time.Now()
 		if memo != nil {
 			u, hier, trace.CacheHit = memo.Lookup(r.Sym, r.SymOpt)
-			obs.JobStatsFrom(ctx).AddCache(trace.CacheHit)
 			symSpan.SetAttr("cache_hit", trace.CacheHit)
 		}
 		var err error
@@ -164,7 +163,7 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 		return nil, u, trace, err
 	}
 	clCtx, clSpan := obs.StartSpan(ctx, "cluster", obs.A("name", r.Cl.Name()))
-	endStage := obs.BeginStage(ctx, "cluster")
+	endStage := obs.MeterStage(clSpan)
 	start := time.Now()
 	var res *Result
 	var err error

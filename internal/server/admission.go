@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"time"
 
 	"symcluster/internal/csr"
 	"symcluster/internal/pipeline"
@@ -32,11 +31,10 @@ import (
 const spillFactor = 4
 
 // ticket is an admitted job's claim on the node: whether it must run
-// out-of-core, its place in the pool, and when it took it.
+// out-of-core, and its place in the pool.
 type ticket struct {
 	ooc  bool
 	slot *Slot
-	at   time.Time
 }
 
 // admit is the one verdict on a resolved clustering job. ctx is the
@@ -65,7 +63,7 @@ func (s *Server) admit(ctx context.Context, prep *preparedRun) (ticket, error) {
 	if err != nil {
 		return ticket{}, err
 	}
-	return ticket{ooc: ooc, slot: slot, at: time.Now()}, nil
+	return ticket{ooc: ooc, slot: slot}, nil
 }
 
 // sizeJob applies the byte budgets: whether the run must go

@@ -73,8 +73,10 @@ func adoptKey(peer, jobID string) string {
 // pending) is re-created locally under an idempotency key derived from
 // (peer, original id) — so re-adoption after an adopter restart dedups
 // — with its kernel checkpoints carried over, its graph imported from
-// the dead store by hardlink-or-copy, and a canceled marker journaled
-// into the dead peer's WAL so a rebooted peer does not re-run the job.
+// the dead store by hardlink-or-copy, and a fence journaled into the
+// dead peer's WAL (canceled, naming this node as the adopter) so a
+// rebooted peer neither re-runs the job nor answers for it (resolve
+// forwards its id here).
 // The adopted jobs then go through the ordinary replay launcher, which
 // resumes their kernels from the carried checkpoints.
 // It runs on every sweep, on every member, but the lock decides: a live
@@ -129,7 +131,7 @@ func (c *coordinator) adoptFrom(dead *cluster.Peer) {
 		// Fence only after the local copy is durable: a crash between
 		// the two writes double-runs (deterministic, so harmless) rather
 		// than losing the job.
-		if err := st.Finish(rec.ID, jobstore.Canceled, nil, "adopted by "+c.self.Name, nil, nil); err != nil {
+		if err := st.Fence(rec.ID, c.self.Name); err != nil {
 			s.log().Error("fencing adopted job", "peer", dead.Name, "job", rec.ID, "err", err)
 		}
 		if existing {

@@ -14,9 +14,9 @@
 //     and lifecycle
 //   - handlers.go   — the /v1 endpoint handlers, the status map and the
 //     refusal writer; a cluster request is resolved and executed by
-//     internal/pipeline (prepareRun resolves it, runTicket takes it
-//     from its queue place to its outcome, runCluster traces it and
-//     lends it the cache as the pipeline's Memo)
+//     internal/pipeline (prepareRun resolves it, runTicket traces it
+//     from its queue place to its outcome, runCluster lends it the
+//     cache as the pipeline's Memo)
 //   - upload.go     — chunked graph upload sessions
 //   - admission.go  — admit: the ordered gates (byte budget, deadline,
 //     queue place) a job passes before it is journaled or queued, and
@@ -27,7 +27,8 @@
 //   - jobs.go, jobsink.go — wire rendering of async jobs and their
 //     checkpoint sink (the job table itself is internal/jobstore)
 //   - metrics.go    — every symclusterd_* family, in the one registry
-//     /metrics renders
+//     /metrics renders, and the span table the kernel families are
+//     read off
 //   - middleware.go — recovery, body limits, the drain gate, request
 //     accounting
 //   - routing.go, graphpush.go, adoption.go — cluster mode: where a

@@ -172,9 +172,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	// Synchronous runs get per-job resource accounting too: the snapshot
-	// lands in the response's stats block (there is no job record).
-	ctx = obs.WithJobStats(ctx, obs.NewJobStats())
 	var out *runOutcome
 	tk, err := s.admit(ctx, prep)
 	if err == nil {
@@ -201,30 +198,54 @@ func decodeClusterRequest(body io.Reader) (*ClusterRequest, error) {
 }
 
 // runTicket takes an admitted job from the queue to its outcome on the
-// calling goroutine: wait for a worker, stop being "queued", run. A
-// context that ends while the job waits frees its slot at once and the
-// kernel never starts; a deadline that expires there counts into
+// calling goroutine, under the run's trace: wait for a worker (the
+// "queue" span), stop being "queued", run (runCluster). A context that
+// ends while the job waits frees its slot at once and the kernel never
+// starts; a deadline that expires there counts into
 // symclusterd_deadline_rejected_total beside admission's rejections.
 // begin, when set, runs on the worker just before the kernel (an async
 // job journals its start there).
-func (s *Server) runTicket(ctx context.Context, tk ticket, prep *preparedRun, begin func() error) (out *runOutcome, err error) {
-	err = tk.slot.Wait(ctx)
-	obs.JobStatsFrom(ctx).SetQueueWait(time.Since(tk.at))
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.deadlineRejected.Inc()
-		}
-		return nil, err
+//
+// The root "request" span nests the queue and the pipeline's stage
+// spans. NewTraceFrom joins whatever identity the context carries: the
+// entry node's traceparent on a proxied request, the pinned seed of an
+// async job, or nothing (fresh root trace for a local sync run). The
+// finished tree is exported — including on error, so failed runs stay
+// visible — and is the outcome's Trace; the response, on success,
+// embeds it and the accounting read off it.
+func (s *Server) runTicket(ctx context.Context, tk ticket, prep *preparedRun, begin func() error) (*runOutcome, error) {
+	method := ""
+	if prep.run.Sym != nil {
+		method = prep.run.Sym.Name()
 	}
-	err = tk.slot.Run(ctx, func(ctx context.Context) (err error) {
-		if begin != nil {
-			if err := begin(); err != nil {
-				return err
+	tr := obs.NewTraceFrom(ctx)
+	ctx, root := tr.StartRoot(ctx, "request",
+		obs.A("graph_id", prep.rg.info.ID),
+		obs.A("algorithm", prep.run.Cl.Name()),
+		obs.A("method", method))
+	_, queue := obs.StartSpan(ctx, "queue")
+	err := tk.slot.Wait(ctx)
+	queue.EndErr(err)
+	var run *clusterRun
+	if err == nil {
+		err = tk.slot.Run(ctx, func(ctx context.Context) (err error) {
+			if begin != nil {
+				if err := begin(); err != nil {
+					return err
+				}
 			}
-		}
-		out, err = s.runCluster(ctx, prep, tk.ooc)
-		return err
-	})
+			run, err = s.runCluster(ctx, prep, tk.ooc)
+			return err
+		})
+	} else if errors.Is(err, context.DeadlineExceeded) {
+		s.metrics.deadlineRejected.Inc()
+	}
+	root.EndErr(err)
+	out := &runOutcome{Trace: s.export(tr)}
+	if err == nil {
+		run.trace.Spans = out.Trace
+		out.Resp = NewClusterResponse(prep.rg.info.ID, run.res, run.u, run.trace, obs.StatsOf(out.Trace))
+	}
 	return out, err
 }
 
@@ -306,8 +327,6 @@ func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep
 		seed.LinkTraceID = job.LinkTraceID
 	}
 	jobCtx = obs.WithTraceSeed(jobCtx, seed)
-	js := obs.NewJobStats()
-	jobCtx = obs.WithJobStats(jobCtx, js)
 
 	s.jobMu.Lock()
 	s.jobCancels[job.ID] = cancel
@@ -339,13 +358,13 @@ func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep
 			}
 			return
 		}
-		s.finishJob(job.ID, out, js.Snapshot(), rerr)
+		s.finishJob(job.ID, out, rerr)
 	}()
 }
 
 // runOutcome is what one clustering run leaves behind: the response
 // (nil when the run failed) and the run's span tree, which survives
-// errors so failed jobs keep their trace.
+// errors so failed jobs keep their trace and accounting.
 type runOutcome struct {
 	Resp  *ClusterResponse
 	Trace *obs.SpanNode
@@ -404,20 +423,23 @@ func (m symMemo) Store(sym pipeline.Symmetrizer, opt pipeline.SymOptions, u *sym
 	}
 }
 
+// clusterRun is what a successful runCluster leaves for the response.
+type clusterRun struct {
+	res   *symcluster.Clustering
+	u     *symcluster.UndirectedGraph
+	trace *symcluster.StageTrace
+}
+
 // runCluster executes one resolved request over the symmetrization
-// cache, under a fresh trace whose root "request" span nests the
-// "symmetrize" and "cluster" stage spans (and, underneath those, the
-// kernel spans the instrumented hot loops open). The finished tree is
-// exported to the server's trace sink — including on error, so failed
-// runs stay visible — and attached to the response's StageTrace on
-// success. A stage that actually ran (symmetrize on a cache miss,
-// cluster always) is observed into symclusterd_stage_seconds.
+// cache, under the run's root span (runTicket): the "symmetrize" and
+// "cluster" stage spans nest beneath it, and the kernel spans the
+// instrumented hot loops open beneath those.
 //
 // It runs on a pool slot, on the goroutine that waited for it; the
 // context is threaded into both stages, whose kernels poll it at
 // iteration and row-block boundaries, so a client disconnect or timeout
 // frees the worker within one block of kernel work.
-func (s *Server) runCluster(ctx context.Context, prep *preparedRun, ooc bool) (*runOutcome, error) {
+func (s *Server) runCluster(ctx context.Context, prep *preparedRun, ooc bool) (*clusterRun, error) {
 	rg, run := prep.rg, prep.run
 	if ooc {
 		// Route the symmetrization out-of-core: operands become
@@ -431,36 +453,13 @@ func (s *Server) runCluster(ctx context.Context, prep *preparedRun, ooc bool) (*
 			SpillMemBytes:    s.cfg.IngestMemBytes,
 		})
 	}
-	method := ""
-	if run.Sym != nil {
-		method = run.Sym.Name()
-	}
-	// NewTraceFrom joins whatever identity the context carries: the
-	// entry node's traceparent on a proxied request, the pinned seed of
-	// an async job, or nothing (fresh root trace for a local sync run).
-	tr := obs.NewTraceFrom(ctx)
-	ctx, root := tr.StartRoot(ctx, "request",
-		obs.A("graph_id", rg.info.ID),
-		obs.A("algorithm", run.Cl.Name()),
-		obs.A("method", method))
 	res, u, trace, err := run.Execute(ctx, rg.graph, symMemo{s, rg.fingerprint})
-	if u != nil && !trace.CacheHit {
-		s.metrics.stageSeconds.Observe(trace.SymmetrizeMillis/1000, "symmetrize", trace.Symmetrizer)
+	if err != nil {
+		return nil, err
 	}
-	if res != nil {
-		s.metrics.stageSeconds.Observe(trace.ClusterMillis/1000, "cluster", trace.Clusterer)
-		// A run that finished after its context ended still failed its
-		// caller.
-		err = ctx.Err()
-	}
-	root.EndErr(err)
-	out := &runOutcome{Trace: tr.Tree()}
-	s.traces.Export(tr)
-	if res != nil {
-		trace.Spans = out.Trace
-		out.Resp = NewClusterResponse(rg.info.ID, res, u, trace, obs.JobStatsFrom(ctx).Snapshot())
-	}
-	return out, err
+	// A run that finished after its context ended still failed its
+	// caller.
+	return &clusterRun{res, u, trace}, ctx.Err()
 }
 
 // logWorkerPanic logs the captured stack of a recovered worker panic.

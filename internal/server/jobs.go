@@ -38,9 +38,10 @@ func renderJob(j *jobstore.JobRecord) jobBody {
 
 // finishJob records a run's outcome in the job table: canceled when the
 // run's context was, failed on any other error, otherwise done with the
-// response marshalled here, once. out and stats may be nil (a run
-// rejected before it started has neither).
-func (s *Server) finishJob(id string, out *runOutcome, stats *obs.JobStatsSnapshot, runErr error) {
+// response marshalled here, once, and the accounting read off the run's
+// tree. out may be nil (a replayed request that no longer resolves never
+// ran).
+func (s *Server) finishJob(id string, out *runOutcome, runErr error) {
 	state, errMsg := jobstore.Done, ""
 	var result, statsJSON json.RawMessage
 	var trace *obs.SpanNode
@@ -56,7 +57,7 @@ func (s *Server) finishJob(id string, out *runOutcome, stats *obs.JobStatsSnapsh
 	case out != nil && out.Resp != nil:
 		result, _ = json.Marshal(out.Resp) // plain data: cannot fail
 	}
-	if stats != nil {
+	if stats := obs.StatsOf(trace); stats != nil {
 		statsJSON, _ = json.Marshal(stats)
 	}
 	if err := s.jobs.Finish(id, state, result, errMsg, statsJSON, trace); err != nil {

@@ -307,7 +307,6 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 		"symclusterd_request_seconds":          "histogram",
 		"symclusterd_stage_seconds":            "histogram",
 		"symclusterd_build_info":               "gauge",
-		"symcluster_mcl_residual":              "histogram",
 		"symcluster_mcl_iterations":            "histogram",
 		"symcluster_symmetrize_nnz_out":        "histogram",
 		"symclusterd_admission_rejected_total": "counter",
@@ -348,7 +347,8 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 // ways: every symclusterd_* family the table names (brace groups after
 // an underscore expanded, a trailing {labels} group dropped) is exposed
 // with a type its row states, and every exposed symclusterd_* family
-// has a row.
+// has a row. The symcluster_* rows are held the same way to the kernel
+// families NewMetrics registers up front, from spanTable.
 func TestReadmeMetricTable(t *testing.T) {
 	raw, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -395,9 +395,25 @@ func TestReadmeMetricTable(t *testing.T) {
 		}
 		delete(documented, name)
 	}
+	registered := map[string]string{} // kernel family → type
+	for _, row := range spanTable {
+		if strings.HasPrefix(row.family, "symcluster_") {
+			registered[row.family] = map[bool]string{true: "histogram", false: "counter"}[row.buckets != nil]
+		}
+	}
+	for name, typ := range registered {
+		if cell, ok := documented[name]; !ok {
+			t.Errorf("registered family %s (%s) has no row in README's metric table", name, typ)
+		} else if !strings.Contains(cell, typ) {
+			t.Errorf("%s is a %s; README's row says %q", name, typ, strings.TrimSpace(cell))
+		}
+		delete(documented, name)
+	}
 	for name := range documented {
 		if strings.HasPrefix(name, "symclusterd_") {
 			t.Errorf("README's metric table names %s, which the daemon does not expose", name)
+		} else if strings.HasPrefix(name, "symcluster_") {
+			t.Errorf("README's metric table names %s, which the daemon does not register", name)
 		}
 	}
 }

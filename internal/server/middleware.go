@@ -42,9 +42,8 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // body cap (unless the route is uncapped), the drain gate (if the route
 // stopsOnDrain) and request/latency accounting under the route's
 // pattern — not the raw (unbounded-cardinality) URL path. It also
-// assigns the request a process-unique request_id, installs a logger
-// carrying it in the request context (obs.Log), and installs the
-// metrics registry so kernel hooks underneath record into /metrics.
+// assigns the request a process-unique request_id and installs a logger
+// carrying it in the request context (obs.Log).
 func (s *Server) instrument(rt route, h http.HandlerFunc) http.HandlerFunc {
 	route, capped := rt.pattern, rt.flags&uncapped == 0
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -67,7 +66,7 @@ func (s *Server) instrument(rt route, h http.HandlerFunc) http.HandlerFunc {
 		}
 		// Join a peer's trace: the cluster client stamps every forwarded
 		// and internal hop with a traceparent header; seeding the context
-		// here makes whatever trace this request starts (runCluster, the
+		// here makes whatever trace this request starts (runTicket, the
 		// CSR receive, an async job) a segment of the sender's trace
 		// rather than a disconnected root.
 		if tid, sid, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
@@ -75,7 +74,6 @@ func (s *Server) instrument(rt route, h http.HandlerFunc) http.HandlerFunc {
 			log = log.With("trace_id", tid)
 		}
 		ctx = obs.WithLogger(ctx, log)
-		ctx = obs.WithMeter(ctx, s.metrics.reg)
 		r = r.WithContext(ctx)
 		rec := &statusRecorder{ResponseWriter: w}
 		if capped && r.Body != nil && s.cfg.MaxBodyBytes > 0 {

@@ -96,11 +96,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("trace log holds %d lines, want 2", lines)
 	}
 
-	// Kernel instrumentation reached /metrics: the MCL run recorded
-	// residuals and the rw symmetrization recorded a walk solve.
+	// Kernel spans reached /metrics: the MCL run recorded its solves
+	// and the rw symmetrization recorded a walk solve.
 	metrics := scrapeMetrics(t, ts.URL)
 	for _, fam := range []string{
-		"symcluster_mcl_residual_count",
+		"symcluster_mcl_iterations_count",
 		"symcluster_walk_power_iterations_count",
 		"symcluster_symmetrize_nnz_out_count",
 	} {

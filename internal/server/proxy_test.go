@@ -324,9 +324,15 @@ func TestClusterDownPeerAnswers503WithRetryAfter(t *testing.T) {
 // closed, the node's process counts as alive.
 func seedPeerStore(t *testing.T, root, name string) *jobstore.Store {
 	t.Helper()
+	return seedStore(t, filepath.Join(root, nodeDirName(name)))
+}
+
+// seedStore is seedPeerStore on the journal in dir.
+func seedStore(t *testing.T, dir string) *jobstore.Store {
+	t.Helper()
 	g := mustFigure1Graph(t)
 	gid := fmt.Sprintf("g-%016x", g.Fingerprint())
-	st, err := jobstore.Open(filepath.Join(root, nodeDirName(name)))
+	st, err := jobstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +376,17 @@ func newSurvivor(t *testing.T, root, deadName string) *clusterNode {
 	}
 	self := &cluster.Peer{Name: l.Addr().String(), URL: "http://" + l.Addr().String(), Weight: 1}
 	dead := &cluster.Peer{Name: deadName, URL: "http://" + deadName, Weight: 1}
+	return bootDurableNode(t, l, root, self, dead)
+}
+
+// bootDurableNode serves a durable cluster node called self on l, with
+// the data root and the peers given.
+func bootDurableNode(t *testing.T, l net.Listener, root string, self *cluster.Peer, peers ...*cluster.Peer) *clusterNode {
+	t.Helper()
 	s := mustNew(t, Config{
 		Workers: 2,
 		DataDir: root,
-		Cluster: &ClusterConfig{Self: self.Name, Peers: []*cluster.Peer{dead, self}},
+		Cluster: &ClusterConfig{Self: self.Name, Peers: append(peers, self)},
 	})
 	ts := httptest.NewUnstartedServer(s.Handler())
 	ts.Listener.Close()
@@ -617,6 +630,42 @@ func TestAdoptedCopyOutranksCreator(t *testing.T) {
 	}
 	if n := hops.Load(); n != 0 {
 		t.Fatalf("the adopter forwarded %d requests to the creator", n)
+	}
+}
+
+// TestRestartedCreatorForwardsAdoptedJob: once the creator of an
+// adopted job is back on its data root, its record of the job is the
+// fence the adopter journaled — canceled, naming the adopter — and
+// the id, asked of the creator, is answered from the adopted copy, as
+// it is through the adopter: never from the fence.
+func TestRestartedCreatorForwardsAdoptedJob(t *testing.T) {
+	root := t.TempDir()
+	name := refusedPeerName(t)
+	seedPeerStore(t, root, name).Close()
+	survivor := newSurvivor(t, root, name)
+	id := "job-000001@" + name
+	waitAdoptedDone(t, survivor, id)
+
+	l, err := net.Listen("tcp", name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	creator := bootDurableNode(t, l, root, &cluster.Peer{Name: name, URL: "http://" + name, Weight: 1}, survivor.peer)
+	if fence, ok := creator.s.jobs.Snapshot("job-000001"); !ok || fence.State != jobstore.Canceled || fence.AdoptedBy != survivor.peer.Name {
+		t.Fatalf("the creator's record = %+v, want the fence naming %s", fence, survivor.peer.Name)
+	}
+	for _, route := range []string{"", "/stats"} {
+		_, want := getURL(t, survivor.ts.URL+"/v1/jobs/"+id+route)
+		for _, n := range []*clusterNode{survivor, creator} {
+			code, body := getURL(t, n.ts.URL+"/v1/jobs/"+id+route)
+			if code != http.StatusOK || !bytes.Equal(body, want) {
+				t.Fatalf("GET job%s through %s: status %d: %s\nwant the adopted copy: %s", route, n.peer.Name, code, body, want)
+			}
+		}
+	}
+	var job JobInfo
+	if _, body := getURL(t, creator.ts.URL+"/v1/jobs/"+id); json.Unmarshal(body, &job) != nil || job.State != "done" {
+		t.Fatalf("GET job through the creator: %+v, want done", job)
 	}
 }
 

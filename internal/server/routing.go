@@ -181,17 +181,27 @@ func (c *coordinator) route(rt route) http.HandlerFunc {
 func (c *coordinator) resolve(o *owner, r *http.Request) (*cluster.Peer, []byte, error) {
 	id := r.PathValue("id")
 	if o.by == idSuffix {
-		// Ids minted here (or unqualified) are local, and so is a job
-		// this node adopted from its creator's WAL; an unknown creator
-		// is a 404; every other id goes to its creator.
+		// A job this node adopted out of its creator's WAL is served
+		// from the adopted copy, even on a hop: a restarted creator,
+		// whose record is the adopter's fence, forwards the id here.
+		// Other ids minted here (or unqualified, or forwarded) are
+		// local; an unknown creator is a 404; every other id goes to its
+		// creator.
 		local, name := splitQualified(id)
 		peer, member := c.ring.Peer(name)
+		if o.adoptable && name != "" {
+			if adoptedID, ok := c.s.jobs.LookupByKey(adoptKey(name, local)); ok {
+				r.SetPathValue("id", adoptedID)
+				return nil, nil, nil
+			}
+		}
+		if peer == c.self && !forwarded(r) {
+			if adopter := c.adopterOf(o, local); adopter != nil {
+				return adopter, nil, nil
+			}
+		}
 		if name == "" || peer == c.self || forwarded(r) {
 			r.SetPathValue("id", local)
-			return nil, nil, nil
-		}
-		if adoptedID, ok := c.s.jobs.LookupByKey(adoptKey(name, local)); ok && o.adoptable {
-			r.SetPathValue("id", adoptedID)
 			return nil, nil, nil
 		}
 		if !member {
@@ -230,6 +240,21 @@ func (c *coordinator) resolve(o *owner, r *http.Request) (*cluster.Peer, []byte,
 	return c.ownerOf(ringKey(id)), body, nil
 }
 
+// adopterOf is the peer that adopted the job id names here: nil unless
+// o is adoptable and this node's record of the job is the fence its
+// adopter journaled (jobstore.Store.Fence).
+func (c *coordinator) adopterOf(o *owner, id string) *cluster.Peer {
+	if !o.adoptable {
+		return nil
+	}
+	job, ok := c.s.jobs.Snapshot(id)
+	if !ok || job.AdoptedBy == "" {
+		return nil
+	}
+	adopter, _ := c.ring.Peer(job.AdoptedBy)
+	return adopter
+}
+
 // readBody drains the (already MaxBytesReader-capped) request body for
 // forwarding or local replay.
 func readBody(r *http.Request) ([]byte, error) {
@@ -240,18 +265,31 @@ func readBody(r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// tracedHop runs one side of an inter-node hop as the root span of an
-// exported trace segment. The cluster client injects the span's
-// traceparent and the receiver's middleware joins it, so whatever the
-// peer runs — including an async job outliving the request — is one
-// trace that GET /v1/jobs/{id}/trace stitches across nodes.
-func (s *Server) tracedHop(ctx context.Context, name string, hop func(context.Context, *obs.Span) error, attrs ...obs.Attr) error {
+// traced runs fn as the root span of an exported trace segment: one
+// side of an inter-node hop, or an upload's finalize. On a hop the
+// cluster client injects the span's traceparent and the receiver's
+// middleware joins it, so whatever the peer runs — including an async
+// job outliving the request — is one trace that GET /v1/jobs/{id}/trace
+// stitches across nodes.
+func (s *Server) traced(ctx context.Context, name string, fn func(context.Context, *obs.Span) error, attrs ...obs.Attr) error {
 	tr := obs.NewTraceFrom(ctx)
 	ctx, span := tr.StartRoot(ctx, name, attrs...)
-	err := hop(ctx, span)
+	err := fn(ctx, span)
 	span.EndErr(err)
-	s.traces.Export(tr)
+	s.export(tr)
 	return err
+}
+
+// export builds a finished trace's tree, once, feeds it to the span
+// table's families and the trace sink, and returns it. Every trace the
+// daemon records goes through here — a run's, a hop's, a finalize's —
+// so the metrics count each segment this node ran exactly once, whatever
+// started it: a request, a replay at boot or an adoption.
+func (s *Server) export(tr *obs.Trace) *obs.SpanNode {
+	tree := tr.Tree()
+	s.metrics.fold(tree)
+	s.traces.Export(tree)
+	return tree
 }
 
 // forward proxies the request (body already read) one hop to peer,
@@ -265,7 +303,7 @@ func (c *coordinator) forward(w http.ResponseWriter, r *http.Request, peer *clus
 	ctx, cancel := context.WithTimeout(r.Context(), c.s.cfg.RequestTimeout)
 	defer cancel()
 	var resp *http.Response
-	err := c.s.tracedHop(ctx, "proxy", func(ctx context.Context, span *obs.Span) (err error) {
+	err := c.s.traced(ctx, "proxy", func(ctx context.Context, span *obs.Span) (err error) {
 		hdr := r.Header.Clone()
 		cluster.MarkForwarded(hdr, c.self.Name)
 		hdr.Del("Content-Length") // the client sets it from the body

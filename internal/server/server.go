@@ -311,7 +311,7 @@ func (s *Server) resumeJobs(pending []*jobstore.JobRecord) {
 		case errors.Is(err, ErrPoolClosed):
 			return // shutting down again; the job stays pending in the WAL
 		case err != nil:
-			s.finishJob(job.ID, nil, nil, fmt.Errorf("replaying request: %w", err))
+			s.finishJob(job.ID, nil, fmt.Errorf("replaying request: %w", err))
 		default:
 			s.launchJob(ctx, job, prep, tk)
 			s.log().Info("replayed job re-enqueued", "job", job.ID)

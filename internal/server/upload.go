@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"symcluster/internal/csr"
+	"symcluster/internal/obs"
 )
 
 // Chunked graph upload: graphs too large for one POST /v1/graphs body
@@ -199,33 +201,39 @@ func (s *Server) handleUploadFinalize(w http.ResponseWriter, r *http.Request) {
 	s.dropUpload(sess.id)
 
 	// From here the session's scratch directory belongs to this request:
-	// removed on failure, otherwise handed on with the graph.
+	// removed on failure, otherwise handed on with the graph. The merge,
+	// the file write and the mapping run under an "upload.finalize"
+	// trace.
 	dir := sess.dir
 	sess.dir = ""
-	ctx := r.Context()
-	dst := filepath.Join(dir, "graph.csr")
-	info, err := sess.ing.Finalize(ctx, dst)
-	if err != nil {
-		os.RemoveAll(dir)
-		refuse(w, badRequest("finalizing upload: %w", err))
-		return
-	}
-	rg, err := openGraphFile(ctx, dst)
-	if err != nil {
-		os.RemoveAll(dir)
-		refuse(w, &apiError{code: http.StatusInternalServerError, err: fmt.Errorf("mapping ingested graph: %w", err)})
-		return
-	}
-	rg.ownDir = dir
+	var info *csr.IngestInfo
+	var ginfo GraphInfo
+	err := s.traced(r.Context(), "upload.finalize", func(ctx context.Context, span *obs.Span) error {
+		dst := filepath.Join(dir, "graph.csr")
+		var err error
+		if info, err = sess.ing.Finalize(ctx, dst); err != nil {
+			os.RemoveAll(dir)
+			return badRequest("finalizing upload: %w", err)
+		}
+		rg, err := openGraphFile(ctx, dst)
+		if err != nil {
+			os.RemoveAll(dir)
+			return &apiError{code: http.StatusInternalServerError, err: fmt.Errorf("mapping ingested graph: %w", err)}
+		}
+		rg.ownDir = dir
+		span.SetAttr("graph_id", graphID(rg.fingerprint))
 
-	// In cluster mode the fingerprint — unknowable until the merge just
-	// now — may place the graph on another shard, and the finished CSR
-	// file is shipped to its owner so cache and WAL locality hold. A
-	// forwarded finalize is not pinned here: that hop was upload-id
-	// affinity (back to the session's creator), not graph ownership, so
-	// the creator still owes the relocation. No loop risk: the push
-	// lands on the internal CSR endpoint, which registers locally.
-	ginfo, err := s.placeGraph(ctx, rg, false)
+		// In cluster mode the fingerprint — unknowable until the merge
+		// just now — may place the graph on another shard, and the
+		// finished CSR file is shipped to its owner so cache and WAL
+		// locality hold. A forwarded finalize is not pinned here: that
+		// hop was upload-id affinity (back to the session's creator), not
+		// graph ownership, so the creator still owes the relocation. No
+		// loop risk: the push lands on the internal CSR endpoint, which
+		// registers locally.
+		ginfo, err = s.placeGraph(ctx, rg, false)
+		return err
+	}, obs.A("upload_id", sess.id))
 	if err != nil {
 		refuse(w, err)
 		return

@@ -166,8 +166,7 @@ type LanczosOptions struct {
 // MatVec interface, so callers are responsible. ctx is polled before
 // each Lanczos step, so a cancelled context aborts the factorisation
 // within one operator application with ctx's error. Each call opens a
-// "spectral.lanczos" span and records per-step off-diagonal residuals
-// and the final basis size through the obs hooks.
+// "spectral.lanczos" span that records the final basis size.
 func TopEigenCtx(ctx context.Context, op MatVec, k int, opt LanczosOptions) (eig *Eigen, err error) {
 	n := op.Dim()
 	if k < 1 {
@@ -189,7 +188,6 @@ func TopEigenCtx(ctx context.Context, op MatVec, k int, opt LanczosOptions) (eig
 	defer func() {
 		sp.SetAttr("basis_size", len(v))
 		sp.EndErr(err)
-		obs.ObserveLanczosRun(ctx, len(v))
 	}()
 	alpha := make([]float64, 0, steps)
 	beta := make([]float64, 0, steps) // beta[i] links v[i] and v[i+1]
@@ -220,7 +218,6 @@ func TopEigenCtx(ctx context.Context, op MatVec, k int, opt LanczosOptions) (eig
 			}
 		}
 		b := norm(w)
-		obs.ObserveLanczosStep(ctx, b)
 		if j == steps-1 {
 			break
 		}

@@ -64,9 +64,8 @@ func (o *Options) fill() {
 //
 // which never materialises the dense teleport matrix. ctx is polled once
 // per power iteration, so a cancelled context aborts the walk within one
-// iteration with ctx's error. Each call opens a "walk.power" span and
-// records per-iteration L1 deltas through the obs hooks (no-ops without
-// a trace/meter in ctx).
+// iteration with ctx's error. Each call opens a "walk.power" span that
+// records the iteration count (a no-op without a trace in ctx).
 //
 // When a checkpoint.Sink is installed in ctx, the solve restores the
 // "walk" snapshot for this invocation (resume_iter span attribute),
@@ -87,7 +86,6 @@ func StationaryDistributionCtx(ctx context.Context, p *matrix.CSR, opt Options) 
 	defer func() {
 		sp.SetAttr("iterations", iters)
 		sp.EndErr(err)
-		obs.ObserveWalkRun(ctx, iters)
 	}()
 
 	dangling := make([]bool, n)
@@ -155,7 +153,6 @@ func StationaryDistributionCtx(ctx context.Context, p *matrix.CSR, opt Options) 
 			sum += next[i]
 		}
 		iters = iter + 1
-		obs.ObserveWalkIteration(ctx, delta)
 		// Renormalise to guard against floating-point drift.
 		inv := 1 / sum
 		for i := range next {
@@ -180,7 +177,7 @@ func StationaryDistributionCtx(ctx context.Context, p *matrix.CSR, opt Options) 
 // saveWalkCheckpoint serializes π (VEC1 format) and hands it to the
 // sink, under a "walk.checkpoint" span and fault site.
 func saveWalkCheckpoint(ctx context.Context, sink checkpoint.Sink, iter int, pi []float64) (err error) {
-	ctx, sp := obs.StartSpan(ctx, "walk.checkpoint", obs.A("iter", iter))
+	_, sp := obs.StartSpan(ctx, "walk.checkpoint", obs.A("kernel", "walk"), obs.A("iter", iter))
 	defer func() { sp.EndErr(err) }()
 	if err = faultinject.Fire("walk.checkpoint"); err != nil {
 		return fmt.Errorf("walk: %w", err)
@@ -190,7 +187,6 @@ func saveWalkCheckpoint(ctx context.Context, sink checkpoint.Sink, iter int, pi 
 		return fmt.Errorf("walk: saving checkpoint: %w", err)
 	}
 	sp.SetAttr("bytes", len(blob))
-	obs.ObserveCheckpoint(ctx, "walk", len(blob))
 	return nil
 }
 

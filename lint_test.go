@@ -137,7 +137,7 @@ func inServer(f string) bool { return !isTest(f) && under(f, "internal/server") 
 
 // stageCallers names every function that may run a pipeline stage
 // itself — call a registry entry's Run (the only three-argument Run
-// methods in the module) or open obs.BeginStage accounting. The runner
+// methods in the module). The runner
 // composes the two stages; the library's single-stage helpers and the
 // experiment sweeps, which cluster one symmetrized graph many times,
 // each run exactly one.
@@ -153,17 +153,17 @@ func stageCall(n ast.Node) bool {
 		return false
 	}
 	fun, ok := c.Fun.(*ast.SelectorExpr)
-	return call(n, "obs", "BeginStage") || (ok && fun.Sel.Name == "Run" && len(c.Args) == 3)
+	return ok && fun.Sel.Name == "Run" && len(c.Args) == 3
 }
 
 // stageRules confines stageCall to stageCallers: a file listed there
 // may make one only inside the functions named, any other file not at
 // all.
 func stageRules() []sourceRule {
-	const why = "Symmetrizer.Run, Clusterer.Run or obs.BeginStage called outside pipeline.Run.Execute and the " +
-		"single-stage helpers named in lint_test.go's stageCallers: the two stages are composed, traced, " +
-		"timed and memoised in one body, so the CLI, the daemon and the library cannot drift apart " +
-		"(DESIGN.md §10, \"Execution and tracing\")"
+	const why = "Symmetrizer.Run or Clusterer.Run called outside pipeline.Run.Execute and the " +
+		"single-stage helpers named in lint_test.go's stageCallers: the two stages are composed, traced " +
+		"under metered stage spans and memoised in one body, so the CLI, the daemon and the library " +
+		"cannot drift apart (DESIGN.md §10, \"Execution and tracing\")"
 	rules := []sourceRule{{
 		why:     why,
 		applies: func(f string) bool { return !isTest(f) && stageCallers[f] == nil },
@@ -232,6 +232,22 @@ var sourceRules = []sourceRule{
 			"(DESIGN.md §14, \"Ownership transfer\")",
 		applies: func(f string) bool { return !isTest(f) && f != "internal/server/adoption.go" },
 		match:   func(n ast.Node) bool { return call(n, "jobstore", "TryOpen") },
+	},
+	{
+		why: "metrics registry or family constructor outside internal/obs and internal/server: a run's " +
+			"record is its span tree, and the daemon reads every family off the trees it exports " +
+			"through its span table, so a kernel sets span attributes and never meters on the side " +
+			"(DESIGN.md §11, \"Metrics\")",
+		applies: func(f string) bool { return !isTest(f) && !under(f, "internal/obs", "internal/server") },
+		match: func(n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			fun, ok := c.Fun.(*ast.SelectorExpr)
+			family := ok && len(c.Args) >= 2 && slices.Contains([]string{"Histogram", "Counter", "Gauge"}, fun.Sel.Name)
+			return family || call(n, "obs", "NewRegistry")
+		},
 	},
 	{
 		why: "raw http.Client in internal/server or internal/cluster: peer traffic goes through " +
