@@ -35,7 +35,8 @@ vet:
 # propagation headers only through the cluster client,
 # context.Background() only in package main and internal/server/bootctx.go, no exported F
 # beside an exported FCtx, no production call to the sparse-product oracle
-# or (bench/ aside) to the one-term self-product, no Workers field reachable from pipeline.SymOptions, no container/heap
+# or (bench/ aside) to the one-term self-product, no Workers field reachable from pipeline.SymOptions, no time.Now or
+# time.Since in internal/pipeline (a stage is timed by its span), no container/heap
 # in a clustering kernel, multilevel.CoarsenCtx called only by
 # internal/multilevel and MLR-MCL (Graclus and Metis go through the cache
 # entry's hierarchy memo), a pipeline stage run only by pipeline.Run.Execute

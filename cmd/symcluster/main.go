@@ -196,39 +196,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Trace the run when anything will consume the span tree: -json
-	// embeds it, -trace-log appends it as one JSON line. Otherwise the
-	// context carries no trace and every span call is a no-op.
-	runCtx := ctx
-	var tr *obs.Trace
-	var root *obs.Span
-	if *jsonOut || *traceLog != "" {
-		tr = obs.NewTrace()
-		runCtx, root = tr.StartRoot(ctx, "run",
-			obs.A("input", *in), obs.A("method", *method), obs.A("algorithm", *algo))
-	}
-
-	res, u, trace, err := run.Execute(runCtx, g, nil)
-	if tr != nil {
-		root.EndErr(err)
-		trace.Spans = tr.Tree()
-		if *traceLog != "" {
-			f, ferr := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if ferr != nil {
-				return fail(stderr, ferr)
-			}
-			obs.NewTraceSink(f, 1).Export(trace.Spans)
-			if ferr := f.Close(); ferr != nil {
-				return fail(stderr, ferr)
-			}
+	// The run is always traced: its span tree is its only record, the
+	// stage timings below included. -json embeds it, -trace-log appends
+	// it as one JSON line.
+	tr := obs.NewTrace()
+	runCtx, root := tr.StartRoot(ctx, "run",
+		obs.A("input", *in), obs.A("method", *method), obs.A("algorithm", *algo))
+	res, u, err := run.Execute(runCtx, g, nil)
+	root.EndErr(err)
+	tree := tr.Tree()
+	if *traceLog != "" {
+		f, ferr := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if ferr != nil {
+			return fail(stderr, ferr)
+		}
+		obs.NewTraceSink(f, 1).Export(tree)
+		if ferr := f.Close(); ferr != nil {
+			return fail(stderr, ferr)
 		}
 	}
 	if err != nil {
 		return fail(stderr, err)
 	}
-	if trace.Symmetrizer != "" {
+	if sym := tree.Child("symmetrize"); sym != nil {
 		fmt.Fprintf(stderr, "symcluster: symmetrized (%s) to %d undirected edges in %.2fs\n",
-			run.Sym.Display(), u.M(), trace.SymmetrizeMillis/1000)
+			run.Sym.Display(), u.M(), sym.DurationMillis/1000)
 	} else {
 		fmt.Fprintf(stderr, "symcluster: %s clusters the directed graph; symmetrize stage skipped\n",
 			run.Cl.Display())
@@ -245,7 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stderr, "symcluster: clustered (%s) into %d clusters in %.2fs\n",
-		run.Cl.Display(), res.K, trace.ClusterMillis/1000)
+		run.Cl.Display(), res.K, tree.Child("cluster").DurationMillis/1000)
 
 	var avgF *float64
 	if *truthPath != "" {
@@ -272,7 +264,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// the same constructor, so scripted pipelines can swap between
 		// CLI and service — the per-run resource accounting included,
 		// read off the run's span tree as the daemon reads it.
-		resp := server.NewClusterResponse("", res, u, trace, obs.StatsOf(trace.Spans))
+		resp := server.NewClusterResponse("", res, u, tree)
 		resp.AvgF = avgF
 		enc := json.NewEncoder(w)
 		enc.SetEscapeHTML(false)

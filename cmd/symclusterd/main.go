@@ -14,7 +14,7 @@
 //	            [-data-dir DIR] [-checkpoint-iters N]
 //	            [-peers URL,URL,...] [-self URL] [-preload graph.edges]
 //	            [-log-format json|text] [-log-level LEVEL]
-//	            [-trace-log FILE] [-trace-ring N] [-trace-ring-mb MB]
+//	            [-trace-log FILE] [-trace-ring N]
 //	            [-debug-addr ADDR]
 //
 // SIGINT/SIGTERM trigger graceful shutdown: the listener closes,
@@ -64,10 +64,11 @@
 //
 // Observability (see README.md "Observability" and DESIGN.md §11, §16):
 // logs are structured (JSON by default; -log-format text for humans),
-// every clustering run is traced and exported to the -trace-log JSONL
-// file plus an in-memory ring (bounded by -trace-ring traces and
-// -trace-ring-mb rendered bytes) served by GET /v1/jobs/{id}/trace,
-// and -debug-addr starts a separate listener with net/http/pprof under
+// every clustering run is traced and its span tree kept by its job
+// (GET /v1/jobs/{id}/trace) or sent in its response, every tree is
+// appended to the -trace-log JSONL file, the last -trace-ring hop
+// segments are kept in memory for the peers that stitch a job's trace
+// (GET /internal/v1/traces/{id}), and -debug-addr starts a separate listener with net/http/pprof under
 // /debug/pprof/ — separate so profiling is never exposed on the
 // service port. In cluster mode traces propagate across nodes via a
 // traceparent header on every forwarded hop, so a proxied or adopted
@@ -87,6 +88,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -125,9 +127,8 @@ func main() {
 	preload := flag.String("preload", "", "edge-list file to register at startup (logs its graph id)")
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	traceLog := flag.String("trace-log", "", "append one JSON span tree per clustering run to this file")
-	traceRing := flag.Int("trace-ring", 64, "recent traces retained in memory for GET /v1/jobs/{id}/trace")
-	traceRingMB := flag.Int64("trace-ring-mb", 16, "byte cap of the in-memory trace ring in MiB (rendered JSON size); exported as symclusterd_trace_ring_bytes")
+	traceLog := flag.String("trace-log", "", "append every span tree the daemon records (runs, hop segments, upload finalizes) to this file, one JSON line each")
+	traceRing := flag.Int("trace-ring", 64, "hop segments (proxy, csr.push, csr.receive, upload.finalize) retained in memory for peers stitching a job's trace")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 	flag.Parse()
 
@@ -150,24 +151,16 @@ func main() {
 			"sites", fmt.Sprint(faultinject.Sites()))
 	}
 
-	var traceFile *os.File
+	var traceW io.Writer
 	if *traceLog != "" {
-		var err error
-		traceFile, err = os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		traceFile, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fatal("opening trace log", "path", *traceLog, "err", err)
 		}
 		defer traceFile.Close()
+		traceW = traceFile
 	}
-	var sink *obs.TraceSink
-	if traceFile != nil {
-		sink = obs.NewTraceSink(traceFile, *traceRing)
-	} else {
-		sink = obs.NewTraceSink(nil, *traceRing)
-	}
-	if *traceRingMB > 0 {
-		sink.SetMaxBytes(*traceRingMB << 20)
-	}
+	sink := obs.NewTraceSink(traceW, *traceRing)
 
 	var clusterCfg *server.ClusterConfig
 	if *peers != "" {

@@ -125,8 +125,9 @@ type JobRecord struct {
 	Checkpoints map[string]Checkpoint `json:"checkpoints,omitempty"`
 	// Trace is the run's span tree, retained for done, failed and
 	// canceled jobs alike (an errored run's trace is what you want when
-	// debugging why it errored). In-memory only: traces do not survive
-	// restarts.
+	// debugging why it errored). In-memory only: after a restart a done
+	// job's tree is the one its Result embeds, and a failed or canceled
+	// job has none.
 	Trace *obs.SpanNode `json:"-"`
 }
 

@@ -87,6 +87,18 @@ func StatsOf(root *SpanNode) *JobStatsSnapshot {
 	return st
 }
 
+// Child returns n's first direct child called name, or nil: a run's
+// stage spans ("symmetrize", "cluster", "queue") are the root's
+// children.
+func (n *SpanNode) Child(name string) *SpanNode {
+	for _, c := range n.Children {
+		if c.Name == name {
+			return c
+		}
+	}
+	return nil
+}
+
 // Number returns the numeric attribute key of n as a float64; ok is
 // false when n has no such attribute or it is not a number.
 func (n *SpanNode) Number(key string) (v float64, ok bool) {

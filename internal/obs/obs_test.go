@@ -88,26 +88,23 @@ func TestStartRootTwicePanics(t *testing.T) {
 	tr.StartRoot(context.Background(), "b")
 }
 
+// TestTraceSinkRingAndJSONL: Export writes one JSON line per tree and
+// retains nothing; Retain keeps the last ringSize trees, oldest evicted
+// first, and writes nothing.
 func TestTraceSinkRingAndJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewTraceSink(&buf, 2)
+	var ids []string
 	for i := 0; i < 3; i++ {
 		tr := NewTrace()
 		_, root := tr.StartRoot(context.Background(), "run")
 		root.SetAttr("i", i)
 		root.End()
 		sink.Export(tr.Tree())
+		ids = append(ids, tr.ID())
 	}
-	if got := sink.Exported(); got != 3 {
-		t.Fatalf("Exported = %d, want 3", got)
-	}
-	recent := sink.Recent()
-	if len(recent) != 2 {
-		t.Fatalf("ring holds %d, want 2", len(recent))
-	}
-	// Oldest-first: entries 1 and 2 survive the ring of size 2.
-	if recent[0].Attrs["i"] != 1 || recent[1].Attrs["i"] != 2 {
-		t.Fatalf("ring order = %v, %v", recent[0].Attrs["i"], recent[1].Attrs["i"])
+	if segs := sink.ByTraceID(ids[2]); len(segs) != 0 {
+		t.Fatalf("Export retained a tree: %+v", segs)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 {
@@ -122,6 +119,26 @@ func TestTraceSinkRingAndJSONL(t *testing.T) {
 			t.Fatalf("line root name = %q", node.Name)
 		}
 	}
+
+	buf.Reset()
+	for i, id := range ids {
+		sink.Retain(&SpanNode{Name: "hop", TraceID: id, Attrs: map[string]any{"i": i}})
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Retain wrote %q", buf.String())
+	}
+	// Only the two newest survive the ring of size 2.
+	if segs := sink.ByTraceID(ids[0]); len(segs) != 0 {
+		t.Fatalf("the oldest tree outlived the ring: %+v", segs)
+	}
+	for i, id := range ids[1:] {
+		if segs := sink.ByTraceID(id); len(segs) != 1 || segs[0].Attrs["i"] != i+1 {
+			t.Fatalf("ByTraceID(%s) = %+v, want tree %d", id, segs, i+1)
+		}
+	}
+
+	// With no writer, Export is a no-op.
+	NewTraceSink(nil, 1).Export(&SpanNode{Name: "run"})
 }
 
 func TestHistogramExposition(t *testing.T) {

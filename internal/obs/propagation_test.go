@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -129,37 +132,52 @@ func TestMergeSegmentsStitchesCrossNodeTrace(t *testing.T) {
 	}
 }
 
-func TestTraceSinkByteCap(t *testing.T) {
-	sink := NewTraceSink(nil, 100)
-	export := func(name string) {
-		tr := NewTrace()
-		_, root := tr.StartRoot(context.Background(), name, A("pad", strings.Repeat("x", 256)))
-		root.End()
-		sink.Export(tr.Tree())
+// TestMergeSegmentsLeavesInputs: merging the same segments twice gives
+// equal trees and leaves every input as it was — the daemon merges a
+// job's stored trace on every GET of it.
+func TestMergeSegmentsLeavesInputs(t *testing.T) {
+	entry := NewTrace()
+	ectx, proxy := entry.StartRoot(context.Background(), "proxy")
+	_, parentSpan, _ := SpanContext(ectx)
+	_, push := StartSpan(ectx, "csr.push")
+	push.End()
+	proxy.End()
+	owner := NewTraceFrom(WithTraceSeed(context.Background(), TraceSeed{TraceID: entry.ID(), ParentSpanID: parentSpan}))
+	octx, req := owner.StartRoot(context.Background(), "request")
+	_, stage := StartSpan(octx, "cluster")
+	stage.End()
+	req.End()
+	orphan := NewTraceFrom(WithTraceSeed(context.Background(), TraceSeed{TraceID: entry.ID(), ParentSpanID: "gone.1"}))
+	_, o := orphan.StartRoot(context.Background(), "orphan")
+	o.End()
+
+	segs := []*SpanNode{owner.Tree(), entry.Tree(), orphan.Tree()}
+	before, err := json.Marshal(segs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		export("t")
+	first, second := MergeSegments(segs), MergeSegments(segs)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two merges of the same segments differ:\n%+v\n%+v", first, second)
 	}
-	if got := sink.RingBytes(); got <= 0 {
-		t.Fatalf("RingBytes = %d after 8 exports", got)
+	after, err := json.Marshal(segs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(sink.Recent()); n != 8 {
-		t.Fatalf("retained %d traces, want 8 (count cap 100)", n)
+	if !bytes.Equal(before, after) {
+		t.Fatalf("MergeSegments modified its inputs:\nbefore %s\nafter  %s", before, after)
+	}
+	if first.Name != "proxy" || len(first.Children) != 3 || first.Children[1].Name != "request" ||
+		first.Children[2].Name != "orphan" {
+		t.Fatalf("merged tree = %+v", first)
 	}
 
-	// Shrinking the byte cap evicts oldest-first down to the cap — but
-	// never below one retained trace.
-	sink.SetMaxBytes(1)
-	if n := len(sink.Recent()); n != 1 {
-		t.Fatalf("retained %d traces after 1-byte cap, want the newest only", n)
-	}
-	export("after")
-	recent := sink.Recent()
-	if len(recent) != 1 || recent[0].Name != "after" {
-		t.Fatalf("ring after export under tiny cap: %+v", recent)
-	}
-	if sink.Exported() != 9 {
-		t.Fatalf("Exported = %d, want 9 (eviction does not undo the count)", sink.Exported())
+	// Segments that all name a known parent (a cycle) still merge, each
+	// once: the first one roots the tree.
+	a := &SpanNode{Name: "a", SpanID: "a.1", ParentSpanID: "b.1"}
+	b := &SpanNode{Name: "b", SpanID: "b.1", ParentSpanID: "a.1"}
+	if m := MergeSegments([]*SpanNode{a, b}); m.Name != "a" || len(m.Children) != 1 || len(m.Children[0].Children) != 0 {
+		t.Fatalf("cyclic segments merged into %+v", m)
 	}
 }
 
@@ -168,11 +186,11 @@ func TestTraceSinkByTraceID(t *testing.T) {
 	tr := NewTrace()
 	_, root := tr.StartRoot(context.Background(), "mine")
 	root.End()
-	sink.Export(tr.Tree())
+	sink.Retain(tr.Tree())
 	other := NewTrace()
 	_, root2 := other.StartRoot(context.Background(), "other")
 	root2.End()
-	sink.Export(other.Tree())
+	sink.Retain(other.Tree())
 
 	segs := sink.ByTraceID(tr.ID())
 	if len(segs) != 1 || segs[0].Name != "mine" {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -260,7 +261,7 @@ func (s *Span) EndErr(err error) {
 
 // SpanNode is the wire form of a span subtree: the JSONL sink writes
 // one root node per line, GET /v1/jobs/{id}/trace returns the job's
-// root node, and StageTrace.Spans embeds it in CLI/daemon responses.
+// root node, and the "trace" object of CLI/daemon responses embeds it.
 type SpanNode struct {
 	Name    string `json:"name"`
 	TraceID string `json:"trace_id,omitempty"` // set on the root only
@@ -329,68 +330,31 @@ func (t *Trace) Tree() *SpanNode {
 	return root
 }
 
-// DefaultTraceRingBytes caps the bytes a TraceSink retains when the
-// caller does not choose its own cap via SetMaxBytes.
-const DefaultTraceRingBytes = 16 << 20
-
-// TraceSink receives finished span trees: each is written as one JSON
-// line to the writer (when one is set), and retained in a bounded ring
-// so the daemon can serve recent traces without any file configured.
-// The ring is bounded both by trace count and by retained bytes (the
-// rendered JSON size of each tree), so a few enormous traces cannot
-// dominate the heap. Safe for concurrent use.
+// TraceSink receives finished span trees. Export writes each as one
+// JSON line to the writer, when one is set; Retain keeps a tree in a
+// ring of the last few, which ByTraceID serves. The daemon retains
+// only its hop segments — the trees a peer stitching a job's trace asks
+// for — each a handful of spans, so the ring is bounded by count alone.
+// Safe for concurrent use.
 type TraceSink struct {
-	mu       sync.Mutex
-	w        io.Writer
-	maxCount int
-	maxBytes int64
-	entries  []sinkEntry // FIFO, oldest first
-	bytes    int64
-	exported int64
+	mu   sync.Mutex
+	w    io.Writer
+	size int
+	ring []*SpanNode // oldest first
 }
 
-type sinkEntry struct {
-	node  *SpanNode
-	bytes int64
-}
-
-// NewTraceSink builds a sink writing JSONL to w (nil for ring-only)
-// and retaining the last ringSize traces (clamped to at least 1), up
-// to DefaultTraceRingBytes of rendered JSON.
+// NewTraceSink builds a sink writing JSONL to w (nil for none) whose
+// ring holds the last ringSize retained trees (clamped to at least 1).
 func NewTraceSink(w io.Writer, ringSize int) *TraceSink {
-	if ringSize < 1 {
-		ringSize = 1
-	}
-	return &TraceSink{w: w, maxCount: ringSize, maxBytes: DefaultTraceRingBytes}
+	return &TraceSink{w: w, size: max(ringSize, 1)}
 }
 
-// SetMaxBytes overrides the ring's byte cap (clamped to at least 1;
-// the newest trace is always retained even when it alone exceeds the
-// cap, so the ring can never go empty through eviction).
-func (s *TraceSink) SetMaxBytes(n int64) {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	s.maxBytes = n
-	s.evictLocked()
-	s.mu.Unlock()
-}
-
-func (s *TraceSink) evictLocked() {
-	for len(s.entries) > 1 && (len(s.entries) > s.maxCount || s.bytes > s.maxBytes) {
-		s.bytes -= s.entries[0].bytes
-		s.entries[0] = sinkEntry{}
-		s.entries = s.entries[1:]
-	}
-}
-
-// Export records a finished trace's span tree (Trace.Tree); a nil tree
-// (a trace with no spans) is dropped. Write errors are reported on
-// stderr once per call but never fail the request that produced the
-// trace.
+// Export writes a finished trace's span tree (Trace.Tree) as one JSON
+// line; a nil tree (a trace with no spans) is dropped. Encode and write
+// errors are reported on stderr but never fail the request that
+// produced the trace.
 func (s *TraceSink) Export(root *SpanNode) {
-	if root == nil {
+	if root == nil || s.w == nil {
 		return
 	}
 	var line bytes.Buffer
@@ -398,45 +362,28 @@ func (s *TraceSink) Export(root *SpanNode) {
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(root); err != nil {
 		fmt.Fprintf(os.Stderr, "obs: trace sink encode: %v\n", err)
-		line.Reset()
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = append(s.entries, sinkEntry{node: root, bytes: int64(line.Len())})
-	s.bytes += int64(line.Len())
-	s.evictLocked()
-	s.exported++
-	if s.w != nil && line.Len() > 0 {
-		if _, err := s.w.Write(line.Bytes()); err != nil {
-			fmt.Fprintf(os.Stderr, "obs: trace sink write: %v\n", err)
-		}
+	if _, err := s.w.Write(line.Bytes()); err != nil {
+		fmt.Fprintf(os.Stderr, "obs: trace sink write: %v\n", err)
 	}
 }
 
-// Exported returns the number of traces exported since construction.
-func (s *TraceSink) Exported() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.exported
-}
-
-// RingBytes returns the rendered-JSON bytes currently retained in the
-// ring (the symclusterd_trace_ring_bytes gauge).
-func (s *TraceSink) RingBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// Recent returns the retained traces, oldest first.
-func (s *TraceSink) Recent() []*SpanNode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*SpanNode, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e.node)
+// Retain keeps root in the ring for ByTraceID, evicting the oldest tree
+// past the ring's size; a nil tree is dropped. It does not Export.
+func (s *TraceSink) Retain(root *SpanNode) {
+	if root == nil {
+		return
 	}
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.ring) == s.size {
+		copy(s.ring, s.ring[1:])
+		s.ring = s.ring[:s.size-1]
+	}
+	s.ring = append(s.ring, root)
 }
 
 // ByTraceID returns the retained segments of one distributed trace,
@@ -446,9 +393,9 @@ func (s *TraceSink) ByTraceID(id string) []*SpanNode {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*SpanNode
-	for _, e := range s.entries {
-		if e.node.TraceID == id {
-			out = append(out, e.node)
+	for _, n := range s.ring {
+		if n.TraceID == id {
+			out = append(out, n)
 		}
 	}
 	return out
@@ -461,6 +408,10 @@ func (s *TraceSink) ByTraceID(id string) []*SpanNode {
 // missing (evicted from a peer's ring, or the peer is gone) attach
 // under the root with their ParentSpanID left visible. Returns nil for
 // no segments; a single segment is returned as-is.
+//
+// The inputs are never modified: every node on the way to a graft is
+// copied (the copies share the inputs' attribute maps), so a caller may
+// merge a tree it keeps — a job's stored trace — as often as it likes.
 func MergeSegments(segments []*SpanNode) *SpanNode {
 	segs := make([]*SpanNode, 0, len(segments))
 	for _, s := range segments {
@@ -475,11 +426,11 @@ func MergeSegments(segments []*SpanNode) *SpanNode {
 		return segs[0]
 	}
 	// Index every span of every segment by wire id.
-	byID := make(map[string]*SpanNode)
+	spans := make(map[string]bool)
 	var index func(n *SpanNode)
 	index = func(n *SpanNode) {
 		if n.SpanID != "" {
-			byID[n.SpanID] = n
+			spans[n.SpanID] = true
 		}
 		for _, c := range n.Children {
 			index(c)
@@ -488,26 +439,50 @@ func MergeSegments(segments []*SpanNode) *SpanNode {
 	for _, s := range segs {
 		index(s)
 	}
-	var root *SpanNode
-	var orphans []*SpanNode
+	// under lists the segments to graft beneath each span id.
+	under := make(map[string][]*SpanNode)
+	var root, orphan *SpanNode
 	for _, s := range segs {
-		if s.ParentSpanID == "" {
-			if root == nil {
-				root = s
-				continue
-			}
-			orphans = append(orphans, s)
-			continue
+		switch {
+		case s.ParentSpanID == "" && root == nil:
+			root = s
+		case s.ParentSpanID != "" && spans[s.ParentSpanID]:
+			under[s.ParentSpanID] = append(under[s.ParentSpanID], s)
+		case orphan == nil:
+			orphan = s
 		}
-		if parent := byID[s.ParentSpanID]; parent != nil && parent != s {
-			parent.Children = append(parent.Children, s)
-			continue
-		}
-		orphans = append(orphans, s)
 	}
 	if root == nil {
-		root, orphans = orphans[0], orphans[1:]
+		root = cmp.Or(orphan, segs[0]) // segs[0]: every segment hangs in a cycle
 	}
-	root.Children = append(root.Children, orphans...)
-	return root
+	// placed marks a segment once it has a place in the output, so a
+	// segment parented inside itself, or a cycle of segments, is
+	// grafted once and terminates.
+	placed := map[*SpanNode]bool{root: true}
+	var graft func(n *SpanNode) *SpanNode
+	graft = func(n *SpanNode) *SpanNode {
+		c := *n
+		c.Children = make([]*SpanNode, 0, len(n.Children))
+		for _, ch := range n.Children {
+			c.Children = append(c.Children, graft(ch))
+		}
+		for _, seg := range under[n.SpanID] {
+			if !placed[seg] {
+				placed[seg] = true
+				c.Children = append(c.Children, graft(seg))
+			}
+		}
+		if len(c.Children) == 0 {
+			c.Children = nil
+		}
+		return &c
+	}
+	out := graft(root)
+	for _, s := range segs {
+		if !placed[s] {
+			placed[s] = true
+			out.Children = append(out.Children, graft(s))
+		}
+	}
+	return out
 }

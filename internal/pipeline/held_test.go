@@ -156,7 +156,7 @@ func TestJobEstimateCoversMultilevelHeld(t *testing.T) {
 				opt.Threshold = tc.threshold
 				held := heldDuring(t, func() {
 					run := &Run{Sym: dd, SymOpt: opt, Cl: cl, ClOpt: ClusterOptions{TargetClusters: tc.k, Seed: 1}}
-					if _, _, _, err := run.Execute(context.Background(), tc.g, nil); err != nil {
+					if _, _, err := run.Execute(context.Background(), tc.g, nil); err != nil {
 						t.Fatal(err)
 					}
 				})

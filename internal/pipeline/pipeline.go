@@ -20,9 +20,9 @@
 //
 // The two stages are composed in this package and nowhere else
 // (run.go): Resolve turns a wire request into a validated Run, and
-// Run.Execute runs it, recording a StageTrace (per-stage wall clock and
-// symmetrized output size) that the CLI's -json output and the daemon's
-// responses/metrics surface.
+// Run.Execute runs it under one span per stage, so the run's span tree
+// is its only record: the CLI's -json output and the daemon's responses
+// and metrics are read off that tree.
 package pipeline
 
 import (
@@ -34,7 +34,6 @@ import (
 	"symcluster/internal/core"
 	"symcluster/internal/graph"
 	"symcluster/internal/multilevel"
-	"symcluster/internal/obs"
 )
 
 // SymOptions configures a symmetrization (α, β, pruning, …). It is the
@@ -76,31 +75,6 @@ type Input struct {
 	U    *graph.Undirected
 	G    *graph.Directed
 	Hier *multilevel.Memo
-}
-
-// StageTrace records per-stage observability for one pipeline run:
-// wall-clock of each stage and the size of the symmetrized output. It
-// appears in cmd/symcluster -json output, symclusterd responses, and
-// feeds the symclusterd_stage_seconds metrics.
-type StageTrace struct {
-	// Symmetrizer and Clusterer are the canonical stage names. The
-	// symmetrizer is empty when a directed substrate bypassed the
-	// symmetrize stage.
-	Symmetrizer string `json:"symmetrizer,omitempty"`
-	Clusterer   string `json:"clusterer"`
-	// SymmetrizeMillis and ClusterMillis are per-stage wall clock.
-	SymmetrizeMillis float64 `json:"symmetrize_millis"`
-	ClusterMillis    float64 `json:"cluster_millis"`
-	// SymmetrizedNNZ is the stored nonzero count of the symmetrized
-	// adjacency (0 when the stage was bypassed).
-	SymmetrizedNNZ int `json:"symmetrized_nnz"`
-	// CacheHit reports that the symmetrized graph came from Execute's
-	// memo rather than from running the symmetrizer.
-	CacheHit bool `json:"-"`
-	// Spans is the root of the span tree for this run when tracing was
-	// active (a trace installed in ctx by the caller), nil otherwise.
-	// The tree nests request → stage → kernel iteration spans.
-	Spans *obs.SpanNode `json:"spans,omitempty"`
 }
 
 // GraphStats is the degree profile a cost model consumes: the sizes

@@ -2,11 +2,14 @@ package pipeline
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"symcluster/internal/core"
 	"symcluster/internal/gen"
+	"symcluster/internal/graph"
+	"symcluster/internal/obs"
 )
 
 // TestNameRoundTrips is the registry's core contract: every accepted
@@ -165,8 +168,18 @@ func TestCostModelsPositiveAndMonotone(t *testing.T) {
 	}
 }
 
+// tracedExecute runs the pipeline under a fresh trace and returns the
+// finished tree beside Execute's results: the run's only record.
+func tracedExecute(run *Run, g *graph.Directed, memo Memo) (*Result, *graph.Undirected, *obs.SpanNode, error) {
+	tr := obs.NewTrace()
+	ctx, root := tr.StartRoot(context.Background(), "run")
+	res, u, err := run.Execute(ctx, g, memo)
+	root.EndErr(err)
+	return res, u, tr.Tree(), err
+}
+
 // TestExecuteTraceAndBypass runs the full pipeline both ways on the
-// Figure 1 graph and checks the trace fields.
+// Figure 1 graph and checks the stage spans of its tree.
 func TestExecuteTraceAndBypass(t *testing.T) {
 	g := gen.Figure1().Graph
 	dd, _ := LookupSymmetrizer("dd")
@@ -175,15 +188,19 @@ func TestExecuteTraceAndBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, u, trace, err := run.Execute(context.Background(), g, nil)
+	res, u, tree, err := tracedExecute(run, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u == nil || trace.Symmetrizer != "dd" || trace.Clusterer != "mcl" {
-		t.Fatalf("trace = %+v", trace)
+	sym, cl := tree.Child("symmetrize"), tree.Child("cluster")
+	if u == nil || sym == nil || cl == nil || sym.Attrs["name"] != "dd" || cl.Attrs["name"] != "mcl" {
+		t.Fatalf("tree = %+v", tree)
 	}
-	if trace.SymmetrizedNNZ != u.Adj.NNZ() || trace.SymmetrizedNNZ == 0 {
-		t.Fatalf("nnz = %d", trace.SymmetrizedNNZ)
+	if nnz, _ := sym.Number("nnz"); int(nnz) != u.Adj.NNZ() || nnz == 0 {
+		t.Fatalf("nnz = %v", nnz)
+	}
+	if _, ok := sym.Attrs["cache_hit"]; ok {
+		t.Fatal("a run without a memo reports a cache lookup")
 	}
 	if len(res.Assign) != g.N() {
 		t.Fatalf("assign len %d", len(res.Assign))
@@ -193,18 +210,24 @@ func TestExecuteTraceAndBypass(t *testing.T) {
 	if run, err = NewRun(dd, core.Defaults(), bw, ClusterOptions{TargetClusters: 3, Seed: 1}, g.N()); err != nil {
 		t.Fatal(err)
 	}
-	res, u, trace, err = run.Execute(context.Background(), g, nil)
+	res, u, tree, err = tracedExecute(run, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u != nil {
 		t.Fatal("directed substrate symmetrized anyway")
 	}
-	if trace.Symmetrizer != "" || trace.SymmetrizedNNZ != 0 || trace.SymmetrizeMillis != 0 {
-		t.Fatalf("bypass trace = %+v", trace)
+	if tree.Child("symmetrize") != nil {
+		t.Fatalf("bypass tree holds a symmetrize stage: %+v", tree)
 	}
-	if trace.Clusterer != "bestwcut" || len(res.Assign) != g.N() {
-		t.Fatalf("bypass result: trace=%+v len=%d", trace, len(res.Assign))
+	if cl := tree.Child("cluster"); cl == nil || cl.Attrs["name"] != "bestwcut" || len(res.Assign) != g.N() {
+		t.Fatalf("bypass result: cluster span=%+v len=%d", cl, len(res.Assign))
+	}
+
+	// Untraced, the library's default, the run is the same run.
+	plain, _, err := run.Execute(context.Background(), g, nil)
+	if err != nil || !reflect.DeepEqual(plain, res) {
+		t.Fatalf("untraced run: err=%v, %+v vs %+v", err, plain, res)
 	}
 }
 
@@ -222,7 +245,7 @@ func TestExecuteValidatesBeforeRunning(t *testing.T) {
 		"metis without k": {Sym: dd, SymOpt: core.Defaults(), Cl: metis},
 		"alpha -2":        {Sym: dd, SymOpt: bad, Cl: mcl},
 	} {
-		if _, _, _, err := run.Execute(context.Background(), g, nil); err == nil {
+		if _, _, err := run.Execute(context.Background(), g, nil); err == nil {
 			t.Fatalf("%s ran", name)
 		}
 		if _, err := NewRun(run.Sym, run.SymOpt, run.Cl, run.ClOpt, g.N()); err == nil {

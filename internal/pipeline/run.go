@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"time"
 
 	"symcluster/internal/core"
 	"symcluster/internal/graph"
@@ -114,34 +113,32 @@ type Memo interface {
 
 // Execute runs the two-stage pipeline on g: symmetrize (skipped when
 // r.Sym is nil; answered from memo when it holds the product), then
-// cluster. It returns the clustering, the symmetrized graph (nil when
-// bypassed or failed), and the stage trace. The trace is returned even
-// on error, carrying whatever stages completed. A context that ends
-// between the stages never starts the clusterer.
+// cluster. It returns the clustering and the symmetrized graph (nil
+// when bypassed or failed). A context that ends between the stages
+// never starts the clusterer.
 //
-// When a trace is installed in ctx (obs.Trace.StartRoot), each stage
-// runs under a "symmetrize" or "cluster" span with the stage's wire
-// name attached, metered by obs.MeterStage (its process CPU and heap
-// allocation), and the kernels underneath add their own child spans.
-// The span tree itself is NOT folded into the returned StageTrace —
-// the trace owner (CLI or server) attaches tr.Tree() after ending the
-// root, so the tree is complete, and reads the run's accounting off it
-// (obs.StatsOf). A CPU profile's samples split by stage (labelStage).
-func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Result, *graph.Undirected, *StageTrace, error) {
-	trace := &StageTrace{Clusterer: r.Cl.Name()}
+// A run's record is its span tree: with a trace installed in ctx
+// (obs.Trace.StartRoot), each stage runs under a "symmetrize" or
+// "cluster" span carrying the stage's wire name ("name"), metered by
+// obs.MeterStage, and the kernels underneath add their own child spans.
+// The symmetrize span also carries "nnz" and, with a memo, "cache_hit".
+// A stage's wall clock is its span's; the trace owner (CLI or server)
+// reads the response and the run's accounting off the finished tree
+// (server.NewClusterResponse, obs.StatsOf). With no trace the stages
+// run untimed. A CPU profile's samples split by stage (labelStage).
+func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Result, *graph.Undirected, error) {
 	var u *graph.Undirected
 	var hier *multilevel.Memo
 	if r.Sym != nil {
-		trace.Symmetrizer = r.Sym.Name()
 		symCtx, symSpan := obs.StartSpan(ctx, "symmetrize", obs.A("name", r.Sym.Name()))
 		endStage := obs.MeterStage(symSpan)
-		start := time.Now()
+		hit := false
 		if memo != nil {
-			u, hier, trace.CacheHit = memo.Lookup(r.Sym, r.SymOpt)
-			symSpan.SetAttr("cache_hit", trace.CacheHit)
+			u, hier, hit = memo.Lookup(r.Sym, r.SymOpt)
+			symSpan.SetAttr("cache_hit", hit)
 		}
 		var err error
-		if !trace.CacheHit {
+		if !hit {
 			labelStage(symCtx, "symmetrize", r.Sym.Name(), func(ctx context.Context) {
 				u, err = r.Sym.Run(ctx, g, r.SymOpt)
 			})
@@ -150,35 +147,31 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 			}
 		}
 		endStage()
-		trace.SymmetrizeMillis = millisSince(start)
 		if err != nil {
 			symSpan.EndErr(err)
-			return nil, nil, trace, fmt.Errorf("symmetrize: %w", err)
+			return nil, nil, fmt.Errorf("symmetrize: %w", err)
 		}
-		trace.SymmetrizedNNZ = u.Adj.NNZ()
-		symSpan.SetAttr("nnz", trace.SymmetrizedNNZ)
+		symSpan.SetAttr("nnz", u.Adj.NNZ())
 		symSpan.End()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, u, trace, err
+		return nil, u, err
 	}
 	clCtx, clSpan := obs.StartSpan(ctx, "cluster", obs.A("name", r.Cl.Name()))
 	endStage := obs.MeterStage(clSpan)
-	start := time.Now()
 	var res *Result
 	var err error
 	labelStage(clCtx, "cluster", r.Cl.Name(), func(ctx context.Context) {
 		res, err = r.Cl.Run(ctx, Input{U: u, G: g, Hier: hier}, r.ClOpt)
 	})
 	endStage()
-	trace.ClusterMillis = millisSince(start)
 	if err != nil {
 		clSpan.EndErr(err)
-		return nil, u, trace, fmt.Errorf("cluster: %w", err)
+		return nil, u, fmt.Errorf("cluster: %w", err)
 	}
 	clSpan.SetAttr("clusters", res.K)
 	clSpan.End()
-	return res, u, trace, nil
+	return res, u, nil
 }
 
 // labelStage runs one stage's kernel with the goroutine's runtime/pprof
@@ -188,10 +181,4 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 // and by method. The labels ctx carried are back when it returns.
 func labelStage(ctx context.Context, stage, name string, run func(context.Context)) {
 	pprof.Do(ctx, pprof.Labels("stage", stage, "name", name), run)
-}
-
-// millisSince is the wall clock since start in (fractional)
-// milliseconds, the unit the wire formats use.
-func millisSince(start time.Time) float64 {
-	return float64(time.Since(start)) / float64(time.Millisecond)
 }

@@ -21,6 +21,7 @@ import (
 	"symcluster/internal/graph"
 	"symcluster/internal/matrix"
 	"symcluster/internal/multilevel"
+	"symcluster/internal/obs"
 	"symcluster/internal/walk"
 )
 
@@ -78,7 +79,7 @@ func symmetrizeReq(t *testing.T, g *graph.Directed, req Request, ooc bool) *matr
 	if ooc {
 		ctx = core.WithOutOfCore(ctx, core.OutOfCoreConfig{ScratchDir: t.TempDir()})
 	}
-	_, u, _, err := run.Execute(ctx, g, nil)
+	_, u, err := run.Execute(ctx, g, nil)
 	if err != nil {
 		t.Fatalf("%s threshold=%v ooc=%v: %v", method, threshold, ooc, err)
 	}
@@ -97,7 +98,7 @@ func clusterVia(t *testing.T, g *graph.Directed, method, algo string, k int, ooc
 	if ooc {
 		ctx = core.WithOutOfCore(ctx, core.OutOfCoreConfig{ScratchDir: t.TempDir()})
 	}
-	res, _, _, err := run.Execute(ctx, g, nil)
+	res, _, err := run.Execute(ctx, g, nil)
 	if err != nil {
 		t.Fatalf("%s/%s ooc=%v: %v", method, algo, ooc, err)
 	}
@@ -446,27 +447,28 @@ func TestExecuteMemoContract(t *testing.T) {
 
 	sym, cl, memo := &countingSym{Symmetrizer: dd}, &countingCl{Clusterer: mcl}, mapMemo{}
 	run := newRun(sym, cl)
-	first, u1, trace, err := run.Execute(context.Background(), g, memo)
-	if err != nil || trace.CacheHit || sym.runs != 1 || len(memo) != 1 {
-		t.Fatalf("first run: err=%v hit=%v runs=%d stored=%d", err, trace.CacheHit, sym.runs, len(memo))
+	hit := func(tree *obs.SpanNode) any { return tree.Child("symmetrize").Attrs["cache_hit"] }
+	first, u1, tree, err := tracedExecute(run, g, memo)
+	if err != nil || hit(tree) != false || sym.runs != 1 || len(memo) != 1 {
+		t.Fatalf("first run: err=%v hit=%v runs=%d stored=%d", err, hit(tree), sym.runs, len(memo))
 	}
-	second, u2, trace, err := run.Execute(context.Background(), g, memo)
-	if err != nil || !trace.CacheHit || sym.runs != 1 || u2 != u1 || cl.runs != 2 {
-		t.Fatalf("second run: err=%v hit=%v sym runs=%d cl runs=%d same U=%v", err, trace.CacheHit, sym.runs, cl.runs, u2 == u1)
+	second, u2, tree, err := tracedExecute(run, g, memo)
+	if err != nil || hit(tree) != true || sym.runs != 1 || u2 != u1 || cl.runs != 2 {
+		t.Fatalf("second run: err=%v hit=%v sym runs=%d cl runs=%d same U=%v", err, hit(tree), sym.runs, cl.runs, u2 == u1)
 	}
-	if !reflect.DeepEqual(first, second) || trace.SymmetrizedNNZ != u1.Adj.NNZ() {
-		t.Fatalf("memoised run differs: %+v vs %+v, trace %+v", first, second, trace)
+	if nnz, _ := tree.Child("symmetrize").Number("nnz"); !reflect.DeepEqual(first, second) || int(nnz) != u1.Adj.NNZ() {
+		t.Fatalf("memoised run differs: %+v vs %+v, nnz %v", first, second, nnz)
 	}
 
 	boom := errors.New("boom")
 	sym, cl, memo = &countingSym{Symmetrizer: dd, fail: boom}, &countingCl{Clusterer: mcl}, mapMemo{}
-	if _, u, _, err := newRun(sym, cl).Execute(context.Background(), g, memo); !errors.Is(err, boom) || u != nil || len(memo) != 0 || cl.runs != 0 {
+	if _, u, err := newRun(sym, cl).Execute(context.Background(), g, memo); !errors.Is(err, boom) || u != nil || len(memo) != 0 || cl.runs != 0 {
 		t.Fatalf("failed symmetrizer: err=%v u=%v stored=%d cl runs=%d", err, u, len(memo), cl.runs)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	sym, cl = &countingSym{Symmetrizer: dd, cancel: cancel}, &countingCl{Clusterer: mcl}
-	if res, u, _, err := newRun(sym, cl).Execute(ctx, g, nil); !errors.Is(err, context.Canceled) || res != nil || u == nil || cl.runs != 0 {
+	if res, u, err := newRun(sym, cl).Execute(ctx, g, nil); !errors.Is(err, context.Canceled) || res != nil || u == nil || cl.runs != 0 {
 		t.Fatalf("cancelled between stages: err=%v res=%v u=%v cl runs=%d", err, res, u, cl.runs)
 	}
 }
@@ -561,7 +563,7 @@ func TestExecuteLabelsStageGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := &labelProbe{Context: context.Background(), labels: map[string]bool{}}
-	if _, _, _, err := run.Execute(probe, ds.Graph, nil); err != nil {
+	if _, _, err := run.Execute(probe, ds.Graph, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]bool{

@@ -107,41 +107,72 @@ type ClusterResponse struct {
 	// CacheHit reports whether the symmetrized graph came from the
 	// cache (always false for cmd/symcluster).
 	CacheHit bool `json:"cache_hit"`
-	// SymmetrizeMillis and ClusterMillis are wall-clock stage times.
+	// SymmetrizeMillis and ClusterMillis are the stage spans' wall
+	// clocks, as in Trace.
 	SymmetrizeMillis float64 `json:"symmetrize_millis"`
 	ClusterMillis    float64 `json:"cluster_millis"`
-	// Trace is the registry's per-stage trace: canonical stage names,
-	// wall-clock timings, and the symmetrized edge count.
-	Trace *symcluster.StageTrace `json:"trace,omitempty"`
+	// Trace is the run's span tree and what the response reads off it:
+	// canonical stage names, stage wall clocks and the symmetrized nnz.
+	Trace *RunTrace `json:"trace,omitempty"`
 	// Stats is the run's resource accounting (queue wait, per-stage
-	// wall/CPU/allocation, cache and spill activity); see
-	// obs.JobStatsSnapshot for the schema. Present on daemon responses
-	// and on cmd/symcluster -json output.
+	// wall/CPU/allocation, cache and spill activity), read off the same
+	// tree by obs.StatsOf; see obs.JobStatsSnapshot for the schema.
 	Stats *obs.JobStatsSnapshot `json:"stats,omitempty"`
 	// AvgF is the micro-averaged best-match F-score against ground
 	// truth, present only when truth is known (CLI -truth flag).
 	AvgF *float64 `json:"avg_f,omitempty"`
 }
 
+// RunTrace is a response's "trace" object. Every field but Spans is read
+// off Spans, the run's finished tree: a stage's wall clock is its span's
+// duration, so the response, the stats and the tree agree to the bit.
+type RunTrace struct {
+	// Symmetrizer and Clusterer are the canonical stage names. The
+	// symmetrizer is empty when a directed substrate bypassed the
+	// symmetrize stage.
+	Symmetrizer string `json:"symmetrizer,omitempty"`
+	Clusterer   string `json:"clusterer"`
+	// SymmetrizeMillis and ClusterMillis are the stage spans' durations.
+	SymmetrizeMillis float64 `json:"symmetrize_millis"`
+	ClusterMillis    float64 `json:"cluster_millis"`
+	// SymmetrizedNNZ is the stored nonzero count of the symmetrized
+	// adjacency (0 when the stage was bypassed).
+	SymmetrizedNNZ int `json:"symmetrized_nnz"`
+	// Spans is the root of the run's span tree: request (daemon) or run
+	// (CLI) → stage → kernel spans.
+	Spans *obs.SpanNode `json:"spans,omitempty"`
+}
+
 // NewClusterResponse renders one finished pipeline run — what
-// pipeline.Run.Execute returned, plus the run's resource accounting —
-// as the wire response. It is the only place a ClusterResponse is
-// assembled, for the daemon (graphID set) and for cmd/symcluster -json
-// (graphID empty, u never from a cache) alike.
-func NewClusterResponse(graphID string, res *symcluster.Clustering, u *symcluster.UndirectedGraph, trace *symcluster.StageTrace, stats *obs.JobStatsSnapshot) *ClusterResponse {
+// pipeline.Run.Execute returned, and the run's span tree (its root
+// ended) — as the wire response. Every timing, stage name, nnz and
+// cache-hit field is read off the tree's "symmetrize" and "cluster"
+// stage spans, and the accounting by obs.StatsOf. It is the only place
+// a ClusterResponse is assembled, for the daemon (graphID set) and for
+// cmd/symcluster -json (graphID empty, u never from a cache) alike.
+func NewClusterResponse(graphID string, res *symcluster.Clustering, u *symcluster.UndirectedGraph, tree *obs.SpanNode) *ClusterResponse {
+	trace := &RunTrace{Spans: tree}
 	resp := &ClusterResponse{
-		GraphID:          graphID,
-		Method:           trace.Symmetrizer,
-		Algorithm:        trace.Clusterer,
-		Nodes:            len(res.Assign),
-		K:                res.K,
-		Assign:           res.Assign,
-		CacheHit:         trace.CacheHit,
-		SymmetrizeMillis: trace.SymmetrizeMillis,
-		ClusterMillis:    trace.ClusterMillis,
-		Trace:            trace,
-		Stats:            stats,
+		GraphID: graphID,
+		Nodes:   len(res.Assign),
+		K:       res.K,
+		Assign:  res.Assign,
+		Trace:   trace,
+		Stats:   obs.StatsOf(tree),
 	}
+	if sym := tree.Child("symmetrize"); sym != nil {
+		trace.Symmetrizer, _ = sym.Attrs["name"].(string)
+		trace.SymmetrizeMillis = sym.DurationMillis
+		nnz, _ := sym.Number("nnz")
+		trace.SymmetrizedNNZ = int(nnz)
+		resp.CacheHit, _ = sym.Attrs["cache_hit"].(bool)
+	}
+	if cl := tree.Child("cluster"); cl != nil {
+		trace.Clusterer, _ = cl.Attrs["name"].(string)
+		trace.ClusterMillis = cl.DurationMillis
+	}
+	resp.Method, resp.Algorithm = trace.Symmetrizer, trace.Clusterer
+	resp.SymmetrizeMillis, resp.ClusterMillis = trace.SymmetrizeMillis, trace.ClusterMillis
 	if u != nil {
 		resp.UndirectedEdges = u.M()
 	}
@@ -235,10 +266,8 @@ type NodeStatus struct {
 	// without a data dir).
 	WALBytes int64 `json:"wal_bytes"`
 	// MappedCSRBytes is the bytes of binary CSR files the node has
-	// memory-mapped; TraceRingBytes the rendered bytes retained in its
-	// trace ring.
+	// memory-mapped.
 	MappedCSRBytes int64 `json:"mapped_csr_bytes"`
-	TraceRingBytes int64 `json:"trace_ring_bytes"`
 	// JobsAdopted counts the jobs taken over from dead peers' WALs.
 	JobsAdopted int64 `json:"jobs_adopted"`
 	// Error carries the fetch failure for degraded rows.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"symcluster/internal/faultinject"
 	"symcluster/internal/graph"
 	"symcluster/internal/jobstore"
+	"symcluster/internal/obs"
 )
 
 // blockEdgeList generates a reproducible directed block graph (blocks
@@ -211,6 +213,52 @@ func TestIdempotencyKeyAfterRestart(t *testing.T) {
 	}
 }
 
+// TestFinishedJobTraceSurvivesRestart: a done job's tree rides its
+// journaled result (trace.spans), so GET /v1/jobs/{id}/trace serves the
+// same tree after a restart. A failed job's tree is held in memory only;
+// after the restart its 404 says the job finished, not that it has no
+// trace yet.
+func TestFinishedJobTraceSurvivesRestart(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	s1, ts1 := durableServer(t, dir, Config{Workers: 1})
+	info := s1.RegisterGraph(mustFigure1Graph(t))
+	req := ClusterRequest{GraphID: info.ID, Method: "dd", Algorithm: "mcl", Seed: 3, Async: true}
+	done := decodeJobRef(t, postCluster(t, ts1.URL, req, ""))
+	waitJobState(t, s1, done.JobID, jobstore.Done)
+	faultinject.Set("mcl.iterate", faultinject.Fault{Mode: faultinject.Error})
+	req.Seed = 4
+	failed := decodeJobRef(t, postCluster(t, ts1.URL, req, ""))
+	waitJobState(t, s1, failed.JobID, jobstore.Failed)
+	faultinject.Reset()
+	code, live := getURL(t, ts1.URL+done.Location+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("live trace: status %d: %s", code, live)
+	}
+	stopServer(t, s1, ts1)
+
+	s2, ts2 := durableServer(t, dir, Config{Workers: 1})
+	defer stopServer(t, s2, ts2)
+	code, replayed := getURL(t, ts2.URL+done.Location+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("trace of a done job after a restart: status %d: %s", code, replayed)
+	}
+	var before, after obs.SpanNode
+	if err := json.Unmarshal(live, &before); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(replayed, &after); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) || after.Name != "request" || after.Child("cluster") == nil {
+		t.Fatalf("replayed trace differs from the live one:\nlive     %s\nreplayed %s", live, replayed)
+	}
+	code, body := getURL(t, ts2.URL+failed.Location+"/trace")
+	if code != http.StatusNotFound || !strings.Contains(string(body), "finished (failed) with no trace retained") {
+		t.Fatalf("trace of a failed job after a restart: status %d: %s", code, body)
+	}
+}
+
 // A drain that cannot finish in time preempts the running job: its
 // kernel checkpoints on the way out, the WAL marks it pending again,
 // and the next boot resumes and completes it with the same answer an
@@ -220,7 +268,8 @@ func TestDrainPreemptsAndRequeues(t *testing.T) {
 	faultinject.Set("mcl.iterate", faultinject.Fault{Mode: faultinject.Delay, Delay: 25 * time.Millisecond})
 	defer faultinject.Reset()
 
-	s1, ts1 := durableServer(t, dir, Config{Workers: 1, CheckpointIters: 1, PreemptGrace: 10 * time.Second})
+	s1, ts1 := durableServer(t, dir, Config{Workers: 1, CheckpointIters: 1})
+	s1.preemptGrace = 10 * time.Second
 	g, err := graph.ReadEdgeList(strings.NewReader(blockEdgeList(4, 30, 7)))
 	if err != nil {
 		t.Fatal(err)

@@ -243,8 +243,7 @@ func (s *Server) runTicket(ctx context.Context, tk ticket, prep *preparedRun, be
 	root.EndErr(err)
 	out := &runOutcome{Trace: s.export(tr)}
 	if err == nil {
-		run.trace.Spans = out.Trace
-		out.Resp = NewClusterResponse(prep.rg.info.ID, run.res, run.u, run.trace, obs.StatsOf(out.Trace))
+		out.Resp = NewClusterResponse(prep.rg.info.ID, run.res, run.u, out.Trace)
 	}
 	return out, err
 }
@@ -425,9 +424,8 @@ func (m symMemo) Store(sym pipeline.Symmetrizer, opt pipeline.SymOptions, u *sym
 
 // clusterRun is what a successful runCluster leaves for the response.
 type clusterRun struct {
-	res   *symcluster.Clustering
-	u     *symcluster.UndirectedGraph
-	trace *symcluster.StageTrace
+	res *symcluster.Clustering
+	u   *symcluster.UndirectedGraph
 }
 
 // runCluster executes one resolved request over the symmetrization
@@ -450,16 +448,16 @@ func (s *Server) runCluster(ctx context.Context, prep *preparedRun, ooc bool) (*
 			InputPath:        rg.csrPath, // empty: input written to scratch first
 			ScratchDir:       s.cfg.SpillDir,
 			MaxResidentBytes: s.cfg.MaxResidentBytes,
-			SpillMemBytes:    s.cfg.IngestMemBytes,
+			SpillMemBytes:    s.ingestMemBytes,
 		})
 	}
-	res, u, trace, err := run.Execute(ctx, rg.graph, symMemo{s, rg.fingerprint})
+	res, u, err := run.Execute(ctx, rg.graph, symMemo{s, rg.fingerprint})
 	if err != nil {
 		return nil, err
 	}
 	// A run that finished after its context ended still failed its
 	// caller.
-	return &clusterRun{res, u, trace}, ctx.Err()
+	return &clusterRun{res, u}, ctx.Err()
 }
 
 // logWorkerPanic logs the captured stack of a recovered worker panic.
@@ -487,21 +485,36 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the span tree of a
 // finished async job (including failed and canceled jobs, whose traces
-// are retained precisely so the failure is debuggable).
+// are retained precisely so the failure is debuggable). A done job's
+// tree also rides its journaled result (trace.spans), so it answers
+// across restarts; a failed or canceled job's tree is held in memory
+// only.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.Snapshot(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	if job.Trace == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no trace yet", job.ID))
+	tree := job.Trace
+	if tree == nil && job.Result != nil {
+		var res struct {
+			Trace *RunTrace `json:"trace"`
+		}
+		if json.Unmarshal(job.Result, &res) == nil && res.Trace != nil {
+			tree = res.Trace.Spans
+		}
+	}
+	switch {
+	case tree == nil && job.Finished.IsZero():
+		writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no trace yet (state %s)", job.ID, job.State))
+		return
+	case tree == nil:
+		writeError(w, http.StatusNotFound, fmt.Errorf("job %q finished (%s) with no trace retained", job.ID, job.State))
 		return
 	}
-	tree := job.Trace
 	// A root with a remote parent is the owner's half of a cross-node
 	// trace (the entry node holds the proxy span): stitch in whatever
-	// segments the peers retain before serving.
+	// hop segments the peers retain before serving.
 	if s.coord != nil && job.TraceID != "" && tree.ParentSpanID != "" {
 		tree = s.coord.mergeTrace(r.Context(), job.TraceID, tree)
 	}

@@ -57,7 +57,7 @@ func symmetrized(t *testing.T, edges []byte, method string, threshold float64) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, u, _, err := run.Execute(context.Background(), g, nil)
+	_, u, err := run.Execute(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

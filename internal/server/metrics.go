@@ -250,7 +250,6 @@ func (m *Metrics) bind(s *Server) {
 	live("symclusterd_panics_recovered_total", "Worker panics recovered.", obs.TypeCounter, s.pool.PanicsRecovered)
 
 	live("symclusterd_csr_mapped_bytes", "Bytes of binary CSR files currently memory-mapped.", obs.TypeGauge, csr.MappedBytes)
-	live("symclusterd_trace_ring_bytes", "Rendered-JSON bytes retained in the in-memory trace ring.", obs.TypeGauge, s.traces.RingBytes)
 
 	live("symclusterd_jobs_expired_total", "Finished async jobs dropped by TTL expiry.", obs.TypeCounter, s.jobs.Expired)
 	live("symclusterd_checkpoints_total", "Kernel checkpoints journaled to the WAL.", obs.TypeCounter, s.jobs.CheckpointSaves)

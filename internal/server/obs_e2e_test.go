@@ -68,9 +68,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// The JSONL file holds one parseable span tree per run.
-	if got := sink.Exported(); got != 2 {
-		t.Fatalf("sink exported %d traces, want 2", got)
-	}
 	raw, err := os.Open(traceFile)
 	if err != nil {
 		t.Fatal(err)

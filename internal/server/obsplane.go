@@ -20,7 +20,7 @@ import (
 //   - GET /v1/jobs/{id}/stats     — a finished job's resource accounting
 //   - GET /v1/cluster/status      — federated per-node status report
 //   - GET /internal/v1/status     — one node's cheap self-report
-//   - GET /internal/v1/traces/{id}— one node's retained trace segments
+//   - GET /internal/v1/traces/{id}— one node's retained hop segments
 //
 // The federated report never blocks on a dead peer: every peer's row is
 // fetched concurrently under a short per-peer timeout, degrading to
@@ -66,7 +66,6 @@ func (s *Server) nodeStatus() NodeStatus {
 		Draining:       s.Draining(),
 		QueueDepth:     s.pool.QueueDepth(),
 		MappedCSRBytes: csr.MappedBytes(),
-		TraceRingBytes: s.traces.RingBytes(),
 		WALBytes:       s.jobs.LogBytes(),
 		Jobs:           s.jobs.Counts(),
 		JobsAdopted:    int64(s.metrics.jobsAdopted.Value()),
@@ -83,8 +82,9 @@ func (s *Server) handleInternalStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.nodeStatus())
 }
 
-// handleInternalTraces serves the retained segments of one distributed
-// trace from this node's ring, for a peer assembling the stitched tree.
+// handleInternalTraces serves the hop segments of one distributed trace
+// that this node's ring retains, for a peer assembling the stitched
+// tree.
 func (s *Server) handleInternalTraces(w http.ResponseWriter, r *http.Request) {
 	segs := s.traces.ByTraceID(r.PathValue("id"))
 	if segs == nil {
@@ -164,12 +164,12 @@ func (c *coordinator) fetchStatus(ctx context.Context, p *cluster.Peer) NodeStat
 }
 
 // mergeTrace assembles the stitched tree of one distributed trace: the
-// local tree (deep-copied, so repeated GETs never mutate the stored
-// job trace) plus whatever segments the peers retain for the same trace
-// id, fetched concurrently under the fan-out timeout. Peers that
-// evicted their segment — or died — just mean a shallower tree.
+// local tree plus whatever hop segments the peers retain for the same
+// trace id, fetched concurrently under the fan-out timeout. The merge
+// leaves the stored job trace as it was. Peers that evicted their
+// segment — or died — just mean a shallower tree.
 func (c *coordinator) mergeTrace(ctx context.Context, traceID string, local *obs.SpanNode) *obs.SpanNode {
-	segments := []*obs.SpanNode{copySpanTree(local)}
+	segments := []*obs.SpanNode{local}
 	peers := c.ring.Peers()
 	remote := make([][]*obs.SpanNode, len(peers))
 	var wg sync.WaitGroup
@@ -187,10 +187,7 @@ func (c *coordinator) mergeTrace(ctx context.Context, traceID string, local *obs
 	for _, segs := range remote {
 		segments = append(segments, segs...)
 	}
-	if merged := obs.MergeSegments(segments); merged != nil {
-		return merged
-	}
-	return local
+	return obs.MergeSegments(segments)
 }
 
 // fetchTraceSegments pulls one peer's retained segments of a trace;
@@ -202,19 +199,4 @@ func (c *coordinator) fetchTraceSegments(ctx context.Context, p *cluster.Peer, t
 		return nil
 	}
 	return segs
-}
-
-// copySpanTree deep-copies a span tree (JSON round-trip): MergeSegments
-// mutates the trees it stitches, and the input here is the long-lived
-// tree stored on the job record.
-func copySpanTree(n *obs.SpanNode) *obs.SpanNode {
-	raw, err := json.Marshal(n)
-	if err != nil {
-		return n
-	}
-	out := new(obs.SpanNode)
-	if err := json.Unmarshal(raw, out); err != nil {
-		return n
-	}
-	return out
 }

@@ -111,12 +111,12 @@ func TestChunkedUploadOutOfCoreIdenticalAssignments(t *testing.T) {
 	// estimate and a tiny ingest buffer so the upload itself spills.
 	dir := t.TempDir()
 	s, ts := durableServer(t, dir, Config{
-		Workers:        1,
-		MaxJobBytes:    1 << 10,
-		IngestMemBytes: 1, // floor: spill every 4096 edges
-		SpillDir:       t.TempDir(),
+		Workers:     1,
+		MaxJobBytes: 1 << 10,
+		SpillDir:    t.TempDir(),
 	})
 	defer stopServer(t, s, ts)
+	s.ingestMemBytes = 1 // floor: spill every 4096 edges
 
 	runtime.GC()
 	var before runtime.MemStats

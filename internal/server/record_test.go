@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,6 +38,34 @@ func exposedCount(t *testing.T, ts *httptest.Server, family string) float64 {
 		}
 	}
 	return sum
+}
+
+// traceLog is a sink writing to a JSONL file, as -trace-log does, and
+// a reader of the trees logged so far.
+func traceLog(t *testing.T) (*obs.TraceSink, func() []*obs.SpanNode) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "traces.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return obs.NewTraceSink(f, 64), func() []*obs.SpanNode {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trees []*obs.SpanNode
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		for dec.More() {
+			var n obs.SpanNode
+			if err := dec.Decode(&n); err != nil {
+				t.Fatal(err)
+			}
+			trees = append(trees, &n)
+		}
+		return trees
+	}
 }
 
 // spansNamed counts the spans of a tree with the given name.
@@ -126,7 +158,9 @@ func TestReplayedJobFeedsTheFamilies(t *testing.T) {
 // whose tree holds the merge, the file write and the mapping, and feeds
 // their families.
 func TestUploadFinalizeExportsItsTree(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, IngestMemBytes: 1})
+	sink, logged := traceLog(t)
+	s, ts := newTestServer(t, Config{Workers: 1, TraceSink: sink})
+	s.ingestMemBytes = 1
 	families := map[string]float64{}
 	for _, fam := range []string{"symcluster_csr_spill_runs", "symcluster_csr_merged_bytes",
 		"symcluster_csr_write_bytes", "symcluster_csr_mapped_bytes"} {
@@ -134,13 +168,16 @@ func TestUploadFinalizeExportsItsTree(t *testing.T) {
 	}
 	up := uploadChunked(t, ts, oocEdgeList(600, 12), 10_000)
 	var tree *obs.SpanNode
-	for _, n := range s.traces.Recent() {
+	for _, n := range logged() {
 		if n.Name == "upload.finalize" {
 			tree = n
 		}
 	}
 	if tree == nil || tree.Attrs["graph_id"] != up.Graph.ID {
 		t.Fatalf("no upload.finalize tree for %s exported: %+v", up.Graph.ID, tree)
+	}
+	if kept := s.traces.ByTraceID(tree.TraceID); len(kept) != 1 || kept[0].Name != "upload.finalize" {
+		t.Fatalf("the trace ring keeps %+v for the finalize's trace, want its one segment", kept)
 	}
 	for _, span := range []string{"csr.ingest.merge", "csr.write", "csr.mmap"} {
 		if findSpan(tree, span) == nil {

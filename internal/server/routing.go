@@ -265,26 +265,31 @@ func readBody(r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// traced runs fn as the root span of an exported trace segment: one
-// side of an inter-node hop, or an upload's finalize. On a hop the
-// cluster client injects the span's traceparent and the receiver's
-// middleware joins it, so whatever the peer runs — including an async
-// job outliving the request — is one trace that GET /v1/jobs/{id}/trace
-// stitches across nodes.
+// traced runs fn as the root span of a hop segment: one side of an
+// inter-node hop ("proxy", "csr.push", "csr.receive"), or an upload's
+// "upload.finalize". On a hop the cluster client injects the span's
+// traceparent and the receiver's middleware joins it, so whatever the
+// peer runs — including an async job outliving the request — is one
+// trace that GET /v1/jobs/{id}/trace stitches across nodes. A hop
+// segment is the only tree the trace ring retains: it is what a peer
+// stitching a job's trace asks this node for
+// (GET /internal/v1/traces/{id}), while a run's own tree is held by its
+// job record or sent in its response.
 func (s *Server) traced(ctx context.Context, name string, fn func(context.Context, *obs.Span) error, attrs ...obs.Attr) error {
 	tr := obs.NewTraceFrom(ctx)
 	ctx, span := tr.StartRoot(ctx, name, attrs...)
 	err := fn(ctx, span)
 	span.EndErr(err)
-	s.export(tr)
+	s.traces.Retain(s.export(tr))
 	return err
 }
 
 // export builds a finished trace's tree, once, feeds it to the span
-// table's families and the trace sink, and returns it. Every trace the
-// daemon records goes through here — a run's, a hop's, a finalize's —
-// so the metrics count each segment this node ran exactly once, whatever
-// started it: a request, a replay at boot or an adoption.
+// table's families and the trace log (-trace-log), and returns it.
+// Every trace the daemon records goes through here — a run's, a hop's,
+// a finalize's — so the metrics count each segment this node ran
+// exactly once, whatever started it: a request, a replay at boot or an
+// adoption.
 func (s *Server) export(tr *obs.Trace) *obs.SpanNode {
 	tree := tr.Tree()
 	s.metrics.fold(tree)

@@ -86,25 +86,18 @@ type Config struct {
 	// core.ErrResidentBudget. Zero or negative disables the bound (the
 	// default).
 	MaxResidentBytes int64
-	// IngestMemBytes is the in-memory buffer of streaming graph
-	// ingestion and of out-of-core transposes; past it, sorted runs
-	// spill to SpillDir (default 64 MiB).
-	IngestMemBytes int64
 	// CheckpointIters is how often (in kernel iterations) a durable
 	// async job snapshots its kernel state to the WAL so a crash or
 	// drain resumes mid-run instead of starting over (default 25; only
 	// meaningful with DataDir).
 	CheckpointIters int
-	// PreemptGrace bounds how long Drain waits, after cancelling stuck
-	// jobs, for their kernels to write a final checkpoint and return
-	// (default 5s; only meaningful with DataDir).
-	PreemptGrace time.Duration
 	// Logger receives request and lifecycle logs; nil means
 	// slog.Default(). cmd/symclusterd installs a JSON-handler logger.
 	Logger *slog.Logger
-	// TraceSink receives the span tree of every clustering run (JSONL
-	// file and/or in-memory ring; see obs.NewTraceSink). Nil means a
-	// ring-only sink sized for the trace endpoint.
+	// TraceSink receives every span tree the daemon records — runs, hop
+	// segments, upload finalizes — as JSONL when it has a writer, and
+	// keeps the hop segments in its ring for peers stitching a job's
+	// trace (see obs.NewTraceSink). Nil means a ring-only sink of 64.
 	TraceSink *obs.TraceSink
 }
 
@@ -131,12 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointIters <= 0 {
 		c.CheckpointIters = 25
 	}
-	if c.IngestMemBytes <= 0 {
-		c.IngestMemBytes = 64 << 20
-	}
-	if c.PreemptGrace <= 0 {
-		c.PreemptGrace = 5 * time.Second
-	}
 	return c
 }
 
@@ -159,6 +146,15 @@ type Server struct {
 	metrics   *Metrics
 	traces    *obs.TraceSink
 	startTime time.Time
+
+	// ingestMemBytes is the in-memory buffer of streaming graph
+	// ingestion and of out-of-core transposes; past it, sorted runs
+	// spill to SpillDir. preemptGrace bounds how long Drain waits, after
+	// cancelling stuck jobs, for their kernels to write a final
+	// checkpoint and return. No caller tunes either; tests shrink or
+	// stretch them before the first request.
+	ingestMemBytes int64
+	preemptGrace   time.Duration
 
 	graphMu  sync.RWMutex
 	graphs   map[string]*registeredGraph
@@ -219,16 +215,18 @@ type registeredGraph struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		pool:       NewPool(cfg.Workers, cfg.QueueDepth),
-		cache:      NewCache(cfg.CacheBytes),
-		metrics:    NewMetrics(),
-		traces:     cfg.TraceSink,
-		startTime:  time.Now(),
-		jobCancels: make(map[string]context.CancelCauseFunc),
-		uploads:    make(map[string]*uploadSession),
-		stop:       make(chan struct{}),
+		cfg:            cfg,
+		mux:            http.NewServeMux(),
+		pool:           NewPool(cfg.Workers, cfg.QueueDepth),
+		cache:          NewCache(cfg.CacheBytes),
+		metrics:        NewMetrics(),
+		traces:         cfg.TraceSink,
+		startTime:      time.Now(),
+		ingestMemBytes: 64 << 20,
+		preemptGrace:   5 * time.Second,
+		jobCancels:     make(map[string]context.CancelCauseFunc),
+		uploads:        make(map[string]*uploadSession),
+		stop:           make(chan struct{}),
 	}
 	if s.traces == nil {
 		s.traces = obs.NewTraceSink(nil, 64)
@@ -423,7 +421,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.jobMu.Unlock()
 	s.log().Info("drain deadline passed; preempting jobs for checkpoint", "jobs", n)
 
-	graceCtx, cancel := context.WithTimeout(bootContext(), s.cfg.PreemptGrace)
+	graceCtx, cancel := context.WithTimeout(bootContext(), s.preemptGrace)
 	defer cancel()
 	if werr := s.pool.Wait(graceCtx); werr != nil {
 		return werr

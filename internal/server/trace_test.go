@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -198,5 +200,82 @@ func TestJobTraceEndpointUnknown(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job trace: status %d", resp.StatusCode)
+	}
+}
+
+// TestResponseTimingsAreTheStageSpans: a run's stages are timed once,
+// by their spans, so a sync response's symmetrize_millis and
+// cluster_millis, its trace's copies, its stats' stage wall clocks and
+// the stage spans' durations are one number each.
+func TestResponseTimingsAreTheStageSpans(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	info := registerFigure1(t, ts)
+	resp := postJSON(t, ts.URL+"/v1/cluster", ClusterRequest{
+		GraphID: info.ID, Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: 1,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cluster: status %d", resp.StatusCode)
+	}
+	res := decode[ClusterResponse](t, resp)
+	if res.Trace == nil || res.Trace.Spans == nil || res.Stats == nil {
+		t.Fatalf("response carries no tree or stats: %+v", res)
+	}
+	for stage, millis := range map[string][2]float64{
+		"symmetrize": {res.SymmetrizeMillis, res.Trace.SymmetrizeMillis},
+		"cluster":    {res.ClusterMillis, res.Trace.ClusterMillis},
+	} {
+		span := res.Trace.Spans.Child(stage)
+		if span == nil || span.DurationMillis <= 0 {
+			t.Fatalf("no timed %s stage span: %+v", stage, span)
+		}
+		wall := res.Stats.Stages[stage].WallMillis
+		if millis[0] != span.DurationMillis || millis[1] != span.DurationMillis || wall != span.DurationMillis {
+			t.Errorf("%s: response %v, trace %v, stats %v, span %v: want one clock", stage, millis[0], millis[1], wall, span.DurationMillis)
+		}
+	}
+}
+
+// TestRingKeepsHopSegmentsPastLocalRuns: the trace ring keeps hop
+// segments only. An entry node whose ring holds 4 trees proxies an async
+// job to the graph's owner, then runs five sync runs of its own; the
+// job's stitched trace still roots at the entry node's "proxy" span.
+func TestRingKeepsHopSegmentsPastLocalRuns(t *testing.T) {
+	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) { cfg.TraceSink = obs.NewTraceSink(nil, 4) })
+	// One graph homed on each node, registered at its owner so no
+	// csr.push hop lands in a ring.
+	graphs := map[int]string{}
+	for i := 0; len(graphs) < 2; i++ {
+		edges := figure1Edges + fmt.Sprintf("%d %d\n", 6+i, 7+i)
+		owner := nodes[0].s.coord.ownerOf(fingerprintOf(t, edges))
+		for j, n := range nodes {
+			if n.peer == owner && graphs[j] == "" {
+				graphs[j] = registerEdges(t, n.ts.URL, []byte(edges)).ID
+			}
+		}
+	}
+	const entry, owner = 0, 1
+
+	resp := postJSON(t, nodes[entry].ts.URL+"/v1/cluster", ClusterRequest{
+		GraphID: graphs[owner], Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: 1, Async: true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit through the entry node: status %d", resp.StatusCode)
+	}
+	ref := decode[JobRef](t, resp)
+	waitJobDone(t, nodes[owner].ts, ref)
+	for seed := int64(1); seed <= 5; seed++ {
+		clusterOK(t, nodes[entry].ts.URL, ClusterRequest{GraphID: graphs[entry], Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: seed})
+	}
+
+	code, body := getURL(t, nodes[owner].ts.URL+ref.Location+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("job trace: status %d: %s", code, body)
+	}
+	var tree obs.SpanNode
+	if err := json.Unmarshal(body, &tree); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Name != "proxy" || tree.Child("request") == nil {
+		t.Fatalf("stitched root = %q, want the entry node's proxy span over the owner's request:\n%s", tree.Name, body)
 	}
 }

@@ -76,7 +76,7 @@ func (s *Server) handleUploadCreate(w http.ResponseWriter, r *http.Request) {
 		refuse(w, fmt.Errorf("creating upload scratch: %w", err))
 		return
 	}
-	ing, err := csr.NewIngester(dir, s.cfg.IngestMemBytes)
+	ing, err := csr.NewIngester(dir, s.ingestMemBytes)
 	if err != nil {
 		os.RemoveAll(dir)
 		refuse(w, fmt.Errorf("creating ingester: %w", err))

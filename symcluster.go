@@ -244,11 +244,6 @@ type ClusterOptions = pipeline.ClusterOptions
 // Clustering is a node → cluster assignment.
 type Clustering = pipeline.Result
 
-// StageTrace reports per-stage wall-clock timings and the symmetrized
-// edge count of a pipeline run, as surfaced by the CLI's -json output
-// and the daemon's responses.
-type StageTrace = pipeline.StageTrace
-
 // ClusterCtx runs the selected algorithm on a symmetrized graph. Every
 // substrate polls ctx at iteration boundaries (MCL expansion rounds,
 // bisection and refinement passes).
@@ -282,7 +277,7 @@ func ClusterDirectedCtx(ctx context.Context, g *DirectedGraph, method SymMethod,
 	if err != nil {
 		return nil, err
 	}
-	res, _, _, err := run.Execute(ctx, g, nil)
+	res, _, err := run.Execute(ctx, g, nil)
 	return res, err
 }
 
