@@ -1,8 +1,8 @@
 # Pre-merge checks for symcluster. `make check` is the documented
 # gate: formatting, vet, the registry and logging lints, a full build,
-# the short test suite, the race detector over the whole module, the
-# cross step (an arm64 build, and the kernels' suites with the assembly
-# tagged out), and bounded fuzz passes of the edge-list reader, its line
+# the benchmark module's vet and tests, the short test suite, the race
+# detector over the whole module, the cross step (an arm64 build, and
+# the kernels' suites with the assembly tagged out), and bounded fuzz passes of the edge-list reader, its line
 # parser, the binary CSR decoder, the dense scan's two bodies, the WAL
 # frame scanner and the cluster-request decoder. The long statistical experiments (minutes per seed) run
 # only via `make test-long`.
@@ -16,9 +16,9 @@ SOAK_SECONDS ?= 60
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X symcluster/internal/obs.Version=$(VERSION)
 
-.PHONY: check fmt vet lint build cross test race fuzz crash cluster soak test-long bench kernel-bench loc
+.PHONY: check fmt vet lint build benchmod cross test race fuzz crash cluster soak test-long bench kernel-bench loc
 
-check: fmt vet lint build cross test race crash cluster soak fuzz
+check: fmt vet lint build benchmod cross test race crash cluster soak fuzz
 	@echo "check: ok"
 
 fmt:
@@ -52,6 +52,12 @@ lint:
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
+
+# The benchmark is its own module (bench/go.mod) and compiles against
+# internal/pipeline and the library root, which no other step builds it
+# against: vet it and run its tests, the golden digests among them.
+benchmod:
+	cd bench && $(GO) vet . && $(GO) test ./...
 
 # The targets the assembly does not serve: everything builds for arm64
 # and internal/matrix vets there (the stub's signature against the

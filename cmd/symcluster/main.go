@@ -220,10 +220,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if sym := tree.Child("symmetrize"); sym != nil {
 		fmt.Fprintf(stderr, "symcluster: symmetrized (%s) to %d undirected edges in %.2fs\n",
-			run.Sym.Display(), u.M(), sym.DurationMillis/1000)
+			run.Sym.Method, u.M(), sym.DurationMillis/1000)
 	} else {
 		fmt.Fprintf(stderr, "symcluster: %s clusters the directed graph; symmetrize stage skipped\n",
-			run.Cl.Display())
+			run.Cl.Display)
 	}
 	side := u
 	if u == nil && (*stats || *metisOut != "") {
@@ -237,7 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stderr, "symcluster: clustered (%s) into %d clusters in %.2fs\n",
-		run.Cl.Display(), res.K, tree.Child("cluster").DurationMillis/1000)
+		run.Cl.Display, res.K, tree.Child("cluster").DurationMillis/1000)
 
 	var avgF *float64
 	if *truthPath != "" {

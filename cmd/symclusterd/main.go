@@ -128,7 +128,7 @@ func main() {
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	traceLog := flag.String("trace-log", "", "append every span tree the daemon records (runs, hop segments, upload finalizes) to this file, one JSON line each")
-	traceRing := flag.Int("trace-ring", 64, "hop segments (proxy, csr.push, csr.receive, upload.finalize) retained in memory for peers stitching a job's trace")
+	traceRing := flag.Int("trace-ring", 64, "hop segments (a submission's proxy, csr.push, csr.receive, upload.finalize) retained in memory for peers stitching a job's trace")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 	flag.Parse()
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 
 	"symcluster/internal/graclus"
 	"symcluster/internal/mcl"
@@ -11,59 +12,74 @@ import (
 	"symcluster/internal/spectral"
 )
 
-// cluEntry implements Clusterer from plain data plus run/cost
-// closures. This is the only place in the module that dispatches on a
-// clustering substrate.
-type cluEntry struct {
-	id       Algorithm
-	name     string
-	aliases  []string
-	display  string
-	describe string
-	requireK bool
-	directed bool
-	ckpt     bool
-	run      func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error)
-	cost     func(GraphStats) int64
+// Clusterer is one registered clustering substrate: the second stage
+// of the pipeline. Its hooks are unexported, so only this package
+// builds a working entry; the registry below is the only place in the
+// module that dispatches on a clustering substrate.
+type Clusterer struct {
+	// Name is the canonical wire name ("mcl", "metis", "graclus",
+	// "spectral", "bestwcut", "zhou").
+	Name string
+	// Display is the name used in the paper's legends: the id's String.
+	Display string
+	// RequiresK reports whether TargetClusters >= 1 is mandatory.
+	RequiresK bool
+	// AcceptsDirected reports whether Run consumes Input.G (the
+	// directed graph) instead of Input.U, bypassing symmetrization.
+	AcceptsDirected bool
+	// Checkpointable reports whether Run's kernels save/restore
+	// mid-iteration snapshots through a context-carried
+	// checkpoint.Sink (the MLR-MCL flow iteration does).
+	Checkpointable bool
+
+	id Algorithm
+	// aliases are wire names accepted besides Name and the lowercased
+	// Display.
+	aliases []string
+	run     func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error)
+	// cost upper-bounds the peak bytes run may allocate on a graph with
+	// the given stats (admission control). It excludes the symmetrized
+	// input itself, which the symmetrizer's cost covers.
+	cost func(GraphStats) int64
 }
 
-func (e *cluEntry) ID() Algorithm         { return e.id }
-func (e *cluEntry) Name() string          { return e.name }
-func (e *cluEntry) Aliases() []string     { return append([]string(nil), e.aliases...) }
-func (e *cluEntry) Display() string       { return e.display }
-func (e *cluEntry) Describe() string      { return e.describe }
-func (e *cluEntry) RequiresK() bool       { return e.requireK }
-func (e *cluEntry) AcceptsDirected() bool { return e.directed }
-func (e *cluEntry) Checkpointable() bool  { return e.ckpt }
+// ID is the enum value this entry implements.
+func (c *Clusterer) ID() Algorithm { return c.id }
 
-func (e *cluEntry) Validate(opt ClusterOptions) error {
+// spellings are the wire names the entry accepts, canonical first.
+func (c *Clusterer) spellings() []string {
+	return append([]string{c.Name, strings.ToLower(c.Display)}, c.aliases...)
+}
+
+// Validate rejects out-of-range options before any work is queued.
+func (c *Clusterer) Validate(opt ClusterOptions) error {
 	if opt.TargetClusters < 0 {
-		return fmt.Errorf("%s: target cluster count must be non-negative (got %d)", e.name, opt.TargetClusters)
+		return fmt.Errorf("%s: target cluster count must be non-negative (got %d)", c.Name, opt.TargetClusters)
 	}
-	if e.requireK && opt.TargetClusters < 1 {
-		return fmt.Errorf("%s requires a target cluster count >= 1", e.display)
+	if c.RequiresK && opt.TargetClusters < 1 {
+		return fmt.Errorf("%s requires a target cluster count >= 1", c.Display)
 	}
 	if opt.Inflation != 0 && opt.Inflation <= 1 {
-		return fmt.Errorf("%s: inflation must be > 1 when set (got %v)", e.name, opt.Inflation)
+		return fmt.Errorf("%s: inflation must be > 1 when set (got %v)", c.Name, opt.Inflation)
 	}
 	return nil
 }
 
-func (e *cluEntry) Run(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
-	if err := e.Validate(opt); err != nil {
+// Run validates opt and clusters the input. Cancellation is polled at
+// iteration boundaries of the substrate.
+func (c *Clusterer) Run(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
+	if err := c.Validate(opt); err != nil {
 		return nil, err
 	}
-	if e.directed {
+	if c.AcceptsDirected {
 		if in.G == nil {
-			return nil, fmt.Errorf("%s clusters the directed graph, but none was provided", e.display)
+			return nil, fmt.Errorf("%s clusters the directed graph, but none was provided", c.Display)
 		}
 	} else if in.U == nil {
-		return nil, fmt.Errorf("%s clusters a symmetrized graph, but none was provided", e.display)
+		return nil, fmt.Errorf("%s clusters a symmetrized graph, but none was provided", c.Display)
 	}
-	return e.run(ctx, in, opt)
+	return c.run(ctx, in, opt)
 }
-
-func (e *cluEntry) CostModel(gs GraphStats) int64 { return e.cost(gs) }
 
 // inflationForTarget maps a desired cluster count to an MLR-MCL
 // inflation value. The mapping is a heuristic fit: granularity grows
@@ -128,14 +144,13 @@ func multilevelBytes(gs GraphStats) int64 {
 // directed spectral baselines (which bypass the symmetrize stage). To
 // add a seventh, append an entry here: parsing, flag help, admission
 // bounds, and the daemon's capability set all follow.
-var cluRegistry = []Clusterer{
-	&cluEntry{
-		id:       MLRMCL,
-		name:     "mcl",
-		aliases:  []string{"mlrmcl"},
-		display:  "MLR-MCL",
-		describe: "multi-level regularized Markov clustering (KDD 2009)",
-		ckpt:     true,
+var cluRegistry = []*Clusterer{
+	{
+		id:             MLRMCL,
+		Name:           "mcl",
+		aliases:        []string{"mlrmcl"},
+		Display:        "MLR-MCL",
+		Checkpointable: true,
 		run: func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
 			inflation := opt.Inflation
 			if inflation <= 1 {
@@ -187,13 +202,12 @@ var cluRegistry = []Clusterer{
 			return 4*csrBytes(gs.Nodes, mclMaxPerColumn*n) + int64(runtime.GOMAXPROCS(0))*80*n + 72*n
 		},
 	},
-	&cluEntry{
-		id:       Metis,
-		name:     "metis",
-		aliases:  []string{"kway"},
-		display:  "Metis",
-		describe: "multilevel k-way partitioning by recursive bisection (Karypis & Kumar)",
-		requireK: true,
+	{
+		id:        Metis,
+		Name:      "metis",
+		aliases:   []string{"kway"},
+		Display:   "Metis",
+		RequiresK: true,
 		run: func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
 			res, err := metis.PartitionCtx(ctx, in.U.Adj, opt.TargetClusters, metis.Options{Seed: opt.Seed, Hier: in.Hier})
 			if err != nil {
@@ -203,13 +217,12 @@ var cluRegistry = []Clusterer{
 		},
 		cost: multilevelBytes,
 	},
-	&cluEntry{
-		id:       Graclus,
-		name:     "graclus",
-		aliases:  []string{"kernel-kmeans"},
-		display:  "Graclus",
-		describe: "multilevel weighted-kernel-k-means normalised cut (Dhillon et al.)",
-		requireK: true,
+	{
+		id:        Graclus,
+		Name:      "graclus",
+		aliases:   []string{"kernel-kmeans"},
+		Display:   "Graclus",
+		RequiresK: true,
 		run: func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
 			res, err := graclus.ClusterCtx(ctx, in.U.Adj, opt.TargetClusters, graclus.Options{Seed: opt.Seed, Hier: in.Hier})
 			if err != nil {
@@ -219,13 +232,12 @@ var cluRegistry = []Clusterer{
 		},
 		cost: multilevelBytes,
 	},
-	&cluEntry{
-		id:       SpectralNCut,
-		name:     "spectral",
-		aliases:  []string{"ncut", "spectral-ncut"},
-		display:  "Spectral",
-		describe: "undirected normalised-cut spectral clustering (relaxation + k-means)",
-		requireK: true,
+	{
+		id:        SpectralNCut,
+		Name:      "spectral",
+		aliases:   []string{"ncut", "spectral-ncut"},
+		Display:   "Spectral",
+		RequiresK: true,
 		run: func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
 			res, err := spectral.NormalizedCutCtx(ctx, in.U.Adj, opt.TargetClusters, spectral.NormalizedCutOptions{
 				KMeans:  spectral.KMeansOptions{Seed: opt.Seed},
@@ -238,14 +250,13 @@ var cluRegistry = []Clusterer{
 		},
 		cost: spectralEmbeddingBytes,
 	},
-	&cluEntry{
-		id:       BestWCut,
-		name:     "bestwcut",
-		aliases:  []string{"best-wcut", "wcut"},
-		display:  "BestWCut",
-		describe: "directed weighted-cut spectral baseline (Meila & Pentney); bypasses symmetrization",
-		requireK: true,
-		directed: true,
+	{
+		id:              BestWCut,
+		Name:            "bestwcut",
+		aliases:         []string{"best-wcut", "wcut"},
+		Display:         "BestWCut",
+		RequiresK:       true,
+		AcceptsDirected: true,
 		run: func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
 			res, err := spectral.BestWCutCtx(ctx, in.G.Adj, opt.TargetClusters, spectral.BestWCutOptions{
 				KMeans:  spectral.KMeansOptions{Seed: opt.Seed},
@@ -262,14 +273,13 @@ var cluRegistry = []Clusterer{
 			return csrBytes(gs.Nodes, 2*gs.Edges) + spectralEmbeddingBytes(gs)
 		},
 	},
-	&cluEntry{
-		id:       Zhou,
-		name:     "zhou",
-		aliases:  []string{"zhou-directed", "directed-laplacian"},
-		display:  "Zhou",
-		describe: "directed-Laplacian spectral baseline (Zhou, Huang & Schölkopf); bypasses symmetrization",
-		requireK: true,
-		directed: true,
+	{
+		id:              Zhou,
+		Name:            "zhou",
+		aliases:         []string{"zhou-directed", "directed-laplacian"},
+		Display:         "Zhou",
+		RequiresK:       true,
+		AcceptsDirected: true,
 		run: func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
 			res, err := spectral.ZhouDirectedCtx(ctx, in.G.Adj, opt.TargetClusters, spectral.ZhouOptions{
 				KMeans:  spectral.KMeansOptions{Seed: opt.Seed},

@@ -109,7 +109,7 @@ func TestProductSymEstimateCoversHeldBytes(t *testing.T) {
 		{"wiki540@0/in-core", wiki.Graph, 0, 0.8, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			est := dd.CostModel(StatsFor(tc.g))
+			est := dd.cost(StatsFor(tc.g))
 			opt := core.Defaults()
 			opt.Threshold = tc.threshold
 			held := heldDuring(t, func() {

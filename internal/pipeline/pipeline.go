@@ -8,7 +8,7 @@
 // seventh clusterer is one registration here rather than a per-layer
 // scavenger hunt.
 //
-// Each stage is described by an interface:
+// Each stage is a registry of plain structs, one literal per entry:
 //
 //   - Symmetrizer: a named transformation of a directed graph into an
 //     undirected one, with option validation and a byte cost model
@@ -26,9 +26,8 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"symcluster/internal/core"
@@ -112,42 +111,6 @@ func (gs GraphStats) WithK(k int) GraphStats {
 	return gs
 }
 
-// Symmetrizer is one registered symmetrization: the first stage of the
-// pipeline.
-type Symmetrizer interface {
-	// Method is the library enum value this entry implements.
-	Method() core.Method
-	// Name is the canonical wire name ("dd", "bib", "aat", "rw") used
-	// by CLI flags, the HTTP API, and cache keys.
-	Name() string
-	// Aliases are additional accepted wire names (long forms like
-	// "degree-discounted"). The lowercased display name always parses
-	// too.
-	Aliases() []string
-	// Display is the name used in the paper's figures: Method's
-	// String.
-	Display() string
-	// Describe is a one-line human description for generated help text.
-	Describe() string
-	// Validate rejects out-of-range options before any work is queued.
-	Validate(opt SymOptions) error
-	// Checkpointable reports whether Run's kernels save/restore
-	// mid-iteration snapshots through a context-carried
-	// checkpoint.Sink (the random-walk power iteration does).
-	Checkpointable() bool
-	// Run validates opt and symmetrizes g. Cancellation is polled at
-	// iteration and row-block boundaries of the kernels underneath.
-	Run(ctx context.Context, g *graph.Directed, opt SymOptions) (*graph.Undirected, error)
-	// CostModel upper-bounds the peak bytes Run may allocate on a
-	// graph with the given stats (admission control).
-	CostModel(gs GraphStats) int64
-	// OutOfCore reports whether admission may route a job over the
-	// in-core budget to the out-of-core path, where the input and its
-	// transpose live in memory-mapped files and the run meters its own
-	// heap (core.OutOfCoreConfig.MaxResidentBytes).
-	OutOfCore() bool
-}
-
 // Algorithm identifies a clustering substrate. The public
 // symcluster.Algorithm type aliases it.
 type Algorithm int
@@ -180,7 +143,7 @@ const (
 // through the registry.
 func (a Algorithm) String() string {
 	if cl, err := ClustererFor(a); err == nil {
-		return cl.Display()
+		return cl.Display
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -189,113 +152,22 @@ func (a Algorithm) String() string {
 // cluster count (false for unknown ids).
 func (a Algorithm) RequiresK() bool {
 	cl, err := ClustererFor(a)
-	return err == nil && cl.RequiresK()
+	return err == nil && cl.RequiresK
 }
 
 // AcceptsDirected reports whether the substrate consumes the directed
 // graph directly, bypassing the symmetrize stage.
 func (a Algorithm) AcceptsDirected() bool {
 	cl, err := ClustererFor(a)
-	return err == nil && cl.AcceptsDirected()
+	return err == nil && cl.AcceptsDirected
 }
-
-// Clusterer is one registered clustering substrate: the second stage
-// of the pipeline.
-type Clusterer interface {
-	// ID is the enum value this entry implements.
-	ID() Algorithm
-	// Name is the canonical wire name ("mcl", "metis", "graclus",
-	// "spectral", "bestwcut", "zhou").
-	Name() string
-	// Aliases are additional accepted wire names.
-	Aliases() []string
-	// Display is the name used in the paper's legends.
-	Display() string
-	// Describe is a one-line human description for generated help text.
-	Describe() string
-	// RequiresK reports whether TargetClusters >= 1 is mandatory.
-	RequiresK() bool
-	// AcceptsDirected reports whether Run consumes Input.G (the
-	// directed graph) instead of Input.U, bypassing symmetrization.
-	AcceptsDirected() bool
-	// Checkpointable reports whether Run's kernels save/restore
-	// mid-iteration snapshots through a context-carried
-	// checkpoint.Sink (the MLR-MCL flow iteration does).
-	Checkpointable() bool
-	// Validate rejects out-of-range options before any work is queued.
-	Validate(opt ClusterOptions) error
-	// Run validates opt and clusters the input. Cancellation is polled
-	// at iteration boundaries of the substrate.
-	Run(ctx context.Context, in Input, opt ClusterOptions) (*Result, error)
-	// CostModel upper-bounds the peak bytes Run may allocate on a
-	// graph with the given stats (admission control). It excludes the
-	// symmetrized input itself, which the symmetrizer's model covers.
-	CostModel(gs GraphStats) int64
-}
-
-// The registry entry slices (symRegistry, cluRegistry) live in
-// symmetrizers.go and clusterers.go as initialized package variables;
-// Go completes all variable initialization before init() runs, so the
-// lookup indices here are derived from fully populated registries.
-var (
-	symByName map[string]Symmetrizer
-	cluByName map[string]Clusterer
-	symByID   map[core.Method]Symmetrizer
-	cluByID   map[Algorithm]Clusterer
-)
-
-func init() {
-	symByName = make(map[string]Symmetrizer)
-	symByID = make(map[core.Method]Symmetrizer)
-	for _, s := range symRegistry {
-		registerNames(symByName, s.Name(), s.Aliases(), s.Display(), s)
-		if _, dup := symByID[s.Method()]; dup {
-			panic(fmt.Sprintf("pipeline: duplicate symmetrizer for method %v", s.Method()))
-		}
-		symByID[s.Method()] = s
-	}
-	cluByName = make(map[string]Clusterer)
-	cluByID = make(map[Algorithm]Clusterer)
-	for _, c := range cluRegistry {
-		registerNames(cluByName, c.Name(), c.Aliases(), c.Display(), c)
-		if _, dup := cluByID[c.ID()]; dup {
-			panic(fmt.Sprintf("pipeline: duplicate clusterer for id %d", int(c.ID())))
-		}
-		cluByID[c.ID()] = c
-	}
-}
-
-// registerNames indexes an entry under its canonical name, aliases,
-// and lowercased display name, panicking when two entries claim the
-// same spelling so a bad registration cannot ship.
-func registerNames[T any](idx map[string]T, name string, aliases []string, display string, entry T) {
-	seen := make(map[string]bool)
-	for _, n := range append([]string{name, display}, aliases...) {
-		n = strings.ToLower(n)
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if _, dup := idx[n]; dup {
-			panic(fmt.Sprintf("pipeline: wire name %q registered twice", n))
-		}
-		idx[n] = entry
-	}
-}
-
-// Symmetrizers returns the registered symmetrizations in the paper's
-// plot order (the iteration order for sweeps and generated docs).
-func Symmetrizers() []Symmetrizer { return append([]Symmetrizer(nil), symRegistry...) }
-
-// Clusterers returns the registered substrates in registry order.
-func Clusterers() []Clusterer { return append([]Clusterer(nil), cluRegistry...) }
 
 // AlgorithmIDs returns the ids of every registered substrate in
 // registry order.
 func AlgorithmIDs() []Algorithm {
 	ids := make([]Algorithm, len(cluRegistry))
 	for i, c := range cluRegistry {
-		ids[i] = c.ID()
+		ids[i] = c.id
 	}
 	return ids
 }
@@ -306,7 +178,7 @@ func AlgorithmIDs() []Algorithm {
 func Methods() []core.Method {
 	ms := make([]core.Method, len(symRegistry))
 	for i, s := range symRegistry {
-		ms[i] = s.Method()
+		ms[i] = s.Method
 	}
 	return ms
 }
@@ -316,7 +188,7 @@ func Methods() []core.Method {
 func MethodNames() []string {
 	names := make([]string, len(symRegistry))
 	for i, s := range symRegistry {
-		names[i] = s.Name()
+		names[i] = s.Name
 	}
 	return names
 }
@@ -326,76 +198,73 @@ func MethodNames() []string {
 func AlgorithmNames() []string {
 	names := make([]string, len(cluRegistry))
 	for i, c := range cluRegistry {
-		names[i] = c.Name()
+		names[i] = c.Name
 	}
 	return names
 }
 
 // LookupSymmetrizer resolves a wire name (canonical, alias, or display
-// name; case-insensitive) to its registry entry. Unknown names return
-// an error listing the valid set, generated from the registry so it
-// can never go stale.
-func LookupSymmetrizer(name string) (Symmetrizer, error) {
-	if s, ok := symByName[strings.ToLower(strings.TrimSpace(name))]; ok {
-		return s, nil
-	}
-	return nil, fmt.Errorf("unknown method %q (valid: %s)", name, knownNames(symByName, MethodNames()))
-}
+// name; case-insensitive) to its registry entry.
+func LookupSymmetrizer(name string) (*Symmetrizer, error) { return lookup(symRegistry, "method", name) }
 
-// LookupClusterer resolves a wire name to its registry entry, with the
-// same dynamic unknown-name error as LookupSymmetrizer.
-func LookupClusterer(name string) (Clusterer, error) {
-	if c, ok := cluByName[strings.ToLower(strings.TrimSpace(name))]; ok {
-		return c, nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q (valid: %s)", name, knownNames(cluByName, AlgorithmNames()))
-}
+// LookupClusterer resolves a wire name to its registry entry, as
+// LookupSymmetrizer does.
+func LookupClusterer(name string) (*Clusterer, error) { return lookup(cluRegistry, "algorithm", name) }
 
 // SymmetrizerFor resolves a library enum value to its registry entry.
-func SymmetrizerFor(m core.Method) (Symmetrizer, error) {
-	if s, ok := symByID[m]; ok {
-		return s, nil
+func SymmetrizerFor(m core.Method) (*Symmetrizer, error) {
+	for _, s := range symRegistry {
+		if s.Method == m {
+			return s, nil
+		}
 	}
 	return nil, fmt.Errorf("unknown symmetrization method %v (valid: %s)", m, strings.Join(MethodNames(), ", "))
 }
 
 // ClustererFor resolves an Algorithm id to its registry entry.
-func ClustererFor(a Algorithm) (Clusterer, error) {
-	if c, ok := cluByID[a]; ok {
-		return c, nil
+func ClustererFor(a Algorithm) (*Clusterer, error) {
+	for _, c := range cluRegistry {
+		if c.id == a {
+			return c, nil
+		}
 	}
 	return nil, fmt.Errorf("unknown algorithm %v (valid: %s)", int(a), strings.Join(AlgorithmNames(), ", "))
 }
 
-// knownNames renders "canonical names; aliases: ..." for unknown-name
-// errors: canonical first in registry order, then every other accepted
-// spelling sorted.
-func knownNames[T any](idx map[string]T, canonical []string) string {
-	isCanonical := make(map[string]bool, len(canonical))
-	for _, n := range canonical {
-		isCanonical[n] = true
-	}
-	var aliases []string
-	for n := range idx {
-		if !isCanonical[n] {
-			aliases = append(aliases, n)
+// lookup finds the entry among whose spellings (canonical name,
+// lowercased display name, aliases) name is, case-insensitively. An
+// unknown name is an error listing the valid set, generated from the
+// registry so it can never go stale: the canonical names in registry
+// order, then every other accepted spelling sorted.
+// TestNameCatalogMatchesDesign holds each spelling to one entry.
+func lookup[E interface{ spellings() []string }](entries []E, kind, name string) (E, error) {
+	want := strings.ToLower(strings.TrimSpace(name))
+	var canonical, aliases []string
+	for _, e := range entries {
+		names := e.spellings()
+		if slices.Contains(names, want) {
+			return e, nil
 		}
+		canonical = append(canonical, names[0])
+		aliases = append(aliases, names[1:]...)
 	}
-	sort.Strings(aliases)
-	out := strings.Join(canonical, ", ")
-	if len(aliases) > 0 {
-		out += "; aliases: " + strings.Join(aliases, ", ")
+	aliases = slices.DeleteFunc(aliases, func(n string) bool { return slices.Contains(canonical, n) })
+	slices.Sort(aliases)
+	valid := strings.Join(canonical, ", ")
+	if aliases = slices.Compact(aliases); len(aliases) > 0 {
+		valid += "; aliases: " + strings.Join(aliases, ", ")
 	}
-	return out
+	var none E
+	return none, fmt.Errorf("unknown %s %q (valid: %s)", kind, name, valid)
 }
 
 // EstimateJobBytes bounds the peak extra memory one pipeline run may
 // allocate: the symmetrizer's working set plus the substrate's. sym
 // may be nil for directed substrates, whose runs never symmetrize.
-func EstimateJobBytes(sym Symmetrizer, cl Clusterer, gs GraphStats) int64 {
+func EstimateJobBytes(sym *Symmetrizer, cl *Clusterer, gs GraphStats) int64 {
 	var b int64
-	if sym != nil && !cl.AcceptsDirected() {
-		b += sym.CostModel(gs)
+	if sym != nil && !cl.AcceptsDirected {
+		b += sym.cost(gs)
 	}
-	return b + cl.CostModel(gs)
+	return b + cl.cost(gs)
 }

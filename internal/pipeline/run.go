@@ -47,9 +47,9 @@ func (r Request) SymOptions() SymOptions {
 type Run struct {
 	// Sym is nil when Cl clusters the directed graph itself: the
 	// symmetrize stage is bypassed.
-	Sym    Symmetrizer
+	Sym    *Symmetrizer
 	SymOpt SymOptions
-	Cl     Clusterer
+	Cl     *Clusterer
 	ClOpt  ClusterOptions
 }
 
@@ -62,8 +62,8 @@ func Resolve(req Request, nodes int) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sym Symmetrizer
-	if req.Method != "" || !cl.AcceptsDirected() {
+	var sym *Symmetrizer
+	if req.Method != "" || !cl.AcceptsDirected {
 		if sym, err = LookupSymmetrizer(req.Method); err != nil {
 			return nil, err
 		}
@@ -79,11 +79,11 @@ func Resolve(req Request, nodes int) (*Run, error) {
 // were named: a directed-input substrate bypasses the symmetrizer, any
 // other needs one; k cannot exceed the node count; both stages accept
 // their options.
-func NewRun(sym Symmetrizer, symOpt SymOptions, cl Clusterer, clOpt ClusterOptions, nodes int) (*Run, error) {
-	if cl.AcceptsDirected() {
+func NewRun(sym *Symmetrizer, symOpt SymOptions, cl *Clusterer, clOpt ClusterOptions, nodes int) (*Run, error) {
+	if cl.AcceptsDirected {
 		sym = nil
 	} else if sym == nil {
-		return nil, fmt.Errorf("pipeline: %s needs a symmetrized graph but no symmetrizer was given", cl.Name())
+		return nil, fmt.Errorf("pipeline: %s needs a symmetrized graph but no symmetrizer was given", cl.Name)
 	}
 	if clOpt.TargetClusters > nodes {
 		return nil, fmt.Errorf("k=%d exceeds %d nodes", clOpt.TargetClusters, nodes)
@@ -106,9 +106,9 @@ func NewRun(sym Symmetrizer, symOpt SymOptions, cl Clusterer, clOpt ClusterOptio
 type Memo interface {
 	// Lookup returns the graph a previous Store kept for (sym, opt) and
 	// the hierarchy memo bound to it: only a reused graph keeps one.
-	Lookup(sym Symmetrizer, opt SymOptions) (*graph.Undirected, *multilevel.Memo, bool)
+	Lookup(sym *Symmetrizer, opt SymOptions) (*graph.Undirected, *multilevel.Memo, bool)
 	// Store keeps u, the result of sym.Run under opt. It may decline.
-	Store(sym Symmetrizer, opt SymOptions, u *graph.Undirected)
+	Store(sym *Symmetrizer, opt SymOptions, u *graph.Undirected)
 }
 
 // Execute runs the two-stage pipeline on g: symmetrize (skipped when
@@ -130,7 +130,7 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 	var u *graph.Undirected
 	var hier *multilevel.Memo
 	if r.Sym != nil {
-		symCtx, symSpan := obs.StartSpan(ctx, "symmetrize", obs.A("name", r.Sym.Name()))
+		symCtx, symSpan := obs.StartSpan(ctx, "symmetrize", obs.A("name", r.Sym.Name))
 		endStage := obs.MeterStage(symSpan)
 		hit := false
 		if memo != nil {
@@ -139,7 +139,7 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 		}
 		var err error
 		if !hit {
-			labelStage(symCtx, "symmetrize", r.Sym.Name(), func(ctx context.Context) {
+			labelStage(symCtx, "symmetrize", r.Sym.Name, func(ctx context.Context) {
 				u, err = r.Sym.Run(ctx, g, r.SymOpt)
 			})
 			if err == nil && memo != nil {
@@ -157,11 +157,11 @@ func (r *Run) Execute(ctx context.Context, g *graph.Directed, memo Memo) (*Resul
 	if err := ctx.Err(); err != nil {
 		return nil, u, err
 	}
-	clCtx, clSpan := obs.StartSpan(ctx, "cluster", obs.A("name", r.Cl.Name()))
+	clCtx, clSpan := obs.StartSpan(ctx, "cluster", obs.A("name", r.Cl.Name))
 	endStage := obs.MeterStage(clSpan)
 	var res *Result
 	var err error
-	labelStage(clCtx, "cluster", r.Cl.Name(), func(ctx context.Context) {
+	labelStage(clCtx, "cluster", r.Cl.Name, func(ctx context.Context) {
 		res, err = r.Cl.Run(ctx, Input{U: u, G: g, Hier: hier}, r.ClOpt)
 	})
 	endStage()

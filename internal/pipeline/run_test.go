@@ -389,87 +389,72 @@ func TestQuickRunnerIdentities(t *testing.T) {
 	}
 }
 
-// countingSym is dd with a Run that counts its calls, can be made to
-// fail, and can end the run's context on its way out.
-type countingSym struct {
-	Symmetrizer
-	runs   int
-	fail   error
-	cancel context.CancelFunc
+// mapMemo is the Memo contract's simplest implementation. A non-nil
+// onStore runs after every Store.
+type mapMemo struct {
+	m       map[string]*graph.Undirected
+	onStore func()
 }
 
-func (c *countingSym) Run(ctx context.Context, g *graph.Directed, opt SymOptions) (*graph.Undirected, error) {
-	c.runs++
-	if c.fail != nil {
-		return nil, c.fail
-	}
-	if c.cancel != nil {
-		defer c.cancel()
-	}
-	return c.Symmetrizer.Run(ctx, g, opt)
-}
-
-// countingCl is mcl with a Run that counts its calls.
-type countingCl struct {
-	Clusterer
-	runs int
-}
-
-func (c *countingCl) Run(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
-	c.runs++
-	return c.Clusterer.Run(ctx, in, opt)
-}
-
-// mapMemo is the Memo contract's simplest implementation.
-type mapMemo map[string]*graph.Undirected
-
-func (m mapMemo) Lookup(sym Symmetrizer, _ SymOptions) (*graph.Undirected, *multilevel.Memo, bool) {
-	u, ok := m[sym.Name()]
+func (m mapMemo) Lookup(sym *Symmetrizer, _ SymOptions) (*graph.Undirected, *multilevel.Memo, bool) {
+	u, ok := m.m[sym.Name]
 	return u, nil, ok
 }
-func (m mapMemo) Store(sym Symmetrizer, _ SymOptions, u *graph.Undirected) { m[sym.Name()] = u }
+
+func (m mapMemo) Store(sym *Symmetrizer, _ SymOptions, u *graph.Undirected) {
+	m.m[sym.Name] = u
+	if m.onStore != nil {
+		m.onStore()
+	}
+}
 
 // TestExecuteMemoContract: a second Execute over the same memo never
 // runs the symmetrizer and says so in its trace; a failed symmetrizer
 // stores nothing; a context that ends between the stages never starts
-// the clusterer.
+// the clusterer. The symmetrizer ran when the stage span holds the
+// kernel's core.symmetrize span; the clusterer's runs are counted by a
+// copy of the mcl entry.
 func TestExecuteMemoContract(t *testing.T) {
 	g := gen.Figure1().Graph
 	dd, _ := LookupSymmetrizer("dd")
 	mcl, _ := LookupClusterer("mcl")
-	newRun := func(sym *countingSym, cl *countingCl) *Run {
-		run, err := NewRun(sym, core.Defaults(), cl, ClusterOptions{Seed: 1}, g.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run
+	counted, clRuns := *mcl, 0
+	counted.run = func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
+		clRuns++
+		return mcl.run(ctx, in, opt)
 	}
+	run, err := NewRun(dd, core.Defaults(), &counted, ClusterOptions{Seed: 1}, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	symSpan := func(tree *obs.SpanNode) *obs.SpanNode { return tree.Child("symmetrize") }
+	ran := func(tree *obs.SpanNode) bool { return symSpan(tree).Child("core.symmetrize") != nil }
 
-	sym, cl, memo := &countingSym{Symmetrizer: dd}, &countingCl{Clusterer: mcl}, mapMemo{}
-	run := newRun(sym, cl)
-	hit := func(tree *obs.SpanNode) any { return tree.Child("symmetrize").Attrs["cache_hit"] }
+	memo := mapMemo{m: map[string]*graph.Undirected{}}
 	first, u1, tree, err := tracedExecute(run, g, memo)
-	if err != nil || hit(tree) != false || sym.runs != 1 || len(memo) != 1 {
-		t.Fatalf("first run: err=%v hit=%v runs=%d stored=%d", err, hit(tree), sym.runs, len(memo))
+	if err != nil || symSpan(tree).Attrs["cache_hit"] != false || !ran(tree) || len(memo.m) != 1 || clRuns != 1 {
+		t.Fatalf("first run: err=%v tree=%+v stored=%d cl runs=%d", err, tree, len(memo.m), clRuns)
 	}
 	second, u2, tree, err := tracedExecute(run, g, memo)
-	if err != nil || hit(tree) != true || sym.runs != 1 || u2 != u1 || cl.runs != 2 {
-		t.Fatalf("second run: err=%v hit=%v sym runs=%d cl runs=%d same U=%v", err, hit(tree), sym.runs, cl.runs, u2 == u1)
+	if err != nil || symSpan(tree).Attrs["cache_hit"] != true || ran(tree) || u2 != u1 || clRuns != 2 {
+		t.Fatalf("second run: err=%v tree=%+v cl runs=%d same U=%v", err, tree, clRuns, u2 == u1)
 	}
-	if nnz, _ := tree.Child("symmetrize").Number("nnz"); !reflect.DeepEqual(first, second) || int(nnz) != u1.Adj.NNZ() {
+	if nnz, _ := symSpan(tree).Number("nnz"); !reflect.DeepEqual(first, second) || int(nnz) != u1.Adj.NNZ() {
 		t.Fatalf("memoised run differs: %+v vs %+v, nnz %v", first, second, nnz)
 	}
 
-	boom := errors.New("boom")
-	sym, cl, memo = &countingSym{Symmetrizer: dd, fail: boom}, &countingCl{Clusterer: mcl}, mapMemo{}
-	if _, u, err := newRun(sym, cl).Execute(context.Background(), g, memo); !errors.Is(err, boom) || u != nil || len(memo) != 0 || cl.runs != 0 {
-		t.Fatalf("failed symmetrizer: err=%v u=%v stored=%d cl runs=%d", err, u, len(memo), cl.runs)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	memo, clRuns = mapMemo{m: map[string]*graph.Undirected{}}, 0
+	if _, u, err := run.Execute(ctx, g, memo); !errors.Is(err, context.Canceled) || u != nil || len(memo.m) != 0 || clRuns != 0 {
+		t.Fatalf("failed symmetrizer: err=%v u=%v stored=%d cl runs=%d", err, u, len(memo.m), clRuns)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	sym, cl = &countingSym{Symmetrizer: dd, cancel: cancel}, &countingCl{Clusterer: mcl}
-	if res, u, err := newRun(sym, cl).Execute(ctx, g, nil); !errors.Is(err, context.Canceled) || res != nil || u == nil || cl.runs != 0 {
-		t.Fatalf("cancelled between stages: err=%v res=%v u=%v cl runs=%d", err, res, u, cl.runs)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	memo = mapMemo{m: map[string]*graph.Undirected{}, onStore: cancel}
+	if res, u, err := run.Execute(ctx, g, memo); !errors.Is(err, context.Canceled) || res != nil || u == nil || clRuns != 0 {
+		t.Fatalf("cancelled between stages: err=%v res=%v u=%v cl runs=%d", err, res, u, clRuns)
 	}
 }
 
@@ -493,9 +478,9 @@ func TestOverflowedWeightsNeverPanic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sym := range Symmetrizers() {
-			for _, cl := range Clusterers() {
-				if !cl.RequiresK() {
+		for _, sym := range symRegistry {
+			for _, cl := range cluRegistry {
+				if !cl.RequiresK {
 					continue
 				}
 				for k := 1; k <= g.N(); k++ {
@@ -506,7 +491,7 @@ func TestOverflowedWeightsNeverPanic(t *testing.T) {
 					func() {
 						defer func() {
 							if p := recover(); p != nil {
-								t.Errorf("%d nodes, %s/%s k=%d: panic: %v", g.N(), sym.Name(), cl.Name(), k, p)
+								t.Errorf("%d nodes, %s/%s k=%d: panic: %v", g.N(), sym.Name, cl.Name, k, p)
 							}
 						}()
 						run.Execute(context.Background(), g, nil)

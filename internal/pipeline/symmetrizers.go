@@ -4,57 +4,51 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 
 	"symcluster/internal/core"
 	"symcluster/internal/graph"
 )
 
-// symEntry implements Symmetrizer from plain data plus a cost model.
-// Dispatch to the math kernels goes through core.SymmetrizeCtx, so the
-// kernel wiring stays next to the kernels while this registry owns
-// names, validation, and admission bounds.
-type symEntry struct {
-	method   core.Method
-	name     string
-	aliases  []string
-	describe string
-	validate func(SymOptions) error
-	ckpt     bool
-	ooc      bool
-	cost     func(GraphStats) int64
+// Symmetrizer is one registered symmetrization: the first stage of the
+// pipeline. Its hooks are unexported, so only this package builds a
+// working entry. Dispatch to the math kernels goes through
+// core.SymmetrizeCtx, so the kernel wiring stays next to the kernels
+// while this registry owns names, validation, and admission bounds.
+type Symmetrizer struct {
+	// Method is the library enum value this entry implements; its
+	// String is the display name the paper's figures use.
+	Method core.Method
+	// Name is the canonical wire name ("dd", "bib", "aat", "rw") used
+	// by CLI flags, the HTTP API, and cache keys.
+	Name string
+	// Checkpointable reports whether Run's kernels save/restore
+	// mid-iteration snapshots through a context-carried
+	// checkpoint.Sink (the random-walk power iteration does).
+	Checkpointable bool
+	// OutOfCore reports whether admission may route a job over the
+	// in-core budget to the out-of-core path, where the input and its
+	// transpose live in memory-mapped files and the run meters its own
+	// heap (core.OutOfCoreConfig.MaxResidentBytes).
+	OutOfCore bool
+
+	// aliases are wire names accepted besides Name and the lowercased
+	// display name.
+	aliases []string
+	// cost upper-bounds the peak bytes Run may allocate on a graph with
+	// the given stats (admission control).
+	cost func(GraphStats) int64
 }
 
-func (e *symEntry) Method() core.Method  { return e.method }
-func (e *symEntry) Name() string         { return e.name }
-func (e *symEntry) Aliases() []string    { return append([]string(nil), e.aliases...) }
-func (e *symEntry) Display() string      { return e.method.String() }
-func (e *symEntry) Describe() string     { return e.describe }
-func (e *symEntry) Checkpointable() bool { return e.ckpt }
-func (e *symEntry) OutOfCore() bool      { return e.ooc }
-
-func (e *symEntry) Validate(opt SymOptions) error {
-	if err := validateSymCommon(opt); err != nil {
-		return err
-	}
-	if e.validate != nil {
-		return e.validate(opt)
-	}
-	return nil
+// spellings are the wire names the entry accepts, canonical first.
+func (s *Symmetrizer) spellings() []string {
+	return append([]string{s.Name, strings.ToLower(s.Method.String())}, s.aliases...)
 }
 
-func (e *symEntry) Run(ctx context.Context, g *graph.Directed, opt SymOptions) (*graph.Undirected, error) {
-	if err := e.Validate(opt); err != nil {
-		return nil, fmt.Errorf("%s: %w", e.name, err)
-	}
-	return core.SymmetrizeCtx(ctx, g, e.method, opt)
-}
-
-func (e *symEntry) CostModel(gs GraphStats) int64 { return e.cost(gs) }
-
-// validateSymCommon checks the option ranges shared by every
-// symmetrization. Fields a method ignores are still range-checked, so
-// a nonsense request is rejected identically whichever method it names.
-func validateSymCommon(opt SymOptions) error {
+// Validate rejects out-of-range options before any work is queued.
+// Fields a method ignores are still range-checked, so a nonsense
+// request is rejected identically whichever method it names.
+func (s *Symmetrizer) Validate(opt SymOptions) error {
 	if opt.Alpha < 0 || opt.Alpha > 1 || opt.Beta < 0 || opt.Beta > 1 {
 		return fmt.Errorf("alpha and beta must lie in [0, 1] (got α=%v β=%v)", opt.Alpha, opt.Beta)
 	}
@@ -65,6 +59,15 @@ func validateSymCommon(opt SymOptions) error {
 		return fmt.Errorf("teleport must lie in [0, 1) (got %v)", opt.Teleport)
 	}
 	return nil
+}
+
+// Run validates opt and symmetrizes g. Cancellation is polled at
+// iteration and row-block boundaries of the kernels underneath.
+func (s *Symmetrizer) Run(ctx context.Context, g *graph.Directed, opt SymOptions) (*graph.Undirected, error) {
+	if err := s.Validate(opt); err != nil {
+		return nil, fmt.Errorf("%s: %w", s.Name, err)
+	}
+	return core.SymmetrizeCtx(ctx, g, s.Method, opt)
 }
 
 // csrBytes is the resident size of an n-row CSR matrix with nnz
@@ -120,39 +123,35 @@ func productDriverBytes(gs GraphStats, nnz int64) int64 {
 // in internal/core): every consumer — flag help, HTTP parsing,
 // admission control, experiment sweeps, docs tests — picks it up from
 // the registry.
-var symRegistry = []Symmetrizer{
-	&symEntry{
-		method:   core.DegreeDiscounted,
-		name:     "dd",
-		aliases:  []string{"degree-discounted", "degreediscounted"},
-		describe: "degree-discounted bibliometric similarity, the paper's proposal (§3.4)",
-		cost:     productSymBytes,
-		ooc:      true,
+var symRegistry = []*Symmetrizer{
+	{
+		Method:    core.DegreeDiscounted,
+		Name:      "dd",
+		aliases:   []string{"degree-discounted"},
+		cost:      productSymBytes,
+		OutOfCore: true,
 	},
-	&symEntry{
-		method:   core.Bibliometric,
-		name:     "bib",
-		aliases:  []string{"bibliometric", "bibcoupling"},
-		describe: "U = AAᵀ + AᵀA, bibliographic coupling + co-citation (§3.3)",
-		cost:     productSymBytes,
-		ooc:      true,
+	{
+		Method:    core.Bibliometric,
+		Name:      "bib",
+		aliases:   []string{"bibcoupling"},
+		cost:      productSymBytes,
+		OutOfCore: true,
 	},
-	&symEntry{
-		method:   core.AAT,
-		name:     "aat",
-		aliases:  []string{"a+at", "sum"},
-		describe: "U = A + Aᵀ, the implicit baseline (§3.1)",
+	{
+		Method:  core.AAT,
+		Name:    "aat",
+		aliases: []string{"a+at", "sum"},
 		cost: func(gs GraphStats) int64 {
 			// U = A + Aᵀ: at most 2·nnz entries.
 			return csrBytes(gs.Nodes, 2*gs.Edges)
 		},
 	},
-	&symEntry{
-		method:   core.RandomWalk,
-		name:     "rw",
-		aliases:  []string{"random-walk", "randomwalk"},
-		describe: "U = (ΠP + PᵀΠ)/2 under the teleported random walk (§3.2)",
-		ckpt:     true,
+	{
+		Method:         core.RandomWalk,
+		Name:           "rw",
+		aliases:        []string{"random-walk"},
+		Checkpointable: true,
 		cost: func(gs GraphStats) int64 {
 			// Transition matrix + (ΠP + PᵀΠ)/2 (same structure as
 			// A + Aᵀ) plus a handful of n-length iteration vectors.

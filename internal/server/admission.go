@@ -15,8 +15,8 @@ import (
 // in admit, in one order, and runs before anything is journaled or
 // queued (DESIGN.md §9, "Admission control"). The byte estimate comes
 // from the pipeline registry's per-stage cost models
-// (Symmetrizer.CostModel + Clusterer.CostModel; OutOfCore says
-// whether the symmetrizer can run out-of-core), so a newly registered
+// (pipeline.EstimateJobBytes; Symmetrizer.OutOfCore says whether the
+// symmetrizer can run out-of-core), so a newly registered
 // stage carries its admission bounds with it;
 // directed-input substrates skip the symmetrizer's share. The models are
 // deliberate upper bounds: an admitted request is safe, and a rejected
@@ -86,10 +86,10 @@ func (s *Server) sizeJob(prep *preparedRun) (ooc bool, err error) {
 	// Over the in-core budget. The symmetrizer is the stage the
 	// estimate blames (the substrate costs are input-sized); if it can
 	// run out-of-core and its spill fits the disk budget, it does.
-	stage := cl.Name()
+	stage := cl.Name
 	if sym != nil {
-		stage = sym.Name() + "+" + stage
-		if sym.OutOfCore() {
+		stage = sym.Name + "+" + stage
+		if sym.OutOfCore {
 			spill := spillFactor * csr.FileBytes(gs.Nodes, gs.Edges)
 			if s.cfg.MaxSpillBytes > 0 && spill > s.cfg.MaxSpillBytes {
 				return false, tooLarge("projected out-of-core spill %d bytes exceeds disk budget %d bytes (%s over %d nodes / %d edges); raise -max-spill-mb or prune the graph",

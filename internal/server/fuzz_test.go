@@ -71,8 +71,8 @@ func FuzzClusterRequest(f *testing.F) {
 		if err := run.Cl.Validate(run.ClOpt); err != nil {
 			t.Fatalf("%q: resolved clusterer options fail Validate: %v", body, err)
 		}
-		if run.Sym == nil && !run.Cl.AcceptsDirected() {
-			t.Fatalf("%q: %s resolved without a symmetrizer", body, run.Cl.Name())
+		if run.Sym == nil && !run.Cl.AcceptsDirected {
+			t.Fatalf("%q: %s resolved without a symmetrizer", body, run.Cl.Name)
 		}
 		if run.Sym != nil {
 			if err := run.Sym.Validate(run.SymOpt); err != nil {

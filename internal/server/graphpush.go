@@ -54,7 +54,7 @@ func (s *Server) placeGraph(ctx context.Context, rg *registeredGraph, pinned boo
 func (c *coordinator) pushGraph(ctx context.Context, peer *cluster.Peer, rg *registeredGraph) (info GraphInfo, err error) {
 	ctx, cancel := context.WithTimeout(ctx, c.s.cfg.RequestTimeout)
 	defer cancel()
-	err = c.s.traced(ctx, "csr.push", func(ctx context.Context, _ *obs.Span) error {
+	err = c.s.traced(ctx, "csr.push", true, func(ctx context.Context, _ *obs.Span) error {
 		path := rg.csrPath
 		if path == "" {
 			dir, err := os.MkdirTemp(c.s.cfg.SpillDir, "symclusterd-push-*")
@@ -108,7 +108,7 @@ func (c *coordinator) pushGraph(ctx context.Context, peer *cluster.Peer, rg *reg
 // segment of the pusher's trace.
 func (s *Server) handleInternalGraphCSR(w http.ResponseWriter, r *http.Request) {
 	var info GraphInfo
-	err := s.traced(r.Context(), "csr.receive", func(ctx context.Context, span *obs.Span) error {
+	err := s.traced(r.Context(), "csr.receive", true, func(ctx context.Context, span *obs.Span) error {
 		dir, err := os.MkdirTemp(s.cfg.SpillDir, "symclusterd-recv-*")
 		if err != nil {
 			return fmt.Errorf("creating receive scratch: %w", err)

@@ -216,12 +216,12 @@ func decodeClusterRequest(body io.Reader) (*ClusterRequest, error) {
 func (s *Server) runTicket(ctx context.Context, tk ticket, prep *preparedRun, begin func() error) (*runOutcome, error) {
 	method := ""
 	if prep.run.Sym != nil {
-		method = prep.run.Sym.Name()
+		method = prep.run.Sym.Name
 	}
 	tr := obs.NewTraceFrom(ctx)
 	ctx, root := tr.StartRoot(ctx, "request",
 		obs.A("graph_id", prep.rg.info.ID),
-		obs.A("algorithm", prep.run.Cl.Name()),
+		obs.A("algorithm", prep.run.Cl.Name),
 		obs.A("method", method))
 	_, queue := obs.StartSpan(ctx, "queue")
 	err := tk.slot.Wait(ctx)
@@ -379,7 +379,7 @@ type preparedRun struct {
 // checkpointable reports whether any stage supports kernel
 // checkpointing (gates installing a job sink).
 func (p *preparedRun) checkpointable() bool {
-	return p.run.Cl.Checkpointable() || (p.run.Sym != nil && p.run.Sym.Checkpointable())
+	return p.run.Cl.Checkpointable || (p.run.Sym != nil && p.run.Sym.Checkpointable)
 }
 
 // prepareRun resolves a ClusterRequest against the registered graph and
@@ -408,15 +408,15 @@ type symMemo struct {
 	graph uint64
 }
 
-func (m symMemo) key(sym pipeline.Symmetrizer, opt pipeline.SymOptions) CacheKey {
-	return CacheKey{Graph: m.graph, Method: sym.Name(), Alpha: opt.Alpha, Beta: opt.Beta, Threshold: opt.Threshold}
+func (m symMemo) key(sym *pipeline.Symmetrizer, opt pipeline.SymOptions) CacheKey {
+	return CacheKey{Graph: m.graph, Method: sym.Name, Alpha: opt.Alpha, Beta: opt.Beta, Threshold: opt.Threshold}
 }
 
-func (m symMemo) Lookup(sym pipeline.Symmetrizer, opt pipeline.SymOptions) (*symcluster.UndirectedGraph, *multilevel.Memo, bool) {
+func (m symMemo) Lookup(sym *pipeline.Symmetrizer, opt pipeline.SymOptions) (*symcluster.UndirectedGraph, *multilevel.Memo, bool) {
 	return m.s.cache.Get(m.key(sym, opt))
 }
 
-func (m symMemo) Store(sym pipeline.Symmetrizer, opt pipeline.SymOptions, u *symcluster.UndirectedGraph) {
+func (m symMemo) Store(sym *pipeline.Symmetrizer, opt pipeline.SymOptions, u *symcluster.UndirectedGraph) {
 	if m.s.cache.Put(m.key(sym, opt), u) {
 		m.s.metrics.cacheObjectBytes.Observe(float64(GraphBytes(u)))
 	}

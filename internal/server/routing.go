@@ -274,13 +274,16 @@ func readBody(r *http.Request) ([]byte, error) {
 // segment is the only tree the trace ring retains: it is what a peer
 // stitching a job's trace asks this node for
 // (GET /internal/v1/traces/{id}), while a run's own tree is held by its
-// job record or sent in its response.
-func (s *Server) traced(ctx context.Context, name string, fn func(context.Context, *obs.Span) error, attrs ...obs.Attr) error {
+// job record or sent in its response. Every segment is exported; the
+// ring retains it only when keep is set.
+func (s *Server) traced(ctx context.Context, name string, keep bool, fn func(context.Context, *obs.Span) error, attrs ...obs.Attr) error {
 	tr := obs.NewTraceFrom(ctx)
 	ctx, span := tr.StartRoot(ctx, name, attrs...)
 	err := fn(ctx, span)
 	span.EndErr(err)
-	s.traces.Retain(s.export(tr))
+	if tree := s.export(tr); keep {
+		s.traces.Retain(tree)
+	}
 	return err
 }
 
@@ -303,12 +306,16 @@ func (s *Server) export(tr *obs.Trace) *obs.SpanNode {
 // symclusterd_proxy_requests_total. The hop is one attempt on the
 // caller's deadline or, where it set none, on RequestTimeout, the bound
 // the owner puts on a synchronous run itself; a hop that got no answer
-// is refused as unreachable.
+// is refused as unreachable. The ring keeps the hop's segment only when
+// the hop starts work on the owner (POST /v1/cluster): that is the root
+// a stitched trace asks for, and a poll of the job through this node
+// would otherwise evict it.
 func (c *coordinator) forward(w http.ResponseWriter, r *http.Request, peer *cluster.Peer, body []byte) {
 	ctx, cancel := context.WithTimeout(r.Context(), c.s.cfg.RequestTimeout)
 	defer cancel()
 	var resp *http.Response
-	err := c.s.traced(ctx, "proxy", func(ctx context.Context, span *obs.Span) (err error) {
+	startsWork := r.Method == http.MethodPost && r.URL.Path == "/v1/cluster"
+	err := c.s.traced(ctx, "proxy", startsWork, func(ctx context.Context, span *obs.Span) (err error) {
 		hdr := r.Header.Clone()
 		cluster.MarkForwarded(hdr, c.self.Name)
 		hdr.Del("Content-Length") // the client sets it from the body

@@ -235,14 +235,12 @@ func TestResponseTimingsAreTheStageSpans(t *testing.T) {
 	}
 }
 
-// TestRingKeepsHopSegmentsPastLocalRuns: the trace ring keeps hop
-// segments only. An entry node whose ring holds 4 trees proxies an async
-// job to the graph's owner, then runs five sync runs of its own; the
-// job's stitched trace still roots at the entry node's "proxy" span.
-func TestRingKeepsHopSegmentsPastLocalRuns(t *testing.T) {
-	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) { cfg.TraceSink = obs.NewTraceSink(nil, 4) })
-	// One graph homed on each node, registered at its owner so no
-	// csr.push hop lands in a ring.
+// submitProxied homes one graph on each of two nodes, registered at its
+// owner so no csr.push hop lands in a ring, and submits an async job on
+// node 1's graph through node 0, waiting until it is done. It returns
+// the graph ids by home node and the job.
+func submitProxied(t *testing.T, nodes []*clusterNode) (map[int]string, JobRef) {
+	t.Helper()
 	graphs := map[int]string{}
 	for i := 0; len(graphs) < 2; i++ {
 		edges := figure1Edges + fmt.Sprintf("%d %d\n", 6+i, 7+i)
@@ -253,21 +251,22 @@ func TestRingKeepsHopSegmentsPastLocalRuns(t *testing.T) {
 			}
 		}
 	}
-	const entry, owner = 0, 1
-
-	resp := postJSON(t, nodes[entry].ts.URL+"/v1/cluster", ClusterRequest{
-		GraphID: graphs[owner], Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: 1, Async: true,
+	resp := postJSON(t, nodes[0].ts.URL+"/v1/cluster", ClusterRequest{
+		GraphID: graphs[1], Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: 1, Async: true,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async submit through the entry node: status %d", resp.StatusCode)
 	}
 	ref := decode[JobRef](t, resp)
-	waitJobDone(t, nodes[owner].ts, ref)
-	for seed := int64(1); seed <= 5; seed++ {
-		clusterOK(t, nodes[entry].ts.URL, ClusterRequest{GraphID: graphs[entry], Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: seed})
-	}
+	waitJobDone(t, nodes[1].ts, ref)
+	return graphs, ref
+}
 
-	code, body := getURL(t, nodes[owner].ts.URL+ref.Location+"/trace")
+// checkStitchedRoot asserts the job's trace, read at its owner, roots
+// at the entry node's "proxy" span over the owner's "request".
+func checkStitchedRoot(t *testing.T, owner *clusterNode, ref JobRef) {
+	t.Helper()
+	code, body := getURL(t, owner.ts.URL+ref.Location+"/trace")
 	if code != http.StatusOK {
 		t.Fatalf("job trace: status %d: %s", code, body)
 	}
@@ -278,4 +277,33 @@ func TestRingKeepsHopSegmentsPastLocalRuns(t *testing.T) {
 	if tree.Name != "proxy" || tree.Child("request") == nil {
 		t.Fatalf("stitched root = %q, want the entry node's proxy span over the owner's request:\n%s", tree.Name, body)
 	}
+}
+
+// TestRingKeepsHopSegmentsPastLocalRuns: the trace ring keeps hop
+// segments only. An entry node whose ring holds 4 trees proxies an async
+// job to the graph's owner, then runs five sync runs of its own; the
+// job's stitched trace still roots at the entry node's "proxy" span.
+func TestRingKeepsHopSegmentsPastLocalRuns(t *testing.T) {
+	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) { cfg.TraceSink = obs.NewTraceSink(nil, 4) })
+	graphs, ref := submitProxied(t, nodes)
+	for seed := int64(1); seed <= 5; seed++ {
+		clusterOK(t, nodes[0].ts.URL, ClusterRequest{GraphID: graphs[0], Method: "dd", Algorithm: "mcl", Inflation: 2, Seed: seed})
+	}
+	checkStitchedRoot(t, nodes[1], ref)
+}
+
+// TestRingKeepsSubmitHopPastPolls: the ring keeps a "proxy" segment
+// only for a hop that starts work on the owner. Five polls of a proxied
+// job through the entry node, whose ring holds 4 trees, are each a hop
+// of their own; the submission's segment survives them, so the job's
+// stitched trace still roots at it.
+func TestRingKeepsSubmitHopPastPolls(t *testing.T) {
+	nodes := newTestCluster(t, 2, func(_ int, cfg *Config) { cfg.TraceSink = obs.NewTraceSink(nil, 4) })
+	_, ref := submitProxied(t, nodes)
+	for range 5 {
+		if code, body := getURL(t, nodes[0].ts.URL+ref.Location); code != http.StatusOK {
+			t.Fatalf("poll through the entry node: status %d: %s", code, body)
+		}
+	}
+	checkStitchedRoot(t, nodes[1], ref)
 }

@@ -208,7 +208,7 @@ func (s *Server) handleUploadFinalize(w http.ResponseWriter, r *http.Request) {
 	sess.dir = ""
 	var info *csr.IngestInfo
 	var ginfo GraphInfo
-	err := s.traced(r.Context(), "upload.finalize", func(ctx context.Context, span *obs.Span) error {
+	err := s.traced(r.Context(), "upload.finalize", true, func(ctx context.Context, span *obs.Span) error {
 		dst := filepath.Join(dir, "graph.csr")
 		var err error
 		if info, err = sess.ing.Finalize(ctx, dst); err != nil {

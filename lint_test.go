@@ -397,7 +397,7 @@ func funcKey(dir string, fd *ast.FuncDecl) string {
 // one shorter, until the change that shortened it lowers the cap to the
 // new length; no change raises one (ROADMAP item 10 takes DESIGN.md's
 // toward 900).
-var docCeilings = map[string]int{"DESIGN.md": 2160, "README.md": 709}
+var docCeilings = map[string]int{"DESIGN.md": 2154, "README.md": 709}
 
 // TestSourceLints is `make lint`: it parses every Go file of the
 // repository (bench/ included) and holds it to sourceRules, the

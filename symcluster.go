@@ -122,7 +122,7 @@ func ParseMethod(name string) (SymMethod, error) {
 	if err != nil {
 		return 0, err
 	}
-	return sym.Method(), nil
+	return sym.Method, nil
 }
 
 // MethodName returns the canonical wire name ("dd", "bib", "aat",
@@ -133,7 +133,7 @@ func MethodName(m SymMethod) string {
 	if err != nil {
 		return m.String()
 	}
-	return sym.Name()
+	return sym.Name
 }
 
 // ValidateSymmetrizeOptions checks opt's ranges for the given method
@@ -229,7 +229,7 @@ func AlgorithmName(a Algorithm) string {
 	if err != nil {
 		return a.String()
 	}
-	return cl.Name()
+	return cl.Name
 }
 
 // ClusterOptions configures ClusterCtx and ClusterDirectedCtx.
