@@ -67,7 +67,7 @@ func BenchmarkSymColdProduct(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := matrix.SumXXTScaledPrunedUpperCtx(context.Background(), a.Rows, terms, opt.Threshold, opt.DropDiagonal, nil); err != nil {
+		if _, _, err := matrix.SumXXTScaledPrunedUpperCtx(context.Background(), a.Rows, terms, opt.Threshold, opt.DropDiagonal, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

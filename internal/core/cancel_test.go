@@ -56,7 +56,7 @@ func TestProductCtxCancelledMidProduct(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/procs=%d", m, procs), func(t *testing.T) {
 				leakcheck.Guard(t)
 				ctx := &countingCtx{Context: context.Background(), after: 1}
-				u, err := symmetrizeAdj(ctx, a, m, Defaults(), nil)
+				u, _, err := symmetrizeAdj(ctx, a, m, Defaults(), nil)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"symcluster/internal/matrix"
-	"symcluster/internal/obs"
 )
 
 // fusedVsReference runs one method through the fused execution layer
@@ -16,11 +15,11 @@ import (
 // dataflow, requiring bit-identical output.
 func fusedVsReference(t *testing.T, a *matrix.CSR, m Method, opt Options) {
 	t.Helper()
-	want, err := ReferenceSymmetrize(context.Background(), a, m, opt)
+	want, _, err := ReferenceSymmetrize(context.Background(), a, m, opt)
 	if err != nil {
 		t.Fatalf("%v: reference: %v", m, err)
 	}
-	got, err := symmetrizeAdj(context.Background(), a, m, opt, nil)
+	got, _, err := symmetrizeAdj(context.Background(), a, m, opt, nil)
 	if err != nil {
 		t.Fatalf("%v: fused: %v", m, err)
 	}
@@ -38,8 +37,8 @@ func TestQuickFusedMatchesReference(t *testing.T) {
 		opt.AddSelfLoops = selfLoops
 		opt.DropDiagonal = !keepDiag
 		for _, m := range allMethods {
-			want, err1 := ReferenceSymmetrize(context.Background(), g.A, m, opt)
-			got, err2 := symmetrizeAdj(context.Background(), g.A, m, opt, nil)
+			want, _, err1 := ReferenceSymmetrize(context.Background(), g.A, m, opt)
+			got, _, err2 := symmetrizeAdj(context.Background(), g.A, m, opt, nil)
 			if err1 != nil || err2 != nil {
 				return false
 			}
@@ -77,10 +76,11 @@ func mirrorThenSum(ctx context.Context, terms []matrix.XXTTerm, opt Options) (*m
 }
 
 // TestQuickSumThenMirrorMatchesMirrorThenSum: adding the terms' upper
-// triangles and mirroring the sum once gives the bits, and the prune
-// tally, of mirroring each term and adding the full matrices — over
-// both product methods, thresholds that kill entries of one term and
-// not the other, self-loops, and a kept diagonal.
+// triangles and mirroring the sum once gives the bits of mirroring each
+// term and adding the full matrices, and the oracle's kill count on the
+// materialised terms — over both product methods, thresholds that kill
+// entries of one term and not the other, self-loops, and a kept
+// diagonal.
 func TestQuickSumThenMirrorMatchesMirrorThenSum(t *testing.T) {
 	f := func(g digraphGen, thRaw uint8, selfLoops, keepDiag bool) bool {
 		opt := Defaults()
@@ -92,11 +92,10 @@ func TestQuickSumThenMirrorMatchesMirrorThenSum(t *testing.T) {
 			a = a.AddIdentity()
 		}
 		for _, m := range []Method{Bibliometric, DegreeDiscounted} {
-			wctx, wantKilled := obs.WithPruneStats(context.Background())
-			want, err1 := mirrorThenSum(wctx, xxtTerms(a, a.Transpose(), m, opt), opt)
-			ctx, killed := obs.WithPruneStats(context.Background())
-			got, err2 := products(ctx, g.A, m, opt, nil)
-			if err1 != nil || err2 != nil || !sameBits(want, got) || killed.Killed() != wantKilled.Killed() {
+			want, err1 := mirrorThenSum(context.Background(), xxtTerms(a, a.Transpose(), m, opt), opt)
+			_, wantKilled, err2 := ReferenceSymmetrize(context.Background(), g.A, m, opt)
+			got, tally, err3 := products(context.Background(), g.A, m, opt, nil)
+			if err1 != nil || err2 != nil || err3 != nil || !sameBits(want, got) || tally.Killed != wantKilled {
 				return false
 			}
 		}
@@ -153,8 +152,7 @@ func testDerivedWorkersMatchOracle(t *testing.T) {
 				opt := Defaults()
 				opt.Threshold = th
 				opt.AddSelfLoops = selfLoops
-				wctx, wantKilled := obs.WithPruneStats(context.Background())
-				want, err := ReferenceSymmetrize(wctx, g.Adj, m, opt)
+				want, wantKilled, err := ReferenceSymmetrize(context.Background(), g.Adj, m, opt)
 				if err != nil {
 					t.Fatalf("%v: reference: %v", m, err)
 				}
@@ -162,18 +160,17 @@ func testDerivedWorkersMatchOracle(t *testing.T) {
 					for _, ooc := range []bool{false, true} {
 						t.Run(fmt.Sprintf("%v/thr=%v/selfloops=%v/procs=%d/ooc=%v", m, th, selfLoops, procs, ooc), func(t *testing.T) {
 							runtime.GOMAXPROCS(procs)
-							ctx, killed := obs.WithPruneStats(context.Background())
 							var cfg *OutOfCoreConfig
 							if ooc {
 								cfg = &OutOfCoreConfig{ScratchDir: t.TempDir()}
 							}
-							got, err := symmetrizeAdj(ctx, g.Adj, m, opt, cfg)
+							got, tally, err := symmetrizeAdj(context.Background(), g.Adj, m, opt, cfg)
 							if err != nil {
 								t.Fatal(err)
 							}
 							bitIdentical(t, want, got)
-							if killed.Killed() != wantKilled.Killed() {
-								t.Fatalf("pruned %d entries, oracle %d", killed.Killed(), wantKilled.Killed())
+							if tally.Killed != wantKilled {
+								t.Fatalf("pruned %d entries, oracle %d", tally.Killed, wantKilled)
 							}
 						})
 					}
@@ -249,7 +246,7 @@ func TestOutOfCoreMatchesReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt()
-			want, err := ReferenceSymmetrize(context.Background(), g.Adj, tc.m, opt)
+			want, _, err := ReferenceSymmetrize(context.Background(), g.Adj, tc.m, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -210,7 +210,7 @@ func TestFusedAllocatesLess(t *testing.T) {
 	}
 
 	reference := measure(func() {
-		if _, err := ReferenceSymmetrize(context.Background(), g.Adj, DegreeDiscounted, opt); err != nil {
+		if _, _, err := ReferenceSymmetrize(context.Background(), g.Adj, DegreeDiscounted, opt); err != nil {
 			t.Fatal(err)
 		}
 	})

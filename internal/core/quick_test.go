@@ -42,7 +42,8 @@ var quickCfg = &quick.Config{MaxCount: 150}
 // (teleport 0.05, diagonal dropped), dispatching through the same
 // lowering production code uses.
 func symmetrizeQuick(m Method, a *matrix.CSR) (*matrix.CSR, error) {
-	return symmetrizeAdj(context.Background(), a, m, Defaults(), nil)
+	u, _, err := symmetrizeAdj(context.Background(), a, m, Defaults(), nil)
+	return u, err
 }
 
 func TestQuickAllMethodsSymmetric(t *testing.T) {

@@ -133,11 +133,11 @@ func Defaults() Options {
 // count; GOMAXPROCS=1 is the paper's single-threaded set-up.
 //
 // Each call opens a "core.symmetrize" span (a no-op without a trace in
-// ctx) that records nnz in/out, the product workers, which accumulator
-// path the product rows took, which body scanned the dense ones
-// (scan: avx2 | go), the number of entries killed by the prune
-// threshold and, out of core, the peak of the heap-resident
-// intermediates (resident_peak_bytes).
+// ctx) that records nnz in/out, the product workers, which body scans
+// dense rows (scan: avx2 | go), the tally the products return — the
+// entries the prune threshold killed (pruned_entries), the rows
+// accumulated dense and the top-k fallbacks — and, out of core, the
+// peak of the heap-resident intermediates (resident_peak_bytes).
 func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Options) (out *graph.Undirected, err error) {
 	// Check once at entry so even methods with no internal poll points
 	// (AAT is a single sparse add) respect an already-cancelled context.
@@ -147,17 +147,16 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 	ctx, sp := obs.StartSpan(ctx, "core.symmetrize",
 		obs.A("method", method.String()), obs.A("nnz_in", g.Adj.NNZ()),
 		obs.A("workers", matrix.DerivedWorkers(g.Adj.Rows)), obs.A("scan", matrix.ScanBody()))
-	ctx, prune := obs.WithPruneStats(ctx)
+	var tally matrix.Tally
 	defer func() {
 		nnzOut := 0
 		if out != nil {
 			nnzOut = out.Adj.NNZ()
 		}
 		sp.SetAttr("nnz_out", nnzOut)
-		sp.SetAttr("pruned_entries", prune.Killed())
-		dense, fallbacks, _ := prune.RowPaths()
-		sp.SetAttr("dense_rows", dense)
-		sp.SetAttr("select_fallbacks", fallbacks)
+		sp.SetAttr("pruned_entries", tally.Killed)
+		sp.SetAttr("dense_rows", tally.DenseRows)
+		sp.SetAttr("select_fallbacks", tally.Fallbacks)
 		sp.EndErr(err)
 	}()
 	if err := faultinject.Fire("core.symmetrize"); err != nil {
@@ -180,8 +179,8 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 		}()
 		a = s.a
 	}
-	u, err := symmetrize(ctx, a, method, opt, s)
-	if err != nil {
+	var u *matrix.CSR
+	if u, tally, err = symmetrize(ctx, a, method, opt, s); err != nil {
 		return nil, err
 	}
 	return &graph.Undirected{Adj: u, Labels: g.Labels}, nil
@@ -194,23 +193,27 @@ func SymmetrizeCtx(ctx context.Context, g *graph.Directed, method Method, opt Op
 // copy are mmap'd scratch files, and what stays on the heap is metered
 // by s.charge against the configured budget. Both placements are
 // bit-identical to each other and to the materialized pre-fusion
-// dataflow (ReferenceSymmetrize; DESIGN.md §15).
-func symmetrize(ctx context.Context, a *matrix.CSR, method Method, opt Options, s *oocState) (*matrix.CSR, error) {
+// dataflow (ReferenceSymmetrize; DESIGN.md §15). The tally is the
+// products' (zero for the methods that run none), also on error.
+func symmetrize(ctx context.Context, a *matrix.CSR, method Method, opt Options, s *oocState) (*matrix.CSR, matrix.Tally, error) {
+	var none matrix.Tally
 	switch method {
 	case AAT:
-		return s.mirror(ctx, a)
+		u, err := s.mirror(ctx, a)
+		return u, none, err
 	case RandomWalk:
 		// The transition matrix, ΠP and the result are all sized like
 		// the input: metered, but there is no product blow-up to keep on
 		// disk, so the kernel reads the (possibly mapped) rows directly.
 		if err := s.charge(3 * matBytes(a)); err != nil {
-			return nil, err
+			return nil, none, err
 		}
-		return symmetrizeRandomWalk(ctx, a, opt.Teleport)
+		u, err := symmetrizeRandomWalk(ctx, a, opt.Teleport)
+		return u, none, err
 	case Bibliometric, DegreeDiscounted:
 		return products(ctx, a, method, opt, s)
 	}
-	return nil, fmt.Errorf("core: unknown symmetrization method %v", method)
+	return nil, none, fmt.Errorf("core: unknown symmetrization method %v", method)
 }
 
 // products lowers the two product symmetrizations, U = X·Xᵀ + Y·Yᵀ
@@ -222,15 +225,17 @@ func symmetrize(ctx context.Context, a *matrix.CSR, method Method, opt Options, 
 // both survives if either contribution passes, matching the paper's
 // integer thresholds on shared-link counts (Table 2) — and the diagonal
 // is dropped as the terms are summed. Neither scaled factor is ever
-// materialised: the discounts fold into the product kernel.
-func products(ctx context.Context, a *matrix.CSR, method Method, opt Options, s *oocState) (*matrix.CSR, error) {
+// materialised: the discounts fold into the product kernel. It returns
+// the terms' tally, which on error holds the terms that completed.
+func products(ctx context.Context, a *matrix.CSR, method Method, opt Options, s *oocState) (*matrix.CSR, matrix.Tally, error) {
+	var none matrix.Tally
 	if method == DegreeDiscounted && (opt.Alpha < 0 || opt.Beta < 0) {
-		return nil, fmt.Errorf("core: negative discount exponents α=%v β=%v", opt.Alpha, opt.Beta)
+		return nil, none, fmt.Errorf("core: negative discount exponents α=%v β=%v", opt.Alpha, opt.Beta)
 	}
 	var err error
 	if opt.AddSelfLoops {
 		if a, err = s.augmented(ctx, a); err != nil {
-			return nil, err
+			return nil, none, err
 		}
 	}
 	// What a product holds on the heap beside its result (one term's at
@@ -241,22 +246,22 @@ func products(ctx context.Context, a *matrix.CSR, method Method, opt Options, s 
 		held += 16*int64(a.Rows) + 8*int64(a.NNZ())
 	}
 	if err := s.charge(held); err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	at, err := s.transpose(ctx, a, "at.csr")
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
-	up, err := matrix.SumXXTScaledPrunedUpperCtx(ctx, a.Rows, xxtTerms(a, at, method, opt), opt.Threshold, opt.DropDiagonal,
+	up, tally, err := matrix.SumXXTScaledPrunedUpperCtx(ctx, a.Rows, xxtTerms(a, at, method, opt), opt.Threshold, opt.DropDiagonal,
 		func(sum *matrix.CSR) error { return s.charge(matBytes(sum)) })
 	if err != nil {
-		return nil, err
+		return nil, tally, err
 	}
 	u := matrix.MirrorUpper(up)
 	if err := s.charge(matBytes(u)); err != nil {
-		return nil, err
+		return nil, tally, err
 	}
-	return u, nil
+	return u, tally, nil
 }
 
 // xxtTerms is U's two self-products over A and one shared Aᵀ —

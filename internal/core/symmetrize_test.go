@@ -2,24 +2,26 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
 
 	"symcluster/internal/graph"
 	"symcluster/internal/matrix"
+	"symcluster/internal/obs"
 	"symcluster/internal/walk"
 )
 
 // symmetrizeAdj runs one method on a bare adjacency through the
 // lowering SymmetrizeCtx runs inside its span, out of core when cfg is
 // non-nil.
-func symmetrizeAdj(ctx context.Context, a *matrix.CSR, m Method, opt Options, cfg *OutOfCoreConfig) (*matrix.CSR, error) {
+func symmetrizeAdj(ctx context.Context, a *matrix.CSR, m Method, opt Options, cfg *OutOfCoreConfig) (*matrix.CSR, matrix.Tally, error) {
 	var s *oocState
 	if cfg != nil {
 		var err error
 		if s, err = newOOCState(ctx, a, cfg); err != nil {
-			return nil, err
+			return nil, matrix.Tally{}, err
 		}
 		defer s.close()
 		a = s.a
@@ -33,7 +35,7 @@ var allMethods = []Method{DegreeDiscounted, Bibliometric, AAT, RandomWalk}
 // Context-free in-core spellings of the per-method kernels for the
 // tests below.
 func symmetrizeAAT(a *matrix.CSR) *matrix.CSR {
-	u, _ := symmetrizeAdj(context.Background(), a, AAT, Options{}, nil)
+	u, _, _ := symmetrizeAdj(context.Background(), a, AAT, Options{}, nil)
 	return u
 }
 
@@ -42,17 +44,18 @@ func symmetrizeRW(a *matrix.CSR, teleport float64) (*matrix.CSR, error) {
 }
 
 func symmetrizeBibliometric(a *matrix.CSR, opt Options) *matrix.CSR {
-	u, _ := symmetrizeAdj(context.Background(), a, Bibliometric, opt, nil)
+	u, _, _ := symmetrizeAdj(context.Background(), a, Bibliometric, opt, nil)
 	return u
 }
 
 func symmetrizeDD(a *matrix.CSR, opt Options) (*matrix.CSR, error) {
-	return symmetrizeAdj(context.Background(), a, DegreeDiscounted, opt, nil)
+	u, _, err := symmetrizeAdj(context.Background(), a, DegreeDiscounted, opt, nil)
+	return u, err
 }
 
 // mulOracle is the unpruned reference product a·b.
 func mulOracle(a, b *matrix.CSR) *matrix.CSR {
-	p, _ := matrix.MulPrunedCtx(context.Background(), a, b, 0)
+	p, _, _ := matrix.MulPrunedCtx(context.Background(), a, b, 0)
 	return p
 }
 
@@ -522,5 +525,63 @@ func TestCalibrateThreshold(t *testing.T) {
 func TestCalibrateThresholdRejectsBadTarget(t *testing.T) {
 	if _, err := CalibrateThresholdCtx(context.Background(), matrix.Identity(4), Defaults(), 0, 2, 1); err == nil {
 		t.Fatal("accepted non-positive target degree")
+	}
+}
+
+// TestSymmetrizeSpanCountsPrunedEntries: the "core.symmetrize" span of a
+// product method at a threshold that kills entries says how many the
+// threshold killed — the oracle's kills on the materialised X·Xᵀ and
+// Y·Yᵀ, summed, whether the diagonal is dropped or kept — and carries
+// the row paths; out of core the span says the same.
+func TestSymmetrizeSpanCountsPrunedEntries(t *testing.T) {
+	g := oocTestGraph(t, 400, 6, 31)
+	for _, c := range []struct {
+		m         Method
+		threshold float64
+	}{{Bibliometric, 2}, {DegreeDiscounted, 0.02}} {
+		for _, dropDiag := range []bool{true, false} {
+			opt := Defaults()
+			opt.Threshold, opt.DropDiagonal = c.threshold, dropDiag
+			_, wantKilled, err := ReferenceSymmetrize(context.Background(), g.Adj, c.m, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantKilled == 0 {
+				t.Fatalf("%v at threshold %v kills nothing", c.m, c.threshold)
+			}
+			attrs := func(ctx context.Context) map[string]any {
+				trace := obs.NewTrace()
+				ctx, root := trace.StartRoot(ctx, "test")
+				_, err := SymmetrizeCtx(ctx, g, c.m, opt)
+				root.End()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp := trace.Tree().Children[0]
+				got := map[string]any{}
+				for _, k := range []string{"pruned_entries", "dense_rows", "select_fallbacks"} {
+					v, ok := sp.Attrs[k].(int64)
+					if !ok {
+						t.Fatalf("%v drop=%v: core.symmetrize attrs %v lack %s", c.m, dropDiag, sp.Attrs, k)
+					}
+					got[k] = v
+				}
+				return got
+			}
+			in := attrs(context.Background())
+			if in["pruned_entries"] != wantKilled {
+				t.Fatalf("%v drop=%v: pruned_entries %v, oracle %d", c.m, dropDiag, in["pruned_entries"], wantKilled)
+			}
+			if d := in["dense_rows"].(int64); d < 0 || d > 2*int64(g.Adj.Rows) {
+				t.Fatalf("%v drop=%v: dense_rows %d of two %d-row terms", c.m, dropDiag, d, g.Adj.Rows)
+			}
+			if f := in["select_fallbacks"].(int64); f != 0 {
+				t.Fatalf("%v drop=%v: select_fallbacks %d with no top-k", c.m, dropDiag, f)
+			}
+			ooc := attrs(WithOutOfCore(context.Background(), OutOfCoreConfig{ScratchDir: t.TempDir()}))
+			if !maps.Equal(in, ooc) {
+				t.Fatalf("%v drop=%v: out of core %v, in core %v", c.m, dropDiag, ooc, in)
+			}
+		}
 	}
 }

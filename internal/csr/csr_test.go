@@ -129,11 +129,11 @@ func TestRoundTripKernelsWork(t *testing.T) {
 	gotT := v.Transpose()
 	sameMatrix(t, wantT, gotT)
 
-	want, err := matrix.MulPrunedCtx(context.Background(), m, wantT, 0.01)
+	want, _, err := matrix.MulPrunedCtx(context.Background(), m, wantT, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := matrix.MulPrunedCtx(context.Background(), v, gotT, 0.01)
+	got, _, err := matrix.MulPrunedCtx(context.Background(), v, gotT, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}

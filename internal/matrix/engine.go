@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"symcluster/internal/obs"
 )
 
 // The sparse-product engine. Every production product in the library —
@@ -70,13 +68,30 @@ type accumulator struct {
 	lo, hi  int       // the row's column span
 	dense   bool      // the row's mode
 	force   int8      // tests only: > 0 every row dense, < 0 every row marked
-	// Drained by the driver: rows run dense, rows re-collected hint-free,
-	// rows expanded in a group of two or more.
-	denseRows, fallbacks, grouped int64
-	row                           rowSink // a merged product's row, flushed before it is merged
+	tally   Tally     // what the run's rows it flushed did; runInto sums the workers'
+	row     rowSink   // a merged product's row, flushed before it is merged
 	// Workers write these fields on every row: pad to four cache lines
 	// so two workers' accumulators, allocated back to back, share none.
-	_ [32]byte
+	_ [16]byte
+}
+
+// Tally is what a product's prune rule and row paths did to its rows:
+// the entries the threshold killed (a mirrored product counts as the
+// full product would, mirror images included), the entries the row
+// epilogue trimmed, the rows accumulated dense, the top-k selections
+// that fell back from their hint to a full collect, and the rows
+// expanded in a group of two or more.
+type Tally struct {
+	Killed, Trimmed, DenseRows, Fallbacks, Grouped int64
+}
+
+// Add adds u's counts to t's.
+func (t *Tally) Add(u Tally) {
+	t.Killed += u.Killed
+	t.Trimmed += u.Trimmed
+	t.DenseRows += u.DenseRows
+	t.Fallbacks += u.Fallbacks
+	t.Grouped += u.Grouped
 }
 
 // newAccumulator sizes every per-column array once, at cols, with sums
@@ -89,10 +104,10 @@ func newAccumulator(cols, members int) *accumulator {
 
 // fit sizes every per-column array at cols, with sums for members rows,
 // reslicing the arrays that have room rather than allocating: a product
-// of another width reuses the accumulator. No mark ever holds the
-// current generation before this row touched it — a wrap clears every
-// mark the array has room for — so marks left past a shorter length stay
-// stale when it grows back over them.
+// of another width reuses the accumulator, and its tally starts at zero.
+// No mark ever holds the current generation before this row touched it —
+// a wrap clears every mark the array has room for — so marks left past a
+// shorter length stay stale when it grows back over them.
 func (s *accumulator) fit(cols, members int) {
 	if cap(s.mark) < cols {
 		s.mark, s.touched, s.gen = make([]uint32, cols), make([]int32, cols+1), 1
@@ -104,6 +119,7 @@ func (s *accumulator) fit(cols, members int) {
 	if cap(s.keys) < cols {
 		s.keys = nil // flush allocates it on first top-k use
 	}
+	s.tally = Tally{}
 }
 
 // sums returns the m-th cols-long span of acc.
@@ -133,7 +149,7 @@ func (s *accumulator) begin(lo, hi, bound, members int) {
 	s.lo, s.hi, s.n, s.stride = lo, hi, 0, 1
 	s.dense = s.force > 0 || s.force == 0 && bound*denseSpanShare >= hi-lo
 	if s.dense {
-		s.denseRows += int64(members)
+		s.tally.DenseRows += int64(members)
 		for m := range members {
 			clear(s.sums(m)[lo:hi])
 		}
@@ -250,18 +266,18 @@ type workspace struct {
 }
 
 // tileRun is what the workers of one run share: the product and its
-// output, the sinks or the groups, the tile counter, the tallies and the
-// first error. It holds the run's references only while the run lasts.
+// output, the sinks or the groups, the tile counter and the first error.
+// It holds the run's references only while the run lasts.
 type tileRun struct {
-	p                                                 *product
-	ctx                                               context.Context
-	out                                               *CSR
-	sinks                                             []rowSink
-	lone                                              [1]rowSink // a lone worker's sink: the output itself
-	groups                                            *grouping  // a plain product's: its tiles are batches of groups
-	height, nTiles                                    int
-	next, killed, trim, denseRows, fallbacks, grouped atomic.Int64
-	stop                                              atomic.Pointer[error]
+	p              *product
+	ctx            context.Context
+	out            *CSR
+	sinks          []rowSink
+	lone           [1]rowSink // a lone worker's sink: the output itself
+	groups         *grouping  // a plain product's: its tiles are batches of groups
+	height, nTiles int
+	next           atomic.Int64
+	stop           atomic.Pointer[error]
 }
 
 // release drops the run's references, so an idle workspace holds no
@@ -353,8 +369,9 @@ func scanSpan(span []float64, lo int, cutBits uint64, touched []int32) (m, nonze
 
 // flush appends row, whose sums are acc, to sink in column order:
 // threshold filter, then optional top-k. It returns the number of
-// entries appended and the threshold's kill count, the quantity the obs
-// prune accounting aggregates. It leaves the row open (end closes it).
+// entries appended and adds the threshold's kills, and a fallback if
+// the hint fell short, to s's tally. It leaves the row open (end closes
+// it).
 //
 // Top-k is a selection, not a sort: the candidates' magnitudes go into a
 // contiguous key vector, kthLargest finds the k-th, τ, and the emit pass
@@ -362,7 +379,7 @@ func scanSpan(span []float64, lo int, cutBits uint64, touched []int32) (m, nonze
 // first. With p.tau the candidates are first collected at half the row's
 // previous τ: if k turn up, the top k, ties included, lie among them —
 // exact whatever the hint was worth; if not, the row is collected again.
-func (s *accumulator) flush(sink *rowSink, p *product, row int, acc []float64) (n int, killed int64) {
+func (s *accumulator) flush(sink *rowSink, p *product, row int, acc []float64) (n int) {
 	// A sum survives when it is neither zero nor below the threshold: one
 	// comparison against floor. A NaN passes every cut (it is below
 	// nothing) and dies in the emit loop (it is above nothing).
@@ -404,7 +421,7 @@ func (s *accumulator) flush(sink *rowSink, p *product, row int, acc []float64) (
 			break
 		}
 		cut = floor
-		s.fallbacks++
+		s.tally.Fallbacks++
 	}
 	cand := s.touched[:m]
 	if !s.dense {
@@ -431,7 +448,7 @@ func (s *accumulator) flush(sink *rowSink, p *product, row int, acc []float64) (
 		live = n // nothing was selected away: what was not emitted is NaN
 	}
 	// Kills: the NaNs and (no hint in play) the sums below floor.
-	killed = int64(m - live)
+	killed := int64(m - live)
 	if cut == floor {
 		killed = int64(nonzero - live)
 	}
@@ -443,7 +460,8 @@ func (s *accumulator) flush(sink *rowSink, p *product, row int, acc []float64) (
 			killed--
 		}
 	}
-	return n, killed
+	s.tally.Killed += killed
+	return n
 }
 
 // kthLargest returns the k-th largest of keys, 1 ≤ k ≤ len(keys), none
@@ -477,21 +495,25 @@ func kthLargest(keys []float64, k int) float64 {
 	return keys[k-1]
 }
 
-// run drives the product into a fresh result with a fresh workspace.
-func (p *product) run(ctx context.Context, workers int) (*CSR, error) {
+// run drives the product into a fresh result with a fresh workspace and
+// returns it with the run's tally.
+func (p *product) run(ctx context.Context, workers int) (*CSR, Tally, error) {
 	out := &CSR{}
-	if _, err := p.runInto(ctx, workers, &workspace{}, out); err != nil {
-		return nil, err
+	tally, err := p.runInto(ctx, workers, &workspace{}, out)
+	if err != nil {
+		return nil, Tally{}, err
 	}
 	if p.mirrored {
 		out = MirrorUpper(out)
 	}
-	return out, nil
+	return out, tally, nil
 }
 
 // runInto drives the product's rows into out, reusing out's arrays and
-// ws's buffers where they are large enough, and returns the number of
-// entries the row epilogue trimmed. Rows are cut into tiles (tiling) —
+// ws's buffers where they are large enough, and returns the run's tally:
+// each worker's accumulator counts the rows it flushes, and the running
+// workers' counts are summed once they have all returned. Rows are cut
+// into tiles (tiling) —
 // a plain product's into batches of row groups of at most a tile's rows
 // (group.go) — claimed from a shared counter (dynamic scheduling —
 // skewed rows do not serialise behind one static block), each worker
@@ -505,7 +527,7 @@ func (p *product) run(ctx context.Context, workers int) (*CSR, error) {
 // ctx's error, leaving out undefined. A panic on a spawned worker is
 // re-raised on the caller's goroutine once every worker has returned, so
 // a caller's recover sees it as it would the inline loop's.
-func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *CSR) (trimmed int64, err error) {
+func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *CSR) (Tally, error) {
 	height, nTiles, workers := tiling(p.rows, workers)
 	out.Rows, out.Cols = p.rows, p.cols
 	out.RowPtr = slices.Grow(out.RowPtr[:0], p.rows+1)[:p.rows+1]
@@ -571,15 +593,16 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 		}
 	}
 	if err := r.stop.Load(); err != nil {
-		return 0, *err
+		return Tally{}, *err
 	}
-	stats := obs.PruneStatsFrom(ctx)
-	stats.Add(r.killed.Load())
-	stats.AddRowPaths(r.denseRows.Load(), r.fallbacks.Load(), r.grouped.Load())
+	var tally Tally
+	for _, spa := range ws.spas[:workers] {
+		tally.Add(spa.tally)
+	}
 
 	if r.groups != nil {
 		r.groups.pack(out)
-		return r.trim.Load(), nil
+		return tally, nil
 	}
 	for i := 0; i < p.rows; i++ {
 		out.RowPtr[i+1] += out.RowPtr[i]
@@ -595,7 +618,7 @@ func (p *product) runInto(ctx context.Context, workers int, ws *workspace, out *
 			out.Val = append(out.Val, r.sinks[t].vals...)
 		}
 	}
-	return r.trim.Load(), nil
+	return tally, nil
 }
 
 // claim runs one worker of r with spa.
@@ -623,7 +646,6 @@ func (r *tileRun) work(spa *accumulator) {
 			return
 		}
 		sink := &sinks[t%len(sinks)]
-		var tileKilled, tileTrimmed int64
 		for i, hi := t*height, min((t+1)*height, p.rows); i < hi; i++ {
 			lo := 0
 			if p.mirrored {
@@ -632,31 +654,24 @@ func (r *tileRun) work(spa *accumulator) {
 			spa.begin(lo, p.cols, p.bound(i), 1)
 			p.scatter(i, spa)
 			var n int
-			var k int64
 			if p.merge == nil {
-				n, k = spa.flush(sink, p, i, spa.acc)
+				n = spa.flush(sink, p, i, spa.acc)
 			} else {
 				row, lo := &spa.row, len(sink.cols)
 				row.cols, row.vals = row.cols[:0], row.vals[:0]
-				_, k = spa.flush(row, p, i, spa.acc)
+				spa.flush(row, p, i, spa.acc)
 				p.merge(i, *row, sink)
 				n = len(sink.cols) - lo
 			}
 			spa.end()
-			tileKilled += k
 			if p.rowEpilogue != nil {
 				lo := len(sink.cols) - n
 				m := p.rowEpilogue(sink.cols[lo:], sink.vals[lo:])
 				sink.cols, sink.vals = sink.cols[:lo+m], sink.vals[:lo+m]
-				tileTrimmed += int64(n - m)
+				spa.tally.Trimmed += int64(n - m)
 				n = m
 			}
 			r.out.RowPtr[i+1] = int64(n) // row length; summed below
 		}
-		r.killed.Add(tileKilled)
-		r.trim.Add(tileTrimmed)
-		r.denseRows.Add(spa.denseRows)
-		r.fallbacks.Add(spa.fallbacks)
-		spa.denseRows, spa.fallbacks = 0, 0
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"symcluster/internal/leakcheck"
-	"symcluster/internal/obs"
 )
 
 // truncateTopK keeps, per row of m, the k entries largest by |value|
@@ -62,35 +62,32 @@ func TestEngineMatchesOracle(t *testing.T) {
 		xs := x.ScaleRows(rs).ScaleCols(cs)
 		xst := xs.Transpose()
 		for _, th := range []float64{0, 0.2} {
-			oracleCtx, wantKilled := obs.WithPruneStats(context.Background())
-			want, err := MulPrunedCtx(oracleCtx, xs, xst, th)
+			want, wantKilled, err := MulPrunedCtx(context.Background(), xs, xst, th)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
 				name := fmt.Sprintf("rows=%d/th=%v/workers=%d", rows, th, workers)
 				t.Run(name+"/xxt", func(t *testing.T) {
-					ctx, killed := obs.WithPruneStats(context.Background())
-					got, err := xxtProduct(x, xt, rs, cs, th).run(ctx, workers)
+					got, tally, err := xxtProduct(x, xt, rs, cs, th).run(context.Background(), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireBitIdentical(t, want, got)
-					if killed.Killed() != wantKilled.Killed() {
-						t.Fatalf("killed %d, want %d", killed.Killed(), wantKilled.Killed())
+					if tally.Killed != wantKilled {
+						t.Fatalf("killed %d, want %d", tally.Killed, wantKilled)
 					}
 				})
 				for _, k := range []int{0, 7} {
 					t.Run(fmt.Sprintf("%s/topk=%d", name, k), func(t *testing.T) {
-						ctx, killed := obs.WithPruneStats(context.Background())
-						got, err := topKProduct(xs, xst, th, k).run(ctx, workers)
+						got, tally, err := topKProduct(xs, xst, th, k).run(context.Background(), workers)
 						if err != nil {
 							t.Fatal(err)
 						}
 						requireBitIdentical(t, truncateTopK(want, k), got)
 						// Top-k drops are selection, not threshold kills.
-						if killed.Killed() != wantKilled.Killed() {
-							t.Fatalf("killed %d, want %d", killed.Killed(), wantKilled.Killed())
+						if tally.Killed != wantKilled {
+							t.Fatalf("killed %d, want %d", tally.Killed, wantKilled)
 						}
 					})
 				}
@@ -145,7 +142,7 @@ func testEngineCancellation(t *testing.T, x *CSR) {
 						spec.p.scatter(i, spa)
 					}
 					ctx := &countingErrCtx{Context: context.Background(), after: after}
-					out, err := p.run(ctx, workers)
+					out, _, err := p.run(ctx, workers)
 					if !errors.Is(err, context.Canceled) || out != nil {
 						t.Fatalf("out=%v err=%v, want nil/context.Canceled", out, err)
 					}
@@ -180,7 +177,7 @@ func TestGroupedCancellation(t *testing.T) {
 						return len(cols)
 					}
 					ctx := &countingErrCtx{Context: context.Background(), after: after}
-					out, err := p.run(ctx, workers)
+					out, _, err := p.run(ctx, workers)
 					if !errors.Is(err, context.Canceled) || out != nil {
 						t.Fatalf("out=%v err=%v, want nil/context.Canceled", out, err)
 					}
@@ -242,7 +239,7 @@ func TestEngineRecycledBuffers(t *testing.T) {
 		ws, out := &workspace{}, &CSR{}
 		for round, m := range []*CSR{big, small, big, big} {
 			mt := m.Transpose()
-			fresh, err := topKProduct(m, mt, 0, 9).run(context.Background(), 1)
+			fresh, _, err := topKProduct(m, mt, 0, 9).run(context.Background(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,13 +254,13 @@ func TestEngineRecycledBuffers(t *testing.T) {
 			}
 			p := topKProduct(m, mt, 0, 9)
 			p.rowEpilogue = dropOdd
-			trimmed, err := p.runInto(context.Background(), workers, ws, out)
+			tally, err := p.runInto(context.Background(), workers, ws, out)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireBitIdentical(t, want, out)
-			if trimmed != int64(fresh.NNZ()-want.NNZ()) {
-				t.Fatalf("workers=%d round %d: trimmed %d, want %d", workers, round, trimmed, fresh.NNZ()-want.NNZ())
+			if tally.Trimmed != int64(fresh.NNZ()-want.NNZ()) {
+				t.Fatalf("workers=%d round %d: trimmed %d, want %d", workers, round, tally.Trimmed, fresh.NNZ()-want.NNZ())
 			}
 		}
 	}
@@ -309,6 +306,18 @@ func TestEngineWorkerPanic(t *testing.T) {
 	}
 }
 
+// TestAccumulatorPadding: on a 64-bit target an accumulator fills whole
+// cache lines, so two workers' accumulators allocated back to back share
+// none.
+func TestAccumulatorPadding(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pad is derived for 64-bit words")
+	}
+	if size := unsafe.Sizeof(accumulator{}); size%64 != 0 {
+		t.Fatalf("accumulator is %d bytes, not a whole number of 64-byte lines", size)
+	}
+}
+
 // TestAccumulatorGenerationWrap forces the generation counter to wrap
 // and requires flushed rows to stay correct across the wrap — with dense
 // rows, which neither stamp a mark nor advance the generation, between
@@ -327,7 +336,7 @@ func TestAccumulatorGenerationWrap(t *testing.T) {
 		spa.begin(0, 4, 1, 1)
 		spa.axpy(1, []int32{col}, []float64{v})
 		var sink rowSink
-		if n, _ := spa.flush(&sink, p, 0, spa.acc); n != 1 || sink.cols[0] != col || sink.vals[0] != v {
+		if n := spa.flush(&sink, p, 0, spa.acc); n != 1 || sink.cols[0] != col || sink.vals[0] != v {
 			t.Fatalf("dense=%v: flushed %v %v, want [%d] [%v]", dense, sink.cols, sink.vals, col, v)
 		}
 		spa.end()

@@ -60,9 +60,9 @@ func checkScaleLen(name string, scale []float64, want int) {
 //
 //	MulPrunedCtx(ctx, X, X.Transpose(), threshold)
 //
-// for the materialized X, including the prune accounting reported
-// through obs.PruneStats (mirrored kills count twice, diagonal kills
-// once — exactly the full-product tally).
+// for the materialized X, including the threshold kills (mirrored kills
+// count twice, diagonal kills once — exactly the oracle's count), which
+// the product's tally carries (xxtProduct(…).run returns it).
 //
 // workers is the engine's worker count (engine.go): every count gives
 // the same bits, workers <= 0 selects GOMAXPROCS, and a cancelled ctx
@@ -71,7 +71,8 @@ func MulXXTScaledPrunedCtx(ctx context.Context, x, xt *CSR, rowScale, colScale [
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return xxtProduct(x, xt, rowScale, colScale, threshold).run(ctx, workers)
+	out, _, err := xxtProduct(x, xt, rowScale, colScale, threshold).run(ctx, workers)
+	return out, err
 }
 
 // XXTTerm is one self-product of a sum: X·Xᵀ for X = diag(RowScale)·X·
@@ -82,17 +83,20 @@ type XXTTerm struct {
 }
 
 // SumXXTScaledPrunedUpperCtx returns the upper triangle (j ≥ i) of the
-// n×n sum of the terms' self-products. Its mirror is, bit for bit and
-// prune tally alike, MulXXTScaledPrunedCtx of each term Added left to
-// right onto Zero(n, n), then DropDiagonal when dropDiag. Each term is
-// its own engine pass under threshold, and each row it flushes is merged
-// onto that row of the running sum at once (Add's merge), so no term's
+// n×n sum of the terms' self-products, and the terms' tallies summed.
+// Its mirror is, bit for bit, MulXXTScaledPrunedCtx of each term Added
+// left to right onto Zero(n, n), then DropDiagonal when dropDiag, and
+// the tally that of the terms' one-term products. Each term is its own
+// engine pass under threshold, and each row it flushes is merged onto
+// that row of the running sum at once (Add's merge), so no term's
 // triangle and no copy of the sum is built; the passes share one
 // workspace. each, when set, sees every running sum as it completes, and
 // its error abandons the sum. Workers are derived; a cancelled ctx aborts
-// at the next tile boundary with ctx's error.
-func SumXXTScaledPrunedUpperCtx(ctx context.Context, n int, terms []XXTTerm, threshold float64, dropDiag bool, each func(sum *CSR) error) (*CSR, error) {
+// at the next tile boundary with ctx's error. On error the tally is the
+// completed terms'.
+func SumXXTScaledPrunedUpperCtx(ctx context.Context, n int, terms []XXTTerm, threshold float64, dropDiag bool, each func(sum *CSR) error) (*CSR, Tally, error) {
 	sum, ws := Zero(n, n), &workspace{}
+	var tally Tally
 	for _, t := range terms {
 		p := xxtProduct(t.X, t.XT, t.RowScale, t.ColScale, threshold)
 		if p.rows != n {
@@ -108,16 +112,18 @@ func SumXXTScaledPrunedUpperCtx(ctx context.Context, n int, terms []XXTTerm, thr
 			sink.cols, sink.vals = addRow(sink.cols, sink.vals, pc, pv, row.cols, row.vals, 1, 1, skip)
 		}
 		sum = &CSR{}
-		if _, err := p.runInto(ctx, runtime.GOMAXPROCS(0), ws, sum); err != nil {
-			return nil, err
+		pass, err := p.runInto(ctx, runtime.GOMAXPROCS(0), ws, sum)
+		if err != nil {
+			return nil, tally, err
 		}
+		tally.Add(pass)
 		if each != nil {
 			if err := each(sum); err != nil {
-				return nil, err
+				return nil, tally, err
 			}
 		}
 	}
-	return sum, nil
+	return sum, tally, nil
 }
 
 // xxtProduct is the engine spec behind MulXXTScaledPrunedCtx: the

@@ -9,8 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"symcluster/internal/obs"
 )
 
 // requireBitIdentical fails unless got and want have identical
@@ -95,21 +93,24 @@ func TestMulXXTRejectsNonTranspose(t *testing.T) {
 }
 
 // sumByComposition is what SumXXTScaledPrunedUpperCtx replaces: each term
-// mirrored through MulXXTScaledPrunedCtx, the full matrices Added left to
-// right from Zero(n, n), then DropDiagonal.
-func sumByComposition(ctx context.Context, n int, terms []XXTTerm, threshold float64, dropDiag bool) *CSR {
+// mirrored through MulXXTScaledPrunedCtx's product, the full matrices
+// Added left to right from Zero(n, n), then DropDiagonal; and the terms'
+// tallies summed.
+func sumByComposition(n int, terms []XXTTerm, threshold float64, dropDiag bool) (*CSR, Tally) {
 	sum := Zero(n, n)
+	var tally Tally
 	for _, t := range terms {
-		full, err := MulXXTScaledPrunedCtx(ctx, t.X, t.XT, t.RowScale, t.ColScale, threshold, 1)
+		full, tt, err := xxtProduct(t.X, t.XT, t.RowScale, t.ColScale, threshold).run(context.Background(), 1)
 		if err != nil {
 			panic(err)
 		}
 		sum = Add(sum, full, 1, 1)
+		tally.Add(tt)
 	}
 	if dropDiag {
 		sum = sum.DropDiagonal()
 	}
-	return sum
+	return sum, tally
 }
 
 // randomTerms draws up to three self-product terms over n rows: random
@@ -172,15 +173,12 @@ func TestSumXXTMatchesComposition(t *testing.T) {
 		terms := randomTerms(rng, n, trial%4)
 		for _, th := range []float64{0, 1.5} {
 			for _, dropDiag := range []bool{false, true} {
-				wantCtx, wantStats := obs.WithPruneStats(context.Background())
-				want := sumByComposition(wantCtx, n, terms, th, dropDiag)
-				wantDense, wantFallbacks, _ := wantStats.RowPaths()
+				want, wantTally := sumByComposition(n, terms, th, dropDiag)
 				for _, procs := range []int{1, 2, 3, 8} {
 					runtime.GOMAXPROCS(procs)
 					t.Run(fmt.Sprintf("trial=%d/terms=%d/th=%v/drop=%v/procs=%d", trial, len(terms), th, dropDiag, procs), func(t *testing.T) {
-						ctx, stats := obs.WithPruneStats(context.Background())
 						var seen []*CSR
-						up, err := SumXXTScaledPrunedUpperCtx(ctx, n, terms, th, dropDiag, func(sum *CSR) error {
+						up, tally, err := SumXXTScaledPrunedUpperCtx(context.Background(), n, terms, th, dropDiag, func(sum *CSR) error {
 							seen = append(seen, sum)
 							return nil
 						})
@@ -188,11 +186,8 @@ func TestSumXXTMatchesComposition(t *testing.T) {
 							t.Fatal(err)
 						}
 						requireBitIdentical(t, want, MirrorUpper(up))
-						if stats.Killed() != wantStats.Killed() {
-							t.Fatalf("killed %d, want %d", stats.Killed(), wantStats.Killed())
-						}
-						if dense, fallbacks, _ := stats.RowPaths(); dense != wantDense || fallbacks != wantFallbacks {
-							t.Fatalf("row paths %d dense, %d fallbacks; want %d, %d", dense, fallbacks, wantDense, wantFallbacks)
+						if tally != wantTally {
+							t.Fatalf("tally %+v, want %+v", tally, wantTally)
 						}
 						if len(seen) != len(terms) || len(terms) > 0 && seen[len(seen)-1] != up {
 							t.Fatalf("each saw %d sums of %d terms, the last the result: %v", len(seen), len(terms), len(seen) > 0 && seen[len(seen)-1] == up)
@@ -204,7 +199,7 @@ func TestSumXXTMatchesComposition(t *testing.T) {
 	}
 	// An error from each abandons the sum with it.
 	stop := errors.New("over budget")
-	if _, err := SumXXTScaledPrunedUpperCtx(context.Background(), 50, randomTerms(rng, 50, 2), 0, true,
+	if _, _, err := SumXXTScaledPrunedUpperCtx(context.Background(), 50, randomTerms(rng, 50, 2), 0, true,
 		func(*CSR) error { return stop }); err != stop {
 		t.Fatalf("err = %v, want each's", err)
 	}

@@ -171,7 +171,6 @@ func (r *tileRun) workGroups(spa *accumulator) {
 			r.stop.CompareAndSwap(nil, &stopped)
 			return
 		}
-		var batchKilled, batchTrimmed int64
 		for _, gr := range g.groups[g.batches[t]:g.batches[t+1]] {
 			members := g.order[gr.start : gr.start+gr.size]
 			spa.begin(0, p.cols, gr.bound, len(members))
@@ -179,29 +178,22 @@ func (r *tileRun) workGroups(spa *accumulator) {
 			for m, i := range members {
 				lo, hi := g.slot[i], g.slot[i+1]
 				sink := rowSink{cols: out.ColIdx[lo:lo:hi], vals: out.Val[lo:lo:hi]}
-				n, k := spa.flush(&sink, p, int(i), spa.member(m))
+				n := spa.flush(&sink, p, int(i), spa.member(m))
 				if int64(n) > hi-lo {
 					panic(fmt.Sprintf("matrix: row %d emitted %d entries into a slot of %d", i, n, hi-lo))
 				}
-				batchKilled += k
 				if p.rowEpilogue != nil {
 					kept := p.rowEpilogue(sink.cols, sink.vals)
-					batchTrimmed += int64(n - kept)
+					spa.tally.Trimmed += int64(n - kept)
 					n = kept
 				}
 				out.RowPtr[i+1] = int64(n) // row length; pack places it
 			}
 			spa.end()
 			if len(members) > 1 {
-				spa.grouped += int64(len(members))
+				spa.tally.Grouped += int64(len(members))
 			}
 		}
-		r.killed.Add(batchKilled)
-		r.trim.Add(batchTrimmed)
-		r.denseRows.Add(spa.denseRows)
-		r.fallbacks.Add(spa.fallbacks)
-		r.grouped.Add(spa.grouped)
-		spa.denseRows, spa.fallbacks, spa.grouped = 0, 0, 0
 	}
 }
 

@@ -109,11 +109,12 @@ func (e *Expander) Workers(rows int) int {
 // reusing dst's arrays, and then hands each finished row — columns
 // ascending — to epilogue on the worker that produced it: epilogue
 // rewrites the row in place and returns how many leading entries
-// survive. It returns the number of entries epilogue trimmed. dst must
-// not share storage with a or b — rows are written to dst before others
-// are read — and MulTopK panics if it does; on error (ctx's, polled once
-// per batch claim) dst's contents are undefined.
-func (e *Expander) MulTopK(ctx context.Context, dst, a, b *CSR, topK int, epilogue func(cols []int32, vals []float64) int) (trimmed int, err error) {
+// survive. It returns the product's tally, the entries epilogue trimmed
+// among its counts. dst must not share storage with a or b — rows are
+// written to dst before others are read — and MulTopK panics if it
+// does; on error (ctx's, polled once per batch claim) dst's contents are
+// undefined.
+func (e *Expander) MulTopK(ctx context.Context, dst, a, b *CSR, topK int, epilogue func(cols []int32, vals []float64) int) (Tally, error) {
 	if sharesStorage(dst, a) || sharesStorage(dst, b) {
 		panic("matrix: Expander.MulTopK: dst shares storage with an operand; the product is written over rows it has not read yet")
 	}
@@ -125,8 +126,7 @@ func (e *Expander) MulTopK(ctx context.Context, dst, a, b *CSR, topK int, epilog
 	e.p = *topKProduct(a, b, 0, topK)
 	e.p.rowEpilogue, e.p.tau = epilogue, e.tau
 	defer e.idle()
-	n, err := e.p.runInto(ctx, e.procs, &e.ws, dst)
-	return int(n), err
+	return e.p.runInto(ctx, e.procs, &e.ws, dst)
 }
 
 // idle drops the spec's references: an idle Expander holds no operand.

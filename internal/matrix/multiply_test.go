@@ -11,7 +11,7 @@ import (
 // cancellation: thresholded and top-k capped, thresholded only, and
 // unpruned. mulOracle is the independent reference product.
 func mulTopK(a, b *CSR, threshold float64, topK int) *CSR {
-	out, _ := topKProduct(a, b, threshold, topK).run(context.Background(), 1)
+	out, _, _ := topKProduct(a, b, threshold, topK).run(context.Background(), 1)
 	return out
 }
 
@@ -20,7 +20,7 @@ func mulPruned(a, b *CSR, threshold float64) *CSR { return mulTopK(a, b, thresho
 func mul(a, b *CSR) *CSR { return mulTopK(a, b, 0, 0) }
 
 func mulOracle(a, b *CSR, threshold float64) *CSR {
-	out, _ := MulPrunedCtx(context.Background(), a, b, threshold)
+	out, _, _ := MulPrunedCtx(context.Background(), a, b, threshold)
 	return out
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"symcluster/internal/obs"
 )
 
 // MulPrunedCtx is the reference sparse product the tests hold the
@@ -21,22 +19,21 @@ import (
 // Products accumulate in Gustavson order (a's row left to right, each
 // matching row of b left to right) from a zero start, which is the
 // order the engine's scatters reproduce — so engine results are
-// required to match this function bit for bit, including the number of
-// threshold kills reported through obs.PruneStats. ctx is polled every
-// 512 rows.
-func MulPrunedCtx(ctx context.Context, a, b *CSR, threshold float64) (*CSR, error) {
+// required to match this function bit for bit, and their tallies its
+// count of threshold kills, which it returns beside the product. ctx is
+// polled every 512 rows.
+func MulPrunedCtx(ctx context.Context, a, b *CSR, threshold float64) (out *CSR, killed int64, err error) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int64, a.Rows+1)}
+	out = &CSR{Rows: a.Rows, Cols: b.Cols, RowPtr: make([]int64, a.Rows+1)}
 	sum := make([]float64, b.Cols)
 	seen := make([]bool, b.Cols)
 	var touched []int
-	var killed int64
 	for i := 0; i < a.Rows; i++ {
 		if i%512 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		ac, av := a.Row(i)
@@ -66,6 +63,5 @@ func MulPrunedCtx(ctx context.Context, a, b *CSR, threshold float64) (*CSR, erro
 		touched = touched[:0]
 		out.RowPtr[i+1] = int64(len(out.ColIdx))
 	}
-	obs.PruneStatsFrom(ctx).Add(killed)
-	return out, nil
+	return out, killed, nil
 }

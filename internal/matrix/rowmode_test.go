@@ -9,8 +9,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"symcluster/internal/obs"
 )
 
 // Row modes as the accumulator's test hook names them.
@@ -32,31 +30,29 @@ func runForced(t *testing.T, p *product, workers int, mode int8) (out *CSR, kill
 		spa.force = mode
 		ws.spas = append(ws.spas, spa)
 	}
-	ctx, stats := obs.WithPruneStats(context.Background())
 	out = &CSR{}
-	if _, err := p.runInto(ctx, workers, ws, out); err != nil {
+	tally, err := p.runInto(context.Background(), workers, ws, out)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p.mirrored {
 		out = MirrorUpper(out)
 	}
-	dense, fallbacks, _ := stats.RowPaths()
-	if want := int64(p.rows); mode != modeDerived && dense != want*int64(b2i(mode == modeDense)) {
-		t.Fatalf("%d of %d rows ran dense in mode %d", dense, want, mode)
+	if want := int64(p.rows); mode != modeDerived && tally.DenseRows != want*int64(b2i(mode == modeDense)) {
+		t.Fatalf("%d of %d rows ran dense in mode %d", tally.DenseRows, want, mode)
 	}
-	return out, stats.Killed(), fallbacks
+	return out, tally.Killed, tally.Fallbacks
 }
 
 // oracleProduct is the reference every test here compares against: the
 // sequential oracle, then a full sort and truncation of each row.
 func oracleProduct(t *testing.T, a, b *CSR, threshold float64, k int) (*CSR, int64) {
 	t.Helper()
-	ctx, stats := obs.WithPruneStats(context.Background())
-	full, err := MulPrunedCtx(ctx, a, b, threshold)
+	full, killed, err := MulPrunedCtx(context.Background(), a, b, threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return truncateTopK(full, k), stats.Killed()
+	return truncateTopK(full, k), killed
 }
 
 // fullSpan returns x with column 0 and row r filled in: every row of
@@ -376,17 +372,17 @@ func testGroupedRowsMatchOracle(t *testing.T) {
 							spa.force = mode
 							ws.spas = append(ws.spas, spa)
 						}
-						ctx, stats := obs.WithPruneStats(context.Background())
 						got := &CSR{}
-						if _, err := topKProduct(a, b, th, k).runInto(ctx, workers, ws, got); err != nil {
+						tally, err := topKProduct(a, b, th, k).runInto(context.Background(), workers, ws, got)
+						if err != nil {
 							t.Fatal(err)
 						}
 						requireBitIdentical(t, want, got)
-						if stats.Killed() != wantKilled {
-							t.Fatalf("killed %d, want %d", stats.Killed(), wantKilled)
+						if tally.Killed != wantKilled {
+							t.Fatalf("killed %d, want %d", tally.Killed, wantKilled)
 						}
-						if _, _, grouped := stats.RowPaths(); grouped != wantGrouped {
-							t.Fatalf("%d rows expanded in groups, want %d", grouped, wantGrouped)
+						if tally.Grouped != wantGrouped {
+							t.Fatalf("%d rows expanded in groups, want %d", tally.Grouped, wantGrouped)
 						}
 					})
 				}

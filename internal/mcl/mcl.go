@@ -375,10 +375,11 @@ func (s *rowSorter) Swap(a, b int) {
 //
 // Each call opens an "mcl.iterate" span (a no-op when no trace is
 // installed in ctx) with the worker count, iteration count, final
-// residual, entries the prune threshold killed over the solve, how many
-// expansion rows were accumulated dense, which body scanned them
-// (scan: avx2 | go) and how many top-k pre-filters fell back, as
-// attributes.
+// residual, which body scanned the dense rows (scan: avx2 | go) and,
+// summed over the tallies its expansions return, the entries the flow
+// epilogue's prune threshold trimmed (pruned_entries), how many
+// expansion rows were accumulated dense, how many top-k pre-filters fell
+// back and how many rows were expanded in groups, as attributes.
 //
 // ckptKernel names the checkpoint slot this solve saves/restores
 // through a context-carried checkpoint.Sink; "" disables checkpointing
@@ -393,17 +394,15 @@ func (ws *workspace) iterate(ctx context.Context, opt Options, maxIter int, ckpt
 	ctx, sp := obs.StartSpan(ctx, "mcl.iterate",
 		obs.A("nodes", mgt.Rows), obs.A("max_iter", maxIter),
 		obs.A("workers", expander.Workers(mgt.Rows)), obs.A("scan", matrix.ScanBody()))
-	ctx, paths := obs.WithPruneStats(ctx)
 	var lastDelta float64
-	var pruned int64
+	var tally matrix.Tally
 	defer func() {
 		sp.SetAttr("iterations", iters)
 		sp.SetAttr("residual", lastDelta)
-		sp.SetAttr("pruned_entries", pruned)
-		dense, fallbacks, grouped := paths.RowPaths()
-		sp.SetAttr("dense_rows", dense)
-		sp.SetAttr("select_fallbacks", fallbacks)
-		sp.SetAttr("grouped_rows", grouped)
+		sp.SetAttr("pruned_entries", tally.Trimmed)
+		sp.SetAttr("dense_rows", tally.DenseRows)
+		sp.SetAttr("select_fallbacks", tally.Fallbacks)
+		sp.SetAttr("grouped_rows", tally.Grouped)
 		sp.EndErr(err)
 	}()
 
@@ -457,11 +456,11 @@ func (ws *workspace) iterate(ctx context.Context, opt Options, maxIter int, ckpt
 		// product; selecting them during the product avoids ever
 		// materialising (or sorting) the long tail on dense
 		// regularizers.
-		killed, err := expander.MulTopK(ctx, ws.next, ws.flow, mgt, opt.MaxPerColumn, epilogue)
+		t, err := expander.MulTopK(ctx, ws.next, ws.flow, mgt, opt.MaxPerColumn, epilogue)
 		if err != nil {
 			return cancelled(it, err)
 		}
-		pruned += int64(killed)
+		tally.Add(t)
 		delta := flowChange(ws.flow, ws.next)
 		lastDelta = delta
 		ws.flow, ws.next = ws.next, ws.flow

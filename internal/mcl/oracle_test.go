@@ -194,7 +194,7 @@ func oracleIterate(ctx context.Context, flow **matrix.CSR, mgt *matrix.CSR, opt 
 		log.solves = append(log.solves, solve)
 	}()
 	for it := 0; it < maxIter; it++ {
-		full, err := matrix.MulPrunedCtx(ctx, *flow, mgt, 0)
+		full, _, err := matrix.MulPrunedCtx(ctx, *flow, mgt, 0)
 		if err != nil {
 			return it, err
 		}

@@ -123,7 +123,7 @@ func LayerSimilarity(ctx context.Context, g *Graph, layer int, opt Options) (*ma
 				ColScale: core.DiscountVector(r.B.RowCounts(), core.PowerDiscount, opt.Alpha, 0.5)})
 		}
 	}
-	up, err := matrix.SumXXTScaledPrunedUpperCtx(ctx, g.LayerSizes[layer], terms, opt.Threshold, true, nil)
+	up, _, err := matrix.SumXXTScaledPrunedUpperCtx(ctx, g.LayerSizes[layer], terms, opt.Threshold, true, nil)
 	if err != nil {
 		return nil, err
 	}

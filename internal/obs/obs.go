@@ -14,8 +14,9 @@
 // nothing measurable on the hot paths.
 //
 // The package depends only on the standard library and must never
-// import another symcluster package: internal/matrix and the kernel
-// packages import it from their innermost loops.
+// import another symcluster package, since every package that opens a
+// span imports it. internal/matrix does not: a product returns its
+// tally (matrix.Tally) to its caller, which sets it on its own span.
 package obs
 
 import (
@@ -39,7 +40,6 @@ type ctxKey int
 const (
 	loggerKey ctxKey = iota
 	spanKey
-	pruneKey
 	seedKey
 )
 

@@ -218,23 +218,6 @@ func TestRegistryGetOrCreateIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestPruneStats(t *testing.T) {
-	ctx, ps := WithPruneStats(context.Background())
-	PruneStatsFrom(ctx).Add(3)
-	PruneStatsFrom(ctx).Add(0) // no-op
-	if got := ps.Killed(); got != 3 {
-		t.Fatalf("Killed = %d, want 3", got)
-	}
-	if PruneStatsFrom(context.Background()) != nil {
-		t.Fatalf("PruneStatsFrom on empty ctx != nil")
-	}
-	var nilPS *PruneStats
-	nilPS.Add(5) // nil-safe
-	if nilPS.Killed() != 0 {
-		t.Fatalf("nil PruneStats.Killed != 0")
-	}
-}
-
 func TestNewLoggerFormats(t *testing.T) {
 	var buf bytes.Buffer
 	NewLogger(&buf, "json", slog.LevelInfo).Info("hello", "k", "v")
