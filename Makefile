@@ -37,7 +37,8 @@ vet:
 # beside an exported FCtx, no production call to the sparse-product oracle
 # or (bench/ aside) to the one-term self-product, no Workers field reachable from pipeline.SymOptions, no time.Now or
 # time.Since in internal/pipeline (a stage is timed by its span), no container/heap
-# in a clustering kernel, no symcluster import in internal/matrix (a product's
+# and no sync.Pool in a clustering kernel (scratch waits in a
+# multilevel.FreeList), no symcluster import in internal/matrix (a product's
 # tally is its return value), multilevel.CoarsenCtx called only by
 # internal/multilevel and MLR-MCL (Graclus and Metis go through the cache
 # entry's hierarchy memo), a pipeline stage run only by pipeline.Run.Execute

@@ -7,11 +7,18 @@ import (
 	"symcluster/internal/matrix"
 )
 
+// seededBase is a fresh workspace's base clustering under seed.
+func seededBase(adj *matrix.CSR, k int, seed int64) []int {
+	ws := newWorkspace()
+	ws.rng.Seed(seed)
+	return ws.baseClustering(adj, k)
+}
+
 func TestBaseClusteringCoversAllNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	adj, _ := blockGraph(rng, 3, 15, 0.4, 0.02)
 	for seed := int64(0); seed < 5; seed++ {
-		assign := baseClustering(adj, 4, rand.New(rand.NewSource(seed)))
+		assign := seededBase(adj, 4, seed)
 		if len(assign) != adj.Rows {
 			t.Fatalf("len %d", len(assign))
 		}
@@ -30,7 +37,7 @@ func TestBaseClusteringDisconnectedLeftovers(t *testing.T) {
 	b.Add(0, 1, 1)
 	b.Add(1, 0, 1)
 	adj := b.Build()
-	assign := baseClustering(adj, 3, rand.New(rand.NewSource(1)))
+	assign := seededBase(adj, 3, 1)
 	for i, a := range assign {
 		if a < 0 || a >= 3 {
 			t.Fatalf("node %d out of range: %d", i, a)
@@ -40,7 +47,7 @@ func TestBaseClusteringDisconnectedLeftovers(t *testing.T) {
 
 func TestBaseClusteringKGreaterEqualN(t *testing.T) {
 	adj := matrix.Zero(4, 4)
-	assign := baseClustering(adj, 6, rand.New(rand.NewSource(2)))
+	assign := seededBase(adj, 6, 2)
 	for i, a := range assign {
 		if a != i%6 {
 			t.Fatalf("k>=n fallback wrong at %d: %d", i, a)

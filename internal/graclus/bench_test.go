@@ -34,7 +34,7 @@ func benchDD(b *testing.B, g *graph.Directed, threshold float64, k int) {
 // serve_mixed workload: a Wikipedia-like graph of 8 list and 8
 // reciprocal clusters (≈540 nodes, ≈17 k entries once degree-discounted
 // at 0.05).
-func serveWiki(b *testing.B) *gen.Dataset {
+func serveWiki(b testing.TB) *gen.Dataset {
 	ds, err := gen.Wiki(gen.WikiOptions{
 		ListClusters: 8, RecipClusters: 8,
 		ListMembersMin: 20, ListMembersMax: 20,

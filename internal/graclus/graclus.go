@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"symcluster/internal/matrix"
 	"symcluster/internal/multilevel"
@@ -56,7 +57,8 @@ type Result struct {
 // clusters minimising normalised cut. ctx is polled before each
 // coarsening level, each refinement level and each kernel-k-means pass,
 // so a cancelled context aborts the clustering within one pass with
-// ctx's error.
+// ctx's error. It runs in a workspace from a free list, so a warm call
+// allocates its answer and no buffer.
 func ClusterCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Result, error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("graclus: adjacency %dx%d not square", adj.Rows, adj.Cols)
@@ -67,35 +69,63 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Resu
 	if k > adj.Rows && adj.Rows > 0 {
 		return nil, fmt.Errorf("graclus: k = %d exceeds node count %d", k, adj.Rows)
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-
 	if adj.Rows == 0 {
 		return &Result{Assign: []int{}, K: k}, nil
 	}
 	if k == 1 {
 		return &Result{Assign: make([]int, adj.Rows), K: 1}, nil
 	}
+	ws := workspaces.Get()
+	assign, err := ws.cluster(ctx, adj, k, opt)
+	// Not deferred: a panicked call's workspace goes with it.
+	ws.coarse.Release()
+	workspaces.Put(ws)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Assign: assign, K: k}, nil
+}
 
-	h, err := opt.Hier.Coarsen(ctx, adj, multilevel.Options{MinNodes: max(coarsenTo, 4*k), Seed: rng.Int63()})
+// workspace is every buffer a ClusterCtx call uses. Each is resized to
+// the level at hand and written before it is read, which is why a reused
+// workspace gives a fresh one's bits.
+type workspace struct {
+	rng      *rand.Rand
+	coarse   multilevel.Scratch
+	assign   [2][]int // the level's assignment, and the one projected from it
+	order    []int
+	frontier [][]int32 // per cluster
+	next     []int32   // the frontier being grown
+	r        refiner
+}
+
+var workspaces = multilevel.NewFreeList(newWorkspace)
+
+func newWorkspace() *workspace { return &workspace{rng: rand.New(rand.NewSource(0))} }
+
+// cluster is ClusterCtx's run on a non-empty square adj with 1 < k ≤
+// adj.Rows; the assignment it returns is fresh.
+func (ws *workspace) cluster(ctx context.Context, adj *matrix.CSR, k int, opt Options) ([]int, error) {
+	ws.rng.Seed(opt.Seed)
+	h, err := opt.Hier.Coarsen(ctx, adj, multilevel.Options{MinNodes: max(coarsenTo, 4*k), Seed: ws.rng.Int63()}, &ws.coarse)
 	if err != nil {
 		return nil, fmt.Errorf("graclus: coarsening: %w", err)
 	}
 
-	coarse := h.Coarsest()
-	assign := baseClustering(coarse.Adj, k, rng)
-	r := newRefiner(adj.Rows, k)
-	assign = r.refine(ctx, coarse.Adj, assign, refinePasses)
+	cur, coarse := 0, h.Coarsest().Adj
+	ws.r.reset(adj.Rows, k).refine(ctx, coarse, ws.baseClustering(coarse, k), refinePasses)
 	for level := h.Depth() - 1; level >= 1; level-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		assign = h.Project(level, assign)
-		assign = r.refine(ctx, h.Levels[level-1].Adj, assign, refinePasses)
+		ws.assign[1-cur] = h.Project(level, ws.assign[cur], ws.assign[1-cur])
+		cur = 1 - cur
+		ws.r.refine(ctx, h.Levels[level-1].Adj, ws.assign[cur], refinePasses)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Result{Assign: assign, K: k}, nil
+	return slices.Clone(ws.assign[cur]), nil
 }
 
 // NCut returns the normalised cut Σ_c cut(c)/deg(c) of the assignment.
@@ -124,10 +154,12 @@ func NCut(adj *matrix.CSR, assign []int, k int) float64 {
 
 // baseClustering produces an initial k-clustering of the coarsest graph
 // by region growing from k random seeds, breadth-first with
-// strongest-connection preference, then assigns leftovers arbitrarily.
-func baseClustering(adj *matrix.CSR, k int, rng *rand.Rand) []int {
+// strongest-connection preference, then assigns leftovers arbitrarily,
+// into ws.assign[0].
+func (ws *workspace) baseClustering(adj *matrix.CSR, k int) []int {
 	n := adj.Rows
-	assign := make([]int, n)
+	assign := multilevel.Resize(ws.assign[0], n)
+	ws.assign[0] = assign
 	for i := range assign {
 		assign[i] = -1
 	}
@@ -137,18 +169,18 @@ func baseClustering(adj *matrix.CSR, k int, rng *rand.Rand) []int {
 		}
 		return assign
 	}
-	seeds := rng.Perm(n)[:k]
-	var frontier [][]int32
-	frontier = make([][]int32, k)
-	for c, s := range seeds {
+	ws.order = multilevel.Perm(ws.rng, ws.order, n)
+	frontier := multilevel.Resize(ws.frontier, k)
+	ws.frontier = frontier
+	for c, s := range ws.order[:k] {
 		assign[s] = c
-		frontier[c] = []int32{int32(s)}
+		frontier[c] = append(frontier[c][:0], int32(s))
 	}
 	remaining := n - k
 	for remaining > 0 {
 		progress := false
 		for c := 0; c < k && remaining > 0; c++ {
-			var next []int32
+			next := ws.next[:0]
 			for _, u := range frontier[c] {
 				cols, _ := adj.Row(int(u))
 				for _, v := range cols {
@@ -160,7 +192,7 @@ func baseClustering(adj *matrix.CSR, k int, rng *rand.Rand) []int {
 					}
 				}
 			}
-			frontier[c] = next
+			frontier[c], ws.next = next, frontier[c]
 		}
 		if !progress {
 			// Disconnected leftovers: spread them round-robin.
@@ -177,19 +209,24 @@ func baseClustering(adj *matrix.CSR, k int, rng *rand.Rand) []int {
 	return assign
 }
 
-// refiner is the scratch of one ClusterCtx, allocated once and reset at
-// every level: each node's weighted degree, the per-cluster totals of
-// the objective Σ_c links(c)/deg(c) with q[c] = quotient(links, deg)
-// beside them, and the row scan's slots.
+// refiner is the refinement's part of a workspace, reset once per call
+// and at every level: each node's weighted degree, the per-cluster
+// totals of the objective Σ_c links(c)/deg(c) with q[c] = quotient(links,
+// deg) beside them, and the row scan's slots.
 type refiner struct {
 	deg                                 []float64
 	clusterDeg, clusterLinks, q, linkTo []float64
 	clusterSize, touched                []int
 }
 
-func newRefiner(n, k int) *refiner {
-	return &refiner{deg: make([]float64, n), clusterDeg: make([]float64, k), clusterLinks: make([]float64, k),
-		q: make([]float64, k), linkTo: make([]float64, k), clusterSize: make([]int, k)}
+// reset sizes r for a graph of n nodes in k clusters. linkTo starts
+// zero; refine leaves it so after every row.
+func (r *refiner) reset(n, k int) *refiner {
+	r.deg = multilevel.Resize(r.deg, n)
+	r.clusterDeg, r.clusterLinks = multilevel.Resize(r.clusterDeg, k), multilevel.Resize(r.clusterLinks, k)
+	r.q, r.linkTo, r.clusterSize = multilevel.Resize(r.q, k), multilevel.Resize(r.linkTo, k), multilevel.Resize(r.clusterSize, k)
+	clear(r.linkTo)
+	return r
 }
 
 // refine performs weighted-kernel-k-means boundary passes: for each

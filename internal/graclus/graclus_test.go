@@ -177,7 +177,7 @@ func TestRefineFindsNaturalSplit(t *testing.T) {
 	add(2, 3)
 	adj := b.Build()
 	bad := []int{0, 1, 0, 1, 0, 1}
-	refined := newRefiner(adj.Rows, 2).refine(context.Background(), adj, append([]int(nil), bad...), 20)
+	refined := new(refiner).reset(adj.Rows, 2).refine(context.Background(), adj, append([]int(nil), bad...), 20)
 	if got := NCut(adj, refined, 2); math.Abs(got-2.0/7.0) > 1e-9 {
 		t.Fatalf("refined ncut = %v, want 2/7", got)
 	}
@@ -193,7 +193,7 @@ func TestRefineNeverEmptiesCluster(t *testing.T) {
 			b.Add(j, i, 1)
 		}
 	}
-	assign := newRefiner(4, 2).refine(context.Background(), b.Build(), []int{0, 0, 0, 1}, 50)
+	assign := new(refiner).reset(4, 2).refine(context.Background(), b.Build(), []int{0, 0, 0, 1}, 50)
 	counts := map[int]int{}
 	for _, a := range assign {
 		counts[a]++
@@ -211,7 +211,7 @@ func TestRefineImprovesMonotonically(t *testing.T) {
 		assign[i] = rng.Intn(3)
 	}
 	before := NCut(adj, assign, 3)
-	after := NCut(adj, newRefiner(adj.Rows, 3).refine(context.Background(), adj, assign, 10), 3)
+	after := NCut(adj, new(refiner).reset(adj.Rows, 3).refine(context.Background(), adj, assign, 10), 3)
 	if after > before+1e-9 {
 		t.Fatalf("refine worsened ncut: %v -> %v", before, after)
 	}

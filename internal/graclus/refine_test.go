@@ -183,7 +183,7 @@ func (refineCase) Generate(rng *rand.Rand, size int) reflect.Value {
 func TestQuickRefineMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	f := func(c refineCase) bool {
-		r := newRefiner(c.Adj.Rows, c.K)
+		r := new(refiner).reset(c.Adj.Rows, c.K)
 		r.refine(ctx, c.Adj, c.Warm, c.Passes)
 		want, links, degs := refineReference(ctx, c.Adj, append([]int(nil), c.Assign...), c.K, c.Passes)
 		got := r.refine(ctx, c.Adj, append([]int(nil), c.Assign...), c.Passes)

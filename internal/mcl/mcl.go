@@ -27,9 +27,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
-	"sync"
 
 	"symcluster/internal/checkpoint"
 	"symcluster/internal/csr"
@@ -107,9 +105,9 @@ type Result struct {
 // the expansion product), so a cancelled context aborts the clustering
 // within one iteration with ctx's error.
 //
-// The solve runs in a workspace taken from a pool and given back when
-// it returns, so what it allocates is its answer (and, for MLR-MCL, the
-// hierarchy it coarsens).
+// The solve runs in a workspace taken from a free list and given back
+// when it returns, so what it allocates is its answer (and, for
+// MLR-MCL, the hierarchy it coarsens).
 func ClusterCtx(ctx context.Context, adj *matrix.CSR, opt Options) (*Result, error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("mcl: adjacency %dx%d not square", adj.Rows, adj.Cols)
@@ -118,7 +116,7 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, opt Options) (*Result, err
 	if adj.Rows == 0 {
 		return &Result{Assign: []int{}, K: 0}, nil
 	}
-	ws := workspaces.Get().(*workspace)
+	ws := workspaces.Get()
 	res, err := ws.cluster(ctx, adj, opt)
 	// Not deferred: a solve that panicked may have left a row half
 	// accumulated, and its workspace goes with it.
@@ -145,9 +143,11 @@ type workspace struct {
 	stack      []int32     // extract
 }
 
-var workspaces = sync.Pool{New: func() any {
+var workspaces = multilevel.NewFreeList(newWorkspace)
+
+func newWorkspace() *workspace {
 	return &workspace{exp: matrix.NewExpander(), flow: &matrix.CSR{}, next: &matrix.CSR{}}
-}}
+}
 
 // cluster is ClusterCtx's solve on a non-empty square adj.
 func (ws *workspace) cluster(ctx context.Context, adj *matrix.CSR, opt Options) (*Result, error) {
@@ -203,11 +203,6 @@ func (ws *workspace) cluster(ctx context.Context, adj *matrix.CSR, opt Options) 
 	panic("mcl: multilevel loop ended without reaching the finest level")
 }
 
-// resize returns buf with length n, reusing its array when it has room.
-func resize[T any](buf []T, n int) []T {
-	return slices.Grow(buf[:0], n)[:n]
-}
-
 // regularize builds M_Gᵀ into ws.mgt: the transpose of the
 // column-stochastic matrix of adj plus per-node self-loops. Self-loops
 // are scaled to each node's mean incident edge weight: a fixed absolute
@@ -228,9 +223,9 @@ func (ws *workspace) regularize(adj *matrix.CSR) {
 	n := adj.Rows
 	m := &ws.mgt
 	m.Rows, m.Cols = n, n
-	m.RowPtr = resize(m.RowPtr, n+1)
+	m.RowPtr = multilevel.Resize(m.RowPtr, n+1)
 	clear(m.RowPtr)
-	sums := resize(ws.sums, n)
+	sums := multilevel.Resize(ws.sums, n)
 	ws.sums = sums
 	clear(sums)
 	for i := 0; i < n; i++ {
@@ -249,7 +244,7 @@ func (ws *workspace) regularize(adj *matrix.CSR) {
 		}
 	}
 	nnz := int(m.RowPtr[n])
-	m.ColIdx, m.Val = resize(m.ColIdx, nnz), resize(m.Val, nnz)
+	m.ColIdx, m.Val = multilevel.Resize(m.ColIdx, nnz), multilevel.Resize(m.Val, nnz)
 	// m.RowPtr[c] is column c's cursor until every entry is placed, when
 	// it holds row c+1's start; the shift puts each start back.
 	for i := 0; i < n; i++ {
@@ -312,7 +307,7 @@ func loopRow(i int, cols []int32, vals []float64, emit func(c int32, v float64))
 func (ws *workspace) seed(maxKeep int) {
 	m, f := &ws.mgt, ws.flow
 	f.Rows, f.Cols = m.Rows, m.Cols
-	f.RowPtr = resize(f.RowPtr, m.Rows+1)
+	f.RowPtr = multilevel.Resize(f.RowPtr, m.Rows+1)
 	f.RowPtr[0] = 0
 	f.ColIdx, f.Val = f.ColIdx[:0], f.Val[:0]
 	s := &ws.sorter
@@ -612,7 +607,7 @@ func (ws *workspace) project(fineToCoarse []int32, fineN int) {
 	// Each coarse node's members, ascending: a counting sort into
 	// members, start[c] the first of c's. As in regularize, start[c] is
 	// c's cursor while they are placed, and the shift puts it back.
-	nodes := resize(ws.nodes, coarse.Rows+1+fineN)
+	nodes := multilevel.Resize(ws.nodes, coarse.Rows+1+fineN)
 	ws.nodes = nodes
 	start, members := nodes[:coarse.Rows+1], nodes[coarse.Rows+1:]
 	clear(start)
@@ -630,7 +625,7 @@ func (ws *workspace) project(fineToCoarse []int32, fineN int) {
 	start[0] = 0
 
 	fine.Rows, fine.Cols = fineN, fineN
-	fine.RowPtr = resize(fine.RowPtr, fineN+1)
+	fine.RowPtr = multilevel.Resize(fine.RowPtr, fineN+1)
 	fine.RowPtr[0] = 0
 	fine.ColIdx, fine.Val = fine.ColIdx[:0], fine.Val[:0]
 	for f := 0; f < fineN; f++ {
@@ -662,7 +657,7 @@ func (ws *workspace) project(fineToCoarse []int32, fineN int) {
 // first appearance. The assignment is the only array it allocates.
 func (ws *workspace) extract(flow *matrix.CSR) ([]int, int) {
 	n := flow.Rows
-	nodes := resize(ws.nodes, 2*n)
+	nodes := multilevel.Resize(ws.nodes, 2*n)
 	ws.nodes = nodes
 	parent, root := nodes[:n], nodes[n:]
 	for i := 0; i < n; i++ {

@@ -17,9 +17,6 @@ import (
 	"symcluster/internal/obs"
 )
 
-// freshWorkspace is a workspace as the pool makes one.
-func freshWorkspace() *workspace { return workspaces.New().(*workspace) }
-
 // requireSameMatrix holds got to want: shape, structure and every value's
 // bits.
 func requireSameMatrix(t *testing.T, what string, want, got *matrix.CSR) {
@@ -67,7 +64,7 @@ func TestRegularizerMatchesComposition(t *testing.T) {
 		5: {5: -1, 6: 3},        // … with its diagonal cancelled
 		6: {0: 0, 5: -2},        // negative sum: self-loop 1
 	})
-	ws := freshWorkspace()
+	ws := newWorkspace()
 	check := func(what string, adj *matrix.CSR) {
 		t.Helper()
 		ws.regularize(adj)
@@ -184,10 +181,10 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		{"540/restored", restoring, g540, rmcl, 2},
 		{"540/top30 again", background, g540, rmcl, 1},
 	}
-	reused := freshWorkspace()
+	reused := newWorkspace()
 	for _, s := range steps {
 		runtime.GOMAXPROCS(s.procs)
-		want := solveIn(s.ctx(), freshWorkspace(), s.adj, s.opt)
+		want := solveIn(s.ctx(), newWorkspace(), s.adj, s.opt)
 		got := solveIn(s.ctx(), reused, s.adj, s.opt)
 		if !errors.Is(got.err, want.err) {
 			t.Fatalf("%s: err = %v, fresh workspace %v", s.name, got.err, want.err)
@@ -277,7 +274,7 @@ func TestWarmSolveAllocations(t *testing.T) {
 	for _, maxIter := range []int{3, 30} {
 		opt := Options{Inflation: 2, MaxIter: maxIter, MaxPerColumn: 30, ConvergenceTol: 1e-9}
 		opt.fill()
-		ws := freshWorkspace()
+		ws := newWorkspace()
 		solve := func() {
 			if _, err := ws.cluster(context.Background(), adj, opt); err != nil {
 				t.Fatal(err)
@@ -311,7 +308,7 @@ func TestIterateProductOrder(t *testing.T) {
 		{0.05, 0.05, 0.1, 0.4, 0.4},
 		{0.6, 0.1, 0.1, 0.1, 0.1},
 	}
-	ws := freshWorkspace()
+	ws := newWorkspace()
 	ws.regularize(adj)
 	mgt := ws.mgt.ToDense()
 	ws.flow = matrix.FromDense(f0)

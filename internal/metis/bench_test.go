@@ -15,7 +15,19 @@ import (
 // workload — a Wikipedia-like graph of 8 list and 8 reciprocal clusters
 // (≈540 nodes, ≈17 k entries once degree-discounted at 0.05) — as its
 // Metis requests see it, and its planted cluster count.
-func serveDD(b *testing.B) (*matrix.CSR, int) {
+func serveDD(b testing.TB) (*matrix.CSR, int) {
+	ds := serveWiki(b)
+	opt := core.Defaults()
+	opt.Threshold = 0.05
+	u, err := core.SymmetrizeCtx(context.Background(), ds.Graph, core.DegreeDiscounted, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return u.Adj, ds.Truth.K
+}
+
+// serveWiki is that Wikipedia-like graph.
+func serveWiki(b testing.TB) *gen.Dataset {
 	ds, err := gen.Wiki(gen.WikiOptions{
 		ListClusters: 8, RecipClusters: 8,
 		ListMembersMin: 20, ListMembersMax: 20,
@@ -25,13 +37,7 @@ func serveDD(b *testing.B) (*matrix.CSR, int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := core.Defaults()
-	opt.Threshold = 0.05
-	u, err := core.SymmetrizeCtx(context.Background(), ds.Graph, core.DegreeDiscounted, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return u.Adj, ds.Truth.K
+	return ds
 }
 
 // BenchmarkServeMetis is the clustering of 1 in 20 requests of

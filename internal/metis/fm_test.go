@@ -140,7 +140,7 @@ func fmRefineReference(adj *matrix.CSR, nodeWeight []float64, side []int, frac f
 // early exit left stale is reused.
 func TestFMRefineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	ws := newScratch(120)
+	ws := sizedWorkspace(120)
 	for trial := 0; trial < 2000; trial++ {
 		n := 2 + rng.Intn([]int{119, 8, 8}[trial%3])
 		distinct := trial%2 == 0

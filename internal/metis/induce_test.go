@@ -16,7 +16,7 @@ func TestInduceSubgraph(t *testing.T) {
 		{0, 3, 4, 0},
 	})
 	nodes := []int32{0, 2, 3}
-	sub := newScratch(full.Rows).induce(full, nodes)
+	sub := sizedWorkspace(full.Rows).induce(full, nodes)
 	if sub.Rows != 3 {
 		t.Fatalf("sub dims %d", sub.Rows)
 	}
@@ -38,7 +38,7 @@ func TestInduceDropsSelfLoops(t *testing.T) {
 		{7, 1},
 		{1, 0},
 	})
-	sub := newScratch(full.Rows).induce(full, []int32{0, 1})
+	sub := sizedWorkspace(full.Rows).induce(full, []int32{0, 1})
 	if sub == full || sub.At(0, 0) != 0 {
 		t.Fatal("self-loop survived induce")
 	}
@@ -55,7 +55,7 @@ func TestInduceWholePlainGraphIsTheGraph(t *testing.T) {
 		{2, 3, 0},
 	})
 	zero := &matrix.CSR{Rows: 2, Cols: 2, RowPtr: []int64{0, 1, 2}, ColIdx: []int32{1, 0}, Val: []float64{0, 0}}
-	ws := newScratch(3)
+	ws := sizedWorkspace(3)
 	for _, tc := range []struct {
 		full  *matrix.CSR
 		nodes []int32
@@ -113,7 +113,7 @@ func TestInduceMatchesBuilder(t *testing.T) {
 		}
 		full.RowPtr[i+1] = int64(len(full.ColIdx))
 	}
-	ws := newScratch(n)
+	ws := sizedWorkspace(n)
 	for trial := 0; trial < 100; trial++ {
 		var nodes []int32
 		for v := int32(0); v < n; v++ {
@@ -147,7 +147,7 @@ func TestGrowRegionReachesTarget(t *testing.T) {
 		w[i] = 1
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		side := newScratch(adj.Rows).growRegion(adj, w, 5, newRand(seed))
+		side := sizedWorkspace(adj.Rows).growRegion(adj, w, 5, newRand(seed), nil)
 		count := 0
 		for _, s := range side {
 			if s == 0 {
@@ -161,3 +161,8 @@ func TestGrowRegionReachesTarget(t *testing.T) {
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// sizedWorkspace is a fresh workspace ready for an n-node graph.
+func sizedWorkspace(n int) *workspace {
+	return &workspace{local: make([]int32, n), locked: make([]bool, n)}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"symcluster/internal/matrix"
+	"symcluster/internal/multilevel"
 )
 
 // kwayRefine runs greedy k-way boundary refinement after recursive
@@ -14,15 +15,17 @@ import (
 // parts. ctx is polled once per pass; a cancelled context stops
 // refining and returns the assignment as improved so far (the caller
 // surfaces the cancellation).
-func kwayRefine(ctx context.Context, adj *matrix.CSR, assign []int, k int, maxWeight float64, passes int) []int {
+func (ws *workspace) kwayRefine(ctx context.Context, adj *matrix.CSR, assign []int, k int, maxWeight float64, passes int) []int {
 	n := adj.Rows
-	partWeight := make([]float64, k)
+	partWeight, linkTo := multilevel.Resize(ws.partWeight, k), multilevel.Resize(ws.linkTo, k)
+	ws.partWeight, ws.linkTo = partWeight, linkTo
+	clear(partWeight)
+	clear(linkTo)
 	for _, p := range assign {
 		partWeight[p]++
 	}
 
-	linkTo := make([]float64, k)
-	var touched []int
+	touched := ws.touched
 	for pass := 0; pass < passes; pass++ {
 		if ctx.Err() != nil {
 			break
@@ -72,5 +75,6 @@ func kwayRefine(ctx context.Context, adj *matrix.CSR, assign []int, k int, maxWe
 			break
 		}
 	}
+	ws.touched = touched
 	return assign
 }

@@ -20,7 +20,7 @@ func TestKWayRefineImprovesCut(t *testing.T) {
 		assign[i] = (assign[i] + 1) % 4
 	}
 	before := EdgeCut(adj, assign)
-	refined := kwayRefine(context.Background(), adj, append([]int(nil), assign...), 4, 40, 8)
+	refined := newWorkspace().kwayRefine(context.Background(), adj, append([]int(nil), assign...), 4, 40, 8)
 	after := EdgeCut(adj, refined)
 	if after >= before {
 		t.Fatalf("k-way refinement did not improve cut: %v -> %v", before, after)
@@ -34,7 +34,7 @@ func TestKWayRefineRespectsBalance(t *testing.T) {
 	for i := range assign {
 		assign[i] = i % 4
 	}
-	refined := kwayRefine(context.Background(), adj, assign, 4, 30, 8)
+	refined := newWorkspace().kwayRefine(context.Background(), adj, assign, 4, 30, 8)
 	counts := make([]int, 4)
 	for _, p := range refined {
 		counts[p]++
@@ -53,7 +53,7 @@ func TestKWayRefineNeverEmptiesPart(t *testing.T) {
 	adj, _ := blockGraph(rng, 2, 20, 0.5, 0.1)
 	assign := make([]int, 40)
 	assign[0] = 1 // singleton part 1
-	refined := kwayRefine(context.Background(), adj, assign, 2, 45, 10)
+	refined := newWorkspace().kwayRefine(context.Background(), adj, assign, 2, 45, 10)
 	count1 := 0
 	for _, p := range refined {
 		if p == 1 {
@@ -89,8 +89,8 @@ func TestKWayRefineStoredZeroRow(t *testing.T) {
 		return adj
 	}
 	start := []int{0, 0, 0, 1, 1, 1, 1, 1}
-	want := kwayRefine(context.Background(), build(false), append([]int(nil), start...), 2, 5, 4)
-	got := kwayRefine(context.Background(), build(true), append([]int(nil), start...), 2, 5, 4)
+	want := newWorkspace().kwayRefine(context.Background(), build(false), append([]int(nil), start...), 2, 5, 4)
+	got := newWorkspace().kwayRefine(context.Background(), build(true), append([]int(nil), start...), 2, 5, 4)
 	if truth := []int{0, 0, 0, 0, 1, 1, 1, 1}; !reflect.DeepEqual(got, truth) || !reflect.DeepEqual(want, truth) {
 		t.Fatalf("refined %v with the stored zeros, %v without, want %v", got, want, truth)
 	}

@@ -57,7 +57,8 @@ type Result struct {
 // parts. ctx is polled at the entry of every recursive bisection, before
 // each coarsening level and before each k-way refinement pass, so a
 // cancelled context aborts the partitioning within one bisection stage
-// with ctx's error.
+// with ctx's error. It runs in a workspace from a free list, so a warm
+// call allocates its answer and no buffer.
 func PartitionCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Result, error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("metis: adjacency %dx%d not square", adj.Rows, adj.Cols)
@@ -68,33 +69,42 @@ func PartitionCtx(ctx context.Context, adj *matrix.CSR, k int, opt Options) (*Re
 	if k > adj.Rows && adj.Rows > 0 {
 		return nil, fmt.Errorf("metis: k = %d exceeds node count %d", k, adj.Rows)
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
 
 	n := adj.Rows
 	assign := make([]int, n)
 	if k > 1 && n > 0 {
-		nodes := make([]int32, n)
-		for i := range nodes {
-			nodes[i] = int32(i)
-		}
-		weights := make([]float64, n)
-		for i := range weights {
-			weights[i] = 1
-		}
-		ws := newScratch(n)
-		ws.hier = opt.Hier
-		if err := recurse(ctx, adj, nodes, weights, k, 0, assign, rng, ws); err != nil {
-			return nil, err
-		}
-		// Direct k-way boundary refinement across the seams the
-		// recursive bisection optimised in isolation.
-		maxPart := float64(n) / float64(k) * (1 + imbalance)
-		assign = kwayRefine(ctx, adj, assign, k, maxPart, refinePasses)
-		if err := ctx.Err(); err != nil {
+		ws := workspaces.Get()
+		err := ws.partition(ctx, adj, k, opt, assign)
+		// Not deferred: a panicked call's workspace goes with it.
+		ws.hier = nil
+		ws.coarse.Release()
+		workspaces.Put(ws)
+		if err != nil {
 			return nil, err
 		}
 	}
 	return &Result{Assign: assign, K: k}, nil
+}
+
+// partition is PartitionCtx's run on n ≥ k > 1 nodes, into assign.
+func (ws *workspace) partition(ctx context.Context, adj *matrix.CSR, k int, opt Options, assign []int) error {
+	n := adj.Rows
+	ws.local, ws.locked = multilevel.Resize(ws.local, n), multilevel.Resize(ws.locked, n)
+	clear(ws.local)
+	ws.rng.Seed(opt.Seed)
+	ws.hier = opt.Hier
+	ws.nodes = multilevel.Resize(ws.nodes, n)
+	for i := range ws.nodes {
+		ws.nodes[i] = int32(i)
+	}
+	if err := recurse(ctx, adj, ws.nodes, k, 0, assign, ws.rng, ws); err != nil {
+		return err
+	}
+	// Direct k-way boundary refinement across the seams the
+	// recursive bisection optimised in isolation.
+	maxPart := float64(n) / float64(k) * (1 + imbalance)
+	ws.kwayRefine(ctx, adj, assign, k, maxPart, refinePasses)
+	return ctx.Err()
 }
 
 // EdgeCut returns the total weight of edges whose endpoints are in
@@ -114,8 +124,9 @@ func EdgeCut(adj *matrix.CSR, assign []int) float64 {
 
 // recurse bisects the subgraph induced by nodes into parts of size
 // proportional to ceil(k/2) : floor(k/2), labels the halves starting at
-// base and base+ceil(k/2), and recurses until k = 1.
-func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []float64, k, base int, assign []int, rng *rand.Rand, ws *scratch) error {
+// base and base+ceil(k/2), and recurses until k = 1. It reorders nodes
+// in place, each half after the other. Every node weighs 1.
+func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, k, base int, assign []int, rng *rand.Rand, ws *workspace) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -129,59 +140,64 @@ func recurse(ctx context.Context, full *matrix.CSR, nodes []int32, weights []flo
 	k2 := k - k1
 	frac := float64(k1) / float64(k)
 
-	side, err := bisect(ctx, ws.induce(full, nodes), weights, frac, rng, ws)
+	side, err := bisect(ctx, ws.induce(full, nodes), frac, rng, ws)
 	if err != nil {
 		return err
 	}
 
-	var left, right []int32
-	var lw, rw []float64
+	// Side 0 keeps its order at the front of nodes, side 1 waits in
+	// ws.right and follows it.
+	nl, right := 0, ws.right[:0]
 	for i, v := range nodes {
 		if side[i] == 0 {
-			left = append(left, v)
-			lw = append(lw, weights[i])
+			nodes[nl] = v
+			nl++
 		} else {
 			right = append(right, v)
-			rw = append(rw, weights[i])
 		}
 	}
 	// Each side must carry at least as many nodes as the parts it will
 	// produce; weight-balanced bisections of small or skewed subgraphs
 	// can violate that, so rebalance by moving surplus nodes across.
-	for len(left) < k1 {
-		last := len(right) - 1
-		left = append(left, right[last])
-		lw = append(lw, rw[last])
-		right = right[:last]
-		rw = rw[:last]
+	for ; nl < k1; nl++ {
+		nodes[nl] = right[len(right)-1]
+		right = right[:len(right)-1]
 	}
-	for len(right) < k2 {
-		last := len(left) - 1
-		right = append(right, left[last])
-		rw = append(rw, lw[last])
-		left = left[:last]
-		lw = lw[:last]
+	for ; len(right) < k2; nl-- {
+		right = append(right, nodes[nl-1])
 	}
-	if err := recurse(ctx, full, left, lw, k1, base, assign, rng, ws); err != nil {
+	ws.right = right
+	copy(nodes[nl:], right)
+	if err := recurse(ctx, full, nodes[:nl], k1, base, assign, rng, ws); err != nil {
 		return err
 	}
-	return recurse(ctx, full, right, rw, k2, base+k1, assign, rng, ws)
+	return recurse(ctx, full, nodes[nl:], k2, base+k1, assign, rng, ws)
 }
 
-// scratch is the storage one partitioning of an n-node graph reuses
-// across its bisections, their levels and their FM passes.
-type scratch struct {
-	local  []int32    // induce: full-graph node → 1 + position in nodes; zero between calls
-	sub    matrix.CSR // induce: the last subgraph's arrays
-	locked []bool     // fmRefine: nodes moved or refused this pass
-	moves  []int32    // fmRefine: the nodes this pass moved, in order
-	pq     maxHeap
-	hier   *multilevel.Memo // bisect: answers for the whole graph, if bound to it
+// workspace is every buffer a PartitionCtx call uses across its
+// bisections, their levels and their FM passes. Each is resized to the
+// graph at hand and written before it is read, which is why a reused
+// workspace gives a fresh one's bits.
+type workspace struct {
+	rng                *rand.Rand
+	nodes              []int32            // every node, which recurse splits in place
+	right              []int32            // recurse: side 1 before it is written back
+	local              []int32            // induce: full-graph node → 1 + position in nodes; zero between calls
+	sub                matrix.CSR         // induce: the last subgraph's arrays
+	coarse             multilevel.Scratch // bisect: every hierarchy no memo answers for
+	sides              [2][]int           // bisect: the split, and the buffer the next one is written into
+	gain               []float64          // growRegion, fmRefine
+	locked             []bool             // fmRefine: nodes moved or refused this pass
+	moves              []int32            // fmRefine: the nodes this pass moved, in order
+	pq                 maxHeap
+	partWeight, linkTo []float64        // kwayRefine
+	touched            []int            // kwayRefine
+	hier               *multilevel.Memo // bisect: answers for the whole graph, if bound to it
 }
 
-func newScratch(n int) *scratch {
-	return &scratch{local: make([]int32, n), locked: make([]bool, n)}
-}
+var workspaces = multilevel.NewFreeList(newWorkspace)
+
+func newWorkspace() *workspace { return &workspace{rng: rand.New(rand.NewSource(0))} }
 
 // induce extracts the subgraph of full induced by nodes, dropping
 // self-loops and explicit zeros. Asked for every node of a graph that
@@ -191,7 +207,7 @@ func newScratch(n int) *scratch {
 // an increasing nodes list is already sorted; only the few nodes the
 // rebalancing in recurse appends out of order displace entries, which an
 // insertion sort puts back.
-func (ws *scratch) induce(full *matrix.CSR, nodes []int32) *matrix.CSR {
+func (ws *workspace) induce(full *matrix.CSR, nodes []int32) *matrix.CSR {
 	n := len(nodes)
 	if n == full.Rows && slices.IsSorted(nodes) && plain(full) {
 		return full // distinct, sorted and n of them: nodes is 0 … n-1
@@ -240,67 +256,52 @@ func plain(adj *matrix.CSR) bool {
 	return true
 }
 
-// bisect splits adj (with node weights) into sides 0/1, targeting
-// fraction frac of the weight on side 0, by multilevel FM.
-func bisect(ctx context.Context, adj *matrix.CSR, nodeWeight []float64, frac float64, rng *rand.Rand, ws *scratch) ([]int, error) {
-	n := adj.Rows
-	if n == 0 {
-		return nil, nil
-	}
-	if n == 1 {
-		return []int{0}, nil
-	}
-	h, err := ws.hier.Coarsen(ctx, adj, multilevel.Options{MinNodes: coarsenTo, Seed: rng.Int63()})
+// bisect splits adj (two nodes or more) into sides 0/1, targeting
+// fraction frac of the weight on side 0, by multilevel FM: a level's
+// node weights count the finest nodes each coarse one holds. The split
+// is one of ws.sides and lives until the next bisect.
+func bisect(ctx context.Context, adj *matrix.CSR, frac float64, rng *rand.Rand, ws *workspace) ([]int, error) {
+	h, err := ws.hier.Coarsen(ctx, adj, multilevel.Options{MinNodes: coarsenTo, Seed: rng.Int63()}, &ws.coarse)
 	if err != nil {
 		// Cancellation or an injected fault; the only other failure mode
 		// is a non-square input, which bisect never constructs.
 		return nil, fmt.Errorf("metis: coarsening: %w", err)
 	}
-	// Aggregate true node weights through the hierarchy: the finest
-	// level's weights are the caller's, not all-ones.
-	levelWeights := make([][]float64, h.Depth())
-	levelWeights[0] = nodeWeight
-	for l := 1; l < h.Depth(); l++ {
-		lev := h.Levels[l]
-		w := make([]float64, lev.Adj.Rows)
-		for fine, c := range lev.Map {
-			w[c] += levelWeights[l-1][fine]
-		}
-		levelWeights[l] = w
-	}
-
 	coarse := h.Coarsest()
-	side := initialBisection(coarse.Adj, levelWeights[h.Depth()-1], frac, rng, ws)
-	side = ws.fmRefine(coarse.Adj, levelWeights[h.Depth()-1], side, frac)
+	cur := ws.initialBisection(coarse.Adj, coarse.NodeWeight, frac, rng)
+	ws.fmRefine(coarse.Adj, coarse.NodeWeight, ws.sides[cur], frac)
 	for l := h.Depth() - 1; l >= 1; l-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		side = h.Project(l, side)
-		side = ws.fmRefine(h.Levels[l-1].Adj, levelWeights[l-1], side, frac)
+		ws.sides[1-cur] = h.Project(l, ws.sides[cur], ws.sides[1-cur])
+		cur = 1 - cur
+		ws.fmRefine(h.Levels[l-1].Adj, h.Levels[l-1].NodeWeight, ws.sides[cur], frac)
 	}
-	return side, nil
+	return ws.sides[cur], nil
 }
 
 // initialBisection runs greedy graph growing initTrials times and keeps
 // the split with the lowest cut among balanced results — or, when no cut
-// is below +Inf (an overflowed weight), the first.
-func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, rng *rand.Rand, ws *scratch) []int {
+// is below +Inf (an overflowed weight), the first. It returns which of
+// ws.sides holds it.
+func (ws *workspace) initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, rng *rand.Rand) int {
 	var total float64
 	for _, w := range nodeWeight {
 		total += w
 	}
 	target := frac * total
 
-	var best []int
+	best := -1
 	bestCut := math.Inf(1)
 	for trial := 0; trial < initTrials; trial++ {
-		side := ws.growRegion(adj, nodeWeight, target, rng)
-		if cut := EdgeCut(adj, side); cut < bestCut {
+		t := 1 - max(best, 0) // the buffer best is not in
+		ws.sides[t] = ws.growRegion(adj, nodeWeight, target, rng, ws.sides[t])
+		if cut := EdgeCut(adj, ws.sides[t]); cut < bestCut {
 			bestCut = cut
-			best = side
-		} else if best == nil {
-			best = side
+			best = t
+		} else if best < 0 {
+			best = t
 		}
 	}
 	return best
@@ -308,10 +309,11 @@ func initialBisection(adj *matrix.CSR, nodeWeight []float64, frac float64, rng *
 
 // growRegion grows side 0 from a random seed by repeatedly absorbing
 // the frontier node with the strongest connection to the region, until
-// the region's weight reaches target.
-func (ws *scratch) growRegion(adj *matrix.CSR, nodeWeight []float64, target float64, rng *rand.Rand) []int {
+// the region's weight reaches target. The split is written into dst
+// (resized).
+func (ws *workspace) growRegion(adj *matrix.CSR, nodeWeight []float64, target float64, rng *rand.Rand, dst []int) []int {
 	n := adj.Rows
-	side := make([]int, n)
+	side := multilevel.Resize(dst, n)
 	for i := range side {
 		side[i] = 1
 	}
@@ -319,7 +321,9 @@ func (ws *scratch) growRegion(adj *matrix.CSR, nodeWeight []float64, target floa
 	side[seed] = 0
 	weight := nodeWeight[seed]
 
-	gain := make([]float64, n)
+	gain := multilevel.Resize(ws.gain, n)
+	ws.gain = gain
+	clear(gain)
 	pq := &ws.pq
 	*pq = (*pq)[:0]
 	push := func(from int) {
@@ -358,7 +362,7 @@ func (ws *scratch) growRegion(adj *matrix.CSR, nodeWeight []float64, target floa
 // tracks the best prefix that satisfies balance, and rolls back the
 // rest. Passes repeat until a pass yields no improvement. A pass ends
 // when the last free node is popped: what the heap still holds is stale.
-func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64) []int {
+func (ws *workspace) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, frac float64) []int {
 	n := adj.Rows
 	var total float64
 	for _, w := range nodeWeight {
@@ -389,7 +393,8 @@ func (ws *scratch) fmRefine(adj *matrix.CSR, nodeWeight []float64, side []int, f
 		loosMin = 0
 	}
 
-	gain := make([]float64, n)
+	gain := multilevel.Resize(ws.gain, n)
+	ws.gain = gain
 	computeGain := func(i int) float64 {
 		cols, vals := adj.Row(i)
 		var ext, intl float64

@@ -234,7 +234,7 @@ func TestFMRefineImprovesCut(t *testing.T) {
 	adj := b.Build()
 	bad := []int{0, 1, 0, 1, 0, 1} // cut = 5.5... compute: edges crossing
 	w := []float64{1, 1, 1, 1, 1, 1}
-	refined := newScratch(adj.Rows).fmRefine(adj, w, append([]int(nil), bad...), 0.5)
+	refined := sizedWorkspace(adj.Rows).fmRefine(adj, w, append([]int(nil), bad...), 0.5)
 	if EdgeCut(adj, refined) > EdgeCut(adj, bad) {
 		t.Fatalf("FM worsened cut: %v -> %v", EdgeCut(adj, bad), EdgeCut(adj, refined))
 	}

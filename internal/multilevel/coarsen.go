@@ -69,21 +69,55 @@ func (o *Options) fill() {
 // hierarchy within one matching-and-contraction round with ctx's error.
 // Each call opens
 // a "multilevel.coarsen" span that records the hierarchy depth and
-// coarsest-level size.
+// coarsest-level size. The hierarchy is built in fresh storage.
 func CoarsenCtx(ctx context.Context, adj *matrix.CSR, opt Options) (*Hierarchy, error) {
-	return coarsen(ctx, adj, opt)
+	return coarsen(ctx, adj, opt, nil)
 }
 
-// coarsen is CoarsenCtx with extra attributes on its span.
-func coarsen(ctx context.Context, adj *matrix.CSR, opt Options, attrs ...obs.Attr) (hier *Hierarchy, err error) {
+// Scratch is storage a caller owns and coarsens into: the matching's
+// generator, visit order and pairs, the contraction's row order, and
+// every level's arrays. A build into it reuses what earlier builds grew,
+// so the hierarchy it returns lives until its next build, and nothing
+// that is kept may come from one. The zero value is ready.
+type Scratch struct {
+	rng          *rand.Rand
+	order        []int
+	match, group []int32
+	h            *Hierarchy // its array holds every level slot built so far
+}
+
+// Release drops the adjacency the last build was given, so an idle
+// Scratch pins no caller's graph; the arrays it grew stay.
+func (s *Scratch) Release() {
+	if s.h != nil && len(s.h.Levels) > 0 {
+		s.h.Levels[0].Adj = nil
+	}
+}
+
+// coarsen is CoarsenCtx into s (nil: fresh storage), with extra
+// attributes on its span.
+func coarsen(ctx context.Context, adj *matrix.CSR, opt Options, s *Scratch, attrs ...obs.Attr) (hier *Hierarchy, err error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("multilevel: adjacency %dx%d not square", adj.Rows, adj.Cols)
 	}
 	opt.fill()
-	rng := rand.New(rand.NewSource(opt.Seed))
+	if s == nil {
+		s = &Scratch{} // dies with the call: the hierarchy holds only its levels
+	}
+	if s.rng == nil {
+		s.rng, s.h = rand.New(rand.NewSource(0)), &Hierarchy{}
+	}
+	s.rng.Seed(opt.Seed) // the sequence a fresh source gives
+	h := s.h
+	h.Levels = h.Levels[:0]
 
 	_, sp := obs.StartSpan(ctx, "multilevel.coarsen", append([]obs.Attr{obs.A("nodes", adj.Rows)}, attrs...)...)
-	h := &Hierarchy{Levels: []*Level{{Adj: adj, NodeWeight: ones(adj.Rows)}}}
+	first := h.slot()
+	first.Adj, first.NodeWeight, first.Map = adj, Resize(first.NodeWeight, adj.Rows), nil
+	for i := range first.NodeWeight {
+		first.NodeWeight[i] = 1
+	}
+	h.Levels = append(h.Levels, first)
 	defer func() { endCoarsen(sp, h, err) }()
 	for h.Depth() < maxLevels {
 		if err := ctx.Err(); err != nil {
@@ -96,14 +130,20 @@ func coarsen(ctx context.Context, adj *matrix.CSR, opt Options, attrs ...obs.Att
 		if cur.Adj.Rows <= opt.MinNodes {
 			break
 		}
-		match := heavyEdgeMatching(cur.Adj, rng)
-		next, ok := contract(cur, match, minShrink)
-		if !ok {
+		if !s.contract(cur, s.heavyEdgeMatching(cur.Adj, s.rng), h) {
 			break
 		}
-		h.Levels = append(h.Levels, next)
 	}
 	return h, nil
+}
+
+// slot is the Level h's next level is built in: the one an earlier build
+// left past the end of h.Levels, or a new one.
+func (h *Hierarchy) slot() *Level {
+	if d := len(h.Levels); d < cap(h.Levels) && h.Levels[:d+1][d] != nil {
+		return h.Levels[:d+1][d]
+	}
+	return &Level{Adj: &matrix.CSR{}}
 }
 
 // endCoarsen closes a "multilevel.coarsen" span over the hierarchy it
@@ -114,27 +154,19 @@ func endCoarsen(sp *obs.Span, h *Hierarchy, err error) {
 	sp.EndErr(err)
 }
 
-func ones(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // heavyEdgeMatching visits nodes in random order; each unmatched node
 // is matched to its unmatched neighbour with the heaviest connecting
 // edge (ties broken by lower index for determinism given the visit
 // order). Returns match[i] = j (with match[j] = i) or match[i] = i for
-// unmatched nodes.
-func heavyEdgeMatching(adj *matrix.CSR, rng *rand.Rand) []int32 {
+// unmatched nodes, in s's storage.
+func (s *Scratch) heavyEdgeMatching(adj *matrix.CSR, rng *rand.Rand) []int32 {
 	n := adj.Rows
-	match := make([]int32, n)
+	match := Resize(s.match, n)
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
-	for _, u := range order {
+	s.match, s.order = match, Perm(rng, s.order, n)
+	for _, u := range s.order {
 		if match[u] != -1 {
 			continue
 		}
@@ -159,42 +191,50 @@ func heavyEdgeMatching(adj *matrix.CSR, rng *rand.Rand) []int32 {
 	return match
 }
 
-// contract merges matched pairs into coarse nodes. Returns the new
-// level and whether the contraction shrank the graph enough to be
-// worth keeping.
-func contract(cur *Level, match []int32, minShrink float64) (*Level, bool) {
-	n := cur.Adj.Rows
-	coarseID := make([]int32, n)
+// contract merges matched pairs into coarse nodes and appends the
+// coarse level to h, unless it would keep more than minShrink of the
+// nodes. The level's adjacency keeps in view the arrays it was assembled
+// in, as long as the finer level's nnz: HeldBytes counts them, and a
+// Scratch's next build reuses them.
+func (s *Scratch) contract(cur *Level, match []int32, h *Hierarchy) bool {
+	n, cn := cur.Adj.Rows, int32(0)
+	for i, m := range match {
+		if int(m) >= i {
+			cn++
+		}
+	}
+	if float64(cn) > minShrink*float64(n) {
+		return false
+	}
+	next := h.slot()
+	coarseID := Resize(next.Map, n)
 	for i := range coarseID {
 		coarseID[i] = -1
 	}
-	order := make([]int32, 0, n) // fine rows grouped by coarse node: lowest member, then its match
-	next := int32(0)
-	for i := 0; i < n; i++ {
+	group := s.group[:0] // fine rows grouped by coarse node: lowest member, then its match
+	for i, id := 0, int32(0); i < n; i++ {
 		if coarseID[i] != -1 {
 			continue
 		}
-		coarseID[i] = next
-		order = append(order, int32(i))
+		coarseID[i] = id
+		group = append(group, int32(i))
 		if m := match[i]; int(m) != i {
-			coarseID[m] = next
-			order = append(order, m)
+			coarseID[m] = id
+			group = append(group, m)
 		}
-		next++
+		id++
 	}
-	cn := int(next)
-	if float64(cn) > minShrink*float64(n) {
-		return nil, false
-	}
+	s.group = group
 
 	// Walking fine rows in that order writes each coarse row where it
 	// lands, in the sequence a stable sort by row would leave a walk in
 	// index order — what FoldRows' per-row sort is given decides the last
 	// bit of a three-way merge — and FoldRows folds the rows in place.
-	rowPtr := make([]int64, cn+1)
-	cols, vals := make([]int32, cur.Adj.NNZ()), make([]float64, cur.Adj.NNZ())
+	rowPtr := Resize(next.Adj.RowPtr, int(cn)+1)
+	cols, vals := Resize(next.Adj.ColIdx, cur.Adj.NNZ()), Resize(next.Adj.Val, cur.Adj.NNZ())
+	rowPtr[0] = 0
 	at := 0
-	for _, i := range order {
+	for _, i := range group {
 		fc, fv := cur.Adj.Row(int(i))
 		for k, c := range fc {
 			cols[at+k] = coarseID[c]
@@ -202,21 +242,28 @@ func contract(cur *Level, match []int32, minShrink float64) (*Level, bool) {
 		at += copy(vals[at:], fv)
 		rowPtr[coarseID[i]+1] = int64(at)
 	}
-	weight := make([]float64, cn)
+	weight := Resize(next.NodeWeight, int(cn))
+	clear(weight)
 	for i := 0; i < n; i++ {
 		weight[coarseID[i]] += cur.NodeWeight[i]
 	}
-	return &Level{Adj: matrix.FoldRows(cn, cn, rowPtr, cols, vals), NodeWeight: weight, Map: coarseID}, true
+	adj := matrix.FoldRows(int(cn), int(cn), rowPtr, cols, vals)
+	adj.ColIdx, adj.Val = cols[:adj.NNZ()], vals[:adj.NNZ()]
+	*next.Adj = *adj
+	next.NodeWeight, next.Map = weight, coarseID
+	h.Levels = append(h.Levels, next)
+	return true
 }
 
 // Project maps an assignment over the nodes of h.Levels[level] down to
-// the nodes of h.Levels[level-1] (one level finer).
-func (h *Hierarchy) Project(level int, assign []int) []int {
+// the nodes of h.Levels[level-1] (one level finer), written into dst
+// (resized), which must not share assign's array.
+func (h *Hierarchy) Project(level int, assign, dst []int) []int {
 	if level <= 0 || level >= h.Depth() {
 		panic(fmt.Sprintf("multilevel: Project level %d outside (0,%d)", level, h.Depth()))
 	}
 	m := h.Levels[level].Map
-	fine := make([]int, len(m))
+	fine := Resize(dst, len(m))
 	for i, c := range m {
 		fine[i] = assign[c]
 	}

@@ -156,7 +156,7 @@ func TestProjectRoundTrip(t *testing.T) {
 	}
 	fine := assign
 	for level := h.Depth() - 1; level >= 1; level-- {
-		fine = h.Project(level, fine)
+		fine = h.Project(level, fine, nil)
 	}
 	if len(fine) != 64 {
 		t.Fatalf("projected length %d", len(fine))
@@ -186,14 +186,14 @@ func TestProjectPanicsOnBadLevel(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	h.Project(0, nil)
+	h.Project(0, nil, nil)
 }
 
 func TestHeavyEdgeMatchingIsValidMatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	adj := randomSym(rng, 120, 5)
 	for seed := int64(0); seed < 5; seed++ {
-		m := heavyEdgeMatching(adj, rand.New(rand.NewSource(seed)))
+		m := new(Scratch).heavyEdgeMatching(adj, rand.New(rand.NewSource(seed)))
 		for u := range m {
 			v := int(m[u])
 			if v < 0 || v >= len(m) {
@@ -223,7 +223,7 @@ func TestHeavyEdgeMatchingPicksHeaviestNeighbour(t *testing.T) {
 	sawCentreChoice := false
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := heavyEdgeMatching(adj, rng)
+		m := new(Scratch).heavyEdgeMatching(adj, rng)
 		// If the centre was visited before any leaf, all neighbours were
 		// unmatched and it must have picked node 2.
 		if m[0] != 0 && m[1] == 1 && m[3] == 3 {

@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -47,8 +48,10 @@ func TestContractMatchesFineOrder(t *testing.T) {
 				b.Add(j, i, w)
 			}
 		}
-		cur := &Level{Adj: b.Build(), NodeWeight: ones(n)}
-		match := heavyEdgeMatching(cur.Adj, rng)
+		var s Scratch
+		h, _ := coarsen(context.Background(), b.Build(), Options{MinNodes: n}, &s) // the finest level alone
+		cur := h.Levels[0]
+		match := s.heavyEdgeMatching(cur.Adj, rng)
 		if trial%2 == 0 {
 			perm := rng.Perm(n) // pairs (perm[0], perm[1]), …; an odd last node stays single
 			match[perm[n-1]] = int32(perm[n-1])
@@ -56,10 +59,11 @@ func TestContractMatchesFineOrder(t *testing.T) {
 				match[perm[k]], match[perm[k+1]] = int32(perm[k+1]), int32(perm[k])
 			}
 		}
-		next, ok := contract(cur, match, 1)
-		if !ok {
+		coarse := &Hierarchy{}
+		if !s.contract(cur, match, coarse) {
 			t.Fatalf("trial %d: contraction refused", trial)
 		}
+		next := coarse.Levels[0]
 		got, want := next.Adj, contractFineOrder(cur, next.Map, next.Adj.Rows)
 		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
 			t.Fatalf("trial %d: structure differs", trial)

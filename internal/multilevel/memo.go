@@ -34,11 +34,12 @@ func NewMemo(adj *matrix.CSR, keep func(held int64) bool) *Memo {
 // Coarsen returns what CoarsenCtx(ctx, adj, opt) would, bit for bit: the
 // kept hierarchy cut to where a build under opt stops (under the usual
 // span, marked cache_hit: true), or else a fresh build (marked
-// cache_hit: false), which it offers to keep. A nil memo, or one bound
-// to another adjacency, is CoarsenCtx.
-func (m *Memo) Coarsen(ctx context.Context, adj *matrix.CSR, opt Options) (*Hierarchy, error) {
+// cache_hit: false), built in fresh storage, which it offers to keep. A
+// nil memo, or one bound to another adjacency, builds into s, or into
+// fresh storage when s is nil.
+func (m *Memo) Coarsen(ctx context.Context, adj *matrix.CSR, opt Options, s *Scratch) (*Hierarchy, error) {
 	if m == nil || adj != m.adj {
-		return CoarsenCtx(ctx, adj, opt)
+		return coarsen(ctx, adj, opt, s)
 	}
 	opt.fill()
 	if h := m.view(opt); h != nil {
@@ -46,7 +47,7 @@ func (m *Memo) Coarsen(ctx context.Context, adj *matrix.CSR, opt Options) (*Hier
 		endCoarsen(sp, h, nil)
 		return h, nil
 	}
-	h, err := coarsen(ctx, adj, opt, obs.A("cache_hit", false))
+	h, err := coarsen(ctx, adj, opt, nil, obs.A("cache_hit", false))
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +81,9 @@ func (m *Memo) view(opt Options) *Hierarchy {
 }
 
 // HeldBytes is what h keeps alive beyond the adjacency it was built
-// over: each level's arrays at capacity (they were assembled in place).
+// over: each level's arrays at capacity. A coarse adjacency keeps in
+// view the arrays it was assembled in, which are as long as the finer
+// level's nnz.
 func (h *Hierarchy) HeldBytes() (b int64) {
 	for l, lev := range h.Levels {
 		b += int64(cap(lev.NodeWeight))*8 + int64(cap(lev.Map))*4

@@ -50,13 +50,13 @@ func TestQuickMemoServesPrefix(t *testing.T) {
 			m1, m2 = m2, m1
 		}
 		memo, builds := countingMemo(adj)
-		deep, err := memo.Coarsen(ctx, adj, Options{MinNodes: m1, Seed: seed})
+		deep, err := memo.Coarsen(ctx, adj, Options{MinNodes: m1, Seed: seed}, nil)
 		if err != nil {
 			t.Error(err)
 			return false
 		}
 		for _, ask := range []int{m2, m1, m2} {
-			got, err := memo.Coarsen(ctx, adj, Options{MinNodes: ask, Seed: seed})
+			got, err := memo.Coarsen(ctx, adj, Options{MinNodes: ask, Seed: seed}, nil)
 			want, werr := CoarsenCtx(ctx, adj, Options{MinNodes: ask, Seed: seed})
 			if err != nil || werr != nil {
 				t.Error(err, werr)
@@ -93,7 +93,7 @@ func TestMemoRebuildsAndReplaces(t *testing.T) {
 	memo, builds := countingMemo(adj)
 	coarsen := func(m *Memo, minNodes int, seed int64) *Hierarchy {
 		t.Helper()
-		got, err := m.Coarsen(ctx, adj, Options{MinNodes: minNodes, Seed: seed})
+		got, err := m.Coarsen(ctx, adj, Options{MinNodes: minNodes, Seed: seed}, nil)
 		want, werr := CoarsenCtx(ctx, adj, Options{MinNodes: minNodes, Seed: seed})
 		if err != nil || werr != nil {
 			t.Fatal(err, werr)
@@ -135,24 +135,27 @@ func TestMemoRebuildsAndReplaces(t *testing.T) {
 	if *otherBuilds != 0 {
 		t.Fatal("a memo bound to another adjacency was offered a hierarchy")
 	}
-	if _, err := memo.Coarsen(ctx, matrix.Zero(2, 3), Options{}); err == nil {
+	if _, err := memo.Coarsen(ctx, matrix.Zero(2, 3), Options{}, nil); err == nil {
 		t.Fatal("accepted a non-square adjacency")
 	}
 }
 
 // TestHeldBytesCountsCapacity: a hierarchy's charge is every array it
-// added to the adjacency it was given, at capacity.
+// added to the adjacency it was given, at capacity, and no less than
+// their lengths as assembled — a coarse level's entries are written,
+// then folded, in arrays as long as the finer level's nnz.
 func TestHeldBytesCountsCapacity(t *testing.T) {
 	adj := ring(256)
 	h, err := CoarsenCtx(context.Background(), adj, Options{MinNodes: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(8 * 256) // level 0 adds its node weights only
-	for _, lev := range h.Levels[1:] {
-		want += int64(8*cap(lev.Adj.RowPtr) + 4*cap(lev.Adj.ColIdx) + 8*cap(lev.Adj.Val) + 8*cap(lev.NodeWeight) + 4*cap(lev.Map))
+	atCap, assembled := int64(8*cap(h.Levels[0].NodeWeight)), int64(8*256) // level 0 adds its node weights only
+	for l, lev := range h.Levels[1:] {
+		atCap += int64(8*cap(lev.Adj.RowPtr) + 4*cap(lev.Adj.ColIdx) + 8*cap(lev.Adj.Val) + 8*cap(lev.NodeWeight) + 4*cap(lev.Map))
+		assembled += int64(8*len(lev.Adj.RowPtr) + 12*h.Levels[l].Adj.NNZ() + 8*len(lev.NodeWeight) + 4*len(lev.Map))
 	}
-	if got := h.HeldBytes(); got != want || got <= 8*256 {
-		t.Fatalf("HeldBytes = %d, want %d", got, want)
+	if got := h.HeldBytes(); got != atCap || got < assembled || h.Depth() < 3 {
+		t.Fatalf("HeldBytes = %d over %d levels, want %d at capacity and at least %d assembled", got, h.Depth(), atCap, assembled)
 	}
 }

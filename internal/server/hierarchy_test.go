@@ -69,7 +69,7 @@ func symmetrized(t *testing.T, edges []byte, method string, threshold float64) *
 func graclusHierarchy(t *testing.T, memo *multilevel.Memo, u *symcluster.UndirectedGraph, seed int64) *multilevel.Hierarchy {
 	t.Helper()
 	h, err := memo.Coarsen(context.Background(), u.Adj,
-		multilevel.Options{MinNodes: 256, Seed: rand.New(rand.NewSource(seed)).Int63()})
+		multilevel.Options{MinNodes: 256, Seed: rand.New(rand.NewSource(seed)).Int63()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

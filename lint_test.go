@@ -324,7 +324,7 @@ var sourceRules = []sourceRule{
 	{
 		why: "multilevel.CoarsenCtx called outside internal/multilevel and internal/mcl (and bench/'s probe " +
 			"of it): Graclus and Metis coarsen through the hierarchy memo they are handed — Hier.Coarsen, " +
-			"which is CoarsenCtx when the memo is nil or bound to another adjacency (a Metis subgraph) — so " +
+			"which builds into their workspace when the memo is nil or bound to another adjacency (a Metis subgraph) — so " +
 			"no caller grows a second way round a cache entry's kept hierarchy (DESIGN.md §15, \"The " +
 			"multilevel substrate\")",
 		applies: func(f string) bool {
@@ -351,6 +351,18 @@ var sourceRules = []sourceRule{
 			}
 			p, _ := strconv.Unquote(imp.Path.Value)
 			return p == "symcluster" || strings.HasPrefix(p, "symcluster/")
+		},
+	},
+	{
+		why: "sync.Pool in a clustering kernel: a collection empties it, so the first call after a GC grows " +
+			"its buffers again and what a request allocates tracks GC timing; kernel scratch waits in a " +
+			"multilevel.FreeList, at most GOMAXPROCS workspaces per clusterer (DESIGN.md §15, \"Recycled buffers\")",
+		applies: func(f string) bool {
+			return !isTest(f) && under(f, "internal/matrix", "internal/mcl", "internal/graclus", "internal/metis", "internal/multilevel")
+		},
+		match: func(n ast.Node) bool {
+			e, ok := n.(ast.Expr)
+			return ok && sel(e, "sync", "Pool")
 		},
 	},
 	{
