@@ -7,8 +7,11 @@
 //	experiments -scale paper all
 //
 // Experiments, in the order all runs them: table1 table2 fig4 fig5a
-// fig5b fig6a fig6b fig7a fig7b fig8a fig8b fig9a fig9b table3 table4
-// table5 signtest casestudy fig10 spam controlled fig6dense zhou
+// fig5b fig6a fig7a fig7b fig9a fig9b table3 table4 table5 signtest
+// casestudy fig10 spam controlled fig6dense zhou
+//
+// A sweep's table holds both its Avg-F and its clustering times, so
+// fig6a also gives Figure 6(b), and fig7a/fig7b give Figure 8(a)/8(b).
 //
 // Every name is checked before any dataset is generated; an unknown one
 // exits 2 with the valid set. Ctrl-C cancels the run within one kernel
@@ -34,14 +37,10 @@ import (
 	"symcluster/internal/gen"
 )
 
-// output is what one experiment printed and, when it has tabular data,
-// how to write that data as CSV (nil when it has none).
-type output struct {
-	text string
-	csv  func(io.Writer) error
-}
-
-type runFunc func(ctx context.Context, d *experiments.Datasets, seed int64) (output, error)
+// runFunc runs one experiment. Its result is a Table, printed as text
+// and written by -csv; fig4 and fig10 print a drawing instead (drawn),
+// and fig10's table is empty, so it writes no CSV.
+type runFunc func(ctx context.Context, d *experiments.Datasets, seed int64) (tab experiments.Table, drawn string, err error)
 
 // catalog is every experiment, in the order all runs them. The usage
 // text is built from it and the package comment is held to it
@@ -50,92 +49,85 @@ var catalog = []struct {
 	name string
 	run  runFunc
 }{
-	{"table1", func(_ context.Context, d *experiments.Datasets, _ int64) (output, error) {
-		return output{text: experiments.FormatTable1(experiments.Table1(d))}, nil
+	{"table1", func(_ context.Context, d *experiments.Datasets, _ int64) (experiments.Table, string, error) {
+		return experiments.StatsTable(experiments.Table1(d)), "", nil
 	}},
-	{"table2", func(ctx context.Context, d *experiments.Datasets, _ int64) (output, error) {
+	{"table2", func(ctx context.Context, d *experiments.Datasets, _ int64) (experiments.Table, string, error) {
 		rows, err := experiments.Table2(ctx, d)
-		return output{experiments.FormatTable2(rows), func(w io.Writer) error { return experiments.WriteTable2CSV(w, rows) }}, err
+		return experiments.SizeTable(rows), "", err
 	}},
-	{"fig4", func(ctx context.Context, d *experiments.Datasets, _ int64) (output, error) {
+	{"fig4", func(ctx context.Context, d *experiments.Datasets, _ int64) (experiments.Table, string, error) {
 		rows, err := experiments.Figure4(ctx, d.Wiki)
-		return output{experiments.FormatFigure4(rows), func(w io.Writer) error { return experiments.WriteFigure4CSV(w, rows) }}, err
+		return experiments.DegreeTable(rows), experiments.FormatFigure4(rows), err
 	}},
-	{"fig5a", series("Figure 5(a): Avg F-scores using MLR-MCL on Cora", false, func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
+	{"fig5a", series("Figure 5(a): Avg F-scores using MLR-MCL on Cora", func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
 		return experiments.Figure5(ctx, d.Cora, experiments.AlgoMLRMCL, seed)
 	})},
-	{"fig5b", series("Figure 5(b): Avg F-scores using Graclus on Cora", false, func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
+	{"fig5b", series("Figure 5(b): Avg F-scores using Graclus on Cora", func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
 		return experiments.Figure5(ctx, d.Cora, experiments.AlgoGraclus, seed)
 	})},
-	{"fig6a", series("Figure 6(a): Degree-discounted vs BestWCut on Cora (Avg F)", false, figure6)},
-	{"fig6b", series("Figure 6(b): clustering times on Cora (log-scale in the paper)", true, figure6)},
-	{"fig7a", series("Figure 7(a): Avg F using MLR-MCL on Wiki", false, figure7(experiments.AlgoMLRMCL))},
-	{"fig7b", series("Figure 7(b): Avg F using Metis on Wiki", false, figure7(experiments.AlgoMetis))},
-	{"fig8a", series("Figure 8(a): clustering times using MLR-MCL on Wiki", true, figure7(experiments.AlgoMLRMCL))},
-	{"fig8b", series("Figure 8(b): clustering times using Metis on Wiki", true, figure7(experiments.AlgoMetis))},
-	{"fig9a", series("Figure 9(a): clustering times using MLR-MCL on Flickr substitute", true, func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
+	{"fig6a", series("Figures 6(a,b): Degree-discounted vs BestWCut on Cora (Avg F, clustering times)", figure6)},
+	{"fig7a", series("Figures 7(a), 8(a): Avg F and clustering times using MLR-MCL on Wiki", figure7(experiments.AlgoMLRMCL))},
+	{"fig7b", series("Figures 7(b), 8(b): Avg F and clustering times using Metis on Wiki", figure7(experiments.AlgoMetis))},
+	{"fig9a", series("Figure 9(a): clustering times using MLR-MCL on Flickr substitute", func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
 		return experiments.Figure9(ctx, d.Flickr, seed)
 	})},
-	{"fig9b", series("Figure 9(b): clustering times using MLR-MCL on LiveJournal substitute", true, func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
+	{"fig9b", series("Figure 9(b): clustering times using MLR-MCL on LiveJournal substitute", func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
 		return experiments.Figure9(ctx, d.LiveJournal, seed)
 	})},
-	{"table3", func(ctx context.Context, d *experiments.Datasets, seed int64) (output, error) {
+	{"table3", func(ctx context.Context, d *experiments.Datasets, seed int64) (experiments.Table, string, error) {
 		rows, err := experiments.Table3(ctx, d.Wiki, nil, 0, seed)
-		return output{experiments.FormatTable3(rows), func(w io.Writer) error { return experiments.WriteTable3CSV(w, rows) }}, err
+		return experiments.ThresholdTable(rows), "", err
 	}},
-	{"table4", func(ctx context.Context, d *experiments.Datasets, seed int64) (output, error) {
+	{"table4", func(ctx context.Context, d *experiments.Datasets, seed int64) (experiments.Table, string, error) {
 		rows, err := experiments.Table4(ctx, d.Cora, d.Wiki, seed)
-		return output{experiments.FormatTable4(rows), func(w io.Writer) error { return experiments.WriteTable4CSV(w, rows) }}, err
+		return experiments.AlphaBetaTable(rows), "", err
 	}},
-	{"table5", func(ctx context.Context, d *experiments.Datasets, _ int64) (output, error) {
+	{"table5", func(ctx context.Context, d *experiments.Datasets, _ int64) (experiments.Table, string, error) {
 		rows, err := experiments.Table5(ctx, d.Wiki, 5)
-		return output{text: experiments.FormatTable5(rows)}, err
+		return experiments.TopEdgeTable(rows), "", err
 	}},
-	{"signtest", func(ctx context.Context, d *experiments.Datasets, seed int64) (output, error) {
+	{"signtest", func(ctx context.Context, d *experiments.Datasets, seed int64) (experiments.Table, string, error) {
 		rows, err := experiments.SignTests(ctx, d.Cora, d.Wiki, seed)
-		return output{text: experiments.FormatSignTests(rows)}, err
+		return experiments.SignTestTable(rows), "", err
 	}},
-	{"casestudy", func(ctx context.Context, d *experiments.Datasets, seed int64) (output, error) {
+	{"casestudy", func(ctx context.Context, d *experiments.Datasets, seed int64) (experiments.Table, string, error) {
 		rows, err := experiments.CaseStudy(ctx, d.Wiki, seed)
-		return output{text: experiments.FormatCaseStudy(rows)}, err
+		return experiments.CaseStudyTable(rows), "", err
 	}},
-	{"fig10", func(ctx context.Context, d *experiments.Datasets, seed int64) (output, error) {
+	{"fig10", func(ctx context.Context, d *experiments.Datasets, seed int64) (experiments.Table, string, error) {
 		sc, err := experiments.RunShowcase(ctx, d.Wiki, seed)
 		if err != nil {
-			return output{}, err
+			return experiments.Table{}, "", err
 		}
-		return output{text: experiments.FormatShowcase(sc)}, nil
+		return experiments.Table{}, experiments.FormatShowcase(sc), nil
 	}},
-	{"spam", func(ctx context.Context, d *experiments.Datasets, _ int64) (output, error) {
+	{"spam", func(ctx context.Context, d *experiments.Datasets, _ int64) (experiments.Table, string, error) {
 		rows, err := experiments.SpamProbe(ctx, d.Wiki, 0)
-		return output{text: experiments.FormatSpamProbe(rows)}, err
+		return experiments.SpamTable(rows), "", err
 	}},
-	{"controlled", func(ctx context.Context, _ *experiments.Datasets, seed int64) (output, error) {
+	{"controlled", func(ctx context.Context, _ *experiments.Datasets, seed int64) (experiments.Table, string, error) {
 		rows, err := experiments.ControlledSweep(ctx, nil, gen.ControlledOptions{Seed: seed}, seed)
-		return output{experiments.FormatControlled(rows), func(w io.Writer) error { return experiments.WriteControlledCSV(w, rows) }}, err
+		return experiments.ControlledTable(rows), "", err
 	}},
-	{"fig6dense", series("Figure 6(b) era-faithful: dense-eig BestWCut vs multilevel clusterers", true, func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
+	{"fig6dense", series("Figure 6(b) era-faithful: dense-eig BestWCut vs multilevel clusterers", func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
 		return experiments.Figure6Faithful(ctx, d.Cora, seed)
 	})},
-	{"zhou", func(ctx context.Context, d *experiments.Datasets, seed int64) (output, error) {
+	{"zhou", series("Zhou et al. directed spectral on Cora (did not finish in the paper)", func(ctx context.Context, d *experiments.Datasets, seed int64) ([]experiments.FSeries, error) {
 		s, err := experiments.ZhouBaseline(ctx, d.Cora, seed)
 		if err != nil {
-			return output{}, err
+			return nil, err
 		}
-		return output{text: experiments.FormatSeries("Zhou et al. directed spectral on Cora (did not finish in the paper)", []experiments.FSeries{*s})}, nil
-	}},
+		return []experiments.FSeries{*s}, nil
+	})},
 }
 
-// series runs a Figure 5–9 sweep and prints its Avg-F or, with times,
-// its clustering times; either way the CSV is the whole series.
-func series(title string, times bool, sweep func(context.Context, *experiments.Datasets, int64) ([]experiments.FSeries, error)) runFunc {
-	format := experiments.FormatSeries
-	if times {
-		format = experiments.FormatTimes
-	}
-	return func(ctx context.Context, d *experiments.Datasets, seed int64) (output, error) {
+// series runs a Figure 5–9 sweep; its table holds both the Avg-F and the
+// clustering time of every point.
+func series(title string, sweep func(context.Context, *experiments.Datasets, int64) ([]experiments.FSeries, error)) runFunc {
+	return func(ctx context.Context, d *experiments.Datasets, seed int64) (experiments.Table, string, error) {
 		s, err := sweep(ctx, d, seed)
-		return output{format(title, s), func(w io.Writer) error { return experiments.WriteSeriesCSV(w, s) }}, err
+		return experiments.SeriesTable(title, s), "", err
 	}
 }
 
@@ -270,14 +262,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	for _, i := range picked {
 		name := catalog[i].name
 		start := time.Now()
-		out, err := catalog[i].run(ctx, d, *seed)
+		tab, drawn, err := catalog[i].run(ctx, d, *seed)
 		if err != nil {
 			return fail(stderr, fmt.Errorf("%s: %w", name, err))
 		}
-		fmt.Fprintln(stdout, out.text)
-		if *csvDir != "" && out.csv != nil {
+		if drawn == "" {
+			drawn = tab.Text()
+		}
+		fmt.Fprintln(stdout, drawn)
+		if *csvDir != "" && len(tab.Header) > 0 {
 			path := filepath.Join(*csvDir, name+".csv")
-			if err := writeCSV(path, out.csv); err != nil {
+			if err := writeCSV(path, tab); err != nil {
 				return fail(stderr, err)
 			}
 			fmt.Fprintf(stdout, "# wrote %s\n", path)
@@ -287,7 +282,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func writeCSV(path string, emit func(io.Writer) error) error {
+func writeCSV(path string, tab experiments.Table) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -295,7 +290,7 @@ func writeCSV(path string, emit func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err := emit(f); err != nil {
+	if err := tab.WriteCSV(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -55,21 +55,3 @@ func ControlledSweep(ctx context.Context, fractions []float64, opt gen.Controlle
 	}
 	return rows, nil
 }
-
-// FormatControlled renders the controlled sweep as an aligned table.
-func FormatControlled(rows []ControlledRow) string {
-	out := "Controlled validation (§6 future work): Avg-F vs shared-cluster fraction (MLR-MCL)\n"
-	out += fmt.Sprintf("%10s", "Shared%")
-	for _, m := range pipeline.Methods() {
-		out += fmt.Sprintf(" %18s", m)
-	}
-	out += "\n"
-	for _, r := range rows {
-		out += fmt.Sprintf("%9.0f%%", 100*r.SharedFraction)
-		for _, m := range pipeline.Methods() {
-			out += fmt.Sprintf(" %18.2f", r.F[m])
-		}
-		out += "\n"
-	}
-	return out
-}

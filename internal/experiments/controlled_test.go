@@ -34,8 +34,7 @@ func TestControlledSweepShape(t *testing.T) {
 		t.Fatalf("a+at should degrade from flow %.1f to shared %.1f",
 			allFlow.F[core.AAT], allShared.F[core.AAT])
 	}
-	out := FormatControlled(rows)
-	if len(out) == 0 {
-		t.Fatal("empty formatting")
+	if out := ControlledTable(rows); len(out.Rows) != len(rows) {
+		t.Fatalf("table has %d rows for %d sweep points", len(out.Rows), len(rows))
 	}
 }

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation section (§4–§5) on the synthetic dataset
-// substitutes. Each experiment is a function returning structured rows
-// plus a formatter, shared by cmd/experiments and the top-level
-// benchmark suite. The per-experiment index lives in DESIGN.md §4.
+// substitutes. Each experiment is a function returning structured rows,
+// and each tabular result has one builder turning them into a Table,
+// which cmd/experiments prints and writes as CSV. The per-experiment
+// index lives in DESIGN.md §4.
 package experiments
 
 import (

@@ -48,7 +48,7 @@ func TestTable1Shape(t *testing.T) {
 	if byName["cora"].Categories == 0 || byName["wiki"].Categories == 0 {
 		t.Fatal("quality datasets must have ground truth")
 	}
-	out := FormatTable1(rows)
+	out := StatsTable(rows).Text()
 	if !strings.Contains(out, "Table 1") {
 		t.Fatal("formatter lost the header")
 	}
@@ -81,7 +81,7 @@ func TestTable2BibliometricBlowupAndSingletons(t *testing.T) {
 	if get("cora", core.AAT).Edges != get("cora", core.RandomWalk).Edges {
 		t.Fatal("A+Aᵀ and RandomWalk edge counts differ")
 	}
-	_ = FormatTable2(rows)
+	_ = SizeTable(rows)
 }
 
 func TestFigure4DegreeDistributions(t *testing.T) {
@@ -103,6 +103,7 @@ func TestFigure4DegreeDistributions(t *testing.T) {
 			byMethod[core.DegreeDiscounted].MaxDeg, byMethod[core.Bibliometric].MaxDeg)
 	}
 	_ = FormatFigure4(rows)
+	_ = DegreeTable(rows)
 }
 
 func TestFigure5DegreeDiscountedWins(t *testing.T) {
@@ -119,7 +120,7 @@ func TestFigure5DegreeDiscountedWins(t *testing.T) {
 	if best["Bibliometric"] <= best["RandomWalk"] {
 		t.Fatalf("Bibliometric %.2f not above RandomWalk %.2f", best["Bibliometric"], best["RandomWalk"])
 	}
-	_ = FormatSeries("Figure 5(a)", series)
+	_ = SeriesTable("Figure 5(a)", series)
 }
 
 func TestFigure6BeatsBestWCut(t *testing.T) {
@@ -140,8 +141,7 @@ func TestFigure6BeatsBestWCut(t *testing.T) {
 			best[algo] += v / seeds
 		}
 		if seed == 1 {
-			_ = FormatSeries("Figure 6(a)", series)
-			_ = FormatTimes("Figure 6(b)", series)
+			_ = SeriesTable("Figure 6", series)
 		}
 	}
 	// Claim 2 as the distribution supports it (EXPERIMENTS.md row 2: ten
@@ -197,7 +197,7 @@ func TestFigure9ScalabilityRuns(t *testing.T) {
 			}
 		}
 	}
-	_ = FormatTimes("Figure 9(a)", series)
+	_ = SeriesTable("Figure 9(a)", series)
 }
 
 func TestTable3ThresholdTradeoff(t *testing.T) {
@@ -214,7 +214,7 @@ func TestTable3ThresholdTradeoff(t *testing.T) {
 			t.Fatalf("edges not monotone: %+v", rows)
 		}
 	}
-	_ = FormatTable3(rows)
+	_ = ThresholdTable(rows)
 }
 
 func TestTable5TopEdges(t *testing.T) {
@@ -264,7 +264,7 @@ func TestTable5TopEdges(t *testing.T) {
 	if ddMax >= bibMax/4 {
 		t.Fatalf("degree-discounted top edges too hubby: max endpoint degree %d vs bibliometric %d", ddMax, bibMax)
 	}
-	_ = FormatTable5(rows)
+	_ = TopEdgeTable(rows)
 }
 
 func TestSignTests(t *testing.T) {
@@ -280,7 +280,7 @@ func TestSignTests(t *testing.T) {
 			t.Fatalf("positive log10 p: %+v", r)
 		}
 	}
-	_ = FormatSignTests(rows)
+	_ = SignTestTable(rows)
 }
 
 func TestCaseStudyTwinsAndLists(t *testing.T) {
@@ -309,7 +309,7 @@ func TestCaseStudyTwinsAndLists(t *testing.T) {
 		t.Fatalf("list recall: dd %.1f not above a+at %.1f",
 			byMethod[core.DegreeDiscounted].ListRecallPct, byMethod[core.AAT].ListRecallPct)
 	}
-	_ = FormatCaseStudy(rows)
+	_ = CaseStudyTable(rows)
 }
 
 func TestSpamProbe(t *testing.T) {
@@ -330,7 +330,7 @@ func TestSpamProbe(t *testing.T) {
 	if dd > bib {
 		t.Fatalf("degree-discounted spam pollution %d above bibliometric %d", dd, bib)
 	}
-	_ = FormatSpamProbe(rows)
+	_ = SpamTable(rows)
 }
 
 func TestClusterSweep(t *testing.T) {

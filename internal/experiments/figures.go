@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"symcluster/internal/core"
@@ -320,4 +321,21 @@ func Figure4(ctx context.Context, wiki *gen.Dataset) ([]DegreeDistribution, erro
 		})
 	}
 	return out, nil
+}
+
+// FormatFigure4 draws the Figure 4 degree distributions as log-binned
+// histograms of # bars; DegreeTable is their data.
+func FormatFigure4(rows []DegreeDistribution) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 4: node degree distributions of Wiki symmetrizations\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-18s max=%d mean=%.1f zero=%d\n", r.Method, r.MaxDeg, r.MeanDeg, r.Hist.Zero)
+		for bkt, count := range r.Hist.Buckets {
+			if count == 0 {
+				continue
+			}
+			fmt.Fprintf(&b, "  [%6d, %6d) %8d %s\n", 1<<bkt, 1<<(bkt+1), count, strings.Repeat("#", min(count, 50)))
+		}
+	}
+	return b.String()
 }

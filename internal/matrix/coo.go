@@ -127,23 +127,27 @@ func (b *Builder) Build() *CSR {
 		b.r, b.c, b.v = b.r[:0], b.c[:0], b.v[:0]
 		b.sealed, b.held = nil, 0
 	}
-	return FoldRows(b.rows, b.cols, counts, cs, vs)
+	nnz := FoldRows(b.rows, counts, cs, vs, &RowSorter{})
+	return &CSR{Rows: b.rows, Cols: b.cols, RowPtr: counts, ColIdx: cs[:nnz:nnz], Val: vs[:nnz:nnz]}
 }
 
-// FoldRows assembles a rows×cols CSR from entries grouped by row — row
-// i is colIdx and val over [rowPtr[i], rowPtr[i+1]) — in any column
-// order: each row is sorted by column (unless it already ascends
-// strictly, the one order distinct keys have), equal columns are summed
-// left to right as sort.Sort leaves them, and exact zeros are dropped. It
-// is Build's fold, the one definition of a built matrix's rounding
-// (DESIGN.md §15), done in place: the three arrays become the result's.
+// FoldRows folds entries grouped by row — row i is colIdx and val over
+// [rowPtr[i], rowPtr[i+1]) — in any column order: each row is sorted by
+// column (unless it already ascends strictly, the one order distinct
+// keys have), equal columns are summed left to right as sort.Sort leaves
+// them, and exact zeros are dropped. It is Build's fold, the one
+// definition of a built matrix's rounding (DESIGN.md §15), done in place:
+// it returns the folded entry count nnz, and rowPtr, colIdx[:nnz] and
+// val[:nnz] are the folded matrix's, whose header the caller sets. s is
+// the caller's sorter for a fold on its own goroutine, so a warm
+// caller's fold allocates nothing.
 //
 // Rows fold in ranges of at least maxTileRows, one per GOMAXPROCS worker,
 // each in place from its own start, then closed up: every row gets the
 // same sort and fold whatever the count. A worker's panic is re-raised.
-func FoldRows(rows, cols int, rowPtr []int64, colIdx []int32, val []float64) *CSR {
+func FoldRows(rows int, rowPtr []int64, colIdx []int32, val []float64, s *RowSorter) int {
 	if parts := max(1, min(runtime.GOMAXPROCS(0), rows/maxTileRows)); parts == 1 {
-		foldRange(rowPtr, colIdx, val, 0, rows, 0)
+		foldRange(rowPtr, colIdx, val, 0, rows, 0, s)
 	} else {
 		first := func(p int) int { return p * rows / parts }
 		starts := make([]int64, parts)
@@ -159,7 +163,7 @@ func FoldRows(rows, cols int, rowPtr []int64, colIdx []int32, val []float64) *CS
 						panicked.CompareAndSwap(nil, &v)
 					}
 				}()
-				foldRange(rowPtr, colIdx, val, first(p), first(p+1), starts[p])
+				foldRange(rowPtr, colIdx, val, first(p), first(p+1), starts[p], &RowSorter{})
 			}()
 		}
 		wg.Wait()
@@ -175,14 +179,13 @@ func FoldRows(rows, cols int, rowPtr []int64, colIdx []int32, val []float64) *CS
 			}
 		}
 	}
-	w := rowPtr[rows]
-	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx[:w:w], Val: val[:w:w]}
+	return int(rowPtr[rows])
 }
 
 // foldRange folds rows [from, to), whose entries start at lo, in place
-// from lo: rowPtr[i+1] becomes where row i's folded entries end.
-func foldRange(rowPtr []int64, colIdx []int32, val []float64, from, to int, lo int64) {
-	w, row := lo, &rowSorter{} // one sorter: a value would be boxed per row
+// from lo with row: rowPtr[i+1] becomes where row i's folded entries end.
+func foldRange(rowPtr []int64, colIdx []int32, val []float64, from, to int, lo int64, row *RowSorter) {
+	w := lo
 	for i := from; i < to; i++ {
 		hi := rowPtr[i+1]
 		if !strictlyAscending(colIdx[lo:hi]) {
@@ -212,14 +215,17 @@ func strictlyAscending(cols []int32) bool {
 	return true
 }
 
-type rowSorter struct {
+// RowSorter is FoldRows' sort.Interface over one row, by column. A
+// caller that folds repeatedly keeps one: passed by pointer it is boxed
+// without an allocation, which a fresh one per fold is not.
+type RowSorter struct {
 	cols []int32
 	vals []float64
 }
 
-func (s *rowSorter) Len() int           { return len(s.cols) }
-func (s *rowSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s *rowSorter) Swap(i, j int) {
+func (s *RowSorter) Len() int           { return len(s.cols) }
+func (s *RowSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
+func (s *RowSorter) Swap(i, j int) {
 	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
 	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }

@@ -139,7 +139,7 @@ func appendingBuild(rows, cols int, r, c []int32, v []float64) *CSR {
 	}
 	for i := 0; i < rows; i++ {
 		lo, hi := counts[i], counts[i+1]
-		sort.Sort(&rowSorter{cols: cs[lo:hi], vals: vs[lo:hi]})
+		sort.Sort(&RowSorter{cols: cs[lo:hi], vals: vs[lo:hi]})
 		var prev int32 = -1
 		for k := lo; k < hi; k++ {
 			if cs[k] == prev {

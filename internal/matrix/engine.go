@@ -231,11 +231,12 @@ type product struct {
 	// mirror image dies with it), a killed diagonal entry once — exactly
 	// the full product's accounting.
 	mirrored bool
-	// rowEpilogue, when set, rewrites each just-flushed row in place
-	// while it is still in cache — cols ascending, vals aligned — and
-	// returns how many leading entries survive; the driver totals the
-	// entries it trims. It runs on whichever worker produced the row, so
-	// it may touch nothing but its arguments.
+	// rowEpilogue, when set on a plain product (a and b set; the grouped
+	// driver is the only one that reads it), rewrites each just-flushed
+	// row in place while it is still in cache — cols ascending, vals
+	// aligned — and returns how many leading entries survive; the driver
+	// totals the entries it trims. It runs on whichever worker produced
+	// the row, so it may touch nothing but its arguments.
 	rowEpilogue func(cols []int32, vals []float64) int
 	// merge, when set, takes each flushed row — in the worker's own
 	// scratch — and appends what row i emits in its place to sink. It
@@ -664,13 +665,6 @@ func (r *tileRun) work(spa *accumulator) {
 				n = len(sink.cols) - lo
 			}
 			spa.end()
-			if p.rowEpilogue != nil {
-				lo := len(sink.cols) - n
-				m := p.rowEpilogue(sink.cols[lo:], sink.vals[lo:])
-				sink.cols, sink.vals = sink.cols[:lo+m], sink.vals[:lo+m]
-				spa.tally.Trimmed += int64(n - m)
-				n = m
-			}
 			r.out.RowPtr[i+1] = int64(n) // row length; summed below
 		}
 	}

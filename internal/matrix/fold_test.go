@@ -74,7 +74,9 @@ func TestFoldRowsWorkersAgree(t *testing.T) {
 	}
 	fold := func(p int) *CSR {
 		runtime.GOMAXPROCS(p)
-		return FoldRows(n, n, slices.Clone(rowPtr), slices.Clone(cols), slices.Clone(vals))
+		rp, cs, vs := slices.Clone(rowPtr), slices.Clone(cols), slices.Clone(vals)
+		nnz := FoldRows(n, rp, cs, vs, &RowSorter{})
+		return &CSR{Rows: n, Cols: n, RowPtr: rp, ColIdx: cs[:nnz], Val: vs[:nnz]}
 	}
 	want := fold(1)
 	for _, p := range procs[1:] {

@@ -135,12 +135,13 @@ func ClusterCtx(ctx context.Context, adj *matrix.CSR, opt Options) (*Result, err
 // reused workspace gives a fresh one's bits.
 type workspace struct {
 	exp        *matrix.Expander
-	mgt        matrix.CSR  // M_Gᵀ of the level being solved
-	flow, next *matrix.CSR // the current flow, and the buffer the next one is written into
-	sums       []float64   // regularize: the column scales
-	sorter     rowSorter   // seed
-	nodes      []int32     // project: member lists; extract: parents, roots, ids
-	stack      []int32     // extract
+	mgt        matrix.CSR       // M_Gᵀ of the level being solved
+	flow, next *matrix.CSR      // the current flow, and the buffer the next one is written into
+	sums       []float64        // regularize: the column scales
+	sorter     rowSorter        // seed
+	fold       matrix.RowSorter // project
+	nodes      []int32          // project: member lists; extract: parents, roots, ids
+	stack      []int32          // extract
 }
 
 var workspaces = multilevel.NewFreeList(newWorkspace)
@@ -644,7 +645,7 @@ func (ws *workspace) project(fineToCoarse []int32, fineN int) {
 		fine.RowPtr[f+1] = int64(len(fine.ColIdx))
 	}
 	// The folded rows are a prefix of the arrays, whose room is kept.
-	nnz := matrix.FoldRows(fineN, fineN, fine.RowPtr, fine.ColIdx, fine.Val).NNZ()
+	nnz := matrix.FoldRows(fineN, fine.RowPtr, fine.ColIdx, fine.Val, &ws.fold)
 	fine.ColIdx, fine.Val = fine.ColIdx[:nnz], fine.Val[:nnz]
 	normalizeRowsInPlace(fine)
 	ws.flow, ws.next = fine, coarse

@@ -188,9 +188,11 @@ func TestConcurrentCallsMatchAlone(t *testing.T) {
 }
 
 // TestWarmPartitionAllocations: a served Metis request whose first
-// bisection the memo answers allocates its answer and a few small
-// objects per coarse level (the folded adjacency's header and its row
-// sorter) — no buffer — once a workspace waits in the free list.
+// bisection the memo answers allocates its answer and a handful of small
+// objects (6 measured; the bound leaves 4 to spare) — no buffer, and
+// nothing per coarse level, since a fold writes the level's header in
+// place and sorts with the Scratch's sorter — once a workspace waits in
+// the free list.
 func TestWarmPartitionAllocations(t *testing.T) {
 	adj, k := serveDD(t)
 	memo := multilevel.NewMemo(adj, nil)
@@ -210,7 +212,7 @@ func TestWarmPartitionAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / 10
 	t.Logf("%v allocations, %d bytes per warm request; answer %d bytes", allocs, per, answer)
-	if allocs > 64 || per > answer+6<<10 {
-		t.Fatalf("%v allocations and %d bytes per warm request, want at most 64 and its %d-byte answer + 6 KiB", allocs, per, answer)
+	if allocs > 10 || per > answer+6<<10 {
+		t.Fatalf("%v allocations and %d bytes per warm request, want at most 10 and its %d-byte answer + 6 KiB", allocs, per, answer)
 	}
 }

@@ -83,7 +83,8 @@ type Scratch struct {
 	rng          *rand.Rand
 	order        []int
 	match, group []int32
-	h            *Hierarchy // its array holds every level slot built so far
+	sorter       matrix.RowSorter // contract's fold
+	h            *Hierarchy       // its array holds every level slot built so far
 }
 
 // Release drops the adjacency the last build was given, so an idle
@@ -247,9 +248,8 @@ func (s *Scratch) contract(cur *Level, match []int32, h *Hierarchy) bool {
 	for i := 0; i < n; i++ {
 		weight[coarseID[i]] += cur.NodeWeight[i]
 	}
-	adj := matrix.FoldRows(int(cn), int(cn), rowPtr, cols, vals)
-	adj.ColIdx, adj.Val = cols[:adj.NNZ()], vals[:adj.NNZ()]
-	*next.Adj = *adj
+	nnz := matrix.FoldRows(int(cn), rowPtr, cols, vals, &s.sorter)
+	*next.Adj = matrix.CSR{Rows: int(cn), Cols: int(cn), RowPtr: rowPtr, ColIdx: cols[:nnz], Val: vals[:nnz]}
 	next.NodeWeight, next.Map = weight, coarseID
 	h.Levels = append(h.Levels, next)
 	return true

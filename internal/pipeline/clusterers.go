@@ -27,10 +27,6 @@ type Clusterer struct {
 	// AcceptsDirected reports whether Run consumes Input.G (the
 	// directed graph) instead of Input.U, bypassing symmetrization.
 	AcceptsDirected bool
-	// Checkpointable reports whether Run's kernels save/restore
-	// mid-iteration snapshots through a context-carried
-	// checkpoint.Sink (the MLR-MCL flow iteration does).
-	Checkpointable bool
 
 	id Algorithm
 	// aliases are wire names accepted besides Name and the lowercased
@@ -146,11 +142,10 @@ func multilevelBytes(gs GraphStats) int64 {
 // bounds, and the daemon's capability set all follow.
 var cluRegistry = []*Clusterer{
 	{
-		id:             MLRMCL,
-		Name:           "mcl",
-		aliases:        []string{"mlrmcl"},
-		Display:        "MLR-MCL",
-		Checkpointable: true,
+		id:      MLRMCL,
+		Name:    "mcl",
+		aliases: []string{"mlrmcl"},
+		Display: "MLR-MCL",
 		run: func(ctx context.Context, in Input, opt ClusterOptions) (*Result, error) {
 			inflation := opt.Inflation
 			if inflation <= 1 {

@@ -22,10 +22,6 @@ type Symmetrizer struct {
 	// Name is the canonical wire name ("dd", "bib", "aat", "rw") used
 	// by CLI flags, the HTTP API, and cache keys.
 	Name string
-	// Checkpointable reports whether Run's kernels save/restore
-	// mid-iteration snapshots through a context-carried
-	// checkpoint.Sink (the random-walk power iteration does).
-	Checkpointable bool
 	// OutOfCore reports whether admission may route a job over the
 	// in-core budget to the out-of-core path, where the input and its
 	// transpose live in memory-mapped files and the run meters its own
@@ -148,10 +144,9 @@ var symRegistry = []*Symmetrizer{
 		},
 	},
 	{
-		Method:         core.RandomWalk,
-		Name:           "rw",
-		aliases:        []string{"random-walk"},
-		Checkpointable: true,
+		Method:  core.RandomWalk,
+		Name:    "rw",
+		aliases: []string{"random-walk"},
 		cost: func(gs GraphStats) int64 {
 			// Transition matrix + (ΠP + PᵀΠ)/2 (same structure as
 			// A + Aᵀ) plus a handful of n-length iteration vectors.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -336,6 +337,53 @@ func TestDrainPreemptsAndRequeues(t *testing.T) {
 	}
 	if got := jobResult(t, done).Assign; fmt.Sprint(got) != fmt.Sprint(base.Assign) {
 		t.Fatalf("resumed assignments %v != uninterrupted %v", got, base.Assign)
+	}
+}
+
+// TestDrainResumesBestWCutPageRank: a durable async job gets the job's
+// checkpoint sink whatever its pipeline, so BestWCut's PageRank solve
+// (walk.StationaryDistributionCtx) snapshots while it runs, is preempted
+// by a drain with its iterate journaled, and resumes from it on the next
+// boot rather than from iteration 0.
+func TestDrainResumesBestWCutPageRank(t *testing.T) {
+	dir := t.TempDir()
+	faultinject.Set("walk.power", faultinject.Fault{Mode: faultinject.Delay, Delay: 25 * time.Millisecond})
+	defer faultinject.Reset()
+
+	s1, ts1 := durableServer(t, dir, Config{Workers: 1, CheckpointIters: 1})
+	s1.preemptGrace = 10 * time.Second
+	g, err := graph.ReadEdgeList(strings.NewReader(blockEdgeList(4, 30, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := s1.RegisterGraph(g)
+	req := ClusterRequest{GraphID: info.ID, Algorithm: "bestwcut", K: 4, Seed: 5, Async: true}
+	ref := decodeJobRef(t, postCluster(t, ts1.URL, req, ""))
+	waitJobState(t, s1, ref.JobID, jobstore.Running)
+	waitFor(t, 10*time.Second, "a PageRank checkpoint", func() bool { return s1.jobs.CheckpointSaves() >= 2 })
+
+	ts1.Close()
+	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := s1.Drain(drainCtx); err != nil {
+		t.Fatalf("drain with preemption: %v", err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	faultinject.Reset()
+	s2, ts2 := durableServer(t, dir, Config{Workers: 1, CheckpointIters: 1})
+	defer stopServer(t, s2, ts2)
+	waitJobState(t, s2, ref.JobID, jobstore.Done)
+	code, trace := getURL(t, ts2.URL+"/v1/jobs/"+ref.JobID+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("trace: status %d: %s", code, trace)
+	}
+	// Only walk.power sets resume_iter in a BestWCut run.
+	m := regexp.MustCompile(`"resume_iter":\s*(\d+)`).FindSubmatch(trace)
+	if m == nil || string(m[1]) == "0" {
+		t.Fatalf("the replayed walk.power span does not resume (match %q):\n%s", m, trace)
 	}
 }
 

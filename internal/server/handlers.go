@@ -302,7 +302,9 @@ func (s *Server) submitAsync(reqCtx context.Context, req *ClusterRequest, idemKe
 // launchJob starts the goroutine that carries one admitted, journaled
 // async job from the queue to its outcome, and wires its lifecycle:
 // Start when a worker is free, checkpoints to the WAL while it runs
-// (durable + checkpointable runs only), and on completion either
+// (durable runs only: the sink is asked for only by a kernel that
+// checkpoints — MLR-MCL's flow iteration, the random-walk and PageRank
+// power iterations), and on completion either
 // Finish — or, when Drain preempted it, Requeue, because its kernel
 // checkpointed on the way out and the next boot resumes it. parent is
 // already detached from any request.
@@ -310,7 +312,7 @@ func (s *Server) launchJob(parent context.Context, job *jobstore.JobRecord, prep
 	// The cancel cause lets Drain preempt the job distinguishably from a
 	// client cancel.
 	jobCtx, cancel := context.WithCancelCause(parent)
-	if prep.checkpointable() && s.jobs.Durable() {
+	if s.jobs.Durable() {
 		jobCtx = checkpoint.With(jobCtx, newJobSink(s.jobs, job.ID, s.cfg.CheckpointIters, job.Checkpoints))
 	}
 	// Pin the job's trace identity before it runs. A proxied submit
@@ -374,12 +376,6 @@ type runOutcome struct {
 type preparedRun struct {
 	rg  *registeredGraph
 	run *pipeline.Run
-}
-
-// checkpointable reports whether any stage supports kernel
-// checkpointing (gates installing a job sink).
-func (p *preparedRun) checkpointable() bool {
-	return p.run.Cl.Checkpointable || (p.run.Sym != nil && p.run.Sym.Checkpointable)
 }
 
 // prepareRun resolves a ClusterRequest against the registered graph and
