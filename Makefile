@@ -32,7 +32,8 @@ vet:
 # algorithms, slog-only logging, job state reaching disk only through
 # internal/jobstore, mmap only in internal/csr, flock only in
 # internal/jobstore and jobstore.TryOpen only in adoption.go, peer traffic and
-# propagation headers only through the cluster client,
+# propagation headers only through the cluster client, no sleep or timer in
+# internal/cluster (a hop never waits; the CLI keeps the one retry loop),
 # context.Background() only in package main and internal/server/bootctx.go, no exported F
 # beside an exported FCtx, no production call to the sparse-product oracle
 # or (bench/ aside) to the one-term self-product, no Workers field reachable from pipeline.SymOptions, no time.Now or

@@ -24,10 +24,12 @@
 //
 // With -server, the run executes on a symclusterd instance instead of
 // in-process: the edge list is registered and a synchronous clustering
-// request submitted, with 429/503 shed responses retried up to
-// -retries times honoring Retry-After under a capped jittered backoff
-// (-retry-max-wait). Flags that need the graph locally (-stats,
-// -metisout, -out-of-core, -truth, -trace-log) are rejected.
+// request submitted. A transport error or a 429/503 shed answer is
+// tried again, -retries tries in all, after the server's Retry-After
+// or a jittered backoff, either capped at -retry-max-wait; this is the
+// only retry loop in the module, the daemon's hops never retry. Flags
+// that need the graph locally (-stats, -metisout, -out-of-core, -truth,
+// -trace-log) are rejected.
 //
 // Observability: -json output embeds the run's span tree
 // (trace.spans), -trace-log appends the same tree as one JSON line to
@@ -37,16 +39,19 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -284,32 +289,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runServer executes the clustering on a symclusterd instance: the
 // edge list is registered via POST /v1/graphs, then a synchronous
-// POST /v1/cluster runs it. Both calls go through the cluster
-// package's retrying client, so a daemon shedding load (503 with
-// Retry-After from a full queue or an unreachable owner; a 429 from
-// anything in front of it) is retried with capped jittered backoff
-// instead of failing the run. The daemon's forwarded hops do not retry:
-// this loop is the only one.
-// With -timeout, the context deadline makes the client stamp the
-// remaining budget on every request (X-Symclusterd-Deadline-Ms), so
-// the daemon fast-fails work this caller would never wait for — and
-// the client itself refuses retry sleeps that would outlive the run.
+// POST /v1/cluster runs it. Both calls go through post, the module's
+// one retry loop, so a daemon shedding load (503 with Retry-After from
+// a full queue or an unreachable owner; a 429 from anything in front of
+// it) is retried instead of failing the run; the daemon's own hops are
+// one request each. With -timeout, the context deadline makes the
+// client stamp the remaining budget on every request
+// (X-Symclusterd-Deadline-Ms), so the daemon fast-fails work this
+// caller would never wait for, and post refuses retry sleeps that
+// would outlive the run.
 func runServer(ctx context.Context, stdout, stderr io.Writer, baseURL, in string, req server.ClusterRequest, retries int, maxWait time.Duration, jsonOut bool) int {
 	baseURL = strings.TrimRight(baseURL, "/")
-	cli := cluster.NewClient(cluster.ClientConfig{
-		MaxAttempts: retries,
-		MaxWait:     maxWait,
-		OnRetry: func(reason string) {
-			fmt.Fprintf(stderr, "symcluster: retrying: %s\n", reason)
-		},
-	})
+	// A zero flag means the default, not no try or no wait.
+	if retries < 1 {
+		retries = 4
+	}
+	if maxWait <= 0 {
+		maxWait = 5 * time.Second
+	}
 	data, err := os.ReadFile(in)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	hdr := http.Header{}
-	hdr.Set("Content-Type", "text/plain")
-	body, status, err := doJSON(cli, ctx, baseURL+"/v1/graphs", hdr, data)
+	send := func(url, contentType string, body []byte) ([]byte, int, error) {
+		resp, err := post(ctx, stderr, url, http.Header{"Content-Type": {contentType}}, body, retries, maxWait)
+		if err != nil {
+			return nil, 0, err
+		}
+		return readAnswer(url, resp)
+	}
+	body, status, err := send(baseURL+"/v1/graphs", "text/plain", data)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -325,9 +334,7 @@ func runServer(ctx context.Context, stdout, stderr io.Writer, baseURL, in string
 	if err != nil {
 		return fail(stderr, err)
 	}
-	hdr = http.Header{}
-	hdr.Set("Content-Type", "application/json")
-	body, _, err = doJSON(cli, ctx, baseURL+"/v1/cluster", hdr, reqBody)
+	body, _, err = send(baseURL+"/v1/cluster", "application/json", reqBody)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -357,14 +364,98 @@ func runServer(ctx context.Context, stdout, stderr io.Writer, baseURL, in string
 	return 0
 }
 
-// doJSON POSTs body and returns the response body, turning any
-// non-2xx final answer (including a 429/503 that survived every
-// retry) into an error carrying the daemon's message.
-func doJSON(cli *cluster.Client, ctx context.Context, url string, hdr http.Header, body []byte) ([]byte, int, error) {
-	resp, err := cli.Do(ctx, http.MethodPost, url, hdr, body)
-	if err != nil {
-		return nil, 0, err
+// post sends body to url, the whole body on every try, up to attempts
+// tries while the answer is a transport error or a shed status (429 or
+// 503). Between tries it drains the shed body, logs why on stderr and
+// waits the server's Retry-After, else the backoff — either capped at
+// maxWait. It never sleeps past ctx's deadline: it relays the shed
+// answer, or returns the error, at once instead. The final 429/503 is
+// returned like any other answer.
+func post(ctx context.Context, stderr io.Writer, url string, hdr http.Header, body []byte, attempts int, maxWait time.Duration) (*http.Response, error) {
+	cli := cluster.NewClient()
+	for n := 1; ; n++ {
+		resp, err := cli.Do(ctx, http.MethodPost, url, hdr, bytes.NewReader(body), int64(len(body)))
+		wait := jitter(backoff(n, maxWait))
+		var reason string
+		switch {
+		case err != nil:
+			if ctx.Err() != nil {
+				return nil, err
+			}
+			if n >= attempts {
+				return nil, fmt.Errorf("failed after %d attempts: %w", n, err)
+			}
+			if !fits(ctx, wait) {
+				return nil, fmt.Errorf("retry would outlive the deadline: %w", err)
+			}
+			reason = "attempt error: " + err.Error()
+		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
+			if ra, ok := retryAfter(resp.Header); ok {
+				wait = min(ra, maxWait)
+			}
+			if n >= attempts || !fits(ctx, wait) {
+				return resp, nil
+			}
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+			resp.Body.Close()
+			reason = "status " + strconv.Itoa(resp.StatusCode)
+		default:
+			return resp, nil
+		}
+		fmt.Fprintf(stderr, "symcluster: retrying: %s\n", reason)
+		timer := time.NewTimer(wait)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return nil, ctx.Err()
+		}
 	}
+}
+
+// backoff is the wait after try n when the server named none:
+// 100 ms·2ⁿ⁻¹, capped at maxWait.
+func backoff(n int, maxWait time.Duration) time.Duration {
+	d := 100 * time.Millisecond
+	for i := 1; i < n && d < maxWait; i++ {
+		d *= 2
+	}
+	return min(d, maxWait)
+}
+
+// jitter spreads a wait over [d/2, d], so callers shed together do not
+// come back together.
+func jitter(d time.Duration) time.Duration {
+	if d <= 1 {
+		return d
+	}
+	return d/2 + rand.N(d/2+1)
+}
+
+// fits reports whether sleeping wait still ends before ctx's deadline.
+func fits(ctx context.Context, wait time.Duration) bool {
+	dl, ok := ctx.Deadline()
+	return !ok || time.Until(dl) > wait
+}
+
+// retryAfter parses a Retry-After header, delta-seconds or HTTP-date (a
+// date already past is zero). ok is false when it is absent or
+// malformed.
+func retryAfter(h http.Header) (time.Duration, bool) {
+	v := h.Get("Retry-After")
+	if secs, err := strconv.Atoi(v); err == nil {
+		return time.Duration(secs) * time.Second, secs >= 0
+	}
+	if t, err := http.ParseTime(v); err == nil {
+		return max(time.Until(t), 0), true
+	}
+	return 0, false
+}
+
+// readAnswer reads a response from url and closes it, turning any
+// non-2xx answer (including a 429/503 that survived every retry) into
+// an error carrying the daemon's message.
+func readAnswer(url string, resp *http.Response) ([]byte, int, error) {
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {

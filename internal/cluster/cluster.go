@@ -5,23 +5,23 @@
 //   - cluster.go — peer specs ("http://host:port[*weight]"), their
 //     parsing, and the ring's hash function
 //   - ring.go    — weighted consistent hashing of graph fingerprints
-//   - client.go  — the HTTP client every inter-node hop goes through,
-//     one attempt on the caller's context, stamping the deadline, trace
-//     and forwarding headers; the CLI's retries use it too: capped
-//     exponential backoff with jitter, honoring the server's Retry-After
+//   - client.go  — the HTTP client every inter-node hop and the CLI's
+//     -server mode go through: one request on the caller's context,
+//     stamping the deadline, trace and forwarding headers
 //
-// The package holds no opinion on whether a peer is alive: a hop either
-// gets an answer or it does not, and whether a dead peer's work moves
-// is decided by its journal lock, in internal/server.
+// A hop never waits: the client neither retries nor sleeps, and the one
+// retry loop in the module is the CLI's (cmd/symcluster). The package
+// holds no opinion on whether a peer is alive either: a hop gets an
+// answer or it does not, and whether a dead peer's work moves is
+// decided by its journal lock, in internal/server.
 //
 // The package is deliberately free of symcluster imports: it knows
 // about peers, hashes and HTTP, not about graphs or jobs, so
-// internal/server composes it without a dependency cycle and the CLI
-// reuses the client for its own retries.
+// internal/server composes it without a dependency cycle.
 //
-// Fault injection: the "proxy.forward" site fires before every client
-// attempt, so chaos tests can make owners unreachable, and the CLI
-// retry, deterministically (see internal/faultinject).
+// Fault injection: the "proxy.forward" site fires before every request,
+// so chaos tests can make owners unreachable deterministically (see
+// internal/faultinject).
 package cluster
 
 import (

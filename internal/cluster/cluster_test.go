@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -152,329 +154,9 @@ func TestRingFailover(t *testing.T) {
 	}
 }
 
-func TestRetryAfterParsing(t *testing.T) {
-	mk := func(v string) *http.Response {
-		h := http.Header{}
-		if v != "" {
-			h.Set("Retry-After", v)
-		}
-		return &http.Response{Header: h}
-	}
-	if d, ok := RetryAfter(mk("3")); !ok || d != 3*time.Second {
-		t.Errorf("seconds: got %v %v", d, ok)
-	}
-	if _, ok := RetryAfter(mk("")); ok {
-		t.Error("absent header parsed as present")
-	}
-	if _, ok := RetryAfter(mk("soon")); ok {
-		t.Error("garbage header parsed as present")
-	}
-	if _, ok := RetryAfter(mk("-2")); ok {
-		t.Error("negative seconds accepted")
-	}
-	future := time.Now().Add(10 * time.Second).UTC().Format(http.TimeFormat)
-	if d, ok := RetryAfter(mk(future)); !ok || d <= 5*time.Second || d > 11*time.Second {
-		t.Errorf("http-date: got %v %v", d, ok)
-	}
-	past := time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat)
-	if d, ok := RetryAfter(mk(past)); !ok || d != 0 {
-		t.Errorf("past http-date: got %v %v, want 0 true", d, ok)
-	}
-}
-
-func TestRetryable(t *testing.T) {
-	for code, want := range map[int]bool{
-		http.StatusOK:                  false,
-		http.StatusBadRequest:          false,
-		http.StatusNotFound:            false,
-		http.StatusTooManyRequests:     true,
-		http.StatusInternalServerError: false,
-		http.StatusBadGateway:          false,
-		http.StatusServiceUnavailable:  true,
-		http.StatusGatewayTimeout:      false,
-	} {
-		if got := Retryable(code); got != want {
-			t.Errorf("Retryable(%d) = %v, want %v", code, got, want)
-		}
-	}
-}
-
-func noJitter(d time.Duration) time.Duration { return d }
-
-func TestClientRetriesUntilSuccess(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) < 3 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprint(w, "ok")
-	}))
-	defer srv.Close()
-
-	var retries []string
-	c := NewClient(ClientConfig{
-		MaxAttempts: 4,
-		BaseWait:    time.Millisecond,
-		MaxWait:     5 * time.Millisecond,
-		Jitter:      noJitter,
-		OnRetry:     func(reason string) { retries = append(retries, reason) },
-	})
-	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("server saw %d calls, want 3", calls.Load())
-	}
-	if len(retries) != 2 || retries[0] != "status 503" {
-		t.Fatalf("OnRetry calls = %v", retries)
-	}
-}
-
-func TestClientRelaysFinalShedStatus(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "0")
-		w.WriteHeader(http.StatusTooManyRequests)
-	}))
-	defer srv.Close()
-	c := NewClient(ClientConfig{MaxAttempts: 2, BaseWait: time.Millisecond, MaxWait: time.Millisecond, Jitter: noJitter})
-	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want the relayed 429", resp.StatusCode)
-	}
-}
-
-func TestClientReopensBodyPerAttempt(t *testing.T) {
-	var got []string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b := make([]byte, 32)
-		n, _ := r.Body.Read(b)
-		got = append(got, string(b[:n]))
-		if len(got) < 2 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-	}))
-	defer srv.Close()
-	c := NewClient(ClientConfig{MaxAttempts: 3, BaseWait: time.Millisecond, MaxWait: time.Millisecond, Jitter: noJitter})
-	resp, err := c.Do(context.Background(), http.MethodPost, srv.URL, nil, []byte("payload"))
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	resp.Body.Close()
-	if len(got) != 2 || got[0] != "payload" || got[1] != "payload" {
-		t.Fatalf("bodies seen by server = %q, want full payload on every attempt", got)
-	}
-}
-
-func TestClientTransportErrorExhaustsAttempts(t *testing.T) {
-	// A listener that is closed immediately: connection refused.
-	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-	url := srv.URL
-	srv.Close()
-
-	var retries atomic.Int32
-	c := NewClient(ClientConfig{
-		MaxAttempts: 3,
-		BaseWait:    time.Millisecond,
-		MaxWait:     time.Millisecond,
-		Jitter:      noJitter,
-		OnRetry:     func(string) { retries.Add(1) },
-	})
-	_, err := c.Do(context.Background(), http.MethodGet, url, nil, nil)
-	if err == nil {
-		t.Fatal("expected error against closed listener")
-	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("error %q does not mention exhausted attempts", err)
-	}
-	if retries.Load() != 2 {
-		t.Fatalf("OnRetry fired %d times, want 2", retries.Load())
-	}
-}
-
-func TestClientHonorsCallerContext(t *testing.T) {
-	// A peer sheds with Retry-After far beyond the caller's remaining
-	// budget. Sleeping would outlive the request, so the client relays
-	// the shed response immediately instead of burning the deadline.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	c := NewClient(ClientConfig{MaxAttempts: 5, MaxWait: time.Minute, Jitter: noJitter})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	resp, err := c.Do(ctx, http.MethodGet, srv.URL, nil, nil)
-	if err != nil {
-		t.Fatalf("Do: %v (want the shed response relayed, not an error)", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 relayed", resp.StatusCode)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("Do slept past the caller's deadline: %v", time.Since(start))
-	}
-}
-
-func TestClientBackoffCapped(t *testing.T) {
-	c := NewClient(ClientConfig{BaseWait: 10 * time.Millisecond, MaxWait: 40 * time.Millisecond, Jitter: noJitter})
-	want := []time.Duration{10, 20, 40, 40, 40}
-	for i, w := range want {
-		if got := c.backoff(i + 1); got != w*time.Millisecond {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
-	}
-}
-
-// shedServer answers every request 503 with the given Retry-After and
-// counts what it saw.
-func shedServer(t *testing.T, retryAfter string) (*httptest.Server, *atomic.Int32) {
-	t.Helper()
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Retry-After", retryAfter)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	t.Cleanup(srv.Close)
-	return srv, &calls
-}
-
-func TestClientShedRetriesBoundedByMaxAttempts(t *testing.T) {
-	// A peer that sheds forever costs MaxAttempts tries, no more: the
-	// attempt count is what keeps a retry storm to a fixed multiple.
-	srv, calls := shedServer(t, "0")
-	var retries atomic.Int32
-	c := NewClient(ClientConfig{MaxAttempts: 3, BaseWait: time.Millisecond, MaxWait: time.Millisecond, Jitter: noJitter,
-		OnRetry: func(string) { retries.Add(1) }})
-	for i := 0; i < 4; i++ {
-		resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
-		if err != nil {
-			t.Fatalf("Do: %v", err)
-		}
-		resp.Body.Close()
-	}
-	if calls.Load() != 12 || retries.Load() != 8 {
-		t.Fatalf("4 requests: server saw %d calls and OnRetry fired %d times, want 12 and 8", calls.Load(), retries.Load())
-	}
-}
-
-func TestClientSingleAttemptDisablesRetries(t *testing.T) {
-	srv, calls := shedServer(t, "0")
-	c := NewClient(ClientConfig{MaxAttempts: 1, OnRetry: func(r string) { t.Errorf("OnRetry(%q) with retries disabled", r) }})
-	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || calls.Load() != 1 {
-		t.Fatalf("status %d after %d calls, want the 503 after 1", resp.StatusCode, calls.Load())
-	}
-}
-
-func TestClientDoesNotRetryNonShedStatus(t *testing.T) {
-	// Only 429 and 503 mean "come back later"; any other answer is the
-	// peer's verdict and is relayed from the first attempt.
-	for _, code := range []int{http.StatusOK, http.StatusNotFound, http.StatusInternalServerError, http.StatusBadGateway, http.StatusGatewayTimeout} {
-		var calls atomic.Int32
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			calls.Add(1)
-			w.WriteHeader(code)
-			fmt.Fprint(w, "verdict")
-		}))
-		c := NewClient(ClientConfig{MaxAttempts: 4, BaseWait: time.Millisecond, MaxWait: time.Millisecond, Jitter: noJitter})
-		resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
-		if err != nil {
-			srv.Close()
-			t.Fatalf("%d: Do: %v", code, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		srv.Close()
-		if resp.StatusCode != code || string(body) != "verdict" || calls.Load() != 1 {
-			t.Errorf("%d: relayed %d %q after %d calls, want %d \"verdict\" after 1", code, resp.StatusCode, body, calls.Load(), code)
-		}
-	}
-}
-
-func TestClientCapsRetryAfterAtMaxWait(t *testing.T) {
-	// A peer asking for 30 s is waited on for MaxWait only.
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "30")
-			w.WriteHeader(http.StatusTooManyRequests)
-		}
-	}))
-	defer srv.Close()
-	c := NewClient(ClientConfig{MaxAttempts: 2, MaxWait: 20 * time.Millisecond, Jitter: noJitter})
-	start := time.Now()
-	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || calls.Load() != 2 {
-		t.Fatalf("status %d after %d calls, want 200 after 2", resp.StatusCode, calls.Load())
-	}
-	if waited := time.Since(start); waited < 20*time.Millisecond || waited > 10*time.Second {
-		t.Fatalf("retry came after %v, want MaxWait (20ms), not the peer's 30s", waited)
-	}
-}
-
-func TestClientTransportRetryStopsAtDeadline(t *testing.T) {
-	// A backoff that would outlive the caller's deadline is not slept:
-	// the transport error comes back at once, after one attempt.
-	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-	url := srv.URL
-	srv.Close()
-	c := NewClient(ClientConfig{MaxAttempts: 5, BaseWait: 5 * time.Second, MaxWait: 5 * time.Second, Jitter: noJitter,
-		OnRetry: func(r string) { t.Errorf("OnRetry(%q): a retry was scheduled past the deadline", r) }})
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_, err := c.Do(ctx, http.MethodGet, url, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "outlive the deadline") {
-		t.Fatalf("err = %v, want the retry refused for the deadline", err)
-	}
-	if ctx.Err() != nil {
-		t.Fatal("Do returned only after the caller's deadline")
-	}
-}
-
-func TestClientCancelDuringWait(t *testing.T) {
-	// A caller that gives up while the client sleeps between attempts
-	// gets its own context error back, without waiting out the sleep.
-	// The cancel comes from OnRetry, just before the sleep begins.
-	srv, calls := shedServer(t, "30")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	c := NewClient(ClientConfig{MaxAttempts: 3, MaxWait: time.Minute, Jitter: noJitter, OnRetry: func(string) { cancel() }})
-	start := time.Now()
-	_, err := c.Do(ctx, http.MethodGet, srv.URL, nil, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls.Load() != 1 || time.Since(start) > 10*time.Second {
-		t.Fatalf("%d calls in %v, want 1 and a prompt return", calls.Load(), time.Since(start))
-	}
-}
-
 func TestClientSlowAnswerIsOneAttempt(t *testing.T) {
 	// An answer slower than the 10 s per-attempt cut the client once
-	// had arrives in one attempt: only the caller's deadline bounds it.
+	// had arrives in one request: only the caller's deadline bounds it.
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
@@ -487,8 +169,7 @@ func TestClientSlowAnswerIsOneAttempt(t *testing.T) {
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	c := NewClient(ClientConfig{MaxAttempts: 2, Jitter: noJitter, OnRetry: func(r string) { t.Errorf("OnRetry(%q): the slow answer was cut", r) }})
-	resp, err := c.Do(ctx, http.MethodGet, srv.URL, nil, nil)
+	resp, err := NewClient().Do(ctx, http.MethodGet, srv.URL, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
@@ -499,16 +180,19 @@ func TestClientSlowAnswerIsOneAttempt(t *testing.T) {
 	}
 }
 
-func TestClientFaultSiteFailsOneAttempt(t *testing.T) {
-	// The proxy.forward site fails an attempt before it is sent; the
-	// client retries it like any transport error.
+func TestClientFaultSiteFailsOneRequest(t *testing.T) {
+	// The proxy.forward site fails a request before it is sent, and the
+	// client hands the injected error back without trying again.
 	defer faultinject.Reset()
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { calls.Add(1) }))
 	defer srv.Close()
 	faultinject.Set("proxy.forward", faultinject.Fault{Mode: faultinject.Error, Times: 1})
-	c := NewClient(ClientConfig{MaxAttempts: 2, BaseWait: time.Millisecond, MaxWait: time.Millisecond, Jitter: noJitter})
-	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil)
+	c := NewClient()
+	if _, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil, 0); !errors.Is(err, faultinject.ErrInjected) || calls.Load() != 0 {
+		t.Fatalf("err = %v after %d calls reached the server, want the injected error after 0", err, calls.Load())
+	}
+	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
@@ -516,9 +200,45 @@ func TestClientFaultSiteFailsOneAttempt(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || calls.Load() != 1 {
 		t.Fatalf("status %d after %d calls reached the server, want 200 after 1", resp.StatusCode, calls.Load())
 	}
-	faultinject.Set("proxy.forward", faultinject.Fault{Mode: faultinject.Error})
-	if _, err := c.Do(context.Background(), http.MethodGet, srv.URL, nil, nil); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("every attempt failed: err = %v, want the injected error wrapped", err)
+}
+
+func TestClientShedIsOneRequestAndFileBodyStreams(t *testing.T) {
+	// A peer that sheds sees one request: the 503 and its Retry-After
+	// come back to the caller. A file body goes out whole, with the
+	// length the caller declared rather than chunked.
+	var calls atomic.Int32
+	var gotLen atomic.Int64
+	var gotBody atomic.Pointer[string]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		gotLen.Store(r.ContentLength)
+		b, _ := io.ReadAll(r.Body)
+		body := string(b)
+		gotBody.Store(&body)
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	path := filepath.Join(t.TempDir(), "graph.csr")
+	payload := strings.Repeat("csr bytes ", 1000)
+	if err := os.WriteFile(path, []byte(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	resp, err := NewClient().Do(context.Background(), http.MethodPut, srv.URL, nil, f, int64(len(payload)))
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" || calls.Load() != 1 {
+		t.Fatalf("status %d Retry-After=%q after %d requests, want 503 1 after 1", resp.StatusCode, resp.Header.Get("Retry-After"), calls.Load())
+	}
+	if gotLen.Load() != int64(len(payload)) || *gotBody.Load() != payload {
+		t.Fatalf("peer saw Content-Length %d and %d body bytes, want %d of each", gotLen.Load(), len(*gotBody.Load()), len(payload))
 	}
 }
 
@@ -529,10 +249,10 @@ func TestClientPropagatesTraceAndForwardMarker(t *testing.T) {
 		got.Store(&h)
 	}))
 	defer srv.Close()
-	c := NewClient(ClientConfig{MaxAttempts: 1})
+	c := NewClient()
 	send := func(ctx context.Context, hdr http.Header) http.Header {
 		t.Helper()
-		resp, err := c.Do(ctx, http.MethodGet, srv.URL, hdr, nil)
+		resp, err := c.Do(ctx, http.MethodGet, srv.URL, hdr, nil, 0)
 		if err != nil {
 			t.Fatalf("Do: %v", err)
 		}
@@ -606,10 +326,9 @@ func TestClientStampsDeadlineHeader(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	c := NewClient(ClientConfig{MaxAttempts: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	resp, err := c.Do(ctx, http.MethodGet, srv.URL, nil, nil)
+	resp, err := NewClient().Do(ctx, http.MethodGet, srv.URL, nil, nil, 0)
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}

@@ -29,7 +29,7 @@
 //	jobstore.compact  each WAL compaction (before the rewrite)
 //	csr.write         each binary CSR file finalize (before header/rename)
 //	csr.ingest        each streaming-ingest finalize (before the merge)
-//	proxy.forward     each cluster client attempt: a hop, or a CLI try (before the send)
+//	proxy.forward     each cluster client request: a hop, or one CLI try (before the send)
 //
 // Sites where no error can propagate (the cache, whose API is
 // infallible) honour only Panic and Delay faults; the returned error is

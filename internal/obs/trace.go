@@ -135,8 +135,8 @@ func SpanContext(ctx context.Context) (traceID, spanID string, ok bool) {
 
 // TraceparentHeader is the header carrying trace propagation state on
 // forwarded and internal peer requests, in a W3C-traceparent-style
-// format (see FormatTraceparent). Only internal/cluster's retrying
-// client may set it; the server middleware parses it.
+// format (see FormatTraceparent). Only internal/cluster's client may
+// set it; the server middleware parses it.
 const TraceparentHeader = "Traceparent"
 
 // FormatTraceparent renders the propagation header value:

@@ -48,7 +48,7 @@ func (s *Server) placeGraph(ctx context.Context, rg *registeredGraph, pinned boo
 // pushGraph ships a graph's binary CSR file — written to scratch first
 // when the graph only exists on the heap — to peer over the internal
 // endpoint and returns the GraphInfo the peer registered. Like forward,
-// the push is one attempt bounded by the caller's deadline or
+// the push is one request bounded by the caller's deadline or
 // RequestTimeout. The hop is a "csr.push" span; the peer's
 // "csr.receive" joins it.
 func (c *coordinator) pushGraph(ctx context.Context, peer *cluster.Peer, rg *registeredGraph) (info GraphInfo, err error) {
@@ -68,15 +68,19 @@ func (c *coordinator) pushGraph(ctx context.Context, peer *cluster.Peer, rg *reg
 					err: fmt.Errorf("encoding graph for %s: %w", peer.Name, err)}
 			}
 		}
-		st, err := os.Stat(path)
+		f, err := os.Open(path)
+		if err != nil {
+			return fmt.Errorf("pushing graph: %w", err)
+		}
+		defer f.Close()
+		st, err := f.Stat()
 		if err != nil {
 			return fmt.Errorf("pushing graph: %w", err)
 		}
 		hdr := http.Header{}
 		cluster.MarkForwarded(hdr, c.self.Name)
 		hdr.Set("Content-Type", "application/octet-stream")
-		resp, err := c.client.DoStream(ctx, http.MethodPut, peer.URL+internalCSRPath, hdr,
-			func() (io.ReadCloser, error) { return os.Open(path) }, st.Size())
+		resp, err := c.client.Do(ctx, http.MethodPut, peer.URL+internalCSRPath, hdr, f, st.Size())
 		if err != nil {
 			err = unreachable(peer.Name, err)
 			c.s.metrics.IncProxyRequest(peer.Name, httpStatus(err))

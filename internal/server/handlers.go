@@ -40,9 +40,8 @@ func badGateway(format string, args ...any) error {
 	return &apiError{code: http.StatusBadGateway, err: fmt.Errorf(format, args...)}
 }
 
-// unreachable marks a hop to peer that got only transport errors
-// through the client's retries: a 503, which the caller retries until
-// the owner is back.
+// unreachable marks a hop to peer that got no answer: a 503, which the
+// caller retries until the owner is back.
 func unreachable(peer string, err error) error {
 	return &apiError{code: http.StatusServiceUnavailable, err: fmt.Errorf("owner %s unreachable: %w", peer, err)}
 }

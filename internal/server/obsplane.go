@@ -139,7 +139,7 @@ func (c *coordinator) fetchPeer(ctx context.Context, p *cluster.Peer, path strin
 	}
 	ctx, cancel := context.WithTimeout(ctx, statusFanoutTimeout)
 	defer cancel()
-	resp, err := c.client.Do(ctx, http.MethodGet, p.URL+path, http.Header{}, nil)
+	resp, err := c.client.Do(ctx, http.MethodGet, p.URL+path, nil, nil, 0)
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ import (
 //
 // Where a request is served is decided once, in coordinator.route, from
 // how the route table (Server.routeTable) says the pattern's owner is
-// found: here, or one forwarded hop away — one attempt through
+// found: here, or one forwarded hop away — one request through
 // cluster.Client on the caller's budget, and a hop that gets no answer
 // is refused with 503 + Retry-After (DESIGN.md §14). The caller, not
 // the proxy, retries. graphpush.go moves whole graphs to their
@@ -103,7 +103,7 @@ func newCoordinator(s *Server, cfg *ClusterConfig) (*coordinator, error) {
 	c := &coordinator{
 		s:      s,
 		ring:   cluster.NewRing(cfg.Peers, 0),
-		client: cluster.NewClient(cluster.ClientConfig{MaxAttempts: 1}),
+		client: cluster.NewClient(),
 	}
 	self, ok := c.ring.Peer(cfg.Self)
 	if !ok {
@@ -303,7 +303,7 @@ func (s *Server) export(tr *obs.Trace) *obs.SpanNode {
 // forward proxies the request (body already read) one hop to peer,
 // relaying status, headers and body verbatim — a shed 503 included —
 // as a "proxy" span counted per peer and status in
-// symclusterd_proxy_requests_total. The hop is one attempt on the
+// symclusterd_proxy_requests_total. The hop is one request on the
 // caller's deadline or, where it set none, on RequestTimeout, the bound
 // the owner puts on a synchronous run itself; a hop that got no answer
 // is refused as unreachable. The ring keeps the hop's segment only when
@@ -319,7 +319,7 @@ func (c *coordinator) forward(w http.ResponseWriter, r *http.Request, peer *clus
 		hdr := r.Header.Clone()
 		cluster.MarkForwarded(hdr, c.self.Name)
 		hdr.Del("Content-Length") // the client sets it from the body
-		resp, err = c.client.Do(ctx, r.Method, peer.URL+r.URL.RequestURI(), hdr, body)
+		resp, err = c.client.Do(ctx, r.Method, peer.URL+r.URL.RequestURI(), hdr, bytes.NewReader(body), int64(len(body)))
 		if err == nil {
 			span.SetAttr("code", resp.StatusCode)
 		}

@@ -9,25 +9,8 @@ import (
 	"symcluster/internal/walk"
 )
 
-// WCutWeighting selects the (T, T') weighting of the WCut objective
-// (Meila & Pentney, Eq. 4 in the paper) that BestWCut minimises.
-type WCutWeighting int
-
-const (
-	// StationaryWeights uses T(i) = π(i) and T'(i) = π(i)/d_out(i),
-	// which makes WCut coincide with the directed normalised cut
-	// NCut_dir (paper Eq. 3). This is the default.
-	StationaryWeights WCutWeighting = iota
-	// DegreeWeights uses T(i) = d_out(i)+d_in(i) and T'(i) = 1, which
-	// makes WCut coincide with the undirected normalised cut of A+Aᵀ.
-	DegreeWeights
-)
-
 // BestWCutOptions configures BestWCutCtx.
 type BestWCutOptions struct {
-	// Weighting selects the WCut instance. Defaults to
-	// StationaryWeights.
-	Weighting WCutWeighting
 	// KMeans configures the final embedding clustering.
 	KMeans KMeansOptions
 	// Lanczos configures the eigensolver.
@@ -61,7 +44,7 @@ type Result struct {
 //
 // This is a faithful-in-structure reimplementation: the original
 // authors' code is unavailable, and the defining properties preserved
-// here are (i) the WCut objective family with pluggable T, T', and
+// here are (i) the WCut objective, in its stationary instance, and
 // (ii) the dependence on eigenvector computations that makes the
 // method slow at scale (the paper's §5.2, Figure 6).
 //
@@ -81,31 +64,20 @@ func BestWCutCtx(ctx context.Context, a *matrix.CSR, k int, opt BestWCutOptions)
 		return &Result{Assign: []int{}, K: k}, nil
 	}
 
-	var tvec, tprime []float64
-	switch opt.Weighting {
-	case DegreeWeights:
-		out := a.RowCounts()
-		in := a.ColCounts()
-		tvec = make([]float64, n)
-		tprime = make([]float64, n)
-		for i := 0; i < n; i++ {
-			tvec[i] = float64(out[i] + in[i])
-			tprime[i] = 1
-		}
-	default: // StationaryWeights
-		pi, err := walk.PageRankCtx(ctx, a, walk.DefaultTeleport)
-		if err != nil {
-			return nil, fmt.Errorf("spectral: BestWCut stationary distribution: %w", err)
-		}
-		out := a.RowCounts()
-		tvec = pi
-		tprime = make([]float64, n)
-		for i := 0; i < n; i++ {
-			if out[i] > 0 {
-				tprime[i] = pi[i] / float64(out[i])
-			} else {
-				tprime[i] = pi[i]
-			}
+	// The stationary weighting, T(i) = π(i) and T'(i) = π(i)/d_out(i),
+	// makes WCut coincide with the directed normalised cut NCut_dir
+	// (paper Eq. 3).
+	pi, err := walk.PageRankCtx(ctx, a, walk.DefaultTeleport)
+	if err != nil {
+		return nil, fmt.Errorf("spectral: BestWCut stationary distribution: %w", err)
+	}
+	out := a.RowCounts()
+	tvec, tprime := pi, make([]float64, n)
+	for i := 0; i < n; i++ {
+		if out[i] > 0 {
+			tprime[i] = pi[i] / float64(out[i])
+		} else {
+			tprime[i] = pi[i]
 		}
 	}
 

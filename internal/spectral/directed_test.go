@@ -73,18 +73,6 @@ func TestBestWCutRecoversDirectedBlocks(t *testing.T) {
 	}
 }
 
-func TestBestWCutDegreeWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a, truth := directedBlocks(rng, 3, 25, 0.3, 0.01)
-	res, err := BestWCutCtx(context.Background(), a, 3, BestWCutOptions{Weighting: DegreeWeights})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := clusterPurity(res.Assign, truth, 3); p < 0.85 {
-		t.Fatalf("purity %v too low", p)
-	}
-}
-
 func TestBestWCutErrors(t *testing.T) {
 	if _, err := BestWCutCtx(context.Background(), matrix.Zero(2, 3), 2, BestWCutOptions{}); err == nil {
 		t.Fatal("accepted non-square")
